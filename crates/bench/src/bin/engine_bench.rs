@@ -184,9 +184,9 @@ fn warmup(n: usize, repeats: u32, batched: bool) -> Vec<Entry> {
     })
 }
 
-/// The ownership-sharded sweep rows: the batched warm-up split across
-/// `shards` per-shard arenas joined by the boundary-exchange phase.
-/// Transcripts are bit-identical to the unsharded `warmup` row (the
+/// The pinned-shard-count sweep rows: the batched warm-up split across
+/// exactly `shards` ownership shards (the plain `warmup` row runs the
+/// derived count). Transcripts are bit-identical at every count (the
 /// shard-matrix differential suite proves it), so the `warmup+shardsS`
 /// history keys track the pure layout cost/benefit per shard count —
 /// and the `/exchange` phase row under them isolates the all-to-all

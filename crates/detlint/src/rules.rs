@@ -26,9 +26,9 @@ pub enum Rule {
     /// order-independent, and the justification must be written down.
     RelaxedAtomic,
     /// R4: event emission / `ctx.send` inside a parallel sweep outside
-    /// the journal-replay pattern (`batch.rs`/`shard.rs`/`route.rs` own
-    /// that pattern; everywhere else, emission from worker closures
-    /// races the stream order).
+    /// the journal-replay pattern (`shard.rs`, the round loop, owns that
+    /// pattern; everywhere else, emission from worker closures races the
+    /// stream order).
     SendOutsideJournal,
     /// R5: floating-point accumulation inside parallel folds — float
     /// addition is not associative, so chunk boundaries change results.
@@ -86,7 +86,7 @@ impl Rule {
             }
             Rule::SendOutsideJournal => {
                 "ctx.send/event emission inside a parallel sweep outside the \
-                 journal-replay pattern (batch.rs/shard.rs/route.rs)"
+                 journal-replay pattern (shard.rs, the round loop)"
             }
             Rule::FloatAccumulation => {
                 "floating-point accumulation inside a parallel fold (float \

@@ -61,10 +61,10 @@ const SWEEP_MARKERS: [&str; 7] = [
     "scope(",
 ];
 
-/// Files that own the journal-replay pattern: worker-side sends/emits
-/// there are collected into per-worker journals and replayed in
-/// canonical order, so R4 does not apply to them.
-const JOURNAL_FILES: [&str; 3] = ["batch.rs", "shard.rs", "route.rs"];
+/// The file that owns the journal-replay pattern (the round loop):
+/// worker-side sends/emits there are collected into per-shard journals
+/// and replayed in canonical shard order, so R4 does not apply to it.
+const JOURNAL_FILES: [&str; 1] = ["shard.rs"];
 
 /// Scans one file.
 pub fn scan_file(path: &str, src: &str, class: FileClass) -> Vec<Finding> {
@@ -488,7 +488,7 @@ mod tests {
     fn r4_send_in_sweep_fires_except_journal_files() {
         let src = "fn f(v: &[u8]) {\n    v.par_iter().for_each(|_| {\n        ctx.send(1, msg);\n    });\n}";
         assert_eq!(scan(src).len(), 1);
-        assert!(scan_file("batch.rs", src, FileClass::TranscriptAffecting).is_empty());
+        assert!(scan_file("shard.rs", src, FileClass::TranscriptAffecting).is_empty());
     }
 
     #[test]

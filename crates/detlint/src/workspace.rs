@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn classification_matrix() {
         assert_eq!(
-            classify("crates/ncc/src/batch.rs"),
+            classify("crates/ncc/src/shard.rs"),
             FileClass::TranscriptAffecting
         );
         assert_eq!(classify("src/lib.rs"), FileClass::TranscriptAffecting);

@@ -1,5 +1,5 @@
-//! R4 journal-file guard: this fixture is named `batch.rs`, one of the
-//! journal-replay owners, so in-sweep sends are the pattern itself and
+//! R4 journal-file guard: this fixture is named `shard.rs`, the
+//! journal-replay owner, so in-sweep sends are the pattern itself and
 //! must not fire.
 
 fn drain(nodes: &mut [Node]) {

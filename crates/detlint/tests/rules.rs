@@ -72,8 +72,8 @@ fn fixtures_match_expected_findings() {
             TranscriptAffecting,
         ),
         (
-            "journal/batch.rs",
-            "journal/batch.expected",
+            "journal/shard.rs",
+            "journal/shard.expected",
             TranscriptAffecting,
         ),
         // A reasonless suppression does not suppress.

@@ -1,143 +1,46 @@
-//! The batched step-function executor.
-//!
-//! One round has two phases. The **step phase** polls every live node's
-//! [`NodeProtocol::step`] across a rayon worker pool — node state is
-//! sharded into disjoint `&mut` chunks, each node writes into its own
-//! reusable outbox, and the previous round's inboxes are disjoint spans of
-//! a shared read-only arena, so the phase is data-race-free by
-//! construction and deterministic regardless of worker count. The
-//! **routing phase** is a stable counting sort by destination index
-//! (validate + count, prefix-sum, scatter) with capacity checks per
-//! bucket. Rounds are classified **dense** or **sparse** from the
-//! previous round's delivered message volume — a pure function of the
-//! transcript, identical for every worker count: sparse rounds run the
-//! allocation-free inline path on the coordinating thread; dense rounds
-//! (when a worker pool exists) fan the validate-and-count and scatter
-//! passes out with per-worker count arrays — worker `w`'s region of every
-//! destination bucket precedes worker `w+1`'s, so bucket contents stay in
-//! dense source order and transcripts are bit-identical for every worker
-//! count and either path. All routing state lives in reusable buffers
-//! ([`RouteBuffers`](crate::route::RouteBuffers) and its per-worker
-//! scratch rows); at steady state a round allocates nothing on the
-//! single-worker path, and nothing per-message on the parallel path.
-//!
-//! **Parallel receive/learn sweeps.** The post-routing half of the round
-//! — queue delivery (or capacity checks) and the KT0 learn walk — fans
-//! out over the same worker pool on dense or wide rounds, using the same
-//! per-worker/deterministic-fold discipline as the routing passes: queue
-//! delivery is a two-phase measure-then-copy whose inbox/backlog arenas
-//! reproduce the sequential slot-order prefix layout exactly; capacity
-//! violations journal per worker and replay in worker order (= dense slot
-//! order), so a strict abort picks the same canonical first violation;
-//! learns apply in place inside each node's disjoint knowledge region,
-//! journaling only region re-homes for a sequential replay; and
-//! `max_received`/`max_queue_len`/`undelivered` are max/sum reductions.
-//! Transcripts, metrics and event streams are bit-identical to the
-//! sequential sweeps for every worker count.
+//! The per-node half of the batched executor: the [`Slot`] a node lives
+//! in, the step function that polls it, and the send validation — the
+//! pieces of a round that see exactly one node and therefore cannot
+//! depend on how nodes are laid out or scheduled. The round loop that
+//! drives them over ownership shards is `shard.rs`.
 //!
 //! **Dense masked remap.** Masked runs remap the k participants to a
 //! dense `0..k` index space at run start: every index-addressed engine
-//! structure (routing counts, queue spans, knowledge regions, aliveness,
-//! worker scratch) is sized to k, not n, so deep masked prefix recursions
-//! pay for the sub-network they run. The resolver still answers in
-//! full-network indices; [`RoundCtx::send`](crate::RoundCtx) projects
-//! through the remap table at send time, marking masked-out recipients
-//! with a dedicated sentinel so the violation taxonomy (`NoSuchNode` vs
+//! structure (routing counts, queue spans, knowledge regions, aliveness)
+//! is sized to k, not n, so deep masked prefix recursions pay for the
+//! sub-network they run. The resolver still answers in full-network
+//! indices; [`RoundCtx::send`](crate::RoundCtx) projects through the
+//! remap table at send time, marking masked-out recipients with a
+//! dedicated sentinel so the violation taxonomy (`NoSuchNode` vs
 //! `DeadRecipient`) is unchanged.
 //!
-//! **Live-slot compaction.** A node that returns [`Status::Done`] retires;
-//! its output moves to a side list and its slot stays behind as a dead
-//! entry. Once the live count has halved relative to the slot window, the
-//! window is compacted: dead slots are dropped by a stable in-place
-//! `retain`, so the surviving slots keep their dense-index order and every
-//! per-round loop (step, validate, scatter, delivery) walks only live
-//! nodes. Each slot carries its dense index — the index *remap* — so all
-//! index-keyed engine state (destination counts, inbox spans, the
-//! knowledge tracker, queue backlogs) is untouched by the reorder and
-//! transcripts are unchanged. The halving rule bounds total compaction
-//! work by `O(n)` per run, and a long-tailed run's steady cost is
-//! proportional to its *live* population, not its initial one.
-//!
 //! Semantics are bit-for-bit those of the threaded oracle engine
-//! (`crates/ncc/src/engine.rs`): same canonical routing order, same
-//! validation order, same violation accounting, same metrics. The
-//! differential tests in `crates/ncc/tests/differential.rs` hold the two
-//! engines to that.
-//!
-//! **Events.** Every run narrates itself as a typed
-//! [`RunEvent`](crate::event) stream — round completions (with the
-//! dense/sparse route classification), protocol phase/stage marks, compactions, the
-//! final `Done` — through a shared [`Emitter`]. The executor keeps no
-//! separate statistics: [`EngineStats`](crate::EngineStats) and the
-//! per-phase round breakdown are derived by folding this stream through
-//! the emitter's always-on recorder, so the stats are a pure function of
-//! the narrated events (and the oracle's stream is held semantically
-//! identical).
+//! (`crates/ncc/src/engine.rs`): same validation order, same violation
+//! accounting. The differential tests in
+//! `crates/ncc/tests/differential.rs` hold the two engines to that.
 
-use crate::config::{CapacityPolicy, Config, Model};
-use crate::error::{panic_message, SimError, Violation, ViolationKind};
-use crate::event::{Emitter, RouteMode, RunEvent, Sink};
+use crate::config::{Config, Model};
+use crate::error::{panic_message, Violation, ViolationKind};
+use crate::event::RouteMode;
 use crate::knowledge::KnowledgeTracker;
 use crate::message::NodeId;
-use crate::metrics::RunMetrics;
-use crate::network::{Network, RunResult};
-use crate::protocol::{NodeProtocol, NodeSeed, RoundCtx, Status};
-use crate::route::{QueueBuffers, RawSpans, RawU32, RouteBuffers};
-use crate::scenario::ChurnKind;
-use crate::wire::{WireEnvelope, DEAD_INDEX, NO_INDEX, WIRE_ADDRS, WIRE_WORDS};
+use crate::protocol::{NodeProtocol, RoundCtx, Status};
+use crate::wire::{WireEnvelope, DEAD_INDEX, NO_INDEX};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
-
-/// Raw pointer to the slot array, shared across routing workers. Each
-/// worker touches only its own disjoint slot range, making the aliasing
-/// sound by construction.
-struct RawSlots<P: NodeProtocol>(*mut Slot<P>);
-unsafe impl<P: NodeProtocol> Send for RawSlots<P> {}
-unsafe impl<P: NodeProtocol> Sync for RawSlots<P> {}
-
-impl<P: NodeProtocol> RawSlots<P> {
-    /// # Safety
-    ///
-    /// The caller must hold exclusive access to slot `i` (each routing
-    /// worker owns a disjoint slot range).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn slot(&self, i: usize) -> &mut Slot<P> {
-        unsafe { &mut *self.0.add(i) }
-    }
-}
-
-/// Raw pointer to the routing arena, shared across scatter workers. Each
-/// `(worker, destination)` region is disjoint by the cursor construction
-/// in [`RouteBuffers::seal_parallel`].
-struct RawArena(*mut WireEnvelope);
-unsafe impl Send for RawArena {}
-unsafe impl Sync for RawArena {}
-
-impl RawArena {
-    /// # Safety
-    ///
-    /// `at` must lie in a region owned exclusively by the calling worker.
-    unsafe fn write(&self, at: usize, env: WireEnvelope) {
-        unsafe { self.0.add(at).write(env) };
-    }
-}
 
 /// One node's state under the batched executor. Slots are created only for
-/// participating nodes and live in dense-index order; compaction drops
-/// retired slots but never reorders the survivors, so iterating the slot
-/// array *is* iterating the live nodes in canonical dense order. Shared
-/// with the ownership-sharded engine (`shard.rs`), where each shard owns
-/// the slots of one contiguous dense-index range.
+/// participating nodes and live in dense-index order, each shard owning
+/// the slots of one contiguous dense-index range; compaction drops
+/// retired slots but never reorders the survivors, so iterating the
+/// shards in order and each slot array in order *is* iterating the live
+/// nodes in canonical dense order.
 pub(crate) struct Slot<P: NodeProtocol> {
     /// This node's dense index (position on the full `G_k` path) — the
     /// stable key into every index-addressed engine structure, surviving
-    /// any compaction reorder of the slot array itself. Global even under
-    /// the sharded layout (shards rebase to local indices at use sites).
+    /// any compaction reorder of the slot array itself. Global: shards
+    /// rebase to local indices at use sites.
     pub(crate) idx: u32,
     pub(crate) id: NodeId,
     pub(crate) succ: Option<NodeId>,
@@ -165,7 +68,7 @@ pub(crate) struct Slot<P: NodeProtocol> {
 impl<P: NodeProtocol> Slot<P> {
     /// A fresh slot at dense index `idx`. The per-node RNG stream
     /// derivation matches `NodeHandle::new`, so a protocol draws
-    /// identical randomness on either engine and under either layout.
+    /// identical randomness on either engine and at any shard count.
     pub(crate) fn new(
         idx: u32,
         id: NodeId,
@@ -197,8 +100,7 @@ impl<P: NodeProtocol> Slot<P> {
 }
 
 /// The per-run constants a [`step_slot`] call needs to build a
-/// [`RoundCtx`] — bundled so the monolithic and sharded engines drive the
-/// exact same step-phase code.
+/// [`RoundCtx`].
 pub(crate) struct StepShared<'a> {
     pub(crate) n: usize,
     pub(crate) participants: usize,
@@ -223,9 +125,8 @@ pub(crate) enum StepOutcome {
 
 /// Steps one live slot: builds the [`RoundCtx`] over the slot's inbox
 /// span of `arena`, polls the protocol (catching panics), and applies the
-/// status to the slot. Identical logic for the monolithic and sharded
-/// engines — the transcript cannot depend on the arena layout because a
-/// node only ever sees its own span.
+/// status to the slot. The transcript cannot depend on the arena layout
+/// because a node only ever sees its own span.
 pub(crate) fn step_slot<P: NodeProtocol>(
     slot: &mut Slot<P>,
     arena: &[WireEnvelope],
@@ -305,1057 +206,30 @@ pub(crate) fn step_slot<P: NodeProtocol>(
     }
 }
 
-/// A round is classified **dense** when the previous round delivered at
-/// least this many messages *and* at least a quarter of a message per
-/// node: below that, the per-worker count-array resets and the
-/// `O(workers + n)` fold cost more wall-clock than the inline walk saves.
-/// The classification depends only on the transcript (never on the worker
-/// count), so the narrated [`RouteMode`] is bit-identical across worker
-/// counts; whether a dense round actually fans out over the pool is a
-/// separate, purely scheduling decision that cannot affect results.
+/// A round is narrated **dense** ([`RouteMode::Parallel`]) when the
+/// previous round delivered at least this many messages *and* at least a
+/// quarter of a message per live slot, **sparse** ([`RouteMode::Inline`])
+/// otherwise.
 pub(crate) const PARALLEL_ROUTE_MIN_MSGS: u64 = 2048;
 
-/// The receive/learn sweeps additionally go parallel on *wide* rounds —
-/// ones whose slot window alone makes the `O(live)` walks worth
-/// fanning out even when little traffic flows (the long quiet phases of
-/// 10^6+-node runs). Like the routing heuristic this is pure scheduling:
-/// both sweep paths produce bit-identical transcripts and metrics.
-pub(crate) const PARALLEL_SWEEP_MIN_LIVE: usize = 1 << 15;
-
-/// Runs `factory`-built protocols on every participating node until all
-/// have returned [`Status::Done`]. `participants` masks nodes out of the
-/// network entirely (they are dead from round zero and the knowledge path
-/// links across them); `None` means everyone participates.
-pub(crate) fn run<P, F>(
-    net: &Network,
-    participants: Option<&[bool]>,
-    sink: Option<&mut dyn Sink>,
-    factory: F,
-) -> Result<RunResult<P::Output>, SimError>
-where
-    P: NodeProtocol,
-    F: Fn(&NodeSeed<'_>) -> P + Sync,
-{
-    let config: &Config = net.config();
-    if config.shards > 1 {
-        // Ownership-sharded layout: per-shard slot arenas joined by a
-        // deterministic boundary-exchange phase. Bit-identical transcripts,
-        // metrics and raw event streams — `shard::run` clamps the shard
-        // count to the participant space.
-        return crate::shard::run(net, participants, sink, factory);
+/// The dense/sparse classification of a round: a pure function of the
+/// transcript (previous round's delivered volume, live slot window) —
+/// never of the worker or shard count — so the narrated [`RouteMode`],
+/// and with it the raw event stream, is bit-identical across layouts.
+pub(crate) fn route_mode(prev_round_messages: u64, window: usize) -> RouteMode {
+    if prev_round_messages >= PARALLEL_ROUTE_MIN_MSGS && prev_round_messages >= (window as u64) / 4
+    {
+        RouteMode::Parallel
+    } else {
+        RouteMode::Inline
     }
-    let ids = net.ids_in_path_order();
-    let n = ids.len();
-    let cap = config.capacity(n);
-    assert!(
-        config.max_words <= WIRE_WORDS && config.max_addrs <= WIRE_ADDRS,
-        "batched engine: configured message budget ({} words, {} addrs) \
-         exceeds the inline wire budget ({WIRE_WORDS} words, {WIRE_ADDRS} addrs)",
-        config.max_words,
-        config.max_addrs,
-    );
-    if let Some(mask) = participants {
-        assert_eq!(mask.len(), n, "participant mask length must equal n");
-    }
-    let participating = |i: usize| participants.is_none_or(|m| m[i]);
-    let participant_count = (0..n).filter(|&i| participating(i)).count();
-
-    // NCC1 common knowledge: all participating IDs, sorted.
-    let all_ids: Option<Arc<Vec<NodeId>>> = match config.model {
-        Model::Ncc1 => {
-            let mut sorted: Vec<NodeId> = (0..n)
-                .filter(|&i| participating(i))
-                .map(|i| ids[i])
-                .collect();
-            sorted.sort_unstable();
-            Some(Arc::new(sorted))
-        }
-        Model::Ncc0 => None,
-    };
-    let all_ids_slice: Option<&[NodeId]> = all_ids.as_deref().map(Vec::as_slice);
-
-    // Dense masked remap: the k participants own indices 0..k in path
-    // order, and *every* index-addressed engine structure (routing counts
-    // and bucket starts, queue spans, knowledge regions, aliveness, the
-    // per-worker scratch rows) is sized to k — so a deep masked prefix
-    // recursion pays memory for the sub-network it actually runs, not for
-    // the full network it was carved from. `dense_of` projects the
-    // resolver's full-network index into this space once, at send time;
-    // DEAD_INDEX marks a real node outside the run (kept distinct from
-    // NO_INDEX so the violation taxonomy still matches the oracle's).
-    let k = participant_count;
-    let dense_of: Option<Vec<u32>> = participants.map(|mask| {
-        let mut map = vec![DEAD_INDEX; n];
-        let mut next = 0u32;
-        for (i, &p) in mask.iter().enumerate() {
-            if p {
-                map[i] = next;
-                next += 1;
-            }
-        }
-        map
-    });
-    let dense_of_slice: Option<&[u32]> = dense_of.as_deref();
-
-    // Scenario engine: validate the fault schedule against this run and
-    // compile it to dense indices + sorted churn timelines. The runtime
-    // (timeline cursors, per-round fault RNG, swap arena) is engine state
-    // like any other reusable buffer.
-    let mut scenario_rt = match &config.scenario {
-        Some(s) => {
-            s.validate(n, participants, config.capacity_policy)
-                .map_err(SimError::InvalidScenario)?;
-            let compiled = s.compile(|node| dense_of_slice.map_or(node as u32, |map| map[node]));
-            Some(crate::scenario::ScenarioRt::new(compiled))
-        }
-        None => None,
-    };
-
-    // KT0 knowledge, seeded along the path of *participating* nodes
-    // (tracker rows are dense).
-    let track = config.track_knowledge && config.model == Model::Ncc0;
-    let mut knowledge = KnowledgeTracker::new(k, track);
-    crate::knowledge::seed_path_dense(&mut knowledge, ids, participating);
-
-    // Build the node slots — participating nodes only; masked-out indices
-    // never even get a slot (they are dead from round zero). Outboxes
-    // start empty and grow to each node's actual burst size (pre-reserving
-    // `cap + 1` per slot would cost ~3 KB x n at the 10^6 scale for
-    // protocols that never fan out that far).
-    let mut slots: Vec<Slot<P>> = Vec::with_capacity(participant_count);
-    for i in 0..n {
-        if !participating(i) {
-            continue;
-        }
-        let succ = (i + 1..n).find(|&j| participating(j)).map(|j| ids[j]);
-        let seed = NodeSeed {
-            id: ids[i],
-            n,
-            participants: participant_count,
-            capacity: cap,
-            model: config.model,
-            initial_successor: succ,
-            all_ids: all_ids.as_ref(),
-        };
-        slots.push(Slot::new(
-            slots.len() as u32,
-            ids[i],
-            succ,
-            config.seed,
-            factory(&seed),
-        ));
-    }
-    let mut live = slots.len();
-    // Retired nodes' outputs, keyed by dense index so the final collection
-    // can restore path order after any number of compactions.
-    let mut done: Vec<(u32, NodeId, P::Output)> = Vec::with_capacity(live);
-
-    // Dense space: every participant starts alive; masked-out nodes have
-    // no index at all (sends to them surface as DEAD_INDEX).
-    let mut alive_now: Vec<bool> = vec![true; k];
-    // Churn joiners sit out every round before their scheduled join:
-    // parked (skipped by every sweep) and unreachable, like dead nodes —
-    // but still counted live, so the run waits for them.
-    if let Some(rt) = &scenario_rt {
-        for slot in slots.iter_mut() {
-            if rt.starts_parked(slot.idx) {
-                slot.paused = true;
-                alive_now[slot.idx as usize] = false;
-            }
-        }
-    }
-    let mut buffers = RouteBuffers::new(k);
-    let queue_mode = config.capacity_policy == CapacityPolicy::Queue;
-    let strict = config.capacity_policy == CapacityPolicy::Strict;
-    let mut queues = QueueBuffers::new(if queue_mode { k } else { 0 });
-    // Retired nodes whose receive queues still hold backlog: their queues
-    // keep draining at `cap` per round into the undelivered counter,
-    // exactly as when their slots still existed (the threaded oracle walks
-    // every queue every round; this list is the compaction-safe image of
-    // that walk).
-    let mut dead_backlog: Vec<u32> = Vec::new();
-
-    let mut metrics = RunMetrics {
-        capacity: cap,
-        ..RunMetrics::default()
-    };
-    // Every run narrates itself as a typed event stream: the always-on
-    // recorder inside the emitter is the *sole* source of `EngineStats`
-    // and the phase breakdown; the caller's sink (if any) sees the same
-    // stream.
-    let mut emitter = Emitter::new(sink);
-    // Pre-reserve the full (capped) trace so recording a round can never
-    // allocate inside the round loop.
-    metrics
-        .messages_per_round
-        .reserve(crate::metrics::ROUND_TRACE_LIMIT);
-
-    let workers = match config.worker_threads {
-        0 => rayon::current_num_threads(),
-        w => w,
-    }
-    .clamp(1, k.max(1));
-    let resolver = net.resolver();
-    let step_shared = StepShared {
-        n,
-        participants: participant_count,
-        cap,
-        model: config.model,
-        all_ids: all_ids_slice,
-        resolver,
-        dense_of: dense_of_slice,
-    };
-    // Previous round's delivered message count — drives the adaptive
-    // inline-vs-parallel routing choice.
-    let mut prev_round_messages: u64 = 0;
-    // Per-phase wall-clock accumulators (surfaced through `EngineStats`
-    // for `engine_bench`'s serial-fraction breakdown; an `Instant` pair
-    // per phase per round, no allocation).
-    let (mut step_nanos, mut route_nanos) = (0u64, 0u64);
-    let (mut deliver_nanos, mut learn_nanos) = (0u64, 0u64);
-    let (mut parallel_sweep_rounds, mut inline_sweep_rounds) = (0u64, 0u64);
-
-    while live > 0 {
-        let window = slots.len();
-        let chunk = window.div_ceil(workers).max(1);
-
-        // --- Scenario churn (pre-step): recoveries and joins scheduled
-        // for this round un-park their slots before anyone steps, and
-        // the round's fault rates (plus, when any could fire, the
-        // per-round coordinator RNG) are resolved. ---
-        if let Some(rt) = scenario_rt.as_mut() {
-            let round = metrics.rounds;
-            rt.begin_round(round);
-            for &op in rt.pre_step_ops(round) {
-                let Ok(pos) = slots.binary_search_by_key(&op.dense, |s| s.idx) else {
-                    continue;
-                };
-                let slot = &mut slots[pos];
-                if !slot.alive || !slot.paused {
-                    continue;
-                }
-                slot.paused = false;
-                alive_now[op.dense as usize] = true;
-                emitter.emit(match op.kind {
-                    ChurnKind::Recover => RunEvent::NodeRecovered {
-                        round,
-                        node: op.node,
-                    },
-                    ChurnKind::Join => RunEvent::NodeJoined {
-                        round,
-                        node: op.node,
-                    },
-                    ChurnKind::CrashStop | ChurnKind::CrashPause => continue,
-                });
-            }
-        }
-
-        // --- Step phase: poll every live protocol in parallel. ---
-        // detlint: allow(ambient-entropy) — per-phase wall-clock timer: the elapsed nanos feed EngineStats::*_nanos (observability only) and never a transcript, round count, or message
-        let t_phase = Instant::now();
-        let finished = AtomicUsize::new(0);
-        let panicked = AtomicBool::new(false);
-        let marked = AtomicBool::new(false);
-        {
-            let arena: &[WireEnvelope] = if queue_mode {
-                &queues.inbox
-            } else {
-                &buffers.arena
-            };
-            let step_one = |slot: &mut Slot<P>| match step_slot(slot, arena, &step_shared) {
-                StepOutcome::Skipped | StepOutcome::Running { marked: false } => {}
-                StepOutcome::Running { marked: true } => {
-                    // detlint: allow(relaxed-atomic) — one-way flag; any arrival order of the racing stores yields the same post-join value (true), read only after the pool barrier
-                    marked.store(true, Ordering::Relaxed);
-                }
-                StepOutcome::Finished { panicked: p } => {
-                    if p {
-                        // detlint: allow(relaxed-atomic) — one-way flag raised at most once per slot; order-independent, read after the pool barrier
-                        panicked.store(true, Ordering::Relaxed);
-                    }
-                    // detlint: allow(relaxed-atomic) — commutative done-count: addition order cannot change the sum, read only after the pool barrier
-                    finished.fetch_add(1, Ordering::Relaxed);
-                }
-            };
-            if workers == 1 {
-                // Inline fast path: no dispatch, no allocation.
-                for slot in slots.iter_mut() {
-                    step_one(slot);
-                }
-            } else {
-                slots.par_chunks_mut(chunk).for_each(|chunk| {
-                    for slot in chunk {
-                        step_one(slot);
-                    }
-                });
-            }
-        }
-        step_nanos += t_phase.elapsed().as_nanos() as u64;
-        // detlint: allow(relaxed-atomic) — post-barrier read; the pool join supplies the happens-before edge, and blame is re-derived below by a deterministic lowest-dense-index scan
-        if panicked.load(Ordering::Relaxed) {
-            // Deterministic attribution: blame the lowest dense index.
-            let (node, message) = slots
-                .iter_mut()
-                .find_map(|s| s.panic.take().map(|m| (s.id, m)))
-                .expect("panic flag set without a panic record");
-            return Err(SimError::NodePanic { node, message });
-        }
-        // detlint: allow(relaxed-atomic) — post-barrier read of the commutative done-count
-        let mut newly_done = finished.load(Ordering::Relaxed);
-        if newly_done > 0 {
-            live -= newly_done;
-            for slot in slots.iter() {
-                let i = slot.idx as usize;
-                if alive_now[i] && !slot.alive {
-                    alive_now[i] = false;
-                    // A retiring node may leave backlog in its receive
-                    // queue; keep draining it (see `dead_backlog`).
-                    if queue_mode && queues.backlog_len(i) > 0 {
-                        dead_backlog.push(slot.idx);
-                    }
-                }
-            }
-        }
-        if live == 0 {
-            break;
-        }
-        // --- Protocol marks: collect in dense (slot) order and emit the
-        // deduplicated phase/stage events. The scan only runs when some
-        // step actually marked — mark-free protocols pay one atomic load.
-        // detlint: allow(relaxed-atomic) — post-barrier read of the one-way mark flag; the mark scan itself walks slots in dense order
-        if marked.load(Ordering::Relaxed) {
-            for slot in slots.iter_mut() {
-                let (phase, stage) = (slot.phase_mark.take(), slot.stage_mark.take());
-                if phase.is_some() || stage.is_some() {
-                    emitter.emit_marks(metrics.rounds, phase, stage);
-                }
-            }
-        }
-        // --- Scenario churn (post-step): scheduled crash-stops and
-        // crash-pauses take effect *after* the node's step this round —
-        // the exact observable footprint of a protocol that voluntarily
-        // halts here (sends discarded like a `Done` step's, backlog to
-        // the dead-drain, compaction trigger fed), minus the output. A
-        // pause parks the slot instead of retiring it.
-        if let Some(rt) = scenario_rt.as_mut() {
-            let round = metrics.rounds;
-            for &op in rt.post_step_ops(round) {
-                let Ok(pos) = slots.binary_search_by_key(&op.dense, |s| s.idx) else {
-                    continue;
-                };
-                let slot = &mut slots[pos];
-                if !slot.alive || slot.paused {
-                    continue;
-                }
-                let i = op.dense as usize;
-                match op.kind {
-                    ChurnKind::CrashStop => {
-                        slot.alive = false;
-                        slot.proto = None;
-                        live -= 1;
-                        newly_done += 1;
-                        if queue_mode && queues.backlog_len(i) > 0 {
-                            dead_backlog.push(op.dense);
-                        }
-                    }
-                    ChurnKind::CrashPause => slot.paused = true,
-                    ChurnKind::Recover | ChurnKind::Join => continue,
-                }
-                slot.out.clear();
-                slot.inbox_len = 0;
-                slot.phase_mark = None;
-                slot.stage_mark = None;
-                alive_now[i] = false;
-                emitter.emit(RunEvent::NodeCrashed {
-                    round,
-                    node: op.node,
-                });
-            }
-            // A schedule that kills the last live node ends the run
-            // exactly as the last voluntary retirement would (no
-            // further round narration).
-            if live == 0 {
-                break;
-            }
-        }
-        // --- Compaction: once the live population has halved relative to
-        // the slot window, drop retired slots (stable, in-place) so every
-        // subsequent per-round walk pays only for live nodes. Outputs move
-        // to the `done` side list keyed by dense index.
-        if newly_done > 0 && live * 2 <= window {
-            slots.retain_mut(|s| {
-                if s.alive {
-                    return true;
-                }
-                if let Some(out) = s.output.take() {
-                    done.push((s.idx, s.id, out));
-                }
-                false
-            });
-            debug_assert_eq!(slots.len(), live);
-            emitter.emit(RunEvent::Compaction {
-                round: metrics.rounds,
-                live,
-            });
-        }
-        let window = slots.len();
-        let chunk = window.div_ceil(workers).max(1);
-
-        // --- Routing phase: validate + count, prefix-sum, stable
-        // scatter. Sparse rounds (previous round's volume below the
-        // parallel threshold) run the allocation-free inline path; dense
-        // rounds fan both passes out over disjoint slot ranges with
-        // per-worker count arrays (bit-identical transcripts either way —
-        // worker `w`'s region of every bucket precedes worker `w+1`'s, so
-        // bucket contents stay in dense source order).
-        let round = metrics.rounds;
-        let mut round_messages: u64 = 0;
-        // detlint: allow(ambient-entropy) — per-phase wall-clock timer: the elapsed nanos feed EngineStats::*_nanos (observability only) and never a transcript, round count, or message
-        let t_phase = Instant::now();
-        // The dense/sparse classification is a pure function of the
-        // previous round's volume — worker-count-invariant, so the
-        // narrated `route_mode` (and with it the raw event stream) is
-        // bit-identical across worker counts. Whether a dense round
-        // actually fans out is gated separately on the pool size.
-        let dense_round = prev_round_messages >= PARALLEL_ROUTE_MIN_MSGS
-            && prev_round_messages >= (window as u64) / 4;
-        let parallel_route = workers > 1 && dense_round;
-        let route_mode = if dense_round {
-            RouteMode::Parallel
-        } else {
-            RouteMode::Inline
-        };
-        if !parallel_route {
-            // --- Pass 1 (inline): validate and count per bucket. Only
-            // live destinations can receive (validation rejects the rest),
-            // so resetting the live counts is enough — stale counts of
-            // retired indices are never read again. ---
-            for slot in slots.iter() {
-                buffers.counts[slot.idx as usize] = 0;
-            }
-            for slot in slots.iter_mut() {
-                let src_idx = slot.idx as usize;
-                let attempted = slot.out.len();
-                for env in slot.out.iter_mut() {
-                    let deliver =
-                        match validate(env, src_idx, config, &knowledge, &alive_now, round) {
-                            Ok(()) => true,
-                            Err(v) => {
-                                metrics.record_violation(strict, v)?;
-                                // Lenient policies still deliver when
-                                // physically possible (destination exists,
-                                // participates in this run, and is alive).
-                                env.dst_idx != NO_INDEX
-                                    && env.dst_idx != DEAD_INDEX
-                                    && alive_now[env.dst_idx as usize]
-                            }
-                        };
-                    if deliver {
-                        round_messages += 1;
-                        metrics.words += env.msg.size_words() as u64;
-                        buffers.counts[env.dst_idx as usize] += 1;
-                    } else {
-                        env.dst_idx = NO_INDEX;
-                    }
-                }
-                if attempted > cap {
-                    metrics.record_violation(
-                        strict,
-                        Violation {
-                            round,
-                            node: slot.id,
-                            kind: ViolationKind::SendCapacity {
-                                sent: attempted,
-                                cap,
-                            },
-                        },
-                    )?;
-                }
-                metrics.max_sent_per_round = metrics.max_sent_per_round.max(attempted);
-            }
-
-            // --- Pass 2 (inline): prefix-sum offsets over the live
-            // destinations (ascending dense order — the slot array's
-            // order), stable scatter. ---
-            buffers.seal_counts_live(slots.iter().map(|s| s.idx as usize));
-            for slot in slots.iter_mut() {
-                for env in slot.out.iter() {
-                    if env.dst_idx != NO_INDEX {
-                        buffers.push(*env);
-                    }
-                }
-                slot.out.clear();
-            }
-        } else {
-            // --- Pass 1 (parallel): per-worker validate and count. ---
-            buffers.begin_parallel_round(workers);
-            {
-                let slots_ptr = RawSlots(slots.as_mut_ptr());
-                let knowledge = &knowledge;
-                let alive_now = &alive_now;
-                buffers.scratch[..workers]
-                    .par_chunks_mut(1)
-                    .enumerate()
-                    .for_each(|(w, scratch_row)| {
-                        let s = &mut scratch_row[0];
-                        s.begin_round(k);
-                        let lo = (w * chunk).min(window);
-                        let hi = ((w + 1) * chunk).min(window);
-                        for pos in lo..hi {
-                            // Sound: this worker owns slot range [lo, hi).
-                            let slot = unsafe { slots_ptr.slot(pos) };
-                            let src_idx = slot.idx as usize;
-                            let attempted = slot.out.len();
-                            for env in slot.out.iter_mut() {
-                                let deliver = match validate(
-                                    env, src_idx, config, knowledge, alive_now, round,
-                                ) {
-                                    Ok(()) => true,
-                                    Err(v) => {
-                                        s.violations.push(v);
-                                        env.dst_idx != NO_INDEX
-                                            && env.dst_idx != DEAD_INDEX
-                                            && alive_now[env.dst_idx as usize]
-                                    }
-                                };
-                                if deliver {
-                                    s.round_messages += 1;
-                                    s.words += env.msg.size_words() as u64;
-                                    s.counts[env.dst_idx as usize] += 1;
-                                } else {
-                                    env.dst_idx = NO_INDEX;
-                                }
-                            }
-                            if attempted > cap {
-                                s.violations.push(Violation {
-                                    round,
-                                    node: slot.id,
-                                    kind: ViolationKind::SendCapacity {
-                                        sent: attempted,
-                                        cap,
-                                    },
-                                });
-                            }
-                            s.max_sent = s.max_sent.max(attempted);
-                        }
-                    });
-            }
-            // Replay violations in canonical (dense source) order: worker
-            // ranges are contiguous and each worker records in slot order,
-            // so concatenation is exactly the sequential order. Strict
-            // policy aborts on the same first violation as the inline path.
-            for w in 0..workers {
-                for v in buffers.scratch[w].violations.drain(..) {
-                    metrics.record_violation(strict, v)?;
-                }
-            }
-            for s in &buffers.scratch[..workers] {
-                round_messages += s.round_messages;
-                metrics.words += s.words;
-                metrics.max_sent_per_round = metrics.max_sent_per_round.max(s.max_sent);
-            }
-
-            // --- Pass 2 (parallel): fold counts and derive the per-worker
-            // scatter cursors — itself parallelized over destination
-            // ranges — then scatter through the cursors into disjoint
-            // arena regions. ---
-            buffers.seal_parallel(workers);
-            {
-                let slots_ptr = RawSlots(slots.as_mut_ptr());
-                let arena_ptr = RawArena(buffers.arena.as_mut_ptr());
-                buffers.scratch[..workers]
-                    .par_chunks_mut(1)
-                    .enumerate()
-                    .for_each(|(w, scratch_row)| {
-                        let s = &mut scratch_row[0];
-                        let lo = (w * chunk).min(window);
-                        let hi = ((w + 1) * chunk).min(window);
-                        for pos in lo..hi {
-                            let slot = unsafe { slots_ptr.slot(pos) };
-                            for env in slot.out.iter() {
-                                if env.dst_idx != NO_INDEX {
-                                    let d = env.dst_idx as usize;
-                                    let at = s.cursors[d] as usize;
-                                    // Sound: (worker, destination) regions
-                                    // are disjoint by cursor construction.
-                                    unsafe { arena_ptr.write(at, *env) };
-                                    s.cursors[d] += 1;
-                                }
-                            }
-                            slot.out.clear();
-                        }
-                    });
-            }
-        }
-
-        // --- Scenario fault pass: perturb the sealed buckets (drop /
-        // duplicate / reorder) along the canonical walk — every slot in
-        // dense order; retired and parked slots have empty buckets and
-        // consume no randomness — then fold the tally into the round's
-        // delivered/word accounting and narrate it. Quiet rounds skip
-        // the pass entirely, staying bit-identical to a scenario-free
-        // engine.
-        if let Some(rt) = scenario_rt.as_mut() {
-            if rt.faults_active() {
-                rt.perturb(&mut buffers, slots.iter().map(|s| s.idx as usize));
-                let tally = rt.tally();
-                if tally.any() {
-                    round_messages = round_messages - tally.dropped + tally.duplicated;
-                    metrics.words = metrics.words - tally.words_removed + tally.words_added;
-                    emitter.emit(RunEvent::FaultInjected {
-                        round,
-                        dropped: tally.dropped,
-                        duplicated: tally.duplicated,
-                        reordered: tally.reordered,
-                    });
-                }
-            }
-        }
-        route_nanos += t_phase.elapsed().as_nanos() as u64;
-
-        // --- Receive side: capacity policy per bucket. The post-routing
-        // sweeps over the slot window (queue delivery / capacity checks
-        // here, the learn sweep below) fan out over the worker pool on
-        // dense or wide rounds. Like the routing choice this is pure
-        // scheduling: both paths produce bit-identical inbox layouts,
-        // metrics, violations and knowledge (see the per-path notes), so
-        // the heuristic can never affect results.
-        // detlint: allow(ambient-entropy) — per-phase wall-clock timer: the elapsed nanos feed EngineStats::*_nanos (observability only) and never a transcript, round count, or message
-        let t_phase = Instant::now();
-        let parallel_sweep = workers > 1
-            && (round_messages >= PARALLEL_ROUTE_MIN_MSGS || window >= PARALLEL_SWEEP_MIN_LIVE);
-        if parallel_sweep {
-            parallel_sweep_rounds += 1;
-        } else {
-            inline_sweep_rounds += 1;
-        }
-        if queue_mode {
-            // Flat-arena FIFO backlog: carried spans merge with the round's
-            // buckets, `cap` envelopes deliver, the rest re-queue — no
-            // per-node deques, no steady-state allocation. Live nodes walk
-            // in dense order through the slot array; retired nodes with
-            // backlog drain separately (their freshly routed bucket is
-            // empty by validation, so `&[]` stands in for it). Per-node
-            // FIFO contents and all max-fold metrics are identical to one
-            // full dense sweep — only the inbox arena layout can differ,
-            // and nothing observes it across nodes.
-            queues.begin_round();
-            if !parallel_sweep {
-                for slot in slots.iter_mut() {
-                    if !slot.alive {
-                        continue;
-                    }
-                    let i = slot.idx as usize;
-                    // A parked slot receives nothing, but its backlog
-                    // must still ride the double-buffer swap (cap 0 =
-                    // re-queue everything, FIFO intact for recovery).
-                    let cap_i = if slot.paused { 0 } else { cap };
-                    let (start, take, queued) = queues.deliver(i, buffers.bucket(i), cap_i);
-                    metrics.max_queue_len = metrics.max_queue_len.max(queued);
-                    slot.inbox_start = start;
-                    slot.inbox_len = take;
-                }
-            } else {
-                // Two-phase parallel delivery. Phase A measures each slot
-                // chunk — per-chunk delivered/queued totals plus max
-                // backlog — into the reusable chunk arrays; a sequential
-                // exclusive prefix turns the totals into chunk base
-                // offsets; phase B recomputes each slot's take from the
-                // same inputs and copies backlog-then-bucket at running
-                // cursors into disjoint arena regions. The resulting
-                // inbox and backlog arenas are the slot-order prefix
-                // layout the sequential walk produces — bit-identical,
-                // not merely equivalent — so inbox spans, FIFO contents
-                // and the carried spans match for every worker count.
-                let nchunks = window.div_ceil(chunk);
-                queues.ensure_chunks(nchunks);
-                {
-                    let QueueBuffers {
-                        spans,
-                        chunk_take,
-                        chunk_queue,
-                        chunk_qmax,
-                        ..
-                    } = &mut queues;
-                    let spans: &[(u32, u32)] = spans;
-                    let counts: &[u32] = &buffers.counts;
-                    let slots_ptr = RawSlots(slots.as_mut_ptr());
-                    let ct = RawU32(chunk_take.as_mut_ptr());
-                    let cq = RawU32(chunk_queue.as_mut_ptr());
-                    let cm = RawU32(chunk_qmax.as_mut_ptr());
-                    (0..nchunks).into_par_iter().for_each(|c| {
-                        let lo = c * chunk;
-                        let hi = ((c + 1) * chunk).min(window);
-                        let (mut take_sum, mut queue_sum, mut qmax) = (0u32, 0u32, 0u32);
-                        for pos in lo..hi {
-                            // Sound: this task owns slot range [lo, hi).
-                            let slot = unsafe { slots_ptr.slot(pos) };
-                            if !slot.alive {
-                                continue;
-                            }
-                            let i = slot.idx as usize;
-                            let total = spans[i].1 as usize + counts[i] as usize;
-                            // Parked slots deliver nothing (their backlog
-                            // re-queues in full, same as the inline walk).
-                            let take = if slot.paused { 0 } else { total.min(cap) };
-                            let queued = (total - take) as u32;
-                            take_sum += take as u32;
-                            queue_sum += queued;
-                            qmax = qmax.max(queued);
-                        }
-                        // Sound: task `c` exclusively owns entry `c`.
-                        unsafe {
-                            ct.write(c, take_sum);
-                            cq.write(c, queue_sum);
-                            cm.write(c, qmax);
-                        }
-                    });
-                }
-                let (mut take_acc, mut queue_acc) = (0u32, 0u32);
-                for c in 0..nchunks {
-                    let (t, q) = (queues.chunk_take[c], queues.chunk_queue[c]);
-                    queues.chunk_take[c] = take_acc;
-                    queues.chunk_queue[c] = queue_acc;
-                    take_acc += t;
-                    queue_acc += q;
-                    metrics.max_queue_len =
-                        metrics.max_queue_len.max(queues.chunk_qmax[c] as usize);
-                }
-                queues.inbox.resize(take_acc as usize, WireEnvelope::EMPTY);
-                queues.next.resize(queue_acc as usize, WireEnvelope::EMPTY);
-                {
-                    let QueueBuffers {
-                        spans,
-                        cur,
-                        next,
-                        inbox,
-                        chunk_take,
-                        chunk_queue,
-                        ..
-                    } = &mut queues;
-                    let cur: &[WireEnvelope] = cur;
-                    let chunk_take: &[u32] = chunk_take;
-                    let chunk_queue: &[u32] = chunk_queue;
-                    let counts: &[u32] = &buffers.counts;
-                    let starts: &[u32] = &buffers.starts;
-                    let route_arena: &[WireEnvelope] = &buffers.arena;
-                    let slots_ptr = RawSlots(slots.as_mut_ptr());
-                    let spans_ptr = RawSpans(spans.as_mut_ptr());
-                    let inbox_ptr = RawArena(inbox.as_mut_ptr());
-                    let next_ptr = RawArena(next.as_mut_ptr());
-                    (0..nchunks).into_par_iter().for_each(|c| {
-                        let lo = c * chunk;
-                        let hi = ((c + 1) * chunk).min(window);
-                        let mut ic = chunk_take[c] as usize;
-                        let mut qc = chunk_queue[c] as usize;
-                        for pos in lo..hi {
-                            // Sound: this task owns slot range [lo, hi),
-                            // and dense index `i` belongs to exactly one
-                            // slot — so the slot, its span entry and its
-                            // cursor regions are all exclusively owned.
-                            let slot = unsafe { slots_ptr.slot(pos) };
-                            if !slot.alive {
-                                continue;
-                            }
-                            let i = slot.idx as usize;
-                            let (bs, bl) = unsafe { spans_ptr.read(i) };
-                            let backlog = &cur[bs as usize..(bs + bl) as usize];
-                            let fresh = &route_arena[starts[i] as usize..][..counts[i] as usize];
-                            let total = backlog.len() + fresh.len();
-                            let take = if slot.paused { 0 } else { total.min(cap) };
-                            let tb = take.min(backlog.len());
-                            slot.inbox_start = ic as u32;
-                            slot.inbox_len = take as u32;
-                            let next_start = qc as u32;
-                            // FIFO: backlog first, then the routed bucket.
-                            for &env in &backlog[..tb] {
-                                unsafe { inbox_ptr.write(ic, env) };
-                                ic += 1;
-                            }
-                            for &env in &fresh[..take - tb] {
-                                unsafe { inbox_ptr.write(ic, env) };
-                                ic += 1;
-                            }
-                            for &env in &backlog[tb..] {
-                                unsafe { next_ptr.write(qc, env) };
-                                qc += 1;
-                            }
-                            for &env in &fresh[take - tb..] {
-                                unsafe { next_ptr.write(qc, env) };
-                                qc += 1;
-                            }
-                            unsafe { spans_ptr.write(i, (next_start, (total - take) as u32)) };
-                        }
-                    });
-                }
-            }
-            let mut drained_any = false;
-            for &idx in dead_backlog.iter() {
-                let i = idx as usize;
-                let (start, take, queued) = queues.deliver(i, &[], cap);
-                metrics.max_queue_len = metrics.max_queue_len.max(queued);
-                // A dead node's "delivery" is immediately undeliverable —
-                // the same accounting the per-slot sweep used to apply.
-                let delivered = take as usize;
-                metrics.max_received_per_round = metrics.max_received_per_round.max(delivered);
-                if knowledge.enabled() {
-                    let inbox = &queues.inbox[start as usize..][..delivered];
-                    for env in inbox {
-                        knowledge.learn(i, env.src);
-                        for &a in env.msg.addrs_slice() {
-                            knowledge.learn(i, a);
-                        }
-                    }
-                }
-                metrics.undelivered += take as u64;
-                drained_any |= queued == 0;
-            }
-            if drained_any {
-                let queues = &queues;
-                dead_backlog.retain(|&idx| queues.backlog_len(idx as usize) > 0);
-            }
-            queues.end_round();
-        } else if !parallel_sweep {
-            for slot in slots.iter_mut() {
-                if !slot.alive {
-                    continue;
-                }
-                let i = slot.idx as usize;
-                let received = buffers.counts[i] as usize;
-                if received > cap {
-                    metrics.record_violation(
-                        strict,
-                        Violation {
-                            round,
-                            node: slot.id,
-                            kind: ViolationKind::ReceiveCapacity { received, cap },
-                        },
-                    )?;
-                }
-                let (start, len) = buffers.span(i);
-                slot.inbox_start = start;
-                slot.inbox_len = len;
-            }
-        } else {
-            // Parallel capacity check: per-worker violation journals,
-            // replayed in worker order below — worker ranges are
-            // contiguous and each worker records in slot order, so the
-            // concatenation is exactly the sequential sweep's order and a
-            // strict abort picks the same canonical first violation.
-            buffers.begin_parallel_round(workers);
-            {
-                let RouteBuffers {
-                    counts,
-                    starts,
-                    scratch,
-                    ..
-                } = &mut buffers;
-                let counts: &[u32] = counts;
-                let starts: &[u32] = starts;
-                let slots_ptr = RawSlots(slots.as_mut_ptr());
-                scratch[..workers]
-                    .par_chunks_mut(1)
-                    .enumerate()
-                    .for_each(|(w, scratch_row)| {
-                        let s = &mut scratch_row[0];
-                        s.violations.clear();
-                        let lo = (w * chunk).min(window);
-                        let hi = ((w + 1) * chunk).min(window);
-                        for pos in lo..hi {
-                            // Sound: this worker owns slot range [lo, hi).
-                            let slot = unsafe { slots_ptr.slot(pos) };
-                            if !slot.alive {
-                                continue;
-                            }
-                            let i = slot.idx as usize;
-                            let received = counts[i] as usize;
-                            if received > cap {
-                                s.violations.push(Violation {
-                                    round,
-                                    node: slot.id,
-                                    kind: ViolationKind::ReceiveCapacity { received, cap },
-                                });
-                            }
-                            slot.inbox_start = starts[i];
-                            slot.inbox_len = counts[i];
-                        }
-                    });
-            }
-            for w in 0..workers {
-                for v in buffers.scratch[w].violations.drain(..) {
-                    metrics.record_violation(strict, v)?;
-                }
-            }
-        }
-        deliver_nanos += t_phase.elapsed().as_nanos() as u64;
-
-        // --- Knowledge propagation + delivery metrics. ---
-        // detlint: allow(ambient-entropy) — per-phase wall-clock timer: the elapsed nanos feed EngineStats::*_nanos (observability only) and never a transcript, round count, or message
-        let t_phase = Instant::now();
-        if !parallel_sweep {
-            let delivery_arena: &[WireEnvelope] = if queue_mode {
-                &queues.inbox
-            } else {
-                &buffers.arena
-            };
-            for slot in slots.iter() {
-                if !slot.alive {
-                    continue;
-                }
-                let delivered = slot.inbox_len as usize;
-                metrics.max_received_per_round = metrics.max_received_per_round.max(delivered);
-                if knowledge.enabled() {
-                    let i = slot.idx as usize;
-                    let inbox = &delivery_arena[slot.inbox_start as usize..][..delivered];
-                    for env in inbox {
-                        knowledge.learn(i, env.src);
-                        for &a in env.msg.addrs_slice() {
-                            knowledge.learn(i, a);
-                        }
-                    }
-                }
-            }
-        } else {
-            // Parallel learn sweep: workers own disjoint slot chunks, and
-            // per-node knowledge regions are disjoint arena spans, so
-            // in-place learns never alias. The one mutation that moves
-            // memory *between* regions — re-homing a full region to the
-            // arena tail — is journaled per worker and replayed
-            // sequentially below. Region contents are sorted *sets*, so
-            // replay order cannot change what any node knows:
-            // `knows`/`knowledge_size`/`max_knowledge` are bit-identical
-            // to the sequential walk, only the unobservable arena layout
-            // may differ. The journals empty out once knowledge stops
-            // spreading, so a settled run allocates nothing here.
-            buffers.begin_parallel_round(workers);
-            let enabled = knowledge.enabled();
-            {
-                let RouteBuffers { arena, scratch, .. } = &mut buffers;
-                let delivery_arena: &[WireEnvelope] =
-                    if queue_mode { &queues.inbox } else { arena };
-                let slots_ptr = RawSlots(slots.as_mut_ptr());
-                let shard = knowledge.shard();
-                let shard = &shard;
-                scratch[..workers]
-                    .par_chunks_mut(1)
-                    .enumerate()
-                    .for_each(|(w, scratch_row)| {
-                        let s = &mut scratch_row[0];
-                        s.learns.clear();
-                        s.max_received = 0;
-                        let lo = (w * chunk).min(window);
-                        let hi = ((w + 1) * chunk).min(window);
-                        for pos in lo..hi {
-                            // Sound: this worker owns slot range [lo, hi).
-                            let slot = unsafe { slots_ptr.slot(pos) };
-                            if !slot.alive {
-                                continue;
-                            }
-                            let delivered = slot.inbox_len as usize;
-                            s.max_received = s.max_received.max(delivered);
-                            if !enabled {
-                                continue;
-                            }
-                            let i = slot.idx as usize;
-                            let inbox = &delivery_arena[slot.inbox_start as usize..][..delivered];
-                            for env in inbox {
-                                // Sound: slot chunks are disjoint and each
-                                // dense index belongs to exactly one slot,
-                                // so this worker exclusively owns region i.
-                                if !unsafe { shard.try_learn(i, env.src) } {
-                                    s.learns.push((slot.idx, env.src));
-                                }
-                                for &a in env.msg.addrs_slice() {
-                                    if !unsafe { shard.try_learn(i, a) } {
-                                        s.learns.push((slot.idx, a));
-                                    }
-                                }
-                            }
-                        }
-                    });
-            }
-            // Replay the deferred learns (full regions needing a re-home)
-            // and fold the per-worker delivery max. A learned set is
-            // order-independent and max is commutative, so both folds are
-            // deterministic for any worker count.
-            for w in 0..workers {
-                metrics.max_received_per_round = metrics
-                    .max_received_per_round
-                    .max(buffers.scratch[w].max_received);
-                for (node, id) in buffers.scratch[w].learns.drain(..) {
-                    knowledge.learn(node as usize, id);
-                }
-            }
-        }
-        learn_nanos += t_phase.elapsed().as_nanos() as u64;
-
-        metrics.record_round(round_messages);
-        emitter.emit(RunEvent::RoundCompleted {
-            round,
-            delivered: round_messages,
-            live,
-            route_mode,
-        });
-        prev_round_messages = round_messages;
-        if metrics.rounds > config.max_rounds {
-            return Err(SimError::RoundLimitExceeded {
-                limit: config.max_rounds,
-            });
-        }
-    }
-
-    // Undrained queues mean some protocol stopped listening too early.
-    metrics.undelivered += queues.backlog_total();
-    if knowledge.enabled() {
-        // Fold over the dense participant space only (masked-out indices
-        // never had tracker rows), in parallel when the run is wide
-        // enough to make the fan-out pay.
-        let fold = |i: usize| knowledge.knowledge_size(i);
-        metrics.max_knowledge = if workers > 1 && k >= PARALLEL_SWEEP_MIN_LIVE {
-            (0..k).into_par_iter().map(fold).max().unwrap_or(0)
-        } else {
-            (0..k).map(fold).max().unwrap_or(0)
-        };
-    }
-    emitter.emit(RunEvent::Done {
-        rounds: metrics.rounds,
-        messages: metrics.messages,
-    });
-    metrics.phase_rounds = emitter.recorder.phase_rounds();
-    let mut stats = emitter.recorder.engine_stats();
-    stats.shards = 1;
-    stats.dense_index_space = k;
-    stats.knowledge_arena = knowledge.arena_len();
-    stats.parallel_sweep_rounds = parallel_sweep_rounds;
-    stats.inline_sweep_rounds = inline_sweep_rounds;
-    stats.step_nanos = step_nanos;
-    stats.route_nanos = route_nanos;
-    stats.deliver_nanos = deliver_nanos;
-    stats.learn_nanos = learn_nanos;
-
-    // Merge compacted-away outputs with the final window's, restoring
-    // knowledge-path order by dense index.
-    for s in slots.into_iter() {
-        if let Some(out) = s.output {
-            done.push((s.idx, s.id, out));
-        }
-    }
-    done.sort_unstable_by_key(|&(idx, _, _)| idx);
-    let outputs: Vec<(NodeId, P::Output)> =
-        done.into_iter().map(|(_, id, out)| (id, out)).collect();
-    Ok(RunResult {
-        outputs,
-        metrics,
-        engine: stats,
-    })
 }
 
 /// Validates one envelope against the model constraints, in the same order
 /// as the threaded oracle's `Coordinator::validate`. `src_idx` is the
-/// index of the sender's row in `knowledge` (global dense index on the
-/// monolithic path, shard-local under the sharded layout); `alive` is
-/// always the full dense participant space, since destinations may live
-/// anywhere.
+/// shard-local index of the sender's row in `knowledge`; `alive` is the
+/// full dense participant space, since destinations may live in any
+/// shard.
 pub(crate) fn validate(
     env: &WireEnvelope,
     src_idx: usize,

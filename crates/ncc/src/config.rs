@@ -56,6 +56,20 @@ pub enum IdAssignment {
     Random,
 }
 
+/// Fewest nodes a shard owns under the derived shard count
+/// ([`Config::shards`] `= 0`): a run over `k` participants is split only
+/// once `k / MIN_SHARD_WIDTH >= 2`.
+///
+/// Chosen by measurement (PR 14; 2-vCPU host, two workers, whole
+/// `Implicit` near-regular d≈4 realizations, median of 6 interleaved
+/// calls, two shards against one): at 1024 nodes per shard the second
+/// worker *costs* 28 % (1.17 s vs 0.92 s at n = 2048 — starting threads
+/// five times a round outweighs halving sub-millisecond phases), at 1536
+/// per shard it is a wash (1.72 s vs 1.78 s at n = 3072), at 2048 per
+/// shard it saves 14 % (2.44 s vs 2.83 s at n = 4096), and the saving
+/// grows from there (ARCHITECTURE.md has the table).
+pub const MIN_SHARD_WIDTH: usize = 2048;
+
 /// Full configuration of a simulated NCC network.
 #[derive(Clone, Debug)]
 pub struct Config {
@@ -84,11 +98,12 @@ pub struct Config {
     /// Safety valve: abort if the protocol runs longer than this many rounds.
     pub max_rounds: u64,
     /// Worker threads for the batched executor: `0` (default) sizes the
-    /// pool to the machine, `1` forces the inline single-thread paths
-    /// (useful for allocation probes and debugging). Covers the step
-    /// phase, dense-round routing, and the receive/learn sweeps. Results
-    /// are identical for every value — parallel passes write disjoint
-    /// regions and fold their reductions in a fixed order, and the
+    /// pool to the machine, `1` walks every phase inline on the calling
+    /// thread (useful for allocation probes and debugging). The pool is
+    /// used only to run ownership shards side by side (see `shards`), in
+    /// every per-shard phase of the round: step, seal, exchange, deliver,
+    /// learn. Results are identical for every value — shards own disjoint
+    /// state, their journals replay in a fixed order, and the narrated
     /// dense/sparse round classification is a pure function of the
     /// transcript, so event streams are bit-identical too.
     pub worker_threads: usize,
@@ -97,10 +112,14 @@ pub struct Config {
     /// private slot arena, wire/queue buffers and knowledge-tracker arena.
     /// Cross-shard sends move in a deterministic all-to-all exchange
     /// phase, so transcripts, metrics and raw event streams are
-    /// bit-identical to the unsharded layout for every shard count. `1`
-    /// (the default) keeps today's single-arena layout; values are
-    /// clamped to the participant count. Like `worker_threads` this is a
-    /// layout knob, ignored by the threaded oracle.
+    /// bit-identical for every shard count. `0` (the default) derives the
+    /// count per engine run from the participant count `k` and the worker
+    /// count: `clamp(k / MIN_SHARD_WIDTH, 1, workers)` — one shard per
+    /// worker once each would own at least [`MIN_SHARD_WIDTH`] nodes, a
+    /// single inline shard below that or on one worker. An explicit count
+    /// is used as given, clamped to the participant count. Like
+    /// `worker_threads` this is a layout knob, ignored by the threaded
+    /// oracle.
     pub shards: usize,
     /// Optional seeded fault schedule ([`Scenario`](crate::Scenario))
     /// applied by the batched executor between routing seal and delivery:
@@ -127,7 +146,7 @@ impl Config {
             seed,
             max_rounds: 10_000_000,
             worker_threads: 0,
-            shards: 1,
+            shards: 0,
             scenario: None,
         }
     }
@@ -160,14 +179,15 @@ impl Config {
         self
     }
 
-    /// Pins the batched executor's step-phase worker count (`0` = auto).
+    /// Pins the batched executor's worker count (`0` = auto).
     pub fn with_worker_threads(mut self, workers: usize) -> Self {
         self.worker_threads = workers;
         self
     }
 
     /// Splits the batched executor's state into `shards` ownership shards
-    /// (`1` = the single-arena layout; clamped to the participant count).
+    /// (clamped to the participant count; `0` = derived, the default —
+    /// see [`Config::shards`]).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
@@ -178,6 +198,18 @@ impl Config {
     pub fn with_scenario(mut self, scenario: crate::Scenario) -> Self {
         self.scenario = Some(scenario);
         self
+    }
+
+    /// The shard count of an engine run over `k` participants on
+    /// `workers` worker threads: an explicit [`Config::shards`] wins
+    /// (clamped to `k`); the derived default gives every worker a shard
+    /// once each would own [`MIN_SHARD_WIDTH`] nodes, and never shards a
+    /// one-worker run — walking shards one after another buys nothing.
+    pub(crate) fn shard_count(&self, k: usize, workers: usize) -> usize {
+        match self.shards {
+            0 => (k / MIN_SHARD_WIDTH).clamp(1, workers.max(1)),
+            explicit => explicit.min(k.max(1)),
+        }
     }
 
     /// The concrete per-round send/receive capacity for an `n`-node network
@@ -211,6 +243,35 @@ mod tests {
         let c = Config::ncc0(0).with_capacity_factor(1.0);
         assert_eq!(c.capacity(2), 4); // floor
         assert_eq!(c.capacity(1 << 16), 16);
+    }
+
+    #[test]
+    fn shard_count_explicit_wins_and_derived_follows_k_and_workers() {
+        const WORKERS: [usize; 3] = [1, 2, 8];
+        // k -> expected shard count per WORKERS entry, for `shards` = 0
+        // (derived), 1 and 3 (explicit).
+        #[rustfmt::skip]
+        let table = [
+            (0,       [1, 1, 1], [1, 1, 1], [1, 1, 1]),
+            (1,       [1, 1, 1], [1, 1, 1], [1, 1, 1]),
+            (2047,    [1, 1, 1], [1, 1, 1], [3, 3, 3]),
+            (2048,    [1, 1, 1], [1, 1, 1], [3, 3, 3]),
+            (4096,    [1, 2, 2], [1, 1, 1], [3, 3, 3]),
+            (100_000, [1, 2, 8], [1, 1, 1], [3, 3, 3]),
+        ];
+        assert_eq!(Config::ncc0(0).shards, 0, "derived is the default");
+        for (k, derived, one, three) in table {
+            for (configured, want) in [(0, derived), (1, one), (3, three)] {
+                let config = Config::ncc0(0).with_shards(configured);
+                for (w, &workers) in WORKERS.iter().enumerate() {
+                    assert_eq!(
+                        config.shard_count(k, workers),
+                        want[w],
+                        "k={k} workers={workers} shards={configured}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The typed run-event stream: one source of truth for everything that
 //! happens during a protocol run.
 //!
-//! Both engines — the batched executor (`batch.rs`) and the threaded
+//! Both engines — the batched executor (`shard.rs`) and the threaded
 //! oracle — narrate a run as a sequence of [`RunEvent`]s pushed
 //! into a [`Sink`]. The stream is **engine-invariant in its semantic
 //! projection** ([`RunEvent::semantic`]): for the same protocol, config
@@ -38,19 +38,18 @@
 use crate::metrics::{EngineStats, PhaseRounds};
 
 /// The batched executor's dense/sparse classification of a round. A pure
-/// function of the previous round's delivered volume — worker-count-
-/// invariant, so event streams stay bit-identical across pool sizes —
-/// surfaced so the adaptive router stays observable and testable. Whether
-/// a dense round *actually* fans out over the pool is gated separately on
-/// the worker count; both execution paths produce identical transcripts.
+/// function of the previous round's delivered volume and the live slot
+/// window — invariant under worker and shard counts, so event streams
+/// stay bit-identical across layouts. Narration only: how a round is
+/// scheduled depends on the shard layout, never on this.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RouteMode {
-    /// Sparse round: routed on the allocation-free sequential path.
+    /// Sparse round: little traffic relative to the live population.
     Inline,
-    /// Dense round: eligible for the per-worker count/scatter routing path
-    /// (executed inline anyway when the pool has a single worker).
+    /// Dense round: the previous round delivered at least 2048 messages
+    /// and a quarter of a message per live node.
     Parallel,
-    /// The engine has no adaptive router (the threaded oracle).
+    /// The engine does not classify rounds (the threaded oracle).
     Unspecified,
 }
 

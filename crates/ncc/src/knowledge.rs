@@ -56,41 +56,17 @@ pub(crate) fn seed_path(
     }
 }
 
-/// [`seed_path`] for a tracker indexed by the batched engine's **dense**
-/// 0..k participant space: the j-th participating index of `ids` (in path
-/// order) owns tracker row j. Used by the batched engine, whose per-node
-/// arrays are sized to the participant count k on masked runs; the
-/// threaded oracle keeps full-width rows and seeds with [`seed_path`].
-pub(crate) fn seed_path_dense(
-    tracker: &mut KnowledgeTracker,
-    ids: &[NodeId],
-    participating: impl Fn(usize) -> bool,
-) {
-    if !tracker.enabled() {
-        return;
-    }
-    let mut dense = 0usize;
-    for (i, &id) in ids.iter().enumerate() {
-        if !participating(i) {
-            continue;
-        }
-        tracker.learn(dense, id);
-        if dense > 0 {
-            // The previous participant's out-neighbor on the path is this
-            // node.
-            tracker.learn(dense - 1, id);
-        }
-        dense += 1;
-    }
-}
-
-/// [`seed_path_dense`] for the ownership-sharded engine, where the dense
-/// 0..k participant space is split across per-shard trackers: shard `s`
-/// owns dense indices `bases[s]..bases[s + 1]` (with an implicit final
-/// bound of k) and its tracker rows are indexed shard-locally. The one
-/// boundary case the per-shard view crosses is the path link itself: the
-/// last participant of shard `s` learns the ID of the first participant
-/// of shard `s + 1`, written into shard `s`'s tracker.
+/// [`seed_path`] for the batched engine, whose tracker rows cover the
+/// **dense** 0..k participant space (the j-th participating index of
+/// `ids`, in path order, is dense index j — per-node arrays are sized to
+/// the participant count on masked runs) split across per-shard trackers:
+/// shard `s` owns dense indices `bases[s]..bases[s + 1]` (with an
+/// implicit final bound of k) and its tracker rows are indexed
+/// shard-locally. The one boundary case the per-shard view crosses is the
+/// path link itself: the last participant of shard `s` learns the ID of
+/// the first participant of shard `s + 1`, written into shard `s`'s
+/// tracker. The threaded oracle keeps full-width rows and seeds with
+/// [`seed_path`].
 pub(crate) fn seed_path_sharded(
     trackers: &mut [KnowledgeTracker],
     bases: &[usize],
@@ -228,66 +204,6 @@ impl KnowledgeTracker {
     pub(crate) fn arena_len(&self) -> usize {
         self.arena.len()
     }
-
-    /// A raw view over the regions and the arena for the batched engine's
-    /// parallel learn sweep. Valid only while the tracker is not otherwise
-    /// borrowed; see [`TrackerShard::try_learn`] for the aliasing contract.
-    pub(crate) fn shard(&mut self) -> TrackerShard {
-        TrackerShard {
-            regions: self.regions.as_mut_ptr(),
-            arena: self.arena.as_mut_ptr(),
-        }
-    }
-}
-
-/// Shared-arena view for the parallel learn sweep.
-///
-/// The sweep partitions slots into contiguous chunks, one worker per
-/// chunk, so no two workers ever touch the same node's region — and
-/// regions of distinct nodes occupy disjoint arena spans by construction,
-/// so in-place inserts from different workers never alias. The one
-/// operation that moves memory *between* regions (re-homing a full region
-/// to the arena tail) is excluded: [`TrackerShard::try_learn`] refuses it
-/// and the engine journals the learn for a sequential replay after the
-/// pass. Region contents are sorted **sets**, so the replay order cannot
-/// change what any node knows — only the (unobservable) arena layout.
-pub(crate) struct TrackerShard {
-    regions: *mut Region,
-    arena: *mut NodeId,
-}
-
-// SAFETY: workers operate on disjoint node regions (see struct docs); the
-// pointers themselves are plain addresses.
-unsafe impl Send for TrackerShard {}
-unsafe impl Sync for TrackerShard {}
-
-impl TrackerShard {
-    /// Learns `id` for `node` in place when the node's region has spare
-    /// capacity; returns `false` when the region is full and the learn
-    /// must be replayed through [`KnowledgeTracker::learn`] (the only
-    /// path that re-homes regions and grows the arena).
-    ///
-    /// # Safety
-    ///
-    /// `node` must be in bounds and the caller must hold exclusive access
-    /// to `node`'s region for the duration of the call.
-    pub(crate) unsafe fn try_learn(&self, node: usize, id: NodeId) -> bool {
-        let region = &mut *self.regions.add(node);
-        let slice = std::slice::from_raw_parts(self.arena.add(region.start), region.len);
-        let pos = match slice.binary_search(&id) {
-            Ok(_) => return true, // already known: no writes
-            Err(pos) => pos,
-        };
-        if region.len == region.cap {
-            return false; // needs re-homing: defer to the sequential replay
-        }
-        // Sorted insert inside the region: shift the tail right by one.
-        let at = self.arena.add(region.start + pos);
-        std::ptr::copy(at, at.add(1), region.len - pos);
-        at.write(id);
-        region.len += 1;
-        true
-    }
 }
 
 #[cfg(test)]
@@ -321,7 +237,9 @@ mod tests {
         // Participants 0, 2, 4 own dense rows 0, 1, 2 — the tracker is
         // sized to the participant count, as in a masked batched run.
         let mut t = KnowledgeTracker::new(3, true);
-        seed_path_dense(&mut t, &ids, |i| i != 1 && i != 3);
+        seed_path_sharded(std::slice::from_mut(&mut t), &[0], &ids, |i| {
+            i != 1 && i != 3
+        });
         assert!(t.knows(0, 10) && t.knows(0, 30));
         assert!(t.knows(1, 30) && t.knows(1, 50));
         // The tail learns only itself, and nobody learns a filtered ID.
@@ -337,7 +255,7 @@ mod tests {
         // two shards — the path link 1 -> 2 crosses the shard boundary.
         let participating = |i: usize| i != 1 && i != 4;
         let mut dense = KnowledgeTracker::new(4, true);
-        seed_path_dense(&mut dense, &ids, participating);
+        seed_path_sharded(std::slice::from_mut(&mut dense), &[0], &ids, participating);
         let mut shards = vec![
             KnowledgeTracker::new(2, true),
             KnowledgeTracker::new(2, true),
@@ -366,38 +284,13 @@ mod tests {
         let mut full = KnowledgeTracker::new(3, true);
         let mut dense = KnowledgeTracker::new(3, true);
         seed_path(&mut full, &ids, |_| true);
-        seed_path_dense(&mut dense, &ids, |_| true);
+        seed_path_sharded(std::slice::from_mut(&mut dense), &[0], &ids, |_| true);
         for node in 0..3 {
             assert_eq!(full.knowledge_size(node), dense.knowledge_size(node));
             for &id in &ids {
                 assert_eq!(full.knows(node, id), dense.knows(node, id));
             }
         }
-    }
-
-    #[test]
-    fn shard_learns_in_place_and_defers_rehoming() {
-        let mut t = KnowledgeTracker::new(2, true);
-        t.learn(0, 10); // first learn grants node 0 a MIN_REGION block
-        let shard = t.shard();
-        unsafe {
-            assert!(shard.try_learn(0, 5));
-            assert!(shard.try_learn(0, 7));
-            assert!(shard.try_learn(0, 7)); // idempotent, still in place
-            assert!(shard.try_learn(0, 12));
-            // Region now full: the next insert needs a re-home, which the
-            // shard refuses.
-            assert!(!shard.try_learn(0, 99));
-            // A never-learned node has a zero-capacity region: defers too.
-            assert!(!shard.try_learn(1, 1));
-        }
-        // The deferred learn replays through the owning tracker.
-        t.learn(0, 99);
-        for id in [5, 7, 10, 12, 99] {
-            assert!(t.knows(0, id), "lost id {id}");
-        }
-        assert_eq!(t.knowledge_size(0), 5);
-        assert_eq!(t.knowledge_size(1), 0);
     }
 
     #[test]

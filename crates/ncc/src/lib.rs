@@ -28,11 +28,12 @@
 //! the simulator exploits that with a **batched step-function executor**
 //! ([`Network::run_protocol`]): node protocols are state machines
 //! implementing [`NodeProtocol`] (`fn step(&mut self, ctx: &mut RoundCtx)
-//! -> Status`), stepped in bulk each round by a rayon worker pool. Routing
-//! is a stable counting sort of fixed-size [`WireMsg`] envelopes into a
-//! reusable flat arena, bucketed by dense destination index — no hashing,
-//! and at steady state no heap allocation anywhere in the round loop. This
-//! engine simulates **millions** of nodes.
+//! -> Status`), stepped in bulk each round, one ownership shard of the
+//! node space per pool worker. Routing is a stable counting sort of
+//! fixed-size [`WireMsg`] envelopes into reusable flat arenas, bucketed by
+//! dense destination index — no hashing, and at steady state no heap
+//! allocation anywhere in the round loop. This engine simulates
+//! **millions** of nodes.
 //!
 //! The original **thread-per-node oracle** survives behind the `threaded`
 //! feature (on by default): [`Network::run`] executes direct-style blocking
@@ -77,8 +78,10 @@
 //! ```
 //!
 //! All runs are deterministic given [`Config::seed`] — independent of the
-//! worker-thread count: node-local randomness is derived from the seed and
+//! worker-thread and shard counts: node-local randomness is derived from the seed and
 //! the node ID, and routing follows a canonical (dense source index) order.
+
+#![forbid(unsafe_code)]
 
 mod batch;
 mod config;
@@ -98,7 +101,7 @@ mod scenario;
 mod shard;
 mod wire;
 
-pub use config::{CapacityPolicy, Config, EngineKind, IdAssignment, Model};
+pub use config::{CapacityPolicy, Config, EngineKind, IdAssignment, Model, MIN_SHARD_WIDTH};
 pub use error::{SimError, Violation, ViolationKind};
 pub use event::{
     JsonlSink, MetricsRecorder, NullSink, ProgressSink, Recording, RouteMode, RunEvent, Sink,

@@ -103,15 +103,19 @@ pub struct RunMetrics {
 /// these are **not** part of the model semantics — the threaded oracle
 /// reports all-zero stats — so they live outside the metrics the
 /// differential tests compare. They exist to make the batched executor's
-/// adaptive machinery (live-slot compaction, dense-vs-sparse round
-/// classification, the parallel receive/learn sweeps, the dense masked
-/// remap) observable and testable.
+/// machinery (live-slot compaction, dense-vs-sparse round classification,
+/// the ownership-shard layout, the dense masked remap, the scenario
+/// engine) observable and testable.
 ///
-/// The route/sweep *round counters* and `dense_index_space` are
-/// deterministic given the configuration; the `*_nanos` phase timings and
-/// the sweep-path counters depend on wall clock and worker count and must
-/// never be compared across runs — they exist for `engine_bench`'s
-/// serial-fraction breakdown.
+/// Every counter is deterministic given the configuration — `shards`,
+/// `shard_windows` and `cross_shard_messages` additionally depend on the
+/// worker count when the shard count is derived. The `*_nanos` phase
+/// timings are wall clock and must never be compared across runs. They
+/// follow one rule: each covers exactly its per-shard phase plus the
+/// coordinator's journal replay for it, and nothing else — scenario
+/// churn, retirement, protocol marks, compaction, the scenario **fault
+/// pass** and round narration belong to no phase (callers that want
+/// them subtract the five timers from the round loop's wall clock).
 #[derive(Clone, Debug, Default)]
 pub struct EngineStats {
     /// Number of live-slot compactions the step phase performed.
@@ -120,12 +124,12 @@ pub struct EngineStats {
     /// decreasing by construction (a compaction fires only once the live
     /// count has at least halved since the previous one).
     pub compaction_live: Vec<usize>,
-    /// Rounds classified sparse (routed inline regardless of worker
-    /// count). The classification depends only on the previous round's
-    /// delivered volume, so it is identical for every worker count.
+    /// Rounds classified sparse ([`RouteMode::Inline`](crate::RouteMode)).
+    /// The classification depends only on the previous round's delivered
+    /// volume and the live slot window, so it is identical for every
+    /// worker and shard count.
     pub inline_route_rounds: u64,
-    /// Rounds classified dense (fanned out over the worker pool when one
-    /// exists; still executed inline under a single worker).
+    /// Rounds classified dense ([`RouteMode::Parallel`](crate::RouteMode)).
     pub parallel_route_rounds: u64,
     /// Size of the dense per-node index space the run allocated its
     /// engine arrays (routing counts, queue spans, knowledge regions,
@@ -136,33 +140,34 @@ pub struct EngineStats {
     /// Final knowledge-arena length in IDs (0 when tracking is off).
     /// Scales with `dense_index_space`, not network size.
     pub knowledge_arena: usize,
-    /// Rounds whose receive/learn sweeps ran on the parallel path (a
-    /// scheduling decision — transcripts are identical either way).
-    pub parallel_sweep_rounds: u64,
-    /// Rounds whose receive/learn sweeps ran inline.
-    pub inline_sweep_rounds: u64,
     /// Wall-clock nanoseconds spent in the step phase across the run.
     pub step_nanos: u64,
-    /// Wall-clock nanoseconds spent validating + routing.
+    /// Wall-clock nanoseconds spent in the seal: send validation,
+    /// destination counting, diverting cross-shard sends into the
+    /// exchange cells, and the violation-journal replay.
     pub route_nanos: u64,
     /// Wall-clock nanoseconds spent in queue delivery / capacity checks.
     pub deliver_nanos: u64,
     /// Wall-clock nanoseconds spent in the learn sweep + delivery fold.
     pub learn_nanos: u64,
-    /// Ownership shards the run executed with (`1` = the single-arena
-    /// layout). Deterministic given the configuration.
+    /// Ownership shards the run executed with: the explicit
+    /// [`Config::shards`](crate::Config::shards) clamped to the
+    /// participant count, or the count derived from participants and
+    /// workers. Always at least 1.
     pub shards: usize,
     /// Dense-index span width each shard owned at run start — the
-    /// ownership map of the sharded layout (empty on unsharded runs).
-    /// Deterministic given the configuration.
+    /// ownership map, one entry per shard, summing to
+    /// `dense_index_space` (`[k]` for a one-shard run).
     pub shard_windows: Vec<usize>,
     /// Envelopes that crossed a shard boundary through the exchange
     /// phase over the whole run. A pure function of the transcript and
-    /// the shard count (0 on unsharded runs).
+    /// the shard count (0 exactly when the run had one shard or no
+    /// traffic crossed a boundary).
     pub cross_shard_messages: u64,
-    /// Wall-clock nanoseconds spent in the boundary-exchange phase
-    /// (incoming-cell counting, the per-shard seal, and the canonical
-    /// splice). 0 on unsharded runs.
+    /// Wall-clock nanoseconds spent in the exchange phase: counting the
+    /// incoming cells, each shard's bucket prefix sums, and the canonical
+    /// splice of cells and own outboxes into the delivery buckets (the
+    /// scatter half of routing — present on one-shard runs too).
     pub exchange_nanos: u64,
     /// Sealed messages discarded by the scenario engine's drop faults.
     /// Deterministic given `(seed, scenario)` — folded from the

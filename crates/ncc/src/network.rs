@@ -149,7 +149,7 @@ impl Network {
         P: NodeProtocol,
         F: Fn(&NodeSeed<'_>) -> P + Sync,
     {
-        crate::batch::run(self, None, None, factory)
+        crate::shard::run(self, None, None, factory)
     }
 
     /// Unified engine dispatch: runs a [`NodeProtocol`] on the chosen
@@ -180,7 +180,7 @@ impl Network {
         F: Fn(&NodeSeed<'_>) -> P + Send + Sync,
     {
         match engine {
-            crate::EngineKind::Batched => crate::batch::run(self, participants, sink, factory),
+            crate::EngineKind::Batched => crate::shard::run(self, participants, sink, factory),
             #[cfg(feature = "threaded")]
             crate::EngineKind::Threaded => {
                 let alive;
@@ -222,7 +222,7 @@ impl Network {
         P: NodeProtocol,
         F: Fn(&NodeSeed<'_>) -> P + Sync,
     {
-        crate::batch::run(self, Some(participants), None, factory)
+        crate::shard::run(self, Some(participants), None, factory)
     }
 }
 

@@ -13,83 +13,8 @@
 //! routing hot path performs no heap allocation at all.
 
 use crate::config::IdAssignment;
-use crate::error::Violation;
 use crate::message::NodeId;
 use crate::wire::WireEnvelope;
-use rayon::prelude::*;
-
-/// Raw pointer to a `u32` buffer written by parallel tasks at disjoint
-/// indices (chunk sums / per-worker cursor rows partitioned by
-/// destination range, and the delivery sweep's per-chunk totals).
-pub(crate) struct RawU32(pub(crate) *mut u32);
-unsafe impl Send for RawU32 {}
-unsafe impl Sync for RawU32 {}
-
-impl RawU32 {
-    /// # Safety
-    ///
-    /// `at` must be owned exclusively by the calling task.
-    pub(crate) unsafe fn write(&self, at: usize, v: u32) {
-        unsafe { self.0.add(at).write(v) };
-    }
-}
-
-/// Raw pointer to a table of envelope rows (the sharded engine's
-/// `(src-shard, dst-shard)` exchange cells), written by parallel tasks at
-/// disjoint row ranges: source shard `s` touches only rows
-/// `s * shards..(s + 1) * shards` during its seal.
-pub(crate) struct RawRows(pub(crate) *mut Vec<WireEnvelope>);
-unsafe impl Send for RawRows {}
-unsafe impl Sync for RawRows {}
-
-impl RawRows {
-    /// # Safety
-    ///
-    /// Row `at` must be owned exclusively by the calling task.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn row(&self, at: usize) -> &mut Vec<WireEnvelope> {
-        unsafe { &mut *self.0.add(at) }
-    }
-}
-
-/// Raw pointer to the queue span table, read and written by the parallel
-/// delivery sweep at disjoint node indices (each dense index belongs to
-/// exactly one slot, and slots are partitioned into disjoint chunks).
-pub(crate) struct RawSpans(pub(crate) *mut (u32, u32));
-unsafe impl Send for RawSpans {}
-unsafe impl Sync for RawSpans {}
-
-impl RawSpans {
-    /// # Safety
-    ///
-    /// `at` must be owned exclusively by the calling task.
-    pub(crate) unsafe fn read(&self, at: usize) -> (u32, u32) {
-        unsafe { self.0.add(at).read() }
-    }
-
-    /// # Safety
-    ///
-    /// `at` must be owned exclusively by the calling task.
-    pub(crate) unsafe fn write(&self, at: usize, v: (u32, u32)) {
-        unsafe { self.0.add(at).write(v) };
-    }
-}
-
-/// Per-worker `(counts, cursors)` row base pointers for the
-/// destination-range-parallel cursor derivation: every parallel task
-/// touches a disjoint destination range of *every* row, so the aliasing
-/// is sound by construction.
-struct RowTable(Vec<(*const u32, *mut u32)>);
-unsafe impl Send for RowTable {}
-unsafe impl Sync for RowTable {}
-
-impl RowTable {
-    /// Accessor (rather than direct field use) so closures capture the
-    /// whole `Sync` wrapper, not the raw-pointer `Vec` inside it.
-    fn rows(&self) -> &[(*const u32, *mut u32)] {
-        &self.0
-    }
-}
 
 /// Maps node IDs to dense indices without hashing.
 ///
@@ -136,70 +61,17 @@ impl Resolver {
     }
 }
 
-/// One routing worker's private accumulators for the parallel
-/// validate-and-count and scatter passes. Rows are reused across rounds;
-/// at steady state a clean round touches no allocator through them
-/// (`violations` only grows when violations actually occur).
-#[derive(Debug, Default)]
-pub(crate) struct WorkerScratch {
-    /// Messages per destination index from this worker's slot range.
-    pub(crate) counts: Vec<u32>,
-    /// Scatter cursor per destination index (absolute arena offsets).
-    pub(crate) cursors: Vec<u32>,
-    /// Violations from this worker's slot range, in canonical (dense
-    /// source index) order — replayed sequentially after the pass so
-    /// violation accounting stays bit-identical to a sequential walk.
-    pub(crate) violations: Vec<Violation>,
-    /// Deliverable messages seen by this worker.
-    pub(crate) round_messages: u64,
-    /// Message volume (in words) seen by this worker.
-    pub(crate) words: u64,
-    /// Largest per-node send burst in this worker's range.
-    pub(crate) max_sent: usize,
-    /// Largest per-node delivery in this worker's range (the receive
-    /// sweeps' half of the max fold; managed by the sweep, not
-    /// [`WorkerScratch::begin_round`]).
-    pub(crate) max_received: usize,
-    /// Learns the parallel learn sweep could not apply in place (the
-    /// node's region was full and needs re-homing, the one operation that
-    /// grows the arena) — replayed sequentially after the pass. Empty at
-    /// steady state, so a settled run never allocates through it.
-    pub(crate) learns: Vec<(u32, NodeId)>,
-}
-
-impl WorkerScratch {
-    /// Resets the per-round accumulators (counts are sized on first use).
-    pub(crate) fn begin_round(&mut self, n: usize) {
-        if self.counts.len() != n {
-            self.counts = vec![0; n];
-            self.cursors = vec![0; n];
-        } else {
-            self.counts.fill(0);
-        }
-        self.violations.clear();
-        self.round_messages = 0;
-        self.words = 0;
-        self.max_sent = 0;
-    }
-}
-
 /// The reusable buffers of one batched network's routing pass.
 #[derive(Debug)]
 pub(crate) struct RouteBuffers {
     /// Messages per destination index, this round.
     pub(crate) counts: Vec<u32>,
     /// Bucket start offset per destination index (prefix sums of counts).
-    pub(crate) starts: Vec<u32>,
+    starts: Vec<u32>,
     /// Scatter cursor per destination index.
     cursor: Vec<u32>,
     /// Flat envelope arena; bucket `i` is `arena[starts[i]..][..counts[i]]`.
     pub(crate) arena: Vec<WireEnvelope>,
-    /// Per-worker scratch rows for the parallel routing passes (empty
-    /// until the first multi-worker round).
-    pub(crate) scratch: Vec<WorkerScratch>,
-    /// Per-destination-chunk message totals of the parallel fold (phase A
-    /// writes them, phase B prefix-sums them into chunk base offsets).
-    chunk_sums: Vec<u32>,
 }
 
 impl RouteBuffers {
@@ -209,122 +81,12 @@ impl RouteBuffers {
             starts: vec![0; n],
             cursor: vec![0; n],
             arena: Vec::new(),
-            scratch: Vec::new(),
-            chunk_sums: Vec::new(),
         }
-    }
-
-    /// Ensures `workers` scratch rows exist; each worker resets its own
-    /// row inside the parallel pass (`WorkerScratch::begin_round`), so the
-    /// coordinating thread does no per-round `O(workers x n)` zero-fill.
-    pub(crate) fn begin_parallel_round(&mut self, workers: usize) {
-        if self.scratch.len() < workers {
-            self.scratch.resize_with(workers, WorkerScratch::default);
-        }
-    }
-
-    /// Folds the per-worker counts into the global per-destination counts
-    /// and computes every worker's absolute scatter cursors: worker `w`'s
-    /// region of bucket `d` starts after the regions of workers `< w`,
-    /// which keeps bucket contents in dense source order — the exact
-    /// order a sequential walk produces, for any worker count.
-    ///
-    /// Both the fold and the cursor derivation are parallelized over
-    /// **destination ranges** (the former `O(workers x n)` coordinator
-    /// pass was the routing bottleneck on dense rounds): phase A sums the
-    /// worker rows per destination chunk, phase B is an `O(workers)`
-    /// prefix over the chunk totals, and phase C derives `starts` and
-    /// every worker's cursors within each chunk independently. Only a
-    /// pointer-table allocation of `O(workers)` happens per call — and the
-    /// adaptive router invokes this on dense rounds only, where it is
-    /// noise against the message volume.
-    ///
-    /// Returns the round's total message count (and sizes the arena).
-    pub(crate) fn seal_parallel(&mut self, workers: usize) -> usize {
-        let n = self.counts.len();
-        let chunk = n.div_ceil(workers).max(1);
-        let nchunks = n.div_ceil(chunk).max(1);
-        if self.chunk_sums.len() < nchunks {
-            self.chunk_sums.resize(nchunks, 0);
-        }
-
-        // Phase A: counts[d] = Σ_w row_w[d], one destination chunk per
-        // task, recording each chunk's message total.
-        {
-            let scratch = &self.scratch;
-            let chunk_sums = RawU32(self.chunk_sums.as_mut_ptr());
-            self.counts
-                .par_chunks_mut(chunk)
-                .enumerate()
-                .for_each(|(c, counts_chunk)| {
-                    let lo = c * chunk;
-                    let mut sum: u32 = 0;
-                    for (j, total) in counts_chunk.iter_mut().enumerate() {
-                        let d = lo + j;
-                        let mut t: u32 = 0;
-                        for row in &scratch[..workers] {
-                            t += row.counts[d];
-                        }
-                        *total = t;
-                        sum += t;
-                    }
-                    // Sound: task `c` exclusively owns chunk_sums[c].
-                    unsafe { chunk_sums.write(c, sum) };
-                });
-        }
-
-        // Phase B: exclusive prefix over the chunk totals -> chunk bases.
-        let mut acc: u32 = 0;
-        for c in 0..nchunks {
-            let s = self.chunk_sums[c];
-            self.chunk_sums[c] = acc;
-            acc += s;
-        }
-        let total = acc as usize;
-
-        // Phase C: per chunk, derive bucket starts and the per-worker
-        // scatter cursors (worker w's region of bucket d follows the
-        // regions of workers < w).
-        {
-            let rows = RowTable(
-                self.scratch[..workers]
-                    .iter_mut()
-                    .map(|s| (s.counts.as_ptr(), s.cursors.as_mut_ptr()))
-                    .collect(),
-            );
-            let chunk_sums = &self.chunk_sums;
-            self.starts
-                .par_chunks_mut(chunk)
-                .enumerate()
-                .for_each(|(c, starts_chunk)| {
-                    let lo = c * chunk;
-                    let mut acc = chunk_sums[c];
-                    for (j, start) in starts_chunk.iter_mut().enumerate() {
-                        let d = lo + j;
-                        *start = acc;
-                        let mut cur = acc;
-                        for &(counts_row, cursors_row) in rows.rows() {
-                            // Sound: each task owns destination range
-                            // [lo, lo + len) of every row.
-                            unsafe {
-                                cursors_row.add(d).write(cur);
-                                cur += counts_row.add(d).read();
-                            }
-                        }
-                        acc = cur;
-                    }
-                });
-        }
-
-        if self.arena.len() < total {
-            self.arena.resize(total, WireEnvelope::EMPTY);
-        }
-        total
     }
 
     /// Computes bucket offsets from the counts over the given destination
     /// indices (ascending) and ensures the arena can hold the round's
-    /// messages. The inline routing path passes the **live** indices only
+    /// messages. The exchange phase passes the **live** indices only
     /// — exactly the compacted slot array's iteration order; messages can
     /// only be routed to live destinations, so skipping retired indices
     /// changes nothing and makes the seal `O(live)` instead of `O(n)` on
@@ -396,22 +158,13 @@ impl RouteBuffers {
 #[derive(Debug, Default)]
 pub(crate) struct QueueBuffers {
     /// Per-node `(start, len)` span of its backlog in `cur`.
-    pub(crate) spans: Vec<(u32, u32)>,
+    spans: Vec<(u32, u32)>,
     /// Backlog carried over from the previous round.
-    pub(crate) cur: Vec<WireEnvelope>,
+    cur: Vec<WireEnvelope>,
     /// Backlog being assembled for the next round.
-    pub(crate) next: Vec<WireEnvelope>,
+    next: Vec<WireEnvelope>,
     /// The round's delivery arena (what inbox spans point into).
     pub(crate) inbox: Vec<WireEnvelope>,
-    /// Per-slot-chunk delivered totals of the parallel delivery sweep's
-    /// measuring pass (phase A writes totals, the sequential prefix turns
-    /// them into chunk base offsets for phase B). Reused across rounds.
-    pub(crate) chunk_take: Vec<u32>,
-    /// Per-slot-chunk re-queued totals (same protocol as `chunk_take`).
-    pub(crate) chunk_queue: Vec<u32>,
-    /// Per-slot-chunk max backlog length after delivery, folded into
-    /// `max_queue_len` on the coordinating thread (max is commutative).
-    pub(crate) chunk_qmax: Vec<u32>,
 }
 
 impl QueueBuffers {
@@ -421,20 +174,6 @@ impl QueueBuffers {
             cur: Vec::new(),
             next: Vec::new(),
             inbox: Vec::new(),
-            chunk_take: Vec::new(),
-            chunk_queue: Vec::new(),
-            chunk_qmax: Vec::new(),
-        }
-    }
-
-    /// Ensures the per-chunk arrays of the parallel delivery sweep can
-    /// hold `nchunks` entries (they never shrink — round-reused like
-    /// every other engine buffer).
-    pub(crate) fn ensure_chunks(&mut self, nchunks: usize) {
-        if self.chunk_take.len() < nchunks {
-            self.chunk_take.resize(nchunks, 0);
-            self.chunk_queue.resize(nchunks, 0);
-            self.chunk_qmax.resize(nchunks, 0);
         }
     }
 
@@ -564,39 +303,5 @@ mod tests {
         assert_eq!(b.span(0), (0, 2));
         assert_eq!(b.span(2), (2, 1));
         assert_eq!(b.span(3), (3, 3));
-    }
-
-    #[test]
-    fn parallel_seal_matches_sequential_layout() {
-        // 3 workers, 7 destinations: fold + cursors via seal_parallel
-        // must equal a sequential walk of worker rows in worker order.
-        let n = 7;
-        let workers = 3;
-        let mut b = RouteBuffers::new(n);
-        b.begin_parallel_round(workers);
-        let rows: [[u32; 7]; 3] = [
-            [1, 0, 2, 0, 0, 1, 4],
-            [0, 3, 1, 0, 2, 0, 0],
-            [2, 1, 0, 0, 1, 1, 2],
-        ];
-        for (w, row) in rows.iter().enumerate() {
-            b.scratch[w].begin_round(n);
-            b.scratch[w].counts.copy_from_slice(row);
-        }
-        let total = b.seal_parallel(workers);
-        assert_eq!(total, rows.iter().flatten().sum::<u32>() as usize);
-        // Expected: bucket d starts at Σ_{d'<d} counts[d']; worker w's
-        // cursor in bucket d follows workers < w.
-        let mut acc = 0u32;
-        for d in 0..n {
-            assert_eq!(b.starts[d], acc, "start of bucket {d}");
-            let mut cur = acc;
-            for (w, row) in rows.iter().enumerate() {
-                assert_eq!(b.scratch[w].cursors[d], cur, "cursor w={w} d={d}");
-                cur += row[d];
-            }
-            assert_eq!(b.counts[d], rows.iter().map(|r| r[d]).sum::<u32>());
-            acc = cur;
-        }
     }
 }

@@ -421,8 +421,8 @@ pub(crate) struct CompiledScenario {
 /// cursors, the per-round fault RNG and the swap arena the fault pass
 /// rebuilds buckets into. Every buffer is round-reused — once the arena
 /// reaches the run's high-water message count the fault pass allocates
-/// nothing (under shards the one arena rotates through the per-shard
-/// arenas via swap and converges the same way).
+/// nothing (the one arena rotates through the per-shard arenas via swap
+/// and converges on the largest).
 #[derive(Debug)]
 pub(crate) struct ScenarioRt {
     compiled: CompiledScenario,

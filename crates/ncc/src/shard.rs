@@ -1,63 +1,97 @@
-//! The ownership-sharded batched executor.
+//! The round loop of the batched executor.
 //!
-//! [`Config::shards`] > 1 splits the dense participant space `0..k` into
-//! contiguous ranges, one **shard** per range. Each shard owns a private
-//! copy of every piece of per-node engine state — slot arena, routing
-//! buffers, queue arenas, knowledge-tracker arena — sized to its own
-//! span, so the step phase, seal, capacity checks, queue delivery and the
-//! learn sweep are purely shard-local: no cross-shard `&mut` aliasing, no
-//! whole-pool prefix sums, and a shard is a self-contained unit that
-//! could later become a NUMA domain or a TCP-backend process.
+//! **Layout.** The dense participant space `0..k` is split into `S`
+//! contiguous ranges, one **shard** per range (`S` is
+//! [`Config::shards`], or derived from `k` and the worker count — see
+//! [`Config::shard_count`]). Each shard owns a private copy of every
+//! piece of per-node engine state — slot arena, routing buffers, queue
+//! arenas, knowledge-tracker arena — sized to its own span, so every
+//! phase below that runs per shard touches nothing outside it: no
+//! cross-shard `&mut` aliasing, no whole-pool prefix sums. The shard is
+//! the only unit of parallelism: a per-shard phase fans the shards out
+//! over the worker pool when there is more than one shard *and* more than
+//! one worker, and walks them inline on the calling thread otherwise.
+//! `S = 1` is simply the degenerate case — one shard, no cross-shard
+//! traffic, no thread ever started.
 //!
-//! **The exchange phase.** A node may of course address any participant,
-//! so sends whose destination lives in another shard are diverted during
-//! the (per-source-shard) seal into per-`(src-shard, dst-shard)` cells.
-//! A second, explicitly separate **exchange** pass then runs per
-//! *destination* shard: it counts the incoming cells into the shard's
-//! local destination counts, prefix-sums the shard's buckets, and splices
-//! sources in **canonical shard order** — cells from shards `0..s` first,
-//! then the shard's own retained outbox envelopes, then cells from shards
-//! `s+1..S`. Because shard ranges partition the dense index space in
+//! **The round**, in order ([`run`]'s loop body reads the same way):
+//!
+//! 1. *churn-in* — scheduled recoveries and joins un-park their slots;
+//! 2. *step* (per shard) — poll every live protocol over its inbox span;
+//! 3. *retire / marks* — newly finished nodes leave the aliveness map,
+//!    protocol phase/stage marks are narrated in dense order;
+//! 4. *churn-out* — scheduled crashes take effect after the step;
+//! 5. *compact* — once the live population has halved relative to the
+//!    slot window, every shard drops its retired slots (stable, in
+//!    place), so all later walks pay only for live nodes;
+//! 6. *seal* (per source shard) — validate each staged send in slot
+//!    order, count local destinations, divert sends owned by another
+//!    shard into the shard's per-destination **exchange cells**;
+//! 7. *exchange* (per destination shard) — count the incoming cells into
+//!    the local buckets, prefix-sum them, and splice sources in
+//!    **canonical shard order**: cells from shards `0..s`, the shard's
+//!    own outboxes, cells from shards `s+1..S`;
+//! 8. *fault pass* — the scenario's drop/duplicate/reorder windows
+//!    perturb the sealed buckets, shard by shard, with one RNG;
+//! 9. *deliver* (per shard) — queue delivery or capacity checks;
+//! 10. *learn* (per shard) — delivered envelopes feed the KT0 tracker.
+//!
+//! **Canonical order.** Shard ranges partition the dense index space in
 //! ascending order and every per-shard walk visits slots in slot order,
-//! the spliced bucket contents are in exactly the global dense source
-//! order the unsharded engine produces — so FIFO queue contents,
-//! violation blame and raw [`RunEvent`] streams are bit-identical to the
-//! single-arena layout at any shard×worker combination (the shard-matrix
-//! differential suite holds it to that).
+//! so *shard order × slot order = dense order*: the exchange splice puts
+//! bucket contents in exactly the dense source order of the threaded
+//! oracle; each shard journals its violations in slot order and the
+//! coordinator replays the journals in shard order, so a strict abort
+//! blames the same first violation; the fault pass consumes its RNG along
+//! the same walk. Round-level folds (message counts, max
+//! sends/receives/queues) are sums and maxes, commutative by
+//! construction. Hence transcripts, metrics, raw [`RunEvent`] streams and
+//! abort errors are bit-identical at every shard × worker combination
+//! (the shard-, scenario- and worker-matrix suites hold the loop to
+//! that).
 //!
-//! **Determinism discipline.** The shard is the unit of parallelism: each
-//! phase fans the shards out over the worker pool (or walks them inline
-//! under a single worker — results are identical), every shard journals
-//! its violations in slot order, and the coordinator replays the journals
-//! in shard order — which *is* canonical dense order — so a strict abort
-//! blames the same first violation as the unsharded path. Round-level
-//! folds (message counts, max sends/receives/queues) are sums and maxes,
-//! commutative by construction. Compaction keeps the unsharded trigger
-//! (global `newly_done > 0 && live * 2 <= window`): when it fires, every
-//! shard compacts its own slot window by the same stable `retain` and a
-//! single [`RunEvent::Compaction`] is emitted, so the event stream keeps
-//! the unsharded shape while each shard's dense-index remap stays
-//! entirely local to its own arena.
+//! **Events.** Every run narrates itself as a typed
+//! [`RunEvent`](crate::event) stream through a shared [`Emitter`]. The
+//! loop keeps no separate statistics: [`EngineStats`](crate::EngineStats)
+//! counters and the per-phase round breakdown are derived by folding this
+//! stream through the emitter's always-on recorder.
 
+use crate::batch::{route_mode, step_slot, validate, Slot, StepOutcome, StepShared};
 use crate::config::{CapacityPolicy, Config, Model};
 use crate::error::{SimError, Violation, ViolationKind};
-use crate::event::{Emitter, RouteMode, RunEvent, Sink};
+use crate::event::{Emitter, RunEvent, Sink};
 use crate::knowledge::KnowledgeTracker;
 use crate::message::NodeId;
 use crate::metrics::RunMetrics;
 use crate::network::{Network, RunResult};
 use crate::protocol::{NodeProtocol, NodeSeed};
-use crate::route::{QueueBuffers, RawRows, RouteBuffers};
+use crate::route::{QueueBuffers, RouteBuffers};
+use crate::scenario::{ChurnKind, ScenarioRt};
 use crate::wire::{WireEnvelope, DEAD_INDEX, NO_INDEX, WIRE_ADDRS, WIRE_WORDS};
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::batch::{
-    step_slot, validate, Slot, StepOutcome, StepShared, PARALLEL_ROUTE_MIN_MSGS,
-    PARALLEL_SWEEP_MIN_LIVE,
-};
-use crate::scenario::ChurnKind;
+/// The exchange cells of all shards, `[src][dst]`.
+type CellTable = Vec<Vec<Vec<WireEnvelope>>>;
+
+/// Per-run constants every shard phase reads.
+struct RunShared<'a> {
+    config: &'a Config,
+    queue_mode: bool,
+    /// First dense index of every shard, ascending: shard `s` owns
+    /// `bases[s]..bases[s + 1]` (the last one up to `k`).
+    bases: &'a [usize],
+    step: StepShared<'a>,
+}
+
+impl RunShared<'_> {
+    /// Owner of a dense index (sends carry global dense indices, rebased
+    /// to shard-local only at the owning shard).
+    fn shard_of(&self, dense: usize) -> usize {
+        self.bases.partition_point(|&b| b <= dense) - 1
+    }
+}
 
 /// One ownership shard: every piece of per-node engine state for one
 /// contiguous dense-index range, plus the shard's per-round journals and
@@ -78,7 +112,17 @@ struct ShardState<P: NodeProtocol> {
     queues: QueueBuffers,
     /// This shard's rows of the KT0 tracker, indexed locally.
     knowledge: KnowledgeTracker,
-    /// Retired local indices whose receive queues still hold backlog.
+    /// The exchange cells this shard fills as a *source*: row `d` holds
+    /// the envelopes diverted toward shard `d` this round, in slot order
+    /// (the shard's own row stays empty). Cleared with capacity
+    /// retained at the start of each seal, so steady-state rounds never
+    /// allocate through them; lent to the coordinator's [`CellTable`]
+    /// for the duration of the exchange.
+    cells: Vec<Vec<WireEnvelope>>,
+    /// Retired local indices whose receive queues still hold backlog:
+    /// they keep draining at `cap` per round into the undelivered
+    /// counter, exactly as the threaded oracle walks every queue every
+    /// round (this list is the compaction-safe image of that walk).
     dead_backlog: Vec<u32>,
     /// Violation journal for the current phase, in slot order; drained by
     /// the coordinator's shard-order replay.
@@ -87,10 +131,11 @@ struct ShardState<P: NodeProtocol> {
     finished: usize,
     panicked: bool,
     marked: bool,
-    /// Deliverable messages this round (reset each round).
+    /// Deliverable messages / their volume in words this round (reset by
+    /// each seal, folded by the coordinator).
     round_messages: u64,
+    round_words: u64,
     // Cumulative folds, harvested once at the end of the run.
-    words: u64,
     max_sent: usize,
     max_received: usize,
     max_queue: usize,
@@ -98,16 +143,267 @@ struct ShardState<P: NodeProtocol> {
     cross_shard: u64,
 }
 
+impl<P: NodeProtocol> ShardState<P> {
+    /// Step phase: polls every live protocol over its span of the shard's
+    /// own inbox arena.
+    fn step(&mut self, rs: &RunShared<'_>) {
+        let arena: &[WireEnvelope] = if rs.queue_mode {
+            &self.queues.inbox
+        } else {
+            &self.buffers.arena
+        };
+        (self.finished, self.panicked, self.marked) = (0, false, false);
+        for slot in self.slots.iter_mut() {
+            match step_slot(slot, arena, &rs.step) {
+                StepOutcome::Skipped | StepOutcome::Running { marked: false } => {}
+                StepOutcome::Running { marked: true } => self.marked = true,
+                StepOutcome::Finished { panicked } => {
+                    self.panicked |= panicked;
+                    self.finished += 1;
+                }
+            }
+        }
+    }
+
+    /// Takes the slots that retired this step out of the global aliveness
+    /// map. A retiring node may leave backlog in its receive queue; it
+    /// keeps draining (see `dead_backlog`).
+    fn retire(&mut self, alive_now: &mut [bool], queue_mode: bool) {
+        for slot in self.slots.iter() {
+            let g = slot.idx as usize;
+            if alive_now[g] && !slot.alive {
+                alive_now[g] = false;
+                let local = slot.idx - self.base;
+                if queue_mode && self.queues.backlog_len(local as usize) > 0 {
+                    self.dead_backlog.push(local);
+                }
+            }
+        }
+    }
+
+    /// Drops retired slots (stable, in place); their outputs move to the
+    /// `done` side list keyed by dense index. Every index-keyed structure
+    /// is untouched, so transcripts cannot observe the reorder.
+    fn compact(&mut self) {
+        let done = &mut self.done;
+        self.slots.retain_mut(|s| {
+            if s.alive {
+                return true;
+            }
+            if let Some(out) = s.output.take() {
+                done.push((s.idx, s.id, out));
+            }
+            false
+        });
+    }
+
+    /// Seal, as a source shard: validates every staged send in slot
+    /// order (journaling violations), counts local destinations and
+    /// diverts cross-shard sends into the exchange cells. Only live
+    /// destinations can receive, so resetting the live counts is enough —
+    /// stale counts of retired indices are never read again.
+    fn seal(&mut self, rs: &RunShared<'_>, alive_now: &[bool], round: u64) {
+        let cap = rs.step.cap;
+        let lo = self.base as usize;
+        let hi = lo + self.width;
+        (self.round_messages, self.round_words) = (0, 0);
+        debug_assert!(self.violations.is_empty());
+        for cell in self.cells.iter_mut() {
+            cell.clear();
+        }
+        for slot in self.slots.iter() {
+            self.buffers.counts[slot.idx as usize - lo] = 0;
+        }
+        for slot in self.slots.iter_mut() {
+            let src_local = slot.idx as usize - lo;
+            let attempted = slot.out.len();
+            for env in slot.out.iter_mut() {
+                let deliver =
+                    match validate(env, src_local, rs.config, &self.knowledge, alive_now, round) {
+                        Ok(()) => true,
+                        Err(v) => {
+                            self.violations.push(v);
+                            // Lenient policies still deliver when
+                            // physically possible (destination exists,
+                            // participates in this run, and is alive).
+                            env.dst_idx != NO_INDEX
+                                && env.dst_idx != DEAD_INDEX
+                                && alive_now[env.dst_idx as usize]
+                        }
+                    };
+                if !deliver {
+                    env.dst_idx = NO_INDEX;
+                    continue;
+                }
+                self.round_messages += 1;
+                self.round_words += env.msg.size_words() as u64;
+                let dst = env.dst_idx as usize;
+                if (lo..hi).contains(&dst) {
+                    self.buffers.counts[dst - lo] += 1;
+                } else {
+                    self.cells[rs.shard_of(dst)].push(*env);
+                    self.cross_shard += 1;
+                    // Moved into the cell: the local splice must skip it.
+                    env.dst_idx = NO_INDEX;
+                }
+            }
+            if attempted > cap {
+                self.violations.push(Violation {
+                    round,
+                    node: slot.id,
+                    kind: ViolationKind::SendCapacity {
+                        sent: attempted,
+                        cap,
+                    },
+                });
+            }
+            self.max_sent = self.max_sent.max(attempted);
+        }
+    }
+
+    /// Exchange, as destination shard `d`: counts the incoming cells into
+    /// the local buckets, seals the shard's prefix sums over its live
+    /// indices, and splices sources in canonical shard order — ascending
+    /// shard ranges make that exactly the global dense source order, so
+    /// bucket contents (and with them FIFO queues) are those of one
+    /// stable counting sort over the whole network.
+    fn exchange(&mut self, d: usize, cells: &CellTable) {
+        let b = self.base;
+        let incoming = |src: usize| cells[src][d].iter();
+        for src in (0..cells.len()).filter(|&src| src != d) {
+            for env in incoming(src) {
+                self.buffers.counts[(env.dst_idx - b) as usize] += 1;
+            }
+        }
+        self.buffers
+            .seal_counts_live(self.slots.iter().map(|sl| (sl.idx - b) as usize));
+        for src in 0..cells.len() {
+            if src != d {
+                for env in incoming(src) {
+                    self.buffers.push(env.localize(b));
+                }
+                continue;
+            }
+            for slot in self.slots.iter_mut() {
+                for env in slot.out.iter().filter(|env| env.dst_idx != NO_INDEX) {
+                    self.buffers.push(env.localize(b));
+                }
+                slot.out.clear();
+            }
+        }
+    }
+
+    /// Scenario fault pass over this shard's sealed buckets, along its
+    /// live slots in order (retired and parked slots have empty buckets
+    /// and consume no randomness).
+    fn perturb(&mut self, rt: &mut ScenarioRt) {
+        let b = self.base;
+        rt.perturb(
+            &mut self.buffers,
+            self.slots.iter().map(|sl| (sl.idx - b) as usize),
+        );
+    }
+
+    /// Receive side. Queue policy: carried backlog spans merge with the
+    /// round's buckets, `cap` envelopes deliver, the rest re-queue (flat
+    /// arenas, no per-node deques); retired nodes with backlog drain
+    /// separately — their freshly routed bucket is empty by validation,
+    /// so `&[]` stands in for it. Other policies: per-bucket capacity
+    /// checks, journaled for the coordinator's replay.
+    fn deliver(&mut self, rs: &RunShared<'_>, round: u64) {
+        let lo = self.base as usize;
+        let cap = rs.step.cap;
+        if !rs.queue_mode {
+            for slot in self.slots.iter_mut().filter(|s| s.alive) {
+                let i = slot.idx as usize - lo;
+                let (start, received) = self.buffers.span(i);
+                if received as usize > cap {
+                    self.violations.push(Violation {
+                        round,
+                        node: slot.id,
+                        kind: ViolationKind::ReceiveCapacity {
+                            received: received as usize,
+                            cap,
+                        },
+                    });
+                }
+                slot.inbox_start = start;
+                slot.inbox_len = received;
+            }
+            return;
+        }
+        self.queues.begin_round();
+        for slot in self.slots.iter_mut().filter(|s| s.alive) {
+            let i = slot.idx as usize - lo;
+            // A parked slot receives nothing, but its backlog must still
+            // ride the double-buffer swap (cap 0 = re-queue everything,
+            // FIFO intact for recovery).
+            let cap_i = if slot.paused { 0 } else { cap };
+            let (start, take, queued) = self.queues.deliver(i, self.buffers.bucket(i), cap_i);
+            self.max_queue = self.max_queue.max(queued);
+            slot.inbox_start = start;
+            slot.inbox_len = take;
+        }
+        let mut drained_any = false;
+        for &li in self.dead_backlog.iter() {
+            let (start, take, queued) = self.queues.deliver(li as usize, &[], cap);
+            self.max_queue = self.max_queue.max(queued);
+            // A dead node's "delivery" is immediately undeliverable.
+            self.max_received = self.max_received.max(take as usize);
+            let inbox = &self.queues.inbox[start as usize..][..take as usize];
+            learn_inbox(&mut self.knowledge, li as usize, inbox);
+            self.undelivered += take as u64;
+            drained_any |= queued == 0;
+        }
+        if drained_any {
+            let queues = &self.queues;
+            self.dead_backlog
+                .retain(|&li| queues.backlog_len(li as usize) > 0);
+        }
+        self.queues.end_round();
+    }
+
+    /// Learn sweep + delivery fold: the shard's tracker is private, so
+    /// learns apply in place.
+    fn learn(&mut self, rs: &RunShared<'_>) {
+        let lo = self.base as usize;
+        let arena: &[WireEnvelope] = if rs.queue_mode {
+            &self.queues.inbox
+        } else {
+            &self.buffers.arena
+        };
+        for slot in self.slots.iter().filter(|s| s.alive) {
+            let delivered = slot.inbox_len as usize;
+            self.max_received = self.max_received.max(delivered);
+            let inbox = &arena[slot.inbox_start as usize..][..delivered];
+            learn_inbox(&mut self.knowledge, slot.idx as usize - lo, inbox);
+        }
+    }
+}
+
+/// KT0 propagation: receiving a message reveals its sender and every
+/// address it carries.
+fn learn_inbox(knowledge: &mut KnowledgeTracker, node: usize, inbox: &[WireEnvelope]) {
+    if !knowledge.enabled() {
+        return;
+    }
+    for env in inbox {
+        knowledge.learn(node, env.src);
+        for &a in env.msg.addrs_slice() {
+            knowledge.learn(node, a);
+        }
+    }
+}
+
 /// Applies `f` to every shard — fanned out over the worker pool, or
-/// walked inline under a single worker (the zero-alloc path). Each call
-/// sees exactly one shard mutably, so results cannot depend on the
-/// dispatch choice.
-fn for_each_shard<P, F>(shards: &mut [ShardState<P>], parallel: bool, f: F)
+/// walked inline (the zero-alloc path). Each call sees exactly one shard
+/// mutably, so results cannot depend on the dispatch choice.
+fn for_each_shard<P, F>(shards: &mut [ShardState<P>], fan_out: bool, f: F)
 where
     P: NodeProtocol,
     F: Fn(usize, &mut ShardState<P>) + Sync,
 {
-    if parallel {
+    if fan_out {
         shards
             .par_chunks_mut(1)
             .enumerate()
@@ -119,11 +415,123 @@ where
     }
 }
 
-/// Runs `factory`-built protocols under the ownership-sharded layout.
-/// Semantics (transcripts, metrics, raw event streams, abort errors) are
-/// bit-identical to [`crate::batch::run`]; only memory layout and
-/// scheduling differ. Called by `batch::run` when `config.shards > 1`;
-/// the shard count is clamped to the participant space.
+/// Swaps every shard's exchange-cell rows with its row of `table`: lends
+/// them to the coordinator before the exchange, returns them after.
+fn swap_cells<P: NodeProtocol>(shards: &mut [ShardState<P>], table: &mut CellTable) {
+    for (sh, row) in shards.iter_mut().zip(table.iter_mut()) {
+        std::mem::swap(&mut sh.cells, row);
+    }
+}
+
+/// Runs `phase`, adding its wall-clock duration to `nanos` — the one
+/// timing rule of the round loop (see the `*_nanos` fields of
+/// [`EngineStats`](crate::EngineStats) for what each phase covers).
+fn timed<R>(nanos: &mut u64, phase: impl FnOnce() -> R) -> R {
+    // detlint: allow(ambient-entropy) — per-phase wall-clock timer: the elapsed nanos feed EngineStats::*_nanos (observability only) and never a transcript, round count, or message
+    let start = Instant::now();
+    let out = phase();
+    *nanos += start.elapsed().as_nanos() as u64;
+    out
+}
+
+/// The slot of dense index `dense`, with its owning shard — `None` once
+/// compaction has dropped it.
+fn locate<'s, P: NodeProtocol>(
+    shards: &'s mut [ShardState<P>],
+    rs: &RunShared<'_>,
+    dense: u32,
+) -> Option<(&'s mut ShardState<P>, usize)> {
+    let sh = &mut shards[rs.shard_of(dense as usize)];
+    let pos = sh.slots.binary_search_by_key(&dense, |sl| sl.idx).ok()?;
+    Some((sh, pos))
+}
+
+/// Scenario churn, pre-step: recoveries and joins scheduled for this
+/// round un-park their slots before anyone steps, and the round's fault
+/// rates (plus, when any could fire, the per-round coordinator RNG) are
+/// resolved.
+fn churn_in<P: NodeProtocol>(
+    rt: &mut ScenarioRt,
+    round: u64,
+    shards: &mut [ShardState<P>],
+    rs: &RunShared<'_>,
+    alive_now: &mut [bool],
+    emitter: &mut Emitter<'_>,
+) {
+    rt.begin_round(round);
+    for &op in rt.pre_step_ops(round) {
+        let Some((sh, pos)) = locate(shards, rs, op.dense) else {
+            continue;
+        };
+        let slot = &mut sh.slots[pos];
+        if !slot.alive || !slot.paused {
+            continue;
+        }
+        slot.paused = false;
+        alive_now[op.dense as usize] = true;
+        let node = op.node;
+        emitter.emit(match op.kind {
+            ChurnKind::Recover => RunEvent::NodeRecovered { round, node },
+            ChurnKind::Join => RunEvent::NodeJoined { round, node },
+            ChurnKind::CrashStop | ChurnKind::CrashPause => continue,
+        });
+    }
+}
+
+/// Scenario churn, post-step: scheduled crash-stops and crash-pauses take
+/// effect *after* the node's step this round — the exact observable
+/// footprint of a protocol that voluntarily halts here (sends discarded
+/// like a `Done` step's, backlog to the dead-drain, compaction trigger
+/// fed), minus the output. A pause parks the slot instead of retiring
+/// it. Returns the number of nodes crash-stopped.
+fn churn_out<P: NodeProtocol>(
+    rt: &mut ScenarioRt,
+    round: u64,
+    shards: &mut [ShardState<P>],
+    rs: &RunShared<'_>,
+    alive_now: &mut [bool],
+    emitter: &mut Emitter<'_>,
+) -> usize {
+    let mut stopped = 0;
+    for &op in rt.post_step_ops(round) {
+        let Some((sh, pos)) = locate(shards, rs, op.dense) else {
+            continue;
+        };
+        let slot = &mut sh.slots[pos];
+        if !slot.alive || slot.paused {
+            continue;
+        }
+        match op.kind {
+            ChurnKind::CrashStop => {
+                slot.alive = false;
+                slot.proto = None;
+                stopped += 1;
+                let local = op.dense - sh.base;
+                if rs.queue_mode && sh.queues.backlog_len(local as usize) > 0 {
+                    sh.dead_backlog.push(local);
+                }
+            }
+            ChurnKind::CrashPause => slot.paused = true,
+            ChurnKind::Recover | ChurnKind::Join => continue,
+        }
+        slot.out.clear();
+        slot.inbox_len = 0;
+        slot.phase_mark = None;
+        slot.stage_mark = None;
+        alive_now[op.dense as usize] = false;
+        emitter.emit(RunEvent::NodeCrashed {
+            round,
+            node: op.node,
+        });
+    }
+    stopped
+}
+
+/// Runs `factory`-built protocols on every participating node until all
+/// have returned [`Status::Done`](crate::Status). `participants` masks
+/// nodes out of the network entirely (they are dead from round zero and
+/// the knowledge path links across them); `None` means everyone
+/// participates.
 pub(crate) fn run<P, F>(
     net: &Network,
     participants: Option<&[bool]>,
@@ -149,21 +557,21 @@ where
         assert_eq!(mask.len(), n, "participant mask length must equal n");
     }
     let participating = |i: usize| participants.is_none_or(|m| m[i]);
-    let participant_count = (0..n).filter(|&i| participating(i)).count();
-    let k = participant_count;
+    let k = (0..n).filter(|&i| participating(i)).count();
 
+    let workers = match config.worker_threads {
+        0 => rayon::current_num_threads(),
+        w => w,
+    }
+    .clamp(1, k.max(1));
     // Ownership map: shard `s` owns dense indices `s*k/S .. (s+1)*k/S` —
     // contiguous, ascending, balanced to within one node.
-    let shard_count = config.shards.clamp(1, k.max(1));
+    let shard_count = config.shard_count(k, workers);
+    let fan_out = shard_count > 1 && workers > 1;
     let bases: Vec<usize> = (0..shard_count).map(|s| s * k / shard_count).collect();
-    let width_of = |s: usize| {
-        let end = if s + 1 < shard_count { bases[s + 1] } else { k };
-        end - bases[s]
-    };
-    // Owner of a dense index (bases are ascending; sends carry global
-    // dense indices, rebased to shard-local only at the owning shard).
-    let shard_of = |d: usize| bases.partition_point(|&b| b <= d) - 1;
+    let width_of = |s: usize| bases.get(s + 1).copied().unwrap_or(k) - bases[s];
 
+    // NCC1 common knowledge: all participating IDs, sorted.
     let all_ids: Option<Arc<Vec<NodeId>>> = match config.model {
         Model::Ncc1 => {
             let mut sorted: Vec<NodeId> = (0..n)
@@ -175,8 +583,14 @@ where
         }
         Model::Ncc0 => None,
     };
-    let all_ids_slice: Option<&[NodeId]> = all_ids.as_deref().map(Vec::as_slice);
 
+    // Dense masked remap: the k participants own indices 0..k in path
+    // order, and *every* index-addressed engine structure is sized to k —
+    // so a deep masked prefix recursion pays memory for the sub-network
+    // it actually runs. `dense_of` projects the resolver's full-network
+    // index into this space once, at send time; DEAD_INDEX marks a real
+    // node outside the run (kept distinct from NO_INDEX so the violation
+    // taxonomy still matches the oracle's).
     let dense_of: Option<Vec<u32>> = participants.map(|mask| {
         let mut map = vec![DEAD_INDEX; n];
         let mut next = 0u32;
@@ -188,18 +602,19 @@ where
         }
         map
     });
-    let dense_of_slice: Option<&[u32]> = dense_of.as_deref();
+    let dense_of: Option<&[u32]> = dense_of.as_deref();
 
     // Scenario schedule: validated against this run's participant set
     // and policy, then compiled to dense-index timelines. The runtime
-    // lives at the coordinator — churn and fault passes are coordinator
-    // phases, exactly like violation replay.
+    // (timeline cursors, per-round fault RNG, swap arena) lives at the
+    // coordinator — churn and fault passes are coordinator phases,
+    // exactly like violation replay.
     let mut scenario_rt = match &config.scenario {
         Some(s) => {
             s.validate(n, participants, config.capacity_policy)
                 .map_err(SimError::InvalidScenario)?;
-            let compiled = s.compile(|node| dense_of_slice.map_or(node as u32, |map| map[node]));
-            Some(crate::scenario::ScenarioRt::new(compiled))
+            let compiled = s.compile(|node| dense_of.map_or(node as u32, |map| map[node]));
+            Some(ScenarioRt::new(compiled))
         }
         None => None,
     };
@@ -214,16 +629,15 @@ where
     crate::knowledge::seed_path_sharded(&mut trackers, &bases, ids, participating);
 
     // Build the slots directly into their owning shards, walking the
-    // participant path once in dense order.
+    // participant path once in dense order; masked-out indices never get
+    // a slot. Outboxes start empty and grow to each node's actual burst
+    // size (pre-reserving `cap + 1` per slot would cost ~3 KB x n at the
+    // 10^6 scale for protocols that never fan out that far).
     let mut shard_slots: Vec<Vec<Slot<P>>> = (0..shard_count)
         .map(|s| Vec::with_capacity(width_of(s)))
         .collect();
-    let mut dense = 0usize;
     let mut cur = 0usize;
-    for i in 0..n {
-        if !participating(i) {
-            continue;
-        }
+    for (dense, i) in (0..n).filter(|&i| participating(i)).enumerate() {
         while cur + 1 < shard_count && dense >= bases[cur + 1] {
             cur += 1;
         }
@@ -231,7 +645,7 @@ where
         let seed = NodeSeed {
             id: ids[i],
             n,
-            participants: participant_count,
+            participants: k,
             capacity: cap,
             model: config.model,
             initial_successor: succ,
@@ -244,7 +658,6 @@ where
             config.seed,
             factory(&seed),
         ));
-        dense += 1;
     }
 
     let queue_mode = config.capacity_policy == CapacityPolicy::Queue;
@@ -264,13 +677,14 @@ where
                 buffers: RouteBuffers::new(width),
                 queues: QueueBuffers::new(if queue_mode { width } else { 0 }),
                 knowledge,
+                cells: vec![Vec::new(); shard_count],
                 dead_backlog: Vec::new(),
                 violations: Vec::new(),
                 finished: 0,
                 panicked: false,
                 marked: false,
                 round_messages: 0,
-                words: 0,
+                round_words: 0,
                 max_sent: 0,
                 max_received: 0,
                 max_queue: 0,
@@ -279,134 +693,67 @@ where
             }
         })
         .collect();
+    // Where the shards' cell rows sit while the exchange reads them.
+    let mut cell_table: CellTable = vec![Vec::new(); shard_count];
     let mut live = k;
 
     // Global aliveness over the full dense space: validation must see
     // destinations in *other* shards, and it is read-only during the
-    // parallel phases (the coordinator updates it between them).
+    // per-shard phases (the coordinator updates it between them).
     let mut alive_now: Vec<bool> = vec![true; k];
 
     // Scheduled joiners start parked: alive (the run waits for them)
     // but invisible to senders and skipped by every sweep until their
     // join round un-parks them.
     if let Some(rt) = &scenario_rt {
-        for sh in shards.iter_mut() {
-            for slot in sh.slots.iter_mut() {
-                if rt.starts_parked(slot.idx) {
-                    slot.paused = true;
-                    alive_now[slot.idx as usize] = false;
-                }
+        for slot in shards.iter_mut().flat_map(|sh| sh.slots.iter_mut()) {
+            if rt.starts_parked(slot.idx) {
+                slot.paused = true;
+                alive_now[slot.idx as usize] = false;
             }
         }
     }
-
-    // The exchange cells: row `src * S + dst` holds the envelopes shard
-    // `src` diverted toward shard `dst` this round, in shard-`src` slot
-    // order. Cleared (capacity retained) by the source at the start of
-    // its seal, so steady-state rounds never allocate through them.
-    let mut cells: Vec<Vec<WireEnvelope>> =
-        (0..shard_count * shard_count).map(|_| Vec::new()).collect();
 
     let mut metrics = RunMetrics {
         capacity: cap,
         ..RunMetrics::default()
     };
     let mut emitter = Emitter::new(sink);
+    // Pre-reserve the full (capped) trace so recording a round can never
+    // allocate inside the round loop.
     metrics
         .messages_per_round
         .reserve(crate::metrics::ROUND_TRACE_LIMIT);
 
-    let workers = match config.worker_threads {
-        0 => rayon::current_num_threads(),
-        w => w,
-    }
-    .clamp(1, k.max(1));
-    let parallel = workers > 1;
-    let resolver = net.resolver();
-    let step_shared = StepShared {
-        n,
-        participants: participant_count,
-        cap,
-        model: config.model,
-        all_ids: all_ids_slice,
-        resolver,
-        dense_of: dense_of_slice,
+    let rs = RunShared {
+        config,
+        queue_mode,
+        bases: &bases,
+        step: StepShared {
+            n,
+            participants: k,
+            cap,
+            model: config.model,
+            all_ids: all_ids.as_deref().map(Vec::as_slice),
+            resolver: net.resolver(),
+            dense_of,
+        },
     };
     let mut prev_round_messages: u64 = 0;
     let (mut step_nanos, mut route_nanos) = (0u64, 0u64);
     let (mut exchange_nanos, mut deliver_nanos, mut learn_nanos) = (0u64, 0u64, 0u64);
-    let (mut parallel_sweep_rounds, mut inline_sweep_rounds) = (0u64, 0u64);
-
-    let (mut fault_words_added, mut fault_words_removed) = (0u64, 0u64);
 
     while live > 0 {
+        let round = metrics.rounds;
         let window: usize = shards.iter().map(|sh| sh.slots.len()).sum();
 
-        // --- Scenario churn (pre-step): recoveries and joins un-park
-        // their slots before anyone steps; the round's fault rates (and,
-        // when any could fire, the coordinator RNG) are resolved here. ---
         if let Some(rt) = scenario_rt.as_mut() {
-            let round = metrics.rounds;
-            rt.begin_round(round);
-            for &op in rt.pre_step_ops(round) {
-                let sh = &mut shards[shard_of(op.dense as usize)];
-                let Ok(pos) = sh.slots.binary_search_by_key(&op.dense, |sl| sl.idx) else {
-                    continue;
-                };
-                let slot = &mut sh.slots[pos];
-                if !slot.alive || !slot.paused {
-                    continue;
-                }
-                slot.paused = false;
-                alive_now[op.dense as usize] = true;
-                emitter.emit(match op.kind {
-                    ChurnKind::Recover => RunEvent::NodeRecovered {
-                        round,
-                        node: op.node,
-                    },
-                    ChurnKind::Join => RunEvent::NodeJoined {
-                        round,
-                        node: op.node,
-                    },
-                    ChurnKind::CrashStop | ChurnKind::CrashPause => continue,
-                });
-            }
+            churn_in(rt, round, &mut shards, &rs, &mut alive_now, &mut emitter);
         }
 
-        // --- Step phase: each shard polls its own slots over its own
-        // inbox arena. ---
-        // detlint: allow(ambient-entropy) — per-phase wall-clock timer: the elapsed nanos feed EngineStats::*_nanos (observability only) and never a transcript, round count, or message
-        let t_phase = Instant::now();
-        for_each_shard(&mut shards, parallel, |_, sh| {
-            let ShardState {
-                slots,
-                buffers,
-                queues,
-                finished,
-                panicked,
-                marked,
-                ..
-            } = sh;
-            *finished = 0;
-            *panicked = false;
-            *marked = false;
-            let arena: &[WireEnvelope] = if queue_mode {
-                &queues.inbox
-            } else {
-                &buffers.arena
-            };
-            for slot in slots.iter_mut() {
-                match step_slot(slot, arena, &step_shared) {
-                    StepOutcome::Skipped | StepOutcome::Running { marked: false } => {}
-                    StepOutcome::Running { marked: true } => *marked = true,
-                    StepOutcome::Finished { panicked: p } => {
-                        *panicked |= p;
-                        *finished += 1;
-                    }
-                }
-            }
+        timed(&mut step_nanos, || {
+            for_each_shard(&mut shards, fan_out, |_, sh| sh.step(&rs));
         });
-        step_nanos += t_phase.elapsed().as_nanos() as u64;
         if shards.iter().any(|sh| sh.panicked) {
             // Deterministic attribution: blame the lowest dense index —
             // shards ascend by base, slots ascend within a shard.
@@ -418,424 +765,113 @@ where
             return Err(SimError::NodePanic { node, message });
         }
         let mut newly_done: usize = shards.iter().map(|sh| sh.finished).sum();
-        if newly_done > 0 {
-            live -= newly_done;
-            for sh in shards.iter_mut() {
-                let base = sh.base;
-                for slot in sh.slots.iter() {
-                    let g = slot.idx as usize;
-                    if alive_now[g] && !slot.alive {
-                        alive_now[g] = false;
-                        let local = slot.idx - base;
-                        if queue_mode && sh.queues.backlog_len(local as usize) > 0 {
-                            sh.dead_backlog.push(local);
-                        }
-                    }
-                }
-            }
+        live -= newly_done;
+        for sh in shards.iter_mut().filter(|sh| sh.finished > 0) {
+            sh.retire(&mut alive_now, queue_mode);
         }
         if live == 0 {
             break;
         }
-        // --- Protocol marks: dense order = shard order × slot order. ---
-        if shards.iter().any(|sh| sh.marked) {
-            for sh in shards.iter_mut() {
-                for slot in sh.slots.iter_mut() {
-                    let (phase, stage) = (slot.phase_mark.take(), slot.stage_mark.take());
-                    if phase.is_some() || stage.is_some() {
-                        emitter.emit_marks(metrics.rounds, phase, stage);
-                    }
+        // Protocol marks, deduplicated, in dense order. The scan only
+        // visits shards where some step actually marked.
+        for sh in shards.iter_mut().filter(|sh| sh.marked) {
+            for slot in sh.slots.iter_mut() {
+                let (phase, stage) = (slot.phase_mark.take(), slot.stage_mark.take());
+                if phase.is_some() || stage.is_some() {
+                    emitter.emit_marks(round, phase, stage);
                 }
             }
         }
-        // --- Scenario churn (post-step): crash-stops and crash-pauses
-        // take effect after the step, mirroring the unsharded engine —
-        // the crashed node stepped this round but its sends are
-        // discarded, and its backlog joins the shard's dead-drain. ---
+
         if let Some(rt) = scenario_rt.as_mut() {
-            let round = metrics.rounds;
-            for &op in rt.post_step_ops(round) {
-                let sh = &mut shards[shard_of(op.dense as usize)];
-                let Ok(pos) = sh.slots.binary_search_by_key(&op.dense, |sl| sl.idx) else {
-                    continue;
-                };
-                let slot = &mut sh.slots[pos];
-                if !slot.alive || slot.paused {
-                    continue;
-                }
-                match op.kind {
-                    ChurnKind::CrashStop => {
-                        slot.alive = false;
-                        slot.proto = None;
-                        live -= 1;
-                        newly_done += 1;
-                        let local = op.dense - sh.base;
-                        if queue_mode && sh.queues.backlog_len(local as usize) > 0 {
-                            sh.dead_backlog.push(local);
-                        }
-                    }
-                    ChurnKind::CrashPause => slot.paused = true,
-                    ChurnKind::Recover | ChurnKind::Join => continue,
-                }
-                let slot = &mut sh.slots[pos];
-                slot.out.clear();
-                slot.inbox_len = 0;
-                slot.phase_mark = None;
-                slot.stage_mark = None;
-                alive_now[op.dense as usize] = false;
-                emitter.emit(RunEvent::NodeCrashed {
-                    round,
-                    node: op.node,
-                });
-            }
-            // Killing the last live node ends the run exactly as the
-            // last voluntary retirement would.
+            let stopped = churn_out(rt, round, &mut shards, &rs, &mut alive_now, &mut emitter);
+            live -= stopped;
+            newly_done += stopped;
+            // A schedule that kills the last live node ends the run
+            // exactly as the last voluntary retirement would (no
+            // further round narration).
             if live == 0 {
                 break;
             }
         }
-        // --- Compaction: the unsharded (global) trigger; each shard
-        // compacts its own window, one event narrates the round. ---
+
+        // Compaction: one global trigger (the halving rule bounds total
+        // compaction work by O(k) per run), one event; each shard
+        // compacts its own window.
         if newly_done > 0 && live * 2 <= window {
             for sh in shards.iter_mut() {
-                let done = &mut sh.done;
-                sh.slots.retain_mut(|s| {
-                    if s.alive {
-                        return true;
-                    }
-                    if let Some(out) = s.output.take() {
-                        done.push((s.idx, s.id, out));
-                    }
-                    false
-                });
+                sh.compact();
             }
             debug_assert_eq!(shards.iter().map(|sh| sh.slots.len()).sum::<usize>(), live);
-            emitter.emit(RunEvent::Compaction {
-                round: metrics.rounds,
-                live,
-            });
+            emitter.emit(RunEvent::Compaction { round, live });
         }
         let window: usize = shards.iter().map(|sh| sh.slots.len()).sum();
+        let route_mode = route_mode(prev_round_messages, window);
 
-        // --- Seal (per source shard): validate in slot order, count
-        // local destinations, divert cross-shard sends into the exchange
-        // cells. The dense/sparse narration keeps the unsharded formula —
-        // a pure function of the transcript, so the event stream matches
-        // the single-arena layout bit for bit. ---
-        let round = metrics.rounds;
-        // detlint: allow(ambient-entropy) — per-phase wall-clock timer: the elapsed nanos feed EngineStats::*_nanos (observability only) and never a transcript, round count, or message
-        let t_phase = Instant::now();
-        let dense_round = prev_round_messages >= PARALLEL_ROUTE_MIN_MSGS
-            && prev_round_messages >= (window as u64) / 4;
-        let route_mode = if dense_round {
-            RouteMode::Parallel
-        } else {
-            RouteMode::Inline
-        };
-        {
-            let cells_ptr = RawRows(cells.as_mut_ptr());
-            let alive_now = &alive_now;
-            for_each_shard(&mut shards, parallel, |s, sh| {
-                let ShardState {
-                    base,
-                    width,
-                    slots,
-                    buffers,
-                    knowledge,
-                    violations,
-                    round_messages,
-                    words,
-                    max_sent,
-                    cross_shard,
-                    ..
-                } = sh;
-                let lo = *base as usize;
-                let hi = lo + *width;
-                *round_messages = 0;
-                debug_assert!(violations.is_empty());
-                for d in 0..shard_count {
-                    if d != s {
-                        // Sound: source shard `s` exclusively owns cell
-                        // rows `s * S..(s + 1) * S`.
-                        unsafe { cells_ptr.row(s * shard_count + d) }.clear();
-                    }
-                }
-                for slot in slots.iter() {
-                    buffers.counts[(slot.idx as usize) - lo] = 0;
-                }
-                for slot in slots.iter_mut() {
-                    let src_local = (slot.idx as usize) - lo;
-                    let attempted = slot.out.len();
-                    for env in slot.out.iter_mut() {
-                        let deliver =
-                            match validate(env, src_local, config, knowledge, alive_now, round) {
-                                Ok(()) => true,
-                                Err(v) => {
-                                    violations.push(v);
-                                    env.dst_idx != NO_INDEX
-                                        && env.dst_idx != DEAD_INDEX
-                                        && alive_now[env.dst_idx as usize]
-                                }
-                            };
-                        if deliver {
-                            *round_messages += 1;
-                            *words += env.msg.size_words() as u64;
-                            let dst = env.dst_idx as usize;
-                            if (lo..hi).contains(&dst) {
-                                buffers.counts[dst - lo] += 1;
-                            } else {
-                                let owner = shard_of(dst);
-                                // Sound: still within rows `s * S..`.
-                                unsafe { cells_ptr.row(s * shard_count + owner) }.push(*env);
-                                *cross_shard += 1;
-                                // Moved into the cell: the local splice
-                                // must skip it.
-                                env.dst_idx = NO_INDEX;
-                            }
-                        } else {
-                            env.dst_idx = NO_INDEX;
-                        }
-                    }
-                    if attempted > cap {
-                        violations.push(Violation {
-                            round,
-                            node: slot.id,
-                            kind: ViolationKind::SendCapacity {
-                                sent: attempted,
-                                cap,
-                            },
-                        });
-                    }
-                    *max_sent = (*max_sent).max(attempted);
-                }
+        // Seal, then replay the journals in shard order (= canonical
+        // dense source order): identical counts, samples and strict
+        // abort at every shard count.
+        let mut round_messages = timed(&mut route_nanos, || {
+            for_each_shard(&mut shards, fan_out, |_, sh| {
+                sh.seal(&rs, &alive_now, round)
             });
-        }
-        // Replay the seal journals in shard order (= canonical dense
-        // source order): identical counts, samples and strict abort.
-        let mut round_messages: u64 = 0;
-        for sh in shards.iter_mut() {
-            for v in sh.violations.drain(..) {
-                metrics.record_violation(strict, v)?;
+            let mut total = 0u64;
+            for sh in shards.iter_mut() {
+                for v in sh.violations.drain(..) {
+                    metrics.record_violation(strict, v)?;
+                }
+                total += sh.round_messages;
+                metrics.words += sh.round_words;
             }
-            round_messages += sh.round_messages;
-        }
-        route_nanos += t_phase.elapsed().as_nanos() as u64;
+            Ok::<u64, SimError>(total)
+        })?;
 
-        // --- Exchange (per destination shard): count the incoming cells
-        // into the local buckets, seal the shard's prefix sums, and
-        // splice sources in canonical shard order — cells from shards
-        // `< s`, then the shard's own outboxes, then cells from shards
-        // `> s`; ascending shard ranges make that exactly the global
-        // dense source order, so bucket contents (and with them FIFO
-        // queues) are bit-identical to the unsharded scatter. ---
-        // detlint: allow(ambient-entropy) — per-phase wall-clock timer: the elapsed nanos feed EngineStats::*_nanos (observability only) and never a transcript, round count, or message
-        let t_phase = Instant::now();
-        {
-            let cells_ref: &[Vec<WireEnvelope>] = &cells;
-            for_each_shard(&mut shards, parallel, |d, sh| {
-                let ShardState {
-                    base,
-                    slots,
-                    buffers,
-                    ..
-                } = sh;
-                let b = *base;
-                for src in 0..shard_count {
-                    if src == d {
-                        continue;
-                    }
-                    for env in &cells_ref[src * shard_count + d] {
-                        buffers.counts[(env.dst_idx - b) as usize] += 1;
-                    }
-                }
-                buffers.seal_counts_live(slots.iter().map(|sl| (sl.idx - b) as usize));
-                for src in 0..shard_count {
-                    if src == d {
-                        for slot in slots.iter_mut() {
-                            for env in slot.out.iter() {
-                                if env.dst_idx != NO_INDEX {
-                                    buffers.push(env.localize(b));
-                                }
-                            }
-                            slot.out.clear();
-                        }
-                    } else {
-                        for env in &cells_ref[src * shard_count + d] {
-                            buffers.push(env.localize(b));
-                        }
-                    }
-                }
-            });
-        }
-        exchange_nanos += t_phase.elapsed().as_nanos() as u64;
-
-        // --- Scenario fault pass: perturb each shard's sealed buckets
-        // in shard order — shard ranges ascend, so this is exactly the
-        // global dense destination walk of the unsharded engine and the
-        // coordinator RNG is consumed identically at any shard count.
-        // The swap arena rotates through the shards' arenas, converging
-        // on the largest high-water mark (no steady-state allocation).
-        if let Some(rt) = scenario_rt.as_mut() {
-            if rt.faults_active() {
-                for sh in shards.iter_mut() {
-                    let ShardState {
-                        base,
-                        slots,
-                        buffers,
-                        ..
-                    } = sh;
-                    let b = *base;
-                    rt.perturb(buffers, slots.iter().map(|sl| (sl.idx - b) as usize));
-                }
-                let tally = rt.tally();
-                if tally.any() {
-                    round_messages = round_messages - tally.dropped + tally.duplicated;
-                    fault_words_added += tally.words_added;
-                    fault_words_removed += tally.words_removed;
-                    emitter.emit(RunEvent::FaultInjected {
-                        round,
-                        dropped: tally.dropped,
-                        duplicated: tally.duplicated,
-                        reordered: tally.reordered,
-                    });
-                }
-            }
-        }
-
-        // --- Receive side: shard-local queue delivery or capacity
-        // checks (journaled, replayed in shard order below). ---
-        // detlint: allow(ambient-entropy) — per-phase wall-clock timer: the elapsed nanos feed EngineStats::*_nanos (observability only) and never a transcript, round count, or message
-        let t_phase = Instant::now();
-        let parallel_sweep = workers > 1
-            && (round_messages >= PARALLEL_ROUTE_MIN_MSGS || window >= PARALLEL_SWEEP_MIN_LIVE);
-        if parallel_sweep {
-            parallel_sweep_rounds += 1;
-        } else {
-            inline_sweep_rounds += 1;
-        }
-        for_each_shard(&mut shards, parallel, |_, sh| {
-            let ShardState {
-                base,
-                slots,
-                buffers,
-                queues,
-                knowledge,
-                dead_backlog,
-                violations,
-                max_received,
-                max_queue,
-                undelivered,
-                ..
-            } = sh;
-            let lo = *base as usize;
-            if queue_mode {
-                queues.begin_round();
-                for slot in slots.iter_mut() {
-                    if !slot.alive {
-                        continue;
-                    }
-                    let i = (slot.idx as usize) - lo;
-                    // A parked slot receives nothing, but its backlog
-                    // must still ride the double-buffer swap (cap 0 =
-                    // re-queue everything, FIFO intact for recovery).
-                    let cap_i = if slot.paused { 0 } else { cap };
-                    let (start, take, queued) = queues.deliver(i, buffers.bucket(i), cap_i);
-                    *max_queue = (*max_queue).max(queued);
-                    slot.inbox_start = start;
-                    slot.inbox_len = take;
-                }
-                let mut drained_any = false;
-                for &li in dead_backlog.iter() {
-                    let i = li as usize;
-                    let (start, take, queued) = queues.deliver(i, &[], cap);
-                    *max_queue = (*max_queue).max(queued);
-                    let delivered = take as usize;
-                    *max_received = (*max_received).max(delivered);
-                    if knowledge.enabled() {
-                        let inbox = &queues.inbox[start as usize..][..delivered];
-                        for env in inbox {
-                            knowledge.learn(i, env.src);
-                            for &a in env.msg.addrs_slice() {
-                                knowledge.learn(i, a);
-                            }
-                        }
-                    }
-                    *undelivered += take as u64;
-                    drained_any |= queued == 0;
-                }
-                if drained_any {
-                    let queues = &*queues;
-                    dead_backlog.retain(|&li| queues.backlog_len(li as usize) > 0);
-                }
-                queues.end_round();
-            } else {
-                for slot in slots.iter_mut() {
-                    if !slot.alive {
-                        continue;
-                    }
-                    let i = (slot.idx as usize) - lo;
-                    let received = buffers.counts[i] as usize;
-                    if received > cap {
-                        violations.push(Violation {
-                            round,
-                            node: slot.id,
-                            kind: ViolationKind::ReceiveCapacity { received, cap },
-                        });
-                    }
-                    let (start, len) = buffers.span(i);
-                    slot.inbox_start = start;
-                    slot.inbox_len = len;
-                }
-            }
+        // Exchange: the source shards lend their cell rows to the
+        // coordinator's table (pointer swaps, no allocation) so every
+        // destination shard can read all of them while mutating itself.
+        timed(&mut exchange_nanos, || {
+            swap_cells(&mut shards, &mut cell_table);
+            for_each_shard(&mut shards, fan_out, |d, sh| sh.exchange(d, &cell_table));
+            swap_cells(&mut shards, &mut cell_table);
         });
-        if !queue_mode {
+
+        // Scenario fault pass: shards in order, ONE runtime — shard
+        // ranges ascend, so this is the global dense destination walk
+        // and the coordinator RNG is consumed identically at any shard
+        // count. The swap arena rotates through the shards' arenas,
+        // converging on the largest high-water mark. Quiet rounds skip
+        // the pass entirely, staying bit-identical to a scenario-free
+        // run.
+        if let Some(rt) = scenario_rt.as_mut().filter(|rt| rt.faults_active()) {
+            for sh in shards.iter_mut() {
+                sh.perturb(rt);
+            }
+            let tally = rt.tally();
+            if tally.any() {
+                round_messages = round_messages - tally.dropped + tally.duplicated;
+                metrics.words = metrics.words - tally.words_removed + tally.words_added;
+                emitter.emit(RunEvent::FaultInjected {
+                    round,
+                    dropped: tally.dropped,
+                    duplicated: tally.duplicated,
+                    reordered: tally.reordered,
+                });
+            }
+        }
+
+        timed(&mut deliver_nanos, || {
+            for_each_shard(&mut shards, fan_out, |_, sh| sh.deliver(&rs, round));
             for sh in shards.iter_mut() {
                 for v in sh.violations.drain(..) {
                     metrics.record_violation(strict, v)?;
                 }
             }
-        }
-        deliver_nanos += t_phase.elapsed().as_nanos() as u64;
+            Ok::<(), SimError>(())
+        })?;
 
-        // --- Learn sweep: each shard's tracker is private, so learns
-        // apply in place — no journals, no re-home replay. ---
-        // detlint: allow(ambient-entropy) — per-phase wall-clock timer: the elapsed nanos feed EngineStats::*_nanos (observability only) and never a transcript, round count, or message
-        let t_phase = Instant::now();
-        for_each_shard(&mut shards, parallel, |_, sh| {
-            let ShardState {
-                base,
-                slots,
-                buffers,
-                queues,
-                knowledge,
-                max_received,
-                ..
-            } = sh;
-            let lo = *base as usize;
-            let delivery_arena: &[WireEnvelope] = if queue_mode {
-                &queues.inbox
-            } else {
-                &buffers.arena
-            };
-            for slot in slots.iter() {
-                if !slot.alive {
-                    continue;
-                }
-                let delivered = slot.inbox_len as usize;
-                *max_received = (*max_received).max(delivered);
-                if knowledge.enabled() {
-                    let i = (slot.idx as usize) - lo;
-                    let inbox = &delivery_arena[slot.inbox_start as usize..][..delivered];
-                    for env in inbox {
-                        knowledge.learn(i, env.src);
-                        for &a in env.msg.addrs_slice() {
-                            knowledge.learn(i, a);
-                        }
-                    }
-                }
-            }
+        timed(&mut learn_nanos, || {
+            for_each_shard(&mut shards, fan_out, |_, sh| sh.learn(&rs));
         });
-        learn_nanos += t_phase.elapsed().as_nanos() as u64;
 
         metrics.record_round(round_messages);
         emitter.emit(RunEvent::RoundCompleted {
@@ -852,31 +888,18 @@ where
         }
     }
 
-    // Harvest the cumulative per-shard folds. Sums and maxes over the
-    // per-round values the unsharded path folds incrementally — the same
-    // final numbers, fold order notwithstanding.
+    // Harvest the cumulative per-shard folds (sums and maxes — fold order
+    // cannot matter). Undrained queues mean some protocol stopped
+    // listening too early.
     for sh in shards.iter() {
-        metrics.words += sh.words;
         metrics.max_sent_per_round = metrics.max_sent_per_round.max(sh.max_sent);
         metrics.max_received_per_round = metrics.max_received_per_round.max(sh.max_received);
         metrics.max_queue_len = metrics.max_queue_len.max(sh.max_queue);
         metrics.undelivered += sh.undelivered + sh.queues.backlog_total();
-    }
-    // Scenario faults adjust the word fold the same way the unsharded
-    // engine adjusts it in-round (folded here because the per-shard word
-    // counters are only harvested at the end of the run).
-    metrics.words = metrics.words + fault_words_added - fault_words_removed;
-    if track {
-        metrics.max_knowledge = shards
-            .iter()
-            .map(|sh| {
-                (0..sh.width)
-                    .map(|i| sh.knowledge.knowledge_size(i))
-                    .max()
-                    .unwrap_or(0)
-            })
-            .max()
-            .unwrap_or(0);
+        if track {
+            let widest = (0..sh.width).map(|i| sh.knowledge.knowledge_size(i)).max();
+            metrics.max_knowledge = metrics.max_knowledge.max(widest.unwrap_or(0));
+        }
     }
     emitter.emit(RunEvent::Done {
         rounds: metrics.rounds,
@@ -889,8 +912,6 @@ where
     stats.cross_shard_messages = shards.iter().map(|sh| sh.cross_shard).sum();
     stats.dense_index_space = k;
     stats.knowledge_arena = shards.iter().map(|sh| sh.knowledge.arena_len()).sum();
-    stats.parallel_sweep_rounds = parallel_sweep_rounds;
-    stats.inline_sweep_rounds = inline_sweep_rounds;
     stats.step_nanos = step_nanos;
     stats.route_nanos = route_nanos;
     stats.exchange_nanos = exchange_nanos;
@@ -900,13 +921,13 @@ where
     // Merge every shard's compacted-away outputs with its final window,
     // restoring knowledge-path order by global dense index.
     let mut done: Vec<(u32, NodeId, P::Output)> = Vec::with_capacity(k);
-    for sh in shards.into_iter() {
+    for sh in shards {
         done.extend(sh.done);
-        for s in sh.slots.into_iter() {
-            if let Some(out) = s.output {
-                done.push((s.idx, s.id, out));
-            }
-        }
+        done.extend(
+            sh.slots
+                .into_iter()
+                .filter_map(|s| s.output.map(|out| (s.idx, s.id, out))),
+        );
     }
     done.sort_unstable_by_key(|&(idx, _, _)| idx);
     let outputs: Vec<(NodeId, P::Output)> =

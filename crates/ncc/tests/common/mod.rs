@@ -5,6 +5,12 @@
 use dgr_ncc::{NodeId, NodeProtocol, NodeSeed, RoundCtx, Status, WireMsg};
 use rand::Rng;
 
+/// The shard count the default layout derives for an unmasked `n`-node
+/// run on `workers` workers (`Config::shards` = 0).
+pub fn derived_shards(n: usize, workers: usize) -> usize {
+    (n / dgr_ncc::MIN_SHARD_WIDTH).clamp(1, workers)
+}
+
 /// FNV-1a fold of one `u64` into a transcript hash.
 pub fn fnv(h: u64, x: u64) -> u64 {
     (h ^ x).wrapping_mul(0x100_0000_01b3)

@@ -115,15 +115,14 @@ fn record_long_tail_matches_the_threaded_oracle() {
     assert_eq!(batched.metrics, threaded.metrics, "metrics diverge");
 }
 
-/// The adaptive router must pick the inline path on sparse rounds even
-/// with a multi-worker pool: a gossip round at n=192 never clears the
-/// parallel-route threshold, so every round of this run is inline.
+/// A gossip round at n=192 never clears the dense-round threshold, so
+/// every round of this run is narrated sparse whatever the pool size.
 #[test]
 fn sparse_rounds_route_inline_even_with_workers() {
     let result = long_tail_run(4, false);
     assert_eq!(
         result.engine.parallel_route_rounds, 0,
-        "sparse rounds must not pay the parallel routing setup"
+        "a 192-node gossip round is never dense"
     );
     assert!(result.engine.inline_route_rounds > 0);
 }

@@ -33,37 +33,41 @@ fn replays_are_bit_identical() {
     assert_eq!(metrics_a, metrics_b);
 }
 
-/// Dense traffic past the adaptive threshold: multi-worker runs must take
-/// the parallel routing path (per-worker counts, destination-range fold,
-/// disjoint-region scatter) and still produce the single-worker
-/// transcript bit-for-bit.
+/// Dense traffic past the dense-round threshold, on the default layout
+/// (one inline shard at this size) and with one shard per worker running
+/// side by side: the single-worker transcript must come out bit-for-bit,
+/// and the dense/sparse narration must not notice the layout.
 #[test]
 fn dense_rounds_route_parallel_and_stay_deterministic() {
-    let run = |workers: usize| {
-        let mut config = Config::ncc0(808).with_worker_threads(workers);
+    let run = |workers: usize, shards: usize| {
+        let mut config = Config::ncc0(808)
+            .with_worker_threads(workers)
+            .with_shards(shards);
         config.capacity_policy = CapacityPolicy::Record;
         let net = Network::new(768, config);
         let result = net.run_protocol(|s| Gossip::new(s, 12, 5, 6)).unwrap();
         (result.outputs, result.metrics, result.engine)
     };
-    let (outputs_1, metrics_1, engine_1) = run(1);
-    // The dense/sparse classification is a pure function of the transcript,
-    // so even the single-worker run narrates its dense rounds (it still
-    // executes them inline — parallelism is gated separately on workers).
+    let (outputs_1, metrics_1, engine_1) = run(1, 0);
+    // The dense/sparse classification is a pure function of the
+    // transcript, so the single-worker run narrates its dense rounds too.
     assert!(
         engine_1.parallel_route_rounds > 0,
         "768 nodes x fan-out 6 must clear the dense-round threshold"
     );
     for workers in [2, 4, 7] {
-        let (outputs_w, metrics_w, engine_w) = run(workers);
-        assert_eq!(outputs_1, outputs_w, "outputs diverge at {workers} workers");
-        assert_eq!(metrics_1, metrics_w, "metrics diverge at {workers} workers");
-        assert_eq!(
-            engine_w.parallel_route_rounds, engine_1.parallel_route_rounds,
-            "classification must be worker-count-invariant at {workers} workers"
-        );
-        // Round 0 has no previous-volume signal and stays inline.
-        assert!(engine_w.inline_route_rounds > 0);
+        for shards in [0, workers] {
+            let (outputs_w, metrics_w, engine_w) = run(workers, shards);
+            assert_eq!(outputs_1, outputs_w, "outputs diverge at {workers} workers");
+            assert_eq!(metrics_1, metrics_w, "metrics diverge at {workers} workers");
+            assert_eq!(engine_w.shards, shards.max(1));
+            assert_eq!(
+                engine_w.parallel_route_rounds, engine_1.parallel_route_rounds,
+                "classification must be layout-invariant at {workers} workers"
+            );
+            // Round 0 has no previous-volume signal and stays inline.
+            assert!(engine_w.inline_route_rounds > 0);
+        }
     }
 }
 

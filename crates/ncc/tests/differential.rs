@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::Gossip;
+use common::{derived_shards, Gossip};
 use dgr_ncc::event::semantic_stream;
 use dgr_ncc::{CapacityPolicy, Config, EngineKind, Network, Recording, RunResult, SimError};
 
@@ -113,8 +113,9 @@ fn strict_violations_abort_both_engines_identically() {
 /// Runs the batched engine once per worker count and asserts outputs,
 /// metrics, and the RAW event stream — `route_mode` narration included,
 /// no semantic projection — are bit-identical. This is the worker-count
-/// half of the differential story: the parallel routing/receive/learn
-/// sweeps must be unobservable except through wall clock.
+/// half of the differential story: at these sizes the default layout
+/// gives every worker its own shard, and running the shards side by side
+/// must be unobservable except through wall clock.
 fn assert_worker_matrix(n: usize, config: &Config, base: u64, stagger: u64, fan: usize) {
     let run = |workers: usize| {
         let net = Network::new(n, config.clone().with_worker_threads(workers));
@@ -145,17 +146,23 @@ fn assert_worker_matrix(n: usize, config: &Config, base: u64, stagger: u64, fan:
             result_1.engine.parallel_route_rounds, result_w.engine.parallel_route_rounds,
             "dense/sparse classification must be worker-count-invariant"
         );
+        assert_eq!(
+            result_w.engine.shards,
+            derived_shards(n, workers),
+            "default layout: one shard per worker once each owns MIN_SHARD_WIDTH nodes"
+        );
         assert!(
-            result_w.engine.parallel_sweep_rounds > 0,
-            "matrix sizes are chosen to engage the parallel sweeps (n={n})"
+            result_w.engine.shards > 1,
+            "matrix sizes are chosen to engage the parallel layout (n={n})"
         );
     }
 }
 
 #[test]
 fn worker_matrix_queue_mode_tracked() {
-    // Queue pacing + knowledge tracking: the two-phase parallel deliver
-    // pass must reproduce the sequential FIFO layout bit-for-bit.
+    // Queue pacing + knowledge tracking: per-shard delivery behind the
+    // exchange splice must reproduce the one-shard FIFO contents
+    // bit-for-bit.
     let mut config = Config::ncc0(71);
     config.capacity_policy = CapacityPolicy::Queue;
     assert_worker_matrix(6_000, &config, 10, 0, 3);
@@ -163,9 +170,9 @@ fn worker_matrix_queue_mode_tracked() {
 
 #[test]
 fn worker_matrix_compacting_record_tracked() {
-    // Staggered lifetimes drive live-slot compactions mid-run; the sweeps
-    // must stay sound across slot re-homing, and the compaction narration
-    // itself is part of the raw stream being compared.
+    // Staggered lifetimes drive live-slot compactions mid-run in every
+    // shard; the compaction narration itself is part of the raw stream
+    // being compared.
     let mut config = Config::ncc0(72);
     config.capacity_policy = CapacityPolicy::Record;
     assert_worker_matrix(6_000, &config, 8, 6, 3);
@@ -174,17 +181,17 @@ fn worker_matrix_compacting_record_tracked() {
 #[test]
 fn worker_matrix_strict_kt0_clean() {
     // Strict KT0 over the successor chain: clean traffic, tracked, and the
-    // parallel capacity-check pass must find nothing at every pool size.
+    // per-shard capacity checks must find nothing at every pool size.
     let config = Config::ncc0(73);
     assert_worker_matrix(6_000, &config, 10, 0, 1);
 }
 
 #[test]
 fn strict_abort_blames_the_same_violation_at_every_worker_count() {
-    // Overloaded fan-in under Strict: the parallel capacity check journals
-    // violations per worker and replays them in dense slot order, so the
-    // aborting violation must be the canonical first one regardless of
-    // how the pass was partitioned.
+    // Overloaded fan-in under Strict: each worker's shard journals its
+    // violations in slot order and the journals replay in shard order (=
+    // dense slot order), so the aborting violation must be the canonical
+    // first one regardless of how the node space was partitioned.
     let run = |workers: usize| {
         let config = Config::ncc0(74)
             .with_capacity_factor(0.5)

@@ -1,7 +1,7 @@
 //! Scenario-matrix differential tests: seeded fault injection must be a
 //! pure function of `(run seed, scenario seed, schedule)` — invisible to
-//! the execution layout. A fixed schedule runs at shard counts 1/2/4 ×
-//! worker counts 1/2/8 and the outputs, bit-identical [`RunMetrics`], and
+//! the execution layout. A fixed schedule runs at shard counts
+//! derived/1/2/4 × worker counts 1/2/8 and the outputs, bit-identical [`RunMetrics`], and
 //! RAW event streams (fault and churn narration included) are held equal
 //! to the 1-shard/1-worker baseline. The suite also pins the two identity
 //! contracts: an empty schedule is bit-identical to a scenario-free run,
@@ -15,7 +15,8 @@ use dgr_ncc::{
     CapacityPolicy, Config, EngineKind, Network, Recording, RunEvent, RunResult, Scenario, SimError,
 };
 
-const SHARDS: [usize; 2] = [2, 4];
+/// `0` = the derived count (the default).
+const SHARDS: [usize; 3] = [0, 2, 4];
 const WORKERS: [usize; 3] = [1, 2, 8];
 
 /// Runs the batched engine once per (shards × workers) cell under the

@@ -1,17 +1,18 @@
-//! Shard-matrix differential tests: the ownership-sharded layout must be
+//! Shard-matrix differential tests: the ownership-shard layout must be
 //! unobservable except through [`EngineStats`]. Every configuration runs
-//! at shard counts 1/2/4 × worker counts 1/2/8 and the RAW event streams
-//! (route-mode narration included), outputs, and bit-identical
-//! [`RunMetrics`] are held equal to the 1-shard/1-worker baseline — which
-//! exercises the monolithic single-arena engine, so this suite pins the
-//! sharded path to the unsharded one, not merely to itself.
+//! at shard counts derived/2/4 × worker counts 1/2/8 and the RAW event
+//! streams (route-mode narration included), outputs, and bit-identical
+//! [`RunMetrics`] are held equal to the 1-shard/1-worker baseline — the
+//! layout the worker-matrix and oracle differential suites
+//! (`differential.rs`) pin to the threaded engine.
 
 mod common;
 
-use common::Gossip;
+use common::{derived_shards, Gossip};
 use dgr_ncc::{CapacityPolicy, Config, EngineKind, Network, Recording, RunResult, SimError};
 
-const SHARDS: [usize; 2] = [2, 4];
+/// `0` = the derived count (the default).
+const SHARDS: [usize; 3] = [0, 2, 4];
 const WORKERS: [usize; 3] = [1, 2, 8];
 
 /// Runs the batched engine once per (shards × workers) cell and asserts
@@ -35,11 +36,8 @@ fn assert_shard_matrix(n: usize, config: &Config, base: u64, stagger: u64, fan: 
         (result, events.events().to_vec())
     };
     let (result_1, events_1) = run(1, 1);
-    assert_eq!(
-        result_1.engine.shards, 1,
-        "baseline is the unsharded engine"
-    );
-    assert!(result_1.engine.shard_windows.is_empty());
+    assert_eq!(result_1.engine.shards, 1, "baseline is one shard");
+    assert_eq!(result_1.engine.shard_windows, vec![n]);
     assert_eq!(result_1.engine.cross_shard_messages, 0);
     for shards in SHARDS {
         for workers in WORKERS {
@@ -58,6 +56,10 @@ fn assert_shard_matrix(n: usize, config: &Config, base: u64, stagger: u64, fan: 
             );
             // The layout itself must be reported faithfully: the full
             // ownership map partitions the dense index space.
+            let shards = match shards {
+                0 => derived_shards(n, workers),
+                explicit => explicit,
+            };
             assert_eq!(result_s.engine.shards, shards);
             assert_eq!(result_s.engine.shard_windows.len(), shards);
             assert_eq!(
@@ -65,8 +67,9 @@ fn assert_shard_matrix(n: usize, config: &Config, base: u64, stagger: u64, fan: 
                 result_s.engine.dense_index_space,
                 "shard windows must partition the dense index space"
             );
-            assert!(
+            assert_eq!(
                 result_s.engine.cross_shard_messages > 0,
+                shards > 1,
                 "gossip traffic crosses ownership boundaries (n={n}, {shards} shards)"
             );
         }

@@ -5,17 +5,18 @@
 //! *same number* of allocations, i.e. every allocation is setup/teardown,
 //! none is per-round.
 //!
-//! The probe pins `worker_threads = 1` (the dispatch-free inline path;
-//! worker dispatch itself allocates in the thread spawner, which is
-//! outside the routing hot path) and disables KT0 tracking (the knowledge
-//! sets are a verification instrument backed by hash sets, not part of
-//! the production routing path).
+//! The probes run every shard inline on the measuring thread — by
+//! pinning `worker_threads = 1`, or by leaving a multi-worker run on the
+//! single shard the default layout derives at this size (worker dispatch
+//! itself allocates in the thread spawner, so a stray fan-out would show
+//! up as per-round allocations) — with and without KT0 tracking.
 //!
-//! Counting is gated on a thread-local flag so only the *measuring*
+//! Flag and counter are both thread-local, so only the *measuring*
 //! thread's allocations register: the libtest harness thread performs a
 //! couple of lazy one-off allocations (parker, thread handle) at a
-//! scheduling-dependent moment, which would otherwise race into the
-//! measured window and flake the exact-equality assertion.
+//! scheduling-dependent moment, and sibling tests measure concurrently —
+//! either would otherwise race into the measured window and flake the
+//! exact-equality assertion.
 
 mod common;
 
@@ -23,26 +24,23 @@ use common::Ping;
 use dgr_ncc::{Config, Network, Scenario};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// True while this thread is inside a measured window (const-init, so
     /// reading it never allocates — safe inside the allocator).
     static MEASURING: Cell<bool> = const { Cell::new(false) };
+    /// Allocations this thread made inside measured windows.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count_if_measuring() {
     // Thread teardown can query TLS after destruction; treat that as
     // "not measuring" rather than panicking inside the allocator.
-    let _ = MEASURING.try_with(|m| {
-        if m.get() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-    });
+    if MEASURING.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCATIONS.try_with(|a| a.set(a.get() + 1));
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
@@ -70,18 +68,20 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// strict KT0 knowledge tracking on — the sorted-arena tracker's learns
 /// and lookups must also be allocation-free at steady state.
 fn allocations_for_config(rounds: u64, tracked: bool) -> u64 {
-    allocations_for_layout(rounds, tracked, 1)
+    allocations_for_layout(rounds, tracked, 1, 1)
 }
 
-/// Like [`allocations_for_config`] with an ownership-shard count: the
-/// sharded engine's per-`(src, dst)` exchange cells are cleared with
-/// capacity retained, so steady-state rounds must be just as silent as
-/// the single-arena layout's.
-fn allocations_for_layout(rounds: u64, tracked: bool, shards: usize) -> u64 {
-    let mut config = Config::ncc0(99).with_worker_threads(1).with_shards(shards);
+/// Like [`allocations_for_config`] with a worker and an ownership-shard
+/// count (`0` = derived): the per-`(src, dst)` exchange cells are cleared
+/// with capacity retained, so steady-state rounds must be just as silent
+/// on many shards as on one.
+fn allocations_for_layout(rounds: u64, tracked: bool, workers: usize, shards: usize) -> u64 {
+    let mut config = Config::ncc0(99)
+        .with_worker_threads(workers)
+        .with_shards(shards);
     config.track_knowledge = tracked;
     let net = Network::new(512, config);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.get();
     MEASURING.with(|m| m.set(true));
     let result = net.run_protocol(|s| Ping::new(s, rounds)).unwrap();
     MEASURING.with(|m| m.set(false));
@@ -93,7 +93,7 @@ fn allocations_for_layout(rounds: u64, tracked: bool, shards: usize) -> u64 {
         // predecessor.
         assert!(result.metrics.max_knowledge <= 3);
     }
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.get() - before
 }
 
 fn allocations_for(rounds: u64) -> u64 {
@@ -154,7 +154,7 @@ fn allocations_for_scenario(rounds: u64, shards: usize) -> u64 {
         .with_shards(shards)
         .with_scenario(scenario);
     let net = Network::new(512, config);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.get();
     MEASURING.with(|m| m.set(true));
     let result = net.run_protocol(|s| Ping::new(s, rounds)).unwrap();
     MEASURING.with(|m| m.set(false));
@@ -163,12 +163,12 @@ fn allocations_for_scenario(rounds: u64, shards: usize) -> u64 {
         result.engine.faults_dropped > 0,
         "the drop window never fired — the probe is not measuring the fault pass"
     );
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.get() - before
 }
 
-/// Fault injection must be allocation-free at steady state, in both the
-/// single-arena and the ownership-sharded layouts (where the swap arena
-/// rotates through the shards' bucket arenas).
+/// Fault injection must be allocation-free at steady state, on one shard
+/// and on several (where the swap arena rotates through the shards'
+/// bucket arenas).
 #[test]
 fn scenario_fault_pass_does_not_allocate_per_round() {
     // Fault volume is random per round, so high-water convergence takes a
@@ -189,22 +189,41 @@ fn scenario_fault_pass_does_not_allocate_per_round() {
     }
 }
 
-/// The sharded round loop — per-shard step/seal/deliver/learn plus the
-/// boundary-exchange phase — must also be allocation-free at steady
+/// The round loop over several shards — per-shard step/seal/deliver/learn
+/// plus the exchange phase — must also be allocation-free at steady
 /// state. Ping's successor sends cross each of the three ownership
 /// boundaries every round, so the exchange cells are exercised (filled,
 /// drained, and reused) on every measured round, tracked KT0 included.
 #[test]
 fn sharded_exchange_does_not_allocate_per_round() {
     for tracked in [false, true] {
-        let _ = allocations_for_layout(5, tracked, 4);
-        let short = allocations_for_layout(10, tracked, 4);
-        let long = allocations_for_layout(510, tracked, 4);
+        let _ = allocations_for_layout(5, tracked, 1, 4);
+        let short = allocations_for_layout(10, tracked, 1, 4);
+        let long = allocations_for_layout(510, tracked, 1, 4);
         assert_eq!(
             long, short,
             "sharded round loop allocates (tracked={tracked}): {short} \
              allocations over 10 rounds vs {long} over 510 — exchange \
              cells must be round-reused, not reallocated"
+        );
+    }
+}
+
+/// The default layout at this size is one shard, and a single shard is
+/// walked inline whatever the pool size: a two-worker run must start no
+/// thread (the spawner allocates on the calling thread) and allocate
+/// nothing per round, tracked KT0 included.
+#[test]
+fn one_shard_under_two_workers_does_not_allocate_per_round() {
+    for tracked in [false, true] {
+        let _ = allocations_for_layout(5, tracked, 2, 0);
+        let short = allocations_for_layout(10, tracked, 2, 0);
+        let long = allocations_for_layout(510, tracked, 2, 0);
+        assert_eq!(
+            long, short,
+            "one-shard round loop allocates under two workers \
+             (tracked={tracked}): {short} allocations over 10 rounds vs \
+             {long} over 510"
         );
     }
 }

@@ -3,13 +3,11 @@
 //!
 //! Provides exactly the worker-pool surface the batched NCC executor uses:
 //! [`prelude::ParallelSliceMut::par_chunks_mut`] with `enumerate().for_each()`,
-//! [`prelude::IntoParallelIterator::into_par_iter`] over `usize` ranges
-//! (with `for_each` and a `map(..).max()` reduction), plus
-//! [`current_num_threads`]. Work is distributed over `std::thread` scoped
-//! workers with static contiguous partitioning — deterministic in the
-//! sense that *which* thread runs a chunk never affects results (the caller
-//! gets disjoint `&mut` chunks / disjoint index blocks either way), and
-//! allocation-free on the single-chunk fast path.
+//! plus [`current_num_threads`]. Work is distributed over `std::thread`
+//! scoped workers with static contiguous partitioning — deterministic in
+//! the sense that *which* thread runs a chunk never affects results (the
+//! caller gets disjoint `&mut` chunks either way), and allocation-free on
+//! the single-chunk fast path.
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
@@ -28,115 +26,7 @@ pub fn current_num_threads() -> usize {
 
 /// Import surface (mirrors `rayon::prelude`).
 pub mod prelude {
-    pub use crate::{IntoParallelIterator, ParallelSliceMut};
-}
-
-/// Conversion into a parallel iterator (mirrors the
-/// `rayon::iter::IntoParallelIterator` entry point, for `usize` ranges).
-pub trait IntoParallelIterator {
-    /// The parallel iterator form.
-    type Iter;
-
-    /// Converts into a parallel iterator.
-    fn into_par_iter(self) -> Self::Iter;
-}
-
-impl IntoParallelIterator for std::ops::Range<usize> {
-    type Iter = ParRange;
-
-    fn into_par_iter(self) -> ParRange {
-        ParRange(self)
-    }
-}
-
-/// Pending parallel iteration over a `usize` range.
-pub struct ParRange(std::ops::Range<usize>);
-
-impl ParRange {
-    /// Runs `f` on every index, distributing contiguous index blocks
-    /// across worker threads (inline when the range or the machine offers
-    /// no parallelism).
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let len = self.0.len();
-        let workers = current_num_threads().min(len);
-        if workers <= 1 {
-            for i in self.0 {
-                f(i);
-            }
-            return;
-        }
-        let (start, end) = (self.0.start, self.0.end);
-        let per = len.div_ceil(workers);
-        std::thread::scope(|scope| {
-            let f = &f;
-            for w in 0..workers {
-                let lo = start + w * per;
-                let hi = (start + (w + 1) * per).min(end);
-                if lo >= hi {
-                    break;
-                }
-                scope.spawn(move || {
-                    for i in lo..hi {
-                        f(i);
-                    }
-                });
-            }
-        });
-    }
-
-    /// Maps every index through `f`; drive the result with a reduction
-    /// such as [`ParMap::max`].
-    pub fn map<F, T>(self, f: F) -> ParMap<F>
-    where
-        F: Fn(usize) -> T + Sync,
-        T: Send,
-    {
-        ParMap { range: self.0, f }
-    }
-}
-
-/// Mapped variant of [`ParRange`].
-pub struct ParMap<F> {
-    range: std::ops::Range<usize>,
-    f: F,
-}
-
-impl<F> ParMap<F> {
-    /// Largest mapped value, or `None` on an empty range: per-block maxes
-    /// fold on the calling thread (max is commutative, so the block
-    /// partitioning can never affect the result).
-    pub fn max<T>(self) -> Option<T>
-    where
-        F: Fn(usize) -> T + Sync,
-        T: Ord + Send,
-    {
-        let len = self.range.len();
-        let workers = current_num_threads().min(len);
-        if workers <= 1 {
-            return self.range.map(&self.f).max();
-        }
-        let (start, end) = (self.range.start, self.range.end);
-        let per = len.div_ceil(workers);
-        let f = &self.f;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let lo = start + w * per;
-                let hi = (start + (w + 1) * per).min(end);
-                if lo >= hi {
-                    break;
-                }
-                handles.push(scope.spawn(move || (lo..hi).map(f).max()));
-            }
-            handles
-                .into_iter()
-                .filter_map(|h| h.join().expect("range worker panicked"))
-                .max()
-        })
-    }
+    pub use crate::ParallelSliceMut;
 }
 
 /// Parallel chunked iteration over mutable slices (mirrors the
@@ -256,22 +146,5 @@ mod tests {
     #[test]
     fn threads_reported() {
         assert!(super::current_num_threads() >= 1);
-    }
-
-    #[test]
-    fn range_for_each_visits_every_index_once() {
-        let hits: Vec<AtomicUsize> = (0..1031).map(|_| AtomicUsize::new(0)).collect();
-        (0..hits.len()).into_par_iter().for_each(|i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn range_map_max_matches_sequential() {
-        let v: Vec<u64> = (0..4099u64).map(|x| (x * 2654435761) % 10007).collect();
-        let par = (0..v.len()).into_par_iter().map(|i| v[i]).max();
-        assert_eq!(par, v.iter().copied().max());
-        assert_eq!((0..0).into_par_iter().map(|i| i).max(), None);
     }
 }

@@ -492,13 +492,17 @@ impl Realization {
         self
     }
 
-    /// Splits the batched executor into ownership shards (default: `1`,
-    /// the single-arena layout): each shard owns a private slot arena,
+    /// Pins the number of ownership shards the batched executor splits
+    /// each engine run into. Default: derived per run — one shard per
+    /// worker once each would own at least [`ncc::MIN_SHARD_WIDTH`]
+    /// participants, a single inline shard below that. Each shard owns a
+    /// private slot arena,
     /// wire/queue buffers and knowledge-tracker arena for a contiguous
-    /// dense-index range, joined per round by a deterministic
-    /// boundary-exchange phase. A layout knob like [`Realization::workers`]
-    /// — transcripts, metrics and event streams are bit-identical at every
-    /// shard count, and the threaded oracle ignores it.
+    /// dense-index range; shards run side by side on the worker pool and
+    /// are joined per round by a deterministic exchange phase. A layout
+    /// knob like [`Realization::workers`] — transcripts, metrics and event
+    /// streams are bit-identical at every shard count, and the threaded
+    /// oracle ignores it.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
         self
@@ -626,8 +630,8 @@ impl Realization {
         if let Some(shards) = self.shards {
             if shards == 0 {
                 return Err(RealizationError::InvalidRequest(
-                    ".shards(0) leaves the engine without a layout — the ownership-sharded \
-                     executor needs at least one shard (1 = the single-arena layout)"
+                    ".shards(0) leaves the engine without a layout — the executor needs at \
+                     least one ownership shard (omit the call for the derived default)"
                         .into(),
                 ));
             }
@@ -1106,7 +1110,7 @@ mod tests {
         assert!(err.to_string().contains("3 participating"), "{err}");
 
         // A legal shard count reaches the engine, and the realization is
-        // bit-identical to the single-arena layout.
+        // bit-identical to the default layout.
         let build = || Realization::new(Workload::Implicit(vec![3, 2, 2, 2, 1, 1, 1])).seed(17);
         let flat = build().run().unwrap();
         let sharded = build().shards(3).run().unwrap();

@@ -202,12 +202,11 @@ fn batched_warmup_at_n_10m() {
     assert!(result.engine.knowledge_arena >= n);
 }
 
-/// The release-mode **sharded** tracked smoke CI runs alongside the
-/// unsharded one: the same 200k queue-paced tracked warm-up split across
-/// four ownership shards. Every power-of-two contact crosses shard
-/// boundaries through the exchange phase, and the per-shard tracker
-/// arenas must add up to the same knowledge footprint the single arena
-/// reports.
+/// The release-mode **pinned-shards** tracked smoke CI runs alongside the
+/// default-layout one: the same 200k queue-paced tracked warm-up split
+/// across exactly four ownership shards. Every power-of-two contact
+/// crosses shard boundaries through the exchange phase, and the per-shard
+/// tracker arenas must add up to a whole-network knowledge footprint.
 #[test]
 fn sharded_tracked_queue_warmup_at_n_200k() {
     let n = 200_000;
