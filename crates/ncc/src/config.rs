@@ -14,6 +14,10 @@ pub enum EngineKind {
     /// reference engine, used as the differential twin. Tops out near
     /// `n ≈ 10⁴`.
     Threaded,
+    /// The single-threaded reference interpreter: the round written the
+    /// naive way, independent of the batched executor's layout — the
+    /// differential oracle.
+    Reference,
 }
 
 /// Which NCC variant the network starts in.

@@ -96,6 +96,7 @@ mod message;
 mod metrics;
 mod network;
 mod protocol;
+mod reference;
 mod route;
 mod scenario;
 mod shard;

@@ -181,6 +181,9 @@ impl Network {
     {
         match engine {
             crate::EngineKind::Batched => crate::shard::run(self, participants, sink, factory),
+            crate::EngineKind::Reference => {
+                crate::reference::run(self, participants, sink, factory)
+            }
             #[cfg(feature = "threaded")]
             crate::EngineKind::Threaded => {
                 let alive;

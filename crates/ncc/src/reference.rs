@@ -1,0 +1,509 @@
+//! The **reference interpreter**: the NCC round, written the naive way.
+//!
+//! One thread, one loop, one plain collection per node — an inbox `Vec`,
+//! a receive-queue `VecDeque`, a knowledge `BTreeSet` — and every round
+//! spelled out in the order the model states it: step every live node in
+//! path order, validate and route every send in source order, apply the
+//! receive policy, let receivers learn, narrate. It runs the *same*
+//! [`NodeProtocol`] step machines as the batched executor, so the
+//! differential suites hold the two to identical outputs, bit-identical
+//! [`RunMetrics`] and identical semantic event streams — with and
+//! without masks, and under every [`Scenario`](crate::Scenario).
+//!
+//! Its value is being small enough to audit by eye and **independent** of
+//! the code it checks. It therefore shares nothing with the batched
+//! executor's layout or bookkeeping: no shards, no arenas, no dense
+//! remap, no tracker — it reads an envelope's destination *ID* and looks
+//! it up in its own map. What it does share is the model's vocabulary
+//! ([`Config`](crate::Config), [`WireEnvelope`], [`Violation`], the
+//! [`RoundCtx`] a protocol sees — whose `Resolver` it only passes
+//! through), violation counting ([`RunMetrics::record_violation`]), the
+//! event [`Emitter`], and the scenario's per-round fault rates and RNG
+//! ([`FaultWindows`](crate::scenario::FaultWindows)). Do not optimize it.
+
+use crate::config::{CapacityPolicy, Model};
+use crate::error::{panic_message, SimError, Violation, ViolationKind};
+use crate::event::{Emitter, RouteMode, RunEvent, Sink};
+use crate::message::NodeId;
+use crate::metrics::RunMetrics;
+use crate::network::{Network, RunResult};
+use crate::protocol::{NodeProtocol, NodeSeed, RoundCtx, Status};
+use crate::scenario::ScenarioEvent::{self, CrashRecover, CrashStop, Join};
+use crate::wire::WireEnvelope;
+use rand::{rngs::SmallRng, seq::SliceRandom, Rng, SeedableRng};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::panic::AssertUnwindSafe;
+use std::sync::Arc;
+
+/// Everything the interpreter keeps about one path position. Masked-out
+/// positions get a node too — dead from round zero (`proto: None`, no
+/// output) — so a position indexes `nodes` directly.
+struct Node<P: NodeProtocol> {
+    id: NodeId,
+    succ: Option<NodeId>,
+    /// The running protocol; `None` once retired, crashed, or masked out.
+    proto: Option<P>,
+    output: Option<P::Output>,
+    /// Down by schedule (crash-recovery, or a join not yet due): not
+    /// stepped, unreachable to senders, handed nothing — but still
+    /// counted live, and its queue is kept.
+    parked: bool,
+    rounds: u64,
+    rng: SmallRng,
+    out: Vec<WireEnvelope>,
+    inbox: Vec<WireEnvelope>,
+    queue: VecDeque<WireEnvelope>,
+    /// The IDs this node has learned; `None` when KT0 tracking is off
+    /// (then everything counts as known).
+    knows: Option<BTreeSet<NodeId>>,
+    marks: (Option<&'static str>, Option<&'static str>),
+}
+
+impl<P: NodeProtocol> Node<P> {
+    /// Is the node up — stepped this round, reachable to senders?
+    fn up(&self) -> bool {
+        self.proto.is_some() && !self.parked
+    }
+}
+
+/// Runs `factory`-built protocols on the reference interpreter; the
+/// contract of [`Network::run_protocol_on`].
+pub(crate) fn run<P, F>(
+    net: &Network,
+    participants: Option<&[bool]>,
+    sink: Option<&mut dyn Sink>,
+    factory: F,
+) -> Result<RunResult<P::Output>, SimError>
+where
+    P: NodeProtocol,
+    F: Fn(&NodeSeed<'_>) -> P,
+{
+    let (config, ids) = (net.config(), net.ids_in_path_order());
+    let (n, cap) = (ids.len(), net.capacity());
+    let fits = participants.is_none_or(|mask| mask.len() == n);
+    assert!(fits, "participant mask length must equal n");
+    let participating = |i: usize| participants.is_none_or(|mask| mask[i]);
+    let k = (0..n).filter(|&i| participating(i)).count();
+    let queueing = config.capacity_policy == CapacityPolicy::Queue;
+    let strict = config.capacity_policy == CapacityPolicy::Strict;
+    let tracking = config.track_knowledge && config.model == Model::Ncc0;
+    if let Some(scenario) = &config.scenario {
+        let checked = scenario.validate(n, participants, config.capacity_policy);
+        checked.map_err(SimError::InvalidScenario)?;
+    }
+    let schedule = config.scenario.as_ref().map_or(&[][..], |s| s.events());
+    let windows = config.scenario.as_ref().map(|s| s.fault_windows());
+    let index_of: BTreeMap<NodeId, usize> = ids.iter().copied().zip(0..).collect();
+    // NCC1 common knowledge: every participating ID, sorted (the map
+    // iterates in ID order).
+    let taking_part = index_of.iter().filter(|&(_, &i)| participating(i));
+    let sorted: Vec<NodeId> = taking_part.map(|(&id, _)| id).collect();
+    let all_ids = (config.model == Model::Ncc1).then(|| Arc::new(sorted));
+    let mut nodes: Vec<Node<P>> = (0..n)
+        .map(|i| {
+            // G_k links each participant to the next *participating* node.
+            let succ = (i + 1..n).find(|&j| participating(j)).map(|j| ids[j]);
+            let seed = NodeSeed {
+                id: ids[i],
+                n,
+                participants: k,
+                capacity: cap,
+                model: config.model,
+                initial_successor: succ,
+                all_ids: all_ids.as_ref(),
+            };
+            // Node-local randomness: a stream derived from the master
+            // seed and the node ID (the same on every engine).
+            let mix = (config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .wrapping_add(ids[i].wrapping_mul(0xBF58_476D_1CE4_E5B9));
+            // KT0 initial knowledge: oneself and one's successor.
+            let initial: BTreeSet<NodeId> = std::iter::once(ids[i]).chain(succ).collect();
+            let joins = |e: &ScenarioEvent| matches!(*e, Join { node, .. } if node == i);
+            Node {
+                id: ids[i],
+                succ,
+                proto: participating(i).then(|| factory(&seed)),
+                output: None,
+                // A scheduled joiner sits out until its join round.
+                parked: schedule.iter().any(joins),
+                rounds: 0,
+                rng: SmallRng::seed_from_u64(mix),
+                out: Vec::new(),
+                inbox: Vec::new(),
+                queue: VecDeque::new(),
+                knows: (tracking && participating(i)).then_some(initial),
+                marks: (None, None),
+            }
+        })
+        .collect();
+    // Checks one send against the model, in the model's order: size, then
+    // that the addressee exists, is up, and is known to the sender, then
+    // that every carried address is known to the sender. Returns where the
+    // message goes — a violating message is still delivered when physically
+    // possible (the policy decides whether the run survives the violation)
+    // — and the first rule it broke, if any.
+    let check = |env: &WireEnvelope, sender: &Node<P>, nodes: &[Node<P>]| {
+        let (words, addrs) = (env.msg.word_count(), env.msg.addr_count());
+        let exists = index_of.get(&env.dst).copied();
+        let dst = exists.filter(|&i| nodes[i].up());
+        let known = sender.knows.as_ref();
+        let knows = |id: NodeId| known.is_none_or(|known| known.contains(&id));
+        let unknown = env.msg.addrs_slice().iter().find(|&&a| !knows(a));
+        let broken = if words > config.max_words || addrs > config.max_addrs {
+            Some(ViolationKind::MessageTooLarge { words, addrs })
+        } else if exists.is_none() {
+            Some(ViolationKind::NoSuchNode { dst: env.dst })
+        } else if dst.is_none() {
+            Some(ViolationKind::DeadRecipient { dst: env.dst })
+        } else if !knows(env.dst) {
+            Some(ViolationKind::UnknownAddressee { dst: env.dst })
+        } else {
+            unknown.map(|&carried| ViolationKind::UnknownCarriedAddress { carried })
+        };
+        (dst, broken)
+    };
+    let mut live = k;
+    let mut metrics = RunMetrics {
+        capacity: cap,
+        ..RunMetrics::default()
+    };
+    let mut emitter = Emitter::new(sink);
+    while live > 0 {
+        let round = metrics.rounds;
+        let violation = |node: NodeId, kind: ViolationKind| Violation { round, node, kind };
+        // --- Churn, before the step: recoveries and joins due now. ---
+        for event in schedule {
+            let (node, joined) = match *event {
+                CrashRecover { node, recover, .. } if recover == round => (node, false),
+                Join { node, round: at } if at == round => (node, true),
+                _ => continue,
+            };
+            if nodes[node].proto.is_some() && nodes[node].parked {
+                nodes[node].parked = false;
+                emitter.emit(match joined {
+                    true => RunEvent::NodeJoined { round, node },
+                    false => RunEvent::NodeRecovered { round, node },
+                });
+            }
+        }
+        // --- Step every live node, in path order. ---
+        for node in nodes.iter_mut().filter(|node| node.up()) {
+            node.out.clear();
+            node.marks = (None, None);
+            let mut ctx = RoundCtx {
+                id: node.id,
+                n,
+                participants: k,
+                capacity: cap,
+                model: config.model,
+                initial_successor: node.succ,
+                all_ids: all_ids.as_deref().map(Vec::as_slice),
+                round: node.rounds,
+                rng: &mut node.rng,
+                inbox: &node.inbox,
+                out: &mut node.out,
+                resolver: net.resolver(),
+                dense_of: None,
+                phase_mark: &mut node.marks.0,
+                stage_mark: &mut node.marks.1,
+            };
+            let proto = node.proto.as_mut().expect("up nodes run a protocol");
+            match std::panic::catch_unwind(AssertUnwindSafe(|| proto.step(&mut ctx))) {
+                Ok(Status::Continue) => node.rounds += 1,
+                Ok(Status::Done(output)) => {
+                    node.output = Some(output);
+                    node.proto = None;
+                    live -= 1;
+                }
+                Err(payload) => {
+                    let (node, message) = (node.id, panic_message(payload.as_ref()));
+                    return Err(SimError::NodePanic { node, message });
+                }
+            }
+        }
+        // Only a node that is still up takes part in the rest of the round:
+        // whatever a node staged or marked in its last step is discarded.
+        // Marks go out in path order; the emitter narrates changes only.
+        for node in nodes.iter().filter(|node| node.up()) {
+            emitter.emit_marks(round, node.marks.0, node.marks.1);
+        }
+        // --- Churn, after the step: crashes due now. The node has stepped
+        // this round; a crash-stop ends it, a crash-recovery parks it.
+        for event in schedule {
+            let (node, stop) = match *event {
+                CrashStop { node, round: at } if at == round => (node, true),
+                CrashRecover { node, crash, .. } if crash == round => (node, false),
+                _ => continue,
+            };
+            let crashed = &mut nodes[node];
+            if crashed.up() {
+                crashed.parked = !stop;
+                if stop {
+                    crashed.proto = None;
+                    live -= 1;
+                }
+                emitter.emit(RunEvent::NodeCrashed { round, node });
+            }
+        }
+        // The run ends with its last node, without narrating this round.
+        if live == 0 {
+            break;
+        }
+        // --- Route: check every send in source order; the round's
+        // arrivals collect in the destination's (now consumed) inbox. ---
+        nodes.iter_mut().for_each(|node| node.inbox.clear());
+        let senders: Vec<usize> = (0..n).filter(|&i| nodes[i].up()).collect();
+        for src in senders {
+            let out = std::mem::take(&mut nodes[src].out);
+            for env in &out {
+                let (dst, broken) = check(env, &nodes[src], &nodes);
+                if let Some(kind) = broken {
+                    metrics.record_violation(strict, violation(env.src, kind))?;
+                }
+                if let Some(dst) = dst {
+                    nodes[dst].inbox.push(*env);
+                }
+            }
+            let sent = out.len();
+            if sent > cap {
+                let kind = ViolationKind::SendCapacity { sent, cap };
+                metrics.record_violation(strict, violation(nodes[src].id, kind))?;
+            }
+            metrics.max_sent_per_round = metrics.max_sent_per_round.max(sent);
+        }
+        // --- Scenario message faults: one RNG per round, consumed over
+        // the arrivals in ascending destination order, source order within.
+        let faults = windows.as_ref().map(|w| (w.at(round), w.rng(round)));
+        if let Some((faults, mut rng)) = faults.filter(|(faults, _)| faults.active()) {
+            let (mut dropped, mut duplicated, mut reordered) = (0, 0, 0);
+            for node in nodes.iter_mut() {
+                for env in std::mem::take(&mut node.inbox) {
+                    if faults.drop_rate > 0.0 && rng.gen_bool(faults.drop_rate) {
+                        dropped += 1;
+                        continue;
+                    }
+                    node.inbox.push(env);
+                    if faults.dup_rate > 0.0 && rng.gen_bool(faults.dup_rate) {
+                        duplicated += 1;
+                        node.inbox.push(env);
+                    }
+                }
+                if faults.reorder && node.inbox.len() > 1 {
+                    node.inbox.shuffle(&mut rng);
+                    reordered += 1;
+                }
+            }
+            if dropped + duplicated + reordered > 0 {
+                emitter.emit(RunEvent::FaultInjected {
+                    round,
+                    dropped,
+                    duplicated,
+                    reordered,
+                });
+            }
+        }
+        // --- Deliver. What survived the faults is the round's traffic.
+        // Queue policy: arrivals join the node's FIFO and at most `cap`
+        // are handed over (none to a parked node); a dead node's queue
+        // keeps draining. Otherwise everything is handed over and
+        // overshoot is a violation. A delivery reveals its sender and
+        // every address it carries; what is handed to a dead node is lost.
+        let mut delivered = 0;
+        for node in nodes.iter_mut() {
+            delivered += node.inbox.len() as u64;
+            let words = node.inbox.iter().map(|env| env.msg.size_words() as u64);
+            metrics.words += words.sum::<u64>();
+            if queueing {
+                node.queue.extend(node.inbox.drain(..));
+                let take = node.queue.len().min(if node.parked { 0 } else { cap });
+                node.inbox.extend(node.queue.drain(..take));
+                metrics.max_queue_len = metrics.max_queue_len.max(node.queue.len());
+            }
+            let received = node.inbox.len();
+            if received > cap {
+                let kind = ViolationKind::ReceiveCapacity { received, cap };
+                metrics.record_violation(strict, violation(node.id, kind))?;
+            }
+            metrics.max_received_per_round = metrics.max_received_per_round.max(received);
+            if let Some(known) = node.knows.as_mut() {
+                for env in &node.inbox {
+                    known.insert(env.src);
+                    known.extend(env.msg.addrs_slice());
+                }
+            }
+            if node.proto.is_none() {
+                metrics.undelivered += received as u64;
+                node.inbox.clear();
+            }
+        }
+        metrics.record_round(delivered);
+        emitter.emit(RunEvent::RoundCompleted {
+            round,
+            delivered,
+            live,
+            route_mode: RouteMode::Unspecified,
+        });
+        if metrics.rounds > config.max_rounds {
+            let limit = config.max_rounds;
+            return Err(SimError::RoundLimitExceeded { limit });
+        }
+    }
+    // Undrained queues mean some protocol stopped listening too early.
+    let queued = nodes.iter().map(|node| node.queue.len() as u64);
+    metrics.undelivered += queued.sum::<u64>();
+    let knowledge = nodes.iter().filter_map(|node| node.knows.as_ref());
+    metrics.max_knowledge = knowledge.map(BTreeSet::len).max().unwrap_or(0);
+    let (rounds, messages) = (metrics.rounds, metrics.messages);
+    emitter.emit(RunEvent::Done { rounds, messages });
+    metrics.phase_rounds = emitter.recorder.phase_rounds();
+    let engine = emitter.recorder.engine_stats();
+    let finished = |node: Node<P>| node.output.map(|output| (node.id, output));
+    Ok(RunResult {
+        outputs: nodes.into_iter().filter_map(finished).collect(),
+        metrics,
+        engine,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{
+        tags, CapacityPolicy, Config, EngineKind, Network, NodeId, NodeProtocol, RoundCtx,
+        RunResult, SimError, Status, ViolationKind, WireMsg,
+    };
+
+    /// Sends the scripted `(round, to, carrying)` messages, then retires
+    /// at round `until` with the number of messages it received.
+    struct Script {
+        sends: Vec<(u64, NodeId, Option<NodeId>)>,
+        until: u64,
+        received: usize,
+    }
+
+    impl NodeProtocol for Script {
+        type Output = usize;
+
+        fn step(&mut self, ctx: &mut RoundCtx<'_>) -> Status<usize> {
+            self.received += ctx.inbox().len();
+            if ctx.round() >= self.until {
+                return Status::Done(self.received);
+            }
+            let round = ctx.round();
+            for &(_, to, carrying) in self.sends.iter().filter(|s| s.0 == round) {
+                let msg = WireMsg::signal(tags::GENERIC);
+                ctx.send(to, carrying.map_or(msg, |a| msg.with_addr(a)));
+            }
+            Status::Continue
+        }
+    }
+
+    /// Runs one script per node (by path position) on both engines,
+    /// asserting they agree on the result or on the error's text.
+    fn both_engines(
+        n: usize,
+        config: Config,
+        script: impl Fn(usize, &[NodeId]) -> (Vec<(u64, NodeId, Option<NodeId>)>, u64) + Sync,
+    ) -> Result<RunResult<usize>, SimError> {
+        let net = Network::new(n, config);
+        let ids = net.ids_in_path_order().to_vec();
+        let run = |engine| {
+            net.run_protocol_on(engine, None, None, |seed| {
+                let position = ids.iter().position(|&id| id == seed.id).unwrap();
+                let (sends, until) = script(position, &ids);
+                Script {
+                    sends,
+                    until,
+                    received: 0,
+                }
+            })
+        };
+        let (reference, batched) = (run(EngineKind::Reference), run(EngineKind::Batched));
+        match (&reference, &batched) {
+            (Ok(r), Ok(b)) => {
+                assert_eq!(r.outputs, b.outputs);
+                assert_eq!(r.metrics, b.metrics);
+            }
+            (Err(r), Err(b)) => assert_eq!(r.to_string(), b.to_string()),
+            _ => panic!("one engine failed, the other did not"),
+        }
+        reference
+    }
+
+    #[test]
+    fn kt0_violations_are_blamed_identically_with_tracking_on() {
+        // The tail knows only itself. Round 0: it writes to the head — an
+        // unknown addressee, delivered all the same under `Record`, which
+        // teaches the head the tail's ID. Round 1: the head carries that
+        // ID to its successor (now legal), while position 1 carries it to
+        // *its* successor without ever having learned it.
+        let mut config = Config::ncc0(3);
+        config.capacity_policy = CapacityPolicy::Record;
+        let result = both_engines(4, config, |position, ids| {
+            let sends = match position {
+                3 => vec![(0, ids[0], None)],
+                0 => vec![(1, ids[1], Some(ids[3]))],
+                1 => vec![(1, ids[2], Some(ids[3]))],
+                _ => vec![],
+            };
+            (sends, 3)
+        })
+        .unwrap();
+        let violations = &result.metrics.violations;
+        assert_eq!(violations.unknown_addressee, 1);
+        assert_eq!(violations.unknown_carried, 1);
+        let ids: Vec<NodeId> = result.gk_order();
+        let blamed: Vec<(u64, NodeId)> = result
+            .metrics
+            .violation_samples
+            .iter()
+            .map(|v| (v.round, v.node))
+            .collect();
+        assert_eq!(blamed, vec![(0, ids[3]), (1, ids[1])]);
+        assert!(matches!(
+            result.metrics.violation_samples[1].kind,
+            ViolationKind::UnknownCarriedAddress { carried } if carried == ids[3]
+        ));
+        // Position 1 ends up knowing everyone: itself, its successor, the
+        // head (a sender) and the tail (an address the head carried).
+        assert_eq!(result.metrics.max_knowledge, 4);
+    }
+
+    #[test]
+    fn queue_backlog_of_a_retired_node_counts_as_undelivered() {
+        // Everyone writes to the head in round 0; the head retires after
+        // two deliveries of `cap` each, the rest of its queue is lost.
+        let mut config = Config::ncc0(5).with_queueing();
+        config.track_knowledge = false;
+        let n = 40;
+        let cap = config.capacity(n);
+        let result = both_engines(n, config, |position, ids| match position {
+            0 => (vec![], 2),
+            _ => (vec![(0, ids[0], None)], 6),
+        })
+        .unwrap();
+        let sent = n - 1;
+        assert_eq!(result.outputs[0].1, 2 * cap, "two rounds of `cap` each");
+        assert_eq!(result.metrics.undelivered, (sent - 2 * cap) as u64);
+        assert_eq!(result.metrics.max_queue_len, sent - cap);
+        assert_eq!(result.metrics.max_received_per_round, cap);
+    }
+
+    #[test]
+    fn strict_abort_returns_the_same_violation_record() {
+        // Two violations in one round; the run must die on the first in
+        // source order — position 1's, not position 2's.
+        let err = both_engines(4, Config::ncc0(9), |position, ids| match position {
+            1 | 2 => (vec![(0, ids[0], None)], 2),
+            _ => (vec![], 2),
+        })
+        .unwrap_err();
+        let net = Network::new(4, Config::ncc0(9));
+        match err {
+            SimError::Violation(v) => {
+                assert_eq!((v.round, v.node), (0, net.ids_in_path_order()[1]));
+                assert!(matches!(v.kind, ViolationKind::UnknownAddressee { .. }));
+            }
+            other => panic!("expected a violation, got {other}"),
+        }
+    }
+}

@@ -293,17 +293,14 @@ impl Scenario {
     /// indices. Produces the sorted churn timelines and the message-fault
     /// windows the runtime walks with O(1) per-round cursors.
     pub(crate) fn compile(&self, dense_of: impl Fn(usize) -> u32) -> CompiledScenario {
-        let mut drops = Vec::new();
-        let mut dups = Vec::new();
-        let mut reorders = Vec::new();
         let mut pre = Vec::new();
         let mut post = Vec::new();
         let mut join_dense = Vec::new();
         for event in &self.events {
             match *event {
-                ScenarioEvent::Drop { from, to, rate } => drops.push((from, to, rate)),
-                ScenarioEvent::Duplicate { from, to, rate } => dups.push((from, to, rate)),
-                ScenarioEvent::Reorder { from, to } => reorders.push((from, to)),
+                ScenarioEvent::Drop { .. }
+                | ScenarioEvent::Duplicate { .. }
+                | ScenarioEvent::Reorder { .. } => {}
                 ScenarioEvent::CrashStop { node, round } => post.push(ChurnOp {
                     round,
                     dense: dense_of(node),
@@ -348,14 +345,89 @@ impl Scenario {
         join_dense.sort_unstable();
         join_dense.dedup();
         CompiledScenario {
-            seed: self.seed,
-            drops,
-            dups,
-            reorders,
+            windows: self.fault_windows(),
             pre,
             post,
             join_dense,
         }
+    }
+
+    /// The message-fault windows of the schedule (see [`FaultWindows`]).
+    pub(crate) fn fault_windows(&self) -> FaultWindows {
+        let mut windows = FaultWindows {
+            seed: self.seed,
+            drops: Vec::new(),
+            dups: Vec::new(),
+            reorders: Vec::new(),
+        };
+        for event in &self.events {
+            match *event {
+                ScenarioEvent::Drop { from, to, rate } => windows.drops.push((from, to, rate)),
+                ScenarioEvent::Duplicate { from, to, rate } => windows.dups.push((from, to, rate)),
+                ScenarioEvent::Reorder { from, to } => windows.reorders.push((from, to)),
+                _ => {}
+            }
+        }
+        windows
+    }
+}
+
+/// The message-fault half of a schedule, and the one piece of scenario
+/// logic the batched executor and the reference interpreter share: which
+/// rates apply in a round, and the RNG that round's faults are drawn
+/// from. How the faults are *applied* to a round's traffic is written
+/// separately in each engine.
+#[derive(Clone, Debug)]
+pub(crate) struct FaultWindows {
+    seed: u64,
+    drops: Vec<(u64, u64, f64)>,
+    dups: Vec<(u64, u64, f64)>,
+    reorders: Vec<(u64, u64)>,
+}
+
+/// The message-fault rates in force for one round (0 outside windows;
+/// overlapping windows take the strongest rate).
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct RoundFaults {
+    pub(crate) drop_rate: f64,
+    pub(crate) dup_rate: f64,
+    pub(crate) reorder: bool,
+}
+
+impl RoundFaults {
+    /// True when the round has any message fault scheduled.
+    pub(crate) fn active(&self) -> bool {
+        self.drop_rate > 0.0 || self.dup_rate > 0.0 || self.reorder
+    }
+}
+
+impl FaultWindows {
+    /// Resolves the rates in force at `round`.
+    pub(crate) fn at(&self, round: u64) -> RoundFaults {
+        let strongest = |windows: &[(u64, u64, f64)]| {
+            windows
+                .iter()
+                .filter(|&&(from, to, _)| (from..=to).contains(&round))
+                .fold(0.0f64, |acc, &(_, _, rate)| acc.max(rate))
+        };
+        RoundFaults {
+            drop_rate: strongest(&self.drops),
+            dup_rate: strongest(&self.dups),
+            reorder: self
+                .reorders
+                .iter()
+                .any(|&(from, to)| (from..=to).contains(&round)),
+        }
+    }
+
+    /// The fault RNG of `round`: a pure function of `(scenario seed,
+    /// round)`, so a round's faults do not depend on how much randomness
+    /// earlier rounds consumed.
+    pub(crate) fn rng(&self, round: u64) -> SmallRng {
+        SmallRng::seed_from_u64(
+            self.seed
+                .wrapping_add(round.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        )
     }
 }
 
@@ -405,10 +477,7 @@ impl FaultTally {
 /// The compiled, immutable form of a schedule.
 #[derive(Clone, Debug)]
 pub(crate) struct CompiledScenario {
-    seed: u64,
-    drops: Vec<(u64, u64, f64)>,
-    dups: Vec<(u64, u64, f64)>,
-    reorders: Vec<(u64, u64)>,
+    windows: FaultWindows,
     /// Pre-step ops (recover, join), sorted by round.
     pre: Vec<ChurnOp>,
     /// Post-step ops (crash-stop, crash-pause), sorted by round.
@@ -430,24 +499,20 @@ pub(crate) struct ScenarioRt {
     arena: Vec<WireEnvelope>,
     pre_cursor: usize,
     post_cursor: usize,
-    /// Effective rates for the current round (0 outside windows).
-    drop_rate: f64,
-    dup_rate: f64,
-    reorder: bool,
+    /// Effective rates for the current round.
+    faults: RoundFaults,
     tally: FaultTally,
 }
 
 impl ScenarioRt {
     pub(crate) fn new(compiled: CompiledScenario) -> Self {
         ScenarioRt {
-            rng: SmallRng::seed_from_u64(compiled.seed),
+            rng: compiled.windows.rng(0),
             compiled,
             arena: Vec::new(),
             pre_cursor: 0,
             post_cursor: 0,
-            drop_rate: 0.0,
-            dup_rate: 0.0,
-            reorder: false,
+            faults: RoundFaults::default(),
             tally: FaultTally::default(),
         }
     }
@@ -463,32 +528,16 @@ impl ScenarioRt {
     /// nor (later) the arena, keeping them bit-identical to a
     /// scenario-free engine.
     pub(crate) fn begin_round(&mut self, round: u64) {
-        let strongest = |windows: &[(u64, u64, f64)]| {
-            windows
-                .iter()
-                .filter(|&&(from, to, _)| (from..=to).contains(&round))
-                .fold(0.0f64, |acc, &(_, _, rate)| acc.max(rate))
-        };
-        self.drop_rate = strongest(&self.compiled.drops);
-        self.dup_rate = strongest(&self.compiled.dups);
-        self.reorder = self
-            .compiled
-            .reorders
-            .iter()
-            .any(|&(from, to)| (from..=to).contains(&round));
+        self.faults = self.compiled.windows.at(round);
         self.tally = FaultTally::default();
         if self.faults_active() {
-            self.rng = SmallRng::seed_from_u64(
-                self.compiled
-                    .seed
-                    .wrapping_add(round.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            );
+            self.rng = self.compiled.windows.rng(round);
         }
     }
 
     /// True when the current round has any message fault scheduled.
     pub(crate) fn faults_active(&self) -> bool {
-        self.drop_rate > 0.0 || self.dup_rate > 0.0 || self.reorder
+        self.faults.active()
     }
 
     /// Pre-step churn ops scheduled for `round` (recoveries, joins).
@@ -536,20 +585,20 @@ impl ScenarioRt {
         for i in live {
             let new_start = self.arena.len();
             for &env in buffers.bucket(i) {
-                if self.drop_rate > 0.0 && self.rng.gen_bool(self.drop_rate) {
+                if self.faults.drop_rate > 0.0 && self.rng.gen_bool(self.faults.drop_rate) {
                     self.tally.dropped += 1;
                     self.tally.words_removed += env.msg.size_words() as u64;
                     continue;
                 }
                 self.arena.push(env);
-                if self.dup_rate > 0.0 && self.rng.gen_bool(self.dup_rate) {
+                if self.faults.dup_rate > 0.0 && self.rng.gen_bool(self.faults.dup_rate) {
                     self.tally.duplicated += 1;
                     self.tally.words_added += env.msg.size_words() as u64;
                     self.arena.push(env);
                 }
             }
             let new_count = self.arena.len() - new_start;
-            if self.reorder && new_count > 1 {
+            if self.faults.reorder && new_count > 1 {
                 self.arena[new_start..].shuffle(&mut self.rng);
                 self.tally.reordered += 1;
             }
@@ -718,7 +767,7 @@ mod tests {
         assert!(!rt.faults_active());
         rt.begin_round(5);
         assert!(rt.faults_active());
-        assert_eq!(rt.drop_rate, 1.0);
+        assert_eq!(rt.faults.drop_rate, 1.0);
     }
 
     #[test]
@@ -728,8 +777,8 @@ mod tests {
             .drop_messages(5..=6, 0.9);
         let mut rt = ScenarioRt::new(s.compile(|n| n as u32));
         rt.begin_round(5);
-        assert_eq!(rt.drop_rate, 0.9);
+        assert_eq!(rt.faults.drop_rate, 0.9);
         rt.begin_round(7);
-        assert_eq!(rt.drop_rate, 0.1);
+        assert_eq!(rt.faults.drop_rate, 0.1);
     }
 }

@@ -2,8 +2,49 @@
 // Each test binary compiles this module separately and uses a subset.
 #![allow(dead_code)]
 
-use dgr_ncc::{NodeId, NodeProtocol, NodeSeed, RoundCtx, Status, WireMsg};
+use dgr_ncc::event::semantic_stream;
+use dgr_ncc::{
+    EngineKind, Network, NodeId, NodeProtocol, NodeSeed, Recording, RoundCtx, RunEvent, RunResult,
+    Status, WireMsg,
+};
 use rand::Rng;
+
+/// The oracle check every differential suite shares: runs `factory` on
+/// the reference interpreter over the same network (and mask) and holds
+/// a batched run to it — same outputs, bit-identical `RunMetrics`, the
+/// same semantic event stream. Returns the reference run.
+pub fn assert_matches_reference<P, F>(
+    net: &Network,
+    mask: Option<&[bool]>,
+    batched: &RunResult<P::Output>,
+    batched_events: &[RunEvent],
+    factory: F,
+    what: &str,
+) -> RunResult<P::Output>
+where
+    P: NodeProtocol,
+    P::Output: PartialEq + std::fmt::Debug,
+    F: Fn(&NodeSeed<'_>) -> P + Send + Sync,
+{
+    let mut events = Recording::new();
+    let reference = net
+        .run_protocol_on(EngineKind::Reference, mask, Some(&mut events), factory)
+        .unwrap();
+    assert_eq!(
+        batched.outputs, reference.outputs,
+        "{what}: outputs diverge from the reference interpreter"
+    );
+    assert_eq!(
+        batched.metrics, reference.metrics,
+        "{what}: metrics diverge from the reference interpreter"
+    );
+    assert_eq!(
+        semantic_stream(batched_events),
+        semantic_stream(&events.events()),
+        "{what}: semantic event streams diverge from the reference interpreter"
+    );
+    reference
+}
 
 /// The shard count the default layout derives for an unmasked `n`-node
 /// run on `workers` workers (`Config::shards` = 0).

@@ -80,39 +80,27 @@ fn compaction_is_transcript_invariant_across_worker_counts() {
 /// Queue policy: retiring nodes leave backlog behind; the compacted
 /// engine must keep draining those queues (undelivered accounting,
 /// max-queue/max-received metrics) exactly as if the slots still existed.
-#[cfg(feature = "threaded")]
 #[test]
-fn queued_long_tail_compacts_and_matches_the_threaded_oracle() {
+fn queued_long_tail_compacts_and_matches_the_reference() {
     let batched = long_tail_run(1, true);
     assert!(
         batched.engine.compactions >= 2,
         "queued long tail should compact, got {}",
         batched.engine.compactions
     );
-    let mut config = Config::ncc0(2026).with_worker_threads(1);
-    config.capacity_policy = CapacityPolicy::Queue;
-    let net = Network::new(192, config);
-    let threaded = net
-        .run_protocol_threaded(|s| Gossip::new(s, 3, 192, 2))
-        .unwrap();
-    assert_eq!(batched.outputs, threaded.outputs, "transcripts diverge");
-    assert_eq!(batched.metrics, threaded.metrics, "metrics diverge");
+    let (reference, _) = long_tail_run_observed(EngineKind::Reference, 1, true);
+    assert_eq!(batched.outputs, reference.outputs, "transcripts diverge");
+    assert_eq!(batched.metrics, reference.metrics, "metrics diverge");
     // The oracle never compacts; the field must stay engine-specific.
-    assert_eq!(threaded.engine.compactions, 0);
+    assert_eq!(reference.engine.compactions, 0);
 }
 
-#[cfg(feature = "threaded")]
 #[test]
-fn record_long_tail_matches_the_threaded_oracle() {
+fn record_long_tail_matches_the_reference() {
     let batched = long_tail_run(1, false);
-    let mut config = Config::ncc0(2026).with_worker_threads(1);
-    config.capacity_policy = CapacityPolicy::Record;
-    let net = Network::new(192, config);
-    let threaded = net
-        .run_protocol_threaded(|s| Gossip::new(s, 3, 192, 2))
-        .unwrap();
-    assert_eq!(batched.outputs, threaded.outputs, "transcripts diverge");
-    assert_eq!(batched.metrics, threaded.metrics, "metrics diverge");
+    let (reference, _) = long_tail_run_observed(EngineKind::Reference, 1, false);
+    assert_eq!(batched.outputs, reference.outputs, "transcripts diverge");
+    assert_eq!(batched.metrics, reference.metrics, "metrics diverge");
 }
 
 /// A gossip round at n=192 never clears the dense-round threshold, so
@@ -174,18 +162,17 @@ fn event_stream_is_identical_across_worker_counts_and_narrates_compactions() {
     }
 }
 
-/// Batched (compacting) vs threaded (never compacting): the semantic
+/// Batched (compacting) vs reference (never compacting): the semantic
 /// projections of the streams must agree exactly — compaction is a
 /// memory-layout narration, not a semantic event — under both the
 /// record and queue policies.
-#[cfg(feature = "threaded")]
 #[test]
 fn event_streams_semantically_identical_across_engines_with_and_without_compaction() {
     for queue in [false, true] {
         let (batched, batched_events) = long_tail_run_observed(EngineKind::Batched, 1, queue);
-        let (threaded, threaded_events) = long_tail_run_observed(EngineKind::Threaded, 1, queue);
+        let (reference, reference_events) = long_tail_run_observed(EngineKind::Reference, 1, queue);
         assert!(batched.engine.compactions >= 2, "run must compact");
-        assert_eq!(threaded.engine.compactions, 0, "oracle never compacts");
+        assert_eq!(reference.engine.compactions, 0, "oracle never compacts");
         let batched_events = batched_events.events();
         assert!(
             batched_events
@@ -194,15 +181,15 @@ fn event_streams_semantically_identical_across_engines_with_and_without_compacti
             "batched stream must narrate its compactions"
         );
         assert!(
-            !threaded_events
+            !reference_events
                 .events()
                 .iter()
                 .any(|e| matches!(e, RunEvent::Compaction { .. })),
-            "threaded stream must not invent compactions"
+            "reference stream must not invent compactions"
         );
         assert_eq!(
             semantic_stream(&batched_events),
-            semantic_stream(&threaded_events.events()),
+            semantic_stream(&reference_events.events()),
             "semantic streams diverge (queue={queue})"
         );
     }

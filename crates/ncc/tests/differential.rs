@@ -1,14 +1,11 @@
-//! Differential tests: the batched executor and the threaded oracle must
-//! be observationally identical — same per-round deliveries (captured as
+//! Differential tests: the batched executor and the reference
+//! interpreter must be observationally identical — same per-round deliveries (captured as
 //! per-node transcript hashes over every received envelope), same
 //! outputs, and bit-identical [`RunMetrics`] — across models, capacity
 //! policies, ID assignments and staggered node lifetimes.
-#![cfg(feature = "threaded")]
-
 mod common;
 
-use common::{derived_shards, Gossip};
-use dgr_ncc::event::semantic_stream;
+use common::{assert_matches_reference, derived_shards, Gossip};
 use dgr_ncc::{CapacityPolicy, Config, EngineKind, Network, Recording, RunResult, SimError};
 
 /// Runs the same gossip configuration on both engines and asserts full
@@ -22,24 +19,13 @@ fn assert_engines_agree(n: usize, config: Config, base: u64, stagger: u64, fan: 
             Gossip::new(s, base, stagger, fan)
         })
         .unwrap();
-    let mut threaded_events = Recording::new();
-    let threaded: RunResult<u64> = net
-        .run_protocol_on(
-            EngineKind::Threaded,
-            None,
-            Some(&mut threaded_events),
-            |s| Gossip::new(s, base, stagger, fan),
-        )
-        .unwrap();
-    assert_eq!(
-        batched.outputs, threaded.outputs,
-        "per-node transcripts diverge (n={n})"
-    );
-    assert_eq!(batched.metrics, threaded.metrics, "metrics diverge (n={n})");
-    assert_eq!(
-        semantic_stream(&batched_events.events()),
-        semantic_stream(&threaded_events.events()),
-        "event streams diverge (n={n})"
+    assert_matches_reference(
+        &net,
+        None,
+        &batched,
+        &batched_events.events(),
+        |s| Gossip::new(s, base, stagger, fan),
+        &format!("n={n}"),
     );
 }
 
@@ -97,15 +83,17 @@ fn strict_violations_abort_both_engines_identically() {
     let config = Config::ncc0(11).with_capacity_factor(0.5);
     let net = Network::new(48, config);
     let run_b = net.run_protocol(|s| Gossip::new(s, 10, 0, 6));
-    let run_t = net.run_protocol_threaded(|s| Gossip::new(s, 10, 0, 6));
-    match (run_b, run_t) {
+    let run_r = net.run_protocol_on(EngineKind::Reference, None, None, |s| {
+        Gossip::new(s, 10, 0, 6)
+    });
+    match (run_b, run_r) {
         (Err(SimError::Violation(a)), Err(SimError::Violation(b))) => {
             assert_eq!(a, b, "engines blame different violations");
         }
-        (b, t) => panic!(
-            "expected strict violations from both engines, got batched={:?} threaded={:?}",
+        (b, r) => panic!(
+            "expected strict violations from both engines, got batched={:?} reference={:?}",
             b.map(|r| r.metrics.rounds),
-            t.map(|r| r.metrics.rounds),
+            r.map(|r| r.metrics.rounds),
         ),
     }
 }
@@ -128,6 +116,15 @@ fn assert_worker_matrix(n: usize, config: &Config, base: u64, stagger: u64, fan:
         (result, events.events().to_vec())
     };
     let (result_1, events_1) = run(1);
+    // Every cell is held to the one-worker run, and that run to the oracle.
+    assert_matches_reference(
+        &Network::new(n, config.clone()),
+        None,
+        &result_1,
+        &events_1,
+        |s| Gossip::new(s, base, stagger, fan),
+        &format!("worker matrix n={n}"),
+    );
     for workers in [2, 8] {
         let (result_w, events_w) = run(workers);
         assert_eq!(
@@ -192,12 +189,12 @@ fn strict_abort_blames_the_same_violation_at_every_worker_count() {
     // violations in slot order and the journals replay in shard order (=
     // dense slot order), so the aborting violation must be the canonical
     // first one regardless of how the node space was partitioned.
-    let run = |workers: usize| {
+    let run = |engine: EngineKind, workers: usize| {
         let config = Config::ncc0(74)
             .with_capacity_factor(0.5)
             .with_worker_threads(workers);
         let net = Network::new(6_000, config);
-        match net.run_protocol(|s| Gossip::new(s, 10, 0, 6)) {
+        match net.run_protocol_on(engine, None, None, |s| Gossip::new(s, 10, 0, 6)) {
             Err(SimError::Violation(v)) => v,
             other => panic!(
                 "expected a strict violation, got {:?}",
@@ -205,11 +202,11 @@ fn strict_abort_blames_the_same_violation_at_every_worker_count() {
             ),
         }
     };
-    let first = run(1);
-    for workers in [2, 8] {
+    let first = run(EngineKind::Reference, 1);
+    for workers in [1, 2, 8] {
         assert_eq!(
             first,
-            run(workers),
+            run(EngineKind::Batched, workers),
             "canonical first violation diverges at {workers} workers"
         );
     }
@@ -235,16 +232,27 @@ fn worker_matrix_at_n_100k() {
 
 #[test]
 fn masked_participants_agree_with_full_run_shape() {
-    // A masked batched run must produce a clean sub-network transcript;
-    // the threaded engine has no masked protocol entry, so check the
-    // batched run against the structural expectations instead.
+    // A masked batched run must produce a clean sub-network transcript:
+    // the reference interpreter's over the same mask, and the structural
+    // expectations below.
     let mut config = Config::ncc0(17);
     config.capacity_policy = CapacityPolicy::Record;
     let net = Network::new(30, config);
     let mask: Vec<bool> = (0..30).map(|i| i % 3 != 1).collect();
+    let mut events = Recording::new();
     let result = net
-        .run_protocol_masked(&mask, |s| Gossip::new(s, 8, 0, 1))
+        .run_protocol_on(EngineKind::Batched, Some(&mask), Some(&mut events), |s| {
+            Gossip::new(s, 8, 0, 1)
+        })
         .unwrap();
+    assert_matches_reference(
+        &net,
+        Some(&mask),
+        &result,
+        &events.events(),
+        |s| Gossip::new(s, 8, 0, 1),
+        "masked",
+    );
     assert_eq!(result.outputs.len(), 20);
     // All traffic stayed within the participating sub-network.
     assert!(result.metrics.violations.bad_recipient == 0);

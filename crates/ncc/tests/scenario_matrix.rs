@@ -3,17 +3,60 @@
 //! the execution layout. A fixed schedule runs at shard counts
 //! derived/1/2/4 × worker counts 1/2/8 and the outputs, bit-identical [`RunMetrics`], and
 //! RAW event streams (fault and churn narration included) are held equal
-//! to the 1-shard/1-worker baseline. The suite also pins the two identity
-//! contracts: an empty schedule is bit-identical to a scenario-free run,
-//! and a scheduled crash-stop is transcript-identical to the same node
-//! dying voluntarily in the same round.
+//! to the 1-shard/1-worker baseline — and that baseline to the
+//! **reference interpreter**, which applies the same schedule with a
+//! fault pass and churn rules of its own: outputs, metrics, the raw fault
+//! and churn counters and the semantic event stream must agree. The
+//! suite also pins the two identity contracts: an empty schedule is
+//! bit-identical to a scenario-free run, and a scheduled crash-stop is
+//! transcript-identical to the same node dying voluntarily in the same
+//! round.
 
 mod common;
 
-use common::Gossip;
+use common::{assert_matches_reference, Gossip};
 use dgr_ncc::{
-    CapacityPolicy, Config, EngineKind, Network, Recording, RunEvent, RunResult, Scenario, SimError,
+    CapacityPolicy, Config, EngineKind, EngineStats, Network, Recording, RunEvent, RunResult,
+    Scenario, SimError,
 };
+
+/// The scenario counters of a run, as the event stream folded them.
+fn fault_counters(stats: &EngineStats) -> [u64; 6] {
+    [
+        stats.faults_dropped,
+        stats.faults_duplicated,
+        stats.faults_reordered,
+        stats.crashes,
+        stats.recoveries,
+        stats.joins,
+    ]
+}
+
+/// Holds a batched scenario run to the reference interpreter under the
+/// same schedule: everything `assert_matches_reference` compares, plus
+/// the raw fault and churn counters.
+fn assert_scenario_matches_reference(
+    n: usize,
+    config: &Config,
+    batched: &RunResult<u64>,
+    batched_events: &[RunEvent],
+    gossip: (u64, u64, usize),
+) {
+    let (base, stagger, fan) = gossip;
+    let reference = assert_matches_reference(
+        &Network::new(n, config.clone()),
+        None,
+        batched,
+        batched_events,
+        |s| Gossip::new(s, base, stagger, fan),
+        &format!("scenario n={n}"),
+    );
+    assert_eq!(
+        fault_counters(&batched.engine),
+        fault_counters(&reference.engine),
+        "fault and churn counters diverge from the reference interpreter (n={n})"
+    );
+}
 
 /// `0` = the derived count (the default).
 const SHARDS: [usize; 3] = [0, 2, 4];
@@ -48,6 +91,15 @@ fn assert_scenario_matrix(
         (result, events.events().to_vec())
     };
     let (result_1, events_1) = run(1, 1);
+    // The oracle column: every cell equals the baseline, the baseline
+    // equals the reference interpreter.
+    assert_scenario_matches_reference(
+        n,
+        &config.clone().with_scenario(scenario.clone()),
+        &result_1,
+        &events_1,
+        (base, stagger, fan),
+    );
     for shards in SHARDS {
         for workers in WORKERS {
             let (result_s, events_s) = run(shards, workers);
@@ -106,6 +158,35 @@ fn scenario_matrix_full_schedule_queue_tracked() {
     // normally (the run completes under fire — Gossip is lifetime-driven
     // and tolerates lost traffic).
     assert_eq!(result.outputs.len(), 3_999);
+}
+
+/// One fault family per row, each through the whole workers × shards
+/// matrix and against the oracle — so a disagreement names the family.
+#[test]
+fn scenario_matrix_one_fault_family_per_row() {
+    let mut config = Config::ncc0(98);
+    config.capacity_policy = CapacityPolicy::Queue;
+    let rows = [
+        ("drop", Scenario::new(11).drop_messages(1..=8, 0.05)),
+        (
+            "duplicate",
+            Scenario::new(12).duplicate_messages(0..=9, 0.05),
+        ),
+        ("reorder", Scenario::new(13).reorder(2..=7)),
+        ("crash-stop", Scenario::new(14).crash(5, 3).crash(900, 7)),
+        (
+            "crash-recover",
+            Scenario::new(15)
+                .crash_recover(8, 2, 6)
+                .crash_recover(1_200, 4, 5),
+        ),
+        ("join", Scenario::new(16).join(3, 4).join(700, 9)),
+    ];
+    for (family, scenario) in rows {
+        let (result, _) = assert_scenario_matrix(2_500, &config, &scenario, 12, 0, 3);
+        let fired: u64 = fault_counters(&result.engine).iter().sum();
+        assert!(fired > 0, "{family} schedule never fired");
+    }
 }
 
 #[test]
@@ -176,7 +257,8 @@ fn crash_stop_matches_the_voluntary_death_transcript() {
     for (pos, &id) in net.ids_in_path_order().iter().enumerate() {
         scenario = scenario.crash(pos, base + id % stagger);
     }
-    let net = Network::new(n, config.with_scenario(scenario));
+    let crash_config = config.with_scenario(scenario);
+    let net = Network::new(n, crash_config.clone());
     let mut crashed_events = Recording::new();
     let crashed: RunResult<u64> = net
         .run_protocol_on(EngineKind::Batched, None, Some(&mut crashed_events), |s| {
@@ -199,48 +281,37 @@ fn crash_stop_matches_the_voluntary_death_transcript() {
     assert_eq!(voluntary.outputs.len(), n);
     assert!(crashed.outputs.is_empty());
     assert_eq!(crashed.engine.crashes, n as u64);
+    // The same identity on the oracle's own crash rule.
+    assert_scenario_matches_reference(
+        n,
+        &crash_config,
+        &crashed,
+        &crashed_events.events(),
+        (u64::MAX, 0, fan),
+    );
 }
 
 #[test]
-fn scenarios_reject_the_threaded_oracle() {
-    let config = Config::ncc0(94).with_scenario(Scenario::new(1).drop_messages(0..=5, 0.1));
-    let net = Network::new(64, config);
-    match net.run_protocol_threaded(|s| Gossip::new(s, 5, 0, 1)) {
-        Err(SimError::InvalidScenario(why)) => {
-            assert!(why.contains("threaded oracle"), "unhelpful message: {why}")
+fn invalid_schedules_are_rejected_before_setup_by_both_engines() {
+    let rejection = |config: Config, engine: EngineKind| {
+        let net = Network::new(64, config);
+        match net.run_protocol_on(engine, None, None, |s| Gossip::new(s, 5, 0, 1)) {
+            Err(SimError::InvalidScenario(why)) => why,
+            other => panic!(
+                "expected InvalidScenario from {engine:?}, got {:?}",
+                other.map(|r| r.metrics.rounds)
+            ),
         }
-        other => panic!(
-            "expected InvalidScenario, got {:?}",
-            other.map(|r| r.metrics.rounds)
-        ),
-    }
-}
-
-#[test]
-fn invalid_schedules_are_rejected_before_setup() {
-    // Reorder without a FIFO queue to permute.
-    let config = Config::ncc0(95).with_scenario(Scenario::new(1).reorder(0..=5));
-    let net = Network::new(64, config);
-    match net.run_protocol(|s| Gossip::new(s, 5, 0, 1)) {
-        Err(SimError::InvalidScenario(why)) => {
-            assert!(why.contains("CapacityPolicy::Queue"), "message: {why}")
-        }
-        other => panic!(
-            "expected InvalidScenario, got {:?}",
-            other.map(|r| r.metrics.rounds)
-        ),
-    }
-    // Node outside the network.
-    let config = Config::ncc0(96).with_scenario(Scenario::new(1).crash(64, 3));
-    let net = Network::new(64, config);
-    match net.run_protocol(|s| Gossip::new(s, 5, 0, 1)) {
-        Err(SimError::InvalidScenario(why)) => {
-            assert!(why.contains("not a participant"), "message: {why}")
-        }
-        other => panic!(
-            "expected InvalidScenario, got {:?}",
-            other.map(|r| r.metrics.rounds)
-        ),
+    };
+    for engine in [EngineKind::Batched, EngineKind::Reference] {
+        // Reorder without a FIFO queue to permute.
+        let config = Config::ncc0(95).with_scenario(Scenario::new(1).reorder(0..=5));
+        let why = rejection(config, engine);
+        assert!(why.contains("CapacityPolicy::Queue"), "message: {why}");
+        // Node outside the network.
+        let config = Config::ncc0(96).with_scenario(Scenario::new(1).crash(64, 3));
+        let why = rejection(config, engine);
+        assert!(why.contains("not a participant"), "message: {why}");
     }
 }
 
@@ -257,7 +328,8 @@ fn gossip_certifies_under_one_percent_drop() {
     let scenario = Scenario::new(29)
         .drop_messages(0..=u64::MAX, 0.01)
         .duplicate_messages(0..=u64::MAX, 0.005);
-    let net = Network::new(4_000, config.with_scenario(scenario));
+    let drop_config = config.with_scenario(scenario);
+    let net = Network::new(4_000, drop_config.clone());
     let mut events = Recording::new();
     let result: RunResult<u64> = net
         .run_protocol_on(EngineKind::Batched, None, Some(&mut events), |s| {
@@ -279,4 +351,5 @@ fn gossip_certifies_under_one_percent_drop() {
         })
         .sum();
     assert_eq!(narrated, result.metrics.messages);
+    assert_scenario_matches_reference(4_000, &drop_config, &result, &events.events(), (12, 5, 3));
 }

@@ -3,12 +3,13 @@
 //! at shard counts derived/2/4 × worker counts 1/2/8 and the RAW event
 //! streams (route-mode narration included), outputs, and bit-identical
 //! [`RunMetrics`] are held equal to the 1-shard/1-worker baseline — the
-//! layout the worker-matrix and oracle differential suites
-//! (`differential.rs`) pin to the threaded engine.
+//! layout this suite, like the worker-matrix and oracle differential
+//! suites (`differential.rs`), pins to the reference interpreter: every
+//! cell equals the baseline, and the baseline equals the oracle.
 
 mod common;
 
-use common::{derived_shards, Gossip};
+use common::{assert_matches_reference, derived_shards, Gossip};
 use dgr_ncc::{CapacityPolicy, Config, EngineKind, Network, Recording, RunResult, SimError};
 
 /// `0` = the derived count (the default).
@@ -39,6 +40,14 @@ fn assert_shard_matrix(n: usize, config: &Config, base: u64, stagger: u64, fan: 
     assert_eq!(result_1.engine.shards, 1, "baseline is one shard");
     assert_eq!(result_1.engine.shard_windows, vec![n]);
     assert_eq!(result_1.engine.cross_shard_messages, 0);
+    assert_matches_reference(
+        &Network::new(n, config.clone()),
+        None,
+        &result_1,
+        &events_1,
+        |s| Gossip::new(s, base, stagger, fan),
+        &format!("shard matrix n={n}"),
+    );
     for shards in SHARDS {
         for workers in WORKERS {
             let (result_s, events_s) = run(shards, workers);
@@ -109,13 +118,13 @@ fn strict_abort_blames_the_same_violation_at_every_shard_count() {
     // slot order and the coordinator replays the journals in shard order,
     // so the aborting violation must be the canonical first one no matter
     // how ownership was partitioned.
-    let run = |shards: usize, workers: usize| {
+    let run = |engine: EngineKind, shards: usize, workers: usize| {
         let config = Config::ncc0(74)
             .with_capacity_factor(0.5)
             .with_shards(shards)
             .with_worker_threads(workers);
         let net = Network::new(6_000, config);
-        match net.run_protocol(|s| Gossip::new(s, 10, 0, 6)) {
+        match net.run_protocol_on(engine, None, None, |s| Gossip::new(s, 10, 0, 6)) {
             Err(SimError::Violation(v)) => v,
             other => panic!(
                 "expected a strict violation, got {:?}",
@@ -123,12 +132,13 @@ fn strict_abort_blames_the_same_violation_at_every_shard_count() {
             ),
         }
     };
-    let first = run(1, 1);
+    let first = run(EngineKind::Reference, 1, 1);
+    assert_eq!(first, run(EngineKind::Batched, 1, 1), "baseline vs oracle");
     for shards in SHARDS {
         for workers in WORKERS {
             assert_eq!(
                 first,
-                run(shards, workers),
+                run(EngineKind::Batched, shards, workers),
                 "canonical first violation diverges at {shards} shards × {workers} workers"
             );
         }
