@@ -1,45 +1,118 @@
-//! Driver-level differential tests for the batched Algorithm 6 (NCC0
-//! explicit threshold realization): both engines must realize the same
-//! certified overlay in the same number of rounds.
+//! Driver-level differential tests for Algorithm 6 with the cyclic
+//! pipeline phase 1 (NCC0 explicit threshold realization) and for the
+//! Theorem 17 NCC1 star.
+//!
+//! * **Engine differential** — the `Ncc0Threshold` and `Ncc1Star` state
+//!   machines on the batched executor and on the reference interpreter:
+//!   same certified overlay, bit-identical metrics.
+//! * **Frozen transcripts** — both constructions were first written in
+//!   direct style (blocking closures on a thread-per-node engine). What
+//!   those twins produced on every case of this suite was recorded from
+//!   the twin itself, at the last commit that had one, and both engines
+//!   must keep reproducing it: the whole transcript for the pipeline
+//!   ([`GOLDEN`]), the overlay for the star ([`GOLDEN_STAR_OVERLAYS`] —
+//!   the star's twin built the full path context first and the state
+//!   machine never did, so the two were only ever overlay-identical).
 
 use dgr_connectivity::{
     realize_threshold_run, ThresholdAlgo, ThresholdInstance, ThresholdRealization,
 };
-use dgr_ncc::{EngineKind, SimError};
+use dgr_ncc::{Config, EngineKind};
 use dgr_primitives::sort::SortBackend;
 
-// White-box shorthands over the `realize_threshold_run` engine room.
-fn realize_ncc0(
+// White-box shorthand over the `realize_threshold_run` engine room.
+fn realize(
     inst: &ThresholdInstance,
-    c: dgr_ncc::Config,
-) -> Result<ThresholdRealization, SimError> {
-    realize_threshold_run(
-        inst,
-        c,
-        ThresholdAlgo::Ncc0Pipeline,
-        EngineKind::Threaded,
-        SortBackend::Bitonic,
-        true,
-        None,
-    )
-    .map(|run| run.output)
+    config: Config,
+    algo: ThresholdAlgo,
+    engine: EngineKind,
+) -> ThresholdRealization {
+    realize_threshold_run(inst, config, algo, engine, SortBackend::Bitonic, true, None)
+        .unwrap()
+        .output
 }
-fn realize_ncc0_batched(
-    inst: &ThresholdInstance,
-    c: dgr_ncc::Config,
-) -> Result<ThresholdRealization, SimError> {
-    realize_threshold_run(
-        inst,
-        c,
-        ThresholdAlgo::Ncc0Pipeline,
-        EngineKind::Batched,
-        SortBackend::Bitonic,
-        true,
-        None,
-    )
-    .map(|run| run.output)
+fn realize_ncc0_batched(inst: &ThresholdInstance, c: Config) -> ThresholdRealization {
+    realize(inst, c, ThresholdAlgo::Ncc0Pipeline, EngineKind::Batched)
 }
-use dgr_ncc::Config;
+
+/// One frozen transcript: certified?, rounds, messages, words, max sent
+/// per round, max received per round, FNV-1a of the sorted edge list.
+type Golden = (bool, u64, u64, u64, usize, usize, u64);
+
+/// The transcript of a run, in [`Golden`] form.
+fn transcript(out: &ThresholdRealization) -> Golden {
+    let fnv = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+    let edges = out
+        .graph
+        .edge_list()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &(a, b)| fnv(fnv(h, a), b));
+    let m = &out.metrics;
+    (
+        out.report.satisfied,
+        m.rounds,
+        m.messages,
+        m.words,
+        m.max_sent_per_round,
+        m.max_received_per_round,
+        edges,
+    )
+}
+
+/// What the pipeline's direct-style twin produced on each case.
+#[rustfmt::skip]
+const GOLDEN: &[(&str, Golden)] = &[
+    ("ncc0 [1, 1, 1, 1]", (true, 65, 59, 137, 2, 2, 0x0be86c8e1c8e354e)),
+    ("ncc0 [2, 2, 2, 2, 2]", (true, 79, 95, 222, 2, 2, 0xf2ac545aaa3115ac)),
+    ("ncc0 [3, 2, 2, 1, 1, 1]", (true, 81, 117, 276, 3, 2, 0x75030473a17a12ad)),
+    ("ncc0 [4, 4, 3, 2, 2, 1, 1, 1, 1, 1]", (true, 98, 245, 596, 2, 3, 0x079f042daa1062b3)),
+    ("ncc0 [5; 12]", (true, 100, 381, 902, 5, 4, 0x08e743571c7a43d5)),
+];
+
+/// The overlay (edge-list hash) the star's direct-style twin realized.
+#[rustfmt::skip]
+const GOLDEN_STAR_OVERLAYS: &[(&str, u64)] = &[
+    ("ncc1 [2, 2, 1, 1, 1]", 0x3b879d2050d2a17f),
+    ("ncc1 [4, 3, 2, 2, 1, 1, 1, 1]", 0x15c8eed5d54e4106),
+    ("ncc1 [3; 9]", 0xbcc5c9904afa63de),
+];
+
+thread_local! {
+    /// Set by the throw-away printer below.
+    static RECORDING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+fn recording() -> bool {
+    RECORDING.with(std::cell::Cell::get)
+}
+
+/// Throw-away: prints the rows of [`GOLDEN`] from the direct-style twins
+/// and the state machines. Run with `cargo test -p dgr-connectivity
+/// --test batched_ncc0 -- --ignored --nocapture print_golden`.
+#[test]
+#[ignore = "prints the golden table from the twins"]
+fn print_golden_rows_from_the_twins() {
+    RECORDING.with(|r| r.set(true));
+    batched_ncc0_matches_threaded();
+    batched_ncc1_matches_threaded();
+}
+
+/// The frozen entry of `case` in `table`.
+fn golden<T: Copy>(table: &[(&str, T)], case: &str) -> T {
+    let row = table.iter().find(|(name, _)| *name == case);
+    row.unwrap_or_else(|| panic!("no golden row for case {case:?}"))
+        .1
+}
+
+/// `"{what} {rho:?}"`, with a long constant vector as `[r; n]`.
+fn case_name(what: &str, rho: &[usize]) -> String {
+    match rho {
+        [r, rest @ ..] if rest.len() >= 8 && rest.iter().all(|x| x == r) => {
+            format!("{what} [{r}; {}]", rho.len())
+        }
+        _ => format!("{what} {rho:?}"),
+    }
+}
 
 #[test]
 fn batched_ncc0_matches_threaded() {
@@ -52,20 +125,52 @@ fn batched_ncc0_matches_threaded() {
     ] {
         let inst = ThresholdInstance::new(rho.clone());
         let config = Config::ncc0(71).with_queueing();
-        let threaded = realize_ncc0(&inst, config.clone()).unwrap();
-        let batched = realize_ncc0_batched(&inst, config).unwrap();
-        assert_eq!(
-            threaded.graph.edge_list(),
-            batched.graph.edge_list(),
-            "{rho:?}: engines realize different overlays"
-        );
-        assert_eq!(threaded.metrics.rounds, batched.metrics.rounds, "{rho:?}");
-        assert_eq!(
-            threaded.metrics.messages, batched.metrics.messages,
-            "{rho:?}"
-        );
+        let algo = ThresholdAlgo::Ncc0Pipeline;
+        let case = case_name("ncc0", &rho);
+        let twin = realize(&inst, config.clone(), algo, EngineKind::Threaded);
+        let batched = realize(&inst, config.clone(), algo, EngineKind::Batched);
+        let reference = realize(&inst, config, algo, EngineKind::Reference);
+        if recording() {
+            println!("    twin {case:?} {:x?}", transcript(&twin));
+            println!("    ({case:?}, {:x?}),", transcript(&batched));
+            continue;
+        }
+        // twin == golden == batched == reference.
+        let row = golden(GOLDEN, &case);
+        assert_eq!(transcript(&twin), row, "{case}: twin");
+        assert_eq!(transcript(&batched), row, "{case}: transcript drifted");
+        assert_eq!(transcript(&reference), row, "{case}: reference");
+        assert_eq!(batched.metrics, reference.metrics, "{case}: engines");
         assert!(batched.report.satisfied, "{rho:?}: {:?}", batched.report);
         assert_eq!(batched.metrics.undelivered, 0);
+    }
+}
+
+#[test]
+fn batched_ncc1_matches_threaded() {
+    for rho in [
+        vec![2, 2, 1, 1, 1],
+        vec![4, 3, 2, 2, 1, 1, 1, 1],
+        vec![3; 9],
+    ] {
+        let inst = ThresholdInstance::new(rho.clone());
+        let algo = ThresholdAlgo::Ncc1Star;
+        let case = case_name("ncc1", &rho);
+        let twin = realize(&inst, Config::ncc1(77), algo, EngineKind::Threaded);
+        let batched = realize(&inst, Config::ncc1(77), algo, EngineKind::Batched);
+        let reference = realize(&inst, Config::ncc1(77), algo, EngineKind::Reference);
+        if recording() {
+            println!("    twin {case:?} {:x?}", transcript(&twin));
+            println!("    ({case:?}, {:x?}),", transcript(&batched));
+            continue;
+        }
+        // twin == golden == batched == reference, on the overlay.
+        let overlay = golden(GOLDEN_STAR_OVERLAYS, &case);
+        assert_eq!(transcript(&twin).6, overlay, "{case}: twin");
+        assert_eq!(transcript(&batched).6, overlay, "{case}: overlay drifted");
+        assert_eq!(transcript(&batched), transcript(&reference), "{case}");
+        assert_eq!(batched.metrics, reference.metrics, "{case}: engines");
+        assert!(batched.report.satisfied);
     }
 }
 
@@ -81,7 +186,7 @@ fn batched_ncc0_survives_the_multigraph_corner() {
         *r = 3;
     }
     let inst = ThresholdInstance::new(rho);
-    let out = realize_ncc0_batched(&inst, Config::ncc0(31).with_queueing()).unwrap();
+    let out = realize_ncc0_batched(&inst, Config::ncc0(31).with_queueing());
     assert!(out.report.satisfied, "{:?}", out.report);
 }
 
@@ -89,7 +194,7 @@ fn batched_ncc0_survives_the_multigraph_corner() {
 fn batched_ncc0_all_max_rho_is_complete() {
     let n = 8;
     let inst = ThresholdInstance::new(vec![n - 1; n]);
-    let out = realize_ncc0_batched(&inst, Config::ncc0(74).with_queueing()).unwrap();
+    let out = realize_ncc0_batched(&inst, Config::ncc0(74).with_queueing());
     assert!(out.report.satisfied);
     assert_eq!(out.graph.edge_count(), n * (n - 1) / 2);
 }

@@ -1,8 +1,8 @@
 //! Differential + guarantee tests for the composed paper-exact
 //! Algorithm 6 ([`dgr_connectivity::distributed::ncc0_exact`]).
 //!
-//! * Both engines run the same state machine: transcripts (rounds,
-//!   messages, words) and overlays must be bit-identical.
+//! * The batched executor and the reference interpreter run the same
+//!   state machine: metrics and overlays must be bit-identical.
 //! * The composition must deliver `realize_ncc0_batched`'s guarantees:
 //!   max-flow-certified thresholds and full explicit symmetry —
 //!   including on instances where the raw prefix envelope under-delivers
@@ -71,19 +71,14 @@ fn composed_alg6_is_engine_invariant() {
     ] {
         let inst = ThresholdInstance::new(rho.clone());
         let batched = run(&inst, seed, EngineKind::Batched);
-        let threaded = run(&inst, seed, EngineKind::Threaded);
+        let reference = run(&inst, seed, EngineKind::Reference);
         assert_eq!(
-            batched.metrics.rounds, threaded.metrics.rounds,
-            "rho={rho:?}: engines disagree on rounds"
+            batched.metrics, reference.metrics,
+            "rho={rho:?}: engines disagree on the transcript"
         );
-        assert_eq!(
-            batched.metrics.messages, threaded.metrics.messages,
-            "rho={rho:?}"
-        );
-        assert_eq!(batched.metrics.words, threaded.metrics.words, "rho={rho:?}");
         assert_eq!(
             batched.graph.edge_list(),
-            threaded.graph.edge_list(),
+            reference.graph.edge_list(),
             "rho={rho:?}: engines disagree on the realized overlay"
         );
     }

@@ -31,7 +31,7 @@ use std::sync::Arc;
 /// kilobytes of table — the memory discipline that carries the batched
 /// drivers from 2·10⁵ to 10⁶ nodes. The scalar members ([`VPath`],
 /// [`Traversal`], the position) stay plain `Copy` data.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PathCtx {
     /// The path view this context was built on.
     pub vp: VPath,

@@ -1,0 +1,339 @@
+//! The two engines through the facade: everything `Realization` runs on
+//! the batched executor it must run identically on the reference
+//! interpreter — and both must keep reproducing the transcripts frozen
+//! from the original direct-style algorithm stack.
+
+use distributed_graph_realizations::ncc::event::semantic_stream;
+use distributed_graph_realizations::prelude::*;
+use distributed_graph_realizations::{Engine, Kt0};
+
+/// One workload of every kind the facade offers.
+fn every_workload() -> Vec<(&'static str, Workload)> {
+    let tree = Workload::Tree {
+        degrees: vec![3, 3, 2, 2, 1, 1, 1, 1],
+        algo: TreeAlgo::Greedy,
+    };
+    vec![
+        ("implicit", Workload::Implicit(vec![3, 2, 2, 2, 1, 1, 1])),
+        ("envelope", Workload::Envelope(vec![4, 4, 4, 1, 1])),
+        ("explicit", Workload::Explicit(vec![1, 1, 2, 2])),
+        ("tree", tree),
+        ("ncc1", Workload::Ncc1(vec![2, 2, 1, 1, 1])),
+        ("ncc0", Workload::Ncc0Threshold(vec![2, 2, 1, 1, 1])),
+        ("ncc0-exact", Workload::Ncc0Exact(vec![3, 2, 2, 2, 1, 1, 1])),
+        ("prefix", Workload::PrefixEnvelope(vec![2, 2, 1, 1, 1])),
+    ]
+}
+
+/// The sorted edge list of whatever a run realized (empty on a refusal).
+fn overlay(out: &Realized) -> Vec<(NodeId, NodeId)> {
+    match &out.output {
+        RunOutput::Degrees(DriverOutput::Realized(r)) => r.graph.edge_list(),
+        RunOutput::Tree(TreeRealization::Realized(t)) => t.graph.edge_list(),
+        RunOutput::Threshold(t) => t.graph.edge_list(),
+        _ => Vec::new(),
+    }
+}
+
+/// Runs one builder request, recording its event stream.
+fn record(
+    workload: Workload,
+    seed: u64,
+    engine: Engine,
+    workers: usize,
+) -> (Realized, Vec<RunEvent>) {
+    let recording = Recording::new();
+    let out = Realization::new(workload)
+        .seed(seed)
+        .engine(engine)
+        .workers(workers)
+        .observe(recording.clone())
+        .run()
+        .unwrap();
+    (out, recording.events())
+}
+
+/// The event-stream differential, for every workload: the batched raw
+/// stream is bit-identical across worker counts, and batched and
+/// reference agree on the overlay, on every metric (the per-phase round
+/// breakdown included) and on the semantic event stream.
+#[test]
+fn event_streams_identical_across_engines_and_worker_counts() {
+    for (name, workload) in every_workload() {
+        let (batched, events) = record(workload.clone(), 12, Engine::Batched, 1);
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, RunEvent::RoundCompleted { .. })),
+            "{name}: stream must narrate rounds"
+        );
+        for workers in [2, 4] {
+            assert_eq!(
+                events,
+                record(workload.clone(), 12, Engine::Batched, workers).1,
+                "{name}: batched stream diverges at {workers} workers"
+            );
+        }
+        let (reference, reference_events) = record(workload, 12, Engine::Reference, 1);
+        assert_eq!(overlay(&batched), overlay(&reference), "{name}: overlays");
+        assert_eq!(batched.metrics(), reference.metrics(), "{name}: metrics");
+        assert_eq!(
+            semantic_stream(&events),
+            semantic_stream(&reference_events),
+            "{name}: semantic event streams diverge across engines"
+        );
+    }
+}
+
+/// The composed Algorithm 6 narrates its data-dependent phases: both
+/// engines emit the same `PhaseChange` sequence starting at round 0, and
+/// the resulting `RunMetrics::phase_rounds` breakdown is identical and
+/// sums to the total round count.
+#[test]
+fn ncc0_exact_phase_events_agree_across_engines() {
+    let rho = vec![3usize, 2, 2, 2, 1, 1, 1];
+    let run = |engine: Engine| {
+        let recording = Recording::new();
+        let out = Realization::new(Workload::Ncc0Exact(rho.clone()))
+            .seed(12)
+            .engine(engine)
+            .tracking(Kt0::Untracked)
+            .observe(recording.clone())
+            .run()
+            .unwrap();
+        (out, recording.events())
+    };
+    let (batched_out, batched_events) = run(Engine::Batched);
+    let (reference_out, reference_events) = run(Engine::Reference);
+    let phases = |events: &[RunEvent]| -> Vec<(u64, &'static str)> {
+        events
+            .iter()
+            .filter_map(|e| match e {
+                RunEvent::PhaseChange { round, phase } => Some((*round, *phase)),
+                _ => None,
+            })
+            .collect()
+    };
+    let batched_phases = phases(&batched_events);
+    assert_eq!(batched_phases, phases(&reference_events));
+    assert_eq!(
+        batched_phases.first(),
+        Some(&(0, "setup")),
+        "{batched_phases:?}"
+    );
+    assert!(
+        batched_phases.iter().any(|&(_, p)| p == "phase1")
+            && batched_phases.iter().any(|&(_, p)| p == "phase2"),
+        "{batched_phases:?}"
+    );
+    let breakdown = &batched_out.metrics().phase_rounds;
+    assert_eq!(breakdown, &reference_out.metrics().phase_rounds);
+    assert_eq!(
+        breakdown.iter().map(|p| p.rounds).sum::<u64>(),
+        batched_out.metrics().rounds,
+        "phase breakdown must sum to the total round count: {breakdown:?}"
+    );
+    // Workloads that never mark phases have an empty breakdown.
+    let plain = Realization::new(Workload::Implicit(vec![2, 2, 1, 1]))
+        .seed(7)
+        .run()
+        .unwrap();
+    assert!(plain.metrics().phase_rounds.is_empty());
+}
+
+/// One frozen facade transcript: realized / certified?, phases (degree
+/// workloads; 0 otherwise), rounds, messages, words, max sent per round,
+/// max received per round, FNV-1a of the sorted edge list.
+type Golden = (bool, u64, u64, u64, u64, usize, usize, u64);
+
+/// The transcript of a run, in [`Golden`] form.
+fn transcript(out: &Realized) -> Golden {
+    let (ok, phases) = match &out.output {
+        RunOutput::Degrees(DriverOutput::Realized(r)) => (true, r.phases),
+        RunOutput::Degrees(DriverOutput::Unrealizable { .. }) => (false, 0),
+        RunOutput::Tree(t) => (!t.is_unrealizable(), 0),
+        RunOutput::Threshold(t) => (t.report.satisfied, 0),
+    };
+    let fnv = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+    let edges = overlay(out)
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &(a, b)| fnv(fnv(h, a), b));
+    let m = out.metrics();
+    (
+        ok,
+        phases,
+        m.rounds,
+        m.messages,
+        m.words,
+        m.max_sent_per_round,
+        m.max_received_per_round,
+        edges,
+    )
+}
+
+/// The requests behind [`GOLDEN`]: every workload, at the inputs and
+/// seeds the original facade-vs-legacy-entry-point suite used.
+fn golden_requests() -> Vec<(String, Workload, u64)> {
+    let degrees = vec![3usize, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1];
+    let rho = vec![3usize, 2, 2, 2, 1, 1, 1];
+    let mut requests = Vec::new();
+    for seed in [3, 19] {
+        requests.push((
+            format!("implicit seed={seed}"),
+            Workload::Implicit(degrees.clone()),
+            seed,
+        ));
+        requests.push((
+            format!("envelope seed={seed}"),
+            Workload::Envelope(degrees.clone()),
+            seed,
+        ));
+        requests.push((
+            format!("explicit seed={seed}"),
+            Workload::Explicit(degrees.clone()),
+            seed,
+        ));
+    }
+    for algo in [TreeAlgo::Chain, TreeAlgo::Greedy] {
+        let degrees = vec![3, 3, 2, 2, 1, 1, 1, 1];
+        requests.push((
+            format!("tree {algo:?}"),
+            Workload::Tree { degrees, algo },
+            9,
+        ));
+    }
+    requests.push(("ncc1".into(), Workload::Ncc1(rho.clone()), 12));
+    requests.push(("ncc0".into(), Workload::Ncc0Threshold(rho.clone()), 12));
+    requests.push(("ncc0-exact".into(), Workload::Ncc0Exact(rho.clone()), 12));
+    requests.push(("prefix".into(), Workload::PrefixEnvelope(rho), 12));
+    requests
+}
+
+/// What `Engine::Threaded` — on these unmasked bitonic requests, the
+/// direct-style twin of each algorithm — produced, recorded at the last
+/// commit that had it.
+#[rustfmt::skip]
+const GOLDEN: &[(&str, Golden)] = &[
+    ("implicit seed=3", (true, 4, 219, 877, 2389, 2, 2, 0x002a99e1b86c0afd)),
+    ("envelope seed=3", (true, 4, 219, 877, 2389, 2, 2, 0x002a99e1b86c0afd)),
+    ("explicit seed=3", (true, 4, 237, 906, 2438, 2, 2, 0x002a99e1b86c0afd)),
+    ("implicit seed=19", (true, 4, 219, 877, 2389, 2, 2, 0x1de3e97f8061625c)),
+    ("envelope seed=19", (true, 4, 219, 877, 2389, 2, 2, 0x1de3e97f8061625c)),
+    ("explicit seed=19", (true, 4, 237, 906, 2438, 2, 2, 0x1de3e97f8061625c)),
+    ("tree Chain", (true, 0, 76, 277, 736, 2, 2, 0x95080c3336213173)),
+    ("tree Greedy", (true, 0, 67, 332, 1321, 2, 2, 0xeab81924fcbe7003)),
+    ("ncc1", (true, 0, 39, 70, 144, 2, 2, 0xd8b85508f1bbb25d)),
+    ("ncc0", (true, 0, 81, 145, 345, 2, 3, 0x7bc5877a5e133eb7)),
+    ("ncc0-exact", (true, 0, 249, 384, 934, 2, 2, 0x0245ad4acc2b7f59)),
+    ("prefix", (true, 4, 127, 180, 472, 2, 2, 0x40fdb7803a1a6ba7)),
+];
+
+/// Throw-away: prints [`GOLDEN`] from `Engine::Threaded`. Run with
+/// `cargo test --test engines -- --ignored --nocapture print_golden`.
+#[test]
+#[ignore = "prints the golden table from the threaded engine"]
+fn print_golden_rows_from_the_threaded_engine() {
+    for (case, workload, seed) in golden_requests() {
+        let twin = Realization::new(workload)
+            .seed(seed)
+            .engine(Engine::Threaded)
+            .run()
+            .unwrap();
+        let (ok, phases, rounds, messages, words, sent, received, edges) = transcript(&twin);
+        println!(
+            "    ({case:?}, ({ok}, {phases}, {rounds}, {messages}, {words}, {sent}, {received}, {edges:#018x})),"
+        );
+    }
+}
+
+/// twin == golden == batched == reference, through the facade. The NCC1
+/// star's twin was only ever overlay-identical to its state machine (it
+/// built the full path context first), so that row holds on the verdict
+/// and overlay columns; every other row holds in full.
+#[test]
+fn facade_transcripts_match_the_frozen_twins_on_both_engines() {
+    for (case, workload, seed) in golden_requests() {
+        let golden = GOLDEN
+            .iter()
+            .find(|(name, _)| *name == case)
+            .unwrap_or_else(|| panic!("no golden row for case {case:?}"))
+            .1;
+        let run = |engine: Engine| {
+            let request = Realization::new(workload.clone()).seed(seed);
+            transcript(&request.engine(engine).run().unwrap())
+        };
+        assert_eq!(run(Engine::Threaded), golden, "{case}: twin");
+        let (batched, reference) = (run(Engine::Batched), run(Engine::Reference));
+        assert_eq!(batched, reference, "{case}: engines");
+        if case == "ncc1" {
+            assert_eq!((batched.0, batched.7), (golden.0, golden.7), "{case}");
+        } else {
+            assert_eq!(batched, golden, "{case}: transcript drifted");
+        }
+    }
+}
+
+/// The facade's scenario oracle: a tree realization under the queueing
+/// policy with half of all messages duplicated, on the reference
+/// interpreter — which has a fault pass of its own — as on the batched
+/// executor. Duplication through the path-context establishment (its
+/// messages are idempotent: contacts, invitations, acceptances) leaves
+/// the run clean and the same tree realized from the same transcript.
+/// Duplication throughout double-counts the drivers' aggregations — the
+/// realization drivers are retransmission- and deduplication-free by
+/// design — and the run fails (an overflow panic in a debug build, a
+/// refusal in a release build); then both engines must fail alike.
+#[test]
+fn duplicated_tree_realization_agrees_with_the_reference() {
+    let run = |rounds: std::ops::RangeInclusive<u64>, engine: Engine| {
+        Realization::new(Workload::Tree {
+            degrees: vec![3, 3, 2, 2, 1, 1, 1, 1],
+            algo: TreeAlgo::Greedy,
+        })
+        .policy(CapacityPolicy::Queue)
+        .scenario(Scenario::new(5).duplicate_messages(rounds, 0.5))
+        .seed(9)
+        .engine(engine)
+        .run()
+    };
+    // Undirect (1 round), contacts (2) and the BBST (6) at n = 8.
+    let batched = run(0..=8, Engine::Batched).unwrap();
+    let reference = run(0..=8, Engine::Reference).unwrap();
+    assert!(batched.tree().expect_realized().graph.is_tree());
+    assert!(batched.engine_stats.faults_duplicated > 0);
+    assert_eq!(overlay(&batched), overlay(&reference));
+    assert_eq!(batched.metrics(), reference.metrics());
+    assert_eq!(
+        batched.engine_stats.faults_duplicated,
+        reference.engine_stats.faults_duplicated
+    );
+    match (
+        run(0..=u64::MAX, Engine::Batched),
+        run(0..=u64::MAX, Engine::Reference),
+    ) {
+        (Ok(batched), Ok(reference)) => {
+            assert_eq!(transcript(&batched), transcript(&reference));
+            assert_eq!(batched.metrics(), reference.metrics());
+        }
+        (Err(batched), Err(reference)) => assert_eq!(batched.to_string(), reference.to_string()),
+        _ => panic!("one engine survived full-window duplication, the other did not"),
+    }
+}
+
+/// Masks reach the reference interpreter too: a masked envelope run is
+/// the same sub-network realization on both engines.
+#[test]
+fn masked_runs_agree_across_engines() {
+    let run = |engine: Engine| {
+        Realization::new(Workload::Envelope(vec![2, 1, 1, 0, 0, 0]))
+            .mask(vec![true, true, true, false, false, false])
+            .seed(23)
+            .engine(engine)
+            .run()
+            .unwrap()
+    };
+    let (batched, reference) = (run(Engine::Batched), run(Engine::Reference));
+    assert_eq!(batched.degrees().expect_realized().path_order.len(), 3);
+    assert_eq!(overlay(&batched), overlay(&reference));
+    assert_eq!(batched.metrics(), reference.metrics());
+}
