@@ -1,7 +1,7 @@
 //! Wall-clock benches of the threshold realizations (Theorems 17/18).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dgr_bench::drive::{self, Engine};
+use dgr_bench::drive;
 use dgr_connectivity::ThresholdInstance;
 use dgr_graphgen as graphgen;
 
@@ -11,7 +11,7 @@ fn bench_ncc1(c: &mut Criterion) {
     for &n in &[64usize, 128, 256] {
         let inst = ThresholdInstance::new(graphgen::uniform_thresholds(n, 1, 8, 8));
         g.bench_with_input(BenchmarkId::from_parameter(n), &inst, |b, i| {
-            b.iter(|| drive::ncc1(&i.rho, 8, Engine::Threaded))
+            b.iter(|| drive::ncc1(&i.rho, 8))
         });
     }
     g.finish();
@@ -23,7 +23,7 @@ fn bench_ncc0(c: &mut Criterion) {
     for &n in &[64usize, 128] {
         let inst = ThresholdInstance::new(graphgen::uniform_thresholds(n, 1, 8, 9));
         g.bench_with_input(BenchmarkId::from_parameter(n), &inst, |b, i| {
-            b.iter(|| drive::ncc0(&i.rho, 9, Engine::Threaded))
+            b.iter(|| drive::ncc0(&i.rho, 9))
         });
     }
     g.finish();

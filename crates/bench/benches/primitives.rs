@@ -6,53 +6,15 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dgr_ncc::{Config, Network, RoundCtx};
 use dgr_primitives::proto::sort::SortStep;
 use dgr_primitives::proto::{EstablishCtx, StepProtocol, WithCtx};
-use dgr_primitives::sort::{self, Order};
+use dgr_primitives::sort::Order;
 use dgr_primitives::PathCtx;
+
+const SIZES: [usize; 5] = [64, 256, 1024, 4096, 16384];
 
 fn bench_establish(c: &mut Criterion) {
     let mut g = c.benchmark_group("establish_path_ctx");
     g.sample_size(10);
-    for &n in &[64usize, 256, 1024] {
-        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| {
-                let net = Network::new(n, Config::ncc0(1));
-                net.run(|h| PathCtx::establish(h).position).unwrap()
-            })
-        });
-    }
-    g.finish();
-}
-
-fn bench_sort(c: &mut Criterion) {
-    let mut g = c.benchmark_group("distributed_sort");
-    g.sample_size(10);
-    for &n in &[64usize, 256, 1024] {
-        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| {
-                let net = Network::new(n, Config::ncc0(2));
-                net.run(|h| {
-                    let ctx = PathCtx::establish(h);
-                    sort::sort_at(
-                        h,
-                        &ctx.vp,
-                        &ctx.contacts,
-                        ctx.position,
-                        h.id() % 1000,
-                        Order::Descending,
-                    )
-                    .rank
-                })
-                .unwrap()
-            })
-        });
-    }
-    g.finish();
-}
-
-fn bench_establish_batched(c: &mut Criterion) {
-    let mut g = c.benchmark_group("establish_path_ctx_batched");
-    g.sample_size(10);
-    for &n in &[1024usize, 4096, 16384] {
+    for &n in &SIZES {
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| {
                 let net = Network::new(n, Config::ncc0(1));
@@ -64,10 +26,10 @@ fn bench_establish_batched(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_sort_batched(c: &mut Criterion) {
-    let mut g = c.benchmark_group("distributed_sort_batched");
+fn bench_sort(c: &mut Criterion) {
+    let mut g = c.benchmark_group("distributed_sort");
     g.sample_size(10);
-    for &n in &[1024usize, 4096, 16384] {
+    for &n in &SIZES {
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| {
                 let net = Network::new(n, Config::ncc0(2));
@@ -90,11 +52,5 @@ fn bench_sort_batched(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_establish,
-    bench_sort,
-    bench_establish_batched,
-    bench_sort_batched
-);
+criterion_group!(benches, bench_establish, bench_sort);
 criterion_main!(benches);

@@ -1,11 +1,10 @@
-//! Engine round-throughput benchmark: batched step-function executor vs
-//! the thread-per-node oracle, across the ported workload stack —
-//! the NCC₀ warm-up, full context establishment, the distributed sort,
-//! and the end-to-end realization drivers (degrees + trees).
+//! Engine round-throughput benchmark: the batched step-function executor
+//! across the workload stack — the NCC₀ warm-up, full context
+//! establishment, the distributed sort, and the end-to-end realization
+//! drivers (degrees + trees).
 //!
-//! Writes `BENCH_engine.json` (rounds/sec per engine per workload per
-//! size, plus batched/threaded speedups) so the performance trajectory is
-//! recorded in-repo across PRs.
+//! Writes `BENCH_engine.json` (rounds/sec per workload per size) so the
+//! performance trajectory is recorded in-repo across PRs.
 //!
 //! Usage: `cargo run --release -p bench --bin engine_bench [--quick]
 //! [--history HISTORY.jsonl] [OUT.json]`
@@ -17,15 +16,14 @@
 //! appends one JSONL record of batched rounds/sec per `workload@n`, and —
 //! before appending — compares against the most recent record, failing
 //! (exit 1) if any shared workload regressed by more than 2x. This is the
-//! per-workload regression gate CI runs, a much tighter net than the
-//! single 10k warm-up speedup ratio.
+//! per-workload regression gate CI runs.
 
-use dgr_bench::drive::{CapacityPolicy, Engine, Kt0, Realization, SortBackend, Workload};
+use dgr_bench::drive::{CapacityPolicy, Kt0, Realization, SortBackend, Workload};
 use dgr_graphgen as graphgen;
 use dgr_ncc::{Config, EngineKind, EngineStats, Network, NullSink, RunMetrics, Scenario};
 use dgr_primitives::proto::sort::SortStep;
 use dgr_primitives::proto::{EstablishCtx, PathToClique, StepProtocol, WithCtx};
-use dgr_primitives::sort::{self, Order};
+use dgr_primitives::sort::Order;
 use dgr_primitives::PathCtx;
 use dgr_trees::TreeAlgo;
 use std::fmt::Write as _;
@@ -37,7 +35,6 @@ use std::time::Instant;
 /// where inside the round loop a regression landed.
 struct Entry {
     workload: String,
-    engine: &'static str,
     n: usize,
     rounds: u64,
     messages: u64,
@@ -51,8 +48,8 @@ impl Entry {
 }
 
 /// Benchmark config: tracking off (KT0 legality is proven in the tests;
-/// the hash-set tracker is a verification instrument, not an engine cost
-/// both engines should pay in a throughput figure).
+/// the tracker is a verification instrument, not an engine cost a
+/// throughput figure should pay).
 fn bench_config(seed: u64) -> Config {
     let mut config = Config::ncc0(seed);
     config.track_knowledge = false;
@@ -97,17 +94,12 @@ fn hardware_fingerprint() -> String {
 }
 
 /// The builder request shared by every driver row.
-fn request(workload: Workload, seed: u64, batched: bool, sort: SortBackend) -> Realization {
+fn request(workload: Workload, seed: u64, sort: SortBackend) -> Realization {
     let policy = match sort {
         SortBackend::RandomizedLogN { .. } => CapacityPolicy::Queue,
         SortBackend::Bitonic => CapacityPolicy::Strict,
     };
     Realization::new(workload)
-        .engine(if batched {
-            Engine::Batched
-        } else {
-            Engine::Threaded
-        })
         .policy(policy)
         .tracking(Kt0::Untracked)
         .sort(sort)
@@ -121,14 +113,11 @@ fn request(workload: Workload, seed: u64, batched: bool, sort: SortBackend) -> R
 const PHASE_FLOOR_NANOS: u64 = 10_000_000;
 
 /// Times `repeats` runs of `run` (after one warm-up) and records the
-/// whole-run entry plus, for the batched executor, one `{workload}/phase`
-/// entry per round-loop phase (step / route / exchange / deliver / learn
-/// — exchange is only non-zero on ownership-sharded rows) summed over
-/// the timed repeats. The threaded oracle reports all-zero phase timers
-/// and contributes no phase rows.
+/// whole-run entry plus one `{workload}/phase` entry per round-loop phase
+/// (step / route / exchange / deliver / learn — exchange is only non-zero
+/// on ownership-sharded rows) summed over the timed repeats.
 fn measure(
     workload: &str,
-    engine: &'static str,
     n: usize,
     repeats: u32,
     run: impl Fn() -> (RunMetrics, EngineStats),
@@ -148,7 +137,6 @@ fn measure(
     let rounds = warm.rounds * repeats as u64;
     let mut entries = vec![Entry {
         workload: workload.to_string(),
-        engine,
         n,
         rounds,
         messages: warm.messages * repeats as u64,
@@ -161,7 +149,6 @@ fn measure(
         if nanos >= PHASE_FLOOR_NANOS {
             entries.push(Entry {
                 workload: format!("{workload}/{phase}"),
-                engine,
                 n,
                 rounds,
                 messages: 0,
@@ -172,14 +159,10 @@ fn measure(
     entries
 }
 
-fn warmup(n: usize, repeats: u32, batched: bool) -> Vec<Entry> {
+fn warmup(n: usize, repeats: u32) -> Vec<Entry> {
     let net = Network::new(n, bench_config(42));
-    measure("warmup", engine_name(batched), n, repeats, || {
-        let r = if batched {
-            net.run_protocol(PathToClique::new).unwrap()
-        } else {
-            net.run_protocol_threaded(PathToClique::new).unwrap()
-        };
+    measure("warmup", n, repeats, || {
+        let r = net.run_protocol(PathToClique::new).unwrap();
         (r.metrics, r.engine)
     })
 }
@@ -194,7 +177,7 @@ fn warmup(n: usize, repeats: u32, batched: bool) -> Vec<Entry> {
 fn warmup_sharded(n: usize, repeats: u32, shards: usize) -> Vec<Entry> {
     let net = Network::new(n, bench_config(42).with_shards(shards));
     let workload = format!("warmup+shards{shards}");
-    measure(&workload, "batched", n, repeats, || {
+    measure(&workload, n, repeats, || {
         let r = net.run_protocol(PathToClique::new).unwrap();
         (r.metrics, r.engine)
     })
@@ -210,7 +193,7 @@ fn warmup_sharded(n: usize, repeats: u32, shards: usize) -> Vec<Entry> {
 fn warmup_drop(n: usize, repeats: u32) -> Vec<Entry> {
     let scenario = Scenario::new(7).drop_messages(0..=u64::MAX, 0.01);
     let net = Network::new(n, bench_config(42).with_scenario(scenario));
-    measure("warmup+drop1%", "batched", n, repeats, || {
+    measure("warmup+drop1%", n, repeats, || {
         let r = net.run_protocol(PathToClique::new).unwrap();
         assert!(r.engine.faults_dropped > 0, "drop schedule never fired");
         (r.metrics, r.engine)
@@ -234,11 +217,10 @@ fn degrees_churn(n: usize, repeats: u32) -> Vec<Entry> {
         .crash(0, horizon)
         .crash_recover(1, horizon, horizon + 4)
         .crash_recover(2, horizon + 1, horizon + 3);
-    measure("degrees+churn", "batched", n, repeats, || {
+    measure("degrees+churn", n, repeats, || {
         let out = request(
             Workload::Implicit(degrees.clone()),
             45,
-            true,
             SortBackend::Bitonic,
         )
         .scenario(scenario.clone())
@@ -251,11 +233,11 @@ fn degrees_churn(n: usize, repeats: u32) -> Vec<Entry> {
 /// The streaming row: the same batched warm-up with a `NullSink`
 /// observing every round through the event plumbing. Its throughput
 /// against the unobserved `warmup` row is the round-loop cost of the
-/// observability layer, which `main` gates at ≤ 2%; as a batched entry
-/// it also lands in the fingerprint-scoped `BENCH_history` trend.
+/// observability layer, which `main` gates at ≤ 2%; it also lands in the
+/// fingerprint-scoped `BENCH_history` trend.
 fn warmup_streaming(n: usize, repeats: u32) -> Vec<Entry> {
     let net = Network::new(n, bench_config(42));
-    measure("warmup+nullsink", "batched", n, repeats, || {
+    measure("warmup+nullsink", n, repeats, || {
         let mut sink = NullSink;
         let r = net
             .run_protocol_on(
@@ -302,18 +284,13 @@ fn nullsink_overhead_pct(n: usize, pairs: u32) -> f64 {
     (ratios[ratios.len() / 2] - 1.0) * 100.0
 }
 
-fn establish(n: usize, repeats: u32, batched: bool) -> Vec<Entry> {
+fn establish(n: usize, repeats: u32) -> Vec<Entry> {
     let net = Network::new(n, bench_config(43));
-    measure("establish", engine_name(batched), n, repeats, || {
-        if batched {
-            let r = net
-                .run_protocol(|_| StepProtocol::new(EstablishCtx::new()))
-                .unwrap();
-            (r.metrics, r.engine)
-        } else {
-            let r = net.run(|h| PathCtx::establish(h).position).unwrap();
-            (r.metrics, r.engine)
-        }
+    measure("establish", n, repeats, || {
+        let r = net
+            .run_protocol(|_| StepProtocol::new(EstablishCtx::new()))
+            .unwrap();
+        (r.metrics, r.engine)
     })
 }
 
@@ -324,7 +301,6 @@ fn dist_sort_with(
     workload: &'static str,
     n: usize,
     repeats: u32,
-    batched: bool,
     backend: SortBackend,
 ) -> Vec<Entry> {
     let mut config = bench_config(44);
@@ -332,136 +308,42 @@ fn dist_sort_with(
         config = config.with_queueing();
     }
     let net = Network::new(n, config);
-    measure(workload, engine_name(batched), n, repeats, || {
-        if batched {
-            let r = net
-                .run_protocol(|_| {
-                    WithCtx::new(move |ctx: &PathCtx, rctx: &mut dgr_ncc::RoundCtx<'_>| {
-                        SortStep::on_ctx(
-                            ctx,
-                            rctx.id() % 1000,
-                            Order::Descending,
-                            rctx.id(),
-                            backend,
-                        )
-                    })
+    measure(workload, n, repeats, || {
+        let r = net
+            .run_protocol(|_| {
+                WithCtx::new(move |ctx: &PathCtx, rctx: &mut dgr_ncc::RoundCtx<'_>| {
+                    let (key, id) = (rctx.id() % 1000, rctx.id());
+                    SortStep::on_ctx(ctx, key, Order::Descending, id, backend)
                 })
-                .unwrap();
-            (r.metrics, r.engine)
-        } else {
-            let r = net
-                .run(|h| {
-                    let ctx = PathCtx::establish(h);
-                    sort::sort_at(
-                        h,
-                        &ctx.vp,
-                        &ctx.contacts,
-                        ctx.position,
-                        h.id() % 1000,
-                        Order::Descending,
-                    )
-                    .rank
-                })
-                .unwrap();
-            (r.metrics, r.engine)
-        }
+            })
+            .unwrap();
+        (r.metrics, r.engine)
     })
 }
 
-fn dist_sort(n: usize, repeats: u32, batched: bool) -> Vec<Entry> {
-    dist_sort_with("sort", n, repeats, batched, SortBackend::Bitonic)
-}
+/// The seed of every randomized-backend row.
+const RAND: SortBackend = SortBackend::RandomizedLogN { seed: 9 };
 
-fn dist_sort_rand(n: usize, repeats: u32) -> Vec<Entry> {
-    dist_sort_with(
-        "sort+rand",
-        n,
-        repeats,
-        true,
-        SortBackend::RandomizedLogN { seed: 9 },
-    )
-}
-
-fn degrees_with(
-    workload: &'static str,
-    n: usize,
-    repeats: u32,
-    batched: bool,
-    sort: SortBackend,
-) -> Vec<Entry> {
+fn degrees_with(workload: &'static str, n: usize, repeats: u32, sort: SortBackend) -> Vec<Entry> {
     let degrees = graphgen::near_regular_sequence(n, 4, 9);
-    measure(workload, engine_name(batched), n, repeats, || {
-        let out = request(Workload::Implicit(degrees.clone()), 45, batched, sort)
+    measure(workload, n, repeats, || {
+        let out = request(Workload::Implicit(degrees.clone()), 45, sort)
             .run()
             .unwrap();
         (out.metrics().clone(), out.engine_stats.clone())
     })
 }
 
-fn degrees(n: usize, repeats: u32, batched: bool) -> Vec<Entry> {
-    degrees_with(
-        "degrees-implicit",
-        n,
-        repeats,
-        batched,
-        SortBackend::Bitonic,
-    )
-}
-
-fn degrees_rand(n: usize, repeats: u32) -> Vec<Entry> {
-    degrees_with(
-        "degrees-implicit+rand",
-        n,
-        repeats,
-        true,
-        SortBackend::RandomizedLogN { seed: 9 },
-    )
-}
-
-fn tree_with(
-    workload: &'static str,
-    n: usize,
-    repeats: u32,
-    batched: bool,
-    sort: SortBackend,
-) -> Vec<Entry> {
+fn tree_with(workload: &'static str, n: usize, repeats: u32, sort: SortBackend) -> Vec<Entry> {
     let degrees = graphgen::random_tree_sequence(n, 11);
-    measure(workload, engine_name(batched), n, repeats, || {
-        let out = request(
-            Workload::Tree {
-                degrees: degrees.clone(),
-                algo: TreeAlgo::Greedy,
-            },
-            46,
-            batched,
-            sort,
-        )
-        .run()
-        .unwrap();
+    measure(workload, n, repeats, || {
+        let workload = Workload::Tree {
+            degrees: degrees.clone(),
+            algo: TreeAlgo::Greedy,
+        };
+        let out = request(workload, 46, sort).run().unwrap();
         (out.metrics().clone(), out.engine_stats.clone())
     })
-}
-
-fn tree(n: usize, repeats: u32, batched: bool) -> Vec<Entry> {
-    tree_with("tree-greedy", n, repeats, batched, SortBackend::Bitonic)
-}
-
-fn tree_rand(n: usize, repeats: u32) -> Vec<Entry> {
-    tree_with(
-        "tree-greedy+rand",
-        n,
-        repeats,
-        true,
-        SortBackend::RandomizedLogN { seed: 9 },
-    )
-}
-
-fn engine_name(batched: bool) -> &'static str {
-    if batched {
-        "batched"
-    } else {
-        "threaded"
-    }
 }
 
 /// Parses a history JSONL record written by [`history_record`]: a flat
@@ -487,7 +369,7 @@ fn parse_history_entries(line: &str) -> Vec<(String, f64)> {
         .collect()
 }
 
-/// Formats one append-only history record: batched throughput per
+/// Formats one append-only history record: throughput per
 /// `workload@n`, stamped with the wall clock, the sweep mode, and the
 /// hardware fingerprint the regression gate scopes to.
 fn history_record(entries: &[Entry], quick: bool, fingerprint: &str) -> String {
@@ -498,7 +380,6 @@ fn history_record(entries: &[Entry], quick: bool, fingerprint: &str) -> String {
         .unwrap_or(0);
     let mut pairs: Vec<String> = entries
         .iter()
-        .filter(|e| e.engine == "batched")
         .map(|e| format!("\"{}@{}\": {:.1}", e.workload, e.n, e.rounds_per_sec()))
         .collect();
     pairs.sort();
@@ -586,29 +467,18 @@ fn main() {
         .unwrap_or_else(|| "BENCH_engine.json".to_string());
 
     let mut entries: Vec<Entry> = Vec::new();
-
-    // The threaded oracle tops out near 10^4 nodes (one OS thread each);
-    // the driver workloads run it at 10^3 (hundreds of barrier rounds).
-    eprintln!("threaded baselines ...");
-    entries.extend(warmup(1_000, 5, false));
-    entries.extend(warmup(10_000, 2, false));
-    entries.extend(establish(1_000, 3, false));
-    entries.extend(dist_sort(1_000, 2, false));
-    entries.extend(degrees(1_000, 1, false));
-    entries.extend(tree(1_000, 1, false));
-
     let warmup_sizes: &[(usize, u32)] = if quick {
         &[(1_000, 20), (10_000, 10), (100_000, 3)]
     } else {
         &[(1_000, 20), (10_000, 10), (100_000, 3), (1_000_000, 1)]
     };
     for &(n, repeats) in warmup_sizes {
-        eprintln!("batched warmup n={n} ...");
-        entries.extend(warmup(n, repeats, true));
+        eprintln!("warmup n={n} ...");
+        entries.extend(warmup(n, repeats));
         entries.extend(warmup_drop(n, repeats));
         entries.extend(warmup_streaming(n, repeats));
         for shards in [2, 4, 8] {
-            eprintln!("batched warmup n={n} shards={shards} ...");
+            eprintln!("warmup n={n} shards={shards} ...");
             entries.extend(warmup_sharded(n, repeats, shards));
         }
     }
@@ -621,17 +491,18 @@ fn main() {
         &[(1_000, 5), (10_000, 2), (16_384, 2), (100_000, 1)]
     };
     for &(n, repeats) in driver_sizes {
-        eprintln!("batched primitives + drivers n={n} ...");
-        entries.extend(establish(n, repeats, true));
-        entries.extend(dist_sort(n, repeats, true));
-        entries.extend(degrees(n, repeats, true));
-        entries.extend(tree(n, repeats, true));
+        eprintln!("primitives + drivers n={n} ...");
+        let bitonic = SortBackend::Bitonic;
+        entries.extend(establish(n, repeats));
+        entries.extend(dist_sort_with("sort", n, repeats, bitonic));
+        entries.extend(degrees_with("degrees-implicit", n, repeats, bitonic));
+        entries.extend(tree_with("tree-greedy", n, repeats, bitonic));
         // The Theorem 3 randomized backend, one row per sorting workload
         // (warmup/establish never sort).
-        entries.extend(dist_sort_rand(n, repeats));
-        entries.extend(degrees_rand(n, repeats));
+        entries.extend(dist_sort_with("sort+rand", n, repeats, RAND));
+        entries.extend(degrees_with("degrees-implicit+rand", n, repeats, RAND));
         entries.extend(degrees_churn(n, repeats));
-        entries.extend(tree_rand(n, repeats));
+        entries.extend(tree_with("tree-greedy+rand", n, repeats, RAND));
     }
     // The acceptance line for the randomized backend: strictly fewer
     // rounds than the bitonic network from n = 2^14 up.
@@ -639,7 +510,7 @@ fn main() {
         let rounds_of = |workload: &str| {
             entries
                 .iter()
-                .find(|e| e.workload == workload && e.engine == "batched" && e.n == n)
+                .find(|e| e.workload == workload && e.n == n)
                 .map(|e| e.rounds)
                 .unwrap()
         };
@@ -654,21 +525,6 @@ fn main() {
         );
     }
 
-    let rps = |workload: &str, engine: &str, n: usize| {
-        entries
-            .iter()
-            .find(|e| e.workload == workload && e.engine == engine && e.n == n)
-            .map(Entry::rounds_per_sec)
-    };
-    let speedup = |workload: &str, n: usize| match (
-        rps(workload, "batched", n),
-        rps(workload, "threaded", n),
-    ) {
-        (Some(b), Some(t)) => b / t,
-        _ => f64::NAN,
-    };
-    let speedup_10k = speedup("warmup", 10_000);
-
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(
@@ -676,15 +532,14 @@ fn main() {
          BBST + positions; sort = establish + Theorem 3; degrees-implicit / tree-greedy = \
          full realization drivers\",\n",
     );
-    json.push_str("  \"note\": \"rounds/sec per engine; track_knowledge off; release build\",\n");
+    json.push_str("  \"note\": \"rounds/sec; track_knowledge off; release build\",\n");
     json.push_str("  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"workload\": \"{}\", \"engine\": \"{}\", \"n\": {}, \"rounds\": {}, \
+            "    {{\"workload\": \"{}\", \"engine\": \"batched\", \"n\": {}, \"rounds\": {}, \
              \"messages\": {}, \"seconds\": {:.4}, \"rounds_per_sec\": {:.1}}}{}",
             e.workload,
-            e.engine,
             e.n,
             e.rounds,
             e.messages,
@@ -693,28 +548,7 @@ fn main() {
             if i + 1 < entries.len() { "," } else { "" },
         );
     }
-    json.push_str("  ],\n");
-    json.push_str("  \"batched_over_threaded_at_1k\": {\n");
-    let per_workload = [
-        "warmup",
-        "establish",
-        "sort",
-        "degrees-implicit",
-        "tree-greedy",
-    ];
-    for (i, w) in per_workload.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    \"{w}\": {:.1}{}",
-            speedup(w, 1_000),
-            if i + 1 < per_workload.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  },\n");
-    let _ = write!(
-        json,
-        "  \"batched_over_threaded_at_10k\": {speedup_10k:.1}\n}}\n"
-    );
+    json.push_str("  ]\n}\n");
 
     std::fs::write(&out_path, &json).expect("write benchmark json");
     println!("{json}");
@@ -729,11 +563,6 @@ fn main() {
         .map(|p| check_and_append_history(&p, &entries, quick, &fingerprint))
         .unwrap_or_default();
 
-    assert!(
-        speedup_10k.is_nan() || speedup_10k >= 10.0,
-        "regression: batched engine is only {speedup_10k:.1}x the threaded \
-         oracle at n=10k (target: >=10x)"
-    );
     // The observability acceptance line: a NullSink observing every round
     // must cost at most 2% of round-loop throughput, measured at the
     // largest (longest-running, least noisy) warm-up size of the sweep.
@@ -768,7 +597,6 @@ mod tests {
     fn entry(workload: &str, n: usize, rounds: u64, seconds: f64) -> Entry {
         Entry {
             workload: workload.to_string(),
-            engine: "batched",
             n,
             rounds,
             messages: 0,

@@ -3,10 +3,36 @@
 //! (These are *our* knobs — the paper's `O(log n)` hides them — so the
 //! ablation quantifies what the asymptotics abstract away.)
 
-use crate::drive::{self, Engine, Workload};
+use crate::drive::{self, Workload};
 use crate::table::{f2, Table};
 use dgr_graphgen as graphgen;
-use dgr_ncc::{tags, CapacityPolicy, Config, Msg, Network};
+use dgr_ncc::{
+    tags, CapacityPolicy, Config, Network, NodeId, NodeProtocol, RoundCtx, Status, WireMsg,
+};
+
+/// The raw burst of A2: in round 0 everyone but the head sends it one
+/// message; the head then listens for `wait` more rounds and outputs
+/// what it received (everyone else outputs what little reached them).
+struct Burst {
+    head: NodeId,
+    wait: u64,
+    got: usize,
+}
+
+impl NodeProtocol for Burst {
+    type Output = usize;
+
+    fn step(&mut self, ctx: &mut RoundCtx<'_>) -> Status<usize> {
+        self.got += ctx.inbox().len();
+        if ctx.round() > self.wait {
+            return Status::Done(self.got);
+        }
+        if ctx.round() == 0 && ctx.id() != self.head {
+            ctx.send(self.head, WireMsg::signal(tags::GENERIC));
+        }
+        Status::Continue
+    }
+}
 
 /// A1: capacity-factor sweep. The per-round budget is
 /// `cap = max(4, ⌈c·log₂ n⌉)`; the implicit realization uses O(1)
@@ -29,18 +55,8 @@ pub fn a1_capacity() -> Vec<Table> {
     let mut handoffs = Vec::new();
     let mut implicit_rounds = Vec::new();
     for &factor in &[0.5f64, 1.0, 2.0, 4.0, 8.0] {
-        let imp = drive::degrees(
-            Workload::Implicit(degrees.clone()),
-            61,
-            Engine::Batched,
-            Some(factor),
-        );
-        let exp = drive::degrees(
-            Workload::Explicit(degrees.clone()),
-            61,
-            Engine::Batched,
-            Some(factor),
-        );
+        let imp = drive::degrees(Workload::Implicit(degrees.clone()), 61, Some(factor));
+        let exp = drive::degrees(Workload::Explicit(degrees.clone()), 61, Some(factor));
         let (ri, re) = (imp.expect_realized(), exp.expect_realized());
         let cap = re.metrics.capacity;
         let handoff = re.metrics.rounds.saturating_sub(ri.metrics.rounds);
@@ -104,20 +120,7 @@ pub fn a2_policy() -> Vec<Table> {
         let cap = net.capacity();
         let head = net.ids_in_path_order()[0];
         let wait = (n as u64).div_ceil(cap as u64) + 2;
-        let result = net
-            .run(move |h| {
-                let out = if h.id() == head {
-                    vec![]
-                } else {
-                    vec![(head, Msg::signal(tags::GENERIC))]
-                };
-                let mut got = h.step(out).len();
-                for _ in 0..wait {
-                    got += h.idle().len();
-                }
-                got
-            })
-            .unwrap();
+        let result = net.run_protocol(|_| Burst { head, wait, got: 0 }).unwrap();
         let delivered = *result.output_of(head).unwrap();
         rows.push((
             name,

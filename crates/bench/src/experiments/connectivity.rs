@@ -1,6 +1,6 @@
 //! Connectivity-threshold experiments (Theorems 17 and 18).
 
-use crate::drive::{self, Engine};
+use crate::drive;
 use crate::experiments::ratios_flat;
 use crate::table::{f2, Table};
 use dgr_connectivity::{edge_lower_bound, ThresholdInstance};
@@ -22,7 +22,7 @@ pub fn t17_ncc1() -> Vec<Table> {
     for &dmax in &[2usize, 8, 32, 127] {
         let rho = graphgen::uniform_thresholds(n, 1, dmax, 41);
         let inst = ThresholdInstance::new(rho);
-        let out = drive::ncc1(&inst.rho, 41, Engine::Batched);
+        let out = drive::ncc1(&inst.rho, 41);
         let lb = edge_lower_bound(&inst);
         let approx = out.graph.edge_count() as f64 / lb as f64;
         ok_all &= out.report.satisfied && approx <= 2.0;
@@ -68,7 +68,7 @@ pub fn t18_ncc0() -> Vec<Table> {
     for &dmax in &[4usize, 8, 16, 32, 64] {
         let rho = graphgen::uniform_thresholds(n, 1, dmax, 42);
         let inst = ThresholdInstance::new(rho);
-        let out = drive::ncc0(&inst.rho, 42, Engine::Batched);
+        let out = drive::ncc0(&inst.rho, 42);
         let lb = edge_lower_bound(&inst);
         let approx = out.graph.edge_count() as f64 / lb as f64;
         ok_all &= out.report.satisfied && approx <= 2.0 && out.metrics.undelivered == 0;
@@ -103,7 +103,7 @@ pub fn t18_ncc0() -> Vec<Table> {
     let mut ok2 = true;
     for (name, rho) in shapes {
         let inst = ThresholdInstance::new(rho);
-        let out = drive::ncc0(&inst.rho, 43, Engine::Batched);
+        let out = drive::ncc0(&inst.rho, 43);
         let lb = edge_lower_bound(&inst);
         let approx = out.graph.edge_count() as f64 / lb as f64;
         ok2 &= out.report.satisfied && approx <= 2.0;

@@ -1,7 +1,7 @@
 //! Degree-realization experiments (Theorems 11, 12, 13): the paper's
 //! headline results.
 
-use crate::drive::{self, Engine};
+use crate::drive;
 use crate::experiments::ratios_flat;
 use crate::table::{f2, Table};
 use dgr_core::DegreeSequence;
@@ -34,7 +34,7 @@ pub fn t11_implicit() -> Vec<Table> {
     for &k in &[2usize, 4, 8, 16, 32] {
         let degrees = graphgen::near_regular_sequence(n, k, 7);
         let seq = DegreeSequence::new(degrees.clone());
-        let out = drive::implicit(&degrees, 7, Engine::Batched);
+        let out = drive::implicit(&degrees, 7);
         let r = out.expect_realized();
         let ok = dgr_core::verify::degrees_match(&r.graph, &r.requested).is_ok();
         exact &= ok && r.metrics.is_clean();
@@ -78,7 +78,7 @@ pub fn t11_implicit() -> Vec<Table> {
         let n = 300;
         let degrees = graphgen::sqrt_m_family(n, m);
         let seq = DegreeSequence::new(degrees.clone());
-        let out = drive::implicit(&degrees, 8, Engine::Batched);
+        let out = drive::implicit(&degrees, 8);
         let r = out.expect_realized();
         let ok = dgr_core::verify::degrees_match(&r.graph, &r.requested).is_ok();
         exact &= ok && r.metrics.is_clean();
@@ -129,8 +129,8 @@ pub fn t12_explicit() -> Vec<Table> {
         degrees[0] = delta;
         graphgen::repair_to_graphic(&mut degrees);
         let seq = DegreeSequence::new(degrees.clone());
-        let imp = drive::implicit(&degrees, 9, Engine::Batched);
-        let exp = drive::explicit(&degrees, 9, Engine::Batched);
+        let imp = drive::implicit(&degrees, 9);
+        let exp = drive::explicit(&degrees, 9);
         let (ri, re) = (imp.expect_realized(), exp.expect_realized());
         ok_all &= dgr_core::verify::degrees_match(&re.graph, &re.requested).is_ok()
             && re.metrics.undelivered == 0;
@@ -201,7 +201,7 @@ pub fn t13_envelope() -> Vec<Table> {
     for (name, degrees) in families {
         let n = degrees.len();
         let sum: usize = degrees.iter().sum();
-        let out = drive::envelope(&degrees, 24, Engine::Batched);
+        let out = drive::envelope(&degrees, 24);
         let r = out.expect_realized();
         let mut env_sum = 0usize;
         let mut dominates = true;

@@ -3,7 +3,10 @@
 
 use crate::table::Table;
 use dgr_ncc::{Config, Network, NodeId};
-use dgr_primitives::{bbst, contacts, vpath, warmup};
+use dgr_primitives::proto::ctx::UndirectStep;
+use dgr_primitives::proto::warmup::WarmupStep;
+use dgr_primitives::proto::{Step, StepProtocol};
+use dgr_primitives::{bbst, warmup};
 use std::collections::HashMap;
 
 fn tree_rows<T>(
@@ -25,10 +28,7 @@ fn tree_rows<T>(
 pub fn fig1() -> Vec<Table> {
     let net = Network::new(8, Config::ncc0(0).with_sequential_ids());
     let result = net
-        .run(|h| {
-            let vp = vpath::undirect(h);
-            warmup::build(h, &vp)
-        })
+        .run_protocol(|_| StepProtocol::new(UndirectStep::new().then(|vp, _| WarmupStep::new(vp))))
         .unwrap();
     let mut t = Table::new(
         "Figure 1 — warm-up balanced binary tree on G_k = 1‥8",
@@ -62,24 +62,21 @@ pub fn fig1() -> Vec<Table> {
 pub fn fig2() -> Vec<Table> {
     let net = Network::new(8, Config::ncc0(0).with_sequential_ids());
     let result = net
-        .run(|h| {
-            let vp = vpath::undirect(h);
-            let ct = contacts::build(h, &vp);
-            bbst::build(h, &vp, &ct)
-        })
+        .run_protocol(|_| super::primitives::bbst_protocol())
         .unwrap();
     let mut t = Table::new(
         "Figure 2 — balanced binary search tree (Algorithm 1) on G_k = 1‥8",
         &["node", "parent", "left", "right"],
     );
     let opt = |o: Option<NodeId>| o.map_or("-".into(), |x| x.to_string());
-    for row in tree_rows(&result.outputs, |b: &bbst::Bbst| {
+    for row in tree_rows(&result.outputs, |b: &std::sync::Arc<bbst::Bbst>| {
         (opt(b.parent), opt(b.left), opt(b.right))
     }) {
         t.row(row);
     }
-    let view: HashMap<NodeId, &bbst::Bbst> =
-        result.outputs.iter().map(|(id, b)| (*id, b)).collect();
+    let view: HashMap<NodeId, &bbst::Bbst> = (result.outputs.iter())
+        .map(|(id, b)| (*id, b.as_ref()))
+        .collect();
     let expected = view[&1].is_root
         && view[&1].right == Some(5)
         && view[&5].left == Some(3)

@@ -8,7 +8,7 @@
 //! heavy nodes of `D*` must jointly learn Ω(m) IDs, so someone learns
 //! Ω(√m) — and the measurement makes that visible directly.
 
-use crate::drive::{self, Engine};
+use crate::drive;
 use crate::experiments::ratios_flat;
 use crate::table::{f2, Table};
 use dgr_core::DegreeSequence;
@@ -32,7 +32,7 @@ pub fn t19_explicit() -> Vec<Table> {
         degrees[0] = delta;
         graphgen::repair_to_graphic(&mut degrees);
         let seq = DegreeSequence::new(degrees.clone());
-        let out = drive::explicit(&degrees, 51, Engine::Batched);
+        let out = drive::explicit(&degrees, 51);
         let r = out.expect_realized();
         let d = seq.max_degree() as f64;
         let budget = d / lg(n) + lg(n) * lg(n);
@@ -72,7 +72,7 @@ pub fn t20_implicit() -> Vec<Table> {
     for &m in &[100usize, 400, 1600, 6400] {
         let degrees = graphgen::sqrt_m_family(n, m);
         let seq = DegreeSequence::new(degrees.clone());
-        let out = drive::implicit(&degrees, 52, Engine::Batched);
+        let out = drive::implicit(&degrees, 52);
         let r = out.expect_realized();
         let m_real = seq.edge_count() as f64;
         let sqrt_m = m_real.sqrt();
@@ -106,7 +106,7 @@ pub fn t20_implicit() -> Vec<Table> {
     let mut knowledge_ok = true;
     for &delta in &[4usize, 8, 16, 32, 64] {
         let degrees = graphgen::delta_regular_family(n, delta);
-        let out = drive::implicit(&degrees, 53, Engine::Batched);
+        let out = drive::implicit(&degrees, 53);
         let r = out.expect_realized();
         ratios.push(r.metrics.rounds as f64 / (delta as f64 * lg(n) * lg(n)));
         let learned = r.metrics.max_knowledge;

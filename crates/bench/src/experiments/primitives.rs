@@ -1,13 +1,39 @@
 //! Primitive round-complexity experiments (Theorems 1, 3, 4, 5 and
 //! Corollary 2): measured rounds vs. the predicted growth along `n`
 //! sweeps. Rounds here are *exact model quantities* reported by the
-//! simulator, not wall-clock.
+//! simulator, not wall-clock. A primitive's own round count is the
+//! difference of two runs: the composition ending in it, and the same
+//! composition without it.
 
 use crate::experiments::ratios_flat;
 use crate::table::{f2, Table};
-use dgr_ncc::{Config, Network};
-use dgr_primitives::sort::{self, Order};
-use dgr_primitives::{bbst, contacts, ops, traversal, vpath, PathCtx};
+use dgr_ncc::{Config, Network, NodeProtocol, RoundCtx, RunResult};
+use dgr_primitives::bbst::Bbst;
+use dgr_primitives::proto::bbst::BbstStep;
+use dgr_primitives::proto::contacts::ContactsStep;
+use dgr_primitives::proto::ctx::UndirectStep;
+use dgr_primitives::proto::ops::{AggBcastStep, BroadcastAddrStep, CollectStep};
+use dgr_primitives::proto::sort::SortStep;
+use dgr_primitives::proto::{AggOp, EstablishCtx, Step, StepProtocol, WithCtx};
+use dgr_primitives::sort::Order;
+use dgr_primitives::PathCtx;
+use std::sync::Arc;
+
+/// Undirect, contacts, then Algorithm 1 — the establishment chain up to
+/// (not including) the traversal.
+pub(crate) fn bbst_protocol() -> impl NodeProtocol<Output = Arc<Bbst>> {
+    StepProtocol::new(
+        UndirectStep::new().then(|vp, _| {
+            ContactsStep::new(vp).then(move |contacts, _| BbstStep::new(vp, contacts))
+        }),
+    )
+}
+
+/// The full context establishment, standalone.
+fn establish(net: &Network) -> RunResult<PathCtx> {
+    net.run_protocol(|_| StepProtocol::new(EstablishCtx::new()))
+        .unwrap()
+}
 
 const SWEEP: &[usize] = &[16, 32, 64, 128, 256, 512, 1024];
 
@@ -32,17 +58,11 @@ pub fn t1_bbst() -> Vec<Table> {
     let mut heights_ok = true;
     for &n in SWEEP {
         let net = Network::new(n, Config::ncc0(1));
-        let result = net
-            .run(|h| {
-                let vp = vpath::undirect(h);
-                let ct = contacts::build(h, &vp);
-                bbst::build(h, &vp, &ct).depth
-            })
-            .unwrap();
+        let result = net.run_protocol(|_| bbst_protocol()).unwrap();
         assert!(result.metrics.is_clean());
         let rounds = result.metrics.rounds;
-        let depth = result.outputs.iter().map(|(_, d)| *d).max().unwrap();
-        let bound = bbst::Bbst::depth_bound(n);
+        let depth = result.outputs.iter().map(|(_, b)| b.depth).max().unwrap();
+        let bound = Bbst::depth_bound(n);
         heights_ok &= depth <= bound;
         let ratio = rounds as f64 / lg(n);
         ratios.push(ratio);
@@ -80,25 +100,23 @@ pub fn c2_positions() -> Vec<Table> {
     for &n in SWEEP {
         let net = Network::new(n, Config::ncc0(2));
         let order = net.ids_in_path_order().to_vec();
-        let result = net
-            .run(|h| {
-                let vp = vpath::undirect(h);
-                let ct = contacts::build(h, &vp);
-                let tree = bbst::build(h, &vp, &ct);
-                let r0 = h.round();
-                let trav = traversal::positions(h, &vp, &tree);
-                let r1 = h.round();
-                let med = ops::median(h, &vp, &tree, trav.position);
-                let r2 = h.round();
-                (trav.position, med, r1 - r0, r2 - r1)
+        // Three runs, each one stage longer: tree, + positions, + median.
+        let tree = net.run_protocol(|_| bbst_protocol()).unwrap();
+        let positions = establish(&net);
+        let median = net
+            .run_protocol(|_| {
+                WithCtx::new(|c: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                    BroadcastAddrStep::median(c.vp, c.tree.clone(), c.position, rctx.id())
+                })
             })
             .unwrap();
-        let (pos_rounds, med_rounds) = {
-            let (_, (_, _, a, b)) = &result.outputs[0];
-            (*a, *b)
-        };
-        for (i, (_, (pos, med, ..))) in result.outputs.iter().enumerate() {
-            correct &= *pos == i && *med == order[(n - 1) / 2];
+        let pos_rounds = positions.metrics.rounds - tree.metrics.rounds;
+        let med_rounds = median.metrics.rounds - positions.metrics.rounds;
+        for (i, (_, ctx)) in positions.outputs.iter().enumerate() {
+            correct &= ctx.position == i;
+        }
+        for (_, med) in &median.outputs {
+            correct &= *med == order[(n - 1) / 2];
         }
         let total = (pos_rounds + med_rounds) as f64;
         ratios.push(total / lg(n));
@@ -136,20 +154,26 @@ pub fn t3_sort() -> Vec<Table> {
     for &n in SWEEP {
         let net = Network::new(n, Config::ncc0(3));
         let result = net
-            .run(|h| {
-                let c = PathCtx::establish(h);
-                let key = h.id() % 97;
-                let r0 = h.round();
-                let sp = sort::sort_at(h, &c.vp, &c.contacts, c.position, key, Order::Ascending);
-                (h.round() - r0, key, sp.rank)
+            .run_protocol(|_| {
+                WithCtx::new(|c: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                    let (key, id) = (rctx.id() % 97, rctx.id());
+                    SortStep::new(
+                        c.vp,
+                        c.contacts.clone(),
+                        c.position,
+                        key,
+                        Order::Ascending,
+                        id,
+                    )
+                })
             })
             .unwrap();
         assert!(result.metrics.is_clean());
-        let rounds = result.outputs[0].1 .0;
+        let rounds = result.metrics.rounds - establish(&net).metrics.rounds;
         let mut by_rank: Vec<(usize, u64)> = result
             .outputs
             .iter()
-            .map(|(_, (_, k, r))| (*r, *k))
+            .map(|(id, sp)| (sp.rank, id % 97))
             .collect();
         by_rank.sort_unstable();
         sorted_ok &= by_rank.windows(2).all(|w| w[0].1 <= w[1].1);
@@ -183,15 +207,14 @@ pub fn t4_aggregate() -> Vec<Table> {
         let net = Network::new(n, Config::ncc0(4));
         let want: u64 = net.ids_in_path_order().iter().map(|i| i % 64).sum();
         let result = net
-            .run(|h| {
-                let c = PathCtx::establish(h);
-                let r0 = h.round();
-                let sum = ops::aggregate_broadcast(h, &c.vp, &c.tree, h.id() % 64, |a, b| a + b);
-                (h.round() - r0, sum)
+            .run_protocol(|_| {
+                WithCtx::new(|c: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                    AggBcastStep::new(c.vp, c.tree.clone(), rctx.id() % 64, AggOp::Sum)
+                })
             })
             .unwrap();
-        let rounds = result.outputs[0].1 .0;
-        correct &= result.outputs.iter().all(|(_, (_, s))| *s == want);
+        let rounds = result.metrics.rounds - establish(&net).metrics.rounds;
+        correct &= result.outputs.iter().all(|(_, s)| *s == want);
         ratios.push(rounds as f64 / lg(n));
         t.row(vec![
             n.to_string(),
@@ -222,22 +245,17 @@ pub fn t5_collect() -> Vec<Table> {
         let net = Network::new(n, Config::ncc0(5));
         let cap = net.capacity();
         let result = net
-            .run(move |h| {
-                let c = PathCtx::establish(h);
-                let token = (c.position > 0 && c.position <= k).then_some(c.position as u64);
-                let r0 = h.round();
-                let got = ops::collect(h, &c.vp, &c.tree, token, k);
-                (h.round() - r0, c.tree.is_root, got.len())
+            .run_protocol(|_| {
+                WithCtx::new(move |c: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                    let token = (c.position > 0 && c.position <= k).then_some(c.position as u64);
+                    CollectStep::new(c.vp, c.tree.clone(), token, k, rctx.id())
+                })
             })
             .unwrap();
         assert!(result.metrics.is_clean());
-        let rounds = result.outputs[0].1 .0;
-        let at_root = result
-            .outputs
-            .iter()
-            .find(|(_, (_, root, _))| *root)
-            .map(|(_, (_, _, l))| *l)
-            .unwrap();
+        let rounds = result.metrics.rounds - establish(&net).metrics.rounds;
+        // The root of the tree is the head of the path; only it collects.
+        let at_root = result.outputs[0].1.len();
         complete &= at_root == k;
         let budget = k as f64 / cap as f64 + lg(n);
         ratios.push(rounds as f64 / budget);

@@ -1,6 +1,6 @@
 //! Tree-realization experiments (Theorems 14 and 16).
 
-use crate::drive::{self, Engine};
+use crate::drive;
 use crate::experiments::ratios_flat;
 use crate::table::{f2, Table};
 use dgr_core::DegreeSequence;
@@ -28,7 +28,7 @@ pub fn t14_chain() -> Vec<Table> {
     let mut ok_all = true;
     for &n in &[32usize, 64, 128, 256, 512, 1024] {
         let degrees = graphgen::random_tree_sequence(n, n as u64);
-        let out = drive::tree(&degrees, TreeAlgo::Chain, 31, Engine::Batched);
+        let out = drive::tree(&degrees, TreeAlgo::Chain, 31);
         let r = out.expect_realized();
         let deg_ok = dgr_core::verify::degrees_match(&r.graph, &r.requested).is_ok();
         ok_all &= r.graph.is_tree() && deg_ok && r.metrics.is_clean();
@@ -95,8 +95,8 @@ pub fn t16_greedy() -> Vec<Table> {
         if !seq.is_tree_realizable() {
             panic!("profile {name} is not tree-realizable");
         }
-        let chain = drive::tree(&degrees, TreeAlgo::Chain, 32, Engine::Batched);
-        let greedy_t = drive::tree(&degrees, TreeAlgo::Greedy, 32, Engine::Batched);
+        let chain = drive::tree(&degrees, TreeAlgo::Chain, 32);
+        let greedy_t = drive::tree(&degrees, TreeAlgo::Greedy, 32);
         let (c, g) = (chain.expect_realized(), greedy_t.expect_realized());
         let reference = greedy::greedy_tree(&seq).unwrap();
         let ref_dia = greedy::diameter_of(&reference, n);

@@ -160,11 +160,18 @@ pub fn realize(h: &mut NodeHandle, rho: usize) -> ThresholdOutcome {
     outcome
 }
 
-#[cfg(all(test, feature = "threaded"))]
-// The unit tests double as coverage of the deprecated delegating shims.
-#[allow(deprecated)]
+#[cfg(test)]
 mod tests {
-    use crate::driver::realize_ncc0;
+    use crate::driver::{realize_threshold_run, ThresholdAlgo, ThresholdRealization};
+    use dgr_ncc::EngineKind;
+    use dgr_primitives::sort::SortBackend;
+
+    fn realize_ncc0(inst: &ThresholdInstance, config: Config) -> ThresholdRealization {
+        let (algo, engine) = (ThresholdAlgo::Ncc0Pipeline, EngineKind::Batched);
+        realize_threshold_run(inst, config, algo, engine, SortBackend::Bitonic, true, None)
+            .unwrap()
+            .output
+    }
     use crate::{sequential, ThresholdInstance};
     use dgr_ncc::Config;
 
@@ -177,7 +184,7 @@ mod tests {
             vec![4, 4, 3, 2, 2, 1, 1, 1, 1, 1],
         ] {
             let inst = ThresholdInstance::new(rho.clone());
-            let out = realize_ncc0(&inst, Config::ncc0(71).with_queueing()).unwrap();
+            let out = realize_ncc0(&inst, Config::ncc0(71).with_queueing());
             assert!(out.report.satisfied, "{rho:?}: {:?}", out.report);
             assert!(
                 out.graph.edge_count() <= inst.sum(),
@@ -194,7 +201,7 @@ mod tests {
     #[test]
     fn explicitness_both_endpoints_list_every_edge() {
         let inst = ThresholdInstance::new(vec![3, 2, 2, 1, 1, 1, 1, 1]);
-        let out = realize_ncc0(&inst, Config::ncc0(72).with_queueing()).unwrap();
+        let out = realize_ncc0(&inst, Config::ncc0(72).with_queueing());
         // assemble_explicit (inside the driver) already asserts symmetry;
         // double-check degree consistency here.
         for &id in &out.path_order {
@@ -211,7 +218,7 @@ mod tests {
     fn uniform_high_rho() {
         // Everyone wants connectivity 5 on n = 12.
         let inst = ThresholdInstance::new(vec![5; 12]);
-        let out = realize_ncc0(&inst, Config::ncc0(73).with_queueing()).unwrap();
+        let out = realize_ncc0(&inst, Config::ncc0(73).with_queueing());
         assert!(out.report.satisfied, "{:?}", out.report);
     }
 
@@ -220,7 +227,7 @@ mod tests {
         // Everyone wants n-1: the realization must be (close to) complete.
         let n = 8;
         let inst = ThresholdInstance::new(vec![n - 1; n]);
-        let out = realize_ncc0(&inst, Config::ncc0(74).with_queueing()).unwrap();
+        let out = realize_ncc0(&inst, Config::ncc0(74).with_queueing());
         assert!(out.report.satisfied, "{:?}", out.report);
         assert_eq!(out.graph.edge_count(), n * (n - 1) / 2);
     }
@@ -239,7 +246,7 @@ mod tests {
             *r = 3;
         }
         let inst = ThresholdInstance::new(rho);
-        let out = realize_ncc0(&inst, Config::ncc0(31).with_queueing()).unwrap();
+        let out = realize_ncc0(&inst, Config::ncc0(31).with_queueing());
         assert!(out.report.satisfied, "{:?}", out.report);
     }
 }

@@ -56,11 +56,18 @@ pub fn realize(h: &mut NodeHandle, rho: usize) -> ThresholdOutcome {
     outcome
 }
 
-#[cfg(all(test, feature = "threaded"))]
-// The unit tests double as coverage of the deprecated delegating shims.
-#[allow(deprecated)]
+#[cfg(test)]
 mod tests {
-    use crate::driver::realize_ncc1;
+    use crate::driver::{realize_threshold_run, ThresholdAlgo, ThresholdRealization};
+    use dgr_ncc::EngineKind;
+    use dgr_primitives::sort::SortBackend;
+
+    fn realize_ncc1(inst: &ThresholdInstance, config: Config) -> ThresholdRealization {
+        let (algo, engine) = (ThresholdAlgo::Ncc1Star, EngineKind::Batched);
+        realize_threshold_run(inst, config, algo, engine, SortBackend::Bitonic, true, None)
+            .unwrap()
+            .output
+    }
     use crate::ThresholdInstance;
     use dgr_ncc::Config;
 
@@ -72,7 +79,7 @@ mod tests {
             vec![4, 3, 2, 2, 1, 1, 1, 1],
         ] {
             let inst = ThresholdInstance::new(rho.clone());
-            let out = realize_ncc1(&inst, Config::ncc1(61)).unwrap();
+            let out = realize_ncc1(&inst, Config::ncc1(61));
             assert!(out.report.satisfied, "{rho:?}: {:?}", out.report);
             assert!(
                 out.graph.edge_count() <= inst.sum(),
@@ -88,14 +95,8 @@ mod tests {
         // O~(1): round count must not depend on Δ = max ρ.
         let small = ThresholdInstance::new(vec![2; 32]);
         let large = ThresholdInstance::new(vec![20; 32]);
-        let r1 = realize_ncc1(&small, Config::ncc1(62))
-            .unwrap()
-            .metrics
-            .rounds;
-        let r2 = realize_ncc1(&large, Config::ncc1(62))
-            .unwrap()
-            .metrics
-            .rounds;
+        let r1 = realize_ncc1(&small, Config::ncc1(62)).metrics.rounds;
+        let r2 = realize_ncc1(&large, Config::ncc1(62)).metrics.rounds;
         assert_eq!(r1, r2, "rounds depend on Δ");
     }
 }

@@ -409,37 +409,23 @@ pub fn realize_prefix_envelope_batched(
     realize_prefix_envelope_run(inst, config, EngineKind::Batched, None).map(|run| run.output)
 }
 
-#[cfg(all(test, feature = "threaded"))]
-// The unit tests double as coverage of the deprecated delegating shims.
-#[allow(deprecated)]
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    fn realize_ncc1(inst: &ThresholdInstance, config: Config) -> ThresholdRealization {
+        let (algo, engine) = (ThresholdAlgo::Ncc1Star, EngineKind::Batched);
+        realize_threshold_run(inst, config, algo, engine, SortBackend::Bitonic, true, None)
+            .unwrap()
+            .output
+    }
 
     #[test]
     fn ncc1_driver_smoke() {
         let inst = ThresholdInstance::new(vec![2, 2, 1, 1, 1]);
-        let out = realize_ncc1(&inst, Config::ncc1(55)).unwrap();
+        let out = realize_ncc1(&inst, Config::ncc1(55));
         assert!(out.report.satisfied);
         assert!(out.explicit_neighbors.is_empty());
-    }
-
-    #[test]
-    fn batched_and_threaded_realize_the_same_overlay() {
-        for rho in [
-            vec![2, 2, 1, 1, 1],
-            vec![4, 3, 2, 2, 1, 1, 1, 1],
-            vec![3; 9],
-        ] {
-            let inst = ThresholdInstance::new(rho);
-            let threaded = realize_ncc1(&inst, Config::ncc1(77)).unwrap();
-            let batched = realize_ncc1_batched(&inst, Config::ncc1(77)).unwrap();
-            assert!(batched.report.satisfied);
-            assert_eq!(
-                threaded.graph.edge_list(),
-                batched.graph.edge_list(),
-                "engines disagree on the realized overlay"
-            );
-        }
     }
 
     #[test]
@@ -448,7 +434,7 @@ mod tests {
         // the six-digit-scale structural checks live in tests/scale.rs).
         let n = 2_000;
         let inst = ThresholdInstance::new(vec![3; n]);
-        let out = realize_ncc1_batched(&inst, Config::ncc1(88)).unwrap();
+        let out = realize_ncc1(&inst, Config::ncc1(88));
         assert!(out.report.satisfied);
         assert!(out.metrics.is_clean());
         assert!(out.metrics.rounds <= 2 * 13);

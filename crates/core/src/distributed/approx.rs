@@ -54,16 +54,31 @@ pub fn realize_on(
     super::implicit::realize_on(h, ctx, global, degree, super::implicit::Mode::Envelope)
 }
 
-#[cfg(all(test, feature = "threaded"))]
-// The unit tests double as coverage of the deprecated delegating shims.
-#[allow(deprecated)]
+#[cfg(test)]
 mod tests {
-    use crate::driver;
-    use dgr_ncc::Config;
+    use crate::distributed::proto::Flavor;
+    use crate::driver::{realize_degrees, DriverOutput};
+    use dgr_ncc::{Config, EngineKind};
+    use dgr_primitives::sort::SortBackend;
+
+    fn realize(degrees: &[usize], config: Config) -> DriverOutput {
+        let (flavor, engine) = (Flavor::Envelope, EngineKind::Batched);
+        realize_degrees(
+            degrees,
+            None,
+            config,
+            flavor,
+            engine,
+            SortBackend::Bitonic,
+            None,
+        )
+        .unwrap()
+        .output
+    }
 
     /// Checks the two Theorem 13 invariants on a realized envelope.
     fn check_envelope(degrees: &[usize], seed: u64) {
-        let out = driver::realize_approx(degrees, Config::ncc0(seed)).unwrap();
+        let out = realize(degrees, Config::ncc0(seed));
         let g = out.expect_realized();
         let sum: usize = degrees.iter().sum();
         let mut envelope_sum = 0;
@@ -102,7 +117,7 @@ mod tests {
         // On a graphic sequence the envelope variant must produce an exact
         // realization with zero discrepancy and zero duplicates.
         let degrees = vec![3, 2, 2, 2, 1];
-        let out = driver::realize_approx(&degrees, Config::ncc0(17)).unwrap();
+        let out = realize(&degrees, Config::ncc0(17));
         let g = out.expect_realized();
         assert_eq!(g.duplicate_edges, 0);
         let mut want = degrees.clone();
@@ -112,7 +127,7 @@ mod tests {
 
     #[test]
     fn rejects_oversized_degrees() {
-        let out = driver::realize_approx(&[3, 1, 1], Config::ncc0(18)).unwrap();
+        let out = realize(&[3, 1, 1], Config::ncc0(18));
         assert!(out.is_unrealizable());
     }
 }

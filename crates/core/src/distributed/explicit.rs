@@ -71,17 +71,32 @@ pub fn make_explicit(
     }
 }
 
-#[cfg(all(test, feature = "threaded"))]
-// The unit tests double as coverage of the deprecated delegating shims.
-#[allow(deprecated)]
+#[cfg(test)]
 mod tests {
-    use crate::driver;
-    use dgr_ncc::Config;
+    use crate::distributed::proto::Flavor;
+    use crate::driver::{realize_degrees, DriverOutput};
+    use dgr_ncc::{Config, EngineKind};
+    use dgr_primitives::sort::SortBackend;
+
+    fn realize(degrees: &[usize], config: Config) -> DriverOutput {
+        let (flavor, engine) = (Flavor::Explicit, EngineKind::Batched);
+        realize_degrees(
+            degrees,
+            None,
+            config,
+            flavor,
+            engine,
+            SortBackend::Bitonic,
+            None,
+        )
+        .unwrap()
+        .output
+    }
 
     #[test]
     fn both_endpoints_know_every_edge() {
         let degrees = vec![4, 3, 3, 2, 2, 2, 1, 1];
-        let out = driver::realize_explicit(&degrees, Config::ncc0(31).with_queueing()).unwrap();
+        let out = realize(&degrees, Config::ncc0(31).with_queueing());
         let g = out.expect_realized();
         // Explicit: every node's neighbor list is exactly its graph
         // adjacency — symmetric by construction of the check in the driver.
@@ -101,8 +116,7 @@ mod tests {
 
     #[test]
     fn explicit_rejects_non_graphic() {
-        let out =
-            driver::realize_explicit(&[3, 3, 1, 1], Config::ncc0(33).with_queueing()).unwrap();
+        let out = realize(&[3, 3, 1, 1], Config::ncc0(33).with_queueing());
         assert!(out.is_unrealizable());
     }
 
@@ -113,7 +127,7 @@ mod tests {
         let n = 48;
         let mut degrees = vec![1usize; n];
         degrees[0] = n - 1;
-        let out = driver::realize_explicit(&degrees, Config::ncc0(35).with_queueing()).unwrap();
+        let out = realize(&degrees, Config::ncc0(35).with_queueing());
         let g = out.expect_realized();
         assert!(g.metrics.max_received_per_round <= g.metrics.capacity);
         assert_eq!(g.graph.degree_sequence()[0], n - 1);

@@ -172,17 +172,31 @@ pub fn phase_bound(seq: &DegreeSequence) -> f64 {
     m.sqrt().min(delta)
 }
 
-#[cfg(all(test, feature = "threaded"))]
-// The unit tests double as coverage of the deprecated delegating shims.
-#[allow(deprecated)]
+#[cfg(test)]
 mod tests {
+    use crate::distributed::proto::Flavor;
+    use crate::driver::{realize_degrees, DriverOutput};
+    use dgr_ncc::{Config, EngineKind};
+    use dgr_primitives::sort::SortBackend;
 
-    use crate::driver;
-    use dgr_ncc::Config;
+    fn realize(degrees: &[usize], config: Config) -> DriverOutput {
+        let (flavor, engine) = (Flavor::Implicit, EngineKind::Batched);
+        realize_degrees(
+            degrees,
+            None,
+            config,
+            flavor,
+            engine,
+            SortBackend::Bitonic,
+            None,
+        )
+        .unwrap()
+        .output
+    }
 
     #[test]
     fn realizes_a_triangle() {
-        let out = driver::realize_implicit(&[2, 2, 2], Config::ncc0(1)).unwrap();
+        let out = realize(&[2, 2, 2], Config::ncc0(1));
         let g = out.expect_realized();
         assert_eq!(g.graph.edge_count(), 3);
         assert_eq!(g.graph.degree_sequence(), vec![2, 2, 2]);
@@ -198,7 +212,7 @@ mod tests {
             vec![0, 0, 0],
             vec![1, 1, 0, 0],
         ] {
-            let out = driver::realize_implicit(&degrees, Config::ncc0(7)).unwrap();
+            let out = realize(&degrees, Config::ncc0(7));
             let g = out.expect_realized();
             let mut want = degrees.clone();
             want.sort_unstable_by(|a, b| b.cmp(a));
@@ -216,7 +230,7 @@ mod tests {
             vec![3, 1, 1],          // degree ≥ n handled mid-run
             vec![5, 5, 4, 3, 2, 1], // classic
         ] {
-            let out = driver::realize_implicit(&degrees, Config::ncc0(3)).unwrap();
+            let out = realize(&degrees, Config::ncc0(3));
             assert!(out.is_unrealizable(), "{degrees:?} was accepted");
         }
     }
@@ -225,7 +239,7 @@ mod tests {
     fn phase_count_is_within_lemma10() {
         // A 6-regular sequence on 32 nodes: Δ = 6, so at most ~2Δ phases.
         let degrees = vec![6usize; 32];
-        let out = driver::realize_implicit(&degrees, Config::ncc0(5)).unwrap();
+        let out = realize(&degrees, Config::ncc0(5));
         let g = out.expect_realized();
         assert!(
             g.phases <= 2 * 6 + 2,
@@ -236,10 +250,10 @@ mod tests {
 
     #[test]
     fn single_node_zero_degree() {
-        let out = driver::realize_implicit(&[0], Config::ncc0(1)).unwrap();
+        let out = realize(&[0], Config::ncc0(1));
         let g = out.expect_realized();
         assert_eq!(g.graph.edge_count(), 0);
-        let out = driver::realize_implicit(&[1], Config::ncc0(1)).unwrap();
+        let out = realize(&[1], Config::ncc0(1));
         assert!(out.is_unrealizable());
     }
 }

@@ -563,16 +563,29 @@ pub fn realize_prefix_batched(
     .map(|run| run.output)
 }
 
-#[cfg(all(test, feature = "threaded"))]
-// The unit tests double as coverage of the deprecated delegating shims.
-#[allow(deprecated)]
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    fn realize_implicit(degrees: &[usize], config: Config) -> DriverOutput {
+        let (flavor, engine) = (Flavor::Implicit, EngineKind::Batched);
+        realize_degrees(
+            degrees,
+            None,
+            config,
+            flavor,
+            engine,
+            SortBackend::Bitonic,
+            None,
+        )
+        .unwrap()
+        .output
+    }
 
     #[test]
     fn implicit_driver_end_to_end() {
         let degrees = vec![2, 2, 1, 1];
-        let out = realize_implicit(&degrees, Config::ncc0(41)).unwrap();
+        let out = realize_implicit(&degrees, Config::ncc0(41));
         let g = out.expect_realized();
         assert_eq!(g.graph.edge_count(), 3);
         verify::degrees_match(&g.graph, &g.requested).unwrap();
@@ -582,7 +595,7 @@ mod tests {
 
     #[test]
     fn metrics_accessible_on_refusal() {
-        let out = realize_implicit(&[1, 1, 1], Config::ncc0(42)).unwrap();
+        let out = realize_implicit(&[1, 1, 1], Config::ncc0(42));
         assert!(out.is_unrealizable());
         assert!(out.metrics().rounds > 0);
     }

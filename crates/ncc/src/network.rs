@@ -576,7 +576,9 @@ fn assign_ids(n: usize, config: &Config) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{tags, Msg};
+    use crate::message::tags;
+    use crate::protocol::{RoundCtx, Status};
+    use crate::{EngineKind, WireMsg};
 
     #[test]
     fn ids_are_distinct_and_deterministic() {
@@ -595,207 +597,236 @@ mod tests {
         assert_eq!(ids, vec![1, 2, 3, 4, 5]);
     }
 
-    #[cfg(feature = "threaded")]
-    mod threaded {
-        use super::*;
-        use crate::SimError;
+    /// A protocol from a closure polled once per round.
+    struct Script<F>(F);
 
-        #[test]
-        fn zero_round_protocol() {
-            let net = Network::new(4, Config::ncc0(1));
-            let result = net.run(|h| h.id()).unwrap();
-            assert_eq!(result.metrics.rounds, 0);
-            assert_eq!(result.outputs.len(), 4);
-            for (id, out) in &result.outputs {
-                assert_eq!(id, out);
+    impl<R: Send, F: FnMut(&mut RoundCtx<'_>) -> Status<R> + Send> NodeProtocol for Script<F> {
+        type Output = R;
+
+        fn step(&mut self, ctx: &mut RoundCtx<'_>) -> Status<R> {
+            (self.0)(ctx)
+        }
+    }
+
+    /// Runs the scripted protocol on both engines, asserting they agree
+    /// on outputs and metrics (or on the error), and returns one result.
+    fn on_both_engines<R, F, S>(net: &Network, script: S) -> Result<RunResult<R>, SimError>
+    where
+        R: Send + PartialEq + std::fmt::Debug,
+        F: FnMut(&mut RoundCtx<'_>) -> Status<R> + Send,
+        S: Fn(&NodeSeed<'_>) -> F + Send + Sync,
+    {
+        let run = |engine| net.run_protocol_on(engine, None, None, |seed| Script(script(seed)));
+        let (batched, reference) = (run(EngineKind::Batched), run(EngineKind::Reference));
+        match (&batched, &reference) {
+            (Ok(b), Ok(r)) => {
+                assert_eq!(b.outputs, r.outputs);
+                assert_eq!(b.metrics, r.metrics);
             }
+            (Err(b), Err(r)) => assert_eq!(b.to_string(), r.to_string()),
+            _ => panic!("one engine failed, the other did not"),
         }
+        batched
+    }
 
-        #[test]
-        fn single_node_network() {
-            let net = Network::new(1, Config::ncc0(1));
-            let result = net.run(|h| {
-                assert!(h.initial_successor().is_none());
-                h.idle();
-                h.n()
-            });
-            let result = result.unwrap();
-            assert_eq!(result.metrics.rounds, 1);
-            assert_eq!(result.outputs[0].1, 1);
-        }
-
-        #[test]
-        fn undirect_round_finds_unique_head() {
-            let net = Network::new(16, Config::ncc0(3));
-            let result = net
-                .run(|h| {
-                    let out = h
-                        .initial_successor()
-                        .map(|s| (s, Msg::signal(tags::UNDIRECT)))
-                        .into_iter()
-                        .collect();
-                    let inbox = h.step(out);
-                    inbox.first().map(|e| e.src)
-                })
-                .unwrap();
-            let heads = result.outputs.iter().filter(|(_, p)| p.is_none()).count();
-            assert_eq!(heads, 1);
-            // The head is the first node in path order.
-            assert!(result.outputs[0].1.is_none());
-            // Everyone else's predecessor is the previous node on the path.
-            let order = result.gk_order();
-            for i in 1..order.len() {
-                assert_eq!(result.outputs[i].1, Some(order[i - 1]));
-            }
-            assert!(result.metrics.is_clean());
-        }
-
-        #[test]
-        fn ncc1_exposes_sorted_ids() {
-            let net = Network::new(8, Config::ncc1(9));
-            let result = net
-                .run(|h| {
-                    let ids = h.all_ids().to_vec();
-                    assert!(ids.windows(2).all(|w| w[0] < w[1]));
-                    ids.len()
-                })
-                .unwrap();
-            assert!(result.outputs.iter().all(|(_, l)| *l == 8));
-        }
-
-        #[test]
-        fn node_panic_is_reported() {
-            let net = Network::new(3, Config::ncc0(1));
-            let err = net
-                .run(|h| {
-                    if h.initial_successor().is_none() {
-                        panic!("intentional test panic");
-                    }
-                    h.idle();
-                })
-                .unwrap_err();
-            match err {
-                SimError::NodePanic { message, .. } => {
-                    assert!(message.contains("intentional"))
+    /// Sends `out` in round 0, then listens for `wait` more rounds;
+    /// outputs the number of messages received.
+    fn send_then_count(
+        out: Vec<NodeId>,
+        wait: u64,
+    ) -> impl FnMut(&mut RoundCtx<'_>) -> Status<usize> + Send {
+        let mut got = 0;
+        move |ctx| {
+            got += ctx.inbox().len();
+            if ctx.round() == 0 {
+                for &dst in &out {
+                    ctx.send(dst, WireMsg::signal(tags::GENERIC));
                 }
-                other => panic!("expected NodePanic, got {other}"),
             }
+            if ctx.round() > wait {
+                return Status::Done(got);
+            }
+            Status::Continue
         }
+    }
 
-        #[test]
-        fn strict_unknown_addressee_is_fatal() {
-            let net = Network::new(4, Config::ncc0(1));
-            let bogus: NodeId = net.ids_in_path_order()[0];
-            // Node 3 (tail) does not know the head's ID; sending to it is a
-            // KT0 violation.
-            let tail = *net.ids_in_path_order().last().unwrap();
-            let err = net
-                .run(move |h| {
-                    let out = if h.id() == tail && bogus != tail {
-                        vec![(bogus, Msg::signal(tags::GENERIC))]
-                    } else {
-                        vec![]
-                    };
-                    h.step(out);
-                })
-                .unwrap_err();
-            assert!(matches!(err, SimError::Violation(_)), "got {err}");
+    #[test]
+    fn zero_round_protocol() {
+        let net = Network::new(4, Config::ncc0(1));
+        let result = on_both_engines(&net, |_| |ctx| Status::Done(ctx.id())).unwrap();
+        assert_eq!(result.metrics.rounds, 0);
+        assert_eq!(result.outputs.len(), 4);
+        for (id, out) in &result.outputs {
+            assert_eq!(id, out);
         }
+    }
 
-        #[test]
-        fn record_policy_counts_but_continues() {
-            let mut config = Config::ncc0(1);
-            config.capacity_policy = crate::CapacityPolicy::Record;
-            let net = Network::new(4, config);
-            let head = net.ids_in_path_order()[0];
-            let tail = *net.ids_in_path_order().last().unwrap();
-            let result = net
-                .run(move |h| {
-                    let out = if h.id() == tail {
-                        vec![(head, Msg::signal(tags::GENERIC))]
-                    } else {
-                        vec![]
-                    };
-                    h.step(out).len()
-                })
-                .unwrap();
-            assert_eq!(result.metrics.violations.unknown_addressee, 1);
-            // Lenient policy still delivers when physically possible.
-            assert_eq!(*result.output_of(head).unwrap(), 1);
-        }
+    #[test]
+    fn single_node_network() {
+        let net = Network::new(1, Config::ncc0(1));
+        let result = on_both_engines(&net, |_| {
+            |ctx| {
+                assert!(ctx.initial_successor().is_none());
+                match ctx.round() {
+                    0 => Status::Continue,
+                    _ => Status::Done(ctx.n()),
+                }
+            }
+        })
+        .unwrap();
+        assert_eq!(result.metrics.rounds, 1);
+        assert_eq!(result.outputs[0].1, 1);
+    }
 
-        #[test]
-        fn round_limit_aborts() {
-            let mut config = Config::ncc0(1);
-            config.max_rounds = 5;
-            let net = Network::new(2, config);
-            let err = net
-                .run(|h| {
-                    for _ in 0..100 {
-                        h.idle();
+    #[test]
+    fn undirect_round_finds_unique_head() {
+        let net = Network::new(16, Config::ncc0(3));
+        let result = on_both_engines(&net, |_| {
+            |ctx| {
+                if ctx.round() == 0 {
+                    if let Some(succ) = ctx.initial_successor() {
+                        ctx.send(succ, WireMsg::signal(tags::UNDIRECT));
                     }
-                })
-                .unwrap_err();
-            assert!(matches!(err, SimError::RoundLimitExceeded { .. }));
+                    return Status::Continue;
+                }
+                Status::Done(ctx.inbox().first().map(|e| e.src))
+            }
+        })
+        .unwrap();
+        let heads = result.outputs.iter().filter(|(_, p)| p.is_none()).count();
+        assert_eq!(heads, 1);
+        // The head is the first node in path order.
+        assert!(result.outputs[0].1.is_none());
+        // Everyone else's predecessor is the previous node on the path.
+        let order = result.gk_order();
+        for i in 1..order.len() {
+            assert_eq!(result.outputs[i].1, Some(order[i - 1]));
         }
+        assert!(result.metrics.is_clean());
+    }
 
-        #[test]
-        fn queue_policy_paces_fan_in() {
-            // Everyone sends to the head in the same round; with n=64 and
-            // cap well below 63 the queue policy must spread delivery over
-            // rounds.
-            let mut config = Config::ncc0(1);
-            config.capacity_policy = crate::CapacityPolicy::Queue;
-            config.track_knowledge = false; // everyone addresses the head
-            let net = Network::new(64, config.clone());
-            let cap = net.capacity();
-            assert!(cap < 63, "test requires cap < n-1, got {cap}");
-            let head = net.ids_in_path_order()[0];
-            let wait = (63 / cap) as u64 + 2;
-            let result = net
-                .run(move |h| {
-                    let out = if h.id() == head {
-                        vec![]
-                    } else {
-                        vec![(head, Msg::signal(tags::GENERIC))]
-                    };
-                    let mut got = h.step(out).len();
-                    for _ in 0..wait {
-                        got += h.idle().len();
-                    }
-                    got
-                })
-                .unwrap();
-            assert_eq!(*result.output_of(head).unwrap(), 63);
-            assert_eq!(result.metrics.max_received_per_round, cap);
-            assert!(result.metrics.max_queue_len > 0);
-            assert_eq!(result.metrics.undelivered, 0);
+    #[test]
+    fn ncc1_exposes_sorted_ids() {
+        let net = Network::new(8, Config::ncc1(9));
+        let result = on_both_engines(&net, |seed| {
+            assert!(seed.all_ids().windows(2).all(|w| w[0] < w[1]));
+            |ctx| {
+                assert!(ctx.all_ids().windows(2).all(|w| w[0] < w[1]));
+                Status::Done(ctx.all_ids().len())
+            }
+        })
+        .unwrap();
+        assert!(result.outputs.iter().all(|(_, l)| *l == 8));
+    }
+
+    #[test]
+    fn node_panic_is_reported() {
+        let net = Network::new(3, Config::ncc0(1));
+        let err = on_both_engines(&net, |_| {
+            |ctx| {
+                if ctx.initial_successor().is_none() {
+                    panic!("intentional test panic");
+                }
+                match ctx.round() {
+                    0 => Status::Continue,
+                    _ => Status::Done(()),
+                }
+            }
+        })
+        .unwrap_err();
+        match err {
+            SimError::NodePanic { message, node } => {
+                assert!(message.contains("intentional"));
+                assert_eq!(node, *net.ids_in_path_order().last().unwrap());
+            }
+            other => panic!("expected NodePanic, got {other}"),
         }
+    }
 
-        #[test]
-        fn deterministic_replay() {
-            let run = || {
-                let net = Network::new(32, Config::ncc0(42));
-                net.run(|h| {
+    #[test]
+    fn strict_unknown_addressee_is_fatal() {
+        // The tail does not know the head's ID; sending to it is a KT0
+        // violation.
+        let net = Network::new(4, Config::ncc0(1));
+        let head = net.ids_in_path_order()[0];
+        let tail = *net.ids_in_path_order().last().unwrap();
+        let err = on_both_engines(&net, |seed| {
+            send_then_count(if seed.id == tail { vec![head] } else { vec![] }, 0)
+        })
+        .unwrap_err();
+        assert!(matches!(err, SimError::Violation(_)), "got {err}");
+    }
+
+    #[test]
+    fn record_policy_counts_but_continues() {
+        let mut config = Config::ncc0(1);
+        config.capacity_policy = crate::CapacityPolicy::Record;
+        let net = Network::new(4, config);
+        let head = net.ids_in_path_order()[0];
+        let tail = *net.ids_in_path_order().last().unwrap();
+        let result = on_both_engines(&net, |seed| {
+            send_then_count(if seed.id == tail { vec![head] } else { vec![] }, 0)
+        })
+        .unwrap();
+        assert_eq!(result.metrics.violations.unknown_addressee, 1);
+        // Lenient policy still delivers when physically possible.
+        assert_eq!(*result.output_of(head).unwrap(), 1);
+    }
+
+    #[test]
+    fn round_limit_aborts() {
+        let mut config = Config::ncc0(1);
+        config.max_rounds = 5;
+        let net = Network::new(2, config);
+        let err = on_both_engines(&net, |_| send_then_count(vec![], 100)).unwrap_err();
+        assert!(matches!(err, SimError::RoundLimitExceeded { .. }));
+    }
+
+    #[test]
+    fn queue_policy_paces_fan_in() {
+        // Everyone sends to the head in the same round; with n=64 and
+        // cap well below 63 the queue policy must spread delivery over
+        // rounds.
+        let mut config = Config::ncc0(1);
+        config.capacity_policy = crate::CapacityPolicy::Queue;
+        config.track_knowledge = false; // everyone addresses the head
+        let net = Network::new(64, config.clone());
+        let cap = net.capacity();
+        assert!(cap < 63, "test requires cap < n-1, got {cap}");
+        let head = net.ids_in_path_order()[0];
+        let wait = (63 / cap) as u64 + 2;
+        let result = on_both_engines(&net, |seed| {
+            send_then_count(if seed.id == head { vec![] } else { vec![head] }, wait)
+        })
+        .unwrap();
+        assert_eq!(*result.output_of(head).unwrap(), 63);
+        assert_eq!(result.metrics.max_received_per_round, cap);
+        assert!(result.metrics.max_queue_len > 0);
+        assert_eq!(result.metrics.undelivered, 0);
+    }
+
+    #[test]
+    fn deterministic_replay() {
+        let run = || {
+            let net = Network::new(32, Config::ncc0(42));
+            on_both_engines(&net, |_| {
+                |ctx| {
                     // Las Vegas-style random messaging to the successor.
-                    let r: u64 = rand::Rng::gen_range(h.rng(), 0..100);
-                    let out = h
-                        .initial_successor()
-                        .map(|s| (s, Msg::word(tags::GENERIC, r)))
-                        .into_iter()
-                        .collect();
-                    let inbox = h.step(out);
-                    inbox.first().map(|e| e.word()).unwrap_or(0)
-                })
-                .unwrap()
-            };
-            let a = run();
-            let b = run();
-            assert_eq!(
-                a.outputs.iter().map(|(i, o)| (*i, *o)).collect::<Vec<_>>(),
-                b.outputs.iter().map(|(i, o)| (*i, *o)).collect::<Vec<_>>()
-            );
-            assert_eq!(a.metrics.messages, b.metrics.messages);
-        }
+                    if ctx.round() == 0 {
+                        let r: u64 = rand::Rng::gen_range(ctx.rng(), 0..100);
+                        if let Some(succ) = ctx.initial_successor() {
+                            ctx.send(succ, WireMsg::word(tags::GENERIC, r));
+                        }
+                        return Status::Continue;
+                    }
+                    Status::Done(ctx.inbox().first().map(|e| e.word()).unwrap_or(0))
+                }
+            })
+            .unwrap()
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a.outputs, b.outputs);
+        assert_eq!(a.metrics.messages, b.metrics.messages);
+        assert!(a.outputs.iter().any(|(_, word)| *word != 0));
     }
 }

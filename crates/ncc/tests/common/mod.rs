@@ -5,7 +5,7 @@
 use dgr_ncc::event::semantic_stream;
 use dgr_ncc::{
     EngineKind, Network, NodeId, NodeProtocol, NodeSeed, Recording, RoundCtx, RunEvent, RunResult,
-    Status, WireMsg,
+    SimError, Status, WireMsg,
 };
 use rand::Rng;
 
@@ -44,6 +44,38 @@ where
         "{what}: semantic event streams diverge from the reference interpreter"
     );
     reference
+}
+
+/// A protocol from a closure polled once per round.
+pub struct Script<F>(pub F);
+
+impl<R: Send, F: FnMut(&mut RoundCtx<'_>) -> Status<R> + Send> NodeProtocol for Script<F> {
+    type Output = R;
+
+    fn step(&mut self, ctx: &mut RoundCtx<'_>) -> Status<R> {
+        (self.0)(ctx)
+    }
+}
+
+/// Runs the scripted protocol on both engines, asserting they agree on
+/// outputs and metrics (or on the error), and returns one result.
+pub fn on_both_engines<R, F, S>(net: &Network, script: S) -> Result<RunResult<R>, SimError>
+where
+    R: Send + PartialEq + std::fmt::Debug,
+    F: FnMut(&mut RoundCtx<'_>) -> Status<R> + Send,
+    S: Fn(&NodeSeed<'_>) -> F + Send + Sync,
+{
+    let run = |engine| net.run_protocol_on(engine, None, None, |seed| Script(script(seed)));
+    let (batched, reference) = (run(EngineKind::Batched), run(EngineKind::Reference));
+    match (&batched, &reference) {
+        (Ok(b), Ok(r)) => {
+            assert_eq!(b.outputs, r.outputs);
+            assert_eq!(b.metrics, r.metrics);
+        }
+        (Err(b), Err(r)) => assert_eq!(b.to_string(), r.to_string()),
+        _ => panic!("one engine failed, the other did not"),
+    }
+    batched
 }
 
 /// The shard count the default layout derives for an unmasked `n`-node

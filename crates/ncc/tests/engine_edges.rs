@@ -1,7 +1,14 @@
 //! Engine edge cases: every violation class fires when it should, and
-//! model misuse fails loudly rather than silently.
+//! model misuse fails loudly rather than silently — on the batched
+//! executor and on the reference interpreter alike.
 
-use dgr_ncc::{tags, CapacityPolicy, Config, Msg, Network, SimError, Violation, ViolationKind};
+mod common;
+
+use common::on_both_engines;
+use dgr_ncc::{
+    tags, CapacityPolicy, Config, Network, NodeId, RoundCtx, SimError, Status, Violation,
+    ViolationKind, WireMsg,
+};
 
 fn strict_violation(err: SimError) -> Violation {
     match err {
@@ -10,48 +17,53 @@ fn strict_violation(err: SimError) -> Violation {
     }
 }
 
+/// Sends `msg` to each of `to` in round 0 and retires in round 1.
+fn send_once(
+    to: Vec<NodeId>,
+    msg: WireMsg,
+) -> impl FnMut(&mut RoundCtx<'_>) -> Status<usize> + Send {
+    move |ctx| {
+        if ctx.round() > 0 {
+            return Status::Done(ctx.inbox().len());
+        }
+        for &dst in &to {
+            ctx.send(dst, msg);
+        }
+        Status::Continue
+    }
+}
+
 #[test]
 fn oversized_messages_are_rejected() {
-    let net = Network::new(2, Config::ncc0(1));
-    let err = net
-        .run(|h| {
-            let out = h
-                .initial_successor()
-                .map(|s| (s, Msg::words(tags::GENERIC, vec![0; 32])))
-                .into_iter()
-                .collect();
-            h.step(out);
-        })
-        .unwrap_err();
+    // The wire format caps a message at four words; the configured budget
+    // may be smaller, and is what the engines enforce.
+    let mut config = Config::ncc0(1);
+    config.max_words = 2;
+    let net = Network::new(2, config);
+    let err = on_both_engines(&net, |seed| {
+        let msg = WireMsg::words(tags::GENERIC, &[0; 3]);
+        send_once(seed.initial_successor.into_iter().collect(), msg)
+    })
+    .unwrap_err();
     assert!(matches!(
         strict_violation(err).kind,
-        ViolationKind::MessageTooLarge { words: 32, .. }
+        ViolationKind::MessageTooLarge { words: 3, .. }
     ));
 }
 
 #[test]
 fn too_many_addresses_are_rejected() {
-    let net = Network::new(2, Config::ncc0(2));
-    let err = net
-        .run(|h| {
-            let me = h.id();
-            let out = h
-                .initial_successor()
-                .map(|s| {
-                    let mut m = Msg::signal(tags::GENERIC);
-                    for _ in 0..8 {
-                        m = m.with_addr(me);
-                    }
-                    (s, m)
-                })
-                .into_iter()
-                .collect();
-            h.step(out);
-        })
-        .unwrap_err();
+    let mut config = Config::ncc0(2);
+    config.max_addrs = 1;
+    let net = Network::new(2, config);
+    let err = on_both_engines(&net, |seed| {
+        let msg = WireMsg::addr(tags::GENERIC, seed.id).with_addr(seed.id);
+        send_once(seed.initial_successor.into_iter().collect(), msg)
+    })
+    .unwrap_err();
     assert!(matches!(
         strict_violation(err).kind,
-        ViolationKind::MessageTooLarge { addrs: 8, .. }
+        ViolationKind::MessageTooLarge { addrs: 2, .. }
     ));
 }
 
@@ -60,12 +72,10 @@ fn sending_to_nonexistent_node_is_caught() {
     let mut config = Config::ncc0(3);
     config.track_knowledge = false; // get past the KT0 check to the routing check
     let net = Network::new(2, config);
-    let err = net
-        .run(|h| {
-            let out = vec![(u64::MAX, Msg::signal(tags::GENERIC))];
-            h.step(out);
-        })
-        .unwrap_err();
+    let err = on_both_engines(&net, |_| {
+        send_once(vec![u64::MAX], WireMsg::signal(tags::GENERIC))
+    })
+    .unwrap_err();
     assert!(matches!(
         strict_violation(err).kind,
         ViolationKind::NoSuchNode { .. }
@@ -78,19 +88,25 @@ fn sending_to_terminated_node_is_caught() {
     config.capacity_policy = CapacityPolicy::Record;
     let net = Network::new(2, config);
     let head = net.ids_in_path_order()[0];
-    let result = net
-        .run(move |h| {
-            if h.id() == head {
-                // Head terminates immediately.
-                return 0;
+    let result = on_both_engines(&net, |seed| {
+        let me = seed.id;
+        move |ctx| {
+            // The head terminates immediately; the tail idles a round,
+            // then messages it.
+            if me == head {
+                return Status::Done(0);
             }
-            // The tail waits a round (head sends Done), then messages it.
-            h.idle();
-            h.step(vec![(head, Msg::signal(tags::GENERIC))]);
-            1
-        })
-        .unwrap();
+            match ctx.round() {
+                0 => {}
+                1 => ctx.send(head, WireMsg::signal(tags::UNDIRECT)),
+                _ => return Status::Done(1),
+            }
+            Status::Continue
+        }
+    })
+    .unwrap();
     assert_eq!(result.metrics.violations.bad_recipient, 1);
+    assert_eq!(result.metrics.messages, 0, "a dead node receives nothing");
 }
 
 #[test]
@@ -99,7 +115,7 @@ fn all_ids_panics_under_ncc0() {
     let net = Network::new(2, Config::ncc0(5));
     // The panic inside the node surfaces as a NodePanic error; unwrap it
     // to propagate the message for should_panic.
-    let err = net.run(|h| h.all_ids().len()).unwrap_err();
+    let err = on_both_engines(&net, |_| |ctx| Status::Done(ctx.all_ids().len())).unwrap_err();
     match err {
         SimError::NodePanic { message, .. } => panic!("{message}"),
         other => panic!("unexpected error {other}"),
@@ -113,19 +129,15 @@ fn send_capacity_overflow_is_fatal_under_strict() {
     let net = Network::new(64, config);
     let targets: Vec<u64> = net.ids_in_path_order()[1..].to_vec();
     let head = net.ids_in_path_order()[0];
-    let err = net
-        .run(move |h| {
-            let out = if h.id() == head {
-                targets
-                    .iter()
-                    .map(|&t| (t, Msg::signal(tags::GENERIC)))
-                    .collect()
-            } else {
-                vec![]
-            };
-            h.step(out);
-        })
-        .unwrap_err();
+    let err = on_both_engines(&net, |seed| {
+        let to = if seed.id == head {
+            targets.clone()
+        } else {
+            vec![]
+        };
+        send_once(to, WireMsg::signal(tags::GENERIC))
+    })
+    .unwrap_err();
     assert!(matches!(
         strict_violation(err).kind,
         ViolationKind::SendCapacity { sent: 63, .. }
@@ -138,16 +150,11 @@ fn receive_capacity_overflow_is_fatal_under_strict() {
     config.track_knowledge = false;
     let net = Network::new(64, config);
     let head = net.ids_in_path_order()[0];
-    let err = net
-        .run(move |h| {
-            let out = if h.id() == head {
-                vec![]
-            } else {
-                vec![(head, Msg::signal(tags::GENERIC))]
-            };
-            h.step(out);
-        })
-        .unwrap_err();
+    let err = on_both_engines(&net, |seed| {
+        let to = if seed.id == head { vec![] } else { vec![head] };
+        send_once(to, WireMsg::signal(tags::GENERIC))
+    })
+    .unwrap_err();
     let v = strict_violation(err);
     assert_eq!(v.node, head, "violation must blame the receiver");
     assert!(matches!(
@@ -158,44 +165,30 @@ fn receive_capacity_overflow_is_fatal_under_strict() {
 
 #[test]
 fn knowledge_spreads_through_carried_addresses() {
-    // a -> b carries c's address; b may then message c even though b never
-    // heard from c directly.
+    // b (who knows c as its successor) tells a about c; a may then
+    // message c even though a never heard from c directly. b must first
+    // learn a's ID: an undirect round.
     let net = Network::new(3, Config::ncc0(8));
     let order = net.ids_in_path_order().to_vec();
     let (a, b, c) = (order[0], order[1], order[2]);
-    let result = net
-        .run(move |h| {
-            // Round 1: a tells b about c (a knows c? a's successor is b —
-            // a does NOT know c!). So instead: b (who knows c as its
-            // successor) tells a about c; then a messages c.
-            let me = h.id();
-            let out = if me == b {
-                vec![(a, Msg::addr(tags::GENERIC, c))]
-            } else {
-                vec![]
-            };
-            // b must first learn a's ID: undirect round.
-            let undirect = if me == a || me == b {
-                h.initial_successor()
-                    .map(|s| (s, Msg::signal(tags::UNDIRECT)))
-                    .into_iter()
-                    .collect()
-            } else {
-                vec![]
-            };
-            h.step(undirect);
-            h.step(out);
-            // Round 3: a messages c directly — legal only because of the
-            // carried address.
-            let out = if me == a {
-                vec![(c, Msg::word(tags::GENERIC, 7))]
-            } else {
-                vec![]
-            };
-            let inbox = h.step(out);
-            inbox.first().map(|e| e.word())
-        })
-        .unwrap();
+    let result = on_both_engines(&net, |seed| {
+        let me = seed.id;
+        move |ctx| {
+            match ctx.round() {
+                0 if me == a || me == b => {
+                    let succ = ctx.initial_successor().unwrap();
+                    ctx.send(succ, WireMsg::signal(tags::UNDIRECT));
+                }
+                1 if me == b => ctx.send(a, WireMsg::addr(tags::GENERIC, c)),
+                // Legal only because of the carried address.
+                2 if me == a => ctx.send(c, WireMsg::word(tags::GENERIC, 7)),
+                3 => return Status::Done(ctx.inbox().first().map(|e| e.word())),
+                _ => {}
+            }
+            Status::Continue
+        }
+    })
+    .unwrap();
     assert!(result.metrics.is_clean());
     assert_eq!(result.output_of(c).unwrap(), &Some(7));
 }

@@ -199,26 +199,39 @@ pub fn build(h: &mut NodeHandle, vp: &VPath, contacts: &ContactTable) -> Bbst {
     tree
 }
 
-#[cfg(all(test, feature = "threaded"))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{contacts, vpath};
+    use crate::proto::bbst::BbstStep;
+    use crate::proto::contacts::ContactsStep;
+    use crate::proto::ctx::UndirectStep;
+    use crate::proto::{Step, StepProtocol};
     use dgr_ncc::{Config, Network, RunResult};
     use std::collections::HashMap;
+    use std::sync::Arc;
 
-    fn build_tree(n: usize, seed: u64) -> RunResult<Bbst> {
-        let net = Network::new(n, Config::ncc0(seed));
-        net.run(|h| {
-            let vp = vpath::undirect(h);
-            let ct = contacts::build(h, &vp);
-            build(h, &vp, &ct)
+    /// Undirect, contacts, then Algorithm 1.
+    fn build_on(net: &Network) -> RunResult<Arc<Bbst>> {
+        net.run_protocol(|_| {
+            StepProtocol::new(UndirectStep::new().then(|vp, _| {
+                ContactsStep::new(vp).then(move |contacts, _| BbstStep::new(vp, contacts))
+            }))
         })
         .unwrap()
     }
 
+    fn build_tree(n: usize, seed: u64) -> RunResult<Arc<Bbst>> {
+        build_on(&Network::new(n, Config::ncc0(seed)))
+    }
+
+    fn view_of(result: &RunResult<Arc<Bbst>>) -> HashMap<NodeId, &Bbst> {
+        let views = result.outputs.iter();
+        views.map(|(id, b)| (*id, b.as_ref())).collect()
+    }
+
     /// Recovers the inorder traversal of the tree from the per-node views.
-    fn inorder(result: &RunResult<Bbst>) -> Vec<NodeId> {
-        let view: HashMap<NodeId, &Bbst> = result.outputs.iter().map(|(id, b)| (*id, b)).collect();
+    fn inorder(result: &RunResult<Arc<Bbst>>) -> Vec<NodeId> {
+        let view = view_of(result);
         let root = result
             .outputs
             .iter()
@@ -257,7 +270,7 @@ mod tests {
         }
         assert_eq!(roots, 1);
         // Parent/child views agree.
-        let view: HashMap<NodeId, &Bbst> = result.outputs.iter().map(|(id, b)| (*id, b)).collect();
+        let view = view_of(&result);
         for (id, b) in &result.outputs {
             if let Some(l) = b.left {
                 assert_eq!(view[&l].parent, Some(*id));
@@ -298,15 +311,8 @@ mod tests {
     /// 5 has children 3 and 7; 3 has children 2 and 4; 7 has 6 and 8.
     #[test]
     fn fig2_exact_shape() {
-        let net = Network::new(8, Config::ncc0(0).with_sequential_ids());
-        let result = net
-            .run(|h| {
-                let vp = vpath::undirect(h);
-                let ct = contacts::build(h, &vp);
-                build(h, &vp, &ct)
-            })
-            .unwrap();
-        let view: HashMap<NodeId, &Bbst> = result.outputs.iter().map(|(id, b)| (*id, b)).collect();
+        let result = build_on(&Network::new(8, Config::ncc0(0).with_sequential_ids()));
+        let view = view_of(&result);
         assert!(view[&1].is_root);
         assert_eq!(view[&1].left, None);
         assert_eq!(view[&1].right, Some(5));

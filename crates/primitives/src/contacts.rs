@@ -109,18 +109,19 @@ pub fn build(h: &mut NodeHandle, vp: &VPath) -> ContactTable {
     ContactTable { fwd, bwd }
 }
 
-#[cfg(all(test, feature = "threaded"))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vpath;
+    use crate::proto::contacts::ContactsStep;
+    use crate::proto::ctx::UndirectStep;
+    use crate::proto::{Step, StepProtocol};
     use dgr_ncc::{Config, Network};
 
     fn check_tables(n: usize, seed: u64) {
         let net = Network::new(n, Config::ncc0(seed));
         let result = net
-            .run(|h| {
-                let vp = vpath::undirect(h);
-                build(h, &vp)
+            .run_protocol(|_| {
+                StepProtocol::new(UndirectStep::new().then(|vp, _| ContactsStep::new(vp)))
             })
             .unwrap();
         assert!(

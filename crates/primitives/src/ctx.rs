@@ -84,27 +84,9 @@ impl PathCtx {
     }
 }
 
-#[cfg(all(test, feature = "threaded"))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use dgr_ncc::{Config, Network};
-
-    #[test]
-    fn establish_round_budget_matches() {
-        let n = 48;
-        let net = Network::new(n, Config::ncc0(21));
-        let result = net
-            .run(|h| {
-                let ctx = PathCtx::establish(h);
-                (h.round(), ctx.position)
-            })
-            .unwrap();
-        assert!(result.metrics.is_clean());
-        for (i, (_, (rounds, pos))) in result.outputs.iter().enumerate() {
-            assert_eq!(*rounds, rounds_for(n));
-            assert_eq!(*pos, i);
-        }
-    }
 
     #[test]
     fn establish_is_o_log_n_rounds() {

@@ -119,38 +119,46 @@ pub fn interval_multicast(
     received
 }
 
-#[cfg(all(test, feature = "threaded"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::ctx::PathCtx;
-    use dgr_ncc::{Config, Network};
+    use crate::proto::imcast::ImcastStep;
+    use crate::proto::WithCtx;
+    use dgr_ncc::{Config, Network, RoundCtx, RunResult};
+
+    /// Runs one multicast epoch; `task(rank, id)` is each node's task.
+    fn multicast(
+        net: &Network,
+        task: impl Fn(usize, NodeId) -> Option<(CoverSide, usize, Payload)> + Sync,
+    ) -> RunResult<Option<Payload>> {
+        let task = &task;
+        net.run_protocol(|_| {
+            WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                let mine = task(ctx.position, rctx.id());
+                ImcastStep::new(ctx.vp, ctx.contacts.clone(), mine)
+            })
+        })
+        .unwrap()
+    }
 
     /// Disjoint groups of width w: source at rank q*w covers the w-1 ranks
     /// after it; every covered node must learn the source's ID.
     fn check_after(n: usize, w: usize, seed: u64) {
         let net = Network::new(n, Config::ncc0(seed));
-        let result = net
-            .run(move |h| {
-                let ctx = PathCtx::establish(h);
-                let r = ctx.position;
-                let task = r.is_multiple_of(w).then(|| {
-                    let count = (w - 1).min(n - 1 - r);
-                    (
-                        CoverSide::After,
-                        count,
-                        Payload {
-                            addr: h.id(),
-                            word: r as u64,
-                        },
-                    )
-                });
-                let got = interval_multicast(h, &ctx.vp, &ctx.contacts, task);
-                (r, got)
+        let result = multicast(&net, |r, id| {
+            r.is_multiple_of(w).then(|| {
+                let count = (w - 1).min(n - 1 - r);
+                let payload = Payload {
+                    addr: id,
+                    word: r as u64,
+                };
+                (CoverSide::After, count, payload)
             })
-            .unwrap();
+        });
         assert!(result.metrics.is_clean(), "n={n} w={w}");
         let order = result.gk_order();
-        for (_, (r, got)) in &result.outputs {
+        for (r, (_, got)) in result.outputs.iter().enumerate() {
             if r % w == 0 {
                 assert_eq!(*got, None, "source must not receive");
             } else {
@@ -178,22 +186,10 @@ mod tests {
         // The tail covers the whole rest of the path backwards.
         let n = 23;
         let net = Network::new(n, Config::ncc0(66));
-        let result = net
-            .run(move |h| {
-                let ctx = PathCtx::establish(h);
-                let task = (ctx.position == n - 1).then(|| {
-                    (
-                        CoverSide::Before,
-                        n - 1,
-                        Payload {
-                            addr: h.id(),
-                            word: 9,
-                        },
-                    )
-                });
-                interval_multicast(h, &ctx.vp, &ctx.contacts, task)
-            })
-            .unwrap();
+        let result = multicast(&net, |r, id| {
+            let payload = Payload { addr: id, word: 9 };
+            (r == n - 1).then_some((CoverSide::Before, n - 1, payload))
+        });
         assert!(result.metrics.is_clean());
         let tail = *result.gk_order().last().unwrap();
         for (id, got) in &result.outputs {
@@ -214,20 +210,9 @@ mod tests {
     #[test]
     fn zero_count_task_is_a_noop() {
         let net = Network::new(8, Config::ncc0(67));
-        let result = net
-            .run(|h| {
-                let ctx = PathCtx::establish(h);
-                let task = Some((
-                    CoverSide::After,
-                    0,
-                    Payload {
-                        addr: h.id(),
-                        word: 0,
-                    },
-                ));
-                interval_multicast(h, &ctx.vp, &ctx.contacts, task)
-            })
-            .unwrap();
+        let result = multicast(&net, |_, id| {
+            Some((CoverSide::After, 0, Payload { addr: id, word: 0 }))
+        });
         assert!(result.outputs.iter().all(|(_, got)| got.is_none()));
     }
 }

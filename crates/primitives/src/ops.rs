@@ -287,43 +287,48 @@ pub fn collect(
     collected
 }
 
-#[cfg(all(test, feature = "threaded"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::ctx::PathCtx;
-    use dgr_ncc::{Config, Network};
+    use crate::proto::ops::{AggBcastStep, BroadcastAddrStep, CollectStep};
+    use crate::proto::{AggOp, WithCtx};
+    use dgr_ncc::{Config, Network, RoundCtx};
 
     #[test]
     fn aggregate_broadcast_computes_global_sum_and_max() {
         let net = Network::new(50, Config::ncc0(11));
-        let result = net
-            .run(|h| {
-                let ctx = PathCtx::establish(h);
-                let sum = aggregate_broadcast(h, &ctx.vp, &ctx.tree, h.id() % 100, |a, b| a + b);
-                let max = aggregate_broadcast(h, &ctx.vp, &ctx.tree, h.id() % 100, u64::max);
-                (sum, max)
-            })
-            .unwrap();
-        assert!(result.metrics.is_clean());
-        let ids = result.gk_order();
-        let want_sum: u64 = ids.iter().map(|i| i % 100).sum();
-        let want_max: u64 = ids.iter().map(|i| i % 100).max().unwrap();
-        for (_, (sum, max)) in &result.outputs {
-            assert_eq!(*sum, want_sum);
-            assert_eq!(*max, want_max);
+        let ids = net.ids_in_path_order().to_vec();
+        let wants = [
+            (AggOp::Sum, ids.iter().map(|i| i % 100).sum::<u64>()),
+            (AggOp::Max, ids.iter().map(|i| i % 100).max().unwrap()),
+        ];
+        for (op, want) in wants {
+            let result = net
+                .run_protocol(|_| {
+                    WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                        AggBcastStep::new(ctx.vp, ctx.tree.clone(), rctx.id() % 100, op)
+                    })
+                })
+                .unwrap();
+            assert!(result.metrics.is_clean());
+            assert!(result.outputs.iter().all(|(_, got)| *got == want), "{op:?}");
         }
     }
 
     #[test]
     fn broadcast_word_reaches_everyone_from_any_holder() {
+        // "Leader broadcasts a token" without anyone knowing where the
+        // leader sits in the tree: a minimum over (present) values, with
+        // u64::MAX as the identity.
         let net = Network::new(33, Config::ncc0(12));
-        let order = net.ids_in_path_order().to_vec();
-        let holder = order[17]; // arbitrary interior node
+        let holder = net.ids_in_path_order()[17]; // arbitrary interior node
         let result = net
-            .run(move |h| {
-                let ctx = PathCtx::establish(h);
-                let v = (h.id() == holder).then_some(777);
-                broadcast_word(h, &ctx.vp, &ctx.tree, v)
+            .run_protocol(|_| {
+                WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                    let value = if rctx.id() == holder { 777 } else { u64::MAX };
+                    AggBcastStep::new(ctx.vp, ctx.tree.clone(), value, AggOp::Min)
+                })
             })
             .unwrap();
         assert!(result.outputs.iter().all(|(_, v)| *v == 777));
@@ -336,10 +341,11 @@ mod tests {
         let net = Network::new(40, Config::ncc0(13));
         let tail = *net.ids_in_path_order().last().unwrap();
         let result = net
-            .run(move |h| {
-                let ctx = PathCtx::establish(h);
-                let v = (h.id() == tail).then_some(h.id());
-                broadcast_addr(h, &ctx.vp, &ctx.tree, v)
+            .run_protocol(|_| {
+                WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                    let value = (rctx.id() == tail).then_some(tail);
+                    BroadcastAddrStep::new(ctx.vp, ctx.tree.clone(), value)
+                })
             })
             .unwrap();
         assert!(result.metrics.is_clean());
@@ -352,9 +358,11 @@ mod tests {
             let net = Network::new(n, Config::ncc0(14));
             let order = net.ids_in_path_order().to_vec();
             let result = net
-                .run(|h| {
-                    let ctx = PathCtx::establish(h);
-                    median(h, &ctx.vp, &ctx.tree, ctx.position)
+                .run_protocol(|_| {
+                    WithCtx::new(|ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                        let tree = ctx.tree.clone();
+                        BroadcastAddrStep::median(ctx.vp, tree, ctx.position, rctx.id())
+                    })
                 })
                 .unwrap();
             let want = order[(n - 1) / 2];
@@ -369,16 +377,16 @@ mod tests {
     fn collect_gathers_all_tokens_at_root() {
         let net = Network::new(60, Config::ncc0(15));
         let result = net
-            .run(|h| {
-                let ctx = PathCtx::establish(h);
-                // Every third position holds a token.
-                let token = ctx
-                    .position
-                    .is_multiple_of(3)
-                    .then_some(ctx.position as u64);
-                let k_bound = 60usize.div_ceil(3);
-                let got = collect(h, &ctx.vp, &ctx.tree, token, k_bound);
-                (ctx.tree.is_root, got)
+            .run_protocol(|_| {
+                WithCtx::new(|ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                    // Every third position holds a token.
+                    let token = ctx
+                        .position
+                        .is_multiple_of(3)
+                        .then_some(ctx.position as u64);
+                    let k_bound = 60usize.div_ceil(3);
+                    CollectStep::new(ctx.vp, ctx.tree.clone(), token, k_bound, rctx.id())
+                })
             })
             .unwrap();
         assert!(result.metrics.is_clean());
@@ -388,12 +396,9 @@ mod tests {
             .map(|p| (order[p], p as u64))
             .collect();
         want.sort_unstable();
-        let (_, (_, got)) = result
-            .outputs
-            .iter()
-            .find(|(_, (is_root, _))| *is_root)
-            .expect("no root");
-        assert_eq!(got, &want);
+        // The root of the tree is the head of the path; only it collects.
+        assert_eq!(result.outputs[0].1, want);
+        assert!(result.outputs[1..].iter().all(|(_, got)| got.is_empty()));
     }
 
     #[test]

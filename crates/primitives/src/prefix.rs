@@ -58,27 +58,29 @@ pub fn prefix_sum_exclusive(
     prefix_sum(h, vp, contacts, value) - if vp.member { value } else { 0 }
 }
 
-#[cfg(all(test, feature = "threaded"))]
+#[cfg(test)]
 mod tests {
-    use super::*;
     use crate::ctx::PathCtx;
-    use dgr_ncc::{Config, Network};
+    use crate::proto::prefix::PrefixStep;
+    use crate::proto::WithCtx;
+    use dgr_ncc::{Config, Network, RoundCtx};
 
     #[test]
     fn inclusive_prefix_sums_are_exact() {
         for &n in &[1usize, 2, 3, 7, 16, 33, 100] {
             let net = Network::new(n, Config::ncc0(31));
             let result = net
-                .run(|h| {
-                    let ctx = PathCtx::establish(h);
-                    let v = (ctx.position as u64 % 5) + 1;
-                    (v, prefix_sum(h, &ctx.vp, &ctx.contacts, v))
+                .run_protocol(|_| {
+                    WithCtx::new(|ctx: &PathCtx, _: &mut RoundCtx<'_>| {
+                        let v = (ctx.position as u64 % 5) + 1;
+                        PrefixStep::new(ctx.vp, ctx.contacts.clone(), v)
+                    })
                 })
                 .unwrap();
             assert!(result.metrics.is_clean());
             let mut running = 0;
-            for (_, (v, got)) in &result.outputs {
-                running += v;
+            for (position, (_, got)) in result.outputs.iter().enumerate() {
+                running += (position as u64 % 5) + 1;
                 assert_eq!(*got, running, "n={n}");
             }
         }
@@ -88,10 +90,10 @@ mod tests {
     fn exclusive_prefix_shifts_by_own_value() {
         let net = Network::new(20, Config::ncc0(32));
         let result = net
-            .run(|h| {
-                let ctx = PathCtx::establish(h);
-                let v = ctx.position as u64;
-                prefix_sum_exclusive(h, &ctx.vp, &ctx.contacts, v)
+            .run_protocol(|_| {
+                WithCtx::new(|ctx: &PathCtx, _: &mut RoundCtx<'_>| {
+                    PrefixStep::exclusive(ctx.vp, ctx.contacts.clone(), ctx.position as u64)
+                })
             })
             .unwrap();
         let mut running = 0u64;

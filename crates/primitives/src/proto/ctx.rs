@@ -237,25 +237,4 @@ mod tests {
             assert!(ctx.traversal.subtree_size > 0);
         }
     }
-
-    #[cfg(feature = "threaded")]
-    #[test]
-    fn batched_establish_equals_direct_style() {
-        let n = 53;
-        let net = Network::new(n, Config::ncc0(8));
-        let batched = net
-            .run_protocol(|_| StepProtocol::new(EstablishCtx::new()))
-            .unwrap();
-        let direct = net.run(PathCtx::establish).unwrap();
-        assert_eq!(batched.metrics.rounds, direct.metrics.rounds);
-        assert_eq!(batched.metrics.messages, direct.metrics.messages);
-        assert_eq!(batched.metrics.words, direct.metrics.words);
-        for ((ida, a), (idb, b)) in batched.outputs.iter().zip(direct.outputs.iter()) {
-            assert_eq!(ida, idb);
-            assert_eq!(a.vp, b.vp);
-            assert_eq!(a.contacts, b.contacts);
-            assert_eq!(a.tree, b.tree);
-            assert_eq!(a.traversal, b.traversal);
-        }
-    }
 }

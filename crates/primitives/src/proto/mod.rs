@@ -56,8 +56,9 @@ pub mod stagger;
 pub mod step;
 pub mod traversal;
 pub mod undirect;
+pub mod warmup;
 
 pub use clique::PathToClique;
 pub use ctx::{EstablishCtx, WithCtx};
-pub use step::{AggOp, Poll, Step, StepProtocol};
+pub use step::{AggOp, Poll, Step, StepProtocol, Then};
 pub use undirect::Undirect;

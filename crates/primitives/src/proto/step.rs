@@ -51,6 +51,54 @@ pub trait Step: Send {
     /// Advances one round: consume `ctx.inbox()` (previous round), stage
     /// this round's sends via `ctx.send`.
     fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<Self::Out>;
+
+    /// Chains a second step built from this one's output: `next` runs in
+    /// the very round this step completes and the step it returns is
+    /// polled at once, so the pair spends exactly the sum of the two
+    /// round budgets — sequential composition, as in a closure calling
+    /// one primitive after another.
+    fn then<B: Step, F>(self, next: F) -> Then<Self, B, F>
+    where
+        Self: Sized,
+        F: FnOnce(Self::Out, &mut RoundCtx<'_>) -> B + Send,
+    {
+        Then {
+            first: Some(self),
+            next: Some(next),
+            second: None,
+        }
+    }
+}
+
+/// Two steps back to back (see [`Step::then`]).
+#[derive(Debug)]
+pub struct Then<A, B, F> {
+    first: Option<A>,
+    next: Option<F>,
+    second: Option<B>,
+}
+
+impl<A, B, F> Step for Then<A, B, F>
+where
+    A: Step,
+    B: Step,
+    F: FnOnce(A::Out, &mut RoundCtx<'_>) -> B + Send,
+{
+    type Out = B::Out;
+
+    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<B::Out> {
+        if let Some(first) = &mut self.first {
+            match first.poll(ctx) {
+                Poll::Pending => return Poll::Pending,
+                Poll::Ready(out) => {
+                    self.first = None;
+                    let next = self.next.take().expect("second step built twice");
+                    self.second = Some(next(out, ctx));
+                }
+            }
+        }
+        self.second.as_mut().expect("built above").poll(ctx)
+    }
 }
 
 /// Idles through a fixed number of rounds, staging and expecting nothing —
@@ -158,6 +206,18 @@ mod tests {
             .run_protocol(|_| StepProtocol::new(Idle::new(0)))
             .unwrap();
         assert_eq!(result.metrics.rounds, 0);
+    }
+
+    #[test]
+    fn chained_steps_spend_the_sum_of_their_budgets() {
+        let net = Network::new(4, Config::ncc0(3));
+        let result = net
+            .run_protocol(|_| {
+                let chain = Idle::new(3).then(|(), _| Idle::new(0).then(|(), _| Idle::new(4)));
+                StepProtocol::new(chain)
+            })
+            .unwrap();
+        assert_eq!(result.metrics.rounds, 7);
     }
 
     #[test]

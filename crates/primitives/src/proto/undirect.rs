@@ -67,13 +67,14 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_threaded_agree() {
+    fn batched_and_reference_agree() {
         let net = Network::new(64, Config::ncc0(9));
         let a = net.run_protocol(Undirect::new).unwrap();
-        let b = net.run_protocol_threaded(Undirect::new).unwrap();
+        let b = net
+            .run_protocol_on(dgr_ncc::EngineKind::Reference, None, None, Undirect::new)
+            .unwrap();
         assert_eq!(a.outputs, b.outputs);
-        assert_eq!(a.metrics.rounds, b.metrics.rounds);
-        assert_eq!(a.metrics.messages, b.metrics.messages);
+        assert_eq!(a.metrics, b.metrics);
     }
 
     #[test]

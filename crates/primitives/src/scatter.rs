@@ -318,11 +318,28 @@ pub fn milestone_scan(
     result
 }
 
-#[cfg(all(test, feature = "threaded"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::ctx::PathCtx;
-    use dgr_ncc::{Config, Network};
+    use crate::proto::scatter::ScanStep;
+    use crate::proto::WithCtx;
+    use dgr_ncc::{Config, Network, RoundCtx, RunResult};
+
+    /// Runs one scan; `records(rank, id)` are each node's two records.
+    fn scan(
+        net: &Network,
+        records: impl Fn(usize, NodeId) -> [ScanRecord; 2] + Sync,
+    ) -> RunResult<[Option<NodeId>; 2]> {
+        let records = &records;
+        net.run_protocol(|_| {
+            WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                let mine = records(ctx.position, rctx.id());
+                ScanStep::new(ctx.vp, ctx.contacts.clone(), ctx.position, mine, rctx.id())
+            })
+        })
+        .unwrap()
+    }
 
     /// Sources at every multiple of w announce themselves for the w-1
     /// following ranks — but *every* node (including sources) must learn
@@ -332,29 +349,24 @@ mod tests {
         let n = 24;
         let w = 4;
         let net = Network::new(n, Config::ncc0(81));
-        let result = net
-            .run(move |h| {
-                let ctx = PathCtx::establish(h);
-                let r = ctx.position as u64;
-                let rec0 = if ctx.position.is_multiple_of(w) {
-                    // Milestone just before my own filler key: covers me too.
-                    ScanRecord::Milestone {
-                        key: 2 * r,
-                        addr: h.id(),
-                    }
-                } else {
-                    ScanRecord::Absent
-                };
-                let rec1 = ScanRecord::Filler { key: 2 * r + 1 };
-                let got = milestone_scan(h, &ctx.vp, &ctx.contacts, ctx.position, [rec0, rec1]);
-                got[1]
-            })
-            .unwrap();
+        let result = scan(&net, |position, id| {
+            let r = position as u64;
+            let rec0 = if position.is_multiple_of(w) {
+                // Milestone just before my own filler key: covers me too.
+                ScanRecord::Milestone {
+                    key: 2 * r,
+                    addr: id,
+                }
+            } else {
+                ScanRecord::Absent
+            };
+            [rec0, ScanRecord::Filler { key: 2 * r + 1 }]
+        });
         assert!(result.metrics.is_clean());
         let order = result.gk_order();
         for (i, (_, got)) in result.outputs.iter().enumerate() {
             let src = order[(i / w) * w];
-            assert_eq!(*got, Some(src), "rank {i}");
+            assert_eq!(got[1], Some(src), "rank {i}");
         }
     }
 
@@ -362,29 +374,22 @@ mod tests {
     fn filler_before_all_milestones_gets_none() {
         let n = 9;
         let net = Network::new(n, Config::ncc0(82));
-        let result = net
-            .run(move |h| {
-                let ctx = PathCtx::establish(h);
-                let r = ctx.position as u64;
-                // One milestone in the middle (rank 4).
-                let rec0 = if ctx.position == 4 {
-                    ScanRecord::Milestone {
-                        key: 9,
-                        addr: h.id(),
-                    }
-                } else {
-                    ScanRecord::Absent
-                };
-                let rec1 = ScanRecord::Filler { key: 2 * r };
-                milestone_scan(h, &ctx.vp, &ctx.contacts, ctx.position, [rec0, rec1])[1]
-            })
-            .unwrap();
+        let result = scan(&net, |position, id| {
+            // One milestone in the middle (rank 4).
+            let rec0 = if position == 4 {
+                ScanRecord::Milestone { key: 9, addr: id }
+            } else {
+                ScanRecord::Absent
+            };
+            let key = 2 * position as u64;
+            [rec0, ScanRecord::Filler { key }]
+        });
         let order = result.gk_order();
         for (i, (_, got)) in result.outputs.iter().enumerate() {
             if i <= 4 {
-                assert_eq!(*got, None, "rank {i} (key {} < 9)", 2 * i);
+                assert_eq!(got[1], None, "rank {i} (key {} < 9)", 2 * i);
             } else {
-                assert_eq!(*got, Some(order[4]), "rank {i}");
+                assert_eq!(got[1], Some(order[4]), "rank {i}");
             }
         }
     }
@@ -392,47 +397,25 @@ mod tests {
     #[test]
     fn single_node_path() {
         let net = Network::new(1, Config::ncc0(83));
-        let result = net
-            .run(|h| {
-                let ctx = PathCtx::establish(h);
-                milestone_scan(
-                    h,
-                    &ctx.vp,
-                    &ctx.contacts,
-                    ctx.position,
-                    [
-                        ScanRecord::Milestone {
-                            key: 0,
-                            addr: h.id(),
-                        },
-                        ScanRecord::Filler { key: 1 },
-                    ],
-                )[1]
-            })
-            .unwrap();
-        assert_eq!(result.outputs[0].1, Some(result.outputs[0].0));
+        let result = scan(&net, |_, id| {
+            [
+                ScanRecord::Milestone { key: 0, addr: id },
+                ScanRecord::Filler { key: 1 },
+            ]
+        });
+        assert_eq!(result.outputs[0].1[1], Some(result.outputs[0].0));
     }
 
     #[test]
     fn round_budget_matches() {
+        // The scan's own rounds: the run minus the context establishment
+        // it starts with.
         let n = 20;
         let net = Network::new(n, Config::ncc0(84));
-        let result = net
-            .run(move |h| {
-                let ctx = PathCtx::establish(h);
-                let before = h.round();
-                milestone_scan(
-                    h,
-                    &ctx.vp,
-                    &ctx.contacts,
-                    ctx.position,
-                    [ScanRecord::Absent, ScanRecord::Filler { key: 0 }],
-                );
-                h.round() - before
-            })
-            .unwrap();
-        for (_, spent) in &result.outputs {
-            assert_eq!(*spent, rounds_for(n));
-        }
+        let result = scan(&net, |_, _| {
+            [ScanRecord::Absent, ScanRecord::Filler { key: 0 }]
+        });
+        let spent = result.metrics.rounds - crate::ctx::rounds_for(n);
+        assert_eq!(spent, rounds_for(n));
     }
 }

@@ -276,7 +276,9 @@ pub fn sort_at(
 mod tests {
     use super::*;
     use crate::ctx::PathCtx;
-    use dgr_ncc::{Config, Network};
+    use crate::proto::sort::SortStep;
+    use crate::proto::WithCtx;
+    use dgr_ncc::{Config, Network, NodeId, RoundCtx};
     use std::collections::HashMap;
 
     /// Sequential reference for the comparator network.
@@ -326,12 +328,12 @@ mod tests {
 
     fn run_sort(n: usize, seed: u64, order: Order) {
         let net = Network::new(n, Config::ncc0(seed));
+        let key = |id: NodeId| id % 17; // plenty of ties
         let result = net
-            .run(move |h| {
-                let ctx = PathCtx::establish(h);
-                let key = h.id() % 17; // plenty of ties
-                let sp = sort_at(h, &ctx.vp, &ctx.contacts, ctx.position, key, order);
-                (key, sp)
+            .run_protocol(|_| {
+                WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                    SortStep::on_ctx(ctx, key(rctx.id()), order, rctx.id(), SortBackend::Bitonic)
+                })
             })
             .unwrap();
         assert!(result.metrics.is_clean(), "n={n}");
@@ -339,7 +341,7 @@ mod tests {
         let mut by_rank: Vec<(usize, u64, NodeId, &SortedPath)> = result
             .outputs
             .iter()
-            .map(|(id, (key, sp))| (sp.rank, *key, *id, sp))
+            .map(|(id, sp)| (sp.rank, key(*id), *id, sp))
             .collect();
         by_rank.sort_unstable_by_key(|(r, ..)| *r);
         for (want, (got, ..)) in by_rank.iter().enumerate() {

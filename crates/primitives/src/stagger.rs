@@ -81,31 +81,34 @@ pub fn staggered_send(
     received
 }
 
-#[cfg(all(test, feature = "threaded"))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use dgr_ncc::{tags, Config, Network};
+    use crate::proto::stagger::StaggerStep;
+    use crate::proto::StepProtocol;
+    use dgr_ncc::{tags, Config, Network, WireMsg};
 
     #[test]
     fn all_tokens_arrive_under_queue_policy() {
         // Everyone sends one token to the head: k = n-1 fan-in.
         let n = 128;
-        let net = Network::new(n, Config::ncc0(71).with_queueing());
+        let mut config = Config::ncc0(71).with_queueing();
+        config.track_knowledge = false; // everyone addresses the head
+        let net = Network::new(n, config);
         let cap = net.capacity();
         let head = net.ids_in_path_order()[0];
         let (spread, drain) = plan(n - 1, cap);
         let result = net
-            .run(move |h| {
-                let sends = if h.id() == head {
+            .run_protocol(|seed| {
+                let sends = if seed.id == head {
                     vec![]
                 } else {
-                    vec![(head, Msg::word(tags::TOKEN, h.id() % 1000))]
+                    vec![(head, WireMsg::word(tags::TOKEN, seed.id % 1000))]
                 };
-                // Everyone must know the head's address for this test.
-                staggered_send(h, sends, spread, drain).len()
+                StepProtocol::new(StaggerStep::new(sends, spread, drain))
             })
             .unwrap();
-        assert_eq!(*result.output_of(head).unwrap(), n - 1);
+        assert_eq!(result.output_of(head).unwrap().len(), n - 1);
         assert_eq!(result.metrics.undelivered, 0);
         // Receive capacity was never exceeded at delivery time.
         assert!(result.metrics.max_received_per_round <= cap);
@@ -125,20 +128,18 @@ mod tests {
         let k = targets.len();
         let (spread, drain) = plan(k, cap);
         let result = net
-            .run(move |h| {
-                let sends = if h.id() == head {
-                    targets
-                        .iter()
-                        .map(|&t| (t, Msg::word(tags::TOKEN, 1)))
-                        .collect()
+            .run_protocol(|seed| {
+                let sends = if seed.id == head {
+                    let token = WireMsg::word(tags::TOKEN, 1);
+                    targets.iter().map(|&t| (t, token)).collect()
                 } else {
                     vec![]
                 };
-                staggered_send(h, sends, spread, drain).len()
+                StepProtocol::new(StaggerStep::new(sends, spread, drain))
             })
             .unwrap();
         assert!(result.metrics.max_sent_per_round <= cap);
-        let delivered: usize = result.outputs.iter().map(|(_, c)| *c).sum();
+        let delivered: usize = result.outputs.iter().map(|(_, got)| got.len()).sum();
         assert_eq!(delivered, k);
     }
 

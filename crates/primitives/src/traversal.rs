@@ -113,29 +113,26 @@ pub fn positions(h: &mut NodeHandle, vp: &VPath, tree: &Bbst) -> Traversal {
     t
 }
 
-#[cfg(all(test, feature = "threaded"))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bbst, contacts, vpath};
+    use crate::proto::{EstablishCtx, StepProtocol};
     use dgr_ncc::{Config, Network};
 
+    /// The traversal the context establishment ends with.
     fn check(n: usize, seed: u64) {
         let net = Network::new(n, Config::ncc0(seed));
         let result = net
-            .run(|h| {
-                let vp = vpath::undirect(h);
-                let ct = contacts::build(h, &vp);
-                let tree = bbst::build(h, &vp, &ct);
-                positions(h, &vp, &tree)
-            })
+            .run_protocol(|_| StepProtocol::new(EstablishCtx::new()))
             .unwrap();
         assert!(result.metrics.is_clean(), "n={n}");
         // Corollary 2: every node knows its exact path position.
-        for (i, (_, t)) in result.outputs.iter().enumerate() {
-            assert_eq!(t.position, i, "n={n}: wrong position");
+        for (i, (_, ctx)) in result.outputs.iter().enumerate() {
+            assert_eq!(ctx.traversal.position, i, "n={n}: wrong position");
         }
         // Subtree sizes partition correctly.
-        for (_, t) in &result.outputs {
+        for (_, ctx) in &result.outputs {
+            let t = &ctx.traversal;
             assert_eq!(t.subtree_size, t.left_size + t.right_size + 1);
         }
     }
@@ -149,24 +146,27 @@ mod tests {
 
     #[test]
     fn corollary2_round_count_is_logarithmic() {
-        // Rounds for the position computation alone must match the
+        // Rounds for the position computation alone — the establishment
+        // with and without its final traversal stage — must match the
         // deterministic schedule and be O(log n).
+        use crate::proto::bbst::BbstStep;
+        use crate::proto::contacts::ContactsStep;
+        use crate::proto::ctx::UndirectStep;
+        use crate::proto::Step;
         let n = 512;
         let net = Network::new(n, Config::ncc0(3));
-        let result = net
-            .run(|h| {
-                let vp = vpath::undirect(h);
-                let ct = contacts::build(h, &vp);
-                let tree = bbst::build(h, &vp, &ct);
-                let before = h.round();
-                positions(h, &vp, &tree);
-                h.round() - before
+        let with = net
+            .run_protocol(|_| StepProtocol::new(EstablishCtx::new()))
+            .unwrap();
+        let without = net
+            .run_protocol(|_| {
+                StepProtocol::new(UndirectStep::new().then(|vp, _| {
+                    ContactsStep::new(vp).then(move |contacts, _| BbstStep::new(vp, contacts))
+                }))
             })
             .unwrap();
         let expected = rounds_for(n);
-        for (_, spent) in &result.outputs {
-            assert_eq!(*spent, expected);
-        }
+        assert_eq!(with.metrics.rounds - without.metrics.rounds, expected);
         assert_eq!(expected, 2 * (crate::levels_for(n) as u64 + 2));
     }
 }

@@ -91,25 +91,11 @@ pub fn undirect(h: &mut NodeHandle) -> VPath {
     }
 }
 
-#[cfg(all(test, feature = "threaded"))]
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::Undirect;
     use dgr_ncc::{Config, Network};
-
-    #[test]
-    fn undirect_reconstructs_the_path() {
-        let net = Network::new(10, Config::ncc0(5));
-        let result = net.run(undirect).unwrap();
-        assert!(result.metrics.is_clean());
-        assert_eq!(result.metrics.rounds, 1);
-        let order = result.gk_order();
-        for (i, (_, vp)) in result.outputs.iter().enumerate() {
-            assert!(vp.member);
-            assert_eq!(vp.len, 10);
-            assert_eq!(vp.pred, if i == 0 { None } else { Some(order[i - 1]) });
-            assert_eq!(vp.succ, if i == 9 { None } else { Some(order[i + 1]) });
-        }
-    }
 
     #[test]
     fn head_and_tail_predicates() {
@@ -135,7 +121,7 @@ mod tests {
     #[test]
     fn single_node_path() {
         let net = Network::new(1, Config::ncc0(5));
-        let result = net.run(undirect).unwrap();
+        let result = net.run_protocol(Undirect::new).unwrap();
         let vp = &result.outputs[0].1;
         assert!(vp.is_head() && vp.is_tail());
         assert_eq!(vp.levels(), 0);

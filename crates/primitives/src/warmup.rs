@@ -129,20 +129,25 @@ pub fn build(h: &mut NodeHandle, vp: &VPath) -> WarmupTree {
     tree
 }
 
-#[cfg(all(test, feature = "threaded"))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vpath;
+    use crate::proto::ctx::UndirectStep;
+    use crate::proto::warmup::WarmupStep;
+    use crate::proto::{Step, StepProtocol};
     use dgr_ncc::{Config, Network, RunResult};
     use std::collections::HashMap;
 
-    fn run(n: usize, seed: u64) -> RunResult<WarmupTree> {
-        let net = Network::new(n, Config::ncc0(seed));
-        net.run(|h| {
-            let vp = vpath::undirect(h);
-            build(h, &vp)
+    /// Undirect, then the warm-up construction.
+    fn run_on(net: &Network) -> RunResult<WarmupTree> {
+        net.run_protocol(|_| {
+            StepProtocol::new(UndirectStep::new().then(|vp, _| WarmupStep::new(vp)))
         })
         .unwrap()
+    }
+
+    fn run(n: usize, seed: u64) -> RunResult<WarmupTree> {
+        run_on(&Network::new(n, Config::ncc0(seed)))
     }
 
     fn check(n: usize, seed: u64) {
@@ -195,13 +200,7 @@ mod tests {
     /// 4 and 6; 3 adopts 5 and 7; (4,8) leaves 8 under 4.
     #[test]
     fn fig1_exact_shape() {
-        let net = Network::new(8, Config::ncc0(0).with_sequential_ids());
-        let result = net
-            .run(|h| {
-                let vp = vpath::undirect(h);
-                build(h, &vp)
-            })
-            .unwrap();
+        let result = run_on(&Network::new(8, Config::ncc0(0).with_sequential_ids()));
         let view: HashMap<NodeId, &WarmupTree> =
             result.outputs.iter().map(|(id, t)| (*id, t)).collect();
         assert!(view[&1].is_root);

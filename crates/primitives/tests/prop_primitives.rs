@@ -3,11 +3,17 @@
 //! the inputs are adversarially random: arbitrary path lengths, keys with
 //! ties, random interval layouts, random milestone placements.
 
-use dgr_ncc::{Config, Network};
-use dgr_primitives::imcast::{self, CoverSide, Payload};
-use dgr_primitives::scatter::{self, ScanRecord};
-use dgr_primitives::sort::{self, Order};
-use dgr_primitives::{ops, prefix, PathCtx};
+use dgr_ncc::{Config, Network, RoundCtx};
+use dgr_primitives::imcast::{CoverSide, Payload};
+use dgr_primitives::proto::imcast::ImcastStep;
+use dgr_primitives::proto::ops::AggBcastStep;
+use dgr_primitives::proto::prefix::PrefixStep;
+use dgr_primitives::proto::scatter::ScanStep;
+use dgr_primitives::proto::sort::SortStep;
+use dgr_primitives::proto::{AggOp, WithCtx};
+use dgr_primitives::scatter::ScanRecord;
+use dgr_primitives::sort::Order;
+use dgr_primitives::PathCtx;
 use proptest::prelude::*;
 
 proptest! {
@@ -20,20 +26,18 @@ proptest! {
     fn sort_is_a_sorted_permutation(n in 1usize..48, seed in 0u64..1000) {
         let net = Network::new(n, Config::ncc0(seed));
         let result = net
-            .run(|h| {
-                let c = PathCtx::establish(h);
-                let key = h.id() % 5; // heavy ties
-                let sp = sort::sort_at(
-                    h, &c.vp, &c.contacts, c.position, key, Order::Descending,
-                );
-                (key, sp.rank, sp.vp.pred, sp.vp.succ)
+            .run_protocol(|_| {
+                WithCtx::new(|c: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                    let (key, id) = (rctx.id() % 5, rctx.id()); // heavy ties
+                    SortStep::new(c.vp, c.contacts.clone(), c.position, key, Order::Descending, id)
+                })
             })
             .unwrap();
         prop_assert!(result.metrics.is_clean());
         let mut by_rank: Vec<(usize, u64, u64)> = result
             .outputs
             .iter()
-            .map(|(id, (k, r, _, _))| (*r, *k, *id))
+            .map(|(id, sp)| (sp.rank, id % 5, *id))
             .collect();
         by_rank.sort_unstable();
         for (want, (got, ..)) in by_rank.iter().enumerate() {
@@ -47,7 +51,7 @@ proptest! {
             result
                 .outputs
                 .iter()
-                .map(|(id, (_, r, p, s))| (*id, (*r, *p, *s)))
+                .map(|(id, sp)| (*id, (sp.rank, sp.vp.pred, sp.vp.succ)))
                 .collect();
         for (rank, _, id) in &by_rank {
             let (_, pred, succ) = by_id[id];
@@ -64,15 +68,15 @@ proptest! {
     fn prefix_sums_are_exact(n in 1usize..48, seed in 0u64..1000) {
         let net = Network::new(n, Config::ncc0(seed));
         let result = net
-            .run(|h| {
-                let c = PathCtx::establish(h);
-                let v = h.id() % 23;
-                (v, prefix::prefix_sum(h, &c.vp, &c.contacts, v))
+            .run_protocol(|_| {
+                WithCtx::new(|c: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                    PrefixStep::new(c.vp, c.contacts.clone(), rctx.id() % 23)
+                })
             })
             .unwrap();
         let mut running = 0;
-        for (_, (v, got)) in &result.outputs {
-            running += v;
+        for (id, got) in &result.outputs {
+            running += id % 23;
             prop_assert_eq!(*got, running);
         }
     }
@@ -97,24 +101,24 @@ proptest! {
             layout.push((at, count));
             at += w;
         }
-        let layout_c = layout.clone();
         let net = Network::new(n, Config::ncc0(seed));
         let result = net
-            .run(move |h| {
-                let c = PathCtx::establish(h);
-                let task = layout_c
-                    .iter()
-                    .find(|(s, _)| *s == c.position)
-                    .map(|&(_, count)| {
-                        (CoverSide::After, count, Payload { addr: h.id(), word: 1 })
-                    });
-                let got = imcast::interval_multicast(h, &c.vp, &c.contacts, task);
-                (c.position, got)
+            .run_protocol(|_| {
+                WithCtx::new(|c: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                    let task = layout
+                        .iter()
+                        .find(|(s, _)| *s == c.position)
+                        .map(|&(_, count)| {
+                            (CoverSide::After, count, Payload { addr: rctx.id(), word: 1 })
+                        });
+                    ImcastStep::new(c.vp, c.contacts.clone(), task)
+                })
             })
             .unwrap();
         prop_assert!(result.metrics.is_clean());
         let order = result.gk_order();
-        for (_, (pos, got)) in &result.outputs {
+        for (pos, (_, got)) in result.outputs.iter().enumerate() {
+            let pos = &pos;
             let covering = layout
                 .iter()
                 .find(|&&(s, count)| *pos > s && *pos <= s + count);
@@ -140,31 +144,28 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let mask: Vec<bool> = (0..n).map(|i| milestone_mask[i]).collect();
-        let mask_c = mask.clone();
         let net = Network::new(n, Config::ncc0(seed));
         let result = net
-            .run(move |h| {
-                let c = PathCtx::establish(h);
-                let r = c.position as u64;
-                let rec0 = if mask_c[c.position] {
-                    // Milestone placed *just before* my filler: covers me.
-                    ScanRecord::Milestone { key: 2 * r, addr: h.id() }
-                } else {
-                    ScanRecord::Absent
-                };
-                let rec1 = ScanRecord::Filler { key: 2 * r + 1 };
-                let got = scatter::milestone_scan(
-                    h, &c.vp, &c.contacts, c.position, [rec0, rec1],
-                );
-                (c.position, got[1])
+            .run_protocol(|_| {
+                WithCtx::new(|c: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                    let r = c.position as u64;
+                    let rec0 = if mask[c.position] {
+                        // Milestone placed *just before* my filler: covers me.
+                        ScanRecord::Milestone { key: 2 * r, addr: rctx.id() }
+                    } else {
+                        ScanRecord::Absent
+                    };
+                    let records = [rec0, ScanRecord::Filler { key: 2 * r + 1 }];
+                    ScanStep::new(c.vp, c.contacts.clone(), c.position, records, rctx.id())
+                })
             })
             .unwrap();
         prop_assert!(result.metrics.is_clean());
         let order = result.gk_order();
-        for (_, (pos, got)) in &result.outputs {
+        for (pos, (_, got)) in result.outputs.iter().enumerate() {
             // Reference: the last milestone position ≤ pos.
-            let want = (0..=*pos).rev().find(|&i| mask[i]).map(|i| order[i]);
-            prop_assert_eq!(*got, want, "pos {}", pos);
+            let want = (0..=pos).rev().find(|&i| mask[i]).map(|i| order[i]);
+            prop_assert_eq!(got[1], want, "pos {}", pos);
         }
     }
 
@@ -178,20 +179,17 @@ proptest! {
         let want_sum: u64 = vals.iter().sum();
         let want_max: u64 = *vals.iter().max().unwrap();
         let want_min: u64 = *vals.iter().min().unwrap();
-        let result = net
-            .run(|h| {
-                let c = PathCtx::establish(h);
-                let v = h.id() % 41;
-                let s = ops::aggregate_broadcast(h, &c.vp, &c.tree, v, |a, b| a + b);
-                let mx = ops::aggregate_broadcast(h, &c.vp, &c.tree, v, u64::max);
-                let mn = ops::aggregate_broadcast(h, &c.vp, &c.tree, v, u64::min);
-                (s, mx, mn)
-            })
-            .unwrap();
-        for (_, (s, mx, mn)) in &result.outputs {
-            prop_assert_eq!(*s, want_sum);
-            prop_assert_eq!(*mx, want_max);
-            prop_assert_eq!(*mn, want_min);
+        for (op, want) in [(AggOp::Sum, want_sum), (AggOp::Max, want_max), (AggOp::Min, want_min)] {
+            let result = net
+                .run_protocol(|_| {
+                    WithCtx::new(move |c: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                        AggBcastStep::new(c.vp, c.tree.clone(), rctx.id() % 41, op)
+                    })
+                })
+                .unwrap();
+            for (_, got) in &result.outputs {
+                prop_assert_eq!(*got, want, "{:?}", op);
+            }
         }
     }
 }

@@ -16,6 +16,7 @@
 
 use dgr_ncc::{Config, EngineKind, Network, NodeProtocol, RoundCtx, RunResult, WireMsg};
 use dgr_primitives::imcast::{CoverSide, Payload};
+use dgr_primitives::proto::ctx::UndirectStep;
 use dgr_primitives::proto::imcast::ImcastStep;
 use dgr_primitives::proto::ops::{AggBcastStep, BroadcastAddrStep, CollectStep};
 use dgr_primitives::proto::prefix::PrefixStep;
@@ -23,7 +24,9 @@ use dgr_primitives::proto::scatter::ScanStep;
 use dgr_primitives::proto::sort::SortStep;
 use dgr_primitives::proto::stagger::StaggerStep;
 use dgr_primitives::proto::step::AggOp;
+use dgr_primitives::proto::warmup::WarmupStep;
 use dgr_primitives::proto::WithCtx as CtxThen;
+use dgr_primitives::proto::{EstablishCtx, Step, StepProtocol};
 use dgr_primitives::scatter::ScanRecord;
 use dgr_primitives::sort::Order;
 use dgr_primitives::{ops, prefix, scatter, sort, stagger, PathCtx};
@@ -87,6 +90,9 @@ const GOLDEN: &[(&str, Golden)] = &[
     ("milestone-scan", (57, 1135, 5712, 2, 2, 0xc102a0ebf36e921d)),
     ("stagger", (40, 685, 1679, 2, 2, 0xf3e1ba9a71150637)),
     ("establish", (34, 666, 1686, 2, 2, 0x0c1f451e5545412a)),
+    ("warmup n=8 seed=1", (9, 32, 75, 2, 2, 0xc22be1b81834bf15)),
+    ("warmup n=50 seed=2", (15, 422, 1119, 2, 2, 0xd687dbe6a1b03721)),
+    ("warmup n=128 seed=3", (17, 1424, 3891, 2, 2, 0x518e11b8bc4db2db)),
 ];
 
 thread_local! {
@@ -125,6 +131,7 @@ fn print_golden_rows_from_the_twins() {
     milestone_scan_port_matches_twin_and_engines();
     stagger_port_matches_twin_and_engines();
     establish_port_matches_twin_and_engines();
+    warmup_port_matches_twin_and_engines();
 }
 
 /// Holds a run to the frozen transcript of its case.
@@ -431,13 +438,31 @@ fn establish_port_matches_twin_and_engines() {
     // The whole setup chain — undirect, contacts, BBST, traversal — with
     // every table it builds in the hashed output.
     let net = Network::new(53, Config::ncc0(8));
-    let batched = engines_agree(&net, |_| {
-        dgr_primitives::proto::StepProtocol::new(dgr_primitives::proto::EstablishCtx::new())
-    });
+    let batched = engines_agree(&net, |_| StepProtocol::new(EstablishCtx::new()));
     let direct = net.run(PathCtx::establish).unwrap();
     assert_twin_golden("establish", &direct);
     assert_golden("establish", &batched);
     assert_eq!(batched.metrics.rounds, dgr_primitives::ctx::rounds_for(53));
+}
+
+#[test]
+fn warmup_port_matches_twin_and_engines() {
+    for (n, seed) in [(8usize, 1u64), (50, 2), (128, 3)] {
+        let net = Network::new(n, Config::ncc0(seed));
+        let batched = engines_agree(&net, |_| {
+            StepProtocol::new(UndirectStep::new().then(|vp, _| WarmupStep::new(vp)))
+        });
+        let direct = net
+            .run(|h| {
+                let vp = dgr_primitives::vpath::undirect(h);
+                dgr_primitives::warmup::build(h, &vp)
+            })
+            .unwrap();
+        let case = format!("warmup n={n} seed={seed}");
+        assert_twin_golden(&case, &direct);
+        assert_golden(&case, &batched);
+        assert!(batched.metrics.is_clean());
+    }
 }
 
 #[test]

@@ -125,12 +125,18 @@ pub fn realize_on(
     Ok(outcome)
 }
 
-#[cfg(all(test, feature = "threaded"))]
-// The unit tests double as coverage of the deprecated delegating shims.
-#[allow(deprecated)]
+#[cfg(test)]
 mod tests {
-    use crate::driver::{realize_tree, TreeAlgo};
-    use dgr_ncc::Config;
+    use crate::driver::{realize_tree_run, TreeAlgo, TreeRealization};
+    use dgr_ncc::{Config, EngineKind};
+    use dgr_primitives::sort::SortBackend;
+
+    fn realize_tree(degrees: &[usize], config: Config, algo: TreeAlgo) -> TreeRealization {
+        let (engine, sort) = (EngineKind::Batched, SortBackend::Bitonic);
+        realize_tree_run(degrees, config, algo, engine, sort, None)
+            .unwrap()
+            .output
+    }
 
     #[test]
     fn realizes_paths_stars_and_mixed_profiles() {
@@ -142,7 +148,7 @@ mod tests {
             vec![3, 3, 1, 1, 1, 1],    // double star
             vec![3, 3, 2, 1, 1, 1, 1], // sum 12 = 2*6 ✓
         ] {
-            let out = realize_tree(&degrees, Config::ncc0(91), TreeAlgo::Chain).unwrap();
+            let out = realize_tree(&degrees, Config::ncc0(91), TreeAlgo::Chain);
             let t = out.expect_realized();
             assert!(t.graph.is_tree(), "{degrees:?} not a tree");
             let mut want = degrees.clone();
@@ -155,7 +161,7 @@ mod tests {
     #[test]
     fn chain_diameter_matches_sequential_chain_tree() {
         let degrees = vec![3, 3, 3, 2, 2, 1, 1, 1, 1, 1];
-        let out = realize_tree(&degrees, Config::ncc0(92), TreeAlgo::Chain).unwrap();
+        let out = realize_tree(&degrees, Config::ncc0(92), TreeAlgo::Chain);
         let t = out.expect_realized();
         let seq = dgr_core::DegreeSequence::new(degrees.clone());
         let reference = crate::greedy::chain_tree(&seq).unwrap();
@@ -170,7 +176,7 @@ mod tests {
             vec![1, 1, 1, 1],    // forest sum
             vec![2, 2, 1, 1, 0], // zero degree
         ] {
-            let out = realize_tree(&degrees, Config::ncc0(93), TreeAlgo::Chain).unwrap();
+            let out = realize_tree(&degrees, Config::ncc0(93), TreeAlgo::Chain);
             assert!(out.is_unrealizable(), "{degrees:?} was accepted");
         }
     }

@@ -100,14 +100,20 @@ pub fn realize_on(
     Ok(outcome)
 }
 
-#[cfg(all(test, feature = "threaded"))]
-// The unit tests double as coverage of the deprecated delegating shims.
-#[allow(deprecated)]
+#[cfg(test)]
 mod tests {
-    use crate::driver::{realize_tree, TreeAlgo};
+    use crate::driver::{realize_tree_run, TreeAlgo, TreeRealization};
     use crate::greedy;
     use dgr_core::DegreeSequence;
-    use dgr_ncc::Config;
+    use dgr_ncc::{Config, EngineKind};
+    use dgr_primitives::sort::SortBackend;
+
+    fn realize_tree(degrees: &[usize], config: Config, algo: TreeAlgo) -> TreeRealization {
+        let (engine, sort) = (EngineKind::Batched, SortBackend::Bitonic);
+        realize_tree_run(degrees, config, algo, engine, sort, None)
+            .unwrap()
+            .output
+    }
 
     #[test]
     fn realizes_min_diameter_trees() {
@@ -120,7 +126,7 @@ mod tests {
             vec![3, 3, 2, 1, 1, 1, 1],
             vec![2, 2, 2, 2, 2, 1, 1], // long path profile
         ] {
-            let out = realize_tree(&degrees, Config::ncc0(95), TreeAlgo::Greedy).unwrap();
+            let out = realize_tree(&degrees, Config::ncc0(95), TreeAlgo::Greedy);
             let t = out.expect_realized();
             assert!(t.graph.is_tree(), "{degrees:?} not a tree");
             let mut want = degrees.clone();
@@ -148,7 +154,7 @@ mod tests {
             if !seq.is_tree_realizable() {
                 continue;
             }
-            let out = realize_tree(&degrees, Config::ncc0(96), TreeAlgo::Greedy).unwrap();
+            let out = realize_tree(&degrees, Config::ncc0(96), TreeAlgo::Greedy);
             let t = out.expect_realized();
             let want = greedy::min_diameter_brute(&seq).unwrap();
             assert_eq!(t.diameter, want, "{degrees:?}");
@@ -158,14 +164,14 @@ mod tests {
     #[test]
     fn greedy_never_beaten_by_chain() {
         let degrees = vec![3, 3, 3, 2, 2, 1, 1, 1, 1, 1];
-        let g = realize_tree(&degrees, Config::ncc0(97), TreeAlgo::Greedy).unwrap();
-        let c = realize_tree(&degrees, Config::ncc0(97), TreeAlgo::Chain).unwrap();
+        let g = realize_tree(&degrees, Config::ncc0(97), TreeAlgo::Greedy);
+        let c = realize_tree(&degrees, Config::ncc0(97), TreeAlgo::Chain);
         assert!(g.expect_realized().diameter <= c.expect_realized().diameter);
     }
 
     #[test]
     fn rejects_non_tree_sequences() {
-        let out = realize_tree(&[2, 2, 2], Config::ncc0(98), TreeAlgo::Greedy).unwrap();
+        let out = realize_tree(&[2, 2, 2], Config::ncc0(98), TreeAlgo::Greedy);
         assert!(out.is_unrealizable());
     }
 }

@@ -216,17 +216,22 @@ pub fn realize_tree_batched(
     .map(|run| run.output)
 }
 
-#[cfg(all(test, feature = "threaded"))]
-// The unit tests double as coverage of the deprecated delegating shims.
-#[allow(deprecated)]
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    fn realize_tree(degrees: &[usize], config: Config, algo: TreeAlgo) -> TreeRealization {
+        let (engine, sort) = (EngineKind::Batched, SortBackend::Bitonic);
+        realize_tree_run(degrees, config, algo, engine, sort, None)
+            .unwrap()
+            .output
+    }
 
     #[test]
     fn driver_verifies_degrees() {
         let degrees = vec![2, 2, 1, 1];
         for algo in [TreeAlgo::Chain, TreeAlgo::Greedy] {
-            let out = realize_tree(&degrees, Config::ncc0(90), algo).unwrap();
+            let out = realize_tree(&degrees, Config::ncc0(90), algo);
             let t = out.expect_realized();
             verify::degrees_match(&t.graph, &t.requested).unwrap();
         }
@@ -234,7 +239,7 @@ mod tests {
 
     #[test]
     fn single_node_tree() {
-        let out = realize_tree(&[0], Config::ncc0(89), TreeAlgo::Greedy).unwrap();
+        let out = realize_tree(&[0], Config::ncc0(89), TreeAlgo::Greedy);
         let t = out.expect_realized();
         assert_eq!(t.diameter, 0);
         assert_eq!(t.graph.edge_count(), 0);

@@ -1297,12 +1297,11 @@ mod tests {
                 .unwrap()
         };
         let batched = run(Engine::Batched);
-        let threaded = run(Engine::Threaded);
-        assert_eq!(batched.metrics().rounds, threaded.metrics().rounds);
-        assert_eq!(batched.metrics().messages, threaded.metrics().messages);
+        let reference = run(Engine::Reference);
+        assert_eq!(batched.metrics(), reference.metrics());
         assert_eq!(
             batched.degrees().expect_realized().graph.edge_list(),
-            threaded.degrees().expect_realized().graph.edge_list()
+            reference.degrees().expect_realized().graph.edge_list()
         );
     }
 }

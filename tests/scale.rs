@@ -1,21 +1,19 @@
-//! Scale tests. The direct-style algorithms run on the thread-per-node
-//! oracle at four-digit network sizes; the step-function protocols run on
-//! the batched executor at six-digit sizes (and seven digits under
-//! `--ignored` / in the release-mode engine bench). They exist to catch
-//! regressions in engine scalability and in the O(polylog)-round claims
-//! at scale.
+//! Scale tests: the step-function protocols on the batched executor, from
+//! four-digit sizes (where the paper's bounds are checked exactly) to
+//! six-digit sizes (and seven digits under `--ignored` / in the
+//! release-mode engine bench). They exist to catch regressions in engine
+//! scalability and in the O(polylog)-round claims at scale.
 
 use distributed_graph_realizations::prelude::*;
 use distributed_graph_realizations::realization::verify;
 use distributed_graph_realizations::{connectivity, graphgen, primitives, trees};
-use distributed_graph_realizations::{ncc, realization, Engine, Kt0};
+use distributed_graph_realizations::{ncc, realization, Kt0};
 
 #[test]
 fn implicit_realization_at_n_1024() {
     let n = 1024;
     let degrees = graphgen::near_regular_sequence(n, 6, 99);
     let out = Realization::new(Workload::Implicit(degrees.clone()))
-        .engine(Engine::Threaded)
         .seed(99)
         .run()
         .unwrap();
@@ -36,7 +34,6 @@ fn greedy_tree_at_n_2048() {
         degrees: degrees.clone(),
         algo: TreeAlgo::Greedy,
     })
-    .engine(Engine::Threaded)
     .seed(98)
     .run()
     .unwrap();
@@ -399,24 +396,31 @@ fn batched_greedy_tree_at_n_200k() {
 
 #[test]
 fn sorting_at_n_2048_is_polylog() {
-    use distributed_graph_realizations::primitives::{
-        sort::{self, Order},
-        PathCtx,
-    };
+    use distributed_graph_realizations::ncc::RoundCtx;
+    use distributed_graph_realizations::primitives::proto::{sort::SortStep, WithCtx};
+    use distributed_graph_realizations::primitives::{sort::Order, PathCtx};
     let n = 2048;
     let net = Network::new(n, Config::ncc0(97));
     let result = net
-        .run(|h| {
-            let c = PathCtx::establish(h);
-            let sp = sort::sort_at(h, &c.vp, &c.contacts, c.position, h.id(), Order::Ascending);
-            sp.rank
+        .run_protocol(|_| {
+            WithCtx::new(|c: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                let (key, id) = (rctx.id(), rctx.id());
+                SortStep::new(
+                    c.vp,
+                    c.contacts.clone(),
+                    c.position,
+                    key,
+                    Order::Ascending,
+                    id,
+                )
+            })
         })
         .unwrap();
     assert!(result.metrics.is_clean());
     // 11·12/2 comparator stages + setup: well under 10·log² n.
     assert!(result.metrics.rounds < 10 * 11 * 11);
     // Ranks form a permutation.
-    let mut ranks: Vec<usize> = result.outputs.iter().map(|(_, r)| *r).collect();
+    let mut ranks: Vec<usize> = result.outputs.iter().map(|(_, sp)| sp.rank).collect();
     ranks.sort_unstable();
     assert!(ranks.iter().enumerate().all(|(i, &r)| i == r));
 }
