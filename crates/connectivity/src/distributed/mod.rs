@@ -1,9 +1,9 @@
 //! Distributed threshold realization (Section 6).
 //!
-//! [`ncc1`] and [`ncc0`] are direct-style (threaded-oracle) algorithms;
-//! [`ncc1_step`] and [`ncc0_step`] are the same constructions as
-//! step-function protocols for the batched engine — same overlays,
-//! six-digit-node scale.
+//! [`ncc1`] and [`ncc0`] describe the two constructions and hold their
+//! property tests; [`ncc1_step`] and [`ncc0_step`] implement them as
+//! step-function protocols, [`ncc0_exact`] the composed paper-exact
+//! Algorithm 6.
 
 pub mod ncc0;
 pub mod ncc0_exact;

@@ -28,14 +28,8 @@
 //! give `ρ(x_i)` edge-disjoint paths; induction over phase 2 and
 //! Menger's theorem complete it. Edges ≤ `Σρ ≤ 2·OPT` as before.
 
-#[cfg(feature = "threaded")]
-use {
-    super::ThresholdOutcome,
-    dgr_ncc::{tags, Msg, NodeHandle, NodeId},
-    dgr_primitives::sort::{self, Order},
-    dgr_primitives::{ops, stagger, PathCtx},
-    std::collections::VecDeque,
-};
+//!
+//! The implementation is [`Ncc0Threshold`](super::ncc0_step::Ncc0Threshold).
 
 /// Number of rounds of a token pipeline with maximum ttl `ttl_max` at
 /// forwarding batch `b`: travel distance plus drain slack. (Input rate to
@@ -44,120 +38,6 @@ use {
 /// travel + `ttl_max/b` + slack covers the worst case.)
 pub(crate) fn pipeline_rounds(ttl_max: usize, b: usize) -> u64 {
     ttl_max as u64 + (ttl_max as u64).div_ceil(b as u64) + 10
-}
-
-/// Runs a token pipeline epoch: `inject` starts a token `(my ID, ttl)`;
-/// every received token's origin is recorded and the token is forwarded
-/// to `next_hop` with `ttl - 1` while positive. All nodes must use the
-/// same `rounds`.
-#[cfg(feature = "threaded")]
-fn token_pipeline(
-    h: &mut NodeHandle,
-    next_hop: Option<NodeId>,
-    inject: Option<usize>,
-    rounds: u64,
-    batch: usize,
-) -> Vec<NodeId> {
-    let mut queue: VecDeque<(NodeId, u64)> = VecDeque::new();
-    if let Some(ttl) = inject {
-        if ttl > 0 {
-            queue.push_back((h.id(), ttl as u64));
-        }
-    }
-    let mut received = Vec::new();
-    for _ in 0..rounds {
-        let mut out = Vec::new();
-        if let Some(next) = next_hop {
-            for _ in 0..batch.min(queue.len()) {
-                let (origin, ttl) = queue.pop_front().unwrap();
-                out.push((next, Msg::addr_words(tags::EDGE, origin, vec![ttl])));
-            }
-        }
-        let inbox = h.step(out);
-        for env in inbox.iter().filter(|e| e.msg.tag == tags::EDGE) {
-            let origin = env.addr();
-            let ttl = env.word();
-            received.push(origin);
-            if ttl > 1 {
-                queue.push_back((origin, ttl - 1));
-            }
-        }
-    }
-    debug_assert!(queue.is_empty(), "pipeline round budget too small");
-    received
-}
-
-/// Runs Algorithm 6 at one node. `rho ≥ 1` is this node's requirement;
-/// every node must call simultaneously. Use a queueing configuration (the
-/// explicitness replies rely on receive-side queueing).
-#[cfg(feature = "threaded")]
-pub fn realize(h: &mut NodeHandle, rho: usize) -> ThresholdOutcome {
-    let ctx = PathCtx::establish(h);
-    let n = ctx.vp.len;
-    let mut outcome = ThresholdOutcome {
-        rho,
-        neighbors: Vec::new(),
-    };
-    if n == 1 {
-        return outcome;
-    }
-
-    // Step 1: sort by ρ; broadcast d₀ and x₁'s address.
-    let sp = sort::sort_at(
-        h,
-        &ctx.vp,
-        &ctx.contacts,
-        ctx.position,
-        rho as u64,
-        Order::Descending,
-    );
-    let rank = sp.rank;
-    let d0 = ops::aggregate_broadcast(h, &ctx.vp, &ctx.tree, rho as u64, u64::max) as usize;
-    let x1 = ops::broadcast_addr(h, &ctx.vp, &ctx.tree, (rank == 0).then(|| h.id()));
-    let prefix_len = (d0 + 1).min(n);
-    let in_prefix = rank < prefix_len;
-    let b = (h.capacity() / 2).max(1);
-
-    // Phase 1: cyclic pipeline around the prefix. Rank i's token visits
-    // ranks i+1 … i+ρ (mod prefix); the wrap hop at the prefix tail goes
-    // to x₁ (whose address everyone now knows).
-    let next_cyclic = if in_prefix {
-        if rank + 1 < prefix_len {
-            sp.vp.succ
-        } else {
-            Some(x1)
-        }
-    } else {
-        None
-    };
-    let inject = in_prefix.then(|| rho.min(prefix_len - 1));
-    let rounds = pipeline_rounds(d0, b);
-    let phase1 = token_pipeline(h, next_cyclic, inject, rounds, b);
-    outcome.neighbors.extend(phase1.iter().copied());
-
-    // Phase 2: head-ward pipeline on the whole sorted path; rank i ≥
-    // prefix injects ttl = ρ (its ρ sorted predecessors).
-    let inject = (!in_prefix).then_some(rho);
-    let rounds = pipeline_rounds(d0, b);
-    let phase2 = token_pipeline(h, sp.vp.pred, inject, rounds, b);
-    outcome.neighbors.extend(phase2.iter().copied());
-
-    // Explicitness: every token recipient answers with its own ID so the
-    // initiator learns the edge too. Fan-in per initiator ≤ d₀.
-    let (spread, drain) = stagger::plan(d0, h.capacity());
-    let replies = phase1
-        .iter()
-        .chain(phase2.iter())
-        .map(|&origin| (origin, Msg::signal(tags::EDGE_ACK)))
-        .collect();
-    let acks = stagger::staggered_send(h, replies, spread, drain);
-    outcome.neighbors.extend(
-        acks.iter()
-            .filter(|e| e.msg.tag == tags::EDGE_ACK)
-            .map(|e| e.src),
-    );
-
-    outcome
 }
 
 #[cfg(test)]

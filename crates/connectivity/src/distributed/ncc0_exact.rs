@@ -36,8 +36,8 @@
 //!
 //! Run it under a queueing capacity policy (the staggered
 //! acknowledgements rely on receive-side queueing). The protocol is a
-//! plain [`NodeProtocol`], so the threaded oracle runs it bit-identically
-//! (`crates/connectivity/tests/ncc0_exact.rs`).
+//! plain [`NodeProtocol`], so the reference interpreter runs it
+//! bit-identically (`crates/connectivity/tests/ncc0_exact.rs`).
 //!
 //! [`NodeProtocol`]: dgr_ncc::NodeProtocol
 //! [`DegreesCore`]: dgr_core::distributed::proto::DegreesCore

@@ -1,12 +1,12 @@
-//! Algorithm 6 / Theorem 18 on the **batched engine**: the NCC0 explicit
-//! threshold construction as a step-function protocol.
+//! Algorithm 6 / Theorem 18: the NCC0 explicit threshold construction as
+//! a step-function protocol.
 //!
-//! The same construction as the direct-style [`ncc0`](super::ncc0) —
-//! sort by `ρ`, broadcast `d₀` and `x₁`, the cyclic prefix pipeline, the
-//! head-ward phase-2 pipeline, the staggered explicitness replies — with
-//! each phase a chained [`Step`] sub-protocol, so both engines realize the
-//! same overlay in the same rounds
-//! (`crates/connectivity/tests/batched_ncc0.rs`). Run it under a queueing
+//! The construction [`ncc0`](super::ncc0) describes — sort by `ρ`,
+//! broadcast `d₀` and `x₁`, the cyclic prefix pipeline, the head-ward
+//! phase-2 pipeline, the staggered explicitness replies — with each phase
+//! a chained [`Step`] sub-protocol; it reproduces, on both engines, the
+//! transcripts of the direct-style original it was ported from (frozen in
+//! `crates/connectivity/tests/batched_ncc0.rs`). Run it under a queueing
 //! capacity policy; the staggered replies rely on receive-side queueing.
 //!
 //! [`Step`]: dgr_primitives::proto::Step

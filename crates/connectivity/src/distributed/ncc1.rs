@@ -10,51 +10,10 @@
 //! `ρ(v)` edge-disjoint `v`–`w` paths (every `x` also connected to `w`),
 //! and Menger lifts `Conn(v₁, v₂) ≥ min(ρ(v₁), ρ(v₂))` to all pairs.
 //! Edges: `Σ_{v≠w} ρ(v) ≤ Σρ ≤ 2·OPT`.
-
-#[cfg(feature = "threaded")]
-use {
-    super::ThresholdOutcome,
-    dgr_ncc::NodeHandle,
-    dgr_primitives::{ops, PathCtx},
-};
-
-/// Runs the NCC1 star construction at one node. `rho` is this node's
-/// requirement; every node must call simultaneously. Requires the NCC1
-/// model (panics otherwise, via [`NodeHandle::all_ids`]).
-#[cfg(feature = "threaded")]
-pub fn realize(h: &mut NodeHandle, rho: usize) -> ThresholdOutcome {
-    // Aggregation infrastructure: the path context (O(log n) rounds; in
-    // NCC1 the knowledge path is available too, and this is the cheapest
-    // O~(1) aggregation structure we have).
-    let ctx = PathCtx::establish(h);
-    let max_rho = ops::aggregate_broadcast(h, &ctx.vp, &ctx.tree, rho as u64, u64::max);
-    // w = the smallest-ID node among the maximizers (broadcast_addr picks
-    // the minimum, making the choice consistent everywhere).
-    let w = ops::broadcast_addr(
-        h,
-        &ctx.vp,
-        &ctx.tree,
-        (rho as u64 == max_rho).then(|| h.id()),
-    );
-
-    let mut outcome = ThresholdOutcome {
-        rho,
-        neighbors: Vec::new(),
-    };
-    if h.id() != w {
-        // X_v: w plus the first ρ(v)-1 other IDs from the global list.
-        outcome.neighbors.push(w);
-        outcome.neighbors.extend(
-            h.all_ids()
-                .iter()
-                .copied()
-                .filter(|&x| x != h.id() && x != w)
-                .take(rho.saturating_sub(1)),
-        );
-        debug_assert_eq!(outcome.neighbors.len(), rho.max(1).min(h.n() - 1));
-    }
-    outcome
-}
+//!
+//! The implementation is [`Ncc1Star`](super::ncc1_step::Ncc1Star): `w` is
+//! the smallest-ID maximizer of `ρ`, `X_v` is `w` plus the first
+//! `ρ(v) - 1` other IDs of the sorted list.
 
 #[cfg(test)]
 mod tests {
@@ -88,15 +47,5 @@ mod tests {
             );
             assert!(out.metrics.is_clean());
         }
-    }
-
-    #[test]
-    fn rounds_are_polylog_constant_in_rho() {
-        // O~(1): round count must not depend on Δ = max ρ.
-        let small = ThresholdInstance::new(vec![2; 32]);
-        let large = ThresholdInstance::new(vec![20; 32]);
-        let r1 = realize_ncc1(&small, Config::ncc1(62)).metrics.rounds;
-        let r2 = realize_ncc1(&large, Config::ncc1(62)).metrics.rounds;
-        assert_eq!(r1, r2, "rounds depend on Δ");
     }
 }

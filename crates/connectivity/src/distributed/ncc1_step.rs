@@ -1,9 +1,8 @@
-//! Theorem 17 on the **batched engine**: the NCC1 star construction as a
-//! step-function protocol.
+//! Theorem 17: the NCC1 star construction as a step-function protocol.
 //!
-//! Same algorithm as [`ncc1`](super::ncc1), different aggregation
-//! machinery: instead of building a `PathCtx` (which is direct-style), the
-//! protocol aggregates `(ρ, ID)` over the **rank tree** — the binary-heap
+//! The algorithm of [`ncc1`](super::ncc1), with NCC1-native aggregation
+//! machinery: instead of building a `PathCtx`, the protocol aggregates
+//! `(ρ, ID)` over the **rank tree** — the binary-heap
 //! ordering of the globally known sorted ID list, where rank `r`'s parent
 //! is rank `(r-1)/2`. Every node computes its own rank locally (NCC1 makes
 //! the sorted list common knowledge), so the tree needs zero rounds to
@@ -12,9 +11,9 @@
 //!
 //! The choice of the hub `w` (smallest-ID maximizer of `ρ`) and of each
 //! node's edge set `X_v` (w plus the first `ρ(v)−1` other IDs of the
-//! sorted list) is identical to the direct-style implementation, so both
-//! engines realize the *same overlay graph* — which the driver tests
-//! assert.
+//! sorted list) is that of the direct-style original (which aggregated
+//! over a `PathCtx`), so it realizes the *same overlay graph* — frozen in
+//! `crates/connectivity/tests/batched_ncc0.rs`.
 
 use super::ThresholdOutcome;
 use dgr_ncc::{tags, NodeId, NodeProtocol, NodeSeed, RoundCtx, Status, WireMsg};
@@ -101,7 +100,7 @@ impl Ncc1Star {
         };
         if my_id != w {
             // X_v: w plus the first ρ(v)-1 other IDs from the global list
-            // (the same deterministic choice as the direct-style twin).
+            // (the frozen overlays pin this choice).
             outcome.neighbors.push(w);
             outcome.neighbors.extend(
                 self.all_ids

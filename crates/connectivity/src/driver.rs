@@ -1,15 +1,12 @@
 //! Drivers: run the distributed threshold realizations on simulated
 //! networks, assemble the overlay, and certify it with max-flow.
 //!
-//! [`realize_ncc1`] runs the direct-style Theorem 17 implementation on the
-//! threaded oracle engine; [`realize_ncc1_batched`] runs the step-function
-//! port ([`ncc1_step::Ncc1Star`]) on the batched executor. Both make the
-//! same deterministic hub and edge choices, so they realize the same
-//! overlay — `batched_and_threaded_realize_the_same_overlay` below holds
-//! them to that.
+//! One driver, [`realize_threshold_run`], runs the chosen construction's
+//! state machine on the engine it is given; the differential suites
+//! (`crates/connectivity/tests/`) hold the batched executor to the
+//! reference interpreter, and both to the frozen transcripts of the
+//! original direct-style algorithms.
 
-#[cfg(feature = "threaded")]
-use crate::distributed::{ncc0, ncc1};
 use crate::distributed::{ncc0_exact, ncc0_step, ncc1_step, ThresholdOutcome};
 use crate::verify::{check_thresholds, ThresholdReport};
 use crate::ThresholdInstance;
@@ -44,10 +41,6 @@ pub struct ThresholdRealization {
     pub metrics: RunMetrics,
 }
 
-fn rho_assignment(net: &Network, inst: &ThresholdInstance) -> BTreeMap<NodeId, usize> {
-    net.assign_in_path_order(&inst.rho)
-}
-
 /// Which threshold construction the engine room runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ThresholdAlgo {
@@ -70,7 +63,7 @@ pub enum ThresholdAlgo {
 pub struct ThresholdRun {
     /// The realized overlay with its certification report.
     pub output: ThresholdRealization,
-    /// Executor-internal statistics (all-zero on the threaded oracle).
+    /// Executor-internal statistics.
     pub engine: EngineStats,
 }
 
@@ -85,8 +78,7 @@ pub struct ThresholdRun {
 ///
 /// # Errors
 ///
-/// Propagates simulator errors, and [`SimError::EngineUnavailable`] when
-/// the threaded oracle is requested without the `threaded` feature.
+/// Propagates simulator errors.
 ///
 /// # Panics
 ///
@@ -103,86 +95,61 @@ pub fn realize_threshold_run(
     mut sink: Option<&mut dyn Sink>,
 ) -> Result<ThresholdRun, SimError> {
     let net = Network::new(inst.len(), config);
-    let by_id = rho_assignment(&net, inst);
-    match algo {
+    let by_id = net.assign_in_path_order(&inst.rho);
+    let result = match algo {
         ThresholdAlgo::Ncc1Star => {
             assert_eq!(net.model(), Model::Ncc1, "Theorem 17 requires NCC1");
-            #[cfg(feature = "threaded")]
-            if engine == EngineKind::Threaded {
-                let result =
-                    net.run_observed(reborrow(&mut sink), |h| ncc1::realize(h, by_id[&h.id()]))?;
-                let engine_stats = result.engine.clone();
-                return Ok(ThresholdRun {
-                    output: certify_implicit_run(&net, by_id, result, certify, sink),
-                    engine: engine_stats,
-                });
-            }
-            let result = net.run_protocol_on(engine, None, reborrow(&mut sink), |s| {
+            net.run_protocol_on(engine, None, reborrow(&mut sink), |s| {
                 ncc1_step::Ncc1Star::new(s, by_id[&s.id])
-            })?;
-            let engine_stats = result.engine.clone();
-            Ok(ThresholdRun {
-                output: certify_implicit_run(&net, by_id, result, certify, sink),
-                engine: engine_stats,
             })
         }
         ThresholdAlgo::Ncc0Pipeline => {
-            #[cfg(feature = "threaded")]
-            if engine == EngineKind::Threaded && sort == SortBackend::Bitonic {
-                let result =
-                    net.run_observed(reborrow(&mut sink), |h| ncc0::realize(h, by_id[&h.id()]))?;
-                let engine_stats = result.engine.clone();
-                return Ok(ThresholdRun {
-                    output: certify_explicit_run(&net, by_id, result, certify, sink),
-                    engine: engine_stats,
-                });
-            }
-            let result = net.run_protocol_on(engine, None, reborrow(&mut sink), |s| {
+            net.run_protocol_on(engine, None, reborrow(&mut sink), |s| {
                 ncc0_step::Ncc0Threshold::with_sort(by_id[&s.id], sort)
-            })?;
-            let engine_stats = result.engine.clone();
-            Ok(ThresholdRun {
-                output: certify_explicit_run(&net, by_id, result, certify, sink),
-                engine: engine_stats,
             })
         }
-        ThresholdAlgo::Ncc0Exact => {
-            let result = net.run_protocol_on(engine, None, reborrow(&mut sink), |s| {
-                ncc0_exact::Ncc0Exact::with_sort(by_id[&s.id], sort)
-            })?;
-            let engine_stats = result.engine.clone();
-            Ok(ThresholdRun {
-                output: certify_explicit_run(&net, by_id, result, certify, sink),
-                engine: engine_stats,
-            })
-        }
-    }
+        ThresholdAlgo::Ncc0Exact => net.run_protocol_on(engine, None, reborrow(&mut sink), |s| {
+            ncc0_exact::Ncc0Exact::with_sort(by_id[&s.id], sort)
+        }),
+    }?;
+    let engine_stats = result.engine.clone();
+    // The star is an implicit overlay: each edge is stored at its adding
+    // endpoint. Algorithm 6 is explicit: both endpoints list every edge.
+    let explicit = algo != ThresholdAlgo::Ncc1Star;
+    Ok(ThresholdRun {
+        output: certify_run(&net, by_id, result, explicit, certify, sink),
+        engine: engine_stats,
+    })
 }
 
-/// Shared explicit-realization assembly + optional certification. The
+/// Assembly + optional certification of a threshold run. The
 /// certification narrates itself into the sink (driver-level events,
 /// after the engine's `Done`).
-fn certify_explicit_run(
+fn certify_run(
     net: &Network,
     by_id: BTreeMap<NodeId, usize>,
     result: dgr_ncc::RunResult<ThresholdOutcome>,
+    explicit: bool,
     certify: bool,
     sink: Option<&mut dyn Sink>,
 ) -> ThresholdRealization {
     let metrics = result.metrics.clone();
-    let lists: BTreeMap<NodeId, Vec<NodeId>> = result
-        .outputs
-        .into_iter()
-        .map(|(id, o)| (id, o.neighbors))
-        .collect();
-    let assembled = core_verify::assemble_explicit(net.ids_in_path_order(), &lists)
-        .expect("Algorithm 6 lost explicit symmetry");
+    let claims = result.outputs.into_iter().map(|(id, o)| (id, o.neighbors));
+    let (assembled, explicit_neighbors) = if explicit {
+        let lists: BTreeMap<NodeId, Vec<NodeId>> = claims.collect();
+        let assembled = core_verify::assemble_explicit(net.ids_in_path_order(), &lists)
+            .expect("Algorithm 6 lost explicit symmetry");
+        (assembled, lists)
+    } else {
+        let assembled = core_verify::assemble_implicit(net.ids_in_path_order(), claims);
+        (assembled, BTreeMap::new())
+    };
     let report = run_certification(&assembled.graph, &by_id, certify, sink);
     ThresholdRealization {
         graph: assembled.graph,
         rho: by_id,
         path_order: net.ids_in_path_order().to_vec(),
-        explicit_neighbors: lists,
+        explicit_neighbors,
         report,
         metrics,
     }
@@ -227,137 +194,6 @@ fn skipped_report(graph: &Graph) -> ThresholdReport {
     }
 }
 
-/// Runs the Theorem 17 NCC1 star construction.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-///
-/// # Panics
-///
-/// Panics if `config` is not an NCC1 configuration.
-#[cfg(feature = "threaded")]
-#[deprecated(note = "use `dgr::Realization` (or the `realize_threshold_run` engine room)")]
-pub fn realize_ncc1(
-    inst: &ThresholdInstance,
-    config: Config,
-) -> Result<ThresholdRealization, SimError> {
-    realize_threshold_run(
-        inst,
-        config,
-        ThresholdAlgo::Ncc1Star,
-        EngineKind::Threaded,
-        SortBackend::Bitonic,
-        true,
-        None,
-    )
-    .map(|run| run.output)
-}
-
-/// Runs the Theorem 17 star construction as a step-function protocol on
-/// the **batched engine** — the production path; unlike the threaded
-/// driver it is practical at six-digit and seven-digit `n`.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-///
-/// # Panics
-///
-/// Panics if `config` is not an NCC1 configuration.
-#[deprecated(note = "use `dgr::Realization` (or the `realize_threshold_run` engine room)")]
-pub fn realize_ncc1_batched(
-    inst: &ThresholdInstance,
-    config: Config,
-) -> Result<ThresholdRealization, SimError> {
-    realize_threshold_run(
-        inst,
-        config,
-        ThresholdAlgo::Ncc1Star,
-        EngineKind::Batched,
-        SortBackend::Bitonic,
-        true,
-        None,
-    )
-    .map(|run| run.output)
-}
-
-/// Shared implicit-realization assembly + optional max-flow
-/// certification (both engines' NCC1 runs funnel through here).
-fn certify_implicit_run(
-    net: &Network,
-    by_id: BTreeMap<NodeId, usize>,
-    result: dgr_ncc::RunResult<ThresholdOutcome>,
-    certify: bool,
-    sink: Option<&mut dyn Sink>,
-) -> ThresholdRealization {
-    let metrics = result.metrics.clone();
-    // Implicit: each edge is stored at its adding endpoint.
-    let assembled = core_verify::assemble_implicit(
-        net.ids_in_path_order(),
-        result.outputs.into_iter().map(|(id, o)| (id, o.neighbors)),
-    );
-    let report = run_certification(&assembled.graph, &by_id, certify, sink);
-    ThresholdRealization {
-        graph: assembled.graph,
-        rho: by_id,
-        path_order: net.ids_in_path_order().to_vec(),
-        explicit_neighbors: BTreeMap::new(),
-        report,
-        metrics,
-    }
-}
-
-/// Runs the Algorithm 6 NCC0 explicit construction. Use a queueing
-/// configuration.
-///
-/// # Errors
-///
-/// Propagates simulator errors; panics if the explicit symmetry is broken
-/// (a protocol bug, not an input condition).
-#[cfg(feature = "threaded")]
-#[deprecated(note = "use `dgr::Realization` (or the `realize_threshold_run` engine room)")]
-pub fn realize_ncc0(
-    inst: &ThresholdInstance,
-    config: Config,
-) -> Result<ThresholdRealization, SimError> {
-    realize_threshold_run(
-        inst,
-        config,
-        ThresholdAlgo::Ncc0Pipeline,
-        EngineKind::Threaded,
-        SortBackend::Bitonic,
-        true,
-        None,
-    )
-    .map(|run| run.output)
-}
-
-/// Runs the Algorithm 6 NCC0 explicit construction on the **batched
-/// executor** — the production engine, practical at six-digit `n`. Use a
-/// queueing configuration.
-///
-/// # Errors
-///
-/// Propagates simulator errors; panics if the explicit symmetry is broken
-/// (a protocol bug, not an input condition).
-#[deprecated(note = "use `dgr::Realization` (or the `realize_threshold_run` engine room)")]
-pub fn realize_ncc0_batched(
-    inst: &ThresholdInstance,
-    config: Config,
-) -> Result<ThresholdRealization, SimError> {
-    realize_threshold_run(
-        inst,
-        config,
-        ThresholdAlgo::Ncc0Pipeline,
-        EngineKind::Batched,
-        SortBackend::Bitonic,
-        true,
-        None,
-    )
-    .map(|run| run.output)
-}
-
 /// The paper-exact Algorithm 6 **phase 1 in isolation**: realize the
 /// prefix degrees `ρ(x₁) … ρ(x_{d₀+1})` by a Theorem 13 upper-envelope
 /// realization run *on the prefix sub-network* (a masked run — exactly
@@ -396,19 +232,6 @@ pub fn realize_prefix_envelope_run(
     )
 }
 
-/// The paper-exact Algorithm 6 phase 1 on the batched executor.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-#[deprecated(note = "use `dgr::Realization` (or the `realize_prefix_envelope_run` engine room)")]
-pub fn realize_prefix_envelope_batched(
-    inst: &ThresholdInstance,
-    config: Config,
-) -> Result<dgr_core::DriverOutput, SimError> {
-    realize_prefix_envelope_run(inst, config, EngineKind::Batched, None).map(|run| run.output)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,7 +252,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_ncc1_scales_past_the_threaded_engine() {
+    fn ncc1_star_certifies_at_n_2000() {
         // 2k nodes, fully certified (the hub check is n-1 max-flows, so
         // the six-digit-scale structural checks live in tests/scale.rs).
         let n = 2_000;

@@ -9,12 +9,12 @@
 //! needs degree ≥ `ρ(v)`).
 //!
 //! * [`distributed::ncc1`] — Theorem 17: `O~(1)`-round implicit
-//!   realization in NCC1 (star through the maximum-`ρ` node `w`).
-//! * [`distributed::ncc1_step`] — the same construction as a
-//!   step-function protocol for the batched engine
-//!   ([`driver::realize_ncc1_batched`]), practical at 10⁵–10⁶ nodes.
+//!   realization in NCC1 (star through the maximum-`ρ` node `w`);
+//!   implemented by [`distributed::ncc1_step`], practical at 10⁵–10⁶
+//!   nodes.
 //! * [`distributed::ncc0`] — Theorem 18 / Algorithm 6: `O~(Δ)`-round
-//!   explicit realization in NCC0 (and NCC1).
+//!   explicit realization in NCC0 (and NCC1); implemented by
+//!   [`distributed::ncc0_step`].
 //! * [`distributed::ncc0_exact`] — the **paper-exact** Algorithm 6 as one
 //!   composed batched protocol: masked prefix envelope recursion,
 //!   distinctness patch, phase-2 pipeline, explicitness acks.
@@ -22,7 +22,7 @@
 //!   `⌈Σρ/2⌉` lower bound.
 //! * [`verify`] — max-flow certification of the pairwise thresholds.
 //!
-//! The non-deprecated driver entry points —
+//! The driver entry points —
 //! [`driver::realize_threshold_run`] and
 //! [`driver::realize_prefix_envelope_run`] — are the engine room of the
 //! `dgr::Realization` facade builder.
@@ -32,11 +32,6 @@ pub mod driver;
 pub mod sequential;
 pub mod verify;
 
-#[allow(deprecated)]
-#[cfg(feature = "threaded")]
-pub use driver::{realize_ncc0, realize_ncc1};
-#[allow(deprecated)]
-pub use driver::{realize_ncc0_batched, realize_ncc1_batched, realize_prefix_envelope_batched};
 pub use driver::{
     realize_prefix_envelope_run, realize_threshold_run, ThresholdAlgo, ThresholdRealization,
     ThresholdRun,

@@ -77,26 +77,6 @@ const GOLDEN_STAR_OVERLAYS: &[(&str, u64)] = &[
     ("ncc1 [3; 9]", 0xbcc5c9904afa63de),
 ];
 
-thread_local! {
-    /// Set by the throw-away printer below.
-    static RECORDING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-fn recording() -> bool {
-    RECORDING.with(std::cell::Cell::get)
-}
-
-/// Throw-away: prints the rows of [`GOLDEN`] from the direct-style twins
-/// and the state machines. Run with `cargo test -p dgr-connectivity
-/// --test batched_ncc0 -- --ignored --nocapture print_golden`.
-#[test]
-#[ignore = "prints the golden table from the twins"]
-fn print_golden_rows_from_the_twins() {
-    RECORDING.with(|r| r.set(true));
-    batched_ncc0_matches_threaded();
-    batched_ncc1_matches_threaded();
-}
-
 /// The frozen entry of `case` in `table`.
 fn golden<T: Copy>(table: &[(&str, T)], case: &str) -> T {
     let row = table.iter().find(|(name, _)| *name == case);
@@ -115,7 +95,7 @@ fn case_name(what: &str, rho: &[usize]) -> String {
 }
 
 #[test]
-fn batched_ncc0_matches_threaded() {
+fn ncc0_pipeline_matches_frozen_twin_on_both_engines() {
     for rho in [
         vec![1usize, 1, 1, 1],
         vec![2, 2, 2, 2, 2],
@@ -127,17 +107,10 @@ fn batched_ncc0_matches_threaded() {
         let config = Config::ncc0(71).with_queueing();
         let algo = ThresholdAlgo::Ncc0Pipeline;
         let case = case_name("ncc0", &rho);
-        let twin = realize(&inst, config.clone(), algo, EngineKind::Threaded);
         let batched = realize(&inst, config.clone(), algo, EngineKind::Batched);
         let reference = realize(&inst, config, algo, EngineKind::Reference);
-        if recording() {
-            println!("    twin {case:?} {:x?}", transcript(&twin));
-            println!("    ({case:?}, {:x?}),", transcript(&batched));
-            continue;
-        }
-        // twin == golden == batched == reference.
+        // golden == batched == reference.
         let row = golden(GOLDEN, &case);
-        assert_eq!(transcript(&twin), row, "{case}: twin");
         assert_eq!(transcript(&batched), row, "{case}: transcript drifted");
         assert_eq!(transcript(&reference), row, "{case}: reference");
         assert_eq!(batched.metrics, reference.metrics, "{case}: engines");
@@ -147,7 +120,7 @@ fn batched_ncc0_matches_threaded() {
 }
 
 #[test]
-fn batched_ncc1_matches_threaded() {
+fn ncc1_star_matches_frozen_twin_overlays_on_both_engines() {
     for rho in [
         vec![2, 2, 1, 1, 1],
         vec![4, 3, 2, 2, 1, 1, 1, 1],
@@ -156,17 +129,10 @@ fn batched_ncc1_matches_threaded() {
         let inst = ThresholdInstance::new(rho.clone());
         let algo = ThresholdAlgo::Ncc1Star;
         let case = case_name("ncc1", &rho);
-        let twin = realize(&inst, Config::ncc1(77), algo, EngineKind::Threaded);
         let batched = realize(&inst, Config::ncc1(77), algo, EngineKind::Batched);
         let reference = realize(&inst, Config::ncc1(77), algo, EngineKind::Reference);
-        if recording() {
-            println!("    twin {case:?} {:x?}", transcript(&twin));
-            println!("    ({case:?}, {:x?}),", transcript(&batched));
-            continue;
-        }
-        // twin == golden == batched == reference, on the overlay.
+        // golden == batched == reference, on the overlay.
         let overlay = golden(GOLDEN_STAR_OVERLAYS, &case);
-        assert_eq!(transcript(&twin).6, overlay, "{case}: twin");
         assert_eq!(transcript(&batched).6, overlay, "{case}: overlay drifted");
         assert_eq!(transcript(&batched), transcript(&reference), "{case}");
         assert_eq!(batched.metrics, reference.metrics, "{case}: engines");

@@ -13,46 +13,11 @@
 //! The paper's degree guarantees hold for the resulting *multiset* of
 //! edges; `DESIGN.md` §4 documents this. The driver reports duplicate
 //! counts so callers can quantify it (it is zero on every exact-mode run).
-
-#[cfg(feature = "threaded")]
-use {
-    super::{ImplicitOutcome, Unrealizable},
-    dgr_ncc::NodeHandle,
-    dgr_primitives::PathCtx,
-};
-
-/// Runs the upper-envelope realization at one node. `degree` is this
-/// node's requested degree; the call must be made by every node
-/// simultaneously.
-///
-/// # Errors
-///
-/// [`Unrealizable`] only when some degree is `≥ n` (no envelope exists in
-/// that case either); every other sequence is realized.
-#[cfg(feature = "threaded")]
-pub fn realize(h: &mut NodeHandle, degree: usize) -> Result<ImplicitOutcome, Unrealizable> {
-    let ctx = PathCtx::establish(h);
-    realize_on(h, &ctx, &ctx, degree)
-}
-
-/// Envelope realization on an arbitrary established path context (used by
-/// Algorithm 6 phase 1 over a sorted-path prefix). Non-members idle
-/// through the computation; `global` must be a context spanning every
-/// node (it carries the loop-control broadcasts — see
-/// [`super::implicit::realize`]'s engine).
-///
-/// # Errors
-///
-/// [`Unrealizable`] when some member degree is `≥ ctx.vp.len`.
-#[cfg(feature = "threaded")]
-pub fn realize_on(
-    h: &mut NodeHandle,
-    ctx: &PathCtx,
-    global: &PathCtx,
-    degree: usize,
-) -> Result<ImplicitOutcome, Unrealizable> {
-    super::implicit::realize_on(h, ctx, global, degree, super::implicit::Mode::Envelope)
-}
+//!
+//! The implementation is [`RealizeDegrees`](super::proto::RealizeDegrees)
+//! with [`Flavor::Envelope`](super::proto::Flavor). It refuses
+//! ([`Unrealizable`](super::Unrealizable)) only when some degree is `≥ n`
+//! (no envelope exists in that case either).
 
 #[cfg(test)]
 mod tests {

@@ -13,63 +13,11 @@
 //! Run this under [`CapacityPolicy::Queue`](dgr_ncc::CapacityPolicy::Queue);
 //! the epoch length covers the worst-case queue drain unconditionally, so
 //! delivery is guaranteed, not just w.h.p.
-
-#[cfg(feature = "threaded")]
-use {
-    super::{ExplicitOutcome, ImplicitOutcome, Unrealizable},
-    dgr_ncc::{tags, Msg, NodeHandle},
-    dgr_primitives::{ops, stagger, PathCtx},
-};
-
-/// Full explicit realization: Algorithm 3, then the staggered hand-off.
-///
-/// # Errors
-///
-/// [`Unrealizable`] when the sequence is not graphic.
-#[cfg(feature = "threaded")]
-pub fn realize(h: &mut NodeHandle, degree: usize) -> Result<ExplicitOutcome, Unrealizable> {
-    let ctx = PathCtx::establish(h);
-    let implicit =
-        super::implicit::realize_on(h, &ctx, &ctx, degree, super::implicit::Mode::Exact)?;
-    // Everyone learns Δ = max requested degree: the bound on any node's
-    // incoming announcements, from which the epoch length is derived.
-    let delta = ops::aggregate_broadcast(h, &ctx.vp, &ctx.tree, degree as u64, u64::max) as usize;
-    Ok(make_explicit(h, implicit, delta))
-}
-
-/// The hand-off alone: turns an implicit outcome into an explicit one.
-/// `delta` must be a *commonly known* bound on any node's incoming
-/// announcements (typically the broadcast maximum degree) — it determines
-/// the epoch length, so every node of the network must pass the same
-/// value, including nodes that did not participate in the realization.
-#[cfg(feature = "threaded")]
-pub fn make_explicit(
-    h: &mut NodeHandle,
-    implicit: ImplicitOutcome,
-    delta: usize,
-) -> ExplicitOutcome {
-    let (spread, drain) = stagger::plan(delta, h.capacity());
-
-    let sends = implicit
-        .neighbors
-        .iter()
-        .map(|&nb| (nb, Msg::signal(tags::EDGE)))
-        .collect();
-    let received = stagger::staggered_send(h, sends, spread, drain);
-
-    let mut neighbors = implicit.neighbors;
-    neighbors.extend(
-        received
-            .iter()
-            .filter(|e| e.msg.tag == tags::EDGE)
-            .map(|e| e.src),
-    );
-    ExplicitOutcome {
-        requested: implicit.requested,
-        neighbors,
-        phases: implicit.phases,
-    }
-}
+//!
+//! The implementation is [`RealizeDegrees`](super::proto::RealizeDegrees)
+//! with [`Flavor::Explicit`](super::proto::Flavor): Algorithm 3, then a
+//! broadcast of `Δ` (the commonly known bound on any node's incoming
+//! announcements, which fixes the epoch length), then the hand-off.
 
 #[cfg(test)]
 mod tests {

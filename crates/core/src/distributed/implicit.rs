@@ -19,15 +19,14 @@
 //! maximum degree, and at most `O(√m)` phases involve degrees above `√m`,
 //! so the loop runs `O(min{√m, Δ})` times; each phase is `O~(1)` rounds.
 
+//!
+//! The implementation is [`RealizeDegrees`](super::proto::RealizeDegrees)
+//! (its [`DegreesCore`](super::proto::DegreesCore) is the phase engine,
+//! parameterized by a *local* path scope to realize on — which may be a
+//! sorted-path prefix, as in Algorithm 6 — and a *global* one whose tree
+//! carries the loop's data-dependent control values: δ, N, the error flag).
+
 use crate::sequence::DegreeSequence;
-#[cfg(feature = "threaded")]
-use {
-    super::{ImplicitOutcome, Unrealizable},
-    dgr_ncc::NodeHandle,
-    dgr_primitives::imcast::{self, CoverSide, Payload},
-    dgr_primitives::sort::{self, Order},
-    dgr_primitives::{contacts, ops, PathCtx},
-};
 
 /// Degree-handling mode for the shared phase engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,131 +36,6 @@ pub(crate) enum Mode {
     /// Upper-envelope realization (Theorem 13): saturated nodes accept
     /// extra edges instead of failing.
     Envelope,
-}
-
-/// Runs Algorithm 3 at one node. `degree` is this node's requested degree
-/// `d(v)`; the call must be made by every node simultaneously.
-///
-/// # Errors
-///
-/// [`Unrealizable`] (at every node consistently) when the global sequence
-/// is not graphic.
-#[cfg(feature = "threaded")]
-pub fn realize(h: &mut NodeHandle, degree: usize) -> Result<ImplicitOutcome, Unrealizable> {
-    let ctx = PathCtx::establish(h);
-    realize_on(h, &ctx, &ctx, degree, Mode::Exact)
-}
-
-/// The phase engine shared by the exact and envelope realizations, running
-/// on an arbitrary established path context (this generality is what lets
-/// Algorithm 6 realize a degree sequence over a sorted-path *prefix*).
-/// Non-members of `ctx.vp` idle through the per-phase computations — but
-/// the while-loop is data-dependent, so its control values (δ, N, the
-/// error flag) are aggregated over `global`, a context in which **every**
-/// node of the network is a member (pass `ctx` again at top level);
-/// non-members contribute the identity.
-#[cfg(feature = "threaded")]
-pub(crate) fn realize_on(
-    h: &mut NodeHandle,
-    ctx: &PathCtx,
-    global: &PathCtx,
-    degree: usize,
-    mode: Mode,
-) -> Result<ImplicitOutcome, Unrealizable> {
-    debug_assert!(
-        global.vp.member,
-        "global control context must span all nodes"
-    );
-    let len = ctx.vp.len;
-    let mut need = if ctx.vp.member { degree as u64 } else { 0 };
-    let mut outcome = ImplicitOutcome {
-        requested: degree,
-        neighbors: Vec::new(),
-        phases: 0,
-    };
-
-    loop {
-        outcome.phases += 1;
-
-        // Step 1: sort by remaining degree, non-increasing.
-        let sp = sort::sort_at(
-            h,
-            &ctx.vp,
-            &ctx.contacts,
-            ctx.position,
-            need,
-            Order::Descending,
-        );
-        let sorted_contacts = contacts::build(h, &sp.vp);
-
-        // Step 2: broadcast δ (on the fixed global tree — it never
-        // changes, only the logical sorted order does).
-        let delta = ops::aggregate_broadcast(h, &global.vp, &global.tree, need, u64::max);
-        if delta == 0 {
-            break;
-        }
-        if delta as usize >= len {
-            // Some node wants more neighbors than exist: unrealizable even
-            // as an envelope.
-            return Err(Unrealizable);
-        }
-        let delta = delta as usize;
-
-        // Step 3: broadcast N = |{x : d(x) = δ}|.
-        let n_max = ops::aggregate_broadcast(
-            h,
-            &global.vp,
-            &global.tree,
-            u64::from(ctx.vp.member && need == delta as u64),
-            |a, b| a + b,
-        ) as usize;
-        let q = (n_max / (delta + 1)).max(1);
-        let group_span = q * (delta + 1);
-        debug_assert!(group_span <= len, "groups exceed the path");
-
-        // Step 4: q disjoint star groups via interval multicast.
-        let rank = sp.rank;
-        let is_leader = ctx.vp.member && rank < group_span && rank.is_multiple_of(delta + 1);
-        let task = is_leader.then(|| {
-            (
-                CoverSide::After,
-                delta,
-                Payload {
-                    addr: h.id(),
-                    word: 0,
-                },
-            )
-        });
-        let got = imcast::interval_multicast(h, &sp.vp, &sorted_contacts, task);
-
-        // Step 5: local updates + global error detection.
-        let mut went_negative = false;
-        if is_leader {
-            debug_assert_eq!(need, delta as u64, "leader without max degree");
-            need = 0;
-        } else if let Some(p) = got {
-            if need == 0 {
-                match mode {
-                    Mode::Exact => went_negative = true,
-                    Mode::Envelope => outcome.neighbors.push(p.addr),
-                }
-            } else {
-                outcome.neighbors.push(p.addr);
-                need -= 1;
-            }
-        }
-        let err = ops::aggregate_broadcast(
-            h,
-            &global.vp,
-            &global.tree,
-            u64::from(went_negative),
-            |a, b| a | b,
-        );
-        if err != 0 {
-            return Err(Unrealizable);
-        }
-    }
-    Ok(outcome)
 }
 
 /// The Lemma 10 phase bound: `min{√m, Δ}` up to constants — exposed so the

@@ -38,18 +38,6 @@ pub struct ImplicitOutcome {
     pub phases: u64,
 }
 
-/// One node's result of an explicit realization: the complete neighbor
-/// list (both endpoints of every edge know it).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ExplicitOutcome {
-    /// The degree this node asked for.
-    pub requested: usize,
-    /// All neighbors of this node in the realized overlay.
-    pub neighbors: Vec<NodeId>,
-    /// Phases of the underlying implicit realization.
-    pub phases: u64,
-}
-
 /// Umbrella re-export target: the per-node outcome types of the
 /// distributed realizations.
 pub type DistributedRealization = ImplicitOutcome;

@@ -1,19 +1,18 @@
 //! Algorithm 3 (and its explicit and upper-envelope extensions) as a
-//! [`NodeProtocol`] for the batched executor.
+//! [`NodeProtocol`].
 //!
-//! The direct-style implementations in the sibling modules compose
-//! primitives by calling blocking functions in sequence; this port
-//! composes the same primitives as [`Step`] sub-protocols chained through
-//! one state machine, transitioning stages *within* a round exactly where
-//! the direct style crosses a function boundary. The result is
-//! round-for-round and message-for-message identical to the threaded
-//! drivers — `crates/core/tests/batched_drivers.rs` holds the two engines
-//! to the same realized overlay and round counts — while scaling to
-//! hundreds of thousands of nodes (`tests/scale.rs`).
+//! The algorithm is a sequence of primitives; this module composes them as
+//! [`Step`] sub-protocols chained through one state machine, transitioning
+//! stages *within* a round — a stage boundary costs no round. It was
+//! ported from a direct-style original (blocking closures calling the
+//! primitives in sequence) and held to it round for round and message for
+//! message; `crates/core/tests/batched_drivers.rs` keeps that original's
+//! transcripts frozen and holds the state machine to them on both engines
+//! — while it scales to hundreds of thousands of nodes (`tests/scale.rs`).
 //!
-//! The data-dependent while-loop of Algorithm 3 stays in lockstep for the
-//! same reason as in direct style: its control values (δ, N, the error
-//! flag) are globally aggregated, so every node transitions identically.
+//! The data-dependent while-loop of Algorithm 3 stays in lockstep because
+//! its control values (δ, N, the error flag) are globally aggregated, so
+//! every node transitions identically.
 //!
 //! [`NodeProtocol`]: dgr_ncc::NodeProtocol
 //! [`Step`]: dgr_primitives::proto::Step
@@ -363,52 +362,5 @@ impl NodeProtocol for RealizeDegrees {
                 }
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dgr_ncc::{Config, Network};
-    use std::collections::HashMap;
-
-    fn run_batched(
-        degrees: &[usize],
-        config: Config,
-        flavor: Flavor,
-    ) -> dgr_ncc::RunResult<Result<ImplicitOutcome, Unrealizable>> {
-        let net = Network::new(degrees.len(), config);
-        let by_id: HashMap<NodeId, usize> = net
-            .ids_in_path_order()
-            .iter()
-            .copied()
-            .zip(degrees.iter().copied())
-            .collect();
-        net.run_protocol(|s| RealizeDegrees::new(by_id[&s.id], flavor))
-            .unwrap()
-    }
-
-    #[test]
-    fn realizes_a_triangle_batched() {
-        let result = run_batched(&[2, 2, 2], Config::ncc0(1), Flavor::Implicit);
-        assert!(result.metrics.is_clean());
-        let edges: usize = result
-            .outputs
-            .iter()
-            .map(|(_, r)| r.as_ref().unwrap().neighbors.len())
-            .sum();
-        assert_eq!(edges, 3);
-    }
-
-    #[test]
-    fn rejects_non_graphic_batched() {
-        let result = run_batched(&[3, 3, 1, 1], Config::ncc0(3), Flavor::Implicit);
-        assert!(result.outputs.iter().all(|(_, r)| r.is_err()));
-    }
-
-    #[test]
-    fn envelope_accepts_odd_sums_batched() {
-        let result = run_batched(&[3, 3, 1, 0], Config::ncc0(5), Flavor::Envelope);
-        assert!(result.outputs.iter().all(|(_, r)| r.is_ok()));
     }
 }

@@ -30,8 +30,8 @@
 //!
 //! The [`driver`] module wires degree assignments onto simulated networks
 //! and re-assembles/verifies the distributed outputs; [`verify`] holds the
-//! checks shared by tests, examples and benches. Its one non-deprecated
-//! entry point, [`realize_degrees`], is the **engine room** of the
+//! checks shared by tests, examples and benches. Its one entry point,
+//! [`realize_degrees`], is the **engine room** of the
 //! `dgr::Realization` facade builder — use the builder from applications,
 //! and the engine room from white-box internals (the differential suites
 //! in `crates/core/tests`).
@@ -44,14 +44,6 @@ pub mod sequence;
 pub mod verify;
 
 pub use distributed::{DistributedRealization, ImplicitOutcome, Unrealizable};
-#[allow(deprecated)]
-#[cfg(feature = "threaded")]
-pub use driver::{realize_approx, realize_explicit, realize_implicit, realize_masked_threaded};
-#[allow(deprecated)]
-pub use driver::{
-    realize_approx_batched, realize_explicit_batched, realize_implicit_batched,
-    realize_masked_batched, realize_prefix_batched,
-};
 pub use driver::{realize_degrees, DegreesRun, DriverOutput};
 pub use havel_hakimi::Realization;
 pub use sequence::{DegreeSequence, RealizeError};

@@ -78,16 +78,6 @@ const GOLDEN: &[(&str, Golden)] = &[
 const GOLDEN_IMPLICIT_SWEEP: u64 = 0x862e_11f6_bc0f_258b;
 const GOLDEN_APPROX_SWEEP: u64 = 0x9ae4_fdc6_dd32_6632;
 
-thread_local! {
-    /// Set by the throw-away printer below: the twin's transcript is
-    /// printed instead of asserted, and the table is not consulted.
-    static RECORDING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-fn recording() -> bool {
-    RECORDING.with(std::cell::Cell::get)
-}
-
 /// `"{what} {degrees:?}"`, with a long constant sequence as `[d; n]`.
 fn case_name(what: &str, degrees: &[usize]) -> String {
     match degrees {
@@ -100,9 +90,6 @@ fn case_name(what: &str, degrees: &[usize]) -> String {
 
 /// Holds a run to the frozen transcript of its case.
 fn assert_golden(case: &str, out: &DriverOutput) {
-    if recording() {
-        return;
-    }
     let golden = GOLDEN
         .iter()
         .find(|(name, _)| *name == case)
@@ -110,37 +97,15 @@ fn assert_golden(case: &str, out: &DriverOutput) {
     assert_eq!(transcript(out), golden.1, "{case}: transcript drifted");
 }
 
-/// Runs one unmasked case on the twin and both engines: twin == golden
-/// == batched == reference (the two engines on every metric).
+/// Runs one unmasked case on both engines: golden == batched ==
+/// reference (the two engines on every metric).
 fn assert_case(case: &str, degrees: &[usize], config: Config, flavor: Flavor) -> DriverOutput {
-    let twin = realize(degrees, config.clone(), flavor, EngineKind::Threaded).unwrap();
-    if recording() {
-        let (ok, phases, rounds, messages, words, sent, received, edges) = transcript(&twin);
-        println!(
-            "    ({case:?}, ({ok}, {phases}, {rounds}, {messages}, {words}, {sent}, {received}, {edges:#018x})),"
-        );
-    }
-    assert_golden(case, &twin);
     let batched = realize(degrees, config.clone(), flavor, EngineKind::Batched).unwrap();
     let reference = realize(degrees, config, flavor, EngineKind::Reference).unwrap();
     assert_golden(case, &batched);
     assert_golden(case, &reference);
     assert_eq!(batched.metrics(), reference.metrics(), "{case}: engines");
     batched
-}
-
-/// Throw-away: fills [`GOLDEN`] and the sweep hashes from the
-/// direct-style twins. Run with `cargo test -p dgr-core --test
-/// batched_drivers -- --ignored --nocapture print_golden`.
-#[test]
-#[ignore = "prints the golden table from the twins"]
-fn print_golden_rows_from_the_twins() {
-    RECORDING.with(|r| r.set(true));
-    implicit_batched_matches_threaded();
-    approx_batched_matches_threaded();
-    explicit_batched_matches_threaded();
-    implicit_sweep_engines_agree();
-    approx_sweep_engines_agree();
 }
 
 // White-box shorthands over the `realize_degrees` engine room, pinned to
@@ -180,36 +145,8 @@ fn realize_masked(
         .map(|run| run.output)
 }
 
-/// Asserts both engines agree in verdict, overlay, phases and budget.
-fn assert_drivers_agree(threaded: &DriverOutput, batched: &DriverOutput, what: &str) {
-    match (threaded, batched) {
-        (
-            DriverOutput::Unrealizable { metrics: mt },
-            DriverOutput::Unrealizable { metrics: mb },
-        ) => {
-            assert_eq!(mt.rounds, mb.rounds, "{what}: refusal rounds diverge");
-            assert_eq!(mt.messages, mb.messages, "{what}: refusal messages diverge");
-        }
-        (DriverOutput::Realized(t), DriverOutput::Realized(b)) => {
-            assert_eq!(
-                t.graph.edge_list(),
-                b.graph.edge_list(),
-                "{what}: engines realize different overlays"
-            );
-            assert_eq!(t.phases, b.phases, "{what}: phase counts diverge");
-            assert_eq!(t.metrics.rounds, b.metrics.rounds, "{what}: rounds diverge");
-            assert_eq!(
-                t.metrics.messages, b.metrics.messages,
-                "{what}: messages diverge"
-            );
-            assert_eq!(t.metrics.words, b.metrics.words, "{what}: words diverge");
-        }
-        _ => panic!("{what}: drivers disagree about realizability"),
-    }
-}
-
 #[test]
-fn implicit_batched_matches_threaded() {
+fn implicit_matches_frozen_twin_on_both_engines() {
     for degrees in [
         vec![2, 2, 2],
         vec![4, 4, 4, 4, 4],
@@ -226,7 +163,7 @@ fn implicit_batched_matches_threaded() {
 }
 
 #[test]
-fn approx_batched_matches_threaded() {
+fn approx_matches_frozen_twin_on_both_engines() {
     for degrees in [
         vec![3, 3, 1, 0],
         vec![4, 4, 4, 1, 1],
@@ -239,7 +176,7 @@ fn approx_batched_matches_threaded() {
 }
 
 #[test]
-fn explicit_batched_matches_threaded() {
+fn explicit_matches_frozen_twin_on_both_engines() {
     for degrees in [
         vec![4, 3, 3, 2, 2, 2, 1, 1],
         vec![2, 2, 1, 1],
@@ -288,7 +225,7 @@ fn masked_prefix_realization_matches_the_reference() {
             let engine = EngineKind::Batched;
             let batched = realize_masked(&degrees, &mask, config, flavor, engine).unwrap();
             let what = format!("masked n={n} prefix={prefix} {flavor:?}");
-            assert_drivers_agree(&reference, &batched, &what);
+            assert_eq!(transcript(&reference), transcript(&batched), "{what}");
             assert_eq!(reference.metrics(), batched.metrics(), "{what}");
             // The realization stays inside the prefix sub-network.
             if let DriverOutput::Realized(b) = &batched {
@@ -340,7 +277,8 @@ fn masked_runs_pay_subnetwork_round_budgets() {
 
 /// One random sweep: `cases` draws from the stream the in-repo proptest
 /// stand-in derives from the test's name (so the cases are the ones the
-/// `proptest!` form of this test ran), each through [`assert_sweep_case`].
+/// `proptest!` form of this test ran against the twin), each run on both
+/// engines and folded into one hash.
 fn sweep(
     name: &str,
     cases: u32,
@@ -354,12 +292,10 @@ fn sweep(
     for _ in 0..cases {
         let degrees = prop::collection::vec(degree.clone(), len.clone()).generate(&mut rng);
         let seed = (0u64..1000).generate(&mut rng);
-        let twin = realize(&degrees, Config::ncc0(seed), flavor, EngineKind::Threaded).unwrap();
         let batched = realize(&degrees, Config::ncc0(seed), flavor, EngineKind::Batched).unwrap();
         let reference =
             realize(&degrees, Config::ncc0(seed), flavor, EngineKind::Reference).unwrap();
         let what = format!("{name} {degrees:?} seed {seed}");
-        assert_eq!(transcript(&twin), transcript(&batched), "{what}: twin");
         assert_eq!(transcript(&batched), transcript(&reference), "{what}");
         assert_eq!(batched.metrics(), reference.metrics(), "{what}: engines");
         check(&degrees, &batched);
@@ -376,9 +312,6 @@ fn sweep(
         ] {
             folded = fnv(folded, x);
         }
-    }
-    if recording() {
-        println!("{name}: {folded:#018x}");
     }
     folded
 }
@@ -402,10 +335,7 @@ fn implicit_sweep_engines_agree() {
             }
         },
     );
-    assert!(
-        recording() || folded == GOLDEN_IMPLICIT_SWEEP,
-        "{folded:#018x}"
-    );
+    assert_eq!(folded, GOLDEN_IMPLICIT_SWEEP, "sweep transcript drifted");
 }
 
 /// The envelope realization: always succeeds (absent oversized degrees)
@@ -426,8 +356,5 @@ fn approx_sweep_engines_agree() {
             }
         },
     );
-    assert!(
-        recording() || folded == GOLDEN_APPROX_SWEEP,
-        "{folded:#018x}"
-    );
+    assert_eq!(folded, GOLDEN_APPROX_SWEEP, "sweep transcript drifted");
 }

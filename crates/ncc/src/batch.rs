@@ -14,10 +14,10 @@
 //! dedicated sentinel so the violation taxonomy (`NoSuchNode` vs
 //! `DeadRecipient`) is unchanged.
 //!
-//! Semantics are bit-for-bit those of the threaded oracle engine
-//! (`crates/ncc/src/engine.rs`): same validation order, same violation
-//! accounting. The differential tests in
-//! `crates/ncc/tests/differential.rs` hold the two engines to that.
+//! Semantics are bit-for-bit those of the reference interpreter
+//! (`crates/ncc/src/reference.rs`, which writes them out independently):
+//! same validation order, same violation accounting. The differential
+//! tests in `crates/ncc/tests/differential.rs` hold the two to that.
 
 use crate::config::{Config, Model};
 use crate::error::{panic_message, Violation, ViolationKind};
@@ -66,9 +66,9 @@ pub(crate) struct Slot<P: NodeProtocol> {
 }
 
 impl<P: NodeProtocol> Slot<P> {
-    /// A fresh slot at dense index `idx`. The per-node RNG stream
-    /// derivation matches `NodeHandle::new`, so a protocol draws
-    /// identical randomness on either engine and at any shard count.
+    /// A fresh slot at dense index `idx`. The per-node RNG stream is
+    /// derived from the master seed and the node ID alone, so a protocol
+    /// draws identical randomness on either engine and at any shard count.
     pub(crate) fn new(
         idx: u32,
         id: NodeId,
@@ -225,8 +225,9 @@ pub(crate) fn route_mode(prev_round_messages: u64, window: usize) -> RouteMode {
     }
 }
 
-/// Validates one envelope against the model constraints, in the same order
-/// as the threaded oracle's `Coordinator::validate`. `src_idx` is the
+/// Validates one envelope against the model constraints, in the model's
+/// order (size, addressee exists, is alive, is known; carried addresses
+/// are known). `src_idx` is the
 /// shard-local index of the sender's row in `knowledge`; `alive` is the
 /// full dense participant space, since destinations may live in any
 /// shard.
@@ -253,8 +254,8 @@ pub(crate) fn validate(
         return Err(fail(ViolationKind::NoSuchNode { dst: env.dst }));
     }
     // DEAD_INDEX: the ID exists in the full network but its node is not
-    // part of this (masked) run — dead from round zero, same taxonomy as
-    // the oracle. Otherwise the dense index is in bounds of `alive`.
+    // part of this (masked) run — dead from round zero. Otherwise the
+    // dense index is in bounds of `alive`.
     if env.dst_idx == DEAD_INDEX || !alive[env.dst_idx as usize] {
         return Err(fail(ViolationKind::DeadRecipient { dst: env.dst }));
     }

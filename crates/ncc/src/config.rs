@@ -2,21 +2,19 @@
 
 /// Which executor drives a protocol run.
 ///
-/// Both engines implement the same round semantics and produce
-/// bit-identical transcripts for the same protocol (the differential
-/// suites hold them to it); they differ only in scale and purpose.
+/// Both implement the same round semantics — masks and
+/// [`Scenario`](crate::Scenario)s included — and produce bit-identical
+/// outputs and metrics for the same protocol (the differential suites
+/// hold them to it); they differ in scale and purpose.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineKind {
     /// The batched step-function executor — the production engine,
     /// practical at six- and seven-digit `n`.
     Batched,
-    /// The thread-per-node oracle (feature `threaded`): obviously-correct
-    /// reference engine, used as the differential twin. Tops out near
-    /// `n ≈ 10⁴`.
-    Threaded,
     /// The single-threaded reference interpreter: the round written the
-    /// naive way, independent of the batched executor's layout — the
-    /// differential oracle.
+    /// naive way (one inbox, queue and knowledge set per node, one loop),
+    /// independent of the batched executor's layout. The differential
+    /// oracle; ignores the layout knobs (`worker_threads`, `shards`).
     Reference,
 }
 
@@ -122,15 +120,15 @@ pub struct Config {
     /// worker once each would own at least [`MIN_SHARD_WIDTH`] nodes, a
     /// single inline shard below that or on one worker. An explicit count
     /// is used as given, clamped to the participant count. Like
-    /// `worker_threads` this is a layout knob, ignored by the threaded
-    /// oracle.
+    /// `worker_threads` this is a layout knob, ignored by the reference
+    /// interpreter.
     pub shards: usize,
     /// Optional seeded fault schedule ([`Scenario`](crate::Scenario))
-    /// applied by the batched executor between routing seal and delivery:
-    /// message drop/duplication/reordering plus crash-stop, crash-recovery
-    /// and mid-run joins at scheduled rounds. `None` (the default) is
+    /// applied between routing and delivery: message
+    /// drop/duplication/reordering plus crash-stop, crash-recovery and
+    /// mid-run joins at scheduled rounds. `None` (the default) is
     /// bit-identical to a scenario-free run, as is `Some` with an empty
-    /// schedule. Unsupported by the threaded oracle (rejected up front).
+    /// schedule. Both engines apply it, each with code of its own.
     pub scenario: Option<crate::Scenario>,
 }
 
@@ -198,7 +196,7 @@ impl Config {
     }
 
     /// Installs a seeded fault schedule (drops, duplicates, reorders,
-    /// crashes, recoveries, joins) for the batched executor to apply.
+    /// crashes, recoveries, joins).
     pub fn with_scenario(mut self, scenario: crate::Scenario) -> Self {
         self.scenario = Some(scenario);
         self

@@ -70,14 +70,10 @@ pub enum SimError {
     /// A node thread panicked; the payload is the panic message when it was a
     /// string.
     NodePanic { node: NodeId, message: String },
-    /// The requested engine is not compiled in (the `threaded` feature is
-    /// off and [`EngineKind::Threaded`](crate::EngineKind) was asked for).
-    EngineUnavailable,
     /// The configured [`Scenario`](crate::Scenario) is inconsistent with
     /// the run it was attached to (node outside the participant mask,
     /// recovery scheduled at or before its crash, reorder faults without
-    /// the queue policy, or the threaded oracle asked to run one). The
-    /// payload names the offending schedule entry.
+    /// the queue policy). The payload names the offending schedule entry.
     InvalidScenario(String),
 }
 
@@ -90,12 +86,6 @@ impl fmt::Display for SimError {
             }
             SimError::NodePanic { node, message } => {
                 write!(f, "node {node} panicked: {message}")
-            }
-            SimError::EngineUnavailable => {
-                write!(
-                    f,
-                    "threaded oracle engine not compiled in (feature `threaded`)"
-                )
             }
             SimError::InvalidScenario(why) => write!(f, "invalid scenario: {why}"),
         }

@@ -1,8 +1,8 @@
 //! The typed run-event stream: one source of truth for everything that
 //! happens during a protocol run.
 //!
-//! Both engines — the batched executor (`shard.rs`) and the threaded
-//! oracle — narrate a run as a sequence of [`RunEvent`]s pushed
+//! Both engines — the batched executor (`shard.rs`) and the reference
+//! interpreter (`reference.rs`) — narrate a run as a sequence of [`RunEvent`]s pushed
 //! into a [`Sink`]. The stream is **engine-invariant in its semantic
 //! projection** ([`RunEvent::semantic`]): for the same protocol, config
 //! and seed, the two engines emit the same semantic events in the same
@@ -49,7 +49,7 @@ pub enum RouteMode {
     /// Dense round: the previous round delivered at least 2048 messages
     /// and a quarter of a message per live node.
     Parallel,
-    /// The engine does not classify rounds (the threaded oracle).
+    /// The engine does not classify rounds (the reference interpreter).
     Unspecified,
 }
 

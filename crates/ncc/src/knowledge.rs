@@ -30,36 +30,12 @@ const MIN_REGION: usize = 4;
 
 /// Seeds the initial NCC0 knowledge along the directed path `G_k`, but
 /// only for *participating* nodes: each participating node learns its own
-/// ID and the ID of the **next participating** node on the path (dead or
-/// filtered indices are skipped entirely, consistent with the engines'
-/// `alive` masks — they are not on the path, so nobody's initial knowledge
-/// may point at them).
-pub(crate) fn seed_path(
-    tracker: &mut KnowledgeTracker,
-    ids: &[NodeId],
-    participating: impl Fn(usize) -> bool,
-) {
-    if !tracker.enabled() {
-        return;
-    }
-    let mut prev: Option<usize> = None;
-    for (i, &id) in ids.iter().enumerate() {
-        if !participating(i) {
-            continue;
-        }
-        tracker.learn(i, id);
-        if let Some(p) = prev {
-            // Node p's out-neighbor on the filtered path is node i.
-            tracker.learn(p, id);
-        }
-        prev = Some(i);
-    }
-}
-
-/// [`seed_path`] for the batched engine, whose tracker rows cover the
-/// **dense** 0..k participant space (the j-th participating index of
-/// `ids`, in path order, is dense index j — per-node arrays are sized to
-/// the participant count on masked runs) split across per-shard trackers:
+/// ID and the ID of the **next participating** node on the path (masked-out
+/// indices are skipped entirely — they are not on the path, so nobody's
+/// initial knowledge may point at them). Tracker rows cover the **dense**
+/// 0..k participant space (the j-th participating index of `ids`, in path
+/// order, is dense index j — per-node arrays are sized to the participant
+/// count on masked runs) split across per-shard trackers:
 /// shard `s` owns dense indices `bases[s]..bases[s + 1]` (with an
 /// implicit final bound of k) and its tracker rows are indexed
 /// shard-locally. The one boundary case the per-shard view crosses is the
@@ -211,27 +187,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn seeding_skips_filtered_indices() {
-        let ids: Vec<NodeId> = vec![10, 20, 30, 40, 50];
-        let mut t = KnowledgeTracker::new(5, true);
-        // Nodes 1 and 3 are filtered out of the network.
-        seed_path(&mut t, &ids, |i| i != 1 && i != 3);
-        // Participants know themselves and their next *participating*
-        // successor.
-        assert!(t.knows(0, 10) && t.knows(0, 30));
-        assert!(t.knows(2, 30) && t.knows(2, 50));
-        assert!(t.knows(4, 50));
-        // Nobody is seeded with a filtered node's ID, and filtered nodes
-        // learn nothing.
-        assert!(!t.knows(0, 20));
-        assert!(!t.knows(2, 40));
-        assert_eq!(t.knowledge_size(1), 0);
-        assert_eq!(t.knowledge_size(3), 0);
-        // The tail learns only itself.
-        assert_eq!(t.knowledge_size(4), 1);
-    }
-
-    #[test]
     fn dense_seeding_renumbers_participants_in_path_order() {
         let ids: Vec<NodeId> = vec![10, 20, 30, 40, 50];
         // Participants 0, 2, 4 own dense rows 0, 1, 2 — the tracker is
@@ -279,25 +234,10 @@ mod tests {
     }
 
     #[test]
-    fn dense_seeding_all_alive_matches_full_seeding() {
-        let ids: Vec<NodeId> = vec![7, 8, 9];
-        let mut full = KnowledgeTracker::new(3, true);
-        let mut dense = KnowledgeTracker::new(3, true);
-        seed_path(&mut full, &ids, |_| true);
-        seed_path_sharded(std::slice::from_mut(&mut dense), &[0], &ids, |_| true);
-        for node in 0..3 {
-            assert_eq!(full.knowledge_size(node), dense.knowledge_size(node));
-            for &id in &ids {
-                assert_eq!(full.knows(node, id), dense.knows(node, id));
-            }
-        }
-    }
-
-    #[test]
     fn seeding_all_alive_matches_plain_path() {
         let ids: Vec<NodeId> = vec![7, 8, 9];
         let mut t = KnowledgeTracker::new(3, true);
-        seed_path(&mut t, &ids, |_| true);
+        seed_path_sharded(std::slice::from_mut(&mut t), &[0], &ids, |_| true);
         assert!(t.knows(0, 7) && t.knows(0, 8) && !t.knows(0, 9));
         assert!(t.knows(1, 8) && t.knows(1, 9));
         assert_eq!(t.knowledge_size(2), 1);

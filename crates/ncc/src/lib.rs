@@ -21,7 +21,7 @@
 //!   the paper, `G_k` is a directed path over the `n` nodes in an arbitrary
 //!   (here: seeded random) order.
 //!
-//! # Two engines, one semantics
+//! # One engine, one reference interpreter
 //!
 //! The round structure of NCC — all outboxes, then validate/route, then all
 //! inboxes — is embarrassingly parallel and allocation-free by design, and
@@ -35,14 +35,15 @@
 //! allocation anywhere in the round loop. This engine simulates
 //! **millions** of nodes.
 //!
-//! The original **thread-per-node oracle** survives behind the `threaded`
-//! feature (on by default): [`Network::run`] executes direct-style blocking
-//! closures over a [`NodeHandle`], one OS thread per node. It tops out near
-//! ten thousand nodes, but it is obviously correct, it still runs the whole
-//! direct-style algorithm stack, and [`Network::run_protocol_threaded`]
-//! runs *step-function* protocols on it so differential tests can hold the
-//! two engines to identical transcripts and metrics (see
-//! `crates/ncc/tests/differential.rs` and `ARCHITECTURE.md`).
+//! Beside it sits the **reference interpreter** ([`EngineKind::Reference`],
+//! through [`Network::run_protocol_on`]): the same round written the
+//! naive way — one thread, one loop, one inbox, queue and knowledge set
+//! per node — in 300 lines that share nothing with the batched executor's
+//! layout. It runs the *same* step machines, masks and scenarios, so the
+//! differential suites hold the two to identical outputs, metrics and
+//! event streams (see `crates/ncc/tests/differential.rs`,
+//! `scenario_matrix.rs` and `ARCHITECTURE.md`). It is the oracle, not a
+//! second production engine: use it to check, never to scale.
 //!
 //! # A step-function protocol
 //!
@@ -85,12 +86,8 @@
 
 mod batch;
 mod config;
-#[cfg(feature = "threaded")]
-mod engine;
 mod error;
 pub mod event;
-#[cfg(feature = "threaded")]
-mod handle;
 mod knowledge;
 mod message;
 mod metrics;
@@ -107,9 +104,7 @@ pub use error::{SimError, Violation, ViolationKind};
 pub use event::{
     JsonlSink, MetricsRecorder, NullSink, ProgressSink, Recording, RouteMode, RunEvent, Sink,
 };
-#[cfg(feature = "threaded")]
-pub use handle::NodeHandle;
-pub use message::{tags, Envelope, Msg, NodeId};
+pub use message::{tags, NodeId};
 pub use metrics::{EngineStats, PhaseRounds, RunMetrics, ViolationCounts, ROUND_TRACE_LIMIT};
 pub use network::{Network, RunResult};
 pub use protocol::{NodeProtocol, NodeSeed, RoundCtx, Status};

@@ -1,12 +1,13 @@
-//! Messages exchanged between NCC nodes.
+//! Node identifiers and the protocol tags of the messages NCC nodes
+//! exchange.
 //!
-//! A message is a small, fixed-budget record: a protocol `tag`, up to
-//! [`Config::max_words`](crate::Config::max_words) data words, and up to
-//! [`Config::max_addrs`](crate::Config::max_addrs) node *addresses*. Keeping
-//! addresses in a dedicated field (rather than smuggling them through data
-//! words) is what lets the simulator track KT0 knowledge faithfully: the
-//! receiver of a message learns the sender's ID and every address the message
-//! carries, and nothing else.
+//! A message ([`WireMsg`](crate::WireMsg)) is a small, fixed-budget record:
+//! a protocol `tag`, up to [`Config::max_words`](crate::Config::max_words)
+//! data words, and up to [`Config::max_addrs`](crate::Config::max_addrs)
+//! node *addresses*. Keeping addresses in a dedicated field (rather than
+//! smuggling them through data words) is what lets the simulator track KT0
+//! knowledge faithfully: the receiver of a message learns the sender's ID
+//! and every address the message carries, and nothing else.
 
 /// A node identifier — the node's "IP address" in the P2P reading of the
 /// model. IDs are drawn from `[1, n^c]`, so they are *not* dense indices.
@@ -74,157 +75,4 @@ pub mod tags {
     pub const RSORT_XCH: u16 = 26;
     /// First tag value available to user protocols.
     pub const USER_BASE: u16 = 64;
-}
-
-/// A message: tag + bounded data words + bounded addresses.
-///
-/// The total information content is `O(log n)` bits — each word and each
-/// address is one machine word, and the engine enforces the per-message
-/// budgets from the [`Config`](crate::Config).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Msg {
-    /// Protocol tag for inbox demultiplexing.
-    pub tag: u16,
-    /// Data words (bounded by `Config::max_words`).
-    pub words: Vec<u64>,
-    /// Node addresses carried by this message (bounded by
-    /// `Config::max_addrs`). The receiver *learns* these IDs.
-    pub addrs: Vec<NodeId>,
-}
-
-impl Msg {
-    /// An empty message carrying only a tag (a pure signal).
-    pub fn signal(tag: u16) -> Self {
-        Msg {
-            tag,
-            words: Vec::new(),
-            addrs: Vec::new(),
-        }
-    }
-
-    /// A message carrying data words only.
-    pub fn words(tag: u16, words: impl Into<Vec<u64>>) -> Self {
-        Msg {
-            tag,
-            words: words.into(),
-            addrs: Vec::new(),
-        }
-    }
-
-    /// A message carrying a single data word.
-    pub fn word(tag: u16, w: u64) -> Self {
-        Msg {
-            tag,
-            words: vec![w],
-            addrs: Vec::new(),
-        }
-    }
-
-    /// A message carrying a single address.
-    pub fn addr(tag: u16, a: NodeId) -> Self {
-        Msg {
-            tag,
-            words: Vec::new(),
-            addrs: vec![a],
-        }
-    }
-
-    /// A message carrying one address and some data words.
-    pub fn addr_words(tag: u16, a: NodeId, words: impl Into<Vec<u64>>) -> Self {
-        Msg {
-            tag,
-            words: words.into(),
-            addrs: vec![a],
-        }
-    }
-
-    /// Adds a data word (builder style).
-    pub fn with_word(mut self, w: u64) -> Self {
-        self.words.push(w);
-        self
-    }
-
-    /// Adds an address (builder style).
-    pub fn with_addr(mut self, a: NodeId) -> Self {
-        self.addrs.push(a);
-        self
-    }
-
-    /// Size of this message in machine words (tag counts as one word),
-    /// used for bandwidth metrics.
-    pub fn size_words(&self) -> usize {
-        1 + self.words.len() + self.addrs.len()
-    }
-}
-
-/// A received message together with its sender.
-///
-/// The NCC model makes the sender's ID visible to the receiver (this is how
-/// knowledge spreads in KT0), so the engine stamps every delivery with `src`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Envelope {
-    /// ID of the sending node.
-    pub src: NodeId,
-    /// The message itself.
-    pub msg: Msg,
-}
-
-impl Envelope {
-    /// First data word, panicking with a protocol-bug message if absent.
-    pub fn word(&self) -> u64 {
-        *self
-            .msg
-            .words
-            .first()
-            .expect("protocol bug: expected a data word")
-    }
-
-    /// First address, panicking with a protocol-bug message if absent.
-    pub fn addr(&self) -> NodeId {
-        *self
-            .msg
-            .addrs
-            .first()
-            .expect("protocol bug: expected an address")
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn builders_compose() {
-        let m = Msg::signal(tags::GENERIC).with_word(7).with_addr(42);
-        assert_eq!(m.words, vec![7]);
-        assert_eq!(m.addrs, vec![42]);
-        assert_eq!(m.size_words(), 3);
-    }
-
-    #[test]
-    fn size_counts_tag_words_addrs() {
-        assert_eq!(Msg::signal(0).size_words(), 1);
-        assert_eq!(Msg::words(0, vec![1, 2, 3]).size_words(), 4);
-        assert_eq!(Msg::addr_words(0, 9, vec![1]).size_words(), 3);
-    }
-
-    #[test]
-    fn envelope_accessors() {
-        let env = Envelope {
-            src: 5,
-            msg: Msg::addr_words(1, 10, vec![99]),
-        };
-        assert_eq!(env.word(), 99);
-        assert_eq!(env.addr(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "protocol bug")]
-    fn envelope_word_panics_when_empty() {
-        let env = Envelope {
-            src: 5,
-            msg: Msg::signal(0),
-        };
-        let _ = env.word();
-    }
 }

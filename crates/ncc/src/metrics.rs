@@ -100,9 +100,10 @@ pub struct RunMetrics {
 }
 
 /// Executor-internal statistics of a completed run. Unlike [`RunMetrics`]
-/// these are **not** part of the model semantics — the threaded oracle
-/// reports all-zero stats — so they live outside the metrics the
-/// differential tests compare. They exist to make the batched executor's
+/// these are **not** part of the model semantics — the reference
+/// interpreter reports only the scenario counters, which fold out of the
+/// event stream — so they live outside the metrics the differential
+/// tests compare. They exist to make the batched executor's
 /// machinery (live-slot compaction, dense-vs-sparse round classification,
 /// the ownership-shard layout, the dense masked remap, the scenario
 /// engine) observable and testable.

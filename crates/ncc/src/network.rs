@@ -1,19 +1,13 @@
 //! Network construction and the engine entry points.
 //!
 //! A [`Network`] owns the simulated ID space and configuration; protocols
-//! run on it through one of two engines:
-//!
-//! * [`Network::run_protocol`] — the **batched step-function executor**
-//!   ([`batch`](crate::batch)): protocols are [`NodeProtocol`] state
-//!   machines stepped in bulk by a rayon worker pool, with allocation-free
-//!   counting-sort routing. This is the production engine; it simulates
-//!   millions of nodes.
-//! * [`Network::run`] — the **threaded oracle** (`threaded` feature):
-//!   direct-style blocking closures, one OS thread per node. Tops out
-//!   around `n ≈ 10⁴`; kept for the direct-style algorithm stack and as
-//!   the differential-testing oracle
-//!   ([`Network::run_protocol_threaded`] runs the *same* state machines
-//!   on it, for transcript comparison).
+//! — [`NodeProtocol`] state machines — run on it through
+//! [`Network::run_protocol`] / [`Network::run_protocol_masked`] (the
+//! **batched step-function executor**, `shard.rs`: stepped in bulk over
+//! ownership shards, allocation-free counting-sort routing, millions of
+//! nodes) or [`Network::run_protocol_on`], which also reaches the
+//! **reference interpreter** (`reference.rs`) the differential suites
+//! compare against.
 
 use crate::config::{Config, IdAssignment};
 use crate::error::SimError;
@@ -36,9 +30,11 @@ pub struct RunResult<R> {
     pub outputs: Vec<(NodeId, R)>,
     /// Round/message/violation metrics for the run.
     pub metrics: RunMetrics,
-    /// Executor-internal statistics (compactions, routing-path choices).
-    /// Not part of the model semantics: the threaded oracle reports
-    /// all-zero stats, and differential tests must not compare them.
+    /// Executor-internal statistics (compactions, routing-path choices,
+    /// layout, phase timers, scenario counters). Not part of the model
+    /// semantics: the reference interpreter reports only what folds out of
+    /// the event stream (the scenario counters; no compactions, no layout),
+    /// and differential tests compare nothing else of it.
     pub engine: EngineStats,
 }
 
@@ -143,7 +139,7 @@ impl Network {
     /// # Errors
     ///
     /// Propagates model violations (strict policy), round-limit overruns
-    /// and protocol panics, like the threaded engine.
+    /// and protocol panics.
     pub fn run_protocol<P, F>(&self, factory: F) -> Result<RunResult<P::Output>, SimError>
     where
         P: NodeProtocol,
@@ -156,14 +152,11 @@ impl Network {
     /// [`EngineKind`](crate::EngineKind), optionally masked to a
     /// participant subset, with the run's [`RunEvent`](crate::RunEvent)
     /// stream delivered into `sink` (pass `None` to run unobserved).
-    /// This is the single entry point the `Realization` facade drives;
-    /// the per-engine methods remain for direct use.
+    /// This is the single entry point the `Realization` facade drives.
     ///
     /// # Errors
     ///
-    /// As for [`Network::run_protocol`]. Requesting
-    /// [`EngineKind::Threaded`](crate::EngineKind) in a build without the
-    /// `threaded` feature returns [`SimError::EngineUnavailable`].
+    /// As for [`Network::run_protocol`].
     ///
     /// # Panics
     ///
@@ -183,23 +176,6 @@ impl Network {
             crate::EngineKind::Batched => crate::shard::run(self, participants, sink, factory),
             crate::EngineKind::Reference => {
                 crate::reference::run(self, participants, sink, factory)
-            }
-            #[cfg(feature = "threaded")]
-            crate::EngineKind::Threaded => {
-                let alive;
-                let mask = match participants {
-                    Some(mask) => mask,
-                    None => {
-                        alive = vec![true; self.n];
-                        &alive
-                    }
-                };
-                self.protocol_threaded(mask, sink, factory)
-            }
-            #[cfg(not(feature = "threaded"))]
-            crate::EngineKind::Threaded => {
-                let _ = sink;
-                Err(SimError::EngineUnavailable)
             }
         }
     }
@@ -229,326 +205,6 @@ impl Network {
     }
 }
 
-/// The thread-per-node oracle entry points.
-#[cfg(feature = "threaded")]
-mod threaded_runner {
-    use super::*;
-    use crate::engine::{Coordinator, Delivery, Submission};
-    use crate::error::panic_message;
-    use crate::handle::{NodeHandle, POISON_PANIC};
-    use crate::message::Msg;
-    use crate::protocol::{RoundCtx, Status};
-    use crate::wire::{WireEnvelope, NO_INDEX};
-    use crate::Model;
-    use crossbeam::channel;
-    use parking_lot::Mutex;
-    use std::panic::AssertUnwindSafe;
-    use std::sync::Arc;
-
-    /// Stack size for node threads. Protocols are shallow (no deep
-    /// recursion on the node side), so small stacks let us simulate
-    /// thousands of nodes.
-    const NODE_STACK_BYTES: usize = 512 * 1024;
-
-    impl Network {
-        /// Runs `node_fn` on every node (thread-per-node) until all
-        /// protocol functions return. Direct style: the closure blocks in
-        /// [`NodeHandle::step`] at every round boundary.
-        ///
-        /// # Errors
-        ///
-        /// Propagates model violations (strict policy), round-limit
-        /// overruns and protocol panics.
-        pub fn run<F, R>(&self, node_fn: F) -> Result<RunResult<R>, SimError>
-        where
-            F: Fn(&mut NodeHandle) -> R + Send + Sync,
-            R: Send,
-        {
-            let alive = vec![true; self.n];
-            self.run_threaded_masked(&alive, None, node_fn)
-        }
-
-        /// Like [`Network::run`], with the run's
-        /// [`RunEvent`](crate::RunEvent) stream delivered into `sink`.
-        ///
-        /// # Errors
-        ///
-        /// As for [`Network::run`].
-        pub fn run_observed<F, R>(
-            &self,
-            sink: Option<&mut dyn Sink>,
-            node_fn: F,
-        ) -> Result<RunResult<R>, SimError>
-        where
-            F: Fn(&mut NodeHandle) -> R + Send + Sync,
-            R: Send,
-        {
-            let alive = vec![true; self.n];
-            self.run_threaded_masked(&alive, sink, node_fn)
-        }
-
-        /// Runs the same [`NodeProtocol`] state machines the batched
-        /// executor runs, but on the threaded oracle — the differential
-        /// tests compare the two transcripts.
-        ///
-        /// # Errors
-        ///
-        /// As for [`Network::run`].
-        pub fn run_protocol_threaded<P, F>(
-            &self,
-            factory: F,
-        ) -> Result<RunResult<P::Output>, SimError>
-        where
-            P: NodeProtocol,
-            F: Fn(&NodeSeed<'_>) -> P + Send + Sync,
-        {
-            let alive = vec![true; self.n];
-            self.protocol_threaded(&alive, None, factory)
-        }
-
-        /// The threaded twin of [`Network::run_protocol_masked`]: runs the
-        /// state machines over the masked-in nodes only, with the
-        /// knowledge path linking across masked-out indices. Exists so
-        /// masked batched runs (the paper-exact sub-network recursions)
-        /// have a transcript-identical differential oracle.
-        ///
-        /// # Errors
-        ///
-        /// As for [`Network::run`].
-        ///
-        /// # Panics
-        ///
-        /// Panics if `participants.len() != n`.
-        pub fn run_protocol_threaded_masked<P, F>(
-            &self,
-            participants: &[bool],
-            factory: F,
-        ) -> Result<RunResult<P::Output>, SimError>
-        where
-            P: NodeProtocol,
-            F: Fn(&NodeSeed<'_>) -> P + Send + Sync,
-        {
-            self.protocol_threaded(participants, None, factory)
-        }
-
-        /// The state-machine wrapper over the thread-per-node engine: the
-        /// sink-threading target of [`Network::run_protocol_on`].
-        pub(crate) fn protocol_threaded<P, F>(
-            &self,
-            participants: &[bool],
-            sink: Option<&mut dyn Sink>,
-            factory: F,
-        ) -> Result<RunResult<P::Output>, SimError>
-        where
-            P: NodeProtocol,
-            F: Fn(&NodeSeed<'_>) -> P + Send + Sync,
-        {
-            let resolver = self.resolver();
-            self.run_threaded_masked(participants, sink, move |h| {
-                let seed = NodeSeed {
-                    id: h.id,
-                    n: h.n,
-                    participants: h.participants,
-                    capacity: h.capacity,
-                    model: h.model,
-                    initial_successor: h.initial_successor,
-                    all_ids: h.all_ids.as_ref(),
-                };
-                let mut proto = factory(&seed);
-                let mut inbox: Vec<WireEnvelope> = Vec::new();
-                let mut out: Vec<WireEnvelope> = Vec::new();
-                loop {
-                    let mut phase_mark = None;
-                    let mut stage_mark = None;
-                    let status = {
-                        let mut ctx = RoundCtx {
-                            id: h.id,
-                            n: h.n,
-                            participants: h.participants,
-                            capacity: h.capacity,
-                            model: h.model,
-                            initial_successor: h.initial_successor,
-                            all_ids: h.all_ids.as_deref().map(Vec::as_slice),
-                            round: h.round,
-                            rng: &mut h.rng,
-                            inbox: &inbox,
-                            out: &mut out,
-                            resolver,
-                            // The threaded oracle keeps full-width per-node
-                            // state even on masked runs; no dense remap.
-                            dense_of: None,
-                            phase_mark: &mut phase_mark,
-                            stage_mark: &mut stage_mark,
-                        };
-                        proto.step(&mut ctx)
-                    };
-                    match status {
-                        Status::Done(output) => {
-                            // Marks staged in a Done step are discarded,
-                            // exactly like the batched executor.
-                            debug_assert!(
-                                out.is_empty(),
-                                "node {} staged sends in a Done step (discarded)",
-                                h.id
-                            );
-                            return output;
-                        }
-                        Status::Continue => {
-                            let sends: Vec<(NodeId, Msg)> = out
-                                .drain(..)
-                                .map(|env| (env.dst, env.msg.to_msg()))
-                                .collect();
-                            h.marks = (phase_mark, stage_mark);
-                            inbox = h
-                                .step(sends)
-                                .iter()
-                                .map(|e| WireEnvelope {
-                                    src: e.src,
-                                    msg: crate::wire::WireMsg::from_msg(&e.msg),
-                                    dst: h.id,
-                                    dst_idx: NO_INDEX,
-                                })
-                                .collect();
-                        }
-                    }
-                }
-            })
-        }
-
-        /// Thread-per-node run over a participant mask (masked-out nodes
-        /// never spawn; the knowledge path links across them).
-        fn run_threaded_masked<F, R>(
-            &self,
-            alive: &[bool],
-            sink: Option<&mut dyn Sink>,
-            node_fn: F,
-        ) -> Result<RunResult<R>, SimError>
-        where
-            F: Fn(&mut NodeHandle) -> R + Send + Sync,
-            R: Send,
-        {
-            let n = self.n;
-            assert_eq!(alive.len(), n, "participant mask length must equal n");
-            if let Some(s) = &self.config().scenario {
-                return Err(SimError::InvalidScenario(format!(
-                    "the threaded oracle cannot run scenarios (scenario seed {} \
-                     with {} event(s) was configured); use the batched engine",
-                    s.seed(),
-                    s.events().len(),
-                )));
-            }
-            let capacity = self.capacity();
-            let (to_coord, from_nodes) = channel::unbounded::<Submission>();
-            let mut to_nodes = Vec::with_capacity(n);
-            let mut node_rx = Vec::with_capacity(n);
-            for _ in 0..n {
-                let (tx, rx) = channel::unbounded::<Delivery>();
-                to_nodes.push(tx);
-                node_rx.push(Some(rx));
-            }
-
-            let all_ids: Option<Arc<Vec<NodeId>>> = match self.config.model {
-                Model::Ncc1 => {
-                    let mut sorted: Vec<NodeId> =
-                        (0..n).filter(|&i| alive[i]).map(|i| self.ids[i]).collect();
-                    sorted.sort_unstable();
-                    Some(Arc::new(sorted))
-                }
-                Model::Ncc0 => None,
-            };
-
-            // detlint: allow(relaxed-atomic) — threaded-oracle output collection: each node
-            // thread writes only its own pre-assigned slot index, exactly once at Done, and
-            // the vec is read only after every thread is joined — slot-indexed writes are
-            // order-independent.
-            let outputs: Arc<Mutex<Vec<Option<R>>>> =
-                Arc::new(Mutex::new((0..n).map(|_| None).collect())); // detlint: allow(relaxed-atomic) — continuation of the slot-indexed statement above
-            let node_fn = &node_fn;
-            let participant_count = alive.iter().filter(|&&a| a).count();
-
-            let mut coordinator = Coordinator::new(
-                self.config.clone(),
-                self.ids.clone(),
-                alive.to_vec(),
-                from_nodes,
-                to_nodes,
-                sink,
-            );
-
-            let result: Result<(), SimError> = std::thread::scope(|scope| {
-                for index in (0..n).filter(|&i| alive[i]) {
-                    let id = self.ids[index];
-                    let succ = (index + 1..n).find(|&j| alive[j]).map(|j| self.ids[j]);
-                    let rx = node_rx[index].take().expect("receiver taken twice");
-                    let to_coord = to_coord.clone();
-                    let all_ids = all_ids.clone();
-                    let outputs = Arc::clone(&outputs);
-                    let model = self.config.model;
-                    let seed = self.config.seed;
-                    std::thread::Builder::new()
-                        .name(format!("ncc-node-{id}"))
-                        .stack_size(NODE_STACK_BYTES)
-                        .spawn_scoped(scope, move || {
-                            let mut handle = NodeHandle::new(
-                                id,
-                                index,
-                                n,
-                                participant_count,
-                                capacity,
-                                model,
-                                succ,
-                                all_ids,
-                                seed,
-                                to_coord.clone(),
-                                rx,
-                            );
-                            let run =
-                                std::panic::catch_unwind(AssertUnwindSafe(|| node_fn(&mut handle)));
-                            match run {
-                                Ok(out) => {
-                                    outputs.lock()[index] = Some(out);
-                                    let _ = to_coord.send(Submission::Done { index });
-                                }
-                                Err(payload) => {
-                                    let message = panic_message(payload.as_ref());
-                                    if message == POISON_PANIC {
-                                        // Engine-initiated unwind; the engine
-                                        // already knows why.
-                                        let _ = to_coord.send(Submission::Done { index });
-                                    } else {
-                                        let _ =
-                                            to_coord.send(Submission::Panicked { index, message });
-                                    }
-                                }
-                            }
-                        })
-                        .expect("failed to spawn node thread");
-                }
-                drop(to_coord); // coordinator's recv() errors once all nodes finish
-                coordinator.run_rounds()
-            });
-
-            result?;
-            let engine = coordinator.engine_stats();
-            let metrics = coordinator.metrics;
-            let mut outs = Vec::with_capacity(n);
-            let mut guard = outputs.lock();
-            for (index, slot) in guard.iter_mut().enumerate() {
-                if !alive[index] {
-                    continue;
-                }
-                let r = slot.take().expect("node finished without output");
-                outs.push((self.ids[index], r));
-            }
-            Ok(RunResult {
-                outputs: outs,
-                metrics,
-                engine,
-            })
-        }
-    }
-}
-
 /// Generates distinct IDs in path order according to the config.
 fn assign_ids(n: usize, config: &Config) -> Vec<NodeId> {
     match config.id_assignment {
@@ -573,32 +229,16 @@ fn assign_ids(n: usize, config: &Config) -> Vec<NodeId> {
     }
 }
 
+/// Fixtures shared by the engine unit tests of this crate.
 #[cfg(test)]
-mod tests {
+pub(crate) mod testing {
     use super::*;
     use crate::message::tags;
     use crate::protocol::{RoundCtx, Status};
     use crate::{EngineKind, WireMsg};
 
-    #[test]
-    fn ids_are_distinct_and_deterministic() {
-        let a = assign_ids(100, &Config::ncc0(7));
-        let b = assign_ids(100, &Config::ncc0(7));
-        assert_eq!(a, b);
-        let set: HashSet<_> = a.iter().collect();
-        assert_eq!(set.len(), 100);
-        let c = assign_ids(100, &Config::ncc0(8));
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn sequential_ids_follow_path_order() {
-        let ids = assign_ids(5, &Config::ncc0(0).with_sequential_ids());
-        assert_eq!(ids, vec![1, 2, 3, 4, 5]);
-    }
-
     /// A protocol from a closure polled once per round.
-    struct Script<F>(F);
+    pub(crate) struct Script<F>(pub(crate) F);
 
     impl<R: Send, F: FnMut(&mut RoundCtx<'_>) -> Status<R> + Send> NodeProtocol for Script<F> {
         type Output = R;
@@ -610,7 +250,10 @@ mod tests {
 
     /// Runs the scripted protocol on both engines, asserting they agree
     /// on outputs and metrics (or on the error), and returns one result.
-    fn on_both_engines<R, F, S>(net: &Network, script: S) -> Result<RunResult<R>, SimError>
+    pub(crate) fn on_both_engines<R, F, S>(
+        net: &Network,
+        script: S,
+    ) -> Result<RunResult<R>, SimError>
     where
         R: Send + PartialEq + std::fmt::Debug,
         F: FnMut(&mut RoundCtx<'_>) -> Status<R> + Send,
@@ -631,7 +274,7 @@ mod tests {
 
     /// Sends `out` in round 0, then listens for `wait` more rounds;
     /// outputs the number of messages received.
-    fn send_then_count(
+    pub(crate) fn send_then_count(
         out: Vec<NodeId>,
         wait: u64,
     ) -> impl FnMut(&mut RoundCtx<'_>) -> Status<usize> + Send {
@@ -648,6 +291,32 @@ mod tests {
             }
             Status::Continue
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testing::{on_both_engines, send_then_count};
+    use super::*;
+    use crate::message::tags;
+    use crate::protocol::Status;
+    use crate::WireMsg;
+
+    #[test]
+    fn ids_are_distinct_and_deterministic() {
+        let a = assign_ids(100, &Config::ncc0(7));
+        let b = assign_ids(100, &Config::ncc0(7));
+        assert_eq!(a, b);
+        let set: HashSet<_> = a.iter().collect();
+        assert_eq!(set.len(), 100);
+        let c = assign_ids(100, &Config::ncc0(8));
+        assert_ne!(a, c);
+    }
+
+    #[test]
+    fn sequential_ids_follow_path_order() {
+        let ids = assign_ids(5, &Config::ncc0(0).with_sequential_ids());
+        assert_eq!(ids, vec![1, 2, 3, 4, 5]);
     }
 
     #[test]

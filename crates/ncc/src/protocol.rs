@@ -1,19 +1,16 @@
 //! The step-function protocol model: node protocols as polled state
 //! machines.
 //!
-//! Under the batched engine a node's protocol is not a blocking closure on
-//! a dedicated thread but a state machine implementing [`NodeProtocol`]:
-//! once per round the executor calls [`NodeProtocol::step`] with a
+//! A node's protocol is a state machine implementing [`NodeProtocol`]:
+//! once per round the engine calls [`NodeProtocol::step`] with a
 //! [`RoundCtx`] that exposes the previous round's inbox and collects this
-//! round's sends. Returning [`Status::Done`] retires the node.
+//! round's sends. Returning [`Status::Done`] retires the node. A protocol
+//! that returns `Done` on its `k`-th step has taken part in exactly
+//! `k - 1` rounds.
 //!
-//! The correspondence with the direct-style API is exact: one
-//! `NodeHandle::step(out) -> inbox` call equals one `RoundCtx` whose
-//! `inbox()` is the *previous* round's delivery and whose `send`s form
-//! `out`. A protocol that returns `Done` on its `k`-th step behaves like a
-//! closure that called `step` exactly `k - 1` times and then returned —
-//! which is why the same state machine can run on the batched executor or
-//! on the threaded oracle and produce identical transcripts (the
+//! The state machine sees nothing of the engine that polls it, which is
+//! why the same protocol runs on the batched executor and on the
+//! reference interpreter and produces identical transcripts (the
 //! differential tests rely on this).
 
 use crate::config::Model;
@@ -99,8 +96,8 @@ pub struct RoundCtx<'a> {
     /// Dense remap for masked batched runs: `dense_of[full]` is the 0..k
     /// slot index of a participant, [`DEAD_INDEX`] for a masked-out node.
     /// `None` means the resolver's index *is* the dense index (unmasked
-    /// batched runs, and the threaded oracle which keeps full-width
-    /// per-node arrays).
+    /// batched runs; the reference interpreter, which ignores indices and
+    /// routes by the destination ID).
     pub(crate) dense_of: Option<&'a [u32]>,
     pub(crate) phase_mark: &'a mut Option<&'static str>,
     pub(crate) stage_mark: &'a mut Option<&'static str>,

@@ -367,67 +367,9 @@ where
 
 #[cfg(test)]
 mod tests {
-    use crate::{
-        tags, CapacityPolicy, Config, EngineKind, Network, NodeId, NodeProtocol, RoundCtx,
-        RunResult, SimError, Status, ViolationKind, WireMsg,
-    };
-
-    /// Sends the scripted `(round, to, carrying)` messages, then retires
-    /// at round `until` with the number of messages it received.
-    struct Script {
-        sends: Vec<(u64, NodeId, Option<NodeId>)>,
-        until: u64,
-        received: usize,
-    }
-
-    impl NodeProtocol for Script {
-        type Output = usize;
-
-        fn step(&mut self, ctx: &mut RoundCtx<'_>) -> Status<usize> {
-            self.received += ctx.inbox().len();
-            if ctx.round() >= self.until {
-                return Status::Done(self.received);
-            }
-            let round = ctx.round();
-            for &(_, to, carrying) in self.sends.iter().filter(|s| s.0 == round) {
-                let msg = WireMsg::signal(tags::GENERIC);
-                ctx.send(to, carrying.map_or(msg, |a| msg.with_addr(a)));
-            }
-            Status::Continue
-        }
-    }
-
-    /// Runs one script per node (by path position) on both engines,
-    /// asserting they agree on the result or on the error's text.
-    fn both_engines(
-        n: usize,
-        config: Config,
-        script: impl Fn(usize, &[NodeId]) -> (Vec<(u64, NodeId, Option<NodeId>)>, u64) + Sync,
-    ) -> Result<RunResult<usize>, SimError> {
-        let net = Network::new(n, config);
-        let ids = net.ids_in_path_order().to_vec();
-        let run = |engine| {
-            net.run_protocol_on(engine, None, None, |seed| {
-                let position = ids.iter().position(|&id| id == seed.id).unwrap();
-                let (sends, until) = script(position, &ids);
-                Script {
-                    sends,
-                    until,
-                    received: 0,
-                }
-            })
-        };
-        let (reference, batched) = (run(EngineKind::Reference), run(EngineKind::Batched));
-        match (&reference, &batched) {
-            (Ok(r), Ok(b)) => {
-                assert_eq!(r.outputs, b.outputs);
-                assert_eq!(r.metrics, b.metrics);
-            }
-            (Err(r), Err(b)) => assert_eq!(r.to_string(), b.to_string()),
-            _ => panic!("one engine failed, the other did not"),
-        }
-        reference
-    }
+    use crate::network::testing::{on_both_engines, send_then_count};
+    use crate::{tags, CapacityPolicy, Config, Network, NodeId, SimError, Status, ViolationKind};
+    use crate::{RoundCtx, WireMsg};
 
     #[test]
     fn kt0_violations_are_blamed_identically_with_tracking_on() {
@@ -438,29 +380,32 @@ mod tests {
         // *its* successor without ever having learned it.
         let mut config = Config::ncc0(3);
         config.capacity_policy = CapacityPolicy::Record;
-        let result = both_engines(4, config, |position, ids| {
-            let sends = match position {
-                3 => vec![(0, ids[0], None)],
-                0 => vec![(1, ids[1], Some(ids[3]))],
-                1 => vec![(1, ids[2], Some(ids[3]))],
-                _ => vec![],
-            };
-            (sends, 3)
+        let net = Network::new(4, config);
+        let ids = net.ids_in_path_order().to_vec();
+        let result = on_both_engines(&net, |seed| {
+            let position = ids.iter().position(|&id| id == seed.id).unwrap();
+            let ids = ids.clone();
+            move |ctx: &mut RoundCtx<'_>| {
+                let signal = WireMsg::signal(tags::GENERIC);
+                match (position, ctx.round()) {
+                    (3, 0) => ctx.send(ids[0], signal),
+                    (0, 1) => ctx.send(ids[1], signal.with_addr(ids[3])),
+                    (1, 1) => ctx.send(ids[2], signal.with_addr(ids[3])),
+                    (_, 3) => return Status::Done(()),
+                    _ => {}
+                }
+                Status::Continue
+            }
         })
         .unwrap();
         let violations = &result.metrics.violations;
         assert_eq!(violations.unknown_addressee, 1);
         assert_eq!(violations.unknown_carried, 1);
-        let ids: Vec<NodeId> = result.gk_order();
-        let blamed: Vec<(u64, NodeId)> = result
-            .metrics
-            .violation_samples
-            .iter()
-            .map(|v| (v.round, v.node))
-            .collect();
+        let samples = &result.metrics.violation_samples;
+        let blamed: Vec<(u64, NodeId)> = samples.iter().map(|v| (v.round, v.node)).collect();
         assert_eq!(blamed, vec![(0, ids[3]), (1, ids[1])]);
         assert!(matches!(
-            result.metrics.violation_samples[1].kind,
+            samples[1].kind,
             ViolationKind::UnknownCarriedAddress { carried } if carried == ids[3]
         ));
         // Position 1 ends up knowing everyone: itself, its successor, the
@@ -474,11 +419,12 @@ mod tests {
         // two deliveries of `cap` each, the rest of its queue is lost.
         let mut config = Config::ncc0(5).with_queueing();
         config.track_knowledge = false;
-        let n = 40;
-        let cap = config.capacity(n);
-        let result = both_engines(n, config, |position, ids| match position {
-            0 => (vec![], 2),
-            _ => (vec![(0, ids[0], None)], 6),
+        let (n, cap) = (40, config.capacity(40));
+        let net = Network::new(n, config);
+        let head = net.ids_in_path_order()[0];
+        let result = on_both_engines(&net, |seed| match seed.id == head {
+            true => send_then_count(vec![], 1),
+            false => send_then_count(vec![head], 5),
         })
         .unwrap();
         let sent = n - 1;
@@ -492,15 +438,16 @@ mod tests {
     fn strict_abort_returns_the_same_violation_record() {
         // Two violations in one round; the run must die on the first in
         // source order — position 1's, not position 2's.
-        let err = both_engines(4, Config::ncc0(9), |position, ids| match position {
-            1 | 2 => (vec![(0, ids[0], None)], 2),
-            _ => (vec![], 2),
+        let net = Network::new(4, Config::ncc0(9));
+        let ids = net.ids_in_path_order().to_vec();
+        let err = on_both_engines(&net, |seed| {
+            let offends = seed.id == ids[1] || seed.id == ids[2];
+            send_then_count(if offends { vec![ids[0]] } else { vec![] }, 1)
         })
         .unwrap_err();
-        let net = Network::new(4, Config::ncc0(9));
         match err {
             SimError::Violation(v) => {
-                assert_eq!((v.round, v.node), (0, net.ids_in_path_order()[1]));
+                assert_eq!((v.round, v.node), (0, ids[1]));
                 assert!(matches!(v.kind, ViolationKind::UnknownAddressee { .. }));
             }
             other => panic!("expected a violation, got {other}"),

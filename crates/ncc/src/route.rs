@@ -6,8 +6,7 @@
 //! destination index, pass two scatters envelopes into a flat arena at
 //! offsets derived from a prefix sum over the counts (a stable counting
 //! sort keyed by destination — stable because sources are visited in dense
-//! index order, which is exactly the threaded engine's canonical routing
-//! order). Every buffer involved — counts, bucket starts, scatter cursors
+//! index order, the model's canonical routing order). Every buffer involved — counts, bucket starts, scatter cursors
 //! and the envelope arena — lives in [`RouteBuffers`] and is reused across
 //! rounds: after the arena has grown to the high-water message count, the
 //! routing hot path performs no heap allocation at all.

@@ -39,8 +39,8 @@
 //! **Canonical order.** Shard ranges partition the dense index space in
 //! ascending order and every per-shard walk visits slots in slot order,
 //! so *shard order × slot order = dense order*: the exchange splice puts
-//! bucket contents in exactly the dense source order of the threaded
-//! oracle; each shard journals its violations in slot order and the
+//! bucket contents in exactly the dense source order the reference
+//! interpreter routes in; each shard journals its violations in slot order and the
 //! coordinator replays the journals in shard order, so a strict abort
 //! blames the same first violation; the fault pass consumes its RNG along
 //! the same walk. Round-level folds (message counts, max
@@ -121,8 +121,8 @@ struct ShardState<P: NodeProtocol> {
     cells: Vec<Vec<WireEnvelope>>,
     /// Retired local indices whose receive queues still hold backlog:
     /// they keep draining at `cap` per round into the undelivered
-    /// counter, exactly as the threaded oracle walks every queue every
-    /// round (this list is the compaction-safe image of that walk).
+    /// counter, exactly as the reference interpreter walks every queue
+    /// every round (this list is the compaction-safe image of that walk).
     dead_backlog: Vec<u32>,
     /// Violation journal for the current phase, in slot order; drained by
     /// the coordinator's shard-order replay.
@@ -590,7 +590,7 @@ where
     // it actually runs. `dense_of` projects the resolver's full-network
     // index into this space once, at send time; DEAD_INDEX marks a real
     // node outside the run (kept distinct from NO_INDEX so the violation
-    // taxonomy still matches the oracle's).
+    // taxonomy distinguishes "no such node" from "not in this run").
     let dense_of: Option<Vec<u32>> = participants.map(|mask| {
         let mut map = vec![DEAD_INDEX; n];
         let mut next = 0u32;

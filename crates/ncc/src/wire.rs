@@ -1,4 +1,4 @@
-//! Fixed-size wire representation of messages for the batched engine.
+//! Fixed-size wire representation of messages.
 //!
 //! The NCC model bounds every message to `O(log n)` bits — concretely, a
 //! tag plus at most [`WIRE_WORDS`] data words and [`WIRE_ADDRS`] addresses
@@ -6,11 +6,9 @@
 //! exploits this: a [`WireMsg`] stores its payload *inline* in a `Copy`
 //! struct, so outboxes, the routing arena and inboxes are flat `Vec`s of
 //! POD values that are reused across rounds — the routing hot path never
-//! touches the allocator. The heap-backed [`Msg`](crate::Msg) remains the
-//! lingua franca of the direct-style (threaded-oracle) API; the two convert
-//! losslessly for payloads within the wire budget.
+//! touches the allocator.
 
-use crate::message::{Envelope, Msg, NodeId};
+use crate::message::NodeId;
 
 /// Maximum data words a [`WireMsg`] can carry inline.
 pub const WIRE_WORDS: usize = 4;
@@ -23,7 +21,7 @@ pub(crate) const NO_INDEX: u32 = u32::MAX;
 
 /// Sentinel for a destination that resolved to a real node which is not
 /// part of the current (masked) run. Distinct from [`NO_INDEX`] so the
-/// batched engine can keep the oracle's violation taxonomy — an unknown ID
+/// batched engine can keep the model's violation taxonomy — an unknown ID
 /// is `NoSuchNode`, a known-but-masked-out one is `DeadRecipient` — after
 /// remapping participants to a dense 0..k index space.
 pub(crate) const DEAD_INDEX: u32 = u32::MAX - 1;
@@ -150,31 +148,6 @@ impl WireMsg {
     pub fn size_words(&self) -> usize {
         1 + self.nw as usize + self.na as usize
     }
-
-    /// Converts to the heap-backed [`Msg`] (threaded-oracle interop).
-    pub fn to_msg(&self) -> Msg {
-        Msg {
-            tag: self.tag,
-            words: self.words_slice().to_vec(),
-            addrs: self.addrs_slice().to_vec(),
-        }
-    }
-
-    /// Converts from a heap-backed [`Msg`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the message exceeds the inline wire budget.
-    pub fn from_msg(msg: &Msg) -> Self {
-        let mut m = WireMsg::signal(msg.tag);
-        for &w in &msg.words {
-            m = m.with_word(w);
-        }
-        for &a in &msg.addrs {
-            m = m.with_addr(a);
-        }
-        m
-    }
 }
 
 /// A routed wire message: what a node finds in its inbox under the batched
@@ -231,14 +204,6 @@ impl WireEnvelope {
             .first()
             .expect("protocol bug: expected an address")
     }
-
-    /// Converts to the heap-backed [`Envelope`] (threaded-oracle interop).
-    pub fn to_envelope(&self) -> Envelope {
-        Envelope {
-            src: self.src,
-            msg: self.msg.to_msg(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -251,14 +216,6 @@ mod tests {
         assert_eq!(m.words_slice(), &[7]);
         assert_eq!(m.addrs_slice(), &[42]);
         assert_eq!(m.size_words(), 3);
-    }
-
-    #[test]
-    fn msg_roundtrip() {
-        let m = Msg::addr_words(5, 9, vec![1, 2, 3]);
-        let w = WireMsg::from_msg(&m);
-        assert_eq!(w.to_msg(), m);
-        assert_eq!(w.size_words(), m.size_words());
     }
 
     #[test]
@@ -277,8 +234,24 @@ mod tests {
         };
         assert_eq!(env.word(), 99);
         assert_eq!(env.addr(), 10);
-        let e = env.to_envelope();
-        assert_eq!(e.src, 5);
-        assert_eq!(e.word(), 99);
+    }
+
+    #[test]
+    #[should_panic(expected = "protocol bug")]
+    fn envelope_word_panics_when_empty() {
+        let env = WireEnvelope {
+            src: 5,
+            msg: WireMsg::signal(0),
+            dst: 10,
+            dst_idx: 0,
+        };
+        let _ = env.word();
+    }
+
+    #[test]
+    fn size_counts_tag_words_addrs() {
+        assert_eq!(WireMsg::signal(0).size_words(), 1);
+        assert_eq!(WireMsg::words(0, &[1, 2, 3]).size_words(), 4);
+        assert_eq!(WireMsg::addr_word(0, 9, 1).size_words(), 3);
     }
 }

@@ -14,12 +14,12 @@ use dgr_ncc::{CapacityPolicy, Config, EngineKind, Network, Recording, RunEvent, 
 /// so the live count decays roughly linearly while a few nodes survive
 /// far past the median — the workload slot compaction exists for.
 fn long_tail_run(workers: usize, queue: bool) -> RunResult<u64> {
-    let (result, _) = long_tail_run_observed(EngineKind::Batched, workers, queue);
+    let (result, _) = long_tail_observed(EngineKind::Batched, workers, queue);
     result
 }
 
 /// The same run with its event stream recorded, on either engine.
-fn long_tail_run_observed(
+fn long_tail_observed(
     engine: EngineKind,
     workers: usize,
     queue: bool,
@@ -88,7 +88,7 @@ fn queued_long_tail_compacts_and_matches_the_reference() {
         "queued long tail should compact, got {}",
         batched.engine.compactions
     );
-    let (reference, _) = long_tail_run_observed(EngineKind::Reference, 1, true);
+    let (reference, _) = long_tail_observed(EngineKind::Reference, 1, true);
     assert_eq!(batched.outputs, reference.outputs, "transcripts diverge");
     assert_eq!(batched.metrics, reference.metrics, "metrics diverge");
     // The oracle never compacts; the field must stay engine-specific.
@@ -98,7 +98,7 @@ fn queued_long_tail_compacts_and_matches_the_reference() {
 #[test]
 fn record_long_tail_matches_the_reference() {
     let batched = long_tail_run(1, false);
-    let (reference, _) = long_tail_run_observed(EngineKind::Reference, 1, false);
+    let (reference, _) = long_tail_observed(EngineKind::Reference, 1, false);
     assert_eq!(batched.outputs, reference.outputs, "transcripts diverge");
     assert_eq!(batched.metrics, reference.metrics, "metrics diverge");
 }
@@ -121,7 +121,7 @@ fn sparse_rounds_route_inline_even_with_workers() {
 /// drift from the narrated compactions.
 #[test]
 fn event_stream_is_identical_across_worker_counts_and_narrates_compactions() {
-    let (result_1, events_1) = long_tail_run_observed(EngineKind::Batched, 1, false);
+    let (result_1, events_1) = long_tail_observed(EngineKind::Batched, 1, false);
     let events_1 = events_1.events();
     let compactions: Vec<(u64, usize)> = events_1
         .iter()
@@ -153,7 +153,7 @@ fn event_stream_is_identical_across_worker_counts_and_narrates_compactions() {
     assert_eq!(rounds, (0..result_1.metrics.rounds).collect::<Vec<_>>());
     assert!(matches!(events_1.last(), Some(RunEvent::Done { .. })));
     for workers in [2, 3, 5, 8] {
-        let (_, events_w) = long_tail_run_observed(EngineKind::Batched, workers, false);
+        let (_, events_w) = long_tail_observed(EngineKind::Batched, workers, false);
         assert_eq!(
             events_1,
             events_w.events(),
@@ -169,8 +169,8 @@ fn event_stream_is_identical_across_worker_counts_and_narrates_compactions() {
 #[test]
 fn event_streams_semantically_identical_across_engines_with_and_without_compaction() {
     for queue in [false, true] {
-        let (batched, batched_events) = long_tail_run_observed(EngineKind::Batched, 1, queue);
-        let (reference, reference_events) = long_tail_run_observed(EngineKind::Reference, 1, queue);
+        let (batched, batched_events) = long_tail_observed(EngineKind::Batched, 1, queue);
+        let (reference, reference_events) = long_tail_observed(EngineKind::Reference, 1, queue);
         assert!(batched.engine.compactions >= 2, "run must compact");
         assert_eq!(reference.engine.compactions, 0, "oracle never compacts");
         let batched_events = batched_events.events();

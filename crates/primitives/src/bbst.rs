@@ -19,13 +19,7 @@
 //! balanced binary *search* tree over path positions, built in `O(log n)`
 //! rounds.
 
-#[cfg(feature = "threaded")]
-use crate::contacts::ContactTable;
-#[cfg(feature = "threaded")]
-use crate::vpath::VPath;
 use dgr_ncc::NodeId;
-#[cfg(feature = "threaded")]
-use dgr_ncc::{tags, Msg, NodeHandle};
 
 /// Which side of its parent a node hangs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,19 +50,6 @@ pub struct Bbst {
 }
 
 impl Bbst {
-    #[cfg(feature = "threaded")]
-    fn non_member() -> Self {
-        Bbst {
-            is_root: false,
-            parent: None,
-            side: None,
-            left: None,
-            right: None,
-            depth: 0,
-            member: false,
-        }
-    }
-
     /// Number of children (0, 1 or 2).
     pub fn child_count(&self) -> usize {
         usize::from(self.left.is_some()) + usize::from(self.right.is_some())
@@ -81,8 +62,8 @@ impl Bbst {
     }
 }
 
-/// Number of rounds [`build`] takes on a path of `len` nodes: two rounds
-/// (invite + accept) per doubling level.
+/// Number of rounds [`BbstStep`](crate::proto::bbst::BbstStep) takes on a
+/// path of `len` nodes: two rounds (invite + accept) per doubling level.
 pub fn rounds_for(len: usize) -> u64 {
     2 * crate::levels_for(len) as u64
 }
@@ -92,111 +73,6 @@ pub fn rounds_for(len: usize) -> u64 {
 /// one completion round.
 pub fn sweep_rounds(len: usize) -> u64 {
     Bbst::depth_bound(len) + 1
-}
-
-/// Builds the balanced binary search tree by controlled BFS (Algorithm 1).
-/// Requires the contact table for the same path. Non-members idle.
-///
-/// Rounds: exactly [`rounds_for`]`(vp.len)`.
-#[cfg(feature = "threaded")]
-pub fn build(h: &mut NodeHandle, vp: &VPath, contacts: &ContactTable) -> Bbst {
-    let levels = vp.levels();
-    if !vp.member {
-        h.idle_quiet(rounds_for(vp.len));
-        return Bbst::non_member();
-    }
-
-    let mut tree = Bbst {
-        is_root: vp.is_head(),
-        parent: None,
-        side: None,
-        left: None,
-        right: None,
-        depth: 0,
-        member: true,
-    };
-    let mut in_tree = tree.is_root;
-    // S_p / S_s membership: the root starts in both (Algorithm 1 line 1).
-    let mut in_sp = tree.is_root;
-    let mut in_ss = tree.is_root;
-
-    // `level_neighbor(i, …)`: this node's predecessor/successor at level
-    // L_i of the structure L = its contact 2^i away on the path.
-    let pred_at = |i: usize| -> Option<NodeId> {
-        if i == 0 {
-            vp.pred
-        } else {
-            contacts.behind(i)
-        }
-    };
-    let succ_at = |i: usize| -> Option<NodeId> {
-        if i == 0 {
-            vp.succ
-        } else {
-            contacts.ahead(i)
-        }
-    };
-
-    for i in (0..levels).rev() {
-        // --- Invitation round (Algorithm 1 lines 3-10). ---
-        let mut out = Vec::new();
-        if in_sp {
-            if let Some(p) = pred_at(i) {
-                out.push((p, Msg::word(tags::INVITE_LEFT, tree.depth + 1)));
-                in_sp = false;
-            }
-        }
-        if in_ss {
-            if let Some(s) = succ_at(i) {
-                out.push((s, Msg::word(tags::INVITE_RIGHT, tree.depth + 1)));
-                in_ss = false;
-            }
-        }
-        let inbox = h.step(out);
-
-        // --- Acceptance round (lines 11-15). ---
-        let mut out = Vec::new();
-        if !in_tree {
-            let mut invites: Vec<_> = inbox
-                .iter()
-                .filter(|e| e.msg.tag == tags::INVITE_LEFT || e.msg.tag == tags::INVITE_RIGHT)
-                .collect();
-            // Deterministic choice among simultaneous invitations: prefer
-            // becoming a left child, then the smaller inviter ID. (At most
-            // one invite of each kind can arrive per iteration, since the
-            // level-i predecessor/successor are unique.)
-            invites.sort_by_key(|e| (e.msg.tag != tags::INVITE_LEFT, e.src));
-            if let Some(env) = invites.first() {
-                let side = if env.msg.tag == tags::INVITE_LEFT {
-                    Side::Left
-                } else {
-                    Side::Right
-                };
-                tree.parent = Some(env.src);
-                tree.side = Some(side);
-                tree.depth = env.word();
-                in_tree = true;
-                in_sp = true;
-                in_ss = true;
-                let side_word = match side {
-                    Side::Left => 0,
-                    Side::Right => 1,
-                };
-                out.push((env.src, Msg::word(tags::ACCEPT, side_word)));
-            }
-        }
-        let inbox = h.step(out);
-        for env in inbox.iter().filter(|e| e.msg.tag == tags::ACCEPT) {
-            match env.word() {
-                0 => tree.left = Some(env.src),
-                1 => tree.right = Some(env.src),
-                other => unreachable!("bad accept side word {other}"),
-            }
-        }
-    }
-
-    debug_assert!(in_tree, "node {} never joined the BFS tree", h.id());
-    tree
 }
 
 #[cfg(test)]

@@ -13,23 +13,13 @@
 //! the sender — the doubling construction is exactly how knowledge spreads
 //! in the model.
 
-#[cfg(feature = "threaded")]
-use crate::vpath::VPath;
 use dgr_ncc::NodeId;
-#[cfg(feature = "threaded")]
-use dgr_ncc::{tags, Msg, NodeHandle};
-
-/// Direction words used in contact-construction messages.
-#[cfg(feature = "threaded")]
-const SET_FWD: u64 = 0;
-#[cfg(feature = "threaded")]
-const SET_BWD: u64 = 1;
 
 /// A node's power-of-two contacts on a virtual path.
 ///
 /// `fwd[k]` is the ID of the node `2^k` positions ahead (toward the tail),
 /// `bwd[k]` the node `2^k` behind (toward the head); `None` where the path
-/// ends first. Tables have [`VPath::levels`] entries.
+/// ends first. Tables have [`VPath::levels`](crate::VPath::levels) entries.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ContactTable {
     /// Contacts toward the tail; `fwd[k]` sits `2^k` ahead.
@@ -59,54 +49,10 @@ impl ContactTable {
     }
 }
 
-/// Number of rounds [`build`] takes on a path of `len` nodes.
+/// Number of rounds [`ContactsStep`](crate::proto::contacts::ContactsStep)
+/// takes on a path of `len` nodes: `ceil(log2 len) - 1`.
 pub fn rounds_for(len: usize) -> u64 {
     crate::levels_for(len).saturating_sub(1) as u64
-}
-
-/// Builds the power-of-two contact table on a virtual path by pointer
-/// doubling. Non-members idle in lockstep.
-///
-/// Rounds: exactly [`rounds_for`]`(vp.len)` = `ceil(log2 len) - 1`.
-#[cfg(feature = "threaded")]
-pub fn build(h: &mut NodeHandle, vp: &VPath) -> ContactTable {
-    let levels = vp.levels();
-    if !vp.member {
-        h.idle_quiet(rounds_for(vp.len));
-        return ContactTable::default();
-    }
-    let mut fwd: Vec<Option<NodeId>> = Vec::with_capacity(levels);
-    let mut bwd: Vec<Option<NodeId>> = Vec::with_capacity(levels);
-    if levels == 0 {
-        return ContactTable { fwd, bwd };
-    }
-    fwd.push(vp.succ);
-    bwd.push(vp.pred);
-    for k in 1..levels {
-        let mut out = Vec::new();
-        // Tell the node 2^(k-1) behind me who sits 2^(k-1) ahead of me (its
-        // new fwd[k]) and vice versa. An endpoint simply has nothing to
-        // forward in one of the directions.
-        if let Some(b) = bwd[k - 1] {
-            if let Some(f) = fwd[k - 1] {
-                out.push((b, Msg::addr_words(tags::CONTACT, f, vec![SET_FWD])));
-                out.push((f, Msg::addr_words(tags::CONTACT, b, vec![SET_BWD])));
-            }
-        }
-        let inbox = h.step(out);
-        let mut new_fwd = None;
-        let mut new_bwd = None;
-        for env in inbox.iter().filter(|e| e.msg.tag == tags::CONTACT) {
-            match env.word() {
-                SET_FWD => new_fwd = Some(env.addr()),
-                SET_BWD => new_bwd = Some(env.addr()),
-                other => unreachable!("bad contact direction word {other}"),
-            }
-        }
-        fwd.push(new_fwd);
-        bwd.push(new_bwd);
-    }
-    ContactTable { fwd, bwd }
 }
 
 #[cfg(test)]

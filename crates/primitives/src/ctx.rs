@@ -1,21 +1,14 @@
 //! [`PathCtx`]: the bundle of structures every algorithm establishes on a
 //! path before doing real work — contact table, BBST and positions.
 //!
-//! Two ways to establish it: `PathCtx::establish` is direct-style (it
-//! blocks through `NodeHandle::step`, so it needs the threaded oracle
-//! engine, feature `threaded`); [`crate::proto::EstablishCtx`] is the
-//! same chain — undirect, contacts, BBST, traversal — as a step-function
-//! sub-protocol for the batched executor, round-for-round identical and
-//! composable with the other [`crate::proto::Step`] ports.
+//! [`crate::proto::EstablishCtx`] establishes it: the chain undirect,
+//! contacts, BBST, traversal as one step, composable with the other
+//! [`crate::proto::Step`]s.
 
 use crate::bbst::{self, Bbst};
 use crate::contacts::{self, ContactTable};
 use crate::traversal::{self, Traversal};
-#[cfg(feature = "threaded")]
-use crate::vpath;
 use crate::vpath::VPath;
-#[cfg(feature = "threaded")]
-use dgr_ncc::NodeHandle;
 use std::sync::Arc;
 
 /// Everything a node knows about one virtual path after the standard
@@ -45,43 +38,16 @@ pub struct PathCtx {
     pub traversal: Traversal,
 }
 
-/// Rounds for [`PathCtx::establish_on`] on a path of `len` nodes.
+/// Rounds for [`EstablishCtx::on`](crate::proto::EstablishCtx::on) — the
+/// context on an already-linked virtual path of `len` nodes.
 pub fn rounds_on(len: usize) -> u64 {
     contacts::rounds_for(len) + bbst::rounds_for(len) + traversal::rounds_for(len)
 }
 
-/// Rounds for [`PathCtx::establish`] (includes the 1-round undirection).
+/// Rounds for [`EstablishCtx::new`](crate::proto::EstablishCtx::new) — the
+/// context on `G_k` (includes the 1-round undirection).
 pub fn rounds_for(len: usize) -> u64 {
     1 + rounds_on(len)
-}
-
-#[cfg(feature = "threaded")]
-impl PathCtx {
-    /// Establishes the full context on the physical knowledge path `G_k`:
-    /// undirection, contact table, BBST, positions.
-    ///
-    /// Rounds: exactly [`rounds_for`]`(h.n())`.
-    pub fn establish(h: &mut NodeHandle) -> PathCtx {
-        let vp = vpath::undirect(h);
-        Self::establish_on(h, vp)
-    }
-
-    /// Establishes the context on an arbitrary, already-linked virtual path
-    /// (e.g. a sorted path or a sorted-path prefix). Non-members idle.
-    ///
-    /// Rounds: exactly [`rounds_on`]`(vp.len)`.
-    pub fn establish_on(h: &mut NodeHandle, vp: VPath) -> PathCtx {
-        let contacts = Arc::new(contacts::build(h, &vp));
-        let tree = Arc::new(bbst::build(h, &vp, &contacts));
-        let traversal = traversal::positions(h, &vp, &tree);
-        PathCtx {
-            position: traversal.position,
-            vp,
-            contacts,
-            tree,
-            traversal,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -19,13 +19,7 @@
 //! at most one send and one receive per node per round as long as different
 //! sources' intervals are disjoint.
 
-#[cfg(feature = "threaded")]
-use crate::contacts::ContactTable;
-#[cfg(feature = "threaded")]
-use crate::vpath::VPath;
 use dgr_ncc::NodeId;
-#[cfg(feature = "threaded")]
-use dgr_ncc::{tags, Msg, NodeHandle};
 
 /// Which side of the source the covered interval lies on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,77 +40,10 @@ pub struct Payload {
     pub word: u64,
 }
 
-/// Number of rounds [`interval_multicast`] takes on a path of `len` nodes.
+/// Number of rounds [`ImcastStep`](crate::proto::imcast::ImcastStep) takes
+/// on a path of `len` nodes.
 pub fn rounds_for(len: usize) -> u64 {
     crate::levels_for(len) as u64 + 1
-}
-
-/// Runs one interval-multicast epoch. `task` is `Some` at sources:
-/// `(side, count, payload)` covers the `count` ranks adjacent to this node
-/// on `side`. Intervals of distinct sources must be disjoint and must not
-/// contain any source. Returns the payload this node received, if any.
-///
-/// Rounds: exactly [`rounds_for`]`(vp.len)`.
-#[cfg(feature = "threaded")]
-pub fn interval_multicast(
-    h: &mut NodeHandle,
-    vp: &VPath,
-    contacts: &ContactTable,
-    task: Option<(CoverSide, usize, Payload)>,
-) -> Option<Payload> {
-    let rounds = rounds_for(vp.len);
-    if !vp.member {
-        h.idle_quiet(rounds);
-        return None;
-    }
-    // (side, remaining count, payload) this node is responsible for.
-    let mut duty: Option<(CoverSide, usize, Payload)> = task.filter(|t| t.1 > 0);
-    let mut received: Option<Payload> = None;
-    for _ in 0..rounds {
-        let mut out = Vec::new();
-        if let Some((side, count, payload)) = duty {
-            debug_assert!(count >= 1);
-            let k = usize::BITS as usize - 1 - count.leading_zeros() as usize;
-            let forward = side == CoverSide::After;
-            let target = contacts
-                .at_offset(k, forward)
-                .expect("interval multicast ran off the path");
-            let delegated = count - (1 << k);
-            let side_word = match side {
-                CoverSide::After => 0u64,
-                CoverSide::Before => 1,
-            };
-            out.push((
-                target,
-                Msg::addr_words(
-                    tags::IMCAST,
-                    payload.addr,
-                    vec![payload.word, delegated as u64, side_word],
-                ),
-            ));
-            let keep = (1 << k) - 1;
-            duty = (keep > 0).then_some((side, keep, payload));
-        }
-        let inbox = h.step(out);
-        for env in inbox.iter().filter(|e| e.msg.tag == tags::IMCAST) {
-            debug_assert!(received.is_none(), "overlapping multicast intervals");
-            let payload = Payload {
-                addr: env.addr(),
-                word: env.msg.words[0],
-            };
-            received = Some(payload);
-            let delegated = env.msg.words[1] as usize;
-            let side = if env.msg.words[2] == 0 {
-                CoverSide::After
-            } else {
-                CoverSide::Before
-            };
-            debug_assert!(duty.is_none(), "covered node already had a duty");
-            duty = (delegated > 0).then_some((side, delegated, payload));
-        }
-    }
-    debug_assert!(duty.is_none(), "multicast round budget too small");
-    received
 }
 
 #[cfg(test)]

@@ -20,29 +20,30 @@
 //!
 //! | Primitive | Paper | Rounds |
 //! |---|---|---|
-//! | [`vpath::undirect`] | §3.1 | 1 |
-//! | [`warmup::build`] (Fig. 1 tree) | §3.1.1 | `O(log n)` |
-//! | [`bbst::build`] (Alg. 1, Fig. 2) | §3.1.1, Thm 1 | `O(log n)` |
-//! | [`traversal::positions`] (Cor. 2) | §3.1.1 | `O(log n)` |
-//! | [`ops::aggregate_broadcast`] (Thm 4) | §3.2.1 | `O(log n)` |
-//! | [`ops::collect`] (Thm 5) | §3.2.2 | `O(k + log n)` |
-//! | [`contacts::build`] (pointer doubling) | — | `O(log n)` |
-//! | [`sort::sort_at`] (Thm 3) | §3.1.2 | `O(log² n)` |
-//! | [`prefix::prefix_sum`] | §5 | `O(log n)` |
-//! | [`imcast::interval_multicast`] (Thm 7) | §3.2.3 | `O(log n)` |
-//! | [`stagger::staggered_send`] (Thm 8) | §3.2.3 | `O(k/cap + log n)` |
+//! | [`proto::ctx::UndirectStep`] | §3.1 | 1 |
+//! | [`proto::warmup::WarmupStep`] (Fig. 1 tree) | §3.1.1 | `O(log n)` |
+//! | [`proto::bbst::BbstStep`] (Alg. 1, Fig. 2) | §3.1.1, Thm 1 | `O(log n)` |
+//! | [`proto::traversal::TraversalStep`] (Cor. 2) | §3.1.1 | `O(log n)` |
+//! | [`proto::ops::AggBcastStep`] (Thm 4) | §3.2.1 | `O(log n)` |
+//! | [`proto::ops::CollectStep`] (Thm 5) | §3.2.2 | `O(k + log n)` |
+//! | [`proto::contacts::ContactsStep`] (pointer doubling) | — | `O(log n)` |
+//! | [`proto::sort::SortStep`] (Thm 3) | §3.1.2 | `O(log² n)` |
+//! | [`proto::prefix::PrefixStep`] | §5 | `O(log n)` |
+//! | [`proto::imcast::ImcastStep`] (Thm 7) | §3.2.3 | `O(log n)` |
+//! | [`proto::stagger::StaggerStep`] (Thm 8) | §3.2.3 | `O(k/cap + log n)` |
 //!
 //! The sorting and multicast primitives substitute the paper's machinery
 //! with same-complexity-class constructions (bitonic networks and interval
 //! doubling instead of recursive merge and butterflies); see `DESIGN.md` §4
 //! for the substitution rationale.
 //!
-//! The primitives above are written in *direct style* (blocking closures on
-//! the threaded oracle engine). The [`proto`] module holds their
-//! step-function ports — [`dgr_ncc::NodeProtocol`] state machines driven
-//! through a [`dgr_ncc::RoundCtx`] by the batched executor — which run the
-//! same constructions at million-node scale; see `ARCHITECTURE.md` for the
-//! porting recipe.
+//! Every primitive is a [`proto::Step`]: a state machine polled once per
+//! round through a [`dgr_ncc::RoundCtx`], composable with the others into
+//! whole-run [`dgr_ncc::NodeProtocol`]s (see the [`proto`] module and the
+//! recipe in `ARCHITECTURE.md`). The sibling modules ([`bbst`], [`sort`],
+//! [`imcast`], …) hold each primitive's description, its shared types
+//! ([`Bbst`], [`ContactTable`], [`SortedPath`], …), its round budget and
+//! its property tests.
 
 pub mod bbst;
 pub mod contacts;

@@ -7,55 +7,10 @@
 //! node sends its running sum to the node `2^k` ahead, which adds it.
 //! `⌈log n⌉` steps, one message per node per round.
 
-#[cfg(feature = "threaded")]
-use crate::contacts::ContactTable;
-#[cfg(feature = "threaded")]
-use crate::vpath::VPath;
-#[cfg(feature = "threaded")]
-use dgr_ncc::{tags, Msg, NodeHandle};
-
-/// Number of rounds [`prefix_sum`] takes on a path of `len` nodes.
+/// Number of rounds [`PrefixStep`](crate::proto::prefix::PrefixStep) takes
+/// on a path of `len` nodes.
 pub fn rounds_for(len: usize) -> u64 {
     crate::levels_for(len) as u64
-}
-
-/// Computes the *inclusive* prefix sum of `value` along the path: the
-/// returned number at the node of position `r` is `Σ value_i` over positions
-/// `i ≤ r`. Non-members idle and return 0.
-///
-/// Rounds: exactly [`rounds_for`]`(vp.len)`.
-#[cfg(feature = "threaded")]
-pub fn prefix_sum(h: &mut NodeHandle, vp: &VPath, contacts: &ContactTable, value: u64) -> u64 {
-    let levels = vp.levels();
-    if !vp.member {
-        h.idle_quiet(rounds_for(vp.len));
-        return 0;
-    }
-    let mut acc = value;
-    for k in 0..levels {
-        let out = contacts
-            .ahead(k)
-            .map(|t| (t, Msg::word(tags::PREFIX, acc)))
-            .into_iter()
-            .collect();
-        let inbox = h.step(out);
-        for env in inbox.iter().filter(|e| e.msg.tag == tags::PREFIX) {
-            acc += env.word();
-        }
-    }
-    acc
-}
-
-/// Exclusive prefix sum: sum of `value` over positions strictly before this
-/// node. Convenience wrapper over [`prefix_sum`].
-#[cfg(feature = "threaded")]
-pub fn prefix_sum_exclusive(
-    h: &mut NodeHandle,
-    vp: &VPath,
-    contacts: &ContactTable,
-    value: u64,
-) -> u64 {
-    prefix_sum(h, vp, contacts, value) - if vp.member { value } else { 0 }
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
-//! Step-function port of [`bbst::build`](crate::bbst::build): the
-//! controlled BFS of Algorithm 1, two rounds (invite + accept) per
-//! doubling level, exactly as the direct-style twin schedules them.
+//! Algorithm 1 ([`bbst`](crate::bbst)) as a step: the controlled BFS, two
+//! rounds (invite + accept) per doubling level.
 
 use crate::bbst::{Bbst, Side};
 use crate::contacts::ContactTable;

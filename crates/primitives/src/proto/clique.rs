@@ -15,8 +15,8 @@ use crate::contacts::ContactTable;
 use crate::vpath::VPath;
 use dgr_ncc::{tags, NodeId, NodeProtocol, NodeSeed, RoundCtx, Status, WireMsg};
 
-/// Direction words used in contact-construction messages (identical to the
-/// direct-style [`contacts`](crate::contacts) module).
+/// Direction words used in contact-construction messages (the ones
+/// [`ContactsStep`](crate::proto::contacts::ContactsStep) uses).
 const SET_FWD: u64 = 0;
 const SET_BWD: u64 = 1;
 
@@ -165,9 +165,8 @@ mod tests {
         }
     }
 
-    /// The warm-up at five digits of nodes — far beyond what the threaded
-    /// engine can spawn — in strict KT0 mode, proving the construction
-    /// legal at scale.
+    /// The warm-up at five digits of nodes in strict KT0 mode, proving the
+    /// construction legal at scale.
     #[test]
     fn warmup_at_n_50k_is_clean() {
         let n = 50_000;
@@ -184,24 +183,25 @@ mod tests {
         assert_eq!(out.contacts.behind(10), Some(order[mid - 1024]));
     }
 
+    /// The bespoke whole-run protocol is the composition of the two
+    /// general steps it hardcodes: same transcript, same tables.
     #[test]
-    fn matches_direct_style_twin() {
-        use crate::{contacts, vpath};
+    fn matches_the_composed_undirect_and_contacts_steps() {
+        use crate::proto::contacts::ContactsStep;
+        use crate::proto::ctx::UndirectStep;
+        use crate::proto::{Step, StepProtocol};
         let n = 96;
         let net = Network::new(n, Config::ncc0(21));
-        let batched = net.run_protocol(PathToClique::new).unwrap();
-        let direct = net
-            .run(|h| {
-                let vp = vpath::undirect(h);
-                contacts::build(h, &vp)
+        let warmup = net.run_protocol(PathToClique::new).unwrap();
+        let composed = net
+            .run_protocol(|_| {
+                StepProtocol::new(UndirectStep::new().then(|vp, _| ContactsStep::new(vp)))
             })
             .unwrap();
-        assert_eq!(batched.metrics.rounds, direct.metrics.rounds);
-        assert_eq!(batched.metrics.messages, direct.metrics.messages);
-        assert_eq!(batched.metrics.words, direct.metrics.words);
-        for ((id_a, warm), (id_b, table)) in batched.outputs.iter().zip(direct.outputs.iter()) {
+        assert_eq!(warmup.metrics, composed.metrics);
+        for ((id_a, warm), (id_b, table)) in warmup.outputs.iter().zip(composed.outputs.iter()) {
             assert_eq!(id_a, id_b);
-            assert_eq!(&warm.contacts, table);
+            assert_eq!(&warm.contacts, table.as_ref());
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Step-function port of [`contacts::build`](crate::contacts::build):
+//! Pointer doubling ([`contacts`](crate::contacts)) as a step:
 //! power-of-two contact tables by pointer doubling on an arbitrary virtual
 //! path (the [`PathToClique`](crate::proto::PathToClique) warm-up hardcodes
 //! the `G_k` path; this step runs on sorted paths too, which is what the
@@ -10,7 +10,7 @@ use crate::vpath::VPath;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
 use std::sync::Arc;
 
-/// Direction words (identical to the direct-style module).
+/// Direction words of the contact-construction messages.
 const SET_FWD: u64 = 0;
 const SET_BWD: u64 = 1;
 
@@ -19,7 +19,7 @@ const SET_BWD: u64 = 1;
 /// copy per node instead of cloning it at every stage transition.
 ///
 /// Rounds: exactly [`contacts::rounds_for`](crate::contacts::rounds_for)`
-/// (vp.len)` — the same budget as the direct-style twin.
+/// (vp.len)`.
 #[derive(Debug)]
 pub struct ContactsStep {
     vp: VPath,
@@ -73,7 +73,7 @@ impl Step for ContactsStep {
     fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<Arc<ContactTable>> {
         let rounds = crate::contacts::rounds_for(self.vp.len);
         if !self.vp.member {
-            // Idle in lockstep like the direct twin's `idle_quiet`.
+            // Idle in lockstep.
             if self.t == rounds {
                 return Poll::Ready(Arc::new(ContactTable::default()));
             }

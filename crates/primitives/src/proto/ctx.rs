@@ -1,12 +1,7 @@
-//! Batched-engine [`PathCtx`] establishment: the undirect → contacts →
-//! BBST → traversal chain as a single [`Step`], so composite protocols
-//! (the realization drivers) get the full path context without ever
-//! touching the threaded engine.
-//!
-//! Round-for-round identical to the direct-style
-//! [`PathCtx::establish`](crate::ctx::PathCtx) /
-//! [`establish_on`](crate::ctx::PathCtx): exactly
-//! [`ctx::rounds_for`](crate::ctx::rounds_for)`(n)` (or
+//! [`PathCtx`] establishment: the undirect → contacts → BBST → traversal
+//! chain as a single [`Step`], so composite protocols (the realization
+//! drivers) get the full path context in one stage. Exactly
+//! [`ctx::rounds_for`](crate::ctx::rounds_for)`(n)` rounds (or
 //! [`rounds_on`](crate::ctx::rounds_on) when starting from an existing
 //! path view).
 
@@ -21,8 +16,8 @@ use crate::vpath::VPath;
 use dgr_ncc::{tags, RoundCtx, WireMsg};
 use std::sync::Arc;
 
-/// Step-function port of [`vpath::undirect`](crate::vpath::undirect): the
-/// 1-round undirection of `G_k`, chainable ahead of the other primitives.
+/// The 1-round undirection of `G_k` (§3.1) as a [`Step`], chainable ahead
+/// of the other primitives.
 #[derive(Debug)]
 pub struct UndirectStep {
     sent: bool,
@@ -90,7 +85,7 @@ pub struct EstablishCtx {
 
 impl EstablishCtx {
     /// Establishes the context on the physical knowledge path `G_k`
-    /// (undirection first) — the batched image of [`PathCtx::establish`].
+    /// (undirection first).
     pub fn new() -> Self {
         EstablishCtx {
             stage: Stage::Undirect(UndirectStep::new()),
@@ -102,8 +97,7 @@ impl EstablishCtx {
     }
 
     /// Establishes the context on an already-linked virtual path (e.g. a
-    /// sorted path) — the batched image of [`PathCtx::establish_on`].
-    /// Non-members idle in lockstep.
+    /// sorted path). Non-members idle in lockstep.
     pub fn on(vp: VPath) -> Self {
         EstablishCtx {
             stage: Stage::Contacts(ContactsStep::new(vp)),
@@ -166,9 +160,8 @@ impl Step for EstablishCtx {
 
 /// A whole-run protocol that establishes the [`PathCtx`] and then runs one
 /// more [`Step`] built from it: `make(&ctx, round_ctx)` is called in the
-/// very round the establishment completes, exactly like a direct-style
-/// closure calling the next primitive — so the total round count is the
-/// sum of the two budgets. The work-horse for running a single primitive
+/// very round the establishment completes — so the total round count is
+/// the sum of the two budgets. The work-horse for running a single primitive
 /// standalone on the batched engine (tests, benches).
 pub struct WithCtx<S: Step, F> {
     establish: EstablishCtx,

@@ -1,5 +1,4 @@
-//! Step-function port of
-//! [`imcast::interval_multicast`](crate::imcast::interval_multicast): the
+//! Interval multicast ([`imcast`](crate::imcast)) as a step: the
 //! doubling-cover multicast to a contiguous rank interval adjacent to its
 //! source (the Theorem 7 substitute).
 

@@ -1,13 +1,9 @@
-//! Step-function ports of the primitives: [`NodeProtocol`] state machines
-//! and composable [`Step`] sub-protocols for the batched executor.
+//! The primitives as step functions: composable [`Step`] sub-protocols
+//! and whole-run [`NodeProtocol`] state machines.
 //!
-//! The direct-style primitives in the sibling modules block inside
-//! `NodeHandle::step` and therefore need the threaded oracle engine. The
-//! ports here are the same algorithms unrolled into explicit state
-//! machines — one poll per round — so they run on the batched executor at
-//! scales the threaded engine cannot touch (hundreds of thousands to
-//! millions of nodes), and on the threaded oracle for differential
-//! testing.
+//! Each primitive is an explicit state machine — one poll per round — so
+//! it runs on the batched executor at hundreds of thousands to millions
+//! of nodes, and on the reference interpreter for differential testing.
 //!
 //! Two layers:
 //!
@@ -20,25 +16,28 @@
 //!   protocols ([`Undirect`], [`PathToClique`]) remain for the warm-up
 //!   benchmarks.
 //!
-//! Every port is round-for-round and message-for-message identical to its
-//! direct-style twin (same budgets, same tags, same payloads, same RNG
-//! draws), which `crates/primitives/tests/proto_differential.rs` asserts.
+//! Every step was ported from a direct-style original (a blocking closure
+//! per node) and held to it round for round and message for message; the
+//! originals are gone, their transcripts are frozen in
+//! `crates/primitives/tests/proto_differential.rs`, which the steps must
+//! keep reproducing on both engines.
 //!
-//! | Step | Direct-style twin | Rounds |
+//! | Step | Described in | Rounds |
 //! |---|---|---|
-//! | [`ctx::UndirectStep`] | [`vpath::undirect`](crate::vpath::undirect) | 1 |
-//! | [`contacts::ContactsStep`] | [`contacts::build`](crate::contacts::build) | `ceil(log2 n) - 1` |
-//! | [`bbst::BbstStep`] | [`bbst::build`](crate::bbst::build) | `2 ceil(log2 n)` |
-//! | [`traversal::TraversalStep`] | [`traversal::positions`](crate::traversal::positions) | `O(log n)` |
-//! | [`ops::AggBcastStep`] | [`ops::aggregate_broadcast`](crate::ops::aggregate_broadcast) | `O(log n)` |
-//! | [`ops::BroadcastAddrStep`] | [`ops::broadcast_addr`](crate::ops::broadcast_addr) | `O(log n)` |
-//! | [`ops::CollectStep`] | [`ops::collect`](crate::ops::collect) | `O(k + log n)` |
-//! | [`sort::SortStep`] | [`sort::sort_at`](crate::sort::sort_at) | `O(log² n)` |
-//! | [`prefix::PrefixStep`] | [`prefix::prefix_sum`](crate::prefix::prefix_sum) | `O(log n)` |
-//! | [`imcast::ImcastStep`] | [`imcast::interval_multicast`](crate::imcast::interval_multicast) | `O(log n)` |
-//! | [`scatter::ScanStep`] | [`scatter::milestone_scan`](crate::scatter::milestone_scan) | `O(log² n)` |
-//! | [`stagger::StaggerStep`] | [`stagger::staggered_send`](crate::stagger::staggered_send) | `spread + drain` |
-//! | [`ctx::EstablishCtx`] | [`PathCtx::establish`](crate::ctx::PathCtx::establish) | `O(log n)` |
+//! | [`ctx::UndirectStep`] | [`vpath`](crate::vpath) | 1 |
+//! | [`warmup::WarmupStep`] | [`warmup`](crate::warmup) | `2 (ceil(log2 n) + 1)` |
+//! | [`contacts::ContactsStep`] | [`contacts`](crate::contacts) | `ceil(log2 n) - 1` |
+//! | [`bbst::BbstStep`] | [`bbst`](crate::bbst) | `2 ceil(log2 n)` |
+//! | [`traversal::TraversalStep`] | [`traversal`](crate::traversal) | `O(log n)` |
+//! | [`ops::AggBcastStep`] | [`ops`](crate::ops) | `O(log n)` |
+//! | [`ops::BroadcastAddrStep`] | [`ops`](crate::ops) | `O(log n)` |
+//! | [`ops::CollectStep`] | [`ops`](crate::ops) | `O(k + log n)` |
+//! | [`sort::SortStep`] | [`sort`](crate::sort) | `O(log² n)` |
+//! | [`prefix::PrefixStep`] | [`prefix`](crate::prefix) | `O(log n)` |
+//! | [`imcast::ImcastStep`] | [`imcast`](crate::imcast) | `O(log n)` |
+//! | [`scatter::ScanStep`] | [`scatter`](crate::scatter) | `O(log² n)` |
+//! | [`stagger::StaggerStep`] | [`stagger`](crate::stagger) | `spread + drain` |
+//! | [`ctx::EstablishCtx`] | [`ctx`](crate::ctx) | `O(log n)` |
 //!
 //! [`NodeProtocol`]: dgr_ncc::NodeProtocol
 

@@ -1,5 +1,5 @@
-//! Step-function ports of the global tree operations in
-//! [`ops`](crate::ops): aggregate + broadcast (Theorem 4), single-holder
+//! The global tree operations of [`ops`](crate::ops) as steps:
+//! aggregate + broadcast (Theorem 4), single-holder
 //! address broadcast, the median, and pipelined collection (Theorem 5).
 
 use crate::bbst::{sweep_rounds, Bbst};
@@ -8,8 +8,7 @@ use crate::vpath::VPath;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
 use std::sync::Arc;
 
-/// [`ops::aggregate_broadcast`](crate::ops::aggregate_broadcast) as a
-/// [`Step`]: one up sweep folding `value` with `op`, one down sweep pushing
+/// Aggregate + broadcast (Theorem 4) as a [`Step`]: one up sweep folding `value` with `op`, one down sweep pushing
 /// the total to every member.
 ///
 /// Rounds: exactly [`ops::rounds_for`](crate::ops::rounds_for)`(vp.len)`.
@@ -99,8 +98,7 @@ impl Step for AggBcastStep {
     }
 }
 
-/// [`ops::broadcast_addr`](crate::ops::broadcast_addr) as a [`Step`]: the
-/// (at most one) holder's address becomes common knowledge, traveling in
+/// Address broadcast as a [`Step`]: the (at most one) holder's address becomes common knowledge, traveling in
 /// the address field so KT0 tracking sees every hop.
 ///
 /// Rounds: exactly [`ops::rounds_for`](crate::ops::rounds_for)`(vp.len)`.
@@ -202,7 +200,7 @@ impl Step for BroadcastAddrStep {
     }
 }
 
-/// [`ops::collect`](crate::ops::collect) as a [`Step`]: every member's
+/// Collection (Theorem 5) as a [`Step`]: every member's
 /// token pipelined to the root in batches of `cap/2` (Theorem 5). Only the
 /// root's output is populated.
 ///

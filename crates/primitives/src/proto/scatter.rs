@@ -1,5 +1,4 @@
-//! Step-function port of
-//! [`scatter::milestone_scan`](crate::scatter::milestone_scan): the
+//! The milestone scan ([`scatter`](crate::scatter)) as a step: the
 //! two-records-per-node segmented broadcast (sort over `2n` virtual slots,
 //! Hillis–Steele scan, origin delivery) behind Algorithm 5.
 
@@ -11,12 +10,13 @@ use crate::vpath::VPath;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
 use std::sync::Arc;
 
-/// Sub-protocol words (identical to the direct-style module).
+/// Words distinguishing the sub-protocols in flight.
 const W_EXCHANGE: u64 = 0;
 const W_SCAN: u64 = 1;
 const W_DELIVER: u64 = 2;
 
-/// A record in flight (mirrors the direct module's `Flight`).
+/// A record in flight: sort key, origin + emission slot (for total order
+/// and final delivery), and the milestone payload if any.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Flight {
     key: u64,

@@ -1,5 +1,5 @@
-//! Step-function port of [`sort::sort_at`](crate::sort::sort_at): the
-//! Batcher odd-even mergesort network over path positions plus the 2-round
+//! Theorem 3 ([`sort`](crate::sort)) as a step: the Batcher odd-even
+//! mergesort network over path positions plus the 2-round
 //! epilogue that links the sorted path (Theorem 3).
 
 use crate::contacts::ContactTable;
@@ -9,8 +9,7 @@ use crate::vpath::VPath;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
 use std::sync::Arc;
 
-/// A record traveling through the comparator network (mirrors the private
-/// `Record` of the direct-style module).
+/// A record traveling through the comparator network.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Record {
     key: u64,
@@ -49,8 +48,7 @@ impl StageIter {
 
 /// Theorem 3 as a [`Step`], dispatching between the two
 /// [`SortBackend`](crate::sort::SortBackend)s. Ties break by node ID,
-/// making the result deterministic (and, on the bitonic backend,
-/// identical to the direct-style twin).
+/// making the result deterministic.
 ///
 /// [`SortStep::new`] always builds the bitonic network (rounds: exactly
 /// [`sort::rounds_for`](crate::sort::rounds_for)`(vp.len)`);

@@ -1,8 +1,6 @@
-//! Step-function port of
-//! [`stagger::staggered_send`](crate::stagger::staggered_send): randomly
-//! staggered point-to-point delivery (the Las Vegas Theorem 8 substitute).
-//! Draws the same per-node RNG stream as the direct twin, so both engines
-//! produce the identical schedule.
+//! Randomly staggered point-to-point delivery ([`stagger`](crate::stagger),
+//! the Las Vegas Theorem 8 substitute) as a step. The schedule is drawn
+//! from the node's own RNG stream, so it is identical on either engine.
 
 use crate::proto::step::{Poll, Step};
 use dgr_ncc::{NodeId, RoundCtx, WireMsg};
@@ -48,8 +46,8 @@ impl Step for StaggerStep {
     fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<Vec<(NodeId, WireMsg)>> {
         let rounds = crate::stagger::rounds_for(self.spread, self.drain);
         if self.t == 0 {
-            // Identical draw order to the direct twin: one range sample per
-            // send, in send order.
+            // One range sample per send, in send order (the frozen
+            // transcripts pin this draw order).
             let spread = self.spread.max(1);
             for (target, msg) in self.sends.drain(..) {
                 let r = ctx.rng().gen_range(0..spread);

@@ -1,14 +1,14 @@
-//! The composable sub-protocol layer of the batched primitive stack.
+//! The composable sub-protocol layer of the primitive stack.
 //!
 //! A [`dgr_ncc::NodeProtocol`] is one state machine per node
 //! for a *whole run*. The realization algorithms, however, are sequences of
-//! primitives (sort, then broadcast, then multicast, …), so porting them
+//! primitives (sort, then broadcast, then multicast, …), so writing them
 //! wholesale would mean re-writing every primitive inline, per algorithm.
-//! Instead each primitive is ported once as a [`Step`]: a state machine
+//! Instead each primitive is written once as a [`Step`]: a state machine
 //! polled once per round through the same [`RoundCtx`], which signals
 //! completion *without consuming the round* — so a composite protocol can
-//! poll the next primitive in the very same round, exactly like a
-//! direct-style closure that calls one primitive function after another.
+//! poll the next primitive in the very same round, exactly as a function
+//! returning to its caller costs no round ([`Step::then`]).
 //!
 //! ## The polling discipline
 //!
@@ -23,12 +23,11 @@
 //!   [`Poll::Ready`] — the caller may immediately poll the next step in
 //!   the same `RoundCtx`.
 //!
-//! This is the exact image of the direct-style calling convention (one
-//! `h.step(out) -> inbox` per round, a function return between two
-//! primitives costs no round), which is why the batched compositions in
-//! this module tree run in *bit-for-bit the same rounds and messages* as
-//! their direct-style twins — the differential tests in
-//! `crates/primitives/tests/proto_differential.rs` hold them to it.
+//! A composition therefore spends exactly the sum of its steps' budgets,
+//! which is why the compositions in this module tree run in *bit-for-bit
+//! the same rounds and messages* as the direct-style originals they were
+//! ported from — whose transcripts
+//! `crates/primitives/tests/proto_differential.rs` keeps frozen.
 
 use dgr_ncc::{NodeProtocol, RoundCtx, Status};
 
@@ -102,8 +101,8 @@ where
 }
 
 /// Idles through a fixed number of rounds, staging and expecting nothing —
-/// the step image of `NodeHandle::idle_quiet`, used by path non-members to
-/// stay in lockstep through primitives they do not participate in.
+/// what path non-members do to stay in lockstep through primitives they do
+/// not participate in.
 #[derive(Debug)]
 pub struct Idle {
     remaining: u64,
@@ -128,9 +127,9 @@ impl Step for Idle {
     }
 }
 
-/// A distributive aggregate operator, as data (the direct-style primitives
-/// take closures; steps carry the operator in their state, so it must be a
-/// plain value). All operators are associative and commutative.
+/// A distributive aggregate operator, as data (steps carry the operator in
+/// their state, so it must be a plain value). All operators are
+/// associative and commutative.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AggOp {
     /// Addition.

@@ -1,4 +1,4 @@
-//! Step-function port of [`traversal::positions`](crate::traversal::positions):
+//! Corollary 2 ([`traversal`](crate::traversal)) as a step:
 //! subtree sizes bottom-up, inorder numbers top-down (Corollary 2).
 
 use crate::bbst::{sweep_rounds, Bbst};

@@ -1,5 +1,5 @@
-//! Step-function port of [`vpath::undirect`](crate::vpath::undirect): the
-//! 1-round path undirection from §3.1 of the paper.
+//! The 1-round path undirection from §3.1 of the paper, as a whole-run
+//! protocol.
 
 use crate::vpath::VPath;
 use dgr_ncc::{tags, NodeProtocol, NodeSeed, RoundCtx, Status, WireMsg};

@@ -29,16 +29,18 @@
 //! 2. A Hillis–Steele doubling scan over the sorted virtual order
 //!    propagates "latest milestone so far".
 //! 3. Each slot returns the scanned value to its record's origin.
+//!
+//! ## Contract
+//!
+//! Every member emits exactly two records (pad with
+//! [`ScanRecord::Absent`]) and gets one answer per record, in order: for a
+//! [`ScanRecord::Filler`], the address of the milestone with the greatest
+//! `(key, origin, slot)` smaller than the filler's, or `None` if no
+//! milestone precedes it. Milestone and absent records return their
+//! own/no address and should be ignored by callers. Keys need not be
+//! distinct across nodes; ties are broken by `(origin, slot)`.
 
-#[cfg(feature = "threaded")]
-use crate::contacts::ContactTable;
-#[cfg(feature = "threaded")]
-use crate::sort::comparator_at;
-#[cfg(feature = "threaded")]
-use crate::vpath::VPath;
 use dgr_ncc::NodeId;
-#[cfg(feature = "threaded")]
-use dgr_ncc::{tags, Msg, NodeHandle};
 
 /// A record emitted into the scan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,262 +62,13 @@ pub enum ScanRecord {
     Absent,
 }
 
-#[cfg(feature = "threaded")]
-impl ScanRecord {
-    fn key(&self) -> u64 {
-        match self {
-            ScanRecord::Milestone { key, .. } | ScanRecord::Filler { key } => *key,
-            ScanRecord::Absent => u64::MAX,
-        }
-    }
-}
-
-/// A record in flight: sort key, origin + emission slot (for total order
-/// and final delivery), and the milestone payload if any.
-#[cfg(feature = "threaded")]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Flight {
-    key: u64,
-    origin: NodeId,
-    slot: u8,
-    milestone: Option<NodeId>,
-}
-
-#[cfg(feature = "threaded")]
-impl Flight {
-    fn order(&self) -> (u64, NodeId, u8) {
-        (self.key, self.origin, self.slot)
-    }
-}
-
-/// Tag words distinguishing the sub-protocols in flight.
-#[cfg(feature = "threaded")]
-const W_EXCHANGE: u64 = 0;
-#[cfg(feature = "threaded")]
-const W_SCAN: u64 = 1;
-#[cfg(feature = "threaded")]
-const W_DELIVER: u64 = 2;
-
-/// Number of rounds [`milestone_scan`] takes on a path of `len` nodes.
+/// Number of rounds [`ScanStep`](crate::proto::scatter::ScanStep) takes on
+/// a path of `len` nodes.
 pub fn rounds_for(len: usize) -> u64 {
     let virt = 2 * len;
     crate::sort::stage_count(virt) as u64          // comparator network
         + crate::levels_for(virt) as u64           // doubling scan
         + 1 // origin delivery
-}
-
-/// Encodes a flight record into a message. Flags word packs the slot and
-/// presence bits; `addrs[0]` = origin, `addrs[1]` = milestone (if any).
-#[cfg(feature = "threaded")]
-fn encode(tag_word: u64, vpos: u64, f: &Flight) -> Msg {
-    let flags = u64::from(f.slot) | (u64::from(f.milestone.is_some()) << 1);
-    let mut m = Msg::words(tags::SORT_XCHG, vec![tag_word, vpos, f.key, flags]).with_addr(f.origin);
-    if let Some(a) = f.milestone {
-        m = m.with_addr(a);
-    }
-    m
-}
-
-#[cfg(feature = "threaded")]
-fn decode(msg: &Msg) -> (u64, u64, Flight) {
-    let tag_word = msg.words[0];
-    let vpos = msg.words[1];
-    let key = msg.words[2];
-    let flags = msg.words[3];
-    let origin = msg.addrs[0];
-    let milestone = (flags & 2 != 0).then(|| msg.addrs[1]);
-    (
-        tag_word,
-        vpos,
-        Flight {
-            key,
-            origin,
-            slot: (flags & 1) as u8,
-            milestone,
-        },
-    )
-}
-
-/// The host path position of a virtual slot.
-#[cfg(feature = "threaded")]
-fn host(vpos: usize) -> usize {
-    vpos / 2
-}
-
-/// Runs the milestone scan. Every member emits exactly two records (use
-/// [`ScanRecord::Absent`] to pad); the return value gives, for each
-/// emitted record in order, the latest milestone address strictly... —
-/// precisely: for a [`ScanRecord::Filler`], the address of the milestone
-/// with the greatest `(key, origin, slot)` smaller than the filler's, or
-/// `None` if no milestone precedes it. Milestone and absent records return
-/// their own/no address and should be ignored by callers.
-///
-/// Keys need not be distinct across nodes; ties are broken by
-/// `(origin, slot)`. Non-members idle.
-///
-/// Rounds: exactly [`rounds_for`]`(vp.len)`.
-#[cfg(feature = "threaded")]
-pub fn milestone_scan(
-    h: &mut NodeHandle,
-    vp: &VPath,
-    contacts: &ContactTable,
-    position: usize,
-    records: [ScanRecord; 2],
-) -> [Option<NodeId>; 2] {
-    let len = vp.len;
-    if !vp.member {
-        h.idle_quiet(rounds_for(len));
-        return [None, None];
-    }
-    let virt = 2 * len;
-
-    // My two hosted slots start holding my own two records.
-    let mut held: [Flight; 2] = std::array::from_fn(|s| Flight {
-        key: records[s].key(),
-        origin: h.id(),
-        slot: s as u8,
-        milestone: match records[s] {
-            ScanRecord::Milestone { addr, .. } => Some(addr),
-            _ => None,
-        },
-    });
-
-    // The ID of the node hosting the virtual slot at the given distance
-    // from one of my slots (None off the ends).
-    let my_host = position;
-    let host_id = |target_host: usize, h_id: NodeId| -> Option<NodeId> {
-        use std::cmp::Ordering;
-        match target_host.cmp(&my_host) {
-            Ordering::Equal => Some(h_id),
-            Ordering::Greater => {
-                let d = target_host - my_host;
-                debug_assert!(d.is_power_of_two());
-                contacts.ahead(d.trailing_zeros() as usize)
-            }
-            Ordering::Less => {
-                let d = my_host - target_host;
-                debug_assert!(d.is_power_of_two());
-                contacts.behind(d.trailing_zeros() as usize)
-            }
-        }
-    };
-
-    // --- Phase 1: odd-even mergesort over the 2·len virtual slots. ---
-    let my_id = h.id();
-    for (p, k) in crate::sort::stages_of(virt) {
-        // Comparators touching my slots; handle same-node pairs locally.
-        let mut out = Vec::new();
-        let mut plan: [Option<(usize, bool)>; 2] = [None, None];
-        for s in 0..2 {
-            let v = 2 * position + s;
-            if let Some((partner, i_am_low)) = comparator_at(v, virt, p, k) {
-                if host(partner) == my_host {
-                    // Local comparator between my own two slots.
-                    if s == 0 {
-                        let (lo, hi) = (held[0], held[1]);
-                        debug_assert!(partner == v + 1 && i_am_low);
-                        if lo.order() > hi.order() {
-                            held.swap(0, 1);
-                        }
-                    }
-                } else {
-                    plan[s] = Some((partner, i_am_low));
-                    let target =
-                        host_id(host(partner), my_id).expect("comparator partner off the path");
-                    out.push((target, encode(W_EXCHANGE, v as u64, &held[s])));
-                }
-            }
-        }
-        let inbox = h.step(out);
-        for env in inbox.iter().filter(|e| e.msg.tag == tags::SORT_XCHG) {
-            let (w, partner_vpos, theirs) = decode(&env.msg);
-            debug_assert_eq!(w, W_EXCHANGE);
-            // Which of my slots has this partner?
-            let s = (0..2)
-                .find(|&s| {
-                    plan[s] == Some((partner_vpos as usize, true))
-                        || plan[s] == Some((partner_vpos as usize, false))
-                })
-                .expect("unexpected exchange partner");
-            let (_, i_am_low) = plan[s].unwrap();
-            held[s] = if i_am_low {
-                if held[s].order() <= theirs.order() {
-                    held[s]
-                } else {
-                    theirs
-                }
-            } else if held[s].order() > theirs.order() {
-                held[s]
-            } else {
-                theirs
-            };
-        }
-    }
-
-    // --- Phase 2: Hillis–Steele scan of "latest milestone so far" over
-    // the sorted virtual order. acc[s] starts as the slot's own milestone;
-    // at step k, slot v pushes its acc to slot v + 2^k, where an incoming
-    // Some overrides (the sender is earlier, so it only fills gaps). ---
-    let mut acc: [Option<NodeId>; 2] = std::array::from_fn(|s| held[s].milestone);
-    // Incoming accumulators override only if I have nothing: wrong — the
-    // *latest* milestone wins, and later positions are further right, so
-    // my own Some always beats an incoming one. Incoming fills None only.
-    for k in 0..crate::levels_for(virt) {
-        let mut out = Vec::new();
-        for (s, &slot_acc) in acc.iter().enumerate() {
-            let v = 2 * position + s;
-            let tv = v + (1 << k);
-            if tv < virt {
-                if let Some(a) = slot_acc {
-                    let target = host_id(host(tv), my_id).expect("scan target off the path");
-                    let msg = Msg::words(tags::PREFIX, vec![W_SCAN, tv as u64]).with_addr(a);
-                    out.push((target, msg));
-                }
-            }
-        }
-        let inbox = h.step(out);
-        for env in inbox.iter().filter(|e| e.msg.tag == tags::PREFIX) {
-            let tv = env.msg.words[1] as usize;
-            let s = tv - 2 * position;
-            debug_assert!(s < 2);
-            if acc[s].is_none() {
-                acc[s] = Some(env.addr());
-            }
-        }
-    }
-
-    // --- Phase 3: deliver each slot's result to its record's origin. ---
-    let mut out = Vec::new();
-    let mut result: [Option<NodeId>; 2] = [None, None];
-    for s in 0..2 {
-        // A filler's answer excludes itself automatically (it is not a
-        // milestone); a milestone slot's acc is itself — callers ignore it.
-        let value = acc[s];
-        if held[s].origin == my_id {
-            result[held[s].slot as usize] = value;
-        } else {
-            let mut msg = Msg::words(
-                tags::TOKEN,
-                vec![
-                    W_DELIVER,
-                    u64::from(held[s].slot),
-                    u64::from(value.is_some()),
-                ],
-            );
-            if let Some(a) = value {
-                msg = msg.with_addr(a);
-            }
-            out.push((held[s].origin, msg));
-        }
-    }
-    let inbox = h.step(out);
-    for env in inbox.iter().filter(|e| e.msg.tag == tags::TOKEN) {
-        let s = env.msg.words[1] as usize;
-        if env.msg.words[2] != 0 {
-            result[s] = Some(env.msg.addrs[0]);
-        }
-    }
-    result
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! primitive contract in `O(log² n)` rounds (see `DESIGN.md` §4):
 //!
 //! * every comparator connects two positions a power-of-two apart, so the
-//!   [`ContactTable`] provides the addressing;
+//!   [`ContactTable`](crate::ContactTable) provides the addressing;
 //! * every comparator points the same way (minimum to the lower position),
 //!   so the network is correct for arbitrary `n` with no virtual padding;
 //! * records `(key, origin)` migrate between positions; the nodes
@@ -18,13 +18,7 @@
 //! prefix sums) can be established. This "sorted path handle" is exactly
 //! what the realization algorithms consume.
 
-#[cfg(feature = "threaded")]
-use crate::contacts::ContactTable;
 use crate::vpath::VPath;
-#[cfg(feature = "threaded")]
-use dgr_ncc::NodeId;
-#[cfg(feature = "threaded")]
-use dgr_ncc::{tags, Msg, NodeHandle};
 
 /// Which distributed sorting algorithm realizes the Theorem 3 primitive.
 ///
@@ -92,22 +86,10 @@ pub struct SortedPath {
     pub vp: VPath,
 }
 
-/// A record traveling through the comparator network.
-#[cfg(any(test, feature = "threaded"))]
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct Record {
-    key: u64,
-    origin: NodeId,
-}
-
 /// The comparator schedule of Batcher's odd-even mergesort: a list of
 /// `(p, k)` stages; within a stage, position `x` compares with `x ± k`.
-/// Shared with the double-width network of [`crate::scatter`].
-#[cfg(feature = "threaded")]
-pub(crate) fn stages_of(len: usize) -> Vec<(usize, usize)> {
-    stages(len)
-}
-
+/// (The steps walk the same sequence incrementally; the double-width
+/// network of [`crate::scatter`] shares it.)
 fn stages(len: usize) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     let mut p = 1;
@@ -127,8 +109,9 @@ pub fn stage_count(len: usize) -> usize {
     stages(len).len()
 }
 
-/// Number of rounds [`sort_at`] takes on a path of `len` nodes: one per
-/// comparator stage plus the 2-round epilogue.
+/// Number of rounds the bitonic [`SortStep`](crate::proto::sort::SortStep)
+/// takes on a path of `len` nodes: one per comparator stage plus the
+/// 2-round epilogue.
 pub fn rounds_for(len: usize) -> u64 {
     stage_count(len) as u64 + 2
 }
@@ -157,121 +140,6 @@ pub(crate) fn comparator_at(x: usize, len: usize, p: usize, k: usize) -> Option<
     None
 }
 
-/// Sorts the members of a virtual path by `key` into a new sorted path.
-/// Each member supplies its key and its path `position` (from
-/// [`crate::traversal::positions`]); ties break by node ID (ascending),
-/// making the order total and the result deterministic. Non-members idle.
-///
-/// Returns the node's [`SortedPath`] handle. Rounds: exactly
-/// [`rounds_for`]`(vp.len)`.
-#[cfg(feature = "threaded")]
-pub fn sort_at(
-    h: &mut NodeHandle,
-    vp: &VPath,
-    contacts: &ContactTable,
-    position: usize,
-    key: u64,
-    order: Order,
-) -> SortedPath {
-    let len = vp.len;
-    if !vp.member {
-        h.idle_quiet(rounds_for(len));
-        return SortedPath {
-            rank: 0,
-            vp: VPath::non_member(len),
-        };
-    }
-
-    let mut held = Record {
-        key: order.encode_key(key),
-        origin: h.id(),
-    };
-    let x = position;
-
-    // --- Comparator network. ---
-    for (p, k) in stages(len) {
-        let cmp = comparator_at(x, len, p, k);
-        let mut out = Vec::new();
-        if let Some((partner, _)) = cmp {
-            let level = k.trailing_zeros() as usize;
-            debug_assert_eq!(1 << level, k);
-            let partner_id = contacts
-                .at_offset(level, partner > x)
-                .expect("comparator partner outside contact table");
-            out.push((
-                partner_id,
-                Msg::addr_words(tags::SORT_XCHG, held.origin, vec![held.key]),
-            ));
-        }
-        let inbox = h.step(out);
-        if let Some((_, i_am_low)) = cmp {
-            let env = inbox
-                .iter()
-                .find(|e| e.msg.tag == tags::SORT_XCHG)
-                .expect("comparator partner did not exchange");
-            let theirs = Record {
-                key: env.word(),
-                origin: env.addr(),
-            };
-            // All comparators keep the minimum at the low position.
-            held = if i_am_low {
-                held.min(theirs)
-            } else {
-                held.max(theirs)
-            };
-        } else {
-            debug_assert!(inbox.iter().all(|e| e.msg.tag != tags::SORT_XCHG));
-        }
-    }
-
-    // --- Epilogue round 1: learn the origins held by my path neighbors
-    // (they hold the records ranked x-1 and x+1). ---
-    let mut out = Vec::new();
-    for nb in [vp.pred, vp.succ].into_iter().flatten() {
-        out.push((nb, Msg::addr(tags::SORT_LINK, held.origin)));
-    }
-    let inbox = h.step(out);
-    let mut pred_origin = None;
-    let mut succ_origin = None;
-    for env in inbox.iter().filter(|e| e.msg.tag == tags::SORT_LINK) {
-        if Some(env.src) == vp.pred {
-            pred_origin = Some(env.addr());
-        } else if Some(env.src) == vp.succ {
-            succ_origin = Some(env.addr());
-        }
-    }
-
-    // --- Epilogue round 2: tell the held record's origin its rank and
-    // sorted neighbors. Flags word: bit0 = has pred, bit1 = has succ. ---
-    let flags = u64::from(pred_origin.is_some()) | (u64::from(succ_origin.is_some()) << 1);
-    let mut msg = Msg::words(tags::SORT_LINK, vec![x as u64, flags]);
-    if let Some(a) = pred_origin {
-        msg = msg.with_addr(a);
-    }
-    if let Some(a) = succ_origin {
-        msg = msg.with_addr(a);
-    }
-    let inbox = h.step(vec![(held.origin, msg)]);
-    let env = inbox
-        .iter()
-        .find(|e| e.msg.tag == tags::SORT_LINK)
-        .expect("no rank notification received");
-    let rank = env.msg.words[0] as usize;
-    let flags = env.msg.words[1];
-    let mut addrs = env.msg.addrs.iter().copied();
-    let pred = (flags & 1 != 0).then(|| addrs.next().unwrap());
-    let succ = (flags & 2 != 0).then(|| addrs.next().unwrap());
-    SortedPath {
-        rank,
-        vp: VPath {
-            member: true,
-            pred,
-            succ,
-            len,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,6 +148,13 @@ mod tests {
     use crate::proto::WithCtx;
     use dgr_ncc::{Config, Network, NodeId, RoundCtx};
     use std::collections::HashMap;
+
+    /// A record traveling through the comparator network.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+    struct Record {
+        key: u64,
+        origin: NodeId,
+    }
 
     /// Sequential reference for the comparator network.
     fn network_sorts(len: usize, keys: &[u64]) -> Vec<u64> {

@@ -18,11 +18,6 @@
 //! because a target receiving `k` messages drains them in `⌈k/cap⌉`
 //! rounds).
 
-#[cfg(feature = "threaded")]
-use dgr_ncc::{Envelope, Msg, NodeHandle, NodeId};
-#[cfg(feature = "threaded")]
-use rand::Rng;
-
 /// Rounds for a staggered epoch with the given parameters.
 pub fn rounds_for(spread: u64, drain: u64) -> u64 {
     spread + drain
@@ -35,50 +30,6 @@ pub fn rounds_for(spread: u64, drain: u64) -> u64 {
 pub fn plan(k_max: usize, cap: usize) -> (u64, u64) {
     let base = (k_max as u64).div_ceil(cap as u64);
     (2 * base + 1, base + 2)
-}
-
-/// Sends every `(target, message)` pair at an independently random round in
-/// `[0, spread)`, paced to the send capacity, then idles through the drain
-/// window. Returns everything received during the epoch.
-///
-/// Rounds: exactly [`rounds_for`]`(spread, drain)`. All participants of the
-/// epoch must use the same `spread` and `drain`.
-#[cfg(feature = "threaded")]
-pub fn staggered_send(
-    h: &mut NodeHandle,
-    sends: Vec<(NodeId, Msg)>,
-    spread: u64,
-    drain: u64,
-) -> Vec<Envelope> {
-    let cap = h.capacity();
-    // Schedule: (round, target, msg), sorted by round; the per-round budget
-    // re-queues overflow deterministically.
-    let mut schedule: Vec<(u64, NodeId, Msg)> = sends
-        .into_iter()
-        .map(|(t, m)| (h.rng().gen_range(0..spread.max(1)), t, m))
-        .collect();
-    schedule.sort_by_key(|(r, ..)| *r);
-    schedule.reverse(); // pop from the back = earliest first
-
-    let mut received = Vec::new();
-    for round in 0..rounds_for(spread, drain) {
-        let mut out = Vec::new();
-        while out.len() < cap {
-            match schedule.last() {
-                Some((r, ..)) if *r <= round => {
-                    let (_, t, m) = schedule.pop().unwrap();
-                    out.push((t, m));
-                }
-                _ => break,
-            }
-        }
-        received.extend(h.step(out));
-    }
-    debug_assert!(
-        schedule.is_empty(),
-        "staggered epoch too short to send everything"
-    );
-    received
 }
 
 #[cfg(test)]

@@ -6,12 +6,7 @@
 //! Theorem-1 height bound, so the whole computation takes `O(log n)` rounds
 //! and at most two messages per node per round.
 
-#[cfg(feature = "threaded")]
-use crate::bbst::Bbst;
-#[cfg(feature = "threaded")]
-use crate::vpath::VPath;
-#[cfg(feature = "threaded")]
-use dgr_ncc::{tags, Msg, NodeHandle};
+use crate::bbst::sweep_rounds;
 
 /// A node's traversal-derived data.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -26,91 +21,10 @@ pub struct Traversal {
     pub right_size: usize,
 }
 
-use crate::bbst::sweep_rounds;
-
-/// Number of rounds [`positions`] takes on a path of `len` nodes.
+/// Number of rounds [`TraversalStep`](crate::proto::traversal::TraversalStep)
+/// takes on a path of `len` nodes.
 pub fn rounds_for(len: usize) -> u64 {
     2 * sweep_rounds(len)
-}
-
-/// Computes subtree sizes and inorder positions for every tree member.
-/// Non-members idle in lockstep.
-///
-/// Rounds: exactly [`rounds_for`]`(vp.len)`.
-#[cfg(feature = "threaded")]
-pub fn positions(h: &mut NodeHandle, vp: &VPath, tree: &Bbst) -> Traversal {
-    let up = sweep_rounds(vp.len);
-    let down = sweep_rounds(vp.len);
-    if !vp.member {
-        h.idle_quiet(up + down);
-        return Traversal::default();
-    }
-
-    // --- Bottom-up: subtree sizes (convergecast). ---
-    let mut t = Traversal {
-        subtree_size: 1,
-        ..Traversal::default()
-    };
-    let mut have_left = tree.left.is_none();
-    let mut have_right = tree.right.is_none();
-    let mut sent_up = false;
-    for _ in 0..up {
-        let ready = have_left && have_right;
-        let mut out = Vec::new();
-        if ready && !sent_up {
-            if let Some(p) = tree.parent {
-                out.push((p, Msg::word(tags::SUBTREE_SIZE, t.subtree_size as u64)));
-            }
-            sent_up = true;
-        }
-        let inbox = h.step(out);
-        for env in inbox.iter().filter(|e| e.msg.tag == tags::SUBTREE_SIZE) {
-            let size = env.word() as usize;
-            if Some(env.src) == tree.left {
-                t.left_size = size;
-                have_left = true;
-            } else if Some(env.src) == tree.right {
-                t.right_size = size;
-                have_right = true;
-            } else {
-                unreachable!("subtree size from non-child");
-            }
-            t.subtree_size += size;
-        }
-    }
-    debug_assert!(sent_up || tree.is_root, "convergecast did not finish");
-    debug_assert!(
-        !tree.is_root || t.subtree_size == vp.len,
-        "root sees subtree of {} != path length {}",
-        t.subtree_size,
-        vp.len
-    );
-
-    // --- Top-down: inorder numbers. The root's interval starts at 0; a
-    // node's inorder number is its interval start plus its left subtree
-    // size; children inherit the sub-intervals. ---
-    let mut interval_start: Option<usize> = if tree.is_root { Some(0) } else { None };
-    let mut sent_down = false;
-    for _ in 0..down {
-        let mut out = Vec::new();
-        if let (Some(lo), false) = (interval_start, sent_down) {
-            if let Some(l) = tree.left {
-                out.push((l, Msg::word(tags::INORDER, lo as u64)));
-            }
-            if let Some(r) = tree.right {
-                let r_lo = lo + t.left_size + 1;
-                out.push((r, Msg::word(tags::INORDER, r_lo as u64)));
-            }
-            sent_down = true;
-        }
-        let inbox = h.step(out);
-        for env in inbox.iter().filter(|e| e.msg.tag == tags::INORDER) {
-            debug_assert_eq!(Some(env.src), tree.parent);
-            interval_start = Some(env.word() as usize);
-        }
-    }
-    t.position = interval_start.expect("inorder sweep did not reach node") + t.left_size;
-    t
 }
 
 #[cfg(test)]

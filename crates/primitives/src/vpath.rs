@@ -3,7 +3,10 @@
 //! A [`VPath`] describes one node's view of a linked path over some subset of
 //! the network: its predecessor and successor on that path, the path's total
 //! length, and whether this node is a member at all. The initial knowledge
-//! graph `G_k` yields the first virtual path (via [`undirect`]); sorting
+//! graph `G_k` yields the first virtual path (via
+//! [`Undirect`](crate::proto::Undirect), the 1-round construction of §3.1:
+//! every node sends its ID to its out-neighbor, so each node learns its
+//! predecessor, and the node that hears nothing is the head); sorting
 //! yields new ones; taking a prefix of a sorted path yields sub-network
 //! paths for recursive algorithms.
 //!
@@ -13,8 +16,6 @@
 //! how Algorithm 6 runs a degree realization on only its first `d₀+1` nodes.
 
 use dgr_ncc::NodeId;
-#[cfg(feature = "threaded")]
-use dgr_ncc::{tags, Msg, NodeHandle};
 
 /// One node's view of a virtual path.
 ///
@@ -62,32 +63,6 @@ impl VPath {
     /// Number of doubling levels for this path: `ceil(log2(len))`.
     pub fn levels(&self) -> usize {
         crate::levels_for(self.len)
-    }
-}
-
-/// Converts the directed initial knowledge path `G_k` into an undirected
-/// (but still ordered) [`VPath`] — the 1-round construction from §3.1 of the
-/// paper: every node sends its ID to its out-neighbor, so each node learns
-/// its predecessor; a node that receives nothing learns it is the head.
-///
-/// Rounds: exactly 1.
-#[cfg(feature = "threaded")]
-pub fn undirect(h: &mut NodeHandle) -> VPath {
-    let out = h
-        .initial_successor()
-        .map(|s| (s, Msg::signal(tags::UNDIRECT)))
-        .into_iter()
-        .collect();
-    let inbox = h.step(out);
-    let pred = inbox
-        .iter()
-        .find(|e| e.msg.tag == tags::UNDIRECT)
-        .map(|e| e.src);
-    VPath {
-        member: true,
-        pred,
-        succ: h.initial_successor(),
-        len: h.participants(),
     }
 }
 

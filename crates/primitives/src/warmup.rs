@@ -9,17 +9,7 @@
 //! recursion terminates after `O(log n)` levels and the resulting tree has
 //! height `O(log n)`.
 
-#[cfg(feature = "threaded")]
-use crate::vpath::VPath;
 use dgr_ncc::NodeId;
-#[cfg(feature = "threaded")]
-use dgr_ncc::{tags, Msg, NodeHandle};
-
-/// Child-assignment messages (distinct from the controlled-BFS invites).
-#[cfg(feature = "threaded")]
-const CHILD_LEFT: u64 = 0;
-#[cfg(feature = "threaded")]
-const CHILD_RIGHT: u64 = 1;
 
 /// One node's view of the warm-up tree.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -43,90 +33,10 @@ pub fn levels(len: usize) -> u64 {
     crate::levels_for(len) as u64 + 1
 }
 
-/// Number of rounds [`build`] takes: two per recursion level.
+/// Number of rounds [`WarmupStep`](crate::proto::warmup::WarmupStep)
+/// takes: two per recursion level.
 pub fn rounds_for(len: usize) -> u64 {
     2 * levels(len)
-}
-
-/// Builds the warm-up balanced binary tree (Figure 1). Non-members idle.
-///
-/// Rounds: exactly [`rounds_for`]`(vp.len)`.
-#[cfg(feature = "threaded")]
-pub fn build(h: &mut NodeHandle, vp: &VPath) -> WarmupTree {
-    let total_levels = levels(vp.len);
-    if !vp.member {
-        h.idle_quiet(rounds_for(vp.len));
-        return WarmupTree::default();
-    }
-    let mut tree = WarmupTree {
-        is_root: vp.is_head(),
-        ..WarmupTree::default()
-    };
-    let mut pred = vp.pred;
-    let mut succ = vp.succ;
-    let mut removed = false;
-
-    for level in 0..total_levels {
-        // --- Round 1: grand-neighbor exchange on every live path. ---
-        let mut out = Vec::new();
-        if !removed {
-            if let (Some(p), Some(s)) = (pred, succ) {
-                // Tell my successor who my predecessor is and vice versa.
-                out.push((s, Msg::addr_words(tags::LEVEL_LINK, p, vec![CHILD_LEFT])));
-                out.push((p, Msg::addr_words(tags::LEVEL_LINK, s, vec![CHILD_RIGHT])));
-            }
-        }
-        let inbox = h.step(out);
-        let mut grand_pred = None;
-        let mut grand_succ = None;
-        for env in inbox.iter().filter(|e| e.msg.tag == tags::LEVEL_LINK) {
-            match env.word() {
-                CHILD_LEFT => grand_pred = Some(env.addr()),
-                CHILD_RIGHT => grand_succ = Some(env.addr()),
-                other => unreachable!("bad link word {other}"),
-            }
-        }
-
-        // --- Round 2: each path head adopts `a` (its neighbor) as left
-        // child and `b` (its grand-successor) as right child, then leaves. ---
-        let mut out = Vec::new();
-        if !removed && pred.is_none() {
-            if let Some(a) = succ {
-                out.push((a, Msg::word(tags::INVITE_LEFT, level)));
-                tree.left = Some(a);
-            }
-            if let Some(b) = grand_succ {
-                out.push((b, Msg::word(tags::INVITE_RIGHT, level)));
-                tree.right = Some(b);
-            }
-            removed = true;
-        }
-        let inbox = h.step(out);
-        let mut became_head = false;
-        for env in inbox.iter() {
-            match env.msg.tag {
-                tags::INVITE_LEFT => {
-                    tree.parent = Some(env.src);
-                    tree.depth = env.word() + 1;
-                    became_head = true;
-                }
-                tags::INVITE_RIGHT => {
-                    tree.parent = Some(env.src);
-                    tree.depth = env.word() + 1;
-                    became_head = true;
-                }
-                _ => {}
-            }
-        }
-        // --- Local restructure: the path splits into grand-neighbor
-        // sub-paths; the freshly adopted children are the new heads. ---
-        if !removed {
-            pred = if became_head { None } else { grand_pred };
-            succ = grand_succ;
-        }
-    }
-    debug_assert!(removed, "node {} never became a path head", h.id());
-    tree
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ use dgr_primitives::proto::WithCtx as CtxThen;
 use dgr_primitives::proto::{EstablishCtx, Step, StepProtocol};
 use dgr_primitives::scatter::ScanRecord;
 use dgr_primitives::sort::Order;
-use dgr_primitives::{ops, prefix, scatter, sort, stagger, PathCtx};
+use dgr_primitives::{stagger, PathCtx};
 
 /// Asserts full observational equality of a protocol on both engines and
 /// returns the batched run.
@@ -95,50 +95,8 @@ const GOLDEN: &[(&str, Golden)] = &[
     ("warmup n=128 seed=3", (17, 1424, 3891, 2, 2, 0x518e11b8bc4db2db)),
 ];
 
-thread_local! {
-    /// Set by the throw-away printer below: the twin's transcript is
-    /// printed instead of asserted, and the table is not consulted.
-    static RECORDING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Holds the **twin's** run to the frozen transcript of its case — or,
-/// under the printer, prints the row to freeze.
-fn assert_twin_golden<T: std::fmt::Debug>(case: &str, twin: &RunResult<T>) {
-    if RECORDING.with(std::cell::Cell::get) {
-        let (rounds, messages, words, sent, received, outputs) = transcript(twin);
-        println!(
-            "    ({case:?}, ({rounds}, {messages}, {words}, {sent}, {received}, {outputs:#018x})),"
-        );
-    } else {
-        assert_golden(case, twin);
-    }
-}
-
-/// Throw-away: fills [`GOLDEN`] from the direct-style twins. Run with
-/// `cargo test -p dgr-primitives --test proto_differential -- --ignored
-/// --nocapture print_golden` and paste the rows into the table.
-#[test]
-#[ignore = "prints the golden table from the twins"]
-fn print_golden_rows_from_the_twins() {
-    RECORDING.with(|r| r.set(true));
-    sort_port_matches_twin_and_engines();
-    prefix_port_matches_twin_and_engines();
-    exclusive_prefix_port_matches_twin();
-    aggregate_broadcast_port_matches_twin_and_engines();
-    broadcast_addr_and_median_port_match_twin();
-    collect_port_matches_twin();
-    imcast_port_matches_twin_and_engines();
-    milestone_scan_port_matches_twin_and_engines();
-    stagger_port_matches_twin_and_engines();
-    establish_port_matches_twin_and_engines();
-    warmup_port_matches_twin_and_engines();
-}
-
 /// Holds a run to the frozen transcript of its case.
 fn assert_golden<T: std::fmt::Debug>(case: &str, result: &RunResult<T>) {
-    if RECORDING.with(std::cell::Cell::get) {
-        return;
-    }
     let golden = GOLDEN
         .iter()
         .find(|(name, _)| *name == case)
@@ -147,7 +105,7 @@ fn assert_golden<T: std::fmt::Debug>(case: &str, result: &RunResult<T>) {
 }
 
 #[test]
-fn sort_port_matches_twin_and_engines() {
+fn sort_matches_frozen_twin_on_both_engines() {
     for (n, seed) in [(21usize, 1u64), (48, 2), (100, 3)] {
         let net = Network::new(n, Config::ncc0(seed));
         let batched = engines_agree(&net, |_| {
@@ -162,28 +120,14 @@ fn sort_port_matches_twin_and_engines() {
                 )
             })
         });
-        let direct = net
-            .run(|h| {
-                let ctx = PathCtx::establish(h);
-                sort::sort_at(
-                    h,
-                    &ctx.vp,
-                    &ctx.contacts,
-                    ctx.position,
-                    h.id() % 17,
-                    Order::Descending,
-                )
-            })
-            .unwrap();
         let case = format!("sort n={n} seed={seed}");
-        assert_twin_golden(&case, &direct);
         assert_golden(&case, &batched);
         assert!(batched.metrics.is_clean());
     }
 }
 
 #[test]
-fn prefix_port_matches_twin_and_engines() {
+fn prefix_matches_frozen_twin_on_both_engines() {
     let n = 65;
     let net = Network::new(n, Config::ncc0(7));
     let batched = engines_agree(&net, |_| {
@@ -191,13 +135,6 @@ fn prefix_port_matches_twin_and_engines() {
             PrefixStep::new(ctx.vp, ctx.contacts.clone(), ctx.position as u64 + 1)
         })
     });
-    let direct = net
-        .run(|h| {
-            let ctx = PathCtx::establish(h);
-            prefix::prefix_sum(h, &ctx.vp, &ctx.contacts, ctx.position as u64 + 1)
-        })
-        .unwrap();
-    assert_twin_golden("prefix", &direct);
     assert_golden("prefix", &batched);
     // Inclusive prefix sums of 1..=n are the triangular numbers.
     for (i, (_, got)) in batched.outputs.iter().enumerate() {
@@ -207,7 +144,7 @@ fn prefix_port_matches_twin_and_engines() {
 }
 
 #[test]
-fn exclusive_prefix_port_matches_twin() {
+fn exclusive_prefix_matches_frozen_twin_on_both_engines() {
     let n = 40;
     let net = Network::new(n, Config::ncc0(8));
     let batched = engines_agree(&net, |_| {
@@ -215,23 +152,12 @@ fn exclusive_prefix_port_matches_twin() {
             PrefixStep::exclusive(ctx.vp, ctx.contacts.clone(), ctx.position as u64)
         })
     });
-    let direct = net
-        .run(|h| {
-            let ctx = PathCtx::establish(h);
-            prefix::prefix_sum_exclusive(h, &ctx.vp, &ctx.contacts, ctx.position as u64)
-        })
-        .unwrap();
-    assert_twin_golden("prefix exclusive", &direct);
     assert_golden("prefix exclusive", &batched);
 }
 
 #[test]
-fn aggregate_broadcast_port_matches_twin_and_engines() {
-    for (op, f) in [
-        (AggOp::Sum, (|a, b| a + b) as fn(u64, u64) -> u64),
-        (AggOp::Max, u64::max),
-        (AggOp::Min, u64::min),
-    ] {
+fn aggregate_broadcast_matches_frozen_twin_on_both_engines() {
+    for op in [AggOp::Sum, AggOp::Max, AggOp::Min] {
         let n = 50;
         let net = Network::new(n, Config::ncc0(11));
         let batched = engines_agree(&net, move |_| {
@@ -239,20 +165,13 @@ fn aggregate_broadcast_port_matches_twin_and_engines() {
                 AggBcastStep::new(ctx.vp, ctx.tree.clone(), rctx.id() % 100, op)
             })
         });
-        let direct = net
-            .run(move |h| {
-                let ctx = PathCtx::establish(h);
-                ops::aggregate_broadcast(h, &ctx.vp, &ctx.tree, h.id() % 100, f)
-            })
-            .unwrap();
         let case = format!("aggregate-broadcast {op:?}");
-        assert_twin_golden(&case, &direct);
         assert_golden(&case, &batched);
     }
 }
 
 #[test]
-fn broadcast_addr_and_median_port_match_twin() {
+fn median_matches_frozen_twin_on_both_engines() {
     let n = 41;
     let net = Network::new(n, Config::ncc0(13));
     let batched = engines_agree(&net, |_| {
@@ -260,19 +179,12 @@ fn broadcast_addr_and_median_port_match_twin() {
             BroadcastAddrStep::median(ctx.vp, ctx.tree.clone(), ctx.position, rctx.id())
         })
     });
-    let direct = net
-        .run(|h| {
-            let ctx = PathCtx::establish(h);
-            ops::median(h, &ctx.vp, &ctx.tree, ctx.position)
-        })
-        .unwrap();
-    assert_twin_golden("median", &direct);
     assert_golden("median", &batched);
     assert!(batched.metrics.is_clean(), "KT0-legal address spread");
 }
 
 #[test]
-fn collect_port_matches_twin() {
+fn collect_matches_frozen_twin_on_both_engines() {
     let n: usize = 60;
     let k_bound = n.div_ceil(3);
     let net = Network::new(n, Config::ncc0(15));
@@ -285,22 +197,11 @@ fn collect_port_matches_twin() {
             CollectStep::new(ctx.vp, ctx.tree.clone(), token, k_bound, rctx.id())
         })
     });
-    let direct = net
-        .run(move |h| {
-            let ctx = PathCtx::establish(h);
-            let token = ctx
-                .position
-                .is_multiple_of(3)
-                .then_some(ctx.position as u64);
-            ops::collect(h, &ctx.vp, &ctx.tree, token, k_bound)
-        })
-        .unwrap();
-    assert_twin_golden("collect", &direct);
     assert_golden("collect", &batched);
 }
 
 #[test]
-fn imcast_port_matches_twin_and_engines() {
+fn imcast_matches_frozen_twin_on_both_engines() {
     for (n, w, seed) in [(40usize, 5usize, 61u64), (37, 7, 63), (64, 8, 62)] {
         let net = Network::new(n, Config::ncc0(seed));
         let batched = engines_agree(&net, move |_| {
@@ -320,33 +221,14 @@ fn imcast_port_matches_twin_and_engines() {
                 ImcastStep::new(ctx.vp, ctx.contacts.clone(), task)
             })
         });
-        let direct = net
-            .run(move |h| {
-                let ctx = PathCtx::establish(h);
-                let r = ctx.position;
-                let task = r.is_multiple_of(w).then(|| {
-                    let count = (w - 1).min(n - 1 - r);
-                    (
-                        CoverSide::After,
-                        count,
-                        Payload {
-                            addr: h.id(),
-                            word: r as u64,
-                        },
-                    )
-                });
-                dgr_primitives::imcast::interval_multicast(h, &ctx.vp, &ctx.contacts, task)
-            })
-            .unwrap();
         let case = format!("imcast n={n} w={w}");
-        assert_twin_golden(&case, &direct);
         assert_golden(&case, &batched);
         assert!(batched.metrics.is_clean());
     }
 }
 
 #[test]
-fn milestone_scan_port_matches_twin_and_engines() {
+fn milestone_scan_matches_frozen_twin_on_both_engines() {
     let (n, w) = (24usize, 4usize);
     let net = Network::new(n, Config::ncc0(81));
     let records = move |position: usize, id: u64| {
@@ -372,19 +254,6 @@ fn milestone_scan_port_matches_twin_and_engines() {
             )
         })
     });
-    let direct = net
-        .run(move |h| {
-            let ctx = PathCtx::establish(h);
-            scatter::milestone_scan(
-                h,
-                &ctx.vp,
-                &ctx.contacts,
-                ctx.position,
-                records(ctx.position, h.id()),
-            )
-        })
-        .unwrap();
-    assert_twin_golden("milestone-scan", &direct);
     assert_golden("milestone-scan", &batched);
     // Every rank learned its covering source.
     let order = batched.gk_order();
@@ -394,10 +263,10 @@ fn milestone_scan_port_matches_twin_and_engines() {
 }
 
 #[test]
-fn stagger_port_matches_twin_and_engines() {
+fn stagger_matches_frozen_twin_on_both_engines() {
     // Every node staggers one token to each of its immediate path
-    // neighbors; the RNG schedule must be identical across engines and
-    // styles (same per-node stream, same draw order).
+    // neighbors; the RNG schedule must be identical across engines (same
+    // per-node stream, same draw order) and the one the twin drew.
     let n = 48;
     let (spread, drain) = stagger::plan(2, Config::ncc0(0).capacity(n));
     let make_sends = |ctx: &PathCtx| {
@@ -413,61 +282,35 @@ fn stagger_port_matches_twin_and_engines() {
             StaggerStep::new(make_sends(ctx), spread, drain)
         })
     });
-    let direct = net
-        .run(move |h| {
-            let ctx = PathCtx::establish(h);
-            let sends = make_sends(&ctx)
-                .into_iter()
-                .map(|(t, m)| (t, m.to_msg()))
-                .collect();
-            // Delivered (sender, payload) pairs in delivery order, in the
-            // port's output type.
-            stagger::staggered_send(h, sends, spread, drain)
-                .into_iter()
-                .map(|e| (e.src, WireMsg::from_msg(&e.msg)))
-                .collect::<Vec<_>>()
-        })
-        .unwrap();
-    assert_twin_golden("stagger", &direct);
     assert_golden("stagger", &batched);
     assert_eq!(batched.metrics.undelivered, 0);
 }
 
 #[test]
-fn establish_port_matches_twin_and_engines() {
+fn establish_matches_frozen_twin_on_both_engines() {
     // The whole setup chain — undirect, contacts, BBST, traversal — with
     // every table it builds in the hashed output.
     let net = Network::new(53, Config::ncc0(8));
     let batched = engines_agree(&net, |_| StepProtocol::new(EstablishCtx::new()));
-    let direct = net.run(PathCtx::establish).unwrap();
-    assert_twin_golden("establish", &direct);
     assert_golden("establish", &batched);
     assert_eq!(batched.metrics.rounds, dgr_primitives::ctx::rounds_for(53));
 }
 
 #[test]
-fn warmup_port_matches_twin_and_engines() {
+fn warmup_matches_frozen_twin_on_both_engines() {
     for (n, seed) in [(8usize, 1u64), (50, 2), (128, 3)] {
         let net = Network::new(n, Config::ncc0(seed));
         let batched = engines_agree(&net, |_| {
             StepProtocol::new(UndirectStep::new().then(|vp, _| WarmupStep::new(vp)))
         });
-        let direct = net
-            .run(|h| {
-                let vp = dgr_primitives::vpath::undirect(h);
-                dgr_primitives::warmup::build(h, &vp)
-            })
-            .unwrap();
         let case = format!("warmup n={n} seed={seed}");
-        assert_twin_golden(&case, &direct);
         assert_golden(&case, &batched);
         assert!(batched.metrics.is_clean());
     }
 }
 
 #[test]
-fn establish_engines_agree_at_scale_of_the_oracle() {
-    // The full setup chain at the threaded engine's comfortable size.
+fn establish_chains_into_a_second_stage_for_free() {
     let net = Network::new(96, Config::ncc0(5));
     let result = engines_agree(&net, |_| {
         CtxThen::new(|_ctx: &PathCtx, _: &mut RoundCtx<'_>| {

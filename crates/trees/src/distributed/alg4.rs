@@ -18,112 +18,11 @@
 //! after which every group is contiguous with its source at the head and
 //! the plain interval multicast applies — same `O~(1)` cost, no butterfly
 //! (see `DESIGN.md` §4).
-
-#[cfg(feature = "threaded")]
-use super::TreeOutcome;
-#[cfg(feature = "threaded")]
-use dgr_core::Unrealizable;
-#[cfg(feature = "threaded")]
-use {
-    super::tree_input_check,
-    dgr_ncc::NodeHandle,
-    dgr_primitives::imcast::{self, CoverSide, Payload},
-    dgr_primitives::sort::{self, Order},
-    dgr_primitives::{contacts, ops, prefix, PathCtx},
-};
-
-/// Runs Algorithm 4 at one node. `degree` is this node's requested tree
-/// degree; every node must call simultaneously.
-///
-/// # Errors
-///
-/// [`Unrealizable`] when `Σd ≠ 2(n-1)` or some degree is 0.
-#[cfg(feature = "threaded")]
-pub fn realize(h: &mut NodeHandle, degree: usize) -> Result<TreeOutcome, Unrealizable> {
-    let ctx = PathCtx::establish(h);
-    realize_on(h, &ctx, degree)
-}
-
-/// Algorithm 4 on an established path context.
-#[cfg(feature = "threaded")]
-pub fn realize_on(
-    h: &mut NodeHandle,
-    ctx: &PathCtx,
-    degree: usize,
-) -> Result<TreeOutcome, Unrealizable> {
-    tree_input_check(h, ctx, degree)?;
-    let n = ctx.vp.len;
-    let mut outcome = TreeOutcome {
-        requested: degree,
-        neighbors: Vec::new(),
-    };
-    if n == 1 {
-        return Ok(outcome);
-    }
-
-    // Sort by degree, non-increasing; build contacts on the sorted path.
-    let sp = sort::sort_at(
-        h,
-        &ctx.vp,
-        &ctx.contacts,
-        ctx.position,
-        degree as u64,
-        Order::Descending,
-    );
-    let sct = contacts::build(h, &sp.vp);
-    let rank = sp.rank;
-
-    // k = number of non-leaves (degree > 1); k_eff handles the n = 2 path.
-    let k = ops::aggregate_broadcast(h, &ctx.vp, &ctx.tree, u64::from(degree > 1), |a, b| a + b)
-        as usize;
-    let k_eff = k.max(1);
-
-    // Chain edges (i-1, i) for i in 1..=k_eff, stored at the higher rank.
-    if (1..=k_eff).contains(&rank) {
-        outcome
-            .neighbors
-            .push(sp.vp.pred.expect("chained rank without predecessor"));
-    }
-
-    // Remaining child slots per non-leaf and their leaf intervals.
-    let slots = if rank < k_eff {
-        degree - 1 - usize::from(rank > 0)
-    } else {
-        0
-    };
-    let excl = prefix::prefix_sum_exclusive(h, &sp.vp, &sct, slots as u64) as usize;
-    let interval_start = k_eff + 1 + excl; // first leaf position of mine
-
-    // Re-sort so each source lands immediately before its interval:
-    // source key 2·start, leaf key 2·pos + 1.
-    let is_source = rank < k_eff;
-    let key = if is_source {
-        2 * interval_start as u64
-    } else {
-        2 * rank as u64 + 1
-    };
-    let msp = sort::sort_at(h, &sp.vp, &sct, rank, key, Order::Ascending);
-    let mct = contacts::build(h, &msp.vp);
-    let task = (is_source && slots > 0).then(|| {
-        (
-            CoverSide::After,
-            slots,
-            Payload {
-                addr: h.id(),
-                word: 0,
-            },
-        )
-    });
-    let got = imcast::interval_multicast(h, &msp.vp, &mct, task);
-
-    if rank > k_eff {
-        let payload = got.expect("leaf received no parent announcement");
-        outcome.neighbors.push(payload.addr);
-    } else {
-        debug_assert!(got.is_none(), "non-leaf covered by a leaf interval");
-    }
-    Ok(outcome)
-}
+//!
+//! The implementation is [`RealizeTree`](super::proto::RealizeTree) with
+//! [`TreeAlgo::Chain`](crate::TreeAlgo); it refuses
+//! ([`Unrealizable`](dgr_core::Unrealizable)) when `Σd ≠ 2(n-1)` or some
+//! degree is 0.
 
 #[cfg(test)]
 mod tests {

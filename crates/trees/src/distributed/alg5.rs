@@ -15,90 +15,11 @@
 //! a milestone keyed just before its interval, each rank emits a filler
 //! keyed at its position, and the sorted-order scan hands every rank the
 //! ID of the parent covering it.
-
-#[cfg(feature = "threaded")]
-use super::TreeOutcome;
-#[cfg(feature = "threaded")]
-use dgr_core::Unrealizable;
-#[cfg(feature = "threaded")]
-use {
-    super::tree_input_check,
-    dgr_ncc::NodeHandle,
-    dgr_primitives::scatter::{self, ScanRecord},
-    dgr_primitives::sort::{self, Order},
-    dgr_primitives::{contacts, prefix, PathCtx},
-};
-
-/// Runs Algorithm 5 at one node. `degree` is this node's requested tree
-/// degree; every node must call simultaneously.
-///
-/// # Errors
-///
-/// [`Unrealizable`] when `Σd ≠ 2(n-1)` or some degree is 0.
-#[cfg(feature = "threaded")]
-pub fn realize(h: &mut NodeHandle, degree: usize) -> Result<TreeOutcome, Unrealizable> {
-    let ctx = PathCtx::establish(h);
-    realize_on(h, &ctx, degree)
-}
-
-/// Algorithm 5 on an established path context.
-#[cfg(feature = "threaded")]
-pub fn realize_on(
-    h: &mut NodeHandle,
-    ctx: &PathCtx,
-    degree: usize,
-) -> Result<TreeOutcome, Unrealizable> {
-    tree_input_check(h, ctx, degree)?;
-    let n = ctx.vp.len;
-    let mut outcome = TreeOutcome {
-        requested: degree,
-        neighbors: Vec::new(),
-    };
-    if n == 1 {
-        return Ok(outcome);
-    }
-
-    let sp = sort::sort_at(
-        h,
-        &ctx.vp,
-        &ctx.contacts,
-        ctx.position,
-        degree as u64,
-        Order::Descending,
-    );
-    let sct = contacts::build(h, &sp.vp);
-    let rank = sp.rank;
-
-    // Child slots: the root keeps all d, everyone else spends one on its
-    // parent. (Leaves at rank > 0 have d = 1, hence 0 slots.)
-    let slots = degree - usize::from(rank > 0);
-    let excl = prefix::prefix_sum_exclusive(h, &sp.vp, &sct, slots as u64) as usize;
-    let first_child = 1 + excl; // a_i
-
-    // Milestone just before my interval; filler at my own rank. Keys:
-    // milestones odd (2a - 1), fillers even (2r) — totally ordered with
-    // every milestone immediately preceding its interval's first filler.
-    let rec0 = if slots > 0 {
-        ScanRecord::Milestone {
-            key: 2 * first_child as u64 - 1,
-            addr: h.id(),
-        }
-    } else {
-        ScanRecord::Absent
-    };
-    let rec1 = ScanRecord::Filler {
-        key: 2 * rank as u64,
-    };
-    let got = scatter::milestone_scan(h, &sp.vp, &sct, rank, [rec0, rec1]);
-
-    if rank > 0 {
-        let parent = got[1].expect("non-root rank received no parent");
-        outcome.neighbors.push(parent);
-    } else {
-        debug_assert!(got[1].is_none(), "root scanned a parent");
-    }
-    Ok(outcome)
-}
+//!
+//! The implementation is [`RealizeTree`](super::proto::RealizeTree) with
+//! [`TreeAlgo::Greedy`](crate::TreeAlgo); it refuses
+//! ([`Unrealizable`](dgr_core::Unrealizable)) when `Σd ≠ 2(n-1)` or some
+//! degree is 0.
 
 #[cfg(test)]
 mod tests {

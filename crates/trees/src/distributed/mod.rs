@@ -4,14 +4,7 @@ pub mod alg4;
 pub mod alg5;
 pub mod proto;
 
-#[cfg(feature = "threaded")]
-use dgr_core::Unrealizable;
 use dgr_ncc::NodeId;
-#[cfg(feature = "threaded")]
-use {
-    dgr_ncc::NodeHandle,
-    dgr_primitives::{ops, PathCtx},
-};
 
 /// One node's result of a tree realization: the tree edges stored here
 /// (implicit realization — each edge lives at exactly one endpoint).
@@ -21,23 +14,4 @@ pub struct TreeOutcome {
     pub requested: usize,
     /// IDs of neighbors whose tree edge is stored at this node.
     pub neighbors: Vec<NodeId>,
-}
-
-/// The shared entry checks of Algorithms 4 and 5 (their "lines 1–3"):
-/// establish the path context, verify `Σd = 2(n-1)` and `min d ≥ 1` by
-/// aggregation. Every node sees the same aggregates, so the error is
-/// globally consistent.
-#[cfg(feature = "threaded")]
-pub(crate) fn tree_input_check(
-    h: &mut NodeHandle,
-    ctx: &PathCtx,
-    degree: usize,
-) -> Result<(), Unrealizable> {
-    let n = ctx.vp.len as u64;
-    let sum = ops::aggregate_broadcast(h, &ctx.vp, &ctx.tree, degree as u64, |a, b| a + b);
-    let min = ops::aggregate_broadcast(h, &ctx.vp, &ctx.tree, degree as u64, u64::min);
-    if sum != 2 * (n - 1) || (n >= 2 && min < 1) {
-        return Err(Unrealizable);
-    }
-    Ok(())
 }

@@ -1,14 +1,14 @@
-//! Algorithms 4 and 5 as a [`NodeProtocol`] for the batched executor.
+//! Algorithms 4 and 5 as a [`NodeProtocol`].
 //!
 //! One state machine covers both constructions: they share the context
 //! establishment, the input check (`Σd = 2(n-1)`, `min d ≥ 1`), the
 //! degree sort and the slot prefix sums, and differ only in the hand-off
 //! that tells every child its parent — Algorithm 4 re-sorts into
 //! source-adjacent intervals and interval-multicasts, Algorithm 5 runs
-//! the milestone scan. Stage transitions happen within a round exactly
-//! where the direct style crosses a primitive boundary, so both engines
-//! realize the same tree in the same number of rounds
-//! (`crates/trees/tests/batched_trees.rs`).
+//! the milestone scan. Stage transitions happen within a round — a
+//! primitive boundary costs no round — so the state machine reproduces,
+//! on both engines, the transcripts of the direct-style originals it was
+//! ported from (frozen in `crates/trees/tests/batched_trees.rs`).
 //!
 //! [`NodeProtocol`]: dgr_ncc::NodeProtocol
 

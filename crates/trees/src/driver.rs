@@ -1,17 +1,14 @@
 //! Driver: run a distributed tree realization on a simulated network and
 //! assemble + verify the resulting tree.
 //!
-//! Engine note: [`realize_tree_batched`] runs the
-//! [`crate::distributed::proto::RealizeTree`] state machine
-//! on the **batched executor** — the production path, practical at
-//! six-digit `n` (`tests/scale.rs`). [`realize_tree`] runs the
-//! direct-style Algorithms 4/5 on the threaded oracle (feature
-//! `threaded`, default on) as the differential twin: both engines realize
-//! the same tree in the same number of rounds
-//! (`crates/trees/tests/batched_trees.rs`).
+//! Engine note: one driver, [`realize_tree_run`], runs the
+//! [`crate::distributed::proto::RealizeTree`] state machine on the engine
+//! it is given — the **batched executor** in production, practical at
+//! six-digit `n` (`tests/scale.rs`); the reference interpreter in the
+//! differential suite (`crates/trees/tests/batched_trees.rs`, which also
+//! holds both to the frozen transcripts of the original direct-style
+//! algorithms).
 
-#[cfg(feature = "threaded")]
-use crate::distributed::{alg4, alg5};
 use crate::distributed::{proto::RealizeTree, TreeOutcome};
 use dgr_core::{verify, Unrealizable};
 use dgr_graph::Graph;
@@ -72,8 +69,7 @@ impl TreeRealization {
     }
 }
 
-/// Shared assembly + verification of a tree-realization run (both engines
-/// funnel through here).
+/// Assembly + verification of a tree-realization run.
 fn finish_tree(
     net: &Network,
     by_id: BTreeMap<NodeId, usize>,
@@ -107,12 +103,8 @@ fn finish_tree(
     }))
 }
 
-fn degree_assignment(net: &Network, degrees: &[usize]) -> BTreeMap<NodeId, usize> {
-    net.assign_in_path_order(degrees)
-}
-
 /// A completed tree-realization run: the realization plus the executor's
-/// internal statistics (all-zero on the threaded oracle).
+/// internal statistics.
 #[derive(Clone, Debug)]
 pub struct TreeRun {
     /// Realized tree or consistent refusal.
@@ -126,17 +118,14 @@ pub struct TreeRun {
 /// driven by the `dgr::Realization` facade builder. `degrees[i]` is
 /// assigned to the `i`-th node of the knowledge path.
 ///
-/// [`EngineKind::Threaded`] runs the direct-style oracle twins for the
-/// bitonic backend, and the same state machine as the batched executor
-/// otherwise; transcripts are identical either way
-/// (`crates/trees/tests/batched_trees.rs`). `sink` receives the run's
-/// typed [`RunEvent`](dgr_ncc::RunEvent) stream (`None` = unobserved).
+/// Either [`EngineKind`] runs the same state machine; transcripts are
+/// identical (`crates/trees/tests/batched_trees.rs`). `sink` receives the
+/// run's typed [`RunEvent`](dgr_ncc::RunEvent) stream (`None` =
+/// unobserved).
 ///
 /// # Errors
 ///
-/// Propagates simulator errors, and
-/// [`SimError::EngineUnavailable`] when the threaded oracle is requested
-/// without the `threaded` feature.
+/// Propagates simulator errors.
 pub fn realize_tree_run(
     degrees: &[usize],
     config: Config,
@@ -146,19 +135,7 @@ pub fn realize_tree_run(
     sink: Option<&mut dyn Sink>,
 ) -> Result<TreeRun, SimError> {
     let net = Network::new(degrees.len(), config);
-    let by_id = degree_assignment(&net, degrees);
-    #[cfg(feature = "threaded")]
-    if engine == EngineKind::Threaded && sort == SortBackend::Bitonic {
-        let result = net.run_observed(sink, |h| match algo {
-            TreeAlgo::Chain => alg4::realize(h, by_id[&h.id()]),
-            TreeAlgo::Greedy => alg5::realize(h, by_id[&h.id()]),
-        })?;
-        let engine_stats = result.engine.clone();
-        return Ok(TreeRun {
-            output: finish_tree(&net, by_id, result),
-            engine: engine_stats,
-        });
-    }
+    let by_id = net.assign_in_path_order(degrees);
     let result = net.run_protocol_on(engine, None, sink, |s| {
         RealizeTree::with_sort(by_id[&s.id], algo, sort)
     })?;
@@ -167,53 +144,6 @@ pub fn realize_tree_run(
         output: finish_tree(&net, by_id, result),
         engine: engine_stats,
     })
-}
-
-/// Runs the chosen tree realization on a fresh network, with `degrees[i]`
-/// assigned to the `i`-th node of the knowledge path (threaded oracle).
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-#[cfg(feature = "threaded")]
-#[deprecated(note = "use `dgr::Realization` (or the `realize_tree_run` engine room)")]
-pub fn realize_tree(
-    degrees: &[usize],
-    config: Config,
-    algo: TreeAlgo,
-) -> Result<TreeRealization, SimError> {
-    realize_tree_run(
-        degrees,
-        config,
-        algo,
-        EngineKind::Threaded,
-        SortBackend::Bitonic,
-        None,
-    )
-    .map(|run| run.output)
-}
-
-/// Runs the chosen tree realization on the **batched executor** — the
-/// production engine, practical at six-digit `n`.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-#[deprecated(note = "use `dgr::Realization` (or the `realize_tree_run` engine room)")]
-pub fn realize_tree_batched(
-    degrees: &[usize],
-    config: Config,
-    algo: TreeAlgo,
-) -> Result<TreeRealization, SimError> {
-    realize_tree_run(
-        degrees,
-        config,
-        algo,
-        EngineKind::Batched,
-        SortBackend::Bitonic,
-        None,
-    )
-    .map(|run| run.output)
 }
 
 #[cfg(test)]

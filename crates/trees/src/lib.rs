@@ -12,17 +12,12 @@
 //! * [`distributed::alg5`] — Distributed-Tree-Realization-2: every node
 //!   adopts the next unparented nodes in sorted order; minimum diameter
 //!   (Theorem 16), `O(polylog n)` rounds.
-//! * [`driver`] — network wiring, assembly and verification; its
-//!   non-deprecated entry point [`realize_tree_run`] is the engine room
-//!   of the `dgr::Realization` facade builder.
+//! * [`driver`] — network wiring, assembly and verification; its entry
+//!   point [`realize_tree_run`] is the engine room of the
+//!   `dgr::Realization` facade builder.
 
 pub mod distributed;
 pub mod driver;
 pub mod greedy;
 
-#[allow(deprecated)]
-#[cfg(feature = "threaded")]
-pub use driver::realize_tree;
-#[allow(deprecated)]
-pub use driver::realize_tree_batched;
 pub use driver::{realize_tree_run, TreeAlgo, TreeRealization, TreeRun};

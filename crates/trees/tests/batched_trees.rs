@@ -92,32 +92,8 @@ const GOLDEN: &[(&str, Golden)] = &[
 /// The folded transcripts of the random sweep, from the twins.
 const GOLDEN_SWEEP: u64 = 0x6f3b_b0ed_c0b7_c58a;
 
-thread_local! {
-    /// Set by the throw-away printer below: the twin's transcript is
-    /// printed instead of asserted, and the table is not consulted.
-    static RECORDING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-fn recording() -> bool {
-    RECORDING.with(std::cell::Cell::get)
-}
-
-/// Throw-away: fills [`GOLDEN`] and the sweep hash from the direct-style
-/// twins. Run with `cargo test -p dgr-trees --test batched_trees --
-/// --ignored --nocapture print_golden`.
-#[test]
-#[ignore = "prints the golden table from the twins"]
-fn print_golden_rows_from_the_twins() {
-    RECORDING.with(|r| r.set(true));
-    batched_tree_drivers_match_threaded();
-    tree_sweep_engines_agree();
-}
-
 /// Holds a run to the frozen transcript of its case.
 fn assert_golden(case: &str, out: &TreeRealization) {
-    if recording() {
-        return;
-    }
     let golden = GOLDEN
         .iter()
         .find(|(name, _)| *name == case)
@@ -134,7 +110,7 @@ fn metrics_of(out: &TreeRealization) -> &dgr_ncc::RunMetrics {
 }
 
 #[test]
-fn batched_tree_drivers_match_threaded() {
+fn tree_drivers_match_frozen_twins_on_both_engines() {
     for degrees in [
         vec![1, 1],
         vec![2, 1, 1],
@@ -149,17 +125,8 @@ fn batched_tree_drivers_match_threaded() {
         vec![2, 2, 1, 1, 0], // zero degree: unrealizable
     ] {
         for algo in [TreeAlgo::Chain, TreeAlgo::Greedy] {
-            // twin == golden == batched == reference.
+            // golden == batched == reference.
             let case = format!("{algo:?} {degrees:?}");
-            let twin = realize(&degrees, Config::ncc0(91), algo, EngineKind::Threaded);
-            if recording() {
-                let (ok, diameter, rounds, messages, words, sent, received, edges) =
-                    transcript(&twin);
-                println!(
-                    "    ({case:?}, ({ok}, {diameter}, {rounds}, {messages}, {words}, {sent}, {received}, {edges:#018x})),"
-                );
-            }
-            assert_golden(&case, &twin);
             let batched = realize(&degrees, Config::ncc0(91), algo, EngineKind::Batched);
             let reference = realize(&degrees, Config::ncc0(91), algo, EngineKind::Reference);
             assert_golden(&case, &batched);
@@ -200,7 +167,8 @@ fn tree_degrees(picks: &[usize]) -> Vec<usize> {
 
 /// Random attachment trees: both engines reproduce the twin's tree with
 /// the requested degrees, for both algorithms. Draws the cases the
-/// `proptest!` form of this test ran (same name-derived stream).
+/// `proptest!` form of this test ran against the twins (same
+/// name-derived stream).
 #[test]
 fn tree_sweep_engines_agree() {
     let name = format!("{}::tree_sweep_engines_agree", module_path!());
@@ -212,10 +180,8 @@ fn tree_sweep_engines_agree() {
         let degrees = tree_degrees(&picks);
         for algo in [TreeAlgo::Chain, TreeAlgo::Greedy] {
             let what = format!("{algo:?} {degrees:?}");
-            let twin = realize(&degrees, Config::ncc0(seed), algo, EngineKind::Threaded);
             let batched = realize(&degrees, Config::ncc0(seed), algo, EngineKind::Batched);
             let reference = realize(&degrees, Config::ncc0(seed), algo, EngineKind::Reference);
-            assert_eq!(transcript(&twin), transcript(&batched), "{what}: twin");
             assert_eq!(transcript(&batched), transcript(&reference), "{what}");
             assert_eq!(metrics_of(&batched), metrics_of(&reference), "{what}");
             let t = batched.expect_realized();
@@ -239,8 +205,5 @@ fn tree_sweep_engines_agree() {
             }
         }
     }
-    if recording() {
-        println!("tree_sweep_engines_agree: {folded:#018x}");
-    }
-    assert!(recording() || folded == GOLDEN_SWEEP, "{folded:#018x}");
+    assert_eq!(folded, GOLDEN_SWEEP, "sweep transcript drifted");
 }

@@ -28,7 +28,8 @@
 //!
 //! Every capability is a builder knob instead of a separate entry point:
 //! the executor ([`Engine::Batched`] production engine vs the
-//! [`Engine::Threaded`] oracle), the capacity policy, masked sub-network
+//! [`Engine::Reference`] interpreter, the differential oracle), the
+//! capacity policy, masked sub-network
 //! runs, the Theorem 3 sorting backend ([`SortBackend::Bitonic`] vs the
 //! randomized [`SortBackend::RandomizedLogN`]), KT0 knowledge tracking,
 //! and the certification depth:
@@ -120,8 +121,7 @@
 //!   Algorithm 6).
 //!
 //! See `README.md` for a guided tour and `ARCHITECTURE.md` for the system
-//! design (including the builder's full knob matrix and the migration
-//! table from the deprecated `realize_*` entry points).
+//! design (including the builder's full knob matrix).
 
 pub use dgr_connectivity as connectivity;
 pub use dgr_core as realization;
@@ -268,8 +268,9 @@ impl RunOutput {
 pub struct Realized {
     /// The realized output.
     pub output: RunOutput,
-    /// Executor-internal statistics (compactions, routing-path choices;
-    /// all-zero on the threaded oracle).
+    /// Executor-internal statistics (compactions, routing-path choices,
+    /// layout, scenario counters; the reference interpreter reports the
+    /// scenario counters only).
     pub engine_stats: EngineStats,
 }
 
@@ -501,8 +502,8 @@ impl Realization {
     /// dense-index range; shards run side by side on the worker pool and
     /// are joined per round by a deterministic exchange phase. A layout
     /// knob like [`Realization::workers`] — transcripts, metrics and event
-    /// streams are bit-identical at every shard count, and the threaded
-    /// oracle ignores it.
+    /// streams are bit-identical at every shard count, and the reference
+    /// interpreter ignores it.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
         self
@@ -511,14 +512,13 @@ impl Realization {
     /// Attaches a seeded adversary: a [`Scenario`] schedule of message
     /// faults (drop / duplicate / reorder rates over round windows) and
     /// node churn (crash-stop, crash-recovery, late joins), injected
-    /// deterministically between the engine's routing seal and delivery.
-    /// The schedule rides the simulator configuration, so it applies to
-    /// **every** batched protocol run the workload performs (round
-    /// numbers restart per run). Fault injection never changes what a
-    /// scenario-free run would do — an empty schedule is bit-identical
-    /// to no scenario at all, and a given `(seed, scenario)` pair replays
-    /// identically at any worker or shard count. Batched engine only:
-    /// combining it with [`Engine::Threaded`] is rejected at validation.
+    /// deterministically between routing and delivery. The schedule rides
+    /// the simulator configuration, so it applies to **every** protocol
+    /// run the workload performs (round numbers restart per run). Fault
+    /// injection never changes what a scenario-free run would do — an
+    /// empty schedule is bit-identical to no scenario at all, and a given
+    /// `(seed, scenario)` pair replays identically at any worker or shard
+    /// count and on either engine (each applies it with code of its own).
     pub fn scenario(mut self, scenario: Scenario) -> Self {
         self.scenario = Some(scenario);
         self
@@ -665,14 +665,6 @@ impl Realization {
             )));
         }
         if let Some(scenario) = &self.scenario {
-            if self.engine == Engine::Threaded {
-                return Err(RealizationError::InvalidRequest(format!(
-                    ".scenario(seed {}) cannot run on .engine(Engine::Threaded) — fault \
-                     injection lives in the batched engines' routing seal; drop the \
-                     engine override or use Engine::Batched",
-                    scenario.seed()
-                )));
-            }
             if let Err(why) = scenario.validate(
                 self.input_len(),
                 self.mask.as_deref(),
@@ -720,6 +712,26 @@ impl Realization {
                 )));
             }
         }
+        if let Workload::Ncc1(rho)
+        | Workload::Ncc0Threshold(rho)
+        | Workload::Ncc0Exact(rho)
+        | Workload::PrefixEnvelope(rho) = &self.workload
+        {
+            let n = rho.len();
+            // A lone node has nothing to connect to; its ρ = 1 is vacuous.
+            let bad = |&(_, &r): &(usize, &usize)| r == 0 || r >= n.max(2);
+            if let Some((position, r)) = rho.iter().enumerate().find(bad) {
+                return Err(RealizationError::InvalidRequest(format!(
+                    "{} was given threshold ρ = {r} at path position {position} — every \
+                     requirement must lie in [1, n-1] = [1, {}] (a node can be \
+                     ρ-connected to at most its n-1 = {} possible neighbors, and ρ = 0 \
+                     asks for nothing)",
+                    self.workload_name(),
+                    n.max(2) - 1,
+                    n.max(2) - 1,
+                )));
+            }
+        }
         self.config()
     }
 
@@ -732,14 +744,9 @@ impl Realization {
     ///
     /// [`RealizationError::InvalidRequest`] for contradictory knobs
     /// (mask on a non-degree workload, mask length mismatch, randomized
-    /// sort under the strict policy — the message names the offending
-    /// builder call and value), [`RealizationError::Sim`] for simulator
-    /// failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a threshold workload's requirements are invalid
-    /// (`ρ = 0` or `ρ ≥ n` — no simple graph can satisfy them).
+    /// sort under the strict policy, a threshold outside `[1, n-1]` — the
+    /// message names the offending builder call and value),
+    /// [`RealizationError::Sim`] for simulator failures.
     pub fn run(self) -> Result<Realized, RealizationError> {
         self.run_inner(None)
     }
@@ -890,7 +897,7 @@ pub struct RoundSnapshot {
     pub live: usize,
     /// The batched executor's dense/sparse classification of this round
     /// (worker-count-invariant scheduling detail;
-    /// [`RouteMode::Unspecified`] on the threaded oracle).
+    /// [`RouteMode::Unspecified`] on the reference interpreter).
     pub route_mode: RouteMode,
     /// Events emitted since the previous snapshot, excluding the
     /// [`RunEvent::RoundCompleted`] this snapshot summarizes.
@@ -1079,6 +1086,68 @@ mod tests {
             .map(|_| ())
             .unwrap_err();
         assert!(matches!(err, RealizationError::InvalidRequest(_)));
+    }
+
+    #[test]
+    fn out_of_range_thresholds_are_invalid_requests() {
+        // ρ = 0 asks for nothing and ρ ≥ n for more neighbors than exist:
+        // every threshold workload rejects both before simulating, naming
+        // the workload, the path position and the value.
+        type Make = fn(Vec<usize>) -> Workload;
+        let workloads: [(&str, Make); 4] = [
+            ("Workload::Ncc1", Workload::Ncc1),
+            ("Workload::Ncc0Threshold", Workload::Ncc0Threshold),
+            ("Workload::Ncc0Exact", Workload::Ncc0Exact),
+            ("Workload::PrefixEnvelope", Workload::PrefixEnvelope),
+        ];
+        for (name, make) in workloads {
+            for (rho, position, value) in [(vec![1, 1, 0], 2, 0), (vec![2, 3, 1], 1, 3)] {
+                let err = Realization::new(make(rho)).run().unwrap_err();
+                assert!(matches!(err, RealizationError::InvalidRequest(_)), "{err}");
+                let text = err.to_string();
+                assert!(text.contains(name), "{text}");
+                assert!(text.contains(&format!("ρ = {value}")), "{text}");
+                assert!(text.contains(&format!("position {position}")), "{text}");
+                assert!(text.contains("[1, 2]"), "{text}");
+            }
+            // The streaming path validates the same way, eagerly.
+            let err = Realization::new(make(vec![0, 1])).run_streaming();
+            assert!(matches!(err, Err(RealizationError::InvalidRequest(_))));
+            // The boundary values are accepted.
+            assert!(
+                Realization::new(make(vec![1, 2, 2])).run().is_ok(),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn scenarios_run_on_the_reference_engine() {
+        // A schedule is a property of the request, not of the executor:
+        // the oracle applies it too, and an inconsistent one is rejected
+        // whichever engine was asked for.
+        let build = |engine: Engine| {
+            Realization::new(Workload::Implicit(vec![2, 2, 1, 1]))
+                .seed(7)
+                .engine(engine)
+        };
+        let quiet = Scenario::new(3).crash(0, 1 << 40);
+        let batched = build(Engine::Batched)
+            .scenario(quiet.clone())
+            .run()
+            .unwrap();
+        let reference = build(Engine::Reference).scenario(quiet).run().unwrap();
+        assert_eq!(batched.metrics(), reference.metrics());
+        assert_eq!(
+            batched.metrics(),
+            build(Engine::Batched).run().unwrap().metrics()
+        );
+        for engine in [Engine::Batched, Engine::Reference] {
+            let err = build(engine).scenario(Scenario::new(3).crash(9, 2)).run();
+            let text = err.unwrap_err().to_string();
+            assert!(text.contains(".scenario(seed 3)"), "{text}");
+            assert!(text.contains("not a participant"), "{text}");
+        }
     }
 
     #[test]

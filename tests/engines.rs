@@ -7,22 +7,43 @@ use distributed_graph_realizations::ncc::event::semantic_stream;
 use distributed_graph_realizations::prelude::*;
 use distributed_graph_realizations::{Engine, Kt0};
 
-/// One workload of every kind the facade offers.
-fn every_workload() -> Vec<(&'static str, Workload)> {
-    let tree = Workload::Tree {
-        degrees: vec![3, 3, 2, 2, 1, 1, 1, 1],
-        algo: TreeAlgo::Greedy,
-    };
-    vec![
-        ("implicit", Workload::Implicit(vec![3, 2, 2, 2, 1, 1, 1])),
-        ("envelope", Workload::Envelope(vec![4, 4, 4, 1, 1])),
-        ("explicit", Workload::Explicit(vec![1, 1, 2, 2])),
-        ("tree", tree),
-        ("ncc1", Workload::Ncc1(vec![2, 2, 1, 1, 1])),
-        ("ncc0", Workload::Ncc0Threshold(vec![2, 2, 1, 1, 1])),
-        ("ncc0-exact", Workload::Ncc0Exact(vec![3, 2, 2, 2, 1, 1, 1])),
-        ("prefix", Workload::PrefixEnvelope(vec![2, 2, 1, 1, 1])),
-    ]
+/// The requests of this suite — every workload the facade offers, at the
+/// inputs and seeds the facade-vs-legacy-entry-point suite used while the
+/// legacy entry points existed — as `(case, workload, seed)`.
+fn requests() -> Vec<(String, Workload, u64)> {
+    let degrees = vec![3usize, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1];
+    let rho = vec![3usize, 2, 2, 2, 1, 1, 1];
+    let mut requests = Vec::new();
+    for seed in [3, 19] {
+        requests.push((
+            format!("implicit seed={seed}"),
+            Workload::Implicit(degrees.clone()),
+            seed,
+        ));
+        requests.push((
+            format!("envelope seed={seed}"),
+            Workload::Envelope(degrees.clone()),
+            seed,
+        ));
+        requests.push((
+            format!("explicit seed={seed}"),
+            Workload::Explicit(degrees.clone()),
+            seed,
+        ));
+    }
+    for algo in [TreeAlgo::Chain, TreeAlgo::Greedy] {
+        let degrees = vec![3, 3, 2, 2, 1, 1, 1, 1];
+        requests.push((
+            format!("tree {algo:?}"),
+            Workload::Tree { degrees, algo },
+            9,
+        ));
+    }
+    requests.push(("ncc1".into(), Workload::Ncc1(rho.clone()), 12));
+    requests.push(("ncc0".into(), Workload::Ncc0Threshold(rho.clone()), 12));
+    requests.push(("ncc0-exact".into(), Workload::Ncc0Exact(rho.clone()), 12));
+    requests.push(("prefix".into(), Workload::PrefixEnvelope(rho), 12));
+    requests
 }
 
 /// The sorted edge list of whatever a run realized (empty on a refusal).
@@ -59,8 +80,8 @@ fn record(
 /// breakdown included) and on the semantic event stream.
 #[test]
 fn event_streams_identical_across_engines_and_worker_counts() {
-    for (name, workload) in every_workload() {
-        let (batched, events) = record(workload.clone(), 12, Engine::Batched, 1);
+    for (name, workload, seed) in requests() {
+        let (batched, events) = record(workload.clone(), seed, Engine::Batched, 1);
         assert!(
             events
                 .iter()
@@ -70,11 +91,11 @@ fn event_streams_identical_across_engines_and_worker_counts() {
         for workers in [2, 4] {
             assert_eq!(
                 events,
-                record(workload.clone(), 12, Engine::Batched, workers).1,
+                record(workload.clone(), seed, Engine::Batched, workers).1,
                 "{name}: batched stream diverges at {workers} workers"
             );
         }
-        let (reference, reference_events) = record(workload, 12, Engine::Reference, 1);
+        let (reference, reference_events) = record(workload, seed, Engine::Reference, 1);
         assert_eq!(overlay(&batched), overlay(&reference), "{name}: overlays");
         assert_eq!(batched.metrics(), reference.metrics(), "{name}: metrics");
         assert_eq!(
@@ -171,47 +192,10 @@ fn transcript(out: &Realized) -> Golden {
     )
 }
 
-/// The requests behind [`GOLDEN`]: every workload, at the inputs and
-/// seeds the original facade-vs-legacy-entry-point suite used.
-fn golden_requests() -> Vec<(String, Workload, u64)> {
-    let degrees = vec![3usize, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1];
-    let rho = vec![3usize, 2, 2, 2, 1, 1, 1];
-    let mut requests = Vec::new();
-    for seed in [3, 19] {
-        requests.push((
-            format!("implicit seed={seed}"),
-            Workload::Implicit(degrees.clone()),
-            seed,
-        ));
-        requests.push((
-            format!("envelope seed={seed}"),
-            Workload::Envelope(degrees.clone()),
-            seed,
-        ));
-        requests.push((
-            format!("explicit seed={seed}"),
-            Workload::Explicit(degrees.clone()),
-            seed,
-        ));
-    }
-    for algo in [TreeAlgo::Chain, TreeAlgo::Greedy] {
-        let degrees = vec![3, 3, 2, 2, 1, 1, 1, 1];
-        requests.push((
-            format!("tree {algo:?}"),
-            Workload::Tree { degrees, algo },
-            9,
-        ));
-    }
-    requests.push(("ncc1".into(), Workload::Ncc1(rho.clone()), 12));
-    requests.push(("ncc0".into(), Workload::Ncc0Threshold(rho.clone()), 12));
-    requests.push(("ncc0-exact".into(), Workload::Ncc0Exact(rho.clone()), 12));
-    requests.push(("prefix".into(), Workload::PrefixEnvelope(rho), 12));
-    requests
-}
-
-/// What `Engine::Threaded` — on these unmasked bitonic requests, the
-/// direct-style twin of each algorithm — produced, recorded at the last
-/// commit that had it.
+/// What the original thread-per-node engine produced on these requests —
+/// for the unmasked bitonic plane it ran the direct-style twin of each
+/// algorithm, for `ncc0-exact` and `prefix` the same state machines —
+/// recorded from it at the last commit that had it.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, Golden)] = &[
     ("implicit seed=3", (true, 4, 219, 877, 2389, 2, 2, 0x002a99e1b86c0afd)),
@@ -228,31 +212,13 @@ const GOLDEN: &[(&str, Golden)] = &[
     ("prefix", (true, 4, 127, 180, 472, 2, 2, 0x40fdb7803a1a6ba7)),
 ];
 
-/// Throw-away: prints [`GOLDEN`] from `Engine::Threaded`. Run with
-/// `cargo test --test engines -- --ignored --nocapture print_golden`.
-#[test]
-#[ignore = "prints the golden table from the threaded engine"]
-fn print_golden_rows_from_the_threaded_engine() {
-    for (case, workload, seed) in golden_requests() {
-        let twin = Realization::new(workload)
-            .seed(seed)
-            .engine(Engine::Threaded)
-            .run()
-            .unwrap();
-        let (ok, phases, rounds, messages, words, sent, received, edges) = transcript(&twin);
-        println!(
-            "    ({case:?}, ({ok}, {phases}, {rounds}, {messages}, {words}, {sent}, {received}, {edges:#018x})),"
-        );
-    }
-}
-
-/// twin == golden == batched == reference, through the facade. The NCC1
+/// golden == batched == reference, through the facade. The NCC1
 /// star's twin was only ever overlay-identical to its state machine (it
 /// built the full path context first), so that row holds on the verdict
 /// and overlay columns; every other row holds in full.
 #[test]
 fn facade_transcripts_match_the_frozen_twins_on_both_engines() {
-    for (case, workload, seed) in golden_requests() {
+    for (case, workload, seed) in requests() {
         let golden = GOLDEN
             .iter()
             .find(|(name, _)| *name == case)
@@ -262,7 +228,6 @@ fn facade_transcripts_match_the_frozen_twins_on_both_engines() {
             let request = Realization::new(workload.clone()).seed(seed);
             transcript(&request.engine(engine).run().unwrap())
         };
-        assert_eq!(run(Engine::Threaded), golden, "{case}: twin");
         let (batched, reference) = (run(Engine::Batched), run(Engine::Reference));
         assert_eq!(batched, reference, "{case}: engines");
         if case == "ncc1" {

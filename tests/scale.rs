@@ -52,8 +52,7 @@ fn greedy_tree_at_n_2048() {
     assert_eq!(t.diameter, trees::greedy::diameter_of(&reference, n));
 }
 
-/// The NCC₀ path-to-clique warm-up on the batched engine at 200k nodes —
-/// two orders of magnitude past what thread-per-node can spawn.
+/// The NCC₀ path-to-clique warm-up on the batched engine at 200k nodes.
 #[test]
 fn batched_warmup_at_n_200k() {
     let n = 200_000;
@@ -268,8 +267,8 @@ fn batched_ncc1_star_at_n_100k() {
 }
 
 /// A full degree-sequence realization — Algorithm 3 end to end, explicit
-/// hand-off included — on the batched engine at 200k nodes, two orders of
-/// magnitude past the threaded drivers. A perfect matching keeps the
+/// hand-off included — on the batched engine at 200k nodes. A perfect
+/// matching keeps the
 /// phase count minimal so the default (debug-mode) suite stays fast; the
 /// driver still exercises every stage: establish, per-phase sort +
 /// contacts + aggregations + interval multicast, and the staggered
