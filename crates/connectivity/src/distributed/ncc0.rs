@@ -42,15 +42,10 @@ pub(crate) fn pipeline_rounds(ttl_max: usize, b: usize) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use crate::driver::{realize_threshold_run, ThresholdAlgo, ThresholdRealization};
-    use dgr_ncc::EngineKind;
-    use dgr_primitives::sort::SortBackend;
+    use crate::driver::{realize_for_test, ThresholdAlgo, ThresholdRealization};
 
     fn realize_ncc0(inst: &ThresholdInstance, config: Config) -> ThresholdRealization {
-        let (algo, engine) = (ThresholdAlgo::Ncc0Pipeline, EngineKind::Batched);
-        realize_threshold_run(inst, config, algo, engine, SortBackend::Bitonic, true, None)
-            .unwrap()
-            .output
+        realize_for_test(inst, config, ThresholdAlgo::Ncc0Pipeline)
     }
     use crate::{sequential, ThresholdInstance};
     use dgr_ncc::Config;

@@ -17,15 +17,10 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::driver::{realize_threshold_run, ThresholdAlgo, ThresholdRealization};
-    use dgr_ncc::EngineKind;
-    use dgr_primitives::sort::SortBackend;
+    use crate::driver::{realize_for_test, ThresholdAlgo, ThresholdRealization};
 
     fn realize_ncc1(inst: &ThresholdInstance, config: Config) -> ThresholdRealization {
-        let (algo, engine) = (ThresholdAlgo::Ncc1Star, EngineKind::Batched);
-        realize_threshold_run(inst, config, algo, engine, SortBackend::Bitonic, true, None)
-            .unwrap()
-            .output
+        realize_for_test(inst, config, ThresholdAlgo::Ncc1Star)
     }
     use crate::ThresholdInstance;
     use dgr_ncc::Config;

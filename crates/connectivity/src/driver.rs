@@ -232,15 +232,25 @@ pub fn realize_prefix_envelope_run(
     )
 }
 
+/// Test fixture: one certified bitonic realization on the batched engine.
+#[cfg(test)]
+pub(crate) fn realize_for_test(
+    inst: &ThresholdInstance,
+    config: Config,
+    algo: ThresholdAlgo,
+) -> ThresholdRealization {
+    let (engine, sort) = (EngineKind::Batched, SortBackend::Bitonic);
+    realize_threshold_run(inst, config, algo, engine, sort, true, None)
+        .unwrap()
+        .output
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn realize_ncc1(inst: &ThresholdInstance, config: Config) -> ThresholdRealization {
-        let (algo, engine) = (ThresholdAlgo::Ncc1Star, EngineKind::Batched);
-        realize_threshold_run(inst, config, algo, engine, SortBackend::Bitonic, true, None)
-            .unwrap()
-            .output
+        realize_for_test(inst, config, ThresholdAlgo::Ncc1Star)
     }
 
     #[test]

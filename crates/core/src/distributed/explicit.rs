@@ -22,23 +22,11 @@
 #[cfg(test)]
 mod tests {
     use crate::distributed::proto::Flavor;
-    use crate::driver::{realize_degrees, DriverOutput};
-    use dgr_ncc::{Config, EngineKind};
-    use dgr_primitives::sort::SortBackend;
+    use crate::driver::{realize_for_test, DriverOutput};
+    use dgr_ncc::Config;
 
     fn realize(degrees: &[usize], config: Config) -> DriverOutput {
-        let (flavor, engine) = (Flavor::Explicit, EngineKind::Batched);
-        realize_degrees(
-            degrees,
-            None,
-            config,
-            flavor,
-            engine,
-            SortBackend::Bitonic,
-            None,
-        )
-        .unwrap()
-        .output
+        realize_for_test(degrees, config, Flavor::Explicit)
     }
 
     #[test]

@@ -207,29 +207,23 @@ fn finish(
     }))
 }
 
+/// Test fixture: one unmasked bitonic realization on the batched engine.
+#[cfg(test)]
+pub(crate) fn realize_for_test(degrees: &[usize], config: Config, flavor: Flavor) -> DriverOutput {
+    let (engine, sort) = (EngineKind::Batched, SortBackend::Bitonic);
+    realize_degrees(degrees, None, config, flavor, engine, sort, None)
+        .unwrap()
+        .output
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn realize_implicit(degrees: &[usize], config: Config) -> DriverOutput {
-        let (flavor, engine) = (Flavor::Implicit, EngineKind::Batched);
-        realize_degrees(
-            degrees,
-            None,
-            config,
-            flavor,
-            engine,
-            SortBackend::Bitonic,
-            None,
-        )
-        .unwrap()
-        .output
-    }
-
     #[test]
     fn implicit_driver_end_to_end() {
         let degrees = vec![2, 2, 1, 1];
-        let out = realize_implicit(&degrees, Config::ncc0(41));
+        let out = realize_for_test(&degrees, Config::ncc0(41), Flavor::Implicit);
         let g = out.expect_realized();
         assert_eq!(g.graph.edge_count(), 3);
         verify::degrees_match(&g.graph, &g.requested).unwrap();
@@ -239,7 +233,7 @@ mod tests {
 
     #[test]
     fn metrics_accessible_on_refusal() {
-        let out = realize_implicit(&[1, 1, 1], Config::ncc0(42));
+        let out = realize_for_test(&[1, 1, 1], Config::ncc0(42), Flavor::Implicit);
         assert!(out.is_unrealizable());
         assert!(out.metrics().rounds > 0);
     }

@@ -14,7 +14,7 @@
 
 use dgr_core::distributed::proto::Flavor;
 use dgr_core::driver::{realize_degrees, DriverOutput};
-use dgr_ncc::{Config, EngineKind, SimError};
+use dgr_ncc::{Config, EngineKind};
 use dgr_primitives::sort::SortBackend;
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -100,49 +100,26 @@ fn assert_golden(case: &str, out: &DriverOutput) {
 /// Runs one unmasked case on both engines: golden == batched ==
 /// reference (the two engines on every metric).
 fn assert_case(case: &str, degrees: &[usize], config: Config, flavor: Flavor) -> DriverOutput {
-    let batched = realize(degrees, config.clone(), flavor, EngineKind::Batched).unwrap();
-    let reference = realize(degrees, config, flavor, EngineKind::Reference).unwrap();
+    let batched = realize(degrees, None, config.clone(), flavor, EngineKind::Batched);
+    let reference = realize(degrees, None, config, flavor, EngineKind::Reference);
     assert_golden(case, &batched);
     assert_golden(case, &reference);
     assert_eq!(batched.metrics(), reference.metrics(), "{case}: engines");
     batched
 }
 
-// White-box shorthands over the `realize_degrees` engine room, pinned to
-// the (engine, flavor) plane each differential compares.
+// White-box shorthand over the `realize_degrees` engine room.
 fn realize(
     degrees: &[usize],
+    mask: Option<&[bool]>,
     config: Config,
     flavor: Flavor,
     engine: EngineKind,
-) -> Result<DriverOutput, SimError> {
-    realize_degrees(
-        degrees,
-        None,
-        config,
-        flavor,
-        engine,
-        SortBackend::Bitonic,
-        None,
-    )
-    .map(|run| run.output)
-}
-
-fn realize_implicit_batched(d: &[usize], c: Config) -> Result<DriverOutput, SimError> {
-    realize(d, c, Flavor::Implicit, EngineKind::Batched)
-}
-fn realize_explicit_batched(d: &[usize], c: Config) -> Result<DriverOutput, SimError> {
-    realize(d, c, Flavor::Explicit, EngineKind::Batched)
-}
-fn realize_masked(
-    d: &[usize],
-    mask: &[bool],
-    c: Config,
-    flavor: Flavor,
-    engine: EngineKind,
-) -> Result<DriverOutput, SimError> {
-    realize_degrees(d, Some(mask), c, flavor, engine, SortBackend::Bitonic, None)
-        .map(|run| run.output)
+) -> DriverOutput {
+    let sort = SortBackend::Bitonic;
+    realize_degrees(degrees, mask, config, flavor, engine, sort, None)
+        .unwrap()
+        .output
 }
 
 #[test]
@@ -195,7 +172,14 @@ fn explicit_batched_star_fan_in_is_paced() {
     let n = 48;
     let mut degrees = vec![1usize; n];
     degrees[0] = n - 1;
-    let out = realize_explicit_batched(&degrees, Config::ncc0(35).with_queueing()).unwrap();
+    let config = Config::ncc0(35).with_queueing();
+    let out = realize(
+        &degrees,
+        None,
+        config,
+        Flavor::Explicit,
+        EngineKind::Batched,
+    );
     let g = out.expect_realized();
     assert!(g.metrics.max_received_per_round <= g.metrics.capacity);
     assert_eq!(g.graph.degree_sequence()[0], n - 1);
@@ -218,12 +202,8 @@ fn masked_prefix_realization_matches_the_reference() {
             .collect();
         let mask: Vec<bool> = (0..n).map(|i| i < prefix).collect();
         for flavor in [Flavor::Implicit, Flavor::Envelope] {
-            let config = Config::ncc0(seed);
-            let engine = EngineKind::Reference;
-            let reference =
-                realize_masked(&degrees, &mask, config.clone(), flavor, engine).unwrap();
-            let engine = EngineKind::Batched;
-            let batched = realize_masked(&degrees, &mask, config, flavor, engine).unwrap();
+            let run = |engine| realize(&degrees, Some(&mask), Config::ncc0(seed), flavor, engine);
+            let (reference, batched) = (run(EngineKind::Reference), run(EngineKind::Batched));
             let what = format!("masked n={n} prefix={prefix} {flavor:?}");
             assert_eq!(transcript(&reference), transcript(&batched), "{what}");
             assert_eq!(reference.metrics(), batched.metrics(), "{what}");
@@ -255,9 +235,12 @@ fn masked_runs_pay_subnetwork_round_budgets() {
     let prefix = 6;
     let degrees: Vec<usize> = (0..n).map(|i| usize::from(i < prefix)).collect();
     let mask: Vec<bool> = (0..n).map(|i| i < prefix).collect();
-    let (config, engine) = (Config::ncc0(77), EngineKind::Batched);
-    let masked = realize_masked(&degrees, &mask, config, Flavor::Implicit, engine).unwrap();
-    let full = realize_implicit_batched(&vec![1usize; n], Config::ncc0(77)).unwrap();
+    let run = |degrees: &[usize], mask| {
+        let (flavor, engine) = (Flavor::Implicit, EngineKind::Batched);
+        realize(degrees, mask, Config::ncc0(77), flavor, engine)
+    };
+    let masked = run(&degrees, Some(&mask[..]));
+    let full = run(&vec![1usize; n], None);
     // (Not a 2x bound: both runs pay the same *number* of phases for an
     // all-ones sequence, so the constant parts of a phase dilute the
     // per-primitive log-factor savings.)
@@ -292,9 +275,8 @@ fn sweep(
     for _ in 0..cases {
         let degrees = prop::collection::vec(degree.clone(), len.clone()).generate(&mut rng);
         let seed = (0u64..1000).generate(&mut rng);
-        let batched = realize(&degrees, Config::ncc0(seed), flavor, EngineKind::Batched).unwrap();
-        let reference =
-            realize(&degrees, Config::ncc0(seed), flavor, EngineKind::Reference).unwrap();
+        let run = |engine| realize(&degrees, None, Config::ncc0(seed), flavor, engine);
+        let (batched, reference) = (run(EngineKind::Batched), run(EngineKind::Reference));
         let what = format!("{name} {degrees:?} seed {seed}");
         assert_eq!(transcript(&batched), transcript(&reference), "{what}");
         assert_eq!(batched.metrics(), reference.metrics(), "{what}: engines");

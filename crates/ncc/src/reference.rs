@@ -32,7 +32,7 @@ use crate::scenario::ScenarioEvent::{self, CrashRecover, CrashStop, Join};
 use crate::wire::WireEnvelope;
 use rand::{rngs::SmallRng, seq::SliceRandom, Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::panic::AssertUnwindSafe;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Everything the interpreter keeps about one path position. Masked-out
@@ -80,8 +80,7 @@ where
 {
     let (config, ids) = (net.config(), net.ids_in_path_order());
     let (n, cap) = (ids.len(), net.capacity());
-    let fits = participants.is_none_or(|mask| mask.len() == n);
-    assert!(fits, "participant mask length must equal n");
+    assert!(participants.is_none_or(|m| m.len() == n), "mask length ≠ n");
     let participating = |i: usize| participants.is_none_or(|mask| mask[i]);
     let k = (0..n).filter(|&i| participating(i)).count();
     let queueing = config.capacity_policy == CapacityPolicy::Queue;
@@ -208,7 +207,7 @@ where
                 stage_mark: &mut node.marks.1,
             };
             let proto = node.proto.as_mut().expect("up nodes run a protocol");
-            match std::panic::catch_unwind(AssertUnwindSafe(|| proto.step(&mut ctx))) {
+            match catch_unwind(AssertUnwindSafe(|| proto.step(&mut ctx))) {
                 Ok(Status::Continue) => node.rounds += 1,
                 Ok(Status::Done(output)) => {
                     node.output = Some(output);

@@ -23,18 +23,10 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::driver::{realize_tree_run, TreeAlgo, TreeRealization};
+    use crate::driver::{realize_tree, TreeAlgo};
     use crate::greedy;
     use dgr_core::DegreeSequence;
-    use dgr_ncc::{Config, EngineKind};
-    use dgr_primitives::sort::SortBackend;
-
-    fn realize_tree(degrees: &[usize], config: Config, algo: TreeAlgo) -> TreeRealization {
-        let (engine, sort) = (EngineKind::Batched, SortBackend::Bitonic);
-        realize_tree_run(degrees, config, algo, engine, sort, None)
-            .unwrap()
-            .output
-    }
+    use dgr_ncc::Config;
 
     #[test]
     fn realizes_min_diameter_trees() {

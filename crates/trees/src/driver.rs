@@ -146,16 +146,18 @@ pub fn realize_tree_run(
     })
 }
 
+/// Test fixture: one bitonic realization on the batched engine.
+#[cfg(test)]
+pub(crate) fn realize_tree(degrees: &[usize], config: Config, algo: TreeAlgo) -> TreeRealization {
+    let (engine, sort) = (EngineKind::Batched, SortBackend::Bitonic);
+    realize_tree_run(degrees, config, algo, engine, sort, None)
+        .unwrap()
+        .output
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn realize_tree(degrees: &[usize], config: Config, algo: TreeAlgo) -> TreeRealization {
-        let (engine, sort) = (EngineKind::Batched, SortBackend::Bitonic);
-        realize_tree_run(degrees, config, algo, engine, sort, None)
-            .unwrap()
-            .output
-    }
 
     #[test]
     fn driver_verifies_degrees() {

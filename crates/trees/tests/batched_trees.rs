@@ -24,9 +24,6 @@ fn realize(d: &[usize], c: Config, algo: TreeAlgo, engine: EngineKind) -> TreeRe
         .unwrap()
         .output
 }
-fn realize_tree_batched(d: &[usize], c: Config, algo: TreeAlgo) -> TreeRealization {
-    realize(d, c, algo, EngineKind::Batched)
-}
 
 /// FNV-1a, folding one `u64` at a time.
 fn fnv(hash: u64, x: u64) -> u64 {
@@ -141,7 +138,12 @@ fn batched_greedy_is_min_diameter() {
     // Theorem 16 holds on the batched engine: the realized diameter equals
     // the sequential greedy tree's (Lemma 15: minimal).
     let degrees = vec![3, 3, 3, 2, 2, 1, 1, 1, 1, 1];
-    let out = realize_tree_batched(&degrees, Config::ncc0(92), TreeAlgo::Greedy);
+    let out = realize(
+        &degrees,
+        Config::ncc0(92),
+        TreeAlgo::Greedy,
+        EngineKind::Batched,
+    );
     let t = out.expect_realized();
     let seq = dgr_core::DegreeSequence::new(degrees.clone());
     let reference = dgr_trees::greedy::greedy_tree(&seq).unwrap();

@@ -717,18 +717,16 @@ impl Realization {
         | Workload::Ncc0Exact(rho)
         | Workload::PrefixEnvelope(rho) = &self.workload
         {
-            let n = rho.len();
             // A lone node has nothing to connect to; its ρ = 1 is vacuous.
-            let bad = |&(_, &r): &(usize, &usize)| r == 0 || r >= n.max(2);
+            let max = rho.len().max(2) - 1;
+            let bad = |&(_, &r): &(usize, &usize)| r == 0 || r > max;
             if let Some((position, r)) = rho.iter().enumerate().find(bad) {
                 return Err(RealizationError::InvalidRequest(format!(
                     "{} was given threshold ρ = {r} at path position {position} — every \
-                     requirement must lie in [1, n-1] = [1, {}] (a node can be \
-                     ρ-connected to at most its n-1 = {} possible neighbors, and ρ = 0 \
-                     asks for nothing)",
+                     requirement must lie in [1, n-1] = [1, {max}] (a node can be \
+                     ρ-connected to at most its n-1 possible neighbors, and ρ = 0 asks \
+                     for nothing)",
                     self.workload_name(),
-                    n.max(2) - 1,
-                    n.max(2) - 1,
                 )));
             }
         }
