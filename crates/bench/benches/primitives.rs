@@ -4,10 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dgr_ncc::{Config, Network, RoundCtx};
-use dgr_primitives::proto::sort::SortStep;
-use dgr_primitives::proto::{EstablishCtx, StepProtocol, WithCtx};
-use dgr_primitives::sort::Order;
-use dgr_primitives::PathCtx;
+use dgr_primitives::sort::{Order, SortStep};
+use dgr_primitives::{EstablishCtx, PathCtx, StepProtocol, WithCtx};
 
 const SIZES: [usize; 5] = [64, 256, 1024, 4096, 16384];
 

@@ -21,10 +21,8 @@
 use dgr_bench::drive::{CapacityPolicy, Kt0, Realization, SortBackend, Workload};
 use dgr_graphgen as graphgen;
 use dgr_ncc::{Config, EngineKind, EngineStats, Network, NullSink, RunMetrics, Scenario};
-use dgr_primitives::proto::sort::SortStep;
-use dgr_primitives::proto::{EstablishCtx, PathToClique, StepProtocol, WithCtx};
-use dgr_primitives::sort::Order;
-use dgr_primitives::PathCtx;
+use dgr_primitives::sort::{Order, SortStep};
+use dgr_primitives::{EstablishCtx, PathCtx, PathToClique, StepProtocol, WithCtx};
 use dgr_trees::TreeAlgo;
 use std::fmt::Write as _;
 use std::time::Instant;

@@ -38,7 +38,7 @@ pub fn t11_implicit() -> Vec<Table> {
         let r = out.expect_realized();
         let ok = dgr_core::verify::degrees_match(&r.graph, &r.requested).is_ok();
         exact &= ok && r.metrics.is_clean();
-        let bound = dgr_core::distributed::implicit::phase_bound(&seq);
+        let bound = dgr_core::distributed::phase_bound(&seq);
         ratios.push(r.phases as f64 / bound);
         t1.row(vec![
             seq.max_degree().to_string(),

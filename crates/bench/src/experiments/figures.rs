@@ -3,10 +3,9 @@
 
 use crate::table::Table;
 use dgr_ncc::{Config, Network, NodeId};
-use dgr_primitives::proto::ctx::UndirectStep;
-use dgr_primitives::proto::warmup::WarmupStep;
-use dgr_primitives::proto::{Step, StepProtocol};
-use dgr_primitives::{bbst, warmup};
+use dgr_primitives::ctx::UndirectStep;
+use dgr_primitives::warmup::{self, WarmupStep};
+use dgr_primitives::{bbst, Step, StepProtocol};
 use std::collections::HashMap;
 
 fn tree_rows<T>(

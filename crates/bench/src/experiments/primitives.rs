@@ -8,15 +8,12 @@
 use crate::experiments::ratios_flat;
 use crate::table::{f2, Table};
 use dgr_ncc::{Config, Network, NodeProtocol, RoundCtx, RunResult};
-use dgr_primitives::bbst::Bbst;
-use dgr_primitives::proto::bbst::BbstStep;
-use dgr_primitives::proto::contacts::ContactsStep;
-use dgr_primitives::proto::ctx::UndirectStep;
-use dgr_primitives::proto::ops::{AggBcastStep, BroadcastAddrStep, CollectStep};
-use dgr_primitives::proto::sort::SortStep;
-use dgr_primitives::proto::{AggOp, EstablishCtx, Step, StepProtocol, WithCtx};
-use dgr_primitives::sort::Order;
-use dgr_primitives::PathCtx;
+use dgr_primitives::bbst::{Bbst, BbstStep};
+use dgr_primitives::contacts::ContactsStep;
+use dgr_primitives::ctx::UndirectStep;
+use dgr_primitives::ops::{AggBcastStep, BroadcastAddrStep, CollectStep};
+use dgr_primitives::sort::{Order, SortStep};
+use dgr_primitives::{AggOp, EstablishCtx, PathCtx, Step, StepProtocol, WithCtx};
 use std::sync::Arc;
 
 /// Undirect, contacts, then Algorithm 1 — the establishment chain up to

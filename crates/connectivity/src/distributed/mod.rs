@@ -1,15 +1,12 @@
 //! Distributed threshold realization (Section 6).
 //!
-//! [`ncc1`] and [`ncc0`] describe the two constructions and hold their
-//! property tests; [`ncc1_step`] and [`ncc0_step`] implement them as
-//! step-function protocols, [`ncc0_exact`] the composed paper-exact
-//! Algorithm 6.
+//! One module per construction — description, protocol and tests:
+//! [`ncc1`] the Theorem 17 star, [`ncc0`] Algorithm 6 with the cyclic
+//! pipeline phase 1, [`ncc0_exact`] the composed paper-exact Algorithm 6.
 
 pub mod ncc0;
 pub mod ncc0_exact;
-pub mod ncc0_step;
 pub mod ncc1;
-pub mod ncc1_step;
 
 use dgr_ncc::NodeId;
 

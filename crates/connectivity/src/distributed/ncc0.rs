@@ -27,9 +27,21 @@
 //! neighbors all adjacent to `x₁`, so `(x_i, x₁)` plus `(x_i, w, x₁)`
 //! give `ρ(x_i)` edge-disjoint paths; induction over phase 2 and
 //! Menger's theorem complete it. Edges ≤ `Σρ ≤ 2·OPT` as before.
-
 //!
-//! The implementation is [`Ncc0Threshold`](super::ncc0_step::Ncc0Threshold).
+//! [`Ncc0Threshold`] is the construction, each phase a chained [`Step`];
+//! `crates/connectivity/tests/batched_ncc0.rs` pins its transcripts on
+//! both engines. Run it under a queueing capacity policy: the staggered
+//! replies rely on receive-side queueing. Its opening (`Prologue`) and
+//! its close (`Phase2Acks`) are shared with the paper-exact
+//! [`Ncc0Exact`](super::ncc0_exact::Ncc0Exact).
+
+use super::ThresholdOutcome;
+use dgr_ncc::{tags, NodeId, NodeProtocol, RoundCtx, Status, WireMsg};
+use dgr_primitives::ops::{AggBcastStep, BroadcastAddrStep};
+use dgr_primitives::sort::{Order, SortBackend, SortStep, SortedPath};
+use dgr_primitives::stagger::{self, StaggerStep};
+use dgr_primitives::{AggOp, EstablishCtx, PathCtx, Poll, Step};
+use std::collections::VecDeque;
 
 /// Number of rounds of a token pipeline with maximum ttl `ttl_max` at
 /// forwarding batch `b`: travel distance plus drain slack. (Input rate to
@@ -38,6 +50,400 @@
 /// travel + `ttl_max/b` + slack covers the worst case.)
 pub(crate) fn pipeline_rounds(ttl_max: usize, b: usize) -> u64 {
     ttl_max as u64 + (ttl_max as u64).div_ceil(b as u64) + 10
+}
+
+/// The token pipeline of Algorithm 6 as a [`Step`]: an injected token
+/// `(origin, ttl)` hops along `next_hop` links, each relay recording the
+/// origin and forwarding with `ttl - 1` while positive, at most `batch`
+/// forwards per round.
+///
+/// Rounds: exactly `pipeline_rounds(ttl_max, batch)` — every participant
+/// of the epoch must pass the same `rounds`.
+#[derive(Debug)]
+pub struct PipelineStep {
+    next_hop: Option<NodeId>,
+    rounds: u64,
+    batch: usize,
+    t: u64,
+    queue: VecDeque<(NodeId, u64)>,
+    received: Vec<NodeId>,
+}
+
+impl PipelineStep {
+    /// Builds the step; `inject` starts a token `(my_id, ttl)`.
+    pub fn new(
+        next_hop: Option<NodeId>,
+        inject: Option<usize>,
+        rounds: u64,
+        batch: usize,
+        my_id: NodeId,
+    ) -> Self {
+        let mut queue = VecDeque::new();
+        if let Some(ttl) = inject {
+            if ttl > 0 {
+                queue.push_back((my_id, ttl as u64));
+            }
+        }
+        PipelineStep {
+            next_hop,
+            rounds,
+            batch,
+            t: 0,
+            queue,
+            received: Vec::new(),
+        }
+    }
+}
+
+impl Step for PipelineStep {
+    type Out = Vec<NodeId>;
+
+    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<Vec<NodeId>> {
+        if self.t > 0 {
+            for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::EDGE) {
+                let origin = env.addr();
+                let ttl = env.word();
+                self.received.push(origin);
+                if ttl > 1 {
+                    self.queue.push_back((origin, ttl - 1));
+                }
+            }
+        }
+        if self.t == self.rounds {
+            debug_assert!(self.queue.is_empty(), "pipeline round budget too small");
+            return Poll::Ready(std::mem::take(&mut self.received));
+        }
+        if let Some(next) = self.next_hop {
+            for _ in 0..self.batch.min(self.queue.len()) {
+                let (origin, ttl) = self.queue.pop_front().unwrap();
+                ctx.send(next, WireMsg::addr_word(tags::EDGE, origin, ttl));
+            }
+        }
+        self.t += 1;
+        Poll::Pending
+    }
+}
+
+/// Forwarding batch of the token pipelines and the patch ring: half the
+/// per-round capacity.
+pub(super) fn batch(rctx: &RoundCtx<'_>) -> usize {
+    (rctx.capacity() / 2).max(1)
+}
+
+/// What every node knows once the [`Prologue`] completes.
+pub(super) struct Sorted {
+    /// The full-network path context.
+    pub(super) ctx: PathCtx,
+    /// This node's place on the ρ-sorted path.
+    pub(super) sp: SortedPath,
+    /// `d₀ = ρ(x₁)`, the maximum requirement.
+    pub(super) d0: usize,
+    /// The address of `x₁`, the rank-0 node.
+    pub(super) x1: NodeId,
+}
+
+impl Sorted {
+    /// Length of the prefix `x₁ … x_{d₀+1}` phase 1 runs on.
+    pub(super) fn prefix_len(&self) -> usize {
+        (self.d0 + 1).min(self.ctx.vp.len)
+    }
+
+    pub(super) fn in_prefix(&self) -> bool {
+        self.sp.rank < self.prefix_len()
+    }
+
+    /// The cyclic next hop on the prefix ring (the wrap edge addresses
+    /// `x₁`, whose ID was broadcast).
+    pub(super) fn next_cyclic(&self) -> Option<NodeId> {
+        if !self.in_prefix() {
+            None
+        } else if self.sp.rank + 1 < self.prefix_len() {
+            self.sp.vp.succ
+        } else {
+            Some(self.x1)
+        }
+    }
+}
+
+enum PrologueStage {
+    Establish(EstablishCtx),
+    Sort(SortStep),
+    D0(AggBcastStep),
+    X1(BroadcastAddrStep),
+}
+
+/// Step 1 of Algorithm 6, the opening both machines share: establish the
+/// path context, sort by `ρ` non-increasing, broadcast `d₀` and `x₁`'s
+/// address. On a single-node network there is nothing to sort: it
+/// completes with the establishment, on `None`.
+pub(super) struct Prologue {
+    rho: usize,
+    sort: SortBackend,
+    stage: PrologueStage,
+    ctx: Option<PathCtx>,
+    sp: Option<SortedPath>,
+    d0: usize,
+}
+
+impl Prologue {
+    pub(super) fn new(rho: usize, sort: SortBackend) -> Self {
+        Prologue {
+            rho,
+            sort,
+            stage: PrologueStage::Establish(EstablishCtx::new()),
+            ctx: None,
+            sp: None,
+            d0: 0,
+        }
+    }
+
+    /// The stage in progress, under the label `Ncc0Exact` narrates it by.
+    pub(super) fn label(&self) -> &'static str {
+        match self.stage {
+            PrologueStage::Establish(_) => "establish",
+            PrologueStage::Sort(_) => "sort",
+            PrologueStage::D0(_) => "d0",
+            PrologueStage::X1(_) => "x1",
+        }
+    }
+
+    fn ctx(&self) -> &PathCtx {
+        self.ctx.as_ref().expect("stage before establish completed")
+    }
+}
+
+impl Step for Prologue {
+    type Out = Option<Sorted>;
+
+    fn poll(&mut self, rctx: &mut RoundCtx<'_>) -> Poll<Option<Sorted>> {
+        loop {
+            match &mut self.stage {
+                PrologueStage::Establish(s) => match s.poll(rctx) {
+                    Poll::Pending => return Poll::Pending,
+                    Poll::Ready(ctx) => {
+                        if ctx.vp.len == 1 {
+                            return Poll::Ready(None);
+                        }
+                        self.stage = PrologueStage::Sort(SortStep::on_ctx(
+                            &ctx,
+                            self.rho as u64,
+                            Order::Descending,
+                            rctx.id(),
+                            self.sort,
+                        ));
+                        self.ctx = Some(ctx);
+                    }
+                },
+                PrologueStage::Sort(s) => match s.poll(rctx) {
+                    Poll::Pending => return Poll::Pending,
+                    Poll::Ready(sp) => {
+                        self.sp = Some(sp);
+                        let ctx = self.ctx();
+                        self.stage = PrologueStage::D0(AggBcastStep::new(
+                            ctx.vp,
+                            ctx.tree.clone(),
+                            self.rho as u64,
+                            AggOp::Max,
+                        ));
+                    }
+                },
+                PrologueStage::D0(s) => match s.poll(rctx) {
+                    Poll::Pending => return Poll::Pending,
+                    Poll::Ready(d0) => {
+                        self.d0 = d0 as usize;
+                        let ctx = self.ctx();
+                        let rank = self.sp.as_ref().expect("sorted above").rank;
+                        let mine = (rank == 0).then(|| rctx.id());
+                        self.stage = PrologueStage::X1(BroadcastAddrStep::new(
+                            ctx.vp,
+                            ctx.tree.clone(),
+                            mine,
+                        ));
+                    }
+                },
+                PrologueStage::X1(s) => match s.poll(rctx) {
+                    Poll::Pending => return Poll::Pending,
+                    Poll::Ready(x1) => {
+                        return Poll::Ready(Some(Sorted {
+                            ctx: self.ctx.take().expect("established above"),
+                            sp: self.sp.take().expect("sorted above"),
+                            d0: self.d0,
+                            x1,
+                        }));
+                    }
+                },
+            }
+        }
+    }
+}
+
+enum TailStage {
+    Phase2(PipelineStep),
+    Acks(StaggerStep),
+}
+
+/// Steps 3–4 of Algorithm 6, the close both machines share. **Phase 2**:
+/// the head-ward pipeline on the whole sorted path, ranks past the prefix
+/// injecting `ttl = ρ`. **Explicitness**: every token recipient answers
+/// with its own ID by staggered sends. Returns the neighbors gained:
+/// phase-2 origins, then acknowledgement senders.
+pub(super) struct Phase2Acks {
+    stage: TailStage,
+    /// Origins of the one-sided edges this node holds and must
+    /// acknowledge: the caller's, then phase 2's.
+    one_sided: Vec<NodeId>,
+    /// The commonly known bound on any node's incoming acknowledgements,
+    /// which fixes the epoch length.
+    fan_in: usize,
+    gained: Vec<NodeId>,
+}
+
+impl Phase2Acks {
+    pub(super) fn new(
+        sorted: &Sorted,
+        rho: usize,
+        one_sided: Vec<NodeId>,
+        fan_in: usize,
+        rctx: &RoundCtx<'_>,
+    ) -> Self {
+        let b = batch(rctx);
+        let inject = (!sorted.in_prefix()).then_some(rho);
+        let rounds = pipeline_rounds(sorted.d0, b);
+        let pipeline = PipelineStep::new(sorted.sp.vp.pred, inject, rounds, b, rctx.id());
+        Phase2Acks {
+            stage: TailStage::Phase2(pipeline),
+            one_sided,
+            fan_in,
+            gained: Vec::new(),
+        }
+    }
+
+    /// The stage in progress, under the label `Ncc0Exact` narrates it by.
+    pub(super) fn label(&self) -> &'static str {
+        match self.stage {
+            TailStage::Phase2(_) => "phase2",
+            TailStage::Acks(_) => "acks",
+        }
+    }
+}
+
+impl Step for Phase2Acks {
+    type Out = Vec<NodeId>;
+
+    fn poll(&mut self, rctx: &mut RoundCtx<'_>) -> Poll<Vec<NodeId>> {
+        loop {
+            match &mut self.stage {
+                TailStage::Phase2(s) => match s.poll(rctx) {
+                    Poll::Pending => return Poll::Pending,
+                    Poll::Ready(received) => {
+                        self.one_sided.extend(received.iter().copied());
+                        self.gained = received;
+                        let (spread, drain) = stagger::plan(self.fan_in, rctx.capacity());
+                        let replies = self
+                            .one_sided
+                            .iter()
+                            .map(|&origin| (origin, WireMsg::signal(tags::EDGE_ACK)))
+                            .collect();
+                        self.stage = TailStage::Acks(StaggerStep::new(replies, spread, drain));
+                    }
+                },
+                TailStage::Acks(s) => match s.poll(rctx) {
+                    Poll::Pending => return Poll::Pending,
+                    Poll::Ready(acks) => {
+                        self.gained.extend(
+                            acks.iter()
+                                .filter(|(_, msg)| msg.tag == tags::EDGE_ACK)
+                                .map(|(src, _)| *src),
+                        );
+                        return Poll::Ready(std::mem::take(&mut self.gained));
+                    }
+                },
+            }
+        }
+    }
+}
+
+enum Stage {
+    // Boxed: the opening's stage machine dwarfs the pipelines.
+    Prologue(Box<Prologue>),
+    Phase1(PipelineStep),
+    Tail(Phase2Acks),
+}
+
+/// The Algorithm 6 state machine at one node. `rho ≥ 1` is this node's
+/// requirement; every node runs the same protocol.
+pub struct Ncc0Threshold {
+    stage: Stage,
+    sorted: Option<Sorted>,
+    outcome: ThresholdOutcome,
+}
+
+impl Ncc0Threshold {
+    /// Builds the protocol for one node; `sort` is the backend for the ρ
+    /// sort.
+    pub fn with_sort(rho: usize, sort: SortBackend) -> Self {
+        Ncc0Threshold {
+            stage: Stage::Prologue(Box::new(Prologue::new(rho, sort))),
+            sorted: None,
+            outcome: ThresholdOutcome {
+                rho,
+                neighbors: Vec::new(),
+            },
+        }
+    }
+}
+
+impl NodeProtocol for Ncc0Threshold {
+    type Output = ThresholdOutcome;
+
+    fn step(&mut self, rctx: &mut RoundCtx<'_>) -> Status<ThresholdOutcome> {
+        loop {
+            match &mut self.stage {
+                Stage::Prologue(s) => match s.poll(rctx) {
+                    Poll::Pending => return Status::Continue,
+                    Poll::Ready(None) => return Status::Done(std::mem::take(&mut self.outcome)),
+                    Poll::Ready(Some(sorted)) => {
+                        // Phase 1: cyclic pipeline around the prefix
+                        // x₁ … x_{d₀+1}; the wrap hop addresses x₁.
+                        let b = batch(rctx);
+                        let inject = sorted
+                            .in_prefix()
+                            .then(|| self.outcome.rho.min(sorted.prefix_len() - 1));
+                        self.stage = Stage::Phase1(PipelineStep::new(
+                            sorted.next_cyclic(),
+                            inject,
+                            pipeline_rounds(sorted.d0, b),
+                            b,
+                            rctx.id(),
+                        ));
+                        self.sorted = Some(sorted);
+                    }
+                },
+                Stage::Phase1(s) => match s.poll(rctx) {
+                    Poll::Pending => return Status::Continue,
+                    Poll::Ready(received) => {
+                        self.outcome.neighbors.extend(received.iter().copied());
+                        // Fan-in per initiator ≤ d₀.
+                        let sorted = self.sorted.as_ref().expect("prologue completed");
+                        self.stage = Stage::Tail(Phase2Acks::new(
+                            sorted,
+                            self.outcome.rho,
+                            received,
+                            sorted.d0,
+                            rctx,
+                        ));
+                    }
+                },
+                Stage::Tail(s) => match s.poll(rctx) {
+                    Poll::Pending => return Status::Continue,
+                    Poll::Ready(gained) => {
+                        self.outcome.neighbors.extend(gained);
+                        return Status::Done(std::mem::take(&mut self.outcome));
+                    }
+                },
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! the masked prefix envelope recursion, the phase-2 head-ward pipeline,
 //! and the staggered explicitness acknowledgements — composed end to end.
 //!
-//! [`Ncc0Threshold`](super::ncc0_step::Ncc0Threshold) substitutes a
+//! [`Ncc0Threshold`](super::ncc0::Ncc0Threshold) substitutes a
 //! cyclic token pipeline for phase 1 (see `ncc0.rs` for why that
 //! deviation is the *default*: the paper's Theorem 13 envelope has
 //! multigraph semantics, so a prefix node can end up with fewer
@@ -11,7 +11,7 @@
 //! explicitly**:
 //!
 //! 1. establish, sort by `ρ` non-increasing, broadcast `d₀` and `x₁` —
-//!    identical to the default driver;
+//!    the default driver's `Prologue` step;
 //! 2. **phase 1, paper-exact**: the prefix `x₁ … x_{d₀+1}` of the sorted
 //!    path becomes a sub-path (everyone else holds a non-member view),
 //!    the full context is re-established on it, and the Theorem 13
@@ -28,11 +28,11 @@
 //!    origin (a pigeonhole argument over `ρ ≤ n-1` guarantees one within
 //!    the ring, and complete lists make the freshness check exact);
 //! 4. **phase 2**: every node past the prefix announces itself to its
-//!    `ρ` sorted predecessors through the head-ward token pipeline —
-//!    exactly the default driver's stage;
+//!    `ρ` sorted predecessors through the head-ward token pipeline;
 //! 5. **explicitness**: the patch and pipeline edge holders acknowledge
 //!    the other endpoint by staggered sends, making every neighbor list
-//!    complete and symmetric.
+//!    complete and symmetric — 4 and 5 are the default driver's
+//!    `Phase2Acks` step.
 //!
 //! Run it under a queueing capacity policy (the staggered
 //! acknowledgements rely on receive-side queueing). The protocol is a
@@ -40,23 +40,17 @@
 //! bit-identically (`crates/connectivity/tests/ncc0_exact.rs`).
 //!
 //! [`NodeProtocol`]: dgr_ncc::NodeProtocol
-//! [`DegreesCore`]: dgr_core::distributed::proto::DegreesCore
+//! [`DegreesCore`]: dgr_core::distributed::DegreesCore
 
-use super::ncc0::pipeline_rounds;
-use super::ncc0_step::PipelineStep;
+use super::ncc0::{batch, Phase2Acks, Prologue, Sorted};
 use super::ThresholdOutcome;
-use dgr_core::distributed::proto::{DegreesCore, Flavor};
+use dgr_core::distributed::{DegreesCore, Flavor};
 use dgr_ncc::{tags, NodeId, NodeProtocol, RoundCtx, Status, WireMsg};
-use dgr_primitives::proto::ops::{AggBcastStep, BroadcastAddrStep};
-use dgr_primitives::proto::sort::SortStep;
-use dgr_primitives::proto::stagger::StaggerStep;
-use dgr_primitives::proto::step::{AggOp, Poll, Step};
-use dgr_primitives::proto::EstablishCtx;
-use dgr_primitives::sort::{Order, SortBackend, SortedPath};
-use dgr_primitives::vpath::VPath;
-use dgr_primitives::{stagger, PathCtx};
-use std::collections::HashSet;
-use std::collections::VecDeque;
+use dgr_primitives::ops::AggBcastStep;
+use dgr_primitives::sort::SortBackend;
+use dgr_primitives::stagger::{self, StaggerStep};
+use dgr_primitives::{AggOp, EstablishCtx, Poll, Step, VPath};
+use std::collections::{HashSet, VecDeque};
 
 /// The distinctness patch: tokens walk the prefix ring until they find a
 /// node that is not yet adjacent to their origin, at most `batch`
@@ -146,10 +140,7 @@ impl Step for RingPatchStep {
 }
 
 enum Stage {
-    Establish(EstablishCtx),
-    Sort(SortStep),
-    D0(AggBcastStep),
-    X1(BroadcastAddrStep),
+    Prologue(Prologue),
     SubEstablish(EstablishCtx),
     Core(Box<DegreesCore>),
     /// Explicitness for the phase-1 envelope edges, run *before* the
@@ -158,72 +149,43 @@ enum Stage {
     AcksPhase1(StaggerStep),
     ShortfallMax(AggBcastStep),
     Patch(RingPatchStep),
-    Phase2(PipelineStep),
-    Acks(StaggerStep),
+    Tail(Phase2Acks),
 }
 
 /// The composed paper-exact Algorithm 6 state machine at one node.
 /// `rho ≥ 1` is this node's requirement; every node runs the same
 /// protocol.
 pub struct Ncc0Exact {
-    rho: usize,
-    sort: SortBackend,
     stage: Stage,
-    ctx: Option<PathCtx>,
-    sp: Option<SortedPath>,
-    d0: usize,
-    x1: NodeId,
+    sorted: Option<Sorted>,
     outcome: ThresholdOutcome,
-    /// One-sided edges this node holds (it must ack the other endpoint).
-    one_sided: Vec<NodeId>,
 }
 
 impl Ncc0Exact {
-    /// Builds the protocol for one node (bitonic Theorem 3 backend for
-    /// the ρ sort; the recursion's internal re-sorts are always bitonic —
-    /// sub-path sorts have non-member participants).
-    pub fn new(rho: usize) -> Self {
-        Self::with_sort(rho, SortBackend::Bitonic)
-    }
-
-    /// Builds the protocol with an explicit backend for the outer ρ sort.
+    /// Builds the protocol for one node; `sort` is the backend for the
+    /// outer ρ sort (the recursion's internal re-sorts are always bitonic
+    /// — sub-path sorts have non-member participants).
     pub fn with_sort(rho: usize, sort: SortBackend) -> Self {
         Ncc0Exact {
-            rho,
-            sort,
-            stage: Stage::Establish(EstablishCtx::new()),
-            ctx: None,
-            sp: None,
-            d0: 0,
-            x1: 0,
+            stage: Stage::Prologue(Prologue::new(rho, sort)),
+            sorted: None,
             outcome: ThresholdOutcome {
                 rho,
                 neighbors: Vec::new(),
             },
-            one_sided: Vec::new(),
         }
     }
 
-    fn ctx(&self) -> &PathCtx {
-        self.ctx.as_ref().expect("stage before establish completed")
-    }
-
-    fn sp(&self) -> &SortedPath {
-        self.sp.as_ref().expect("stage before sort completed")
-    }
-
-    fn prefix_len(&self) -> usize {
-        (self.d0 + 1).min(self.ctx().vp.len)
-    }
-
-    fn in_prefix(&self) -> bool {
-        self.sp().rank < self.prefix_len()
+    fn sorted(&self) -> &Sorted {
+        self.sorted
+            .as_ref()
+            .expect("stage before the prologue completed")
     }
 
     /// This node's view of the prefix sub-path (non-member past it).
     fn prefix_vp(&self) -> VPath {
-        let prefix = self.prefix_len();
-        let sp = self.sp();
+        let sorted = self.sorted();
+        let (prefix, sp) = (sorted.prefix_len(), &sorted.sp);
         if sp.rank < prefix {
             VPath {
                 member: true,
@@ -237,17 +199,17 @@ impl Ncc0Exact {
         }
     }
 
-    /// The cyclic next hop on the prefix ring (the wrap edge addresses
-    /// `x₁`, whose ID was broadcast).
-    fn next_cyclic(&self) -> Option<NodeId> {
-        if !self.in_prefix() {
-            return None;
-        }
-        if self.sp().rank + 1 < self.prefix_len() {
-            self.sp().vp.succ
-        } else {
-            Some(self.x1)
-        }
+    /// Enters phase 2 and the closing acknowledgements, which cover the
+    /// patch + phase-2 edges (phase 1 was acked before the shortfall).
+    /// Fan-in per node is at most ~2·d₀ (phase-2 injections + patch
+    /// injections).
+    fn enter_tail(&mut self, patched: Vec<NodeId>, rctx: &mut RoundCtx<'_>) {
+        rctx.mark_phase("phase2");
+        rctx.mark_stage("phase2");
+        let sorted = self.sorted();
+        let fan_in = 2 * sorted.d0 + 2;
+        let tail = Phase2Acks::new(sorted, self.outcome.rho, patched, fan_in, rctx);
+        self.stage = Stage::Tail(tail);
     }
 }
 
@@ -266,72 +228,44 @@ impl NodeProtocol for Ncc0Exact {
         }
         loop {
             match &mut self.stage {
-                Stage::Establish(s) => match s.poll(rctx) {
-                    Poll::Pending => return Status::Continue,
-                    Poll::Ready(ctx) => {
-                        if ctx.vp.len == 1 {
+                Stage::Prologue(s) => {
+                    let before = s.label();
+                    let polled = s.poll(rctx);
+                    if s.label() != before {
+                        rctx.mark_stage(s.label());
+                    }
+                    match polled {
+                        Poll::Pending => return Status::Continue,
+                        Poll::Ready(None) => {
                             return Status::Done(std::mem::take(&mut self.outcome));
                         }
-                        rctx.mark_stage("sort");
-                        self.stage = Stage::Sort(SortStep::on_ctx(
-                            &ctx,
-                            self.rho as u64,
-                            Order::Descending,
-                            rctx.id(),
-                            self.sort,
-                        ));
-                        self.ctx = Some(ctx);
+                        Poll::Ready(Some(sorted)) => {
+                            self.sorted = Some(sorted);
+                            // Phase 1, paper-exact: re-establish the full
+                            // context on the prefix sub-path.
+                            rctx.mark_phase("phase1");
+                            rctx.mark_stage("sub-establish");
+                            self.stage = Stage::SubEstablish(EstablishCtx::on(self.prefix_vp()));
+                        }
                     }
-                },
-                Stage::Sort(s) => match s.poll(rctx) {
-                    Poll::Pending => return Status::Continue,
-                    Poll::Ready(sp) => {
-                        self.sp = Some(sp);
-                        let ctx = self.ctx();
-                        rctx.mark_stage("d0");
-                        self.stage = Stage::D0(AggBcastStep::new(
-                            ctx.vp,
-                            ctx.tree.clone(),
-                            self.rho as u64,
-                            AggOp::Max,
-                        ));
-                    }
-                },
-                Stage::D0(s) => match s.poll(rctx) {
-                    Poll::Pending => return Status::Continue,
-                    Poll::Ready(d0) => {
-                        self.d0 = d0 as usize;
-                        let ctx = self.ctx();
-                        let mine = (self.sp().rank == 0).then(|| rctx.id());
-                        rctx.mark_stage("x1");
-                        self.stage =
-                            Stage::X1(BroadcastAddrStep::new(ctx.vp, ctx.tree.clone(), mine));
-                    }
-                },
-                Stage::X1(s) => match s.poll(rctx) {
-                    Poll::Pending => return Status::Continue,
-                    Poll::Ready(x1) => {
-                        self.x1 = x1;
-                        // Phase 1, paper-exact: re-establish the full
-                        // context on the prefix sub-path.
-                        rctx.mark_phase("phase1");
-                        rctx.mark_stage("sub-establish");
-                        self.stage = Stage::SubEstablish(EstablishCtx::on(self.prefix_vp()));
-                    }
-                },
+                }
                 Stage::SubEstablish(s) => match s.poll(rctx) {
                     Poll::Pending => return Status::Continue,
                     Poll::Ready(sub) => {
                         rctx.mark_stage("envelope-core");
-                        let degree = if self.in_prefix() { self.rho } else { 0 };
-                        let ctx = self.ctx();
+                        let sorted = self.sorted();
+                        let degree = if sorted.in_prefix() {
+                            self.outcome.rho
+                        } else {
+                            0
+                        };
                         self.stage = Stage::Core(Box::new(DegreesCore::new(
                             degree,
                             Flavor::Envelope,
                             SortBackend::Bitonic,
                             sub,
-                            ctx.vp,
-                            ctx.tree.clone(),
+                            sorted.ctx.vp,
+                            sorted.ctx.tree.clone(),
                             rctx.id(),
                         )));
                     }
@@ -346,7 +280,8 @@ impl NodeProtocol for Ncc0Exact {
                         // two-sided neighbor lists. Fan-in per node is
                         // bounded by its own multicast fan-out ≤ d₀.
                         self.outcome.neighbors.extend(out.neighbors.iter().copied());
-                        let (spread, drain) = stagger::plan(self.d0 + 1, rctx.capacity());
+                        let d0 = self.sorted().d0;
+                        let (spread, drain) = stagger::plan(d0 + 1, rctx.capacity());
                         let replies = out
                             .neighbors
                             .iter()
@@ -364,18 +299,18 @@ impl NodeProtocol for Ncc0Exact {
                                 .filter(|(_, msg)| msg.tag == tags::EDGE_ACK)
                                 .map(|(src, _)| *src),
                         );
-                        let shortfall = if self.in_prefix() {
+                        let sorted = self.sorted();
+                        let shortfall = if sorted.in_prefix() {
                             let distinct: HashSet<NodeId> =
                                 self.outcome.neighbors.iter().copied().collect();
-                            (self.rho.saturating_sub(distinct.len())) as u64
+                            (self.outcome.rho.saturating_sub(distinct.len())) as u64
                         } else {
                             0
                         };
-                        let ctx = self.ctx();
                         rctx.mark_stage("shortfall");
                         self.stage = Stage::ShortfallMax(AggBcastStep::new(
-                            ctx.vp,
-                            ctx.tree.clone(),
+                            sorted.ctx.vp,
+                            sorted.ctx.tree.clone(),
                             shortfall,
                             AggOp::Max,
                         ));
@@ -384,13 +319,10 @@ impl NodeProtocol for Ncc0Exact {
                 Stage::ShortfallMax(s) => match s.poll(rctx) {
                     Poll::Pending => return Status::Continue,
                     Poll::Ready(max_shortfall) => {
-                        let b = (rctx.capacity() / 2).max(1);
                         if max_shortfall == 0 {
                             // No distinctness gap this run (the common
                             // case): skip straight to phase 2.
-                            rctx.mark_phase("phase2");
-                            rctx.mark_stage("phase2");
-                            self.stage = Stage::Phase2(self.phase2_stage(rctx, b));
+                            self.enter_tail(Vec::new(), rctx);
                             continue;
                         }
                         let known: HashSet<NodeId> = self
@@ -400,17 +332,20 @@ impl NodeProtocol for Ncc0Exact {
                             .copied()
                             .chain(std::iter::once(rctx.id()))
                             .collect();
-                        let my_shortfall = if self.in_prefix() {
-                            (self.rho.saturating_sub(known.len() - 1)) as u64
+                        let sorted = self.sorted();
+                        let my_shortfall = if sorted.in_prefix() {
+                            (self.outcome.rho.saturating_sub(known.len() - 1)) as u64
                         } else {
                             0
                         };
-                        let rounds = patch_rounds(self.d0, max_shortfall, b);
-                        let hops = self.prefix_len() as u64;
+                        let b = batch(rctx);
+                        let rounds = patch_rounds(sorted.d0, max_shortfall, b);
+                        let hops = sorted.prefix_len() as u64;
+                        let next = sorted.next_cyclic();
                         rctx.mark_phase("patch");
                         rctx.mark_stage("patch");
                         self.stage = Stage::Patch(RingPatchStep::new(
-                            self.next_cyclic(),
+                            next,
                             my_shortfall,
                             known,
                             rounds,
@@ -423,57 +358,27 @@ impl NodeProtocol for Ncc0Exact {
                 Stage::Patch(s) => match s.poll(rctx) {
                     Poll::Pending => return Status::Continue,
                     Poll::Ready(accepted) => {
-                        self.one_sided.extend(accepted.iter().copied());
                         self.outcome.neighbors.extend(accepted.iter().copied());
-                        let b = (rctx.capacity() / 2).max(1);
-                        rctx.mark_phase("phase2");
-                        rctx.mark_stage("phase2");
-                        self.stage = Stage::Phase2(self.phase2_stage(rctx, b));
+                        self.enter_tail(accepted, rctx);
                     }
                 },
-                Stage::Phase2(s) => match s.poll(rctx) {
-                    Poll::Pending => return Status::Continue,
-                    Poll::Ready(received) => {
-                        self.one_sided.extend(received.iter().copied());
-                        self.outcome.neighbors.extend(received.iter().copied());
-                        // Explicitness for the patch + phase-2 edges
-                        // (phase 1 was acked before the shortfall).
-                        // Fan-in per node is at most ~2·d₀ (phase-2
-                        // injections + patch injections).
-                        let (spread, drain) = stagger::plan(2 * self.d0 + 2, rctx.capacity());
-                        let replies = self
-                            .one_sided
-                            .iter()
-                            .map(|&origin| (origin, WireMsg::signal(tags::EDGE_ACK)))
-                            .collect();
-                        rctx.mark_phase("acks");
-                        rctx.mark_stage("acks");
-                        self.stage = Stage::Acks(StaggerStep::new(replies, spread, drain));
+                Stage::Tail(s) => {
+                    let before = s.label();
+                    let polled = s.poll(rctx);
+                    if s.label() != before {
+                        rctx.mark_phase(s.label());
+                        rctx.mark_stage(s.label());
                     }
-                },
-                Stage::Acks(s) => match s.poll(rctx) {
-                    Poll::Pending => return Status::Continue,
-                    Poll::Ready(acks) => {
-                        self.outcome.neighbors.extend(
-                            acks.iter()
-                                .filter(|(_, msg)| msg.tag == tags::EDGE_ACK)
-                                .map(|(src, _)| *src),
-                        );
-                        return Status::Done(std::mem::take(&mut self.outcome));
+                    match polled {
+                        Poll::Pending => return Status::Continue,
+                        Poll::Ready(gained) => {
+                            self.outcome.neighbors.extend(gained);
+                            return Status::Done(std::mem::take(&mut self.outcome));
+                        }
                     }
-                },
+                }
             }
         }
-    }
-}
-
-impl Ncc0Exact {
-    /// Phase 2 of Algorithm 6: the head-ward pipeline over the whole
-    /// sorted path; ranks past the prefix inject `ttl = ρ`.
-    fn phase2_stage(&self, rctx: &RoundCtx<'_>, b: usize) -> PipelineStep {
-        let inject = (!self.in_prefix()).then_some(self.rho);
-        let rounds = pipeline_rounds(self.d0, b);
-        PipelineStep::new(self.sp().vp.pred, inject, rounds, b, rctx.id())
     }
 }
 
@@ -481,7 +386,7 @@ impl Ncc0Exact {
 mod tests {
     use super::*;
     use dgr_ncc::{Config, Network};
-    use dgr_primitives::proto::step::StepProtocol;
+    use dgr_primitives::StepProtocol;
 
     /// Drives the distinctness patch directly on a hand-built ring (NCC1,
     /// so the ring links are addressable without an establishment phase):

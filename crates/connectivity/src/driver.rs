@@ -4,10 +4,9 @@
 //! One driver, [`realize_threshold_run`], runs the chosen construction's
 //! state machine on the engine it is given; the differential suites
 //! (`crates/connectivity/tests/`) hold the batched executor to the
-//! reference interpreter, and both to the frozen transcripts of the
-//! original direct-style algorithms.
+//! reference interpreter, and both to the frozen transcripts.
 
-use crate::distributed::{ncc0_exact, ncc0_step, ncc1_step, ThresholdOutcome};
+use crate::distributed::{ncc0, ncc0_exact, ncc1, ThresholdOutcome};
 use crate::verify::{check_thresholds, ThresholdReport};
 use crate::ThresholdInstance;
 use dgr_core::verify as core_verify;
@@ -100,12 +99,12 @@ pub fn realize_threshold_run(
         ThresholdAlgo::Ncc1Star => {
             assert_eq!(net.model(), Model::Ncc1, "Theorem 17 requires NCC1");
             net.run_protocol_on(engine, None, reborrow(&mut sink), |s| {
-                ncc1_step::Ncc1Star::new(s, by_id[&s.id])
+                ncc1::Ncc1Star::new(s, by_id[&s.id])
             })
         }
         ThresholdAlgo::Ncc0Pipeline => {
             net.run_protocol_on(engine, None, reborrow(&mut sink), |s| {
-                ncc0_step::Ncc0Threshold::with_sort(by_id[&s.id], sort)
+                ncc0::Ncc0Threshold::with_sort(by_id[&s.id], sort)
             })
         }
         ThresholdAlgo::Ncc0Exact => net.run_protocol_on(engine, None, reborrow(&mut sink), |s| {
@@ -192,44 +191,6 @@ fn skipped_report(graph: &Graph) -> ThresholdReport {
         first_violation: None,
         edges: graph.edge_count(),
     }
-}
-
-/// The paper-exact Algorithm 6 **phase 1 in isolation**: realize the
-/// prefix degrees `ρ(x₁) … ρ(x_{d₀+1})` by a Theorem 13 upper-envelope
-/// realization run *on the prefix sub-network* (a masked run — exactly
-/// the recursion the paper prescribes), with the ρ-sorted order baked
-/// into the driver's assignment bookkeeping. Returns the realized prefix
-/// overlay for studying the phase-1 guarantees directly; the fully
-/// composed protocol — distributed sort included — is
-/// [`ThresholdAlgo::Ncc0Exact`].
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn realize_prefix_envelope_run(
-    inst: &ThresholdInstance,
-    config: Config,
-    engine: EngineKind,
-    sink: Option<&mut dyn Sink>,
-) -> Result<dgr_core::DegreesRun, SimError> {
-    let n = inst.len();
-    // Sorted-by-ρ assignment: the prefix of the ρ-sorted order maps onto
-    // the first path positions (assignment order is driver bookkeeping —
-    // the nodes themselves never see it).
-    let mut rho_sorted = inst.rho.clone();
-    rho_sorted.sort_unstable_by(|a, b| b.cmp(a));
-    let d0 = rho_sorted.first().copied().unwrap_or(0);
-    let prefix = (d0 + 1).min(n);
-    let mask: Vec<bool> = (0..n).map(|i| i < prefix).collect();
-    dgr_core::realize_degrees(
-        &rho_sorted,
-        Some(&mask),
-        config,
-        dgr_core::distributed::proto::Flavor::Envelope,
-        engine,
-        SortBackend::Bitonic,
-        sink,
-    )
 }
 
 /// Test fixture: one certified bitonic realization on the batched engine.

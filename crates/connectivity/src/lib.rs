@@ -9,12 +9,10 @@
 //! needs degree ≥ `ρ(v)`).
 //!
 //! * [`distributed::ncc1`] — Theorem 17: `O~(1)`-round implicit
-//!   realization in NCC1 (star through the maximum-`ρ` node `w`);
-//!   implemented by [`distributed::ncc1_step`], practical at 10⁵–10⁶
-//!   nodes.
+//!   realization in NCC1 (star through the maximum-`ρ` node `w`),
+//!   practical at 10⁵–10⁶ nodes.
 //! * [`distributed::ncc0`] — Theorem 18 / Algorithm 6: `O~(Δ)`-round
-//!   explicit realization in NCC0 (and NCC1); implemented by
-//!   [`distributed::ncc0_step`].
+//!   explicit realization in NCC0 (and NCC1).
 //! * [`distributed::ncc0_exact`] — the **paper-exact** Algorithm 6 as one
 //!   composed batched protocol: masked prefix envelope recursion,
 //!   distinctness patch, phase-2 pipeline, explicitness acks.
@@ -22,20 +20,15 @@
 //!   `⌈Σρ/2⌉` lower bound.
 //! * [`verify`] — max-flow certification of the pairwise thresholds.
 //!
-//! The driver entry points —
-//! [`driver::realize_threshold_run`] and
-//! [`driver::realize_prefix_envelope_run`] — are the engine room of the
-//! `dgr::Realization` facade builder.
+//! The driver entry point, [`driver::realize_threshold_run`], is the
+//! engine room of the `dgr::Realization` facade builder.
 
 pub mod distributed;
 pub mod driver;
 pub mod sequential;
 pub mod verify;
 
-pub use driver::{
-    realize_prefix_envelope_run, realize_threshold_run, ThresholdAlgo, ThresholdRealization,
-    ThresholdRun,
-};
+pub use driver::{realize_threshold_run, ThresholdAlgo, ThresholdRealization, ThresholdRun};
 pub use sequential::{edge_lower_bound, sequential_realization};
 pub use verify::{check_thresholds, ThresholdReport};
 

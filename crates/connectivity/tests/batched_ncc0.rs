@@ -167,28 +167,29 @@ fn batched_ncc0_all_max_rho_is_complete() {
 
 #[test]
 fn paper_exact_prefix_envelope_realizes_the_prefix_degrees() {
-    use dgr_connectivity::realize_prefix_envelope_run;
-    // The tiered profile from the paper's multigraph corner: d₀ = 6, so
-    // the prefix is the 7 highest-ρ nodes realized as a sub-network.
-    let mut rho = vec![1usize; 48];
-    for r in rho.iter_mut().take(4) {
+    use dgr_core::distributed::Flavor;
+    // The tiered profile from the paper's multigraph corner, ρ-sorted
+    // (6 × 4, 3 × 16, 1 × 28): d₀ = 6, so the prefix is the 7 highest-ρ
+    // nodes, realized as a masked sub-network — Algorithm 6's paper-exact
+    // phase 1 in isolation.
+    let mut sorted = vec![1usize; 48];
+    for r in sorted.iter_mut().take(4) {
         *r = 6;
     }
-    for r in rho.iter_mut().take(20).skip(4) {
+    for r in sorted.iter_mut().take(20).skip(4) {
         *r = 3;
     }
-    let inst = ThresholdInstance::new(rho.clone());
-    let out = realize_prefix_envelope_run(&inst, Config::ncc0(41), EngineKind::Batched, None)
-        .unwrap()
-        .output;
+    let mask: Vec<bool> = (0..48).map(|i| i < 7).collect();
+    let (flavor, engine, sort) = (Flavor::Envelope, EngineKind::Batched, SortBackend::Bitonic);
+    let config = Config::ncc0(41);
+    let run = dgr_core::realize_degrees(&sorted, Some(&mask), config, flavor, engine, sort, None);
+    let out = run.unwrap().output;
     let g = out.expect_realized();
     // Exactly the d₀ + 1 prefix nodes participated.
     assert_eq!(g.path_order.len(), 7);
     assert!(g.metrics.is_clean());
     // Theorem 13 over the sub-network: every prefix node's (multiset)
     // degree covers its requirement, within the 2Σρ budget.
-    let mut sorted = rho;
-    sorted.sort_unstable_by(|a, b| b.cmp(a));
     let mut envelope_sum = 0;
     for (i, &id) in g.path_order.iter().enumerate() {
         let d_prime = g.multi_degrees[&id];

@@ -5,19 +5,22 @@
 //! goes to the `i`-th node of `G_k`. (The algorithms themselves never use
 //! path positions as input — assignment order is just bookkeeping.)
 //!
-//! Engine note: one driver, [`realize_degrees`], runs the
-//! [`RealizeDegrees`](crate::distributed::proto) state machine on the
-//! engine it is given — the **batched executor** in production, practical
-//! at six-digit `n` (`tests/scale.rs`); the reference interpreter in the
-//! differential suites (`crates/core/tests/batched_drivers.rs`, which also
-//! holds both to the frozen transcripts of the original direct-style
-//! algorithms).
+//! Engine note: one driver, [`realize_degrees`], runs the protocol —
+//! context establishment, then the [`DegreesCore`] phase loop over the
+//! full path — on the engine it is given: the **batched executor** in
+//! production, practical at six-digit `n` (`tests/scale.rs`); the
+//! reference interpreter in the differential suites
+//! (`crates/core/tests/batched_drivers.rs`, which also holds both to the
+//! frozen transcripts).
 
-use crate::distributed::proto::{Flavor, RealizeDegrees};
+use crate::distributed::{DegreesCore, Flavor};
 use crate::verify::{self, Assembled};
 use dgr_graph::Graph;
-use dgr_ncc::{Config, EngineKind, EngineStats, Network, NodeId, RunMetrics, SimError, Sink};
+use dgr_ncc::{
+    Config, EngineKind, EngineStats, Network, NodeId, RoundCtx, RunMetrics, SimError, Sink,
+};
 use dgr_primitives::sort::SortBackend;
+use dgr_primitives::{PathCtx, WithCtx};
 use std::collections::BTreeMap;
 
 /// A realized overlay together with everything needed to verify it.
@@ -124,8 +127,7 @@ pub struct DegreesRun {
 /// * Either [`EngineKind`] runs the same state machine; transcripts are
 ///   identical (`crates/core/tests/batched_drivers.rs`).
 /// * [`SortBackend::RandomizedLogN`] requires a queueing (or recording)
-///   capacity policy; see
-///   [`rand_sort`](dgr_primitives::proto::rand_sort).
+///   capacity policy; see [`rand_sort`](dgr_primitives::rand_sort).
 ///
 /// # Errors
 ///
@@ -157,7 +159,12 @@ pub fn realize_degrees(
         );
     }
     let result = net.run_protocol_on(engine, participants, sink, |s| {
-        RealizeDegrees::with_sort(by_id[&s.id], flavor, sort)
+        let degree = by_id[&s.id];
+        // The whole path is both the local and the global scope.
+        WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+            let (vp, tree) = (ctx.vp, ctx.tree.clone());
+            DegreesCore::new(degree, flavor, sort, ctx.clone(), vp, tree, rctx.id())
+        })
     })?;
     let engine_stats = result.engine.clone();
     // Masked runs are assembled as implicit overlays whatever the flavor.

@@ -10,7 +10,7 @@
 //! scrambled construction orders and across repeated runs, must reproduce
 //! bit-identical outputs.
 
-use dgr_core::distributed::proto::Flavor;
+use dgr_core::distributed::Flavor;
 use dgr_core::driver::{realize_degrees, DriverOutput, RealizedOutput};
 use dgr_core::verify::{assemble_explicit, degrees_match};
 use dgr_graph::Graph;

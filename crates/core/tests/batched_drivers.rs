@@ -12,7 +12,7 @@
 //!   The two random sweeps are frozen as one folded hash each (the
 //!   in-repo proptest stand-in draws fixed cases from the test's name).
 
-use dgr_core::distributed::proto::Flavor;
+use dgr_core::distributed::Flavor;
 use dgr_core::driver::{realize_degrees, DriverOutput};
 use dgr_ncc::{Config, EngineKind};
 use dgr_primitives::sort::SortBackend;

@@ -2,12 +2,12 @@
 //!
 //! A [`Network`] owns the simulated ID space and configuration; protocols
 //! — [`NodeProtocol`] state machines — run on it through
-//! [`Network::run_protocol`] / [`Network::run_protocol_masked`] (the
-//! **batched step-function executor**, `shard.rs`: stepped in bulk over
-//! ownership shards, allocation-free counting-sort routing, millions of
-//! nodes) or [`Network::run_protocol_on`], which also reaches the
-//! **reference interpreter** (`reference.rs`) the differential suites
-//! compare against.
+//! [`Network::run_protocol`] (the **batched step-function executor**,
+//! `shard.rs`: stepped in bulk over ownership shards, allocation-free
+//! counting-sort routing, millions of nodes) or
+//! [`Network::run_protocol_on`], which also takes a participant mask and
+//! a sink and reaches the **reference interpreter** (`reference.rs`) the
+//! differential suites compare against.
 
 use crate::config::{Config, IdAssignment};
 use crate::error::SimError;
@@ -154,6 +154,11 @@ impl Network {
     /// stream delivered into `sink` (pass `None` to run unobserved).
     /// This is the single entry point the `Realization` facade drives.
     ///
+    /// Under a mask only the masked-in nodes participate: masked-out
+    /// indices are dead from round zero, the knowledge path `G_k` links
+    /// across them, and they produce no output. (The capacity is still
+    /// derived from the full `n`.)
+    ///
     /// # Errors
     ///
     /// As for [`Network::run_protocol`].
@@ -178,30 +183,6 @@ impl Network {
                 crate::reference::run(self, participants, sink, factory)
             }
         }
-    }
-
-    /// Like [`Network::run_protocol`], but only the masked-in nodes
-    /// participate: masked-out indices are dead from round zero, the
-    /// knowledge path `G_k` links across them, and they produce no output.
-    /// (The capacity is still derived from the full `n`.)
-    ///
-    /// # Errors
-    ///
-    /// As for [`Network::run_protocol`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `participants.len() != n`.
-    pub fn run_protocol_masked<P, F>(
-        &self,
-        participants: &[bool],
-        factory: F,
-    ) -> Result<RunResult<P::Output>, SimError>
-    where
-        P: NodeProtocol,
-        F: Fn(&NodeSeed<'_>) -> P + Sync,
-    {
-        crate::shard::run(self, Some(participants), None, factory)
     }
 }
 

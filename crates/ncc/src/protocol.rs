@@ -52,7 +52,7 @@ pub struct NodeSeed<'a> {
     pub n: usize,
     /// Number of *participating* nodes — the length of the knowledge path
     /// `G_k` this run actually links. Equals `n` on unmasked runs; on a
-    /// masked run ([`Network::run_protocol_masked`](crate::Network)) it is
+    /// masked run ([`Network::run_protocol_on`](crate::Network)) it is
     /// the sub-network size, which the model grants as common knowledge
     /// exactly like `n` (the paper's prefix recursion broadcasts it before
     /// recursing).

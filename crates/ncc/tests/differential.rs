@@ -272,8 +272,10 @@ fn masked_runs_size_state_with_participants_not_network() {
         config.capacity_policy = CapacityPolicy::Record;
         let net = Network::new(n, config);
         let mask: Vec<bool> = (0..n).map(|i| i < 256).collect();
-        net.run_protocol_masked(&mask, |s| Gossip::new(s, 8, 0, 2))
-            .unwrap()
+        net.run_protocol_on(EngineKind::Batched, Some(&mask), None, |s| {
+            Gossip::new(s, 8, 0, 2)
+        })
+        .unwrap()
     };
     let small = run(512);
     let large = run(8_192);

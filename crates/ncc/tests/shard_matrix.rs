@@ -155,8 +155,10 @@ fn masked_sharded_runs_agree_with_masked_unsharded() {
     let run = |shards: usize| {
         let net = Network::new(96, config.clone().with_shards(shards));
         let mask: Vec<bool> = (0..96).map(|i| i % 3 != 1).collect();
-        net.run_protocol_masked(&mask, |s| Gossip::new(s, 8, 0, 2))
-            .unwrap()
+        net.run_protocol_on(EngineKind::Batched, Some(&mask), None, |s| {
+            Gossip::new(s, 8, 0, 2)
+        })
+        .unwrap()
     };
     let flat = run(1);
     let sharded = run(4);

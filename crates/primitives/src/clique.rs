@@ -1,4 +1,4 @@
-//! Step-function port of the NCC₀ **path-to-clique warm-up**: undirection
+//! The NCC₀ **path-to-clique warm-up** as a whole-run protocol: undirection
 //! followed by pointer-doubling contact construction — the `O(log n)`-round
 //! phase that turns the bare knowledge path into a richly connected overlay
 //! (power-of-two contacts in both directions), the addressing backbone of
@@ -16,7 +16,7 @@ use crate::vpath::VPath;
 use dgr_ncc::{tags, NodeId, NodeProtocol, NodeSeed, RoundCtx, Status, WireMsg};
 
 /// Direction words used in contact-construction messages (the ones
-/// [`ContactsStep`](crate::proto::contacts::ContactsStep) uses).
+/// [`ContactsStep`](crate::contacts::ContactsStep) uses).
 const SET_FWD: u64 = 0;
 const SET_BWD: u64 = 1;
 
@@ -187,9 +187,9 @@ mod tests {
     /// general steps it hardcodes: same transcript, same tables.
     #[test]
     fn matches_the_composed_undirect_and_contacts_steps() {
-        use crate::proto::contacts::ContactsStep;
-        use crate::proto::ctx::UndirectStep;
-        use crate::proto::{Step, StepProtocol};
+        use crate::contacts::ContactsStep;
+        use crate::ctx::UndirectStep;
+        use crate::{Step, StepProtocol};
         let n = 96;
         let net = Network::new(n, Config::ncc0(21));
         let warmup = net.run_protocol(PathToClique::new).unwrap();

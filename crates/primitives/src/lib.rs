@@ -16,55 +16,71 @@
 //! in lockstep. Data-dependent control flow (e.g. the while-loop of
 //! Algorithm 3) is always driven by globally broadcast values.
 //!
-//! Implemented primitives and their paper sources:
+//! Every primitive is a [`Step`]: a state machine polled once per round
+//! through a [`dgr_ncc::RoundCtx`], chainable with the others inside one
+//! run (the [`step`] module documents the polling discipline) — this is
+//! what the realization drivers in `dgr-core`, `dgr-trees` and
+//! `dgr-connectivity` compose (recipe in `ARCHITECTURE.md`). A single step
+//! runs standalone as a whole-run [`dgr_ncc::NodeProtocol`] through
+//! [`StepProtocol`] or, after a context establishment, [`WithCtx`]; the
+//! one bespoke whole-run protocol is the [`PathToClique`] warm-up
+//! benchmark. Each module holds its primitive's description, shared types
+//! ([`Bbst`], [`ContactTable`], [`SortedPath`], …), round budget, step
+//! and property tests.
 //!
 //! | Primitive | Paper | Rounds |
 //! |---|---|---|
-//! | [`proto::ctx::UndirectStep`] | §3.1 | 1 |
-//! | [`proto::warmup::WarmupStep`] (Fig. 1 tree) | §3.1.1 | `O(log n)` |
-//! | [`proto::bbst::BbstStep`] (Alg. 1, Fig. 2) | §3.1.1, Thm 1 | `O(log n)` |
-//! | [`proto::traversal::TraversalStep`] (Cor. 2) | §3.1.1 | `O(log n)` |
-//! | [`proto::ops::AggBcastStep`] (Thm 4) | §3.2.1 | `O(log n)` |
-//! | [`proto::ops::CollectStep`] (Thm 5) | §3.2.2 | `O(k + log n)` |
-//! | [`proto::contacts::ContactsStep`] (pointer doubling) | — | `O(log n)` |
-//! | [`proto::sort::SortStep`] (Thm 3) | §3.1.2 | `O(log² n)` |
-//! | [`proto::prefix::PrefixStep`] | §5 | `O(log n)` |
-//! | [`proto::imcast::ImcastStep`] (Thm 7) | §3.2.3 | `O(log n)` |
-//! | [`proto::stagger::StaggerStep`] (Thm 8) | §3.2.3 | `O(k/cap + log n)` |
+//! | [`ctx::UndirectStep`] | §3.1 | 1 |
+//! | [`warmup::WarmupStep`] (Fig. 1 tree) | §3.1.1 | `2 (ceil(log2 n) + 1)` |
+//! | [`contacts::ContactsStep`] (pointer doubling) | — | `ceil(log2 n) - 1` |
+//! | [`bbst::BbstStep`] (Alg. 1, Fig. 2) | §3.1.1, Thm 1 | `2 ceil(log2 n)` |
+//! | [`traversal::TraversalStep`] (Cor. 2) | §3.1.1 | `O(log n)` |
+//! | [`ctx::EstablishCtx`] (undirect, contacts, BBST, traversal chained) | §3.1 | `O(log n)` |
+//! | [`ops::AggBcastStep`] (Thm 4) | §3.2.1 | `O(log n)` |
+//! | [`ops::BroadcastAddrStep`] (address broadcast, median) | §3.2.1 | `O(log n)` |
+//! | [`ops::CollectStep`] (Thm 5) | §3.2.2 | `O(k + log n)` |
+//! | [`sort::SortStep`] (Thm 3; [`rand_sort`] behind it) | §3.1.2 | `O(log² n)` |
+//! | [`prefix::PrefixStep`] | §5 | `ceil(log2 n)` |
+//! | [`imcast::ImcastStep`] (Thm 7) | §3.2.3 | `O(log n)` |
+//! | [`scatter::ScanStep`] (milestone scan) | §5 | `O(log² n)` |
+//! | [`stagger::StaggerStep`] (Thm 8) | §3.2.3 | `spread + drain` |
 //!
 //! The sorting and multicast primitives substitute the paper's machinery
 //! with same-complexity-class constructions (bitonic networks and interval
 //! doubling instead of recursive merge and butterflies); see `DESIGN.md` §4
 //! for the substitution rationale.
-//!
-//! Every primitive is a [`proto::Step`]: a state machine polled once per
-//! round through a [`dgr_ncc::RoundCtx`], composable with the others into
-//! whole-run [`dgr_ncc::NodeProtocol`]s (see the [`proto`] module and the
-//! recipe in `ARCHITECTURE.md`). The sibling modules ([`bbst`], [`sort`],
-//! [`imcast`], …) hold each primitive's description, its shared types
-//! ([`Bbst`], [`ContactTable`], [`SortedPath`], …), its round budget and
-//! its property tests.
 
 pub mod bbst;
+pub mod clique;
 pub mod contacts;
 pub mod ctx;
 pub mod imcast;
 pub mod ops;
 pub mod prefix;
-pub mod proto;
+pub mod rand_sort;
 pub mod scatter;
 pub mod sort;
 pub mod stagger;
+pub mod step;
 pub mod traversal;
 pub mod vpath;
 pub mod warmup;
 
 pub use bbst::Bbst;
+pub use clique::PathToClique;
 pub use contacts::ContactTable;
-pub use ctx::PathCtx;
-pub use proto::{PathToClique, Undirect};
+pub use ctx::{EstablishCtx, PathCtx, WithCtx};
 pub use sort::{Order, SortBackend, SortedPath};
+pub use step::{AggOp, Poll, Step, StepProtocol, Then};
 pub use vpath::VPath;
+
+/// The six paths `crates/bench/src/bin/e2e/workloads.rs` imports under
+/// their pre-fold names. That file is frozen outside `benchmark` PRs;
+/// nothing else may use this module, and the next such PR deletes it
+/// (ROADMAP, *One instrument*).
+pub mod proto {
+    pub use crate::{clique, sort, EstablishCtx, PathToClique, StepProtocol, WithCtx};
+}
 
 /// `ceil(log2(len))`, the number of doubling levels for a path of `len`
 /// nodes; 0 for `len <= 1`.

@@ -7,18 +7,86 @@
 //! node sends its running sum to the node `2^k` ahead, which adds it.
 //! `⌈log n⌉` steps, one message per node per round.
 
-/// Number of rounds [`PrefixStep`](crate::proto::prefix::PrefixStep) takes
-/// on a path of `len` nodes.
+use crate::contacts::ContactTable;
+use crate::step::{Poll, Step};
+use crate::vpath::VPath;
+use dgr_ncc::{tags, RoundCtx, WireMsg};
+use std::sync::Arc;
+
+/// Number of rounds [`PrefixStep`] takes on a path of `len` nodes.
 pub fn rounds_for(len: usize) -> u64 {
     crate::levels_for(len) as u64
 }
 
+/// The parallel-prefix doubling scan as a [`Step`].
+///
+/// Rounds: exactly [`rounds_for`]`(vp.len)`.
+#[derive(Debug)]
+pub struct PrefixStep {
+    vp: VPath,
+    contacts: Arc<ContactTable>,
+    t: u64,
+    acc: u64,
+    value: u64,
+    exclusive: bool,
+}
+
+impl PrefixStep {
+    /// Inclusive prefix sum of `value` along the path.
+    pub fn new(vp: VPath, contacts: Arc<ContactTable>, value: u64) -> Self {
+        PrefixStep {
+            vp,
+            contacts,
+            t: 0,
+            acc: value,
+            value,
+            exclusive: false,
+        }
+    }
+
+    /// Exclusive prefix sum (sum over strictly earlier positions).
+    pub fn exclusive(vp: VPath, contacts: Arc<ContactTable>, value: u64) -> Self {
+        PrefixStep {
+            exclusive: true,
+            ..Self::new(vp, contacts, value)
+        }
+    }
+}
+
+impl Step for PrefixStep {
+    type Out = u64;
+
+    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<u64> {
+        let levels = rounds_for(self.vp.len);
+        if !self.vp.member {
+            if self.t == levels {
+                return Poll::Ready(0);
+            }
+            self.t += 1;
+            return Poll::Pending;
+        }
+        if self.t > 0 {
+            for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::PREFIX) {
+                self.acc += env.word();
+            }
+        }
+        if self.t == levels {
+            let own = if self.exclusive { self.value } else { 0 };
+            return Poll::Ready(self.acc - own);
+        }
+        if let Some(target) = self.contacts.ahead(self.t as usize) {
+            ctx.send(target, WireMsg::word(tags::PREFIX, self.acc));
+        }
+        self.t += 1;
+        Poll::Pending
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use crate::ctx::PathCtx;
-    use crate::proto::prefix::PrefixStep;
-    use crate::proto::WithCtx;
-    use dgr_ncc::{Config, Network, RoundCtx};
+    use super::*;
+    use crate::{PathCtx, WithCtx};
+    use dgr_ncc::{Config, Network};
 
     #[test]
     fn inclusive_prefix_sums_are_exact() {

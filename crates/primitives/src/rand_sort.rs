@@ -54,7 +54,7 @@
 //! transcripts on both engines and for every worker count.
 //!
 //! Contract differences from the bitonic backend (enforced by
-//! [`SortStep::on_ctx`](crate::proto::sort::SortStep::on_ctx)):
+//! [`SortStep::on_ctx`](crate::sort::SortStep::on_ctx)):
 //! the path must be full-member (the total round count is data-dependent,
 //! so a non-member cannot idle through it), and the run must use a
 //! queueing or recording capacity policy. Below [`RAND_MIN`] nodes the
@@ -62,8 +62,8 @@
 
 use crate::contacts::ContactTable;
 use crate::ctx::PathCtx;
-use crate::proto::step::{Poll, Step};
 use crate::sort::{Order, SortedPath};
+use crate::step::{Poll, Step};
 use crate::vpath::VPath;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
 use rand::Rng;
@@ -174,7 +174,7 @@ enum Phase {
 }
 
 /// The randomized sort as a [`Step`]. Construct through
-/// [`SortStep::on_ctx`](crate::proto::sort::SortStep::on_ctx).
+/// [`SortStep::on_ctx`](crate::sort::SortStep::on_ctx).
 #[derive(Debug)]
 pub struct RandSortStep {
     // --- immutable setup ---
@@ -899,9 +899,9 @@ mod tests {
         assert_eq!((b.first, b.last), (Some(10), Some(11)));
     }
 
-    use crate::proto::sort::SortStep;
-    use crate::proto::WithCtx;
     use crate::sort::SortBackend;
+    use crate::sort::SortStep;
+    use crate::WithCtx;
     use dgr_ncc::{Config, Network};
 
     /// Runs the randomized sort end to end on the batched engine and

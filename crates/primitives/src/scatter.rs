@@ -40,7 +40,12 @@
 //! own/no address and should be ignored by callers. Keys need not be
 //! distinct across nodes; ties are broken by `(origin, slot)`.
 
-use dgr_ncc::NodeId;
+use crate::contacts::ContactTable;
+use crate::sort::StageIter;
+use crate::step::{Poll, Step};
+use crate::vpath::VPath;
+use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
+use std::sync::Arc;
 
 /// A record emitted into the scan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,8 +67,7 @@ pub enum ScanRecord {
     Absent,
 }
 
-/// Number of rounds [`ScanStep`](crate::proto::scatter::ScanStep) takes on
-/// a path of `len` nodes.
+/// Number of rounds [`ScanStep`] takes on a path of `len` nodes.
 pub fn rounds_for(len: usize) -> u64 {
     let virt = 2 * len;
     crate::sort::stage_count(virt) as u64          // comparator network
@@ -71,13 +75,289 @@ pub fn rounds_for(len: usize) -> u64 {
         + 1 // origin delivery
 }
 
+/// Words distinguishing the sub-protocols in flight.
+const W_EXCHANGE: u64 = 0;
+const W_SCAN: u64 = 1;
+const W_DELIVER: u64 = 2;
+
+/// A record in flight: sort key, origin + emission slot (for total order
+/// and final delivery), and the milestone payload if any.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Flight {
+    key: u64,
+    origin: NodeId,
+    slot: u8,
+    milestone: Option<NodeId>,
+}
+
+impl Flight {
+    fn order(&self) -> (u64, NodeId, u8) {
+        (self.key, self.origin, self.slot)
+    }
+}
+
+fn encode(tag_word: u64, vpos: u64, f: &Flight) -> WireMsg {
+    let flags = u64::from(f.slot) | (u64::from(f.milestone.is_some()) << 1);
+    let mut m =
+        WireMsg::words(tags::SORT_XCHG, &[tag_word, vpos, f.key, flags]).with_addr(f.origin);
+    if let Some(a) = f.milestone {
+        m = m.with_addr(a);
+    }
+    m
+}
+
+fn decode(msg: &WireMsg) -> (u64, u64, Flight) {
+    let words = msg.words_slice();
+    let addrs = msg.addrs_slice();
+    let flags = words[3];
+    (
+        words[0],
+        words[1],
+        Flight {
+            key: words[2],
+            origin: addrs[0],
+            slot: (flags & 1) as u8,
+            milestone: (flags & 2 != 0).then(|| addrs[1]),
+        },
+    )
+}
+
+/// The host path position of a virtual slot.
+fn host(vpos: usize) -> usize {
+    vpos / 2
+}
+
+/// The milestone scan as a [`Step`].
+///
+/// Rounds: exactly [`rounds_for`]`(vp.len)`.
+#[derive(Debug)]
+pub struct ScanStep {
+    vp: VPath,
+    contacts: Arc<ContactTable>,
+    position: usize,
+    t: u64,
+    it: StageIter,
+    stage_count: u64,
+    scan_levels: u64,
+    held: [Flight; 2],
+    plan: [Option<(usize, bool)>; 2],
+    acc: [Option<NodeId>; 2],
+    result: [Option<NodeId>; 2],
+}
+
+impl ScanStep {
+    /// Builds the step; every member emits exactly two records.
+    pub fn new(
+        vp: VPath,
+        contacts: Arc<ContactTable>,
+        position: usize,
+        records: [ScanRecord; 2],
+        my_id: NodeId,
+    ) -> Self {
+        let virt = 2 * vp.len;
+        let held = std::array::from_fn(|s| Flight {
+            key: match records[s] {
+                ScanRecord::Milestone { key, .. } | ScanRecord::Filler { key } => key,
+                ScanRecord::Absent => u64::MAX,
+            },
+            origin: my_id,
+            slot: s as u8,
+            milestone: match records[s] {
+                ScanRecord::Milestone { addr, .. } => Some(addr),
+                _ => None,
+            },
+        });
+        ScanStep {
+            vp,
+            contacts,
+            position,
+            t: 0,
+            it: StageIter::new(virt),
+            stage_count: crate::sort::stage_count(virt) as u64,
+            scan_levels: crate::levels_for(virt) as u64,
+            held,
+            plan: [None, None],
+            acc: [None, None],
+            result: [None, None],
+        }
+    }
+
+    /// The ID of the node hosting `target_host` (a power-of-two distance
+    /// from this node's position, or itself).
+    fn host_id(&self, target_host: usize, my_id: NodeId) -> Option<NodeId> {
+        use std::cmp::Ordering;
+        match target_host.cmp(&self.position) {
+            Ordering::Equal => Some(my_id),
+            Ordering::Greater => {
+                let d = target_host - self.position;
+                debug_assert!(d.is_power_of_two());
+                self.contacts.ahead(d.trailing_zeros() as usize)
+            }
+            Ordering::Less => {
+                let d = self.position - target_host;
+                debug_assert!(d.is_power_of_two());
+                self.contacts.behind(d.trailing_zeros() as usize)
+            }
+        }
+    }
+
+    fn absorb_exchange(&mut self, ctx: &RoundCtx<'_>) {
+        for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::SORT_XCHG) {
+            let (w, partner_vpos, theirs) = decode(&env.msg);
+            debug_assert_eq!(w, W_EXCHANGE);
+            let s = (0..2)
+                .find(|&s| {
+                    self.plan[s] == Some((partner_vpos as usize, true))
+                        || self.plan[s] == Some((partner_vpos as usize, false))
+                })
+                .expect("unexpected exchange partner");
+            let (_, i_am_low) = self.plan[s].unwrap();
+            self.held[s] = if i_am_low {
+                if self.held[s].order() <= theirs.order() {
+                    self.held[s]
+                } else {
+                    theirs
+                }
+            } else if self.held[s].order() > theirs.order() {
+                self.held[s]
+            } else {
+                theirs
+            };
+        }
+    }
+
+    fn stage_comparators(&mut self, ctx: &mut RoundCtx<'_>) {
+        let virt = 2 * self.vp.len;
+        let (p, k) = self.it.next().expect("scan stage out of range");
+        let my_id = ctx.id();
+        self.plan = [None, None];
+        for s in 0..2 {
+            let v = 2 * self.position + s;
+            if let Some((partner, i_am_low)) = crate::sort::comparator_at(v, virt, p, k) {
+                if host(partner) == self.position {
+                    // Local comparator between my own two slots.
+                    if s == 0 {
+                        debug_assert!(partner == v + 1 && i_am_low);
+                        if self.held[0].order() > self.held[1].order() {
+                            self.held.swap(0, 1);
+                        }
+                    }
+                } else {
+                    self.plan[s] = Some((partner, i_am_low));
+                    let target = self
+                        .host_id(host(partner), my_id)
+                        .expect("comparator partner off the path");
+                    ctx.send(target, encode(W_EXCHANGE, v as u64, &self.held[s]));
+                }
+            }
+        }
+    }
+
+    fn absorb_scan(&mut self, ctx: &RoundCtx<'_>) {
+        for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::PREFIX) {
+            let tv = env.msg.words_slice()[1] as usize;
+            let s = tv - 2 * self.position;
+            debug_assert!(s < 2);
+            if self.acc[s].is_none() {
+                self.acc[s] = Some(env.addr());
+            }
+        }
+    }
+
+    fn stage_scan(&mut self, level: u64, ctx: &mut RoundCtx<'_>) {
+        let virt = 2 * self.vp.len;
+        let my_id = ctx.id();
+        for (s, &slot_acc) in self.acc.iter().enumerate() {
+            let v = 2 * self.position + s;
+            let tv = v + (1usize << level);
+            if tv < virt {
+                if let Some(a) = slot_acc {
+                    let target = self
+                        .host_id(host(tv), my_id)
+                        .expect("scan target off the path");
+                    ctx.send(
+                        target,
+                        WireMsg::words(tags::PREFIX, &[W_SCAN, tv as u64]).with_addr(a),
+                    );
+                }
+            }
+        }
+    }
+
+    fn stage_delivery(&mut self, ctx: &mut RoundCtx<'_>) {
+        let my_id = ctx.id();
+        for s in 0..2 {
+            let value = self.acc[s];
+            if self.held[s].origin == my_id {
+                self.result[self.held[s].slot as usize] = value;
+            } else {
+                let mut msg = WireMsg::words(
+                    tags::TOKEN,
+                    &[
+                        W_DELIVER,
+                        u64::from(self.held[s].slot),
+                        u64::from(value.is_some()),
+                    ],
+                );
+                if let Some(a) = value {
+                    msg = msg.with_addr(a);
+                }
+                ctx.send(self.held[s].origin, msg);
+            }
+        }
+    }
+}
+
+impl Step for ScanStep {
+    type Out = [Option<NodeId>; 2];
+
+    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<[Option<NodeId>; 2]> {
+        let s_end = self.stage_count;
+        let scan_end = s_end + self.scan_levels;
+        // `rounds_for(vp.len)`, from the counts `new` walked once.
+        let rounds = scan_end + 1;
+        if !self.vp.member {
+            if self.t == rounds {
+                return Poll::Ready([None, None]);
+            }
+            self.t += 1;
+            return Poll::Pending;
+        }
+        if self.t > 0 && self.t <= s_end {
+            self.absorb_exchange(ctx);
+            if self.t == s_end {
+                // The network is sorted; seed the scan accumulators.
+                self.acc = std::array::from_fn(|s| self.held[s].milestone);
+            }
+        } else if self.t > s_end && self.t <= scan_end {
+            self.absorb_scan(ctx);
+        } else if self.t == rounds {
+            for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::TOKEN) {
+                let s = env.msg.words_slice()[1] as usize;
+                if env.msg.words_slice()[2] != 0 {
+                    self.result[s] = Some(env.msg.addrs_slice()[0]);
+                }
+            }
+            return Poll::Ready(self.result);
+        }
+        if self.t < s_end {
+            self.stage_comparators(ctx);
+        } else if self.t < scan_end {
+            self.stage_scan(self.t - s_end, ctx);
+        } else {
+            debug_assert_eq!(self.t, scan_end);
+            self.stage_delivery(ctx);
+        }
+        self.t += 1;
+        Poll::Pending
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::PathCtx;
-    use crate::proto::scatter::ScanStep;
-    use crate::proto::WithCtx;
-    use dgr_ncc::{Config, Network, RoundCtx, RunResult};
+    use crate::{PathCtx, WithCtx};
+    use dgr_ncc::{Config, Network, RunResult};
 
     /// Runs one scan; `records(rank, id)` are each node's two records.
     fn scan(

@@ -6,7 +6,7 @@
 //! primitive contract in `O(log² n)` rounds (see `DESIGN.md` §4):
 //!
 //! * every comparator connects two positions a power-of-two apart, so the
-//!   [`ContactTable`](crate::ContactTable) provides the addressing;
+//!   [`ContactTable`] provides the addressing;
 //! * every comparator points the same way (minimum to the lower position),
 //!   so the network is correct for arbitrary `n` with no virtual padding;
 //! * records `(key, origin)` migrate between positions; the nodes
@@ -18,7 +18,13 @@
 //! prefix sums) can be established. This "sorted path handle" is exactly
 //! what the realization algorithms consume.
 
+use crate::contacts::ContactTable;
+use crate::ctx::PathCtx;
+use crate::rand_sort::{RandSortStep, RAND_MIN};
+use crate::step::{Poll, Step};
 use crate::vpath::VPath;
+use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
+use std::sync::Arc;
 
 /// Which distributed sorting algorithm realizes the Theorem 3 primitive.
 ///
@@ -32,14 +38,14 @@ use crate::vpath::VPath;
 ///   non-member (idling) path views. The default.
 /// * [`SortBackend::RandomizedLogN`] — the paper's Theorem 3 randomized
 ///   sort, realized as a seeded sample-splitter sort (see
-///   [`rand_sort`](crate::proto::rand_sort)): positional sampling →
+///   [`rand_sort`](crate::rand_sort)): positional sampling →
 ///   splitter/leader broadcast → staggered scatter → leader hypercube
 ///   scans → rank notification. `O(√n/κ + log n)` rounds at per-round
 ///   capacity `κ = Θ(log n)` — asymptotically `o(log² n)` and measurably
 ///   below the bitonic round count from `n ≈ 2¹⁴` (`engine_bench`).
 ///   Requires a queueing (or recording) capacity policy for the scatter
 ///   fan-in and a full-member path; below
-///   [`RAND_MIN`](crate::proto::rand_sort::RAND_MIN) nodes it silently
+///   [`RAND_MIN`] nodes it silently
 ///   delegates to the bitonic network.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SortBackend {
@@ -86,32 +92,46 @@ pub struct SortedPath {
     pub vp: VPath,
 }
 
-/// The comparator schedule of Batcher's odd-even mergesort: a list of
-/// `(p, k)` stages; within a stage, position `x` compares with `x ± k`.
-/// (The steps walk the same sequence incrementally; the double-width
-/// network of [`crate::scatter`] shares it.)
-fn stages(len: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut p = 1;
-    while p < len {
-        let mut k = p;
-        while k > 0 {
-            out.push((p, k));
-            k /= 2;
-        }
-        p *= 2;
+/// The comparator schedule of Batcher's odd-even mergesort: the stages
+/// `(p, k)`, `p` doubling below `len` and `k` halving from `p`; within a
+/// stage, position `x` compares with `x ± k`. The steps walk it one stage
+/// a round, without materializing the `O(log² n)` list per node; the
+/// double-width network of [`crate::scatter`] shares it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct StageIter {
+    p: usize,
+    k: usize,
+    len: usize,
+}
+
+impl StageIter {
+    pub(crate) fn new(len: usize) -> Self {
+        StageIter { p: 1, k: 1, len }
     }
-    out
+}
+
+impl Iterator for StageIter {
+    type Item = (usize, usize);
+
+    fn next(&mut self) -> Option<(usize, usize)> {
+        let stage = (self.p < self.len).then_some((self.p, self.k))?;
+        if self.k > 1 {
+            self.k /= 2;
+        } else {
+            self.p *= 2;
+            self.k = self.p;
+        }
+        Some(stage)
+    }
 }
 
 /// Number of comparator stages for a path of `len` nodes: `O(log² len)`.
 pub fn stage_count(len: usize) -> usize {
-    stages(len).len()
+    StageIter::new(len).count()
 }
 
-/// Number of rounds the bitonic [`SortStep`](crate::proto::sort::SortStep)
-/// takes on a path of `len` nodes: one per comparator stage plus the
-/// 2-round epilogue.
+/// Number of rounds the bitonic [`SortStep`] takes on a path of `len`
+/// nodes: one per comparator stage plus the 2-round epilogue.
 pub fn rounds_for(len: usize) -> u64 {
     stage_count(len) as u64 + 2
 }
@@ -140,21 +160,260 @@ pub(crate) fn comparator_at(x: usize, len: usize, p: usize, k: usize) -> Option<
     None
 }
 
+/// A record traveling through the comparator network.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Record {
+    key: u64,
+    origin: NodeId,
+}
+
+/// Theorem 3 as a [`Step`], dispatching between the two [`SortBackend`]s.
+/// Ties break by node ID, making the result deterministic.
+///
+/// [`SortStep::new`] always builds the bitonic network (rounds: exactly
+/// [`rounds_for`]`(vp.len)`); [`SortStep::on_ctx`] selects the backend.
+#[derive(Debug)]
+pub struct SortStep {
+    inner: SortImpl,
+}
+
+#[derive(Debug)]
+enum SortImpl {
+    Bitonic(BitonicSortStep),
+    // Boxed: the randomized backend's state dwarfs the bitonic's, and
+    // every driver stage machine embeds a SortStep by value.
+    Rand(Box<RandSortStep>),
+}
+
+impl SortStep {
+    /// Builds the Batcher odd-even mergesort network (the default
+    /// backend; legal for non-member views and under the strict policy).
+    pub fn new(
+        vp: VPath,
+        contacts: Arc<ContactTable>,
+        position: usize,
+        key: u64,
+        order: Order,
+        my_id: NodeId,
+    ) -> Self {
+        SortStep {
+            inner: SortImpl::Bitonic(BitonicSortStep::new(
+                vp, contacts, position, key, order, my_id,
+            )),
+        }
+    }
+
+    /// Builds the sort over an established [`PathCtx`] with an explicit
+    /// [`SortBackend`]. The randomized backend needs the context's tree
+    /// and traversal data; below [`RAND_MIN`] nodes (or with
+    /// [`SortBackend::Bitonic`]) this is the bitonic network.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the randomized backend is selected at or above the
+    /// threshold on a non-member context (see
+    /// [`rand_sort`](crate::rand_sort)).
+    pub fn on_ctx(
+        ctx: &PathCtx,
+        key: u64,
+        order: Order,
+        my_id: NodeId,
+        backend: SortBackend,
+    ) -> Self {
+        match backend {
+            SortBackend::RandomizedLogN { seed } if ctx.vp.len >= RAND_MIN => SortStep {
+                inner: SortImpl::Rand(Box::new(RandSortStep::new(ctx, key, order, my_id, seed))),
+            },
+            _ => Self::new(
+                ctx.vp,
+                ctx.contacts.clone(),
+                ctx.position,
+                key,
+                order,
+                my_id,
+            ),
+        }
+    }
+}
+
+impl Step for SortStep {
+    type Out = SortedPath;
+
+    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<SortedPath> {
+        match &mut self.inner {
+            SortImpl::Bitonic(s) => s.poll(ctx),
+            SortImpl::Rand(s) => s.poll(ctx),
+        }
+    }
+}
+
+/// The Batcher odd-even mergesort backend (see [`SortStep`]).
+#[derive(Debug)]
+pub struct BitonicSortStep {
+    vp: VPath,
+    contacts: Arc<ContactTable>,
+    x: usize,
+    stage_count: u64,
+    t: u64,
+    it: StageIter,
+    held: Record,
+    /// The in-flight comparator staged last round.
+    cmp: Option<(usize, bool)>,
+    pred_origin: Option<NodeId>,
+    succ_origin: Option<NodeId>,
+}
+
+impl BitonicSortStep {
+    /// Builds the step: sort the members of `vp` by `key` (this node's
+    /// `position` comes from the traversal primitive).
+    pub fn new(
+        vp: VPath,
+        contacts: Arc<ContactTable>,
+        position: usize,
+        key: u64,
+        order: Order,
+        my_id: NodeId,
+    ) -> Self {
+        let len = vp.len;
+        BitonicSortStep {
+            x: position,
+            stage_count: stage_count(len) as u64,
+            t: 0,
+            it: StageIter::new(len),
+            held: Record {
+                key: order.encode_key(key),
+                origin: my_id,
+            },
+            cmp: None,
+            pred_origin: None,
+            succ_origin: None,
+            vp,
+            contacts,
+        }
+    }
+
+    /// Consumes the previous comparator round's exchange.
+    fn absorb_exchange(&mut self, ctx: &RoundCtx<'_>) {
+        if let Some((_, i_am_low)) = self.cmp.take() {
+            let env = ctx
+                .inbox()
+                .iter()
+                .find(|e| e.msg.tag == tags::SORT_XCHG)
+                .expect("comparator partner did not exchange");
+            let theirs = Record {
+                key: env.word(),
+                origin: env.addr(),
+            };
+            self.held = if i_am_low {
+                self.held.min(theirs)
+            } else {
+                self.held.max(theirs)
+            };
+        } else {
+            debug_assert!(ctx.inbox().iter().all(|e| e.msg.tag != tags::SORT_XCHG));
+        }
+    }
+
+    /// Stages the comparator of the current network stage, if any.
+    fn stage_comparator(&mut self, ctx: &mut RoundCtx<'_>) {
+        let (p, k) = self.it.next().expect("comparator stage out of range");
+        let cmp = comparator_at(self.x, self.vp.len, p, k);
+        if let Some((partner, _)) = cmp {
+            let level = k.trailing_zeros() as usize;
+            debug_assert_eq!(1 << level, k);
+            let partner_id = self
+                .contacts
+                .at_offset(level, partner > self.x)
+                .expect("comparator partner outside contact table");
+            ctx.send(
+                partner_id,
+                WireMsg::addr_word(tags::SORT_XCHG, self.held.origin, self.held.key),
+            );
+        }
+        self.cmp = cmp;
+    }
+}
+
+impl Step for BitonicSortStep {
+    type Out = SortedPath;
+
+    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<SortedPath> {
+        let len = self.vp.len;
+        // `rounds_for(len)`, from the stage count `new` walked once.
+        let rounds = self.stage_count + 2;
+        if !self.vp.member {
+            if self.t == rounds {
+                return Poll::Ready(SortedPath {
+                    rank: 0,
+                    vp: VPath::non_member(len),
+                });
+            }
+            self.t += 1;
+            return Poll::Pending;
+        }
+        let s = self.stage_count;
+        if self.t > 0 && self.t <= s {
+            self.absorb_exchange(ctx);
+        }
+        if self.t < s {
+            self.stage_comparator(ctx);
+        } else if self.t == s {
+            // Epilogue round 1: exchange held origins with path neighbors.
+            for nb in [self.vp.pred, self.vp.succ].into_iter().flatten() {
+                ctx.send(nb, WireMsg::addr(tags::SORT_LINK, self.held.origin));
+            }
+        } else if self.t == s + 1 {
+            for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::SORT_LINK) {
+                if Some(env.src) == self.vp.pred {
+                    self.pred_origin = Some(env.addr());
+                } else if Some(env.src) == self.vp.succ {
+                    self.succ_origin = Some(env.addr());
+                }
+            }
+            // Epilogue round 2: tell the held record's origin its rank and
+            // sorted neighbors (flags: bit0 = has pred, bit1 = has succ).
+            let flags = u64::from(self.pred_origin.is_some())
+                | (u64::from(self.succ_origin.is_some()) << 1);
+            let mut msg = WireMsg::words(tags::SORT_LINK, &[self.x as u64, flags]);
+            if let Some(a) = self.pred_origin {
+                msg = msg.with_addr(a);
+            }
+            if let Some(a) = self.succ_origin {
+                msg = msg.with_addr(a);
+            }
+            ctx.send(self.held.origin, msg);
+        } else {
+            let env = ctx
+                .inbox()
+                .iter()
+                .find(|e| e.msg.tag == tags::SORT_LINK)
+                .expect("no rank notification received");
+            let rank = env.msg.words_slice()[0] as usize;
+            let flags = env.msg.words_slice()[1];
+            let mut addrs = env.msg.addrs_slice().iter().copied();
+            let pred = (flags & 1 != 0).then(|| addrs.next().unwrap());
+            let succ = (flags & 2 != 0).then(|| addrs.next().unwrap());
+            return Poll::Ready(SortedPath {
+                rank,
+                vp: VPath {
+                    member: true,
+                    pred,
+                    succ,
+                    len,
+                },
+            });
+        }
+        self.t += 1;
+        Poll::Pending
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::PathCtx;
-    use crate::proto::sort::SortStep;
-    use crate::proto::WithCtx;
-    use dgr_ncc::{Config, Network, NodeId, RoundCtx};
+    use crate::WithCtx;
+    use dgr_ncc::{Config, Network};
     use std::collections::HashMap;
-
-    /// A record traveling through the comparator network.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-    struct Record {
-        key: u64,
-        origin: NodeId,
-    }
 
     /// Sequential reference for the comparator network.
     fn network_sorts(len: usize, keys: &[u64]) -> Vec<u64> {
@@ -166,7 +425,7 @@ mod tests {
                 origin: i as u64,
             })
             .collect();
-        for (p, k) in stages(len) {
+        for (p, k) in StageIter::new(len) {
             // Apply all comparators of this stage simultaneously.
             let snapshot = a.clone();
             for x in 0..len {
@@ -261,5 +520,24 @@ mod tests {
         assert_eq!(stage_count(1), 0);
         // Sub-quadratic growth in log n.
         assert!(stage_count(1 << 16) <= 16 * 17 / 2);
+    }
+
+    #[test]
+    fn stage_iter_walks_the_batcher_schedule() {
+        for len in 0..80 {
+            let got: Vec<_> = StageIter::new(len).collect();
+            // One merge pass of 1, 2, …, levels stages per doubling of p.
+            let levels = crate::levels_for(len);
+            assert_eq!(got.len(), levels * (levels + 1) / 2, "len={len}");
+            // The schedule is (p, k) with p doubling and k halving from p.
+            for w in got.windows(2) {
+                let ((p0, k0), (p1, k1)) = (w[0], w[1]);
+                if k0 > 1 {
+                    assert_eq!((p1, k1), (p0, k0 / 2));
+                } else {
+                    assert_eq!((p1, k1), (2 * p0, 2 * p0));
+                }
+            }
+        }
     }
 }

@@ -23,11 +23,9 @@
 //!   [`Poll::Ready`] — the caller may immediately poll the next step in
 //!   the same `RoundCtx`.
 //!
-//! A composition therefore spends exactly the sum of its steps' budgets,
-//! which is why the compositions in this module tree run in *bit-for-bit
-//! the same rounds and messages* as the direct-style originals they were
-//! ported from — whose transcripts
-//! `crates/primitives/tests/proto_differential.rs` keeps frozen.
+//! A composition therefore spends exactly the sum of its steps' budgets;
+//! `crates/primitives/tests/proto_differential.rs` pins every step's
+//! transcript, round for round and message for message, on both engines.
 
 use dgr_ncc::{NodeProtocol, RoundCtx, Status};
 

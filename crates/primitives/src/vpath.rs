@@ -4,9 +4,9 @@
 //! the network: its predecessor and successor on that path, the path's total
 //! length, and whether this node is a member at all. The initial knowledge
 //! graph `G_k` yields the first virtual path (via
-//! [`Undirect`](crate::proto::Undirect), the 1-round construction of §3.1:
-//! every node sends its ID to its out-neighbor, so each node learns its
-//! predecessor, and the node that hears nothing is the head); sorting
+//! [`UndirectStep`](crate::ctx::UndirectStep), the 1-round construction of
+//! §3.1: every node sends its ID to its out-neighbor, so each node learns
+//! its predecessor, and the node that hears nothing is the head); sorting
 //! yields new ones; taking a prefix of a sorted path yields sub-network
 //! paths for recursive algorithms.
 //!
@@ -69,7 +69,8 @@ impl VPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::Undirect;
+    use crate::ctx::UndirectStep;
+    use crate::StepProtocol;
     use dgr_ncc::{Config, Network};
 
     #[test]
@@ -96,7 +97,9 @@ mod tests {
     #[test]
     fn single_node_path() {
         let net = Network::new(1, Config::ncc0(5));
-        let result = net.run_protocol(Undirect::new).unwrap();
+        let result = net
+            .run_protocol(|_| StepProtocol::new(UndirectStep::new()))
+            .unwrap();
         let vp = &result.outputs[0].1;
         assert!(vp.is_head() && vp.is_tail());
         assert_eq!(vp.levels(), 0);

@@ -4,16 +4,12 @@
 //! ties, random interval layouts, random milestone placements.
 
 use dgr_ncc::{Config, Network, RoundCtx};
-use dgr_primitives::imcast::{CoverSide, Payload};
-use dgr_primitives::proto::imcast::ImcastStep;
-use dgr_primitives::proto::ops::AggBcastStep;
-use dgr_primitives::proto::prefix::PrefixStep;
-use dgr_primitives::proto::scatter::ScanStep;
-use dgr_primitives::proto::sort::SortStep;
-use dgr_primitives::proto::{AggOp, WithCtx};
-use dgr_primitives::scatter::ScanRecord;
-use dgr_primitives::sort::Order;
-use dgr_primitives::PathCtx;
+use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
+use dgr_primitives::ops::AggBcastStep;
+use dgr_primitives::prefix::PrefixStep;
+use dgr_primitives::scatter::{ScanRecord, ScanStep};
+use dgr_primitives::sort::{Order, SortStep};
+use dgr_primitives::{AggOp, PathCtx, WithCtx};
 use proptest::prelude::*;
 
 proptest! {

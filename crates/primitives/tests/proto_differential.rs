@@ -15,21 +15,16 @@
 //!    keep reproducing it on both engines.
 
 use dgr_ncc::{Config, EngineKind, Network, NodeProtocol, RoundCtx, RunResult, WireMsg};
-use dgr_primitives::imcast::{CoverSide, Payload};
-use dgr_primitives::proto::ctx::UndirectStep;
-use dgr_primitives::proto::imcast::ImcastStep;
-use dgr_primitives::proto::ops::{AggBcastStep, BroadcastAddrStep, CollectStep};
-use dgr_primitives::proto::prefix::PrefixStep;
-use dgr_primitives::proto::scatter::ScanStep;
-use dgr_primitives::proto::sort::SortStep;
-use dgr_primitives::proto::stagger::StaggerStep;
-use dgr_primitives::proto::step::AggOp;
-use dgr_primitives::proto::warmup::WarmupStep;
-use dgr_primitives::proto::WithCtx as CtxThen;
-use dgr_primitives::proto::{EstablishCtx, Step, StepProtocol};
-use dgr_primitives::scatter::ScanRecord;
-use dgr_primitives::sort::Order;
-use dgr_primitives::{stagger, PathCtx};
+use dgr_primitives::ctx::UndirectStep;
+use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
+use dgr_primitives::ops::{AggBcastStep, BroadcastAddrStep, CollectStep};
+use dgr_primitives::prefix::PrefixStep;
+use dgr_primitives::scatter::{ScanRecord, ScanStep};
+use dgr_primitives::sort::{Order, SortStep};
+use dgr_primitives::stagger::{self, StaggerStep};
+use dgr_primitives::warmup::WarmupStep;
+use dgr_primitives::WithCtx as CtxThen;
+use dgr_primitives::{AggOp, EstablishCtx, PathCtx, Step, StepProtocol};
 
 /// Asserts full observational equality of a protocol on both engines and
 /// returns the batched run.
@@ -316,7 +311,7 @@ fn establish_chains_into_a_second_stage_for_free() {
         CtxThen::new(|_ctx: &PathCtx, _: &mut RoundCtx<'_>| {
             // A trivial second stage: a zero-round idle, checking that
             // chaining across the Ready boundary costs no extra round.
-            dgr_primitives::proto::step::Idle::new(0)
+            dgr_primitives::step::Idle::new(0)
         })
     });
     assert_eq!(result.metrics.rounds, dgr_primitives::ctx::rounds_for(96));

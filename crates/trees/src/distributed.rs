@@ -1,35 +1,72 @@
-//! Algorithms 4 and 5 as a [`NodeProtocol`].
+//! Distributed tree realization (Section 5): Algorithms 4 and 5 as one
+//! state machine, [`RealizeTree`]. The two constructions share the context
+//! establishment, the input check (`Σd = 2(n-1)`, `min d ≥ 1`; a failure
+//! refuses with [`Unrealizable`]), the degree sort and the slot prefix
+//! sums, and differ only in the hand-off that tells every child its
+//! parent. Stage transitions happen within a round — a primitive boundary
+//! costs no round; `crates/trees/tests/batched_trees.rs` pins the
+//! transcripts on both engines.
 //!
-//! One state machine covers both constructions: they share the context
-//! establishment, the input check (`Σd = 2(n-1)`, `min d ≥ 1`), the
-//! degree sort and the slot prefix sums, and differ only in the hand-off
-//! that tells every child its parent — Algorithm 4 re-sorts into
-//! source-adjacent intervals and interval-multicasts, Algorithm 5 runs
-//! the milestone scan. Stage transitions happen within a round — a
-//! primitive boundary costs no round — so the state machine reproduces,
-//! on both engines, the transcripts of the direct-style originals it was
-//! ported from (frozen in `crates/trees/tests/batched_trees.rs`).
+//! # Algorithm 4 (Distributed-Tree-Realization-1, Theorem 14)
 //!
-//! [`NodeProtocol`]: dgr_ncc::NodeProtocol
+//! [`TreeAlgo::Chain`]: implicit tree realization in `O(polylog n)`
+//! rounds. Construction (0-based over the degree-sorted ranks, `k` =
+//! number of non-leaves, `k_eff = max(k, 1)`):
+//!
+//! 1. chain ranks `0..=k_eff` (the rank-`k_eff` node is the first leaf,
+//!    absorbed by the chain's end);
+//! 2. rank `i < k_eff` still owes `slots_i = d_i - 1 - [i>0]` edges; the
+//!    remaining leaves (ranks `k_eff+1..n`) are assigned to the non-leaves
+//!    in order by the prefix sums of `slots` (the paper's `p_i`);
+//! 3. each non-leaf announces its ID to its leaf interval.
+//!
+//! Step 3's intervals are far from their sources, so the paper routes the
+//! announcements with the Theorem 6/7 butterfly machinery. We instead
+//! **re-sort once** with keys that interleave each source immediately
+//! before its leaf interval (source key `2a_i`, leaf key `2·pos + 1`),
+//! after which every group is contiguous with its source at the head and
+//! the plain interval multicast applies — same `O~(1)` cost, no butterfly
+//! (see `DESIGN.md` §4).
+//!
+//! # Algorithm 5 (Distributed-Tree-Realization-2, Theorem 16)
+//!
+//! [`TreeAlgo::Greedy`]: implicit realization of the **minimum-diameter**
+//! tree in `O(polylog n)` rounds. The greedy tree `T_G`: in degree-sorted
+//! order, the root (rank 0) adopts the next `d_0` ranks as children; every
+//! subsequent rank `i` adopts the next `d_i - 1` unparented ranks. The
+//! child intervals are the prefix sums `a_i = 1 + Σ_{j<i}(d_j - [j>0])`,
+//! partitioning ranks `1..n` in order. By Lemma 15, `T_G` minimizes the
+//! diameter over all realizing trees.
+//!
+//! Internal nodes are simultaneously parents (they announce to an
+//! interval) and children (they are inside someone else's interval), so
+//! the interval hand-off runs on the `milestone_scan` primitive
+//! ([`dgr_primitives::scatter`]): each parent emits a milestone keyed just
+//! before its interval, each rank emits a filler keyed at its position,
+//! and the sorted-order scan hands every rank the ID of the parent
+//! covering it.
 
-use super::TreeOutcome;
 use crate::driver::TreeAlgo;
 use dgr_core::Unrealizable;
-use dgr_ncc::{NodeProtocol, RoundCtx, Status};
-use dgr_primitives::contacts::ContactTable;
-use dgr_primitives::imcast::{CoverSide, Payload};
-use dgr_primitives::proto::contacts::ContactsStep;
-use dgr_primitives::proto::imcast::ImcastStep;
-use dgr_primitives::proto::ops::AggBcastStep;
-use dgr_primitives::proto::prefix::PrefixStep;
-use dgr_primitives::proto::scatter::ScanStep;
-use dgr_primitives::proto::sort::SortStep;
-use dgr_primitives::proto::step::{AggOp, Poll, Step};
-use dgr_primitives::proto::EstablishCtx;
-use dgr_primitives::scatter::ScanRecord;
-use dgr_primitives::sort::{Order, SortBackend, SortedPath};
-use dgr_primitives::PathCtx;
+use dgr_ncc::{NodeId, NodeProtocol, RoundCtx, Status};
+use dgr_primitives::contacts::{ContactTable, ContactsStep};
+use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
+use dgr_primitives::ops::AggBcastStep;
+use dgr_primitives::prefix::PrefixStep;
+use dgr_primitives::scatter::{ScanRecord, ScanStep};
+use dgr_primitives::sort::{Order, SortBackend, SortStep, SortedPath};
+use dgr_primitives::{AggOp, EstablishCtx, PathCtx, Poll, Step};
 use std::sync::Arc;
+
+/// One node's result of a tree realization: the tree edges stored here
+/// (implicit realization — each edge lives at exactly one endpoint).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TreeOutcome {
+    /// The degree this node asked for.
+    pub requested: usize,
+    /// IDs of neighbors whose tree edge is stored at this node.
+    pub neighbors: Vec<NodeId>,
+}
 
 enum Stage {
     Establish(EstablishCtx),
@@ -68,15 +105,9 @@ pub struct RealizeTree {
 
 impl RealizeTree {
     /// Builds the protocol for one node; `degree` is its requested tree
-    /// degree (bitonic Theorem 3 backend).
-    pub fn new(degree: usize, algo: TreeAlgo) -> Self {
-        Self::with_sort(degree, algo, SortBackend::Bitonic)
-    }
-
-    /// Builds the protocol with an explicit backend for the *degree* sort
-    /// (Algorithm 4's interval re-sort always runs the bitonic network —
-    /// it sorts an already-established path view without a fresh
-    /// context).
+    /// degree, `sort` the backend for the *degree* sort (Algorithm 4's
+    /// interval re-sort always runs the bitonic network — it sorts an
+    /// already-established path view without a fresh context).
     pub fn with_sort(degree: usize, algo: TreeAlgo, sort: SortBackend) -> Self {
         RealizeTree {
             degree,
@@ -311,5 +342,116 @@ impl NodeProtocol for RealizeTree {
                 },
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::driver::{realize_tree, TreeAlgo};
+    use crate::greedy;
+    use dgr_core::DegreeSequence;
+    use dgr_ncc::Config;
+
+    #[test]
+    fn realizes_paths_stars_and_mixed_profiles() {
+        for degrees in [
+            vec![1, 1],
+            vec![2, 1, 1],
+            vec![2, 2, 2, 1, 1],       // path of 5
+            vec![4, 1, 1, 1, 1],       // star
+            vec![3, 3, 1, 1, 1, 1],    // double star
+            vec![3, 3, 2, 1, 1, 1, 1], // sum 12 = 2*6 ✓
+        ] {
+            let out = realize_tree(&degrees, Config::ncc0(91), TreeAlgo::Chain);
+            let t = out.expect_realized();
+            assert!(t.graph.is_tree(), "{degrees:?} not a tree");
+            let mut want = degrees.clone();
+            want.sort_unstable_by(|a, b| b.cmp(a));
+            assert_eq!(t.graph.degree_sequence(), want, "{degrees:?}");
+            assert!(t.metrics.is_clean());
+        }
+    }
+
+    #[test]
+    fn chain_diameter_matches_sequential_chain_tree() {
+        let degrees = vec![3, 3, 3, 2, 2, 1, 1, 1, 1, 1];
+        let out = realize_tree(&degrees, Config::ncc0(92), TreeAlgo::Chain);
+        let t = out.expect_realized();
+        let seq = DegreeSequence::new(degrees.clone());
+        let reference = greedy::chain_tree(&seq).unwrap();
+        let want = greedy::diameter_of(&reference, degrees.len());
+        assert_eq!(t.diameter, want);
+    }
+
+    #[test]
+    fn chain_rejects_non_tree_sequences() {
+        for degrees in [
+            vec![2, 2, 2],       // cycle sum
+            vec![1, 1, 1, 1],    // forest sum
+            vec![2, 2, 1, 1, 0], // zero degree
+        ] {
+            let out = realize_tree(&degrees, Config::ncc0(93), TreeAlgo::Chain);
+            assert!(out.is_unrealizable(), "{degrees:?} was accepted");
+        }
+    }
+
+    #[test]
+    fn realizes_min_diameter_trees() {
+        for degrees in [
+            vec![1, 1],
+            vec![2, 1, 1],
+            vec![2, 2, 2, 1, 1],
+            vec![4, 1, 1, 1, 1],
+            vec![3, 3, 1, 1, 1, 1],
+            vec![3, 3, 2, 1, 1, 1, 1],
+            vec![2, 2, 2, 2, 2, 1, 1], // long path profile
+        ] {
+            let out = realize_tree(&degrees, Config::ncc0(95), TreeAlgo::Greedy);
+            let t = out.expect_realized();
+            assert!(t.graph.is_tree(), "{degrees:?} not a tree");
+            let mut want = degrees.clone();
+            want.sort_unstable_by(|a, b| b.cmp(a));
+            assert_eq!(t.graph.degree_sequence(), want, "{degrees:?}");
+            // Theorem 16: the diameter equals the sequential greedy tree's
+            // (which Lemma 15 proves minimal).
+            let seq = DegreeSequence::new(degrees.clone());
+            let reference = greedy::greedy_tree(&seq).unwrap();
+            let want_dia = greedy::diameter_of(&reference, degrees.len());
+            assert_eq!(t.diameter, want_dia, "{degrees:?}");
+            assert!(t.metrics.is_clean());
+        }
+    }
+
+    #[test]
+    fn diameter_is_brute_force_minimal_small_n() {
+        for degrees in [
+            vec![2, 2, 1, 1],
+            vec![3, 2, 1, 1, 1],
+            vec![2, 2, 2, 1, 1, 1, 1], // wrong sum -> filtered
+            vec![3, 3, 2, 1, 1, 1, 1],
+        ] {
+            let seq = DegreeSequence::new(degrees.clone());
+            if !seq.is_tree_realizable() {
+                continue;
+            }
+            let out = realize_tree(&degrees, Config::ncc0(96), TreeAlgo::Greedy);
+            let t = out.expect_realized();
+            let want = greedy::min_diameter_brute(&seq).unwrap();
+            assert_eq!(t.diameter, want, "{degrees:?}");
+        }
+    }
+
+    #[test]
+    fn greedy_never_beaten_by_chain() {
+        let degrees = vec![3, 3, 3, 2, 2, 1, 1, 1, 1, 1];
+        let g = realize_tree(&degrees, Config::ncc0(97), TreeAlgo::Greedy);
+        let c = realize_tree(&degrees, Config::ncc0(97), TreeAlgo::Chain);
+        assert!(g.expect_realized().diameter <= c.expect_realized().diameter);
+    }
+
+    #[test]
+    fn greedy_rejects_non_tree_sequences() {
+        let out = realize_tree(&[2, 2, 2], Config::ncc0(98), TreeAlgo::Greedy);
+        assert!(out.is_unrealizable());
     }
 }

@@ -2,14 +2,13 @@
 //! assemble + verify the resulting tree.
 //!
 //! Engine note: one driver, [`realize_tree_run`], runs the
-//! [`crate::distributed::proto::RealizeTree`] state machine on the engine
-//! it is given — the **batched executor** in production, practical at
-//! six-digit `n` (`tests/scale.rs`); the reference interpreter in the
-//! differential suite (`crates/trees/tests/batched_trees.rs`, which also
-//! holds both to the frozen transcripts of the original direct-style
-//! algorithms).
+//! [`RealizeTree`] state machine on the engine it is given — the **batched
+//! executor** in production, practical at six-digit `n`
+//! (`tests/scale.rs`); the reference interpreter in the differential suite
+//! (`crates/trees/tests/batched_trees.rs`, which also holds both to the
+//! frozen transcripts).
 
-use crate::distributed::{proto::RealizeTree, TreeOutcome};
+use crate::distributed::{RealizeTree, TreeOutcome};
 use dgr_core::{verify, Unrealizable};
 use dgr_graph::Graph;
 use dgr_ncc::{Config, EngineKind, EngineStats, Network, NodeId, RunMetrics, SimError, Sink};

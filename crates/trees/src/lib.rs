@@ -6,12 +6,13 @@
 //!
 //! * [`greedy`] — the sequential constructions (greedy tree and chain
 //!   tree) and a brute-force minimum-diameter oracle for small `n`.
-//! * [`distributed::alg4`] — Distributed-Tree-Realization-1: chain the
-//!   non-leaves, hang the leaves by prefix-sum intervals; `O(polylog n)`
-//!   rounds (Theorem 14).
-//! * [`distributed::alg5`] — Distributed-Tree-Realization-2: every node
-//!   adopts the next unparented nodes in sorted order; minimum diameter
-//!   (Theorem 16), `O(polylog n)` rounds.
+//! * [`distributed`] — both distributed constructions as one state
+//!   machine: [`TreeAlgo::Chain`], Distributed-Tree-Realization-1 (chain
+//!   the non-leaves, hang the leaves by prefix-sum intervals;
+//!   `O(polylog n)` rounds, Theorem 14), and [`TreeAlgo::Greedy`],
+//!   Distributed-Tree-Realization-2 (every node adopts the next unparented
+//!   nodes in sorted order; minimum diameter, Theorem 16, `O(polylog n)`
+//!   rounds).
 //! * [`driver`] — network wiring, assembly and verification; its entry
 //!   point [`realize_tree_run`] is the engine room of the
 //!   `dgr::Realization` facade builder.

@@ -16,7 +16,7 @@
 //! counters reconcile exactly with what the narration reported.
 
 use distributed_graph_realizations::ncc::{Config, EngineKind, Network, ProgressSink, Scenario};
-use distributed_graph_realizations::primitives::proto::PathToClique;
+use distributed_graph_realizations::primitives::PathToClique;
 
 fn main() {
     let n = 20_000;

@@ -132,7 +132,7 @@ pub use dgr_primitives as primitives;
 pub use dgr_trees as trees;
 
 use dgr_connectivity::{ThresholdAlgo, ThresholdInstance, ThresholdRealization};
-use dgr_core::distributed::proto::Flavor;
+use dgr_core::distributed::Flavor;
 use dgr_core::DriverOutput;
 use dgr_ncc::{Config, EngineStats, Model, RunMetrics, SimError};
 use dgr_primitives::sort::SortBackend as PrimitivesSortBackend;
@@ -192,9 +192,6 @@ pub enum Workload {
     /// pipeline, and the explicitness acknowledgements
     /// ([`connectivity::distributed::ncc0_exact`]).
     Ncc0Exact(Vec<usize>),
-    /// Algorithm 6 phase 1 in isolation: the Theorem 13 envelope run on
-    /// the ρ-sorted prefix sub-network (driver-assigned order).
-    PrefixEnvelope(Vec<usize>),
 }
 
 /// KT0 knowledge-tracking switch: when tracked, the engine verifies that
@@ -242,7 +239,7 @@ impl From<SimError> for RealizationError {
 /// dump would be enormous).
 #[derive(Clone, Debug)]
 pub enum RunOutput {
-    /// Degree workloads (implicit/envelope/explicit/masked/prefix).
+    /// Degree workloads (implicit/envelope/explicit/masked).
     Degrees(DriverOutput),
     /// Tree workloads.
     Tree(TreeRealization),
@@ -557,10 +554,7 @@ impl Realization {
         match &self.workload {
             Workload::Implicit(d) | Workload::Envelope(d) | Workload::Explicit(d) => d.len(),
             Workload::Tree { degrees, .. } => degrees.len(),
-            Workload::Ncc1(r)
-            | Workload::Ncc0Threshold(r)
-            | Workload::Ncc0Exact(r)
-            | Workload::PrefixEnvelope(r) => r.len(),
+            Workload::Ncc1(r) | Workload::Ncc0Threshold(r) | Workload::Ncc0Exact(r) => r.len(),
         }
     }
 
@@ -585,7 +579,6 @@ impl Realization {
             Workload::Ncc1(_) => "Workload::Ncc1",
             Workload::Ncc0Threshold(_) => "Workload::Ncc0Threshold",
             Workload::Ncc0Exact(_) => "Workload::Ncc0Exact",
-            Workload::PrefixEnvelope(_) => "Workload::PrefixEnvelope",
         }
     }
 
@@ -712,10 +705,8 @@ impl Realization {
                 )));
             }
         }
-        if let Workload::Ncc1(rho)
-        | Workload::Ncc0Threshold(rho)
-        | Workload::Ncc0Exact(rho)
-        | Workload::PrefixEnvelope(rho) = &self.workload
+        if let Workload::Ncc1(rho) | Workload::Ncc0Threshold(rho) | Workload::Ncc0Exact(rho) =
+            &self.workload
         {
             // A lone node has nothing to connect to; its ρ = 1 is vacuous.
             let max = rho.len().max(2) - 1;
@@ -835,16 +826,6 @@ impl Realization {
                     sink,
                 )?;
                 (RunOutput::Threshold(Box::new(run.output)), run.engine)
-            }
-            Workload::PrefixEnvelope(r) => {
-                let inst = ThresholdInstance::new(r.clone());
-                let run = dgr_connectivity::realize_prefix_envelope_run(
-                    &inst,
-                    config,
-                    self.engine,
-                    sink,
-                )?;
-                (RunOutput::Degrees(run.output), run.engine)
             }
         };
         Ok(Realized {
@@ -1092,11 +1073,10 @@ mod tests {
         // every threshold workload rejects both before simulating, naming
         // the workload, the path position and the value.
         type Make = fn(Vec<usize>) -> Workload;
-        let workloads: [(&str, Make); 4] = [
+        let workloads: [(&str, Make); 3] = [
             ("Workload::Ncc1", Workload::Ncc1),
             ("Workload::Ncc0Threshold", Workload::Ncc0Threshold),
             ("Workload::Ncc0Exact", Workload::Ncc0Exact),
-            ("Workload::PrefixEnvelope", Workload::PrefixEnvelope),
         ];
         for (name, make) in workloads {
             for (rho, position, value) in [(vec![1, 1, 0], 2, 0), (vec![2, 3, 1], 1, 3)] {
@@ -1334,12 +1314,6 @@ mod tests {
             .run()
             .unwrap();
         assert!(out.threshold().report.satisfied);
-
-        let out = Realization::new(Workload::PrefixEnvelope(vec![2, 2, 1, 1, 1]))
-            .seed(55)
-            .run()
-            .unwrap();
-        assert!(!out.degrees().is_unrealizable());
     }
 
     #[test]

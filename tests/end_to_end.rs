@@ -22,7 +22,7 @@ fn implicit_realization_of_random_graphic_sequences() {
         assert_eq!(r.duplicate_edges, 0, "n={n}");
         // Lemma 10 phase bound (generous constant).
         let seq = DegreeSequence::new(degrees);
-        let bound = realization::distributed::implicit::phase_bound(&seq);
+        let bound = realization::distributed::phase_bound(&seq);
         assert!(
             (r.phases as f64) <= 2.0 * bound + 4.0,
             "n={n}: {} phases vs bound {bound}",

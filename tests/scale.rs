@@ -22,7 +22,7 @@ fn implicit_realization_at_n_1024() {
     assert!(r.metrics.is_clean());
     // Lemma 10 at scale.
     let seq = DegreeSequence::new(degrees);
-    let bound = realization::distributed::implicit::phase_bound(&seq);
+    let bound = realization::distributed::phase_bound(&seq);
     assert!((r.phases as f64) <= 2.0 * bound + 4.0);
 }
 
@@ -59,14 +59,9 @@ fn batched_warmup_at_n_200k() {
     let mut config = Config::ncc0(123);
     config.track_knowledge = false; // KT0-legality is proven at small n
     let net = Network::new(n, config);
-    let result = net
-        .run_protocol(primitives::proto::PathToClique::new)
-        .unwrap();
+    let result = net.run_protocol(primitives::PathToClique::new).unwrap();
     assert!(result.metrics.is_clean());
-    assert_eq!(
-        result.metrics.rounds,
-        primitives::proto::clique::rounds_for(n)
-    );
+    assert_eq!(result.metrics.rounds, primitives::clique::rounds_for(n));
     assert_eq!(result.outputs.len(), n);
     // Spot-check power-of-two contacts deep in the path.
     let order = result.gk_order();
@@ -87,14 +82,9 @@ fn batched_warmup_at_n_1m() {
     let mut config = Config::ncc0(7);
     config.track_knowledge = false;
     let net = Network::new(n, config);
-    let result = net
-        .run_protocol(primitives::proto::PathToClique::new)
-        .unwrap();
+    let result = net.run_protocol(primitives::PathToClique::new).unwrap();
     assert!(result.metrics.is_clean());
-    assert_eq!(
-        result.metrics.rounds,
-        primitives::proto::clique::rounds_for(n)
-    );
+    assert_eq!(result.metrics.rounds, primitives::clique::rounds_for(n));
     assert_eq!(result.outputs.len(), n);
 }
 
@@ -109,14 +99,9 @@ fn tracked_queue_warmup_at_n_200k() {
     let mut config = Config::ncc0(29);
     config.capacity_policy = CapacityPolicy::Queue;
     let net = Network::new(n, config);
-    let result = net
-        .run_protocol(primitives::proto::PathToClique::new)
-        .unwrap();
+    let result = net.run_protocol(primitives::PathToClique::new).unwrap();
     assert!(result.metrics.is_clean());
-    assert_eq!(
-        result.metrics.rounds,
-        primitives::proto::clique::rounds_for(n)
-    );
+    assert_eq!(result.metrics.rounds, primitives::clique::rounds_for(n));
     assert!(
         result.metrics.max_knowledge > 0,
         "tracking was on; knowledge must accumulate"
@@ -142,15 +127,11 @@ fn drop1_tracked_queue_warmup_at_n_200k() {
         config.capacity_policy = CapacityPolicy::Queue;
         let config = config.with_scenario(Scenario::new(29).drop_messages(0..=u64::MAX, 0.01));
         let net = Network::new(n, config);
-        net.run_protocol(primitives::proto::PathToClique::new)
-            .unwrap()
+        net.run_protocol(primitives::PathToClique::new).unwrap()
     };
     let result = run();
     assert!(result.metrics.is_clean());
-    assert_eq!(
-        result.metrics.rounds,
-        primitives::proto::clique::rounds_for(n)
-    );
+    assert_eq!(result.metrics.rounds, primitives::clique::rounds_for(n));
     assert_eq!(result.outputs.len(), n, "every node still retires");
     assert!(
         result.metrics.max_knowledge > 0,
@@ -179,14 +160,9 @@ fn batched_warmup_at_n_10m() {
     let n = 10_000_000;
     let config = Config::ncc0(31).with_shards(8);
     let net = Network::new(n, config);
-    let result = net
-        .run_protocol(primitives::proto::PathToClique::new)
-        .unwrap();
+    let result = net.run_protocol(primitives::PathToClique::new).unwrap();
     assert!(result.metrics.is_clean());
-    assert_eq!(
-        result.metrics.rounds,
-        primitives::proto::clique::rounds_for(n)
-    );
+    assert_eq!(result.metrics.rounds, primitives::clique::rounds_for(n));
     assert_eq!(result.outputs.len(), n);
     assert!(
         result.metrics.max_knowledge > 0,
@@ -209,14 +185,9 @@ fn sharded_tracked_queue_warmup_at_n_200k() {
     let mut config = Config::ncc0(29).with_shards(4);
     config.capacity_policy = CapacityPolicy::Queue;
     let net = Network::new(n, config);
-    let result = net
-        .run_protocol(primitives::proto::PathToClique::new)
-        .unwrap();
+    let result = net.run_protocol(primitives::PathToClique::new).unwrap();
     assert!(result.metrics.is_clean());
-    assert_eq!(
-        result.metrics.rounds,
-        primitives::proto::clique::rounds_for(n)
-    );
+    assert_eq!(result.metrics.rounds, primitives::clique::rounds_for(n));
     assert!(
         result.metrics.max_knowledge > 0,
         "tracking was on; knowledge must accumulate through the exchange"
@@ -236,7 +207,7 @@ fn sharded_tracked_queue_warmup_at_n_200k() {
 /// lives in the small-`n` driver tests).
 #[test]
 fn batched_ncc1_star_at_n_100k() {
-    use connectivity::distributed::ncc1_step::Ncc1Star;
+    use connectivity::distributed::ncc1::Ncc1Star;
     use std::collections::HashMap;
     let n = 100_000;
     let net = ncc::Network::new(n, ncc::Config::ncc1(3));
@@ -396,8 +367,8 @@ fn batched_greedy_tree_at_n_200k() {
 #[test]
 fn sorting_at_n_2048_is_polylog() {
     use distributed_graph_realizations::ncc::RoundCtx;
-    use distributed_graph_realizations::primitives::proto::{sort::SortStep, WithCtx};
     use distributed_graph_realizations::primitives::{sort::Order, PathCtx};
+    use distributed_graph_realizations::primitives::{sort::SortStep, WithCtx};
     let n = 2048;
     let net = Network::new(n, Config::ncc0(97));
     let result = net
