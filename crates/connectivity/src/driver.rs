@@ -19,8 +19,8 @@ use dgr_primitives::sort::SortBackend;
 use std::collections::BTreeMap;
 
 /// How many nodes at most get the full `O(n²)`-flow all-pairs check;
-/// larger instances use the hub check (which the paper's own proof
-/// reduces to).
+/// larger instances are certified along the anchor chain (`n − 1` flows;
+/// see [`check_thresholds`]).
 const ALL_PAIRS_LIMIT: usize = 24;
 
 /// A certified threshold realization.
@@ -70,8 +70,9 @@ pub struct ThresholdRun {
 /// point over construction × engine × sorting backend, driven by the
 /// `dgr::Realization` facade builder.
 ///
-/// `certify = false` skips the max-flow certification (an `O(n)`-flows
-/// cost that dominates at six-digit `n`); the returned report then has
+/// `certify = false` skips the max-flow certification (`n − 1` capped
+/// flows — milliseconds at `n = 2048`, a fraction of a second at 10⁵);
+/// the returned report is then marked `skipped` with
 /// `pairs_checked == 0`. The NCC1 star ignores the sorting backend (it
 /// never sorts).
 ///
@@ -224,8 +225,8 @@ mod tests {
 
     #[test]
     fn ncc1_star_certifies_at_n_2000() {
-        // 2k nodes, fully certified (the hub check is n-1 max-flows, so
-        // the six-digit-scale structural checks live in tests/scale.rs).
+        // 2k nodes, fully certified: n - 1 capped flows along the anchor
+        // chain (tests/scale.rs certifies Algorithm 6 at 10^5 the same way).
         let n = 2_000;
         let inst = ThresholdInstance::new(vec![3; n]);
         let out = realize_ncc1(&inst, Config::ncc1(88));

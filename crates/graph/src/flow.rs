@@ -6,111 +6,217 @@
 //! modeled as two opposed unit-capacity arcs. This is the exact quantity
 //! the connectivity-threshold realizations (Theorems 17/18) must certify:
 //! `Conn_G(u, v) ≥ min(ρ(u), ρ(v))`.
+//!
+//! There is one kernel, [`Dinic::flow_up_to`]: a certificate only ever
+//! asks whether `Conn ≥ need`, so the flow stops at `need` augmenting
+//! paths instead of running to exhaustion, and everything else in this
+//! module is that kernel with a particular limit.
 
 use crate::graph::Graph;
-use std::collections::VecDeque;
 
-/// A Dinic max-flow solver over a fixed arc structure; capacities reset per
-/// query so one instance serves many pairs.
+/// A Dinic max-flow solver over one flat residual arena.
+///
+/// Arcs live in CSR order — node `u` owns `first[u]..first[u + 1]` — so a
+/// scan of a node's arcs is one contiguous read of `to` and `cap`; `rev`
+/// pairs each arc with its opposite. Every residual is 1 between queries
+/// (an undirected unit edge is two opposed unit arcs), a query logs each
+/// arc it pushes along and restores exactly those on the way out, and the
+/// scratch arrays are stamped per phase rather than cleared: a query costs
+/// what it touches, not `O(n + m)`, and allocates nothing once the undo
+/// log has reached its longest query.
 pub struct Dinic {
-    /// Arc targets; arcs stored in pairs (arc ^ 1 = reverse arc).
-    to: Vec<usize>,
-    /// Residual capacities.
-    cap: Vec<i64>,
-    /// Head of adjacency list per node (indices into `to`).
-    head: Vec<Vec<usize>>,
-    /// Initial capacities, for resetting between queries.
-    cap0: Vec<i64>,
+    /// CSR row offsets into the arc arrays (`n + 1` entries).
+    first: Vec<u32>,
+    /// Arc targets.
+    to: Vec<u32>,
+    /// The opposite arc of each arc.
+    rev: Vec<u32>,
+    /// Residual capacities: 1 at rest, 0 or 2 while a query holds flow.
+    cap: Vec<u8>,
+    /// `phase << 32 | BFS level`, valid only when stamped with the current
+    /// phase — so "one level deeper in this phase's level graph" is the
+    /// single comparison `label[v] == label[u] + 1`.
+    label: Vec<u64>,
+    /// Next arc each node tries in the current phase (reset on labelling).
+    next: Vec<u32>,
+    /// The current phase's stamp, `phase << 32`.
+    phase: u64,
+    /// BFS queue (at most `n` entries).
+    queue: Vec<u32>,
+    /// Arcs of the DFS path under construction (fewer than `n`).
+    path: Vec<u32>,
+    /// Undo log: every arc the running query pushed a unit along.
+    pushed: Vec<u32>,
 }
+
+/// One phase in the units of [`Dinic::label`].
+const PHASE: u64 = 1 << 32;
 
 impl Dinic {
     /// Builds the flow network for an undirected graph with unit edge
     /// capacities: each edge becomes two opposed arcs of capacity 1
     /// (standard undirected-flow modeling: an edge can carry one unit in
     /// either direction, and the pairing makes residual updates correct).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has more than `u32::MAX` nodes or arcs (two per
+    /// edge).
     pub fn from_graph(g: &Graph) -> Self {
-        let n = g.node_count();
-        let mut d = Dinic {
-            to: Vec::new(),
-            cap: Vec::new(),
-            head: vec![Vec::new(); n],
-            cap0: Vec::new(),
-        };
+        let (n, arcs) = (g.node_count(), 2 * g.edge_count());
+        assert!(
+            n.max(arcs) <= u32::MAX as usize,
+            "node and arc indices are u32"
+        );
+        let mut first = Vec::with_capacity(n + 1);
+        let mut end = 0u32;
+        first.push(end);
+        for u in 0..n {
+            end += g.neighbors(u).len() as u32;
+            first.push(end);
+        }
+        debug_assert_eq!(end as usize, arcs);
+        let mut to = vec![0u32; arcs];
+        let mut rev = vec![0u32; arcs];
+        // `fill[u]` is the next free slot of `u`'s row; an edge claims one
+        // slot at each endpoint, which is where the two arcs learn of
+        // each other.
+        let mut fill = first.clone();
         for u in 0..n {
             for &v in g.neighbors(u) {
                 if u < v {
-                    d.add_arc_pair(u, v, 1, 1);
+                    let (a, b) = (fill[u], fill[v]);
+                    fill[u] += 1;
+                    fill[v] += 1;
+                    to[a as usize] = v as u32;
+                    to[b as usize] = u as u32;
+                    rev[a as usize] = b;
+                    rev[b as usize] = a;
                 }
             }
         }
-        d
+        Dinic {
+            first,
+            to,
+            rev,
+            cap: vec![1; arcs],
+            label: vec![0; n],
+            next: vec![0; n],
+            phase: 0,
+            queue: Vec::with_capacity(n),
+            path: Vec::with_capacity(n),
+            pushed: Vec::with_capacity(arcs),
+        }
     }
 
-    fn add_arc_pair(&mut self, u: usize, v: usize, cap_uv: i64, cap_vu: i64) {
-        self.head[u].push(self.to.len());
-        self.to.push(v);
-        self.cap.push(cap_uv);
-        self.cap0.push(cap_uv);
-        self.head[v].push(self.to.len());
-        self.to.push(u);
-        self.cap.push(cap_vu);
-        self.cap0.push(cap_vu);
-    }
-
-    /// Maximum `s`–`t` flow. Residual capacities are reset first, so calls
-    /// are independent.
+    /// Maximum `s`–`t` flow. Calls are independent: every query leaves
+    /// the residuals as it found them.
     pub fn max_flow(&mut self, s: usize, t: usize) -> i64 {
+        self.flow_up_to(s, t, usize::MAX) as i64
+    }
+
+    /// `min(Conn(s, t), limit)`: augments until `limit` edge-disjoint
+    /// `s`–`t` paths are found or none is left. A result below `limit`
+    /// is therefore the exact connectivity, and a result equal to it cost
+    /// `limit` augmenting paths — no final search to prove exhaustion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s == t`.
+    pub fn flow_up_to(&mut self, s: usize, t: usize, limit: usize) -> usize {
         assert_ne!(s, t, "max_flow endpoints must differ");
-        self.cap.copy_from_slice(&self.cap0);
-        let n = self.head.len();
+        // No flow exceeds either endpoint's degree, so reaching it is
+        // also proof of exhaustion.
+        let limit = limit.min(self.degree(s)).min(self.degree(t));
         let mut flow = 0;
-        loop {
-            // BFS level graph.
-            let mut level = vec![usize::MAX; n];
-            level[s] = 0;
-            let mut queue = VecDeque::from([s]);
-            while let Some(u) = queue.pop_front() {
-                for &a in &self.head[u] {
-                    let v = self.to[a];
-                    if self.cap[a] > 0 && level[v] == usize::MAX {
-                        level[v] = level[u] + 1;
-                        queue.push_back(v);
+        while flow < limit && self.label_until(s, t) {
+            while flow < limit && self.augment(s, t) {
+                flow += 1;
+            }
+        }
+        for a in self.pushed.drain(..) {
+            self.cap[a as usize] = 1;
+            self.cap[self.rev[a as usize] as usize] = 1;
+        }
+        flow
+    }
+
+    fn degree(&self, u: usize) -> usize {
+        (self.first[u + 1] - self.first[u]) as usize
+    }
+
+    /// Opens a new phase and BFS-labels the residual graph from `s`,
+    /// stopping the moment `t` is labelled: every node nearer than `t`
+    /// has its level by then, and those are all a shortest augmenting
+    /// path can visit. Returns whether `t` was reached.
+    fn label_until(&mut self, s: usize, t: usize) -> bool {
+        self.phase = match self.phase.checked_add(PHASE) {
+            Some(phase) => phase,
+            None => {
+                self.label.fill(0);
+                PHASE
+            }
+        };
+        self.queue.clear();
+        self.label[s] = self.phase;
+        self.next[s] = self.first[s];
+        self.queue.push(s as u32);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            let u = u as usize;
+            let deeper = self.label[u] + 1;
+            for a in self.first[u] as usize..self.first[u + 1] as usize {
+                let v = self.to[a] as usize;
+                if self.cap[a] > 0 && self.label[v] < self.phase {
+                    self.label[v] = deeper;
+                    self.next[v] = self.first[v];
+                    if v == t {
+                        return true;
                     }
+                    self.queue.push(v as u32);
                 }
             }
-            if level[t] == usize::MAX {
-                return flow;
-            }
-            // DFS blocking flow with iteration pointers.
-            let mut iter = vec![0usize; n];
-            loop {
-                let pushed = self.dfs(s, t, i64::MAX, &level, &mut iter);
-                if pushed == 0 {
+        }
+        false
+    }
+
+    /// Depth-first search for one `s`–`t` path in the current level
+    /// graph, on an explicit stack; pushes one unit along it and logs the
+    /// arcs. `next` persists across the calls of a phase, so an arc found
+    /// dead or saturated is never tried again.
+    fn augment(&mut self, s: usize, t: usize) -> bool {
+        self.path.clear();
+        let mut u = s;
+        while u != t {
+            let deeper = self.label[u] + 1;
+            let end = self.first[u + 1];
+            while self.next[u] < end {
+                let a = self.next[u] as usize;
+                if self.cap[a] > 0 && self.label[self.to[a] as usize] == deeper {
                     break;
                 }
-                flow += pushed;
+                self.next[u] += 1;
+            }
+            if self.next[u] < end {
+                let a = self.next[u];
+                self.path.push(a);
+                u = self.to[a as usize] as usize;
+            } else if let Some(a) = self.path.pop() {
+                // Dead end: step back and retire the arc that led here.
+                u = self.to[self.rev[a as usize] as usize] as usize;
+                self.next[u] += 1;
+            } else {
+                return false;
             }
         }
-    }
-
-    fn dfs(&mut self, u: usize, t: usize, limit: i64, level: &[usize], iter: &mut [usize]) -> i64 {
-        if u == t {
-            return limit;
+        for &a in &self.path {
+            let r = self.rev[a as usize] as usize;
+            self.cap[a as usize] -= 1;
+            self.cap[r] += 1;
         }
-        while iter[u] < self.head[u].len() {
-            let a = self.head[u][iter[u]];
-            let v = self.to[a];
-            if self.cap[a] > 0 && level[v] == level[u] + 1 {
-                let pushed = self.dfs(v, t, limit.min(self.cap[a]), level, iter);
-                if pushed > 0 {
-                    self.cap[a] -= pushed;
-                    self.cap[a ^ 1] += pushed;
-                    return pushed;
-                }
-            }
-            iter[u] += 1;
-        }
-        0
+        self.pushed.extend_from_slice(&self.path);
+        true
     }
 }
 
@@ -123,18 +229,19 @@ pub fn edge_connectivity(g: &Graph, u: u64, v: u64) -> usize {
     if ui == vi {
         return 0;
     }
-    Dinic::from_graph(g).max_flow(ui, vi) as usize
+    Dinic::from_graph(g).flow_up_to(ui, vi, usize::MAX)
 }
 
 /// Global edge connectivity: `min_u Conn(v0, u)` over a fixed `v0` (valid
-/// because a global min cut separates `v0` from someone).
+/// because a global min cut separates `v0` from someone). Each flow is
+/// capped at the minimum so far — it can only matter by undercutting it.
 pub fn global_edge_connectivity(g: &Graph) -> usize {
     let n = g.node_count();
     if n <= 1 {
         return 0;
     }
     let mut dinic = Dinic::from_graph(g);
-    (1..n).map(|t| dinic.max_flow(0, t) as usize).min().unwrap()
+    (1..n).fold(usize::MAX, |min, t| dinic.flow_up_to(0, t, min))
 }
 
 #[cfg(test)]
@@ -189,6 +296,15 @@ mod tests {
         assert_eq!(edge_connectivity(&g, 1, 2), 2);
         assert_eq!(edge_connectivity(&g, 1, 6), 1); // through the bridge
         assert_eq!(global_edge_connectivity(&g), 1);
+    }
+
+    #[test]
+    fn long_path_does_not_recurse() {
+        // One augmenting path of 199 999 arcs: a DFS that recurses once
+        // per arc overflows the thread's stack and aborts the process.
+        let n = 200_000u64;
+        let g = Graph::from_edges(0..n, (1..n).map(|v| (v - 1, v))).unwrap();
+        assert_eq!(edge_connectivity(&g, 0, n - 1), 1);
     }
 
     #[test]

@@ -527,10 +527,12 @@ impl Realization {
         self
     }
 
-    /// Switches the threshold workloads' max-flow certification (an
-    /// `O(n)`-flows cost; switch off at six-digit `n` and verify
-    /// structurally — the returned report is then marked `skipped` and
-    /// `report.certified()` stays false). Ignored by non-threshold
+    /// Switches the threshold workloads' max-flow certification:
+    /// `n − 1` flows along an anchor chain, each capped at the pair's
+    /// requirement (see [`connectivity::check_thresholds`]) — about
+    /// 0.3 s at `n = 10⁵`, so there is rarely a reason to switch it
+    /// off. When off, the returned report is marked `skipped` and
+    /// `report.certified()` stays false. Ignored by non-threshold
     /// workloads.
     pub fn certify(mut self, certify: bool) -> Self {
         self.certify = certify;

@@ -202,9 +202,11 @@ fn sharded_tracked_queue_warmup_at_n_200k() {
     assert!(result.engine.knowledge_arena >= n);
 }
 
-/// The batched NCC1 star construction at 100k nodes, verified
-/// structurally (full max-flow certification is `O(n)` Dinic runs and
-/// lives in the small-`n` driver tests).
+/// The batched NCC1 star construction at 100k nodes, run below the
+/// facade — straight on `Network::run_protocol`, where no certificate is
+/// assembled — and checked edge by edge against the construction (the
+/// max-flow certificate at this size is
+/// `composed_alg6_exact_at_n_100k_streams_every_round`'s).
 #[test]
 fn batched_ncc1_star_at_n_100k() {
     use connectivity::distributed::ncc1::Ncc1Star;
@@ -402,16 +404,15 @@ fn sorting_at_n_2048_is_polylog() {
 /// acks. The session observes every round as the run executes (the
 /// pull-based stepper, not a post-hoc dump), the `PhaseChange` events
 /// reconstruct Algorithm 6's data-dependent phases, and the resulting
-/// per-phase round breakdown must sum to the total round count. Verified
-/// structurally (max-flow certification is `O(n)` Dinic runs and lives
-/// in the small-`n` driver tests).
+/// per-phase round breakdown must sum to the total round count. The
+/// overlay is then certified in full — `n − 1` capped flows along the
+/// anchor chain — and the session must narrate that after its last round.
 #[test]
 fn composed_alg6_exact_at_n_100k_streams_every_round() {
     use distributed_graph_realizations::RunEvent;
     let n = 100_000;
     let rho: Vec<usize> = (0..n).map(|i| 1 + i % 5).collect();
     let mut session = Realization::new(Workload::Ncc0Exact(rho.clone()))
-        .certify(false)
         .tracking(Kt0::Untracked)
         .seed(64)
         .run_streaming()
@@ -430,8 +431,26 @@ fn composed_alg6_exact_at_n_100k_streams_every_round() {
             }
         }
     }
+    // The round loop is over; what the session delivers now is the
+    // driver narrating the certificate.
+    let after_rounds: Vec<RunEvent> = std::iter::from_fn(|| session.next_event()).collect();
+    assert!(
+        matches!(
+            after_rounds[..],
+            [
+                RunEvent::CertificationStarted { nodes },
+                RunEvent::CertificationResult {
+                    satisfied: true,
+                    pairs_checked
+                }
+            ] if nodes == n && pairs_checked == n - 1
+        ),
+        "{after_rounds:?}"
+    );
     let out = session.finish().unwrap();
     let t = out.threshold();
+    assert!(t.report.certified(), "{:?}", t.report.first_violation);
+    assert_eq!(t.report.pairs_checked, n - 1);
     assert_eq!(
         observed_rounds, t.metrics.rounds,
         "the sink must observe every round"
