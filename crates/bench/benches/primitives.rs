@@ -24,31 +24,53 @@ fn bench_establish(c: &mut Criterion) {
     g.finish();
 }
 
+/// One distributed sort (establishment included) of `n` nodes under `config`.
+fn run_sort(n: usize, config: Config) {
+    let net = Network::new(n, config);
+    net.run_protocol(|_| {
+        WithCtx::new(|ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+            SortStep::new(
+                ctx.vp,
+                ctx.contacts.clone(),
+                ctx.position,
+                rctx.id() % 1000,
+                Order::Descending,
+                rctx.id(),
+            )
+        })
+    })
+    .unwrap();
+}
+
 fn bench_sort(c: &mut Criterion) {
     let mut g = c.benchmark_group("distributed_sort");
     g.sample_size(10);
     for &n in &SIZES {
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
+            b.iter(|| run_sort(n, Config::ncc0(2)))
+        });
+    }
+    g.finish();
+}
+
+/// The price of the KT0 check: the same sort with the knowledge tracker on
+/// (the default) and off (`Kt0::Untracked` at the facade). Everything else
+/// in the two runs is equal, so `tracked ÷ untracked` is the tracker's
+/// share of a sort-heavy round loop.
+fn bench_kt0(c: &mut Criterion) {
+    let mut g = c.benchmark_group("kt0");
+    g.sample_size(10);
+    for (label, tracked) in [("tracked", true), ("untracked", false)] {
+        g.bench_function(BenchmarkId::new(label, 2048), |b| {
             b.iter(|| {
-                let net = Network::new(n, Config::ncc0(2));
-                net.run_protocol(|_| {
-                    WithCtx::new(|ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
-                        SortStep::new(
-                            ctx.vp,
-                            ctx.contacts.clone(),
-                            ctx.position,
-                            rctx.id() % 1000,
-                            Order::Descending,
-                            rctx.id(),
-                        )
-                    })
-                })
-                .unwrap()
+                let mut config = Config::ncc0(2);
+                config.track_knowledge = tracked;
+                run_sort(2048, config)
             })
         });
     }
     g.finish();
 }
 
-criterion_group!(benches, bench_establish, bench_sort);
+criterion_group!(benches, bench_establish, bench_sort, bench_kt0);
 criterion_main!(benches);

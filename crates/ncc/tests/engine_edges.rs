@@ -4,10 +4,10 @@
 
 mod common;
 
-use common::on_both_engines;
+use common::{assert_matches_reference, on_both_engines, Script};
 use dgr_ncc::{
-    tags, CapacityPolicy, Config, Network, NodeId, RoundCtx, SimError, Status, Violation,
-    ViolationKind, WireMsg,
+    tags, CapacityPolicy, Config, EngineKind, Network, NodeId, NodeSeed, Recording, RoundCtx,
+    SimError, Status, Violation, ViolationKind, WireMsg,
 };
 
 fn strict_violation(err: SimError) -> Violation {
@@ -191,4 +191,63 @@ fn knowledge_spreads_through_carried_addresses() {
     .unwrap();
     assert!(result.metrics.is_clean());
     assert_eq!(result.output_of(c).unwrap(), &Some(7));
+}
+
+#[test]
+fn zero_and_max_are_learnable_addresses() {
+    // Every u64 is a legal ID as far as KT0 goes, the two extremes a
+    // table might reserve for itself included. a carries both without
+    // knowing either (recorded, still delivered); b learns them from the
+    // delivery and forwards them to c — across the shard boundary at two
+    // shards — as a fully legal message.
+    let mut config = Config::ncc0(8);
+    config.capacity_policy = CapacityPolicy::Record;
+    let carried = [0, u64::MAX];
+    let script = |a: NodeId, b: NodeId| {
+        move |seed: &NodeSeed<'_>| {
+            let me = seed.id;
+            let mut seen: Vec<NodeId> = Vec::new();
+            Script(move |ctx: &mut RoundCtx<'_>| {
+                seen.extend(ctx.inbox().iter().flat_map(|e| e.msg.addrs_slice()));
+                let succ = ctx.initial_successor();
+                match ctx.round() {
+                    0 if me == a => carried
+                        .iter()
+                        .for_each(|&x| ctx.send(succ.unwrap(), WireMsg::addr(tags::GENERIC, x))),
+                    1 if me == b => {
+                        let both = WireMsg::addr(tags::GENERIC, seen[0]).with_addr(seen[1]);
+                        ctx.send(succ.unwrap(), both);
+                    }
+                    2 => return Status::Done(std::mem::take(&mut seen)),
+                    _ => {}
+                }
+                Status::Continue
+            })
+        }
+    };
+    for (shards, workers) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
+        let layout = config
+            .clone()
+            .with_shards(shards)
+            .with_worker_threads(workers);
+        let net = Network::new(4, layout);
+        let order = net.ids_in_path_order().to_vec();
+        let (a, b, c) = (order[0], order[1], order[2]);
+        let mut events = Recording::new();
+        let result = net
+            .run_protocol_on(EngineKind::Batched, None, Some(&mut events), script(a, b))
+            .unwrap();
+        let what = format!("{shards} shards × {workers} workers");
+        assert_eq!(result.engine.shards, shards, "{what}");
+        assert_eq!(result.metrics.violations.unknown_carried, 2, "{what}");
+        assert_eq!(result.metrics.violations.total(), 2, "{what}");
+        let kinds = result.metrics.violation_samples.iter().map(|v| &v.kind);
+        let expected = carried.map(|carried| ViolationKind::UnknownCarriedAddress { carried });
+        assert!(kinds.eq(&expected), "{what}");
+        assert_eq!(result.output_of(b).unwrap(), &carried, "{what}");
+        assert_eq!(result.output_of(c).unwrap(), &carried, "{what}");
+        // b: itself, its successor, a, and the two carried addresses.
+        assert_eq!(result.metrics.max_knowledge, 5, "{what}");
+        assert_matches_reference(&net, None, &result, &events.events(), script(a, b), &what);
+    }
 }

@@ -65,8 +65,8 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// Allocation count of one n-node Ping run over `rounds` rounds. The
 /// whole run executes inline on this thread (`worker_threads = 1`), so
 /// thread-scoped counting sees every engine allocation. `tracked` turns
-/// strict KT0 knowledge tracking on — the sorted-arena tracker's learns
-/// and lookups must also be allocation-free at steady state.
+/// strict KT0 knowledge tracking on — the knowledge tracker's learns and
+/// lookups must also be allocation-free at steady state.
 fn allocations_for_config(rounds: u64, tracked: bool) -> u64 {
     allocations_for_layout(rounds, tracked, 1, 1)
 }
@@ -121,11 +121,12 @@ fn routing_hot_path_does_not_allocate_per_round() {
     );
 }
 
-/// Strict-KT0 tracked runs: the per-node sorted-arena knowledge tracker
-/// must be zero-alloc at steady state — every validation lookup is a
-/// binary search, and learning an already-known ID touches nothing. All
-/// arena growth happens while knowledge is still spreading (here: the
-/// first delivery round), which both run lengths share.
+/// Strict-KT0 tracked runs: the knowledge tracker (one open-addressed
+/// table per node, all in one arena) must be zero-alloc at steady state —
+/// every validation lookup is a probe of the sender's table, and learning
+/// an already-known ID is the same probe and writes nothing. All arena
+/// growth happens while knowledge is still spreading (here: the first
+/// delivery round), which both run lengths share.
 #[test]
 fn strict_kt0_tracking_does_not_allocate_per_round() {
     let _ = allocations_for_config(5, true);
