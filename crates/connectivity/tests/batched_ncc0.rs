@@ -69,6 +69,12 @@ const GOLDEN: &[(&str, Golden)] = &[
     ("ncc0 [5; 12]", (true, 100, 381, 902, 5, 4, 0x08e743571c7a43d5)),
 ];
 
+/// What a change of schedule may not move: the certified? and edge-hash
+/// columns of every pipeline case, folded in order. The schedule columns
+/// of [`GOLDEN`] — rounds, messages, words, the per-round maxima — are
+/// re-frozen when a round budget changes; this fold is not.
+const GOLDEN_OVERLAYS: u64 = 0x1082_6763_b058_5b9f;
+
 /// The overlay (edge-list hash) the star's direct-style twin realized.
 #[rustfmt::skip]
 const GOLDEN_STAR_OVERLAYS: &[(&str, u64)] = &[
@@ -96,6 +102,8 @@ fn case_name(what: &str, rho: &[usize]) -> String {
 
 #[test]
 fn ncc0_pipeline_matches_frozen_twin_on_both_engines() {
+    let fnv = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+    let mut overlays = 0xcbf2_9ce4_8422_2325;
     for rho in [
         vec![1usize, 1, 1, 1],
         vec![2, 2, 2, 2, 2],
@@ -116,7 +124,10 @@ fn ncc0_pipeline_matches_frozen_twin_on_both_engines() {
         assert_eq!(batched.metrics, reference.metrics, "{case}: engines");
         assert!(batched.report.satisfied, "{rho:?}: {:?}", batched.report);
         assert_eq!(batched.metrics.undelivered, 0);
+        let (certified, .., edges) = transcript(&batched);
+        overlays = fnv(fnv(overlays, certified as u64), edges);
     }
+    assert_eq!(overlays, GOLDEN_OVERLAYS, "an overlay moved");
 }
 
 #[test]

@@ -78,6 +78,14 @@ const GOLDEN: &[(&str, Golden)] = &[
 const GOLDEN_IMPLICIT_SWEEP: u64 = 0x862e_11f6_bc0f_258b;
 const GOLDEN_APPROX_SWEEP: u64 = 0x9ae4_fdc6_dd32_6632;
 
+/// What a change of schedule may not move: the realized?, phases and
+/// edge-hash columns of every [`GOLDEN`] row, then of every case of the
+/// two sweeps, folded into one hash. The schedule columns — rounds,
+/// messages, words, the per-round maxima — and the two sweep folds above,
+/// which include them, are re-frozen when a round budget changes; this
+/// fold is not.
+const GOLDEN_OVERLAYS: u64 = 0xa06f_3df2_4ec6_c360;
+
 /// `"{what} {degrees:?}"`, with a long constant sequence as `[d; n]`.
 fn case_name(what: &str, degrees: &[usize]) -> String {
     match degrees {
@@ -261,7 +269,7 @@ fn masked_runs_pay_subnetwork_round_budgets() {
 /// One random sweep: `cases` draws from the stream the in-repo proptest
 /// stand-in derives from the test's name (so the cases are the ones the
 /// `proptest!` form of this test ran against the twin), each run on both
-/// engines and folded into one hash.
+/// engines; returns the transcript of every case.
 fn sweep(
     name: &str,
     cases: u32,
@@ -269,9 +277,9 @@ fn sweep(
     degree: std::ops::Range<usize>,
     len: std::ops::Range<usize>,
     check: impl Fn(&[usize], &DriverOutput),
-) -> u64 {
+) -> Vec<Golden> {
     let mut rng = TestRng::deterministic(&format!("{}::{name}", module_path!()));
-    let mut folded = FNV_OFFSET;
+    let mut rows = Vec::new();
     for _ in 0..cases {
         let degrees = prop::collection::vec(degree.clone(), len.clone()).generate(&mut rng);
         let seed = (0u64..1000).generate(&mut rng);
@@ -281,28 +289,30 @@ fn sweep(
         assert_eq!(transcript(&batched), transcript(&reference), "{what}");
         assert_eq!(batched.metrics(), reference.metrics(), "{what}: engines");
         check(&degrees, &batched);
-        let (ok, phases, rounds, messages, words, sent, received, edges) = transcript(&batched);
-        for x in [
-            ok as u64,
-            phases,
-            rounds,
-            messages,
-            words,
-            sent as u64,
-            received as u64,
-            edges,
-        ] {
-            folded = fnv(folded, x);
+        rows.push(transcript(&batched));
+    }
+    rows
+}
+
+/// Folds transcripts into one hash: every column, or (`overlay_only`)
+/// just realized?, phases and the edge hash.
+fn fold(rows: &[Golden], overlay_only: bool) -> u64 {
+    let mut folded = FNV_OFFSET;
+    for &(ok, phases, rounds, messages, words, sent, received, edges) in rows {
+        let schedule = [rounds, messages, words, sent as u64, received as u64];
+        folded = fnv(fnv(folded, ok as u64), phases);
+        if !overlay_only {
+            folded = schedule.iter().fold(folded, |h, &x| fnv(h, x));
         }
+        folded = fnv(folded, edges);
     }
     folded
 }
 
 /// Random degree sequences (graphic or not): both engines must reproduce
 /// the twin's verdict and, when realized, its exact overlay.
-#[test]
-fn implicit_sweep_engines_agree() {
-    let folded = sweep(
+fn implicit_sweep() -> Vec<Golden> {
+    sweep(
         "implicit_sweep_engines_agree",
         24,
         Flavor::Implicit,
@@ -316,15 +326,19 @@ fn implicit_sweep_engines_agree() {
                 assert_eq!(b.graph.degree_sequence(), want);
             }
         },
-    );
+    )
+}
+
+#[test]
+fn implicit_sweep_engines_agree() {
+    let folded = fold(&implicit_sweep(), false);
     assert_eq!(folded, GOLDEN_IMPLICIT_SWEEP, "sweep transcript drifted");
 }
 
 /// The envelope realization: always succeeds (absent oversized degrees)
 /// with the Theorem 13 bounds, identically on both engines.
-#[test]
-fn approx_sweep_engines_agree() {
-    let folded = sweep(
+fn approx_sweep() -> Vec<Golden> {
+    sweep(
         "approx_sweep_engines_agree",
         24,
         Flavor::Envelope,
@@ -337,6 +351,25 @@ fn approx_sweep_engines_agree() {
                 assert!(envelope_sum <= 2 * sum.max(1), "Σd' = {envelope_sum} > 2Σd");
             }
         },
-    );
+    )
+}
+
+#[test]
+fn approx_sweep_engines_agree() {
+    let folded = fold(&approx_sweep(), false);
     assert_eq!(folded, GOLDEN_APPROX_SWEEP, "sweep transcript drifted");
+}
+
+/// The schedule-independent columns of the whole suite (the table rows
+/// are held to their runs by the tests above).
+#[test]
+fn overlays_match_the_frozen_fold() {
+    let mut rows: Vec<Golden> = GOLDEN.iter().map(|(_, row)| *row).collect();
+    rows.extend(implicit_sweep());
+    rows.extend(approx_sweep());
+    assert_eq!(
+        fold(&rows, true),
+        GOLDEN_OVERLAYS,
+        "an overlay or a phase count moved"
+    );
 }

@@ -89,6 +89,13 @@ const GOLDEN: &[(&str, Golden)] = &[
 /// The folded transcripts of the random sweep, from the twins.
 const GOLDEN_SWEEP: u64 = 0x6f3b_b0ed_c0b7_c58a;
 
+/// What a change of schedule may not move: the realized?, diameter and
+/// edge-hash columns of every [`GOLDEN`] row, then of every case of the
+/// sweep, folded into one hash. The schedule columns — rounds, messages,
+/// words, the per-round maxima — and the sweep fold above, which includes
+/// them, are re-frozen when a round budget changes; this fold is not.
+const GOLDEN_OVERLAYS: u64 = 0x2ab6_c91f_d3f2_c2cd;
+
 /// Holds a run to the frozen transcript of its case.
 fn assert_golden(case: &str, out: &TreeRealization) {
     let golden = GOLDEN
@@ -170,12 +177,11 @@ fn tree_degrees(picks: &[usize]) -> Vec<usize> {
 /// Random attachment trees: both engines reproduce the twin's tree with
 /// the requested degrees, for both algorithms. Draws the cases the
 /// `proptest!` form of this test ran against the twins (same
-/// name-derived stream).
-#[test]
-fn tree_sweep_engines_agree() {
+/// name-derived stream); returns the transcript of every run.
+fn sweep() -> Vec<Golden> {
     let name = format!("{}::tree_sweep_engines_agree", module_path!());
     let mut rng = TestRng::deterministic(&name);
-    let mut folded = FNV_OFFSET;
+    let mut rows = Vec::new();
     for _ in 0..16 {
         let picks = prop::collection::vec(0usize..1000, 2..24).generate(&mut rng);
         let seed = (0u64..1000).generate(&mut rng);
@@ -191,21 +197,45 @@ fn tree_sweep_engines_agree() {
             let mut want = degrees.clone();
             want.sort_unstable_by(|a, b| b.cmp(a));
             assert_eq!(t.graph.degree_sequence(), want);
-            let (ok, diameter, rounds, messages, words, sent, received, edges) =
-                transcript(&batched);
-            for x in [
-                ok as u64,
-                diameter as u64,
-                rounds,
-                messages,
-                words,
-                sent as u64,
-                received as u64,
-                edges,
-            ] {
-                folded = fnv(folded, x);
-            }
+            rows.push(transcript(&batched));
         }
     }
-    assert_eq!(folded, GOLDEN_SWEEP, "sweep transcript drifted");
+    rows
+}
+
+/// Folds transcripts into one hash: every column, or (`overlay_only`)
+/// just realized?, diameter and the edge hash.
+fn fold(rows: &[Golden], overlay_only: bool) -> u64 {
+    let mut folded = FNV_OFFSET;
+    for &(ok, diameter, rounds, messages, words, sent, received, edges) in rows {
+        let schedule = [rounds, messages, words, sent as u64, received as u64];
+        folded = fnv(fnv(folded, ok as u64), diameter as u64);
+        if !overlay_only {
+            folded = schedule.iter().fold(folded, |h, &x| fnv(h, x));
+        }
+        folded = fnv(folded, edges);
+    }
+    folded
+}
+
+#[test]
+fn tree_sweep_engines_agree() {
+    assert_eq!(
+        fold(&sweep(), false),
+        GOLDEN_SWEEP,
+        "sweep transcript drifted"
+    );
+}
+
+/// The schedule-independent columns of the whole suite (the table rows
+/// are held to their runs by `tree_drivers_match_frozen_twins_on_both_engines`).
+#[test]
+fn overlays_match_the_frozen_fold() {
+    let mut rows: Vec<Golden> = GOLDEN.iter().map(|(_, row)| *row).collect();
+    rows.extend(sweep());
+    assert_eq!(
+        fold(&rows, true),
+        GOLDEN_OVERLAYS,
+        "a tree or a diameter moved"
+    );
 }

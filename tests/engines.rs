@@ -214,12 +214,20 @@ const GOLDEN: &[(&str, Golden)] = &[
     ("prefix", (true, 4, 127, 180, 472, 2, 2, 0x40fdb7803a1a6ba7)),
 ];
 
+/// What a change of schedule may not move: the verdict, phases and
+/// edge-hash columns of every run of [`requests`], folded in order. The
+/// schedule columns of [`GOLDEN`] — rounds, messages, words, the per-round
+/// maxima — are re-frozen when a round budget changes; this fold is not.
+const GOLDEN_OVERLAYS: u64 = 0x1395_4f6a_1dd4_acbc;
+
 /// golden == batched == reference, through the facade. The NCC1
 /// star's twin was only ever overlay-identical to its state machine (it
 /// built the full path context first), so that row holds on the verdict
 /// and overlay columns; every other row holds in full.
 #[test]
 fn facade_transcripts_match_the_frozen_twins_on_both_engines() {
+    let fnv = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+    let mut overlays = 0xcbf2_9ce4_8422_2325;
     for (case, workload, seed, mask) in requests() {
         let golden = GOLDEN
             .iter()
@@ -237,7 +245,12 @@ fn facade_transcripts_match_the_frozen_twins_on_both_engines() {
         } else {
             assert_eq!(batched, golden, "{case}: transcript drifted");
         }
+        overlays = fnv(fnv(fnv(overlays, batched.0 as u64), batched.1), batched.7);
     }
+    assert_eq!(
+        overlays, GOLDEN_OVERLAYS,
+        "an overlay or a phase count moved"
+    );
 }
 
 /// The facade's scenario oracle: a tree realization under the queueing
