@@ -2,7 +2,7 @@
 //! realization in NCC0 (hence also NCC1).
 //!
 //! 1. Sort by `ρ` non-increasing; broadcast `d₀ = ρ(x₁)` and `x₁`'s
-//!    address.
+//!    address (one sweep carries both).
 //! 2. **Phase 1** over the prefix `x₁ … x_{d₀+1}`: rank `i` connects to
 //!    the next `ρ(x_i)` ranks *cyclically* (so `x₁`, with
 //!    `ρ(x₁) = d₀ =` prefix−1, connects to the entire prefix). The
@@ -17,7 +17,8 @@
 //! 4. Recipients reply with their own IDs by staggered sends
 //!    (explicitness).
 //!
-//! **Deviation from the paper** (documented in `DESIGN.md` §4): the paper
+//! **Deviation from the paper** (ARCHITECTURE.md, *Deviations from the
+//! paper*): the paper
 //! realizes the prefix degrees via the Theorem 13 upper envelope, whose
 //! multigraph semantics can leave a node with fewer *distinct* neighbors
 //! than its requirement (a real gap — our test suite caught it). The
@@ -37,10 +38,10 @@
 
 use super::ThresholdOutcome;
 use dgr_ncc::{tags, NodeId, NodeProtocol, RoundCtx, Status, WireMsg};
-use dgr_primitives::ops::{AggBcastStep, BroadcastAddrStep};
+use dgr_primitives::ops::SweepStep;
 use dgr_primitives::sort::{Order, SortBackend, SortStep, SortedPath};
 use dgr_primitives::stagger::{self, StaggerStep};
-use dgr_primitives::{AggOp, EstablishCtx, PathCtx, Poll, Step};
+use dgr_primitives::{EstablishCtx, PathCtx, Poll, Step};
 use std::collections::VecDeque;
 
 /// Number of rounds of a token pipeline with maximum ttl `ttl_max` at
@@ -168,8 +169,8 @@ impl Sorted {
 enum PrologueStage {
     Establish(EstablishCtx),
     Sort(SortStep),
-    D0(AggBcastStep),
-    X1(BroadcastAddrStep),
+    /// `(max ρ, x₁'s address)` in one sweep.
+    D0X1(SweepStep),
 }
 
 /// Step 1 of Algorithm 6, the opening both machines share: establish the
@@ -182,7 +183,6 @@ pub(super) struct Prologue {
     stage: PrologueStage,
     ctx: Option<PathCtx>,
     sp: Option<SortedPath>,
-    d0: usize,
 }
 
 impl Prologue {
@@ -193,17 +193,16 @@ impl Prologue {
             stage: PrologueStage::Establish(EstablishCtx::new()),
             ctx: None,
             sp: None,
-            d0: 0,
         }
     }
 
-    /// The stage in progress, under the label `Ncc0Exact` narrates it by.
+    /// The stage in progress, under the label `Ncc0Exact` narrates it by
+    /// (`d0` names the sweep that also carries `x₁`).
     pub(super) fn label(&self) -> &'static str {
         match self.stage {
             PrologueStage::Establish(_) => "establish",
             PrologueStage::Sort(_) => "sort",
-            PrologueStage::D0(_) => "d0",
-            PrologueStage::X1(_) => "x1",
+            PrologueStage::D0X1(_) => "d0",
         }
     }
 
@@ -237,38 +236,26 @@ impl Step for Prologue {
                 PrologueStage::Sort(s) => match s.poll(rctx) {
                     Poll::Pending => return Poll::Pending,
                     Poll::Ready(sp) => {
+                        let mine = (sp.rank == 0).then(|| rctx.id());
                         self.sp = Some(sp);
                         let ctx = self.ctx();
-                        self.stage = PrologueStage::D0(AggBcastStep::new(
+                        self.stage = PrologueStage::D0X1(SweepStep::new(
                             ctx.vp,
                             ctx.tree.clone(),
-                            self.rho as u64,
-                            AggOp::Max,
-                        ));
-                    }
-                },
-                PrologueStage::D0(s) => match s.poll(rctx) {
-                    Poll::Pending => return Poll::Pending,
-                    Poll::Ready(d0) => {
-                        self.d0 = d0 as usize;
-                        let ctx = self.ctx();
-                        let rank = self.sp.as_ref().expect("sorted above").rank;
-                        let mine = (rank == 0).then(|| rctx.id());
-                        self.stage = PrologueStage::X1(BroadcastAddrStep::new(
-                            ctx.vp,
-                            ctx.tree.clone(),
+                            &[self.rho as u64],
                             mine,
+                            |acc, x| acc[0] = acc[0].max(x[0]),
                         ));
                     }
                 },
-                PrologueStage::X1(s) => match s.poll(rctx) {
+                PrologueStage::D0X1(s) => match s.poll(rctx) {
                     Poll::Pending => return Poll::Pending,
-                    Poll::Ready(x1) => {
+                    Poll::Ready(total) => {
                         return Poll::Ready(Some(Sorted {
                             ctx: self.ctx.take().expect("established above"),
                             sp: self.sp.take().expect("sorted above"),
-                            d0: self.d0,
-                            x1,
+                            d0: total.words[0] as usize,
+                            x1: total.addr.expect("rank 0 announces itself"),
                         }));
                     }
                 },

@@ -16,8 +16,8 @@
 //!    path becomes a sub-path (everyone else holds a non-member view),
 //!    the full context is re-established on it, and the Theorem 13
 //!    upper-envelope realization runs *on the sub-network* as a
-//!    [`DegreesCore`] whose control aggregations (δ, N, the error flag)
-//!    ride the **full-network** tree — so all `n` nodes, prefix or not,
+//!    [`DegreesCore`] whose control sweep (δ, N, the error flag) rides
+//!    the **full-network** tree — so all `n` nodes, prefix or not,
 //!    stay in lockstep with the recursion's data-dependent phase loop;
 //! 3. **distinctness patch**: phase-1 edges are made explicit right away
 //!    (staggered acknowledgements), so every prefix node holds its
@@ -266,7 +266,6 @@ impl NodeProtocol for Ncc0Exact {
                             sub,
                             sorted.ctx.vp,
                             sorted.ctx.tree.clone(),
-                            rctx.id(),
                         )));
                     }
                 },

@@ -7,17 +7,23 @@
 //!
 //! A parallelized Havel–Hakimi. Each phase:
 //!
-//! 1. sort the nodes by remaining degree, non-increasing (Theorem 3);
-//! 2. broadcast the maximum remaining degree `δ`; if `δ = 0`, stop;
-//! 3. broadcast `N`, the multiplicity of `δ`, and let
-//!    `q = max(1, ⌊N/(δ+1)⌋)`;
-//! 4. split the first `q(δ+1)` sorted ranks into `q` star groups; each
-//!    group's first node multicasts its ID to the other `δ` members
-//!    (interval multicast on the sorted path), which store the edge and
-//!    decrement their remaining degree, while the leader is fully
-//!    satisfied and drops to 0;
-//! 5. a member whose degree would go negative triggers a global
-//!    `UNREALIZABLE` flag (aggregated + broadcast).
+//! 1. **control**: one sweep of the whole tree learns the maximum
+//!    remaining degree `δ`, its multiplicity `N` and whether the phase
+//!    before drove a node negative; the flag or `δ ≥ n` ends the run on
+//!    `UNREALIZABLE`, `δ = 0` ends it realized;
+//! 2. sort the nodes by remaining degree, non-increasing (Theorem 3);
+//! 3. with `q = max(1, ⌊N/(δ+1)⌋)`, split the first `q(δ+1)` sorted ranks
+//!    into `q` star groups; each group's first node multicasts its ID to
+//!    the other `δ` members (interval multicast on the sorted path),
+//!    which store the edge and decrement their remaining degree (below
+//!    zero raises the flag), while the leader is fully satisfied and
+//!    drops to 0.
+//!
+//! The paper sorts first, then broadcasts `δ`, `N` and the flag one by one
+//! (its steps 2, 3 and 5); none needs the sorted order, so they share one
+//! sweep ahead of the sort (ARCHITECTURE.md, *Deviations from the paper*):
+//! same groups, edges and phase count, one sweep a phase instead of three
+//! and no sort in the closing phase ([`rounds_for`]).
 //!
 //! Lemma 10: every phase (or every second phase) removes the current
 //! maximum degree, and at most `O(√m)` phases involve degrees above `√m`,
@@ -32,13 +38,14 @@
 //! (the group member `u`); `u` must announce its ID to `v` to make the
 //! realization explicit. A node may be the target of up to `Δ`
 //! announcements, far beyond its per-round receive capacity, so the
-//! hand-off uses the staggered-delivery primitive (`DESIGN.md` §4's
-//! substitute for the Theorem 8 butterfly collection): every announcement
+//! hand-off uses the staggered-delivery primitive (which stands in for
+//! Theorem 8's butterfly collection; ARCHITECTURE.md, *Deviations from the
+//! paper*): every announcement
 //! is delayed uniformly in `[0, Θ(Δ/cap))` rounds and receive-side queueing
 //! absorbs the w.h.p. `O(log n)` per-round overflow. [`Flavor::Explicit`]
-//! is Algorithm 3, then a broadcast of `Δ` (the commonly known bound on
-//! any node's incoming announcements, which fixes the epoch length), then
-//! the hand-off.
+//! is Algorithm 3, then the hand-off; `Δ` (the commonly known bound on any
+//! node's incoming announcements, which fixes the epoch length) rides the
+//! control sweep's fourth word.
 //!
 //! Run it under [`CapacityPolicy::Queue`](dgr_ncc::CapacityPolicy::Queue);
 //! the epoch length covers the worst-case queue drain unconditionally, so
@@ -58,8 +65,9 @@
 //! **Multigraph semantics.** Late phases may connect a pair of nodes that
 //! is already adjacent (a retired group leader can re-enter a later group).
 //! The paper's degree guarantees hold for the resulting *multiset* of
-//! edges; `DESIGN.md` §4 documents this. The driver reports duplicate
-//! counts so callers can quantify it (it is zero on every exact-mode run).
+//! edges (ARCHITECTURE.md, *Deviations from the paper*). The driver
+//! reports duplicate counts so callers can quantify it (it is zero on
+//! every exact-mode run).
 //!
 //! # Composition
 //!
@@ -72,12 +80,12 @@
 use crate::sequence::DegreeSequence;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
 use dgr_primitives::bbst::Bbst;
-use dgr_primitives::contacts::{ContactTable, ContactsStep};
-use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
-use dgr_primitives::ops::AggBcastStep;
-use dgr_primitives::sort::{Order, SortBackend, SortStep, SortedPath};
+use dgr_primitives::contacts::{self, ContactsStep};
+use dgr_primitives::imcast::{self, CoverSide, ImcastStep, Payload};
+use dgr_primitives::ops::{self, SweepStep, Words};
+use dgr_primitives::sort::{self, Order, SortBackend, SortStep, SortedPath};
 use dgr_primitives::stagger::{self, StaggerStep};
-use dgr_primitives::{AggOp, PathCtx, Poll, Step, VPath};
+use dgr_primitives::{ctx, PathCtx, Poll, Step, VPath};
 use std::sync::Arc;
 
 /// Returned (consistently by *every* node) when the degree sequence is not
@@ -133,14 +141,38 @@ pub enum Flavor {
     Explicit,
 }
 
+/// Rounds of a whole realization — context establishment, then
+/// [`DegreesCore`] — on a path of `len` nodes that ran `phases` control
+/// sweeps with the bitonic sort: every phase but the last pays control,
+/// sort, sorted contacts and multicast, the last (a refusal's included)
+/// the control sweep alone; the explicit flavor adds the hand-off epoch
+/// for the maximum requested degree `max_degree` at capacity `cap`.
+pub fn rounds_for(len: usize, phases: u64, flavor: Flavor, max_degree: usize, cap: usize) -> u64 {
+    let control = ops::rounds_for(len);
+    let phase =
+        control + sort::rounds_for(len) + contacts::rounds_for(len) + imcast::rounds_for(len);
+    let (spread, drain) = stagger::plan(max_degree, cap);
+    let handoff = u64::from(flavor == Flavor::Explicit) * stagger::rounds_for(spread, drain);
+    ctx::rounds_for(len) + (phases - 1) * phase + control + handoff
+}
+
+/// Folds the control words: maximum remaining need, how many members hold
+/// it, whether anyone went negative, maximum requested degree.
+fn fold_control(acc: &mut Words, x: &Words) {
+    match x[0].cmp(&acc[0]) {
+        std::cmp::Ordering::Greater => (acc[0], acc[1]) = (x[0], x[1]),
+        std::cmp::Ordering::Equal => acc[1] += x[1],
+        std::cmp::Ordering::Less => {}
+    }
+    acc[2] |= x[2];
+    acc[3] = acc[3].max(x[3]);
+}
+
 enum CoreStage {
+    Control(SweepStep),
     Sort(SortStep),
     SortedContacts(ContactsStep),
-    Delta(AggBcastStep),
-    NMax(AggBcastStep),
     Mcast(ImcastStep),
-    ErrFlag(AggBcastStep),
-    DeltaBound(AggBcastStep),
     Handoff(StaggerStep),
 }
 
@@ -156,16 +188,14 @@ enum CoreStage {
 ///   knowledge path; in Algorithm 6's paper-exact recursion it is the
 ///   ρ-sorted prefix sub-path, with every non-prefix node holding a
 ///   non-member view of the same length.
-/// * `global` — the path view and BBST the loop's *control aggregations*
-///   (δ, N, the error flag) run over. Using the full-network tree keeps
-///   every node — member of the sub-path or not — in lockstep with the
-///   data-dependent phase loop: non-members contribute the aggregation
-///   identity and still learn every control value. At the top level
-///   `global` simply equals the establishment context: the whole protocol
-///   is [`WithCtx`](dgr_primitives::WithCtx) handing its context to both
-///   scopes ([`realize_degrees`](crate::realize_degrees)).
+/// * `global` — the path view and BBST the loop's *control sweep* runs
+///   over. Using the full-network tree keeps every node — member of the
+///   sub-path or not — in lockstep with the data-dependent phase loop:
+///   non-members contribute the identity and still learn every control
+///   value. At the top level `global` equals the establishment context:
+///   the whole protocol is [`WithCtx`](dgr_primitives::WithCtx) handing
+///   its context to both scopes ([`realize_degrees`](crate::realize_degrees)).
 pub struct DegreesCore {
-    degree: usize,
     flavor: Flavor,
     sort: SortBackend,
     local: PathCtx,
@@ -173,10 +203,13 @@ pub struct DegreesCore {
     global_tree: Arc<Bbst>,
     stage: CoreStage,
     need: u64,
+    /// Did the last multicast reach this node with nothing left to give?
+    went_negative: bool,
     outcome: ImplicitOutcome,
     sp: Option<SortedPath>,
-    sct: Option<Arc<ContactTable>>,
+    /// This phase's δ and the sorted ranks its groups span, `q(δ+1)`.
     delta: usize,
+    group_span: usize,
     is_leader: bool,
 }
 
@@ -192,10 +225,8 @@ impl DegreesCore {
         local: PathCtx,
         global_vp: VPath,
         global_tree: Arc<Bbst>,
-        my_id: NodeId,
     ) -> Self {
         let mut core = DegreesCore {
-            degree,
             flavor,
             sort,
             local,
@@ -204,46 +235,32 @@ impl DegreesCore {
             // Placeholder; `begin_phase` installs the real first stage.
             stage: CoreStage::SortedContacts(ContactsStep::new(VPath::non_member(0))),
             need: degree as u64,
+            went_negative: false,
             outcome: ImplicitOutcome {
                 requested: degree,
                 neighbors: Vec::new(),
                 phases: 0,
             },
             sp: None,
-            sct: None,
             delta: 0,
+            group_span: 0,
             is_leader: false,
         };
-        core.begin_phase(my_id);
+        core.begin_phase();
         core
     }
 
-    /// Opens a new Algorithm 3 phase: re-sort by remaining degree.
-    fn begin_phase(&mut self, my_id: NodeId) {
+    /// Opens a new Algorithm 3 phase: the control sweep, on the global tree.
+    fn begin_phase(&mut self) {
         self.outcome.phases += 1;
-        self.stage = CoreStage::Sort(SortStep::on_ctx(
-            &self.local,
+        let words = [
             self.need,
-            Order::Descending,
-            my_id,
-            self.sort,
-        ));
-    }
-
-    /// An aggregate + broadcast over the fixed global tree.
-    fn agg(&self, value: u64, op: AggOp) -> AggBcastStep {
-        AggBcastStep::new(self.global_vp, self.global_tree.clone(), value, op)
-    }
-
-    /// Closes the run: implicit flavors finish, the explicit flavor first
-    /// broadcasts Δ and staggers the edge announcements.
-    fn finish(&mut self) -> Option<Poll<Result<ImplicitOutcome, Unrealizable>>> {
-        if self.flavor == Flavor::Explicit {
-            self.stage = CoreStage::DeltaBound(self.agg(self.degree as u64, AggOp::Max));
-            None
-        } else {
-            Some(Poll::Ready(Ok(std::mem::take(&mut self.outcome))))
-        }
+            u64::from(self.local.vp.member),
+            u64::from(self.went_negative),
+            self.outcome.requested as u64,
+        ];
+        let (vp, tree) = (self.global_vp, self.global_tree.clone());
+        self.stage = CoreStage::Control(SweepStep::new(vp, tree, &words, None, fold_control));
     }
 }
 
@@ -253,6 +270,46 @@ impl Step for DegreesCore {
     fn poll(&mut self, rctx: &mut RoundCtx<'_>) -> Poll<Self::Out> {
         loop {
             match &mut self.stage {
+                CoreStage::Control(s) => match s.poll(rctx) {
+                    Poll::Pending => return Poll::Pending,
+                    Poll::Ready(control) => {
+                        let [delta, n_max, err, bound] = control.words;
+                        // Some node went negative, or wants more
+                        // neighbors than exist.
+                        if err != 0 || delta as usize >= self.local.vp.len {
+                            return Poll::Ready(Err(Unrealizable));
+                        }
+                        if delta == 0 {
+                            if self.flavor != Flavor::Explicit {
+                                return Poll::Ready(Ok(std::mem::take(&mut self.outcome)));
+                            }
+                            // Δ bounds any node's incoming announcements.
+                            let (spread, drain) = stagger::plan(bound as usize, rctx.capacity());
+                            let sends = self
+                                .outcome
+                                .neighbors
+                                .iter()
+                                .map(|&nb| (nb, WireMsg::signal(tags::EDGE)))
+                                .collect();
+                            self.stage = CoreStage::Handoff(StaggerStep::new(sends, spread, drain));
+                            continue;
+                        }
+                        self.delta = delta as usize;
+                        let q = (n_max as usize / (self.delta + 1)).max(1);
+                        self.group_span = q * (self.delta + 1);
+                        debug_assert!(
+                            self.group_span <= self.local.vp.len,
+                            "groups exceed the path"
+                        );
+                        self.stage = CoreStage::Sort(SortStep::on_ctx(
+                            &self.local,
+                            self.need,
+                            Order::Descending,
+                            rctx.id(),
+                            self.sort,
+                        ));
+                    }
+                },
                 CoreStage::Sort(s) => match s.poll(rctx) {
                     Poll::Pending => return Poll::Pending,
                     Poll::Ready(sp) => {
@@ -263,40 +320,11 @@ impl Step for DegreesCore {
                 CoreStage::SortedContacts(s) => match s.poll(rctx) {
                     Poll::Pending => return Poll::Pending,
                     Poll::Ready(table) => {
-                        self.sct = Some(table);
-                        self.stage = CoreStage::Delta(self.agg(self.need, AggOp::Max));
-                    }
-                },
-                CoreStage::Delta(s) => match s.poll(rctx) {
-                    Poll::Pending => return Poll::Pending,
-                    Poll::Ready(delta) => {
-                        if delta == 0 {
-                            if let Some(done) = self.finish() {
-                                return done;
-                            }
-                            continue;
-                        }
-                        if delta as usize >= self.local.vp.len {
-                            // Some node wants more neighbors than exist.
-                            return Poll::Ready(Err(Unrealizable));
-                        }
-                        self.delta = delta as usize;
-                        let mine = u64::from(self.local.vp.member && self.need == delta);
-                        self.stage = CoreStage::NMax(self.agg(mine, AggOp::Sum));
-                    }
-                },
-                CoreStage::NMax(s) => match s.poll(rctx) {
-                    Poll::Pending => return Poll::Pending,
-                    Poll::Ready(n_max) => {
                         let delta = self.delta;
-                        let q = (n_max as usize / (delta + 1)).max(1);
-                        let group_span = q * (delta + 1);
-                        debug_assert!(group_span <= self.local.vp.len, "groups exceed the path");
                         let sp = self.sp.as_ref().expect("phase without a sorted path");
-                        let rank = sp.rank;
                         self.is_leader = self.local.vp.member
-                            && rank < group_span
-                            && rank.is_multiple_of(delta + 1);
+                            && sp.rank < self.group_span
+                            && sp.rank.is_multiple_of(delta + 1);
                         let task = self.is_leader.then(|| {
                             (
                                 CoverSide::After,
@@ -307,17 +335,12 @@ impl Step for DegreesCore {
                                 },
                             )
                         });
-                        self.stage = CoreStage::Mcast(ImcastStep::new(
-                            sp.vp,
-                            self.sct.clone().expect("phase without sorted contacts"),
-                            task,
-                        ));
+                        self.stage = CoreStage::Mcast(ImcastStep::new(sp.vp, table, task));
                     }
                 },
                 CoreStage::Mcast(s) => match s.poll(rctx) {
                     Poll::Pending => return Poll::Pending,
                     Poll::Ready(got) => {
-                        let mut went_negative = false;
                         if self.is_leader {
                             debug_assert_eq!(
                                 self.need, self.delta as u64,
@@ -325,43 +348,16 @@ impl Step for DegreesCore {
                             );
                             self.need = 0;
                         } else if let Some(p) = got {
-                            if self.need == 0 {
-                                // Exact flavors fail on a saturated node;
-                                // the envelope accepts the extra edge.
-                                if self.flavor == Flavor::Envelope {
-                                    self.outcome.neighbors.push(p.addr);
-                                } else {
-                                    went_negative = true;
-                                }
+                            // Exact flavors fail on a saturated node; the
+                            // envelope accepts the extra edge.
+                            if self.need == 0 && self.flavor != Flavor::Envelope {
+                                self.went_negative = true;
                             } else {
                                 self.outcome.neighbors.push(p.addr);
-                                self.need -= 1;
+                                self.need = self.need.saturating_sub(1);
                             }
                         }
-                        self.stage =
-                            CoreStage::ErrFlag(self.agg(u64::from(went_negative), AggOp::Or));
-                    }
-                },
-                CoreStage::ErrFlag(s) => match s.poll(rctx) {
-                    Poll::Pending => return Poll::Pending,
-                    Poll::Ready(err) => {
-                        if err != 0 {
-                            return Poll::Ready(Err(Unrealizable));
-                        }
-                        self.begin_phase(rctx.id());
-                    }
-                },
-                CoreStage::DeltaBound(s) => match s.poll(rctx) {
-                    Poll::Pending => return Poll::Pending,
-                    Poll::Ready(delta) => {
-                        let (spread, drain) = stagger::plan(delta as usize, rctx.capacity());
-                        let sends = self
-                            .outcome
-                            .neighbors
-                            .iter()
-                            .map(|&nb| (nb, WireMsg::signal(tags::EDGE)))
-                            .collect();
-                        self.stage = CoreStage::Handoff(StaggerStep::new(sends, spread, drain));
+                        self.begin_phase();
                     }
                 },
                 CoreStage::Handoff(s) => match s.poll(rctx) {
@@ -383,9 +379,10 @@ impl Step for DegreesCore {
 
 #[cfg(test)]
 mod tests {
-    use super::Flavor;
-    use crate::driver::realize_for_test;
-    use dgr_ncc::Config;
+    use super::{rounds_for, Flavor};
+    use crate::driver::{realize_degrees, realize_for_test};
+    use dgr_ncc::{Config, EngineKind, Recording, RunEvent};
+    use dgr_primitives::sort::SortBackend;
 
     #[test]
     fn realizes_a_triangle() {
@@ -425,6 +422,33 @@ mod tests {
         ] {
             let out = realize_for_test(&degrees, Config::ncc0(3), Flavor::Implicit);
             assert!(out.is_unrealizable(), "{degrees:?} was accepted");
+        }
+    }
+
+    /// `[3, 1, 1]` (δ ≥ n) is refused by the first control sweep, before
+    /// anything is sorted; `[3, 3, 1, 1]` (a node goes negative in phase
+    /// 2) by the third. Every node gets there in the same round: no round
+    /// completes with only some of them still running.
+    #[test]
+    fn refusals_reach_every_node_in_the_same_round() {
+        for (degrees, phases) in [(vec![3, 1, 1], 1), (vec![3, 3, 1, 1], 3)] {
+            for engine in [EngineKind::Batched, EngineKind::Reference] {
+                let mut recording = Recording::new();
+                let (flavor, sort) = (Flavor::Implicit, SortBackend::Bitonic);
+                let sink = Some(&mut recording as &mut dyn dgr_ncc::Sink);
+                let run =
+                    realize_degrees(&degrees, None, Config::ncc0(3), flavor, engine, sort, sink);
+                let out = run.unwrap().output;
+                assert!(out.is_unrealizable(), "{degrees:?} was accepted");
+                let (n, m) = (degrees.len(), out.metrics());
+                assert_eq!(m.rounds, rounds_for(n, phases, flavor, 3, m.capacity));
+                let rounds = recording.events().into_iter().filter_map(|e| match e {
+                    RunEvent::RoundCompleted { live, .. } => Some(live),
+                    _ => None,
+                });
+                assert!(rounds.clone().count() as u64 >= m.rounds);
+                assert!(rounds.clone().all(|live| live == n), "{degrees:?}");
+            }
         }
     }
 

@@ -161,9 +161,9 @@ pub fn realize_degrees(
     let result = net.run_protocol_on(engine, participants, sink, |s| {
         let degree = by_id[&s.id];
         // The whole path is both the local and the global scope.
-        WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+        WithCtx::new(move |ctx: &PathCtx, _: &mut RoundCtx<'_>| {
             let (vp, tree) = (ctx.vp, ctx.tree.clone());
-            DegreesCore::new(degree, flavor, sort, ctx.clone(), vp, tree, rctx.id())
+            DegreesCore::new(degree, flavor, sort, ctx.clone(), vp, tree)
         })
     })?;
     let engine_stats = result.engine.clone();

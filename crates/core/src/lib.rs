@@ -19,16 +19,17 @@
 //!
 //! * [`Flavor::Implicit`](distributed::Flavor) — Algorithm 3: implicit
 //!   realization in `O~(min{√m, Δ})` rounds (Theorem 11). A parallelized
-//!   Havel–Hakimi: in every phase the nodes sort themselves by remaining
-//!   degree, the maximum degree `δ` and its multiplicity `N` are broadcast,
-//!   and `q = max(1, ⌊N/(δ+1)⌋)` disjoint star groups are satisfied at once
-//!   by interval multicast.
+//!   Havel–Hakimi: in every phase one sweep learns the maximum remaining
+//!   degree `δ` and its multiplicity `N`, the nodes sort themselves by
+//!   remaining degree, and `q = max(1, ⌊N/(δ+1)⌋)` disjoint star groups
+//!   are satisfied at once by interval multicast.
 //! * [`Flavor::Explicit`](distributed::Flavor) — Theorem 12: the implicit
 //!   realization is made explicit by a staggered hand-off of edge
 //!   announcements, in `O(Δ/log n + log n)` additional rounds.
 //! * [`Flavor::Envelope`](distributed::Flavor) — Theorem 13: for
 //!   non-graphic `D`, realize an upper envelope `D'` with `d'_i ≥ d_i` and
-//!   `Σd' ≤ 2Σd` (multigraph semantics; see `DESIGN.md`).
+//!   `Σd' ≤ 2Σd` (multigraph semantics; ARCHITECTURE.md, *Deviations from
+//!   the paper*).
 //!
 //! The [`driver`] module wires degree assignments onto simulated networks
 //! and re-assembles/verifies the distributed outputs; [`verify`] holds the

@@ -12,7 +12,7 @@
 //!   The two random sweeps are frozen as one folded hash each (the
 //!   in-repo proptest stand-in draws fixed cases from the test's name).
 
-use dgr_core::distributed::Flavor;
+use dgr_core::distributed::{rounds_for, Flavor};
 use dgr_core::driver::{realize_degrees, DriverOutput};
 use dgr_ncc::{Config, EngineKind};
 use dgr_primitives::sort::SortBackend;
@@ -105,15 +105,35 @@ fn assert_golden(case: &str, out: &DriverOutput) {
     assert_eq!(transcript(out), golden.1, "{case}: transcript drifted");
 }
 
+/// Holds a run over `degrees` (the participants', one per node) to the
+/// closed form of its round count: at its phase count when realized; a
+/// refusal ends on some phase's control sweep, before any hand-off.
+fn assert_closed_form(case: &str, degrees: &[usize], flavor: Flavor, out: &DriverOutput) {
+    let (len, m) = (degrees.len(), out.metrics());
+    let max_degree = degrees.iter().copied().max().unwrap_or(0);
+    match out {
+        DriverOutput::Realized(r) => {
+            let want = rounds_for(len, r.phases, flavor, max_degree, m.capacity);
+            assert_eq!(m.rounds, want, "{case}: {} phases", r.phases);
+        }
+        DriverOutput::Unrealizable { .. } => {
+            let form = |phases| rounds_for(len, phases, Flavor::Implicit, 0, m.capacity);
+            let phases = (1..).find(|&phases| form(phases) >= m.rounds).unwrap();
+            assert_eq!(m.rounds, form(phases), "{case}: refused mid-phase");
+        }
+    }
+}
+
 /// Runs one unmasked case on both engines: golden == batched ==
-/// reference (the two engines on every metric).
-fn assert_case(case: &str, degrees: &[usize], config: Config, flavor: Flavor) -> DriverOutput {
+/// reference (the two engines on every metric), rounds on the closed
+/// form.
+fn assert_case(case: &str, degrees: &[usize], config: Config, flavor: Flavor) {
     let batched = realize(degrees, None, config.clone(), flavor, EngineKind::Batched);
     let reference = realize(degrees, None, config, flavor, EngineKind::Reference);
     assert_golden(case, &batched);
     assert_golden(case, &reference);
     assert_eq!(batched.metrics(), reference.metrics(), "{case}: engines");
-    batched
+    assert_closed_form(case, degrees, flavor, &batched);
 }
 
 // White-box shorthand over the `realize_degrees` engine room.
@@ -194,6 +214,29 @@ fn explicit_batched_star_fan_in_is_paced() {
     assert_eq!(g.metrics.undelivered, 0);
 }
 
+/// The closed form at the sizes the golden cases do not reach, both
+/// engines: a moved round budget shows as a moved formula, not as a moved
+/// row.
+#[test]
+fn round_counts_follow_the_closed_form_at_scale() {
+    for n in [64usize, 300, 2048] {
+        // Near-regular, graphic (even sum, far inside Erdős–Gallai).
+        let degrees: Vec<usize> = (0..n).map(|i| 2 + 2 * (i % 3)).collect();
+        let flavors = [
+            (Flavor::Implicit, Config::ncc0(5)),
+            (Flavor::Explicit, Config::ncc0(5).with_queueing()),
+        ];
+        for (flavor, config) in flavors {
+            for engine in [EngineKind::Batched, EngineKind::Reference] {
+                let what = format!("n={n} {flavor:?} {engine:?}");
+                let out = realize(&degrees, None, config.clone(), flavor, engine);
+                assert!(out.expect_realized().phases > 2, "{what}");
+                assert_closed_form(&what, &degrees, flavor, &out);
+            }
+        }
+    }
+}
+
 /// `realize_on`-over-a-prefix, both engines: a masked sub-network run
 /// (only the first `k` path positions participate; `G_k` links across the
 /// rest) must produce identical overlays, rounds and messages on the
@@ -215,6 +258,7 @@ fn masked_prefix_realization_matches_the_reference() {
             let what = format!("masked n={n} prefix={prefix} {flavor:?}");
             assert_eq!(transcript(&reference), transcript(&batched), "{what}");
             assert_eq!(reference.metrics(), batched.metrics(), "{what}");
+            assert_closed_form(&what, &degrees[..prefix], flavor, &batched);
             // The realization stays inside the prefix sub-network.
             if let DriverOutput::Realized(b) = &batched {
                 assert_eq!(b.path_order.len(), prefix);
@@ -289,6 +333,7 @@ fn sweep(
         assert_eq!(transcript(&batched), transcript(&reference), "{what}");
         assert_eq!(batched.metrics(), reference.metrics(), "{what}: engines");
         check(&degrees, &batched);
+        assert_closed_form(&what, &degrees, flavor, &batched);
         rows.push(transcript(&batched));
     }
     rows

@@ -36,8 +36,9 @@
 //! | [`bbst::BbstStep`] (Alg. 1, Fig. 2) | §3.1.1, Thm 1 | `2 ceil(log2 n)` |
 //! | [`traversal::TraversalStep`] (Cor. 2) | §3.1.1 | `O(log n)` |
 //! | [`ctx::EstablishCtx`] (undirect, contacts, BBST, traversal chained) | §3.1 | `O(log n)` |
-//! | [`ops::AggBcastStep`] (Thm 4) | §3.2.1 | `O(log n)` |
-//! | [`ops::BroadcastAddrStep`] (address broadcast, median) | §3.2.1 | `O(log n)` |
+//! | [`ops::SweepStep`] (Thm 4: up to four words and an address, one fold) | §3.2.1 | `O(log n)` |
+//! | [`ops::AggBcastStep`] (the one-word sweep) | §3.2.1 | `O(log n)` |
+//! | [`ops::BroadcastAddrStep`] (the address-only sweep, median) | §3.2.1 | `O(log n)` |
 //! | [`ops::CollectStep`] (Thm 5) | §3.2.2 | `O(k + log n)` |
 //! | [`sort::SortStep`] (Thm 3; [`rand_sort`] behind it) | §3.1.2 | `O(log² n)` |
 //! | [`prefix::PrefixStep`] | §5 | `ceil(log2 n)` |
@@ -47,8 +48,8 @@
 //!
 //! The sorting and multicast primitives substitute the paper's machinery
 //! with same-complexity-class constructions (bitonic networks and interval
-//! doubling instead of recursive merge and butterflies); see `DESIGN.md` §4
-//! for the substitution rationale.
+//! doubling instead of recursive merge and butterflies); ARCHITECTURE.md,
+//! *Deviations from the paper*, has the substitution rationale.
 
 pub mod bbst;
 pub mod clique;

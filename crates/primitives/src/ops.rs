@@ -4,17 +4,19 @@
 //! All operations run on a [`VPath`] + [`Bbst`] pair in a fixed,
 //! commonly-computable number of rounds.
 //!
-//! * **Aggregate + broadcast** ([`AggBcastStep`]): one leaves-to-root
-//!   sweep folding every member's value with a distributive aggregate, one
-//!   root-to-leaves sweep pushing the total back — every member learns it.
-//!   "Leader `ℓ` broadcasts a token" without anyone knowing where `ℓ` sits
-//!   in the tree is the same thing with `min` over the (at most one)
-//!   present value.
-//! * **Address broadcast** ([`BroadcastAddrStep`]): the same two sweeps
-//!   with the value in the message *address* field, so KT0 knowledge
-//!   tracking sees every node legitimately learn the ID; Corollary 2's
-//!   median is the node whose position is `(len - 1) / 2` announcing
-//!   itself.
+//! * **Sweep** ([`SweepStep`]): one leaves-to-root sweep folding every
+//!   member's contribution, one root-to-leaves sweep pushing the total
+//!   back — every member learns it. A contribution is what one message
+//!   holds: up to [`WIRE_WORDS`] data words under one [`Fold`], and the
+//!   (at most one) held address, which travels in the *address* field so
+//!   KT0 tracking sees every node legitimately learn the ID. Independent
+//!   aggregations of one tree share a sweep instead of paying one each.
+//! * **Aggregate + broadcast** ([`AggBcastStep`]): the one-word sweep under
+//!   an [`AggOp`]. "Leader `ℓ` broadcasts a token" without anyone knowing
+//!   where `ℓ` sits in the tree is `min` over the (at most one) value.
+//! * **Address broadcast** ([`BroadcastAddrStep`]): the address-only
+//!   sweep; Corollary 2's median is the node whose position is
+//!   `(len - 1) / 2` announcing itself.
 //! * **Collection** ([`CollectStep`], Theorem 5): every member holding a
 //!   token sends it to the root, pipelined up the tree in batches of
 //!   `cap/2` per node per round, so a parent receives at most `cap` per
@@ -23,12 +25,12 @@
 use crate::bbst::{sweep_rounds, Bbst};
 use crate::step::{AggOp, Poll, Step};
 use crate::vpath::VPath;
-use dgr_ncc::{tags, NodeId, RoundCtx, WireEnvelope, WireMsg};
+use dgr_ncc::{tags, NodeId, RoundCtx, WireEnvelope, WireMsg, WIRE_WORDS};
 use std::sync::Arc;
 
-/// Number of rounds for an aggregate-broadcast, an address broadcast or
-/// the median on a path of `len` nodes (one up sweep + one down sweep) —
-/// the Theorem 4 `O(log n)` bound made concrete.
+/// Number of rounds for a sweep (an aggregate-broadcast, an address
+/// broadcast, the median) on a path of `len` nodes: one up sweep + one
+/// down sweep — the Theorem 4 `O(log n)` bound made concrete.
 pub fn rounds_for(len: usize) -> u64 {
     2 * sweep_rounds(len)
 }
@@ -42,87 +44,115 @@ pub fn collect_rounds(len: usize, k_bound: usize, cap: usize) -> u64 {
     sweep_rounds(len) + (k_bound as u64).div_ceil(batch) + 2
 }
 
-/// What a tree sweep carries, and in which field of the message.
-#[derive(Clone, Copy, Debug)]
-enum Carry {
-    /// A data word, folded with the operator.
-    Word(AggOp),
-    /// The (at most one) holder's address, traveling in the address field
-    /// so KT0 tracking sees every hop; absent holders send a bare signal.
-    Addr,
+/// The data words of one sweep message; a sweep of `k` lanes uses the
+/// first `k` and leaves the rest zero.
+pub type Words = [u64; WIRE_WORDS];
+
+/// Folds another subtree's words into an accumulator. Must be associative
+/// and commutative (lanes may be coupled: "maximum, and how many hold
+/// it"), since the tree fixes neither the grouping nor the order.
+pub type Fold = fn(&mut Words, &Words);
+
+/// What a sweep hands every member (non-members get the default).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Swept {
+    /// The fold of every member's words.
+    pub words: Words,
+    /// The smallest address any member held, if any did.
+    pub addr: Option<NodeId>,
 }
 
-impl Carry {
-    /// Folds a child's `AGGREGATE` into this subtree's accumulator.
-    fn fold(self, acc: Option<u64>, env: &WireEnvelope) -> Option<u64> {
-        match self {
-            Carry::Word(op) => acc.map(|a| op.apply(a, env.word())),
-            Carry::Addr => match (acc, env.msg.addrs_slice().first()) {
-                (Some(b), Some(&a)) => Some(a.min(b)),
-                (acc, theirs) => acc.or(theirs.copied()),
-            },
+impl Swept {
+    fn new(words: &[u64], addr: Option<NodeId>) -> Self {
+        let mut padded = [0; WIRE_WORDS];
+        padded[..words.len()].copy_from_slice(words);
+        Swept {
+            words: padded,
+            addr,
         }
     }
 
-    /// The message carrying `value` under `tag`.
-    fn msg(self, tag: u16, value: Option<u64>) -> WireMsg {
-        match (self, value) {
-            (Carry::Word(_), Some(v)) => WireMsg::word(tag, v),
-            (Carry::Addr, Some(a)) => WireMsg::addr(tag, a),
-            (_, None) => WireMsg::signal(tag),
-        }
-    }
-
-    /// The total a `BCAST` delivers.
-    fn read(self, env: &WireEnvelope) -> u64 {
-        match self {
-            Carry::Word(_) => env.word(),
-            Carry::Addr => env.addr(),
-        }
+    fn of(msg: &WireMsg) -> Self {
+        Swept::new(msg.words_slice(), msg.addrs_slice().first().copied())
     }
 }
 
-/// The up/down sweep both broadcasts are: one leaves-to-root sweep folding
-/// every member's value, one root-to-leaves sweep pushing the total back.
+/// The up/down tree sweep (Theorem 4) as a [`Step`].
+///
+/// Rounds: exactly [`rounds_for`]`(vp.len)`, whatever the width: the lanes
+/// are one message's data words (more than
+/// [`Config::max_words`](dgr_ncc::Config::max_words) of them is a
+/// `MessageTooLarge` violation), the address rides the address field.
 #[derive(Debug)]
-struct Sweep {
+pub struct SweepStep {
     vp: VPath,
     tree: Arc<Bbst>,
-    carry: Carry,
+    lanes: usize,
+    fold: Fold,
     t: u64,
-    /// This subtree's fold so far (`None`: no address held yet).
-    acc: Option<u64>,
+    /// This subtree's fold so far.
+    acc: Swept,
     /// Children whose `AGGREGATE` is outstanding. Keyed by sender, so a
     /// duplicated message folds once.
     await_left: bool,
     await_right: bool,
     sent_up: bool,
-    got: Option<u64>,
+    got: Option<Swept>,
     sent_down: bool,
 }
 
-impl Sweep {
-    fn new(vp: VPath, tree: Arc<Bbst>, carry: Carry, value: Option<u64>) -> Self {
-        Sweep {
+impl SweepStep {
+    /// Builds the step; `words` (one per lane, the same count at every
+    /// node) and `addr` are this node's contribution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than [`WIRE_WORDS`] words are given.
+    pub fn new(
+        vp: VPath,
+        tree: Arc<Bbst>,
+        words: &[u64],
+        addr: Option<NodeId>,
+        fold: Fold,
+    ) -> Self {
+        SweepStep {
             await_left: vp.member && tree.left.is_some(),
             await_right: vp.member && tree.right.is_some(),
             vp,
             tree,
-            carry,
+            lanes: words.len(),
+            fold,
             t: 0,
-            acc: value,
+            acc: Swept::new(words, addr),
             sent_up: false,
             got: None,
             sent_down: false,
         }
     }
 
-    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<u64> {
+    /// The message carrying `value` under `tag`.
+    fn msg(&self, tag: u16, value: &Swept) -> WireMsg {
+        let msg = WireMsg::words(tag, &value.words[..self.lanes]);
+        value.addr.map_or(msg, |a| msg.with_addr(a))
+    }
+
+    /// Folds a child's `AGGREGATE` into this subtree's accumulator.
+    fn fold_child(&mut self, env: &WireEnvelope) {
+        let theirs = Swept::of(&env.msg);
+        (self.fold)(&mut self.acc.words, &theirs.words);
+        self.acc.addr = [self.acc.addr, theirs.addr].into_iter().flatten().min();
+    }
+}
+
+impl Step for SweepStep {
+    type Out = Swept;
+
+    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<Swept> {
         let sweep = sweep_rounds(self.vp.len);
         let rounds = 2 * sweep;
         if !self.vp.member {
             if self.t == rounds {
-                return Poll::Ready(0);
+                return Poll::Ready(Swept::default());
             }
             self.t += 1;
             return Poll::Pending;
@@ -139,10 +169,10 @@ impl Sweep {
                             continue;
                         };
                         if std::mem::take(awaited) {
-                            self.acc = self.carry.fold(self.acc, env);
+                            self.fold_child(env);
                         }
                     }
-                    tags::BCAST => self.got = Some(self.carry.read(env)),
+                    tags::BCAST => self.got = Some(Swept::of(&env.msg)),
                     _ => {}
                 }
             }
@@ -151,7 +181,7 @@ impl Sweep {
             // The up sweep just completed; the root seeds the down sweep.
             debug_assert!(self.sent_up || self.tree.is_root);
             if self.tree.is_root {
-                self.got = Some(self.acc.expect("no member held an address"));
+                self.got = Some(self.acc);
             }
             // A childless root has nobody to push the total to.
             self.sent_down = self.tree.is_root && self.tree.child_count() == 0;
@@ -162,13 +192,13 @@ impl Sweep {
         if self.t < sweep {
             if !(self.await_left || self.await_right || self.sent_up) {
                 if let Some(p) = self.tree.parent {
-                    ctx.send(p, self.carry.msg(tags::AGGREGATE, self.acc));
+                    ctx.send(p, self.msg(tags::AGGREGATE, &self.acc));
                 }
                 self.sent_up = true;
             }
-        } else if let (Some(v), false) = (self.got, self.sent_down) {
+        } else if let (Some(total), false) = (self.got, self.sent_down) {
             for child in [self.tree.left, self.tree.right].into_iter().flatten() {
-                ctx.send(child, self.carry.msg(tags::BCAST, Some(v)));
+                ctx.send(child, self.msg(tags::BCAST, &total));
             }
             self.sent_down = true;
         }
@@ -177,17 +207,22 @@ impl Sweep {
     }
 }
 
-/// Aggregate + broadcast (Theorem 4) as a [`Step`]: one up sweep folding
-/// `value` with `op`, one down sweep pushing the total to every member.
+/// Aggregate + broadcast (Theorem 4) as a [`Step`]: the one-word
+/// [`SweepStep`], folding `value` with `op`.
 ///
 /// Rounds: exactly [`rounds_for`]`(vp.len)`.
 #[derive(Debug)]
-pub struct AggBcastStep(Sweep);
+pub struct AggBcastStep(SweepStep);
 
 impl AggBcastStep {
     /// Builds the step; `value` is this node's contribution.
     pub fn new(vp: VPath, tree: Arc<Bbst>, value: u64, op: AggOp) -> Self {
-        AggBcastStep(Sweep::new(vp, tree, Carry::Word(op), Some(value)))
+        let fold: Fold = match op {
+            AggOp::Sum => |acc, x| acc[0] = AggOp::Sum.apply(acc[0], x[0]),
+            AggOp::Max => |acc, x| acc[0] = AggOp::Max.apply(acc[0], x[0]),
+            AggOp::Min => |acc, x| acc[0] = AggOp::Min.apply(acc[0], x[0]),
+        };
+        AggBcastStep(SweepStep::new(vp, tree, &[value], None, fold))
     }
 }
 
@@ -195,22 +230,25 @@ impl Step for AggBcastStep {
     type Out = u64;
 
     fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<u64> {
-        self.0.poll(ctx)
+        match self.0.poll(ctx) {
+            Poll::Pending => Poll::Pending,
+            Poll::Ready(total) => Poll::Ready(total.words[0]),
+        }
     }
 }
 
-/// Address broadcast as a [`Step`]: the (at most one) holder's address
-/// becomes common knowledge, traveling in the address field so KT0
-/// tracking sees every hop.
+/// Address broadcast as a [`Step`]: the address-only [`SweepStep`] — the
+/// (at most one) holder's address becomes common knowledge; members of a
+/// subtree without the holder send a bare signal.
 ///
 /// Rounds: exactly [`rounds_for`]`(vp.len)`.
 #[derive(Debug)]
-pub struct BroadcastAddrStep(Sweep);
+pub struct BroadcastAddrStep(SweepStep);
 
 impl BroadcastAddrStep {
     /// Builds the step; `value` is `Some` at (at most) one member.
     pub fn new(vp: VPath, tree: Arc<Bbst>, value: Option<NodeId>) -> Self {
-        BroadcastAddrStep(Sweep::new(vp, tree, Carry::Addr, value))
+        BroadcastAddrStep(SweepStep::new(vp, tree, &[], value, |_, _| {}))
     }
 
     /// The Corollary 2 median broadcast: the node whose `position` is the
@@ -226,7 +264,11 @@ impl Step for BroadcastAddrStep {
     type Out = NodeId;
 
     fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<NodeId> {
-        self.0.poll(ctx)
+        match self.0.poll(ctx) {
+            Poll::Pending => Poll::Pending,
+            Poll::Ready(_) if !self.0.vp.member => Poll::Ready(0),
+            Poll::Ready(total) => Poll::Ready(total.addr.expect("no member held an address")),
+        }
     }
 }
 
@@ -319,7 +361,93 @@ impl Step for CollectStep {
 mod tests {
     use super::*;
     use crate::{PathCtx, WithCtx};
-    use dgr_ncc::{Config, EngineKind, Network, Scenario};
+    use dgr_ncc::{CapacityPolicy, Config, EngineKind, Network, Scenario, SimError, ViolationKind};
+
+    /// A fold with coupled lanes: maximum, how many hold it, or, sum.
+    fn fold4(acc: &mut Words, x: &Words) {
+        match x[0].cmp(&acc[0]) {
+            std::cmp::Ordering::Greater => (acc[0], acc[1]) = (x[0], x[1]),
+            std::cmp::Ordering::Equal => acc[1] += x[1],
+            std::cmp::Ordering::Less => {}
+        }
+        acc[2] |= x[2];
+        acc[3] += x[3];
+    }
+
+    /// A node's contribution to the four-lane sweeps below, derived from
+    /// its (randomly assigned) ID; every fifth-or-so node holds an address.
+    fn contribution(id: NodeId) -> (Words, Option<NodeId>) {
+        let words = [id % 7, 1, 1 << (id % 64), id % 1000];
+        (words, id.is_multiple_of(5).then_some(id))
+    }
+
+    /// What a sequential fold over `ids` gives.
+    fn folded(ids: &[NodeId]) -> Swept {
+        let (mut words, _) = contribution(ids[0]);
+        for &id in &ids[1..] {
+            fold4(&mut words, &contribution(id).0);
+        }
+        let addr = ids.iter().filter_map(|&id| contribution(id).1).min();
+        Swept { words, addr }
+    }
+
+    /// The four-lane sweep of every node's [`contribution`].
+    fn sweep4(ctx: &PathCtx, rctx: &mut RoundCtx<'_>) -> SweepStep {
+        let (words, addr) = contribution(rctx.id());
+        SweepStep::new(ctx.vp, ctx.tree.clone(), &words, addr, fold4)
+    }
+
+    #[test]
+    fn multi_lane_sweep_matches_a_sequential_fold() {
+        for (n, seed) in [(1usize, 21u64), (2, 22), (45, 23), (128, 24)] {
+            let net = Network::new(n, Config::ncc0(seed));
+            let want = folded(net.ids_in_path_order());
+            let result = net.run_protocol(|_| WithCtx::new(sweep4)).unwrap();
+            // Tracking is on: the folded address spread legally.
+            assert!(result.metrics.is_clean());
+            assert!(result.outputs.iter().all(|(_, got)| *got == want), "n={n}");
+            let alone = net
+                .run_protocol(|_| {
+                    WithCtx::new(|ctx: &PathCtx, _: &mut RoundCtx<'_>| {
+                        AggBcastStep::new(ctx.vp, ctx.tree.clone(), 0, AggOp::Max)
+                    })
+                })
+                .unwrap();
+            assert_eq!(result.metrics.rounds, alone.metrics.rounds, "width is free");
+            assert_eq!(result.metrics.messages, alone.metrics.messages);
+        }
+    }
+
+    /// A sweep wider than the configured message budget is the model's
+    /// `MessageTooLarge` violation — fatal under the strict policy, counted
+    /// (and the sweep still exact) under the recording one.
+    #[test]
+    fn sweep_wider_than_the_message_budget_is_a_violation() {
+        for engine in [EngineKind::Batched, EngineKind::Reference] {
+            let mut config = Config::ncc0(25);
+            config.max_words = 3;
+            let net = Network::new(20, config.clone());
+            let strict = net.run_protocol_on(engine, None, None, |_| WithCtx::new(sweep4));
+            match strict {
+                Err(SimError::Violation(v)) => assert_eq!(
+                    v.kind,
+                    ViolationKind::MessageTooLarge { words: 4, addrs: 0 }
+                ),
+                other => panic!(
+                    "expected MessageTooLarge, got {:?}",
+                    other.map(|r| r.metrics)
+                ),
+            }
+            config.capacity_policy = CapacityPolicy::Record;
+            let net = Network::new(20, config);
+            let want = folded(net.ids_in_path_order());
+            let recorded = net
+                .run_protocol_on(engine, None, None, |_| WithCtx::new(sweep4))
+                .unwrap();
+            assert!(recorded.metrics.violations.message_too_large > 0);
+            assert!(recorded.outputs.iter().all(|(_, got)| *got == want));
+        }
+    }
 
     #[test]
     fn aggregate_broadcast_computes_global_sum_and_max() {
@@ -379,8 +507,9 @@ mod tests {
     }
 
     /// A duplicated child `AGGREGATE` folds once: with every message of the
-    /// run delivered twice (the establishment's are idempotent), both
-    /// sweeps still end on the fault-free result, on both engines.
+    /// run delivered twice (the establishment's are idempotent), every
+    /// sweep — one word, one address, four coupled lanes beside an address
+    /// — still ends on the fault-free result, on both engines.
     #[test]
     fn sweeps_fold_each_child_once_under_full_duplication() {
         let n = 37;
@@ -407,6 +536,11 @@ mod tests {
                 })
                 .unwrap();
             assert!(addr.outputs.iter().all(|(_, got)| *got == tail));
+            let wide = net
+                .run_protocol_on(engine, None, None, |_| WithCtx::new(sweep4))
+                .unwrap();
+            let want = folded(net.ids_in_path_order());
+            assert!(wide.outputs.iter().all(|(_, got)| *got == want));
         }
     }
 

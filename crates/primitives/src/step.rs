@@ -136,8 +136,6 @@ pub enum AggOp {
     Max,
     /// Minimum.
     Min,
-    /// Bitwise or (used for global boolean flags).
-    Or,
 }
 
 impl AggOp {
@@ -148,7 +146,6 @@ impl AggOp {
             AggOp::Sum => a + b,
             AggOp::Max => a.max(b),
             AggOp::Min => a.min(b),
-            AggOp::Or => a | b,
         }
     }
 }
@@ -222,6 +219,5 @@ mod tests {
         assert_eq!(AggOp::Sum.apply(2, 3), 5);
         assert_eq!(AggOp::Max.apply(2, 3), 3);
         assert_eq!(AggOp::Min.apply(2, 3), 2);
-        assert_eq!(AggOp::Or.apply(1, 2), 3);
     }
 }

@@ -26,7 +26,7 @@
 //! before its leaf interval (source key `2a_i`, leaf key `2·pos + 1`),
 //! after which every group is contiguous with its source at the head and
 //! the plain interval multicast applies — same `O~(1)` cost, no butterfly
-//! (see `DESIGN.md` §4).
+//! (ARCHITECTURE.md, *Deviations from the paper*).
 //!
 //! # Algorithm 5 (Distributed-Tree-Realization-2, Theorem 16)
 //!
@@ -51,11 +51,11 @@ use dgr_core::Unrealizable;
 use dgr_ncc::{NodeId, NodeProtocol, RoundCtx, Status};
 use dgr_primitives::contacts::{ContactTable, ContactsStep};
 use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
-use dgr_primitives::ops::AggBcastStep;
+use dgr_primitives::ops::SweepStep;
 use dgr_primitives::prefix::PrefixStep;
 use dgr_primitives::scatter::{ScanRecord, ScanStep};
 use dgr_primitives::sort::{Order, SortBackend, SortStep, SortedPath};
-use dgr_primitives::{AggOp, EstablishCtx, PathCtx, Poll, Step};
+use dgr_primitives::{EstablishCtx, PathCtx, Poll, Step};
 use std::sync::Arc;
 
 /// One node's result of a tree realization: the tree edges stored here
@@ -70,12 +70,11 @@ pub struct TreeOutcome {
 
 enum Stage {
     Establish(EstablishCtx),
-    CheckSum(AggBcastStep),
-    CheckMin(AggBcastStep),
+    /// The input check and Algorithm 4's `k`, none of which needs the
+    /// sort: `(Σd, min d, number of non-leaves)` in one sweep.
+    Check(SweepStep),
     Sort(SortStep),
     SortedContacts(ContactsStep),
-    /// Algorithm 4 only: k = number of non-leaves.
-    NonLeafCount(AggBcastStep),
     Prefix(PrefixStep),
     /// Algorithm 4: the interval re-sort.
     Resort(SortStep),
@@ -93,7 +92,6 @@ pub struct RealizeTree {
     stage: Stage,
     ctx: Option<PathCtx>,
     outcome: TreeOutcome,
-    sum: u64,
     sp: Option<SortedPath>,
     sct: Option<Arc<ContactTable>>,
     /// Algorithm 4: `k_eff`, remaining child slots, interval start.
@@ -119,7 +117,6 @@ impl RealizeTree {
                 requested: degree,
                 neighbors: Vec::new(),
             },
-            sum: 0,
             sp: None,
             sct: None,
             k_eff: 0,
@@ -130,11 +127,6 @@ impl RealizeTree {
 
     fn ctx(&self) -> &PathCtx {
         self.ctx.as_ref().expect("stage before establish completed")
-    }
-
-    fn agg(&self, value: u64, op: AggOp) -> AggBcastStep {
-        let ctx = self.ctx();
-        AggBcastStep::new(ctx.vp, ctx.tree.clone(), value, op)
     }
 
     fn done(&mut self) -> Status<Result<TreeOutcome, Unrealizable>> {
@@ -151,22 +143,24 @@ impl NodeProtocol for RealizeTree {
                 Stage::Establish(s) => match s.poll(rctx) {
                     Poll::Pending => return Status::Continue,
                     Poll::Ready(ctx) => {
+                        let degree = self.degree as u64;
+                        self.stage = Stage::Check(SweepStep::new(
+                            ctx.vp,
+                            ctx.tree.clone(),
+                            &[degree, degree, u64::from(degree > 1)],
+                            None,
+                            |acc, x| *acc = [acc[0] + x[0], acc[1].min(x[1]), acc[2] + x[2], 0],
+                        ));
                         self.ctx = Some(ctx);
-                        self.stage = Stage::CheckSum(self.agg(self.degree as u64, AggOp::Sum));
                     }
                 },
-                Stage::CheckSum(s) => match s.poll(rctx) {
+                Stage::Check(s) => match s.poll(rctx) {
                     Poll::Pending => return Status::Continue,
-                    Poll::Ready(sum) => {
-                        self.sum = sum;
-                        self.stage = Stage::CheckMin(self.agg(self.degree as u64, AggOp::Min));
-                    }
-                },
-                Stage::CheckMin(s) => match s.poll(rctx) {
-                    Poll::Pending => return Status::Continue,
-                    Poll::Ready(min) => {
+                    Poll::Ready(total) => {
+                        let [sum, min, non_leaves, _] = total.words;
+                        self.k_eff = (non_leaves as usize).max(1);
                         let n = self.ctx().vp.len as u64;
-                        if self.sum != 2 * (n - 1) || (n >= 2 && min < 1) {
+                        if sum != 2 * (n - 1) || (n >= 2 && min < 1) {
                             return Status::Done(Err(Unrealizable));
                         }
                         if n == 1 {
@@ -192,49 +186,31 @@ impl NodeProtocol for RealizeTree {
                 Stage::SortedContacts(s) => match s.poll(rctx) {
                     Poll::Pending => return Status::Continue,
                     Poll::Ready(table) => {
-                        self.sct = Some(table);
-                        match self.algo {
-                            TreeAlgo::Chain => {
-                                let mine = u64::from(self.degree > 1);
-                                self.stage = Stage::NonLeafCount(self.agg(mine, AggOp::Sum));
-                            }
-                            TreeAlgo::Greedy => {
-                                // Child slots: the root keeps all d, everyone
-                                // else spends one on its parent.
-                                let sp = self.sp.as_ref().unwrap();
-                                self.slots = self.degree - usize::from(sp.rank > 0);
-                                self.stage = Stage::Prefix(PrefixStep::exclusive(
-                                    sp.vp,
-                                    self.sct.clone().unwrap(),
-                                    self.slots as u64,
-                                ));
-                            }
-                        }
-                    }
-                },
-                Stage::NonLeafCount(s) => match s.poll(rctx) {
-                    Poll::Pending => return Status::Continue,
-                    Poll::Ready(k) => {
-                        // Algorithm 4: chain ranks 1..=k_eff, then count the
-                        // remaining child slots of the non-leaves.
-                        self.k_eff = (k as usize).max(1);
                         let sp = self.sp.as_ref().unwrap();
                         let rank = sp.rank;
-                        if (1..=self.k_eff).contains(&rank) {
-                            self.outcome
-                                .neighbors
-                                .push(sp.vp.pred.expect("chained rank without predecessor"));
-                        }
-                        self.slots = if rank < self.k_eff {
-                            self.degree - 1 - usize::from(rank > 0)
-                        } else {
-                            0
+                        self.slots = match self.algo {
+                            // Algorithm 4: chain ranks 1..=k_eff; the
+                            // non-leaves keep their remaining child slots.
+                            TreeAlgo::Chain => {
+                                if (1..=self.k_eff).contains(&rank) {
+                                    let pred =
+                                        sp.vp.pred.expect("chained rank without predecessor");
+                                    self.outcome.neighbors.push(pred);
+                                }
+                                if rank < self.k_eff {
+                                    self.degree - 1 - usize::from(rank > 0)
+                                } else {
+                                    0
+                                }
+                            }
+                            // Algorithm 5: the root keeps all d, everyone
+                            // else spends one on its parent.
+                            TreeAlgo::Greedy => self.degree - usize::from(rank > 0),
                         };
-                        self.stage = Stage::Prefix(PrefixStep::exclusive(
-                            sp.vp,
-                            self.sct.clone().unwrap(),
-                            self.slots as u64,
-                        ));
+                        let slots = self.slots as u64;
+                        self.stage =
+                            Stage::Prefix(PrefixStep::exclusive(sp.vp, table.clone(), slots));
+                        self.sct = Some(table);
                     }
                 },
                 Stage::Prefix(s) => match s.poll(rctx) {

@@ -253,6 +253,27 @@ fn facade_transcripts_match_the_frozen_twins_on_both_engines() {
     );
 }
 
+/// Every degree request of this suite sits on the closed form of its round
+/// count, so a moved round budget shows as a moved formula beside the
+/// re-frozen rows.
+#[test]
+fn degree_rounds_follow_the_closed_form() {
+    use distributed_graph_realizations::realization::distributed::{rounds_for, Flavor};
+    for (case, workload, seed, mask) in requests() {
+        let flavor = match &workload {
+            Workload::Implicit(_) => Flavor::Implicit,
+            Workload::Envelope(_) => Flavor::Envelope,
+            Workload::Explicit(_) => Flavor::Explicit,
+            _ => continue,
+        };
+        let out = request(workload, seed, &mask).run().unwrap();
+        let r = out.degrees().expect_realized();
+        let (len, max_degree) = (r.path_order.len(), *r.requested.values().max().unwrap());
+        let want = rounds_for(len, r.phases, flavor, max_degree, r.metrics.capacity);
+        assert_eq!(r.metrics.rounds, want, "{case}");
+    }
+}
+
 /// The facade's scenario oracle: a tree realization under the queueing
 /// policy with half of all messages duplicated, on the reference
 /// interpreter — which has a fault pass of its own — as on the batched
