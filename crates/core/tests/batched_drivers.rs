@@ -57,26 +57,26 @@ fn transcript(out: &DriverOutput) -> Golden {
 /// docs), keyed by case name.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, Golden)] = &[
-    ("implicit [2, 2, 2]", (true, 3, 94, 88, 230, 2, 2, 0xd572d3c814555449)),
-    ("implicit [4, 4, 4, 4, 4]", (true, 5, 215, 337, 903, 2, 2, 0xb12d0f276738b029)),
-    ("implicit [5, 1, 1, 1, 1, 1]", (true, 2, 83, 186, 498, 2, 2, 0x5ecdf9ac82dc147d)),
-    ("implicit [3, 3, 2, 2, 1, 1]", (true, 4, 171, 351, 935, 2, 2, 0x0bf54b566e1113de)),
-    ("implicit [0, 0, 0]", (true, 1, 28, 31, 77, 2, 2, 0xcbf29ce484222325)),
-    ("implicit [6; 32]", (true, 10, 685, 8903, 24979, 2, 2, 0x50c931024265fb87)),
-    ("implicit [3, 3, 1, 1]", (false, 0, 80, 108, 280, 2, 2, 0xcbf29ce484222325)),
-    ("implicit [5, 5, 4, 3, 2, 1]", (false, 0, 107, 210, 558, 2, 2, 0xcbf29ce484222325)),
-    ("approx [3, 3, 1, 0]", (true, 3, 94, 138, 364, 2, 2, 0x4f27d6687daeee44)),
-    ("approx [4, 4, 4, 1, 1]", (true, 4, 171, 273, 733, 2, 2, 0x0e8e3046ef569d45)),
-    ("approx [5, 5, 4, 3, 2, 1]", (true, 4, 171, 356, 960, 2, 2, 0x1d0f351414b7de39)),
-    ("approx [3, 2, 2, 2, 1]", (true, 3, 127, 206, 548, 2, 2, 0xd076bf6c97b28641)),
-    ("explicit [4, 3, 3, 2, 2, 2, 1, 1]", (true, 4, 187, 547, 1445, 2, 2, 0x5b97ca62570ff4e9)),
-    ("explicit [2, 2, 1, 1]", (true, 3, 108, 145, 369, 2, 2, 0xac68ec905bed8d79)),
-    ("explicit [3, 3, 1, 1]", (false, 0, 80, 108, 280, 2, 2, 0xcbf29ce484222325)),
+    ("implicit [2, 2, 2]", (true, 3, 56, 57, 189, 2, 2, 0xd572d3c814555449)),
+    ("implicit [4, 4, 4, 4, 4]", (true, 5, 125, 234, 778, 2, 2, 0xb12d0f276738b029)),
+    ("implicit [5, 1, 1, 1, 1, 1]", (true, 2, 53, 114, 362, 2, 2, 0x5ecdf9ac82dc147d)),
+    ("implicit [3, 3, 2, 2, 1, 1]", (true, 4, 101, 239, 779, 2, 2, 0x0bf54b566e1113de)),
+    ("implicit [0, 0, 0]", (true, 1, 22, 16, 44, 2, 1, 0xcbf29ce484222325)),
+    ("implicit [6; 32]", (true, 10, 412, 7115, 22591, 2, 2, 0x50c931024265fb87)),
+    ("implicit [3, 3, 1, 1]", (false, 0, 56, 90, 298, 2, 2, 0xcbf29ce484222325)),
+    ("implicit [5, 5, 4, 3, 2, 1]", (false, 0, 77, 180, 588, 2, 2, 0xcbf29ce484222325)),
+    ("approx [3, 3, 1, 0]", (true, 3, 56, 90, 298, 2, 2, 0x4f27d6687daeee44)),
+    ("approx [4, 4, 4, 1, 1]", (true, 4, 101, 186, 616, 2, 2, 0x0e8e3046ef569d45)),
+    ("approx [5, 5, 4, 3, 2, 1]", (true, 4, 101, 244, 804, 2, 2, 0x1d0f351414b7de39)),
+    ("approx [3, 2, 2, 2, 1]", (true, 3, 77, 135, 439, 2, 2, 0xd076bf6c97b28641)),
+    ("explicit [4, 3, 3, 2, 2, 2, 1, 1]", (true, 4, 107, 369, 1177, 2, 2, 0x5b97ca62570ff4e9)),
+    ("explicit [2, 2, 1, 1]", (true, 3, 62, 91, 291, 2, 2, 0xac68ec905bed8d79)),
+    ("explicit [3, 3, 1, 1]", (false, 0, 56, 90, 298, 2, 2, 0xcbf29ce484222325)),
 ];
 
 /// The folded transcripts of the two random sweeps, from the twins.
-const GOLDEN_IMPLICIT_SWEEP: u64 = 0x862e_11f6_bc0f_258b;
-const GOLDEN_APPROX_SWEEP: u64 = 0x9ae4_fdc6_dd32_6632;
+const GOLDEN_IMPLICIT_SWEEP: u64 = 0x9fec_6076_cfd3_4f08;
+const GOLDEN_APPROX_SWEEP: u64 = 0xfc95_7822_b10d_c192;
 
 /// What a change of schedule may not move: the realized?, phases and
 /// edge-hash columns of every [`GOLDEN`] row, then of every case of the
