@@ -4,6 +4,13 @@
 //! depend on how nodes are laid out or scheduled. The round loop that
 //! drives them over ownership shards is `shard.rs`.
 //!
+//! **The slot is what the sweeps read.** Eleven words of bookkeeping —
+//! index, ID, successor, two flags, the round counter, the inbox span, the
+//! span of the shard's staging arena this round's sends went to, the RNG
+//! — beside one [`Life`]: the running protocol, or its output, or
+//! nothing. A node owns no heap block of the engine's: its sends, its
+//! marks and (once a run) its panic message are written to its shard.
+//!
 //! **Dense masked remap.** Masked runs remap the k participants to a
 //! dense `0..k` index space at run start: every index-addressed engine
 //! structure (routing counts, queue spans, knowledge regions, aliveness)
@@ -24,18 +31,33 @@ use crate::error::{panic_message, Violation, ViolationKind};
 use crate::event::RouteMode;
 use crate::knowledge::KnowledgeTracker;
 use crate::message::NodeId;
-use crate::protocol::{NodeProtocol, RoundCtx, Status};
-use crate::wire::{WireEnvelope, DEAD_INDEX, NO_INDEX};
+use crate::protocol::{Marks, NodeProtocol, RoundCtx, Status};
+use crate::wire::{Staged, WireEnvelope, DEAD_INDEX, NO_INDEX};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::panic::AssertUnwindSafe;
+
+/// What a slot holds of its node's protocol: the running state machine,
+/// then its output, then nothing — one field, because a node is only ever
+/// in one of the three.
+pub(crate) enum Life<P: NodeProtocol> {
+    Running(P),
+    /// Retired by [`Status::Done`]; the output waits for compaction or
+    /// the end of the run to collect it.
+    Done(P::Output),
+    /// Crash-stopped or panicked (no output), or the output was
+    /// collected.
+    Gone,
+}
 
 /// One node's state under the batched executor. Slots are created only for
 /// participating nodes and live in dense-index order, each shard owning
 /// the slots of one contiguous dense-index range; compaction drops
 /// retired slots but never reorders the survivors, so iterating the
 /// shards in order and each slot array in order *is* iterating the live
-/// nodes in canonical dense order.
+/// nodes in canonical dense order. What a node says once a run — a panic
+/// message — or once a round — its sends, its marks — lives in its
+/// shard, not here.
 pub(crate) struct Slot<P: NodeProtocol> {
     /// This node's dense index (position on the full `G_k` path) — the
     /// stable key into every index-addressed engine structure, surviving
@@ -44,6 +66,7 @@ pub(crate) struct Slot<P: NodeProtocol> {
     pub(crate) idx: u32,
     pub(crate) id: NodeId,
     pub(crate) succ: Option<NodeId>,
+    /// `life` is [`Life::Running`] (kept beside it for the sweeps).
     pub(crate) alive: bool,
     /// Parked by the scenario schedule: a crash-paused node awaiting its
     /// recovery round, or a churn joiner awaiting its join round. Paused
@@ -54,15 +77,12 @@ pub(crate) struct Slot<P: NodeProtocol> {
     pub(crate) rounds: u64,
     pub(crate) inbox_start: u32,
     pub(crate) inbox_len: u32,
+    /// This round's sends: a span of the shard's staging arena. Empty
+    /// unless the node stepped this round and takes part in it.
+    pub(crate) out_start: u32,
+    pub(crate) out_len: u32,
     pub(crate) rng: SmallRng,
-    pub(crate) out: Vec<WireEnvelope>,
-    pub(crate) proto: Option<P>,
-    pub(crate) output: Option<P::Output>,
-    pub(crate) panic: Option<String>,
-    /// Phase/stage marks staged by this round's step (cleared per round;
-    /// discarded when the step retires the node).
-    pub(crate) phase_mark: Option<&'static str>,
-    pub(crate) stage_mark: Option<&'static str>,
+    pub(crate) life: Life<P>,
 }
 
 impl<P: NodeProtocol> Slot<P> {
@@ -88,14 +108,32 @@ impl<P: NodeProtocol> Slot<P> {
             rounds: 0,
             inbox_start: 0,
             inbox_len: 0,
+            out_start: 0,
+            out_len: 0,
             rng: SmallRng::seed_from_u64(mix),
-            out: Vec::new(),
-            proto: Some(proto),
-            output: None,
-            panic: None,
-            phase_mark: None,
-            stage_mark: None,
+            life: Life::Running(proto),
         }
+    }
+
+    /// Takes the node out of the run for good — finished ([`Life::Done`])
+    /// or lost ([`Life::Gone`]): whatever it staged this round is
+    /// discarded and it reads no further inbox.
+    pub(crate) fn retire(&mut self, life: Life<P>) {
+        self.life = life;
+        self.alive = false;
+        self.silence();
+    }
+
+    /// Empties the node's send and inbox spans: it crashed or retired
+    /// after stepping, so what it staged is discarded and it reads
+    /// nothing further.
+    pub(crate) fn silence(&mut self) {
+        (self.out_start, self.out_len, self.inbox_len) = (0, 0, 0);
+    }
+
+    /// This round's sends, as a range of the shard's staging arena.
+    pub(crate) fn out(&self) -> std::ops::Range<usize> {
+        self.out_start as usize..(self.out_start + self.out_len) as usize
     }
 }
 
@@ -111,97 +149,77 @@ pub(crate) struct StepShared<'a> {
     pub(crate) dense_of: Option<&'a [u32]>,
 }
 
-/// What stepping one slot did (the caller folds these into its own
-/// finished/panicked/marked accounting).
+/// What stepping one slot did (the shard folds these into its own
+/// finished / panic / marks accounting).
 pub(crate) enum StepOutcome {
-    /// The slot was already retired; nothing ran.
+    /// The slot was retired or parked; nothing ran.
     Skipped,
-    /// The protocol continues; `marked` = it staged a phase/stage mark.
-    Running { marked: bool },
-    /// The protocol retired this step — by returning
-    /// [`Status::Done`] or by panicking (`slot.panic` holds the message).
-    Finished { panicked: bool },
+    /// The protocol continues, with the marks it staged.
+    Running(Marks),
+    /// The protocol retired this step — by returning [`Status::Done`], or
+    /// by panicking with this message.
+    Finished { panic: Option<String> },
 }
 
 /// Steps one live slot: builds the [`RoundCtx`] over the slot's inbox
-/// span of `arena`, polls the protocol (catching panics), and applies the
-/// status to the slot. The transcript cannot depend on the arena layout
-/// because a node only ever sees its own span.
+/// span of `arena`, polls the protocol (catching panics) with the tail of
+/// `staged` as its outbox, and applies the status to the slot. A retiring
+/// step's sends are truncated away and its marks dropped. The transcript
+/// cannot depend on either arena's layout because a node only ever sees
+/// its own spans.
 pub(crate) fn step_slot<P: NodeProtocol>(
     slot: &mut Slot<P>,
     arena: &[WireEnvelope],
+    staged: &mut Vec<Staged>,
     sh: &StepShared<'_>,
 ) -> StepOutcome {
     if !slot.alive || slot.paused {
         return StepOutcome::Skipped;
     }
-    let inbox = &arena[slot.inbox_start as usize..][..slot.inbox_len as usize];
-    slot.out.clear();
-    slot.phase_mark = None;
-    slot.stage_mark = None;
-    let status = {
-        let Slot {
-            id,
-            succ,
-            rounds,
-            rng,
-            out,
-            proto,
-            phase_mark,
-            stage_mark,
-            ..
-        } = slot;
-        let mut ctx = RoundCtx {
-            id: *id,
-            n: sh.n,
-            participants: sh.participants,
-            capacity: sh.cap,
-            model: sh.model,
-            initial_successor: *succ,
-            all_ids: sh.all_ids,
-            round: *rounds,
-            rng,
-            inbox,
-            out,
-            resolver: sh.resolver,
-            dense_of: sh.dense_of,
-            phase_mark,
-            stage_mark,
-        };
-        let proto = proto.as_mut().expect("live node without protocol");
-        std::panic::catch_unwind(AssertUnwindSafe(|| proto.step(&mut ctx)))
+    let Life::Running(proto) = &mut slot.life else {
+        unreachable!("live node without protocol");
     };
-    match status {
+    let start = staged.len();
+    let mut marks: Marks = (None, None);
+    let mut ctx = RoundCtx {
+        id: slot.id,
+        n: sh.n,
+        participants: sh.participants,
+        capacity: sh.cap,
+        model: sh.model,
+        initial_successor: slot.succ,
+        all_ids: sh.all_ids,
+        round: slot.rounds,
+        rng: &mut slot.rng,
+        inbox: &arena[slot.inbox_start as usize..][..slot.inbox_len as usize],
+        out: staged,
+        resolver: sh.resolver,
+        dense_of: sh.dense_of,
+        marks: &mut marks,
+    };
+    match std::panic::catch_unwind(AssertUnwindSafe(|| proto.step(&mut ctx))) {
         Ok(Status::Continue) => {
             slot.rounds += 1;
-            StepOutcome::Running {
-                marked: slot.phase_mark.is_some() || slot.stage_mark.is_some(),
-            }
+            slot.out_start = start as u32;
+            slot.out_len = (staged.len() - start) as u32;
+            StepOutcome::Running(marks)
         }
         Ok(Status::Done(out)) => {
             debug_assert!(
-                slot.out.is_empty(),
+                staged.len() == start,
                 "node {} staged sends in a Done step (discarded)",
                 slot.id
             );
-            slot.output = Some(out);
-            slot.proto = None;
-            slot.alive = false;
-            slot.out.clear();
-            slot.inbox_len = 0;
-            slot.phase_mark = None;
-            slot.stage_mark = None;
-            StepOutcome::Finished { panicked: false }
+            staged.truncate(start);
+            slot.retire(Life::Done(out));
+            StepOutcome::Finished { panic: None }
         }
         Err(payload) => {
-            slot.panic = Some(panic_message(payload.as_ref()));
-            slot.proto = None;
-            slot.alive = false;
-            slot.out.clear();
-            slot.inbox_len = 0;
-            slot.phase_mark = None;
-            slot.stage_mark = None;
-            StepOutcome::Finished { panicked: true }
+            staged.truncate(start);
+            slot.retire(Life::Gone);
+            StepOutcome::Finished {
+                panic: Some(panic_message(payload.as_ref())),
+            }
         }
     }
 }
@@ -225,14 +243,14 @@ pub(crate) fn route_mode(prev_round_messages: u64, window: usize) -> RouteMode {
     }
 }
 
-/// Validates one envelope against the model constraints, in the model's
-/// order (size, addressee exists, is alive, is known; carried addresses
-/// are known). `src_idx` is the
-/// shard-local index of the sender's row in `knowledge`; `alive` is the
-/// full dense participant space, since destinations may live in any
-/// shard.
+/// Validates one staged send of node `src` against the model constraints,
+/// in the model's order (size, addressee exists, is alive, is known;
+/// carried addresses are known). `src_idx` is the shard-local index of the
+/// sender's row in `knowledge`; `alive` is the full dense participant
+/// space, since destinations may live in any shard.
 pub(crate) fn validate(
-    env: &WireEnvelope,
+    send: &Staged,
+    src: NodeId,
     src_idx: usize,
     config: &Config,
     knowledge: &KnowledgeTracker,
@@ -241,31 +259,76 @@ pub(crate) fn validate(
 ) -> Result<(), Violation> {
     let fail = |kind| Violation {
         round,
-        node: env.src,
+        node: src,
         kind,
     };
-    if env.msg.word_count() > config.max_words || env.msg.addr_count() > config.max_addrs {
+    let (msg, dst, dst_idx) = (&send.msg, send.dst, send.dst_idx);
+    if msg.word_count() > config.max_words || msg.addr_count() > config.max_addrs {
         return Err(fail(ViolationKind::MessageTooLarge {
-            words: env.msg.word_count(),
-            addrs: env.msg.addr_count(),
+            words: msg.word_count(),
+            addrs: msg.addr_count(),
         }));
     }
-    if env.dst_idx == NO_INDEX {
-        return Err(fail(ViolationKind::NoSuchNode { dst: env.dst }));
+    if dst_idx == NO_INDEX {
+        return Err(fail(ViolationKind::NoSuchNode { dst }));
     }
     // DEAD_INDEX: the ID exists in the full network but its node is not
     // part of this (masked) run — dead from round zero. Otherwise the
     // dense index is in bounds of `alive`.
-    if env.dst_idx == DEAD_INDEX || !alive[env.dst_idx as usize] {
-        return Err(fail(ViolationKind::DeadRecipient { dst: env.dst }));
+    if dst_idx == DEAD_INDEX || !alive[dst_idx as usize] {
+        return Err(fail(ViolationKind::DeadRecipient { dst }));
     }
-    if !knowledge.knows(src_idx, env.dst) {
-        return Err(fail(ViolationKind::UnknownAddressee { dst: env.dst }));
+    if !knowledge.knows(src_idx, dst) {
+        return Err(fail(ViolationKind::UnknownAddressee { dst }));
     }
-    for &a in env.msg.addrs_slice() {
+    for &a in msg.addrs_slice() {
         if !knowledge.knows(src_idx, a) {
             return Err(fail(ViolationKind::UnknownCarriedAddress { carried: a }));
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A protocol with nothing in it, and one whose output is as wide as
+    /// the warm-up's (twelve words).
+    struct Bare;
+    struct Wide;
+
+    impl NodeProtocol for Bare {
+        type Output = ();
+        fn step(&mut self, _: &mut RoundCtx<'_>) -> Status<()> {
+            Status::Done(())
+        }
+    }
+
+    impl NodeProtocol for Wide {
+        type Output = [u64; 12];
+        fn step(&mut self, _: &mut RoundCtx<'_>) -> Status<[u64; 12]> {
+            Status::Done([0; 12])
+        }
+    }
+
+    /// What a slot costs beyond the protocol state it holds.
+    const fn overhead<P: NodeProtocol>() -> usize {
+        std::mem::size_of::<Slot<P>>() - std::mem::size_of::<Life<P>>()
+    }
+
+    // The slot diet, held at compile time: index, ID, successor, flags,
+    // round counter, two spans and the 32-byte RNG — eleven words.
+    const _: () = assert!(overhead::<Bare>() <= 88 && overhead::<Wide>() <= 88);
+
+    #[test]
+    fn a_retired_slot_holds_its_output_and_no_spans() {
+        let mut slot = Slot::new(3, 30, Some(40), 1, Wide);
+        (slot.out_start, slot.out_len, slot.inbox_len) = (7, 2, 5);
+        assert_eq!(slot.out(), 7..9);
+        slot.retire(Life::Done([1; 12]));
+        assert!(!slot.alive);
+        assert_eq!((slot.out(), slot.inbox_len), (0..0, 0));
+        assert!(matches!(slot.life, Life::Done(out) if out == [1; 12]));
+    }
 }

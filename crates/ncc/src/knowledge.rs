@@ -44,6 +44,7 @@
 //! locks that in.
 
 use crate::message::NodeId;
+use crate::metrics::vec_bytes;
 
 /// Slots of the table a node gets on its first learned ID.
 const MIN_REGION: u32 = 4;
@@ -265,6 +266,12 @@ impl KnowledgeTracker {
     /// count, not network size.
     pub(crate) fn arena_len(&self) -> usize {
         self.arena.len()
+    }
+
+    /// Heap bytes of the arena and the region headers (for the run's
+    /// footprint record).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.arena) + vec_bytes(&self.regions)
     }
 }
 

@@ -105,7 +105,9 @@ pub use event::{
     JsonlSink, MetricsRecorder, NullSink, ProgressSink, Recording, RouteMode, RunEvent, Sink,
 };
 pub use message::{tags, NodeId};
-pub use metrics::{EngineStats, PhaseRounds, RunMetrics, ViolationCounts, ROUND_TRACE_LIMIT};
+pub use metrics::{
+    EngineStats, Footprint, PhaseRounds, RunMetrics, ViolationCounts, ROUND_TRACE_LIMIT,
+};
 pub use network::{Network, RunResult};
 pub use protocol::{NodeProtocol, NodeSeed, RoundCtx, Status};
 pub use scenario::{Scenario, ScenarioEvent};

@@ -167,7 +167,7 @@ pub struct EngineStats {
     pub cross_shard_messages: u64,
     /// Wall-clock nanoseconds spent in the exchange phase: counting the
     /// incoming cells, each shard's bucket prefix sums, and the canonical
-    /// splice of cells and own outboxes into the delivery buckets (the
+    /// splice of cells and own staged spans into the delivery buckets (the
     /// scatter half of routing — present on one-shard runs too).
     pub exchange_nanos: u64,
     /// Sealed messages discarded by the scenario engine's drop faults.
@@ -188,6 +188,63 @@ pub struct EngineStats {
     /// Nodes that joined the run mid-protocol through the scenario
     /// schedule's churn events.
     pub joins: u64,
+    /// Where the executor's memory stood when the round loop ended.
+    pub footprint: Footprint,
+}
+
+/// Heap bytes the batched executor holds, structure by structure, taken
+/// once after the last round as `capacity() × size_of` — every buffer of
+/// the round loop keeps its high-water capacity, so this is the loop's
+/// peak (what a protocol's own state allocates is not in it). Purely
+/// observational, like the rest of [`EngineStats`]: no allocator hook,
+/// nothing on the transcript path; a function of the transcript and the
+/// shard count, equal at every worker count. All zero on the reference
+/// interpreter.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Footprint {
+    /// The slot arrays: `size_of::<Slot<P>>()` a participant.
+    pub slots: usize,
+    /// The per-shard staging arenas a round's sends are written into.
+    pub staging: usize,
+    /// Routing buffers: the delivery arenas and the three `u32` bucket
+    /// tables (counts, starts, cursors) beside them.
+    pub route: usize,
+    /// Queue-policy arenas: backlog (double-buffered), inbox, spans.
+    pub queues: usize,
+    /// The `[src][dst]` exchange cells.
+    pub cells: usize,
+    /// The scenario fault pass's swap arena.
+    pub fault_swap: usize,
+    /// KT0 tracker: knowledge arenas plus the region headers.
+    pub knowledge: usize,
+    /// Run-wide index tables: the network's ID list and resolver, the
+    /// aliveness map, the masked dense remap, NCC1's sorted ID list.
+    pub tables: usize,
+    /// Outputs of retired slots moved aside by compaction.
+    pub retired_outputs: usize,
+}
+
+impl Footprint {
+    /// Sum over all structures, in bytes.
+    pub fn total(&self) -> usize {
+        let Footprint {
+            slots,
+            staging,
+            route,
+            queues,
+            cells,
+            fault_swap,
+            knowledge,
+            tables,
+            retired_outputs,
+        } = *self;
+        slots + staging + route + queues + cells + fault_swap + knowledge + tables + retired_outputs
+    }
+}
+
+/// Heap bytes behind a vector: `capacity() × size_of`.
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
 }
 
 impl RunMetrics {

@@ -16,7 +16,7 @@
 use crate::config::Model;
 use crate::message::NodeId;
 use crate::route::Resolver;
-use crate::wire::{WireEnvelope, WireMsg, DEAD_INDEX, NO_INDEX};
+use crate::wire::{Staged, WireEnvelope, WireMsg, DEAD_INDEX, NO_INDEX};
 use rand::rngs::SmallRng;
 use std::sync::Arc;
 
@@ -91,7 +91,10 @@ pub struct RoundCtx<'a> {
     pub(crate) round: u64,
     pub(crate) rng: &'a mut SmallRng,
     pub(crate) inbox: &'a [WireEnvelope],
-    pub(crate) out: &'a mut Vec<WireEnvelope>,
+    /// Where sends are staged: the tail of the shard's staging arena
+    /// (everything past the position it had when the step began is this
+    /// node's), or the reference interpreter's per-node list.
+    pub(crate) out: &'a mut Vec<Staged>,
     pub(crate) resolver: &'a Resolver,
     /// Dense remap for masked batched runs: `dense_of[full]` is the 0..k
     /// slot index of a participant, [`DEAD_INDEX`] for a masked-out node.
@@ -99,9 +102,12 @@ pub struct RoundCtx<'a> {
     /// batched runs; the reference interpreter, which ignores indices and
     /// routes by the destination ID).
     pub(crate) dense_of: Option<&'a [u32]>,
-    pub(crate) phase_mark: &'a mut Option<&'static str>,
-    pub(crate) stage_mark: &'a mut Option<&'static str>,
+    /// This step's `(phase, stage)` marks.
+    pub(crate) marks: &'a mut Marks,
 }
+
+/// The `(phase, stage)` marks one step staged.
+pub(crate) type Marks = (Option<&'static str>, Option<&'static str>);
 
 impl RoundCtx<'_> {
     /// This node's ID.
@@ -171,7 +177,7 @@ impl RoundCtx<'_> {
     /// one mark per node per round is kept (the last wins). Purely
     /// observational: marking can never affect the transcript.
     pub fn mark_phase(&mut self, phase: &'static str) {
-        *self.phase_mark = Some(phase);
+        self.marks.0 = Some(phase);
     }
 
     /// Declares a finer-grained internal stage transition; emitted as a
@@ -179,7 +185,7 @@ impl RoundCtx<'_> {
     /// the same collection and deduplication rules as
     /// [`RoundCtx::mark_phase`].
     pub fn mark_stage(&mut self, stage: &'static str) {
-        *self.stage_mark = Some(stage);
+        self.marks.1 = Some(stage);
     }
 
     /// Stages a message for this round. The destination ID is resolved to
@@ -196,11 +202,6 @@ impl RoundCtx<'_> {
             _ => full_idx,
         };
         debug_assert!(dst_idx != DEAD_INDEX || self.dense_of.is_some());
-        self.out.push(WireEnvelope {
-            src: self.id,
-            msg,
-            dst,
-            dst_idx,
-        });
+        self.out.push(Staged { msg, dst, dst_idx });
     }
 }

@@ -13,10 +13,11 @@
 //! Its value is being small enough to audit by eye and **independent** of
 //! the code it checks. It therefore shares nothing with the batched
 //! executor's layout or bookkeeping: no shards, no arenas, no dense
-//! remap, no tracker — it reads an envelope's destination *ID* and looks
+//! remap, no tracker — it reads a staged send's destination *ID* and looks
 //! it up in its own map. What it does share is the model's vocabulary
-//! ([`Config`](crate::Config), [`WireEnvelope`], [`Violation`], the
-//! [`RoundCtx`] a protocol sees — whose `Resolver` it only passes
+//! ([`Config`](crate::Config), the two wire shapes ([`Staged`] as a
+//! protocol sends, [`WireEnvelope`] as a node receives), [`Violation`],
+//! the [`RoundCtx`] a protocol sees — whose `Resolver` it only passes
 //! through), violation counting ([`RunMetrics::record_violation`]), the
 //! event [`Emitter`], and the scenario's per-round fault rates and RNG
 //! ([`FaultWindows`](crate::scenario::FaultWindows)). Do not optimize it.
@@ -27,9 +28,9 @@ use crate::event::{Emitter, RouteMode, RunEvent, Sink};
 use crate::message::NodeId;
 use crate::metrics::RunMetrics;
 use crate::network::{Network, RunResult};
-use crate::protocol::{NodeProtocol, NodeSeed, RoundCtx, Status};
+use crate::protocol::{Marks, NodeProtocol, NodeSeed, RoundCtx, Status};
 use crate::scenario::ScenarioEvent::{self, CrashRecover, CrashStop, Join};
-use crate::wire::WireEnvelope;
+use crate::wire::{Staged, WireEnvelope};
 use rand::{rngs::SmallRng, seq::SliceRandom, Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -50,13 +51,13 @@ struct Node<P: NodeProtocol> {
     parked: bool,
     rounds: u64,
     rng: SmallRng,
-    out: Vec<WireEnvelope>,
+    out: Vec<Staged>,
     inbox: Vec<WireEnvelope>,
     queue: VecDeque<WireEnvelope>,
     /// The IDs this node has learned; `None` when KT0 tracking is off
     /// (then everything counts as known).
     knows: Option<BTreeSet<NodeId>>,
-    marks: (Option<&'static str>, Option<&'static str>),
+    marks: Marks,
 }
 
 impl<P: NodeProtocol> Node<P> {
@@ -141,21 +142,22 @@ where
     // message goes — a violating message is still delivered when physically
     // possible (the policy decides whether the run survives the violation)
     // — and the first rule it broke, if any.
-    let check = |env: &WireEnvelope, sender: &Node<P>, nodes: &[Node<P>]| {
-        let (words, addrs) = (env.msg.word_count(), env.msg.addr_count());
-        let exists = index_of.get(&env.dst).copied();
+    let check = |send: &Staged, sender: &Node<P>, nodes: &[Node<P>]| {
+        let Staged { msg, dst: to, .. } = *send;
+        let (words, addrs) = (msg.word_count(), msg.addr_count());
+        let exists = index_of.get(&to).copied();
         let dst = exists.filter(|&i| nodes[i].up());
         let known = sender.knows.as_ref();
         let knows = |id: NodeId| known.is_none_or(|known| known.contains(&id));
-        let unknown = env.msg.addrs_slice().iter().find(|&&a| !knows(a));
+        let unknown = msg.addrs_slice().iter().find(|&&a| !knows(a));
         let broken = if words > config.max_words || addrs > config.max_addrs {
             Some(ViolationKind::MessageTooLarge { words, addrs })
         } else if exists.is_none() {
-            Some(ViolationKind::NoSuchNode { dst: env.dst })
+            Some(ViolationKind::NoSuchNode { dst: to })
         } else if dst.is_none() {
-            Some(ViolationKind::DeadRecipient { dst: env.dst })
-        } else if !knows(env.dst) {
-            Some(ViolationKind::UnknownAddressee { dst: env.dst })
+            Some(ViolationKind::DeadRecipient { dst: to })
+        } else if !knows(to) {
+            Some(ViolationKind::UnknownAddressee { dst: to })
         } else {
             unknown.map(|&carried| ViolationKind::UnknownCarriedAddress { carried })
         };
@@ -203,8 +205,7 @@ where
                 out: &mut node.out,
                 resolver: net.resolver(),
                 dense_of: None,
-                phase_mark: &mut node.marks.0,
-                stage_mark: &mut node.marks.1,
+                marks: &mut node.marks,
             };
             let proto = node.proto.as_mut().expect("up nodes run a protocol");
             match catch_unwind(AssertUnwindSafe(|| proto.step(&mut ctx))) {
@@ -254,19 +255,20 @@ where
         let senders: Vec<usize> = (0..n).filter(|&i| nodes[i].up()).collect();
         for src in senders {
             let out = std::mem::take(&mut nodes[src].out);
-            for env in &out {
-                let (dst, broken) = check(env, &nodes[src], &nodes);
+            let sender = nodes[src].id;
+            for send in &out {
+                let (dst, broken) = check(send, &nodes[src], &nodes);
                 if let Some(kind) = broken {
-                    metrics.record_violation(strict, violation(env.src, kind))?;
+                    metrics.record_violation(strict, violation(sender, kind))?;
                 }
                 if let Some(dst) = dst {
-                    nodes[dst].inbox.push(*env);
+                    nodes[dst].inbox.push(send.sent_by(sender));
                 }
             }
             let sent = out.len();
             if sent > cap {
                 let kind = ViolationKind::SendCapacity { sent, cap };
-                metrics.record_violation(strict, violation(nodes[src].id, kind))?;
+                metrics.record_violation(strict, violation(sender, kind))?;
             }
             metrics.max_sent_per_round = metrics.max_sent_per_round.max(sent);
         }

@@ -1,18 +1,22 @@
 //! Allocation-free routing support: dense ID resolution and the reusable
 //! counting-sort buffers of the batched engine.
 //!
-//! The batched executor routes a round in two passes over the node
-//! outboxes: pass one validates each envelope and counts messages per
-//! destination index, pass two scatters envelopes into a flat arena at
-//! offsets derived from a prefix sum over the counts (a stable counting
-//! sort keyed by destination — stable because sources are visited in dense
-//! index order, the model's canonical routing order). Every buffer involved — counts, bucket starts, scatter cursors
-//! and the envelope arena — lives in [`RouteBuffers`] and is reused across
+//! The batched executor routes a round in two passes over the shard's
+//! staging arena, slot span by slot span: pass one validates each staged
+//! send and counts messages per destination index, pass two scatters
+//! 64-byte envelopes into a flat arena at offsets derived from a prefix
+//! sum over the counts (a stable counting sort keyed by destination —
+//! stable because sources are visited in dense index order, the model's
+//! canonical routing order). The destination is the bucket: the scatter
+//! takes it as an argument and the stored envelope does not repeat it.
+//! Every buffer involved — counts, bucket starts, scatter cursors and the
+//! envelope arena — lives in [`RouteBuffers`] and is reused across
 //! rounds: after the arena has grown to the high-water message count, the
 //! routing hot path performs no heap allocation at all.
 
 use crate::config::IdAssignment;
 use crate::message::NodeId;
+use crate::metrics::vec_bytes;
 use crate::wire::WireEnvelope;
 
 /// Maps node IDs to dense indices without hashing.
@@ -50,6 +54,14 @@ impl Resolver {
         }
     }
 
+    /// Heap bytes of the lookup tables (for the run's footprint record).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match self {
+            Resolver::Sequential { .. } => 0,
+            Resolver::Sorted { ids, index } => vec_bytes(ids) + vec_bytes(index),
+        }
+    }
+
     /// The dense index of `id`, or `None` if no such node exists.
     #[inline]
     pub(crate) fn index_of(&self, id: NodeId) -> Option<u32> {
@@ -83,6 +95,14 @@ impl RouteBuffers {
         }
     }
 
+    /// Heap bytes of all four buffers (for the run's footprint record).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.counts)
+            + vec_bytes(&self.starts)
+            + vec_bytes(&self.cursor)
+            + vec_bytes(&self.arena)
+    }
+
     /// Computes bucket offsets from the counts over the given destination
     /// indices (ascending) and ensures the arena can hold the round's
     /// messages. The exchange phase passes the **live** indices only
@@ -106,10 +126,9 @@ impl RouteBuffers {
         total
     }
 
-    /// Scatters one envelope into its destination bucket.
+    /// Scatters one envelope into the bucket of destination index `dst`.
     #[inline]
-    pub(crate) fn push(&mut self, env: WireEnvelope) {
-        let dst = env.dst_idx as usize;
+    pub(crate) fn push(&mut self, dst: usize, env: WireEnvelope) {
         let at = self.cursor[dst] as usize;
         self.arena[at] = env;
         self.cursor[dst] += 1;
@@ -176,6 +195,14 @@ impl QueueBuffers {
         }
     }
 
+    /// Heap bytes of all four buffers (for the run's footprint record).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.spans)
+            + vec_bytes(&self.cur)
+            + vec_bytes(&self.next)
+            + vec_bytes(&self.inbox)
+    }
+
     /// Opens a round's delivery sweep (the previous round's inbox arena
     /// has been consumed by the step phase by now).
     pub(crate) fn begin_round(&mut self) {
@@ -230,7 +257,7 @@ impl QueueBuffers {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{WireMsg, NO_INDEX};
+    use crate::wire::WireMsg;
 
     #[test]
     fn sequential_resolution_is_arithmetic() {
@@ -262,19 +289,14 @@ mod tests {
         }
         assert_eq!(b.seal_counts_live(0..3), 5);
         for (k, &d) in dsts.iter().enumerate() {
-            b.push(WireEnvelope {
-                src: k as NodeId,
-                msg: WireMsg::signal(0),
-                dst: d as NodeId,
-                dst_idx: d,
-            });
+            let (src, msg) = (k as NodeId, WireMsg::signal(0));
+            b.push(d as usize, WireEnvelope { src, msg });
         }
         // Bucket 0 sees sources 1 then 4 (arrival order preserved).
         let srcs = |i: usize| b.bucket(i).iter().map(|e| e.src).collect::<Vec<_>>();
         assert_eq!(srcs(0), vec![1, 4]);
         assert_eq!(srcs(1), vec![3]);
         assert_eq!(srcs(2), vec![0, 2]);
-        let _ = NO_INDEX;
     }
 
     #[test]

@@ -577,11 +577,14 @@ impl ScenarioRt {
         live: impl Iterator<Item = usize>,
     ) {
         self.arena.clear();
-        // Duplication at most doubles the sealed volume, so 2× the sealed
-        // arena is a hard capacity bound — reserving it up front keeps the
-        // rebuild realloc-free even on rounds that duplicate unusually
-        // many messages (the allocation probe holds the pass to that).
-        self.arena.reserve(2 * buffers.arena_len());
+        // A hard capacity bound on what this round's rates can produce —
+        // the sealed volume, twice that when duplication is active —
+        // reserved up front so the rebuild is realloc-free even on rounds
+        // that duplicate unusually many messages (the allocation probe
+        // holds the pass to that), and so a drop-only schedule does not
+        // rotate double-sized arenas into every shard.
+        let copies = if self.faults.dup_rate > 0.0 { 2 } else { 1 };
+        self.arena.reserve(copies * buffers.arena_len());
         for i in live {
             let new_start = self.arena.len();
             for &env in buffers.bucket(i) {
@@ -605,6 +608,11 @@ impl ScenarioRt {
             buffers.set_span(i, new_start as u32, new_count as u32);
         }
         buffers.install_arena(&mut self.arena);
+    }
+
+    /// Heap bytes of the swap arena (for the run's footprint record).
+    pub(crate) fn arena_bytes(&self) -> usize {
+        crate::metrics::vec_bytes(&self.arena)
     }
 
     /// The round's accumulated fault tally (reset by
@@ -717,12 +725,9 @@ mod tests {
             }
             let total = b.seal_counts_live(0..3);
             for (k, d) in [0u32, 1, 1, 2, 2, 2].iter().enumerate() {
-                b.push(WireEnvelope {
-                    src: k as u64 + 1,
-                    msg: WireMsg::signal(0),
-                    dst: *d as u64 + 1,
-                    dst_idx: *d,
-                });
+                let msg = WireMsg::signal(0);
+                let src = k as u64 + 1;
+                b.push(*d as usize, WireEnvelope { src, msg });
             }
             assert_eq!(total, 6);
             b
@@ -757,6 +762,26 @@ mod tests {
             6 - tally_a.dropped + tally_a.duplicated,
             "tally must account for every envelope"
         );
+    }
+
+    #[test]
+    fn a_drop_only_round_reserves_no_room_for_duplicates() {
+        // The arena the pass installs is sized by what the round's rates
+        // can produce: the sealed volume, doubled only under duplication.
+        let installed = |scenario: Scenario| {
+            let mut b = RouteBuffers::new(1);
+            b.counts[0] = 100;
+            assert_eq!(b.seal_counts_live(0..1), 100);
+            let mut rt = ScenarioRt::new(scenario.compile(|n| n as u32));
+            rt.begin_round(0);
+            rt.perturb(&mut b, 0..1);
+            b.arena.capacity()
+        };
+        assert_eq!(installed(Scenario::new(1).drop_messages(0..=9, 0.01)), 100);
+        let both = Scenario::new(1)
+            .drop_messages(0..=9, 0.01)
+            .duplicate_messages(0..=9, 0.01);
+        assert_eq!(installed(both), 200);
     }
 
     #[test]

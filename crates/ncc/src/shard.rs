@@ -4,10 +4,16 @@
 //! contiguous ranges, one **shard** per range (`S` is
 //! [`Config::shards`], or derived from `k` and the worker count — see
 //! [`Config::shard_count`]). Each shard owns a private copy of every
-//! piece of per-node engine state — slot arena, routing buffers, queue
-//! arenas, knowledge-tracker arena — sized to its own span, so every
-//! phase below that runs per shard touches nothing outside it: no
-//! cross-shard `&mut` aliasing, no whole-pool prefix sums. The shard is
+//! piece of per-node engine state — slot arena, staging arena, routing
+//! buffers, queue arenas, knowledge-tracker arena — sized to its own
+//! span, so every phase below that runs per shard touches nothing outside
+//! it: no cross-shard `&mut` aliasing, no whole-pool prefix sums. A
+//! round's traffic is held once per phase, in the shape that phase reads:
+//! the step writes [`Staged`] sends (message, destination ID, dense
+//! index) into the shard's one staging arena, each slot keeping only its
+//! span; the seal validates over those spans; the exchange scatters
+//! 64-byte [`WireEnvelope`]s (sender, message) into the delivery buckets,
+//! and from there on the bucket *is* the destination. The shard is
 //! the only unit of parallelism: a per-shard phase fans the shards out
 //! over the worker pool when there is more than one shard *and* more than
 //! one worker, and walks them inline on the calling thread otherwise.
@@ -17,9 +23,10 @@
 //! **The round**, in order ([`run`]'s loop body reads the same way):
 //!
 //! 1. *churn-in* — scheduled recoveries and joins un-park their slots;
-//! 2. *step* (per shard) — poll every live protocol over its inbox span;
+//! 2. *step* (per shard) — poll every live protocol over its inbox span,
+//!    its sends appended to the shard's staging arena;
 //! 3. *retire / marks* — newly finished nodes leave the aliveness map,
-//!    protocol phase/stage marks are narrated in dense order;
+//!    the shards' mark journals are narrated in shard order;
 //! 4. *churn-out* — scheduled crashes take effect after the step;
 //! 5. *compact* — once the live population has halved relative to the
 //!    slot window, every shard drops its retired slots (stable, in
@@ -30,7 +37,7 @@
 //! 7. *exchange* (per destination shard) — count the incoming cells into
 //!    the local buckets, prefix-sum them, and splice sources in
 //!    **canonical shard order**: cells from shards `0..s`, the shard's
-//!    own outboxes, cells from shards `s+1..S`;
+//!    own staged spans, cells from shards `s+1..S`;
 //! 8. *fault pass* — the scenario's drop/duplicate/reorder windows
 //!    perturb the sealed buckets, shard by shard, with one RNG;
 //! 9. *deliver* (per shard) — queue delivery or capacity checks;
@@ -56,24 +63,28 @@
 //! counters and the per-phase round breakdown are derived by folding this
 //! stream through the emitter's always-on recorder.
 
-use crate::batch::{route_mode, step_slot, validate, Slot, StepOutcome, StepShared};
+use crate::batch::{route_mode, step_slot, validate, Life, Slot, StepOutcome, StepShared};
 use crate::config::{CapacityPolicy, Config, Model};
 use crate::error::{SimError, Violation, ViolationKind};
 use crate::event::{Emitter, RunEvent, Sink};
 use crate::knowledge::KnowledgeTracker;
 use crate::message::NodeId;
-use crate::metrics::RunMetrics;
+use crate::metrics::{vec_bytes, Footprint, RunMetrics};
 use crate::network::{Network, RunResult};
-use crate::protocol::{NodeProtocol, NodeSeed};
+use crate::protocol::{Marks, NodeProtocol, NodeSeed};
 use crate::route::{QueueBuffers, RouteBuffers};
 use crate::scenario::{ChurnKind, ScenarioRt};
-use crate::wire::{WireEnvelope, DEAD_INDEX, NO_INDEX, WIRE_ADDRS, WIRE_WORDS};
+use crate::wire::{Staged, WireEnvelope, DEAD_INDEX, NO_INDEX, WIRE_ADDRS, WIRE_WORDS};
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// One exchange cell: envelopes bound for another shard, each with its
+/// (global) dense destination index.
+type Cell = Vec<(u32, WireEnvelope)>;
+
 /// The exchange cells of all shards, `[src][dst]`.
-type CellTable = Vec<Vec<Vec<WireEnvelope>>>;
+type CellTable = Vec<Vec<Cell>>;
 
 /// Per-run constants every shard phase reads.
 struct RunShared<'a> {
@@ -106,6 +117,11 @@ struct ShardState<P: NodeProtocol> {
     slots: Vec<Slot<P>>,
     /// Outputs of retired-and-compacted slots (global dense index key).
     done: Vec<(u32, NodeId, P::Output)>,
+    /// This round's sends of every slot, in slot order: cleared at the
+    /// top of the step, appended to by each stepping node, read by the
+    /// seal and the exchange through the slots' `out_start`/`out_len`
+    /// spans. One allocation a shard, at its high-water round.
+    staged: Vec<Staged>,
     /// Routing buffers over **local** indices `0..width`.
     buffers: RouteBuffers,
     /// Queue arenas over local indices (zero-sized off the Queue policy).
@@ -118,7 +134,7 @@ struct ShardState<P: NodeProtocol> {
     /// retained at the start of each seal, so steady-state rounds never
     /// allocate through them; lent to the coordinator's [`CellTable`]
     /// for the duration of the exchange.
-    cells: Vec<Vec<WireEnvelope>>,
+    cells: Vec<Cell>,
     /// Retired local indices whose receive queues still hold backlog:
     /// they keep draining at `cap` per round into the undelivered
     /// counter, exactly as the reference interpreter walks every queue
@@ -129,8 +145,12 @@ struct ShardState<P: NodeProtocol> {
     violations: Vec<Violation>,
     // Per-round outputs of the step phase.
     finished: usize,
-    panicked: bool,
-    marked: bool,
+    /// The first protocol panic of the step, in slot order (the step
+    /// stops there: the run is over).
+    panic: Option<(NodeId, String)>,
+    /// The marks staged by nodes that stepped and continue, in slot
+    /// order; drained by the coordinator's shard-order narration.
+    marks: Vec<Marks>,
     /// Deliverable messages / their volume in words this round (reset by
     /// each seal, folded by the coordinator).
     round_messages: u64,
@@ -145,21 +165,26 @@ struct ShardState<P: NodeProtocol> {
 
 impl<P: NodeProtocol> ShardState<P> {
     /// Step phase: polls every live protocol over its span of the shard's
-    /// own inbox arena.
+    /// own inbox arena, staging its sends into the shard's own arena.
     fn step(&mut self, rs: &RunShared<'_>) {
         let arena: &[WireEnvelope] = if rs.queue_mode {
             &self.queues.inbox
         } else {
             &self.buffers.arena
         };
-        (self.finished, self.panicked, self.marked) = (0, false, false);
+        self.finished = 0;
+        self.staged.clear();
+        debug_assert!(self.marks.is_empty());
         for slot in self.slots.iter_mut() {
-            match step_slot(slot, arena, &rs.step) {
-                StepOutcome::Skipped | StepOutcome::Running { marked: false } => {}
-                StepOutcome::Running { marked: true } => self.marked = true,
-                StepOutcome::Finished { panicked } => {
-                    self.panicked |= panicked;
-                    self.finished += 1;
+            match step_slot(slot, arena, &mut self.staged, &rs.step) {
+                StepOutcome::Skipped | StepOutcome::Running((None, None)) => {}
+                StepOutcome::Running(marks) => self.marks.push(marks),
+                StepOutcome::Finished { panic: None } => self.finished += 1,
+                StepOutcome::Finished {
+                    panic: Some(message),
+                } => {
+                    self.panic = Some((slot.id, message));
+                    return;
                 }
             }
         }
@@ -190,7 +215,7 @@ impl<P: NodeProtocol> ShardState<P> {
             if s.alive {
                 return true;
             }
-            if let Some(out) = s.output.take() {
+            if let Life::Done(out) = std::mem::replace(&mut s.life, Life::Gone) {
                 done.push((s.idx, s.id, out));
             }
             false
@@ -214,37 +239,45 @@ impl<P: NodeProtocol> ShardState<P> {
         for slot in self.slots.iter() {
             self.buffers.counts[slot.idx as usize - lo] = 0;
         }
-        for slot in self.slots.iter_mut() {
+        for slot in self.slots.iter() {
             let src_local = slot.idx as usize - lo;
-            let attempted = slot.out.len();
-            for env in slot.out.iter_mut() {
-                let deliver =
-                    match validate(env, src_local, rs.config, &self.knowledge, alive_now, round) {
-                        Ok(()) => true,
-                        Err(v) => {
-                            self.violations.push(v);
-                            // Lenient policies still deliver when
-                            // physically possible (destination exists,
-                            // participates in this run, and is alive).
-                            env.dst_idx != NO_INDEX
-                                && env.dst_idx != DEAD_INDEX
-                                && alive_now[env.dst_idx as usize]
-                        }
-                    };
+            let attempted = slot.out_len as usize;
+            for send in self.staged[slot.out()].iter_mut() {
+                let checked = validate(
+                    send,
+                    slot.id,
+                    src_local,
+                    rs.config,
+                    &self.knowledge,
+                    alive_now,
+                    round,
+                );
+                let deliver = match checked {
+                    Ok(()) => true,
+                    Err(v) => {
+                        self.violations.push(v);
+                        // Lenient policies still deliver when
+                        // physically possible (destination exists,
+                        // participates in this run, and is alive).
+                        send.dst_idx != NO_INDEX
+                            && send.dst_idx != DEAD_INDEX
+                            && alive_now[send.dst_idx as usize]
+                    }
+                };
                 if !deliver {
-                    env.dst_idx = NO_INDEX;
+                    send.dst_idx = NO_INDEX;
                     continue;
                 }
                 self.round_messages += 1;
-                self.round_words += env.msg.size_words() as u64;
-                let dst = env.dst_idx as usize;
+                self.round_words += send.msg.size_words() as u64;
+                let dst = send.dst_idx as usize;
                 if (lo..hi).contains(&dst) {
                     self.buffers.counts[dst - lo] += 1;
                 } else {
-                    self.cells[rs.shard_of(dst)].push(*env);
+                    self.cells[rs.shard_of(dst)].push((send.dst_idx, send.sent_by(slot.id)));
                     self.cross_shard += 1;
                     // Moved into the cell: the local splice must skip it.
-                    env.dst_idx = NO_INDEX;
+                    send.dst_idx = NO_INDEX;
                 }
             }
             if attempted > cap {
@@ -271,24 +304,25 @@ impl<P: NodeProtocol> ShardState<P> {
         let b = self.base;
         let incoming = |src: usize| cells[src][d].iter();
         for src in (0..cells.len()).filter(|&src| src != d) {
-            for env in incoming(src) {
-                self.buffers.counts[(env.dst_idx - b) as usize] += 1;
+            for &(dst, _) in incoming(src) {
+                self.buffers.counts[(dst - b) as usize] += 1;
             }
         }
         self.buffers
             .seal_counts_live(self.slots.iter().map(|sl| (sl.idx - b) as usize));
         for src in 0..cells.len() {
             if src != d {
-                for env in incoming(src) {
-                    self.buffers.push(env.localize(b));
+                for &(dst, env) in incoming(src) {
+                    self.buffers.push((dst - b) as usize, env);
                 }
                 continue;
             }
-            for slot in self.slots.iter_mut() {
-                for env in slot.out.iter().filter(|env| env.dst_idx != NO_INDEX) {
-                    self.buffers.push(env.localize(b));
+            for slot in self.slots.iter() {
+                let sends = self.staged[slot.out()].iter();
+                for send in sends.filter(|send| send.dst_idx != NO_INDEX) {
+                    self.buffers
+                        .push((send.dst_idx - b) as usize, send.sent_by(slot.id));
                 }
-                slot.out.clear();
             }
         }
     }
@@ -503,21 +537,19 @@ fn churn_out<P: NodeProtocol>(
         }
         match op.kind {
             ChurnKind::CrashStop => {
-                slot.alive = false;
-                slot.proto = None;
+                slot.retire(Life::Gone);
                 stopped += 1;
                 let local = op.dense - sh.base;
                 if rs.queue_mode && sh.queues.backlog_len(local as usize) > 0 {
                     sh.dead_backlog.push(local);
                 }
             }
-            ChurnKind::CrashPause => slot.paused = true,
+            ChurnKind::CrashPause => {
+                slot.paused = true;
+                slot.silence();
+            }
             ChurnKind::Recover | ChurnKind::Join => continue,
         }
-        slot.out.clear();
-        slot.inbox_len = 0;
-        slot.phase_mark = None;
-        slot.stage_mark = None;
         alive_now[op.dense as usize] = false;
         emitter.emit(RunEvent::NodeCrashed {
             round,
@@ -630,9 +662,7 @@ where
 
     // Build the slots directly into their owning shards, walking the
     // participant path once in dense order; masked-out indices never get
-    // a slot. Outboxes start empty and grow to each node's actual burst
-    // size (pre-reserving `cap + 1` per slot would cost ~3 KB x n at the
-    // 10^6 scale for protocols that never fan out that far).
+    // a slot.
     let mut shard_slots: Vec<Vec<Slot<P>>> = (0..shard_count)
         .map(|s| Vec::with_capacity(width_of(s)))
         .collect();
@@ -674,6 +704,7 @@ where
                 width,
                 slots,
                 done: Vec::with_capacity(width),
+                staged: Vec::new(),
                 buffers: RouteBuffers::new(width),
                 queues: QueueBuffers::new(if queue_mode { width } else { 0 }),
                 knowledge,
@@ -681,8 +712,8 @@ where
                 dead_backlog: Vec::new(),
                 violations: Vec::new(),
                 finished: 0,
-                panicked: false,
-                marked: false,
+                panic: None,
+                marks: Vec::new(),
                 round_messages: 0,
                 round_words: 0,
                 max_sent: 0,
@@ -754,14 +785,9 @@ where
         timed(&mut step_nanos, || {
             for_each_shard(&mut shards, fan_out, |_, sh| sh.step(&rs));
         });
-        if shards.iter().any(|sh| sh.panicked) {
-            // Deterministic attribution: blame the lowest dense index —
-            // shards ascend by base, slots ascend within a shard.
-            let (node, message) = shards
-                .iter_mut()
-                .flat_map(|sh| sh.slots.iter_mut())
-                .find_map(|s| s.panic.take().map(|m| (s.id, m)))
-                .expect("panic flag set without a panic record");
+        // Deterministic attribution: blame the lowest dense index —
+        // shards ascend by base, each records its first in slot order.
+        if let Some((node, message)) = shards.iter_mut().find_map(|sh| sh.panic.take()) {
             return Err(SimError::NodePanic { node, message });
         }
         let mut newly_done: usize = shards.iter().map(|sh| sh.finished).sum();
@@ -772,15 +798,10 @@ where
         if live == 0 {
             break;
         }
-        // Protocol marks, deduplicated, in dense order. The scan only
-        // visits shards where some step actually marked.
-        for sh in shards.iter_mut().filter(|sh| sh.marked) {
-            for slot in sh.slots.iter_mut() {
-                let (phase, stage) = (slot.phase_mark.take(), slot.stage_mark.take());
-                if phase.is_some() || stage.is_some() {
-                    emitter.emit_marks(round, phase, stage);
-                }
-            }
+        // Protocol marks, deduplicated, in dense order: each journal is
+        // in slot order, the shards ascend.
+        for (phase, stage) in shards.iter_mut().flat_map(|sh| sh.marks.drain(..)) {
+            emitter.emit_marks(round, phase, stage);
         }
 
         if let Some(rt) = scenario_rt.as_mut() {
@@ -917,17 +938,36 @@ where
     stats.exchange_nanos = exchange_nanos;
     stats.deliver_nanos = deliver_nanos;
     stats.learn_nanos = learn_nanos;
+    let sum = |bytes: fn(&ShardState<P>) -> usize| shards.iter().map(bytes).sum::<usize>();
+    stats.footprint = Footprint {
+        slots: sum(|sh| vec_bytes(&sh.slots)),
+        staging: sum(|sh| vec_bytes(&sh.staged)),
+        route: sum(|sh| sh.buffers.heap_bytes()),
+        queues: sum(|sh| sh.queues.heap_bytes()),
+        cells: sum(|sh| sh.cells.iter().map(vec_bytes).sum()),
+        fault_swap: scenario_rt.as_ref().map_or(0, ScenarioRt::arena_bytes),
+        knowledge: sum(|sh| sh.knowledge.heap_bytes()),
+        tables: vec_bytes(&alive_now)
+            + std::mem::size_of_val(ids)
+            + net.resolver().heap_bytes()
+            + dense_of.map_or(0, std::mem::size_of_val)
+            + all_ids.as_deref().map_or(0, vec_bytes),
+        retired_outputs: sum(|sh| vec_bytes(&sh.done)),
+    };
 
+    // Everything but the outputs goes first — arenas, trackers, cells —
+    // so that assembling the result is not the run's high-water mark.
+    let parts: Vec<_> = shards.into_iter().map(|sh| (sh.done, sh.slots)).collect();
+    drop((cell_table, scenario_rt, alive_now));
     // Merge every shard's compacted-away outputs with its final window,
     // restoring knowledge-path order by global dense index.
     let mut done: Vec<(u32, NodeId, P::Output)> = Vec::with_capacity(k);
-    for sh in shards {
-        done.extend(sh.done);
-        done.extend(
-            sh.slots
-                .into_iter()
-                .filter_map(|s| s.output.map(|out| (s.idx, s.id, out))),
-        );
+    for (retired, slots) in parts {
+        done.extend(retired);
+        done.extend(slots.into_iter().filter_map(|s| match s.life {
+            Life::Done(out) => Some((s.idx, s.id, out)),
+            Life::Running(_) | Life::Gone => None,
+        }));
     }
     done.sort_unstable_by_key(|&(idx, _, _)| idx);
     let outputs: Vec<(NodeId, P::Output)> =

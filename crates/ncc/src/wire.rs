@@ -4,9 +4,18 @@
 //! tag plus at most [`WIRE_WORDS`] data words and [`WIRE_ADDRS`] addresses
 //! (the defaults in [`Config`](crate::Config)). The batched executor
 //! exploits this: a [`WireMsg`] stores its payload *inline* in a `Copy`
-//! struct, so outboxes, the routing arena and inboxes are flat `Vec`s of
-//! POD values that are reused across rounds — the routing hot path never
-//! touches the allocator.
+//! struct, so the staging arena, the routing arena and inboxes are flat
+//! `Vec`s of POD values that are reused across rounds — the routing hot
+//! path never touches the allocator.
+//!
+//! A message has two wire shapes, one per half of the round. What a node
+//! *sends* is a [`Staged`] — message, destination ID, resolved dense
+//! index — which only validation and the scatter read (the sender is the
+//! slot that staged it). What a node *receives* is a [`WireEnvelope`] —
+//! sender and message, one 64-byte cache line — the shape of the routing
+//! arena, the exchange cells, the fault pass's swap arena, the queue
+//! arenas and every inbox; where an envelope goes is the bucket it sits
+//! in, never a field of its own.
 
 use crate::message::NodeId;
 
@@ -150,42 +159,50 @@ impl WireMsg {
     }
 }
 
-/// A routed wire message: what a node finds in its inbox under the batched
-/// engine. The sender's ID is visible (that is how knowledge spreads in
-/// KT0); the destination fields are engine bookkeeping.
+/// A staged send: what [`RoundCtx::send`](crate::RoundCtx::send) writes
+/// into the sender's staging span, and what validation and the scatter
+/// read. The sender is not stored — it is the slot the span belongs to.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Staged {
+    pub(crate) msg: WireMsg,
+    /// Destination ID as addressed by the sender.
+    pub(crate) dst: NodeId,
+    /// Dense destination index, resolved at send time: a `0..k` slot
+    /// index in the run's (possibly masked) participant space.
+    /// [`NO_INDEX`] = unresolved (and, once sealed, "not for the local
+    /// scatter"), [`DEAD_INDEX`] = a real node outside the masked
+    /// participant set. The reference interpreter ignores it.
+    pub(crate) dst_idx: u32,
+}
+
+impl Staged {
+    /// The envelope this send is delivered as, `src` being its sender.
+    pub(crate) fn sent_by(&self, src: NodeId) -> WireEnvelope {
+        WireEnvelope { src, msg: self.msg }
+    }
+}
+
+/// A delivered wire message: what a node finds in its inbox. The sender's
+/// ID is visible (that is how knowledge spreads in KT0); the destination
+/// is the bucket the envelope was scattered into.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WireEnvelope {
     /// ID of the sending node.
     pub src: NodeId,
     /// The message itself.
     pub msg: WireMsg,
-    /// Destination ID as addressed by the sender.
-    pub(crate) dst: NodeId,
-    /// Dense destination index, resolved at send time: a `0..k` slot
-    /// index in the run's (possibly masked) participant space.
-    /// [`NO_INDEX`] = unresolved, [`DEAD_INDEX`] = a real node outside
-    /// the masked participant set.
-    pub(crate) dst_idx: u32,
 }
+
+// One cache line a delivered message, nine words a staged one.
+const _: () = assert!(std::mem::size_of::<WireEnvelope>() == 64);
+const _: () = assert!(std::mem::size_of::<Staged>() <= 72);
 
 impl WireEnvelope {
     /// A zeroed placeholder used to size the routing arena.
     pub(crate) const EMPTY: WireEnvelope = WireEnvelope {
         src: 0,
         msg: WireMsg::signal(0),
-        dst: 0,
-        dst_idx: NO_INDEX,
     };
-
-    /// Rebases the dense destination index into a shard-local index
-    /// space (the ownership-sharded engine stores each shard's routing
-    /// buckets and queue spans under local indices). Copy-semantics: the
-    /// caller's envelope is unchanged.
-    pub(crate) fn localize(mut self, base: u32) -> Self {
-        debug_assert!(self.dst_idx >= base, "localize below the shard base");
-        self.dst_idx -= base;
-        self
-    }
 
     /// First data word, panicking with a protocol-bug message if absent.
     pub fn word(&self) -> u64 {
@@ -229,8 +246,6 @@ mod tests {
         let env = WireEnvelope {
             src: 5,
             msg: WireMsg::addr_word(1, 10, 99),
-            dst: 10,
-            dst_idx: 0,
         };
         assert_eq!(env.word(), 99);
         assert_eq!(env.addr(), 10);
@@ -242,8 +257,6 @@ mod tests {
         let env = WireEnvelope {
             src: 5,
             msg: WireMsg::signal(0),
-            dst: 10,
-            dst_idx: 0,
         };
         let _ = env.word();
     }

@@ -251,3 +251,82 @@ fn zero_and_max_are_learnable_addresses() {
         assert_matches_reference(&net, None, &result, &events.events(), script(a, b), &what);
     }
 }
+
+#[test]
+fn every_violation_names_the_node_and_address_the_reference_names() {
+    // A staged send carries no sender — the batched engine takes it from
+    // the slot whose span it validates — so every kind of violation that
+    // names a sender or a destination is provoked once, from a different
+    // node each, and the records are held to the reference's under
+    // `Record`. Position 4 is out of the run both ways a node can be:
+    // masked out from the start, or retired by its first step.
+    let mut config = Config::ncc0(9);
+    config.capacity_policy = CapacityPolicy::Record;
+    config.max_words = 2;
+    let bogus = u64::MAX - 7;
+    let script = |order: Vec<NodeId>, cap: usize| {
+        move |seed: &NodeSeed<'_>| {
+            let me = seed.id;
+            let position = order.iter().position(|&id| id == me).unwrap();
+            let (head, absent) = (order[0], order[4]);
+            Script(move |ctx: &mut RoundCtx<'_>| {
+                let signal = WireMsg::signal(tags::GENERIC);
+                if position == 4 || ctx.round() == 2 {
+                    return Status::Done(ctx.inbox().len());
+                }
+                match (ctx.round(), position) {
+                    (0, 0) => {
+                        ctx.send(bogus, signal);
+                        let succ = ctx.initial_successor().unwrap();
+                        (0..=cap).for_each(|_| ctx.send(succ, signal));
+                    }
+                    (0, 1) => ctx.send(absent, signal),
+                    (0, 2) => ctx.send(head, signal),
+                    (0, 3) => ctx.send(me, signal.with_addr(head)),
+                    (0, 5) => ctx.send(me, WireMsg::words(tags::GENERIC, &[0; 3])),
+                    _ => {}
+                }
+                Status::Continue
+            })
+        }
+    };
+    let masks = [None, Some([true, true, true, true, false, true])];
+    for mask in masks.iter().map(|mask| mask.as_ref().map(|m| &m[..])) {
+        for shards in [1, 2] {
+            let net = Network::new(6, config.clone().with_shards(shards));
+            let order = net.ids_in_path_order().to_vec();
+            let cap = net.capacity();
+            let mut events = Recording::new();
+            let factory = script(order.clone(), cap);
+            let result = net
+                .run_protocol_on(EngineKind::Batched, mask, Some(&mut events), &factory)
+                .unwrap();
+            let what = format!("masked: {}, {shards} shard(s)", mask.is_some());
+            let samples = &result.metrics.violation_samples;
+            let recorded: Vec<_> = samples.iter().map(|v| (v.node, v.kind.clone())).collect();
+            let expected = [
+                (order[0], ViolationKind::NoSuchNode { dst: bogus }),
+                (order[0], ViolationKind::SendCapacity { sent: cap + 2, cap }),
+                (order[1], ViolationKind::DeadRecipient { dst: order[4] }),
+                (order[2], ViolationKind::UnknownAddressee { dst: order[0] }),
+                (
+                    order[3],
+                    ViolationKind::UnknownCarriedAddress { carried: order[0] },
+                ),
+                (
+                    order[5],
+                    ViolationKind::MessageTooLarge { words: 3, addrs: 0 },
+                ),
+                (
+                    order[1],
+                    ViolationKind::ReceiveCapacity {
+                        received: cap + 1,
+                        cap,
+                    },
+                ),
+            ];
+            assert_eq!(recorded, expected, "{what}");
+            assert_matches_reference(&net, mask, &result, &events.events(), &factory, &what);
+        }
+    }
+}

@@ -9,8 +9,12 @@
 
 mod common;
 
-use common::{assert_matches_reference, derived_shards, Gossip};
-use dgr_ncc::{CapacityPolicy, Config, EngineKind, Network, Recording, RunResult, SimError};
+use common::{assert_matches_reference, derived_shards, Gossip, Script};
+use dgr_ncc::{
+    CapacityPolicy, Config, EngineKind, Network, NodeSeed, Recording, RoundCtx, RunEvent,
+    RunResult, Scenario, SimError, Status,
+};
+use std::collections::BTreeMap;
 
 /// `0` = the derived count (the default).
 const SHARDS: [usize; 3] = [0, 2, 4];
@@ -48,9 +52,19 @@ fn assert_shard_matrix(n: usize, config: &Config, base: u64, stagger: u64, fan: 
         |s| Gossip::new(s, base, stagger, fan),
         &format!("shard matrix n={n}"),
     );
+    // Memory is a function of the transcript and the shard count, never
+    // of how many workers walked the shards.
+    let mut footprints = BTreeMap::from([(1, result_1.engine.footprint)]);
     for shards in SHARDS {
         for workers in WORKERS {
             let (result_s, events_s) = run(shards, workers);
+            let stats = &result_s.engine;
+            let first = *footprints.entry(stats.shards).or_insert(stats.footprint);
+            assert_eq!(
+                first, stats.footprint,
+                "footprint moves with the worker count at {shards} shards (n={n})"
+            );
+            assert!(first.slots > 0 && first.staging > 0 && first.route > 0);
             assert_eq!(
                 result_1.outputs, result_s.outputs,
                 "transcripts diverge at {shards} shards × {workers} workers (n={n})"
@@ -183,6 +197,137 @@ fn shard_count_clamps_to_the_participant_space() {
     assert_eq!(flat.metrics, clamped.metrics);
     assert_eq!(clamped.engine.shards, 8);
     assert_eq!(clamped.engine.shard_windows, vec![1; 8]);
+}
+
+/// Path position of the node a script is being built for.
+fn position_of(order: &[u64], seed: &NodeSeed<'_>) -> usize {
+    order.iter().position(|&id| id == seed.id).unwrap()
+}
+
+#[test]
+fn panics_in_different_shards_blame_the_lowest_dense_index() {
+    // Positions 6 and 2 panic in the same round — in different shards at
+    // two and at four shards, and position 6's shard may well finish
+    // first. Each shard records its first panic in slot order and the
+    // coordinator takes the first shard's: position 2, the node the
+    // reference interpreter stops at.
+    let run = |engine: EngineKind, shards: usize, workers: usize| {
+        let config = Config::ncc0(75)
+            .with_shards(shards)
+            .with_worker_threads(workers);
+        let net = Network::new(8, config);
+        let order = net.ids_in_path_order().to_vec();
+        let blamed = order[2];
+        let err = net
+            .run_protocol_on(engine, None, None, |seed| {
+                let position = position_of(&order, seed);
+                Script(move |ctx: &mut RoundCtx<'_>| {
+                    if ctx.round() == 1 && (position == 2 || position == 6) {
+                        panic!("position {position} gives up");
+                    }
+                    match ctx.round() {
+                        3 => Status::Done(()),
+                        _ => Status::Continue,
+                    }
+                })
+            })
+            .unwrap_err();
+        match err {
+            SimError::NodePanic { node, message } => {
+                assert_eq!(node, blamed, "{shards} shards × {workers} workers");
+                message
+            }
+            other => panic!("expected a node panic, got {other}"),
+        }
+    };
+    let oracle = run(EngineKind::Reference, 1, 1);
+    assert_eq!(oracle, "position 2 gives up");
+    for shards in [1, 2, 4] {
+        for workers in [1, 2] {
+            assert_eq!(oracle, run(EngineKind::Batched, shards, workers));
+        }
+    }
+}
+
+#[test]
+fn marks_are_narrated_in_dense_order_whatever_the_layout() {
+    // Round 0: position 5 marks phase "b" and position 1 phase "a" — dense
+    // order says "a" first, though they sit in different shards — while
+    // position 3 marks "lost" in the step that retires it (discarded with
+    // the rest of a `Done` step). Round 1: position 6 marks a stage and is
+    // crash-stopped by the schedule after that same step — it stepped, so
+    // it is narrated.
+    let script = |order: Vec<u64>| {
+        move |seed: &NodeSeed<'_>| {
+            let position = position_of(&order, seed);
+            Script(move |ctx: &mut RoundCtx<'_>| {
+                match (ctx.round(), position) {
+                    (0, 1) => ctx.mark_phase("a"),
+                    (0, 5) => ctx.mark_phase("b"),
+                    (0, 3) => {
+                        ctx.mark_phase("lost");
+                        return Status::Done(0);
+                    }
+                    (1, 6) => ctx.mark_stage("last words"),
+                    (3, _) => return Status::Done(ctx.round()),
+                    _ => {}
+                }
+                Status::Continue
+            })
+        }
+    };
+    let mut streams = Vec::new();
+    for shards in [1, 2, 4] {
+        for workers in [1, 2] {
+            let config = Config::ncc0(76)
+                .with_queueing()
+                .with_shards(shards)
+                .with_worker_threads(workers)
+                .with_scenario(Scenario::new(76).crash(6, 1));
+            let net = Network::new(8, config);
+            let order = net.ids_in_path_order().to_vec();
+            let mut events = Recording::new();
+            let result = net
+                .run_protocol_on(
+                    EngineKind::Batched,
+                    None,
+                    Some(&mut events),
+                    script(order.clone()),
+                )
+                .unwrap();
+            let what = format!("{shards} shards × {workers} workers");
+            let narrated: Vec<RunEvent> = events
+                .events()
+                .iter()
+                .filter(|e| {
+                    matches!(
+                        e,
+                        RunEvent::PhaseChange { .. } | RunEvent::StageTransition { .. }
+                    )
+                })
+                .cloned()
+                .collect();
+            let expected = [
+                RunEvent::PhaseChange {
+                    round: 0,
+                    phase: "a",
+                },
+                RunEvent::PhaseChange {
+                    round: 0,
+                    phase: "b",
+                },
+                RunEvent::StageTransition {
+                    round: 1,
+                    stage: "last words",
+                },
+            ];
+            assert_eq!(narrated, expected, "{what}");
+            assert_eq!(result.engine.crashes, 1, "{what}");
+            assert_matches_reference(&net, None, &result, &events.events(), script(order), &what);
+            streams.push(events.events().to_vec());
+        }
+    }
+    assert!(streams.windows(2).all(|pair| pair[0] == pair[1]));
 }
 
 /// The ISSUE-scale matrix: 10^5 nodes through the same three configs.

@@ -20,8 +20,8 @@
 
 mod common;
 
-use common::Ping;
-use dgr_ncc::{Config, Network, Scenario};
+use common::{Ping, Script};
+use dgr_ncc::{Config, Network, RoundCtx, Scenario, Status, WireMsg};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -225,6 +225,56 @@ fn one_shard_under_two_workers_does_not_allocate_per_round() {
             "one-shard round loop allocates under two workers \
              (tracked={tracked}): {short} allocations over 10 rounds vs \
              {long} over 510"
+        );
+    }
+}
+
+/// Allocation count of a run whose nodes send a burst of one to three
+/// messages to their successor, the size rotating with the round and the
+/// node's ID: every slot's span of the staging arena changes length and
+/// position from one round to the next.
+fn allocations_for_bursts(rounds: u64, shards: usize) -> u64 {
+    let config = Config::ncc0(99).with_worker_threads(1).with_shards(shards);
+    let net = Network::new(512, config);
+    let before = ALLOCATIONS.get();
+    MEASURING.with(|m| m.set(true));
+    let result = net
+        .run_protocol(|_| {
+            Script(move |ctx: &mut RoundCtx<'_>| {
+                if ctx.round() >= rounds {
+                    return Status::Done(());
+                }
+                if let Some(succ) = ctx.initial_successor() {
+                    let burst = 1 + (ctx.round() + ctx.id()) % 3;
+                    (0..burst).for_each(|_| ctx.send(succ, WireMsg::word(1, 42)));
+                }
+                Status::Continue
+            })
+        })
+        .unwrap();
+    MEASURING.with(|m| m.set(false));
+    assert_eq!(result.metrics.rounds, rounds);
+    assert!(result.metrics.is_clean());
+    assert_eq!(result.metrics.max_sent_per_round, 3);
+    ALLOCATIONS.get() - before
+}
+
+/// Sends are staged into one arena a shard, each slot holding a span of
+/// it: once the arena has seen the run's largest round (here by round 3 —
+/// the burst sizes cycle with period 3), a node whose burst grows,
+/// shrinks or moves within the arena costs no allocation, on one shard
+/// and on several.
+#[test]
+fn varying_bursts_do_not_allocate_per_round() {
+    for shards in [1usize, 4] {
+        let _ = allocations_for_bursts(5, shards);
+        let short = allocations_for_bursts(10, shards);
+        let long = allocations_for_bursts(510, shards);
+        assert_eq!(
+            long, short,
+            "staging allocates ({shards} shard(s)): {short} allocations \
+             over 10 rounds vs {long} over 510 — the staging arena must be \
+             round-reused, whatever each node's burst does"
         );
     }
 }

@@ -95,6 +95,40 @@ fn batched_warmup_at_n_1m() {
 /// tracker's tables may exceed that by 2 %.
 const ARENA_CEILING_200K: usize = 23_751_424 / 50 * 51;
 
+/// And so is everything else the executor holds: the footprint record of
+/// the same warm-up — slots, staging, route and queue arenas, exchange
+/// cells, knowledge, index tables, `capacity × size_of` each — came to
+/// 373 903 040 bytes on one shard and 395 136 704 on four (the cells
+/// are what grows with the shard count), and may exceed that by 2 %.
+const FOOTPRINT_CEILING_200K: usize = 395_136_704 / 50 * 51;
+
+/// The memory smoke CI runs beside the tracked ones: the tracked
+/// queue-paced 200k warm-up pinned to one shard and to four, each held
+/// to the footprint ceiling. The record is a function of the transcript
+/// and the shard count, so the ceiling does not depend on the host.
+#[test]
+fn footprint_of_the_tracked_warmup_at_n_200k_stays_under_its_ceiling() {
+    let n = 200_000;
+    for shards in [1, 4] {
+        let mut config = Config::ncc0(29).with_shards(shards);
+        config.capacity_policy = CapacityPolicy::Queue;
+        let net = Network::new(n, config);
+        let result = net.run_protocol(primitives::PathToClique::new).unwrap();
+        let (stats, footprint) = (&result.engine, result.engine.footprint);
+        println!(
+            "{shards} shard(s): {} bytes, {footprint:?}",
+            footprint.total()
+        );
+        assert_eq!(stats.shards, shards);
+        assert!(footprint.total() <= FOOTPRINT_CEILING_200K, "{footprint:?}");
+        // The knowledge row is the arena the other ceiling bounds, plus
+        // one region header a node.
+        assert!(footprint.knowledge >= 8 * stats.knowledge_arena);
+        assert_eq!(footprint.cells == 0, shards == 1);
+        assert_eq!(footprint.fault_swap, 0, "no scenario, no swap arena");
+    }
+}
+
 /// The release-mode tracked smoke CI runs on every push: the 200k NCC₀
 /// warm-up with the full knowledge tracker **and** the queue capacity
 /// policy — the configuration that exercises the two-phase parallel
@@ -291,8 +325,9 @@ fn batched_explicit_realization_at_n_200k() {
 /// The acceptance-scale realization: Algorithm 3 end to end — explicit
 /// hand-off included — at one million nodes, an order of magnitude past
 /// the pre-interning drivers' memory ceiling. Arc-interned per-node
-/// tables, lazy outboxes and live-slot compaction keep the footprint
-/// bounded, and since the arena knowledge tracker + parallel learn sweep
+/// tables, one staging arena a shard and live-slot compaction keep the
+/// footprint bounded, and since the arena knowledge tracker + parallel
+/// learn sweep
 /// the run carries **full KT0 tracking** too — a million-node run is now
 /// also a million-node legality certificate. Run under `--ignored`
 /// (release mode recommended).
