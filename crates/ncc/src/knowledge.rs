@@ -61,7 +61,7 @@ const EMPTY: NodeId = 0;
 /// ⌊2^64 / φ⌋, made odd: the Fibonacci-hashing multiplier. The top bits of
 /// the product depend on every bit of the ID, and consecutive IDs land
 /// maximally far apart, so `1..=n` spreads as evenly as random IDs do.
-const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Seeds the initial NCC0 knowledge along the directed path `G_k`, but
 /// only for *participating* nodes: each participating node learns its own
@@ -276,8 +276,20 @@ impl KnowledgeTracker {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// `HASH_MUL`'s inverse modulo 2^64 (Newton's iteration doubles the
+    /// correct low bits; an odd `x` is its own inverse modulo 8): its
+    /// multiples are keys chosen to collide, all hashing to slot 0.
+    pub(crate) fn hash_mul_inverse() -> u64 {
+        let mut inv = HASH_MUL;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(HASH_MUL.wrapping_mul(inv)));
+        }
+        assert_eq!(inv.wrapping_mul(HASH_MUL), 1);
+        inv
+    }
 
     #[test]
     fn dense_seeding_renumbers_participants_in_path_order() {
@@ -390,17 +402,6 @@ mod tests {
             }
             assert!(!t.knows(node, 2), "node {node} knows an unlearned id");
         }
-    }
-
-    /// `HASH_MUL`'s inverse modulo 2^64 (Newton's iteration doubles the
-    /// correct low bits; an odd `x` is its own inverse modulo 8).
-    fn hash_mul_inverse() -> u64 {
-        let mut inv = HASH_MUL;
-        for _ in 0..5 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(HASH_MUL.wrapping_mul(inv)));
-        }
-        assert_eq!(inv.wrapping_mul(HASH_MUL), 1);
-        inv
     }
 
     #[test]

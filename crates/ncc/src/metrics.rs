@@ -149,7 +149,7 @@ pub struct EngineStats {
     pub route_nanos: u64,
     /// Wall-clock nanoseconds spent in queue delivery / capacity checks.
     pub deliver_nanos: u64,
-    /// Wall-clock nanoseconds spent in the learn sweep + delivery fold.
+    /// Wall-clock nanoseconds spent in the learn sweep (0 on untracked runs, which skip it).
     pub learn_nanos: u64,
     /// Ownership shards the run executed with: the explicit
     /// [`Config::shards`](crate::Config::shards) clamped to the
@@ -206,10 +206,10 @@ pub struct Footprint {
     pub slots: usize,
     /// The per-shard staging arenas a round's sends are written into.
     pub staging: usize,
-    /// Routing buffers: the delivery arenas and the three `u32` bucket
-    /// tables (counts, starts, cursors) beside them.
+    /// Routing buffers: the delivery arenas (every inbox, the spill region)
+    /// and the three `u32` bucket tables (counts, starts, cursors).
     pub route: usize,
-    /// Queue-policy arenas: backlog (double-buffered), inbox, spans.
+    /// Queue-policy backlog: the double-buffered arenas and the spans.
     pub queues: usize,
     /// The `[src][dst]` exchange cells.
     pub cells: usize,

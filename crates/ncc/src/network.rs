@@ -56,7 +56,7 @@ pub struct Network {
     config: Config,
     /// IDs in `G_k` path order (index = path position).
     ids: Vec<NodeId>,
-    /// Dense ID→index resolution (no hashing on the send path).
+    /// Dense ID→index resolution (one probe a send).
     resolver: Resolver,
 }
 

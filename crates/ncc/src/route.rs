@@ -9,29 +9,49 @@
 //! stable because sources are visited in dense index order, the model's
 //! canonical routing order). The destination is the bucket: the scatter
 //! takes it as an argument and the stored envelope does not repeat it.
-//! Every buffer involved — counts, bucket starts, scatter cursors and the
-//! envelope arena — lives in [`RouteBuffers`] and is reused across
-//! rounds: after the arena has grown to the high-water message count, the
-//! routing hot path performs no heap allocation at all.
+//! **The route arena is every inbox**: a node reads its delivery where
+//! the scatter left it; only a `Queue`-policy node that carries backlog
+//! gets `backlog ++ bucket prefix` written past the sealed buckets, into
+//! a **spill region**. Every buffer involved — counts, bucket starts,
+//! scatter cursors, the arena, the queue's backlog arenas — is reused
+//! across rounds: after they have grown to the high-water volume,
+//! routing and delivery perform no heap allocation at all.
 
 use crate::config::IdAssignment;
+use crate::knowledge::HASH_MUL;
 use crate::message::NodeId;
 use crate::metrics::vec_bytes;
 use crate::wire::WireEnvelope;
 
-/// Maps node IDs to dense indices without hashing.
+/// The index of a vacant resolver slot: every `u64` stays a legal ID.
+const VACANT: u32 = u32::MAX;
+
+/// Maps node IDs to dense indices in one step.
 ///
 /// Sequential networks (`ids[i] == i + 1`) resolve arithmetically;
-/// random-ID networks resolve by binary search over a sorted copy of the
-/// ID space. Either way resolution happens once per *send* (in
-/// [`RoundCtx::send`](crate::RoundCtx::send)), so the routing passes
-/// themselves work purely on dense `u32` indices.
+/// random-ID networks through one open-addressed `(id, index)` table, a
+/// power of two ≥ `2n` slots, probed linearly from the ID's Fibonacci
+/// hash ([`HASH_MUL`], the KT0 tracker's) to the ID or to a [`VACANT`]
+/// slot — at load ≤ 1/2 one always exists. Either way resolution happens
+/// once per *send* (in [`RoundCtx::send`](crate::RoundCtx::send)), so the
+/// routing passes themselves work purely on dense `u32` indices.
 #[derive(Debug)]
 pub(crate) enum Resolver {
     /// IDs are `1..=n` in path order.
     Sequential { n: usize },
-    /// Sorted ID table with the matching dense index per entry.
-    Sorted { ids: Vec<NodeId>, index: Vec<u32> },
+    /// The `(id, dense index)` table.
+    Hashed { table: Vec<(NodeId, u32)> },
+}
+
+/// The slot of `table` holding `id`, or the vacant slot its probe ends at.
+#[inline]
+fn probe(table: &[(NodeId, u32)], id: NodeId) -> usize {
+    let mask = table.len() - 1;
+    let mut slot = (id.wrapping_mul(HASH_MUL) >> (64 - table.len().trailing_zeros())) as usize;
+    while table[slot].1 != VACANT && table[slot].0 != id {
+        slot = (slot + 1) & mask;
+    }
+    slot
 }
 
 impl Resolver {
@@ -40,25 +60,21 @@ impl Resolver {
         match assignment {
             IdAssignment::Sequential => Resolver::Sequential { n: ids.len() },
             IdAssignment::Random => {
-                let mut pairs: Vec<(NodeId, u32)> = ids
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &id)| (id, i as u32))
-                    .collect();
-                pairs.sort_unstable();
-                Resolver::Sorted {
-                    ids: pairs.iter().map(|&(id, _)| id).collect(),
-                    index: pairs.iter().map(|&(_, i)| i).collect(),
+                let mut table = vec![(0, VACANT); (2 * ids.len()).next_power_of_two().max(2)];
+                for (i, &id) in ids.iter().enumerate() {
+                    let slot = probe(&table, id);
+                    table[slot] = (id, i as u32);
                 }
+                Resolver::Hashed { table }
             }
         }
     }
 
-    /// Heap bytes of the lookup tables (for the run's footprint record).
+    /// Heap bytes of the lookup table (for the run's footprint record).
     pub(crate) fn heap_bytes(&self) -> usize {
         match self {
             Resolver::Sequential { .. } => 0,
-            Resolver::Sorted { ids, index } => vec_bytes(ids) + vec_bytes(index),
+            Resolver::Hashed { table } => vec_bytes(table),
         }
     }
 
@@ -67,7 +83,7 @@ impl Resolver {
     pub(crate) fn index_of(&self, id: NodeId) -> Option<u32> {
         match self {
             Resolver::Sequential { n } => (1..=*n as u64).contains(&id).then(|| (id - 1) as u32),
-            Resolver::Sorted { ids, index } => ids.binary_search(&id).ok().map(|pos| index[pos]),
+            Resolver::Hashed { table } => Some(table[probe(table, id)].1).filter(|&i| i != VACANT),
         }
     }
 }
@@ -81,8 +97,11 @@ pub(crate) struct RouteBuffers {
     starts: Vec<u32>,
     /// Scatter cursor per destination index.
     cursor: Vec<u32>,
-    /// Flat envelope arena; bucket `i` is `arena[starts[i]..][..counts[i]]`.
+    /// Flat envelope arena; bucket `i` is `arena[starts[i]..][..counts[i]]`,
+    /// and every inbox span points into it.
     pub(crate) arena: Vec<WireEnvelope>,
+    /// End of the round's sealed buckets, then of what delivery spilled.
+    end: usize,
 }
 
 impl RouteBuffers {
@@ -92,6 +111,7 @@ impl RouteBuffers {
             starts: vec![0; n],
             cursor: vec![0; n],
             arena: Vec::new(),
+            end: 0,
         }
     }
 
@@ -123,6 +143,7 @@ impl RouteBuffers {
         if self.arena.len() < total {
             self.arena.resize(total, WireEnvelope::EMPTY);
         }
+        self.end = total;
         total
     }
 
@@ -144,11 +165,22 @@ impl RouteBuffers {
         (self.starts[i], self.counts[i])
     }
 
-    /// The sealed arena's current length (an upper bound on the round's
-    /// total bucket volume — the scenario fault pass sizes its swap
-    /// arena from it).
-    pub(crate) fn arena_len(&self) -> usize {
-        self.arena.len()
+    /// The round's bucket volume (read by the fault pass, before delivery
+    /// spills anything).
+    pub(crate) fn sealed_len(&self) -> usize {
+        self.end
+    }
+
+    /// Writes `backlog ++` the first `fresh` envelopes of bucket `i` into
+    /// the spill region (rewritten every round) and returns their start.
+    pub(crate) fn spill(&mut self, backlog: &[WireEnvelope], i: usize, fresh: usize) -> u32 {
+        let start = self.end;
+        let bucket = self.starts[i] as usize;
+        self.arena.truncate(start);
+        self.arena.extend_from_slice(backlog);
+        self.arena.extend_from_within(bucket..bucket + fresh);
+        self.end = self.arena.len();
+        start as u32
     }
 
     /// Rewrites destination `i`'s bucket span. The scenario fault pass
@@ -165,14 +197,17 @@ impl RouteBuffers {
     /// allocation-free at steady state).
     pub(crate) fn install_arena(&mut self, arena: &mut Vec<WireEnvelope>) {
         std::mem::swap(&mut self.arena, arena);
+        self.end = self.arena.len();
     }
 }
 
 /// Flat-arena backlog for the [`Queue`](crate::CapacityPolicy::Queue)
 /// capacity policy: per-node FIFO delivery queues as spans of one
 /// double-buffered envelope arena, instead of `n` separate `VecDeque`s.
-/// Every buffer is reused across rounds, so queued delivery is
-/// allocation-free once the arenas reach the run's high-water backlog.
+/// A delivery stays in the route arena (see the module docs); only what
+/// is re-queued is copied. Every buffer is reused across rounds, so queued
+/// delivery is allocation-free once the arenas reach the run's high-water
+/// backlog.
 #[derive(Debug, Default)]
 pub(crate) struct QueueBuffers {
     /// Per-node `(start, len)` span of its backlog in `cur`.
@@ -181,8 +216,6 @@ pub(crate) struct QueueBuffers {
     cur: Vec<WireEnvelope>,
     /// Backlog being assembled for the next round.
     next: Vec<WireEnvelope>,
-    /// The round's delivery arena (what inbox spans point into).
-    pub(crate) inbox: Vec<WireEnvelope>,
 }
 
 impl QueueBuffers {
@@ -191,56 +224,66 @@ impl QueueBuffers {
             spans: vec![(0, 0); n],
             cur: Vec::new(),
             next: Vec::new(),
-            inbox: Vec::new(),
         }
     }
 
-    /// Heap bytes of all four buffers (for the run's footprint record).
+    /// Heap bytes of all three buffers (for the run's footprint record).
     pub(crate) fn heap_bytes(&self) -> usize {
-        vec_bytes(&self.spans)
-            + vec_bytes(&self.cur)
-            + vec_bytes(&self.next)
-            + vec_bytes(&self.inbox)
+        vec_bytes(&self.spans) + vec_bytes(&self.cur) + vec_bytes(&self.next)
     }
 
-    /// Opens a round's delivery sweep (the previous round's inbox arena
-    /// has been consumed by the step phase by now).
-    pub(crate) fn begin_round(&mut self) {
-        self.inbox.clear();
-        self.next.clear();
-    }
-
-    /// Merges node `i`'s carried backlog with its freshly routed bucket,
-    /// delivers up to `cap` envelopes into the inbox arena (FIFO: backlog
-    /// first, then the new bucket in routed order), and re-queues the
-    /// rest. Returns `(inbox_start, delivered, queued_after)`.
-    ///
-    /// Call [`QueueBuffers::begin_round`] first, then this for
-    /// `i = 0..n` in order, then [`QueueBuffers::end_round`].
+    /// Merges node `i`'s carried backlog with its freshly routed bucket in
+    /// `route`, delivers up to `cap` envelopes (FIFO: backlog first, then
+    /// the bucket in routed order) and re-queues the rest. Returns
+    /// `(inbox_start, delivered, queued_after)`: without backlog the inbox
+    /// is the bucket's prefix where it lies, with backlog it is spilled.
+    /// Called once a round per queue (a retired node's is drained
+    /// instead), then [`QueueBuffers::end_round`].
+    #[inline]
     pub(crate) fn deliver(
         &mut self,
         i: usize,
-        fresh: &[WireEnvelope],
+        route: &mut RouteBuffers,
         cap: usize,
     ) -> (u32, u32, usize) {
-        let (bs, bl) = self.spans[i];
-        let backlog_range = bs as usize..(bs + bl) as usize;
-        let total = bl as usize + fresh.len();
-        let take = total.min(cap);
-        let start = self.inbox.len() as u32;
-        let next_start = self.next.len() as u32;
-        {
-            let mut pending = self.cur[backlog_range].iter().chain(fresh.iter());
-            self.inbox.extend(pending.by_ref().take(take).copied());
-            self.next.extend(pending.copied());
+        let (bucket_start, fresh) = route.span(i);
+        if self.spans[i].1 == 0 && fresh as usize <= cap {
+            // Nothing carried in, nothing left over: the common case.
+            return (bucket_start, fresh, 0);
         }
-        self.spans[i] = (next_start, (total - take) as u32);
-        (start, take as u32, total - take)
+        let due = self.drain(i, cap);
+        let taken = (cap - due.len()).min(fresh as usize);
+        let delivered = (due.len() + taken) as u32;
+        let start = match due.is_empty() {
+            true => bucket_start,
+            false => route.spill(due, i, taken),
+        };
+        self.next.extend_from_slice(&route.bucket(i)[taken..]);
+        self.spans[i].1 += fresh - taken as u32;
+        (start, delivered, self.spans[i].1 as usize)
     }
 
-    /// Swaps the backlog buffers after a full delivery sweep.
+    /// Takes up to `cap` envelopes off node `i`'s backlog — returned where
+    /// they lie in `cur` — and re-queues the rest: the whole delivery of a
+    /// retired node, whose bucket is empty.
+    pub(crate) fn drain(&mut self, i: usize, cap: usize) -> &[WireEnvelope] {
+        // Delivery skips spans without backlog, so only a non-empty span's
+        // start is sure to point into `cur`.
+        let backlog = match self.spans[i] {
+            (_, 0) => &[][..],
+            (bs, bl) => &self.cur[bs as usize..][..bl as usize],
+        };
+        let (drained, rest) = backlog.split_at(backlog.len().min(cap));
+        self.spans[i] = (self.next.len() as u32, rest.len() as u32);
+        self.next.extend_from_slice(rest);
+        drained
+    }
+
+    /// Swaps the backlog buffers after a full delivery sweep and empties
+    /// the one the next sweep fills.
     pub(crate) fn end_round(&mut self) {
         std::mem::swap(&mut self.cur, &mut self.next);
+        self.next.clear();
     }
 
     /// Envelopes still queued (undelivered) across all nodes.
@@ -271,12 +314,52 @@ mod tests {
 
     #[test]
     fn random_resolution_by_binary_search() {
+        // (The name predates the hashed table; the contract is the same.)
         let ids: Vec<NodeId> = vec![900, 17, 404, 3];
         let r = Resolver::build(&ids, IdAssignment::Random);
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(r.index_of(id), Some(i as u32), "id {id}");
         }
         assert_eq!(r.index_of(5), None);
+    }
+
+    #[test]
+    fn hashed_resolution_matches_a_btreemap() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::collections::{btree_map::Entry, BTreeMap};
+
+        let inv = crate::knowledge::tests::hash_mul_inverse();
+        let mut rng = StdRng::seed_from_u64(0x1d5);
+        for n in [1usize, 2, 3, 17, 300, 1_000] {
+            // 0 and u64::MAX first, then random IDs alternating with keys
+            // chosen to collide: every `k · inv` hashes to slot 0.
+            let mut model = BTreeMap::new();
+            let mut ids = Vec::new();
+            let mut k = 0u64;
+            while ids.len() < n {
+                let id = match k {
+                    0 => 0,
+                    1 => u64::MAX,
+                    _ if k.is_multiple_of(2) => rng.gen(),
+                    _ => k.wrapping_mul(inv),
+                };
+                k += 1;
+                if let Entry::Vacant(slot) = model.entry(id) {
+                    slot.insert(ids.len() as u32);
+                    ids.push(id);
+                }
+            }
+            let r = Resolver::build(&ids, IdAssignment::Random);
+            let Resolver::Hashed { table } = &r else {
+                panic!("random IDs resolve through the table");
+            };
+            assert!(table.len().is_power_of_two() && table.len() >= 2 * n);
+            // Every member, then as many absent IDs of each kind.
+            let absent = (0..n as u64).flat_map(|j| [rng.gen(), (k + 1 + j).wrapping_mul(inv)]);
+            for id in ids.iter().copied().chain(absent).chain([0, u64::MAX]) {
+                assert_eq!(r.index_of(id), model.get(&id).copied(), "n={n} id={id}");
+            }
+        }
     }
 
     #[test]
@@ -309,6 +392,72 @@ mod tests {
         b.counts[1] = 1;
         assert_eq!(b.seal_counts_live(0..2), 1);
         assert_eq!(b.arena.len(), cap, "arena must be reused, not shrunk");
+    }
+
+    /// Seals and fills two buckets, each envelope named by its sender.
+    fn route(b: &mut RouteBuffers, buckets: [&[NodeId]; 2]) {
+        b.counts.copy_from_slice(&buckets.map(|s| s.len() as u32));
+        b.seal_counts_live(0..2);
+        for (d, srcs) in buckets.iter().enumerate() {
+            for &src in *srcs {
+                let msg = WireMsg::signal(0);
+                b.push(d, WireEnvelope { src, msg });
+            }
+        }
+    }
+
+    /// The senders of a delivery `(inbox_start, delivered, _)`, in order.
+    fn srcs(b: &RouteBuffers, (start, len, _): (u32, u32, usize)) -> Vec<NodeId> {
+        let inbox = &b.arena[start as usize..][..len as usize];
+        inbox.iter().map(|e| e.src).collect()
+    }
+
+    #[test]
+    fn queue_delivery_stays_in_place_until_a_node_carries_backlog() {
+        let mut b = RouteBuffers::new(2);
+        let mut q = QueueBuffers::new(2);
+        // Round one, cap 2: node 0 reads 1, 2 where they lie and queues 3.
+        route(&mut b, [&[1, 2, 3], &[4]]);
+        let (d0, d1) = (q.deliver(0, &mut b, 2), q.deliver(1, &mut b, 2));
+        q.end_round();
+        assert_eq!((d0, d1), ((0, 2, 1), (3, 1, 0)));
+        assert_eq!((srcs(&b, d0), srcs(&b, d1)), (vec![1, 2], vec![4]));
+        assert_eq!(b.sealed_len(), 4, "nothing spilled");
+        // Round two: node 0 carries 3, so 3 ++ 5 is written past the two
+        // sealed envelopes, and 6 waits.
+        route(&mut b, [&[5, 6], &[]]);
+        let (d0, d1) = (q.deliver(0, &mut b, 2), q.deliver(1, &mut b, 2));
+        q.end_round();
+        assert_eq!((d0.0, d0.2), (2, 1));
+        assert_eq!((srcs(&b, d0), d1.1), (vec![3, 5], 0));
+        // Round three: node 0 has retired; its drain reads the backlog.
+        route(&mut b, [&[], &[]]);
+        let drained: Vec<NodeId> = q.drain(0, 2).iter().map(|e| e.src).collect();
+        q.end_round();
+        assert_eq!((drained, q.backlog_total()), (vec![6], 0));
+    }
+
+    #[test]
+    fn a_queue_emptied_behind_another_can_overflow_again() {
+        // Cap 2. Node 1's queue empties in round two while node 0 still
+        // re-queues, so its empty span starts past the backlog that round
+        // four's arena no longer holds; its overflow there must not read it.
+        let mut b = RouteBuffers::new(2);
+        let mut q = QueueBuffers::new(2);
+        let rounds: [[&[NodeId]; 2]; 4] = [
+            [&[1, 2, 3], &[4, 5, 6]],
+            [&[7, 8], &[]],
+            [&[], &[]],
+            [&[], &[9, 10, 11]],
+        ];
+        let mut last = [(0, 0, 0); 2];
+        for buckets in rounds {
+            route(&mut b, buckets);
+            last = [q.deliver(0, &mut b, 2), q.deliver(1, &mut b, 2)];
+            q.end_round();
+        }
+        assert_eq!((srcs(&b, last[1]), last[1].2), (vec![9, 10], 1));
+        assert_eq!(q.backlog_total(), 1);
     }
 
     #[test]

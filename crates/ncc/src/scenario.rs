@@ -584,7 +584,7 @@ impl ScenarioRt {
         // holds the pass to that), and so a drop-only schedule does not
         // rotate double-sized arenas into every shard.
         let copies = if self.faults.dup_rate > 0.0 { 2 } else { 1 };
-        self.arena.reserve(copies * buffers.arena_len());
+        self.arena.reserve(copies * buffers.sealed_len());
         for i in live {
             let new_start = self.arena.len();
             for &env in buffers.bucket(i) {

@@ -13,7 +13,8 @@
 //! index) into the shard's one staging arena, each slot keeping only its
 //! span; the seal validates over those spans; the exchange scatters
 //! 64-byte [`WireEnvelope`]s (sender, message) into the delivery buckets,
-//! and from there on the bucket *is* the destination. The shard is
+//! and from there on the bucket *is* the destination — and, read where it
+//! lies, the destination's inbox. The shard is
 //! the only unit of parallelism: a per-shard phase fans the shards out
 //! over the worker pool when there is more than one shard *and* more than
 //! one worker, and walks them inline on the calling thread otherwise.
@@ -40,8 +41,10 @@
 //!    own staged spans, cells from shards `s+1..S`;
 //! 8. *fault pass* — the scenario's drop/duplicate/reorder windows
 //!    perturb the sealed buckets, shard by shard, with one RNG;
-//! 9. *deliver* (per shard) — queue delivery or capacity checks;
-//! 10. *learn* (per shard) — delivered envelopes feed the KT0 tracker.
+//! 9. *deliver* (per shard) — every inbox becomes a span of the route
+//!    arena (queue policy: `cap` of backlog ++ bucket); capacity checks;
+//! 10. *learn* (per shard, tracked runs only) — delivered envelopes feed
+//!     the KT0 tracker.
 //!
 //! **Canonical order.** Shard ranges partition the dense index space in
 //! ascending order and every per-shard walk visits slots in slot order,
@@ -164,19 +167,14 @@ struct ShardState<P: NodeProtocol> {
 }
 
 impl<P: NodeProtocol> ShardState<P> {
-    /// Step phase: polls every live protocol over its span of the shard's
-    /// own inbox arena, staging its sends into the shard's own arena.
+    /// Step phase: polls every live protocol over its inbox span of the
+    /// shard's route arena, staging its sends into the shard's own arena.
     fn step(&mut self, rs: &RunShared<'_>) {
-        let arena: &[WireEnvelope] = if rs.queue_mode {
-            &self.queues.inbox
-        } else {
-            &self.buffers.arena
-        };
         self.finished = 0;
         self.staged.clear();
         debug_assert!(self.marks.is_empty());
         for slot in self.slots.iter_mut() {
-            match step_slot(slot, arena, &mut self.staged, &rs.step) {
+            match step_slot(slot, &self.buffers.arena, &mut self.staged, &rs.step) {
                 StepOutcome::Skipped | StepOutcome::Running((None, None)) => {}
                 StepOutcome::Running(marks) => self.marks.push(marks),
                 StepOutcome::Finished { panic: None } => self.finished += 1,
@@ -338,12 +336,14 @@ impl<P: NodeProtocol> ShardState<P> {
         );
     }
 
-    /// Receive side. Queue policy: carried backlog spans merge with the
-    /// round's buckets, `cap` envelopes deliver, the rest re-queue (flat
+    /// Receive side: points every live slot's inbox into the route arena
+    /// and folds the largest delivery. Queue policy: `cap` envelopes of
+    /// carried backlog ++ fresh bucket deliver, the rest re-queue (flat
     /// arenas, no per-node deques); retired nodes with backlog drain
-    /// separately — their freshly routed bucket is empty by validation,
-    /// so `&[]` stands in for it. Other policies: per-bucket capacity
-    /// checks, journaled for the coordinator's replay.
+    /// separately, straight out of the backlog arena — their freshly
+    /// routed bucket is empty by validation. Other policies: the bucket is
+    /// the inbox, and its capacity check is journaled for the
+    /// coordinator's replay.
     fn deliver(&mut self, rs: &RunShared<'_>, round: u64) {
         let lo = self.base as usize;
         let cap = rs.step.cap;
@@ -361,32 +361,33 @@ impl<P: NodeProtocol> ShardState<P> {
                         },
                     });
                 }
+                self.max_received = self.max_received.max(received as usize);
                 slot.inbox_start = start;
                 slot.inbox_len = received;
             }
             return;
         }
-        self.queues.begin_round();
         for slot in self.slots.iter_mut().filter(|s| s.alive) {
             let i = slot.idx as usize - lo;
             // A parked slot receives nothing, but its backlog must still
             // ride the double-buffer swap (cap 0 = re-queue everything,
             // FIFO intact for recovery).
             let cap_i = if slot.paused { 0 } else { cap };
-            let (start, take, queued) = self.queues.deliver(i, self.buffers.bucket(i), cap_i);
+            let (start, take, queued) = self.queues.deliver(i, &mut self.buffers, cap_i);
             self.max_queue = self.max_queue.max(queued);
+            self.max_received = self.max_received.max(take as usize);
             slot.inbox_start = start;
             slot.inbox_len = take;
         }
         let mut drained_any = false;
         for &li in self.dead_backlog.iter() {
-            let (start, take, queued) = self.queues.deliver(li as usize, &[], cap);
-            self.max_queue = self.max_queue.max(queued);
+            let drained = self.queues.drain(li as usize, cap);
             // A dead node's "delivery" is immediately undeliverable.
-            self.max_received = self.max_received.max(take as usize);
-            let inbox = &self.queues.inbox[start as usize..][..take as usize];
-            learn_inbox(&mut self.knowledge, li as usize, inbox);
-            self.undelivered += take as u64;
+            self.max_received = self.max_received.max(drained.len());
+            self.undelivered += drained.len() as u64;
+            learn_inbox(&mut self.knowledge, li as usize, drained);
+            let queued = self.queues.backlog_len(li as usize);
+            self.max_queue = self.max_queue.max(queued);
             drained_any |= queued == 0;
         }
         if drained_any {
@@ -397,19 +398,12 @@ impl<P: NodeProtocol> ShardState<P> {
         self.queues.end_round();
     }
 
-    /// Learn sweep + delivery fold: the shard's tracker is private, so
+    /// Learn sweep (tracked runs only): the shard's tracker is private, so
     /// learns apply in place.
-    fn learn(&mut self, rs: &RunShared<'_>) {
+    fn learn(&mut self) {
         let lo = self.base as usize;
-        let arena: &[WireEnvelope] = if rs.queue_mode {
-            &self.queues.inbox
-        } else {
-            &self.buffers.arena
-        };
         for slot in self.slots.iter().filter(|s| s.alive) {
-            let delivered = slot.inbox_len as usize;
-            self.max_received = self.max_received.max(delivered);
-            let inbox = &arena[slot.inbox_start as usize..][..delivered];
+            let inbox = &self.buffers.arena[slot.inbox_start as usize..][..slot.inbox_len as usize];
             learn_inbox(&mut self.knowledge, slot.idx as usize - lo, inbox);
         }
     }
@@ -890,9 +884,11 @@ where
             Ok::<(), SimError>(())
         })?;
 
-        timed(&mut learn_nanos, || {
-            for_each_shard(&mut shards, fan_out, |_, sh| sh.learn(&rs));
-        });
+        if track {
+            timed(&mut learn_nanos, || {
+                for_each_shard(&mut shards, fan_out, |_, sh| sh.learn());
+            });
+        }
 
         metrics.record_round(round_messages);
         emitter.emit(RunEvent::RoundCompleted {

@@ -180,6 +180,81 @@ impl NodeProtocol for Gossip {
     }
 }
 
+/// A KT0-legal fan-in that keeps receive queues backlogged for rounds on
+/// end. Round 0 introduces every node to its predecessor, round 1 has it
+/// name its successor to that predecessor; then for `burst` rounds every
+/// node spends its whole send capacity on whichever of its next two path
+/// nodes has the smaller ID. A local ID minimum is picked by both of its
+/// predecessors, takes `2 · cap` a round, and its FIFO queue grows by
+/// `cap` a round — then drains at `cap` a round, all of it delivered
+/// before every node retires, `burst + 2` rounds after the burst. The
+/// output is an FNV hash over every envelope received, in delivery order.
+pub struct FanIn {
+    burst: u64,
+    lifetime: u64,
+    pred: Option<NodeId>,
+    succ: Option<NodeId>,
+    second: Option<NodeId>,
+    hash: u64,
+}
+
+impl FanIn {
+    pub fn new(seed: &NodeSeed<'_>, burst: u64) -> Self {
+        FanIn {
+            burst,
+            lifetime: 2 * burst + 4,
+            pred: None,
+            succ: seed.initial_successor,
+            second: None,
+            hash: 0xcbf2_9ce4_8422_2325,
+        }
+    }
+}
+
+impl NodeProtocol for FanIn {
+    type Output = u64;
+
+    fn step(&mut self, ctx: &mut RoundCtx<'_>) -> Status<u64> {
+        let round = ctx.round();
+        for env in ctx.inbox() {
+            self.hash = [round, env.src, env.msg.tag as u64]
+                .into_iter()
+                .chain(env.msg.words_slice().iter().copied())
+                .fold(self.hash, fnv);
+            match env.msg.tag {
+                1 => self.pred = Some(env.src),
+                2 if Some(env.src) == self.succ => {
+                    self.second = env.msg.addrs_slice().first().copied()
+                }
+                _ => {}
+            }
+        }
+        if round >= self.lifetime {
+            return Status::Done(self.hash);
+        }
+        match round {
+            0 => self
+                .succ
+                .into_iter()
+                .for_each(|s| ctx.send(s, WireMsg::signal(1))),
+            1 => {
+                if let (Some(pred), Some(succ)) = (self.pred, self.succ) {
+                    ctx.send(pred, WireMsg::signal(2).with_addr(succ));
+                }
+            }
+            r if r < 2 + self.burst => {
+                if let Some(target) = [self.succ, self.second].into_iter().flatten().min() {
+                    for k in 0..ctx.capacity() as u64 {
+                        ctx.send(target, WireMsg::word(3, r << 8 | k));
+                    }
+                }
+            }
+            _ => {}
+        }
+        Status::Continue
+    }
+}
+
 /// A minimal fixed-duration protocol: ping the initial successor every
 /// round with a constant word. Its steps perform no allocation at all,
 /// which makes it the fixture for the zero-allocation probe.

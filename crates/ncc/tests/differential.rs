@@ -5,8 +5,11 @@
 //! policies, ID assignments and staggered node lifetimes.
 mod common;
 
-use common::{assert_matches_reference, derived_shards, Gossip};
-use dgr_ncc::{CapacityPolicy, Config, EngineKind, Network, Recording, RunResult, SimError};
+use common::{assert_matches_reference, derived_shards, FanIn, Gossip};
+use dgr_ncc::{
+    CapacityPolicy, Config, EngineKind, Network, NodeProtocol, NodeSeed, Recording, RunMetrics,
+    RunResult, SimError,
+};
 
 /// Runs the same gossip configuration on both engines and asserts full
 /// observational equality — transcripts, metrics, and the semantic
@@ -67,6 +70,38 @@ fn queue_policy_paces_identically() {
     config.capacity_policy = CapacityPolicy::Queue;
     config.track_knowledge = false;
     assert_engines_agree(56, config, 10, 7, 3);
+}
+
+#[test]
+fn an_untracked_run_folds_the_same_max_received() {
+    // Untracked runs skip the learn sweep and fold the largest delivery in
+    // `deliver`. Gossip and the fan-in only address IDs they have learned,
+    // so turning the tracker off may move `max_knowledge` and nothing else.
+    fn runs<P: NodeProtocol<Output = u64>>(
+        config: Config,
+        factory: impl Fn(&NodeSeed<'_>) -> P + Sync,
+    ) -> [RunResult<u64>; 2] {
+        [true, false].map(|tracked| {
+            let mut config = config.clone();
+            config.track_knowledge = tracked;
+            Network::new(500, config).run_protocol(&factory).unwrap()
+        })
+    }
+    let mut record = Config::ncc0(41);
+    record.capacity_policy = CapacityPolicy::Record;
+    let gossip = runs(record, |s| Gossip::new(s, 9, 4, 3));
+    let fan_in = runs(Config::ncc0(42).with_queueing(), |s| FanIn::new(s, 4));
+    for (what, [tracked, untracked]) in [("gossip", gossip), ("fan-in", fan_in)] {
+        assert!(tracked.metrics.max_knowledge > 0, "{what}");
+        assert!(untracked.metrics.max_received_per_round > 0, "{what}");
+        assert_eq!(tracked.outputs, untracked.outputs, "{what}");
+        let metrics = RunMetrics {
+            max_knowledge: 0,
+            ..tracked.metrics
+        };
+        assert_eq!(metrics, untracked.metrics, "{what}");
+        assert_eq!(untracked.engine.learn_nanos, 0, "{what}: no learn sweep");
+    }
 }
 
 #[test]

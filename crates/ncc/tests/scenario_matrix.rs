@@ -14,10 +14,10 @@
 
 mod common;
 
-use common::{assert_matches_reference, Gossip};
+use common::{assert_matches_reference, FanIn, Gossip};
 use dgr_ncc::{
-    CapacityPolicy, Config, EngineKind, EngineStats, Network, Recording, RunEvent, RunResult,
-    Scenario, SimError,
+    CapacityPolicy, Config, EngineKind, EngineStats, Network, NodeProtocol, NodeSeed, Recording,
+    RunEvent, RunResult, Scenario, SimError,
 };
 
 /// The scenario counters of a run, as the event stream folded them.
@@ -35,20 +35,22 @@ fn fault_counters(stats: &EngineStats) -> [u64; 6] {
 /// Holds a batched scenario run to the reference interpreter under the
 /// same schedule: everything `assert_matches_reference` compares, plus
 /// the raw fault and churn counters.
-fn assert_scenario_matches_reference(
+fn assert_scenario_matches_reference<P, F>(
     n: usize,
     config: &Config,
     batched: &RunResult<u64>,
     batched_events: &[RunEvent],
-    gossip: (u64, u64, usize),
-) {
-    let (base, stagger, fan) = gossip;
+    factory: F,
+) where
+    P: NodeProtocol<Output = u64>,
+    F: Fn(&NodeSeed<'_>) -> P + Send + Sync,
+{
     let reference = assert_matches_reference(
         &Network::new(n, config.clone()),
         None,
         batched,
         batched_events,
-        |s| Gossip::new(s, base, stagger, fan),
+        factory,
         &format!("scenario n={n}"),
     );
     assert_eq!(
@@ -65,14 +67,16 @@ const WORKERS: [usize; 3] = [1, 2, 8];
 /// Runs the batched engine once per (shards × workers) cell under the
 /// given scenario and asserts outputs, metrics, and the raw event stream
 /// are bit-identical to the unsharded single-worker baseline.
-fn assert_scenario_matrix(
+fn assert_scenario_matrix<P, F>(
     n: usize,
     config: &Config,
     scenario: &Scenario,
-    base: u64,
-    stagger: u64,
-    fan: usize,
-) -> (RunResult<u64>, Vec<RunEvent>) {
+    factory: F,
+) -> (RunResult<u64>, Vec<RunEvent>)
+where
+    P: NodeProtocol<Output = u64>,
+    F: Fn(&NodeSeed<'_>) -> P + Send + Sync,
+{
     let run = |shards: usize, workers: usize| {
         let net = Network::new(
             n,
@@ -84,9 +88,7 @@ fn assert_scenario_matrix(
         );
         let mut events = Recording::new();
         let result: RunResult<u64> = net
-            .run_protocol_on(EngineKind::Batched, None, Some(&mut events), |s| {
-                Gossip::new(s, base, stagger, fan)
-            })
+            .run_protocol_on(EngineKind::Batched, None, Some(&mut events), &factory)
             .unwrap();
         (result, events.events().to_vec())
     };
@@ -98,7 +100,7 @@ fn assert_scenario_matrix(
         &config.clone().with_scenario(scenario.clone()),
         &result_1,
         &events_1,
-        (base, stagger, fan),
+        &factory,
     );
     for shards in SHARDS {
         for workers in WORKERS {
@@ -136,7 +138,8 @@ fn scenario_matrix_full_schedule_queue_tracked() {
         .crash(17, 6)
         .crash_recover(23, 4, 8)
         .join(41, 5);
-    let (result, events) = assert_scenario_matrix(4_000, &config, &scenario, 14, 0, 3);
+    let (result, events) =
+        assert_scenario_matrix(4_000, &config, &scenario, |s| Gossip::new(s, 14, 0, 3));
 
     // The schedule actually fired, and the narration reached the stats.
     let stats = &result.engine;
@@ -183,9 +186,54 @@ fn scenario_matrix_one_fault_family_per_row() {
         ("join", Scenario::new(16).join(3, 4).join(700, 9)),
     ];
     for (family, scenario) in rows {
-        let (result, _) = assert_scenario_matrix(2_500, &config, &scenario, 12, 0, 3);
+        let (result, _) =
+            assert_scenario_matrix(2_500, &config, &scenario, |s| Gossip::new(s, 12, 0, 3));
         let fired: u64 = fault_counters(&result.engine).iter().sum();
         assert!(fired > 0, "{family} schedule never fired");
+    }
+}
+
+/// Queues that carry backlog for rounds on end, under fire — one row
+/// each, through the whole matrix and against the oracle: message faults
+/// landing behind a backlog (a reorder permutes only the fresh bucket), a
+/// crash-pause of a backlogged node that recovers and reads its FIFO on
+/// from where it stopped, and a crash-stop of one whose backlog the dead
+/// drain empties into the undelivered count.
+#[test]
+fn scenario_matrix_fan_in_backlog_under_faults_and_churn() {
+    let (n, burst) = (600, 6);
+    let config = Config::ncc0(94).with_queueing();
+    let cap = config.capacity(n);
+    // The interior positions both predecessors pick: local ID minima.
+    let ids = Network::new(n, config.clone()).ids_in_path_order().to_vec();
+    let hot: Vec<usize> = (2..n - 1)
+        .filter(|&p| ids[p] < ids[p - 1] && ids[p] < ids[p + 1])
+        .collect();
+    let rows = [
+        (
+            "drop + duplicate + reorder",
+            Scenario::new(31)
+                .drop_messages(2..=12, 0.05)
+                .duplicate_messages(3..=10, 0.05)
+                .reorder(2..=14),
+        ),
+        ("crash-pause", Scenario::new(32).crash_recover(hot[0], 4, 9)),
+        ("crash-stop", Scenario::new(33).crash(hot[1], 5)),
+    ];
+    for (family, scenario) in rows {
+        let (result, _) = assert_scenario_matrix(n, &config, &scenario, |s| FanIn::new(s, burst));
+        let (metrics, stats) = (&result.metrics, &result.engine);
+        assert!(
+            metrics.max_queue_len >= 2 * cap,
+            "{family}: backlog outlives a round"
+        );
+        match family {
+            "crash-pause" => assert_eq!((stats.crashes, stats.recoveries), (1, 1)),
+            "crash-stop" => assert!(metrics.undelivered > 0, "the dead drain counts"),
+            _ => {
+                assert!(stats.faults_dropped * stats.faults_duplicated * stats.faults_reordered > 0)
+            }
+        }
     }
 }
 
@@ -282,13 +330,9 @@ fn crash_stop_matches_the_voluntary_death_transcript() {
     assert!(crashed.outputs.is_empty());
     assert_eq!(crashed.engine.crashes, n as u64);
     // The same identity on the oracle's own crash rule.
-    assert_scenario_matches_reference(
-        n,
-        &crash_config,
-        &crashed,
-        &crashed_events.events(),
-        (u64::MAX, 0, fan),
-    );
+    assert_scenario_matches_reference(n, &crash_config, &crashed, &crashed_events.events(), |s| {
+        Gossip::new(s, u64::MAX, 0, fan)
+    });
 }
 
 #[test]
@@ -351,5 +395,7 @@ fn gossip_certifies_under_one_percent_drop() {
         })
         .sum();
     assert_eq!(narrated, result.metrics.messages);
-    assert_scenario_matches_reference(4_000, &drop_config, &result, &events.events(), (12, 5, 3));
+    assert_scenario_matches_reference(4_000, &drop_config, &result, &events.events(), |s| {
+        Gossip::new(s, 12, 5, 3)
+    });
 }

@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::{assert_matches_reference, derived_shards, Gossip, Script};
+use common::{assert_matches_reference, derived_shards, FanIn, Gossip, Script};
 use dgr_ncc::{
     CapacityPolicy, Config, EngineKind, Network, NodeSeed, Recording, RoundCtx, RunEvent,
     RunResult, Scenario, SimError, Status,
@@ -101,11 +101,57 @@ fn assert_shard_matrix(n: usize, config: &Config, base: u64, stagger: u64, fan: 
 
 #[test]
 fn shard_matrix_queue_mode_tracked() {
-    // Queue pacing + knowledge tracking: FIFO backlog contents depend on
-    // exact bucket order, so the exchange splice is what's under test.
+    // Queue pacing + knowledge tracking: delivery order depends on exact
+    // bucket order, so the exchange splice is what's under test. (A
+    // fan-out of 3 never overloads a receiver; the fan-in matrix below is
+    // the one that carries backlog.)
     let mut config = Config::ncc0(71);
     config.capacity_policy = CapacityPolicy::Queue;
     assert_shard_matrix(6_000, &config, 10, 0, 3);
+}
+
+#[test]
+fn shard_matrix_carries_fan_in_backlog_across_rounds() {
+    // Receive queues that stay backlogged for rounds on end: a node that
+    // carries backlog into a round reads `backlog ++ bucket prefix` from
+    // the route arena's spill region, the others read their buckets in
+    // place — at every layout, tracked, and equal to the oracle.
+    let (n, burst) = (600, 6);
+    let config = Config::ncc0(77).with_queueing();
+    let cap = config.capacity(n);
+    let mut streams = Vec::new();
+    for shards in [1, 2, 4] {
+        for workers in [1, 2] {
+            let what = format!("fan-in at {shards} shards × {workers} workers");
+            let layout = config
+                .clone()
+                .with_shards(shards)
+                .with_worker_threads(workers);
+            let net = Network::new(n, layout);
+            let mut events = Recording::new();
+            let result = net
+                .run_protocol_on(EngineKind::Batched, None, Some(&mut events), |s| {
+                    FanIn::new(s, burst)
+                })
+                .unwrap();
+            assert!(
+                result.metrics.max_queue_len >= 2 * cap,
+                "{what}: backlog outlives a round"
+            );
+            assert!(result.metrics.is_clean(), "{what}: {:?}", result.metrics);
+            assert_eq!(result.engine.cross_shard_messages > 0, shards > 1, "{what}");
+            assert_matches_reference(
+                &net,
+                None,
+                &result,
+                &events.events(),
+                |s| FanIn::new(s, burst),
+                &what,
+            );
+            streams.push(events.events().to_vec());
+        }
+    }
+    assert!(streams.windows(2).all(|pair| pair[0] == pair[1]));
 }
 
 #[test]

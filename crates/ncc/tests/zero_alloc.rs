@@ -229,6 +229,69 @@ fn one_shard_under_two_workers_does_not_allocate_per_round() {
     }
 }
 
+/// Allocation count of a queue-paced run with a steady backlog: position
+/// 1 spends its whole capacity on the hub every round, position 0 does so
+/// in round 0 only, so the hub ends round 0 with `cap` queued and from
+/// then on takes `cap` a round while delivering `cap` a round — it carries
+/// `cap` into every round, and every round its inbox is written to the
+/// route arena's spill region. The hub sits in another shard than its
+/// senders at four shards (untracked: the senders never learn it).
+fn allocations_for_backlog(rounds: u64, shards: usize) -> u64 {
+    let mut config = Config::ncc0(99)
+        .with_queueing()
+        .with_worker_threads(1)
+        .with_shards(shards);
+    config.track_knowledge = false;
+    let net = Network::new(512, config);
+    let cap = net.capacity();
+    let (ids, hub) = (
+        net.ids_in_path_order().to_vec(),
+        net.ids_in_path_order()[300],
+    );
+    let before = ALLOCATIONS.get();
+    MEASURING.with(|m| m.set(true));
+    let result = net
+        .run_protocol(|seed| {
+            let position = ids.iter().position(|&id| id == seed.id).unwrap();
+            Script(move |ctx: &mut RoundCtx<'_>| {
+                if ctx.round() >= rounds {
+                    return Status::Done(());
+                }
+                if position == 1 || (position, ctx.round()) == (0, 0) {
+                    (0..cap).for_each(|_| ctx.send(hub, WireMsg::word(1, 42)));
+                }
+                Status::Continue
+            })
+        })
+        .unwrap();
+    MEASURING.with(|m| m.set(false));
+    assert_eq!(result.metrics.rounds, rounds);
+    assert_eq!(result.metrics.max_queue_len, cap);
+    assert_eq!(
+        result.metrics.undelivered, cap as u64,
+        "the hub's last backlog"
+    );
+    ALLOCATIONS.get() - before
+}
+
+/// Queue delivery with backlog carried into every round — FIFO re-queue
+/// into the backlog arena, `backlog ++ bucket prefix` into the spill
+/// region — is allocation-free at steady state, on one shard and on four.
+#[test]
+fn steady_queue_backlog_does_not_allocate_per_round() {
+    for shards in [1usize, 4] {
+        let _ = allocations_for_backlog(5, shards);
+        let short = allocations_for_backlog(10, shards);
+        let long = allocations_for_backlog(510, shards);
+        assert_eq!(
+            long, short,
+            "queued delivery allocates ({shards} shard(s)): {short} \
+             allocations over 10 rounds vs {long} over 510 — the backlog \
+             arenas and the spill region must be round-reused"
+        );
+    }
+}
+
 /// Allocation count of a run whose nodes send a burst of one to three
 /// messages to their successor, the size rotating with the round and the
 /// node's ID: every slot's span of the staging arena changes length and

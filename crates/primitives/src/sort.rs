@@ -3,7 +3,8 @@
 //! The paper sorts by recursively merging sorted sub-paths with median
 //! splitting (`O(log³ n)` rounds). We substitute a **Batcher odd-even
 //! mergesort network** over path positions, which achieves the same
-//! primitive contract in `O(log² n)` rounds (see `DESIGN.md` §4):
+//! primitive contract in `O(log² n)` rounds (ARCHITECTURE.md, *Deviations
+//! from the paper*):
 //!
 //! * every comparator connects two positions a power-of-two apart, so the
 //!   [`ContactTable`] provides the addressing;
@@ -141,15 +142,19 @@ pub fn rounds_for(len: usize) -> u64 {
 ///
 /// Derived from the classic triple loop
 /// `for j in (k%p..).step_by(2k) { for i in 0..k { compare(i+j, i+j+k) if
-/// same 2p-block } }` — solved for `x` in O(1).
+/// same 2p-block } }` — solved for `x` in O(1). `p` and `k ≤ p` are powers
+/// of two, so every division of that form is a mask or a shift.
 pub(crate) fn comparator_at(x: usize, len: usize, p: usize, k: usize) -> Option<(usize, bool)> {
-    let j0 = k % p;
-    let two_k = 2 * k;
+    debug_assert!(p.is_power_of_two() && k.is_power_of_two() && k <= p);
+    // k mod p, and log₂ of the 2p-block width.
+    let j0 = k & (p - 1);
+    let block = p.trailing_zeros() + 1;
     // Is `lo` the low endpoint of a stage comparator? lo = i + j with
     // i ∈ [0, k), j ≡ j0 (mod 2k), j ≥ j0 — equivalently lo ≥ j0 and
-    // (lo - j0) mod 2k < k — and lo, lo+k must share a 2p-block.
+    // (lo - j0) mod 2k < k, i.e. its `k` bit is clear — and lo, lo+k
+    // must share a 2p-block.
     let is_low = |lo: usize| -> bool {
-        lo >= j0 && (lo - j0) % two_k < k && lo + k < len && lo / (2 * p) == (lo + k) / (2 * p)
+        lo >= j0 && (lo - j0) & k == 0 && lo + k < len && lo >> block == (lo + k) >> block
     };
     if is_low(x) {
         return Some((x + k, true));
@@ -443,6 +448,37 @@ mod tests {
             }
         }
         a.iter().map(|r| r.key).collect()
+    }
+
+    #[test]
+    fn comparator_masks_equal_the_division_form() {
+        // The schedule written with the divisions it was derived with.
+        let by_division = |x: usize, len: usize, p: usize, k: usize| {
+            let j0 = k % p;
+            let is_low = |lo: usize| {
+                lo >= j0
+                    && (lo - j0) % (2 * k) < k
+                    && lo + k < len
+                    && lo / (2 * p) == (lo + k) / (2 * p)
+            };
+            match (is_low(x), x >= k && is_low(x - k)) {
+                (true, _) => Some((x + k, true)),
+                (false, true) => Some((x - k, false)),
+                (false, false) => None,
+            }
+        };
+        for len in 0..=300 {
+            for (p, k) in StageIter::new(len) {
+                for x in 0..len {
+                    let want = by_division(x, len, p, k);
+                    assert_eq!(
+                        comparator_at(x, len, p, k),
+                        want,
+                        "len={len} p={p} k={k} x={x}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,149 @@
+//! The benchmark's four calls, rebuilt through the public facade, held to
+//! the fingerprints `e2e` prints for them: rounds, messages, words and an
+//! FNV-1a hash of the output (the sorted edge list; for the flood, every
+//! node's contact table), at the benchmark's seed and its hold-out seed.
+//! An engine change must leave all four fields alone on every tuple, and
+//! this is the test that says so without anyone running the benchmark.
+//! Release-only (`cargo test --release --test fingerprints`; CI runs it):
+//! the flood alone is 10⁵ nodes.
+
+use distributed_graph_realizations::graphgen;
+use distributed_graph_realizations::ncc::Network;
+use distributed_graph_realizations::prelude::*;
+use distributed_graph_realizations::primitives::PathToClique;
+
+/// FNV-1a over the little-endian bytes of each word — the benchmark's.
+struct Fnv(u64);
+
+impl Fnv {
+    fn write(&mut self, word: u64) {
+        for b in word.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// `(rounds, messages, words, output_fnv)`.
+type Fingerprint = (u64, u64, u64, u64);
+
+fn of(metrics: &RunMetrics, fnv: Fnv) -> Fingerprint {
+    (metrics.rounds, metrics.messages, metrics.words, fnv.0)
+}
+
+/// One facade workload at n = 2048, as `crates/bench/src/bin/e2e`'s
+/// `workloads.rs` builds it.
+fn facade(workload: &str, seed: u64) -> Fingerprint {
+    let n = 2048;
+    let request = match workload {
+        "degrees_default" => {
+            let mut degrees = graphgen::near_regular_sequence(n, 4, 5);
+            degrees.rotate_left((seed % n as u64) as usize);
+            Realization::new(Workload::Implicit(degrees)).workers(0)
+        }
+        "explicit_powerlaw" => {
+            let degrees = graphgen::power_law_sequence(n, 64, 2.5, seed);
+            let request = Realization::new(Workload::Explicit(degrees));
+            request.tracking(Kt0::Untracked).workers(1)
+        }
+        "threshold_certified" => {
+            let rho = graphgen::uniform_thresholds(n, 1, 5, seed);
+            Realization::new(Workload::Ncc0Exact(rho)).workers(0)
+        }
+        other => unreachable!("{other} is not a facade workload"),
+    };
+    let realized = request.seed(seed).run().unwrap();
+    let graph = match &realized.output {
+        RunOutput::Degrees(DriverOutput::Realized(o)) => &o.graph,
+        RunOutput::Threshold(t) => &t.graph,
+        _ => panic!("{workload}: no graph"),
+    };
+    let mut edges: Vec<_> = graph
+        .edge_list()
+        .into_iter()
+        .map(|(u, v)| (u.min(v), u.max(v)))
+        .collect();
+    edges.sort_unstable();
+    let mut fnv = Fnv(FNV_BASIS);
+    for (u, v) in edges {
+        fnv.write(u);
+        fnv.write(v);
+    }
+    of(realized.metrics(), fnv)
+}
+
+/// `flood_sharded_faulty`: the NCC₀ warm-up on 10⁵ nodes, two shards,
+/// queue policy, 1 % drop.
+fn flood(seed: u64) -> Fingerprint {
+    let config = Config::ncc0(seed)
+        .with_worker_threads(0)
+        .with_queueing()
+        .with_shards(2)
+        .with_scenario(Scenario::new(seed).drop_messages(0..=u64::MAX, 0.01));
+    let result = Network::new(100_000, config)
+        .run_protocol(PathToClique::new)
+        .unwrap();
+    let mut fnv = Fnv(FNV_BASIS);
+    for (id, warm) in &result.outputs {
+        fnv.write(*id);
+        for c in warm.contacts.fwd.iter().chain(&warm.contacts.bwd) {
+            fnv.write(c.unwrap_or(0));
+        }
+    }
+    of(&result.metrics, fnv)
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: run with --release")]
+fn benchmark_calls_keep_their_fingerprints() {
+    let expected: [(&str, u64, Fingerprint); 8] = [
+        (
+            "degrees_default",
+            2020,
+            (1013, 1_366_017, 4_167_693, 0x7504_cae2_9b62_b91e),
+        ),
+        (
+            "degrees_default",
+            5376,
+            (1013, 1_366_017, 4_167_693, 0xe514_bcfc_8041_68a3),
+        ),
+        (
+            "explicit_powerlaw",
+            2020,
+            (2069, 2_839_331, 8_653_095, 0xc7bd_c305_c5cc_2575),
+        ),
+        (
+            "explicit_powerlaw",
+            5376,
+            (2069, 2_839_331, 8_653_095, 0x58a9_4497_4cc0_62ab),
+        ),
+        (
+            "threshold_certified",
+            2020,
+            (451, 215_567, 664_881, 0x513e_2e44_4a43_24ed),
+        ),
+        (
+            "threshold_certified",
+            5376,
+            (451, 215_441, 664_630, 0x3b4e_011f_5d6a_ee6a),
+        ),
+        (
+            "flood_sharded_faulty",
+            2020,
+            (17, 1_057_162, 2_973_486, 0xb8d3_9db2_ffb8_695a),
+        ),
+        (
+            "flood_sharded_faulty",
+            5376,
+            (17, 1_056_113, 2_970_427, 0x14bd_4a45_4343_0f88),
+        ),
+    ];
+    for (workload, seed, want) in expected {
+        let got = match workload {
+            "flood_sharded_faulty" => flood(seed),
+            _ => facade(workload, seed),
+        };
+        assert_eq!(got, want, "{workload} at seed {seed}");
+    }
+}

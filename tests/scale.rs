@@ -98,9 +98,9 @@ const ARENA_CEILING_200K: usize = 23_751_424 / 50 * 51;
 /// And so is everything else the executor holds: the footprint record of
 /// the same warm-up — slots, staging, route and queue arenas, exchange
 /// cells, knowledge, index tables, `capacity × size_of` each — came to
-/// 373 903 040 bytes on one shard and 395 136 704 on four (the cells
+/// 346 337 216 bytes on one shard and 367 570 880 on four (the cells
 /// are what grows with the shard count), and may exceed that by 2 %.
-const FOOTPRINT_CEILING_200K: usize = 395_136_704 / 50 * 51;
+const FOOTPRINT_CEILING_200K: usize = 367_570_880 / 50 * 51;
 
 /// The memory smoke CI runs beside the tracked ones: the tracked
 /// queue-paced 200k warm-up pinned to one shard and to four, each held
