@@ -18,7 +18,7 @@
 //! (exit 1) if any shared workload regressed by more than 2x. This is the
 //! per-workload regression gate CI runs.
 
-use dgr_bench::drive::{CapacityPolicy, Kt0, Realization, SortBackend, Workload};
+use dgr_bench::drive::{CapacityPolicy, Kt0, Realization, Workload};
 use dgr_graphgen as graphgen;
 use dgr_ncc::{Config, EngineKind, EngineStats, Network, NullSink, RunMetrics, Scenario};
 use dgr_primitives::sort::{Order, SortStep};
@@ -92,15 +92,10 @@ fn hardware_fingerprint() -> String {
 }
 
 /// The builder request shared by every driver row.
-fn request(workload: Workload, seed: u64, sort: SortBackend) -> Realization {
-    let policy = match sort {
-        SortBackend::RandomizedLogN { .. } => CapacityPolicy::Queue,
-        SortBackend::Bitonic => CapacityPolicy::Strict,
-    };
+fn request(workload: Workload, seed: u64) -> Realization {
     Realization::new(workload)
-        .policy(policy)
+        .policy(CapacityPolicy::Strict)
         .tracking(Kt0::Untracked)
-        .sort(sort)
         .seed(seed)
 }
 
@@ -216,14 +211,10 @@ fn degrees_churn(n: usize, repeats: u32) -> Vec<Entry> {
         .crash_recover(1, horizon, horizon + 4)
         .crash_recover(2, horizon + 1, horizon + 3);
     measure("degrees+churn", n, repeats, || {
-        let out = request(
-            Workload::Implicit(degrees.clone()),
-            45,
-            SortBackend::Bitonic,
-        )
-        .scenario(scenario.clone())
-        .run()
-        .unwrap();
+        let out = request(Workload::Implicit(degrees.clone()), 45)
+            .scenario(scenario.clone())
+            .run()
+            .unwrap();
         (out.metrics().clone(), out.engine_stats.clone())
     })
 }
@@ -292,26 +283,16 @@ fn establish(n: usize, repeats: u32) -> Vec<Entry> {
     })
 }
 
-/// The sort workload (establish + Theorem 3) with a selectable backend.
-/// The randomized backend's scatter fan-in needs queueing; the bitonic
-/// rows stay strict so their history keys remain comparable.
-fn dist_sort_with(
-    workload: &'static str,
-    n: usize,
-    repeats: u32,
-    backend: SortBackend,
-) -> Vec<Entry> {
-    let mut config = bench_config(44);
-    if matches!(backend, SortBackend::RandomizedLogN { .. }) {
-        config = config.with_queueing();
-    }
-    let net = Network::new(n, config);
-    measure(workload, n, repeats, || {
+/// The sort workload: establish + Theorem 3.
+fn dist_sort(n: usize, repeats: u32) -> Vec<Entry> {
+    let net = Network::new(n, bench_config(44));
+    measure("sort", n, repeats, || {
         let r = net
             .run_protocol(|_| {
                 WithCtx::new(move |ctx: &PathCtx, rctx: &mut dgr_ncc::RoundCtx<'_>| {
                     let (key, id) = (rctx.id() % 1000, rctx.id());
-                    SortStep::on_ctx(ctx, key, Order::Descending, id, backend)
+                    let (vp, contacts) = (ctx.vp, ctx.contacts.clone());
+                    SortStep::new(vp, contacts, ctx.position, key, Order::Descending, id)
                 })
             })
             .unwrap();
@@ -319,27 +300,24 @@ fn dist_sort_with(
     })
 }
 
-/// The seed of every randomized-backend row.
-const RAND: SortBackend = SortBackend::RandomizedLogN { seed: 9 };
-
-fn degrees_with(workload: &'static str, n: usize, repeats: u32, sort: SortBackend) -> Vec<Entry> {
+fn degrees_implicit(n: usize, repeats: u32) -> Vec<Entry> {
     let degrees = graphgen::near_regular_sequence(n, 4, 9);
-    measure(workload, n, repeats, || {
-        let out = request(Workload::Implicit(degrees.clone()), 45, sort)
+    measure("degrees-implicit", n, repeats, || {
+        let out = request(Workload::Implicit(degrees.clone()), 45)
             .run()
             .unwrap();
         (out.metrics().clone(), out.engine_stats.clone())
     })
 }
 
-fn tree_with(workload: &'static str, n: usize, repeats: u32, sort: SortBackend) -> Vec<Entry> {
+fn tree_greedy(n: usize, repeats: u32) -> Vec<Entry> {
     let degrees = graphgen::random_tree_sequence(n, 11);
-    measure(workload, n, repeats, || {
+    measure("tree-greedy", n, repeats, || {
         let workload = Workload::Tree {
             degrees: degrees.clone(),
             algo: TreeAlgo::Greedy,
         };
-        let out = request(workload, 46, sort).run().unwrap();
+        let out = request(workload, 46).run().unwrap();
         (out.metrics().clone(), out.engine_stats.clone())
     })
 }
@@ -480,47 +458,18 @@ fn main() {
             entries.extend(warmup_sharded(n, repeats, shards));
         }
     }
-    // 16384 = 2^14 sits in both sweeps: it is the crossover point where
-    // the Theorem 3 randomized backend must undercut the bitonic round
-    // count, so the history gate tracks it from day one.
     let driver_sizes: &[(usize, u32)] = if quick {
-        &[(1_000, 5), (10_000, 2), (16_384, 2)]
+        &[(1_000, 5), (10_000, 2)]
     } else {
-        &[(1_000, 5), (10_000, 2), (16_384, 2), (100_000, 1)]
+        &[(1_000, 5), (10_000, 2), (100_000, 1)]
     };
     for &(n, repeats) in driver_sizes {
         eprintln!("primitives + drivers n={n} ...");
-        let bitonic = SortBackend::Bitonic;
         entries.extend(establish(n, repeats));
-        entries.extend(dist_sort_with("sort", n, repeats, bitonic));
-        entries.extend(degrees_with("degrees-implicit", n, repeats, bitonic));
-        entries.extend(tree_with("tree-greedy", n, repeats, bitonic));
-        // The Theorem 3 randomized backend, one row per sorting workload
-        // (warmup/establish never sort).
-        entries.extend(dist_sort_with("sort+rand", n, repeats, RAND));
-        entries.extend(degrees_with("degrees-implicit+rand", n, repeats, RAND));
+        entries.extend(dist_sort(n, repeats));
+        entries.extend(degrees_implicit(n, repeats));
         entries.extend(degrees_churn(n, repeats));
-        entries.extend(tree_with("tree-greedy+rand", n, repeats, RAND));
-    }
-    // The acceptance line for the randomized backend: strictly fewer
-    // rounds than the bitonic network from n = 2^14 up.
-    for &(n, _) in driver_sizes.iter().filter(|&&(n, _)| n >= 1 << 14) {
-        let rounds_of = |workload: &str| {
-            entries
-                .iter()
-                .find(|e| e.workload == workload && e.n == n)
-                .map(|e| e.rounds)
-                .unwrap()
-        };
-        let (bitonic, rand) = (rounds_of("sort"), rounds_of("sort+rand"));
-        assert!(
-            rand < bitonic,
-            "randomized sort did not beat bitonic at n={n}: {rand} >= {bitonic} rounds"
-        );
-        eprintln!(
-            "sort rounds at n={n}: bitonic {bitonic}, randomized {rand}              ({}% of bitonic)",
-            rand * 100 / bitonic
-        );
+        entries.extend(tree_greedy(n, repeats));
     }
 
     let mut json = String::new();

@@ -1,10 +1,11 @@
-//! Regenerates every table and figure of the reproduction (see
-//! `EXPERIMENTS.md`).
+//! Regenerates every table and figure of the reproduction, one per paper
+//! claim with its PASS/FAIL verdict (ARCHITECTURE.md, *Deviations from
+//! the paper*, cites them as its evidence column).
 //!
 //! ```sh
-//! cargo run -p dgr-bench --release --bin experiments            # all
-//! cargo run -p dgr-bench --release --bin experiments -- --only T11
-//! cargo run -p dgr-bench --release --bin experiments -- --list
+//! cargo run -p bench --release --bin experiments            # all
+//! cargo run -p bench --release --bin experiments -- --only T11
+//! cargo run -p bench --release --bin experiments -- --list
 //! ```
 
 use std::time::Instant;

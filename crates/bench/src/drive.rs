@@ -3,7 +3,7 @@
 //! `dgr::Realization` facade, with the handful of knobs the experiment
 //! tables sweep (seed, capacity factor) exposed as plain arguments.
 
-pub use dgr::{CapacityPolicy, Kt0, Realization, SortBackend, Workload};
+pub use dgr::{CapacityPolicy, Kt0, Realization, Workload};
 use dgr_connectivity::ThresholdRealization;
 use dgr_core::DriverOutput;
 use dgr_trees::{TreeAlgo, TreeRealization};

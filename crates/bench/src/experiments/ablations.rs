@@ -1,4 +1,5 @@
-//! Ablations for the design choices `DESIGN.md` calls out: how the
+//! Ablations for the capacity row of ARCHITECTURE.md's *Deviations from
+//! the paper* ledger (tables A1 and A2 of `experiments`): how the
 //! capacity constant and the receive-side policy affect the algorithms.
 //! (These are *our* knobs — the paper's `O(log n)` hides them — so the
 //! ablation quantifies what the asymptotics abstract away.)

@@ -1,5 +1,6 @@
-//! Experiment harness: one table per paper claim (see `DESIGN.md` §5 and
-//! `EXPERIMENTS.md`). The `experiments` binary renders the tables; this
+//! Experiment harness: one table per paper claim, each with a PASS/FAIL
+//! verdict — the evidence column of ARCHITECTURE.md's *Deviations from
+//! the paper* ledger. The `experiments` binary renders the tables; this
 //! library holds the runners so Criterion benches and tests can reuse
 //! them.
 

@@ -39,7 +39,7 @@
 use super::ThresholdOutcome;
 use dgr_ncc::{tags, NodeId, NodeProtocol, RoundCtx, Status, WireMsg};
 use dgr_primitives::ops::SweepStep;
-use dgr_primitives::sort::{Order, SortBackend, SortStep, SortedPath};
+use dgr_primitives::sort::{Order, SortStep, SortedPath};
 use dgr_primitives::stagger::{self, StaggerStep};
 use dgr_primitives::{EstablishCtx, PathCtx, Poll, Step};
 use std::collections::VecDeque;
@@ -179,17 +179,15 @@ enum PrologueStage {
 /// completes with the establishment, on `None`.
 pub(super) struct Prologue {
     rho: usize,
-    sort: SortBackend,
     stage: PrologueStage,
     ctx: Option<PathCtx>,
     sp: Option<SortedPath>,
 }
 
 impl Prologue {
-    pub(super) fn new(rho: usize, sort: SortBackend) -> Self {
+    pub(super) fn new(rho: usize) -> Self {
         Prologue {
             rho,
-            sort,
             stage: PrologueStage::Establish(EstablishCtx::new()),
             ctx: None,
             sp: None,
@@ -223,12 +221,13 @@ impl Step for Prologue {
                         if ctx.vp.len == 1 {
                             return Poll::Ready(None);
                         }
-                        self.stage = PrologueStage::Sort(SortStep::on_ctx(
-                            &ctx,
+                        self.stage = PrologueStage::Sort(SortStep::new(
+                            ctx.vp,
+                            ctx.contacts.clone(),
+                            ctx.position,
                             self.rho as u64,
                             Order::Descending,
                             rctx.id(),
-                            self.sort,
                         ));
                         self.ctx = Some(ctx);
                     }
@@ -366,11 +365,10 @@ pub struct Ncc0Threshold {
 }
 
 impl Ncc0Threshold {
-    /// Builds the protocol for one node; `sort` is the backend for the ρ
-    /// sort.
-    pub fn with_sort(rho: usize, sort: SortBackend) -> Self {
+    /// Builds the protocol for one node.
+    pub fn new(rho: usize) -> Self {
         Ncc0Threshold {
-            stage: Stage::Prologue(Box::new(Prologue::new(rho, sort))),
+            stage: Stage::Prologue(Box::new(Prologue::new(rho))),
             sorted: None,
             outcome: ThresholdOutcome {
                 rho,

@@ -47,7 +47,6 @@ use super::ThresholdOutcome;
 use dgr_core::distributed::{DegreesCore, Flavor};
 use dgr_ncc::{tags, NodeId, NodeProtocol, RoundCtx, Status, WireMsg};
 use dgr_primitives::ops::AggBcastStep;
-use dgr_primitives::sort::SortBackend;
 use dgr_primitives::stagger::{self, StaggerStep};
 use dgr_primitives::{AggOp, EstablishCtx, Poll, Step, VPath};
 use std::collections::{HashSet, VecDeque};
@@ -162,12 +161,10 @@ pub struct Ncc0Exact {
 }
 
 impl Ncc0Exact {
-    /// Builds the protocol for one node; `sort` is the backend for the
-    /// outer ρ sort (the recursion's internal re-sorts are always bitonic
-    /// — sub-path sorts have non-member participants).
-    pub fn with_sort(rho: usize, sort: SortBackend) -> Self {
+    /// Builds the protocol for one node.
+    pub fn new(rho: usize) -> Self {
         Ncc0Exact {
-            stage: Stage::Prologue(Prologue::new(rho, sort)),
+            stage: Stage::Prologue(Prologue::new(rho)),
             sorted: None,
             outcome: ThresholdOutcome {
                 rho,
@@ -262,7 +259,6 @@ impl NodeProtocol for Ncc0Exact {
                         self.stage = Stage::Core(Box::new(DegreesCore::new(
                             degree,
                             Flavor::Envelope,
-                            SortBackend::Bitonic,
                             sub,
                             sorted.ctx.vp,
                             sorted.ctx.tree.clone(),

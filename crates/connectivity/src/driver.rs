@@ -15,7 +15,6 @@ use dgr_ncc::event::reborrow;
 use dgr_ncc::{
     Config, EngineKind, EngineStats, Model, Network, NodeId, RunEvent, RunMetrics, SimError, Sink,
 };
-use dgr_primitives::sort::SortBackend;
 use std::collections::BTreeMap;
 
 /// How many nodes at most get the full `O(n²)`-flow all-pairs check;
@@ -67,14 +66,13 @@ pub struct ThresholdRun {
 }
 
 /// The **engine room** of the threshold realizations — one typed entry
-/// point over construction × engine × sorting backend, driven by the
-/// `dgr::Realization` facade builder.
+/// point over construction × engine, driven by the `dgr::Realization`
+/// facade builder.
 ///
 /// `certify = false` skips the max-flow certification (`n − 1` capped
 /// flows — milliseconds at `n = 2048`, a fraction of a second at 10⁵);
 /// the returned report is then marked `skipped` with
-/// `pairs_checked == 0`. The NCC1 star ignores the sorting backend (it
-/// never sorts).
+/// `pairs_checked == 0`.
 ///
 /// # Errors
 ///
@@ -90,7 +88,6 @@ pub fn realize_threshold_run(
     config: Config,
     algo: ThresholdAlgo,
     engine: EngineKind,
-    sort: SortBackend,
     certify: bool,
     mut sink: Option<&mut dyn Sink>,
 ) -> Result<ThresholdRun, SimError> {
@@ -105,11 +102,11 @@ pub fn realize_threshold_run(
         }
         ThresholdAlgo::Ncc0Pipeline => {
             net.run_protocol_on(engine, None, reborrow(&mut sink), |s| {
-                ncc0::Ncc0Threshold::with_sort(by_id[&s.id], sort)
+                ncc0::Ncc0Threshold::new(by_id[&s.id])
             })
         }
         ThresholdAlgo::Ncc0Exact => net.run_protocol_on(engine, None, reborrow(&mut sink), |s| {
-            ncc0_exact::Ncc0Exact::with_sort(by_id[&s.id], sort)
+            ncc0_exact::Ncc0Exact::new(by_id[&s.id])
         }),
     }?;
     let engine_stats = result.engine.clone();
@@ -194,15 +191,14 @@ fn skipped_report(graph: &Graph) -> ThresholdReport {
     }
 }
 
-/// Test fixture: one certified bitonic realization on the batched engine.
+/// Test fixture: one certified realization on the batched engine.
 #[cfg(test)]
 pub(crate) fn realize_for_test(
     inst: &ThresholdInstance,
     config: Config,
     algo: ThresholdAlgo,
 ) -> ThresholdRealization {
-    let (engine, sort) = (EngineKind::Batched, SortBackend::Bitonic);
-    realize_threshold_run(inst, config, algo, engine, sort, true, None)
+    realize_threshold_run(inst, config, algo, EngineKind::Batched, true, None)
         .unwrap()
         .output
 }

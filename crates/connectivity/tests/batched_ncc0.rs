@@ -18,7 +18,6 @@ use dgr_connectivity::{
     realize_threshold_run, ThresholdAlgo, ThresholdInstance, ThresholdRealization,
 };
 use dgr_ncc::{Config, EngineKind};
-use dgr_primitives::sort::SortBackend;
 
 // White-box shorthand over the `realize_threshold_run` engine room.
 fn realize(
@@ -27,7 +26,7 @@ fn realize(
     algo: ThresholdAlgo,
     engine: EngineKind,
 ) -> ThresholdRealization {
-    realize_threshold_run(inst, config, algo, engine, SortBackend::Bitonic, true, None)
+    realize_threshold_run(inst, config, algo, engine, true, None)
         .unwrap()
         .output
 }
@@ -191,9 +190,9 @@ fn paper_exact_prefix_envelope_realizes_the_prefix_degrees() {
         *r = 3;
     }
     let mask: Vec<bool> = (0..48).map(|i| i < 7).collect();
-    let (flavor, engine, sort) = (Flavor::Envelope, EngineKind::Batched, SortBackend::Bitonic);
+    let (flavor, engine) = (Flavor::Envelope, EngineKind::Batched);
     let config = Config::ncc0(41);
-    let run = dgr_core::realize_degrees(&sorted, Some(&mask), config, flavor, engine, sort, None);
+    let run = dgr_core::realize_degrees(&sorted, Some(&mask), config, flavor, engine, None);
     let out = run.unwrap().output;
     let g = out.expect_realized();
     // Exactly the d₀ + 1 prefix nodes participated.

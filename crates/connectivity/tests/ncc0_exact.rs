@@ -12,7 +12,6 @@ use dgr_connectivity::{
     realize_threshold_run, ThresholdAlgo, ThresholdInstance, ThresholdRealization,
 };
 use dgr_ncc::{Config, EngineKind};
-use dgr_primitives::sort::SortBackend;
 
 fn run(inst: &ThresholdInstance, seed: u64, engine: EngineKind) -> ThresholdRealization {
     realize_threshold_run(
@@ -20,7 +19,6 @@ fn run(inst: &ThresholdInstance, seed: u64, engine: EngineKind) -> ThresholdReal
         Config::ncc0(seed).with_queueing(),
         ThresholdAlgo::Ncc0Exact,
         engine,
-        SortBackend::Bitonic,
         true,
         None,
     )
@@ -101,7 +99,6 @@ fn composed_alg6_matches_pipeline_guarantees() {
             Config::ncc0(21).with_queueing(),
             ThresholdAlgo::Ncc0Pipeline,
             EngineKind::Batched,
-            SortBackend::Bitonic,
             true,
             None,
         )

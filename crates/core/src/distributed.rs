@@ -83,7 +83,7 @@ use dgr_primitives::bbst::Bbst;
 use dgr_primitives::contacts::{self, ContactsStep};
 use dgr_primitives::imcast::{self, CoverSide, ImcastStep, Payload};
 use dgr_primitives::ops::{self, SweepStep, Words};
-use dgr_primitives::sort::{self, Order, SortBackend, SortStep, SortedPath};
+use dgr_primitives::sort::{self, Order, SortStep, SortedPath};
 use dgr_primitives::stagger::{self, StaggerStep};
 use dgr_primitives::{ctx, PathCtx, Poll, Step, VPath};
 use std::sync::Arc;
@@ -197,7 +197,6 @@ enum CoreStage {
 ///   its context to both scopes ([`realize_degrees`](crate::realize_degrees)).
 pub struct DegreesCore {
     flavor: Flavor,
-    sort: SortBackend,
     local: PathCtx,
     global_vp: VPath,
     global_tree: Arc<Bbst>,
@@ -215,20 +214,16 @@ pub struct DegreesCore {
 
 impl DegreesCore {
     /// Builds the core; the first poll opens phase 1. Non-members of
-    /// `local` must pass `degree = 0` (the aggregation identity) and the
-    /// bitonic sort backend (a non-member cannot idle through the
-    /// randomized backend's data-dependent rounds).
+    /// `local` must pass `degree = 0` (the aggregation identity).
     pub fn new(
         degree: usize,
         flavor: Flavor,
-        sort: SortBackend,
         local: PathCtx,
         global_vp: VPath,
         global_tree: Arc<Bbst>,
     ) -> Self {
         let mut core = DegreesCore {
             flavor,
-            sort,
             local,
             global_vp,
             global_tree,
@@ -301,12 +296,14 @@ impl Step for DegreesCore {
                             self.group_span <= self.local.vp.len,
                             "groups exceed the path"
                         );
-                        self.stage = CoreStage::Sort(SortStep::on_ctx(
-                            &self.local,
+                        let local = &self.local;
+                        self.stage = CoreStage::Sort(SortStep::new(
+                            local.vp,
+                            local.contacts.clone(),
+                            local.position,
                             self.need,
                             Order::Descending,
                             rctx.id(),
-                            self.sort,
                         ));
                     }
                 },
@@ -382,7 +379,6 @@ mod tests {
     use super::{rounds_for, Flavor};
     use crate::driver::{realize_degrees, realize_for_test};
     use dgr_ncc::{Config, EngineKind, Recording, RunEvent};
-    use dgr_primitives::sort::SortBackend;
 
     #[test]
     fn realizes_a_triangle() {
@@ -434,10 +430,9 @@ mod tests {
         for (degrees, phases) in [(vec![3, 1, 1], 1), (vec![3, 3, 1, 1], 3)] {
             for engine in [EngineKind::Batched, EngineKind::Reference] {
                 let mut recording = Recording::new();
-                let (flavor, sort) = (Flavor::Implicit, SortBackend::Bitonic);
+                let flavor = Flavor::Implicit;
                 let sink = Some(&mut recording as &mut dyn dgr_ncc::Sink);
-                let run =
-                    realize_degrees(&degrees, None, Config::ncc0(3), flavor, engine, sort, sink);
+                let run = realize_degrees(&degrees, None, Config::ncc0(3), flavor, engine, sink);
                 let out = run.unwrap().output;
                 assert!(out.is_unrealizable(), "{degrees:?} was accepted");
                 let (n, m) = (degrees.len(), out.metrics());

@@ -19,7 +19,6 @@ use dgr_graph::Graph;
 use dgr_ncc::{
     Config, EngineKind, EngineStats, Network, NodeId, RoundCtx, RunMetrics, SimError, Sink,
 };
-use dgr_primitives::sort::SortBackend;
 use dgr_primitives::{PathCtx, WithCtx};
 use std::collections::BTreeMap;
 
@@ -117,7 +116,7 @@ pub struct DegreesRun {
 }
 
 /// The **engine room** of every degree-sequence realization — one typed
-/// entry point over workload flavor × engine × mask × sorting backend.
+/// entry point over workload flavor × engine × mask.
 /// This is what the `dgr::Realization` facade builder drives.
 ///
 /// * `participants: None` realizes over the whole network; `Some(mask)`
@@ -126,8 +125,6 @@ pub struct DegreesRun {
 ///   engine-level form of Algorithm 6's paper-exact prefix recursion.
 /// * Either [`EngineKind`] runs the same state machine; transcripts are
 ///   identical (`crates/core/tests/batched_drivers.rs`).
-/// * [`SortBackend::RandomizedLogN`] requires a queueing (or recording)
-///   capacity policy; see [`rand_sort`](dgr_primitives::rand_sort).
 ///
 /// # Errors
 ///
@@ -146,7 +143,6 @@ pub fn realize_degrees(
     config: Config,
     flavor: Flavor,
     engine: EngineKind,
-    sort: SortBackend,
     sink: Option<&mut dyn Sink>,
 ) -> Result<DegreesRun, SimError> {
     let net = Network::new(degrees.len(), config);
@@ -163,7 +159,7 @@ pub fn realize_degrees(
         // The whole path is both the local and the global scope.
         WithCtx::new(move |ctx: &PathCtx, _: &mut RoundCtx<'_>| {
             let (vp, tree) = (ctx.vp, ctx.tree.clone());
-            DegreesCore::new(degree, flavor, sort, ctx.clone(), vp, tree)
+            DegreesCore::new(degree, flavor, ctx.clone(), vp, tree)
         })
     })?;
     let engine_stats = result.engine.clone();
@@ -214,11 +210,10 @@ fn finish(
     }))
 }
 
-/// Test fixture: one unmasked bitonic realization on the batched engine.
+/// Test fixture: one unmasked realization on the batched engine.
 #[cfg(test)]
 pub(crate) fn realize_for_test(degrees: &[usize], config: Config, flavor: Flavor) -> DriverOutput {
-    let (engine, sort) = (EngineKind::Batched, SortBackend::Bitonic);
-    realize_degrees(degrees, None, config, flavor, engine, sort, None)
+    realize_degrees(degrees, None, config, flavor, EngineKind::Batched, None)
         .unwrap()
         .output
 }

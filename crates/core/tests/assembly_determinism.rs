@@ -15,22 +15,13 @@ use dgr_core::driver::{realize_degrees, DriverOutput, RealizedOutput};
 use dgr_core::verify::{assemble_explicit, degrees_match};
 use dgr_graph::Graph;
 use dgr_ncc::{Config, EngineKind, NodeId};
-use dgr_primitives::sort::SortBackend;
 use std::collections::BTreeMap;
 
-/// Batched-engine realization, pinned to the bitonic sort backend.
+/// Batched-engine realization.
 fn realize_batched(degrees: &[usize], config: Config, flavor: Flavor) -> DriverOutput {
-    realize_degrees(
-        degrees,
-        None,
-        config,
-        flavor,
-        EngineKind::Batched,
-        SortBackend::Bitonic,
-        None,
-    )
-    .map(|run| run.output)
-    .unwrap()
+    realize_degrees(degrees, None, config, flavor, EngineKind::Batched, None)
+        .map(|run| run.output)
+        .unwrap()
 }
 
 /// Everything order-sensitive that assembly produces, flattened for

@@ -15,7 +15,6 @@
 use dgr_core::distributed::{rounds_for, Flavor};
 use dgr_core::driver::{realize_degrees, DriverOutput};
 use dgr_ncc::{Config, EngineKind};
-use dgr_primitives::sort::SortBackend;
 use proptest::prelude::*;
 use proptest::TestRng;
 
@@ -144,8 +143,7 @@ fn realize(
     flavor: Flavor,
     engine: EngineKind,
 ) -> DriverOutput {
-    let sort = SortBackend::Bitonic;
-    realize_degrees(degrees, mask, config, flavor, engine, sort, None)
+    realize_degrees(degrees, mask, config, flavor, engine, None)
         .unwrap()
         .output
 }

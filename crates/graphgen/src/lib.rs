@@ -3,8 +3,8 @@
 //! connectivity-threshold vectors, and the adversarial families behind the
 //! paper's lower bounds (Theorems 19–20).
 //!
-//! Everything is deterministic in the seed, so every experiment in
-//! `EXPERIMENTS.md` is replayable bit-for-bit.
+//! Everything is deterministic in the seed, so every table of the
+//! `experiments` binary is replayable bit-for-bit.
 
 mod graphic;
 mod lower_bound;

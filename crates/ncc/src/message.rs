@@ -57,22 +57,6 @@ pub mod tags {
     pub const EDGE: u16 = 17;
     /// Realization: explicit-edge acknowledgement (reverse direction).
     pub const EDGE_ACK: u16 = 18;
-    /// Randomized sort: sample pair(s) pipelined up the tree.
-    pub const RSORT_UP: u16 = 19;
-    /// Randomized sort: splitter/leader pair(s) pipelined down the tree.
-    pub const RSORT_SPLIT: u16 = 20;
-    /// Randomized sort: a record scattered to its bucket leader.
-    pub const RSORT_REC: u16 = 21;
-    /// Randomized sort: leader hypercube-scan exchange.
-    pub const RSORT_SCAN: u16 = 22;
-    /// Randomized sort: rank notification (carries the end round).
-    pub const RSORT_RANK: u16 = 23;
-    /// Randomized sort: sibling sub-leader count/extrema report.
-    pub const RSORT_CNT: u16 = 24;
-    /// Randomized sort: primary's go signal to its sibling sub-leaders.
-    pub const RSORT_GO: u16 = 25;
-    /// Randomized sort: sub-leader subset exchange record(s).
-    pub const RSORT_XCH: u16 = 26;
     /// First tag value available to user protocols.
     pub const USER_BASE: u16 = 64;
 }

@@ -1,7 +1,7 @@
 //! Interval multicast: a source delivers a payload to a contiguous range of
 //! ranks *adjacent to itself* on a virtual path, in `O(log n)` rounds via
 //! doubling cover — our congestion-free substitute for the butterfly
-//! multicast of Theorem 7 (see `DESIGN.md` §4).
+//! multicast of Theorem 7 (ARCHITECTURE.md, *Deviations from the paper*).
 //!
 //! The realization algorithms only ever multicast to contiguous rank
 //! intervals headed (or tailed) by the source: Algorithm 3's groups are

@@ -40,7 +40,7 @@
 //! | [`ops::AggBcastStep`] (the one-word sweep) | §3.2.1 | `O(log n)` |
 //! | [`ops::BroadcastAddrStep`] (the address-only sweep, median) | §3.2.1 | `O(log n)` |
 //! | [`ops::CollectStep`] (Thm 5) | §3.2.2 | `O(k + log n)` |
-//! | [`sort::SortStep`] (Thm 3; [`rand_sort`] behind it) | §3.1.2 | `O(log² n)` |
+//! | [`sort::SortStep`] (Thm 3) | §3.1.2 | `O(log² n)` |
 //! | [`prefix::PrefixStep`] | §5 | `ceil(log2 n)` |
 //! | [`imcast::ImcastStep`] (Thm 7) | §3.2.3 | `O(log n)` |
 //! | [`scatter::ScanStep`] (milestone scan) | §5 | `O(log² n)` |
@@ -58,7 +58,6 @@ pub mod ctx;
 pub mod imcast;
 pub mod ops;
 pub mod prefix;
-pub mod rand_sort;
 pub mod scatter;
 pub mod sort;
 pub mod stagger;
@@ -71,7 +70,7 @@ pub use bbst::Bbst;
 pub use clique::PathToClique;
 pub use contacts::ContactTable;
 pub use ctx::{EstablishCtx, PathCtx, WithCtx};
-pub use sort::{Order, SortBackend, SortedPath};
+pub use sort::{Order, SortedPath};
 pub use step::{AggOp, Poll, Step, StepProtocol, Then};
 pub use vpath::VPath;
 

@@ -21,45 +21,22 @@
 
 use crate::contacts::ContactTable;
 use crate::ctx::PathCtx;
-use crate::rand_sort::{RandSortStep, RAND_MIN};
 use crate::step::{Poll, Step};
 use crate::vpath::VPath;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
 use std::sync::Arc;
 
-/// Which distributed sorting algorithm realizes the Theorem 3 primitive.
+/// The one sort there is, named as an argument of [`SortStep::on_ctx`].
 ///
-/// Both backends fulfil the same contract — every member ends up knowing
-/// its rank and its sorted predecessor/successor IDs ([`SortedPath`]) —
-/// and both are transcript-deterministic for a fixed configuration seed.
-/// They differ in round complexity and in the capacity policy they need:
-///
-/// * [`SortBackend::Bitonic`] — the Batcher odd-even mergesort network,
-///   `O(log² n)` rounds, legal under the strict capacity policy, supports
-///   non-member (idling) path views. The default.
-/// * [`SortBackend::RandomizedLogN`] — the paper's Theorem 3 randomized
-///   sort, realized as a seeded sample-splitter sort (see
-///   [`rand_sort`](crate::rand_sort)): positional sampling →
-///   splitter/leader broadcast → staggered scatter → leader hypercube
-///   scans → rank notification. `O(√n/κ + log n)` rounds at per-round
-///   capacity `κ = Θ(log n)` — asymptotically `o(log² n)` and measurably
-///   below the bitonic round count from `n ≈ 2¹⁴` (`engine_bench`).
-///   Requires a queueing (or recording) capacity policy for the scatter
-///   fan-in and a full-member path; below
-///   [`RAND_MIN`] nodes it silently
-///   delegates to the bitonic network.
+/// The frozen end-to-end benchmark (`crates/bench/src/bin/e2e`) passes
+/// `SortBackend::Bitonic` there; it exists for that caller alone, nothing
+/// else may name it, and the next `benchmark` change deletes it together
+/// with `on_ctx`'s fifth parameter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SortBackend {
-    /// Batcher odd-even mergesort (`O(log² n)` rounds, strict-legal).
+    /// The Batcher odd-even mergesort network of [`SortStep`].
     #[default]
     Bitonic,
-    /// Theorem 3 randomized sort (sample-splitter; queueing policy).
-    /// `seed` drives the sampling rotation; transcripts are deterministic
-    /// for a fixed seed.
-    RandomizedLogN {
-        /// Schedule seed (common knowledge, like the network seed).
-        seed: u64,
-    },
 }
 
 /// Sort direction. The paper's algorithms sort by *non-increasing* degree,
@@ -172,89 +149,13 @@ struct Record {
     origin: NodeId,
 }
 
-/// Theorem 3 as a [`Step`], dispatching between the two [`SortBackend`]s.
-/// Ties break by node ID, making the result deterministic.
-///
-/// [`SortStep::new`] always builds the bitonic network (rounds: exactly
-/// [`rounds_for`]`(vp.len)`); [`SortStep::on_ctx`] selects the backend.
+/// Theorem 3 as a [`Step`]: the Batcher odd-even mergesort network over
+/// path positions, then the 2-round epilogue (rounds: exactly
+/// [`rounds_for`]`(vp.len)`). Ties break by node ID, making the result
+/// deterministic. Legal under the strict capacity policy; a non-member
+/// view idles through the same rounds and returns a non-member path.
 #[derive(Debug)]
 pub struct SortStep {
-    inner: SortImpl,
-}
-
-#[derive(Debug)]
-enum SortImpl {
-    Bitonic(BitonicSortStep),
-    // Boxed: the randomized backend's state dwarfs the bitonic's, and
-    // every driver stage machine embeds a SortStep by value.
-    Rand(Box<RandSortStep>),
-}
-
-impl SortStep {
-    /// Builds the Batcher odd-even mergesort network (the default
-    /// backend; legal for non-member views and under the strict policy).
-    pub fn new(
-        vp: VPath,
-        contacts: Arc<ContactTable>,
-        position: usize,
-        key: u64,
-        order: Order,
-        my_id: NodeId,
-    ) -> Self {
-        SortStep {
-            inner: SortImpl::Bitonic(BitonicSortStep::new(
-                vp, contacts, position, key, order, my_id,
-            )),
-        }
-    }
-
-    /// Builds the sort over an established [`PathCtx`] with an explicit
-    /// [`SortBackend`]. The randomized backend needs the context's tree
-    /// and traversal data; below [`RAND_MIN`] nodes (or with
-    /// [`SortBackend::Bitonic`]) this is the bitonic network.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the randomized backend is selected at or above the
-    /// threshold on a non-member context (see
-    /// [`rand_sort`](crate::rand_sort)).
-    pub fn on_ctx(
-        ctx: &PathCtx,
-        key: u64,
-        order: Order,
-        my_id: NodeId,
-        backend: SortBackend,
-    ) -> Self {
-        match backend {
-            SortBackend::RandomizedLogN { seed } if ctx.vp.len >= RAND_MIN => SortStep {
-                inner: SortImpl::Rand(Box::new(RandSortStep::new(ctx, key, order, my_id, seed))),
-            },
-            _ => Self::new(
-                ctx.vp,
-                ctx.contacts.clone(),
-                ctx.position,
-                key,
-                order,
-                my_id,
-            ),
-        }
-    }
-}
-
-impl Step for SortStep {
-    type Out = SortedPath;
-
-    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<SortedPath> {
-        match &mut self.inner {
-            SortImpl::Bitonic(s) => s.poll(ctx),
-            SortImpl::Rand(s) => s.poll(ctx),
-        }
-    }
-}
-
-/// The Batcher odd-even mergesort backend (see [`SortStep`]).
-#[derive(Debug)]
-pub struct BitonicSortStep {
     vp: VPath,
     contacts: Arc<ContactTable>,
     x: usize,
@@ -268,7 +169,7 @@ pub struct BitonicSortStep {
     succ_origin: Option<NodeId>,
 }
 
-impl BitonicSortStep {
+impl SortStep {
     /// Builds the step: sort the members of `vp` by `key` (this node's
     /// `position` comes from the traversal primitive).
     pub fn new(
@@ -280,7 +181,7 @@ impl BitonicSortStep {
         my_id: NodeId,
     ) -> Self {
         let len = vp.len;
-        BitonicSortStep {
+        SortStep {
             x: position,
             stage_count: stage_count(len) as u64,
             t: 0,
@@ -295,6 +196,20 @@ impl BitonicSortStep {
             vp,
             contacts,
         }
+    }
+
+    /// [`SortStep::new`] over an established [`PathCtx`]. The fifth
+    /// parameter is ignored: the frozen benchmark passes it (see
+    /// [`SortBackend`]), and it goes with that type.
+    pub fn on_ctx(ctx: &PathCtx, key: u64, order: Order, my_id: NodeId, _: SortBackend) -> Self {
+        Self::new(
+            ctx.vp,
+            ctx.contacts.clone(),
+            ctx.position,
+            key,
+            order,
+            my_id,
+        )
     }
 
     /// Consumes the previous comparator round's exchange.
@@ -339,7 +254,7 @@ impl BitonicSortStep {
     }
 }
 
-impl Step for BitonicSortStep {
+impl Step for SortStep {
     type Out = SortedPath;
 
     fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<SortedPath> {

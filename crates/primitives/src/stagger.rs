@@ -1,5 +1,6 @@
 //! Randomly staggered point-to-point delivery — our Las Vegas substitute
-//! for the butterfly token collection of Theorem 8 (see `DESIGN.md` §4).
+//! for the butterfly token collection of Theorem 8 (ARCHITECTURE.md,
+//! *Deviations from the paper*).
 //!
 //! When many nodes must deliver tokens to a common target (the hand-off
 //! that turns an implicit realization into an explicit one, Theorem 12),

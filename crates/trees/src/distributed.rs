@@ -54,7 +54,7 @@ use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
 use dgr_primitives::ops::SweepStep;
 use dgr_primitives::prefix::PrefixStep;
 use dgr_primitives::scatter::{ScanRecord, ScanStep};
-use dgr_primitives::sort::{Order, SortBackend, SortStep, SortedPath};
+use dgr_primitives::sort::{Order, SortStep, SortedPath};
 use dgr_primitives::{EstablishCtx, PathCtx, Poll, Step};
 use std::sync::Arc;
 
@@ -88,7 +88,6 @@ enum Stage {
 pub struct RealizeTree {
     degree: usize,
     algo: TreeAlgo,
-    sort: SortBackend,
     stage: Stage,
     ctx: Option<PathCtx>,
     outcome: TreeOutcome,
@@ -103,14 +102,11 @@ pub struct RealizeTree {
 
 impl RealizeTree {
     /// Builds the protocol for one node; `degree` is its requested tree
-    /// degree, `sort` the backend for the *degree* sort (Algorithm 4's
-    /// interval re-sort always runs the bitonic network — it sorts an
-    /// already-established path view without a fresh context).
-    pub fn with_sort(degree: usize, algo: TreeAlgo, sort: SortBackend) -> Self {
+    /// degree.
+    pub fn new(degree: usize, algo: TreeAlgo) -> Self {
         RealizeTree {
             degree,
             algo,
-            sort,
             stage: Stage::Establish(EstablishCtx::new()),
             ctx: None,
             outcome: TreeOutcome {
@@ -167,12 +163,13 @@ impl NodeProtocol for RealizeTree {
                             return self.done();
                         }
                         let ctx = self.ctx();
-                        self.stage = Stage::Sort(SortStep::on_ctx(
-                            ctx,
+                        self.stage = Stage::Sort(SortStep::new(
+                            ctx.vp,
+                            ctx.contacts.clone(),
+                            ctx.position,
                             self.degree as u64,
                             Order::Descending,
                             rctx.id(),
-                            self.sort,
                         ));
                     }
                 },

@@ -12,7 +12,6 @@ use crate::distributed::{RealizeTree, TreeOutcome};
 use dgr_core::{verify, Unrealizable};
 use dgr_graph::Graph;
 use dgr_ncc::{Config, EngineKind, EngineStats, Network, NodeId, RunMetrics, SimError, Sink};
-use dgr_primitives::sort::SortBackend;
 use std::collections::BTreeMap;
 
 /// Which tree construction to run.
@@ -113,7 +112,7 @@ pub struct TreeRun {
 }
 
 /// The **engine room** of the tree realizations (Algorithms 4 and 5) —
-/// one typed entry point over algorithm × engine × sorting backend,
+/// one typed entry point over algorithm × engine,
 /// driven by the `dgr::Realization` facade builder. `degrees[i]` is
 /// assigned to the `i`-th node of the knowledge path.
 ///
@@ -130,14 +129,12 @@ pub fn realize_tree_run(
     config: Config,
     algo: TreeAlgo,
     engine: EngineKind,
-    sort: SortBackend,
     sink: Option<&mut dyn Sink>,
 ) -> Result<TreeRun, SimError> {
     let net = Network::new(degrees.len(), config);
     let by_id = net.assign_in_path_order(degrees);
-    let result = net.run_protocol_on(engine, None, sink, |s| {
-        RealizeTree::with_sort(by_id[&s.id], algo, sort)
-    })?;
+    let result =
+        net.run_protocol_on(engine, None, sink, |s| RealizeTree::new(by_id[&s.id], algo))?;
     let engine_stats = result.engine.clone();
     Ok(TreeRun {
         output: finish_tree(&net, by_id, result),
@@ -145,11 +142,10 @@ pub fn realize_tree_run(
     })
 }
 
-/// Test fixture: one bitonic realization on the batched engine.
+/// Test fixture: one realization on the batched engine.
 #[cfg(test)]
 pub(crate) fn realize_tree(degrees: &[usize], config: Config, algo: TreeAlgo) -> TreeRealization {
-    let (engine, sort) = (EngineKind::Batched, SortBackend::Bitonic);
-    realize_tree_run(degrees, config, algo, engine, sort, None)
+    realize_tree_run(degrees, config, algo, EngineKind::Batched, None)
         .unwrap()
         .output
 }

@@ -13,16 +13,13 @@
 //!   cases from the test's name).
 
 use dgr_ncc::{Config, EngineKind};
-use dgr_primitives::sort::SortBackend;
 use dgr_trees::{realize_tree_run, TreeAlgo, TreeRealization};
 use proptest::prelude::*;
 use proptest::TestRng;
 
 // White-box shorthand over the `realize_tree_run` engine room.
 fn realize(d: &[usize], c: Config, algo: TreeAlgo, engine: EngineKind) -> TreeRealization {
-    realize_tree_run(d, c, algo, engine, SortBackend::Bitonic, None)
-        .unwrap()
-        .output
+    realize_tree_run(d, c, algo, engine, None).unwrap().output
 }
 
 /// FNV-1a, folding one `u64` at a time.

@@ -29,21 +29,18 @@
 //! Every capability is a builder knob instead of a separate entry point:
 //! the executor ([`Engine::Batched`] production engine vs the
 //! [`Engine::Reference`] interpreter, the differential oracle), the
-//! capacity policy, masked sub-network
-//! runs, the Theorem 3 sorting backend ([`SortBackend::Bitonic`] vs the
-//! randomized [`SortBackend::RandomizedLogN`]), KT0 knowledge tracking,
-//! and the certification depth:
+//! capacity policy, masked sub-network runs, KT0 knowledge tracking, and
+//! the certification depth:
 //!
 //! ```
 //! use distributed_graph_realizations as dgr;
-//! use dgr::{CapacityPolicy, Engine, Kt0, Realization, SortBackend, Workload};
+//! use dgr::{CapacityPolicy, Engine, Kt0, Realization, Workload};
 //!
 //! // An explicit realization on the batched executor, queueing policy
 //! // (required by the staggered hand-off), KT0 tracking on.
 //! let out = Realization::new(Workload::Explicit(vec![3, 2, 2, 2, 2, 2, 2, 1]))
 //!     .engine(Engine::Batched)
 //!     .policy(CapacityPolicy::Queue)
-//!     .sort(SortBackend::Bitonic)
 //!     .tracking(Kt0::Tracked)
 //!     .seed(2026)
 //!     .run()
@@ -135,7 +132,6 @@ use dgr_connectivity::{ThresholdAlgo, ThresholdInstance, ThresholdRealization};
 use dgr_core::distributed::Flavor;
 use dgr_core::DriverOutput;
 use dgr_ncc::{Config, EngineStats, Model, RunMetrics, SimError};
-use dgr_primitives::sort::SortBackend as PrimitivesSortBackend;
 use dgr_trees::{TreeAlgo, TreeRealization};
 use std::sync::mpsc;
 
@@ -144,13 +140,13 @@ pub use dgr_ncc::{
     CapacityPolicy, JsonlSink, MetricsRecorder, NodeId, NullSink, PhaseRounds, ProgressSink,
     Recording, RouteMode, RunEvent, Scenario, ScenarioEvent, Sink,
 };
+// Named by the frozen end-to-end benchmark alone (see its doc).
 pub use dgr_primitives::sort::SortBackend;
 
 /// Convenience prelude: the types most programs need.
 pub mod prelude {
     pub use crate::{
-        Engine, Kt0, Realization, Realized, RoundSnapshot, RunOutput, RunSession, SortBackend,
-        Workload,
+        Engine, Kt0, Realization, Realized, RoundSnapshot, RunOutput, RunSession, Workload,
     };
     pub use dgr_connectivity::{ThresholdInstance, ThresholdRealization};
     pub use dgr_core::{DegreeSequence, DistributedRealization, DriverOutput, RealizeError};
@@ -320,8 +316,8 @@ impl Realized {
 }
 
 /// The builder facade over the whole driver stack: workload × engine ×
-/// capacity policy × mask × sorting backend × tracking × certification ×
-/// observation, one knob each. See the crate docs for examples and
+/// capacity policy × mask × tracking × certification × observation, one
+/// knob each. See the crate docs for examples and
 /// `ARCHITECTURE.md` for the full knob matrix (including the
 /// "Observability" section on sinks and streaming sessions).
 pub struct Realization {
@@ -329,7 +325,6 @@ pub struct Realization {
     engine: Engine,
     policy: Option<CapacityPolicy>,
     mask: Option<Vec<bool>>,
-    sort: SortBackend,
     tracking: Option<Kt0>,
     seed: u64,
     model: Option<Model>,
@@ -355,7 +350,6 @@ impl Clone for Realization {
             engine: self.engine,
             policy: self.policy,
             mask: self.mask.clone(),
-            sort: self.sort,
             tracking: self.tracking,
             seed: self.seed,
             model: self.model,
@@ -378,7 +372,6 @@ impl std::fmt::Debug for Realization {
             .field("engine", &self.engine)
             .field("policy", &self.policy)
             .field("mask", &self.mask.as_ref().map(Vec::len))
-            .field("sort", &self.sort)
             .field("tracking", &self.tracking)
             .field("seed", &self.seed)
             .field("model", &self.model)
@@ -396,7 +389,7 @@ impl std::fmt::Debug for Realization {
 
 impl Realization {
     /// Starts a request for the given workload. Defaults: batched
-    /// engine, seed 0, bitonic sort, tracking on under NCC0, the
+    /// engine, seed 0, tracking on under NCC0, the
     /// workload's natural capacity policy (queueing for the explicit and
     /// NCC0-threshold constructions, strict otherwise), certification on.
     pub fn new(workload: Workload) -> Self {
@@ -405,7 +398,6 @@ impl Realization {
             engine: Engine::Batched,
             policy: None,
             mask: None,
-            sort: SortBackend::Bitonic,
             tracking: None,
             seed: 0,
             model: None,
@@ -439,13 +431,6 @@ impl Realization {
     /// across the rest).
     pub fn mask(mut self, participants: Vec<bool>) -> Self {
         self.mask = Some(participants);
-        self
-    }
-
-    /// Selects the Theorem 3 sorting backend (default: bitonic). The
-    /// randomized backend requires a queueing or recording policy.
-    pub fn sort(mut self, sort: SortBackend) -> Self {
-        self.sort = sort;
         self
     }
 
@@ -645,20 +630,6 @@ impl Realization {
         if let Some(max_rounds) = self.max_rounds {
             config.max_rounds = max_rounds;
         }
-        if matches!(self.sort, SortBackend::RandomizedLogN { .. })
-            && config.capacity_policy == CapacityPolicy::Strict
-        {
-            let policy_source = if self.policy.is_some() {
-                ".policy(CapacityPolicy::Strict) was requested".to_string()
-            } else {
-                format!("{}'s natural policy is Strict", self.workload_name())
-            };
-            return Err(RealizationError::InvalidRequest(format!(
-                ".sort(SortBackend::RandomizedLogN {{ .. }}) needs a queueing (or \
-                 recording) capacity policy for its scatter fan-in, but {policy_source} — \
-                 add .policy(CapacityPolicy::Queue)"
-            )));
-        }
         if let Some(scenario) = &self.scenario {
             if let Err(why) = scenario.validate(
                 self.input_len(),
@@ -734,9 +705,9 @@ impl Realization {
     /// # Errors
     ///
     /// [`RealizationError::InvalidRequest`] for contradictory knobs
-    /// (mask on a non-degree workload, mask length mismatch, randomized
-    /// sort under the strict policy, a threshold outside `[1, n-1]` — the
-    /// message names the offending builder call and value),
+    /// (mask on a non-degree workload, mask length mismatch, a threshold
+    /// outside `[1, n-1]` — the message names the offending builder call
+    /// and value),
     /// [`RealizationError::Sim`] for simulator failures.
     pub fn run(self) -> Result<Realized, RealizationError> {
         self.run_inner(None)
@@ -793,7 +764,6 @@ impl Realization {
             (None, Some(chan)) => Some(chan),
             (None, None) => None,
         };
-        let sort: PrimitivesSortBackend = self.sort;
         let mask = self.mask.as_deref();
         let (output, engine_stats) = match &self.workload {
             Workload::Implicit(d) | Workload::Envelope(d) | Workload::Explicit(d) => {
@@ -802,13 +772,11 @@ impl Realization {
                     Workload::Envelope(_) => Flavor::Envelope,
                     _ => Flavor::Explicit,
                 };
-                let run =
-                    dgr_core::realize_degrees(d, mask, config, flavor, self.engine, sort, sink)?;
+                let run = dgr_core::realize_degrees(d, mask, config, flavor, self.engine, sink)?;
                 (RunOutput::Degrees(run.output), run.engine)
             }
             Workload::Tree { degrees, algo } => {
-                let run =
-                    dgr_trees::realize_tree_run(degrees, config, *algo, self.engine, sort, sink)?;
+                let run = dgr_trees::realize_tree_run(degrees, config, *algo, self.engine, sink)?;
                 (RunOutput::Tree(run.output), run.engine)
             }
             Workload::Ncc1(r) | Workload::Ncc0Threshold(r) | Workload::Ncc0Exact(r) => {
@@ -823,7 +791,6 @@ impl Realization {
                     config,
                     algo,
                     self.engine,
-                    sort,
                     self.certify,
                     sink,
                 )?;
@@ -1010,34 +977,6 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains(".mask(1 entries)"), "{err}");
         assert!(err.to_string().contains("2-node"), "{err}");
-
-        // Randomized sort under the strict policy: the sort knob and the
-        // policy source are both named.
-        let err = Realization::new(Workload::Implicit(vec![1, 1]))
-            .sort(SortBackend::RandomizedLogN { seed: 1 })
-            .policy(CapacityPolicy::Strict)
-            .run()
-            .unwrap_err();
-        assert!(
-            err.to_string()
-                .contains(".sort(SortBackend::RandomizedLogN"),
-            "{err}"
-        );
-        assert!(
-            err.to_string()
-                .contains(".policy(CapacityPolicy::Strict) was requested"),
-            "{err}"
-        );
-        // ... and when the strictness came from the workload default, the
-        // message says so instead of blaming an absent .policy() call.
-        let err = Realization::new(Workload::Implicit(vec![1, 1]))
-            .sort(SortBackend::RandomizedLogN { seed: 1 })
-            .run()
-            .unwrap_err();
-        assert!(
-            err.to_string().contains("natural policy is Strict"),
-            "{err}"
-        );
 
         // Empty workload: names the workload variant.
         let err = Realization::new(Workload::Implicit(vec![]))

@@ -189,20 +189,3 @@ fn runs_are_deterministic_per_seed() {
         c.degrees().expect_realized().graph.edge_list()
     );
 }
-
-#[test]
-fn randomized_sort_backend_realizes_degrees_at_scale() {
-    // The Theorem 3 randomized backend drives a full realization: same
-    // overlay guarantees, queueing policy, KT0 tracking on.
-    let n = 2048;
-    let degrees = graphgen::near_regular_sequence(n, 4, 7);
-    let out = Realization::new(Workload::Implicit(degrees))
-        .sort(SortBackend::RandomizedLogN { seed: 3 })
-        .policy(CapacityPolicy::Queue)
-        .seed(7)
-        .run()
-        .unwrap();
-    let r = out.degrees().expect_realized();
-    verify::degrees_match(&r.graph, &r.requested).unwrap();
-    assert!(r.metrics.is_clean());
-}

@@ -132,21 +132,3 @@ fn ncc0_algorithms_run_in_ncc1() {
     let r = out.degrees().expect_realized();
     verify::degrees_match(&r.graph, &r.requested).unwrap();
 }
-
-/// The randomized sorting backend is KT0-legal: a tracked run stays
-/// clean (every address it uses was legitimately learned).
-#[test]
-fn randomized_sort_is_kt0_legal() {
-    let degrees = graphgen::near_regular_sequence(1200, 4, 11);
-    let out = Realization::new(Workload::Implicit(degrees))
-        .sort(SortBackend::RandomizedLogN { seed: 2 })
-        .policy(CapacityPolicy::Queue)
-        .tracking(Kt0::Tracked)
-        .seed(11)
-        .run()
-        .unwrap();
-    let r = out.degrees().expect_realized();
-    assert!(r.metrics.is_clean());
-    assert_eq!(r.metrics.violations.unknown_addressee, 0);
-    assert_eq!(r.metrics.violations.unknown_carried, 0);
-}

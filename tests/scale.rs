@@ -539,32 +539,3 @@ fn composed_alg6_exact_at_n_100k_streams_every_round() {
         t.metrics.rounds
     );
 }
-
-/// The Theorem 3 randomized sorting backend drives a full realization at
-/// 10⁵ nodes and undercuts the bitonic backend's round bill.
-#[test]
-fn randomized_sort_backend_at_n_100k() {
-    let n = 100_000;
-    let degrees = vec![1usize; n];
-    let run = |sort: SortBackend| {
-        Realization::new(Workload::Implicit(degrees.clone()))
-            .sort(sort)
-            .policy(CapacityPolicy::Queue)
-            .tracking(Kt0::Untracked)
-            .sequential_ids()
-            .seed(83)
-            .run()
-            .unwrap()
-    };
-    let rand = run(SortBackend::RandomizedLogN { seed: 5 });
-    let r = rand.degrees().expect_realized();
-    verify::degrees_match(&r.graph, &r.requested).unwrap();
-    assert_eq!(r.metrics.undelivered, 0);
-    let bitonic = run(SortBackend::Bitonic);
-    assert!(
-        r.metrics.rounds < bitonic.degrees().expect_realized().metrics.rounds,
-        "randomized {} vs bitonic {}",
-        r.metrics.rounds,
-        bitonic.degrees().expect_realized().metrics.rounds
-    );
-}
