@@ -132,3 +132,28 @@ fn ncc0_algorithms_run_in_ncc1() {
     let r = out.degrees().expect_realized();
     verify::degrees_match(&r.graph, &r.requested).unwrap();
 }
+
+/// A queued delivery is a delivery: when a hub's fan-in exceeds its
+/// receive capacity, the queue policy holds the surplus back, never hands
+/// a node more than its cap in a round, and every address in a held-back
+/// message is still learned when it lands — the tracked run stays clean.
+#[test]
+fn queue_backlog_is_paced_and_kt0_legal() {
+    let degrees = graphgen::star_heavy_sequence(512, 1, 2, 4);
+    let out = Realization::new(Workload::Explicit(degrees))
+        .policy(CapacityPolicy::Queue)
+        .capacity_factor(0.5)
+        .tracking(Kt0::Tracked)
+        .seed(7)
+        .run()
+        .unwrap();
+    let r = out.degrees().expect_realized();
+    assert!(
+        r.metrics.max_queue_len > 0,
+        "no receive queue carried backlog"
+    );
+    assert!(r.metrics.max_received_per_round <= r.metrics.capacity);
+    assert!(r.metrics.is_clean());
+    assert_eq!(r.metrics.violations.unknown_addressee, 0);
+    assert_eq!(r.metrics.violations.unknown_carried, 0);
+}

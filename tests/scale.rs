@@ -448,6 +448,29 @@ fn sorting_at_n_2048_is_polylog() {
     assert!(ranks.iter().enumerate().all(|(i, &r)| i == r));
 }
 
+/// The bitonic sort drives a full implicit realization at 10⁵ nodes under
+/// the queueing policy, and the run's round bill is exactly the degree
+/// driver's closed form — a per-phase sort budget that drifted with n
+/// would show here before it shows in the small-n goldens.
+#[test]
+fn implicit_realization_at_n_100k_follows_the_closed_form() {
+    use distributed_graph_realizations::realization::distributed::{rounds_for, Flavor};
+    let n = 100_000;
+    let degrees = vec![1usize; n];
+    let out = Realization::new(Workload::Implicit(degrees))
+        .policy(CapacityPolicy::Queue)
+        .tracking(Kt0::Untracked)
+        .sequential_ids()
+        .seed(83)
+        .run()
+        .unwrap();
+    let r = out.degrees().expect_realized();
+    verify::degrees_match(&r.graph, &r.requested).unwrap();
+    assert_eq!(r.metrics.undelivered, 0);
+    let want = rounds_for(n, r.phases, Flavor::Implicit, 1, r.metrics.capacity);
+    assert_eq!(r.metrics.rounds, want);
+}
+
 /// The **composed paper-exact Algorithm 6** at 10⁵ nodes on the batched
 /// engine, driven as a **streaming session**: outer ρ sort, prefix
 /// envelope recursion (masked sub-path with full-tree control
