@@ -4,11 +4,19 @@
 use crate::drive;
 use crate::experiments::ratios_flat;
 use crate::table::{f2, Table};
+use dgr_core::distributed::{rounds_for, Flavor};
 use dgr_core::DegreeSequence;
 use dgr_graphgen as graphgen;
 
 fn lg(n: usize) -> f64 {
     (n as f64).log2()
+}
+
+/// Does a realization over `degrees` that ran `phases` phases at capacity
+/// `cap` take exactly the rounds `core::distributed::rounds_for` predicts?
+fn on_closed_form(degrees: &[usize], rounds: u64, phases: u64, flavor: Flavor, cap: usize) -> bool {
+    let max_degree = degrees.iter().copied().max().unwrap_or(0);
+    rounds == rounds_for(degrees.len(), phases, flavor, max_degree, cap)
 }
 
 /// Theorem 11: implicit realization in `O~(min{√m, Δ})` rounds. Swept two
@@ -38,6 +46,8 @@ pub fn t11_implicit() -> Vec<Table> {
         let r = out.expect_realized();
         let ok = dgr_core::verify::degrees_match(&r.graph, &r.requested).is_ok();
         exact &= ok && r.metrics.is_clean();
+        let (rounds, cap) = (r.metrics.rounds, r.metrics.capacity);
+        exact &= on_closed_form(&degrees, rounds, r.phases, Flavor::Implicit, cap);
         let bound = dgr_core::distributed::phase_bound(&seq);
         ratios.push(r.phases as f64 / bound);
         t1.row(vec![
@@ -57,7 +67,7 @@ pub fn t11_implicit() -> Vec<Table> {
     t1.verdict(
         exact && ratios_flat(&ratios, 3.0),
         "phases/min(√m,Δ) stays flat as Δ grows 16x; all realizations \
-         exact under strict KT0",
+         exact under strict KT0, rounds on the closed form",
     );
 
     // --- √m sweep: the concentrated D* family (Δ ≈ √m ≈ k). ---
@@ -82,6 +92,8 @@ pub fn t11_implicit() -> Vec<Table> {
         let r = out.expect_realized();
         let ok = dgr_core::verify::degrees_match(&r.graph, &r.requested).is_ok();
         exact &= ok && r.metrics.is_clean();
+        let (rounds, cap) = (r.metrics.rounds, r.metrics.capacity);
+        exact &= on_closed_form(&degrees, rounds, r.phases, Flavor::Implicit, cap);
         let m_real = seq.edge_count();
         let sqrt_m = (m_real as f64).sqrt();
         let ratio = r.metrics.rounds as f64 / (sqrt_m * lg(n) * lg(n));
@@ -102,7 +114,7 @@ pub fn t11_implicit() -> Vec<Table> {
     t2.verdict(
         exact && ratios_flat(&ratios, 4.0),
         "rounds/(√m · polylog) stays flat while m grows 256x — the O~(√m) \
-         side of the bound",
+         side of the bound; rounds on the closed form",
     );
     vec![t1, t2]
 }
@@ -134,6 +146,10 @@ pub fn t12_explicit() -> Vec<Table> {
         let (ri, re) = (imp.expect_realized(), exp.expect_realized());
         ok_all &= dgr_core::verify::degrees_match(&re.graph, &re.requested).is_ok()
             && re.metrics.undelivered == 0;
+        for (r, flavor) in [(ri, Flavor::Implicit), (re, Flavor::Explicit)] {
+            let (rounds, cap) = (r.metrics.rounds, r.metrics.capacity);
+            ok_all &= on_closed_form(&degrees, rounds, r.phases, flavor, cap);
+        }
         let extra = re.metrics.rounds.saturating_sub(ri.metrics.rounds);
         let cap = re.metrics.capacity as f64;
         let budget = seq.max_degree() as f64 / cap + lg(n);
@@ -150,7 +166,8 @@ pub fn t12_explicit() -> Vec<Table> {
     t.verdict(
         ok_all && ratios_flat(&ratios, 4.0),
         "hand-off cost tracks Δ/cap + log n while Δ grows 16x; every edge \
-         known at both endpoints, zero undelivered messages",
+         known at both endpoints, zero undelivered messages; both runs on \
+         the closed form",
     );
     vec![t]
 }

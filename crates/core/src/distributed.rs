@@ -11,7 +11,8 @@
 //!    remaining degree `δ`, its multiplicity `N` and whether the phase
 //!    before drove a node negative; the flag or `δ ≥ n` ends the run on
 //!    `UNREALIZABLE`, `δ = 0` ends it realized;
-//! 2. sort the nodes by remaining degree, non-increasing (Theorem 3);
+//! 2. in the same rounds, sort the nodes by remaining degree,
+//!    non-increasing (Theorem 3);
 //! 3. with `q = max(1, ⌊N/(δ+1)⌋)`, split the first `q(δ+1)` sorted ranks
 //!    into `q` star groups; each group's first node multicasts its ID to
 //!    the other `δ` members (interval multicast on the sorted path),
@@ -20,10 +21,13 @@
 //!    drops to 0.
 //!
 //! The paper sorts first, then broadcasts `δ`, `N` and the flag one by one
-//! (its steps 2, 3 and 5); none needs the sorted order, so they share one
-//! sweep ahead of the sort (ARCHITECTURE.md, *Deviations from the paper*):
-//! same groups, edges and phase count, one sweep a phase instead of three
-//! and no sort in the closing phase ([`rounds_for`]).
+//! (its steps 2, 3 and 5); none needs the sorted order, and the sort needs
+//! none of them, so they share one sweep that runs *alongside* the sort
+//! (ARCHITECTURE.md, *Deviations from the paper*): same groups, edges and
+//! phase count, one sweep a phase instead of three, spent in the sort's
+//! rounds — a phase costs `max(control, sort + contacts) + multicast` —
+//! and in the closing phase a partial sort, dropped when the control ends
+//! the run ([`rounds_for`]).
 //!
 //! Lemma 10: every phase (or every second phase) removes the current
 //! maximum degree, and at most `O(√m)` phases involve degrees above `√m`,
@@ -80,7 +84,7 @@
 use crate::sequence::DegreeSequence;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
 use dgr_primitives::bbst::Bbst;
-use dgr_primitives::contacts::{self, ContactsStep};
+use dgr_primitives::contacts::{self, ContactTable, ContactsStep};
 use dgr_primitives::imcast::{self, CoverSide, ImcastStep, Payload};
 use dgr_primitives::ops::{self, SweepStep, Words};
 use dgr_primitives::sort::{self, Order, SortStep, SortedPath};
@@ -143,14 +147,15 @@ pub enum Flavor {
 
 /// Rounds of a whole realization — context establishment, then
 /// [`DegreesCore`] — on a path of `len` nodes that ran `phases` control
-/// sweeps with the bitonic sort: every phase but the last pays control,
-/// sort, sorted contacts and multicast, the last (a refusal's included)
-/// the control sweep alone; the explicit flavor adds the hand-off epoch
-/// for the maximum requested degree `max_degree` at capacity `cap`.
+/// sweeps with the bitonic sort: every phase but the last runs the control
+/// sweep beside the sort and the sorted contacts, then pays the multicast;
+/// the last (a refusal's included) ends on its control sweep, dropping the
+/// partial sort beside it; the explicit flavor adds the hand-off epoch for
+/// the maximum requested degree `max_degree` at capacity `cap`.
 pub fn rounds_for(len: usize, phases: u64, flavor: Flavor, max_degree: usize, cap: usize) -> u64 {
     let control = ops::rounds_for(len);
-    let phase =
-        control + sort::rounds_for(len) + contacts::rounds_for(len) + imcast::rounds_for(len);
+    let sorted = sort::rounds_for(len) + contacts::rounds_for(len);
+    let phase = control.max(sorted) + imcast::rounds_for(len);
     let (spread, drain) = stagger::plan(max_degree, cap);
     let handoff = u64::from(flavor == Flavor::Explicit) * stagger::rounds_for(spread, drain);
     ctx::rounds_for(len) + (phases - 1) * phase + control + handoff
@@ -168,10 +173,41 @@ fn fold_control(acc: &mut Words, x: &Words) {
     acc[3] = acc[3].max(x[3]);
 }
 
-enum CoreStage {
-    Control(SweepStep),
+/// The sort's half of a phase: the sort, then the contact table of the
+/// sorted path.
+enum SortLane {
     Sort(SortStep),
-    SortedContacts(ContactsStep),
+    Contacts(SortedPath, ContactsStep),
+}
+
+impl Step for SortLane {
+    type Out = (SortedPath, Arc<ContactTable>);
+
+    fn poll(&mut self, rctx: &mut RoundCtx<'_>) -> Poll<Self::Out> {
+        loop {
+            match self {
+                SortLane::Sort(s) => match s.poll(rctx) {
+                    Poll::Pending => return Poll::Pending,
+                    Poll::Ready(sp) => *self = SortLane::Contacts(sp, ContactsStep::new(sp.vp)),
+                },
+                SortLane::Contacts(sp, s) => {
+                    return match s.poll(rctx) {
+                        Poll::Pending => Poll::Pending,
+                        Poll::Ready(table) => Poll::Ready((*sp, table)),
+                    }
+                }
+            }
+        }
+    }
+}
+
+enum CoreStage {
+    /// The control sweep beside the sort lane, each polled until it is
+    /// ready (`None` from then on).
+    Phase {
+        control: Option<SweepStep>,
+        lane: Option<Box<SortLane>>,
+    },
     Mcast(ImcastStep),
     Handoff(StaggerStep),
 }
@@ -205,7 +241,8 @@ pub struct DegreesCore {
     /// Did the last multicast reach this node with nothing left to give?
     went_negative: bool,
     outcome: ImplicitOutcome,
-    sp: Option<SortedPath>,
+    /// The sort lane's result, held until the control is in too.
+    sorted: Option<(SortedPath, Arc<ContactTable>)>,
     /// This phase's δ and the sorted ranks its groups span, `q(δ+1)`.
     delta: usize,
     group_span: usize,
@@ -222,13 +259,16 @@ impl DegreesCore {
         global_vp: VPath,
         global_tree: Arc<Bbst>,
     ) -> Self {
-        let mut core = DegreesCore {
+        DegreesCore {
             flavor,
             local,
             global_vp,
             global_tree,
-            // Placeholder; `begin_phase` installs the real first stage.
-            stage: CoreStage::SortedContacts(ContactsStep::new(VPath::non_member(0))),
+            // Placeholder; the first poll's `begin_phase` installs phase 1.
+            stage: CoreStage::Phase {
+                control: None,
+                lane: None,
+            },
             need: degree as u64,
             went_negative: false,
             outcome: ImplicitOutcome {
@@ -236,17 +276,17 @@ impl DegreesCore {
                 neighbors: Vec::new(),
                 phases: 0,
             },
-            sp: None,
+            sorted: None,
             delta: 0,
             group_span: 0,
             is_leader: false,
-        };
-        core.begin_phase();
-        core
+        }
     }
 
-    /// Opens a new Algorithm 3 phase: the control sweep, on the global tree.
-    fn begin_phase(&mut self) {
+    /// Opens a new Algorithm 3 phase: the control sweep on the global
+    /// tree and, in the same rounds, the sort on the local path — the sort
+    /// needs nothing the sweep computes.
+    fn begin_phase(&mut self, my_id: NodeId) {
         self.outcome.phases += 1;
         let words = [
             self.need,
@@ -255,7 +295,19 @@ impl DegreesCore {
             self.outcome.requested as u64,
         ];
         let (vp, tree) = (self.global_vp, self.global_tree.clone());
-        self.stage = CoreStage::Control(SweepStep::new(vp, tree, &words, None, fold_control));
+        let local = &self.local;
+        let sort = SortStep::new(
+            local.vp,
+            local.contacts.clone(),
+            local.position,
+            self.need,
+            Order::Descending,
+            my_id,
+        );
+        self.stage = CoreStage::Phase {
+            control: Some(SweepStep::new(vp, tree, &words, None, fold_control)),
+            lane: Some(Box::new(SortLane::Sort(sort))),
+        };
     }
 }
 
@@ -263,12 +315,17 @@ impl Step for DegreesCore {
     type Out = Result<ImplicitOutcome, Unrealizable>;
 
     fn poll(&mut self, rctx: &mut RoundCtx<'_>) -> Poll<Self::Out> {
+        if self.outcome.phases == 0 {
+            self.begin_phase(rctx.id());
+        }
         loop {
             match &mut self.stage {
-                CoreStage::Control(s) => match s.poll(rctx) {
-                    Poll::Pending => return Poll::Pending,
-                    Poll::Ready(control) => {
-                        let [delta, n_max, err, bound] = control.words;
+                CoreStage::Phase { control, lane } => {
+                    // The control goes first: a refusing or closing phase
+                    // drops the sort before it stages this round's sends.
+                    if let Some(Poll::Ready(swept)) = control.as_mut().map(|s| s.poll(rctx)) {
+                        *control = None;
+                        let [delta, n_max, err, bound] = swept.words;
                         // Some node went negative, or wants more
                         // neighbors than exist.
                         if err != 0 || delta as usize >= self.local.vp.len {
@@ -296,45 +353,32 @@ impl Step for DegreesCore {
                             self.group_span <= self.local.vp.len,
                             "groups exceed the path"
                         );
-                        let local = &self.local;
-                        self.stage = CoreStage::Sort(SortStep::new(
-                            local.vp,
-                            local.contacts.clone(),
-                            local.position,
-                            self.need,
-                            Order::Descending,
-                            rctx.id(),
-                        ));
                     }
-                },
-                CoreStage::Sort(s) => match s.poll(rctx) {
-                    Poll::Pending => return Poll::Pending,
-                    Poll::Ready(sp) => {
-                        self.stage = CoreStage::SortedContacts(ContactsStep::new(sp.vp));
-                        self.sp = Some(sp);
+                    if let Some(Poll::Ready(sorted)) = lane.as_mut().map(|s| s.poll(rctx)) {
+                        *lane = None;
+                        self.sorted = Some(sorted);
                     }
-                },
-                CoreStage::SortedContacts(s) => match s.poll(rctx) {
-                    Poll::Pending => return Poll::Pending,
-                    Poll::Ready(table) => {
-                        let delta = self.delta;
-                        let sp = self.sp.as_ref().expect("phase without a sorted path");
-                        self.is_leader = self.local.vp.member
-                            && sp.rank < self.group_span
-                            && sp.rank.is_multiple_of(delta + 1);
-                        let task = self.is_leader.then(|| {
-                            (
-                                CoverSide::After,
-                                delta,
-                                Payload {
-                                    addr: rctx.id(),
-                                    word: 0,
-                                },
-                            )
-                        });
-                        self.stage = CoreStage::Mcast(ImcastStep::new(sp.vp, table, task));
+                    if control.is_some() || lane.is_some() {
+                        return Poll::Pending;
                     }
-                },
+                    // Both halves are in: the multicast opens this round.
+                    let (sp, table) = self.sorted.take().expect("phase without a sorted path");
+                    let delta = self.delta;
+                    self.is_leader = self.local.vp.member
+                        && sp.rank < self.group_span
+                        && sp.rank.is_multiple_of(delta + 1);
+                    let task = self.is_leader.then(|| {
+                        (
+                            CoverSide::After,
+                            delta,
+                            Payload {
+                                addr: rctx.id(),
+                                word: 0,
+                            },
+                        )
+                    });
+                    self.stage = CoreStage::Mcast(ImcastStep::new(sp.vp, table, task));
+                }
                 CoreStage::Mcast(s) => match s.poll(rctx) {
                     Poll::Pending => return Poll::Pending,
                     Poll::Ready(got) => {
@@ -354,7 +398,7 @@ impl Step for DegreesCore {
                                 self.need = self.need.saturating_sub(1);
                             }
                         }
-                        self.begin_phase();
+                        self.begin_phase(rctx.id());
                     }
                 },
                 CoreStage::Handoff(s) => match s.poll(rctx) {
@@ -421,10 +465,12 @@ mod tests {
         }
     }
 
-    /// `[3, 1, 1]` (δ ≥ n) is refused by the first control sweep, before
-    /// anything is sorted; `[3, 3, 1, 1]` (a node goes negative in phase
-    /// 2) by the third. Every node gets there in the same round: no round
-    /// completes with only some of them still running.
+    /// `[3, 1, 1]` (δ ≥ n) is refused by the first control sweep — at
+    /// three nodes the sweep outlasts the sort beside it, so the sorted
+    /// path is already built and goes unused; `[3, 3, 1, 1]` (a node goes
+    /// negative in phase 2) by the third. Every node gets there in the
+    /// same round: no round completes with only some of them still
+    /// running.
     #[test]
     fn refusals_reach_every_node_in_the_same_round() {
         for (degrees, phases) in [(vec![3, 1, 1], 1), (vec![3, 3, 1, 1], 3)] {
@@ -488,6 +534,37 @@ mod tests {
         want.sort_unstable_by(|a, b| b.cmp(a));
         assert_eq!(g.graph.degree_sequence(), want);
         assert_eq!(g.metrics.undelivered, 0);
+    }
+
+    /// The closing phase drops a sort still in flight: at 64 nodes the
+    /// control sweep ends inside the comparator network, so its last
+    /// exchanges land in the round the hand-off opens, whose first poll
+    /// reads no inbox. Nothing is left undelivered and every node lists
+    /// exactly its overlay adjacency, on both engines.
+    #[test]
+    fn explicit_hand_off_ignores_the_dropped_sort() {
+        use dgr_primitives::{ops, sort};
+        let n = 64;
+        assert!(ops::rounds_for(n) < sort::rounds_for(n));
+        let degrees: Vec<usize> = (0..n).map(|i| 1 + i % 4).collect();
+        let config = Config::ncc0(37).with_queueing();
+        for engine in [EngineKind::Batched, EngineKind::Reference] {
+            let flavor = Flavor::Explicit;
+            let run = realize_degrees(&degrees, None, config.clone(), flavor, engine, None);
+            let out = run.unwrap().output;
+            let g = out.expect_realized();
+            assert_eq!(g.metrics.undelivered, 0, "{engine:?}");
+            assert!(g.metrics.is_clean(), "{engine:?}");
+            let want = rounds_for(n, g.phases, flavor, 4, g.metrics.capacity);
+            assert_eq!(g.metrics.rounds, want, "{engine:?}");
+            for &id in &g.path_order {
+                let mut listed = g.explicit_neighbors[&id].clone();
+                listed.sort_unstable();
+                let mut actual = g.graph.neighbors_of(id);
+                actual.sort_unstable();
+                assert_eq!(listed, actual, "{engine:?} node {id}");
+            }
+        }
     }
 
     #[test]

@@ -235,6 +235,46 @@ fn round_counts_follow_the_closed_form_at_scale() {
     }
 }
 
+/// The control sweep and the sort lane (sort, then sorted contacts) share
+/// their rounds. At the edges of that overlap — paths so short that the
+/// sweep outlasts the lane, one where both end together, one long enough
+/// that the lane outlasts the sweep — and at the capacity floor (cap = 4),
+/// every flavour runs clean under the strict policy on both engines,
+/// within the cap on both sides, on the closed form.
+#[test]
+fn sweep_beside_the_sort_runs_clean_at_its_edges() {
+    use dgr_primitives::{contacts, ops, sort};
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    for (n, edge) in [(3usize, Greater), (4, Greater), (6, Equal), (256, Less)] {
+        let lane = sort::rounds_for(n) + contacts::rounds_for(n);
+        assert_eq!(ops::rounds_for(n).cmp(&lane), edge, "n={n}: wrong edge");
+        // Graphic, Δ ≤ 4: a strict-cap hand-off never exceeds the floor.
+        let degrees: Vec<usize> = (0..n).map(|i| (2 + 2 * (i % 2)).min(n - 1)).collect();
+        let max_degree = degrees.iter().copied().max().unwrap();
+        for factor in [2.0, 0.1] {
+            let config = Config::ncc0(n as u64 + 40).with_capacity_factor(factor);
+            for flavor in [Flavor::Implicit, Flavor::Envelope, Flavor::Explicit] {
+                let what = format!("n={n} factor={factor} {flavor:?}");
+                let run = |engine| realize(&degrees, None, config.clone(), flavor, engine);
+                let (batched, reference) = (run(EngineKind::Batched), run(EngineKind::Reference));
+                assert_eq!(batched.metrics(), reference.metrics(), "{what}: engines");
+                let r = batched.expect_realized();
+                let m = &r.metrics;
+                assert!(m.is_clean(), "{what}: {:?}", m.violations);
+                assert!(
+                    factor > 1.0 || m.capacity == 4,
+                    "{what}: cap {}",
+                    m.capacity
+                );
+                assert!(m.max_sent_per_round <= m.capacity, "{what}");
+                assert!(m.max_received_per_round <= m.capacity, "{what}");
+                let want = rounds_for(n, r.phases, flavor, max_degree, m.capacity);
+                assert_eq!(m.rounds, want, "{what}: {} phases", r.phases);
+            }
+        }
+    }
+}
+
 /// `realize_on`-over-a-prefix, both engines: a masked sub-network run
 /// (only the first `k` path positions participate; `G_k` links across the
 /// rest) must produce identical overlays, rounds and messages on the

@@ -10,7 +10,7 @@
 use crate::contacts::ContactTable;
 use crate::step::{Poll, Step};
 use crate::vpath::VPath;
-use dgr_ncc::{tags, RoundCtx, WireMsg};
+use dgr_ncc::{tags, RoundCtx, WireEnvelope, WireMsg};
 use std::sync::Arc;
 
 /// Number of rounds [`PrefixStep`] takes on a path of `len` nodes.
@@ -66,7 +66,12 @@ impl Step for PrefixStep {
             return Poll::Pending;
         }
         if self.t > 0 {
-            for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::PREFIX) {
+            // Last round's partial sum comes from the node `2^(t-1)`
+            // behind, once: a duplicate, or a straggler from an earlier
+            // level, adds nothing.
+            let from = self.contacts.behind(self.t as usize - 1);
+            let sent = |e: &&WireEnvelope| e.msg.tag == tags::PREFIX && Some(e.src) == from;
+            if let Some(env) = ctx.inbox().iter().find(sent) {
                 self.acc += env.word();
             }
         }
@@ -86,7 +91,7 @@ impl Step for PrefixStep {
 mod tests {
     use super::*;
     use crate::{PathCtx, WithCtx};
-    use dgr_ncc::{Config, Network};
+    use dgr_ncc::{Config, EngineKind, Network, Scenario};
 
     #[test]
     fn inclusive_prefix_sums_are_exact() {
@@ -123,6 +128,33 @@ mod tests {
         for (i, (_, got)) in result.outputs.iter().enumerate() {
             assert_eq!(*got, running);
             running += i as u64;
+        }
+    }
+
+    /// A duplicated `PREFIX` adds once: with every message of the run
+    /// delivered twice, the inclusive sums are the fault-free ones, on both
+    /// engines.
+    #[test]
+    fn prefix_sums_are_exact_under_full_duplication() {
+        let n = 37;
+        let scenario = Scenario::new(6).duplicate_messages(0..=u64::MAX, 1.0);
+        let config = Config::ncc0(42).with_queueing().with_scenario(scenario);
+        let net = Network::new(n, config);
+        for engine in [EngineKind::Batched, EngineKind::Reference] {
+            let result = net
+                .run_protocol_on(engine, None, None, |_| {
+                    WithCtx::new(|ctx: &PathCtx, _: &mut RoundCtx<'_>| {
+                        let v = (ctx.position as u64 % 5) + 1;
+                        PrefixStep::new(ctx.vp, ctx.contacts.clone(), v)
+                    })
+                })
+                .unwrap();
+            assert!(result.engine.faults_duplicated > 0);
+            let mut running = 0;
+            for (position, (_, got)) in result.outputs.iter().enumerate() {
+                running += (position as u64 % 5) + 1;
+                assert_eq!(*got, running, "{engine:?} position {position}");
+            }
         }
     }
 }

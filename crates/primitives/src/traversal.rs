@@ -73,16 +73,18 @@ impl TraversalStep {
             match env.msg.tag {
                 tags::SUBTREE_SIZE => {
                     let size = env.word() as usize;
-                    if Some(env.src) == self.tree.left {
-                        self.out.left_size = size;
-                        self.have_left = true;
+                    let (have, side) = if Some(env.src) == self.tree.left {
+                        (&mut self.have_left, &mut self.out.left_size)
                     } else if Some(env.src) == self.tree.right {
-                        self.out.right_size = size;
-                        self.have_right = true;
+                        (&mut self.have_right, &mut self.out.right_size)
                     } else {
                         unreachable!("subtree size from non-child");
+                    };
+                    // A child's size folds once: a duplicate adds nothing.
+                    if !std::mem::replace(have, true) {
+                        *side = size;
+                        self.out.subtree_size += size;
                     }
-                    self.out.subtree_size += size;
                 }
                 tags::INORDER => {
                     debug_assert_eq!(Some(env.src), self.tree.parent);
@@ -152,7 +154,7 @@ impl Step for TraversalStep {
 mod tests {
     use super::*;
     use crate::{EstablishCtx, StepProtocol};
-    use dgr_ncc::{Config, Network};
+    use dgr_ncc::{Config, EngineKind, Network, Scenario};
 
     /// The traversal the context establishment ends with.
     fn check(n: usize, seed: u64) {
@@ -176,6 +178,33 @@ mod tests {
     fn positions_are_exact() {
         for &n in &[1, 2, 3, 4, 5, 7, 8, 9, 16, 33, 64, 100, 129] {
             check(n, n as u64 * 7 + 1);
+        }
+    }
+
+    /// A duplicated `SUBTREE_SIZE` folds once: with every message of the
+    /// run delivered twice, the establishment hands every node its
+    /// fault-free traversal, on both engines.
+    #[test]
+    fn positions_are_exact_under_full_duplication() {
+        let n = 37;
+        let clean = Network::new(n, Config::ncc0(41))
+            .run_protocol(|_| StepProtocol::new(EstablishCtx::new()))
+            .unwrap();
+        let scenario = Scenario::new(5).duplicate_messages(0..=u64::MAX, 1.0);
+        let config = Config::ncc0(41).with_queueing().with_scenario(scenario);
+        let net = Network::new(n, config);
+        for engine in [EngineKind::Batched, EngineKind::Reference] {
+            let result = net
+                .run_protocol_on(engine, None, None, |_| {
+                    StepProtocol::new(EstablishCtx::new())
+                })
+                .unwrap();
+            assert!(result.engine.faults_duplicated > 0);
+            for (i, ((_, got), (_, want))) in result.outputs.iter().zip(&clean.outputs).enumerate()
+            {
+                assert_eq!(got.traversal.position, i, "{engine:?}");
+                assert_eq!(got.traversal, want.traversal, "{engine:?} position {i}");
+            }
         }
     }
 

@@ -3,9 +3,13 @@
 //! establishment, the input check (`Σd = 2(n-1)`, `min d ≥ 1`; a failure
 //! refuses with [`Unrealizable`]), the degree sort and the slot prefix
 //! sums, and differ only in the hand-off that tells every child its
-//! parent. Stage transitions happen within a round — a primitive boundary
-//! costs no round; `crates/trees/tests/batched_trees.rs` pins the
-//! transcripts on both engines.
+//! parent. The check's sweep runs in the rounds of the degree sort and its
+//! sorted contacts — neither feeds the other — so the opening costs
+//! `max(check, sort + contacts)` rounds, and a refusal drops the partial
+//! sort when the check completes. Stage transitions happen within a
+//! round — a primitive boundary costs no round;
+//! `crates/trees/tests/batched_trees.rs` pins the transcripts on both
+//! engines.
 //!
 //! # Algorithm 4 (Distributed-Tree-Realization-1, Theorem 14)
 //!
@@ -49,14 +53,30 @@
 use crate::driver::TreeAlgo;
 use dgr_core::Unrealizable;
 use dgr_ncc::{NodeId, NodeProtocol, RoundCtx, Status};
-use dgr_primitives::contacts::{ContactTable, ContactsStep};
-use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
-use dgr_primitives::ops::SweepStep;
-use dgr_primitives::prefix::PrefixStep;
-use dgr_primitives::scatter::{ScanRecord, ScanStep};
-use dgr_primitives::sort::{Order, SortStep, SortedPath};
-use dgr_primitives::{EstablishCtx, PathCtx, Poll, Step};
+use dgr_primitives::contacts::{self, ContactTable, ContactsStep};
+use dgr_primitives::imcast::{self, CoverSide, ImcastStep, Payload};
+use dgr_primitives::ops::{self, SweepStep};
+use dgr_primitives::prefix::{self, PrefixStep};
+use dgr_primitives::scatter::{self, ScanRecord, ScanStep};
+use dgr_primitives::sort::{self, Order, SortStep, SortedPath};
+use dgr_primitives::{ctx, EstablishCtx, Poll, Step};
 use std::sync::Arc;
+
+/// Rounds of a realized tree run on `len ≥ 2` nodes: context
+/// establishment, the input check beside the degree sort and its sorted
+/// contacts, the slot prefix sums, then Algorithm 4's re-sort, its
+/// contacts and the interval multicast, or Algorithm 5's milestone scan.
+/// A refusal (and a single node) ends on the check,
+/// `ctx::rounds_for(len) + ops::rounds_for(len)` rounds in all.
+pub fn rounds_for(len: usize, algo: TreeAlgo) -> u64 {
+    let sorted = sort::rounds_for(len) + contacts::rounds_for(len);
+    let opening = ctx::rounds_for(len) + ops::rounds_for(len).max(sorted) + prefix::rounds_for(len);
+    opening
+        + match algo {
+            TreeAlgo::Chain => sorted + imcast::rounds_for(len),
+            TreeAlgo::Greedy => scatter::rounds_for(len),
+        }
+}
 
 /// One node's result of a tree realization: the tree edges stored here
 /// (implicit realization — each edge lives at exactly one endpoint).
@@ -68,13 +88,43 @@ pub struct TreeOutcome {
     pub neighbors: Vec<NodeId>,
 }
 
+/// The sort's half of the opening stage: the degree sort, then the
+/// contact table of the sorted path.
+enum SortLane {
+    Sort(SortStep),
+    Contacts(SortedPath, ContactsStep),
+}
+
+impl Step for SortLane {
+    type Out = (SortedPath, Arc<ContactTable>);
+
+    fn poll(&mut self, rctx: &mut RoundCtx<'_>) -> Poll<Self::Out> {
+        loop {
+            match self {
+                SortLane::Sort(s) => match s.poll(rctx) {
+                    Poll::Pending => return Poll::Pending,
+                    Poll::Ready(sp) => *self = SortLane::Contacts(sp, ContactsStep::new(sp.vp)),
+                },
+                SortLane::Contacts(sp, s) => {
+                    return match s.poll(rctx) {
+                        Poll::Pending => Poll::Pending,
+                        Poll::Ready(table) => Poll::Ready((*sp, table)),
+                    }
+                }
+            }
+        }
+    }
+}
+
 enum Stage {
     Establish(EstablishCtx),
-    /// The input check and Algorithm 4's `k`, none of which needs the
-    /// sort: `(Σd, min d, number of non-leaves)` in one sweep.
-    Check(SweepStep),
-    Sort(SortStep),
-    SortedContacts(ContactsStep),
+    /// The input check and Algorithm 4's `k` — `(Σd, min d, number of
+    /// non-leaves)` in one sweep — beside the sort lane, which needs none
+    /// of them; each is polled until it is ready (`None` from then on).
+    Sorting {
+        check: Option<SweepStep>,
+        lane: Option<SortLane>,
+    },
     Prefix(PrefixStep),
     /// Algorithm 4: the interval re-sort.
     Resort(SortStep),
@@ -89,7 +139,8 @@ pub struct RealizeTree {
     degree: usize,
     algo: TreeAlgo,
     stage: Stage,
-    ctx: Option<PathCtx>,
+    /// Path length, known once the context is established.
+    len: usize,
     outcome: TreeOutcome,
     sp: Option<SortedPath>,
     sct: Option<Arc<ContactTable>>,
@@ -108,7 +159,7 @@ impl RealizeTree {
             degree,
             algo,
             stage: Stage::Establish(EstablishCtx::new()),
-            ctx: None,
+            len: 0,
             outcome: TreeOutcome {
                 requested: degree,
                 neighbors: Vec::new(),
@@ -119,10 +170,6 @@ impl RealizeTree {
             slots: 0,
             msp: None,
         }
-    }
-
-    fn ctx(&self) -> &PathCtx {
-        self.ctx.as_ref().expect("stage before establish completed")
     }
 
     fn done(&mut self) -> Status<Result<TreeOutcome, Unrealizable>> {
@@ -140,76 +187,73 @@ impl NodeProtocol for RealizeTree {
                     Poll::Pending => return Status::Continue,
                     Poll::Ready(ctx) => {
                         let degree = self.degree as u64;
-                        self.stage = Stage::Check(SweepStep::new(
+                        let check = SweepStep::new(
                             ctx.vp,
                             ctx.tree.clone(),
                             &[degree, degree, u64::from(degree > 1)],
                             None,
                             |acc, x| *acc = [acc[0] + x[0], acc[1].min(x[1]), acc[2] + x[2], 0],
-                        ));
-                        self.ctx = Some(ctx);
+                        );
+                        let sort = SortStep::new(
+                            ctx.vp,
+                            ctx.contacts.clone(),
+                            ctx.position,
+                            degree,
+                            Order::Descending,
+                            rctx.id(),
+                        );
+                        self.stage = Stage::Sorting {
+                            check: Some(check),
+                            lane: Some(SortLane::Sort(sort)),
+                        };
+                        self.len = ctx.vp.len;
                     }
                 },
-                Stage::Check(s) => match s.poll(rctx) {
-                    Poll::Pending => return Status::Continue,
-                    Poll::Ready(total) => {
+                Stage::Sorting { check, lane } => {
+                    // The check goes first: a refusal drops the sort
+                    // before it stages this round's sends.
+                    if let Some(Poll::Ready(total)) = check.as_mut().map(|s| s.poll(rctx)) {
+                        *check = None;
                         let [sum, min, non_leaves, _] = total.words;
                         self.k_eff = (non_leaves as usize).max(1);
-                        let n = self.ctx().vp.len as u64;
+                        let n = self.len as u64;
                         if sum != 2 * (n - 1) || (n >= 2 && min < 1) {
                             return Status::Done(Err(Unrealizable));
                         }
                         if n == 1 {
                             return self.done();
                         }
-                        let ctx = self.ctx();
-                        self.stage = Stage::Sort(SortStep::new(
-                            ctx.vp,
-                            ctx.contacts.clone(),
-                            ctx.position,
-                            self.degree as u64,
-                            Order::Descending,
-                            rctx.id(),
-                        ));
                     }
-                },
-                Stage::Sort(s) => match s.poll(rctx) {
-                    Poll::Pending => return Status::Continue,
-                    Poll::Ready(sp) => {
-                        self.stage = Stage::SortedContacts(ContactsStep::new(sp.vp));
-                        self.sp = Some(sp);
+                    if let Some(Poll::Ready(sorted)) = lane.as_mut().map(|s| s.poll(rctx)) {
+                        *lane = None;
+                        (self.sp, self.sct) = (Some(sorted.0), Some(sorted.1));
                     }
-                },
-                Stage::SortedContacts(s) => match s.poll(rctx) {
-                    Poll::Pending => return Status::Continue,
-                    Poll::Ready(table) => {
-                        let sp = self.sp.as_ref().unwrap();
-                        let rank = sp.rank;
-                        self.slots = match self.algo {
-                            // Algorithm 4: chain ranks 1..=k_eff; the
-                            // non-leaves keep their remaining child slots.
-                            TreeAlgo::Chain => {
-                                if (1..=self.k_eff).contains(&rank) {
-                                    let pred =
-                                        sp.vp.pred.expect("chained rank without predecessor");
-                                    self.outcome.neighbors.push(pred);
-                                }
-                                if rank < self.k_eff {
-                                    self.degree - 1 - usize::from(rank > 0)
-                                } else {
-                                    0
-                                }
+                    if check.is_some() || lane.is_some() {
+                        return Status::Continue;
+                    }
+                    let sp = self.sp.as_ref().unwrap();
+                    let rank = sp.rank;
+                    self.slots = match self.algo {
+                        // Algorithm 4: chain ranks 1..=k_eff; the
+                        // non-leaves keep their remaining child slots.
+                        TreeAlgo::Chain => {
+                            if (1..=self.k_eff).contains(&rank) {
+                                let pred = sp.vp.pred.expect("chained rank without predecessor");
+                                self.outcome.neighbors.push(pred);
                             }
-                            // Algorithm 5: the root keeps all d, everyone
-                            // else spends one on its parent.
-                            TreeAlgo::Greedy => self.degree - usize::from(rank > 0),
-                        };
-                        let slots = self.slots as u64;
-                        self.stage =
-                            Stage::Prefix(PrefixStep::exclusive(sp.vp, table.clone(), slots));
-                        self.sct = Some(table);
-                    }
-                },
+                            if rank < self.k_eff {
+                                self.degree - 1 - usize::from(rank > 0)
+                            } else {
+                                0
+                            }
+                        }
+                        // Algorithm 5: the root keeps all d, everyone
+                        // else spends one on its parent.
+                        TreeAlgo::Greedy => self.degree - usize::from(rank > 0),
+                    };
+                    let (slots, table) = (self.slots as u64, self.sct.clone().unwrap());
+                    self.stage = Stage::Prefix(PrefixStep::exclusive(sp.vp, table, slots));
+                }
                 Stage::Prefix(s) => match s.poll(rctx) {
                     Poll::Pending => return Status::Continue,
                     Poll::Ready(excl) => {

@@ -13,6 +13,7 @@
 //!   cases from the test's name).
 
 use dgr_ncc::{Config, EngineKind};
+use dgr_trees::distributed::rounds_for;
 use dgr_trees::{realize_tree_run, TreeAlgo, TreeRealization};
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -190,6 +191,7 @@ fn sweep() -> Vec<Golden> {
             assert_eq!(transcript(&batched), transcript(&reference), "{what}");
             assert_eq!(metrics_of(&batched), metrics_of(&reference), "{what}");
             let t = batched.expect_realized();
+            assert_eq!(t.metrics.rounds, rounds_for(degrees.len(), algo), "{what}");
             assert!(t.graph.is_tree());
             let mut want = degrees.clone();
             want.sort_unstable_by(|a, b| b.cmp(a));
@@ -198,6 +200,46 @@ fn sweep() -> Vec<Golden> {
         }
     }
     rows
+}
+
+/// The input check's sweep and the sort lane (degree sort, then sorted
+/// contacts) share their rounds. At the edges of that overlap — paths so
+/// short that the sweep outlasts the lane, one where both end together,
+/// one long enough that the lane outlasts the sweep — and at the capacity
+/// floor (cap = 4), both algorithms run clean under the strict policy on
+/// both engines, within the cap on both sides, on the closed form.
+#[test]
+fn check_beside_the_sort_runs_clean_at_its_edges() {
+    use dgr_primitives::{contacts, ops, sort};
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    for (n, edge) in [(3usize, Greater), (4, Greater), (6, Equal), (256, Less)] {
+        let lane = sort::rounds_for(n) + contacts::rounds_for(n);
+        assert_eq!(ops::rounds_for(n).cmp(&lane), edge, "n={n}: wrong edge");
+        // A heap-shaped tree: node i + 1 hangs below node i / 2.
+        let picks: Vec<usize> = (0..n - 1).map(|i| i / 2).collect();
+        let degrees = tree_degrees(&picks);
+        for factor in [2.0, 0.1] {
+            let config = Config::ncc0(n as u64 + 60).with_capacity_factor(factor);
+            for algo in [TreeAlgo::Chain, TreeAlgo::Greedy] {
+                let what = format!("n={n} factor={factor} {algo:?}");
+                let batched = realize(&degrees, config.clone(), algo, EngineKind::Batched);
+                let reference = realize(&degrees, config.clone(), algo, EngineKind::Reference);
+                assert_eq!(metrics_of(&batched), metrics_of(&reference), "{what}");
+                let t = batched.expect_realized();
+                let m = &t.metrics;
+                assert!(t.graph.is_tree(), "{what}");
+                assert!(m.is_clean(), "{what}: {:?}", m.violations);
+                assert!(
+                    factor > 1.0 || m.capacity == 4,
+                    "{what}: cap {}",
+                    m.capacity
+                );
+                assert!(m.max_sent_per_round <= m.capacity, "{what}");
+                assert!(m.max_received_per_round <= m.capacity, "{what}");
+                assert_eq!(m.rounds, rounds_for(n, algo), "{what}");
+            }
+        }
+    }
 }
 
 /// Folds transcripts into one hash: every column, or (`overlay_only`)
