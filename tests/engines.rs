@@ -200,18 +200,18 @@ fn transcript(out: &Realized) -> Golden {
 /// recorded from it at the last commit that had it.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, Golden)] = &[
-    ("implicit seed=3", (true, 4, 132, 612, 1954, 2, 2, 0x002a99e1b86c0afd)),
-    ("envelope seed=3", (true, 4, 132, 612, 1954, 2, 2, 0x002a99e1b86c0afd)),
-    ("explicit seed=3", (true, 4, 138, 621, 1963, 2, 2, 0x002a99e1b86c0afd)),
-    ("implicit seed=19", (true, 4, 132, 612, 1954, 2, 2, 0x1de3e97f8061625c)),
-    ("envelope seed=19", (true, 4, 132, 612, 1954, 2, 2, 0x1de3e97f8061625c)),
-    ("explicit seed=19", (true, 4, 138, 621, 1963, 2, 2, 0x1de3e97f8061625c)),
-    ("tree Chain", (true, 0, 56, 249, 708, 2, 2, 0x95080c3336213173)),
-    ("tree Greedy", (true, 0, 57, 318, 1321, 2, 2, 0xeab81924fcbe7003)),
+    ("implicit seed=3", (true, 4, 96, 719, 2275, 3, 3, 0x002a99e1b86c0afd)),
+    ("envelope seed=3", (true, 4, 96, 719, 2275, 3, 3, 0x002a99e1b86c0afd)),
+    ("explicit seed=3", (true, 4, 102, 728, 2284, 3, 3, 0x002a99e1b86c0afd)),
+    ("implicit seed=19", (true, 4, 96, 719, 2275, 3, 3, 0x1de3e97f8061625c)),
+    ("envelope seed=19", (true, 4, 96, 719, 2275, 3, 3, 0x1de3e97f8061625c)),
+    ("explicit seed=19", (true, 4, 102, 728, 2284, 3, 3, 0x1de3e97f8061625c)),
+    ("tree Chain", (true, 0, 46, 249, 708, 4, 3, 0x95080c3336213173)),
+    ("tree Greedy", (true, 0, 47, 318, 1321, 4, 3, 0xeab81924fcbe7003)),
     ("ncc1", (true, 0, 39, 70, 144, 2, 2, 0xd8b85508f1bbb25d)),
     ("ncc0", (true, 0, 71, 133, 333, 2, 3, 0x7bc5877a5e133eb7)),
-    ("ncc0-exact", (true, 0, 173, 276, 850, 2, 2, 0x0245ad4acc2b7f59)),
-    ("prefix", (true, 4, 73, 120, 400, 2, 2, 0x40fdb7803a1a6ba7)),
+    ("ncc0-exact", (true, 0, 155, 300, 922, 3, 3, 0x0245ad4acc2b7f59)),
+    ("prefix", (true, 4, 55, 144, 472, 4, 3, 0x40fdb7803a1a6ba7)),
 ];
 
 /// What a change of schedule may not move: the verdict, phases and

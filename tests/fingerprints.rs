@@ -101,32 +101,32 @@ fn benchmark_calls_keep_their_fingerprints() {
         (
             "degrees_default",
             2020,
-            (1013, 1_366_017, 4_167_693, 0x7504_cae2_9b62_b91e),
+            (805, 1_409_089, 4_296_909, 0x7504_cae2_9b62_b91e),
         ),
         (
             "degrees_default",
             5376,
-            (1013, 1_366_017, 4_167_693, 0xe514_bcfc_8041_68a3),
+            (805, 1_409_089, 4_296_909, 0xe514_bcfc_8041_68a3),
         ),
         (
             "explicit_powerlaw",
             2020,
-            (2069, 2_839_331, 8_653_095, 0xc7bd_c305_c5cc_2575),
+            (1627, 2_882_403, 8_782_311, 0xc7bd_c305_c5cc_2575),
         ),
         (
             "explicit_powerlaw",
             5376,
-            (2069, 2_839_331, 8_653_095, 0x58a9_4497_4cc0_62ab),
+            (1627, 2_882_403, 8_782_311, 0x58a9_4497_4cc0_62ab),
         ),
         (
             "threshold_certified",
             2020,
-            (451, 215_567, 664_881, 0x513e_2e44_4a43_24ed),
+            (401, 215_619, 665_037, 0x513e_2e44_4a43_24ed),
         ),
         (
             "threshold_certified",
             5376,
-            (451, 215_441, 664_630, 0x3b4e_011f_5d6a_ee6a),
+            (401, 215_493, 664_786, 0x3b4e_011f_5d6a_ee6a),
         ),
         (
             "flood_sharded_faulty",
