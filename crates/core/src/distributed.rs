@@ -203,10 +203,12 @@ impl Step for SortLane {
 
 enum CoreStage {
     /// The control sweep beside the sort lane, each polled until it is
-    /// ready (`None` from then on).
+    /// ready (`None` from then on). The sweep is boxed, not the lane: at
+    /// large `n` the lane runs three times as many rounds, and keeping it
+    /// inline keeps those polls off a second allocation.
     Phase {
-        control: Option<SweepStep>,
-        lane: Option<Box<SortLane>>,
+        control: Option<Box<SweepStep>>,
+        lane: Option<SortLane>,
     },
     Mcast(ImcastStep),
     Handoff(StaggerStep),
@@ -304,9 +306,10 @@ impl DegreesCore {
             Order::Descending,
             my_id,
         );
+        let control = SweepStep::new(vp, tree, &words, None, fold_control);
         self.stage = CoreStage::Phase {
-            control: Some(SweepStep::new(vp, tree, &words, None, fold_control)),
-            lane: Some(Box::new(SortLane::Sort(sort))),
+            control: Some(Box::new(control)),
+            lane: Some(SortLane::Sort(sort)),
         };
     }
 }
