@@ -9,11 +9,11 @@
 use crate::distributed::{ncc0, ncc0_exact, ncc1, ThresholdOutcome};
 use crate::verify::{check_thresholds, ThresholdReport};
 use crate::ThresholdInstance;
-use dgr_core::verify as core_verify;
+use dgr_core::{verify as core_verify, EngineRun};
 use dgr_graph::Graph;
-use dgr_ncc::event::reborrow;
 use dgr_ncc::{
-    Config, EngineKind, EngineStats, Model, Network, NodeId, RunEvent, RunMetrics, SimError, Sink,
+    Config, EngineKind, Job, Model, Network, NodeId, NodeProtocol, NodeSeed, RunEvent, RunMetrics,
+    SimError, Sink,
 };
 use std::collections::BTreeMap;
 
@@ -57,13 +57,7 @@ pub enum ThresholdAlgo {
 
 /// A completed threshold-realization run: the certified realization plus
 /// the executor's internal statistics.
-#[derive(Clone, Debug)]
-pub struct ThresholdRun {
-    /// The realized overlay with its certification report.
-    pub output: ThresholdRealization,
-    /// Executor-internal statistics.
-    pub engine: EngineStats,
-}
+pub type ThresholdRun = EngineRun<ThresholdRealization>;
 
 /// The **engine room** of the threshold realizations — one typed entry
 /// point over construction × engine, driven by the `dgr::Realization`
@@ -89,34 +83,66 @@ pub fn realize_threshold_run(
     algo: ThresholdAlgo,
     engine: EngineKind,
     certify: bool,
-    mut sink: Option<&mut dyn Sink>,
+    sink: Option<&mut dyn Sink>,
 ) -> Result<ThresholdRun, SimError> {
+    prepare_threshold(inst, config, algo, engine, certify)?.drive(sink)
+}
+
+/// [`realize_threshold_run`] as a [`Job`] its caller steps: the network
+/// with the requirements assigned along its knowledge path, the chosen
+/// construction's run set up on it, and the overlay's assembly and
+/// certification.
+///
+/// # Errors
+///
+/// As for [`realize_threshold_run`].
+///
+/// # Panics
+///
+/// As for [`realize_threshold_run`].
+pub fn prepare_threshold(
+    inst: &ThresholdInstance,
+    config: Config,
+    algo: ThresholdAlgo,
+    engine: EngineKind,
+    certify: bool,
+) -> Result<Job<ThresholdRun>, SimError> {
     let net = Network::new(inst.len(), config);
-    let by_id = net.assign_in_path_order(&inst.rho);
-    let result = match algo {
-        ThresholdAlgo::Ncc1Star => {
-            assert_eq!(net.model(), Model::Ncc1, "Theorem 17 requires NCC1");
-            net.run_protocol_on(engine, None, reborrow(&mut sink), |s| {
-                ncc1::Ncc1Star::new(s, by_id[&s.id])
-            })
-        }
-        ThresholdAlgo::Ncc0Pipeline => {
-            net.run_protocol_on(engine, None, reborrow(&mut sink), |s| {
-                ncc0::Ncc0Threshold::new(by_id[&s.id])
-            })
-        }
-        ThresholdAlgo::Ncc0Exact => net.run_protocol_on(engine, None, reborrow(&mut sink), |s| {
-            ncc0_exact::Ncc0Exact::new(by_id[&s.id])
-        }),
-    }?;
-    let engine_stats = result.engine.clone();
     // The star is an implicit overlay: each edge is stored at its adding
     // endpoint. Algorithm 6 is explicit: both endpoints list every edge.
-    let explicit = algo != ThresholdAlgo::Ncc1Star;
-    Ok(ThresholdRun {
-        output: certify_run(&net, by_id, result, explicit, certify, sink),
-        engine: engine_stats,
-    })
+    match algo {
+        ThresholdAlgo::Ncc1Star => {
+            assert_eq!(net.model(), Model::Ncc1, "Theorem 17 requires NCC1");
+            prepare(net, inst, engine, false, certify, ncc1::Ncc1Star::new)
+        }
+        ThresholdAlgo::Ncc0Pipeline => prepare(net, inst, engine, true, certify, |_, rho| {
+            ncc0::Ncc0Threshold::new(rho)
+        }),
+        ThresholdAlgo::Ncc0Exact => prepare(net, inst, engine, true, certify, |_, rho| {
+            ncc0_exact::Ncc0Exact::new(rho)
+        }),
+    }
+}
+
+/// [`prepare_threshold`] for one construction, built at each node by
+/// `make` from its seed and requirement.
+fn prepare<P>(
+    net: Network,
+    inst: &ThresholdInstance,
+    engine: EngineKind,
+    explicit: bool,
+    certify: bool,
+    make: impl Fn(&NodeSeed<'_>, usize) -> P,
+) -> Result<Job<ThresholdRun>, SimError>
+where
+    P: NodeProtocol<Output = ThresholdOutcome> + 'static,
+{
+    let by_id = net.assign_in_path_order(&inst.rho);
+    let run = net.start(engine, None, |s| make(s, by_id[&s.id]))?;
+    Ok(Job::new(net, run, move |net, result, sink| ThresholdRun {
+        engine: result.engine.clone(),
+        output: certify_run(net, by_id, result, explicit, certify, sink),
+    }))
 }
 
 /// Assembly + optional certification of a threshold run. The

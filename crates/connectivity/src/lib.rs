@@ -28,7 +28,9 @@ pub mod driver;
 pub mod sequential;
 pub mod verify;
 
-pub use driver::{realize_threshold_run, ThresholdAlgo, ThresholdRealization, ThresholdRun};
+pub use driver::{
+    prepare_threshold, realize_threshold_run, ThresholdAlgo, ThresholdRealization, ThresholdRun,
+};
 pub use sequential::{edge_lower_bound, sequential_realization};
 pub use verify::{check_thresholds, ThresholdReport};
 

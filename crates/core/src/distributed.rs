@@ -84,10 +84,10 @@
 use crate::sequence::DegreeSequence;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
 use dgr_primitives::bbst::Bbst;
-use dgr_primitives::contacts::{self, ContactTable, ContactsStep};
+use dgr_primitives::contacts::{self, ContactTable};
 use dgr_primitives::imcast::{self, CoverSide, ImcastStep, Payload};
 use dgr_primitives::ops::{self, SweepStep, Words};
-use dgr_primitives::sort::{self, Order, SortStep, SortedPath};
+use dgr_primitives::sort::{self, Order, SortContactsStep, SortStep, SortedPath};
 use dgr_primitives::stagger::{self, StaggerStep};
 use dgr_primitives::{ctx, PathCtx, Poll, Step, VPath};
 use std::sync::Arc;
@@ -173,34 +173,6 @@ fn fold_control(acc: &mut Words, x: &Words) {
     acc[3] = acc[3].max(x[3]);
 }
 
-/// The sort's half of a phase: the sort, then the contact table of the
-/// sorted path.
-enum SortLane {
-    Sort(SortStep),
-    Contacts(SortedPath, ContactsStep),
-}
-
-impl Step for SortLane {
-    type Out = (SortedPath, Arc<ContactTable>);
-
-    fn poll(&mut self, rctx: &mut RoundCtx<'_>) -> Poll<Self::Out> {
-        loop {
-            match self {
-                SortLane::Sort(s) => match s.poll(rctx) {
-                    Poll::Pending => return Poll::Pending,
-                    Poll::Ready(sp) => *self = SortLane::Contacts(sp, ContactsStep::new(sp.vp)),
-                },
-                SortLane::Contacts(sp, s) => {
-                    return match s.poll(rctx) {
-                        Poll::Pending => Poll::Pending,
-                        Poll::Ready(table) => Poll::Ready((*sp, table)),
-                    }
-                }
-            }
-        }
-    }
-}
-
 enum CoreStage {
     /// The control sweep beside the sort lane, each polled until it is
     /// ready (`None` from then on). The sweep is boxed, not the lane: at
@@ -208,7 +180,7 @@ enum CoreStage {
     /// inline keeps those polls off a second allocation.
     Phase {
         control: Option<Box<SweepStep>>,
-        lane: Option<SortLane>,
+        lane: Option<SortContactsStep>,
     },
     Mcast(ImcastStep),
     Handoff(StaggerStep),
@@ -309,7 +281,7 @@ impl DegreesCore {
         let control = SweepStep::new(vp, tree, &words, None, fold_control);
         self.stage = CoreStage::Phase {
             control: Some(Box::new(control)),
-            lane: Some(SortLane::Sort(sort)),
+            lane: Some(SortContactsStep::new(sort)),
         };
     }
 }

@@ -17,7 +17,7 @@ use crate::distributed::{DegreesCore, Flavor};
 use crate::verify::{self, Assembled};
 use dgr_graph::Graph;
 use dgr_ncc::{
-    Config, EngineKind, EngineStats, Network, NodeId, RoundCtx, RunMetrics, SimError, Sink,
+    Config, EngineKind, EngineStats, Job, Network, NodeId, RoundCtx, RunMetrics, SimError, Sink,
 };
 use dgr_primitives::{PathCtx, WithCtx};
 use std::collections::BTreeMap;
@@ -105,15 +105,18 @@ fn split_consistent<T>(
     }
 }
 
-/// A completed degree-realization run: the driver output plus the
-/// executor's internal statistics.
+/// A completed realization run: the assembled output plus the executor's
+/// internal statistics. Every engine room returns one.
 #[derive(Clone, Debug)]
-pub struct DegreesRun {
-    /// Realized overlay or consistent refusal.
-    pub output: DriverOutput,
+pub struct EngineRun<T> {
+    /// The assembled output: a realization or a consistent refusal.
+    pub output: T,
     /// Executor-internal statistics (compactions, routing paths).
     pub engine: EngineStats,
 }
+
+/// A completed degree-realization run.
+pub type DegreesRun = EngineRun<DriverOutput>;
 
 /// The **engine room** of every degree-sequence realization — one typed
 /// entry point over workload flavor × engine × mask.
@@ -145,6 +148,27 @@ pub fn realize_degrees(
     engine: EngineKind,
     sink: Option<&mut dyn Sink>,
 ) -> Result<DegreesRun, SimError> {
+    prepare_degrees(degrees, participants, config, flavor, engine)?.drive(sink)
+}
+
+/// [`realize_degrees`] as a [`Job`] its caller steps: the network with
+/// the degrees assigned along its knowledge path, the engine run set up
+/// on it, and the overlay's assembly.
+///
+/// # Errors
+///
+/// As for [`realize_degrees`].
+///
+/// # Panics
+///
+/// As for [`realize_degrees`].
+pub fn prepare_degrees(
+    degrees: &[usize],
+    participants: Option<&[bool]>,
+    config: Config,
+    flavor: Flavor,
+    engine: EngineKind,
+) -> Result<Job<DegreesRun>, SimError> {
     let net = Network::new(degrees.len(), config);
     let by_id = net.assign_in_path_order(degrees);
     if let Some(mask) = participants {
@@ -154,7 +178,7 @@ pub fn realize_degrees(
             "one degree per path position is required"
         );
     }
-    let result = net.run_protocol_on(engine, participants, sink, |s| {
+    let run = net.start(engine, participants, |s| {
         let degree = by_id[&s.id];
         // The whole path is both the local and the global scope.
         WithCtx::new(move |ctx: &PathCtx, _: &mut RoundCtx<'_>| {
@@ -162,20 +186,20 @@ pub fn realize_degrees(
             DegreesCore::new(degree, flavor, ctx.clone(), vp, tree)
         })
     })?;
-    let engine_stats = result.engine.clone();
     // Masked runs are assembled as implicit overlays whatever the flavor.
     let explicit = flavor == Flavor::Explicit && participants.is_none();
-    Ok(DegreesRun {
-        output: finish(&net, degrees, participants, result, explicit),
-        engine: engine_stats,
-    })
+    let participants = participants.map(<[bool]>::to_vec);
+    Ok(Job::new(net, run, move |net, result, _| DegreesRun {
+        engine: result.engine.clone(),
+        output: assemble(net, &by_id, participants.as_deref(), result, explicit),
+    }))
 }
 
 /// Assembles a run's outputs against the *participating* nodes only
 /// (masked-out positions have no outputs and request nothing).
-fn finish(
+fn assemble(
     net: &Network,
-    degrees: &[usize],
+    by_id: &BTreeMap<NodeId, usize>,
     participants: Option<&[bool]>,
     result: dgr_ncc::RunResult<Result<crate::distributed::ImplicitOutcome, crate::Unrealizable>>,
     explicit: bool,
@@ -188,7 +212,7 @@ fn finish(
     let ids = net.ids_in_path_order();
     let positions = (0..ids.len()).filter(|&i| participants.is_none_or(|mask| mask[i]));
     let members: Vec<NodeId> = positions.clone().map(|i| ids[i]).collect();
-    let requested: BTreeMap<NodeId, usize> = positions.map(|i| (ids[i], degrees[i])).collect();
+    let requested: BTreeMap<NodeId, usize> = positions.map(|i| (ids[i], by_id[&ids[i]])).collect();
     let claims = outs.into_iter().map(|(id, o)| (id, o.neighbors));
     let (assembled, explicit_neighbors): (Assembled, _) = if explicit {
         let lists: BTreeMap<NodeId, Vec<NodeId>> = claims.collect();

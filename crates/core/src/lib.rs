@@ -47,6 +47,6 @@ pub mod sequence;
 pub mod verify;
 
 pub use distributed::{DistributedRealization, ImplicitOutcome, Unrealizable};
-pub use driver::{realize_degrees, DegreesRun, DriverOutput};
+pub use driver::{prepare_degrees, realize_degrees, DegreesRun, DriverOutput, EngineRun};
 pub use havel_hakimi::Realization;
 pub use sequence::{DegreeSequence, RealizeError};

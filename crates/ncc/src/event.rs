@@ -294,13 +294,22 @@ pub fn reborrow<'a, 'b: 'a>(
 }
 
 /// A consumer of [`RunEvent`]s. Sinks are driven from the engine's
-/// coordinating thread, strictly in stream order; `Send` so runs can be
-/// driven from a worker thread (the facade's streaming sessions).
+/// coordinating thread, strictly in stream order, and are lent to each
+/// call that steps a run rather than stored in it. `Send` so that a run
+/// and its observer — a facade `Realization` or `RunSession` — can move
+/// to another thread between rounds.
 pub trait Sink: Send {
     /// Receives one event. Called synchronously from the engine's round
-    /// loop — a slow sink slows the run (by design: that is what makes
-    /// pull-based stepping possible).
+    /// loop — a slow sink slows the run.
     fn emit(&mut self, event: &RunEvent);
+}
+
+/// Queues the stream for a consumer that pulls it one event at a time
+/// (the facade's streaming session).
+impl Sink for std::collections::VecDeque<RunEvent> {
+    fn emit(&mut self, event: &RunEvent) {
+        self.push_back(event.clone());
+    }
 }
 
 /// Discards every event. The zero-cost way to exercise the observed code
@@ -583,29 +592,21 @@ impl<W: std::io::Write + Send> Sink for ProgressSink<W> {
 
 /// The engines' internal emission point: every event goes through the
 /// always-on [`MetricsRecorder`] (the sole source of [`EngineStats`] and
-/// the phase breakdown) and then to the caller's sink, if any. Also owns
-/// the mark deduplication both engines share, so their streams stay
+/// the phase breakdown) and then to the caller's sink, if any — lent to
+/// each call, since a run outlives the calls that step it. Also owns the
+/// mark deduplication both engines share, so their streams stay
 /// bit-identical by construction.
-pub(crate) struct Emitter<'a> {
+#[derive(Default)]
+pub(crate) struct Emitter {
     pub(crate) recorder: MetricsRecorder,
-    sink: Option<&'a mut dyn Sink>,
     last_phase: Option<&'static str>,
     last_stage: Option<&'static str>,
 }
 
-impl<'a> Emitter<'a> {
-    pub(crate) fn new(sink: Option<&'a mut dyn Sink>) -> Self {
-        Emitter {
-            recorder: MetricsRecorder::new(),
-            sink,
-            last_phase: None,
-            last_stage: None,
-        }
-    }
-
-    pub(crate) fn emit(&mut self, event: RunEvent) {
+impl Emitter {
+    pub(crate) fn emit(&mut self, sink: &mut Option<&mut dyn Sink>, event: RunEvent) {
         self.recorder.emit(&event);
-        if let Some(sink) = self.sink.as_mut() {
+        if let Some(sink) = sink {
             sink.emit(&event);
         }
     }
@@ -615,6 +616,7 @@ impl<'a> Emitter<'a> {
     /// node-index order, so the deduplicated stream is canonical.
     pub(crate) fn emit_marks(
         &mut self,
+        sink: &mut Option<&mut dyn Sink>,
         round: u64,
         phase: Option<&'static str>,
         stage: Option<&'static str>,
@@ -622,13 +624,13 @@ impl<'a> Emitter<'a> {
         if let Some(phase) = phase {
             if self.last_phase != Some(phase) {
                 self.last_phase = Some(phase);
-                self.emit(RunEvent::PhaseChange { round, phase });
+                self.emit(sink, RunEvent::PhaseChange { round, phase });
             }
         }
         if let Some(stage) = stage {
             if self.last_stage != Some(stage) {
                 self.last_stage = Some(stage);
-                self.emit(RunEvent::StageTransition { round, stage });
+                self.emit(sink, RunEvent::StageTransition { round, stage });
             }
         }
     }
@@ -721,11 +723,12 @@ mod tests {
     fn emitter_dedupes_repeated_marks() {
         let mut recording = Recording::new();
         {
-            let mut emitter = Emitter::new(Some(&mut recording));
-            emitter.emit_marks(0, Some("setup"), Some("establish"));
-            emitter.emit_marks(0, Some("setup"), Some("establish"));
-            emitter.emit_marks(3, Some("setup"), Some("sort"));
-            emitter.emit_marks(7, Some("work"), None);
+            let (mut emitter, mut sink) =
+                (Emitter::default(), Some(&mut recording as &mut dyn Sink));
+            emitter.emit_marks(&mut sink, 0, Some("setup"), Some("establish"));
+            emitter.emit_marks(&mut sink, 0, Some("setup"), Some("establish"));
+            emitter.emit_marks(&mut sink, 3, Some("setup"), Some("sort"));
+            emitter.emit_marks(&mut sink, 7, Some("work"), None);
         }
         assert_eq!(
             recording.events(),

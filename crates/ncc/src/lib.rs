@@ -108,7 +108,7 @@ pub use message::{tags, NodeId};
 pub use metrics::{
     EngineStats, Footprint, PhaseRounds, RunMetrics, ViolationCounts, ROUND_TRACE_LIMIT,
 };
-pub use network::{Network, RunResult};
+pub use network::{Job, Network, Run, RunResult};
 pub use protocol::{NodeProtocol, NodeSeed, RoundCtx, Status};
 pub use scenario::{Scenario, ScenarioEvent};
 pub use wire::{WireEnvelope, WireMsg, WIRE_ADDRS, WIRE_WORDS};

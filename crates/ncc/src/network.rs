@@ -7,11 +7,13 @@
 //! counting-sort routing, millions of nodes) or
 //! [`Network::run_protocol_on`], which also takes a participant mask and
 //! a sink and reaches the **reference interpreter** (`reference.rs`) the
-//! differential suites compare against.
+//! differential suites compare against. Both are a loop over a [`Run`],
+//! which [`Network::start`] hands back as a value its caller steps one
+//! round at a time; a [`Job`] owns a network beside the run on it.
 
-use crate::config::{Config, IdAssignment};
+use crate::config::{Config, EngineKind, IdAssignment};
 use crate::error::SimError;
-use crate::event::Sink;
+use crate::event::{reborrow, Sink};
 use crate::message::NodeId;
 use crate::metrics::{EngineStats, RunMetrics};
 use crate::protocol::{NodeProtocol, NodeSeed};
@@ -130,6 +132,42 @@ impl Network {
         &self.resolver
     }
 
+    /// Sets up a run of `factory`-built protocols on the chosen engine,
+    /// masked as for [`Network::run_protocol_on`], and hands it back for
+    /// its caller to step.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidScenario`] if the configured scenario does not
+    /// fit the participant set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a mask is given and `participants.len() != n`.
+    pub fn start<P, F>(
+        &self,
+        engine: EngineKind,
+        participants: Option<&[bool]>,
+        factory: F,
+    ) -> Result<Run<P>, SimError>
+    where
+        P: NodeProtocol,
+        F: Fn(&NodeSeed<'_>) -> P,
+    {
+        Ok(Run(match engine {
+            EngineKind::Batched => Engine::Batched(Box::new(crate::shard::Run::new(
+                self,
+                participants,
+                factory,
+            )?)),
+            EngineKind::Reference => Engine::Reference(Box::new(crate::reference::Run::new(
+                self,
+                participants,
+                factory,
+            )?)),
+        }))
+    }
+
     /// Runs a [`NodeProtocol`] state machine at every node on the
     /// **batched executor**. `factory` builds each node's protocol from
     /// its [`NodeSeed`] (the model's initial knowledge); the same factory
@@ -145,14 +183,15 @@ impl Network {
         P: NodeProtocol,
         F: Fn(&NodeSeed<'_>) -> P + Sync,
     {
-        crate::shard::run(self, None, None, factory)
+        let mut run = self.start(EngineKind::Batched, None, factory)?;
+        while run.round(self, None)? {}
+        Ok(run.finish(self, None))
     }
 
     /// Unified engine dispatch: runs a [`NodeProtocol`] on the chosen
     /// [`EngineKind`](crate::EngineKind), optionally masked to a
     /// participant subset, with the run's [`RunEvent`](crate::RunEvent)
     /// stream delivered into `sink` (pass `None` to run unobserved).
-    /// This is the single entry point the `Realization` facade drives.
     ///
     /// Under a mask only the masked-in nodes participate: masked-out
     /// indices are dead from round zero, the knowledge path `G_k` links
@@ -168,21 +207,151 @@ impl Network {
     /// Panics if a mask is given and `participants.len() != n`.
     pub fn run_protocol_on<P, F>(
         &self,
-        engine: crate::EngineKind,
+        engine: EngineKind,
         participants: Option<&[bool]>,
-        sink: Option<&mut dyn Sink>,
+        mut sink: Option<&mut dyn Sink>,
         factory: F,
     ) -> Result<RunResult<P::Output>, SimError>
     where
         P: NodeProtocol,
         F: Fn(&NodeSeed<'_>) -> P + Send + Sync,
     {
-        match engine {
-            crate::EngineKind::Batched => crate::shard::run(self, participants, sink, factory),
-            crate::EngineKind::Reference => {
-                crate::reference::run(self, participants, sink, factory)
-            }
+        let mut run = self.start(engine, participants, factory)?;
+        while run.round(self, reborrow(&mut sink))? {}
+        Ok(run.finish(self, sink))
+    }
+}
+
+/// One protocol run as a value its caller steps: built by
+/// [`Network::start`], advanced by [`Run::round`] until that returns
+/// `Ok(false)`, closed by [`Run::finish`]. The run neither borrows nor
+/// copies its network — every call takes the one it was started on — so
+/// an owner can keep the two side by side ([`Job`]) and stand between any
+/// two rounds.
+pub struct Run<P: NodeProtocol>(Engine<P>);
+
+/// The engine a [`Run`] executes on.
+enum Engine<P: NodeProtocol> {
+    Batched(Box<crate::shard::Run<P>>),
+    Reference(Box<crate::reference::Run<P>>),
+}
+
+impl<P: NodeProtocol> Run<P> {
+    /// Executes one round, narrating it into `sink` (`None` runs it
+    /// unobserved). `Ok(false)` once every node has retired: the rounds
+    /// are over and [`Run::finish`] is left.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Network::run_protocol`]; the run is over then.
+    pub fn round(&mut self, net: &Network, sink: Option<&mut dyn Sink>) -> Result<bool, SimError> {
+        match &mut self.0 {
+            Engine::Batched(run) => run.round(net, sink),
+            Engine::Reference(run) => run.round(net, sink),
         }
+    }
+
+    /// Closes the run after its last round: narrates
+    /// [`RunEvent::Done`](crate::RunEvent::Done) into `sink` and returns
+    /// the outputs, metrics and executor statistics.
+    pub fn finish(self, net: &Network, sink: Option<&mut dyn Sink>) -> RunResult<P::Output> {
+        match self.0 {
+            Engine::Batched(run) => run.finish(net, sink),
+            Engine::Reference(run) => run.finish(sink),
+        }
+    }
+}
+
+/// A network and one run on it, owned side by side, with the assembly
+/// that turns the run's result into its caller's output: what an engine
+/// room hands out, so that its caller can step the run without holding
+/// the network.
+pub struct Job<T>(Box<dyn Stepper<T>>);
+
+/// What a [`Job`] boxes: a run that steps and closes by itself.
+trait Stepper<T>: Send {
+    fn round(&mut self, sink: Option<&mut dyn Sink>) -> Result<bool, SimError>;
+    fn finish(self: Box<Self>, sink: Option<&mut dyn Sink>) -> T;
+}
+
+/// A network, the run started on it, and the run's assembly.
+struct Owned<P: NodeProtocol, A> {
+    net: Network,
+    run: Run<P>,
+    assemble: A,
+}
+
+impl<P, A, T> Stepper<T> for Owned<P, A>
+where
+    P: NodeProtocol,
+    A: FnOnce(&Network, RunResult<P::Output>, Option<&mut dyn Sink>) -> T + Send,
+{
+    fn round(&mut self, sink: Option<&mut dyn Sink>) -> Result<bool, SimError> {
+        self.run.round(&self.net, sink)
+    }
+
+    fn finish(self: Box<Self>, mut sink: Option<&mut dyn Sink>) -> T {
+        let Owned { net, run, assemble } = *self;
+        let result = run.finish(&net, reborrow(&mut sink));
+        assemble(&net, result, sink)
+    }
+}
+
+/// A job whose output is mapped ([`Job::map`]).
+struct Mapped<T, F>(Job<T>, F);
+
+impl<T, U, F: FnOnce(T) -> U + Send> Stepper<U> for Mapped<T, F> {
+    fn round(&mut self, sink: Option<&mut dyn Sink>) -> Result<bool, SimError> {
+        self.0.round(sink)
+    }
+
+    fn finish(self: Box<Self>, sink: Option<&mut dyn Sink>) -> U {
+        (self.1)(self.0.finish(sink))
+    }
+}
+
+impl<T> Job<T> {
+    /// Owns `net` beside `run`, which must have been started on it.
+    /// `assemble` turns the closed run's result into the job's output; it
+    /// gets the sink after the engine's `Done` and may keep narrating.
+    pub fn new<P, A>(net: Network, run: Run<P>, assemble: A) -> Self
+    where
+        P: NodeProtocol + 'static,
+        A: FnOnce(&Network, RunResult<P::Output>, Option<&mut dyn Sink>) -> T + Send + 'static,
+    {
+        Job(Box::new(Owned { net, run, assemble }))
+    }
+
+    /// Executes one round of the run ([`Run::round`]).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Run::round`].
+    pub fn round(&mut self, sink: Option<&mut dyn Sink>) -> Result<bool, SimError> {
+        self.0.round(sink)
+    }
+
+    /// Closes the run after its last round and assembles the output.
+    pub fn finish(self, sink: Option<&mut dyn Sink>) -> T {
+        self.0.finish(sink)
+    }
+
+    /// Steps the run to its end, then closes it.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Run::round`].
+    pub fn drive(mut self, mut sink: Option<&mut dyn Sink>) -> Result<T, SimError> {
+        while self.round(reborrow(&mut sink))? {}
+        Ok(self.finish(sink))
+    }
+
+    /// The same job with `f` applied to its output.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U + Send + 'static) -> Job<U>
+    where
+        T: 'static,
+    {
+        Job(Box::new(Mapped(self, f)))
     }
 }
 

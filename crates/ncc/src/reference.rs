@@ -29,6 +29,7 @@ use crate::message::NodeId;
 use crate::metrics::RunMetrics;
 use crate::network::{Network, RunResult};
 use crate::protocol::{Marks, NodeProtocol, NodeSeed, RoundCtx, Status};
+use crate::scenario::FaultWindows;
 use crate::scenario::ScenarioEvent::{self, CrashRecover, CrashStop, Join};
 use crate::wire::{Staged, WireEnvelope};
 use rand::{rngs::SmallRng, seq::SliceRandom, Rng, SeedableRng};
@@ -67,109 +68,153 @@ impl<P: NodeProtocol> Node<P> {
     }
 }
 
-/// Runs `factory`-built protocols on the reference interpreter; the
-/// contract of [`Network::run_protocol_on`].
-pub(crate) fn run<P, F>(
-    net: &Network,
-    participants: Option<&[bool]>,
-    sink: Option<&mut dyn Sink>,
-    factory: F,
-) -> Result<RunResult<P::Output>, SimError>
-where
-    P: NodeProtocol,
-    F: Fn(&NodeSeed<'_>) -> P,
-{
-    let (config, ids) = (net.config(), net.ids_in_path_order());
-    let (n, cap) = (ids.len(), net.capacity());
-    assert!(participants.is_none_or(|m| m.len() == n), "mask length ≠ n");
-    let participating = |i: usize| participants.is_none_or(|mask| mask[i]);
-    let k = (0..n).filter(|&i| participating(i)).count();
-    let queueing = config.capacity_policy == CapacityPolicy::Queue;
-    let strict = config.capacity_policy == CapacityPolicy::Strict;
-    let tracking = config.track_knowledge && config.model == Model::Ncc0;
-    if let Some(scenario) = &config.scenario {
-        let checked = scenario.validate(n, participants, config.capacity_policy);
-        checked.map_err(SimError::InvalidScenario)?;
-    }
-    let schedule = config.scenario.as_ref().map_or(&[][..], |s| s.events());
-    let windows = config.scenario.as_ref().map(|s| s.fault_windows());
-    let index_of: BTreeMap<NodeId, usize> = ids.iter().copied().zip(0..).collect();
-    // NCC1 common knowledge: every participating ID, sorted (the map
-    // iterates in ID order).
-    let taking_part = index_of.iter().filter(|&(_, &i)| participating(i));
-    let sorted: Vec<NodeId> = taking_part.map(|(&id, _)| id).collect();
-    let all_ids = (config.model == Model::Ncc1).then(|| Arc::new(sorted));
-    let mut nodes: Vec<Node<P>> = (0..n)
-        .map(|i| {
-            // G_k links each participant to the next *participating* node.
-            let succ = (i + 1..n).find(|&j| participating(j)).map(|j| ids[j]);
-            let seed = NodeSeed {
-                id: ids[i],
-                n,
-                participants: k,
+/// One reference run as a value: [`Run::new`] sets it up, each
+/// [`Run::round`] executes one round, [`Run::finish`] closes it.
+pub(crate) struct Run<P: NodeProtocol> {
+    nodes: Vec<Node<P>>,
+    index_of: BTreeMap<NodeId, usize>,
+    all_ids: Option<Arc<Vec<NodeId>>>,
+    windows: Option<FaultWindows>,
+    /// Participating nodes.
+    k: usize,
+    live: usize,
+    metrics: RunMetrics,
+    emitter: Emitter,
+}
+
+impl<P: NodeProtocol> Run<P> {
+    /// Builds `factory`'s protocol at every participating position; the
+    /// contract of [`Network::start`].
+    pub(crate) fn new<F>(
+        net: &Network,
+        participants: Option<&[bool]>,
+        factory: F,
+    ) -> Result<Self, SimError>
+    where
+        F: Fn(&NodeSeed<'_>) -> P,
+    {
+        let (config, ids) = (net.config(), net.ids_in_path_order());
+        let (n, cap) = (ids.len(), net.capacity());
+        assert!(participants.is_none_or(|m| m.len() == n), "mask length ≠ n");
+        let participating = |i: usize| participants.is_none_or(|mask| mask[i]);
+        let k = (0..n).filter(|&i| participating(i)).count();
+        let tracking = config.track_knowledge && config.model == Model::Ncc0;
+        if let Some(scenario) = &config.scenario {
+            let checked = scenario.validate(n, participants, config.capacity_policy);
+            checked.map_err(SimError::InvalidScenario)?;
+        }
+        let schedule = config.scenario.as_ref().map_or(&[][..], |s| s.events());
+        let index_of: BTreeMap<NodeId, usize> = ids.iter().copied().zip(0..).collect();
+        // NCC1 common knowledge: every participating ID, sorted (the map
+        // iterates in ID order).
+        let taking_part = index_of.iter().filter(|&(_, &i)| participating(i));
+        let sorted: Vec<NodeId> = taking_part.map(|(&id, _)| id).collect();
+        let all_ids = (config.model == Model::Ncc1).then(|| Arc::new(sorted));
+        let nodes: Vec<Node<P>> = (0..n)
+            .map(|i| {
+                // G_k links each participant to the next *participating* node.
+                let succ = (i + 1..n).find(|&j| participating(j)).map(|j| ids[j]);
+                let seed = NodeSeed {
+                    id: ids[i],
+                    n,
+                    participants: k,
+                    capacity: cap,
+                    model: config.model,
+                    initial_successor: succ,
+                    all_ids: all_ids.as_ref(),
+                };
+                // Node-local randomness: a stream derived from the master
+                // seed and the node ID (the same on every engine).
+                let mix = (config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                    .wrapping_add(ids[i].wrapping_mul(0xBF58_476D_1CE4_E5B9));
+                // KT0 initial knowledge: oneself and one's successor.
+                let initial: BTreeSet<NodeId> = std::iter::once(ids[i]).chain(succ).collect();
+                let joins = |e: &ScenarioEvent| matches!(*e, Join { node, .. } if node == i);
+                Node {
+                    id: ids[i],
+                    succ,
+                    proto: participating(i).then(|| factory(&seed)),
+                    output: None,
+                    // A scheduled joiner sits out until its join round.
+                    parked: schedule.iter().any(joins),
+                    rounds: 0,
+                    rng: SmallRng::seed_from_u64(mix),
+                    out: Vec::new(),
+                    inbox: Vec::new(),
+                    queue: VecDeque::new(),
+                    knows: (tracking && participating(i)).then_some(initial),
+                    marks: (None, None),
+                }
+            })
+            .collect();
+        Ok(Run {
+            nodes,
+            index_of,
+            all_ids,
+            windows: config.scenario.as_ref().map(|s| s.fault_windows()),
+            k,
+            live: k,
+            metrics: RunMetrics {
                 capacity: cap,
-                model: config.model,
-                initial_successor: succ,
-                all_ids: all_ids.as_ref(),
-            };
-            // Node-local randomness: a stream derived from the master
-            // seed and the node ID (the same on every engine).
-            let mix = (config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .wrapping_add(ids[i].wrapping_mul(0xBF58_476D_1CE4_E5B9));
-            // KT0 initial knowledge: oneself and one's successor.
-            let initial: BTreeSet<NodeId> = std::iter::once(ids[i]).chain(succ).collect();
-            let joins = |e: &ScenarioEvent| matches!(*e, Join { node, .. } if node == i);
-            Node {
-                id: ids[i],
-                succ,
-                proto: participating(i).then(|| factory(&seed)),
-                output: None,
-                // A scheduled joiner sits out until its join round.
-                parked: schedule.iter().any(joins),
-                rounds: 0,
-                rng: SmallRng::seed_from_u64(mix),
-                out: Vec::new(),
-                inbox: Vec::new(),
-                queue: VecDeque::new(),
-                knows: (tracking && participating(i)).then_some(initial),
-                marks: (None, None),
-            }
+                ..RunMetrics::default()
+            },
+            emitter: Emitter::default(),
         })
-        .collect();
-    // Checks one send against the model, in the model's order: size, then
-    // that the addressee exists, is up, and is known to the sender, then
-    // that every carried address is known to the sender. Returns where the
-    // message goes — a violating message is still delivered when physically
-    // possible (the policy decides whether the run survives the violation)
-    // — and the first rule it broke, if any.
-    let check = |send: &Staged, sender: &Node<P>, nodes: &[Node<P>]| {
-        let Staged { msg, dst: to, .. } = *send;
-        let (words, addrs) = (msg.word_count(), msg.addr_count());
-        let exists = index_of.get(&to).copied();
-        let dst = exists.filter(|&i| nodes[i].up());
-        let known = sender.knows.as_ref();
-        let knows = |id: NodeId| known.is_none_or(|known| known.contains(&id));
-        let unknown = msg.addrs_slice().iter().find(|&&a| !knows(a));
-        let broken = if words > config.max_words || addrs > config.max_addrs {
-            Some(ViolationKind::MessageTooLarge { words, addrs })
-        } else if exists.is_none() {
-            Some(ViolationKind::NoSuchNode { dst: to })
-        } else if dst.is_none() {
-            Some(ViolationKind::DeadRecipient { dst: to })
-        } else if !knows(to) {
-            Some(ViolationKind::UnknownAddressee { dst: to })
-        } else {
-            unknown.map(|&carried| ViolationKind::UnknownCarriedAddress { carried })
+    }
+
+    /// Executes one round, in the model's order. `Ok(false)` once every
+    /// node has retired — that call's step was the last, and no round is
+    /// narrated for it.
+    pub(crate) fn round(
+        &mut self,
+        net: &Network,
+        mut sink: Option<&mut dyn Sink>,
+    ) -> Result<bool, SimError> {
+        let Run {
+            nodes,
+            index_of,
+            all_ids,
+            windows,
+            k,
+            live,
+            metrics,
+            emitter,
+        } = self;
+        if *live == 0 {
+            return Ok(false);
+        }
+        let (config, sink) = (net.config(), &mut sink);
+        let (n, cap) = (nodes.len(), net.capacity());
+        let queueing = config.capacity_policy == CapacityPolicy::Queue;
+        let strict = config.capacity_policy == CapacityPolicy::Strict;
+        let schedule = config.scenario.as_ref().map_or(&[][..], |s| s.events());
+        // Checks one send against the model, in the model's order: size, then
+        // that the addressee exists, is up, and is known to the sender, then
+        // that every carried address is known to the sender. Returns where the
+        // message goes — a violating message is still delivered when physically
+        // possible (the policy decides whether the run survives the violation)
+        // — and the first rule it broke, if any.
+        let check = |send: &Staged, sender: &Node<P>, nodes: &[Node<P>]| {
+            let Staged { msg, dst: to, .. } = *send;
+            let (words, addrs) = (msg.word_count(), msg.addr_count());
+            let exists = index_of.get(&to).copied();
+            let dst = exists.filter(|&i| nodes[i].up());
+            let known = sender.knows.as_ref();
+            let knows = |id: NodeId| known.is_none_or(|known| known.contains(&id));
+            let unknown = msg.addrs_slice().iter().find(|&&a| !knows(a));
+            let broken = if words > config.max_words || addrs > config.max_addrs {
+                Some(ViolationKind::MessageTooLarge { words, addrs })
+            } else if exists.is_none() {
+                Some(ViolationKind::NoSuchNode { dst: to })
+            } else if dst.is_none() {
+                Some(ViolationKind::DeadRecipient { dst: to })
+            } else if !knows(to) {
+                Some(ViolationKind::UnknownAddressee { dst: to })
+            } else {
+                unknown.map(|&carried| ViolationKind::UnknownCarriedAddress { carried })
+            };
+            (dst, broken)
         };
-        (dst, broken)
-    };
-    let mut live = k;
-    let mut metrics = RunMetrics {
-        capacity: cap,
-        ..RunMetrics::default()
-    };
-    let mut emitter = Emitter::new(sink);
-    while live > 0 {
         let round = metrics.rounds;
         let violation = |node: NodeId, kind: ViolationKind| Violation { round, node, kind };
         // --- Churn, before the step: recoveries and joins due now. ---
@@ -181,10 +226,13 @@ where
             };
             if nodes[node].proto.is_some() && nodes[node].parked {
                 nodes[node].parked = false;
-                emitter.emit(match joined {
-                    true => RunEvent::NodeJoined { round, node },
-                    false => RunEvent::NodeRecovered { round, node },
-                });
+                emitter.emit(
+                    sink,
+                    match joined {
+                        true => RunEvent::NodeJoined { round, node },
+                        false => RunEvent::NodeRecovered { round, node },
+                    },
+                );
             }
         }
         // --- Step every live node, in path order. ---
@@ -194,7 +242,7 @@ where
             let mut ctx = RoundCtx {
                 id: node.id,
                 n,
-                participants: k,
+                participants: *k,
                 capacity: cap,
                 model: config.model,
                 initial_successor: node.succ,
@@ -213,7 +261,7 @@ where
                 Ok(Status::Done(output)) => {
                     node.output = Some(output);
                     node.proto = None;
-                    live -= 1;
+                    *live -= 1;
                 }
                 Err(payload) => {
                     let (node, message) = (node.id, panic_message(payload.as_ref()));
@@ -225,7 +273,7 @@ where
         // whatever a node staged or marked in its last step is discarded.
         // Marks go out in path order; the emitter narrates changes only.
         for node in nodes.iter().filter(|node| node.up()) {
-            emitter.emit_marks(round, node.marks.0, node.marks.1);
+            emitter.emit_marks(sink, round, node.marks.0, node.marks.1);
         }
         // --- Churn, after the step: crashes due now. The node has stepped
         // this round; a crash-stop ends it, a crash-recovery parks it.
@@ -240,14 +288,14 @@ where
                 crashed.parked = !stop;
                 if stop {
                     crashed.proto = None;
-                    live -= 1;
+                    *live -= 1;
                 }
-                emitter.emit(RunEvent::NodeCrashed { round, node });
+                emitter.emit(sink, RunEvent::NodeCrashed { round, node });
             }
         }
         // The run ends with its last node, without narrating this round.
-        if live == 0 {
-            break;
+        if *live == 0 {
+            return Ok(false);
         }
         // --- Route: check every send in source order; the round's
         // arrivals collect in the destination's (now consumed) inbox. ---
@@ -257,7 +305,7 @@ where
             let out = std::mem::take(&mut nodes[src].out);
             let sender = nodes[src].id;
             for send in &out {
-                let (dst, broken) = check(send, &nodes[src], &nodes);
+                let (dst, broken) = check(send, &nodes[src], nodes);
                 if let Some(kind) = broken {
                     metrics.record_violation(strict, violation(sender, kind))?;
                 }
@@ -295,12 +343,15 @@ where
                 }
             }
             if dropped + duplicated + reordered > 0 {
-                emitter.emit(RunEvent::FaultInjected {
-                    round,
-                    dropped,
-                    duplicated,
-                    reordered,
-                });
+                emitter.emit(
+                    sink,
+                    RunEvent::FaultInjected {
+                        round,
+                        dropped,
+                        duplicated,
+                        reordered,
+                    },
+                );
             }
         }
         // --- Deliver. What survived the faults is the round's traffic.
@@ -338,32 +389,50 @@ where
             }
         }
         metrics.record_round(delivered);
-        emitter.emit(RunEvent::RoundCompleted {
-            round,
-            delivered,
-            live,
-            route_mode: RouteMode::Unspecified,
-        });
+        let live = *live;
+        emitter.emit(
+            sink,
+            RunEvent::RoundCompleted {
+                round,
+                delivered,
+                live,
+                route_mode: RouteMode::Unspecified,
+            },
+        );
         if metrics.rounds > config.max_rounds {
             let limit = config.max_rounds;
             return Err(SimError::RoundLimitExceeded { limit });
         }
+        Ok(true)
     }
-    // Undrained queues mean some protocol stopped listening too early.
-    let queued = nodes.iter().map(|node| node.queue.len() as u64);
-    metrics.undelivered += queued.sum::<u64>();
-    let knowledge = nodes.iter().filter_map(|node| node.knows.as_ref());
-    metrics.max_knowledge = knowledge.map(BTreeSet::len).max().unwrap_or(0);
-    let (rounds, messages) = (metrics.rounds, metrics.messages);
-    emitter.emit(RunEvent::Done { rounds, messages });
-    metrics.phase_rounds = emitter.recorder.phase_rounds();
-    let engine = emitter.recorder.engine_stats();
-    let finished = |node: Node<P>| node.output.map(|output| (node.id, output));
-    Ok(RunResult {
-        outputs: nodes.into_iter().filter_map(finished).collect(),
-        metrics,
-        engine,
-    })
+
+    /// Closes the run after its last round: narrates `Done` and returns
+    /// the outputs in path order.
+    pub(crate) fn finish(self, mut sink: Option<&mut dyn Sink>) -> RunResult<P::Output> {
+        let Run {
+            nodes,
+            live,
+            mut metrics,
+            mut emitter,
+            ..
+        } = self;
+        debug_assert_eq!(live, 0, "a run finishes after its last round");
+        // Undrained queues mean some protocol stopped listening too early.
+        let queued = nodes.iter().map(|node| node.queue.len() as u64);
+        metrics.undelivered += queued.sum::<u64>();
+        let knowledge = nodes.iter().filter_map(|node| node.knows.as_ref());
+        metrics.max_knowledge = knowledge.map(BTreeSet::len).max().unwrap_or(0);
+        let (rounds, messages) = (metrics.rounds, metrics.messages);
+        emitter.emit(&mut sink, RunEvent::Done { rounds, messages });
+        metrics.phase_rounds = emitter.recorder.phase_rounds();
+        let engine = emitter.recorder.engine_stats();
+        let finished = |node: Node<P>| node.output.map(|output| (node.id, output));
+        RunResult {
+            outputs: nodes.into_iter().filter_map(finished).collect(),
+            metrics,
+            engine,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 //! `S = 1` is simply the degenerate case — one shard, no cross-shard
 //! traffic, no thread ever started.
 //!
-//! **The round**, in order ([`run`]'s loop body reads the same way):
+//! **The round**, in order ([`Run::round`] reads the same way):
 //!
 //! 1. *churn-in* — scheduled recoveries and joins un-park their slots;
 //! 2. *step* (per shard) — poll every live protocol over its inbox span,
@@ -484,7 +484,8 @@ fn churn_in<P: NodeProtocol>(
     shards: &mut [ShardState<P>],
     rs: &RunShared<'_>,
     alive_now: &mut [bool],
-    emitter: &mut Emitter<'_>,
+    emitter: &mut Emitter,
+    sink: &mut Option<&mut dyn Sink>,
 ) {
     rt.begin_round(round);
     for &op in rt.pre_step_ops(round) {
@@ -498,11 +499,14 @@ fn churn_in<P: NodeProtocol>(
         slot.paused = false;
         alive_now[op.dense as usize] = true;
         let node = op.node;
-        emitter.emit(match op.kind {
-            ChurnKind::Recover => RunEvent::NodeRecovered { round, node },
-            ChurnKind::Join => RunEvent::NodeJoined { round, node },
-            ChurnKind::CrashStop | ChurnKind::CrashPause => continue,
-        });
+        emitter.emit(
+            sink,
+            match op.kind {
+                ChurnKind::Recover => RunEvent::NodeRecovered { round, node },
+                ChurnKind::Join => RunEvent::NodeJoined { round, node },
+                ChurnKind::CrashStop | ChurnKind::CrashPause => continue,
+            },
+        );
     }
 }
 
@@ -518,7 +522,8 @@ fn churn_out<P: NodeProtocol>(
     shards: &mut [ShardState<P>],
     rs: &RunShared<'_>,
     alive_now: &mut [bool],
-    emitter: &mut Emitter<'_>,
+    emitter: &mut Emitter,
+    sink: &mut Option<&mut dyn Sink>,
 ) -> usize {
     let mut stopped = 0;
     for &op in rt.post_step_ops(round) {
@@ -545,239 +550,330 @@ fn churn_out<P: NodeProtocol>(
             ChurnKind::Recover | ChurnKind::Join => continue,
         }
         alive_now[op.dense as usize] = false;
-        emitter.emit(RunEvent::NodeCrashed {
-            round,
-            node: op.node,
-        });
+        emitter.emit(
+            sink,
+            RunEvent::NodeCrashed {
+                round,
+                node: op.node,
+            },
+        );
     }
     stopped
 }
 
-/// Runs `factory`-built protocols on every participating node until all
-/// have returned [`Status::Done`](crate::Status). `participants` masks
-/// nodes out of the network entirely (they are dead from round zero and
-/// the knowledge path links across them); `None` means everyone
-/// participates.
-pub(crate) fn run<P, F>(
-    net: &Network,
-    participants: Option<&[bool]>,
-    sink: Option<&mut dyn Sink>,
-    factory: F,
-) -> Result<RunResult<P::Output>, SimError>
-where
-    P: NodeProtocol,
-    F: Fn(&NodeSeed<'_>) -> P + Sync,
-{
-    let config: &Config = net.config();
-    let ids = net.ids_in_path_order();
-    let n = ids.len();
-    let cap = config.capacity(n);
-    assert!(
-        config.max_words <= WIRE_WORDS && config.max_addrs <= WIRE_ADDRS,
-        "batched engine: configured message budget ({} words, {} addrs) \
-         exceeds the inline wire budget ({WIRE_WORDS} words, {WIRE_ADDRS} addrs)",
-        config.max_words,
-        config.max_addrs,
-    );
-    if let Some(mask) = participants {
-        assert_eq!(mask.len(), n, "participant mask length must equal n");
-    }
-    let participating = |i: usize| participants.is_none_or(|m| m[i]);
-    let k = (0..n).filter(|&i| participating(i)).count();
+/// The run's constants, fixed at setup: the ownership map, the dense
+/// remap and the NCC1 ID list. The network's IDs, resolver and
+/// configuration are not copied; every call that steps the run lends
+/// them.
+struct Layout {
+    /// Participating nodes: the dense index space is `0..k`.
+    k: usize,
+    fan_out: bool,
+    track: bool,
+    bases: Vec<usize>,
+    all_ids: Option<Arc<Vec<NodeId>>>,
+    dense_of: Option<Vec<u32>>,
+}
 
-    let workers = match config.worker_threads {
-        0 => rayon::current_num_threads(),
-        w => w,
+impl Layout {
+    /// Width of shard `s`'s dense-index span.
+    fn width_of(&self, s: usize) -> usize {
+        self.bases.get(s + 1).copied().unwrap_or(self.k) - self.bases[s]
     }
-    .clamp(1, k.max(1));
-    // Ownership map: shard `s` owns dense indices `s*k/S .. (s+1)*k/S` —
-    // contiguous, ascending, balanced to within one node.
-    let shard_count = config.shard_count(k, workers);
-    let fan_out = shard_count > 1 && workers > 1;
-    let bases: Vec<usize> = (0..shard_count).map(|s| s * k / shard_count).collect();
-    let width_of = |s: usize| bases.get(s + 1).copied().unwrap_or(k) - bases[s];
 
-    // NCC1 common knowledge: all participating IDs, sorted.
-    let all_ids: Option<Arc<Vec<NodeId>>> = match config.model {
-        Model::Ncc1 => {
-            let mut sorted: Vec<NodeId> = (0..n)
-                .filter(|&i| participating(i))
-                .map(|i| ids[i])
-                .collect();
-            sorted.sort_unstable();
-            Some(Arc::new(sorted))
+    /// What every shard phase of a round reads.
+    fn shared<'a>(&'a self, net: &'a Network) -> RunShared<'a> {
+        let config = net.config();
+        RunShared {
+            config,
+            queue_mode: config.capacity_policy == CapacityPolicy::Queue,
+            bases: &self.bases,
+            step: StepShared {
+                n: net.n(),
+                participants: self.k,
+                cap: net.capacity(),
+                model: config.model,
+                all_ids: self.all_ids.as_deref().map(Vec::as_slice),
+                resolver: net.resolver(),
+                dense_of: self.dense_of.as_deref(),
+            },
         }
-        Model::Ncc0 => None,
-    };
+    }
+}
 
-    // Dense masked remap: the k participants own indices 0..k in path
-    // order, and *every* index-addressed engine structure is sized to k —
-    // so a deep masked prefix recursion pays memory for the sub-network
-    // it actually runs. `dense_of` projects the resolver's full-network
-    // index into this space once, at send time; DEAD_INDEX marks a real
-    // node outside the run (kept distinct from NO_INDEX so the violation
-    // taxonomy distinguishes "no such node" from "not in this run").
-    let dense_of: Option<Vec<u32>> = participants.map(|mask| {
-        let mut map = vec![DEAD_INDEX; n];
-        let mut next = 0u32;
-        for (i, &p) in mask.iter().enumerate() {
-            if p {
-                map[i] = next;
-                next += 1;
+/// One batched run as a value: [`Run::new`] sets it up, each
+/// [`Run::round`] executes one round, [`Run::finish`] harvests it. It
+/// borrows nothing; the network is lent to every call.
+pub(crate) struct Run<P: NodeProtocol> {
+    layout: Layout,
+    shards: Vec<ShardState<P>>,
+    /// Where the shards' cell rows sit while the exchange reads them.
+    cell_table: CellTable,
+    /// Global aliveness over the full dense space: validation must see
+    /// destinations in *other* shards, and it is read-only during the
+    /// per-shard phases (the coordinator updates it between them).
+    alive_now: Vec<bool>,
+    live: usize,
+    scenario_rt: Option<ScenarioRt>,
+    metrics: RunMetrics,
+    emitter: Emitter,
+    prev_round_messages: u64,
+    step_nanos: u64,
+    route_nanos: u64,
+    exchange_nanos: u64,
+    deliver_nanos: u64,
+    learn_nanos: u64,
+}
+
+impl<P: NodeProtocol> Run<P> {
+    /// Builds `factory`'s protocol on every participating node.
+    /// `participants` masks nodes out of the network entirely (they are dead
+    /// from round zero and the knowledge path links across them); `None`
+    /// means everyone participates.
+    pub(crate) fn new<F>(
+        net: &Network,
+        participants: Option<&[bool]>,
+        factory: F,
+    ) -> Result<Self, SimError>
+    where
+        F: Fn(&NodeSeed<'_>) -> P,
+    {
+        let config: &Config = net.config();
+        let ids = net.ids_in_path_order();
+        let n = ids.len();
+        let cap = config.capacity(n);
+        assert!(
+            config.max_words <= WIRE_WORDS && config.max_addrs <= WIRE_ADDRS,
+            "batched engine: configured message budget ({} words, {} addrs) \
+             exceeds the inline wire budget ({WIRE_WORDS} words, {WIRE_ADDRS} addrs)",
+            config.max_words,
+            config.max_addrs,
+        );
+        if let Some(mask) = participants {
+            assert_eq!(mask.len(), n, "participant mask length must equal n");
+        }
+        let participating = |i: usize| participants.is_none_or(|m| m[i]);
+        let k = (0..n).filter(|&i| participating(i)).count();
+
+        let workers = match config.worker_threads {
+            0 => rayon::current_num_threads(),
+            w => w,
+        }
+        .clamp(1, k.max(1));
+        // Ownership map: shard `s` owns dense indices `s*k/S .. (s+1)*k/S` —
+        // contiguous, ascending, balanced to within one node.
+        let shard_count = config.shard_count(k, workers);
+        let fan_out = shard_count > 1 && workers > 1;
+        let bases: Vec<usize> = (0..shard_count).map(|s| s * k / shard_count).collect();
+        let width_of = |s: usize| bases.get(s + 1).copied().unwrap_or(k) - bases[s];
+
+        // NCC1 common knowledge: all participating IDs, sorted.
+        let all_ids: Option<Arc<Vec<NodeId>>> = match config.model {
+            Model::Ncc1 => {
+                let mut sorted: Vec<NodeId> = (0..n)
+                    .filter(|&i| participating(i))
+                    .map(|i| ids[i])
+                    .collect();
+                sorted.sort_unstable();
+                Some(Arc::new(sorted))
             }
-        }
-        map
-    });
-    let dense_of: Option<&[u32]> = dense_of.as_deref();
-
-    // Scenario schedule: validated against this run's participant set
-    // and policy, then compiled to dense-index timelines. The runtime
-    // (timeline cursors, per-round fault RNG, swap arena) lives at the
-    // coordinator — churn and fault passes are coordinator phases,
-    // exactly like violation replay.
-    let mut scenario_rt = match &config.scenario {
-        Some(s) => {
-            s.validate(n, participants, config.capacity_policy)
-                .map_err(SimError::InvalidScenario)?;
-            let compiled = s.compile(|node| dense_of.map_or(node as u32, |map| map[node]));
-            Some(ScenarioRt::new(compiled))
-        }
-        None => None,
-    };
-
-    // Per-shard KT0 trackers, seeded along the participant path (the
-    // path link crossing a shard boundary lands in the predecessor's
-    // shard — see `seed_path_sharded`).
-    let track = config.track_knowledge && config.model == Model::Ncc0;
-    let mut trackers: Vec<KnowledgeTracker> = (0..shard_count)
-        .map(|s| KnowledgeTracker::new(width_of(s), track))
-        .collect();
-    crate::knowledge::seed_path_sharded(&mut trackers, &bases, ids, participating);
-
-    // Build the slots directly into their owning shards, walking the
-    // participant path once in dense order; masked-out indices never get
-    // a slot.
-    let mut shard_slots: Vec<Vec<Slot<P>>> = (0..shard_count)
-        .map(|s| Vec::with_capacity(width_of(s)))
-        .collect();
-    let mut cur = 0usize;
-    for (dense, i) in (0..n).filter(|&i| participating(i)).enumerate() {
-        while cur + 1 < shard_count && dense >= bases[cur + 1] {
-            cur += 1;
-        }
-        let succ = (i + 1..n).find(|&j| participating(j)).map(|j| ids[j]);
-        let seed = NodeSeed {
-            id: ids[i],
-            n,
-            participants: k,
-            capacity: cap,
-            model: config.model,
-            initial_successor: succ,
-            all_ids: all_ids.as_ref(),
+            Model::Ncc0 => None,
         };
-        shard_slots[cur].push(Slot::new(
-            dense as u32,
-            ids[i],
-            succ,
-            config.seed,
-            factory(&seed),
-        ));
-    }
 
-    let queue_mode = config.capacity_policy == CapacityPolicy::Queue;
-    let strict = config.capacity_policy == CapacityPolicy::Strict;
-    let mut shards: Vec<ShardState<P>> = shard_slots
-        .into_iter()
-        .zip(trackers)
-        .enumerate()
-        .map(|(s, (slots, knowledge))| {
-            let width = width_of(s);
-            debug_assert_eq!(slots.len(), width);
-            ShardState {
-                base: bases[s] as u32,
-                width,
-                slots,
-                done: Vec::with_capacity(width),
-                staged: Vec::new(),
-                buffers: RouteBuffers::new(width),
-                queues: QueueBuffers::new(if queue_mode { width } else { 0 }),
-                knowledge,
-                cells: vec![Vec::new(); shard_count],
-                dead_backlog: Vec::new(),
-                violations: Vec::new(),
-                finished: 0,
-                panic: None,
-                marks: Vec::new(),
-                round_messages: 0,
-                round_words: 0,
-                max_sent: 0,
-                max_received: 0,
-                max_queue: 0,
-                undelivered: 0,
-                cross_shard: 0,
+        // Dense masked remap: the k participants own indices 0..k in path
+        // order, and *every* index-addressed engine structure is sized to k —
+        // so a deep masked prefix recursion pays memory for the sub-network
+        // it actually runs. `dense_of` projects the resolver's full-network
+        // index into this space once, at send time; DEAD_INDEX marks a real
+        // node outside the run (kept distinct from NO_INDEX so the violation
+        // taxonomy distinguishes "no such node" from "not in this run").
+        let dense_of: Option<Vec<u32>> = participants.map(|mask| {
+            let mut map = vec![DEAD_INDEX; n];
+            let mut next = 0u32;
+            for (i, &p) in mask.iter().enumerate() {
+                if p {
+                    map[i] = next;
+                    next += 1;
+                }
             }
-        })
-        .collect();
-    // Where the shards' cell rows sit while the exchange reads them.
-    let mut cell_table: CellTable = vec![Vec::new(); shard_count];
-    let mut live = k;
+            map
+        });
 
-    // Global aliveness over the full dense space: validation must see
-    // destinations in *other* shards, and it is read-only during the
-    // per-shard phases (the coordinator updates it between them).
-    let mut alive_now: Vec<bool> = vec![true; k];
+        // Scenario schedule: validated against this run's participant set
+        // and policy, then compiled to dense-index timelines. The runtime
+        // (timeline cursors, per-round fault RNG, swap arena) lives at the
+        // coordinator — churn and fault passes are coordinator phases,
+        // exactly like violation replay.
+        let scenario_rt = match &config.scenario {
+            Some(s) => {
+                s.validate(n, participants, config.capacity_policy)
+                    .map_err(SimError::InvalidScenario)?;
+                let compiled =
+                    s.compile(|node| dense_of.as_ref().map_or(node as u32, |map| map[node]));
+                Some(ScenarioRt::new(compiled))
+            }
+            None => None,
+        };
 
-    // Scheduled joiners start parked: alive (the run waits for them)
-    // but invisible to senders and skipped by every sweep until their
-    // join round un-parks them.
-    if let Some(rt) = &scenario_rt {
-        for slot in shards.iter_mut().flat_map(|sh| sh.slots.iter_mut()) {
-            if rt.starts_parked(slot.idx) {
-                slot.paused = true;
-                alive_now[slot.idx as usize] = false;
+        // Per-shard KT0 trackers, seeded along the participant path (the
+        // path link crossing a shard boundary lands in the predecessor's
+        // shard — see `seed_path_sharded`).
+        let track = config.track_knowledge && config.model == Model::Ncc0;
+        let mut trackers: Vec<KnowledgeTracker> = (0..shard_count)
+            .map(|s| KnowledgeTracker::new(width_of(s), track))
+            .collect();
+        crate::knowledge::seed_path_sharded(&mut trackers, &bases, ids, participating);
+
+        // Build the slots directly into their owning shards, walking the
+        // participant path once in dense order; masked-out indices never get
+        // a slot.
+        let mut shard_slots: Vec<Vec<Slot<P>>> = (0..shard_count)
+            .map(|s| Vec::with_capacity(width_of(s)))
+            .collect();
+        let mut cur = 0usize;
+        for (dense, i) in (0..n).filter(|&i| participating(i)).enumerate() {
+            while cur + 1 < shard_count && dense >= bases[cur + 1] {
+                cur += 1;
+            }
+            let succ = (i + 1..n).find(|&j| participating(j)).map(|j| ids[j]);
+            let seed = NodeSeed {
+                id: ids[i],
+                n,
+                participants: k,
+                capacity: cap,
+                model: config.model,
+                initial_successor: succ,
+                all_ids: all_ids.as_ref(),
+            };
+            shard_slots[cur].push(Slot::new(
+                dense as u32,
+                ids[i],
+                succ,
+                config.seed,
+                factory(&seed),
+            ));
+        }
+
+        let queue_mode = config.capacity_policy == CapacityPolicy::Queue;
+        let mut shards: Vec<ShardState<P>> = shard_slots
+            .into_iter()
+            .zip(trackers)
+            .enumerate()
+            .map(|(s, (slots, knowledge))| {
+                let width = width_of(s);
+                debug_assert_eq!(slots.len(), width);
+                ShardState {
+                    base: bases[s] as u32,
+                    width,
+                    slots,
+                    done: Vec::with_capacity(width),
+                    staged: Vec::new(),
+                    buffers: RouteBuffers::new(width),
+                    queues: QueueBuffers::new(if queue_mode { width } else { 0 }),
+                    knowledge,
+                    cells: vec![Vec::new(); shard_count],
+                    dead_backlog: Vec::new(),
+                    violations: Vec::new(),
+                    finished: 0,
+                    panic: None,
+                    marks: Vec::new(),
+                    round_messages: 0,
+                    round_words: 0,
+                    max_sent: 0,
+                    max_received: 0,
+                    max_queue: 0,
+                    undelivered: 0,
+                    cross_shard: 0,
+                }
+            })
+            .collect();
+        let mut alive_now: Vec<bool> = vec![true; k];
+
+        // Scheduled joiners start parked: alive (the run waits for them)
+        // but invisible to senders and skipped by every sweep until their
+        // join round un-parks them.
+        if let Some(rt) = &scenario_rt {
+            for slot in shards.iter_mut().flat_map(|sh| sh.slots.iter_mut()) {
+                if rt.starts_parked(slot.idx) {
+                    slot.paused = true;
+                    alive_now[slot.idx as usize] = false;
+                }
             }
         }
+
+        let mut metrics = RunMetrics {
+            capacity: cap,
+            ..RunMetrics::default()
+        };
+        // Pre-reserve the full (capped) trace so recording a round can never
+        // allocate inside the round loop.
+        metrics
+            .messages_per_round
+            .reserve(crate::metrics::ROUND_TRACE_LIMIT);
+        Ok(Run {
+            layout: Layout {
+                k,
+                fan_out,
+                track,
+                bases,
+                all_ids,
+                dense_of,
+            },
+            shards,
+            cell_table: vec![Vec::new(); shard_count],
+            alive_now,
+            live: k,
+            scenario_rt,
+            metrics,
+            emitter: Emitter::default(),
+            prev_round_messages: 0,
+            step_nanos: 0,
+            route_nanos: 0,
+            exchange_nanos: 0,
+            deliver_nanos: 0,
+            learn_nanos: 0,
+        })
     }
 
-    let mut metrics = RunMetrics {
-        capacity: cap,
-        ..RunMetrics::default()
-    };
-    let mut emitter = Emitter::new(sink);
-    // Pre-reserve the full (capped) trace so recording a round can never
-    // allocate inside the round loop.
-    metrics
-        .messages_per_round
-        .reserve(crate::metrics::ROUND_TRACE_LIMIT);
-
-    let rs = RunShared {
-        config,
-        queue_mode,
-        bases: &bases,
-        step: StepShared {
-            n,
-            participants: k,
-            cap,
-            model: config.model,
-            all_ids: all_ids.as_deref().map(Vec::as_slice),
-            resolver: net.resolver(),
-            dense_of,
-        },
-    };
-    let mut prev_round_messages: u64 = 0;
-    let (mut step_nanos, mut route_nanos) = (0u64, 0u64);
-    let (mut exchange_nanos, mut deliver_nanos, mut learn_nanos) = (0u64, 0u64, 0u64);
-
-    while live > 0 {
+    /// Executes one round: the phases of the module doc, in order.
+    /// `Ok(false)` once every node has retired — that call's step was the
+    /// last, and no round is narrated for it.
+    pub(crate) fn round(
+        &mut self,
+        net: &Network,
+        mut sink: Option<&mut dyn Sink>,
+    ) -> Result<bool, SimError> {
+        let Run {
+            layout,
+            shards,
+            cell_table,
+            alive_now,
+            live,
+            scenario_rt,
+            metrics,
+            emitter,
+            prev_round_messages,
+            step_nanos,
+            route_nanos,
+            exchange_nanos,
+            deliver_nanos,
+            learn_nanos,
+        } = self;
+        if *live == 0 {
+            return Ok(false);
+        }
+        let (rs, sink) = (layout.shared(net), &mut sink);
+        let fan_out = layout.fan_out;
+        let strict = rs.config.capacity_policy == CapacityPolicy::Strict;
         let round = metrics.rounds;
         let window: usize = shards.iter().map(|sh| sh.slots.len()).sum();
 
         if let Some(rt) = scenario_rt.as_mut() {
-            churn_in(rt, round, &mut shards, &rs, &mut alive_now, &mut emitter);
+            churn_in(rt, round, shards, &rs, alive_now, emitter, sink);
         }
 
-        timed(&mut step_nanos, || {
-            for_each_shard(&mut shards, fan_out, |_, sh| sh.step(&rs));
+        timed(step_nanos, || {
+            for_each_shard(shards, fan_out, |_, sh| sh.step(&rs));
         });
         // Deterministic attribution: blame the lowest dense index —
         // shards ascend by base, each records its first in slot order.
@@ -785,51 +881,49 @@ where
             return Err(SimError::NodePanic { node, message });
         }
         let mut newly_done: usize = shards.iter().map(|sh| sh.finished).sum();
-        live -= newly_done;
+        *live -= newly_done;
         for sh in shards.iter_mut().filter(|sh| sh.finished > 0) {
-            sh.retire(&mut alive_now, queue_mode);
+            sh.retire(alive_now, rs.queue_mode);
         }
-        if live == 0 {
-            break;
+        if *live == 0 {
+            return Ok(false);
         }
         // Protocol marks, deduplicated, in dense order: each journal is
         // in slot order, the shards ascend.
         for (phase, stage) in shards.iter_mut().flat_map(|sh| sh.marks.drain(..)) {
-            emitter.emit_marks(round, phase, stage);
+            emitter.emit_marks(sink, round, phase, stage);
         }
 
         if let Some(rt) = scenario_rt.as_mut() {
-            let stopped = churn_out(rt, round, &mut shards, &rs, &mut alive_now, &mut emitter);
-            live -= stopped;
+            let stopped = churn_out(rt, round, shards, &rs, alive_now, emitter, sink);
+            *live -= stopped;
             newly_done += stopped;
             // A schedule that kills the last live node ends the run
             // exactly as the last voluntary retirement would (no
             // further round narration).
-            if live == 0 {
-                break;
+            if *live == 0 {
+                return Ok(false);
             }
         }
 
         // Compaction: one global trigger (the halving rule bounds total
         // compaction work by O(k) per run), one event; each shard
         // compacts its own window.
-        if newly_done > 0 && live * 2 <= window {
+        if newly_done > 0 && *live * 2 <= window {
             for sh in shards.iter_mut() {
                 sh.compact();
             }
-            debug_assert_eq!(shards.iter().map(|sh| sh.slots.len()).sum::<usize>(), live);
-            emitter.emit(RunEvent::Compaction { round, live });
+            debug_assert_eq!(shards.iter().map(|sh| sh.slots.len()).sum::<usize>(), *live);
+            emitter.emit(sink, RunEvent::Compaction { round, live: *live });
         }
         let window: usize = shards.iter().map(|sh| sh.slots.len()).sum();
-        let route_mode = route_mode(prev_round_messages, window);
+        let route_mode = route_mode(*prev_round_messages, window);
 
         // Seal, then replay the journals in shard order (= canonical
         // dense source order): identical counts, samples and strict
         // abort at every shard count.
-        let mut round_messages = timed(&mut route_nanos, || {
-            for_each_shard(&mut shards, fan_out, |_, sh| {
-                sh.seal(&rs, &alive_now, round)
-            });
+        let mut round_messages = timed(route_nanos, || {
+            for_each_shard(shards, fan_out, |_, sh| sh.seal(&rs, alive_now, round));
             let mut total = 0u64;
             for sh in shards.iter_mut() {
                 for v in sh.violations.drain(..) {
@@ -844,10 +938,10 @@ where
         // Exchange: the source shards lend their cell rows to the
         // coordinator's table (pointer swaps, no allocation) so every
         // destination shard can read all of them while mutating itself.
-        timed(&mut exchange_nanos, || {
-            swap_cells(&mut shards, &mut cell_table);
-            for_each_shard(&mut shards, fan_out, |d, sh| sh.exchange(d, &cell_table));
-            swap_cells(&mut shards, &mut cell_table);
+        timed(exchange_nanos, || {
+            swap_cells(shards, cell_table);
+            for_each_shard(shards, fan_out, |d, sh| sh.exchange(d, cell_table));
+            swap_cells(shards, cell_table);
         });
 
         // Scenario fault pass: shards in order, ONE runtime — shard
@@ -865,17 +959,20 @@ where
             if tally.any() {
                 round_messages = round_messages - tally.dropped + tally.duplicated;
                 metrics.words = metrics.words - tally.words_removed + tally.words_added;
-                emitter.emit(RunEvent::FaultInjected {
-                    round,
-                    dropped: tally.dropped,
-                    duplicated: tally.duplicated,
-                    reordered: tally.reordered,
-                });
+                emitter.emit(
+                    sink,
+                    RunEvent::FaultInjected {
+                        round,
+                        dropped: tally.dropped,
+                        duplicated: tally.duplicated,
+                        reordered: tally.reordered,
+                    },
+                );
             }
         }
 
-        timed(&mut deliver_nanos, || {
-            for_each_shard(&mut shards, fan_out, |_, sh| sh.deliver(&rs, round));
+        timed(deliver_nanos, || {
+            for_each_shard(shards, fan_out, |_, sh| sh.deliver(&rs, round));
             for sh in shards.iter_mut() {
                 for v in sh.violations.drain(..) {
                     metrics.record_violation(strict, v)?;
@@ -884,93 +981,122 @@ where
             Ok::<(), SimError>(())
         })?;
 
-        if track {
-            timed(&mut learn_nanos, || {
-                for_each_shard(&mut shards, fan_out, |_, sh| sh.learn());
+        if layout.track {
+            timed(learn_nanos, || {
+                for_each_shard(shards, fan_out, |_, sh| sh.learn());
             });
         }
 
         metrics.record_round(round_messages);
-        emitter.emit(RunEvent::RoundCompleted {
-            round,
-            delivered: round_messages,
-            live,
-            route_mode,
-        });
-        prev_round_messages = round_messages;
-        if metrics.rounds > config.max_rounds {
+        let live = *live;
+        emitter.emit(
+            sink,
+            RunEvent::RoundCompleted {
+                round,
+                delivered: round_messages,
+                live,
+                route_mode,
+            },
+        );
+        *prev_round_messages = round_messages;
+        if metrics.rounds > rs.config.max_rounds {
             return Err(SimError::RoundLimitExceeded {
-                limit: config.max_rounds,
+                limit: rs.config.max_rounds,
             });
         }
+        Ok(true)
     }
 
-    // Harvest the cumulative per-shard folds (sums and maxes — fold order
-    // cannot matter). Undrained queues mean some protocol stopped
-    // listening too early.
-    for sh in shards.iter() {
-        metrics.max_sent_per_round = metrics.max_sent_per_round.max(sh.max_sent);
-        metrics.max_received_per_round = metrics.max_received_per_round.max(sh.max_received);
-        metrics.max_queue_len = metrics.max_queue_len.max(sh.max_queue);
-        metrics.undelivered += sh.undelivered + sh.queues.backlog_total();
-        if track {
-            let widest = (0..sh.width).map(|i| sh.knowledge.knowledge_size(i)).max();
-            metrics.max_knowledge = metrics.max_knowledge.max(widest.unwrap_or(0));
+    /// Harvests the run after its last round: folds the per-shard
+    /// accumulators, closes the stream with [`RunEvent::Done`] and
+    /// collects the outputs in knowledge-path order.
+    pub(crate) fn finish(
+        self,
+        net: &Network,
+        mut sink: Option<&mut dyn Sink>,
+    ) -> RunResult<P::Output> {
+        let Run {
+            layout,
+            shards,
+            cell_table,
+            alive_now,
+            live,
+            scenario_rt,
+            mut metrics,
+            mut emitter,
+            step_nanos,
+            route_nanos,
+            exchange_nanos,
+            deliver_nanos,
+            learn_nanos,
+            ..
+        } = self;
+        debug_assert_eq!(live, 0, "a run finishes after its last round");
+        // Harvest the cumulative per-shard folds (sums and maxes — fold
+        // order cannot matter). Undrained queues mean some protocol
+        // stopped listening too early.
+        for sh in shards.iter() {
+            metrics.max_sent_per_round = metrics.max_sent_per_round.max(sh.max_sent);
+            metrics.max_received_per_round = metrics.max_received_per_round.max(sh.max_received);
+            metrics.max_queue_len = metrics.max_queue_len.max(sh.max_queue);
+            metrics.undelivered += sh.undelivered + sh.queues.backlog_total();
+            if layout.track {
+                let widest = (0..sh.width).map(|i| sh.knowledge.knowledge_size(i)).max();
+                metrics.max_knowledge = metrics.max_knowledge.max(widest.unwrap_or(0));
+            }
+        }
+        let (rounds, messages) = (metrics.rounds, metrics.messages);
+        emitter.emit(&mut sink, RunEvent::Done { rounds, messages });
+        metrics.phase_rounds = emitter.recorder.phase_rounds();
+        let mut stats = emitter.recorder.engine_stats();
+        stats.shards = shards.len();
+        stats.shard_windows = (0..shards.len()).map(|s| layout.width_of(s)).collect();
+        stats.cross_shard_messages = shards.iter().map(|sh| sh.cross_shard).sum();
+        stats.dense_index_space = layout.k;
+        stats.knowledge_arena = shards.iter().map(|sh| sh.knowledge.arena_len()).sum();
+        stats.step_nanos = step_nanos;
+        stats.route_nanos = route_nanos;
+        stats.exchange_nanos = exchange_nanos;
+        stats.deliver_nanos = deliver_nanos;
+        stats.learn_nanos = learn_nanos;
+        let sum = |bytes: fn(&ShardState<P>) -> usize| shards.iter().map(bytes).sum::<usize>();
+        stats.footprint = Footprint {
+            slots: sum(|sh| vec_bytes(&sh.slots)),
+            staging: sum(|sh| vec_bytes(&sh.staged)),
+            route: sum(|sh| sh.buffers.heap_bytes()),
+            queues: sum(|sh| sh.queues.heap_bytes()),
+            cells: sum(|sh| sh.cells.iter().map(vec_bytes).sum()),
+            fault_swap: scenario_rt.as_ref().map_or(0, ScenarioRt::arena_bytes),
+            knowledge: sum(|sh| sh.knowledge.heap_bytes()),
+            tables: vec_bytes(&alive_now)
+                + std::mem::size_of_val(net.ids_in_path_order())
+                + net.resolver().heap_bytes()
+                + layout.dense_of.as_deref().map_or(0, std::mem::size_of_val)
+                + layout.all_ids.as_deref().map_or(0, vec_bytes),
+            retired_outputs: sum(|sh| vec_bytes(&sh.done)),
+        };
+
+        // Everything but the outputs goes first — arenas, trackers, cells —
+        // so that assembling the result is not the run's high-water mark.
+        let parts: Vec<_> = shards.into_iter().map(|sh| (sh.done, sh.slots)).collect();
+        drop((cell_table, scenario_rt, alive_now));
+        // Merge every shard's compacted-away outputs with its final window,
+        // restoring knowledge-path order by global dense index.
+        let mut done: Vec<(u32, NodeId, P::Output)> = Vec::with_capacity(layout.k);
+        for (retired, slots) in parts {
+            done.extend(retired);
+            done.extend(slots.into_iter().filter_map(|s| match s.life {
+                Life::Done(out) => Some((s.idx, s.id, out)),
+                Life::Running(_) | Life::Gone => None,
+            }));
+        }
+        done.sort_unstable_by_key(|&(idx, _, _)| idx);
+        let outputs: Vec<(NodeId, P::Output)> =
+            done.into_iter().map(|(_, id, out)| (id, out)).collect();
+        RunResult {
+            outputs,
+            metrics,
+            engine: stats,
         }
     }
-    emitter.emit(RunEvent::Done {
-        rounds: metrics.rounds,
-        messages: metrics.messages,
-    });
-    metrics.phase_rounds = emitter.recorder.phase_rounds();
-    let mut stats = emitter.recorder.engine_stats();
-    stats.shards = shard_count;
-    stats.shard_windows = (0..shard_count).map(width_of).collect();
-    stats.cross_shard_messages = shards.iter().map(|sh| sh.cross_shard).sum();
-    stats.dense_index_space = k;
-    stats.knowledge_arena = shards.iter().map(|sh| sh.knowledge.arena_len()).sum();
-    stats.step_nanos = step_nanos;
-    stats.route_nanos = route_nanos;
-    stats.exchange_nanos = exchange_nanos;
-    stats.deliver_nanos = deliver_nanos;
-    stats.learn_nanos = learn_nanos;
-    let sum = |bytes: fn(&ShardState<P>) -> usize| shards.iter().map(bytes).sum::<usize>();
-    stats.footprint = Footprint {
-        slots: sum(|sh| vec_bytes(&sh.slots)),
-        staging: sum(|sh| vec_bytes(&sh.staged)),
-        route: sum(|sh| sh.buffers.heap_bytes()),
-        queues: sum(|sh| sh.queues.heap_bytes()),
-        cells: sum(|sh| sh.cells.iter().map(vec_bytes).sum()),
-        fault_swap: scenario_rt.as_ref().map_or(0, ScenarioRt::arena_bytes),
-        knowledge: sum(|sh| sh.knowledge.heap_bytes()),
-        tables: vec_bytes(&alive_now)
-            + std::mem::size_of_val(ids)
-            + net.resolver().heap_bytes()
-            + dense_of.map_or(0, std::mem::size_of_val)
-            + all_ids.as_deref().map_or(0, vec_bytes),
-        retired_outputs: sum(|sh| vec_bytes(&sh.done)),
-    };
-
-    // Everything but the outputs goes first — arenas, trackers, cells —
-    // so that assembling the result is not the run's high-water mark.
-    let parts: Vec<_> = shards.into_iter().map(|sh| (sh.done, sh.slots)).collect();
-    drop((cell_table, scenario_rt, alive_now));
-    // Merge every shard's compacted-away outputs with its final window,
-    // restoring knowledge-path order by global dense index.
-    let mut done: Vec<(u32, NodeId, P::Output)> = Vec::with_capacity(k);
-    for (retired, slots) in parts {
-        done.extend(retired);
-        done.extend(slots.into_iter().filter_map(|s| match s.life {
-            Life::Done(out) => Some((s.idx, s.id, out)),
-            Life::Running(_) | Life::Gone => None,
-        }));
-    }
-    done.sort_unstable_by_key(|&(idx, _, _)| idx);
-    let outputs: Vec<(NodeId, P::Output)> =
-        done.into_iter().map(|(_, id, out)| (id, out)).collect();
-    Ok(RunResult {
-        outputs,
-        metrics,
-        engine: stats,
-    })
 }

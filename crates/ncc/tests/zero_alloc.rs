@@ -21,7 +21,7 @@
 mod common;
 
 use common::{Ping, Script};
-use dgr_ncc::{Config, Network, RoundCtx, Scenario, Status, WireMsg};
+use dgr_ncc::{Config, EngineKind, Network, RoundCtx, Scenario, Status, WireMsg};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -338,6 +338,45 @@ fn varying_bursts_do_not_allocate_per_round() {
             "staging allocates ({shards} shard(s)): {short} allocations \
              over 10 rounds vs {long} over 510 — the staging arena must be \
              round-reused, whatever each node's burst does"
+        );
+    }
+}
+
+/// Allocation count of a Ping run stepped `round` by `round` through the
+/// run value, from `Network::start` to `Run::finish` — the seam a
+/// streaming session stands in. Inline on this thread, as above.
+fn allocations_stepping(rounds: u64, tracked: bool) -> u64 {
+    let mut config = Config::ncc0(99).with_worker_threads(1);
+    config.track_knowledge = tracked;
+    let net = Network::new(512, config);
+    let before = ALLOCATIONS.get();
+    MEASURING.with(|m| m.set(true));
+    let mut run = net
+        .start(EngineKind::Batched, None, |s| Ping::new(s, rounds))
+        .unwrap();
+    let mut stepped = 0;
+    while run.round(&net, None).unwrap() {
+        stepped += 1;
+    }
+    let result = run.finish(&net, None);
+    MEASURING.with(|m| m.set(false));
+    assert_eq!((stepped, result.metrics.rounds), (rounds, rounds));
+    assert!(result.metrics.is_clean());
+    ALLOCATIONS.get() - before
+}
+
+/// Stepping the run from the caller's side is as silent per round as the
+/// loop `run_protocol` drives, tracked KT0 included.
+#[test]
+fn stepping_the_run_value_does_not_allocate_per_round() {
+    for tracked in [false, true] {
+        let _ = allocations_stepping(5, tracked);
+        let short = allocations_stepping(10, tracked);
+        let long = allocations_stepping(510, tracked);
+        assert_eq!(
+            long, short,
+            "stepped run allocates (tracked={tracked}): {short} allocations \
+             over 10 rounds vs {long} over 510"
         );
     }
 }

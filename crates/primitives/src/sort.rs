@@ -19,7 +19,7 @@
 //! prefix sums) can be established. This "sorted path handle" is exactly
 //! what the realization algorithms consume.
 
-use crate::contacts::ContactTable;
+use crate::contacts::{ContactTable, ContactsStep};
 use crate::ctx::PathCtx;
 use crate::step::{Poll, Step};
 use crate::vpath::VPath;
@@ -325,6 +325,48 @@ impl Step for SortStep {
         }
         self.t += 1;
         Poll::Pending
+    }
+}
+
+/// A sort, then the contact table of the sorted path: every re-sort in
+/// the drivers, since what follows it talks across the sorted path's
+/// power-of-two distances. The contacts start in the round the sort ends
+/// (rounds: [`rounds_for`] plus
+/// [`contacts::rounds_for`](crate::contacts::rounds_for)).
+#[derive(Debug)]
+pub struct SortContactsStep(SortLane);
+
+#[derive(Debug)]
+enum SortLane {
+    Sort(SortStep),
+    Contacts(SortedPath, ContactsStep),
+}
+
+impl SortContactsStep {
+    /// Runs `sort`, then builds the sorted path's contacts.
+    pub fn new(sort: SortStep) -> Self {
+        SortContactsStep(SortLane::Sort(sort))
+    }
+}
+
+impl Step for SortContactsStep {
+    type Out = (SortedPath, Arc<ContactTable>);
+
+    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<Self::Out> {
+        loop {
+            match &mut self.0 {
+                SortLane::Sort(s) => match s.poll(ctx) {
+                    Poll::Pending => return Poll::Pending,
+                    Poll::Ready(sp) => self.0 = SortLane::Contacts(sp, ContactsStep::new(sp.vp)),
+                },
+                SortLane::Contacts(sp, s) => {
+                    return match s.poll(ctx) {
+                        Poll::Pending => Poll::Pending,
+                        Poll::Ready(table) => Poll::Ready((*sp, table)),
+                    }
+                }
+            }
+        }
     }
 }
 

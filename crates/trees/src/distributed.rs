@@ -53,12 +53,12 @@
 use crate::driver::TreeAlgo;
 use dgr_core::Unrealizable;
 use dgr_ncc::{NodeId, NodeProtocol, RoundCtx, Status};
-use dgr_primitives::contacts::{self, ContactTable, ContactsStep};
+use dgr_primitives::contacts::{self, ContactTable};
 use dgr_primitives::imcast::{self, CoverSide, ImcastStep, Payload};
 use dgr_primitives::ops::{self, SweepStep};
 use dgr_primitives::prefix::{self, PrefixStep};
 use dgr_primitives::scatter::{self, ScanRecord, ScanStep};
-use dgr_primitives::sort::{self, Order, SortStep, SortedPath};
+use dgr_primitives::sort::{self, Order, SortContactsStep, SortStep, SortedPath};
 use dgr_primitives::{ctx, EstablishCtx, Poll, Step};
 use std::sync::Arc;
 
@@ -88,47 +88,19 @@ pub struct TreeOutcome {
     pub neighbors: Vec<NodeId>,
 }
 
-/// The sort's half of the opening stage: the degree sort, then the
-/// contact table of the sorted path.
-enum SortLane {
-    Sort(SortStep),
-    Contacts(SortedPath, ContactsStep),
-}
-
-impl Step for SortLane {
-    type Out = (SortedPath, Arc<ContactTable>);
-
-    fn poll(&mut self, rctx: &mut RoundCtx<'_>) -> Poll<Self::Out> {
-        loop {
-            match self {
-                SortLane::Sort(s) => match s.poll(rctx) {
-                    Poll::Pending => return Poll::Pending,
-                    Poll::Ready(sp) => *self = SortLane::Contacts(sp, ContactsStep::new(sp.vp)),
-                },
-                SortLane::Contacts(sp, s) => {
-                    return match s.poll(rctx) {
-                        Poll::Pending => Poll::Pending,
-                        Poll::Ready(table) => Poll::Ready((*sp, table)),
-                    }
-                }
-            }
-        }
-    }
-}
-
 enum Stage {
     Establish(EstablishCtx),
     /// The input check and Algorithm 4's `k` — `(Σd, min d, number of
-    /// non-leaves)` in one sweep — beside the sort lane, which needs none
-    /// of them; each is polled until it is ready (`None` from then on).
+    /// non-leaves)` in one sweep — beside the degree sort and its sorted
+    /// contacts, which need none of them; each is polled until it is ready
+    /// (`None` from then on).
     Sorting {
         check: Option<SweepStep>,
-        lane: Option<SortLane>,
+        lane: Option<SortContactsStep>,
     },
     Prefix(PrefixStep),
-    /// Algorithm 4: the interval re-sort.
-    Resort(SortStep),
-    ResortContacts(ContactsStep),
+    /// Algorithm 4: the interval re-sort and its contacts.
+    Resort(SortContactsStep),
     Mcast(ImcastStep),
     /// Algorithm 5: the milestone scan.
     Scan(ScanStep),
@@ -147,8 +119,6 @@ pub struct RealizeTree {
     /// Algorithm 4: `k_eff`, remaining child slots, interval start.
     k_eff: usize,
     slots: usize,
-    /// Algorithm 5: child slots (root keeps all `d`).
-    msp: Option<SortedPath>,
 }
 
 impl RealizeTree {
@@ -168,7 +138,6 @@ impl RealizeTree {
             sct: None,
             k_eff: 0,
             slots: 0,
-            msp: None,
         }
     }
 
@@ -204,7 +173,7 @@ impl NodeProtocol for RealizeTree {
                         );
                         self.stage = Stage::Sorting {
                             check: Some(check),
-                            lane: Some(SortLane::Sort(sort)),
+                            lane: Some(SortContactsStep::new(sort)),
                         };
                         self.len = ctx.vp.len;
                     }
@@ -270,14 +239,14 @@ impl NodeProtocol for RealizeTree {
                                 } else {
                                     2 * rank as u64 + 1
                                 };
-                                self.stage = Stage::Resort(SortStep::new(
+                                self.stage = Stage::Resort(SortContactsStep::new(SortStep::new(
                                     sp.vp,
                                     self.sct.clone().unwrap(),
                                     rank,
                                     key,
                                     Order::Ascending,
                                     rctx.id(),
-                                ));
+                                )));
                             }
                             TreeAlgo::Greedy => {
                                 // Milestone just before my child interval;
@@ -307,14 +276,7 @@ impl NodeProtocol for RealizeTree {
                 },
                 Stage::Resort(s) => match s.poll(rctx) {
                     Poll::Pending => return Status::Continue,
-                    Poll::Ready(msp) => {
-                        self.stage = Stage::ResortContacts(ContactsStep::new(msp.vp));
-                        self.msp = Some(msp);
-                    }
-                },
-                Stage::ResortContacts(s) => match s.poll(rctx) {
-                    Poll::Pending => return Status::Continue,
-                    Poll::Ready(mct) => {
+                    Poll::Ready((msp, mct)) => {
                         let rank = self.sp.as_ref().unwrap().rank;
                         let is_source = rank < self.k_eff;
                         let task = (is_source && self.slots > 0).then(|| {
@@ -327,7 +289,6 @@ impl NodeProtocol for RealizeTree {
                                 },
                             )
                         });
-                        let msp = self.msp.as_ref().unwrap();
                         self.stage = Stage::Mcast(ImcastStep::new(msp.vp, mct, task));
                     }
                 },

@@ -9,9 +9,9 @@
 //! frozen transcripts).
 
 use crate::distributed::{RealizeTree, TreeOutcome};
-use dgr_core::{verify, Unrealizable};
+use dgr_core::{verify, EngineRun, Unrealizable};
 use dgr_graph::Graph;
-use dgr_ncc::{Config, EngineKind, EngineStats, Network, NodeId, RunMetrics, SimError, Sink};
+use dgr_ncc::{Config, EngineKind, Job, Network, NodeId, RunMetrics, SimError, Sink};
 use std::collections::BTreeMap;
 
 /// Which tree construction to run.
@@ -68,7 +68,7 @@ impl TreeRealization {
 }
 
 /// Assembly + verification of a tree-realization run.
-fn finish_tree(
+fn assemble(
     net: &Network,
     by_id: BTreeMap<NodeId, usize>,
     result: dgr_ncc::RunResult<Result<TreeOutcome, Unrealizable>>,
@@ -103,13 +103,7 @@ fn finish_tree(
 
 /// A completed tree-realization run: the realization plus the executor's
 /// internal statistics.
-#[derive(Clone, Debug)]
-pub struct TreeRun {
-    /// Realized tree or consistent refusal.
-    pub output: TreeRealization,
-    /// Executor-internal statistics.
-    pub engine: EngineStats,
-}
+pub type TreeRun = EngineRun<TreeRealization>;
 
 /// The **engine room** of the tree realizations (Algorithms 4 and 5) —
 /// one typed entry point over algorithm × engine,
@@ -131,15 +125,29 @@ pub fn realize_tree_run(
     engine: EngineKind,
     sink: Option<&mut dyn Sink>,
 ) -> Result<TreeRun, SimError> {
+    prepare_tree(degrees, config, algo, engine)?.drive(sink)
+}
+
+/// [`realize_tree_run`] as a [`Job`] its caller steps: the network with
+/// the degrees assigned along its knowledge path, the engine run set up
+/// on it, and the tree's assembly and verification.
+///
+/// # Errors
+///
+/// As for [`realize_tree_run`].
+pub fn prepare_tree(
+    degrees: &[usize],
+    config: Config,
+    algo: TreeAlgo,
+    engine: EngineKind,
+) -> Result<Job<TreeRun>, SimError> {
     let net = Network::new(degrees.len(), config);
     let by_id = net.assign_in_path_order(degrees);
-    let result =
-        net.run_protocol_on(engine, None, sink, |s| RealizeTree::new(by_id[&s.id], algo))?;
-    let engine_stats = result.engine.clone();
-    Ok(TreeRun {
-        output: finish_tree(&net, by_id, result),
-        engine: engine_stats,
-    })
+    let run = net.start(engine, None, |s| RealizeTree::new(by_id[&s.id], algo))?;
+    Ok(Job::new(net, run, move |net, result, _| TreeRun {
+        engine: result.engine.clone(),
+        output: assemble(net, by_id, result),
+    }))
 }
 
 /// Test fixture: one realization on the batched engine.

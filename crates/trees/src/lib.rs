@@ -21,4 +21,4 @@ pub mod distributed;
 pub mod driver;
 pub mod greedy;
 
-pub use driver::{realize_tree_run, TreeAlgo, TreeRealization, TreeRun};
+pub use driver::{prepare_tree, realize_tree_run, TreeAlgo, TreeRealization, TreeRun};

@@ -6,10 +6,10 @@
 //!
 //! The plain `quickstart` example gets its answers after the fact; this
 //! one drives the same builder through the **streaming session** API.
-//! `run_streaming()` puts the engine on a worker thread that rendezvouses
-//! with this loop on every event — the run advances exactly one round per
-//! `next_round()` call, so a six-digit realization can be watched (or
-//! paused, or inspected) mid-flight instead of post-hoc.
+//! `run_streaming()` sets the run up and hands it back as a session; each
+//! `next_round()` call executes exactly one round of the engine on this
+//! thread, so a six-digit realization can be watched (or paused, or
+//! inspected) mid-flight instead of post-hoc.
 
 use distributed_graph_realizations::prelude::*;
 use distributed_graph_realizations::realization::verify;

@@ -131,9 +131,9 @@ pub use dgr_trees as trees;
 use dgr_connectivity::{ThresholdAlgo, ThresholdInstance, ThresholdRealization};
 use dgr_core::distributed::Flavor;
 use dgr_core::DriverOutput;
-use dgr_ncc::{Config, EngineStats, Model, RunMetrics, SimError};
+use dgr_ncc::{Config, EngineStats, Job, Model, RunMetrics, SimError};
 use dgr_trees::{TreeAlgo, TreeRealization};
-use std::sync::mpsc;
+use std::collections::VecDeque;
 
 pub use dgr_ncc::EngineKind as Engine;
 pub use dgr_ncc::{
@@ -698,9 +698,10 @@ impl Realization {
     }
 
     /// Validates the knob combination and runs the realization to
-    /// completion, returning the whole-run output. For a live view of the
-    /// run attach a sink ([`Realization::observe`]) or switch to
-    /// [`Realization::run_streaming`].
+    /// completion, returning the whole-run output: the session of
+    /// [`Realization::run_streaming`], finished at once. For a live view of
+    /// the run attach a sink ([`Realization::observe`]) or pull the session
+    /// round by round.
     ///
     /// # Errors
     ///
@@ -710,74 +711,41 @@ impl Realization {
     /// and value),
     /// [`RealizationError::Sim`] for simulator failures.
     pub fn run(self) -> Result<Realized, RealizationError> {
-        self.run_inner(None)
+        self.run_streaming()?.finish()
     }
 
-    /// Validates the knob combination and starts the realization as a
-    /// pull-based **streaming session**: the engine runs on a worker
-    /// thread but blocks at every event until the session consumes it, so
-    /// [`RunSession::next_round`] literally steps the run one round at a
-    /// time — six-digit runs become inspectable mid-flight instead of
-    /// post-hoc. Call [`RunSession::finish`] for the final output (it
-    /// drains any remaining events). An [`Realization::observe`] sink
-    /// sees the same stream, in the same order, from the worker thread.
+    /// Validates the knob combination and sets the realization up as a
+    /// pull-based **streaming session**. Nothing runs between pulls: each
+    /// [`RunSession::next_round`] executes one round of the engine on the
+    /// caller's thread, so six-digit runs become inspectable mid-flight
+    /// instead of post-hoc. [`RunSession::finish`] runs the rest and returns
+    /// the final output. An [`Realization::observe`] sink sees the same
+    /// stream, in the same order, as the session hands it out.
     ///
     /// # Errors
     ///
-    /// As for [`Realization::run`]; knob validation happens eagerly, so
-    /// invalid requests fail here and never spawn the worker.
+    /// As for [`Realization::run`]; validation and the engine's set-up
+    /// happen here, so an invalid request fails before any round runs.
     pub fn run_streaming(self) -> Result<RunSession, RealizationError> {
-        self.validate()?;
-        // A rendezvous channel: the engine's emit blocks until the
-        // session pulls, which is what makes the session a *stepper*
-        // rather than a tail on a buffer.
-        let (tx, rx) = mpsc::sync_channel(0);
-        let handle = std::thread::Builder::new()
-            .name("dgr-run-session".into())
-            .spawn(move || {
-                self.run_inner(Some(ChannelSink {
-                    tx,
-                    connected: true,
-                }))
-            })
-            .expect("failed to spawn the run-session worker thread");
-        Ok(RunSession {
-            rx: Some(rx),
-            handle: Some(handle),
-            rounds_done: false,
-        })
-    }
-
-    /// The shared execution path: validate, compose the observation
-    /// sinks, dispatch to the workload's engine room.
-    fn run_inner(mut self, streaming: Option<ChannelSink>) -> Result<Realized, RealizationError> {
         let config = self.validate()?;
-        let mut user = self.sink.take();
-        let mut chan = streaming;
-        let mut tee;
-        let sink: Option<&mut dyn Sink> = match (user.as_deref_mut(), chan.as_mut()) {
-            (Some(user), Some(chan)) => {
-                tee = Tee(user, chan);
-                Some(&mut tee)
-            }
-            (Some(user), None) => Some(user),
-            (None, Some(chan)) => Some(chan),
-            (None, None) => None,
-        };
-        let mask = self.mask.as_deref();
-        let (output, engine_stats) = match &self.workload {
+        let (engine, mask) = (self.engine, self.mask.as_deref());
+        let job = match &self.workload {
             Workload::Implicit(d) | Workload::Envelope(d) | Workload::Explicit(d) => {
                 let flavor = match &self.workload {
                     Workload::Implicit(_) => Flavor::Implicit,
                     Workload::Envelope(_) => Flavor::Envelope,
                     _ => Flavor::Explicit,
                 };
-                let run = dgr_core::realize_degrees(d, mask, config, flavor, self.engine, sink)?;
-                (RunOutput::Degrees(run.output), run.engine)
+                dgr_core::prepare_degrees(d, mask, config, flavor, engine)?.map(|run| Realized {
+                    output: RunOutput::Degrees(run.output),
+                    engine_stats: run.engine,
+                })
             }
             Workload::Tree { degrees, algo } => {
-                let run = dgr_trees::realize_tree_run(degrees, config, *algo, self.engine, sink)?;
-                (RunOutput::Tree(run.output), run.engine)
+                dgr_trees::prepare_tree(degrees, config, *algo, engine)?.map(|run| Realized {
+                    output: RunOutput::Tree(run.output),
+                    engine_stats: run.engine,
+                })
             }
             Workload::Ncc1(r) | Workload::Ncc0Threshold(r) | Workload::Ncc0Exact(r) => {
                 let algo = match &self.workload {
@@ -786,49 +754,21 @@ impl Realization {
                     _ => ThresholdAlgo::Ncc0Exact,
                 };
                 let inst = ThresholdInstance::new(r.clone());
-                let run = dgr_connectivity::realize_threshold_run(
-                    &inst,
-                    config,
-                    algo,
-                    self.engine,
-                    self.certify,
-                    sink,
-                )?;
-                (RunOutput::Threshold(Box::new(run.output)), run.engine)
+                dgr_connectivity::prepare_threshold(&inst, config, algo, engine, self.certify)?.map(
+                    |run| Realized {
+                        output: RunOutput::Threshold(Box::new(run.output)),
+                        engine_stats: run.engine,
+                    },
+                )
             }
         };
-        Ok(Realized {
-            output,
-            engine_stats,
+        Ok(RunSession {
+            job: Some(job),
+            ended: None,
+            sink: self.sink.unwrap_or_else(|| Box::new(NullSink)),
+            pending: VecDeque::new(),
+            rounds_done: false,
         })
-    }
-}
-
-/// Feeds the user's sink and the streaming session from one stream.
-struct Tee<'a>(&'a mut dyn Sink, &'a mut ChannelSink);
-
-impl Sink for Tee<'_> {
-    fn emit(&mut self, event: &RunEvent) {
-        self.0.emit(event);
-        self.1.emit(event);
-    }
-}
-
-/// The worker-thread end of a streaming session: a rendezvous sender, so
-/// the engine cannot advance past an unconsumed event. Once the session
-/// hangs up (dropped receiver) the run continues unobserved to
-/// completion — the result is still collected by `RunSession::finish`
-/// (or discarded by `Drop`).
-struct ChannelSink {
-    tx: mpsc::SyncSender<RunEvent>,
-    connected: bool,
-}
-
-impl Sink for ChannelSink {
-    fn emit(&mut self, event: &RunEvent) {
-        if self.connected && self.tx.send(event.clone()).is_err() {
-            self.connected = false;
-        }
     }
 }
 
@@ -853,37 +793,39 @@ pub struct RoundSnapshot {
 }
 
 /// A live, pull-based realization run (from
-/// [`Realization::run_streaming`]). The engine executes on a worker
-/// thread but rendezvouses with this session on every event: until
-/// [`RunSession::next_round`] (or [`RunSession::next_event`]) is called,
-/// the run does not advance — the session is a stepper, not a spectator.
-///
-/// Dropping the session mid-run detaches it: the run finishes unobserved
-/// on the worker thread (the drop joins it) and the output is discarded.
+/// [`Realization::run_streaming`]): the prepared run, the
+/// [`Realization::observe`] sink, and the events stepped but not yet
+/// pulled. Nothing executes between pulls — [`RunSession::next_round`]
+/// (or [`RunSession::next_event`]) steps the engine on the caller's
+/// thread, so the session is a stepper, not a spectator. Dropping the
+/// session abandons the run.
 pub struct RunSession {
-    rx: Option<mpsc::Receiver<RunEvent>>,
-    handle: Option<std::thread::JoinHandle<Result<Realized, RealizationError>>>,
+    /// The prepared run, until a pull steps it past its end.
+    job: Option<Job<Realized>>,
+    /// How the run ended, once a pull stepped it past its end.
+    ended: Option<Result<Realized, RealizationError>>,
+    /// The `observe()` sink ([`NullSink`] when none was attached).
+    sink: Box<dyn Sink>,
+    /// Events of stepped rounds not pulled yet.
+    pending: VecDeque<RunEvent>,
+    /// Has a pull passed the engine's `Done`?
     rounds_done: bool,
 }
 
 impl RunSession {
-    /// Advances the run to the next completed round and returns its
-    /// snapshot, or `None` once the engine's round loop has finished (or
-    /// failed — [`RunSession::finish`] reports which).
+    /// Steps the run to its next completed round and returns its snapshot,
+    /// or `None` once the engine's rounds are over (or failed —
+    /// [`RunSession::finish`] reports which).
     pub fn next_round(&mut self) -> Option<RoundSnapshot> {
-        if self.rounds_done {
-            return None;
-        }
-        let rx = self.rx.as_ref()?;
         let mut events = Vec::new();
-        loop {
-            match rx.recv() {
-                Ok(RunEvent::RoundCompleted {
+        while !self.rounds_done {
+            match self.next_event()? {
+                RunEvent::RoundCompleted {
                     round,
                     delivered,
                     live,
                     route_mode,
-                }) => {
+                } => {
                     return Some(RoundSnapshot {
                         round,
                         delivered,
@@ -892,61 +834,57 @@ impl RunSession {
                         events,
                     })
                 }
-                Ok(RunEvent::Done { .. }) => {
-                    self.rounds_done = true;
-                    return None;
-                }
-                Ok(event) => events.push(event),
-                Err(mpsc::RecvError) => {
-                    // Worker hung up without `Done`: the run errored.
-                    self.rounds_done = true;
-                    return None;
-                }
+                RunEvent::Done { .. } => {}
+                event => events.push(event),
             }
         }
+        None
     }
 
-    /// Advances the run to the next single event (finer-grained than
-    /// [`RunSession::next_round`]; also yields the post-`Done`
-    /// driver-level events such as certification). `None` once the worker
-    /// has hung up.
+    /// Pulls the next single event, stepping the run a round when none is
+    /// waiting (finer-grained than [`RunSession::next_round`]; also yields
+    /// `Done` and the driver-level events after it, such as
+    /// certification). `None` once the stream has ended.
     pub fn next_event(&mut self) -> Option<RunEvent> {
-        let event = self.rx.as_ref()?.recv().ok()?;
-        if matches!(event, RunEvent::Done { .. }) {
-            self.rounds_done = true;
+        if self.pending.is_empty() {
+            self.advance();
         }
+        let event = self.pending.pop_front()?;
+        self.sink.emit(&event);
+        self.rounds_done |= matches!(event, RunEvent::Done { .. });
         Some(event)
     }
 
-    /// Lets the run finish (draining any unconsumed events) and returns
-    /// its final output — exactly what [`Realization::run`] would have
-    /// returned.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a worker-thread panic (a protocol bug surfaces on the
-    /// engine as [`SimError::NodePanic`] instead, so this is unreachable
-    /// in practice).
-    pub fn finish(mut self) -> Result<Realized, RealizationError> {
-        if let Some(rx) = self.rx.take() {
-            // Unblock the rendezvous until the worker is done emitting.
-            while rx.recv().is_ok() {}
-        }
-        let handle = self.handle.take().expect("run session already finished");
-        match handle.join() {
-            Ok(result) => result,
-            Err(payload) => std::panic::resume_unwind(payload),
+    /// Runs the rest of the realization and returns its final output —
+    /// exactly what [`Realization::run`] would have returned. Events
+    /// stepped but not pulled reach the `observe()` sink first; the rest of
+    /// the run streams straight into it.
+    pub fn finish(self) -> Result<Realized, RealizationError> {
+        let RunSession {
+            job,
+            ended,
+            mut sink,
+            pending,
+            ..
+        } = self;
+        pending.iter().for_each(|event| sink.emit(event));
+        match (job, ended) {
+            (Some(job), _) => Ok(job.drive(Some(&mut *sink))?),
+            (None, Some(ended)) => ended,
+            (None, None) => unreachable!("a session keeps its run until it records how it ended"),
         }
     }
-}
 
-impl Drop for RunSession {
-    fn drop(&mut self) {
-        // Hanging up first lets the worker free-run to completion; the
-        // join then only waits for the unobserved remainder.
-        self.rx.take();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+    /// Steps the run one round, queueing its events; once the rounds are
+    /// over, closes it, queueing `Done` and the driver's events after it.
+    fn advance(&mut self) {
+        let Some(mut job) = self.job.take() else {
+            return;
+        };
+        match job.round(Some(&mut self.pending)) {
+            Ok(true) => self.job = Some(job),
+            Ok(false) => self.ended = Some(Ok(job.finish(Some(&mut self.pending)))),
+            Err(e) => self.ended = Some(Err(e.into())),
         }
     }
 }
@@ -999,8 +937,8 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains(".model(Model::Ncc0)"), "{err}");
 
-        // Streaming validates eagerly: no worker is spawned for a
-        // contradictory request.
+        // Streaming validates eagerly: a contradictory request gets no
+        // session.
         let err = Realization::new(Workload::Implicit(vec![]))
             .run_streaming()
             .map(|_| ())

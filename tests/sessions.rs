@@ -1,0 +1,120 @@
+//! The streaming session against the one-shot path. A session steps its
+//! run on the caller's thread, so what it hands out, what its observer
+//! sees and what `finish()` returns must be what `run()` gives — on either
+//! engine, under faults, and when the run fails.
+
+use distributed_graph_realizations::ncc::event::semantic_stream;
+use distributed_graph_realizations::ncc::SimError;
+use distributed_graph_realizations::{
+    graphgen, CapacityPolicy, Engine, Realization, RealizationError, Recording, RunEvent,
+    RunSession, Scenario, Workload,
+};
+
+/// One pulled round: number, deliveries, live count and the semantic
+/// projection of the events before it.
+type Pulled = (u64, u64, usize, Vec<RunEvent>);
+
+fn pull_every_round(session: &mut RunSession) -> Vec<Pulled> {
+    std::iter::from_fn(|| session.next_round())
+        .map(|s| (s.round, s.delivered, s.live, semantic_stream(&s.events)))
+        .collect()
+}
+
+#[test]
+fn a_reference_session_under_faults_matches_the_batched_one() {
+    let scenario = Scenario::new(11).drop_messages(24..=26, 0.3).crash(5, 4);
+    let session = |engine: Engine| {
+        let recording = Recording::new();
+        let mut session = Realization::new(Workload::Implicit(vec![3, 2, 2, 2, 2, 1, 1, 1, 2]))
+            .engine(engine)
+            .policy(CapacityPolicy::Record)
+            .scenario(scenario.clone())
+            .seed(23)
+            .observe(recording.clone())
+            .run_streaming()
+            .unwrap();
+        let pulled = pull_every_round(&mut session);
+        let finished = session.finish();
+        (pulled, semantic_stream(&recording.events()), finished)
+    };
+    let (batched, reference) = (session(Engine::Batched), session(Engine::Reference));
+    assert_eq!(batched.0, reference.0, "snapshots");
+    assert_eq!(batched.1, reference.1, "observed streams");
+    let fired = |kind: fn(&RunEvent) -> bool| batched.1.iter().any(kind);
+    assert!(fired(
+        |e| matches!(e, RunEvent::FaultInjected { dropped, .. } if *dropped > 0)
+    ));
+    assert!(fired(|e| matches!(
+        e,
+        RunEvent::NodeCrashed { node: 5, .. }
+    )));
+    // A dropped comparator exchange panics the sort: both engines end the
+    // run at the same node, with the same message.
+    let (b, r) = (batched.2.unwrap_err(), reference.2.unwrap_err());
+    assert!(
+        matches!(b, RealizationError::Sim(SimError::NodePanic { .. })),
+        "{b}"
+    );
+    assert_eq!(b.to_string(), r.to_string());
+}
+
+#[test]
+fn a_strict_violation_ends_the_session_as_it_ends_the_run() {
+    // A hub's explicitness hand-off under half the default capacity
+    // overflows its receive capacity near the end of the run; under the
+    // strict policy that aborts.
+    let degrees = graphgen::star_heavy_sequence(512, 1, 2, 4);
+    let request = || {
+        Realization::new(Workload::Explicit(degrees.clone()))
+            .capacity_factor(0.5)
+            .policy(CapacityPolicy::Strict)
+            .seed(7)
+    };
+    let one_shot = request().run().unwrap_err();
+    let mut session = request().run_streaming().unwrap();
+    let rounds = pull_every_round(&mut session).len();
+    assert!(rounds > 0, "the violation must come mid-run");
+    assert!(session.next_round().is_none());
+    let streamed = session.finish().unwrap_err();
+    match (&one_shot, &streamed) {
+        (
+            RealizationError::Sim(SimError::Violation(a)),
+            RealizationError::Sim(SimError::Violation(b)),
+        ) => {
+            assert_eq!(a, b);
+            assert_eq!(
+                a.round, rounds as u64,
+                "the session stops at the violating round"
+            );
+        }
+        _ => panic!("expected strict violations, got {one_shot} and {streamed}"),
+    }
+}
+
+#[test]
+fn dropping_a_session_leaves_its_observer_at_the_last_pulled_round() {
+    let request = || Realization::new(Workload::Implicit(vec![3, 2, 2, 2, 1, 1, 1])).seed(17);
+    let whole = Recording::new();
+    request().observe(whole.clone()).run().unwrap();
+    let whole = whole.events();
+    let k = 5;
+    let partial = Recording::new();
+    let mut session = request().observe(partial.clone()).run_streaming().unwrap();
+    for _ in 0..k {
+        session.next_round().unwrap();
+    }
+    drop(session);
+    let partial = partial.events();
+    assert!(
+        matches!(partial.last(), Some(RunEvent::RoundCompleted { round, .. }) if *round == k - 1),
+        "{partial:?}"
+    );
+    assert_eq!(partial[..], whole[..partial.len()]);
+}
+
+#[test]
+fn sessions_and_requests_are_send() {
+    fn send<T: Send>() {}
+    send::<RunSession>();
+    send::<Realization>();
+}
