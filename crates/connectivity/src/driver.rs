@@ -1,7 +1,7 @@
 //! Drivers: run the distributed threshold realizations on simulated
 //! networks, assemble the overlay, and certify it with max-flow.
 //!
-//! One driver, [`realize_threshold_run`], runs the chosen construction's
+//! One driver, [`prepare_threshold`], runs the chosen construction's
 //! state machine on the engine it is given; the differential suites
 //! (`crates/connectivity/tests/`) hold the batched executor to the
 //! reference interpreter, and both to the frozen transcripts.
@@ -9,7 +9,7 @@
 use crate::distributed::{ncc0, ncc0_exact, ncc1, ThresholdOutcome};
 use crate::verify::{check_thresholds, ThresholdReport};
 use crate::ThresholdInstance;
-use dgr_core::{verify as core_verify, EngineRun};
+use dgr_core::verify as core_verify;
 use dgr_graph::Graph;
 use dgr_ncc::{
     Config, EngineKind, Job, Model, Network, NodeId, NodeProtocol, NodeSeed, RunEvent, RunMetrics,
@@ -55,13 +55,13 @@ pub enum ThresholdAlgo {
     Ncc0Exact,
 }
 
-/// A completed threshold-realization run: the certified realization plus
-/// the executor's internal statistics.
-pub type ThresholdRun = EngineRun<ThresholdRealization>;
-
 /// The **engine room** of the threshold realizations — one typed entry
 /// point over construction × engine, driven by the `dgr::Realization`
-/// facade builder.
+/// facade builder. The run comes back as a [`Job`] its caller steps (or
+/// drives to the end with [`Job::drive`]): the network with the
+/// requirements assigned along its knowledge path, the chosen
+/// construction's run set up on it, and the overlay's assembly and
+/// certification.
 ///
 /// `certify = false` skips the max-flow certification (`n − 1` capped
 /// flows — milliseconds at `n = 2048`, a fraction of a second at 10⁵);
@@ -70,43 +70,20 @@ pub type ThresholdRun = EngineRun<ThresholdRealization>;
 ///
 /// # Errors
 ///
-/// Propagates simulator errors.
+/// Propagates simulator errors, here and from stepping the job.
 ///
 /// # Panics
 ///
 /// Panics if `algo` is [`ThresholdAlgo::Ncc1Star`] and `config` is not an
 /// NCC1 configuration, or if an explicit construction loses edge symmetry
 /// (a protocol bug, not an input condition).
-pub fn realize_threshold_run(
-    inst: &ThresholdInstance,
-    config: Config,
-    algo: ThresholdAlgo,
-    engine: EngineKind,
-    certify: bool,
-    sink: Option<&mut dyn Sink>,
-) -> Result<ThresholdRun, SimError> {
-    prepare_threshold(inst, config, algo, engine, certify)?.drive(sink)
-}
-
-/// [`realize_threshold_run`] as a [`Job`] its caller steps: the network
-/// with the requirements assigned along its knowledge path, the chosen
-/// construction's run set up on it, and the overlay's assembly and
-/// certification.
-///
-/// # Errors
-///
-/// As for [`realize_threshold_run`].
-///
-/// # Panics
-///
-/// As for [`realize_threshold_run`].
 pub fn prepare_threshold(
     inst: &ThresholdInstance,
     config: Config,
     algo: ThresholdAlgo,
     engine: EngineKind,
     certify: bool,
-) -> Result<Job<ThresholdRun>, SimError> {
+) -> Result<Job<ThresholdRealization>, SimError> {
     let net = Network::new(inst.len(), config);
     // The star is an implicit overlay: each edge is stored at its adding
     // endpoint. Algorithm 6 is explicit: both endpoints list every edge.
@@ -133,15 +110,14 @@ fn prepare<P>(
     explicit: bool,
     certify: bool,
     make: impl Fn(&NodeSeed<'_>, usize) -> P,
-) -> Result<Job<ThresholdRun>, SimError>
+) -> Result<Job<ThresholdRealization>, SimError>
 where
     P: NodeProtocol<Output = ThresholdOutcome> + 'static,
 {
     let by_id = net.assign_in_path_order(&inst.rho);
     let run = net.start(engine, None, |s| make(s, by_id[&s.id]))?;
-    Ok(Job::new(net, run, move |net, result, sink| ThresholdRun {
-        engine: result.engine.clone(),
-        output: certify_run(net, by_id, result, explicit, certify, sink),
+    Ok(Job::new(run, move |net, result, sink| {
+        certify_run(net, by_id, result, explicit, certify, sink)
     }))
 }
 
@@ -224,7 +200,9 @@ pub(crate) fn realize_for_test(
     config: Config,
     algo: ThresholdAlgo,
 ) -> ThresholdRealization {
-    realize_threshold_run(inst, config, algo, EngineKind::Batched, true, None)
+    prepare_threshold(inst, config, algo, EngineKind::Batched, true)
+        .unwrap()
+        .drive(None)
         .unwrap()
         .output
 }

@@ -20,7 +20,7 @@
 //!   `⌈Σρ/2⌉` lower bound.
 //! * [`verify`] — max-flow certification of the pairwise thresholds.
 //!
-//! The driver entry point, [`driver::realize_threshold_run`], is the
+//! The driver entry point, [`driver::prepare_threshold`], is the
 //! engine room of the `dgr::Realization` facade builder.
 
 pub mod distributed;
@@ -28,9 +28,7 @@ pub mod driver;
 pub mod sequential;
 pub mod verify;
 
-pub use driver::{
-    prepare_threshold, realize_threshold_run, ThresholdAlgo, ThresholdRealization, ThresholdRun,
-};
+pub use driver::{prepare_threshold, ThresholdAlgo, ThresholdRealization};
 pub use sequential::{edge_lower_bound, sequential_realization};
 pub use verify::{check_thresholds, ThresholdReport};
 

@@ -14,19 +14,19 @@
 //!   the star's twin built the full path context first and the state
 //!   machine never did, so the two were only ever overlay-identical).
 
-use dgr_connectivity::{
-    realize_threshold_run, ThresholdAlgo, ThresholdInstance, ThresholdRealization,
-};
+use dgr_connectivity::{prepare_threshold, ThresholdAlgo, ThresholdInstance, ThresholdRealization};
 use dgr_ncc::{Config, EngineKind};
 
-// White-box shorthand over the `realize_threshold_run` engine room.
+// White-box shorthand over the `prepare_threshold` engine room.
 fn realize(
     inst: &ThresholdInstance,
     config: Config,
     algo: ThresholdAlgo,
     engine: EngineKind,
 ) -> ThresholdRealization {
-    realize_threshold_run(inst, config, algo, engine, true, None)
+    prepare_threshold(inst, config, algo, engine, true)
+        .unwrap()
+        .drive(None)
         .unwrap()
         .output
 }
@@ -192,8 +192,8 @@ fn paper_exact_prefix_envelope_realizes_the_prefix_degrees() {
     let mask: Vec<bool> = (0..48).map(|i| i < 7).collect();
     let (flavor, engine) = (Flavor::Envelope, EngineKind::Batched);
     let config = Config::ncc0(41);
-    let run = dgr_core::realize_degrees(&sorted, Some(&mask), config, flavor, engine, None);
-    let out = run.unwrap().output;
+    let job = dgr_core::prepare_degrees(&sorted, Some(&mask), config, flavor, engine);
+    let out = job.unwrap().drive(None).unwrap().output;
     let g = out.expect_realized();
     // Exactly the d₀ + 1 prefix nodes participated.
     assert_eq!(g.path_order.len(), 7);

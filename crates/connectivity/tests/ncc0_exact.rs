@@ -8,20 +8,19 @@
 //!   including on instances where the raw prefix envelope under-delivers
 //!   distinct neighbors and the distinctness patch has to fire.
 
-use dgr_connectivity::{
-    realize_threshold_run, ThresholdAlgo, ThresholdInstance, ThresholdRealization,
-};
+use dgr_connectivity::{prepare_threshold, ThresholdAlgo, ThresholdInstance, ThresholdRealization};
 use dgr_ncc::{Config, EngineKind};
 
 fn run(inst: &ThresholdInstance, seed: u64, engine: EngineKind) -> ThresholdRealization {
-    realize_threshold_run(
+    prepare_threshold(
         inst,
         Config::ncc0(seed).with_queueing(),
         ThresholdAlgo::Ncc0Exact,
         engine,
         true,
-        None,
     )
+    .unwrap()
+    .drive(None)
     .unwrap()
     .output
 }
@@ -94,14 +93,15 @@ fn composed_alg6_matches_pipeline_guarantees() {
     ] {
         let inst = ThresholdInstance::new(rho.clone());
         let exact = run(&inst, 21, EngineKind::Batched);
-        let pipeline = realize_threshold_run(
+        let pipeline = prepare_threshold(
             &inst,
             Config::ncc0(21).with_queueing(),
             ThresholdAlgo::Ncc0Pipeline,
             EngineKind::Batched,
             true,
-            None,
         )
+        .unwrap()
+        .drive(None)
         .unwrap()
         .output;
         assert!(exact.report.satisfied, "exact failed on rho={rho:?}");

@@ -204,7 +204,7 @@ enum CoreStage {
 ///   non-members contribute the identity and still learn every control
 ///   value. At the top level `global` equals the establishment context:
 ///   the whole protocol is [`WithCtx`](dgr_primitives::WithCtx) handing
-///   its context to both scopes ([`realize_degrees`](crate::realize_degrees)).
+///   its context to both scopes ([`prepare_degrees`](crate::prepare_degrees)).
 pub struct DegreesCore {
     flavor: Flavor,
     local: PathCtx,
@@ -396,7 +396,7 @@ impl Step for DegreesCore {
 #[cfg(test)]
 mod tests {
     use super::{rounds_for, Flavor};
-    use crate::driver::{realize_degrees, realize_for_test};
+    use crate::driver::{prepare_degrees, realize_for_test};
     use dgr_ncc::{Config, EngineKind, Recording, RunEvent};
 
     #[test]
@@ -453,8 +453,8 @@ mod tests {
                 let mut recording = Recording::new();
                 let flavor = Flavor::Implicit;
                 let sink = Some(&mut recording as &mut dyn dgr_ncc::Sink);
-                let run = realize_degrees(&degrees, None, Config::ncc0(3), flavor, engine, sink);
-                let out = run.unwrap().output;
+                let job = prepare_degrees(&degrees, None, Config::ncc0(3), flavor, engine);
+                let out = job.unwrap().drive(sink).unwrap().output;
                 assert!(out.is_unrealizable(), "{degrees:?} was accepted");
                 let (n, m) = (degrees.len(), out.metrics());
                 assert_eq!(m.rounds, rounds_for(n, phases, flavor, 3, m.capacity));
@@ -525,8 +525,8 @@ mod tests {
         let config = Config::ncc0(37).with_queueing();
         for engine in [EngineKind::Batched, EngineKind::Reference] {
             let flavor = Flavor::Explicit;
-            let run = realize_degrees(&degrees, None, config.clone(), flavor, engine, None);
-            let out = run.unwrap().output;
+            let job = prepare_degrees(&degrees, None, config.clone(), flavor, engine);
+            let out = job.unwrap().drive(None).unwrap().output;
             let g = out.expect_realized();
             assert_eq!(g.metrics.undelivered, 0, "{engine:?}");
             assert!(g.metrics.is_clean(), "{engine:?}");

@@ -5,7 +5,7 @@
 //! goes to the `i`-th node of `G_k`. (The algorithms themselves never use
 //! path positions as input — assignment order is just bookkeeping.)
 //!
-//! Engine note: one driver, [`realize_degrees`], runs the protocol —
+//! Engine note: one driver, [`prepare_degrees`], runs the protocol —
 //! context establishment, then the [`DegreesCore`] phase loop over the
 //! full path — on the engine it is given: the **batched executor** in
 //! production, practical at six-digit `n` (`tests/scale.rs`); the
@@ -16,9 +16,7 @@
 use crate::distributed::{DegreesCore, Flavor};
 use crate::verify::{self, Assembled};
 use dgr_graph::Graph;
-use dgr_ncc::{
-    Config, EngineKind, EngineStats, Job, Network, NodeId, RoundCtx, RunMetrics, SimError, Sink,
-};
+use dgr_ncc::{Config, EngineKind, Job, Network, NodeId, RoundCtx, RunMetrics, SimError};
 use dgr_primitives::{PathCtx, WithCtx};
 use std::collections::BTreeMap;
 
@@ -105,21 +103,11 @@ fn split_consistent<T>(
     }
 }
 
-/// A completed realization run: the assembled output plus the executor's
-/// internal statistics. Every engine room returns one.
-#[derive(Clone, Debug)]
-pub struct EngineRun<T> {
-    /// The assembled output: a realization or a consistent refusal.
-    pub output: T,
-    /// Executor-internal statistics (compactions, routing paths).
-    pub engine: EngineStats,
-}
-
-/// A completed degree-realization run.
-pub type DegreesRun = EngineRun<DriverOutput>;
-
 /// The **engine room** of every degree-sequence realization — one typed
-/// entry point over workload flavor × engine × mask.
+/// entry point over workload flavor × engine × mask, handed back as a
+/// [`Job`] its caller steps (or drives to the end with [`Job::drive`]):
+/// the network with the degrees assigned along its knowledge path, the
+/// engine run set up on it, and the overlay's assembly.
 /// This is what the `dgr::Realization` facade builder drives.
 ///
 /// * `participants: None` realizes over the whole network; `Some(mask)`
@@ -131,44 +119,21 @@ pub type DegreesRun = EngineRun<DriverOutput>;
 ///
 /// # Errors
 ///
-/// Propagates simulator errors (model violations, round-limit).
-///
-/// `sink` receives the run's typed [`RunEvent`](dgr_ncc::RunEvent)
-/// stream (`None` runs unobserved); both engines emit semantically
-/// identical streams.
+/// Propagates simulator errors (model violations, round-limit), here and
+/// from stepping the job. The sink each step is given receives the run's
+/// typed [`RunEvent`](dgr_ncc::RunEvent) stream (`None` runs unobserved);
+/// both engines emit semantically identical streams.
 ///
 /// # Panics
 ///
 /// Panics if a mask's length differs from `degrees.len()`.
-pub fn realize_degrees(
-    degrees: &[usize],
-    participants: Option<&[bool]>,
-    config: Config,
-    flavor: Flavor,
-    engine: EngineKind,
-    sink: Option<&mut dyn Sink>,
-) -> Result<DegreesRun, SimError> {
-    prepare_degrees(degrees, participants, config, flavor, engine)?.drive(sink)
-}
-
-/// [`realize_degrees`] as a [`Job`] its caller steps: the network with
-/// the degrees assigned along its knowledge path, the engine run set up
-/// on it, and the overlay's assembly.
-///
-/// # Errors
-///
-/// As for [`realize_degrees`].
-///
-/// # Panics
-///
-/// As for [`realize_degrees`].
 pub fn prepare_degrees(
     degrees: &[usize],
     participants: Option<&[bool]>,
     config: Config,
     flavor: Flavor,
     engine: EngineKind,
-) -> Result<Job<DegreesRun>, SimError> {
+) -> Result<Job<DriverOutput>, SimError> {
     let net = Network::new(degrees.len(), config);
     let by_id = net.assign_in_path_order(degrees);
     if let Some(mask) = participants {
@@ -189,9 +154,8 @@ pub fn prepare_degrees(
     // Masked runs are assembled as implicit overlays whatever the flavor.
     let explicit = flavor == Flavor::Explicit && participants.is_none();
     let participants = participants.map(<[bool]>::to_vec);
-    Ok(Job::new(net, run, move |net, result, _| DegreesRun {
-        engine: result.engine.clone(),
-        output: assemble(net, &by_id, participants.as_deref(), result, explicit),
+    Ok(Job::new(run, move |net, result, _| {
+        assemble(net, &by_id, participants.as_deref(), result, explicit)
     }))
 }
 
@@ -237,7 +201,9 @@ fn assemble(
 /// Test fixture: one unmasked realization on the batched engine.
 #[cfg(test)]
 pub(crate) fn realize_for_test(degrees: &[usize], config: Config, flavor: Flavor) -> DriverOutput {
-    realize_degrees(degrees, None, config, flavor, EngineKind::Batched, None)
+    prepare_degrees(degrees, None, config, flavor, EngineKind::Batched)
+        .unwrap()
+        .drive(None)
         .unwrap()
         .output
 }

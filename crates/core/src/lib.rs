@@ -34,7 +34,7 @@
 //! The [`driver`] module wires degree assignments onto simulated networks
 //! and re-assembles/verifies the distributed outputs; [`verify`] holds the
 //! checks shared by tests, examples and benches. Its one entry point,
-//! [`realize_degrees`], is the **engine room** of the
+//! [`prepare_degrees`], is the **engine room** of the
 //! `dgr::Realization` facade builder — use the builder from applications,
 //! and the engine room from white-box internals (the differential suites
 //! in `crates/core/tests`).
@@ -47,6 +47,6 @@ pub mod sequence;
 pub mod verify;
 
 pub use distributed::{DistributedRealization, ImplicitOutcome, Unrealizable};
-pub use driver::{prepare_degrees, realize_degrees, DegreesRun, DriverOutput, EngineRun};
+pub use driver::{prepare_degrees, DriverOutput};
 pub use havel_hakimi::Realization;
 pub use sequence::{DegreeSequence, RealizeError};

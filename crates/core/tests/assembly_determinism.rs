@@ -11,7 +11,7 @@
 //! bit-identical outputs.
 
 use dgr_core::distributed::Flavor;
-use dgr_core::driver::{realize_degrees, DriverOutput, RealizedOutput};
+use dgr_core::driver::{prepare_degrees, DriverOutput, RealizedOutput};
 use dgr_core::verify::{assemble_explicit, degrees_match};
 use dgr_graph::Graph;
 use dgr_ncc::{Config, EngineKind, NodeId};
@@ -19,7 +19,9 @@ use std::collections::BTreeMap;
 
 /// Batched-engine realization.
 fn realize_batched(degrees: &[usize], config: Config, flavor: Flavor) -> DriverOutput {
-    realize_degrees(degrees, None, config, flavor, EngineKind::Batched, None)
+    prepare_degrees(degrees, None, config, flavor, EngineKind::Batched)
+        .unwrap()
+        .drive(None)
         .map(|run| run.output)
         .unwrap()
 }

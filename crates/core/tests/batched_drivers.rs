@@ -13,7 +13,7 @@
 //!   in-repo proptest stand-in draws fixed cases from the test's name).
 
 use dgr_core::distributed::{rounds_for, Flavor};
-use dgr_core::driver::{realize_degrees, DriverOutput};
+use dgr_core::driver::{prepare_degrees, DriverOutput};
 use dgr_ncc::{Config, EngineKind};
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -135,7 +135,7 @@ fn assert_case(case: &str, degrees: &[usize], config: Config, flavor: Flavor) {
     assert_closed_form(case, degrees, flavor, &batched);
 }
 
-// White-box shorthand over the `realize_degrees` engine room.
+// White-box shorthand over the `prepare_degrees` engine room.
 fn realize(
     degrees: &[usize],
     mask: Option<&[bool]>,
@@ -143,7 +143,9 @@ fn realize(
     flavor: Flavor,
     engine: EngineKind,
 ) -> DriverOutput {
-    realize_degrees(degrees, mask, config, flavor, engine, None)
+    prepare_degrees(degrees, mask, config, flavor, engine)
+        .unwrap()
+        .drive(None)
         .unwrap()
         .output
 }

@@ -26,12 +26,13 @@
 //! same validation order, same violation accounting. The differential
 //! tests in `crates/ncc/tests/differential.rs` hold the two to that.
 
-use crate::config::{Config, Model};
+use crate::config::Config;
 use crate::error::{panic_message, Violation, ViolationKind};
 use crate::event::RouteMode;
 use crate::knowledge::KnowledgeTracker;
 use crate::message::NodeId;
 use crate::protocol::{Marks, NodeProtocol, RoundCtx, Status};
+use crate::shard::RunShared;
 use crate::wire::{Staged, WireEnvelope, DEAD_INDEX, NO_INDEX};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -137,18 +138,6 @@ impl<P: NodeProtocol> Slot<P> {
     }
 }
 
-/// The per-run constants a [`step_slot`] call needs to build a
-/// [`RoundCtx`].
-pub(crate) struct StepShared<'a> {
-    pub(crate) n: usize,
-    pub(crate) participants: usize,
-    pub(crate) cap: usize,
-    pub(crate) model: Model,
-    pub(crate) all_ids: Option<&'a [NodeId]>,
-    pub(crate) resolver: &'a crate::route::Resolver,
-    pub(crate) dense_of: Option<&'a [u32]>,
-}
-
 /// What stepping one slot did (the shard folds these into its own
 /// finished / panic / marks accounting).
 pub(crate) enum StepOutcome {
@@ -171,7 +160,7 @@ pub(crate) fn step_slot<P: NodeProtocol>(
     slot: &mut Slot<P>,
     arena: &[WireEnvelope],
     staged: &mut Vec<Staged>,
-    sh: &StepShared<'_>,
+    sh: &RunShared,
 ) -> StepOutcome {
     if !slot.alive || slot.paused {
         return StepOutcome::Skipped;
@@ -183,18 +172,18 @@ pub(crate) fn step_slot<P: NodeProtocol>(
     let mut marks: Marks = (None, None);
     let mut ctx = RoundCtx {
         id: slot.id,
-        n: sh.n,
-        participants: sh.participants,
+        n: sh.net.n(),
+        participants: sh.k,
         capacity: sh.cap,
-        model: sh.model,
+        model: sh.net.model(),
         initial_successor: slot.succ,
-        all_ids: sh.all_ids,
+        all_ids: sh.all_ids.as_deref().map(Vec::as_slice),
         round: slot.rounds,
         rng: &mut slot.rng,
         inbox: &arena[slot.inbox_start as usize..][..slot.inbox_len as usize],
         out: staged,
-        resolver: sh.resolver,
-        dense_of: sh.dense_of,
+        resolver: sh.net.resolver(),
+        dense_of: sh.dense_of.as_deref(),
         marks: &mut marks,
     };
     match std::panic::catch_unwind(AssertUnwindSafe(|| proto.step(&mut ctx))) {

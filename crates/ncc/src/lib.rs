@@ -106,7 +106,7 @@ pub use event::{
 };
 pub use message::{tags, NodeId};
 pub use metrics::{
-    EngineStats, Footprint, PhaseRounds, RunMetrics, ViolationCounts, ROUND_TRACE_LIMIT,
+    EngineRun, EngineStats, Footprint, PhaseRounds, RunMetrics, ViolationCounts, ROUND_TRACE_LIMIT,
 };
 pub use network::{Job, Network, Run, RunResult};
 pub use protocol::{NodeProtocol, NodeSeed, RoundCtx, Status};

@@ -99,6 +99,17 @@ pub struct RunMetrics {
     pub phase_rounds: Vec<PhaseRounds>,
 }
 
+/// A completed run's assembled output, with the executor's statistics:
+/// what a [`Job`](crate::Job) yields, and so what every engine room
+/// returns.
+#[derive(Clone, Debug)]
+pub struct EngineRun<T> {
+    /// The assembled output.
+    pub output: T,
+    /// Executor-internal statistics ([`EngineStats`]).
+    pub engine: EngineStats,
+}
+
 /// Executor-internal statistics of a completed run. Unlike [`RunMetrics`]
 /// these are **not** part of the model semantics — the reference
 /// interpreter reports only the scenario counters, which fold out of the

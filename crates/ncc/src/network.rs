@@ -9,19 +9,20 @@
 //! a sink and reaches the **reference interpreter** (`reference.rs`) the
 //! differential suites compare against. Both are a loop over a [`Run`],
 //! which [`Network::start`] hands back as a value its caller steps one
-//! round at a time; a [`Job`] owns a network beside the run on it.
+//! round at a time; a [`Job`] owns a run and the assembly of its result.
 
 use crate::config::{Config, EngineKind, IdAssignment};
 use crate::error::SimError;
 use crate::event::{reborrow, Sink};
 use crate::message::NodeId;
-use crate::metrics::{EngineStats, RunMetrics};
+use crate::metrics::{EngineRun, EngineStats, RunMetrics};
 use crate::protocol::{NodeProtocol, NodeSeed};
 use crate::route::Resolver;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// The result of a completed simulation.
 #[derive(Debug)]
@@ -52,9 +53,14 @@ impl<R> RunResult<R> {
     }
 }
 
-/// A configured NCC network, ready to run a protocol.
-pub struct Network {
-    n: usize,
+/// A configured NCC network, ready to run a protocol: a handle to its ID
+/// list, ID resolver and configuration. A clone shares them, so every
+/// [`Run`] started on the network holds one and copies no table.
+#[derive(Clone)]
+pub struct Network(Arc<Tables>);
+
+/// What a [`Network`] handle shares.
+struct Tables {
     config: Config,
     /// IDs in `G_k` path order (index = path position).
     ids: Vec<NodeId>,
@@ -73,33 +79,32 @@ impl Network {
         assert!(n > 0, "a network needs at least one node");
         let ids = assign_ids(n, &config);
         let resolver = Resolver::build(&ids, config.id_assignment);
-        Network {
-            n,
+        Network(Arc::new(Tables {
             config,
             ids,
             resolver,
-        }
+        }))
     }
 
     /// Number of nodes.
     pub fn n(&self) -> usize {
-        self.n
+        self.0.ids.len()
     }
 
     /// The per-round capacity this network enforces.
     pub fn capacity(&self) -> usize {
-        self.config.capacity(self.n)
+        self.0.config.capacity(self.n())
     }
 
     /// The model variant this network runs under.
     pub fn model(&self) -> crate::Model {
-        self.config.model
+        self.0.config.model
     }
 
     /// IDs in knowledge-path order (omniscient information, for tests and
     /// workload setup).
     pub fn ids_in_path_order(&self) -> &[NodeId] {
-        &self.ids
+        &self.0.ids
     }
 
     /// Zips per-node inputs onto the IDs in knowledge-path order:
@@ -116,8 +121,13 @@ impl Network {
         &self,
         values: &[T],
     ) -> std::collections::BTreeMap<NodeId, T> {
-        assert_eq!(self.n, values.len(), "one input value per node is required");
-        self.ids
+        assert_eq!(
+            self.n(),
+            values.len(),
+            "one input value per node is required"
+        );
+        self.0
+            .ids
             .iter()
             .copied()
             .zip(values.iter().copied())
@@ -125,16 +135,16 @@ impl Network {
     }
 
     pub(crate) fn config(&self) -> &Config {
-        &self.config
+        &self.0.config
     }
 
     pub(crate) fn resolver(&self) -> &Resolver {
-        &self.resolver
+        &self.0.resolver
     }
 
     /// Sets up a run of `factory`-built protocols on the chosen engine,
     /// masked as for [`Network::run_protocol_on`], and hands it back for
-    /// its caller to step.
+    /// its caller to step. The run keeps a handle to this network.
     ///
     /// # Errors
     ///
@@ -154,7 +164,7 @@ impl Network {
         P: NodeProtocol,
         F: Fn(&NodeSeed<'_>) -> P,
     {
-        Ok(Run(match engine {
+        let engine = match engine {
             EngineKind::Batched => Engine::Batched(Box::new(crate::shard::Run::new(
                 self,
                 participants,
@@ -165,7 +175,11 @@ impl Network {
                 participants,
                 factory,
             )?)),
-        }))
+        };
+        Ok(Run {
+            net: self.clone(),
+            engine,
+        })
     }
 
     /// Runs a [`NodeProtocol`] state machine at every node on the
@@ -184,8 +198,8 @@ impl Network {
         F: Fn(&NodeSeed<'_>) -> P + Sync,
     {
         let mut run = self.start(EngineKind::Batched, None, factory)?;
-        while run.round(self, None)? {}
-        Ok(run.finish(self, None))
+        while run.round(None)? {}
+        Ok(run.finish(None))
     }
 
     /// Unified engine dispatch: runs a [`NodeProtocol`] on the chosen
@@ -217,18 +231,20 @@ impl Network {
         F: Fn(&NodeSeed<'_>) -> P + Send + Sync,
     {
         let mut run = self.start(engine, participants, factory)?;
-        while run.round(self, reborrow(&mut sink))? {}
-        Ok(run.finish(self, sink))
+        while run.round(reborrow(&mut sink))? {}
+        Ok(run.finish(sink))
     }
 }
 
 /// One protocol run as a value its caller steps: built by
 /// [`Network::start`], advanced by [`Run::round`] until that returns
-/// `Ok(false)`, closed by [`Run::finish`]. The run neither borrows nor
-/// copies its network — every call takes the one it was started on — so
-/// an owner can keep the two side by side ([`Job`]) and stand between any
-/// two rounds.
-pub struct Run<P: NodeProtocol>(Engine<P>);
+/// `Ok(false)`, closed by [`Run::finish`]. It holds a handle to the
+/// network it was started on and borrows nothing, so its owner can keep
+/// it anywhere and stand between any two rounds.
+pub struct Run<P: NodeProtocol> {
+    net: Network,
+    engine: Engine<P>,
+}
 
 /// The engine a [`Run`] executes on.
 enum Engine<P: NodeProtocol> {
@@ -244,82 +260,89 @@ impl<P: NodeProtocol> Run<P> {
     /// # Errors
     ///
     /// As for [`Network::run_protocol`]; the run is over then.
-    pub fn round(&mut self, net: &Network, sink: Option<&mut dyn Sink>) -> Result<bool, SimError> {
-        match &mut self.0 {
-            Engine::Batched(run) => run.round(net, sink),
-            Engine::Reference(run) => run.round(net, sink),
+    pub fn round(&mut self, sink: Option<&mut dyn Sink>) -> Result<bool, SimError> {
+        match &mut self.engine {
+            Engine::Batched(run) => run.round(sink),
+            Engine::Reference(run) => run.round(sink),
         }
     }
 
     /// Closes the run after its last round: narrates
     /// [`RunEvent::Done`](crate::RunEvent::Done) into `sink` and returns
     /// the outputs, metrics and executor statistics.
-    pub fn finish(self, net: &Network, sink: Option<&mut dyn Sink>) -> RunResult<P::Output> {
-        match self.0 {
-            Engine::Batched(run) => run.finish(net, sink),
+    pub fn finish(self, sink: Option<&mut dyn Sink>) -> RunResult<P::Output> {
+        match self.engine {
+            Engine::Batched(run) => run.finish(sink),
             Engine::Reference(run) => run.finish(sink),
         }
     }
 }
 
-/// A network and one run on it, owned side by side, with the assembly
-/// that turns the run's result into its caller's output: what an engine
-/// room hands out, so that its caller can step the run without holding
-/// the network.
-pub struct Job<T>(Box<dyn Stepper<T>>);
-
-/// What a [`Job`] boxes: a run that steps and closes by itself.
-trait Stepper<T>: Send {
+/// Something stepped round by round and then closed into an `R`: either
+/// engine's run, and what a [`Job`] boxes.
+pub(crate) trait Steps<R>: Send {
     fn round(&mut self, sink: Option<&mut dyn Sink>) -> Result<bool, SimError>;
-    fn finish(self: Box<Self>, sink: Option<&mut dyn Sink>) -> T;
+    fn finish(self: Box<Self>, sink: Option<&mut dyn Sink>) -> R;
 }
 
-/// A network, the run started on it, and the run's assembly.
+/// A run and the assembly that turns its result into its caller's
+/// output: what an engine room hands out, so that its caller can step the
+/// run, round by round or to the end ([`Job::drive`]).
+pub struct Job<T>(Box<dyn Steps<EngineRun<T>>>);
+
+/// A run and its assembly.
 struct Owned<P: NodeProtocol, A> {
-    net: Network,
     run: Run<P>,
     assemble: A,
 }
 
-impl<P, A, T> Stepper<T> for Owned<P, A>
+impl<P, A, T> Steps<EngineRun<T>> for Owned<P, A>
 where
     P: NodeProtocol,
     A: FnOnce(&Network, RunResult<P::Output>, Option<&mut dyn Sink>) -> T + Send,
 {
     fn round(&mut self, sink: Option<&mut dyn Sink>) -> Result<bool, SimError> {
-        self.run.round(&self.net, sink)
+        self.run.round(sink)
     }
 
-    fn finish(self: Box<Self>, mut sink: Option<&mut dyn Sink>) -> T {
-        let Owned { net, run, assemble } = *self;
-        let result = run.finish(&net, reborrow(&mut sink));
-        assemble(&net, result, sink)
+    fn finish(self: Box<Self>, mut sink: Option<&mut dyn Sink>) -> EngineRun<T> {
+        let Owned { run, assemble } = *self;
+        let net = run.net.clone();
+        let mut result = run.finish(reborrow(&mut sink));
+        let engine = std::mem::take(&mut result.engine);
+        let output = assemble(&net, result, sink);
+        EngineRun { output, engine }
     }
 }
 
 /// A job whose output is mapped ([`Job::map`]).
 struct Mapped<T, F>(Job<T>, F);
 
-impl<T, U, F: FnOnce(T) -> U + Send> Stepper<U> for Mapped<T, F> {
+impl<T, U, F: FnOnce(T) -> U + Send> Steps<EngineRun<U>> for Mapped<T, F> {
     fn round(&mut self, sink: Option<&mut dyn Sink>) -> Result<bool, SimError> {
         self.0.round(sink)
     }
 
-    fn finish(self: Box<Self>, sink: Option<&mut dyn Sink>) -> U {
-        (self.1)(self.0.finish(sink))
+    fn finish(self: Box<Self>, sink: Option<&mut dyn Sink>) -> EngineRun<U> {
+        let EngineRun { output, engine } = self.0.finish(sink);
+        EngineRun {
+            output: (self.1)(output),
+            engine,
+        }
     }
 }
 
 impl<T> Job<T> {
-    /// Owns `net` beside `run`, which must have been started on it.
-    /// `assemble` turns the closed run's result into the job's output; it
-    /// gets the sink after the engine's `Done` and may keep narrating.
-    pub fn new<P, A>(net: Network, run: Run<P>, assemble: A) -> Self
+    /// Owns `run` and its assembly. `assemble` turns the closed run's
+    /// result (its statistics taken out) into the job's output, given the
+    /// run's network; it gets the sink after the engine's `Done` and may
+    /// keep narrating.
+    pub fn new<P, A>(run: Run<P>, assemble: A) -> Self
     where
         P: NodeProtocol + 'static,
         A: FnOnce(&Network, RunResult<P::Output>, Option<&mut dyn Sink>) -> T + Send + 'static,
     {
-        Job(Box::new(Owned { net, run, assemble }))
+        Job(Box::new(Owned { run, assemble }))
     }
 
     /// Executes one round of the run ([`Run::round`]).
@@ -332,7 +355,7 @@ impl<T> Job<T> {
     }
 
     /// Closes the run after its last round and assembles the output.
-    pub fn finish(self, sink: Option<&mut dyn Sink>) -> T {
+    pub fn finish(self, sink: Option<&mut dyn Sink>) -> EngineRun<T> {
         self.0.finish(sink)
     }
 
@@ -341,7 +364,7 @@ impl<T> Job<T> {
     /// # Errors
     ///
     /// As for [`Run::round`].
-    pub fn drive(mut self, mut sink: Option<&mut dyn Sink>) -> Result<T, SimError> {
+    pub fn drive(mut self, mut sink: Option<&mut dyn Sink>) -> Result<EngineRun<T>, SimError> {
         while self.round(reborrow(&mut sink))? {}
         Ok(self.finish(sink))
     }
@@ -446,10 +469,10 @@ pub(crate) mod testing {
 
 #[cfg(test)]
 mod tests {
-    use super::testing::{on_both_engines, send_then_count};
+    use super::testing::{on_both_engines, send_then_count, Script};
     use super::*;
     use crate::message::tags;
-    use crate::protocol::Status;
+    use crate::protocol::{RoundCtx, Status};
     use crate::WireMsg;
 
     #[test]
@@ -467,6 +490,52 @@ mod tests {
     fn sequential_ids_follow_path_order() {
         let ids = assign_ids(5, &Config::ncc0(0).with_sequential_ids());
         assert_eq!(ids, vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn a_clone_shares_the_networks_tables() {
+        let net = Network::new(16, Config::ncc0(5));
+        let clone = net.clone();
+        assert!(std::ptr::eq(
+            clone.ids_in_path_order(),
+            net.ids_in_path_order()
+        ));
+    }
+
+    /// A run stepped from outside holds the same tables as the loop
+    /// `run_protocol` drives: its handle to the network copies none.
+    #[test]
+    fn stepping_from_outside_holds_the_same_tables() {
+        for shards in [1, 4] {
+            let net = Network::new(64, Config::ncc0(6).with_shards(shards));
+            let factory = |seed: &NodeSeed<'_>| {
+                Script(send_then_count(
+                    seed.initial_successor.into_iter().collect(),
+                    3,
+                ))
+            };
+            let looped = net.run_protocol(factory).unwrap();
+            let mut run = net.start(EngineKind::Batched, None, factory).unwrap();
+            while run.round(None).unwrap() {}
+            let stepped = run.finish(None);
+            assert_eq!(stepped.outputs, looped.outputs);
+            let tables = |result: &RunResult<usize>| result.engine.footprint.tables;
+            assert!(tables(&looped) > 0);
+            assert_eq!(tables(&stepped), tables(&looped), "{shards} shard(s)");
+        }
+    }
+
+    /// Runs and jobs can be handed to a long-lived worker thread for
+    /// good: a compile-time check over every protocol and output.
+    #[test]
+    fn runs_and_jobs_can_move_to_a_worker() {
+        fn send_static<X: Send + 'static>() {}
+        fn send<X: Send>() {}
+        fn every<P: NodeProtocol + 'static, T>() {
+            send_static::<Run<P>>();
+            send::<Job<T>>();
+        }
+        every::<Script<fn(&mut RoundCtx<'_>) -> Status<()>>, ()>();
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::error::{panic_message, SimError, Violation, ViolationKind};
 use crate::event::{Emitter, RouteMode, RunEvent, Sink};
 use crate::message::NodeId;
 use crate::metrics::RunMetrics;
-use crate::network::{Network, RunResult};
+use crate::network::{Network, RunResult, Steps};
 use crate::protocol::{Marks, NodeProtocol, NodeSeed, RoundCtx, Status};
 use crate::scenario::FaultWindows;
 use crate::scenario::ScenarioEvent::{self, CrashRecover, CrashStop, Join};
@@ -71,6 +71,7 @@ impl<P: NodeProtocol> Node<P> {
 /// One reference run as a value: [`Run::new`] sets it up, each
 /// [`Run::round`] executes one round, [`Run::finish`] closes it.
 pub(crate) struct Run<P: NodeProtocol> {
+    net: Network,
     nodes: Vec<Node<P>>,
     index_of: BTreeMap<NodeId, usize>,
     all_ids: Option<Arc<Vec<NodeId>>>,
@@ -148,6 +149,7 @@ impl<P: NodeProtocol> Run<P> {
             })
             .collect();
         Ok(Run {
+            net: net.clone(),
             nodes,
             index_of,
             all_ids,
@@ -161,30 +163,18 @@ impl<P: NodeProtocol> Run<P> {
             emitter: Emitter::default(),
         })
     }
+}
 
+impl<P: NodeProtocol> Steps<RunResult<P::Output>> for Run<P> {
     /// Executes one round, in the model's order. `Ok(false)` once every
     /// node has retired — that call's step was the last, and no round is
     /// narrated for it.
-    pub(crate) fn round(
-        &mut self,
-        net: &Network,
-        mut sink: Option<&mut dyn Sink>,
-    ) -> Result<bool, SimError> {
-        let Run {
-            nodes,
-            index_of,
-            all_ids,
-            windows,
-            k,
-            live,
-            metrics,
-            emitter,
-        } = self;
-        if *live == 0 {
+    fn round(&mut self, mut sink: Option<&mut dyn Sink>) -> Result<bool, SimError> {
+        if self.live == 0 {
             return Ok(false);
         }
-        let (config, sink) = (net.config(), &mut sink);
-        let (n, cap) = (nodes.len(), net.capacity());
+        let (config, sink) = (self.net.config(), &mut sink);
+        let (n, cap, k) = (self.nodes.len(), self.net.capacity(), self.k);
         let queueing = config.capacity_policy == CapacityPolicy::Queue;
         let strict = config.capacity_policy == CapacityPolicy::Strict;
         let schedule = config.scenario.as_ref().map_or(&[][..], |s| s.events());
@@ -197,7 +187,7 @@ impl<P: NodeProtocol> Run<P> {
         let check = |send: &Staged, sender: &Node<P>, nodes: &[Node<P>]| {
             let Staged { msg, dst: to, .. } = *send;
             let (words, addrs) = (msg.word_count(), msg.addr_count());
-            let exists = index_of.get(&to).copied();
+            let exists = self.index_of.get(&to).copied();
             let dst = exists.filter(|&i| nodes[i].up());
             let known = sender.knows.as_ref();
             let knows = |id: NodeId| known.is_none_or(|known| known.contains(&id));
@@ -215,7 +205,7 @@ impl<P: NodeProtocol> Run<P> {
             };
             (dst, broken)
         };
-        let round = metrics.rounds;
+        let round = self.metrics.rounds;
         let violation = |node: NodeId, kind: ViolationKind| Violation { round, node, kind };
         // --- Churn, before the step: recoveries and joins due now. ---
         for event in schedule {
@@ -224,9 +214,9 @@ impl<P: NodeProtocol> Run<P> {
                 Join { node, round: at } if at == round => (node, true),
                 _ => continue,
             };
-            if nodes[node].proto.is_some() && nodes[node].parked {
-                nodes[node].parked = false;
-                emitter.emit(
+            if self.nodes[node].proto.is_some() && self.nodes[node].parked {
+                self.nodes[node].parked = false;
+                self.emitter.emit(
                     sink,
                     match joined {
                         true => RunEvent::NodeJoined { round, node },
@@ -236,22 +226,22 @@ impl<P: NodeProtocol> Run<P> {
             }
         }
         // --- Step every live node, in path order. ---
-        for node in nodes.iter_mut().filter(|node| node.up()) {
+        for node in self.nodes.iter_mut().filter(|node| node.up()) {
             node.out.clear();
             node.marks = (None, None);
             let mut ctx = RoundCtx {
                 id: node.id,
                 n,
-                participants: *k,
+                participants: k,
                 capacity: cap,
                 model: config.model,
                 initial_successor: node.succ,
-                all_ids: all_ids.as_deref().map(Vec::as_slice),
+                all_ids: self.all_ids.as_deref().map(Vec::as_slice),
                 round: node.rounds,
                 rng: &mut node.rng,
                 inbox: &node.inbox,
                 out: &mut node.out,
-                resolver: net.resolver(),
+                resolver: self.net.resolver(),
                 dense_of: None,
                 marks: &mut node.marks,
             };
@@ -261,7 +251,7 @@ impl<P: NodeProtocol> Run<P> {
                 Ok(Status::Done(output)) => {
                     node.output = Some(output);
                     node.proto = None;
-                    *live -= 1;
+                    self.live -= 1;
                 }
                 Err(payload) => {
                     let (node, message) = (node.id, panic_message(payload.as_ref()));
@@ -272,8 +262,9 @@ impl<P: NodeProtocol> Run<P> {
         // Only a node that is still up takes part in the rest of the round:
         // whatever a node staged or marked in its last step is discarded.
         // Marks go out in path order; the emitter narrates changes only.
-        for node in nodes.iter().filter(|node| node.up()) {
-            emitter.emit_marks(sink, round, node.marks.0, node.marks.1);
+        for node in self.nodes.iter().filter(|node| node.up()) {
+            self.emitter
+                .emit_marks(sink, round, node.marks.0, node.marks.1);
         }
         // --- Churn, after the step: crashes due now. The node has stepped
         // this round; a crash-stop ends it, a crash-recovery parks it.
@@ -283,49 +274,52 @@ impl<P: NodeProtocol> Run<P> {
                 CrashRecover { node, crash, .. } if crash == round => (node, false),
                 _ => continue,
             };
-            let crashed = &mut nodes[node];
+            let crashed = &mut self.nodes[node];
             if crashed.up() {
                 crashed.parked = !stop;
                 if stop {
                     crashed.proto = None;
-                    *live -= 1;
+                    self.live -= 1;
                 }
-                emitter.emit(sink, RunEvent::NodeCrashed { round, node });
+                self.emitter
+                    .emit(sink, RunEvent::NodeCrashed { round, node });
             }
         }
         // The run ends with its last node, without narrating this round.
-        if *live == 0 {
+        if self.live == 0 {
             return Ok(false);
         }
         // --- Route: check every send in source order; the round's
         // arrivals collect in the destination's (now consumed) inbox. ---
-        nodes.iter_mut().for_each(|node| node.inbox.clear());
-        let senders: Vec<usize> = (0..n).filter(|&i| nodes[i].up()).collect();
+        self.nodes.iter_mut().for_each(|node| node.inbox.clear());
+        let senders: Vec<usize> = (0..n).filter(|&i| self.nodes[i].up()).collect();
         for src in senders {
-            let out = std::mem::take(&mut nodes[src].out);
-            let sender = nodes[src].id;
+            let out = std::mem::take(&mut self.nodes[src].out);
+            let sender = self.nodes[src].id;
             for send in &out {
-                let (dst, broken) = check(send, &nodes[src], nodes);
+                let (dst, broken) = check(send, &self.nodes[src], &self.nodes);
                 if let Some(kind) = broken {
-                    metrics.record_violation(strict, violation(sender, kind))?;
+                    self.metrics
+                        .record_violation(strict, violation(sender, kind))?;
                 }
                 if let Some(dst) = dst {
-                    nodes[dst].inbox.push(send.sent_by(sender));
+                    self.nodes[dst].inbox.push(send.sent_by(sender));
                 }
             }
             let sent = out.len();
             if sent > cap {
                 let kind = ViolationKind::SendCapacity { sent, cap };
-                metrics.record_violation(strict, violation(sender, kind))?;
+                self.metrics
+                    .record_violation(strict, violation(sender, kind))?;
             }
-            metrics.max_sent_per_round = metrics.max_sent_per_round.max(sent);
+            self.metrics.max_sent_per_round = self.metrics.max_sent_per_round.max(sent);
         }
         // --- Scenario message faults: one RNG per round, consumed over
         // the arrivals in ascending destination order, source order within.
-        let faults = windows.as_ref().map(|w| (w.at(round), w.rng(round)));
+        let faults = self.windows.as_ref().map(|w| (w.at(round), w.rng(round)));
         if let Some((faults, mut rng)) = faults.filter(|(faults, _)| faults.active()) {
             let (mut dropped, mut duplicated, mut reordered) = (0, 0, 0);
-            for node in nodes.iter_mut() {
+            for node in self.nodes.iter_mut() {
                 for env in std::mem::take(&mut node.inbox) {
                     if faults.drop_rate > 0.0 && rng.gen_bool(faults.drop_rate) {
                         dropped += 1;
@@ -343,7 +337,7 @@ impl<P: NodeProtocol> Run<P> {
                 }
             }
             if dropped + duplicated + reordered > 0 {
-                emitter.emit(
+                self.emitter.emit(
                     sink,
                     RunEvent::FaultInjected {
                         round,
@@ -361,22 +355,23 @@ impl<P: NodeProtocol> Run<P> {
         // overshoot is a violation. A delivery reveals its sender and
         // every address it carries; what is handed to a dead node is lost.
         let mut delivered = 0;
-        for node in nodes.iter_mut() {
+        for node in self.nodes.iter_mut() {
             delivered += node.inbox.len() as u64;
             let words = node.inbox.iter().map(|env| env.msg.size_words() as u64);
-            metrics.words += words.sum::<u64>();
+            self.metrics.words += words.sum::<u64>();
             if queueing {
                 node.queue.extend(node.inbox.drain(..));
                 let take = node.queue.len().min(if node.parked { 0 } else { cap });
                 node.inbox.extend(node.queue.drain(..take));
-                metrics.max_queue_len = metrics.max_queue_len.max(node.queue.len());
+                self.metrics.max_queue_len = self.metrics.max_queue_len.max(node.queue.len());
             }
             let received = node.inbox.len();
             if received > cap {
                 let kind = ViolationKind::ReceiveCapacity { received, cap };
-                metrics.record_violation(strict, violation(node.id, kind))?;
+                self.metrics
+                    .record_violation(strict, violation(node.id, kind))?;
             }
-            metrics.max_received_per_round = metrics.max_received_per_round.max(received);
+            self.metrics.max_received_per_round = self.metrics.max_received_per_round.max(received);
             if let Some(known) = node.knows.as_mut() {
                 for env in &node.inbox {
                     known.insert(env.src);
@@ -384,13 +379,13 @@ impl<P: NodeProtocol> Run<P> {
                 }
             }
             if node.proto.is_none() {
-                metrics.undelivered += received as u64;
+                self.metrics.undelivered += received as u64;
                 node.inbox.clear();
             }
         }
-        metrics.record_round(delivered);
-        let live = *live;
-        emitter.emit(
+        self.metrics.record_round(delivered);
+        let live = self.live;
+        self.emitter.emit(
             sink,
             RunEvent::RoundCompleted {
                 round,
@@ -399,7 +394,7 @@ impl<P: NodeProtocol> Run<P> {
                 route_mode: RouteMode::Unspecified,
             },
         );
-        if metrics.rounds > config.max_rounds {
+        if self.metrics.rounds > config.max_rounds {
             let limit = config.max_rounds;
             return Err(SimError::RoundLimitExceeded { limit });
         }
@@ -408,28 +403,22 @@ impl<P: NodeProtocol> Run<P> {
 
     /// Closes the run after its last round: narrates `Done` and returns
     /// the outputs in path order.
-    pub(crate) fn finish(self, mut sink: Option<&mut dyn Sink>) -> RunResult<P::Output> {
-        let Run {
-            nodes,
-            live,
-            mut metrics,
-            mut emitter,
-            ..
-        } = self;
-        debug_assert_eq!(live, 0, "a run finishes after its last round");
+    fn finish(mut self: Box<Self>, mut sink: Option<&mut dyn Sink>) -> RunResult<P::Output> {
+        debug_assert_eq!(self.live, 0, "a run finishes after its last round");
         // Undrained queues mean some protocol stopped listening too early.
-        let queued = nodes.iter().map(|node| node.queue.len() as u64);
-        metrics.undelivered += queued.sum::<u64>();
-        let knowledge = nodes.iter().filter_map(|node| node.knows.as_ref());
-        metrics.max_knowledge = knowledge.map(BTreeSet::len).max().unwrap_or(0);
-        let (rounds, messages) = (metrics.rounds, metrics.messages);
-        emitter.emit(&mut sink, RunEvent::Done { rounds, messages });
-        metrics.phase_rounds = emitter.recorder.phase_rounds();
-        let engine = emitter.recorder.engine_stats();
+        let queued = self.nodes.iter().map(|node| node.queue.len() as u64);
+        self.metrics.undelivered += queued.sum::<u64>();
+        let knowledge = self.nodes.iter().filter_map(|node| node.knows.as_ref());
+        self.metrics.max_knowledge = knowledge.map(BTreeSet::len).max().unwrap_or(0);
+        let (rounds, messages) = (self.metrics.rounds, self.metrics.messages);
+        self.emitter
+            .emit(&mut sink, RunEvent::Done { rounds, messages });
+        self.metrics.phase_rounds = self.emitter.recorder.phase_rounds();
+        let engine = self.emitter.recorder.engine_stats();
         let finished = |node: Node<P>| node.output.map(|output| (node.id, output));
         RunResult {
-            outputs: nodes.into_iter().filter_map(finished).collect(),
-            metrics,
+            outputs: self.nodes.into_iter().filter_map(finished).collect(),
+            metrics: self.metrics,
             engine,
         }
     }

@@ -66,14 +66,14 @@
 //! counters and the per-phase round breakdown are derived by folding this
 //! stream through the emitter's always-on recorder.
 
-use crate::batch::{route_mode, step_slot, validate, Life, Slot, StepOutcome, StepShared};
+use crate::batch::{route_mode, step_slot, validate, Life, Slot, StepOutcome};
 use crate::config::{CapacityPolicy, Config, Model};
 use crate::error::{SimError, Violation, ViolationKind};
 use crate::event::{Emitter, RunEvent, Sink};
 use crate::knowledge::KnowledgeTracker;
 use crate::message::NodeId;
 use crate::metrics::{vec_bytes, Footprint, RunMetrics};
-use crate::network::{Network, RunResult};
+use crate::network::{Network, RunResult, Steps};
 use crate::protocol::{Marks, NodeProtocol, NodeSeed};
 use crate::route::{QueueBuffers, RouteBuffers};
 use crate::scenario::{ChurnKind, ScenarioRt};
@@ -89,21 +89,34 @@ type Cell = Vec<(u32, WireEnvelope)>;
 /// The exchange cells of all shards, `[src][dst]`.
 type CellTable = Vec<Vec<Cell>>;
 
-/// Per-run constants every shard phase reads.
-struct RunShared<'a> {
-    config: &'a Config,
+/// The run's constants, fixed at setup, which every shard phase reads:
+/// the network handle (IDs, resolver, configuration), the ownership map,
+/// the dense remap and the NCC1 ID list.
+pub(crate) struct RunShared {
+    pub(crate) net: Network,
+    /// Participating nodes: the dense index space is `0..k`.
+    pub(crate) k: usize,
+    pub(crate) cap: usize,
+    fan_out: bool,
+    track: bool,
     queue_mode: bool,
     /// First dense index of every shard, ascending: shard `s` owns
     /// `bases[s]..bases[s + 1]` (the last one up to `k`).
-    bases: &'a [usize],
-    step: StepShared<'a>,
+    bases: Vec<usize>,
+    pub(crate) all_ids: Option<Arc<Vec<NodeId>>>,
+    pub(crate) dense_of: Option<Vec<u32>>,
 }
 
-impl RunShared<'_> {
+impl RunShared {
     /// Owner of a dense index (sends carry global dense indices, rebased
     /// to shard-local only at the owning shard).
     fn shard_of(&self, dense: usize) -> usize {
         self.bases.partition_point(|&b| b <= dense) - 1
+    }
+
+    /// Width of shard `s`'s dense-index span.
+    fn width_of(&self, s: usize) -> usize {
+        self.bases.get(s + 1).copied().unwrap_or(self.k) - self.bases[s]
     }
 }
 
@@ -169,12 +182,12 @@ struct ShardState<P: NodeProtocol> {
 impl<P: NodeProtocol> ShardState<P> {
     /// Step phase: polls every live protocol over its inbox span of the
     /// shard's route arena, staging its sends into the shard's own arena.
-    fn step(&mut self, rs: &RunShared<'_>) {
+    fn step(&mut self, rs: &RunShared) {
         self.finished = 0;
         self.staged.clear();
         debug_assert!(self.marks.is_empty());
         for slot in self.slots.iter_mut() {
-            match step_slot(slot, &self.buffers.arena, &mut self.staged, &rs.step) {
+            match step_slot(slot, &self.buffers.arena, &mut self.staged, rs) {
                 StepOutcome::Skipped | StepOutcome::Running((None, None)) => {}
                 StepOutcome::Running(marks) => self.marks.push(marks),
                 StepOutcome::Finished { panic: None } => self.finished += 1,
@@ -225,8 +238,8 @@ impl<P: NodeProtocol> ShardState<P> {
     /// diverts cross-shard sends into the exchange cells. Only live
     /// destinations can receive, so resetting the live counts is enough —
     /// stale counts of retired indices are never read again.
-    fn seal(&mut self, rs: &RunShared<'_>, alive_now: &[bool], round: u64) {
-        let cap = rs.step.cap;
+    fn seal(&mut self, rs: &RunShared, alive_now: &[bool], round: u64) {
+        let (cap, config) = (rs.cap, rs.net.config());
         let lo = self.base as usize;
         let hi = lo + self.width;
         (self.round_messages, self.round_words) = (0, 0);
@@ -245,7 +258,7 @@ impl<P: NodeProtocol> ShardState<P> {
                     send,
                     slot.id,
                     src_local,
-                    rs.config,
+                    config,
                     &self.knowledge,
                     alive_now,
                     round,
@@ -344,9 +357,9 @@ impl<P: NodeProtocol> ShardState<P> {
     /// routed bucket is empty by validation. Other policies: the bucket is
     /// the inbox, and its capacity check is journaled for the
     /// coordinator's replay.
-    fn deliver(&mut self, rs: &RunShared<'_>, round: u64) {
+    fn deliver(&mut self, rs: &RunShared, round: u64) {
         let lo = self.base as usize;
-        let cap = rs.step.cap;
+        let cap = rs.cap;
         if !rs.queue_mode {
             for slot in self.slots.iter_mut().filter(|s| s.alive) {
                 let i = slot.idx as usize - lo;
@@ -466,7 +479,7 @@ fn timed<R>(nanos: &mut u64, phase: impl FnOnce() -> R) -> R {
 /// compaction has dropped it.
 fn locate<'s, P: NodeProtocol>(
     shards: &'s mut [ShardState<P>],
-    rs: &RunShared<'_>,
+    rs: &RunShared,
     dense: u32,
 ) -> Option<(&'s mut ShardState<P>, usize)> {
     let sh = &mut shards[rs.shard_of(dense as usize)];
@@ -482,7 +495,7 @@ fn churn_in<P: NodeProtocol>(
     rt: &mut ScenarioRt,
     round: u64,
     shards: &mut [ShardState<P>],
-    rs: &RunShared<'_>,
+    rs: &RunShared,
     alive_now: &mut [bool],
     emitter: &mut Emitter,
     sink: &mut Option<&mut dyn Sink>,
@@ -520,7 +533,7 @@ fn churn_out<P: NodeProtocol>(
     rt: &mut ScenarioRt,
     round: u64,
     shards: &mut [ShardState<P>],
-    rs: &RunShared<'_>,
+    rs: &RunShared,
     alive_now: &mut [bool],
     emitter: &mut Emitter,
     sink: &mut Option<&mut dyn Sink>,
@@ -561,51 +574,11 @@ fn churn_out<P: NodeProtocol>(
     stopped
 }
 
-/// The run's constants, fixed at setup: the ownership map, the dense
-/// remap and the NCC1 ID list. The network's IDs, resolver and
-/// configuration are not copied; every call that steps the run lends
-/// them.
-struct Layout {
-    /// Participating nodes: the dense index space is `0..k`.
-    k: usize,
-    fan_out: bool,
-    track: bool,
-    bases: Vec<usize>,
-    all_ids: Option<Arc<Vec<NodeId>>>,
-    dense_of: Option<Vec<u32>>,
-}
-
-impl Layout {
-    /// Width of shard `s`'s dense-index span.
-    fn width_of(&self, s: usize) -> usize {
-        self.bases.get(s + 1).copied().unwrap_or(self.k) - self.bases[s]
-    }
-
-    /// What every shard phase of a round reads.
-    fn shared<'a>(&'a self, net: &'a Network) -> RunShared<'a> {
-        let config = net.config();
-        RunShared {
-            config,
-            queue_mode: config.capacity_policy == CapacityPolicy::Queue,
-            bases: &self.bases,
-            step: StepShared {
-                n: net.n(),
-                participants: self.k,
-                cap: net.capacity(),
-                model: config.model,
-                all_ids: self.all_ids.as_deref().map(Vec::as_slice),
-                resolver: net.resolver(),
-                dense_of: self.dense_of.as_deref(),
-            },
-        }
-    }
-}
-
 /// One batched run as a value: [`Run::new`] sets it up, each
 /// [`Run::round`] executes one round, [`Run::finish`] harvests it. It
-/// borrows nothing; the network is lent to every call.
+/// borrows nothing; it holds a handle to its network.
 pub(crate) struct Run<P: NodeProtocol> {
-    layout: Layout,
+    shared: RunShared,
     shards: Vec<ShardState<P>>,
     /// Where the shards' cell rows sit while the exchange reads them.
     cell_table: CellTable,
@@ -811,10 +784,13 @@ impl<P: NodeProtocol> Run<P> {
             .messages_per_round
             .reserve(crate::metrics::ROUND_TRACE_LIMIT);
         Ok(Run {
-            layout: Layout {
+            shared: RunShared {
+                net: net.clone(),
                 k,
+                cap,
                 fan_out,
                 track,
+                queue_mode,
                 bases,
                 all_ids,
                 dense_of,
@@ -834,46 +810,29 @@ impl<P: NodeProtocol> Run<P> {
             learn_nanos: 0,
         })
     }
+}
 
+impl<P: NodeProtocol> Steps<RunResult<P::Output>> for Run<P> {
     /// Executes one round: the phases of the module doc, in order.
     /// `Ok(false)` once every node has retired — that call's step was the
     /// last, and no round is narrated for it.
-    pub(crate) fn round(
-        &mut self,
-        net: &Network,
-        mut sink: Option<&mut dyn Sink>,
-    ) -> Result<bool, SimError> {
-        let Run {
-            layout,
-            shards,
-            cell_table,
-            alive_now,
-            live,
-            scenario_rt,
-            metrics,
-            emitter,
-            prev_round_messages,
-            step_nanos,
-            route_nanos,
-            exchange_nanos,
-            deliver_nanos,
-            learn_nanos,
-        } = self;
-        if *live == 0 {
+    fn round(&mut self, mut sink: Option<&mut dyn Sink>) -> Result<bool, SimError> {
+        if self.live == 0 {
             return Ok(false);
         }
-        let (rs, sink) = (layout.shared(net), &mut sink);
-        let fan_out = layout.fan_out;
-        let strict = rs.config.capacity_policy == CapacityPolicy::Strict;
-        let round = metrics.rounds;
-        let window: usize = shards.iter().map(|sh| sh.slots.len()).sum();
+        let (rs, sink) = (&self.shared, &mut sink);
+        let (config, fan_out) = (rs.net.config(), rs.fan_out);
+        let strict = config.capacity_policy == CapacityPolicy::Strict;
+        let round = self.metrics.rounds;
+        let window: usize = self.shards.iter().map(|sh| sh.slots.len()).sum();
+        let (shards, alive_now) = (&mut self.shards, &mut self.alive_now);
 
-        if let Some(rt) = scenario_rt.as_mut() {
-            churn_in(rt, round, shards, &rs, alive_now, emitter, sink);
+        if let Some(rt) = self.scenario_rt.as_mut() {
+            churn_in(rt, round, shards, rs, alive_now, &mut self.emitter, sink);
         }
 
-        timed(step_nanos, || {
-            for_each_shard(shards, fan_out, |_, sh| sh.step(&rs));
+        timed(&mut self.step_nanos, || {
+            for_each_shard(shards, fan_out, |_, sh| sh.step(rs));
         });
         // Deterministic attribution: blame the lowest dense index —
         // shards ascend by base, each records its first in slot order.
@@ -881,27 +840,27 @@ impl<P: NodeProtocol> Run<P> {
             return Err(SimError::NodePanic { node, message });
         }
         let mut newly_done: usize = shards.iter().map(|sh| sh.finished).sum();
-        *live -= newly_done;
+        self.live -= newly_done;
         for sh in shards.iter_mut().filter(|sh| sh.finished > 0) {
             sh.retire(alive_now, rs.queue_mode);
         }
-        if *live == 0 {
+        if self.live == 0 {
             return Ok(false);
         }
         // Protocol marks, deduplicated, in dense order: each journal is
         // in slot order, the shards ascend.
         for (phase, stage) in shards.iter_mut().flat_map(|sh| sh.marks.drain(..)) {
-            emitter.emit_marks(sink, round, phase, stage);
+            self.emitter.emit_marks(sink, round, phase, stage);
         }
 
-        if let Some(rt) = scenario_rt.as_mut() {
-            let stopped = churn_out(rt, round, shards, &rs, alive_now, emitter, sink);
-            *live -= stopped;
+        if let Some(rt) = self.scenario_rt.as_mut() {
+            let stopped = churn_out(rt, round, shards, rs, alive_now, &mut self.emitter, sink);
+            self.live -= stopped;
             newly_done += stopped;
             // A schedule that kills the last live node ends the run
             // exactly as the last voluntary retirement would (no
             // further round narration).
-            if *live == 0 {
+            if self.live == 0 {
                 return Ok(false);
             }
         }
@@ -909,21 +868,24 @@ impl<P: NodeProtocol> Run<P> {
         // Compaction: one global trigger (the halving rule bounds total
         // compaction work by O(k) per run), one event; each shard
         // compacts its own window.
-        if newly_done > 0 && *live * 2 <= window {
+        let live = self.live;
+        if newly_done > 0 && live * 2 <= window {
             for sh in shards.iter_mut() {
                 sh.compact();
             }
-            debug_assert_eq!(shards.iter().map(|sh| sh.slots.len()).sum::<usize>(), *live);
-            emitter.emit(sink, RunEvent::Compaction { round, live: *live });
+            debug_assert_eq!(shards.iter().map(|sh| sh.slots.len()).sum::<usize>(), live);
+            self.emitter
+                .emit(sink, RunEvent::Compaction { round, live });
         }
         let window: usize = shards.iter().map(|sh| sh.slots.len()).sum();
-        let route_mode = route_mode(*prev_round_messages, window);
+        let route_mode = route_mode(self.prev_round_messages, window);
 
         // Seal, then replay the journals in shard order (= canonical
         // dense source order): identical counts, samples and strict
         // abort at every shard count.
-        let mut round_messages = timed(route_nanos, || {
-            for_each_shard(shards, fan_out, |_, sh| sh.seal(&rs, alive_now, round));
+        let metrics = &mut self.metrics;
+        let mut round_messages = timed(&mut self.route_nanos, || {
+            for_each_shard(shards, fan_out, |_, sh| sh.seal(rs, alive_now, round));
             let mut total = 0u64;
             for sh in shards.iter_mut() {
                 for v in sh.violations.drain(..) {
@@ -938,7 +900,8 @@ impl<P: NodeProtocol> Run<P> {
         // Exchange: the source shards lend their cell rows to the
         // coordinator's table (pointer swaps, no allocation) so every
         // destination shard can read all of them while mutating itself.
-        timed(exchange_nanos, || {
+        let cell_table = &mut self.cell_table;
+        timed(&mut self.exchange_nanos, || {
             swap_cells(shards, cell_table);
             for_each_shard(shards, fan_out, |d, sh| sh.exchange(d, cell_table));
             swap_cells(shards, cell_table);
@@ -951,7 +914,7 @@ impl<P: NodeProtocol> Run<P> {
         // converging on the largest high-water mark. Quiet rounds skip
         // the pass entirely, staying bit-identical to a scenario-free
         // run.
-        if let Some(rt) = scenario_rt.as_mut().filter(|rt| rt.faults_active()) {
+        if let Some(rt) = self.scenario_rt.as_mut().filter(|rt| rt.faults_active()) {
             for sh in shards.iter_mut() {
                 sh.perturb(rt);
             }
@@ -959,7 +922,7 @@ impl<P: NodeProtocol> Run<P> {
             if tally.any() {
                 round_messages = round_messages - tally.dropped + tally.duplicated;
                 metrics.words = metrics.words - tally.words_removed + tally.words_added;
-                emitter.emit(
+                self.emitter.emit(
                     sink,
                     RunEvent::FaultInjected {
                         round,
@@ -971,8 +934,8 @@ impl<P: NodeProtocol> Run<P> {
             }
         }
 
-        timed(deliver_nanos, || {
-            for_each_shard(shards, fan_out, |_, sh| sh.deliver(&rs, round));
+        timed(&mut self.deliver_nanos, || {
+            for_each_shard(shards, fan_out, |_, sh| sh.deliver(rs, round));
             for sh in shards.iter_mut() {
                 for v in sh.violations.drain(..) {
                     metrics.record_violation(strict, v)?;
@@ -981,15 +944,14 @@ impl<P: NodeProtocol> Run<P> {
             Ok::<(), SimError>(())
         })?;
 
-        if layout.track {
-            timed(learn_nanos, || {
+        if rs.track {
+            timed(&mut self.learn_nanos, || {
                 for_each_shard(shards, fan_out, |_, sh| sh.learn());
             });
         }
 
         metrics.record_round(round_messages);
-        let live = *live;
-        emitter.emit(
+        self.emitter.emit(
             sink,
             RunEvent::RoundCompleted {
                 round,
@@ -998,10 +960,10 @@ impl<P: NodeProtocol> Run<P> {
                 route_mode,
             },
         );
-        *prev_round_messages = round_messages;
-        if metrics.rounds > rs.config.max_rounds {
+        self.prev_round_messages = round_messages;
+        if metrics.rounds > config.max_rounds {
             return Err(SimError::RoundLimitExceeded {
-                limit: rs.config.max_rounds,
+                limit: config.max_rounds,
             });
         }
         Ok(true)
@@ -1010,28 +972,9 @@ impl<P: NodeProtocol> Run<P> {
     /// Harvests the run after its last round: folds the per-shard
     /// accumulators, closes the stream with [`RunEvent::Done`] and
     /// collects the outputs in knowledge-path order.
-    pub(crate) fn finish(
-        self,
-        net: &Network,
-        mut sink: Option<&mut dyn Sink>,
-    ) -> RunResult<P::Output> {
-        let Run {
-            layout,
-            shards,
-            cell_table,
-            alive_now,
-            live,
-            scenario_rt,
-            mut metrics,
-            mut emitter,
-            step_nanos,
-            route_nanos,
-            exchange_nanos,
-            deliver_nanos,
-            learn_nanos,
-            ..
-        } = self;
-        debug_assert_eq!(live, 0, "a run finishes after its last round");
+    fn finish(mut self: Box<Self>, mut sink: Option<&mut dyn Sink>) -> RunResult<P::Output> {
+        debug_assert_eq!(self.live, 0, "a run finishes after its last round");
+        let (rs, shards, metrics) = (&self.shared, &self.shards, &mut self.metrics);
         // Harvest the cumulative per-shard folds (sums and maxes — fold
         // order cannot matter). Undrained queues mean some protocol
         // stopped listening too early.
@@ -1040,25 +983,26 @@ impl<P: NodeProtocol> Run<P> {
             metrics.max_received_per_round = metrics.max_received_per_round.max(sh.max_received);
             metrics.max_queue_len = metrics.max_queue_len.max(sh.max_queue);
             metrics.undelivered += sh.undelivered + sh.queues.backlog_total();
-            if layout.track {
+            if rs.track {
                 let widest = (0..sh.width).map(|i| sh.knowledge.knowledge_size(i)).max();
                 metrics.max_knowledge = metrics.max_knowledge.max(widest.unwrap_or(0));
             }
         }
         let (rounds, messages) = (metrics.rounds, metrics.messages);
-        emitter.emit(&mut sink, RunEvent::Done { rounds, messages });
-        metrics.phase_rounds = emitter.recorder.phase_rounds();
-        let mut stats = emitter.recorder.engine_stats();
+        self.emitter
+            .emit(&mut sink, RunEvent::Done { rounds, messages });
+        metrics.phase_rounds = self.emitter.recorder.phase_rounds();
+        let mut stats = self.emitter.recorder.engine_stats();
         stats.shards = shards.len();
-        stats.shard_windows = (0..shards.len()).map(|s| layout.width_of(s)).collect();
+        stats.shard_windows = (0..shards.len()).map(|s| rs.width_of(s)).collect();
         stats.cross_shard_messages = shards.iter().map(|sh| sh.cross_shard).sum();
-        stats.dense_index_space = layout.k;
+        stats.dense_index_space = rs.k;
         stats.knowledge_arena = shards.iter().map(|sh| sh.knowledge.arena_len()).sum();
-        stats.step_nanos = step_nanos;
-        stats.route_nanos = route_nanos;
-        stats.exchange_nanos = exchange_nanos;
-        stats.deliver_nanos = deliver_nanos;
-        stats.learn_nanos = learn_nanos;
+        stats.step_nanos = self.step_nanos;
+        stats.route_nanos = self.route_nanos;
+        stats.exchange_nanos = self.exchange_nanos;
+        stats.deliver_nanos = self.deliver_nanos;
+        stats.learn_nanos = self.learn_nanos;
         let sum = |bytes: fn(&ShardState<P>) -> usize| shards.iter().map(bytes).sum::<usize>();
         stats.footprint = Footprint {
             slots: sum(|sh| vec_bytes(&sh.slots)),
@@ -1066,23 +1010,27 @@ impl<P: NodeProtocol> Run<P> {
             route: sum(|sh| sh.buffers.heap_bytes()),
             queues: sum(|sh| sh.queues.heap_bytes()),
             cells: sum(|sh| sh.cells.iter().map(vec_bytes).sum()),
-            fault_swap: scenario_rt.as_ref().map_or(0, ScenarioRt::arena_bytes),
+            fault_swap: self.scenario_rt.as_ref().map_or(0, ScenarioRt::arena_bytes),
             knowledge: sum(|sh| sh.knowledge.heap_bytes()),
-            tables: vec_bytes(&alive_now)
-                + std::mem::size_of_val(net.ids_in_path_order())
-                + net.resolver().heap_bytes()
-                + layout.dense_of.as_deref().map_or(0, std::mem::size_of_val)
-                + layout.all_ids.as_deref().map_or(0, vec_bytes),
+            tables: vec_bytes(&self.alive_now)
+                + std::mem::size_of_val(rs.net.ids_in_path_order())
+                + rs.net.resolver().heap_bytes()
+                + rs.dense_of.as_deref().map_or(0, std::mem::size_of_val)
+                + rs.all_ids.as_deref().map_or(0, vec_bytes),
             retired_outputs: sum(|sh| vec_bytes(&sh.done)),
         };
 
         // Everything but the outputs goes first — arenas, trackers, cells —
         // so that assembling the result is not the run's high-water mark.
-        let parts: Vec<_> = shards.into_iter().map(|sh| (sh.done, sh.slots)).collect();
-        drop((cell_table, scenario_rt, alive_now));
+        let parts: Vec<_> = self
+            .shards
+            .into_iter()
+            .map(|sh| (sh.done, sh.slots))
+            .collect();
+        drop((self.cell_table, self.scenario_rt, self.alive_now));
         // Merge every shard's compacted-away outputs with its final window,
         // restoring knowledge-path order by global dense index.
-        let mut done: Vec<(u32, NodeId, P::Output)> = Vec::with_capacity(layout.k);
+        let mut done: Vec<(u32, NodeId, P::Output)> = Vec::with_capacity(self.shared.k);
         for (retired, slots) in parts {
             done.extend(retired);
             done.extend(slots.into_iter().filter_map(|s| match s.life {
@@ -1095,7 +1043,7 @@ impl<P: NodeProtocol> Run<P> {
             done.into_iter().map(|(_, id, out)| (id, out)).collect();
         RunResult {
             outputs,
-            metrics,
+            metrics: self.metrics,
             engine: stats,
         }
     }

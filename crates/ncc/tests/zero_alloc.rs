@@ -355,10 +355,10 @@ fn allocations_stepping(rounds: u64, tracked: bool) -> u64 {
         .start(EngineKind::Batched, None, |s| Ping::new(s, rounds))
         .unwrap();
     let mut stepped = 0;
-    while run.round(&net, None).unwrap() {
+    while run.round(None).unwrap() {
         stepped += 1;
     }
-    let result = run.finish(&net, None);
+    let result = run.finish(None);
     MEASURING.with(|m| m.set(false));
     assert_eq!((stepped, result.metrics.rounds), (rounds, rounds));
     assert!(result.metrics.is_clean());

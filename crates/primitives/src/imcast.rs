@@ -80,11 +80,16 @@ impl ImcastStep {
 
     fn absorb(&mut self, ctx: &RoundCtx<'_>) {
         for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::IMCAST) {
-            debug_assert!(self.received.is_none(), "overlapping multicast intervals");
             let payload = Payload {
                 addr: env.addr(),
                 word: env.msg.words_slice()[0],
             };
+            // A node is covered once; a second copy of that delegation
+            // hands it nothing new.
+            if self.received == Some(payload) {
+                continue;
+            }
+            debug_assert!(self.received.is_none(), "overlapping multicast intervals");
             self.received = Some(payload);
             let delegated = env.msg.words_slice()[1] as usize;
             let side = if env.msg.words_slice()[2] == 0 {

@@ -26,6 +26,7 @@ use crate::bbst::{sweep_rounds, Bbst};
 use crate::step::{AggOp, Poll, Step};
 use crate::vpath::VPath;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireEnvelope, WireMsg, WIRE_WORDS};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Number of rounds for a sweep (an aggregate-broadcast, an address
@@ -284,6 +285,9 @@ pub struct CollectStep {
     t: u64,
     buffer: Vec<(NodeId, u64)>,
     collected: Vec<(NodeId, u64)>,
+    /// Origins whose token this node has taken in. Keyed by origin, so a
+    /// duplicated `COLLECT` is collected once.
+    seen: BTreeSet<NodeId>,
 }
 
 impl CollectStep {
@@ -310,6 +314,7 @@ impl CollectStep {
             t: 0,
             buffer,
             collected: Vec::new(),
+            seen: BTreeSet::new(),
         }
     }
 }
@@ -330,6 +335,9 @@ impl Step for CollectStep {
         if self.t > 0 {
             for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::COLLECT) {
                 let pair = (env.addr(), env.word());
+                if !self.seen.insert(pair.0) {
+                    continue;
+                }
                 if self.tree.is_root {
                     self.collected.push(pair);
                 } else {

@@ -2,11 +2,14 @@
 //! a primitive must hand every node its fault-free output, on both
 //! engines.
 
-use dgr_ncc::{Config, EngineKind, Network, NodeProtocol, NodeSeed, Scenario};
+use dgr_ncc::{Config, EngineKind, Network, NodeProtocol, NodeSeed, RoundCtx, Scenario};
 use dgr_primitives::bbst::BbstStep;
 use dgr_primitives::contacts::ContactsStep;
 use dgr_primitives::ctx::UndirectStep;
-use dgr_primitives::{Step, StepProtocol};
+use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
+use dgr_primitives::ops::CollectStep;
+use dgr_primitives::scatter::{ScanRecord, ScanStep};
+use dgr_primitives::{PathCtx, Step, StepProtocol, WithCtx};
 
 /// Runs `factory` on an n = 37 network fault-free, then under full
 /// duplication (queue policy) on both engines, and holds every node's
@@ -48,5 +51,66 @@ fn bbst_is_exact_under_full_duplication() {
         StepProtocol::new(UndirectStep::new().then(|vp, _| {
             ContactsStep::new(vp).then(move |contacts, _| BbstStep::new(vp, contacts))
         }))
+    });
+}
+
+/// A duplicated delegation covers a node once: every covered rank still
+/// learns its own source.
+#[test]
+fn interval_multicast_is_exact_under_full_duplication() {
+    outputs_survive_full_duplication(45, |_| {
+        WithCtx::new(|ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+            let (r, w) = (ctx.position, 5);
+            let task = r.is_multiple_of(w).then(|| {
+                let count = (w - 1).min(ctx.vp.len - 1 - r);
+                let word = r as u64;
+                (
+                    CoverSide::After,
+                    count,
+                    Payload {
+                        addr: rctx.id(),
+                        word,
+                    },
+                )
+            });
+            ImcastStep::new(ctx.vp, ctx.contacts.clone(), task)
+        })
+    });
+}
+
+/// A comparator applied twice keeps the same record, and the scan keeps
+/// the first address it is handed: every filler still learns its
+/// milestone.
+#[test]
+fn milestone_scan_is_exact_under_full_duplication() {
+    outputs_survive_full_duplication(46, |_| {
+        WithCtx::new(|ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+            let (r, id) = (ctx.position as u64, rctx.id());
+            let rec0 = match ctx.position.is_multiple_of(4) {
+                true => ScanRecord::Milestone {
+                    key: 2 * r,
+                    addr: id,
+                },
+                false => ScanRecord::Absent,
+            };
+            let records = [rec0, ScanRecord::Filler { key: 2 * r + 1 }];
+            ScanStep::new(ctx.vp, ctx.contacts.clone(), ctx.position, records, id)
+        })
+    });
+}
+
+/// A duplicated `COLLECT` is taken in once, keyed by its origin: the root
+/// gathers every token exactly once, inside the pipeline's budget.
+#[test]
+fn collection_is_exact_under_full_duplication() {
+    outputs_survive_full_duplication(47, |_| {
+        WithCtx::new(|ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+            let token = ctx
+                .position
+                .is_multiple_of(3)
+                .then_some(ctx.position as u64);
+            let k_bound = ctx.vp.len.div_ceil(3);
+            CollectStep::new(ctx.vp, ctx.tree.clone(), token, k_bound, rctx.id())
+        })
     });
 }

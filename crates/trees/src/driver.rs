@@ -1,7 +1,7 @@
 //! Driver: run a distributed tree realization on a simulated network and
 //! assemble + verify the resulting tree.
 //!
-//! Engine note: one driver, [`realize_tree_run`], runs the
+//! Engine note: one driver, [`prepare_tree`], runs the
 //! [`RealizeTree`] state machine on the engine it is given — the **batched
 //! executor** in production, practical at six-digit `n`
 //! (`tests/scale.rs`); the reference interpreter in the differential suite
@@ -9,9 +9,9 @@
 //! frozen transcripts).
 
 use crate::distributed::{RealizeTree, TreeOutcome};
-use dgr_core::{verify, EngineRun, Unrealizable};
+use dgr_core::{verify, Unrealizable};
 use dgr_graph::Graph;
-use dgr_ncc::{Config, EngineKind, Job, Network, NodeId, RunMetrics, SimError, Sink};
+use dgr_ncc::{Config, EngineKind, Job, Network, NodeId, RunMetrics, SimError};
 use std::collections::BTreeMap;
 
 /// Which tree construction to run.
@@ -101,59 +101,41 @@ fn assemble(
     }))
 }
 
-/// A completed tree-realization run: the realization plus the executor's
-/// internal statistics.
-pub type TreeRun = EngineRun<TreeRealization>;
-
 /// The **engine room** of the tree realizations (Algorithms 4 and 5) —
 /// one typed entry point over algorithm × engine,
 /// driven by the `dgr::Realization` facade builder. `degrees[i]` is
-/// assigned to the `i`-th node of the knowledge path.
+/// assigned to the `i`-th node of the knowledge path. The run comes back
+/// as a [`Job`] its caller steps (or drives to the end with
+/// [`Job::drive`]), with the tree's assembly and verification.
 ///
 /// Either [`EngineKind`] runs the same state machine; transcripts are
-/// identical (`crates/trees/tests/batched_trees.rs`). `sink` receives the
-/// run's typed [`RunEvent`](dgr_ncc::RunEvent) stream (`None` =
-/// unobserved).
+/// identical (`crates/trees/tests/batched_trees.rs`). The sink each step
+/// is given receives the run's typed [`RunEvent`](dgr_ncc::RunEvent)
+/// stream (`None` = unobserved).
 ///
 /// # Errors
 ///
-/// Propagates simulator errors.
-pub fn realize_tree_run(
-    degrees: &[usize],
-    config: Config,
-    algo: TreeAlgo,
-    engine: EngineKind,
-    sink: Option<&mut dyn Sink>,
-) -> Result<TreeRun, SimError> {
-    prepare_tree(degrees, config, algo, engine)?.drive(sink)
-}
-
-/// [`realize_tree_run`] as a [`Job`] its caller steps: the network with
-/// the degrees assigned along its knowledge path, the engine run set up
-/// on it, and the tree's assembly and verification.
-///
-/// # Errors
-///
-/// As for [`realize_tree_run`].
+/// Propagates simulator errors, here and from stepping the job.
 pub fn prepare_tree(
     degrees: &[usize],
     config: Config,
     algo: TreeAlgo,
     engine: EngineKind,
-) -> Result<Job<TreeRun>, SimError> {
+) -> Result<Job<TreeRealization>, SimError> {
     let net = Network::new(degrees.len(), config);
     let by_id = net.assign_in_path_order(degrees);
     let run = net.start(engine, None, |s| RealizeTree::new(by_id[&s.id], algo))?;
-    Ok(Job::new(net, run, move |net, result, _| TreeRun {
-        engine: result.engine.clone(),
-        output: assemble(net, by_id, result),
+    Ok(Job::new(run, move |net, result, _| {
+        assemble(net, by_id, result)
     }))
 }
 
 /// Test fixture: one realization on the batched engine.
 #[cfg(test)]
 pub(crate) fn realize_tree(degrees: &[usize], config: Config, algo: TreeAlgo) -> TreeRealization {
-    realize_tree_run(degrees, config, algo, EngineKind::Batched, None)
+    prepare_tree(degrees, config, algo, EngineKind::Batched)
+        .unwrap()
+        .drive(None)
         .unwrap()
         .output
 }

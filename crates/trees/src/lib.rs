@@ -14,11 +14,11 @@
 //!   nodes in sorted order; minimum diameter, Theorem 16, `O(polylog n)`
 //!   rounds).
 //! * [`driver`] — network wiring, assembly and verification; its entry
-//!   point [`realize_tree_run`] is the engine room of the
+//!   point [`prepare_tree`] is the engine room of the
 //!   `dgr::Realization` facade builder.
 
 pub mod distributed;
 pub mod driver;
 pub mod greedy;
 
-pub use driver::{prepare_tree, realize_tree_run, TreeAlgo, TreeRealization, TreeRun};
+pub use driver::{prepare_tree, TreeAlgo, TreeRealization};

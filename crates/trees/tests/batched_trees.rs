@@ -14,13 +14,17 @@
 
 use dgr_ncc::{Config, EngineKind};
 use dgr_trees::distributed::rounds_for;
-use dgr_trees::{realize_tree_run, TreeAlgo, TreeRealization};
+use dgr_trees::{prepare_tree, TreeAlgo, TreeRealization};
 use proptest::prelude::*;
 use proptest::TestRng;
 
-// White-box shorthand over the `realize_tree_run` engine room.
+// White-box shorthand over the `prepare_tree` engine room.
 fn realize(d: &[usize], c: Config, algo: TreeAlgo, engine: EngineKind) -> TreeRealization {
-    realize_tree_run(d, c, algo, engine, None).unwrap().output
+    prepare_tree(d, c, algo, engine)
+        .unwrap()
+        .drive(None)
+        .unwrap()
+        .output
 }
 
 /// FNV-1a, folding one `u64` at a time.

@@ -131,7 +131,7 @@ pub use dgr_trees as trees;
 use dgr_connectivity::{ThresholdAlgo, ThresholdInstance, ThresholdRealization};
 use dgr_core::distributed::Flavor;
 use dgr_core::DriverOutput;
-use dgr_ncc::{Config, EngineStats, Job, Model, RunMetrics, SimError};
+use dgr_ncc::{Config, EngineRun, EngineStats, Job, Model, RunMetrics, SimError};
 use dgr_trees::{TreeAlgo, TreeRealization};
 use std::collections::VecDeque;
 
@@ -265,6 +265,15 @@ pub struct Realized {
     /// layout, scenario counters; the reference interpreter reports the
     /// scenario counters only).
     pub engine_stats: EngineStats,
+}
+
+impl From<EngineRun<RunOutput>> for Realized {
+    fn from(run: EngineRun<RunOutput>) -> Self {
+        Realized {
+            output: run.output,
+            engine_stats: run.engine,
+        }
+    }
 }
 
 impl Realized {
@@ -736,16 +745,10 @@ impl Realization {
                     Workload::Envelope(_) => Flavor::Envelope,
                     _ => Flavor::Explicit,
                 };
-                dgr_core::prepare_degrees(d, mask, config, flavor, engine)?.map(|run| Realized {
-                    output: RunOutput::Degrees(run.output),
-                    engine_stats: run.engine,
-                })
+                dgr_core::prepare_degrees(d, mask, config, flavor, engine)?.map(RunOutput::Degrees)
             }
             Workload::Tree { degrees, algo } => {
-                dgr_trees::prepare_tree(degrees, config, *algo, engine)?.map(|run| Realized {
-                    output: RunOutput::Tree(run.output),
-                    engine_stats: run.engine,
-                })
+                dgr_trees::prepare_tree(degrees, config, *algo, engine)?.map(RunOutput::Tree)
             }
             Workload::Ncc1(r) | Workload::Ncc0Threshold(r) | Workload::Ncc0Exact(r) => {
                 let algo = match &self.workload {
@@ -754,12 +757,8 @@ impl Realization {
                     _ => ThresholdAlgo::Ncc0Exact,
                 };
                 let inst = ThresholdInstance::new(r.clone());
-                dgr_connectivity::prepare_threshold(&inst, config, algo, engine, self.certify)?.map(
-                    |run| Realized {
-                        output: RunOutput::Threshold(Box::new(run.output)),
-                        engine_stats: run.engine,
-                    },
-                )
+                dgr_connectivity::prepare_threshold(&inst, config, algo, engine, self.certify)?
+                    .map(|t| RunOutput::Threshold(Box::new(t)))
             }
         };
         Ok(RunSession {
@@ -801,7 +800,7 @@ pub struct RoundSnapshot {
 /// session abandons the run.
 pub struct RunSession {
     /// The prepared run, until a pull steps it past its end.
-    job: Option<Job<Realized>>,
+    job: Option<Job<RunOutput>>,
     /// How the run ended, once a pull stepped it past its end.
     ended: Option<Result<Realized, RealizationError>>,
     /// The `observe()` sink ([`NullSink`] when none was attached).
@@ -869,7 +868,7 @@ impl RunSession {
         } = self;
         pending.iter().for_each(|event| sink.emit(event));
         match (job, ended) {
-            (Some(job), _) => Ok(job.drive(Some(&mut *sink))?),
+            (Some(job), _) => Ok(job.drive(Some(&mut *sink))?.into()),
             (None, Some(ended)) => ended,
             (None, None) => unreachable!("a session keeps its run until it records how it ended"),
         }
@@ -883,7 +882,7 @@ impl RunSession {
         };
         match job.round(Some(&mut self.pending)) {
             Ok(true) => self.job = Some(job),
-            Ok(false) => self.ended = Some(Ok(job.finish(Some(&mut self.pending)))),
+            Ok(false) => self.ended = Some(Ok(job.finish(Some(&mut self.pending)).into())),
             Err(e) => self.ended = Some(Err(e.into())),
         }
     }
@@ -1097,8 +1096,8 @@ mod tests {
             .seed(7)
             .run_streaming()
             .unwrap();
-        // Pull one round, then walk away; Drop joins the free-running
-        // remainder without deadlocking.
+        // Pull one round, then walk away: dropping the session abandons
+        // the rest of the run.
         assert!(session.next_round().is_some());
         drop(session);
     }
