@@ -100,8 +100,7 @@ pub struct RunMetrics {
 }
 
 /// A completed run's assembled output, with the executor's statistics:
-/// what a [`Job`](crate::Job) yields, and so what every engine room
-/// returns.
+/// what a [`Job`](crate::Job) yields when it closes.
 #[derive(Clone, Debug)]
 pub struct EngineRun<T> {
     /// The assembled output.
