@@ -131,27 +131,27 @@ fn certify_run(
     explicit: bool,
     certify: bool,
     sink: Option<&mut dyn Sink>,
-) -> ThresholdRealization {
+) -> Result<ThresholdRealization, SimError> {
     let metrics = result.metrics.clone();
     let claims = result.outputs.into_iter().map(|(id, o)| (id, o.neighbors));
     let (assembled, explicit_neighbors) = if explicit {
         let lists: BTreeMap<NodeId, Vec<NodeId>> = claims.collect();
         let assembled = core_verify::assemble_explicit(net.ids_in_path_order(), &lists)
-            .expect("Algorithm 6 lost explicit symmetry");
+            .map_err(SimError::Assembly)?;
         (assembled, lists)
     } else {
         let assembled = core_verify::assemble_implicit(net.ids_in_path_order(), claims);
         (assembled, BTreeMap::new())
     };
     let report = run_certification(&assembled.graph, &by_id, certify, sink);
-    ThresholdRealization {
+    Ok(ThresholdRealization {
         graph: assembled.graph,
         rho: by_id,
         path_order: net.ids_in_path_order().to_vec(),
         explicit_neighbors,
         report,
         metrics,
-    }
+    })
 }
 
 /// Runs (or skips) the max-flow certification, narrating it into the

@@ -167,10 +167,10 @@ fn assemble(
     participants: Option<&[bool]>,
     result: dgr_ncc::RunResult<Result<crate::distributed::ImplicitOutcome, crate::Unrealizable>>,
     explicit: bool,
-) -> DriverOutput {
+) -> Result<DriverOutput, SimError> {
     let metrics = result.metrics;
     let Some(outs) = split_consistent(result.outputs) else {
-        return DriverOutput::Unrealizable { metrics };
+        return Ok(DriverOutput::Unrealizable { metrics });
     };
     let phases = outs.first().map(|(_, o)| o.phases).unwrap_or(0);
     let ids = net.ids_in_path_order();
@@ -180,13 +180,12 @@ fn assemble(
     let claims = outs.into_iter().map(|(id, o)| (id, o.neighbors));
     let (assembled, explicit_neighbors): (Assembled, _) = if explicit {
         let lists: BTreeMap<NodeId, Vec<NodeId>> = claims.collect();
-        let assembled = verify::assemble_explicit(&members, &lists)
-            .expect("explicit realization lost symmetry");
+        let assembled = verify::assemble_explicit(&members, &lists).map_err(SimError::Assembly)?;
         (assembled, lists)
     } else {
         (verify::assemble_implicit(&members, claims), BTreeMap::new())
     };
-    DriverOutput::Realized(Box::new(RealizedOutput {
+    Ok(DriverOutput::Realized(Box::new(RealizedOutput {
         graph: assembled.graph,
         multi_degrees: assembled.multi_degrees,
         requested,
@@ -195,7 +194,7 @@ fn assemble(
         duplicate_edges: assembled.duplicate_edges,
         phases,
         metrics,
-    }))
+    })))
 }
 
 /// Test fixture: one unmasked realization on the batched engine.

@@ -69,7 +69,9 @@ pub enum IdAssignment {
 /// five times a round outweighs halving sub-millisecond phases), at 1536
 /// per shard it is a wash (1.72 s vs 1.78 s at n = 3072), at 2048 per
 /// shard it saves 14 % (2.44 s vs 2.83 s at n = 4096), and the saving
-/// grows from there (ARCHITECTURE.md has the table).
+/// grows from there (ARCHITECTURE.md has the table). That probe paid
+/// S thread spawns a phase; the fan-out now pays S − 1, the caller
+/// walking the first shard group itself.
 pub const MIN_SHARD_WIDTH: usize = 2048;
 
 /// Full configuration of a simulated NCC network.
@@ -99,12 +101,14 @@ pub struct Config {
     pub seed: u64,
     /// Safety valve: abort if the protocol runs longer than this many rounds.
     pub max_rounds: u64,
-    /// Worker threads for the batched executor: `0` (default) sizes the
-    /// pool to the machine, `1` walks every phase inline on the calling
-    /// thread (useful for allocation probes and debugging). The pool is
-    /// used only to run ownership shards side by side (see `shards`), in
-    /// every per-shard phase of the round: step, seal, exchange, deliver,
-    /// learn. Results are identical for every value — shards own disjoint
+    /// Worker threads for the batched executor: `0` (default) takes the
+    /// machine's available parallelism, `1` walks every phase inline on
+    /// the calling thread (useful for allocation probes and debugging).
+    /// The count bounds the threads a per-shard phase of the round (step,
+    /// seal, exchange, deliver, learn) runs on, the caller included: it
+    /// runs on `min(workers, shards)` threads, so more workers than
+    /// shards start no extra threads. Results are identical for every
+    /// value — shards own disjoint
     /// state, their journals replay in a fixed order, and the narrated
     /// dense/sparse round classification is a pure function of the
     /// transcript, so event streams are bit-identical too.
@@ -181,7 +185,10 @@ impl Config {
         self
     }
 
-    /// Pins the batched executor's worker count (`0` = auto).
+    /// Pins the batched executor's worker count (`0` = auto): the most
+    /// threads a per-shard phase runs on, the caller included — more
+    /// workers than shards start no extra threads (see
+    /// [`Config::worker_threads`]).
     pub fn with_worker_threads(mut self, workers: usize) -> Self {
         self.worker_threads = workers;
         self

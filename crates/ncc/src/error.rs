@@ -75,6 +75,11 @@ pub enum SimError {
     /// recovery scheduled at or before its crash, reorder faults without
     /// the queue policy). The payload names the offending schedule entry.
     InvalidScenario(String),
+    /// The run ended, but its outputs do not assemble into the caller's
+    /// result (an explicit realization's edge claimed by one endpoint
+    /// only, as a duplicating [`Scenario`](crate::Scenario) can cause).
+    /// The payload names the offending edge.
+    Assembly(String),
 }
 
 impl fmt::Display for SimError {
@@ -88,6 +93,7 @@ impl fmt::Display for SimError {
                 write!(f, "node {node} panicked: {message}")
             }
             SimError::InvalidScenario(why) => write!(f, "invalid scenario: {why}"),
+            SimError::Assembly(why) => write!(f, "assembly failed: {why}"),
         }
     }
 }

@@ -29,7 +29,7 @@
 //! ([`Network::run_protocol`]): node protocols are state machines
 //! implementing [`NodeProtocol`] (`fn step(&mut self, ctx: &mut RoundCtx)
 //! -> Status`), stepped in bulk each round, one ownership shard of the
-//! node space per pool worker. Routing is a stable counting sort of
+//! node space per worker thread. Routing is a stable counting sort of
 //! fixed-size [`WireMsg`] envelopes into reusable flat arenas, bucketed by
 //! dense destination index — no hashing, and at steady state no heap
 //! allocation anywhere in the round loop. This engine simulates

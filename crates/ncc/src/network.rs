@@ -288,7 +288,7 @@ pub(crate) trait Steps<R>: Send {
 /// A run and the assembly that turns its result into its caller's
 /// output: what an engine room hands out, so that its caller can step the
 /// run, round by round or to the end ([`Job::drive`]).
-pub struct Job<T>(Box<dyn Steps<EngineRun<T>>>);
+pub struct Job<T>(Box<dyn Steps<Result<EngineRun<T>, SimError>>>);
 
 /// A run and its assembly.
 struct Owned<P: NodeProtocol, A> {
@@ -296,39 +296,39 @@ struct Owned<P: NodeProtocol, A> {
     assemble: A,
 }
 
-impl<P, A, T> Steps<EngineRun<T>> for Owned<P, A>
+impl<P, A, T> Steps<Result<EngineRun<T>, SimError>> for Owned<P, A>
 where
     P: NodeProtocol,
-    A: FnOnce(&Network, RunResult<P::Output>, Option<&mut dyn Sink>) -> T + Send,
+    A: FnOnce(&Network, RunResult<P::Output>, Option<&mut dyn Sink>) -> Result<T, SimError> + Send,
 {
     fn round(&mut self, sink: Option<&mut dyn Sink>) -> Result<bool, SimError> {
         self.run.round(sink)
     }
 
-    fn finish(self: Box<Self>, mut sink: Option<&mut dyn Sink>) -> EngineRun<T> {
+    fn finish(self: Box<Self>, mut sink: Option<&mut dyn Sink>) -> Result<EngineRun<T>, SimError> {
         let Owned { run, assemble } = *self;
         let net = run.net.clone();
         let mut result = run.finish(reborrow(&mut sink));
         let engine = std::mem::take(&mut result.engine);
-        let output = assemble(&net, result, sink);
-        EngineRun { output, engine }
+        let output = assemble(&net, result, sink)?;
+        Ok(EngineRun { output, engine })
     }
 }
 
 /// A job whose output is mapped ([`Job::map`]).
 struct Mapped<T, F>(Job<T>, F);
 
-impl<T, U, F: FnOnce(T) -> U + Send> Steps<EngineRun<U>> for Mapped<T, F> {
+impl<T, U, F: FnOnce(T) -> U + Send> Steps<Result<EngineRun<U>, SimError>> for Mapped<T, F> {
     fn round(&mut self, sink: Option<&mut dyn Sink>) -> Result<bool, SimError> {
         self.0.round(sink)
     }
 
-    fn finish(self: Box<Self>, sink: Option<&mut dyn Sink>) -> EngineRun<U> {
-        let EngineRun { output, engine } = self.0.finish(sink);
-        EngineRun {
+    fn finish(self: Box<Self>, sink: Option<&mut dyn Sink>) -> Result<EngineRun<U>, SimError> {
+        let EngineRun { output, engine } = self.0.finish(sink)?;
+        Ok(EngineRun {
             output: (self.1)(output),
             engine,
-        }
+        })
     }
 }
 
@@ -336,11 +336,14 @@ impl<T> Job<T> {
     /// Owns `run` and its assembly. `assemble` turns the closed run's
     /// result (its statistics taken out) into the job's output, given the
     /// run's network; it gets the sink after the engine's `Done` and may
-    /// keep narrating.
+    /// keep narrating. An output that does not assemble is an error
+    /// ([`SimError::Assembly`]).
     pub fn new<P, A>(run: Run<P>, assemble: A) -> Self
     where
         P: NodeProtocol + 'static,
-        A: FnOnce(&Network, RunResult<P::Output>, Option<&mut dyn Sink>) -> T + Send + 'static,
+        A: FnOnce(&Network, RunResult<P::Output>, Option<&mut dyn Sink>) -> Result<T, SimError>
+            + Send
+            + 'static,
     {
         Job(Box::new(Owned { run, assemble }))
     }
@@ -355,7 +358,11 @@ impl<T> Job<T> {
     }
 
     /// Closes the run after its last round and assembles the output.
-    pub fn finish(self, sink: Option<&mut dyn Sink>) -> EngineRun<T> {
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Assembly`] when the outputs do not assemble.
+    pub fn finish(self, sink: Option<&mut dyn Sink>) -> Result<EngineRun<T>, SimError> {
         self.0.finish(sink)
     }
 
@@ -363,10 +370,10 @@ impl<T> Job<T> {
     ///
     /// # Errors
     ///
-    /// As for [`Run::round`].
+    /// As for [`Run::round`] and [`Job::finish`].
     pub fn drive(mut self, mut sink: Option<&mut dyn Sink>) -> Result<EngineRun<T>, SimError> {
         while self.round(reborrow(&mut sink))? {}
-        Ok(self.finish(sink))
+        self.finish(sink)
     }
 
     /// The same job with `f` applied to its output.

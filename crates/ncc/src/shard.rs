@@ -15,11 +15,12 @@
 //! 64-byte [`WireEnvelope`]s (sender, message) into the delivery buckets,
 //! and from there on the bucket *is* the destination — and, read where it
 //! lies, the destination's inbox. The shard is
-//! the only unit of parallelism: a per-shard phase fans the shards out
-//! over the worker pool when there is more than one shard *and* more than
-//! one worker, and walks them inline on the calling thread otherwise.
-//! `S = 1` is simply the degenerate case — one shard, no cross-shard
-//! traffic, no thread ever started.
+//! the only unit of parallelism: a per-shard phase runs on
+//! `min(workers, S)` threads ([`for_each_shard`]) — the calling thread
+//! walks the first contiguous group of shards and one scoped thread is
+//! started for each other group — and inline on the calling thread when
+//! that count is one. `S = 1` is simply the degenerate case — one shard,
+//! no cross-shard traffic, no thread ever started.
 //!
 //! **The round**, in order ([`Run::round`] reads the same way):
 //!
@@ -78,8 +79,9 @@ use crate::protocol::{Marks, NodeProtocol, NodeSeed};
 use crate::route::{QueueBuffers, RouteBuffers};
 use crate::scenario::{ChurnKind, ScenarioRt};
 use crate::wire::{Staged, WireEnvelope, DEAD_INDEX, NO_INDEX, WIRE_ADDRS, WIRE_WORDS};
-use rayon::prelude::*;
-use std::sync::Arc;
+use std::num::NonZeroUsize;
+use std::sync::{Arc, OnceLock};
+use std::thread;
 use std::time::Instant;
 
 /// One exchange cell: envelopes bound for another shard, each with its
@@ -97,7 +99,9 @@ pub(crate) struct RunShared {
     /// Participating nodes: the dense index space is `0..k`.
     pub(crate) k: usize,
     pub(crate) cap: usize,
-    fan_out: bool,
+    /// Threads a per-shard phase runs on, the caller included:
+    /// `min(workers, shards)`.
+    threads: usize,
     track: bool,
     queue_mode: bool,
     /// First dense index of every shard, ascending: shard `s` owns
@@ -436,24 +440,44 @@ fn learn_inbox(knowledge: &mut KnowledgeTracker, node: usize, inbox: &[WireEnvel
     }
 }
 
-/// Applies `f` to every shard — fanned out over the worker pool, or
-/// walked inline (the zero-alloc path). Each call sees exactly one shard
-/// mutably, so results cannot depend on the dispatch choice.
-fn for_each_shard<P, F>(shards: &mut [ShardState<P>], fan_out: bool, f: F)
+/// Applies `f` to every shard, with its global index, on `threads`
+/// threads: at one thread the caller walks them all inline (the zero-alloc
+/// path); otherwise the shards are split into `threads` contiguous groups
+/// (group `g` starts at shard `g·S/threads`), a scoped thread is started
+/// for every group but the first, and the caller walks the first. Each
+/// call sees exactly one shard mutably, so results cannot depend on which
+/// thread walked it.
+fn for_each_shard<P, F>(shards: &mut [ShardState<P>], threads: usize, f: F)
 where
     P: NodeProtocol,
     F: Fn(usize, &mut ShardState<P>) + Sync,
 {
-    if fan_out {
-        shards
-            .par_chunks_mut(1)
-            .enumerate()
-            .for_each(|(s, chunk)| f(s, &mut chunk[0]));
-    } else {
-        for (s, sh) in shards.iter_mut().enumerate() {
-            f(s, sh);
+    let f = &f;
+    let walk = move |first: usize, group: &mut [ShardState<P>]| {
+        for (s, sh) in group.iter_mut().enumerate() {
+            f(first + s, sh);
         }
+    };
+    if threads <= 1 {
+        return walk(0, shards);
     }
+    let count = shards.len();
+    thread::scope(|scope| {
+        let mut rest = shards;
+        for g in (1..threads).rev() {
+            let (head, group) = rest.split_at_mut(g * count / threads);
+            rest = head;
+            scope.spawn(move || walk(g * count / threads, group));
+        }
+        walk(0, rest);
+    });
+}
+
+/// The machine's available parallelism (`1` if it cannot be read), read
+/// once: what `workers = 0` resolves to.
+fn machine_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 /// Swaps every shard's exchange-cell rows with its row of `table`: lends
@@ -629,14 +653,14 @@ impl<P: NodeProtocol> Run<P> {
         let k = (0..n).filter(|&i| participating(i)).count();
 
         let workers = match config.worker_threads {
-            0 => rayon::current_num_threads(),
+            0 => machine_threads(),
             w => w,
         }
         .clamp(1, k.max(1));
         // Ownership map: shard `s` owns dense indices `s*k/S .. (s+1)*k/S` —
         // contiguous, ascending, balanced to within one node.
         let shard_count = config.shard_count(k, workers);
-        let fan_out = shard_count > 1 && workers > 1;
+        let threads = workers.min(shard_count);
         let bases: Vec<usize> = (0..shard_count).map(|s| s * k / shard_count).collect();
         let width_of = |s: usize| bases.get(s + 1).copied().unwrap_or(k) - bases[s];
 
@@ -788,7 +812,7 @@ impl<P: NodeProtocol> Run<P> {
                 net: net.clone(),
                 k,
                 cap,
-                fan_out,
+                threads,
                 track,
                 queue_mode,
                 bases,
@@ -821,7 +845,7 @@ impl<P: NodeProtocol> Steps<RunResult<P::Output>> for Run<P> {
             return Ok(false);
         }
         let (rs, sink) = (&self.shared, &mut sink);
-        let (config, fan_out) = (rs.net.config(), rs.fan_out);
+        let (config, threads) = (rs.net.config(), rs.threads);
         let strict = config.capacity_policy == CapacityPolicy::Strict;
         let round = self.metrics.rounds;
         let window: usize = self.shards.iter().map(|sh| sh.slots.len()).sum();
@@ -832,7 +856,7 @@ impl<P: NodeProtocol> Steps<RunResult<P::Output>> for Run<P> {
         }
 
         timed(&mut self.step_nanos, || {
-            for_each_shard(shards, fan_out, |_, sh| sh.step(rs));
+            for_each_shard(shards, threads, |_, sh| sh.step(rs));
         });
         // Deterministic attribution: blame the lowest dense index —
         // shards ascend by base, each records its first in slot order.
@@ -885,7 +909,7 @@ impl<P: NodeProtocol> Steps<RunResult<P::Output>> for Run<P> {
         // abort at every shard count.
         let metrics = &mut self.metrics;
         let mut round_messages = timed(&mut self.route_nanos, || {
-            for_each_shard(shards, fan_out, |_, sh| sh.seal(rs, alive_now, round));
+            for_each_shard(shards, threads, |_, sh| sh.seal(rs, alive_now, round));
             let mut total = 0u64;
             for sh in shards.iter_mut() {
                 for v in sh.violations.drain(..) {
@@ -903,7 +927,7 @@ impl<P: NodeProtocol> Steps<RunResult<P::Output>> for Run<P> {
         let cell_table = &mut self.cell_table;
         timed(&mut self.exchange_nanos, || {
             swap_cells(shards, cell_table);
-            for_each_shard(shards, fan_out, |d, sh| sh.exchange(d, cell_table));
+            for_each_shard(shards, threads, |d, sh| sh.exchange(d, cell_table));
             swap_cells(shards, cell_table);
         });
 
@@ -935,7 +959,7 @@ impl<P: NodeProtocol> Steps<RunResult<P::Output>> for Run<P> {
         }
 
         timed(&mut self.deliver_nanos, || {
-            for_each_shard(shards, fan_out, |_, sh| sh.deliver(rs, round));
+            for_each_shard(shards, threads, |_, sh| sh.deliver(rs, round));
             for sh in shards.iter_mut() {
                 for v in sh.violations.drain(..) {
                     metrics.record_violation(strict, v)?;
@@ -946,7 +970,7 @@ impl<P: NodeProtocol> Steps<RunResult<P::Output>> for Run<P> {
 
         if rs.track {
             timed(&mut self.learn_nanos, || {
-                for_each_shard(shards, fan_out, |_, sh| sh.learn());
+                for_each_shard(shards, threads, |_, sh| sh.learn());
             });
         }
 

@@ -14,7 +14,9 @@ use dgr_ncc::{
     CapacityPolicy, Config, EngineKind, Network, NodeSeed, Recording, RoundCtx, RunEvent,
     RunResult, Scenario, SimError, Status,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
+use std::sync::{Arc, Mutex};
+use std::thread::{self, ThreadId};
 
 /// `0` = the derived count (the default).
 const SHARDS: [usize; 3] = [0, 2, 4];
@@ -243,6 +245,55 @@ fn shard_count_clamps_to_the_participant_space() {
     assert_eq!(flat.metrics, clamped.metrics);
     assert_eq!(clamped.engine.shards, 8);
     assert_eq!(clamped.engine.shard_windows, vec![1; 8]);
+}
+
+#[test]
+fn a_shard_phase_runs_on_min_workers_shards_threads_the_caller_first() {
+    // Every step records the thread it ran on. A per-shard phase runs on
+    // `min(workers, shards)` threads, each walking one contiguous run of
+    // the dense order (uneven splits included), and the run holding
+    // position 0 is walked by the caller — in every round.
+    let caller = thread::current().id();
+    for (shards, workers) in [(4, 1), (4, 2), (4, 8), (5, 4), (3, 2)] {
+        let steps: Arc<Mutex<BTreeMap<u64, Vec<(usize, ThreadId)>>>> = Arc::default();
+        let config = Config::ncc0(3)
+            .with_shards(shards)
+            .with_worker_threads(workers);
+        let net = Network::new(512, config);
+        let order = net.ids_in_path_order().to_vec();
+        net.run_protocol(|seed| {
+            let (steps, position) = (Arc::clone(&steps), position_of(&order, seed));
+            Script(move |ctx: &mut RoundCtx<'_>| {
+                let round = ctx.round();
+                let step = (position, thread::current().id());
+                steps.lock().unwrap().entry(round).or_default().push(step);
+                if round == 2 {
+                    Status::Done(())
+                } else {
+                    Status::Continue
+                }
+            })
+        })
+        .unwrap();
+        let steps = steps.lock().unwrap();
+        assert_eq!(steps.len(), 3);
+        for (round, steps) in steps.iter() {
+            let label = format!("round {round} at {shards} shards × {workers} workers");
+            let mut steps = steps.clone();
+            steps.sort_by_key(|&(position, _)| position);
+            let mut groups: Vec<ThreadId> = steps.iter().map(|&(_, id)| id).collect();
+            groups.dedup();
+            let threads: HashSet<ThreadId> = groups.iter().copied().collect();
+            assert_eq!(steps.len(), 512, "{label}");
+            assert_eq!(groups.len(), workers.min(shards), "{label}");
+            assert_eq!(
+                threads.len(),
+                groups.len(),
+                "a thread walks two runs: {label}"
+            );
+            assert_eq!(groups[0], caller, "{label}");
+        }
+    }
 }
 
 /// Path position of the node a script is being built for.

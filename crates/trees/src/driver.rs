@@ -126,7 +126,7 @@ pub fn prepare_tree(
     let by_id = net.assign_in_path_order(degrees);
     let run = net.start(engine, None, |s| RealizeTree::new(by_id[&s.id], algo))?;
     Ok(Job::new(run, move |net, result, _| {
-        assemble(net, by_id, result)
+        Ok(assemble(net, by_id, result))
     }))
 }
 

@@ -478,7 +478,9 @@ impl Realization {
         self
     }
 
-    /// Pins the batched executor's worker count (`0`/default = auto).
+    /// Pins the batched executor's worker count (`0`/default = auto): the
+    /// most threads a per-shard phase runs on, the caller included. More
+    /// workers than shards start no extra threads.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
         self
@@ -490,8 +492,10 @@ impl Realization {
     /// participants, a single inline shard below that. Each shard owns a
     /// private slot arena,
     /// wire/queue buffers and knowledge-tracker arena for a contiguous
-    /// dense-index range; shards run side by side on the worker pool and
-    /// are joined per round by a deterministic exchange phase. A layout
+    /// dense-index range; a per-shard phase runs on `min(workers, shards)`
+    /// threads, the caller included (more workers than shards start no
+    /// extra threads), and the shards are joined per round by a
+    /// deterministic exchange phase. A layout
     /// knob like [`Realization::workers`] — transcripts, metrics and event
     /// streams are bit-identical at every shard count, and the reference
     /// interpreter ignores it.
@@ -882,7 +886,13 @@ impl RunSession {
         };
         match job.round(Some(&mut self.pending)) {
             Ok(true) => self.job = Some(job),
-            Ok(false) => self.ended = Some(Ok(job.finish(Some(&mut self.pending)).into())),
+            Ok(false) => {
+                self.ended = Some(
+                    job.finish(Some(&mut self.pending))
+                        .map(Into::into)
+                        .map_err(Into::into),
+                )
+            }
             Err(e) => self.ended = Some(Err(e.into())),
         }
     }
