@@ -104,11 +104,10 @@ pub struct Config {
     /// Worker threads for the batched executor: `0` (default) takes the
     /// machine's available parallelism, `1` walks every phase inline on
     /// the calling thread (useful for allocation probes and debugging).
-    /// The count bounds the threads a per-shard phase of the round (step,
-    /// seal, exchange, deliver, learn) runs on, the caller included: it
-    /// runs on `min(workers, shards)` threads, so more workers than
-    /// shards start no extra threads. Results are identical for every
-    /// value — shards own disjoint
+    /// The count bounds the threads, the caller included, that a per-shard
+    /// phase (step, seal, exchange, deliver, learn) runs on:
+    /// `min(workers, shards)`, so more workers than shards start no extra
+    /// threads. Results are identical for every value — shards own disjoint
     /// state, their journals replay in a fixed order, and the narrated
     /// dense/sparse round classification is a pure function of the
     /// transcript, so event streams are bit-identical too.
@@ -186,9 +185,8 @@ impl Config {
     }
 
     /// Pins the batched executor's worker count (`0` = auto): the most
-    /// threads a per-shard phase runs on, the caller included — more
-    /// workers than shards start no extra threads (see
-    /// [`Config::worker_threads`]).
+    /// threads a shard phase runs on, the caller included — more workers
+    /// than shards start no extra threads.
     pub fn with_worker_threads(mut self, workers: usize) -> Self {
         self.worker_threads = workers;
         self

@@ -75,10 +75,8 @@ pub enum SimError {
     /// recovery scheduled at or before its crash, reorder faults without
     /// the queue policy). The payload names the offending schedule entry.
     InvalidScenario(String),
-    /// The run ended, but its outputs do not assemble into the caller's
-    /// result (an explicit realization's edge claimed by one endpoint
-    /// only, as a duplicating [`Scenario`](crate::Scenario) can cause).
-    /// The payload names the offending edge.
+    /// The run ended, but its outputs do not assemble (an explicit
+    /// realization's edge claimed asymmetrically); the payload names it.
     Assembly(String),
 }
 

@@ -16,11 +16,10 @@
 //! and from there on the bucket *is* the destination — and, read where it
 //! lies, the destination's inbox. The shard is
 //! the only unit of parallelism: a per-shard phase runs on
-//! `min(workers, S)` threads ([`for_each_shard`]) — the calling thread
-//! walks the first contiguous group of shards and one scoped thread is
-//! started for each other group — and inline on the calling thread when
-//! that count is one. `S = 1` is simply the degenerate case — one shard,
-//! no cross-shard traffic, no thread ever started.
+//! `min(workers, S)` threads ([`for_each_shard`]), the calling thread
+//! walking the first contiguous group of shards itself. `S = 1` is simply
+//! the degenerate case — one shard, no cross-shard traffic, no thread
+//! ever started.
 //!
 //! **The round**, in order ([`Run::round`] reads the same way):
 //!
@@ -99,8 +98,7 @@ pub(crate) struct RunShared {
     /// Participating nodes: the dense index space is `0..k`.
     pub(crate) k: usize,
     pub(crate) cap: usize,
-    /// Threads a per-shard phase runs on, the caller included:
-    /// `min(workers, shards)`.
+    /// Threads a per-shard phase runs on: `min(workers, shards)`.
     threads: usize,
     track: bool,
     queue_mode: bool,
@@ -440,20 +438,17 @@ fn learn_inbox(knowledge: &mut KnowledgeTracker, node: usize, inbox: &[WireEnvel
     }
 }
 
-/// Applies `f` to every shard, with its global index, on `threads`
-/// threads: at one thread the caller walks them all inline (the zero-alloc
-/// path); otherwise the shards are split into `threads` contiguous groups
-/// (group `g` starts at shard `g·S/threads`), a scoped thread is started
-/// for every group but the first, and the caller walks the first. Each
-/// call sees exactly one shard mutably, so results cannot depend on which
-/// thread walked it.
+/// Applies `f` to every shard (with its index) on `threads` threads: the
+/// caller walks the first of `threads` contiguous groups, a scoped thread
+/// each other group; at one thread, all inline (the zero-alloc path).
+/// Each call sees exactly one shard mutably, so results cannot depend on
+/// which thread walked it.
 fn for_each_shard<P, F>(shards: &mut [ShardState<P>], threads: usize, f: F)
 where
     P: NodeProtocol,
     F: Fn(usize, &mut ShardState<P>) + Sync,
 {
-    let f = &f;
-    let walk = move |first: usize, group: &mut [ShardState<P>]| {
+    let walk = |first: usize, group: &mut [ShardState<P>]| {
         for (s, sh) in group.iter_mut().enumerate() {
             f(first + s, sh);
         }
@@ -473,8 +468,7 @@ where
     });
 }
 
-/// The machine's available parallelism (`1` if it cannot be read), read
-/// once: what `workers = 0` resolves to.
+/// What `workers = 0` resolves to: the machine's parallelism, read once.
 fn machine_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))

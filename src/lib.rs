@@ -887,11 +887,8 @@ impl RunSession {
         match job.round(Some(&mut self.pending)) {
             Ok(true) => self.job = Some(job),
             Ok(false) => {
-                self.ended = Some(
-                    job.finish(Some(&mut self.pending))
-                        .map(Into::into)
-                        .map_err(Into::into),
-                )
+                let ended = job.finish(Some(&mut self.pending));
+                self.ended = Some(ended.map(Into::into).map_err(Into::into));
             }
             Err(e) => self.ended = Some(Err(e.into())),
         }
