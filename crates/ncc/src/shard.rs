@@ -79,7 +79,7 @@ use crate::route::{QueueBuffers, RouteBuffers};
 use crate::scenario::{ChurnKind, ScenarioRt};
 use crate::wire::{Staged, WireEnvelope, DEAD_INDEX, NO_INDEX, WIRE_ADDRS, WIRE_WORDS};
 use std::num::NonZeroUsize;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
@@ -448,14 +448,17 @@ where
     P: NodeProtocol,
     F: Fn(usize, &mut ShardState<P>) + Sync,
 {
+    if threads <= 1 {
+        for (s, sh) in shards.iter_mut().enumerate() {
+            f(s, sh);
+        }
+        return;
+    }
     let walk = |first: usize, group: &mut [ShardState<P>]| {
         for (s, sh) in group.iter_mut().enumerate() {
             f(first + s, sh);
         }
     };
-    if threads <= 1 {
-        return walk(0, shards);
-    }
     let count = shards.len();
     thread::scope(|scope| {
         let mut rest = shards;
@@ -466,12 +469,6 @@ where
         }
         walk(0, rest);
     });
-}
-
-/// What `workers = 0` resolves to: the machine's parallelism, read once.
-fn machine_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 /// Swaps every shard's exchange-cell rows with its row of `table`: lends
@@ -647,7 +644,7 @@ impl<P: NodeProtocol> Run<P> {
         let k = (0..n).filter(|&i| participating(i)).count();
 
         let workers = match config.worker_threads {
-            0 => machine_threads(),
+            0 => thread::available_parallelism().map_or(1, NonZeroUsize::get),
             w => w,
         }
         .clamp(1, k.max(1));

@@ -255,7 +255,7 @@ fn a_shard_phase_runs_on_min_workers_shards_threads_the_caller_first() {
     // position 0 is walked by the caller — in every round.
     let caller = thread::current().id();
     for (shards, workers) in [(4, 1), (4, 2), (4, 8), (5, 4), (3, 2)] {
-        let steps: Arc<Mutex<BTreeMap<u64, Vec<(usize, ThreadId)>>>> = Arc::default();
+        let steps: Arc<Mutex<Vec<(u64, usize, ThreadId)>>> = Arc::default();
         let config = Config::ncc0(3)
             .with_shards(shards)
             .with_worker_threads(workers);
@@ -265,8 +265,8 @@ fn a_shard_phase_runs_on_min_workers_shards_threads_the_caller_first() {
             let (steps, position) = (Arc::clone(&steps), position_of(&order, seed));
             Script(move |ctx: &mut RoundCtx<'_>| {
                 let round = ctx.round();
-                let step = (position, thread::current().id());
-                steps.lock().unwrap().entry(round).or_default().push(step);
+                let step = (round, position, thread::current().id());
+                steps.lock().unwrap().push(step);
                 if round == 2 {
                     Status::Done(())
                 } else {
@@ -275,16 +275,15 @@ fn a_shard_phase_runs_on_min_workers_shards_threads_the_caller_first() {
             })
         })
         .unwrap();
-        let steps = steps.lock().unwrap();
-        assert_eq!(steps.len(), 3);
-        for (round, steps) in steps.iter() {
+        let mut steps = steps.lock().unwrap().clone();
+        steps.sort_by_key(|&(round, position, _)| (round, position));
+        assert_eq!(steps.len(), 3 * 512);
+        for (round, steps) in steps.chunks(512).enumerate() {
             let label = format!("round {round} at {shards} shards × {workers} workers");
-            let mut steps = steps.clone();
-            steps.sort_by_key(|&(position, _)| position);
-            let mut groups: Vec<ThreadId> = steps.iter().map(|&(_, id)| id).collect();
+            assert!(steps.iter().all(|&(r, ..)| r == round as u64), "{label}");
+            let mut groups: Vec<ThreadId> = steps.iter().map(|&(.., id)| id).collect();
             groups.dedup();
             let threads: HashSet<ThreadId> = groups.iter().copied().collect();
-            assert_eq!(steps.len(), 512, "{label}");
             assert_eq!(groups.len(), workers.min(shards), "{label}");
             assert_eq!(
                 threads.len(),
