@@ -17,6 +17,10 @@
 use dgr_connectivity::{prepare_threshold, ThresholdAlgo, ThresholdInstance, ThresholdRealization};
 use dgr_ncc::{Config, EngineKind};
 
+#[path = "../../../tests/support/cases.rs"]
+mod cases;
+use cases::{fnv, FNV_OFFSET};
+
 // White-box shorthand over the `prepare_threshold` engine room.
 fn realize(
     inst: &ThresholdInstance,
@@ -40,12 +44,11 @@ type Golden = (bool, u64, u64, u64, usize, usize, u64);
 
 /// The transcript of a run, in [`Golden`] form.
 fn transcript(out: &ThresholdRealization) -> Golden {
-    let fnv = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
     let edges = out
         .graph
         .edge_list()
         .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &(a, b)| fnv(fnv(h, a), b));
+        .fold(FNV_OFFSET, |h, &(a, b)| fnv(fnv(h, a), b));
     let m = &out.metrics;
     (
         out.report.satisfied,
@@ -101,8 +104,7 @@ fn case_name(what: &str, rho: &[usize]) -> String {
 
 #[test]
 fn ncc0_pipeline_matches_frozen_twin_on_both_engines() {
-    let fnv = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
-    let mut overlays = 0xcbf2_9ce4_8422_2325;
+    let mut overlays = FNV_OFFSET;
     for rho in [
         vec![1usize, 1, 1, 1],
         vec![2, 2, 2, 2, 2],

@@ -6,8 +6,11 @@
 
 use dgr_connectivity::{check_thresholds, ThresholdReport};
 use dgr_graph::{connected_components, edge_connectivity, Graph};
-use proptest::TestRng;
+use rand::Rng;
 use std::collections::BTreeMap;
+
+#[path = "../../../tests/support/cases.rs"]
+mod cases;
 
 fn assert_violation_is_real(
     g: &Graph,
@@ -26,7 +29,7 @@ fn assert_violation_is_real(
 
 #[test]
 fn anchor_chain_verdict_equals_all_pairs_oracle() {
-    let mut rng = TestRng::deterministic(concat!(module_path!(), "::verdicts"));
+    let mut rng = cases::case_rng(concat!(module_path!(), "::verdicts"));
     let (cases, mut satisfied, mut disconnected, mut isolated) = (1200u64, 0, 0, 0);
     for case in 0..cases {
         // Sparse-to-dense graphs under low-to-high requirements: the two
@@ -35,19 +38,21 @@ fn anchor_chain_verdict_equals_all_pairs_oracle() {
         // Mostly tiny; every fifth instance is large enough for chains of
         // anchors several links deep.
         let n = if case % 5 == 0 {
-            rng.sample(11u64..=32)
+            rng.gen_range(11u64..=32)
         } else {
-            rng.sample(2u64..=10)
+            rng.gen_range(2u64..=10)
         };
         // Scattered ids in shuffled insertion order, so neither id order
         // nor dense-index order coincides with the `(ρ, id)` order.
-        let mut ids: Vec<u64> = (0..n).map(|i| i * 1000 + rng.sample(0u64..1000)).collect();
+        let mut ids: Vec<u64> = (0..n)
+            .map(|i| i * 1000 + rng.gen_range(0u64..1000))
+            .collect();
         for i in (1..ids.len()).rev() {
-            ids.swap(i, rng.sample(0..=i));
+            ids.swap(i, rng.gen_range(0..=i));
         }
         let mut g = Graph::new(ids.iter().copied());
         for (i, j) in (0..ids.len()).flat_map(|i| (i + 1..ids.len()).map(move |j| (i, j))) {
-            if rng.sample(0u64..8) < density {
+            if rng.gen_range(0u64..8) < density {
                 g.add_edge(ids[i], ids[j]).unwrap();
             }
         }
@@ -58,7 +63,7 @@ fn anchor_chain_verdict_equals_all_pairs_oracle() {
             .iter()
             .copied()
             .chain(stranger)
-            .map(|id| (id, rng.sample(0..=ceiling as usize)))
+            .map(|id| (id, rng.gen_range(0..=ceiling as usize)))
             .collect();
         let what = format!("case {case}: rho {rho:?} on {:?}", g.edge_list());
 

@@ -85,22 +85,16 @@ impl DriverOutput {
 fn split_consistent<T>(
     outputs: Vec<(NodeId, Result<T, crate::distributed::Unrealizable>)>,
 ) -> Option<Vec<(NodeId, T)>> {
-    let failures = outputs.iter().filter(|(_, r)| r.is_err()).count();
-    if failures == 0 {
-        Some(
-            outputs
-                .into_iter()
-                .map(|(id, r)| (id, r.ok().unwrap()))
-                .collect(),
-        )
-    } else {
-        assert_eq!(
-            failures,
-            outputs.len(),
-            "nodes disagree about realizability"
-        );
-        None
+    let n = outputs.len();
+    let successes: Vec<_> = outputs
+        .into_iter()
+        .filter_map(|(id, r)| Some((id, r.ok()?)))
+        .collect();
+    if successes.len() == n {
+        return Some(successes);
     }
+    assert!(successes.is_empty(), "nodes disagree about realizability");
+    None
 }
 
 /// The **engine room** of every degree-sequence realization — one typed

@@ -9,20 +9,17 @@
 //!   twins. The twins are gone; what they produced on every case of this
 //!   suite is recorded in [`GOLDEN`] — from the twin itself, at the last
 //!   commit that had one — and both engines must keep reproducing it.
-//!   The two random sweeps are frozen as one folded hash each (the
-//!   in-repo proptest stand-in draws fixed cases from the test's name).
+//!   The two random sweeps are frozen as one folded hash each (their
+//!   cases come from the test's name, through `tests/support/cases.rs`).
 
 use dgr_core::distributed::{rounds_for, Flavor};
 use dgr_core::driver::{prepare_degrees, DriverOutput};
 use dgr_ncc::{Config, EngineKind};
-use proptest::prelude::*;
-use proptest::TestRng;
+use rand::Rng;
 
-/// FNV-1a, folding one `u64` at a time.
-fn fnv(hash: u64, x: u64) -> u64 {
-    (hash ^ x).wrapping_mul(0x0000_0100_0000_01b3)
-}
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+#[path = "../../../tests/support/cases.rs"]
+mod cases;
+use cases::{fnv, FNV_OFFSET};
 
 /// One frozen transcript: realized?, phases, rounds, messages, words,
 /// max sent per round, max received per round, FNV-1a of the sorted edge
@@ -350,10 +347,9 @@ fn masked_runs_pay_subnetwork_round_budgets() {
     );
 }
 
-/// One random sweep: `cases` draws from the stream the in-repo proptest
-/// stand-in derives from the test's name (so the cases are the ones the
-/// `proptest!` form of this test ran against the twin), each run on both
-/// engines; returns the transcript of every case.
+/// One random sweep: `cases` draws from the test's name-derived case
+/// stream (the cases this test first ran against the twin), each run on
+/// both engines; returns the transcript of every case.
 fn sweep(
     name: &str,
     cases: u32,
@@ -362,11 +358,11 @@ fn sweep(
     len: std::ops::Range<usize>,
     check: impl Fn(&[usize], &DriverOutput),
 ) -> Vec<Golden> {
-    let mut rng = TestRng::deterministic(&format!("{}::{name}", module_path!()));
+    let mut rng = cases::case_rng(&format!("{}::{name}", module_path!()));
     let mut rows = Vec::new();
     for _ in 0..cases {
-        let degrees = prop::collection::vec(degree.clone(), len.clone()).generate(&mut rng);
-        let seed = (0u64..1000).generate(&mut rng);
+        let degrees = cases::vec_of(&mut rng, len.clone(), |r| r.gen_range(degree.clone()));
+        let seed = rng.gen_range(0u64..1000);
         let run = |engine| realize(&degrees, None, Config::ncc0(seed), flavor, engine);
         let (batched, reference) = (run(EngineKind::Batched), run(EngineKind::Reference));
         let what = format!("{name} {degrees:?} seed {seed}");

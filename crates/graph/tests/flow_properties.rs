@@ -6,7 +6,10 @@
 //! agree with an adjacency-matrix Edmonds–Karp.
 
 use dgr_graph::{edge_connectivity, global_edge_connectivity, Dinic, Graph};
-use proptest::TestRng;
+use rand::Rng;
+
+#[path = "../../../tests/support/cases.rs"]
+mod cases;
 
 /// The minimum, over every vertex set containing `s` but not `t`, of the
 /// number of edges leaving it.
@@ -27,15 +30,15 @@ fn brute_force_min_cut(g: &Graph, s: usize, t: usize) -> usize {
 
 #[test]
 fn kernel_matches_brute_force_min_cut_and_honours_its_limit() {
-    let mut rng = TestRng::deterministic(concat!(module_path!(), "::brute_force"));
+    let mut rng = cases::case_rng(concat!(module_path!(), "::brute_force"));
     let mut positive = 0;
     for case in 0..300u64 {
         // Edge density sweeps from 1/8 (isolated vertices, several
         // components) to 7/8 (near-cliques).
-        let (n, density) = (rng.sample(2u64..=9), 1 + case % 7);
+        let (n, density) = (rng.gen_range(2u64..=9), 1 + case % 7);
         let mut g = Graph::new(0..n);
         for (u, v) in (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v))) {
-            if rng.sample(0u64..8) < density {
+            if rng.gen_range(0u64..8) < density {
                 g.add_edge(u, v).unwrap();
             }
         }
@@ -105,29 +108,29 @@ fn matrix_max_flow(g: &Graph, s: usize, t: usize) -> usize {
 
 #[test]
 fn kernel_matches_edmonds_karp_on_banded_graphs() {
-    let mut rng = TestRng::deterministic(concat!(module_path!(), "::banded"));
+    let mut rng = cases::case_rng(concat!(module_path!(), "::banded"));
     let mut longest = 0;
     for case in 0..60 {
         // A path with chords up to `band` positions ahead, thinned at
         // random: the shape of a realized threshold overlay, where the
         // far pairs are dozens of hops apart and a flow takes several
         // phases of ever longer paths.
-        let (n, band) = (rng.sample(20u64..=48), rng.sample(1u64..=4));
+        let (n, band) = (rng.gen_range(20u64..=48), rng.gen_range(1u64..=4));
         let mut g = Graph::new(0..n);
         for (u, v) in (0..n).flat_map(|u| (u + 1..=u + band).map(move |v| (u, v))) {
-            if v < n && rng.sample(0u64..10) < 8 {
+            if v < n && rng.gen_range(0u64..10) < 8 {
                 g.add_edge(u, v).unwrap();
             }
         }
         let mut dinic = Dinic::from_graph(&g);
         let n = n as usize;
         for _ in 0..40 {
-            let (s, t) = (rng.sample(0..n), rng.sample(0..n));
+            let (s, t) = (rng.gen_range(0..n), rng.gen_range(0..n));
             if s == t {
                 continue;
             }
             let want = matrix_max_flow(&g, s, t);
-            let limit = rng.sample(0..=want + 1);
+            let limit = rng.gen_range(0..=want + 1);
             let what = format!("case {case}: {s}->{t} in {:?}", g.edge_list());
             assert_eq!(dinic.flow_up_to(s, t, limit), want.min(limit), "{what}");
             assert_eq!(dinic.max_flow(s, t), want as i64, "{what}");

@@ -9,6 +9,10 @@ use dgr_ncc::{
 };
 use rand::Rng;
 
+#[path = "../../../../tests/support/cases.rs"]
+mod cases;
+use cases::{fnv, FNV_OFFSET};
+
 /// The oracle check every differential suite shares: runs `factory` on
 /// the reference interpreter over the same network (and mask) and holds
 /// a batched run to it — same outputs, bit-identical `RunMetrics`, the
@@ -84,11 +88,6 @@ pub fn derived_shards(n: usize, workers: usize) -> usize {
     (n / dgr_ncc::MIN_SHARD_WIDTH).clamp(1, workers)
 }
 
-/// FNV-1a fold of one `u64` into a transcript hash.
-pub fn fnv(h: u64, x: u64) -> u64 {
-    (h ^ x).wrapping_mul(0x100_0000_01b3)
-}
-
 /// A randomized gossip protocol that exercises most of the engine surface:
 /// random fan-out to learned addresses, address-carrying payloads (KT0
 /// knowledge spreading), per-node lifetimes (staggered `Done`), and a
@@ -122,7 +121,7 @@ impl Gossip {
             lifetime,
             fan_out,
             known,
-            hash: 0xcbf2_9ce4_8422_2325,
+            hash: FNV_OFFSET,
         }
     }
 
@@ -206,7 +205,7 @@ impl FanIn {
             pred: None,
             succ: seed.initial_successor,
             second: None,
-            hash: 0xcbf2_9ce4_8422_2325,
+            hash: FNV_OFFSET,
         }
     }
 }

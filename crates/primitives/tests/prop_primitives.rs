@@ -8,28 +8,33 @@ use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
 use dgr_primitives::ops::AggBcastStep;
 use dgr_primitives::prefix::PrefixStep;
 use dgr_primitives::scatter::{ScanRecord, ScanStep};
-use dgr_primitives::sort::{Order, SortStep};
+use dgr_primitives::sort::{Order::Descending, SortStep};
 use dgr_primitives::{AggOp, PathCtx, WithCtx};
-use proptest::prelude::*;
+use rand::Rng;
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+#[path = "../../../tests/support/cases.rs"]
+mod cases;
+use cases::{case_rng, vec_of};
 
-    /// Sorting: the rank assignment is a permutation, keys are ordered
-    /// along ranks, and the sorted-path links are consistent — for any
-    /// path length and any key multiset (dense keys force many ties).
-    #[test]
-    fn sort_is_a_sorted_permutation(n in 1usize..48, seed in 0u64..1000) {
+/// Sorting: the rank assignment is a permutation, keys are ordered
+/// along ranks, and the sorted-path links are consistent — for any
+/// path length and any key multiset (dense keys force many ties).
+#[test]
+fn sort_is_a_sorted_permutation() {
+    let mut rng = case_rng(concat!(module_path!(), "::sort_is_a_sorted_permutation"));
+    for case in 0..12 {
+        let (n, seed) = (rng.gen_range(1usize..48), rng.gen_range(0u64..1000));
+        let what = format!("case {case}: n={n} seed={seed}");
         let net = Network::new(n, Config::ncc0(seed));
         let result = net
             .run_protocol(|_| {
                 WithCtx::new(|c: &PathCtx, rctx: &mut RoundCtx<'_>| {
                     let (key, id) = (rctx.id() % 5, rctx.id()); // heavy ties
-                    SortStep::new(c.vp, c.contacts.clone(), c.position, key, Order::Descending, id)
+                    SortStep::new(c.vp, c.contacts.clone(), c.position, key, Descending, id)
                 })
             })
             .unwrap();
-        prop_assert!(result.metrics.is_clean());
+        assert!(result.metrics.is_clean(), "{what}");
         let mut by_rank: Vec<(usize, u64, u64)> = result
             .outputs
             .iter()
@@ -37,31 +42,33 @@ proptest! {
             .collect();
         by_rank.sort_unstable();
         for (want, (got, ..)) in by_rank.iter().enumerate() {
-            prop_assert_eq!(*got, want);
+            assert_eq!(*got, want, "{what}");
         }
         for w in by_rank.windows(2) {
-            prop_assert!(w[0].1 >= w[1].1, "descending order violated");
+            assert!(w[0].1 >= w[1].1, "{what}: descending order violated");
         }
         // Link consistency.
-        let by_id: std::collections::HashMap<u64, (usize, Option<u64>, Option<u64>)> =
-            result
-                .outputs
-                .iter()
-                .map(|(id, sp)| (*id, (sp.rank, sp.vp.pred, sp.vp.succ)))
-                .collect();
+        let by_id: std::collections::HashMap<u64, (usize, Option<u64>, Option<u64>)> = result
+            .outputs
+            .iter()
+            .map(|(id, sp)| (*id, (sp.rank, sp.vp.pred, sp.vp.succ)))
+            .collect();
         for (rank, _, id) in &by_rank {
             let (_, pred, succ) = by_id[id];
-            let want_pred =
-                rank.checked_sub(1).map(|r| by_rank[r].2);
+            let want_pred = rank.checked_sub(1).map(|r| by_rank[r].2);
             let want_succ = by_rank.get(rank + 1).map(|t| t.2);
-            prop_assert_eq!(pred, want_pred);
-            prop_assert_eq!(succ, want_succ);
+            assert_eq!(pred, want_pred, "{what}");
+            assert_eq!(succ, want_succ, "{what}");
         }
     }
+}
 
-    /// Prefix sums are exact for arbitrary values.
-    #[test]
-    fn prefix_sums_are_exact(n in 1usize..48, seed in 0u64..1000) {
+/// Prefix sums are exact for arbitrary values.
+#[test]
+fn prefix_sums_are_exact() {
+    let mut rng = case_rng(concat!(module_path!(), "::prefix_sums_are_exact"));
+    for case in 0..12 {
+        let (n, seed) = (rng.gen_range(1usize..48), rng.gen_range(0u64..1000));
         let net = Network::new(n, Config::ncc0(seed));
         let result = net
             .run_protocol(|_| {
@@ -73,18 +80,21 @@ proptest! {
         let mut running = 0;
         for (id, got) in &result.outputs {
             running += id % 23;
-            prop_assert_eq!(*got, running);
+            assert_eq!(*got, running, "case {case}: n={n} seed={seed}");
         }
     }
+}
 
-    /// Interval multicast with randomly sized disjoint intervals delivers
-    /// exactly inside each interval.
-    #[test]
-    fn imcast_random_layout(
-        n in 2usize..40,
-        widths in prop::collection::vec(1usize..7, 1..12),
-        seed in 0u64..1000,
-    ) {
+/// Interval multicast with randomly sized disjoint intervals delivers
+/// exactly inside each interval.
+#[test]
+fn imcast_random_layout() {
+    let mut rng = case_rng(concat!(module_path!(), "::imcast_random_layout"));
+    for case in 0..12 {
+        let n = rng.gen_range(2usize..40);
+        let widths = vec_of(&mut rng, 1..12, |r| r.gen_range(1usize..7));
+        let seed = rng.gen_range(0u64..1000);
+        let what = format!("case {case}: n={n} widths={widths:?} seed={seed}");
         // Build a disjoint layout [start, start+w) from the widths,
         // truncated to n.
         let mut layout = Vec::new(); // (source_rank, count)
@@ -101,81 +111,90 @@ proptest! {
         let result = net
             .run_protocol(|_| {
                 WithCtx::new(|c: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                    let addr = rctx.id();
                     let task = layout
                         .iter()
                         .find(|(s, _)| *s == c.position)
-                        .map(|&(_, count)| {
-                            (CoverSide::After, count, Payload { addr: rctx.id(), word: 1 })
-                        });
+                        .map(|&(_, count)| (CoverSide::After, count, Payload { addr, word: 1 }));
                     ImcastStep::new(c.vp, c.contacts.clone(), task)
                 })
             })
             .unwrap();
-        prop_assert!(result.metrics.is_clean());
+        assert!(result.metrics.is_clean(), "{what}");
         let order = result.gk_order();
         for (pos, (_, got)) in result.outputs.iter().enumerate() {
-            let pos = &pos;
             let covering = layout
                 .iter()
-                .find(|&&(s, count)| *pos > s && *pos <= s + count);
+                .find(|&&(s, count)| pos > s && pos <= s + count);
             match covering {
-                Some(&(s, _)) => {
-                    prop_assert_eq!(
-                        got.map(|p| p.addr),
-                        Some(order[s]),
-                        "pos {} expected coverage from rank {}", pos, s
-                    );
-                }
-                None => prop_assert!(got.is_none(), "pos {} covered unexpectedly", pos),
+                Some(&(s, _)) => assert_eq!(
+                    got.map(|p| p.addr),
+                    Some(order[s]),
+                    "{what}: pos {pos} expected coverage from rank {s}"
+                ),
+                None => assert!(got.is_none(), "{what}: pos {pos} covered unexpectedly"),
             }
         }
     }
+}
 
-    /// Milestone scan: random milestone placement; every filler must learn
-    /// the closest milestone at-or-before its own key.
-    #[test]
-    fn milestone_scan_matches_reference(
-        n in 1usize..32,
-        milestone_mask in prop::collection::vec(any::<bool>(), 32),
-        seed in 0u64..1000,
-    ) {
-        let mask: Vec<bool> = (0..n).map(|i| milestone_mask[i]).collect();
+/// Milestone scan: random milestone placement; every filler must learn
+/// the closest milestone at-or-before its own key.
+#[test]
+fn milestone_scan_matches_reference() {
+    let mut rng = case_rng(concat!(
+        module_path!(),
+        "::milestone_scan_matches_reference"
+    ));
+    for case in 0..12 {
+        let n = rng.gen_range(1usize..32);
+        let milestone_mask = vec_of(&mut rng, 32..=32, |r| r.gen::<bool>());
+        let seed = rng.gen_range(0u64..1000);
+        let mask: Vec<bool> = milestone_mask[..n].to_vec();
         let net = Network::new(n, Config::ncc0(seed));
         let result = net
             .run_protocol(|_| {
                 WithCtx::new(|c: &PathCtx, rctx: &mut RoundCtx<'_>| {
-                    let r = c.position as u64;
+                    let (r, addr) = (c.position as u64, rctx.id());
                     let rec0 = if mask[c.position] {
                         // Milestone placed *just before* my filler: covers me.
-                        ScanRecord::Milestone { key: 2 * r, addr: rctx.id() }
+                        ScanRecord::Milestone { key: 2 * r, addr }
                     } else {
                         ScanRecord::Absent
                     };
                     let records = [rec0, ScanRecord::Filler { key: 2 * r + 1 }];
-                    ScanStep::new(c.vp, c.contacts.clone(), c.position, records, rctx.id())
+                    ScanStep::new(c.vp, c.contacts.clone(), c.position, records, addr)
                 })
             })
             .unwrap();
-        prop_assert!(result.metrics.is_clean());
+        let what = format!("case {case}: mask={mask:?} seed={seed}");
+        assert!(result.metrics.is_clean(), "{what}");
         let order = result.gk_order();
         for (pos, (_, got)) in result.outputs.iter().enumerate() {
             // Reference: the last milestone position ≤ pos.
             let want = (0..=pos).rev().find(|&i| mask[i]).map(|i| order[i]);
-            prop_assert_eq!(got[1], want, "pos {}", pos);
+            assert_eq!(got[1], want, "{what}: pos {pos}");
         }
     }
+}
 
-    /// Aggregation with different operators agrees with the sequential
-    /// fold for arbitrary values.
-    #[test]
-    fn aggregate_matches_fold(n in 1usize..40, seed in 0u64..1000) {
+/// Aggregation with different operators agrees with the sequential
+/// fold for arbitrary values.
+#[test]
+fn aggregate_matches_fold() {
+    let mut rng = case_rng(concat!(module_path!(), "::aggregate_matches_fold"));
+    for case in 0..12 {
+        let (n, seed) = (rng.gen_range(1usize..40), rng.gen_range(0u64..1000));
         let net = Network::new(n, Config::ncc0(seed));
-        let vals: Vec<u64> =
-            net.ids_in_path_order().iter().map(|i| i % 41).collect();
+        let vals: Vec<u64> = net.ids_in_path_order().iter().map(|i| i % 41).collect();
         let want_sum: u64 = vals.iter().sum();
         let want_max: u64 = *vals.iter().max().unwrap();
         let want_min: u64 = *vals.iter().min().unwrap();
-        for (op, want) in [(AggOp::Sum, want_sum), (AggOp::Max, want_max), (AggOp::Min, want_min)] {
+        for (op, want) in [
+            (AggOp::Sum, want_sum),
+            (AggOp::Max, want_max),
+            (AggOp::Min, want_min),
+        ] {
             let result = net
                 .run_protocol(|_| {
                     WithCtx::new(move |c: &PathCtx, rctx: &mut RoundCtx<'_>| {
@@ -184,7 +203,7 @@ proptest! {
                 })
                 .unwrap();
             for (_, got) in &result.outputs {
-                prop_assert_eq!(*got, want, "{:?}", op);
+                assert_eq!(*got, want, "case {case}: n={n} seed={seed} {op:?}");
             }
         }
     }

@@ -26,6 +26,9 @@ use dgr_primitives::warmup::WarmupStep;
 use dgr_primitives::WithCtx as CtxThen;
 use dgr_primitives::{AggOp, EstablishCtx, PathCtx, Step, StepProtocol};
 
+#[path = "../../../tests/support/cases.rs"]
+mod cases;
+
 /// Asserts full observational equality of a protocol on both engines and
 /// returns the batched run.
 fn engines_agree<P, F>(net: &Network, factory: F) -> RunResult<P::Output>
@@ -50,10 +53,9 @@ type Golden = (u64, u64, u64, usize, usize, u64);
 
 /// The transcript of a run, in [`Golden`] form.
 fn transcript<T: std::fmt::Debug>(result: &RunResult<T>) -> Golden {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in format!("{:?}", result.outputs).bytes() {
-        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let hash = format!("{:?}", result.outputs)
+        .bytes()
+        .fold(cases::FNV_OFFSET, |h, b| cases::fnv(h, u64::from(b)));
     let m = &result.metrics;
     (
         m.rounds,

@@ -67,38 +67,42 @@ impl TreeRealization {
     }
 }
 
-/// Assembly + verification of a tree-realization run.
+/// Assembly + verification of a tree-realization run. An overlay that is
+/// not a tree (a crash mid-run can leave one) is `SimError::Assembly`.
 fn assemble(
     net: &Network,
     by_id: BTreeMap<NodeId, usize>,
     result: dgr_ncc::RunResult<Result<TreeOutcome, Unrealizable>>,
-) -> TreeRealization {
-    let metrics = result.metrics;
-    let failures = result.outputs.iter().filter(|(_, r)| r.is_err()).count();
-    if failures > 0 {
-        assert_eq!(failures, result.outputs.len(), "inconsistent refusal");
-        return TreeRealization::Unrealizable { metrics };
+) -> Result<TreeRealization, SimError> {
+    let (metrics, n) = (result.metrics, result.outputs.len());
+    let stored: Vec<_> = result
+        .outputs
+        .into_iter()
+        .filter_map(|(id, r)| Some((id, r.ok()?.neighbors)))
+        .collect();
+    if stored.len() < n {
+        assert!(stored.is_empty(), "inconsistent refusal");
+        return Ok(TreeRealization::Unrealizable { metrics });
     }
-    let assembled = verify::assemble_implicit(
-        net.ids_in_path_order(),
-        result
-            .outputs
-            .into_iter()
-            .map(|(id, r)| (id, r.unwrap().neighbors)),
-    );
+    let assembled = verify::assemble_implicit(net.ids_in_path_order(), stored);
     assert_eq!(assembled.duplicate_edges, 0, "tree with duplicate edges");
     let graph = assembled.graph;
-    assert!(graph.is_tree(), "realization is not a tree");
+    if !graph.is_tree() {
+        let (nodes, edges) = (graph.node_count(), graph.edge_count());
+        let why = format!("the overlay is not a tree ({edges} edges on {nodes} nodes)");
+        return Err(SimError::Assembly(why));
+    }
     // Double BFS is exact on trees and O(n) — all-pairs BFS would make
     // six-digit realizations driver-bound.
+    // Cannot fire: `is_tree` above holds the graph non-empty and connected.
     let diameter = dgr_graph::tree_diameter(&graph).expect("tree is connected");
-    TreeRealization::Realized(Box::new(RealizedTree {
+    Ok(TreeRealization::Realized(Box::new(RealizedTree {
         diameter,
         requested: by_id,
         path_order: net.ids_in_path_order().to_vec(),
         metrics,
         graph,
-    }))
+    })))
 }
 
 /// The **engine room** of the tree realizations (Algorithms 4 and 5) —
@@ -115,7 +119,8 @@ fn assemble(
 ///
 /// # Errors
 ///
-/// Propagates simulator errors, here and from stepping the job.
+/// Propagates simulator errors, here and from stepping the job; a run
+/// whose overlay is not a tree ends in `SimError::Assembly`.
 pub fn prepare_tree(
     degrees: &[usize],
     config: Config,
@@ -126,7 +131,7 @@ pub fn prepare_tree(
     let by_id = net.assign_in_path_order(degrees);
     let run = net.start(engine, None, |s| RealizeTree::new(by_id[&s.id], algo))?;
     Ok(Job::new(run, move |net, result, _| {
-        Ok(assemble(net, by_id, result))
+        assemble(net, by_id, result)
     }))
 }
 

@@ -9,14 +9,17 @@
 //!   gone; what they produced on every case of this suite is recorded in
 //!   [`GOLDEN`] — from the twin itself, at the last commit that had one —
 //!   and both engines must keep reproducing it. The random sweep is
-//!   frozen as one folded hash (the in-repo proptest stand-in draws fixed
-//!   cases from the test's name).
+//!   frozen as one folded hash (its cases come from the test's name,
+//!   through `tests/support/cases.rs`).
 
-use dgr_ncc::{Config, EngineKind};
+use dgr_ncc::{Config, EngineKind, Scenario, SimError};
 use dgr_trees::distributed::rounds_for;
 use dgr_trees::{prepare_tree, TreeAlgo, TreeRealization};
-use proptest::prelude::*;
-use proptest::TestRng;
+use rand::Rng;
+
+#[path = "../../../tests/support/cases.rs"]
+mod cases;
+use cases::{fnv, FNV_OFFSET};
 
 // White-box shorthand over the `prepare_tree` engine room.
 fn realize(d: &[usize], c: Config, algo: TreeAlgo, engine: EngineKind) -> TreeRealization {
@@ -26,12 +29,6 @@ fn realize(d: &[usize], c: Config, algo: TreeAlgo, engine: EngineKind) -> TreeRe
         .unwrap()
         .output
 }
-
-/// FNV-1a, folding one `u64` at a time.
-fn fnv(hash: u64, x: u64) -> u64 {
-    (hash ^ x).wrapping_mul(0x0000_0100_0000_01b3)
-}
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// One frozen transcript: realized?, diameter, rounds, messages, words,
 /// max sent per round, max received per round, FNV-1a of the sorted edge
@@ -177,16 +174,16 @@ fn tree_degrees(picks: &[usize]) -> Vec<usize> {
 }
 
 /// Random attachment trees: both engines reproduce the twin's tree with
-/// the requested degrees, for both algorithms. Draws the cases the
-/// `proptest!` form of this test ran against the twins (same
-/// name-derived stream); returns the transcript of every run.
+/// the requested degrees, for both algorithms. Draws the cases this test
+/// first ran against the twins (its name-derived case stream); returns
+/// the transcript of every run.
 fn sweep() -> Vec<Golden> {
     let name = format!("{}::tree_sweep_engines_agree", module_path!());
-    let mut rng = TestRng::deterministic(&name);
+    let mut rng = cases::case_rng(&name);
     let mut rows = Vec::new();
     for _ in 0..16 {
-        let picks = prop::collection::vec(0usize..1000, 2..24).generate(&mut rng);
-        let seed = (0u64..1000).generate(&mut rng);
+        let picks = cases::vec_of(&mut rng, 2..24, |r| r.gen_range(0usize..1000));
+        let seed = rng.gen_range(0u64..1000);
         let degrees = tree_degrees(&picks);
         for algo in [TreeAlgo::Chain, TreeAlgo::Greedy] {
             let what = format!("{algo:?} {degrees:?}");
@@ -281,4 +278,33 @@ fn overlays_match_the_frozen_fold() {
         GOLDEN_OVERLAYS,
         "a tree or a diameter moved"
     );
+}
+
+/// A node that crashes mid-run can leave an overlay that is not a tree:
+/// whatever the crash round, a run ends in a tree or a typed error, the
+/// same on both engines, and some crashes end in `SimError::Assembly`.
+#[test]
+fn a_crash_ends_in_a_tree_or_a_typed_error() {
+    let picks: Vec<usize> = (0..63).map(|i| i / 2).collect();
+    let degrees = tree_degrees(&picks);
+    let mut not_a_tree = 0;
+    for round in (1..=198).step_by(3) {
+        for algo in [TreeAlgo::Chain, TreeAlgo::Greedy] {
+            let config = Config::ncc0(7).with_scenario(Scenario::new(7).crash(5, round));
+            let [batched, reference] = [EngineKind::Batched, EngineKind::Reference].map(|e| {
+                let job = prepare_tree(&degrees, config.clone(), algo, e).unwrap();
+                job.drive(None).map(|run| run.output)
+            });
+            let what = format!("{algo:?} crash at round {round}");
+            match (batched, reference) {
+                (Ok(b), Ok(r)) => assert_eq!(transcript(&b), transcript(&r), "{what}"),
+                (Err(b), Err(r)) => {
+                    assert_eq!(b.to_string(), r.to_string(), "{what}");
+                    not_a_tree += usize::from(matches!(b, SimError::Assembly(_)));
+                }
+                (b, r) => panic!("{what}: engines disagree: {b:?} / {r:?}"),
+            }
+        }
+    }
+    assert!(not_a_tree > 0, "no crash reached the assembly check");
 }

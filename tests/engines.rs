@@ -7,6 +7,10 @@ use distributed_graph_realizations::ncc::event::semantic_stream;
 use distributed_graph_realizations::prelude::*;
 use distributed_graph_realizations::{Engine, Kt0};
 
+#[path = "support/cases.rs"]
+mod cases;
+use cases::{fnv, FNV_OFFSET};
+
 /// One request of this suite: `(case, workload, seed, mask)`.
 type Request = (String, Workload, u64, Option<Vec<bool>>);
 
@@ -177,10 +181,9 @@ fn transcript(out: &Realized) -> Golden {
         RunOutput::Tree(t) => (!t.is_unrealizable(), 0),
         RunOutput::Threshold(t) => (t.report.satisfied, 0),
     };
-    let fnv = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
     let edges = overlay(out)
         .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &(a, b)| fnv(fnv(h, a), b));
+        .fold(FNV_OFFSET, |h, &(a, b)| fnv(fnv(h, a), b));
     let m = out.metrics();
     (
         ok,
@@ -226,8 +229,7 @@ const GOLDEN_OVERLAYS: u64 = 0x1395_4f6a_1dd4_acbc;
 /// and overlay columns; every other row holds in full.
 #[test]
 fn facade_transcripts_match_the_frozen_twins_on_both_engines() {
-    let fnv = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
-    let mut overlays = 0xcbf2_9ce4_8422_2325;
+    let mut overlays = FNV_OFFSET;
     for (case, workload, seed, mask) in requests() {
         let golden = GOLDEN
             .iter()

@@ -12,24 +12,22 @@ use distributed_graph_realizations::ncc::Network;
 use distributed_graph_realizations::prelude::*;
 use distributed_graph_realizations::primitives::PathToClique;
 
-/// FNV-1a over the little-endian bytes of each word — the benchmark's.
-struct Fnv(u64);
+#[path = "support/cases.rs"]
+mod cases;
+use cases::{fnv, FNV_OFFSET};
 
-impl Fnv {
-    fn write(&mut self, word: u64) {
-        for b in word.to_le_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
+/// FNV-1a over the little-endian bytes of `word` — the benchmark's.
+fn fnv_le(h: u64, word: u64) -> u64 {
+    word.to_le_bytes()
+        .into_iter()
+        .fold(h, |h, b| fnv(h, b.into()))
 }
-
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// `(rounds, messages, words, output_fnv)`.
 type Fingerprint = (u64, u64, u64, u64);
 
-fn of(metrics: &RunMetrics, fnv: Fnv) -> Fingerprint {
-    (metrics.rounds, metrics.messages, metrics.words, fnv.0)
+fn of(metrics: &RunMetrics, output_fnv: u64) -> Fingerprint {
+    (metrics.rounds, metrics.messages, metrics.words, output_fnv)
 }
 
 /// One facade workload at n = 2048, as `crates/bench/src/bin/e2e`'s
@@ -65,12 +63,10 @@ fn facade(workload: &str, seed: u64) -> Fingerprint {
         .map(|(u, v)| (u.min(v), u.max(v)))
         .collect();
     edges.sort_unstable();
-    let mut fnv = Fnv(FNV_BASIS);
-    for (u, v) in edges {
-        fnv.write(u);
-        fnv.write(v);
-    }
-    of(realized.metrics(), fnv)
+    let hash = edges
+        .into_iter()
+        .fold(FNV_OFFSET, |h, (u, v)| fnv_le(fnv_le(h, u), v));
+    of(realized.metrics(), hash)
 }
 
 /// `flood_sharded_faulty`: the NCC₀ warm-up on 10⁵ nodes, two shards,
@@ -84,14 +80,14 @@ fn flood(seed: u64) -> Fingerprint {
     let result = Network::new(100_000, config)
         .run_protocol(PathToClique::new)
         .unwrap();
-    let mut fnv = Fnv(FNV_BASIS);
+    let mut hash = FNV_OFFSET;
     for (id, warm) in &result.outputs {
-        fnv.write(*id);
+        hash = fnv_le(hash, *id);
         for c in warm.contacts.fwd.iter().chain(&warm.contacts.bwd) {
-            fnv.write(c.unwrap_or(0));
+            hash = fnv_le(hash, c.unwrap_or(0));
         }
     }
-    of(&result.metrics, fnv)
+    of(&result.metrics, hash)
 }
 
 #[test]
