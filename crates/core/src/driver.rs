@@ -81,20 +81,24 @@ impl DriverOutput {
 }
 
 /// Checks that either every node realized or every node refused; returns
-/// the per-node successes or `None` for a (consistent) refusal.
+/// the per-node successes or `None` for a (consistent) refusal, and
+/// [`SimError::Assembly`] when the nodes disagree.
 fn split_consistent<T>(
     outputs: Vec<(NodeId, Result<T, crate::distributed::Unrealizable>)>,
-) -> Option<Vec<(NodeId, T)>> {
+) -> Result<Option<Vec<(NodeId, T)>>, SimError> {
     let n = outputs.len();
     let successes: Vec<_> = outputs
         .into_iter()
         .filter_map(|(id, r)| Some((id, r.ok()?)))
         .collect();
-    if successes.len() == n {
-        return Some(successes);
+    match successes.len() {
+        0 if n > 0 => Ok(None),
+        k if k == n => Ok(Some(successes)),
+        k => Err(SimError::Assembly(format!(
+            "nodes disagree about realizability: {} of {n} refused",
+            n - k
+        ))),
     }
-    assert!(successes.is_empty(), "nodes disagree about realizability");
-    None
 }
 
 /// The **engine room** of every degree-sequence realization — one typed
@@ -163,7 +167,7 @@ fn assemble(
     explicit: bool,
 ) -> Result<DriverOutput, SimError> {
     let metrics = result.metrics;
-    let Some(outs) = split_consistent(result.outputs) else {
+    let Some(outs) = split_consistent(result.outputs)? else {
         return Ok(DriverOutput::Unrealizable { metrics });
     };
     let phases = outs.first().map(|(_, o)| o.phases).unwrap_or(0);
@@ -214,6 +218,24 @@ mod tests {
         verify::degrees_match(&g.graph, &g.requested).unwrap();
         assert!(g.metrics.is_clean());
         assert!(g.phases >= 1);
+    }
+
+    #[test]
+    fn a_split_verdict_is_an_assembly_error() {
+        use crate::distributed::Unrealizable;
+        let refused = |id| (id, Err(Unrealizable));
+        let split = split_consistent(vec![(1, Ok(())), refused(2), refused(3)]);
+        let Err(SimError::Assembly(why)) = split else {
+            panic!("a split verdict was accepted: {split:?}");
+        };
+        assert!(why.contains("2 of 3 refused"), "{why}");
+        let refusal = split_consistent::<()>(vec![refused(1), refused(2)]);
+        assert!(matches!(refusal, Ok(None)), "{refusal:?}");
+        let realized = split_consistent(vec![(1, Ok(()))]);
+        assert!(
+            matches!(&realized, Ok(Some(v)) if v == &[(1, ())]),
+            "{realized:?}"
+        );
     }
 
     #[test]

@@ -67,8 +67,9 @@ impl TreeRealization {
     }
 }
 
-/// Assembly + verification of a tree-realization run. An overlay that is
-/// not a tree (a crash mid-run can leave one) is `SimError::Assembly`.
+/// Assembly + verification of a tree-realization run. A verdict the nodes
+/// split on, or an overlay that is not a tree (a crash mid-run can leave
+/// one), is `SimError::Assembly`.
 fn assemble(
     net: &Network,
     by_id: BTreeMap<NodeId, usize>,
@@ -81,11 +82,20 @@ fn assemble(
         .filter_map(|(id, r)| Some((id, r.ok()?.neighbors)))
         .collect();
     if stored.len() < n {
-        assert!(stored.is_empty(), "inconsistent refusal");
+        if !stored.is_empty() {
+            let why = format!(
+                "inconsistent refusal: {} of {n} nodes refused",
+                n - stored.len()
+            );
+            return Err(SimError::Assembly(why));
+        }
         return Ok(TreeRealization::Unrealizable { metrics });
     }
     let assembled = verify::assemble_implicit(net.ids_in_path_order(), stored);
-    assert_eq!(assembled.duplicate_edges, 0, "tree with duplicate edges");
+    if assembled.duplicate_edges > 0 {
+        let why = format!("tree with {} duplicate edges", assembled.duplicate_edges);
+        return Err(SimError::Assembly(why));
+    }
     let graph = assembled.graph;
     if !graph.is_tree() {
         let (nodes, edges) = (graph.node_count(), graph.edge_count());
@@ -157,6 +167,49 @@ mod tests {
             let t = out.expect_realized();
             verify::degrees_match(&t.graph, &t.requested).unwrap();
         }
+    }
+
+    /// Runs `assemble` on hand-made outputs of a 3-node network.
+    fn assemble_outputs(
+        outputs: impl Fn(&[NodeId]) -> Vec<Result<Vec<NodeId>, Unrealizable>>,
+    ) -> Result<TreeRealization, SimError> {
+        let net = Network::new(3, Config::ncc0(88));
+        let ids = net.ids_in_path_order().to_vec();
+        let by_id = ids.iter().map(|&id| (id, 1)).collect();
+        let outputs = ids.iter().zip(outputs(&ids)).map(|(&id, r)| {
+            let outcome = r.map(|neighbors| TreeOutcome {
+                requested: 1,
+                neighbors,
+            });
+            (id, outcome)
+        });
+        let result = dgr_ncc::RunResult {
+            outputs: outputs.collect(),
+            metrics: RunMetrics::default(),
+            engine: Default::default(),
+        };
+        assemble(&net, by_id, result)
+    }
+
+    #[test]
+    fn a_split_refusal_is_an_assembly_error() {
+        let out = assemble_outputs(|_| vec![Ok(vec![]), Err(Unrealizable), Err(Unrealizable)]);
+        let Err(SimError::Assembly(why)) = out else {
+            panic!("a split refusal was accepted");
+        };
+        assert!(why.contains("inconsistent refusal: 2 of 3"), "{why}");
+        let out = assemble_outputs(|_| vec![Err(Unrealizable); 3]);
+        assert!(out.unwrap().is_unrealizable());
+    }
+
+    #[test]
+    fn a_duplicate_tree_edge_is_an_assembly_error() {
+        // Both endpoints store the edge between the first two nodes.
+        let out = assemble_outputs(|ids| vec![Ok(vec![ids[1]]), Ok(vec![ids[0]]), Ok(vec![])]);
+        let Err(SimError::Assembly(why)) = out else {
+            panic!("a duplicate edge was accepted");
+        };
+        assert_eq!(why, "tree with 1 duplicate edges");
     }
 
     #[test]
