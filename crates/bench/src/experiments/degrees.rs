@@ -78,7 +78,7 @@ pub fn t11_implicit() -> Vec<Table> {
             "√m",
             "phases",
             "rounds",
-            "rounds/(√m·log²n)",
+            "rounds/(√m·log n)",
             "degrees",
         ],
     );
@@ -96,7 +96,8 @@ pub fn t11_implicit() -> Vec<Table> {
         exact &= on_closed_form(&degrees, rounds, r.phases, Flavor::Implicit, cap);
         let m_real = seq.edge_count();
         let sqrt_m = (m_real as f64).sqrt();
-        let ratio = r.metrics.rounds as f64 / (sqrt_m * lg(n) * lg(n));
+        // A later phase re-orders by the merge lane: O(log n) rounds.
+        let ratio = r.metrics.rounds as f64 / (sqrt_m * lg(n));
         ratios.push(ratio);
         t2.row(vec![
             m_real.to_string(),

@@ -12,7 +12,9 @@
 //!    before drove a node negative; the flag or `δ ≥ n` ends the run on
 //!    `UNREALIZABLE`, `δ = 0` ends it realized;
 //! 2. in the same rounds, sort the nodes by remaining degree,
-//!    non-increasing (Theorem 3);
+//!    non-increasing (Theorem 3) — in phase 1; a later phase re-orders the
+//!    last phase's sorted path instead, in `O(log n)` rounds (the merge
+//!    lane below);
 //! 3. with `q = max(1, ⌊N/(δ+1)⌋)`, split the first `q(δ+1)` sorted ranks
 //!    into `q` star groups; each group's first node multicasts its ID to
 //!    the other `δ` members (interval multicast on the sorted path),
@@ -20,14 +22,29 @@
 //!    zero raises the flag), while the leader is fully satisfied and
 //!    drops to 0.
 //!
+//! **Sort once, merge after.** A phase barely changes the sorted order:
+//! the `q` leaders drop to 0, the `qδ` members each lose one, the tail
+//! `[q(δ+1), len)` does not change. In the exact flavors a node at need 0
+//! is inert — never a leader again, and a run that picks it as a member
+//! goes negative and is refused — so the leaders leave the sorted path,
+//! and the members and the tail are two runs that are still sorted.
+//! [`SortStep::merge`] joins them on the old sorted path and its contacts:
+//! a compaction of `⌈log₂ n⌉` rounds, one merge pass of `⌈log₂ n⌉ + 1`
+//! stages and the sort's 2-round epilogue, then the new path's contacts
+//! (ARCHITECTURE.md, *Deviations from the paper*). Every group, edge and
+//! phase count is the full sort's: the nonzero nodes keep their order, and
+//! a group that reaches past them picks a zero-need node either way. The
+//! path keeps its length `len`, the departed ranks vacant at its end, so
+//! every budget stays a function of `len` ([`merges`] picks the lane).
+//!
 //! The paper sorts first, then broadcasts `δ`, `N` and the flag one by one
 //! (its steps 2, 3 and 5); none needs the sorted order, and the sort needs
 //! none of them, so they share one sweep that runs *alongside* the sort
 //! (ARCHITECTURE.md, *Deviations from the paper*): same groups, edges and
 //! phase count, one sweep a phase instead of three, spent in the sort's
 //! rounds — a phase costs `max(control, sort + contacts) + multicast` —
-//! and in the closing phase a partial sort, dropped when the control ends
-//! the run ([`rounds_for`]).
+//! and in the closing phase a partial sort lane, dropped when the control
+//! ends the run ([`rounds_for`]).
 //!
 //! Lemma 10: every phase (or every second phase) removes the current
 //! maximum degree, and at most `O(√m)` phases involve degrees above `√m`,
@@ -87,7 +104,7 @@ use dgr_primitives::bbst::Bbst;
 use dgr_primitives::contacts::{self, ContactTable};
 use dgr_primitives::imcast::{self, CoverSide, ImcastStep, Payload};
 use dgr_primitives::ops::{self, SweepStep, Words};
-use dgr_primitives::sort::{self, Order, SortContactsStep, SortStep, SortedPath};
+use dgr_primitives::sort::{self, Order, Regroup, SortContactsStep, SortStep, SortedPath};
 use dgr_primitives::stagger::{self, StaggerStep};
 use dgr_primitives::{ctx, PathCtx, Poll, Step, VPath};
 use std::sync::Arc;
@@ -147,18 +164,37 @@ pub enum Flavor {
 
 /// Rounds of a whole realization — context establishment, then
 /// [`DegreesCore`] — on a path of `len` nodes that ran `phases` control
-/// sweeps with the bitonic sort: every phase but the last runs the control
-/// sweep beside the sort and the sorted contacts, then pays the multicast;
-/// the last (a refusal's included) ends on its control sweep, dropping the
-/// partial sort beside it; the explicit flavor adds the hand-off epoch for
-/// the maximum requested degree `max_degree` at capacity `cap`.
+/// sweeps: every phase but the last runs the control sweep beside the sort
+/// lane and the sorted contacts, then pays the multicast — the first
+/// phase's lane is the bitonic sort, a later one's the merge lane where
+/// [`merges`] says so; the last phase (a refusal's included) ends on its
+/// control sweep, dropping the partial lane beside it; the explicit flavor
+/// adds the hand-off epoch for the maximum requested degree `max_degree`
+/// at capacity `cap`.
 pub fn rounds_for(len: usize, phases: u64, flavor: Flavor, max_degree: usize, cap: usize) -> u64 {
     let control = ops::rounds_for(len);
-    let sorted = sort::rounds_for(len) + contacts::rounds_for(len);
-    let phase = control.max(sorted) + imcast::rounds_for(len);
+    let phase = |lane: u64| control.max(lane + contacts::rounds_for(len)) + imcast::rounds_for(len);
+    let first = phase(sort::rounds_for(len));
+    let later = if merges(flavor, len) {
+        phase(sort::merge_rounds_for(len))
+    } else {
+        first
+    };
     let (spread, drain) = stagger::plan(max_degree, cap);
     let handoff = u64::from(flavor == Flavor::Explicit) * stagger::rounds_for(spread, drain);
-    ctx::rounds_for(len) + (phases - 1) * phase + control + handoff
+    let (head, rest) = ((phases - 1).min(1), phases.saturating_sub(2));
+    ctx::rounds_for(len) + head * first + rest * later + control + handoff
+}
+
+/// Whether a later phase re-orders the sorted path with the merge lane
+/// ([`SortStep::merge`]) instead of sorting it again: in the exact flavors,
+/// where its rounds are fewer (`len > 8`). A node at need 0 is inert there
+/// — never a leader again, and a run that picks it as a member is refused
+/// — so a group's leader can leave the sorted path. The envelope keeps the
+/// full sort: its zero-need members take edges, and which of them a group
+/// reaches depends on the whole path's ID order.
+pub fn merges(flavor: Flavor, len: usize) -> bool {
+    flavor != Flavor::Envelope && sort::merge_rounds_for(len) < sort::rounds_for(len)
 }
 
 /// Folds the control words: maximum remaining need, how many members hold
@@ -215,11 +251,12 @@ pub struct DegreesCore {
     /// Did the last multicast reach this node with nothing left to give?
     went_negative: bool,
     outcome: ImplicitOutcome,
-    /// The sort lane's result, held until the control is in too.
+    /// The sort lane's result: held until the control is in too, then
+    /// kept for the next phase's merge lane.
     sorted: Option<(SortedPath, Arc<ContactTable>)>,
-    /// This phase's δ and the sorted ranks its groups span, `q(δ+1)`.
-    delta: usize,
-    group_span: usize,
+    /// This phase's `q` groups of `δ + 1` sorted ranks, on a sorted path
+    /// of `live` records: `len` less every leader a merge lane took off.
+    shape: Regroup,
     is_leader: bool,
 }
 
@@ -235,7 +272,6 @@ impl DegreesCore {
     ) -> Self {
         DegreesCore {
             flavor,
-            local,
             global_vp,
             global_tree,
             // Placeholder; the first poll's `begin_phase` installs phase 1.
@@ -251,15 +287,19 @@ impl DegreesCore {
                 phases: 0,
             },
             sorted: None,
-            delta: 0,
-            group_span: 0,
+            shape: Regroup {
+                live: local.vp.len,
+                ..Regroup::default()
+            },
             is_leader: false,
+            local,
         }
     }
 
     /// Opens a new Algorithm 3 phase: the control sweep on the global
-    /// tree and, in the same rounds, the sort on the local path — the sort
-    /// needs nothing the sweep computes.
+    /// tree and, in the same rounds, the sort lane — the sort on the local
+    /// path, or the merge lane on the last phase's sorted path; neither
+    /// needs anything the sweep computes.
     fn begin_phase(&mut self, my_id: NodeId) {
         self.outcome.phases += 1;
         let words = [
@@ -270,14 +310,22 @@ impl DegreesCore {
         ];
         let (vp, tree) = (self.global_vp, self.global_tree.clone());
         let local = &self.local;
-        let sort = SortStep::new(
-            local.vp,
-            local.contacts.clone(),
-            local.position,
-            self.need,
-            Order::Descending,
-            my_id,
-        );
+        let sort = match self.sorted.take() {
+            Some((sp, table)) if merges(self.flavor, local.vp.len) => {
+                let lane =
+                    SortStep::merge(sp, table, self.shape, self.need, Order::Descending, my_id);
+                self.shape.live -= self.shape.groups;
+                lane
+            }
+            _ => SortStep::new(
+                local.vp,
+                local.contacts.clone(),
+                local.position,
+                self.need,
+                Order::Descending,
+                my_id,
+            ),
+        };
         let control = SweepStep::new(vp, tree, &words, None, fold_control);
         self.stage = CoreStage::Phase {
             control: Some(Box::new(control)),
@@ -321,11 +369,11 @@ impl Step for DegreesCore {
                             self.stage = CoreStage::Handoff(StaggerStep::new(sends, spread, drain));
                             continue;
                         }
-                        self.delta = delta as usize;
-                        let q = (n_max as usize / (self.delta + 1)).max(1);
-                        self.group_span = q * (self.delta + 1);
+                        let stride = delta as usize + 1;
+                        self.shape.stride = stride;
+                        self.shape.groups = (n_max as usize / stride).max(1);
                         debug_assert!(
-                            self.group_span <= self.local.vp.len,
+                            self.shape.span() <= self.shape.live,
                             "groups exceed the path"
                         );
                     }
@@ -337,11 +385,11 @@ impl Step for DegreesCore {
                         return Poll::Pending;
                     }
                     // Both halves are in: the multicast opens this round.
-                    let (sp, table) = self.sorted.take().expect("phase without a sorted path");
-                    let delta = self.delta;
-                    self.is_leader = self.local.vp.member
-                        && sp.rank < self.group_span
-                        && sp.rank.is_multiple_of(delta + 1);
+                    let (sp, table) = self.sorted.clone().expect("phase without a sorted path");
+                    let delta = self.shape.stride - 1;
+                    self.is_leader = sp.vp.member
+                        && sp.rank < self.shape.span()
+                        && sp.rank.is_multiple_of(self.shape.stride);
                     let task = self.is_leader.then(|| {
                         (
                             CoverSide::After,
@@ -359,7 +407,8 @@ impl Step for DegreesCore {
                     Poll::Ready(got) => {
                         if self.is_leader {
                             debug_assert_eq!(
-                                self.need, self.delta as u64,
+                                self.need,
+                                self.shape.stride as u64 - 1,
                                 "leader without max degree"
                             );
                             self.need = 0;

@@ -57,6 +57,8 @@ pub mod tags {
     pub const EDGE: u16 = 17;
     /// Realization: explicit-edge acknowledgement (reverse direction).
     pub const EDGE_ACK: u16 = 18;
+    /// Sorted-path compaction: a record moving toward the head.
+    pub const SORT_SHIFT: u16 = 19;
     /// First tag value available to user protocols.
     pub const USER_BASE: u16 = 64;
 }

@@ -41,6 +41,7 @@
 //! | [`ops::BroadcastAddrStep`] (the address-only sweep, median) | §3.2.1 | `O(log n)` |
 //! | [`ops::CollectStep`] (Thm 5) | §3.2.2 | `O(k + log n)` |
 //! | [`sort::SortStep`] (Thm 3) | §3.1.2 | `O(log² n)` |
+//! | [`sort::SortStep::merge`] (re-order after a group phase) | — | `2 ceil(log2 n) + 3` |
 //! | [`sort::SortContactsStep`] (a sort, then the sorted path's contacts) | §3.1.2 | sort + contacts |
 //! | [`prefix::PrefixStep`] | §5 | `ceil(log2 n)` |
 //! | [`imcast::ImcastStep`] (Thm 7) | §3.2.3 | `O(log n)` |

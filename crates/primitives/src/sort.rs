@@ -18,6 +18,19 @@
 //! order, on which every other primitive (contacts, BBST, multicast,
 //! prefix sums) can be established. This "sorted path handle" is exactly
 //! what the realization algorithms consume.
+//!
+//! **Re-sorting after a group phase in `O(log n)` rounds.** Algorithm 3
+//! re-sorts a path whose order one phase barely changed: the heads of the
+//! first `q` groups of `δ + 1` ranks leave, their `qδ` members each lose
+//! one, the tail does not change — two runs that are still sorted.
+//! [`SortStep::merge`] re-orders them on the old sorted path and its
+//! contacts: the heads' records are dropped, every other record shifts
+//! toward the head by an amount it computes from its rank ([`Regroup`]),
+//! one bit a round, least significant first, and one merge pass of the
+//! network at a virtual offset joins the two runs (rounds:
+//! [`merge_rounds_for`], `2⌈log₂ n⌉ + 3`). The shifts are non-decreasing in
+//! the rank, so no two records ever meet at a position. The new path keeps
+//! the old length; its departed ranks stay vacant at the end.
 
 use crate::contacts::{ContactTable, ContactsStep};
 use crate::ctx::PathCtx;
@@ -86,6 +99,16 @@ impl StageIter {
     pub(crate) fn new(len: usize) -> Self {
         StageIter { p: 1, k: 1, len }
     }
+
+    /// The merge pass `p = half` alone: it sorts `2 · half` positions
+    /// whose halves are each sorted, in `log₂ half + 1` stages.
+    fn merge_pass(half: usize) -> Self {
+        StageIter {
+            p: half,
+            k: half,
+            len: 2 * half,
+        }
+    }
 }
 
 impl Iterator for StageIter {
@@ -112,6 +135,55 @@ pub fn stage_count(len: usize) -> usize {
 /// nodes: one per comparator stage plus the 2-round epilogue.
 pub fn rounds_for(len: usize) -> u64 {
     stage_count(len) as u64 + 2
+}
+
+/// Number of rounds [`SortStep::merge`] takes on a path of `len` nodes:
+/// `⌈log₂ len⌉` compaction rounds, the `⌈log₂ len⌉ + 1` stages of one merge
+/// pass and the 2-round epilogue. Shorter than [`rounds_for`] from
+/// `len = 9` on.
+pub fn merge_rounds_for(len: usize) -> u64 {
+    2 * crate::levels_for(len) as u64 + 3
+}
+
+/// What one group phase did to a sorted path, the input of
+/// [`SortStep::merge`]: of its `live` records, ranks `[0, groups · stride)`
+/// form `groups` groups of `stride` ranks; each group's head leaves the
+/// path, and the rest of each group and the tail `[groups · stride, live)`
+/// keep their relative order under the new keys.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Regroup {
+    /// Records on the sorted path, at ranks `[0, live)`.
+    pub live: usize,
+    /// Ranks per group: its head and `stride - 1` members.
+    pub stride: usize,
+    /// Number of groups.
+    pub groups: usize,
+}
+
+impl Regroup {
+    /// Ranks the groups cover, `groups · stride`.
+    pub fn span(&self) -> usize {
+        self.groups * self.stride
+    }
+
+    /// How far toward the head the record at `rank` moves: past every head
+    /// at or before it. `None` for a head, whose record leaves.
+    fn shift(&self, rank: usize) -> Option<usize> {
+        if rank >= self.span() {
+            Some(self.groups)
+        } else if rank.is_multiple_of(self.stride) {
+            None
+        } else {
+            Some(rank / self.stride + 1)
+        }
+    }
+
+    /// Where position 0 sits in the merge pass over `2 · half` virtual
+    /// positions: the members' run ends where the lower half does, so the
+    /// tail's run starts the upper half.
+    fn offset(&self, half: usize) -> usize {
+        half - self.groups * (self.stride - 1)
+    }
 }
 
 /// Whether position `x` participates in stage `(p, k)` of the network, and
@@ -142,6 +214,22 @@ pub(crate) fn comparator_at(x: usize, len: usize, p: usize, k: usize) -> Option<
     None
 }
 
+/// [`comparator_at`] in a network whose position 0 sits at virtual
+/// position `offset` and whose records fill positions `[0, live)`: the
+/// positions outside act as −∞ below and +∞ above, never swap, and so
+/// have no comparator.
+fn comparator_within(
+    x: usize,
+    offset: usize,
+    live: usize,
+    p: usize,
+    k: usize,
+) -> Option<(usize, bool)> {
+    comparator_at(x + offset, offset + live, p, k)
+        .filter(|&(partner, _)| partner >= offset)
+        .map(|(partner, low)| (partner - offset, low))
+}
+
 /// A record traveling through the comparator network.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Record {
@@ -151,18 +239,32 @@ struct Record {
 
 /// Theorem 3 as a [`Step`]: the Batcher odd-even mergesort network over
 /// path positions, then the 2-round epilogue (rounds: exactly
-/// [`rounds_for`]`(vp.len)`). Ties break by node ID, making the result
-/// deterministic. Legal under the strict capacity policy; a non-member
-/// view idles through the same rounds and returns a non-member path.
+/// [`rounds_for`]`(vp.len)`), or — built by [`SortStep::merge`] — the
+/// compaction and the one merge pass that re-order a sorted path after a
+/// group phase. Ties break by node ID, making the result deterministic.
+/// Legal under the strict capacity policy; a non-member view idles through
+/// the same rounds and returns a non-member path.
 #[derive(Debug)]
 pub struct SortStep {
     vp: VPath,
     contacts: Arc<ContactTable>,
     x: usize,
+    /// Compaction rounds ahead of the comparator stages (none in a sort).
+    shifts: u64,
+    /// Compaction rounds and comparator stages together.
     stage_count: u64,
     t: u64,
     it: StageIter,
-    held: Record,
+    /// The comparator network's virtual position of position 0, and how
+    /// many positions, `[0, live)`, hold a record once compaction is done.
+    offset: usize,
+    live: usize,
+    held: Option<Record>,
+    /// The held record's whole compaction shift; round `b` moves it by
+    /// bit `b`.
+    shift: usize,
+    /// Does this node's own record stay on the path?
+    keeps: bool,
     /// The in-flight comparator staged last round.
     cmp: Option<(usize, bool)>,
     pred_origin: Option<NodeId>,
@@ -183,17 +285,64 @@ impl SortStep {
         let len = vp.len;
         SortStep {
             x: position,
+            shifts: 0,
             stage_count: stage_count(len) as u64,
             t: 0,
             it: StageIter::new(len),
-            held: Record {
+            offset: 0,
+            live: len,
+            held: Some(Record {
                 key: order.encode_key(key),
                 origin: my_id,
-            },
+            }),
+            shift: 0,
+            keeps: true,
             cmp: None,
             pred_origin: None,
             succ_origin: None,
             vp,
+            contacts,
+        }
+    }
+
+    /// Re-sorts `prev`, a sorted path of `phase.live` records (its
+    /// `contacts` built on it), after the group phase `phase`, with this
+    /// node's new `key` (rounds: exactly [`merge_rounds_for`]`(len)`).
+    /// The heads of the groups get a non-member path; every other record
+    /// keeps its node's place in the `(key, ID)` order, at ranks
+    /// `[0, live - groups)` of a path that keeps `prev`'s length.
+    ///
+    /// The caller guarantees what makes this a merge: the group members'
+    /// records and the tail's are each still in `(key, ID)` order.
+    pub fn merge(
+        prev: SortedPath,
+        contacts: Arc<ContactTable>,
+        phase: Regroup,
+        key: u64,
+        order: Order,
+        my_id: NodeId,
+    ) -> Self {
+        let levels = prev.vp.levels();
+        let half = 1 << levels;
+        let shift = phase.shift(prev.rank);
+        SortStep {
+            x: prev.rank,
+            shifts: levels as u64,
+            stage_count: 2 * levels as u64 + 1,
+            t: 0,
+            it: StageIter::merge_pass(half),
+            offset: phase.offset(half),
+            live: phase.live - phase.groups,
+            held: shift.map(|_| Record {
+                key: order.encode_key(key),
+                origin: my_id,
+            }),
+            shift: shift.unwrap_or(0),
+            keeps: shift.is_some(),
+            cmp: None,
+            pred_origin: None,
+            succ_origin: None,
+            vp: prev.vp,
             contacts,
         }
     }
@@ -212,9 +361,19 @@ impl SortStep {
         )
     }
 
-    /// Consumes the previous comparator round's exchange.
+    /// Consumes what the previous round staged: a compaction move toward
+    /// this position, or the comparator partner's record.
     fn absorb_exchange(&mut self, ctx: &RoundCtx<'_>) {
-        if let Some((_, i_am_low)) = self.cmp.take() {
+        if self.t <= self.shifts {
+            if let Some(env) = ctx.inbox().iter().find(|e| e.msg.tag == tags::SORT_SHIFT) {
+                debug_assert!(self.held.is_none(), "two records at one position");
+                self.held = Some(Record {
+                    key: env.word(),
+                    origin: env.addr(),
+                });
+                self.shift = env.msg.words_slice()[1] as usize;
+            }
+        } else if let Some((_, i_am_low)) = self.cmp.take() {
             let env = ctx
                 .inbox()
                 .iter()
@@ -224,21 +383,35 @@ impl SortStep {
                 key: env.word(),
                 origin: env.addr(),
             };
-            self.held = if i_am_low {
-                self.held.min(theirs)
+            let held = self.held.as_mut().expect("comparator without a record");
+            *held = if i_am_low {
+                (*held).min(theirs)
             } else {
-                self.held.max(theirs)
+                (*held).max(theirs)
             };
         } else {
             debug_assert!(ctx.inbox().iter().all(|e| e.msg.tag != tags::SORT_XCHG));
         }
     }
 
-    /// Stages the comparator of the current network stage, if any.
+    /// Stages this round's compaction move or network comparator, if any.
     fn stage_comparator(&mut self, ctx: &mut RoundCtx<'_>) {
+        if self.t < self.shifts {
+            let bit = self.t as usize;
+            if let Some(r) = self.held.filter(|_| self.shift >> bit & 1 == 1) {
+                let to = self
+                    .contacts
+                    .behind(bit)
+                    .expect("compaction moved past the head");
+                let msg = WireMsg::addr_word(tags::SORT_SHIFT, r.origin, r.key);
+                ctx.send(to, msg.with_word(self.shift as u64));
+                self.held = None;
+            }
+            return;
+        }
         let (p, k) = self.it.next().expect("comparator stage out of range");
-        let cmp = comparator_at(self.x, self.vp.len, p, k);
-        if let Some((partner, _)) = cmp {
+        let cmp = comparator_within(self.x, self.offset, self.live, p, k);
+        if let (Some((partner, _)), Some(r)) = (cmp, self.held) {
             let level = k.trailing_zeros() as usize;
             debug_assert_eq!(1 << level, k);
             let partner_id = self
@@ -247,7 +420,7 @@ impl SortStep {
                 .expect("comparator partner outside contact table");
             ctx.send(
                 partner_id,
-                WireMsg::addr_word(tags::SORT_XCHG, self.held.origin, self.held.key),
+                WireMsg::addr_word(tags::SORT_XCHG, r.origin, r.key),
             );
         }
         self.cmp = cmp;
@@ -259,7 +432,7 @@ impl Step for SortStep {
 
     fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<SortedPath> {
         let len = self.vp.len;
-        // `rounds_for(len)`, from the stage count `new` walked once.
+        // The round budget, from the stage count `new` walked once.
         let rounds = self.stage_count + 2;
         if !self.vp.member {
             if self.t == rounds {
@@ -278,9 +451,13 @@ impl Step for SortStep {
         if self.t < s {
             self.stage_comparator(ctx);
         } else if self.t == s {
-            // Epilogue round 1: exchange held origins with path neighbors.
-            for nb in [self.vp.pred, self.vp.succ].into_iter().flatten() {
-                ctx.send(nb, WireMsg::addr(tags::SORT_LINK, self.held.origin));
+            // Epilogue round 1: exchange held origins with the path
+            // neighbors that hold a record.
+            let succ = self.vp.succ.filter(|_| self.x + 1 < self.live);
+            for nb in [self.vp.pred, succ].into_iter().flatten() {
+                if let Some(r) = self.held {
+                    ctx.send(nb, WireMsg::addr(tags::SORT_LINK, r.origin));
+                }
             }
         } else if self.t == s + 1 {
             for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::SORT_LINK) {
@@ -292,16 +469,23 @@ impl Step for SortStep {
             }
             // Epilogue round 2: tell the held record's origin its rank and
             // sorted neighbors (flags: bit0 = has pred, bit1 = has succ).
-            let flags = u64::from(self.pred_origin.is_some())
-                | (u64::from(self.succ_origin.is_some()) << 1);
-            let mut msg = WireMsg::words(tags::SORT_LINK, &[self.x as u64, flags]);
-            if let Some(a) = self.pred_origin {
-                msg = msg.with_addr(a);
+            if let Some(r) = self.held {
+                let flags = u64::from(self.pred_origin.is_some())
+                    | (u64::from(self.succ_origin.is_some()) << 1);
+                let mut msg = WireMsg::words(tags::SORT_LINK, &[self.x as u64, flags]);
+                if let Some(a) = self.pred_origin {
+                    msg = msg.with_addr(a);
+                }
+                if let Some(a) = self.succ_origin {
+                    msg = msg.with_addr(a);
+                }
+                ctx.send(r.origin, msg);
             }
-            if let Some(a) = self.succ_origin {
-                msg = msg.with_addr(a);
-            }
-            ctx.send(self.held.origin, msg);
+        } else if !self.keeps {
+            return Poll::Ready(SortedPath {
+                rank: 0,
+                vp: VPath::non_member(len),
+            });
         } else {
             let env = ctx
                 .inbox()
@@ -328,10 +512,10 @@ impl Step for SortStep {
     }
 }
 
-/// A sort, then the contact table of the sorted path: every re-sort in
-/// the drivers, since what follows it talks across the sorted path's
-/// power-of-two distances. The contacts start in the round the sort ends
-/// (rounds: [`rounds_for`] plus
+/// A sort (or a merge), then the contact table of the sorted path: every
+/// re-sort in the drivers, since what follows it talks across the sorted
+/// path's power-of-two distances. The contacts start in the round the sort
+/// ends (rounds: [`rounds_for`] or [`merge_rounds_for`], plus
 /// [`contacts::rounds_for`](crate::contacts::rounds_for)).
 #[derive(Debug)]
 pub struct SortContactsStep(SortLane);
@@ -453,6 +637,82 @@ mod tests {
         }
     }
 
+    /// Random group-phase states at every path length up to 300 (a
+    /// prefix of the live records in groups, each group's head leaving and
+    /// its members losing one, some vacant ranks at the end): each
+    /// compaction round holds at most one record per position, and the
+    /// merge pass leaves the survivors in exactly their sorted order.
+    #[test]
+    fn merge_lane_compacts_without_collisions_and_merges_to_the_sort() {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(32);
+        let order = Order::Descending;
+        for len in 2..=300 {
+            for _ in 0..12 {
+                let live = rng.gen_range(2..=len);
+                let stride = rng.gen_range(2..=live);
+                let groups = rng.gen_range(1..=live / stride);
+                let phase = Regroup {
+                    live,
+                    stride,
+                    groups,
+                };
+                // Needs in sorted order, ties by ID; a group member has
+                // one to lose, the tail may hold zeros.
+                let zeros = rng.gen_range(0..=live - phase.span());
+                let mut needs: Vec<u64> = (0..live)
+                    .map(|i| if i < zeros { 0 } else { rng.gen_range(1..6) })
+                    .collect();
+                needs.sort_unstable_by(|a, b| b.cmp(a));
+                let mut ids: Vec<NodeId> = (0..live as u64).map(|i| i * 7 + 3).collect();
+                ids.shuffle(&mut rng);
+                let mut ranked: Vec<(u64, NodeId)> = needs.into_iter().zip(ids).collect();
+                ranked.sort_unstable_by_key(|&(need, id)| (order.encode_key(need), id));
+                let mut at: Vec<Option<(Record, usize)>> = vec![None; len];
+                for (rank, &(need, origin)) in ranked.iter().enumerate() {
+                    let shift = phase.shift(rank);
+                    let need = need - u64::from(rank < phase.span());
+                    let key = order.encode_key(need);
+                    at[rank] = shift.map(|s| (Record { key, origin }, s));
+                }
+                let mut want: Vec<Record> = at.iter().flatten().map(|&(r, _)| r).collect();
+                want.sort_unstable();
+                let what = format!("len={len} {phase:?}");
+                let levels = crate::levels_for(len);
+                for bit in 0..levels {
+                    let mut next = vec![None; len];
+                    for (x, slot) in at.iter().enumerate() {
+                        if let Some((r, s)) = *slot {
+                            let to = x - (s >> bit & 1) * (1 << bit);
+                            assert!(next[to].is_none(), "{what}: collision at {to}");
+                            next[to] = Some((r, s));
+                        }
+                    }
+                    at = next;
+                }
+                let live = live - groups;
+                assert!(at[..live].iter().all(Option::is_some), "{what}");
+                assert!(at[live..].iter().all(Option::is_none), "{what}");
+                let half = 1 << levels;
+                let offset = phase.offset(half);
+                for (p, k) in StageIter::merge_pass(half) {
+                    let snapshot = at.clone();
+                    for x in 0..len {
+                        if let Some((partner, low)) = comparator_within(x, offset, live, p, k) {
+                            let (a, b) = (snapshot[x].unwrap(), snapshot[partner].unwrap());
+                            at[x] = Some(if low { a.min(b) } else { a.max(b) });
+                        }
+                    }
+                }
+                let got: Vec<Record> = at.iter().flatten().map(|&(r, _)| r).collect();
+                assert_eq!(got, want, "{what}");
+            }
+        }
+        assert_eq!(StageIter::merge_pass(2048).count(), 12);
+        assert_eq!(merge_rounds_for(2048), 25);
+    }
+
     fn run_sort(n: usize, seed: u64, order: Order) {
         let net = Network::new(n, Config::ncc0(seed));
         let key = |id: NodeId| id % 17; // plenty of ties
@@ -504,6 +764,91 @@ mod tests {
     fn distributed_sort_medium() {
         run_sort(100, 4, Order::Descending);
         run_sort(128, 5, Order::Ascending);
+    }
+
+    /// The merge lane over two group phases on both engines, the second
+    /// on a path the first left vacant ranks in: its ranks and sorted
+    /// links are what a sort of the survivors gives — the `(key, ID)`
+    /// order of `SortStep` — the group heads leave, the path keeps its
+    /// length, and the run stays clean under the strict policy, at the
+    /// capacity floor too.
+    #[test]
+    fn merge_lane_equals_the_sort_of_the_survivors() {
+        use dgr_ncc::EngineKind;
+        let order = Order::Descending;
+        for (n, factor) in [(9usize, 2.0), (20, 0.1), (64, 2.0), (100, 0.1)] {
+            let need = |id: NodeId| 2 + id * 7 % 5;
+            let first = Regroup {
+                live: n,
+                stride: 3,
+                groups: (n / 6).max(1),
+            };
+            let second = Regroup {
+                live: n - first.groups,
+                stride: 2,
+                groups: ((n - first.groups) / 4).max(1),
+            };
+            // One phase, sequentially: the survivors' new needs, sorted.
+            let regroup = |ranked: &[(u64, NodeId)], phase: Regroup| {
+                let mut next: Vec<(u64, NodeId)> = (0..phase.live)
+                    .filter(|&r| r >= phase.span() || !r.is_multiple_of(phase.stride))
+                    .map(|r| (ranked[r].0 - u64::from(r < phase.span()), ranked[r].1))
+                    .collect();
+                next.sort_unstable_by_key(|&(need, id)| (order.encode_key(need), id));
+                next
+            };
+            // The node's need after `phase`, from its rank on its path.
+            let after = |need: u64, sp: &SortedPath, phase: Regroup| {
+                need - u64::from(sp.vp.member && sp.rank < phase.span())
+            };
+            let config = Config::ncc0(n as u64).with_capacity_factor(factor);
+            let net = Network::new(n, config);
+            for engine in [EngineKind::Batched, EngineKind::Reference] {
+                let result = net
+                    .run_protocol_on(engine, None, None, |_| {
+                        WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                            let (id, need) = (rctx.id(), need(rctx.id()));
+                            let (vp, contacts, x) = (ctx.vp, ctx.contacts.clone(), ctx.position);
+                            let sort = SortStep::new(vp, contacts, x, need, order, id);
+                            SortContactsStep::new(sort).then(move |(sp, table), _| {
+                                let need = after(need, &sp, first);
+                                let lane = SortStep::merge(sp, table, first, need, order, id);
+                                SortContactsStep::new(lane).then(move |(sp, table), _| {
+                                    let need = after(need, &sp, second);
+                                    SortStep::merge(sp, table, second, need, order, id)
+                                })
+                            })
+                        })
+                    })
+                    .unwrap();
+                let what = format!("n={n} factor={factor} {engine:?}");
+                assert!(result.metrics.is_clean(), "{what}");
+                let mut ranked: Vec<(u64, NodeId)> = result
+                    .outputs
+                    .iter()
+                    .map(|&(id, _)| (need(id), id))
+                    .collect();
+                ranked.sort_unstable_by_key(|&(need, id)| (order.encode_key(need), id));
+                let want = regroup(&regroup(&ranked, first), second);
+                let rank_of: HashMap<NodeId, usize> = want
+                    .iter()
+                    .enumerate()
+                    .map(|(r, &(_, id))| (id, r))
+                    .collect();
+                for (id, sp) in &result.outputs {
+                    assert_eq!(sp.vp.len, n, "{what}");
+                    let Some(&rank) = rank_of.get(id) else {
+                        assert!(!sp.vp.member, "{what}: head {id} stayed");
+                        continue;
+                    };
+                    assert!(sp.vp.member, "{what}: {id} left");
+                    assert_eq!(sp.rank, rank, "{what}: rank of {id}");
+                    let at = |r: Option<usize>| r.and_then(|r| want.get(r)).map(|w| w.1);
+                    assert_eq!(sp.vp.pred, at(rank.checked_sub(1)), "{what}: pred of {id}");
+                    assert_eq!(sp.vp.succ, at(Some(rank + 1)), "{what}: succ of {id}");
+                }
+            }
+        }
     }
 
     #[test]
