@@ -58,7 +58,7 @@ const GOLDEN: &[(&str, Golden)] = &[
     ("implicit [5, 1, 1, 1, 1, 1]", (true, 2, 43, 166, 518, 4, 3, 0x5ecdf9ac82dc147d)),
     ("implicit [3, 3, 2, 2, 1, 1]", (true, 4, 71, 291, 935, 4, 3, 0x0bf54b566e1113de)),
     ("implicit [0, 0, 0]", (true, 1, 22, 31, 89, 2, 2, 0xcbf29ce484222325)),
-    ("implicit [6; 32]", (true, 10, 286, 7467, 23647, 3, 3, 0x50c931024265fb87)),
+    ("implicit [6; 32]", (true, 10, 254, 3608, 12244, 4, 3, 0x50c931024265fb87)),
     ("implicit [3, 3, 1, 1]", (false, 0, 44, 114, 370, 4, 3, 0xcbf29ce484222325)),
     ("implicit [5, 5, 4, 3, 2, 1]", (false, 0, 57, 232, 744, 4, 3, 0xcbf29ce484222325)),
     ("approx [3, 3, 1, 0]", (true, 3, 44, 114, 370, 4, 3, 0x4f27d6687daeee44)),
@@ -71,7 +71,7 @@ const GOLDEN: &[(&str, Golden)] = &[
 ];
 
 /// The folded transcripts of the two random sweeps, from the twins.
-const GOLDEN_IMPLICIT_SWEEP: u64 = 0x77b2_39ff_89e0_40ee;
+const GOLDEN_IMPLICIT_SWEEP: u64 = 0x70ac_b6d2_4f72_dff3;
 const GOLDEN_APPROX_SWEEP: u64 = 0xb666_07b8_c78a_75fd;
 
 /// What a change of schedule may not move: the realized?, phases and

@@ -203,12 +203,12 @@ fn transcript(out: &Realized) -> Golden {
 /// recorded from it at the last commit that had it.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, Golden)] = &[
-    ("implicit seed=3", (true, 4, 96, 719, 2275, 3, 3, 0x002a99e1b86c0afd)),
+    ("implicit seed=3", (true, 4, 94, 535, 1748, 4, 3, 0x002a99e1b86c0afd)),
     ("envelope seed=3", (true, 4, 96, 719, 2275, 3, 3, 0x002a99e1b86c0afd)),
-    ("explicit seed=3", (true, 4, 102, 728, 2284, 3, 3, 0x002a99e1b86c0afd)),
-    ("implicit seed=19", (true, 4, 96, 719, 2275, 3, 3, 0x1de3e97f8061625c)),
+    ("explicit seed=3", (true, 4, 100, 544, 1757, 4, 3, 0x002a99e1b86c0afd)),
+    ("implicit seed=19", (true, 4, 94, 535, 1748, 4, 3, 0x1de3e97f8061625c)),
     ("envelope seed=19", (true, 4, 96, 719, 2275, 3, 3, 0x1de3e97f8061625c)),
-    ("explicit seed=19", (true, 4, 102, 728, 2284, 3, 3, 0x1de3e97f8061625c)),
+    ("explicit seed=19", (true, 4, 100, 544, 1757, 4, 3, 0x1de3e97f8061625c)),
     ("tree Chain", (true, 0, 46, 249, 708, 4, 3, 0x95080c3336213173)),
     ("tree Greedy", (true, 0, 47, 318, 1321, 4, 3, 0xeab81924fcbe7003)),
     ("ncc1", (true, 0, 39, 70, 144, 2, 2, 0xd8b85508f1bbb25d)),

@@ -97,22 +97,22 @@ fn benchmark_calls_keep_their_fingerprints() {
         (
             "degrees_default",
             2020,
-            (805, 1_409_089, 4_296_909, 0x7504_cae2_9b62_b91e),
+            (504, 571_181, 1_815_184, 0x7504_cae2_9b62_b91e),
         ),
         (
             "degrees_default",
             5376,
-            (805, 1_409_089, 4_296_909, 0xe514_bcfc_8041_68a3),
+            (504, 571_181, 1_815_184, 0xe514_bcfc_8041_68a3),
         ),
         (
             "explicit_powerlaw",
             2020,
-            (1627, 2_882_403, 8_782_311, 0xc7bd_c305_c5cc_2575),
+            (939, 1_322_534, 4_153_283, 0xc7bd_c305_c5cc_2575),
         ),
         (
             "explicit_powerlaw",
             5376,
-            (1627, 2_882_403, 8_782_311, 0x58a9_4497_4cc0_62ab),
+            (939, 1_322_534, 4_153_283, 0x58a9_4497_4cc0_62ab),
         ),
         (
             "threshold_certified",
