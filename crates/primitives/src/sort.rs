@@ -541,7 +541,12 @@ impl Step for SortContactsStep {
             match &mut self.0 {
                 SortLane::Sort(s) => match s.poll(ctx) {
                     Poll::Pending => return Poll::Pending,
-                    Poll::Ready(sp) => self.0 = SortLane::Contacts(sp, ContactsStep::new(sp.vp)),
+                    Poll::Ready(sp) => {
+                        // A merge lane held the last handle on the old
+                        // path's table: the new one takes its storage.
+                        let contacts = ContactsStep::reusing(sp.vp, &mut s.contacts);
+                        self.0 = SortLane::Contacts(sp, contacts);
+                    }
                 },
                 SortLane::Contacts(sp, s) => {
                     return match s.poll(ctx) {
