@@ -211,9 +211,10 @@ fn fold_control(acc: &mut Words, x: &Words) {
 
 enum CoreStage {
     /// The control sweep beside the sort lane, each polled until it is
-    /// ready (`None` from then on). The sweep is boxed, not the lane: at
-    /// large `n` the lane runs three times as many rounds, and keeping it
-    /// inline keeps those polls off a second allocation.
+    /// ready (`None` from then on). The sweep is boxed, not the lane: from
+    /// `n = 9` on the lane runs more rounds (three times as many in a
+    /// large phase 1), and keeping it inline keeps those polls off a
+    /// second allocation.
     Phase {
         control: Option<Box<SweepStep>>,
         lane: Option<SortContactsStep>,
@@ -309,22 +310,27 @@ impl DegreesCore {
             self.outcome.requested as u64,
         ];
         let (vp, tree) = (self.global_vp, self.global_tree.clone());
-        let local = &self.local;
+        let merging = merges(self.flavor, self.local.vp.len);
         let sort = match self.sorted.take() {
-            Some((sp, table)) if merges(self.flavor, local.vp.len) => {
+            Some((sp, table)) if merging => {
                 let lane =
                     SortStep::merge(sp, table, self.shape, self.need, Order::Descending, my_id);
                 self.shape.live -= self.shape.groups;
                 lane
             }
-            _ => SortStep::new(
-                local.vp,
-                local.contacts.clone(),
-                local.position,
-                self.need,
-                Order::Descending,
-                my_id,
-            ),
+            _ => {
+                // Where later phases merge, this sort is the last use of
+                // the local path's contacts: it takes them, and the sorted
+                // path's table is built in their storage.
+                let local = &mut self.local;
+                let contacts = if merging {
+                    std::mem::take(&mut local.contacts)
+                } else {
+                    local.contacts.clone()
+                };
+                let (vp, x) = (local.vp, local.position);
+                SortStep::new(vp, contacts, x, self.need, Order::Descending, my_id)
+            }
         };
         let control = SweepStep::new(vp, tree, &words, None, fold_control);
         self.stage = CoreStage::Phase {

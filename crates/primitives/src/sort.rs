@@ -453,9 +453,9 @@ impl Step for SortStep {
         } else if self.t == s {
             // Epilogue round 1: exchange held origins with the path
             // neighbors that hold a record.
-            let succ = self.vp.succ.filter(|_| self.x + 1 < self.live);
-            for nb in [self.vp.pred, succ].into_iter().flatten() {
-                if let Some(r) = self.held {
+            if let Some(r) = self.held {
+                let succ = self.vp.succ.filter(|_| self.x + 1 < self.live);
+                for nb in [self.vp.pred, succ].into_iter().flatten() {
                     ctx.send(nb, WireMsg::addr(tags::SORT_LINK, r.origin));
                 }
             }
