@@ -308,8 +308,8 @@ impl SortStep {
     /// Re-sorts `prev`, a sorted path of `phase.live` records (its
     /// `contacts` built on it), after the group phase `phase`, with this
     /// node's new `key` (rounds: exactly [`merge_rounds_for`]`(len)`).
-    /// The heads of the groups get a non-member path; every other record
-    /// keeps its node's place in the `(key, ID)` order, at ranks
+    /// The heads of the groups get a non-member path; every other node
+    /// gets its rank in the `(key, ID)` order of the survivors, at ranks
     /// `[0, live - groups)` of a path that keeps `prev`'s length.
     ///
     /// The caller guarantees what makes this a merge: the group members'
