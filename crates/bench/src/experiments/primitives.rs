@@ -245,7 +245,7 @@ pub fn t5_collect() -> Vec<Table> {
             .run_protocol(|_| {
                 WithCtx::new(move |c: &PathCtx, rctx: &mut RoundCtx<'_>| {
                     let token = (c.position > 0 && c.position <= k).then_some(c.position as u64);
-                    CollectStep::new(c.vp, c.tree.clone(), token, k, rctx.id())
+                    CollectStep::new(c.vp, c.tree.clone(), token, k, rctx.capacity(), rctx.id())
                 })
             })
             .unwrap();

@@ -40,8 +40,8 @@ use super::ThresholdOutcome;
 use dgr_ncc::{tags, NodeId, NodeProtocol, RoundCtx, Status, WireMsg};
 use dgr_primitives::ops::SweepStep;
 use dgr_primitives::sort::{Order, SortStep, SortedPath};
-use dgr_primitives::stagger::{self, StaggerStep};
-use dgr_primitives::{EstablishCtx, PathCtx, Poll, Step};
+use dgr_primitives::stagger::StaggerStep;
+use dgr_primitives::{EstablishCtx, Lockstep, PathCtx, Poll, Rounds, Step};
 use std::collections::VecDeque;
 
 /// Number of rounds of a token pipeline with maximum ttl `ttl_max` at
@@ -59,13 +59,16 @@ pub(crate) fn pipeline_rounds(ttl_max: usize, b: usize) -> u64 {
 /// forwards per round.
 ///
 /// Rounds: exactly `pipeline_rounds(ttl_max, batch)` — every participant
-/// of the epoch must pass the same `rounds`.
+/// of the epoch must pass the same `rounds`. A newtype over the clock,
+/// not an alias as in `dgr_primitives`: only a type local to this crate
+/// can carry `PipelineStep::new`.
 #[derive(Debug)]
-pub struct PipelineStep {
+pub struct PipelineStep(Lockstep<Pipeline>);
+
+#[derive(Debug)]
+struct Pipeline {
     next_hop: Option<NodeId>,
-    rounds: u64,
     batch: usize,
-    t: u64,
     queue: VecDeque<(NodeId, u64)>,
     received: Vec<NodeId>,
 }
@@ -79,20 +82,17 @@ impl PipelineStep {
         batch: usize,
         my_id: NodeId,
     ) -> Self {
-        let mut queue = VecDeque::new();
-        if let Some(ttl) = inject {
-            if ttl > 0 {
-                queue.push_back((my_id, ttl as u64));
-            }
-        }
-        PipelineStep {
+        let pipeline = Pipeline {
             next_hop,
-            rounds,
             batch,
-            t: 0,
-            queue,
+            queue: inject
+                .filter(|&ttl| ttl > 0)
+                .map(|ttl| (my_id, ttl as u64))
+                .into_iter()
+                .collect(),
             received: Vec::new(),
-        }
+        };
+        PipelineStep(Lockstep::run(true, rounds, pipeline))
     }
 }
 
@@ -100,7 +100,15 @@ impl Step for PipelineStep {
     type Out = Vec<NodeId>;
 
     fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<Vec<NodeId>> {
-        if self.t > 0 {
+        self.0.poll(ctx)
+    }
+}
+
+impl Rounds for Pipeline {
+    type Out = Vec<NodeId>;
+
+    fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<Vec<NodeId>> {
+        if t > 0 {
             for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::EDGE) {
                 let origin = env.addr();
                 let ttl = env.word();
@@ -110,7 +118,7 @@ impl Step for PipelineStep {
                 }
             }
         }
-        if self.t == self.rounds {
+        if t == rounds {
             debug_assert!(self.queue.is_empty(), "pipeline round budget too small");
             return Poll::Ready(std::mem::take(&mut self.received));
         }
@@ -120,7 +128,6 @@ impl Step for PipelineStep {
                 ctx.send(next, WireMsg::addr_word(tags::EDGE, origin, ttl));
             }
         }
-        self.t += 1;
         Poll::Pending
     }
 }
@@ -324,13 +331,12 @@ impl Step for Phase2Acks {
                     Poll::Ready(received) => {
                         self.one_sided.extend(received.iter().copied());
                         self.gained = received;
-                        let (spread, drain) = stagger::plan(self.fan_in, rctx.capacity());
-                        let replies = self
-                            .one_sided
-                            .iter()
-                            .map(|&origin| (origin, WireMsg::signal(tags::EDGE_ACK)))
-                            .collect();
-                        self.stage = TailStage::Acks(StaggerStep::new(replies, spread, drain));
+                        self.stage = TailStage::Acks(StaggerStep::new(
+                            std::mem::take(&mut self.one_sided),
+                            WireMsg::signal(tags::EDGE_ACK),
+                            self.fan_in,
+                            rctx.capacity(),
+                        ));
                     }
                 },
                 TailStage::Acks(s) => match s.poll(rctx) {

@@ -47,8 +47,8 @@ use super::ThresholdOutcome;
 use dgr_core::distributed::{DegreesCore, Flavor};
 use dgr_ncc::{tags, NodeId, NodeProtocol, RoundCtx, Status, WireMsg};
 use dgr_primitives::ops::AggBcastStep;
-use dgr_primitives::stagger::{self, StaggerStep};
-use dgr_primitives::{AggOp, EstablishCtx, Poll, Step, VPath};
+use dgr_primitives::stagger::StaggerStep;
+use dgr_primitives::{AggOp, EstablishCtx, Lockstep, Poll, Rounds, Step, VPath};
 use std::collections::{HashSet, VecDeque};
 
 /// The distinctness patch: tokens walk the prefix ring until they find a
@@ -56,13 +56,13 @@ use std::collections::{HashSet, VecDeque};
 /// forwards per round.
 ///
 /// Rounds: exactly `patch_rounds(..)` — every node of the epoch must use
-/// the same budget (non-members idle through it).
+/// the same budget.
+type RingPatchStep = Lockstep<RingPatch>;
+
 #[derive(Debug)]
-struct RingPatchStep {
+struct RingPatch {
     next_hop: Option<NodeId>,
-    rounds: u64,
     batch: usize,
-    t: u64,
     queue: VecDeque<(NodeId, u64)>,
     known: HashSet<NodeId>,
     my_id: NodeId,
@@ -79,38 +79,33 @@ fn patch_rounds(d0: usize, max_shortfall: u64, batch: usize) -> u64 {
     travel + traffic + 10
 }
 
-impl RingPatchStep {
-    fn new(
-        next_hop: Option<NodeId>,
-        inject: u64,
-        known: HashSet<NodeId>,
-        rounds: u64,
-        batch: usize,
-        hops: u64,
-        my_id: NodeId,
-    ) -> Self {
-        let mut queue = VecDeque::new();
-        for _ in 0..inject {
-            queue.push_back((my_id, hops));
-        }
-        RingPatchStep {
-            next_hop,
-            rounds,
-            batch,
-            t: 0,
-            queue,
-            known,
-            my_id,
-            accepted: Vec::new(),
-        }
-    }
+/// The patch ring for `rounds` rounds; `inject` tokens of `hops` hops
+/// start here.
+fn ring_patch(
+    next_hop: Option<NodeId>,
+    inject: u64,
+    known: HashSet<NodeId>,
+    rounds: u64,
+    batch: usize,
+    hops: u64,
+    my_id: NodeId,
+) -> RingPatchStep {
+    let patch = RingPatch {
+        next_hop,
+        batch,
+        queue: (0..inject).map(|_| (my_id, hops)).collect(),
+        known,
+        my_id,
+        accepted: Vec::new(),
+    };
+    Lockstep::run(true, rounds, patch)
 }
 
-impl Step for RingPatchStep {
+impl Rounds for RingPatch {
     type Out = Vec<NodeId>;
 
-    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<Vec<NodeId>> {
-        if self.t > 0 {
+    fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<Vec<NodeId>> {
+        if t > 0 {
             for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::TOKEN) {
                 let origin = env.addr();
                 let hops = env.word();
@@ -123,7 +118,7 @@ impl Step for RingPatchStep {
                 }
             }
         }
-        if self.t == self.rounds {
+        if t == rounds {
             debug_assert!(self.queue.is_empty(), "patch ring budget too small");
             return Poll::Ready(std::mem::take(&mut self.accepted));
         }
@@ -133,7 +128,6 @@ impl Step for RingPatchStep {
                 ctx.send(next, WireMsg::addr_word(tags::TOKEN, origin, hops));
             }
         }
-        self.t += 1;
         Poll::Pending
     }
 }
@@ -275,15 +269,13 @@ impl NodeProtocol for Ncc0Exact {
                         // two-sided neighbor lists. Fan-in per node is
                         // bounded by its own multicast fan-out ≤ d₀.
                         self.outcome.neighbors.extend(out.neighbors.iter().copied());
-                        let d0 = self.sorted().d0;
-                        let (spread, drain) = stagger::plan(d0 + 1, rctx.capacity());
-                        let replies = out
-                            .neighbors
-                            .iter()
-                            .map(|&origin| (origin, WireMsg::signal(tags::EDGE_ACK)))
-                            .collect();
                         rctx.mark_stage("acks-phase1");
-                        self.stage = Stage::AcksPhase1(StaggerStep::new(replies, spread, drain));
+                        self.stage = Stage::AcksPhase1(StaggerStep::new(
+                            out.neighbors,
+                            WireMsg::signal(tags::EDGE_ACK),
+                            self.sorted().d0 + 1,
+                            rctx.capacity(),
+                        ));
                     }
                 },
                 Stage::AcksPhase1(s) => match s.poll(rctx) {
@@ -339,7 +331,7 @@ impl NodeProtocol for Ncc0Exact {
                         let next = sorted.next_cyclic();
                         rctx.mark_phase("patch");
                         rctx.mark_stage("patch");
-                        self.stage = Stage::Patch(RingPatchStep::new(
+                        self.stage = Stage::Patch(ring_patch(
                             next,
                             my_shortfall,
                             known,
@@ -415,7 +407,7 @@ mod tests {
                 } else {
                     (0, HashSet::new())
                 };
-                StepProtocol::new(RingPatchStep::new(
+                StepProtocol::new(ring_patch(
                     Some(next),
                     inject,
                     known,

@@ -70,13 +70,14 @@ pub enum ThresholdAlgo {
 ///
 /// # Errors
 ///
-/// Propagates simulator errors, here and from stepping the job.
+/// Propagates simulator errors, here and from stepping the job. An
+/// explicit construction that loses edge symmetry (a protocol bug, not an
+/// input condition) ends the job with [`SimError::Assembly`].
 ///
 /// # Panics
 ///
 /// Panics if `algo` is [`ThresholdAlgo::Ncc1Star`] and `config` is not an
-/// NCC1 configuration, or if an explicit construction loses edge symmetry
-/// (a protocol bug, not an input condition).
+/// NCC1 configuration.
 pub fn prepare_threshold(
     inst: &ThresholdInstance,
     config: Config,

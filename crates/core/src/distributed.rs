@@ -365,14 +365,12 @@ impl Step for DegreesCore {
                                 return Poll::Ready(Ok(std::mem::take(&mut self.outcome)));
                             }
                             // Δ bounds any node's incoming announcements.
-                            let (spread, drain) = stagger::plan(bound as usize, rctx.capacity());
-                            let sends = self
-                                .outcome
-                                .neighbors
-                                .iter()
-                                .map(|&nb| (nb, WireMsg::signal(tags::EDGE)))
-                                .collect();
-                            self.stage = CoreStage::Handoff(StaggerStep::new(sends, spread, drain));
+                            self.stage = CoreStage::Handoff(StaggerStep::new(
+                                self.outcome.neighbors.clone(),
+                                WireMsg::signal(tags::EDGE),
+                                bound as usize,
+                                rctx.capacity(),
+                            ));
                             continue;
                         }
                         let stride = delta as usize + 1;

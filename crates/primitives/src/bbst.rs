@@ -20,7 +20,7 @@
 //! rounds.
 
 use crate::contacts::ContactTable;
-use crate::step::{Poll, Step};
+use crate::step::{Lockstep, Poll, Rounds};
 use crate::vpath::VPath;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
 use std::sync::Arc;
@@ -34,8 +34,9 @@ pub enum Side {
     Right,
 }
 
-/// One node's view of the balanced binary search tree.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One node's view of the balanced binary search tree (the default is a
+/// non-member's).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Bbst {
     /// True for the tree's root (the path's head).
     pub is_root: bool,
@@ -79,16 +80,16 @@ pub fn sweep_rounds(len: usize) -> u64 {
     Bbst::depth_bound(len) + 1
 }
 
-/// Algorithm 1 as a [`Step`].
+/// Algorithm 1 as a [`Step`](crate::Step).
 ///
 /// Rounds: exactly [`rounds_for`]`(vp.len)`.
+pub type BbstStep = Lockstep<BbstRounds>;
+
+/// [`BbstStep`]'s member rounds.
 #[derive(Debug)]
-pub struct BbstStep {
+pub struct BbstRounds {
     vp: VPath,
     contacts: Arc<ContactTable>,
-    levels: usize,
-    /// Polls completed so far; even = invite round, odd = accept round.
-    t: u64,
     tree: Bbst,
     in_tree: bool,
     in_sp: bool,
@@ -99,28 +100,24 @@ impl BbstStep {
     /// Builds the step. `contacts` must be the contact table of the same
     /// path (the structure `L` of the paper).
     pub fn new(vp: VPath, contacts: Arc<ContactTable>) -> Self {
-        let levels = vp.levels();
         let is_root = vp.is_head();
-        BbstStep {
+        let bbst = BbstRounds {
             vp,
             contacts,
-            levels,
-            t: 0,
             tree: Bbst {
                 is_root,
-                parent: None,
-                side: None,
-                left: None,
-                right: None,
-                depth: 0,
                 member: true,
+                ..Bbst::default()
             },
             in_tree: is_root,
             in_sp: is_root,
             in_ss: is_root,
-        }
+        };
+        Lockstep::run(vp.member, rounds_for(vp.len), bbst)
     }
+}
 
+impl BbstRounds {
     fn pred_at(&self, i: usize) -> Option<NodeId> {
         if i == 0 {
             self.vp.pred
@@ -201,27 +198,11 @@ impl BbstStep {
     }
 }
 
-impl Step for BbstStep {
+impl Rounds for BbstRounds {
     type Out = Arc<Bbst>;
 
-    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<Arc<Bbst>> {
-        let rounds = rounds_for(self.vp.len);
-        if !self.vp.member {
-            if self.t == rounds {
-                return Poll::Ready(Arc::new(Bbst {
-                    is_root: false,
-                    parent: None,
-                    side: None,
-                    left: None,
-                    right: None,
-                    depth: 0,
-                    member: false,
-                }));
-            }
-            self.t += 1;
-            return Poll::Pending;
-        }
-        if self.t == rounds {
+    fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<Arc<Bbst>> {
+        if t == rounds {
             // Final accept round just delivered.
             if rounds > 0 {
                 self.absorb_accepts(ctx);
@@ -229,18 +210,17 @@ impl Step for BbstStep {
             debug_assert!(self.in_tree, "node {} never joined the BFS tree", ctx.id());
             return Poll::Ready(Arc::new(self.tree.clone()));
         }
-        if self.t.is_multiple_of(2) {
-            // Invite round for level i = levels - 1 - t/2; first consume the
-            // previous level's acceptances.
-            if self.t > 0 {
+        if t.is_multiple_of(2) {
+            // Invite round for level i = levels - 1 - t/2, two rounds a
+            // level; first consume the previous level's acceptances.
+            if t > 0 {
                 self.absorb_accepts(ctx);
             }
-            let i = self.levels - 1 - (self.t as usize) / 2;
+            let i = (rounds / 2 - 1 - t / 2) as usize;
             self.stage_invites(i, ctx);
         } else {
             self.stage_accept(ctx);
         }
-        self.t += 1;
         Poll::Pending
     }
 }
@@ -250,7 +230,7 @@ mod tests {
     use super::*;
     use crate::contacts::ContactsStep;
     use crate::ctx::UndirectStep;
-    use crate::step::StepProtocol;
+    use crate::step::{Step, StepProtocol};
     use dgr_ncc::{Config, Network, RunResult};
     use std::collections::HashMap;
     use std::sync::Arc;

@@ -13,7 +13,7 @@
 //! the sender — the doubling construction is exactly how knowledge spreads
 //! in the model.
 
-use crate::step::{Poll, Step};
+use crate::step::{Lockstep, Poll, Rounds};
 use crate::vpath::VPath;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
 use std::sync::Arc;
@@ -62,20 +62,20 @@ pub fn rounds_for(len: usize) -> u64 {
 const SET_FWD: u64 = 0;
 const SET_BWD: u64 = 1;
 
-/// Pointer-doubling contact construction as a [`Step`], on an arbitrary
-/// virtual path (the [`PathToClique`](crate::PathToClique) warm-up
-/// hardcodes the `G_k` path; this step runs on sorted paths too, which is
-/// what the realization drivers need after every re-sort). The finished
-/// table is handed out interned (`Arc`) so downstream steps share one
-/// copy per node instead of cloning it at every stage transition.
+/// Pointer-doubling contact construction as a [`Step`](crate::Step), on
+/// an arbitrary virtual path (the [`PathToClique`](crate::PathToClique)
+/// warm-up hardcodes the `G_k` path; this step runs on sorted paths too,
+/// which is what the realization drivers need after every re-sort). The
+/// finished table is handed out interned (`Arc`) so downstream steps share
+/// one copy per node instead of cloning it at every stage transition.
 ///
 /// Rounds: exactly [`rounds_for`]`(vp.len)`.
+pub type ContactsStep = Lockstep<Contacts>;
+
+/// [`ContactsStep`]'s member rounds.
 #[derive(Debug)]
-pub struct ContactsStep {
+pub struct Contacts {
     vp: VPath,
-    levels: usize,
-    /// Polls completed so far (== rounds entered).
-    t: u64,
     fwd: Vec<Option<NodeId>>,
     bwd: Vec<Option<NodeId>>,
 }
@@ -104,15 +104,11 @@ impl ContactsStep {
         bwd.clear();
         fwd.reserve_exact(levels);
         bwd.reserve_exact(levels);
-        ContactsStep {
-            vp,
-            levels,
-            t: 0,
-            fwd,
-            bwd,
-        }
+        Lockstep::run(vp.member, rounds_for(vp.len), Contacts { vp, fwd, bwd })
     }
+}
 
+impl Contacts {
     /// Stages the level-`k` doubling exchange (`1 <= k < levels`).
     fn send_level(&self, k: usize, ctx: &mut RoundCtx<'_>) {
         if let (Some(b), Some(f)) = (self.bwd[k - 1], self.fwd[k - 1]) {
@@ -137,48 +133,25 @@ impl ContactsStep {
     }
 }
 
-impl Step for ContactsStep {
+impl Rounds for Contacts {
     type Out = Arc<ContactTable>;
 
-    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<Arc<ContactTable>> {
-        let rounds = rounds_for(self.vp.len);
-        if !self.vp.member {
-            // Idle in lockstep.
-            if self.t == rounds {
-                return Poll::Ready(Arc::new(ContactTable::default()));
-            }
-            self.t += 1;
-            return Poll::Pending;
-        }
-        if self.t == 0 {
-            if self.levels == 0 {
-                return Poll::Ready(Arc::new(ContactTable::default()));
-            }
+    fn poll(&mut self, t: u64, budget: u64, ctx: &mut RoundCtx<'_>) -> Poll<Arc<ContactTable>> {
+        if t > 0 {
+            self.absorb_level(ctx);
+        } else if self.vp.levels() > 0 {
             self.fwd.push(self.vp.succ);
             self.bwd.push(self.vp.pred);
-            if self.levels == 1 {
-                return Poll::Ready(Arc::new(ContactTable {
-                    fwd: std::mem::take(&mut self.fwd),
-                    bwd: std::mem::take(&mut self.bwd),
-                }));
-            }
-            self.send_level(1, ctx);
-            self.t = 1;
-            return Poll::Pending;
         }
-        // Poll t consumes the level-t exchange; levels 1..levels arrive at
-        // polls 1..levels-1.
-        self.absorb_level(ctx);
-        let next = self.t as usize + 1;
-        if next < self.levels {
-            self.send_level(next, ctx);
-            self.t += 1;
-            return Poll::Pending;
+        if t == budget {
+            return Poll::Ready(Arc::new(ContactTable {
+                fwd: std::mem::take(&mut self.fwd),
+                bwd: std::mem::take(&mut self.bwd),
+            }));
         }
-        Poll::Ready(Arc::new(ContactTable {
-            fwd: std::mem::take(&mut self.fwd),
-            bwd: std::mem::take(&mut self.bwd),
-        }))
+        // Poll t stages level t + 1, which poll t + 1 consumes.
+        self.send_level(t as usize + 1, ctx);
+        Poll::Pending
     }
 }
 
@@ -186,7 +159,7 @@ impl Step for ContactsStep {
 mod tests {
     use super::*;
     use crate::ctx::UndirectStep;
-    use crate::StepProtocol;
+    use crate::{Step, StepProtocol};
     use dgr_ncc::{Config, Network};
 
     /// A replaced table's storage moves to the new step only when nothing
@@ -211,8 +184,8 @@ mod tests {
         let storage = old.fwd.as_ptr();
         let step = ContactsStep::reusing(vp, &mut old);
         assert!(old.fwd.is_empty() && old.bwd.is_empty());
-        assert!(step.fwd.is_empty() && step.fwd.capacity() >= vp.levels());
-        assert_eq!(step.fwd.as_ptr(), storage);
+        assert!(step.inner.fwd.is_empty() && step.inner.fwd.capacity() >= vp.levels());
+        assert_eq!(step.inner.fwd.as_ptr(), storage);
     }
 
     fn check_tables(n: usize, seed: u64) {

@@ -20,7 +20,7 @@
 //! sources' intervals are disjoint.
 
 use crate::contacts::ContactTable;
-use crate::step::{Poll, Step};
+use crate::step::{Lockstep, Poll, Rounds};
 use crate::vpath::VPath;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
 use std::sync::Arc;
@@ -49,14 +49,15 @@ pub fn rounds_for(len: usize) -> u64 {
     crate::levels_for(len) as u64 + 1
 }
 
-/// One interval-multicast epoch as a [`Step`].
+/// One interval-multicast epoch as a [`Step`](crate::Step).
 ///
 /// Rounds: exactly [`rounds_for`]`(vp.len)`.
+pub type ImcastStep = Lockstep<Imcast>;
+
+/// [`ImcastStep`]'s member rounds.
 #[derive(Debug)]
-pub struct ImcastStep {
-    vp: VPath,
+pub struct Imcast {
     contacts: Arc<ContactTable>,
-    t: u64,
     duty: Option<(CoverSide, usize, Payload)>,
     received: Option<Payload>,
 }
@@ -69,15 +70,16 @@ impl ImcastStep {
         contacts: Arc<ContactTable>,
         task: Option<(CoverSide, usize, Payload)>,
     ) -> Self {
-        ImcastStep {
-            vp,
+        let imcast = Imcast {
             contacts,
-            t: 0,
             duty: task.filter(|t| t.1 > 0),
             received: None,
-        }
+        };
+        Lockstep::run(vp.member, rounds_for(vp.len), imcast)
     }
+}
 
+impl Imcast {
     fn absorb(&mut self, ctx: &RoundCtx<'_>) {
         for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::IMCAST) {
             let payload = Payload {
@@ -103,22 +105,14 @@ impl ImcastStep {
     }
 }
 
-impl Step for ImcastStep {
+impl Rounds for Imcast {
     type Out = Option<Payload>;
 
-    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<Option<Payload>> {
-        let rounds = rounds_for(self.vp.len);
-        if !self.vp.member {
-            if self.t == rounds {
-                return Poll::Ready(None);
-            }
-            self.t += 1;
-            return Poll::Pending;
-        }
-        if self.t > 0 {
+    fn poll(&mut self, t: u64, budget: u64, ctx: &mut RoundCtx<'_>) -> Poll<Option<Payload>> {
+        if t > 0 {
             self.absorb(ctx);
         }
-        if self.t == rounds {
+        if t == budget {
             debug_assert!(self.duty.is_none(), "multicast round budget too small");
             return Poll::Ready(self.received);
         }
@@ -145,7 +139,6 @@ impl Step for ImcastStep {
             let keep = (1 << k) - 1;
             self.duty = (keep > 0).then_some((side, keep, payload));
         }
-        self.t += 1;
         Poll::Pending
     }
 }

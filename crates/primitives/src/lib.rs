@@ -18,7 +18,8 @@
 //!
 //! Every primitive is a [`Step`]: a state machine polled once per round
 //! through a [`dgr_ncc::RoundCtx`], chainable with the others inside one
-//! run (the [`step`] module documents the polling discipline) — this is
+//! run (the [`step`] module documents the polling discipline, which the
+//! one [`Lockstep`] clock enforces for every primitive) — this is
 //! what the realization drivers in `dgr-core`, `dgr-trees` and
 //! `dgr-connectivity` compose (recipe in `ARCHITECTURE.md`). A single step
 //! runs standalone as a whole-run [`dgr_ncc::NodeProtocol`] through
@@ -73,7 +74,7 @@ pub use clique::PathToClique;
 pub use contacts::ContactTable;
 pub use ctx::{EstablishCtx, PathCtx, WithCtx};
 pub use sort::{Order, SortedPath};
-pub use step::{AggOp, Poll, Step, StepProtocol, Then};
+pub use step::{AggOp, Lockstep, Poll, Rounds, Step, StepProtocol, Then};
 pub use vpath::VPath;
 
 /// The six paths `crates/bench/src/bin/e2e/workloads.rs` imports under

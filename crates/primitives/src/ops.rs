@@ -23,7 +23,7 @@
 //!   round from its two children.
 
 use crate::bbst::{sweep_rounds, Bbst};
-use crate::step::{AggOp, Poll, Step};
+use crate::step::{AggOp, Lockstep, Poll, Rounds, Step};
 use crate::vpath::VPath;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireEnvelope, WireMsg, WIRE_WORDS};
 use std::collections::BTreeSet;
@@ -84,13 +84,14 @@ impl Swept {
 /// are one message's data words (more than
 /// [`Config::max_words`](dgr_ncc::Config::max_words) of them is a
 /// `MessageTooLarge` violation), the address rides the address field.
+pub type SweepStep = Lockstep<Sweep>;
+
+/// [`SweepStep`]'s member rounds: the up sweep, then the down sweep.
 #[derive(Debug)]
-pub struct SweepStep {
-    vp: VPath,
+pub struct Sweep {
     tree: Arc<Bbst>,
     lanes: usize,
     fold: Fold,
-    t: u64,
     /// This subtree's fold so far.
     acc: Swept,
     /// Children whose `AGGREGATE` is outstanding. Keyed by sender, so a
@@ -116,21 +117,22 @@ impl SweepStep {
         addr: Option<NodeId>,
         fold: Fold,
     ) -> Self {
-        SweepStep {
-            await_left: vp.member && tree.left.is_some(),
-            await_right: vp.member && tree.right.is_some(),
-            vp,
+        let sweep = Sweep {
+            await_left: tree.left.is_some(),
+            await_right: tree.right.is_some(),
             tree,
             lanes: words.len(),
             fold,
-            t: 0,
             acc: Swept::new(words, addr),
             sent_up: false,
             got: None,
             sent_down: false,
-        }
+        };
+        Lockstep::run(vp.member, rounds_for(vp.len), sweep)
     }
+}
 
+impl Sweep {
     /// The message carrying `value` under `tag`.
     fn msg(&self, tag: u16, value: &Swept) -> WireMsg {
         let msg = WireMsg::words(tag, &value.words[..self.lanes]);
@@ -145,20 +147,12 @@ impl SweepStep {
     }
 }
 
-impl Step for SweepStep {
+impl Rounds for Sweep {
     type Out = Swept;
 
-    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<Swept> {
-        let sweep = sweep_rounds(self.vp.len);
-        let rounds = 2 * sweep;
-        if !self.vp.member {
-            if self.t == rounds {
-                return Poll::Ready(Swept::default());
-            }
-            self.t += 1;
-            return Poll::Pending;
-        }
-        if self.t > 0 {
+    fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<Swept> {
+        let sweep = rounds / 2;
+        if t > 0 {
             for env in ctx.inbox() {
                 match env.msg.tag {
                     tags::AGGREGATE => {
@@ -178,7 +172,7 @@ impl Step for SweepStep {
                 }
             }
         }
-        if self.t == sweep {
+        if t == sweep {
             // The up sweep just completed; the root seeds the down sweep.
             debug_assert!(self.sent_up || self.tree.is_root);
             if self.tree.is_root {
@@ -187,10 +181,10 @@ impl Step for SweepStep {
             // A childless root has nobody to push the total to.
             self.sent_down = self.tree.is_root && self.tree.child_count() == 0;
         }
-        if self.t == rounds {
+        if t == rounds {
             return Poll::Ready(self.got.expect("broadcast did not reach node"));
         }
-        if self.t < sweep {
+        if t < sweep {
             if !(self.await_left || self.await_right || self.sent_up) {
                 if let Some(p) = self.tree.parent {
                     ctx.send(p, self.msg(tags::AGGREGATE, &self.acc));
@@ -203,7 +197,6 @@ impl Step for SweepStep {
             }
             self.sent_down = true;
         }
-        self.t += 1;
         Poll::Pending
     }
 }
@@ -231,10 +224,7 @@ impl Step for AggBcastStep {
     type Out = u64;
 
     fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<u64> {
-        match self.0.poll(ctx) {
-            Poll::Pending => Poll::Pending,
-            Poll::Ready(total) => Poll::Ready(total.words[0]),
-        }
+        self.0.poll(ctx).map(|total| total.words[0])
     }
 }
 
@@ -243,46 +233,48 @@ impl Step for AggBcastStep {
 /// subtree without the holder send a bare signal.
 ///
 /// Rounds: exactly [`rounds_for`]`(vp.len)`.
+pub type BroadcastAddrStep = Lockstep<BroadcastAddr>;
+
+/// [`BroadcastAddrStep`]'s member rounds.
 #[derive(Debug)]
-pub struct BroadcastAddrStep(SweepStep);
+pub struct BroadcastAddr(Sweep);
 
 impl BroadcastAddrStep {
     /// Builds the step; `value` is `Some` at (at most) one member.
     pub fn new(vp: VPath, tree: Arc<Bbst>, value: Option<NodeId>) -> Self {
-        BroadcastAddrStep(SweepStep::new(vp, tree, &[], value, |_, _| {}))
+        let sweep = SweepStep::new(vp, tree, &[], value, |_, _| {}).inner;
+        Lockstep::run(vp.member, rounds_for(vp.len), BroadcastAddr(sweep))
     }
 
     /// The Corollary 2 median broadcast: the node whose `position` is the
     /// median rank announces its own ID.
     pub fn median(vp: VPath, tree: Arc<Bbst>, position: usize, my_id: NodeId) -> Self {
         let target = (vp.len - 1) / 2;
-        let mine = (vp.member && position == target).then_some(my_id);
+        let mine = (position == target).then_some(my_id);
         Self::new(vp, tree, mine)
     }
 }
 
-impl Step for BroadcastAddrStep {
+impl Rounds for BroadcastAddr {
     type Out = NodeId;
 
-    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<NodeId> {
-        match self.0.poll(ctx) {
-            Poll::Pending => Poll::Pending,
-            Poll::Ready(_) if !self.0.vp.member => Poll::Ready(0),
-            Poll::Ready(total) => Poll::Ready(total.addr.expect("no member held an address")),
-        }
+    fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<NodeId> {
+        let swept = self.0.poll(t, rounds, ctx);
+        swept.map(|total| total.addr.expect("no member held an address"))
     }
 }
 
 /// Collection (Theorem 5) as a [`Step`]: every member's token pipelined to
 /// the root in batches of `cap/2`. Only the root's output is populated.
 ///
-/// Rounds: exactly [`collect_rounds`]`(vp.len, k_bound, capacity)`.
+/// Rounds: exactly [`collect_rounds`]`(vp.len, k_bound, cap)`.
+pub type CollectStep = Lockstep<Collect>;
+
+/// [`CollectStep`]'s member rounds.
 #[derive(Debug)]
-pub struct CollectStep {
-    vp: VPath,
+pub struct Collect {
     tree: Arc<Bbst>,
-    k_bound: usize,
-    t: u64,
+    batch: usize,
     buffer: Vec<(NodeId, u64)>,
     collected: Vec<(NodeId, u64)>,
     /// Origins whose token this node has taken in. Keyed by origin, so a
@@ -292,47 +284,33 @@ pub struct CollectStep {
 
 impl CollectStep {
     /// Builds the step; `token` is this node's contribution, `k_bound` a
-    /// commonly known upper bound on the total token count, `my_id` the
-    /// node's own ID.
+    /// commonly known upper bound on the total token count, `cap` the
+    /// per-round capacity, `my_id` the node's own ID.
     pub fn new(
         vp: VPath,
         tree: Arc<Bbst>,
         token: Option<u64>,
         k_bound: usize,
+        cap: usize,
         my_id: NodeId,
     ) -> Self {
-        let mut buffer = Vec::new();
-        if vp.member {
-            if let Some(t) = token {
-                buffer.push((my_id, t));
-            }
-        }
-        CollectStep {
-            vp,
+        let collect = Collect {
             tree,
-            k_bound,
-            t: 0,
-            buffer,
+            batch: (cap / 2).max(1),
+            buffer: token.map(|t| (my_id, t)).into_iter().collect(),
             collected: Vec::new(),
             seen: BTreeSet::new(),
-        }
+        };
+        let rounds = collect_rounds(vp.len, k_bound, cap);
+        Lockstep::run(vp.member, rounds, collect)
     }
 }
 
-impl Step for CollectStep {
+impl Rounds for Collect {
     type Out = Vec<(NodeId, u64)>;
 
-    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<Vec<(NodeId, u64)>> {
-        let cap = ctx.capacity();
-        let rounds = collect_rounds(self.vp.len, self.k_bound, cap);
-        if !self.vp.member {
-            if self.t == rounds {
-                return Poll::Ready(Vec::new());
-            }
-            self.t += 1;
-            return Poll::Pending;
-        }
-        if self.t > 0 {
+    fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<Self::Out> {
+        if t > 0 {
             for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::COLLECT) {
                 let pair = (env.addr(), env.word());
                 if !self.seen.insert(pair.0) {
@@ -345,7 +323,7 @@ impl Step for CollectStep {
                 }
             }
         }
-        if self.t == rounds {
+        if t == rounds {
             if self.tree.is_root {
                 self.collected.append(&mut self.buffer);
                 self.collected.sort_unstable();
@@ -354,13 +332,11 @@ impl Step for CollectStep {
             }
             return Poll::Ready(std::mem::take(&mut self.collected));
         }
-        let batch = (cap / 2).max(1);
         if let Some(p) = self.tree.parent {
-            for (origin, value) in self.buffer.drain(..self.buffer.len().min(batch)) {
+            for (origin, value) in self.buffer.drain(..self.buffer.len().min(self.batch)) {
                 ctx.send(p, WireMsg::addr_word(tags::COLLECT, origin, value));
             }
         }
-        self.t += 1;
         Poll::Pending
     }
 }
@@ -585,7 +561,14 @@ mod tests {
                         .is_multiple_of(3)
                         .then_some(ctx.position as u64);
                     let k_bound = 60usize.div_ceil(3);
-                    CollectStep::new(ctx.vp, ctx.tree.clone(), token, k_bound, rctx.id())
+                    CollectStep::new(
+                        ctx.vp,
+                        ctx.tree.clone(),
+                        token,
+                        k_bound,
+                        rctx.capacity(),
+                        rctx.id(),
+                    )
                 })
             })
             .unwrap();

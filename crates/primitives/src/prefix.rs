@@ -8,7 +8,7 @@
 //! `⌈log n⌉` steps, one message per node per round.
 
 use crate::contacts::ContactTable;
-use crate::step::{Poll, Step};
+use crate::step::{Lockstep, Poll, Rounds};
 use crate::vpath::VPath;
 use dgr_ncc::{tags, RoundCtx, WireEnvelope, WireMsg};
 use std::sync::Arc;
@@ -18,71 +18,60 @@ pub fn rounds_for(len: usize) -> u64 {
     crate::levels_for(len) as u64
 }
 
-/// The parallel-prefix doubling scan as a [`Step`].
+/// The parallel-prefix doubling scan as a [`Step`](crate::Step).
 ///
 /// Rounds: exactly [`rounds_for`]`(vp.len)`.
+pub type PrefixStep = Lockstep<Prefix>;
+
+/// [`PrefixStep`]'s member rounds.
 #[derive(Debug)]
-pub struct PrefixStep {
-    vp: VPath,
+pub struct Prefix {
     contacts: Arc<ContactTable>,
-    t: u64,
     acc: u64,
-    value: u64,
-    exclusive: bool,
+    /// What the result leaves out: this node's own value in an exclusive
+    /// sum, 0 in an inclusive one.
+    own: u64,
 }
 
 impl PrefixStep {
     /// Inclusive prefix sum of `value` along the path.
     pub fn new(vp: VPath, contacts: Arc<ContactTable>, value: u64) -> Self {
-        PrefixStep {
-            vp,
+        let prefix = Prefix {
             contacts,
-            t: 0,
             acc: value,
-            value,
-            exclusive: false,
-        }
+            own: 0,
+        };
+        Lockstep::run(vp.member, rounds_for(vp.len), prefix)
     }
 
     /// Exclusive prefix sum (sum over strictly earlier positions).
     pub fn exclusive(vp: VPath, contacts: Arc<ContactTable>, value: u64) -> Self {
-        PrefixStep {
-            exclusive: true,
-            ..Self::new(vp, contacts, value)
-        }
+        let mut step = Self::new(vp, contacts, value);
+        step.inner.own = value;
+        step
     }
 }
 
-impl Step for PrefixStep {
+impl Rounds for Prefix {
     type Out = u64;
 
-    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<u64> {
-        let levels = rounds_for(self.vp.len);
-        if !self.vp.member {
-            if self.t == levels {
-                return Poll::Ready(0);
-            }
-            self.t += 1;
-            return Poll::Pending;
-        }
-        if self.t > 0 {
+    fn poll(&mut self, t: u64, levels: u64, ctx: &mut RoundCtx<'_>) -> Poll<u64> {
+        if t > 0 {
             // Last round's partial sum comes from the node `2^(t-1)`
             // behind, once: a duplicate, or a straggler from an earlier
             // level, adds nothing.
-            let from = self.contacts.behind(self.t as usize - 1);
+            let from = self.contacts.behind(t as usize - 1);
             let sent = |e: &&WireEnvelope| e.msg.tag == tags::PREFIX && Some(e.src) == from;
             if let Some(env) = ctx.inbox().iter().find(sent) {
                 self.acc += env.word();
             }
         }
-        if self.t == levels {
-            let own = if self.exclusive { self.value } else { 0 };
-            return Poll::Ready(self.acc - own);
+        if t == levels {
+            return Poll::Ready(self.acc - self.own);
         }
-        if let Some(target) = self.contacts.ahead(self.t as usize) {
+        if let Some(target) = self.contacts.ahead(t as usize) {
             ctx.send(target, WireMsg::word(tags::PREFIX, self.acc));
         }
-        self.t += 1;
         Poll::Pending
     }
 }

@@ -42,7 +42,7 @@
 
 use crate::contacts::ContactTable;
 use crate::sort::StageIter;
-use crate::step::{Poll, Step};
+use crate::step::{Lockstep, Poll, Rounds};
 use crate::vpath::VPath;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
 use std::sync::Arc;
@@ -127,18 +127,21 @@ fn host(vpos: usize) -> usize {
     vpos / 2
 }
 
-/// The milestone scan as a [`Step`].
+/// The milestone scan as a [`Step`](crate::Step).
 ///
 /// Rounds: exactly [`rounds_for`]`(vp.len)`.
+pub type ScanStep = Lockstep<Scan>;
+
+/// [`ScanStep`]'s member rounds: the comparator network, the doubling
+/// scan, then the delivery round.
 #[derive(Debug)]
-pub struct ScanStep {
-    vp: VPath,
+pub struct Scan {
     contacts: Arc<ContactTable>,
     position: usize,
-    t: u64,
+    /// Virtual slots, two per path position.
+    virt: usize,
     it: StageIter,
     stage_count: u64,
-    scan_levels: u64,
     held: [Flight; 2],
     plan: [Option<(usize, bool)>; 2],
     acc: [Option<NodeId>; 2],
@@ -167,21 +170,22 @@ impl ScanStep {
                 _ => None,
             },
         });
-        ScanStep {
-            vp,
+        let scan = Scan {
             contacts,
             position,
-            t: 0,
+            virt,
             it: StageIter::new(virt),
             stage_count: crate::sort::stage_count(virt) as u64,
-            scan_levels: crate::levels_for(virt) as u64,
             held,
             plan: [None, None],
             acc: [None, None],
             result: [None, None],
-        }
+        };
+        Lockstep::run(vp.member, rounds_for(vp.len), scan)
     }
+}
 
+impl Scan {
     /// The ID of the node hosting `target_host` (a power-of-two distance
     /// from this node's position, or itself).
     fn host_id(&self, target_host: usize, my_id: NodeId) -> Option<NodeId> {
@@ -227,13 +231,12 @@ impl ScanStep {
     }
 
     fn stage_comparators(&mut self, ctx: &mut RoundCtx<'_>) {
-        let virt = 2 * self.vp.len;
         let (p, k) = self.it.next().expect("scan stage out of range");
         let my_id = ctx.id();
         self.plan = [None, None];
         for s in 0..2 {
             let v = 2 * self.position + s;
-            if let Some((partner, i_am_low)) = crate::sort::comparator_at(v, virt, p, k) {
+            if let Some((partner, i_am_low)) = crate::sort::comparator_at(v, self.virt, p, k) {
                 if host(partner) == self.position {
                     // Local comparator between my own two slots.
                     if s == 0 {
@@ -265,12 +268,11 @@ impl ScanStep {
     }
 
     fn stage_scan(&mut self, level: u64, ctx: &mut RoundCtx<'_>) {
-        let virt = 2 * self.vp.len;
         let my_id = ctx.id();
         for (s, &slot_acc) in self.acc.iter().enumerate() {
             let v = 2 * self.position + s;
             let tv = v + (1usize << level);
-            if tv < virt {
+            if tv < self.virt {
                 if let Some(a) = slot_acc {
                     let target = self
                         .host_id(host(tv), my_id)
@@ -308,30 +310,21 @@ impl ScanStep {
     }
 }
 
-impl Step for ScanStep {
+impl Rounds for Scan {
     type Out = [Option<NodeId>; 2];
 
-    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<[Option<NodeId>; 2]> {
+    fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<Self::Out> {
         let s_end = self.stage_count;
-        let scan_end = s_end + self.scan_levels;
-        // `rounds_for(vp.len)`, from the counts `new` walked once.
-        let rounds = scan_end + 1;
-        if !self.vp.member {
-            if self.t == rounds {
-                return Poll::Ready([None, None]);
-            }
-            self.t += 1;
-            return Poll::Pending;
-        }
-        if self.t > 0 && self.t <= s_end {
+        let scan_end = rounds - 1;
+        if t > 0 && t <= s_end {
             self.absorb_exchange(ctx);
-            if self.t == s_end {
+            if t == s_end {
                 // The network is sorted; seed the scan accumulators.
                 self.acc = std::array::from_fn(|s| self.held[s].milestone);
             }
-        } else if self.t > s_end && self.t <= scan_end {
+        } else if t > s_end && t <= scan_end {
             self.absorb_scan(ctx);
-        } else if self.t == rounds {
+        } else if t == rounds {
             for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::TOKEN) {
                 let s = env.msg.words_slice()[1] as usize;
                 if env.msg.words_slice()[2] != 0 {
@@ -340,15 +333,14 @@ impl Step for ScanStep {
             }
             return Poll::Ready(self.result);
         }
-        if self.t < s_end {
+        if t < s_end {
             self.stage_comparators(ctx);
-        } else if self.t < scan_end {
-            self.stage_scan(self.t - s_end, ctx);
+        } else if t < scan_end {
+            self.stage_scan(t - s_end, ctx);
         } else {
-            debug_assert_eq!(self.t, scan_end);
+            debug_assert_eq!(t, scan_end);
             self.stage_delivery(ctx);
         }
-        self.t += 1;
         Poll::Pending
     }
 }

@@ -34,7 +34,7 @@
 
 use crate::contacts::{ContactTable, ContactsStep};
 use crate::ctx::PathCtx;
-use crate::step::{Poll, Step};
+use crate::step::{Lockstep, Poll, Rounds, Step};
 use crate::vpath::VPath;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
 use std::sync::Arc;
@@ -74,7 +74,7 @@ impl Order {
 }
 
 /// The sorted-path handle a node receives for its own key.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SortedPath {
     /// This node's rank in sorted order (0-based; rank 0 = head).
     pub rank: usize,
@@ -244,16 +244,17 @@ struct Record {
 /// group phase. Ties break by node ID, making the result deterministic.
 /// Legal under the strict capacity policy; a non-member view idles through
 /// the same rounds and returns a non-member path.
+pub type SortStep = Lockstep<Sort>;
+
+/// [`SortStep`]'s member rounds: the compaction rounds and comparator
+/// stages, then the 2-round epilogue.
 #[derive(Debug)]
-pub struct SortStep {
+pub struct Sort {
     vp: VPath,
     contacts: Arc<ContactTable>,
     x: usize,
     /// Compaction rounds ahead of the comparator stages (none in a sort).
     shifts: u64,
-    /// Compaction rounds and comparator stages together.
-    stage_count: u64,
-    t: u64,
     it: StageIter,
     /// The comparator network's virtual position of position 0, and how
     /// many positions, `[0, live)`, hold a record once compaction is done.
@@ -283,11 +284,9 @@ impl SortStep {
         my_id: NodeId,
     ) -> Self {
         let len = vp.len;
-        SortStep {
+        let sort = Sort {
             x: position,
             shifts: 0,
-            stage_count: stage_count(len) as u64,
-            t: 0,
             it: StageIter::new(len),
             offset: 0,
             live: len,
@@ -302,7 +301,8 @@ impl SortStep {
             succ_origin: None,
             vp,
             contacts,
-        }
+        };
+        Lockstep::run(vp.member, rounds_for(len), sort)
     }
 
     /// Re-sorts `prev`, a sorted path of `phase.live` records (its
@@ -325,11 +325,9 @@ impl SortStep {
         let levels = prev.vp.levels();
         let half = 1 << levels;
         let shift = phase.shift(prev.rank);
-        SortStep {
+        let sort = Sort {
             x: prev.rank,
             shifts: levels as u64,
-            stage_count: 2 * levels as u64 + 1,
-            t: 0,
             it: StageIter::merge_pass(half),
             offset: phase.offset(half),
             live: phase.live - phase.groups,
@@ -344,7 +342,8 @@ impl SortStep {
             succ_origin: None,
             vp: prev.vp,
             contacts,
-        }
+        };
+        Lockstep::run(prev.vp.member, merge_rounds_for(prev.vp.len), sort)
     }
 
     /// [`SortStep::new`] over an established [`PathCtx`]. The fifth
@@ -360,11 +359,13 @@ impl SortStep {
             my_id,
         )
     }
+}
 
+impl Sort {
     /// Consumes what the previous round staged: a compaction move toward
     /// this position, or the comparator partner's record.
-    fn absorb_exchange(&mut self, ctx: &RoundCtx<'_>) {
-        if self.t <= self.shifts {
+    fn absorb_exchange(&mut self, t: u64, ctx: &RoundCtx<'_>) {
+        if t <= self.shifts {
             if let Some(env) = ctx.inbox().iter().find(|e| e.msg.tag == tags::SORT_SHIFT) {
                 debug_assert!(self.held.is_none(), "two records at one position");
                 self.held = Some(Record {
@@ -395,9 +396,9 @@ impl SortStep {
     }
 
     /// Stages this round's compaction move or network comparator, if any.
-    fn stage_comparator(&mut self, ctx: &mut RoundCtx<'_>) {
-        if self.t < self.shifts {
-            let bit = self.t as usize;
+    fn stage_comparator(&mut self, t: u64, ctx: &mut RoundCtx<'_>) {
+        if t < self.shifts {
+            let bit = t as usize;
             if let Some(r) = self.held.filter(|_| self.shift >> bit & 1 == 1) {
                 let to = self
                     .contacts
@@ -427,30 +428,18 @@ impl SortStep {
     }
 }
 
-impl Step for SortStep {
+impl Rounds for Sort {
     type Out = SortedPath;
 
-    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<SortedPath> {
-        let len = self.vp.len;
-        // The round budget, from the stage count `new` walked once.
-        let rounds = self.stage_count + 2;
-        if !self.vp.member {
-            if self.t == rounds {
-                return Poll::Ready(SortedPath {
-                    rank: 0,
-                    vp: VPath::non_member(len),
-                });
-            }
-            self.t += 1;
-            return Poll::Pending;
+    fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<SortedPath> {
+        // Compaction rounds and comparator stages, ahead of the epilogue.
+        let s = rounds - 2;
+        if t > 0 && t <= s {
+            self.absorb_exchange(t, ctx);
         }
-        let s = self.stage_count;
-        if self.t > 0 && self.t <= s {
-            self.absorb_exchange(ctx);
-        }
-        if self.t < s {
-            self.stage_comparator(ctx);
-        } else if self.t == s {
+        if t < s {
+            self.stage_comparator(t, ctx);
+        } else if t == s {
             // Epilogue round 1: exchange held origins with the path
             // neighbors that hold a record.
             if let Some(r) = self.held {
@@ -459,7 +448,7 @@ impl Step for SortStep {
                     ctx.send(nb, WireMsg::addr(tags::SORT_LINK, r.origin));
                 }
             }
-        } else if self.t == s + 1 {
+        } else if t == s + 1 {
             for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::SORT_LINK) {
                 if Some(env.src) == self.vp.pred {
                     self.pred_origin = Some(env.addr());
@@ -482,10 +471,7 @@ impl Step for SortStep {
                 ctx.send(r.origin, msg);
             }
         } else if !self.keeps {
-            return Poll::Ready(SortedPath {
-                rank: 0,
-                vp: VPath::non_member(len),
-            });
+            return Poll::Ready(self.non_member());
         } else {
             let env = ctx
                 .inbox()
@@ -503,12 +489,18 @@ impl Step for SortStep {
                     member: true,
                     pred,
                     succ,
-                    len,
+                    len: self.vp.len,
                 },
             });
         }
-        self.t += 1;
         Poll::Pending
+    }
+
+    fn non_member(&mut self) -> SortedPath {
+        SortedPath {
+            rank: 0,
+            vp: VPath::non_member(self.vp.len),
+        }
     }
 }
 
@@ -544,16 +536,11 @@ impl Step for SortContactsStep {
                     Poll::Ready(sp) => {
                         // A merge lane held the last handle on the old
                         // path's table: the new one takes its storage.
-                        let contacts = ContactsStep::reusing(sp.vp, &mut s.contacts);
+                        let contacts = ContactsStep::reusing(sp.vp, &mut s.inner.contacts);
                         self.0 = SortLane::Contacts(sp, contacts);
                     }
                 },
-                SortLane::Contacts(sp, s) => {
-                    return match s.poll(ctx) {
-                        Poll::Pending => Poll::Pending,
-                        Poll::Ready(table) => Poll::Ready((*sp, table)),
-                    }
-                }
+                SortLane::Contacts(sp, s) => return s.poll(ctx).map(|table| (*sp, table)),
             }
         }
     }

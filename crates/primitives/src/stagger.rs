@@ -19,7 +19,7 @@
 //! because a target receiving `k` messages drains them in `⌈k/cap⌉`
 //! rounds).
 
-use crate::step::{Poll, Step};
+use crate::step::{Lockstep, Poll, Rounds};
 use dgr_ncc::{NodeId, RoundCtx, WireMsg};
 use rand::Rng;
 
@@ -37,60 +37,59 @@ pub fn plan(k_max: usize, cap: usize) -> (u64, u64) {
     (2 * base + 1, base + 2)
 }
 
-/// One staggered epoch as a [`Step`]. Returns everything received during
-/// the epoch as `(sender, message)` pairs in delivery order (callers
-/// filter by tag). The schedule is drawn from the node's own RNG stream,
-/// so it is identical on either engine.
+/// One staggered epoch as a [`Step`](crate::Step). Returns everything
+/// received during the epoch as `(sender, message)` pairs in delivery
+/// order (callers filter by tag). The schedule is drawn from the node's
+/// own RNG stream, so it is identical on either engine.
 ///
-/// Rounds: exactly [`rounds_for`]`(spread, drain)`.
+/// Rounds: exactly [`rounds_for`] of [`plan`]`(k_max, cap)`.
+pub type StaggerStep = Lockstep<Stagger>;
+
+/// [`StaggerStep`]'s rounds.
 #[derive(Debug)]
-pub struct StaggerStep {
-    /// Sends not yet scheduled (drawn on the first poll, where the RNG
-    /// lives).
-    sends: Vec<(NodeId, WireMsg)>,
-    /// `(round, target, msg)`, reverse-sorted so the earliest pops last.
-    schedule: Vec<(u64, NodeId, WireMsg)>,
+pub struct Stagger {
+    msg: WireMsg,
     spread: u64,
-    drain: u64,
-    t: u64,
+    /// `(round, target)`: the rounds are drawn on the first poll (where
+    /// the RNG lives), then reverse-sorted so the earliest pops last.
+    schedule: Vec<(u64, NodeId)>,
     received: Vec<(NodeId, WireMsg)>,
 }
 
 impl StaggerStep {
-    /// Builds the step. All participants of the epoch must use the same
-    /// `spread` and `drain` (see [`plan`]).
-    pub fn new(sends: Vec<(NodeId, WireMsg)>, spread: u64, drain: u64) -> Self {
-        StaggerStep {
-            schedule: Vec::with_capacity(sends.len()),
-            sends,
-            spread,
-            drain,
-            t: 0,
+    /// Builds the step: `msg` to each of `targets`, over the epoch that
+    /// [`plan`] draws for a fan-in of at most `k_max` messages a target at
+    /// per-round capacity `cap`. Every participant of the epoch passes
+    /// the same `k_max` and `cap`.
+    pub fn new(targets: Vec<NodeId>, msg: WireMsg, k_max: usize, cap: usize) -> Self {
+        let (spread, drain) = plan(k_max, cap);
+        let stagger = Stagger {
+            msg,
+            spread: spread.max(1),
+            schedule: targets.into_iter().map(|target| (0, target)).collect(),
             received: Vec::new(),
-        }
+        };
+        Lockstep::run(true, rounds_for(spread, drain), stagger)
     }
 }
 
-impl Step for StaggerStep {
+impl Rounds for Stagger {
     type Out = Vec<(NodeId, WireMsg)>;
 
-    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<Vec<(NodeId, WireMsg)>> {
-        let rounds = rounds_for(self.spread, self.drain);
-        if self.t == 0 {
-            // One range sample per send, in send order (the frozen
+    fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<Self::Out> {
+        if t == 0 {
+            // One range sample per target, in target order (the frozen
             // transcripts pin this draw order).
-            let spread = self.spread.max(1);
-            for (target, msg) in self.sends.drain(..) {
-                let r = ctx.rng().gen_range(0..spread);
-                self.schedule.push((r, target, msg));
+            for (r, _) in &mut self.schedule {
+                *r = ctx.rng().gen_range(0..self.spread);
             }
-            self.schedule.sort_by_key(|(r, ..)| *r);
+            self.schedule.sort_by_key(|(r, _)| *r);
             self.schedule.reverse(); // pop from the back = earliest first
         } else {
             self.received
                 .extend(ctx.inbox().iter().map(|e| (e.src, e.msg)));
         }
-        if self.t == rounds {
+        if t == rounds {
             debug_assert!(
                 self.schedule.is_empty(),
                 "staggered epoch too short to send everything"
@@ -101,15 +100,14 @@ impl Step for StaggerStep {
         let mut staged = 0;
         while staged < cap {
             match self.schedule.last() {
-                Some((r, ..)) if *r <= self.t => {
-                    let (_, target, msg) = self.schedule.pop().unwrap();
-                    ctx.send(target, msg);
+                Some(&(r, target)) if r <= t => {
+                    self.schedule.pop();
+                    ctx.send(target, self.msg);
                     staged += 1;
                 }
                 _ => break,
             }
         }
-        self.t += 1;
         Poll::Pending
     }
 }
@@ -129,15 +127,11 @@ mod tests {
         let net = Network::new(n, config);
         let cap = net.capacity();
         let head = net.ids_in_path_order()[0];
-        let (spread, drain) = plan(n - 1, cap);
         let result = net
             .run_protocol(|seed| {
-                let sends = if seed.id == head {
-                    vec![]
-                } else {
-                    vec![(head, WireMsg::word(tags::TOKEN, seed.id % 1000))]
-                };
-                StepProtocol::new(StaggerStep::new(sends, spread, drain))
+                let targets = if seed.id == head { vec![] } else { vec![head] };
+                let token = WireMsg::word(tags::TOKEN, seed.id % 1000);
+                StepProtocol::new(StaggerStep::new(targets, token, n - 1, cap))
             })
             .unwrap();
         assert_eq!(result.output_of(head).unwrap().len(), n - 1);
@@ -158,16 +152,15 @@ mod tests {
         let head = net.ids_in_path_order()[0];
         let targets: Vec<_> = net.ids_in_path_order()[1..].to_vec();
         let k = targets.len();
-        let (spread, drain) = plan(k, cap);
         let result = net
             .run_protocol(|seed| {
-                let sends = if seed.id == head {
-                    let token = WireMsg::word(tags::TOKEN, 1);
-                    targets.iter().map(|&t| (t, token)).collect()
+                let mine = if seed.id == head {
+                    targets.clone()
                 } else {
                     vec![]
                 };
-                StepProtocol::new(StaggerStep::new(sends, spread, drain))
+                let token = WireMsg::word(tags::TOKEN, 1);
+                StepProtocol::new(StaggerStep::new(mine, token, k, cap))
             })
             .unwrap();
         assert!(result.metrics.max_sent_per_round <= cap);

@@ -26,18 +26,22 @@
 //! A composition therefore spends exactly the sum of its steps' budgets;
 //! `crates/primitives/tests/proto_differential.rs` pins every step's
 //! transcript, round for round and message for message, on both engines.
+//!
+//! Every step whose budget is fixed when it is built runs on the one
+//! clock that enforces this, [`Lockstep`]: it owns the poll counter and
+//! the budget, idles a path non-member through the budget, and hands a
+//! member's poll index to the primitive's [`Rounds`], which writes only
+//! what a member does. A member still pending when its budget is spent
+//! panics with the primitive's name (the engines report it as
+//! [`SimError::NodePanic`](dgr_ncc::SimError::NodePanic)); in debug
+//! builds, so does one that is ready early.
 
 use dgr_ncc::{NodeProtocol, RoundCtx, Status};
 
-/// What a sub-protocol reports after one poll.
-#[derive(Debug)]
-pub enum Poll<T> {
-    /// The step staged this round's sends and participates in the round.
-    Pending,
-    /// The step is complete. It staged nothing this poll; the caller owns
-    /// the rest of the round.
-    Ready(T),
-}
+/// What a sub-protocol reports after one poll: `Pending`, it staged this
+/// round's sends and takes part in the round; `Ready`, it is complete,
+/// staged nothing this poll, and the caller owns the rest of the round.
+pub use std::task::Poll;
 
 /// A primitive as a pollable state machine (see the module docs for the
 /// polling discipline).
@@ -98,30 +102,84 @@ where
     }
 }
 
-/// Idles through a fixed number of rounds, staging and expecting nothing —
-/// what path non-members do to stay in lockstep through primitives they do
-/// not participate in.
-#[derive(Debug)]
-pub struct Idle {
-    remaining: u64,
+/// A primitive's member rounds, run on the [`Lockstep`] clock.
+pub trait Rounds: Send {
+    /// The primitive's result at this node.
+    type Out: Default;
+
+    /// Member poll `t` of a `budget`-round run, as the module docs lay
+    /// out: consume round `t - 1`'s delivery when `t > 0`, then stage
+    /// round `t`'s sends → [`Poll::Pending`], or at `t == budget` stage
+    /// nothing → [`Poll::Ready`].
+    fn poll(&mut self, t: u64, budget: u64, ctx: &mut RoundCtx<'_>) -> Poll<Self::Out>;
+
+    /// What a non-member gets once it has idled through the budget.
+    fn non_member(&mut self) -> Self::Out {
+        Self::Out::default()
+    }
 }
+
+/// The lockstep clock: runs a [`Rounds`] for exactly the budget it was
+/// built with, at a member and a non-member alike (see the module docs).
+#[derive(Debug)]
+pub struct Lockstep<R> {
+    pub(crate) inner: R,
+    member: bool,
+    budget: u64,
+    t: u64,
+}
+
+impl<R: Rounds> Lockstep<R> {
+    /// Runs `inner` for `budget` rounds: its member rounds where `member`
+    /// holds, an idle span elsewhere. Every node of the run passes the
+    /// same budget.
+    pub fn run(member: bool, budget: u64, inner: R) -> Self {
+        Lockstep {
+            inner,
+            member,
+            budget,
+            t: 0,
+        }
+    }
+}
+
+impl<R: Rounds> Step for Lockstep<R> {
+    type Out = R::Out;
+
+    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<R::Out> {
+        let (t, budget) = (self.t, self.budget);
+        let name = std::any::type_name::<R>;
+        if !self.member {
+            if t == budget {
+                return Poll::Ready(self.inner.non_member());
+            }
+        } else if let Poll::Ready(out) = self.inner.poll(t, budget, ctx) {
+            debug_assert!(t == budget, "{} ready at poll {t} of {budget}", name());
+            return Poll::Ready(out);
+        } else {
+            assert!(t < budget, "{} still pending after {budget} rounds", name());
+        }
+        self.t += 1;
+        Poll::Pending
+    }
+}
+
+/// Idles through a fixed number of rounds, staging and expecting nothing
+/// — a non-member's span of the clock.
+pub type Idle = Lockstep<()>;
 
 impl Idle {
     /// An idle step spanning exactly `rounds` rounds.
     pub fn new(rounds: u64) -> Self {
-        Idle { remaining: rounds }
+        Lockstep::run(false, rounds, ())
     }
 }
 
-impl Step for Idle {
+impl Rounds for () {
     type Out = ();
 
-    fn poll(&mut self, _ctx: &mut RoundCtx<'_>) -> Poll<()> {
-        if self.remaining == 0 {
-            return Poll::Ready(());
-        }
-        self.remaining -= 1;
-        Poll::Pending
+    fn poll(&mut self, _: u64, _: u64, _: &mut RoundCtx<'_>) -> Poll<()> {
+        unreachable!("an idle step has no member rounds")
     }
 }
 
@@ -181,7 +239,72 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgr_ncc::{Config, Network};
+    use dgr_ncc::{tags, Config, EngineKind, Network, RunResult, SimError, WireMsg};
+
+    /// A test primitive: a member signals its successor every round and
+    /// is ready, with its poll index, at poll `.0`.
+    #[derive(Debug)]
+    struct Beacon(u64);
+
+    impl Rounds for Beacon {
+        type Out = u64;
+
+        fn poll(&mut self, t: u64, _: u64, ctx: &mut RoundCtx<'_>) -> Poll<u64> {
+            if t == self.0 {
+                return Poll::Ready(t);
+            }
+            if let Some(succ) = ctx.initial_successor() {
+                ctx.send(succ, WireMsg::signal(tags::TOKEN));
+            }
+            Poll::Pending
+        }
+    }
+
+    /// Runs `Beacon(ready)` on a `budget` at every node of a 4-path; a
+    /// failed run gives its node panic's message.
+    fn beacons(
+        member: bool,
+        budget: u64,
+        ready: u64,
+        e: EngineKind,
+    ) -> Result<RunResult<u64>, String> {
+        let net = Network::new(4, Config::ncc0(9));
+        let run = net.run_protocol_on(e, None, None, |_| {
+            StepProtocol::new(Lockstep::run(member, budget, Beacon(ready)))
+        });
+        run.map_err(|err| match err {
+            SimError::NodePanic { message, .. } => message,
+            other => panic!("expected a node panic, got {other}"),
+        })
+    }
+
+    #[test]
+    fn a_non_member_idles_its_budget_staging_nothing() {
+        let members = beacons(true, 5, 5, EngineKind::Batched).unwrap();
+        assert_eq!((members.metrics.rounds, members.metrics.messages), (5, 15));
+        assert!(members.outputs.iter().all(|(_, out)| *out == 5));
+        let idlers = beacons(false, 5, 5, EngineKind::Batched).unwrap();
+        assert_eq!((idlers.metrics.rounds, idlers.metrics.messages), (5, 0));
+        assert!(idlers.outputs.iter().all(|(_, out)| *out == 0));
+    }
+
+    #[test]
+    fn a_member_pending_past_its_budget_is_a_node_panic_on_both_engines() {
+        for engine in [EngineKind::Batched, EngineKind::Reference] {
+            let message = beacons(true, 3, 4, engine).unwrap_err();
+            assert!(
+                message.contains("Beacon still pending after 3 rounds"),
+                "{message}"
+            );
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_member_ready_a_round_early_fails_the_debug_check() {
+        let message = beacons(true, 3, 2, EngineKind::Batched).unwrap_err();
+        assert!(message.contains("Beacon ready at poll 2 of 3"), "{message}");
+    }
 
     #[test]
     fn idle_spans_exact_rounds() {

@@ -7,7 +7,7 @@
 //! and at most two messages per node per round.
 
 use crate::bbst::{sweep_rounds, Bbst};
-use crate::step::{Poll, Step};
+use crate::step::{Lockstep, Poll, Rounds};
 use crate::vpath::VPath;
 use dgr_ncc::{tags, RoundCtx, WireMsg};
 use std::sync::Arc;
@@ -30,14 +30,15 @@ pub fn rounds_for(len: usize) -> u64 {
     2 * sweep_rounds(len)
 }
 
-/// Corollary 2 as a [`Step`].
+/// Corollary 2 as a [`Step`](crate::Step).
 ///
 /// Rounds: exactly [`rounds_for`]`(vp.len)`.
+pub type TraversalStep = Lockstep<TraversalRounds>;
+
+/// [`TraversalStep`]'s member rounds: the up sweep, then the down sweep.
 #[derive(Debug)]
-pub struct TraversalStep {
-    vp: VPath,
+pub struct TraversalRounds {
     tree: Arc<Bbst>,
-    t: u64,
     out: Traversal,
     have_left: bool,
     have_right: bool,
@@ -49,25 +50,23 @@ pub struct TraversalStep {
 impl TraversalStep {
     /// Builds the step over an established tree.
     pub fn new(vp: VPath, tree: Arc<Bbst>) -> Self {
-        let have_left = tree.left.is_none();
-        let have_right = tree.right.is_none();
-        let interval_start = tree.is_root.then_some(0);
-        TraversalStep {
-            vp,
+        let traversal = TraversalRounds {
+            have_left: tree.left.is_none(),
+            have_right: tree.right.is_none(),
+            interval_start: tree.is_root.then_some(0),
             tree,
-            t: 0,
             out: Traversal {
                 subtree_size: 1,
                 ..Traversal::default()
             },
-            have_left,
-            have_right,
             sent_up: false,
-            interval_start,
             sent_down: false,
-        }
+        };
+        Lockstep::run(vp.member, rounds_for(vp.len), traversal)
     }
+}
 
+impl TraversalRounds {
     fn absorb(&mut self, ctx: &RoundCtx<'_>) {
         for env in ctx.inbox() {
             match env.msg.tag {
@@ -96,23 +95,14 @@ impl TraversalStep {
     }
 }
 
-impl Step for TraversalStep {
+impl Rounds for TraversalRounds {
     type Out = Traversal;
 
-    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<Traversal> {
-        let up = sweep_rounds(self.vp.len);
-        let down = sweep_rounds(self.vp.len);
-        if !self.vp.member {
-            if self.t == up + down {
-                return Poll::Ready(Traversal::default());
-            }
-            self.t += 1;
-            return Poll::Pending;
-        }
-        if self.t > 0 {
+    fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<Traversal> {
+        if t > 0 {
             self.absorb(ctx);
         }
-        if self.t == up + down {
+        if t == rounds {
             debug_assert!(self.sent_up || self.tree.is_root);
             self.out.position = self
                 .interval_start
@@ -120,7 +110,7 @@ impl Step for TraversalStep {
                 + self.out.left_size;
             return Poll::Ready(std::mem::take(&mut self.out));
         }
-        if self.t < up {
+        if t < rounds / 2 {
             // Bottom-up convergecast round.
             let ready = self.have_left && self.have_right;
             if ready && !self.sent_up {
@@ -145,7 +135,6 @@ impl Step for TraversalStep {
                 self.sent_down = true;
             }
         }
-        self.t += 1;
         Poll::Pending
     }
 }
@@ -153,7 +142,7 @@ impl Step for TraversalStep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EstablishCtx, StepProtocol};
+    use crate::{EstablishCtx, Step, StepProtocol};
     use dgr_ncc::{Config, EngineKind, Network, Scenario};
 
     /// The traversal the context establishment ends with.

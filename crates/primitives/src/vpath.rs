@@ -11,7 +11,8 @@
 //! paths for recursive algorithms.
 //!
 //! Non-members still participate in the *rounds* of any primitive run on the
-//! path (idling in lockstep) — they simply never send or receive. This keeps
+//! path (idling in lockstep on the [`Lockstep`](crate::Lockstep) clock) —
+//! they simply never send or receive. This keeps
 //! the whole network synchronized through sub-network computations, which is
 //! how Algorithm 6 runs a degree realization on only its first `d₀+1` nodes.
 
@@ -24,7 +25,7 @@ use dgr_ncc::NodeId;
 /// phase — it is a *handle*, not a table (the heap-backed per-path state
 /// — contact tables, trees — is interned behind `Arc`s instead; see
 /// [`crate::ctx::PathCtx`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VPath {
     /// Is this node on the path? Non-members only idle through primitives.
     pub member: bool,

@@ -9,7 +9,7 @@
 //! recursion terminates after `O(log n)` levels and the resulting tree has
 //! height `O(log n)`.
 
-use crate::step::{Poll, Step};
+use crate::step::{Lockstep, Poll, Rounds};
 use crate::vpath::VPath;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
 
@@ -50,11 +50,11 @@ const GRAND_SUCC: u64 = 1;
 /// leaving. Non-members idle in lockstep.
 ///
 /// Rounds: exactly [`rounds_for`]`(vp.len)`.
+pub type WarmupStep = Lockstep<Warmup>;
+
+/// [`WarmupStep`]'s member rounds.
 #[derive(Debug)]
-pub struct WarmupStep {
-    vp: VPath,
-    /// Polls completed so far; even = exchange round, odd = adopt round.
-    t: u64,
+pub struct Warmup {
     tree: WarmupTree,
     /// This node's neighbors on its current live path.
     pred: Option<NodeId>,
@@ -69,7 +69,7 @@ pub struct WarmupStep {
 impl WarmupStep {
     /// Builds the step for one node's view of the path.
     pub fn new(vp: VPath) -> Self {
-        WarmupStep {
+        let warmup = Warmup {
             tree: WarmupTree {
                 is_root: vp.is_head(),
                 ..WarmupTree::default()
@@ -79,11 +79,12 @@ impl WarmupStep {
             grand_pred: None,
             grand_succ: None,
             removed: false,
-            t: 0,
-            vp,
-        }
+        };
+        Lockstep::run(vp.member, rounds_for(vp.len), warmup)
     }
+}
 
+impl Warmup {
     /// Consumes an exchange round: who sits two hops away on my path.
     fn absorb_links(&mut self, ctx: &RoundCtx<'_>) {
         (self.grand_pred, self.grand_succ) = (None, None);
@@ -115,32 +116,23 @@ impl WarmupStep {
     }
 }
 
-impl Step for WarmupStep {
+impl Rounds for Warmup {
     type Out = WarmupTree;
 
-    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<WarmupTree> {
-        let rounds = rounds_for(self.vp.len);
-        if !self.vp.member {
-            if self.t == rounds {
-                return Poll::Ready(WarmupTree::default());
-            }
-            self.t += 1;
-            return Poll::Pending;
-        }
+    fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<WarmupTree> {
         // Poll t consumes round t-1: odd polls follow an exchange round,
         // even polls (past the first) an adopt round.
-        if self.t % 2 == 1 {
+        if t % 2 == 1 {
             self.absorb_links(ctx);
-        } else if self.t > 0 {
+        } else if t > 0 {
             self.absorb_adoption(ctx);
         }
-        if self.t == rounds {
+        if t == rounds {
             debug_assert!(self.removed, "node {} never became a path head", ctx.id());
             return Poll::Ready(std::mem::take(&mut self.tree));
         }
-        debug_assert!(self.t / 2 < levels(self.vp.len));
         // A node that has left its path idles through the remaining levels.
-        if !self.removed && self.t.is_multiple_of(2) {
+        if !self.removed && t.is_multiple_of(2) {
             // Tell my successor who my predecessor is and vice versa.
             if let (Some(p), Some(s)) = (self.pred, self.succ) {
                 ctx.send(s, WireMsg::addr_word(tags::LEVEL_LINK, p, GRAND_PRED));
@@ -149,7 +141,7 @@ impl Step for WarmupStep {
         } else if !self.removed && self.pred.is_none() {
             // A path head adopts its neighbor `a` as left child and `a`'s
             // other neighbor `b` as right child, then leaves.
-            let level = self.t / 2;
+            let level = t / 2;
             if let Some(a) = self.succ {
                 ctx.send(a, WireMsg::word(tags::INVITE_LEFT, level));
                 self.tree.left = Some(a);
@@ -160,7 +152,6 @@ impl Step for WarmupStep {
             }
             self.removed = true;
         }
-        self.t += 1;
         Poll::Pending
     }
 }
@@ -169,7 +160,7 @@ impl Step for WarmupStep {
 mod tests {
     use super::*;
     use crate::ctx::UndirectStep;
-    use crate::StepProtocol;
+    use crate::{Step, StepProtocol};
     use dgr_ncc::{Config, Network, RunResult};
     use std::collections::HashMap;
 

@@ -110,7 +110,14 @@ fn collection_is_exact_under_full_duplication() {
                 .is_multiple_of(3)
                 .then_some(ctx.position as u64);
             let k_bound = ctx.vp.len.div_ceil(3);
-            CollectStep::new(ctx.vp, ctx.tree.clone(), token, k_bound, rctx.id())
+            CollectStep::new(
+                ctx.vp,
+                ctx.tree.clone(),
+                token,
+                k_bound,
+                rctx.capacity(),
+                rctx.id(),
+            )
         })
     });
 }

@@ -21,7 +21,7 @@ use dgr_primitives::ops::{AggBcastStep, BroadcastAddrStep, CollectStep};
 use dgr_primitives::prefix::PrefixStep;
 use dgr_primitives::scatter::{ScanRecord, ScanStep};
 use dgr_primitives::sort::{Order, SortStep};
-use dgr_primitives::stagger::{self, StaggerStep};
+use dgr_primitives::stagger::StaggerStep;
 use dgr_primitives::warmup::WarmupStep;
 use dgr_primitives::WithCtx as CtxThen;
 use dgr_primitives::{AggOp, EstablishCtx, PathCtx, Step, StepProtocol};
@@ -191,7 +191,14 @@ fn collect_matches_frozen_twin_on_both_engines() {
                 .position
                 .is_multiple_of(3)
                 .then_some(ctx.position as u64);
-            CollectStep::new(ctx.vp, ctx.tree.clone(), token, k_bound, rctx.id())
+            CollectStep::new(
+                ctx.vp,
+                ctx.tree.clone(),
+                token,
+                k_bound,
+                rctx.capacity(),
+                rctx.id(),
+            )
         })
     });
     assert_golden("collect", &batched);
@@ -265,18 +272,12 @@ fn stagger_matches_frozen_twin_on_both_engines() {
     // neighbors; the RNG schedule must be identical across engines (same
     // per-node stream, same draw order) and the one the twin drew.
     let n = 48;
-    let (spread, drain) = stagger::plan(2, Config::ncc0(0).capacity(n));
-    let make_sends = |ctx: &PathCtx| {
-        let mut sends = Vec::new();
-        for nb in [ctx.vp.pred, ctx.vp.succ].into_iter().flatten() {
-            sends.push((nb, WireMsg::word(dgr_ncc::tags::TOKEN, 5)));
-        }
-        sends
-    };
+    let cap = Config::ncc0(0).capacity(n);
     let net = Network::new(n, Config::ncc0(71).with_queueing());
     let batched = engines_agree(&net, move |_| {
         CtxThen::new(move |ctx: &PathCtx, _: &mut RoundCtx<'_>| {
-            StaggerStep::new(make_sends(ctx), spread, drain)
+            let targets = [ctx.vp.pred, ctx.vp.succ].into_iter().flatten().collect();
+            StaggerStep::new(targets, WireMsg::word(dgr_ncc::tags::TOKEN, 5), 2, cap)
         })
     });
     assert_golden("stagger", &batched);
