@@ -16,11 +16,15 @@
 //!    last phase's sorted path instead, in `O(log n)` rounds (the merge
 //!    lane below);
 //! 3. with `q = max(1, ⌊N/(δ+1)⌋)`, split the first `q(δ+1)` sorted ranks
-//!    into `q` star groups; each group's first node multicasts its ID to
-//!    the other `δ` members (interval multicast on the sorted path),
-//!    which store the edge and decrement their remaining degree (below
-//!    zero raises the flag), while the leader is fully satisfied and
-//!    drops to 0.
+//!    into `q` star groups: the leader, each group's first node, is fully
+//!    satisfied and drops to 0; each of the other `δ` members decrements
+//!    its remaining degree (an exact-flavor member already at 0 raises the
+//!    flag instead). Every node commits its new need in the round both
+//!    halves of the phase are in, since it depends only on its rank, `δ`
+//!    and `q`;
+//! 4. in that round the leader's ID goes out to its members (interval
+//!    multicast on the sorted path), which store the edge when it
+//!    arrives, and the next phase opens beside the multicast.
 //!
 //! **Sort once, merge after.** A phase barely changes the sorted order:
 //! the `q` leaders drop to 0, the `qδ` members each lose one, the tail
@@ -42,9 +46,15 @@
 //! none of them, so they share one sweep that runs *alongside* the sort
 //! (ARCHITECTURE.md, *Deviations from the paper*): same groups, edges and
 //! phase count, one sweep a phase instead of three, spent in the sort's
-//! rounds — a phase costs `max(control, sort + contacts) + multicast` —
-//! and in the closing phase a partial sort lane, dropped when the control
-//! ends the run ([`rounds_for`]).
+//! rounds. Nor does the next phase need anything the multicast carries:
+//! its control sweep and its lane read only the committed needs. So the
+//! multicast (`⌈log₂ n⌉ + 1` rounds) runs beside the next phase's control
+//! sweep (`2⌈log₂ n⌉ + 4`), which always outlasts it — a phase costs
+//! `max(control, sort + contacts)`; the multicast rides the next phase —
+//! and in the closing phase a partial sort lane is dropped when the
+//! control ends the run ([`rounds_for`]). A member that committed its
+//! edge and then hears no multicast can only have lost a message; it
+//! panics, so a run never ends with a silently short degree.
 //!
 //! Lemma 10: every phase (or every second phase) removes the current
 //! maximum degree, and at most `O(√m)` phases involve degrees above `√m`,
@@ -102,7 +112,7 @@ use crate::sequence::DegreeSequence;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
 use dgr_primitives::bbst::Bbst;
 use dgr_primitives::contacts::{self, ContactTable};
-use dgr_primitives::imcast::{self, CoverSide, ImcastStep, Payload};
+use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
 use dgr_primitives::ops::{self, SweepStep, Words};
 use dgr_primitives::sort::{self, Order, Regroup, SortContactsStep, SortStep, SortedPath};
 use dgr_primitives::stagger::{self, StaggerStep};
@@ -165,15 +175,16 @@ pub enum Flavor {
 /// Rounds of a whole realization — context establishment, then
 /// [`DegreesCore`] — on a path of `len` nodes that ran `phases` control
 /// sweeps: every phase but the last runs the control sweep beside the sort
-/// lane and the sorted contacts, then pays the multicast — the first
-/// phase's lane is the bitonic sort, a later one's the merge lane where
-/// [`merges`] says so; the last phase (a refusal's included) ends on its
-/// control sweep, dropping the partial lane beside it; the explicit flavor
-/// adds the hand-off epoch for the maximum requested degree `max_degree`
-/// at capacity `cap`.
+/// lane and the sorted contacts — the first phase's lane is the bitonic
+/// sort, a later one's the merge lane where [`merges`] says so; the last
+/// phase (a refusal's included) ends on its control sweep, dropping the
+/// partial lane beside it; the explicit flavor adds the hand-off epoch for
+/// the maximum requested degree `max_degree` at capacity `cap`. Each
+/// phase's multicast opens with the next phase and ends before its
+/// control sweep, so it adds no rounds.
 pub fn rounds_for(len: usize, phases: u64, flavor: Flavor, max_degree: usize, cap: usize) -> u64 {
     let control = ops::rounds_for(len);
-    let phase = |lane: u64| control.max(lane + contacts::rounds_for(len)) + imcast::rounds_for(len);
+    let phase = |lane: u64| control.max(lane + contacts::rounds_for(len));
     let first = phase(sort::rounds_for(len));
     let later = if merges(flavor, len) {
         phase(sort::merge_rounds_for(len))
@@ -210,16 +221,16 @@ fn fold_control(acc: &mut Words, x: &Words) {
 }
 
 enum CoreStage {
-    /// The control sweep beside the sort lane, each polled until it is
-    /// ready (`None` from then on). The sweep is boxed, not the lane: from
-    /// `n = 9` on the lane runs more rounds (three times as many in a
-    /// large phase 1), and keeping it inline keeps those polls off a
-    /// second allocation.
+    /// The control sweep beside the sort lane, and the last phase's
+    /// multicast beside both, each polled until it is ready (`None` from
+    /// then on). The sweep is boxed, not the lane: from `n = 9` on the
+    /// lane runs more rounds (three times as many in a large phase 1),
+    /// and keeping it inline keeps those polls off a second allocation.
     Phase {
+        mcast: Option<ImcastStep>,
         control: Option<Box<SweepStep>>,
         lane: Option<SortContactsStep>,
     },
-    Mcast(ImcastStep),
     Handoff(StaggerStep),
 }
 
@@ -249,7 +260,7 @@ pub struct DegreesCore {
     global_tree: Arc<Bbst>,
     stage: CoreStage,
     need: u64,
-    /// Did the last multicast reach this node with nothing left to give?
+    /// Was this node a group member with nothing left to give?
     went_negative: bool,
     outcome: ImplicitOutcome,
     /// The sort lane's result: held until the control is in too, then
@@ -258,7 +269,9 @@ pub struct DegreesCore {
     /// This phase's `q` groups of `δ + 1` sorted ranks, on a sorted path
     /// of `live` records: `len` less every leader a merge lane took off.
     shape: Regroup,
-    is_leader: bool,
+    /// Does the need committed at the last phase's end count an edge its
+    /// multicast is still carrying here?
+    awaiting: bool,
 }
 
 impl DegreesCore {
@@ -277,6 +290,7 @@ impl DegreesCore {
             global_tree,
             // Placeholder; the first poll's `begin_phase` installs phase 1.
             stage: CoreStage::Phase {
+                mcast: None,
                 control: None,
                 lane: None,
             },
@@ -292,7 +306,7 @@ impl DegreesCore {
                 live: local.vp.len,
                 ..Regroup::default()
             },
-            is_leader: false,
+            awaiting: false,
             local,
         }
     }
@@ -300,8 +314,9 @@ impl DegreesCore {
     /// Opens a new Algorithm 3 phase: the control sweep on the global
     /// tree and, in the same rounds, the sort lane — the sort on the local
     /// path, or the merge lane on the last phase's sorted path; neither
-    /// needs anything the sweep computes.
-    fn begin_phase(&mut self, my_id: NodeId) {
+    /// needs anything the sweep computes — beside `mcast`, the last
+    /// phase's multicast.
+    fn begin_phase(&mut self, my_id: NodeId, mcast: Option<ImcastStep>) {
         self.outcome.phases += 1;
         let words = [
             self.need,
@@ -334,6 +349,7 @@ impl DegreesCore {
         };
         let control = SweepStep::new(vp, tree, &words, None, fold_control);
         self.stage = CoreStage::Phase {
+            mcast,
             control: Some(Box::new(control)),
             lane: Some(SortContactsStep::new(sort)),
         };
@@ -345,15 +361,30 @@ impl Step for DegreesCore {
 
     fn poll(&mut self, rctx: &mut RoundCtx<'_>) -> Poll<Self::Out> {
         if self.outcome.phases == 0 {
-            self.begin_phase(rctx.id());
+            self.begin_phase(rctx.id(), None);
         }
         loop {
             match &mut self.stage {
-                CoreStage::Phase { control, lane } => {
-                    // The control goes first: a refusing or closing phase
+                CoreStage::Phase {
+                    mcast,
+                    control,
+                    lane,
+                } => {
+                    // The multicast ends first: it is shorter than the
+                    // control sweep it started beside.
+                    if let Some(Poll::Ready(got)) = mcast.as_mut().map(|s| s.poll(rctx)) {
+                        *mcast = None;
+                        if self.awaiting {
+                            let p =
+                                got.expect("message loss: a committed member missed the multicast");
+                            self.outcome.neighbors.push(p.addr);
+                        }
+                    }
+                    // The control goes next: a refusing or closing phase
                     // drops the sort before it stages this round's sends.
                     if let Some(Poll::Ready(swept)) = control.as_mut().map(|s| s.poll(rctx)) {
                         *control = None;
+                        debug_assert!(mcast.is_none(), "multicast outlasted the control sweep");
                         let [delta, n_max, err, bound] = swept.words;
                         // Some node went negative, or wants more
                         // neighbors than exist.
@@ -388,47 +419,38 @@ impl Step for DegreesCore {
                     if control.is_some() || lane.is_some() {
                         return Poll::Pending;
                     }
-                    // Both halves are in: the multicast opens this round.
+                    // Both halves are in. The need after the multicast
+                    // depends only on the rank and the groups, so it is
+                    // committed now, and the multicast and the next phase
+                    // open together this round.
                     let (sp, table) = self.sorted.clone().expect("phase without a sorted path");
-                    let delta = self.shape.stride - 1;
-                    self.is_leader = sp.vp.member
-                        && sp.rank < self.shape.span()
-                        && sp.rank.is_multiple_of(self.shape.stride);
-                    let task = self.is_leader.then(|| {
-                        (
-                            CoverSide::After,
-                            delta,
-                            Payload {
-                                addr: rctx.id(),
-                                word: 0,
-                            },
-                        )
-                    });
-                    self.stage = CoreStage::Mcast(ImcastStep::new(sp.vp, table, task));
-                }
-                CoreStage::Mcast(s) => match s.poll(rctx) {
-                    Poll::Pending => return Poll::Pending,
-                    Poll::Ready(got) => {
-                        if self.is_leader {
-                            debug_assert_eq!(
-                                self.need,
-                                self.shape.stride as u64 - 1,
-                                "leader without max degree"
-                            );
-                            self.need = 0;
-                        } else if let Some(p) = got {
-                            // Exact flavors fail on a saturated node; the
-                            // envelope accepts the extra edge.
-                            if self.need == 0 && self.flavor != Flavor::Envelope {
-                                self.went_negative = true;
-                            } else {
-                                self.outcome.neighbors.push(p.addr);
-                                self.need = self.need.saturating_sub(1);
-                            }
+                    let stride = self.shape.stride;
+                    let grouped = sp.vp.member && sp.rank < self.shape.span();
+                    let is_leader = grouped && sp.rank.is_multiple_of(stride);
+                    self.awaiting = false;
+                    if is_leader {
+                        debug_assert_eq!(self.need, stride as u64 - 1, "leader without max degree");
+                        self.need = 0;
+                    } else if grouped {
+                        // Exact flavors fail on a saturated node; the
+                        // envelope accepts the extra edge.
+                        if self.need == 0 && self.flavor != Flavor::Envelope {
+                            self.went_negative = true;
+                        } else {
+                            self.need = self.need.saturating_sub(1);
+                            self.awaiting = true;
                         }
-                        self.begin_phase(rctx.id());
                     }
-                },
+                    let task = is_leader.then(|| {
+                        let payload = Payload {
+                            addr: rctx.id(),
+                            word: 0,
+                        };
+                        (CoverSide::After, stride - 1, payload)
+                    });
+                    let mcast = ImcastStep::new(sp.vp, table, task);
+                    self.begin_phase(rctx.id(), Some(mcast));
+                }
                 CoreStage::Handoff(s) => match s.poll(rctx) {
                     Poll::Pending => return Poll::Pending,
                     Poll::Ready(received) => {
@@ -451,6 +473,16 @@ mod tests {
     use super::{rounds_for, Flavor};
     use crate::driver::{prepare_degrees, realize_for_test};
     use dgr_ncc::{Config, EngineKind, Recording, RunEvent};
+
+    /// The multicast rides the next phase: at every path length it ends
+    /// before the control sweep that opens with it.
+    #[test]
+    fn the_multicast_ends_inside_the_next_control_sweep() {
+        use dgr_primitives::{imcast, ops};
+        for len in 1..=1 << 20 {
+            assert!(imcast::rounds_for(len) < ops::rounds_for(len), "len={len}");
+        }
+    }
 
     #[test]
     fn realizes_a_triangle() {
