@@ -97,32 +97,32 @@ fn benchmark_calls_keep_their_fingerprints() {
         (
             "degrees_default",
             2020,
-            (504, 571_181, 1_815_184, 0x7504_cae2_9b62_b91e),
+            (408, 571_181, 1_815_184, 0x7504_cae2_9b62_b91e),
         ),
         (
             "degrees_default",
             5376,
-            (504, 571_181, 1_815_184, 0xe514_bcfc_8041_68a3),
+            (408, 571_181, 1_815_184, 0xe514_bcfc_8041_68a3),
         ),
         (
             "explicit_powerlaw",
             2020,
-            (939, 1_322_534, 4_153_283, 0xc7bd_c305_c5cc_2575),
+            (735, 1_322_534, 4_153_283, 0xc7bd_c305_c5cc_2575),
         ),
         (
             "explicit_powerlaw",
             5376,
-            (939, 1_322_534, 4_153_283, 0x58a9_4497_4cc0_62ab),
+            (735, 1_322_534, 4_153_283, 0x58a9_4497_4cc0_62ab),
         ),
         (
             "threshold_certified",
             2020,
-            (401, 215_619, 665_037, 0x513e_2e44_4a43_24ed),
+            (381, 215_619, 665_037, 0x513e_2e44_4a43_24ed),
         ),
         (
             "threshold_certified",
             5376,
-            (401, 215_493, 664_786, 0x3b4e_011f_5d6a_ee6a),
+            (381, 215_493, 664_786, 0x3b4e_011f_5d6a_ee6a),
         ),
         (
             "flood_sharded_faulty",
