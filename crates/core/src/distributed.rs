@@ -117,6 +117,7 @@ use dgr_primitives::ops::{self, SweepStep, Words};
 use dgr_primitives::sort::{self, Order, Regroup, SortContactsStep, SortStep, SortedPath};
 use dgr_primitives::stagger::{self, StaggerStep};
 use dgr_primitives::{ctx, PathCtx, Poll, Step, VPath};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Returned (consistently by *every* node) when the degree sequence is not
@@ -454,10 +455,14 @@ impl Step for DegreesCore {
                 CoreStage::Handoff(s) => match s.poll(rctx) {
                     Poll::Pending => return Poll::Pending,
                     Poll::Ready(received) => {
+                        // An exact flavor has no multi-edge, so a second
+                        // `EDGE` from one sender is a repeat: the first
+                        // arrival stands.
+                        let mut senders = BTreeSet::new();
                         self.outcome.neighbors.extend(
                             received
                                 .iter()
-                                .filter(|(_, msg)| msg.tag == tags::EDGE)
+                                .filter(|(src, msg)| msg.tag == tags::EDGE && senders.insert(*src))
                                 .map(|(src, _)| *src),
                         );
                         return Poll::Ready(Ok(std::mem::take(&mut self.outcome)));

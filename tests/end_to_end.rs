@@ -217,3 +217,49 @@ fn explicit_realization_carries_queue_backlog_to_the_reference_overlay() {
     assert_eq!(r.graph.edge_list(), o.graph.edge_list());
     assert_eq!(r.metrics, o.metrics);
 }
+
+/// Every message delivered twice (or 30 % of them): the degree
+/// realizations still realize their requests, on both engines. A phase's
+/// multicast runs beside the next phase, so a duplicated delegation lands
+/// among the next control sweep's and lane's messages; the explicit
+/// hand-off keeps the first `EDGE` from each sender. The exact flavors
+/// meet every degree with no duplicate edge, the envelope holds
+/// Theorem 13's two invariants.
+#[test]
+fn degree_realizations_survive_message_duplication() {
+    for n in [64usize, 256] {
+        let degrees = graphgen::power_law_sequence(n, 8, 2.5, n as u64);
+        let sum: usize = degrees.iter().sum();
+        for rate in [0.3, 1.0] {
+            let scenario = Scenario::new(n as u64).duplicate_messages(0..=u64::MAX, rate);
+            for engine in [Engine::Batched, Engine::Reference] {
+                for (flavor, workload) in [
+                    ("implicit", Workload::Implicit(degrees.clone())),
+                    ("envelope", Workload::Envelope(degrees.clone())),
+                    ("explicit", Workload::Explicit(degrees.clone())),
+                ] {
+                    let what = format!("n={n} rate={rate} {engine:?} {flavor}");
+                    let out = Realization::new(workload)
+                        .engine(engine)
+                        .seed(7)
+                        .scenario(scenario.clone())
+                        .run()
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert!(out.engine_stats.faults_duplicated > 0, "{what}");
+                    let r = out.degrees().expect_realized();
+                    if flavor == "envelope" {
+                        for (id, &d) in &r.requested {
+                            assert!(r.multi_degrees[id] >= d, "{what}: node {id}");
+                        }
+                        let envelope_sum: usize = r.multi_degrees.values().sum();
+                        assert!(envelope_sum <= 2 * sum, "{what}: Σd' = {envelope_sum}");
+                    } else {
+                        verify::degrees_match(&r.graph, &r.requested)
+                            .unwrap_or_else(|e| panic!("{what}: {e}"));
+                        assert_eq!(r.duplicate_edges, 0, "{what}");
+                    }
+                }
+            }
+        }
+    }
+}
