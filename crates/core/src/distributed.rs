@@ -489,6 +489,31 @@ mod tests {
         }
     }
 
+    /// A member commits its need before its payload arrives, so losing
+    /// the multicast's first round of sends is a typed panic that names
+    /// the cause, on both engines — never a silently short degree.
+    #[test]
+    fn a_lost_multicast_panics_its_committed_member() {
+        use dgr_ncc::{Scenario, SimError};
+        use dgr_primitives::{contacts, ctx, ops, sort};
+        let n = 64;
+        let degrees: Vec<usize> = (0..n).map(|i| 2 + 2 * (i % 3)).collect();
+        let lane = sort::rounds_for(n) + contacts::rounds_for(n);
+        let opens = ctx::rounds_for(n) + ops::rounds_for(n).max(lane);
+        let lost = Scenario::new(3).drop_messages(opens..=opens, 1.0);
+        for engine in [EngineKind::Batched, EngineKind::Reference] {
+            let config = Config::ncc0(7).with_scenario(lost.clone());
+            let job = prepare_degrees(&degrees, None, config, Flavor::Implicit, engine);
+            match job.unwrap().drive(None) {
+                Err(SimError::NodePanic { message, .. }) => assert_eq!(
+                    message, "message loss: a committed member missed the multicast",
+                    "{engine:?}"
+                ),
+                other => panic!("{engine:?}: expected a node panic, got {:?}", other.err()),
+            }
+        }
+    }
+
     #[test]
     fn realizes_a_triangle() {
         let out = realize_for_test(&[2, 2, 2], Config::ncc0(1), Flavor::Implicit);
