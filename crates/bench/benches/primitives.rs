@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dgr_ncc::{Config, Network, RoundCtx};
-use dgr_primitives::sort::{Order, SortStep};
-use dgr_primitives::{EstablishCtx, PathCtx, StepProtocol, WithCtx};
+use dgr_primitives::sort::{Order, RankStep, SortStep};
+use dgr_primitives::{EstablishCtx, PathCtx, Step, StepProtocol, WithCtx};
 
 const SIZES: [usize; 5] = [64, 256, 1024, 4096, 16384];
 
@@ -29,14 +29,16 @@ fn run_sort(n: usize, config: Config) {
     let net = Network::new(n, config);
     net.run_protocol(|_| {
         WithCtx::new(|ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+            let (vp, x, key) = (ctx.vp, ctx.position, rctx.id() % 1000);
             SortStep::new(
-                ctx.vp,
+                vp,
                 ctx.contacts.clone(),
-                ctx.position,
-                rctx.id() % 1000,
+                x,
+                key,
                 Order::Descending,
                 rctx.id(),
             )
+            .then(move |held, _| RankStep::new(vp, x, held))
         })
     })
     .unwrap();

@@ -21,8 +21,8 @@
 use dgr_bench::drive::{CapacityPolicy, Kt0, Realization, Workload};
 use dgr_graphgen as graphgen;
 use dgr_ncc::{Config, EngineKind, EngineStats, Network, NullSink, RunMetrics, Scenario};
-use dgr_primitives::sort::{Order, SortStep};
-use dgr_primitives::{EstablishCtx, PathCtx, PathToClique, StepProtocol, WithCtx};
+use dgr_primitives::sort::{Order, RankStep, SortStep};
+use dgr_primitives::{EstablishCtx, PathCtx, PathToClique, Step, StepProtocol, WithCtx};
 use dgr_trees::TreeAlgo;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -291,8 +291,9 @@ fn dist_sort(n: usize, repeats: u32) -> Vec<Entry> {
             .run_protocol(|_| {
                 WithCtx::new(move |ctx: &PathCtx, rctx: &mut dgr_ncc::RoundCtx<'_>| {
                     let (key, id) = (rctx.id() % 1000, rctx.id());
-                    let (vp, contacts) = (ctx.vp, ctx.contacts.clone());
-                    SortStep::new(vp, contacts, ctx.position, key, Order::Descending, id)
+                    let (vp, contacts, x) = (ctx.vp, ctx.contacts.clone(), ctx.position);
+                    SortStep::new(vp, contacts, x, key, Order::Descending, id)
+                        .then(move |held, _| RankStep::new(vp, x, held))
                 })
             })
             .unwrap();

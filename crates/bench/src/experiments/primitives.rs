@@ -12,7 +12,7 @@ use dgr_primitives::bbst::{Bbst, BbstStep};
 use dgr_primitives::contacts::ContactsStep;
 use dgr_primitives::ctx::UndirectStep;
 use dgr_primitives::ops::{AggBcastStep, BroadcastAddrStep, CollectStep};
-use dgr_primitives::sort::{Order, SortStep};
+use dgr_primitives::sort::{Order, RankStep, SortStep};
 use dgr_primitives::{AggOp, EstablishCtx, PathCtx, Step, StepProtocol, WithCtx};
 use std::sync::Arc;
 
@@ -154,14 +154,9 @@ pub fn t3_sort() -> Vec<Table> {
             .run_protocol(|_| {
                 WithCtx::new(|c: &PathCtx, rctx: &mut RoundCtx<'_>| {
                     let (key, id) = (rctx.id() % 97, rctx.id());
-                    SortStep::new(
-                        c.vp,
-                        c.contacts.clone(),
-                        c.position,
-                        key,
-                        Order::Ascending,
-                        id,
-                    )
+                    let (vp, x) = (c.vp, c.position);
+                    SortStep::new(vp, c.contacts.clone(), x, key, Order::Ascending, id)
+                        .then(move |held, _| RankStep::new(vp, x, held))
                 })
             })
             .unwrap();

@@ -39,7 +39,7 @@
 use super::ThresholdOutcome;
 use dgr_ncc::{tags, NodeId, NodeProtocol, RoundCtx, Status, WireMsg};
 use dgr_primitives::ops::SweepStep;
-use dgr_primitives::sort::{Order, SortStep, SortedPath};
+use dgr_primitives::sort::{Order, RankStep, SortStep, SortedPath};
 use dgr_primitives::stagger::StaggerStep;
 use dgr_primitives::{EstablishCtx, Lockstep, PathCtx, Poll, Rounds, Step};
 use std::collections::VecDeque;
@@ -176,6 +176,8 @@ impl Sorted {
 enum PrologueStage {
     Establish(EstablishCtx),
     Sort(SortStep),
+    /// The sort's epilogue: every node learns its rank and sorted path.
+    Rank(RankStep),
     /// `(max ρ, x₁'s address)` in one sweep.
     D0X1(SweepStep),
 }
@@ -206,7 +208,7 @@ impl Prologue {
     pub(super) fn label(&self) -> &'static str {
         match self.stage {
             PrologueStage::Establish(_) => "establish",
-            PrologueStage::Sort(_) => "sort",
+            PrologueStage::Sort(_) | PrologueStage::Rank(_) => "sort",
             PrologueStage::D0X1(_) => "d0",
         }
     }
@@ -240,6 +242,13 @@ impl Step for Prologue {
                     }
                 },
                 PrologueStage::Sort(s) => match s.poll(rctx) {
+                    Poll::Pending => return Poll::Pending,
+                    Poll::Ready(held) => {
+                        let ctx = self.ctx();
+                        self.stage = PrologueStage::Rank(RankStep::new(ctx.vp, ctx.position, held));
+                    }
+                },
+                PrologueStage::Rank(s) => match s.poll(rctx) {
                     Poll::Pending => return Poll::Pending,
                     Poll::Ready(sp) => {
                         let mine = (sp.rank == 0).then(|| rctx.id());

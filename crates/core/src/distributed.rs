@@ -5,56 +5,71 @@
 //!
 //! # Algorithm 3: implicit realization in `O~(min{√m, Δ})` rounds (Theorem 11)
 //!
-//! A parallelized Havel–Hakimi. Each phase:
+//! A parallelized Havel–Hakimi. Each node's record `(need, ID)` travels
+//! between the positions of the local path; the nodes never move. Each
+//! phase:
 //!
 //! 1. **control**: one sweep of the whole tree learns the maximum
 //!    remaining degree `δ`, its multiplicity `N` and whether the phase
 //!    before drove a node negative; the flag or `δ ≥ n` ends the run on
 //!    `UNREALIZABLE`, `δ = 0` ends it realized;
-//! 2. in the same rounds, sort the nodes by remaining degree,
-//!    non-increasing (Theorem 3) — in phase 1; a later phase re-orders the
-//!    last phase's sorted path instead, in `O(log n)` rounds (the merge
-//!    lane below);
-//! 3. with `q = max(1, ⌊N/(δ+1)⌋)`, split the first `q(δ+1)` sorted ranks
-//!    into `q` star groups: the leader, each group's first node, is fully
+//! 2. in the same rounds, sort the records by need, non-increasing
+//!    (Theorem 3), so that position `x` holds the rank-`x` record — in
+//!    phase 1; a later phase re-orders the records in place instead, in
+//!    `O(log n)` rounds (the merge lane below);
+//! 3. with `q = max(1, ⌊N/(δ+1)⌋)`, split the first `q(δ+1)` positions
+//!    into `q` star groups: the leader, each group's first record, is fully
 //!    satisfied and drops to 0; each of the other `δ` members decrements
 //!    its remaining degree (an exact-flavor member already at 0 raises the
-//!    flag instead). Every node commits its new need in the round both
-//!    halves of the phase are in, since it depends only on its rank, `δ`
-//!    and `q`;
-//! 4. in that round the leader's ID goes out to its members (interval
-//!    multicast on the sorted path), which store the edge when it
-//!    arrives, and the next phase opens beside the multicast.
+//!    flag instead). The position holding a record decides all of it, in
+//!    the round both halves of the phase are in, since it depends only on
+//!    the rank, `δ` and `q`, and commits the new need as the record's key;
+//! 4. in that round the leader's origin ID goes out to its members
+//!    (interval multicast over the positions), the next phase opens beside
+//!    the multicast, and when the multicast ends each position sends one
+//!    **status** to the origin of the record it held: a member's carries
+//!    the leader's ID, which the origin stores as its edge.
 //!
 //! **Sort once, merge after.** A phase barely changes the sorted order:
 //! the `q` leaders drop to 0, the `qδ` members each lose one, the tail
-//! `[q(δ+1), len)` does not change. In the exact flavors a node at need 0
-//! is inert — never a leader again, and a run that picks it as a member
-//! goes negative and is refused — so the leaders leave the sorted path,
-//! and the members and the tail are two runs that are still sorted.
-//! [`SortStep::merge`] joins them on the old sorted path and its contacts:
-//! a compaction of `⌈log₂ n⌉` rounds, one merge pass of `⌈log₂ n⌉ + 1`
-//! stages and the sort's 2-round epilogue, then the new path's contacts
-//! (ARCHITECTURE.md, *Deviations from the paper*). Every group, edge and
-//! phase count is the full sort's: the nonzero nodes keep their order, and
-//! a group that reaches past them picks a zero-need node either way. The
-//! path keeps its length `len`, the departed ranks vacant at its end, so
-//! every budget stays a function of `len` ([`merges`] picks the lane).
+//! `[q(δ+1), len)` does not change. In the exact flavors a record at need
+//! 0 is inert — never a leader again, and a run that picks it as a member
+//! goes negative and is refused — so the leaders' records leave, and the
+//! members and the tail are two runs that are still sorted.
+//! [`SortStep::merge`] joins them where they are held, over the local
+//! path's contacts: a compaction of `⌈log₂ n⌉` rounds and one merge pass
+//! of `⌈log₂ n⌉ + 1` stages (ARCHITECTURE.md, *Deviations from the
+//! paper*). Every group, edge and phase count is the full sort's: the
+//! nonzero records keep their order, and a group that reaches past them
+//! picks a zero-need record either way. The departed ranks' positions
+//! stay vacant at the end of the path, so every budget stays a function
+//! of `len` ([`merges`] picks the lane).
+//!
+//! **Records stay in place.** Positions are the local path's nodes, and
+//! that path is fixed for the whole run, so its contact table from the
+//! establishment addresses every comparator, compaction move and
+//! multicast hop of every phase. No record goes home between phases: no
+//! rank epilogue, no sorted path, no contact table rebuilt per phase. The
+//! one hop back to the origins is the status, a round after the
+//! multicast.
 //!
 //! The paper sorts first, then broadcasts `δ`, `N` and the flag one by one
 //! (its steps 2, 3 and 5); none needs the sorted order, and the sort needs
 //! none of them, so they share one sweep that runs *alongside* the sort
 //! (ARCHITECTURE.md, *Deviations from the paper*): same groups, edges and
 //! phase count, one sweep a phase instead of three, spent in the sort's
-//! rounds. Nor does the next phase need anything the multicast carries:
-//! its control sweep and its lane read only the committed needs. So the
-//! multicast (`⌈log₂ n⌉ + 1` rounds) runs beside the next phase's control
-//! sweep (`2⌈log₂ n⌉ + 4`), which always outlasts it — a phase costs
-//! `max(control, sort + contacts)`; the multicast rides the next phase —
-//! and in the closing phase a partial sort lane is dropped when the
-//! control ends the run ([`rounds_for`]). A member that committed its
-//! edge and then hears no multicast can only have lost a message; it
-//! panics, so a run never ends with a silently short degree.
+//! rounds. Its words are each position's held need and a has-record
+//! count, the went-negative flag, and each origin's requested degree. Nor
+//! does the next phase need anything the multicast carries: its control
+//! sweep and its lane read only the committed needs. So the multicast and
+//! the status (`⌈log₂ n⌉ + 2` rounds) run beside the next phase's control
+//! sweep (`2⌈log₂ n⌉ + 4`), which always outlasts them — a phase costs
+//! `max(control, lane)`, and a later exact-flavor phase is its control
+//! sweep — and in the closing phase a partial lane is dropped when the
+//! control ends the run ([`rounds_for`]). Every origin whose record is on
+//! the path expects one status a phase, and a member's position expects
+//! its leader's multicast: a missing one can only be a lost message, and
+//! it panics, so a run never ends with a silently short degree.
 //!
 //! Lemma 10: every phase (or every second phase) removes the current
 //! maximum degree, and at most `O(√m)` phases involve degrees above `√m`,
@@ -111,10 +126,9 @@
 use crate::sequence::DegreeSequence;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
 use dgr_primitives::bbst::Bbst;
-use dgr_primitives::contacts::{self, ContactTable};
-use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
+use dgr_primitives::imcast::{self, CoverSide, ImcastStep, Payload};
 use dgr_primitives::ops::{self, SweepStep, Words};
-use dgr_primitives::sort::{self, Order, Regroup, SortContactsStep, SortStep, SortedPath};
+use dgr_primitives::sort::{self, Held, Order, Regroup, SortStep};
 use dgr_primitives::stagger::{self, StaggerStep};
 use dgr_primitives::{ctx, PathCtx, Poll, Step, VPath};
 use std::collections::BTreeSet;
@@ -175,20 +189,20 @@ pub enum Flavor {
 
 /// Rounds of a whole realization — context establishment, then
 /// [`DegreesCore`] — on a path of `len` nodes that ran `phases` control
-/// sweeps: every phase but the last runs the control sweep beside the sort
-/// lane and the sorted contacts — the first phase's lane is the bitonic
-/// sort, a later one's the merge lane where [`merges`] says so; the last
-/// phase (a refusal's included) ends on its control sweep, dropping the
-/// partial lane beside it; the explicit flavor adds the hand-off epoch for
-/// the maximum requested degree `max_degree` at capacity `cap`. Each
-/// phase's multicast opens with the next phase and ends before its
-/// control sweep, so it adds no rounds.
+/// sweeps: every phase but the last runs the control sweep beside the
+/// lane — the first phase's lane is the bitonic sort, a later one's the
+/// merge lane where [`merges`] says so, which from `len = 9` on ends
+/// inside the sweep, so such a phase is its control sweep; the last phase
+/// (a refusal's included) ends on its control sweep, dropping the partial
+/// lane beside it; the explicit flavor adds the hand-off epoch for the
+/// maximum requested degree `max_degree` at capacity `cap`. Each phase's
+/// multicast and status ([`hop_rounds_for`]) open with the next phase and
+/// end before its control sweep, so they add no rounds.
 pub fn rounds_for(len: usize, phases: u64, flavor: Flavor, max_degree: usize, cap: usize) -> u64 {
     let control = ops::rounds_for(len);
-    let phase = |lane: u64| control.max(lane + contacts::rounds_for(len));
-    let first = phase(sort::rounds_for(len));
+    let first = control.max(sort::rounds_for(len));
     let later = if merges(flavor, len) {
-        phase(sort::merge_rounds_for(len))
+        control.max(sort::merge_rounds_for(len))
     } else {
         first
     };
@@ -196,6 +210,12 @@ pub fn rounds_for(len: usize, phases: u64, flavor: Flavor, max_degree: usize, ca
     let handoff = u64::from(flavor == Flavor::Explicit) * stagger::rounds_for(spread, drain);
     let (head, rest) = ((phases - 1).min(1), phases.saturating_sub(2));
     ctx::rounds_for(len) + head * first + rest * later + control + handoff
+}
+
+/// Rounds of a phase's hop back to the origins on a path of `len` nodes:
+/// the leaders' multicast, then the one round of the status.
+pub fn hop_rounds_for(len: usize) -> u64 {
+    imcast::rounds_for(len) + 1
 }
 
 /// Whether a later phase re-orders the sorted path with the merge lane
@@ -222,17 +242,65 @@ fn fold_control(acc: &mut Words, x: &Words) {
 }
 
 enum CoreStage {
-    /// The control sweep beside the sort lane, and the last phase's
-    /// multicast beside both, each polled until it is ready (`None` from
-    /// then on). The sweep is boxed, not the lane: from `n = 9` on the
-    /// lane runs more rounds (three times as many in a large phase 1),
-    /// and keeping it inline keeps those polls off a second allocation.
+    /// The control sweep beside the lane, and the last phase's hop back to
+    /// the origins beside both, each polled until it is ready (`None` from
+    /// then on).
     Phase {
-        mcast: Option<ImcastStep>,
+        hop: Option<Hop>,
         control: Option<Box<SweepStep>>,
-        lane: Option<SortContactsStep>,
+        lane: Option<SortStep>,
     },
     Handoff(StaggerStep),
+}
+
+/// A phase's hop back to the origins, opened when the phase commits
+/// (rounds: exactly [`hop_rounds_for`]): the leaders' multicast over the
+/// positions, then, in the round it ends, one status from each position to
+/// the origin of the record it held at the commit.
+struct Hop {
+    /// The multicast, until it ends.
+    mcast: Option<ImcastStep>,
+    /// This position's status: to whom, whether the record leaves the
+    /// path, and whether it carries the leader's ID (a member's edge).
+    status: Option<(NodeId, bool, bool)>,
+}
+
+impl Hop {
+    /// Polls the hop at a node whose own record is on the path if
+    /// `expects`; its result is the status that node got: the edge it
+    /// carries, if any, and whether the record left the path.
+    fn poll(
+        &mut self,
+        rctx: &mut RoundCtx<'_>,
+        expects: bool,
+    ) -> Poll<Option<(Option<NodeId>, bool)>> {
+        if let Some(mcast) = &mut self.mcast {
+            let Poll::Ready(got) = mcast.poll(rctx) else {
+                return Poll::Pending;
+            };
+            self.mcast = None;
+            if let Some((origin, leaves, edge)) = self.status {
+                let mut msg = WireMsg::word(tags::STATUS, u64::from(leaves));
+                if edge {
+                    let p = got.expect("message loss: a committed member missed the multicast");
+                    msg = msg.with_addr(p.addr);
+                }
+                rctx.send(origin, msg);
+            }
+            return Poll::Pending;
+        }
+        if !expects {
+            return Poll::Ready(None);
+        }
+        // A repeated status is the same status: the first one stands.
+        let env = rctx
+            .inbox()
+            .iter()
+            .find(|e| e.msg.tag == tags::STATUS)
+            .expect("message loss: an origin missed its record's status");
+        let edge = env.msg.addrs_slice().first().copied();
+        Poll::Ready(Some((edge, env.word() != 0)))
+    }
 }
 
 /// The post-establishment core of the degree realization — the Algorithm
@@ -241,9 +309,10 @@ enum CoreStage {
 ///
 /// The core is parameterized by **two** path scopes:
 ///
-/// * `local` — the [`PathCtx`] the realization happens *on*: the sort,
-///   the sorted contacts and the interval multicast all run over this
-///   (possibly non-member) view. At the top level it is the whole
+/// * `local` — the [`PathCtx`] the realization happens *on*: the records
+///   travel between its positions, and the sort, the merge lane and the
+///   interval multicast all run over its contacts, for the whole run; a
+///   non-member view holds no record. At the top level it is the whole
 ///   knowledge path; in Algorithm 6's paper-exact recursion it is the
 ///   ρ-sorted prefix sub-path, with every non-prefix node holding a
 ///   non-member view of the same length.
@@ -260,19 +329,18 @@ pub struct DegreesCore {
     global_vp: VPath,
     global_tree: Arc<Bbst>,
     stage: CoreStage,
-    need: u64,
-    /// Was this node a group member with nothing left to give?
+    /// The record at this node's position: its own in phase 1, the one
+    /// the last lane left here after that; `None` at a vacant position.
+    held: Option<Held>,
+    /// Was a group member's record here with nothing left to give?
     went_negative: bool,
     outcome: ImplicitOutcome,
-    /// The sort lane's result: held until the control is in too, then
-    /// kept for the next phase's merge lane.
-    sorted: Option<(SortedPath, Arc<ContactTable>)>,
-    /// This phase's `q` groups of `δ + 1` sorted ranks, on a sorted path
-    /// of `live` records: `len` less every leader a merge lane took off.
+    /// This phase's `q` groups of `δ + 1` ranks, over `live` records:
+    /// `len` less every leader a merge lane took off.
     shape: Regroup,
-    /// Does the need committed at the last phase's end count an edge its
-    /// multicast is still carrying here?
-    awaiting: bool,
+    /// Is this node's own record still on the path, so that every phase
+    /// owes it a status?
+    on_path: bool,
 }
 
 impl DegreesCore {
@@ -291,68 +359,55 @@ impl DegreesCore {
             global_tree,
             // Placeholder; the first poll's `begin_phase` installs phase 1.
             stage: CoreStage::Phase {
-                mcast: None,
+                hop: None,
                 control: None,
                 lane: None,
             },
-            need: degree as u64,
+            held: None,
             went_negative: false,
             outcome: ImplicitOutcome {
                 requested: degree,
                 neighbors: Vec::new(),
                 phases: 0,
             },
-            sorted: None,
             shape: Regroup {
                 live: local.vp.len,
                 ..Regroup::default()
             },
-            awaiting: false,
+            on_path: local.vp.member,
             local,
         }
     }
 
     /// Opens a new Algorithm 3 phase: the control sweep on the global
-    /// tree and, in the same rounds, the sort lane — the sort on the local
-    /// path, or the merge lane on the last phase's sorted path; neither
-    /// needs anything the sweep computes — beside `mcast`, the last
-    /// phase's multicast.
-    fn begin_phase(&mut self, my_id: NodeId, mcast: Option<ImcastStep>) {
+    /// tree and, in the same rounds, the lane over the local positions —
+    /// the sort, or the merge lane after a phase where [`merges`] says so;
+    /// neither needs anything the sweep computes — beside `hop`, the last
+    /// phase's hop back to the origins.
+    fn begin_phase(&mut self, hop: Option<Hop>) {
         self.outcome.phases += 1;
         let words = [
-            self.need,
-            u64::from(self.local.vp.member),
+            self.held.map_or(0, |h| h.key),
+            u64::from(self.held.is_some()),
             u64::from(self.went_negative),
             self.outcome.requested as u64,
         ];
-        let (vp, tree) = (self.global_vp, self.global_tree.clone());
-        let merging = merges(self.flavor, self.local.vp.len);
-        let sort = match self.sorted.take() {
-            Some((sp, table)) if merging => {
-                let lane =
-                    SortStep::merge(sp, table, self.shape, self.need, Order::Descending, my_id);
-                self.shape.live -= self.shape.groups;
-                lane
-            }
-            _ => {
-                // Where later phases merge, this sort is the last use of
-                // the local path's contacts: it takes them, and the sorted
-                // path's table is built in their storage.
-                let local = &mut self.local;
-                let contacts = if merging {
-                    std::mem::take(&mut local.contacts)
-                } else {
-                    local.contacts.clone()
-                };
-                let (vp, x) = (local.vp, local.position);
-                SortStep::new(vp, contacts, x, self.need, Order::Descending, my_id)
-            }
+        let local = &self.local;
+        let (vp, contacts, x) = (local.vp, local.contacts.clone(), local.position);
+        let held = self.held.take();
+        let lane = if self.outcome.phases > 1 && merges(self.flavor, vp.len) {
+            let lane = SortStep::merge(vp, contacts, x, held, self.shape, Order::Descending);
+            self.shape.live -= self.shape.groups;
+            lane
+        } else {
+            SortStep::in_place(vp, contacts, x, held, Order::Descending)
         };
-        let control = SweepStep::new(vp, tree, &words, None, fold_control);
+        let tree = self.global_tree.clone();
+        let control = SweepStep::new(self.global_vp, tree, &words, None, fold_control);
         self.stage = CoreStage::Phase {
-            mcast,
+            hop,
             control: Some(Box::new(control)),
-            lane: Some(SortContactsStep::new(sort)),
+            lane: Some(lane),
         };
     }
 }
@@ -362,30 +417,30 @@ impl Step for DegreesCore {
 
     fn poll(&mut self, rctx: &mut RoundCtx<'_>) -> Poll<Self::Out> {
         if self.outcome.phases == 0 {
-            self.begin_phase(rctx.id(), None);
+            let key = self.outcome.requested as u64;
+            let origin = rctx.id();
+            self.held = self.local.vp.member.then_some(Held { key, origin });
+            self.begin_phase(None);
         }
         loop {
             match &mut self.stage {
-                CoreStage::Phase {
-                    mcast,
-                    control,
-                    lane,
-                } => {
-                    // The multicast ends first: it is shorter than the
-                    // control sweep it started beside.
-                    if let Some(Poll::Ready(got)) = mcast.as_mut().map(|s| s.poll(rctx)) {
-                        *mcast = None;
-                        if self.awaiting {
-                            let p =
-                                got.expect("message loss: a committed member missed the multicast");
-                            self.outcome.neighbors.push(p.addr);
+                CoreStage::Phase { hop, control, lane } => {
+                    // The hop ends first: it is shorter than the control
+                    // sweep it started beside.
+                    if let Some(Poll::Ready(status)) =
+                        hop.as_mut().map(|h| h.poll(rctx, self.on_path))
+                    {
+                        *hop = None;
+                        if let Some((edge, leaves)) = status {
+                            self.outcome.neighbors.extend(edge);
+                            self.on_path = !leaves;
                         }
                     }
                     // The control goes next: a refusing or closing phase
-                    // drops the sort before it stages this round's sends.
+                    // drops the lane before it stages this round's sends.
                     if let Some(Poll::Ready(swept)) = control.as_mut().map(|s| s.poll(rctx)) {
                         *control = None;
-                        debug_assert!(mcast.is_none(), "multicast outlasted the control sweep");
+                        debug_assert!(hop.is_none(), "the hop outlasted the control sweep");
                         let [delta, n_max, err, bound] = swept.words;
                         // Some node went negative, or wants more
                         // neighbors than exist.
@@ -413,44 +468,54 @@ impl Step for DegreesCore {
                             "groups exceed the path"
                         );
                     }
-                    if let Some(Poll::Ready(sorted)) = lane.as_mut().map(|s| s.poll(rctx)) {
+                    if let Some(Poll::Ready(held)) = lane.as_mut().map(|s| s.poll(rctx)) {
                         *lane = None;
-                        self.sorted = Some(sorted);
+                        self.held = held;
                     }
                     if control.is_some() || lane.is_some() {
                         return Poll::Pending;
                     }
-                    // Both halves are in. The need after the multicast
-                    // depends only on the rank and the groups, so it is
-                    // committed now, and the multicast and the next phase
-                    // open together this round.
-                    let (sp, table) = self.sorted.clone().expect("phase without a sorted path");
-                    let stride = self.shape.stride;
-                    let grouped = sp.vp.member && sp.rank < self.shape.span();
-                    let is_leader = grouped && sp.rank.is_multiple_of(stride);
-                    self.awaiting = false;
-                    if is_leader {
-                        debug_assert_eq!(self.need, stride as u64 - 1, "leader without max degree");
-                        self.need = 0;
-                    } else if grouped {
-                        // Exact flavors fail on a saturated node; the
-                        // envelope accepts the extra edge.
-                        if self.need == 0 && self.flavor != Flavor::Envelope {
-                            self.went_negative = true;
-                        } else {
-                            self.need = self.need.saturating_sub(1);
-                            self.awaiting = true;
+                    // Both halves are in. What the phase makes of the
+                    // record here depends only on its rank — this
+                    // position — and the groups, so the new need is
+                    // committed now, and the hop and the next phase open
+                    // together this round.
+                    let (x, stride) = (self.local.position, self.shape.stride);
+                    let grouped = self.held.is_some() && x < self.shape.span();
+                    let is_leader = grouped && x.is_multiple_of(stride);
+                    let mut edge = false;
+                    if let Some(held) = self.held.as_mut() {
+                        if is_leader {
+                            debug_assert_eq!(
+                                held.key,
+                                stride as u64 - 1,
+                                "leader without max degree"
+                            );
+                            held.key = 0;
+                        } else if grouped {
+                            // Exact flavors fail on a saturated record;
+                            // the envelope accepts the extra edge.
+                            if held.key == 0 && self.flavor != Flavor::Envelope {
+                                self.went_negative = true;
+                            } else {
+                                held.key = held.key.saturating_sub(1);
+                                edge = true;
+                            }
                         }
                     }
-                    let task = is_leader.then(|| {
+                    // A merge lane takes the leaders' records off the path.
+                    let leaves = is_leader && merges(self.flavor, self.local.vp.len);
+                    let status = self.held.map(|h| (h.origin, leaves, edge));
+                    let task = self.held.filter(|_| is_leader).map(|h| {
                         let payload = Payload {
-                            addr: rctx.id(),
+                            addr: h.origin,
                             word: 0,
                         };
                         (CoverSide::After, stride - 1, payload)
                     });
-                    let mcast = ImcastStep::new(sp.vp, table, task);
-                    self.begin_phase(rctx.id(), Some(mcast));
+                    let local = &self.local;
+                    let mcast = Some(ImcastStep::new(local.vp, local.contacts.clone(), task));
+                    self.begin_phase(Some(Hop { mcast, status }));
                 }
                 CoreStage::Handoff(s) => match s.poll(rctx) {
                     Poll::Pending => return Poll::Pending,
@@ -489,29 +554,73 @@ mod tests {
         }
     }
 
+    /// Wherever a later phase merges, nothing but its control sweep sets
+    /// its length: the in-place merge lane and the last phase's multicast
+    /// plus its status each end inside the sweep. At n = 2048 a run of 9
+    /// phases is the establishment, a 66-round first phase, seven of 26
+    /// and the closing sweep.
+    #[test]
+    fn a_later_phase_is_its_control_sweep() {
+        use super::hop_rounds_for;
+        use dgr_primitives::{levels_for, ops, sort};
+        for len in 9..=1 << 20 {
+            let control = ops::rounds_for(len);
+            assert_eq!(sort::merge_rounds_for(len), 2 * levels_for(len) as u64 + 1);
+            assert!(sort::merge_rounds_for(len) < control, "len={len}");
+            assert!(hop_rounds_for(len) < control, "len={len}");
+        }
+        assert_eq!(rounds_for(2048, 9, Flavor::Implicit, 5, 22), 333);
+    }
+
+    /// Drops every message of round `lost` in an implicit run at n = 64
+    /// and returns the node panic's message, the same on both engines.
+    fn panic_of_a_lost_round(lost: u64) -> String {
+        use dgr_ncc::{Scenario, SimError};
+        let n = 64;
+        let degrees: Vec<usize> = (0..n).map(|i| 2 + 2 * (i % 3)).collect();
+        let lost = Scenario::new(3).drop_messages(lost..=lost, 1.0);
+        let messages = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
+            let config = Config::ncc0(7).with_scenario(lost.clone());
+            let job = prepare_degrees(&degrees, None, config, Flavor::Implicit, engine);
+            match job.unwrap().drive(None) {
+                Err(SimError::NodePanic { message, .. }) => message,
+                other => panic!("{engine:?}: expected a node panic, got {:?}", other.err()),
+            }
+        });
+        assert_eq!(messages[0], messages[1], "engines");
+        messages[0].clone()
+    }
+
+    /// The round the first phase commits in, at n = 64: the multicast
+    /// and the second phase open in it.
+    fn first_commit() -> u64 {
+        use dgr_primitives::{ctx, ops, sort};
+        let n = 64;
+        ctx::rounds_for(n) + ops::rounds_for(n).max(sort::rounds_for(n))
+    }
+
     /// A member commits its need before its payload arrives, so losing
     /// the multicast's first round of sends is a typed panic that names
     /// the cause, on both engines — never a silently short degree.
     #[test]
     fn a_lost_multicast_panics_its_committed_member() {
-        use dgr_ncc::{Scenario, SimError};
-        use dgr_primitives::{contacts, ctx, ops, sort};
-        let n = 64;
-        let degrees: Vec<usize> = (0..n).map(|i| 2 + 2 * (i % 3)).collect();
-        let lane = sort::rounds_for(n) + contacts::rounds_for(n);
-        let opens = ctx::rounds_for(n) + ops::rounds_for(n).max(lane);
-        let lost = Scenario::new(3).drop_messages(opens..=opens, 1.0);
-        for engine in [EngineKind::Batched, EngineKind::Reference] {
-            let config = Config::ncc0(7).with_scenario(lost.clone());
-            let job = prepare_degrees(&degrees, None, config, Flavor::Implicit, engine);
-            match job.unwrap().drive(None) {
-                Err(SimError::NodePanic { message, .. }) => assert_eq!(
-                    message, "message loss: a committed member missed the multicast",
-                    "{engine:?}"
-                ),
-                other => panic!("{engine:?}: expected a node panic, got {:?}", other.err()),
-            }
-        }
+        assert_eq!(
+            panic_of_a_lost_round(first_commit()),
+            "message loss: a committed member missed the multicast"
+        );
+    }
+
+    /// Every origin whose record is on the path expects one status a
+    /// phase, so losing the round the first statuses go out in is a typed
+    /// panic at the origins, on both engines — never a missing edge.
+    #[test]
+    fn a_lost_status_panics_its_origin() {
+        use dgr_primitives::imcast;
+        let sent = first_commit() + imcast::rounds_for(64);
+        assert_eq!(
+            panic_of_a_lost_round(sent),
+            "message loss: an origin missed its record's status"
+        );
     }
 
     #[test]

@@ -234,30 +234,31 @@ fn round_counts_follow_the_closed_form_at_scale() {
     }
 }
 
-/// The control sweep and the sort lane (sort or merge lane, then sorted
-/// contacts) share their rounds, and so does the last phase's multicast,
-/// which ends before the sweep at every length. At the edges of that
-/// overlap — paths so short that the sweep outlasts the sort, one where
-/// both end together, one long enough that the sort outlasts the sweep;
-/// the longest path a later phase still sorts again on, the shortest it
-/// merges on (where the merge lane comes closest to the sweep, which it
-/// outlasts at every length), the first of a new doubling level — and at
-/// the capacity floor (cap = 4), every flavour runs clean under the
-/// strict policy on both engines, the per-round maxima within the cap on
-/// both sides, on the closed form.
+/// The control sweep and the lane (the sort or the merge lane, in place)
+/// share their rounds, and so does the last phase's hop back to the
+/// origins (multicast, then status), which ends before the sweep at every
+/// length, as does the merge lane. At the edges of that overlap — paths
+/// so short that the sweep outlasts the sort, the longest path a later
+/// phase still sorts again on, the shortest it merges on, the longest the
+/// sweep outlasts the sort on, the first the sort outlasts it on, one far
+/// past it — and at the capacity floor (cap = 4), every flavour runs
+/// clean under the strict policy on both engines, the per-round maxima
+/// within the cap on both sides, on the closed form.
 #[test]
 fn sweep_beside_the_sort_runs_clean_at_its_edges() {
-    use dgr_core::distributed::merges;
-    use dgr_primitives::{contacts, imcast, ops, sort};
-    use std::cmp::Ordering::{Equal, Greater, Less};
-    let edges = [(3usize, Greater), (4, Greater), (6, Equal), (8, Equal)];
-    for (n, edge) in edges.into_iter().chain([9, 17, 256].map(|n| (n, Less))) {
-        let lane = sort::rounds_for(n) + contacts::rounds_for(n);
-        assert_eq!(ops::rounds_for(n).cmp(&lane), edge, "n={n}: wrong edge");
-        assert!(imcast::rounds_for(n) < ops::rounds_for(n), "n={n}");
-        let merge_lane = sort::merge_rounds_for(n) + contacts::rounds_for(n);
+    use dgr_core::distributed::{hop_rounds_for, merges};
+    use dgr_primitives::{ops, sort};
+    use std::cmp::Ordering::{Greater, Less};
+    let edges = [3usize, 4, 6, 8, 9, 16].map(|n| (n, Greater));
+    for (n, edge) in edges.into_iter().chain([17, 256].map(|n| (n, Less))) {
+        assert_eq!(
+            ops::rounds_for(n).cmp(&sort::rounds_for(n)),
+            edge,
+            "n={n}: wrong edge"
+        );
+        assert!(hop_rounds_for(n) < ops::rounds_for(n), "n={n}");
         assert_eq!(merges(Flavor::Implicit, n), n > 8, "n={n}");
-        assert!(n <= 8 || ops::rounds_for(n) < merge_lane, "n={n}");
+        assert!(sort::merge_rounds_for(n) < ops::rounds_for(n), "n={n}");
         // Graphic, Δ ≤ 4: a strict-cap hand-off never exceeds the floor.
         let degrees: Vec<usize> = (0..n).map(|i| (2 + 2 * (i % 2)).min(n - 1)).collect();
         let max_degree = degrees.iter().copied().max().unwrap();

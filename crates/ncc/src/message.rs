@@ -59,6 +59,9 @@ pub mod tags {
     pub const EDGE_ACK: u16 = 18;
     /// Sorted-path compaction: a record moving toward the head.
     pub const SORT_SHIFT: u16 = 19;
+    /// Realization: a record's holder tells the record's origin what a
+    /// phase made of it.
+    pub const STATUS: u16 = 20;
     /// First tag value available to user protocols.
     pub const USER_BASE: u16 = 64;
 }

@@ -65,7 +65,7 @@ const SET_BWD: u64 = 1;
 /// Pointer-doubling contact construction as a [`Step`](crate::Step), on
 /// an arbitrary virtual path (the [`PathToClique`](crate::PathToClique)
 /// warm-up hardcodes the `G_k` path; this step runs on sorted paths too,
-/// which is what the realization drivers need after every re-sort). The
+/// which is what the tree drivers need after a re-sort). The
 /// finished table is handed out interned (`Arc`) so downstream steps share
 /// one copy per node instead of cloning it at every stage transition.
 ///
@@ -83,28 +83,13 @@ pub struct Contacts {
 impl ContactsStep {
     /// Builds the step for one node's view of the path.
     pub fn new(vp: VPath) -> Self {
-        Self::with_storage(vp, Vec::new(), Vec::new())
-    }
-
-    /// [`ContactsStep::new`], building into the storage of `old` when
-    /// nothing else holds that table any more — the contacts of a path
-    /// that replaces `old`'s, so the two are not both allocated.
-    pub fn reusing(vp: VPath, old: &mut Arc<ContactTable>) -> Self {
-        match Arc::get_mut(old) {
-            Some(t) => {
-                Self::with_storage(vp, std::mem::take(&mut t.fwd), std::mem::take(&mut t.bwd))
-            }
-            None => Self::new(vp),
-        }
-    }
-
-    fn with_storage(vp: VPath, mut fwd: Vec<Option<NodeId>>, mut bwd: Vec<Option<NodeId>>) -> Self {
         let levels = vp.levels();
-        fwd.clear();
-        bwd.clear();
-        fwd.reserve_exact(levels);
-        bwd.reserve_exact(levels);
-        Lockstep::run(vp.member, rounds_for(vp.len), Contacts { vp, fwd, bwd })
+        let contacts = Contacts {
+            vp,
+            fwd: Vec::with_capacity(levels),
+            bwd: Vec::with_capacity(levels),
+        };
+        Lockstep::run(vp.member, rounds_for(vp.len), contacts)
     }
 }
 
@@ -161,32 +146,6 @@ mod tests {
     use crate::ctx::UndirectStep;
     use crate::{Step, StepProtocol};
     use dgr_ncc::{Config, Network};
-
-    /// A replaced table's storage moves to the new step only when nothing
-    /// else holds the table.
-    #[test]
-    fn reusing_takes_the_storage_of_an_unshared_table_only() {
-        let vp = VPath {
-            member: true,
-            pred: None,
-            succ: Some(1),
-            len: 16,
-        };
-        let table = ContactTable {
-            fwd: vec![Some(1); 4],
-            bwd: vec![None; 4],
-        };
-        let mut old = Arc::new(table.clone());
-        let other = old.clone();
-        ContactsStep::reusing(vp, &mut old);
-        assert_eq!(*old, table, "a shared table was emptied");
-        drop(other);
-        let storage = old.fwd.as_ptr();
-        let step = ContactsStep::reusing(vp, &mut old);
-        assert!(old.fwd.is_empty() && old.bwd.is_empty());
-        assert!(step.inner.fwd.is_empty() && step.inner.fwd.capacity() >= vp.levels());
-        assert_eq!(step.inner.fwd.as_ptr(), storage);
-    }
 
     fn check_tables(n: usize, seed: u64) {
         let net = Network::new(n, Config::ncc0(seed));

@@ -41,9 +41,10 @@
 //! | [`ops::AggBcastStep`] (the one-word sweep) | §3.2.1 | `O(log n)` |
 //! | [`ops::BroadcastAddrStep`] (the address-only sweep, median) | §3.2.1 | `O(log n)` |
 //! | [`ops::CollectStep`] (Thm 5) | §3.2.2 | `O(k + log n)` |
-//! | [`sort::SortStep`] (Thm 3) | §3.1.2 | `O(log² n)` |
-//! | [`sort::SortStep::merge`] (re-order after a group phase) | — | `2 ceil(log2 n) + 3` |
-//! | [`sort::SortContactsStep`] (a sort, then the sorted path's contacts) | §3.1.2 | sort + contacts |
+//! | [`sort::SortStep`] (Thm 3: the rank-`x` record ends at position `x`) | §3.1.2 | `O(log² n)` |
+//! | [`sort::SortStep::merge`] (re-order in place after a group phase) | — | `2 ceil(log2 n) + 1` |
+//! | [`sort::RankStep`] (the sort's epilogue: each origin learns its sorted path) | §3.1.2 | 2 |
+//! | [`sort::SortContactsStep`] (a sort, its ranks, then the sorted path's contacts) | §3.1.2 | sort + 2 + contacts |
 //! | [`prefix::PrefixStep`] | §5 | `ceil(log2 n)` |
 //! | [`imcast::ImcastStep`] (Thm 7) | §3.2.3 | `O(log n)` |
 //! | [`scatter::ScanStep`] (milestone scan) | §5 | `O(log² n)` |

@@ -1,4 +1,4 @@
-//! Distributed sorting into a *sorted path* — the Theorem 3 primitive.
+//! Distributed sorting over path positions — the Theorem 3 primitive.
 //!
 //! The paper sorts by recursively merging sorted sub-paths with median
 //! splitting (`O(log³ n)` rounds). We substitute a **Batcher odd-even
@@ -13,24 +13,28 @@
 //! * records `(key, origin)` migrate between positions; the nodes
 //!   themselves never move.
 //!
-//! A 2-round epilogue then tells each record's origin its *rank* and the IDs
-//! of its sorted predecessor/successor — producing a new [`VPath`] in sorted
-//! order, on which every other primitive (contacts, BBST, multicast,
-//! prefix sums) can be established. This "sorted path handle" is exactly
-//! what the realization algorithms consume.
+//! [`SortStep`] is the network alone: it ends with the rank-`x` record
+//! [`Held`] at position `x`, wherever the records started. A caller that
+//! keeps working in position space (Algorithm 3's phase loop) needs no
+//! more. A caller that needs a *sorted path* chains [`RankStep`], the
+//! 2-round epilogue that tells each record's origin its rank and the IDs
+//! of its sorted predecessor/successor — a new [`VPath`] in sorted order,
+//! on which every other primitive (contacts, BBST, multicast, prefix sums)
+//! can be established; [`SortContactsStep`] chains both and the sorted
+//! path's contacts, as the tree drivers need.
 //!
 //! **Re-sorting after a group phase in `O(log n)` rounds.** Algorithm 3
-//! re-sorts a path whose order one phase barely changed: the heads of the
+//! re-sorts records whose order one phase barely changed: the heads of the
 //! first `q` groups of `δ + 1` ranks leave, their `qδ` members each lose
 //! one, the tail does not change — two runs that are still sorted.
-//! [`SortStep::merge`] re-orders them on the old sorted path and its
-//! contacts: the heads' records are dropped, every other record shifts
-//! toward the head by an amount it computes from its rank ([`Regroup`]),
-//! one bit a round, least significant first, and one merge pass of the
-//! network at a virtual offset joins the two runs (rounds:
-//! [`merge_rounds_for`], `2⌈log₂ n⌉ + 3`). The shifts are non-decreasing in
-//! the rank, so no two records ever meet at a position. The new path keeps
-//! the old length; its departed ranks stay vacant at the end.
+//! [`SortStep::merge`] re-orders them in place: the heads' records are
+//! dropped, every other record shifts toward the head by an amount its
+//! position computes from its rank ([`Regroup`]), one bit a round, least
+//! significant first, and one merge pass of the network at a virtual
+//! offset joins the two runs (rounds: [`merge_rounds_for`],
+//! `2⌈log₂ n⌉ + 1`). The shifts are non-decreasing in the rank, so no two
+//! records ever meet at a position. The path keeps its length; the
+//! departed ranks' positions stay vacant at the end.
 
 use crate::contacts::{ContactTable, ContactsStep};
 use crate::ctx::PathCtx;
@@ -73,7 +77,17 @@ impl Order {
     }
 }
 
-/// The sorted-path handle a node receives for its own key.
+/// A record where a [`SortStep`] leaves it: the key it was sorted by, as
+/// the caller passed it, and the node it belongs to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Held {
+    /// The record's key.
+    pub key: u64,
+    /// The node whose record it is.
+    pub origin: NodeId,
+}
+
+/// The sorted-path handle [`RankStep`] hands a node for its own record.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SortedPath {
     /// This node's rank in sorted order (0-based; rank 0 = head).
@@ -132,27 +146,30 @@ pub fn stage_count(len: usize) -> usize {
 }
 
 /// Number of rounds the bitonic [`SortStep`] takes on a path of `len`
-/// nodes: one per comparator stage plus the 2-round epilogue.
+/// nodes: one per comparator stage.
 pub fn rounds_for(len: usize) -> u64 {
-    stage_count(len) as u64 + 2
+    stage_count(len) as u64
 }
 
 /// Number of rounds [`SortStep::merge`] takes on a path of `len` nodes:
-/// `⌈log₂ len⌉` compaction rounds, the `⌈log₂ len⌉ + 1` stages of one merge
-/// pass and the 2-round epilogue. Shorter than [`rounds_for`] from
-/// `len = 9` on.
+/// `⌈log₂ len⌉` compaction rounds and the `⌈log₂ len⌉ + 1` stages of one
+/// merge pass. Shorter than [`rounds_for`] from `len = 9` on.
 pub fn merge_rounds_for(len: usize) -> u64 {
-    2 * crate::levels_for(len) as u64 + 3
+    2 * crate::levels_for(len) as u64 + 1
 }
 
-/// What one group phase did to a sorted path, the input of
-/// [`SortStep::merge`]: of its `live` records, ranks `[0, groups · stride)`
-/// form `groups` groups of `stride` ranks; each group's head leaves the
-/// path, and the rest of each group and the tail `[groups · stride, live)`
-/// keep their relative order under the new keys.
+/// Number of rounds [`RankStep`] takes, at any path length.
+pub const RANK_ROUNDS: u64 = 2;
+
+/// What one group phase did to sorted records, the input of
+/// [`SortStep::merge`]: of the `live` records, position `x` holding the
+/// rank-`x` one, ranks `[0, groups · stride)` form `groups` groups of
+/// `stride` ranks; each group's head leaves, and the rest of each group
+/// and the tail `[groups · stride, live)` keep their relative order under
+/// the new keys.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Regroup {
-    /// Records on the sorted path, at ranks `[0, live)`.
+    /// Records held, at positions (ranks) `[0, live)`.
     pub live: usize,
     /// Ranks per group: its head and `stride - 1` members.
     pub stride: usize,
@@ -230,29 +247,41 @@ fn comparator_within(
         .map(|(partner, low)| (partner - offset, low))
 }
 
-/// A record traveling through the comparator network.
+/// A record traveling through the comparator network, its key encoded
+/// for ascending order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Record {
     key: u64,
     origin: NodeId,
 }
 
+impl Record {
+    fn encode(held: Held, order: Order) -> Self {
+        Record {
+            key: order.encode_key(held.key),
+            origin: held.origin,
+        }
+    }
+}
+
 /// Theorem 3 as a [`Step`]: the Batcher odd-even mergesort network over
-/// path positions, then the 2-round epilogue (rounds: exactly
-/// [`rounds_for`]`(vp.len)`), or — built by [`SortStep::merge`] — the
-/// compaction and the one merge pass that re-order a sorted path after a
-/// group phase. Ties break by node ID, making the result deterministic.
-/// Legal under the strict capacity policy; a non-member view idles through
-/// the same rounds and returns a non-member path.
+/// path positions (rounds: exactly [`rounds_for`]`(vp.len)`), or — built
+/// by [`SortStep::merge`] — the compaction and the one merge pass that
+/// re-order the records after a group phase. Either ends with the rank-`x`
+/// record [`Held`] at position `x` (`None` past the last record). Ties
+/// break by origin ID, making the result deterministic. Legal under the
+/// strict capacity policy; a non-member view idles through the same
+/// rounds and holds nothing.
 pub type SortStep = Lockstep<Sort>;
 
-/// [`SortStep`]'s member rounds: the compaction rounds and comparator
-/// stages, then the 2-round epilogue.
+/// [`SortStep`]'s member rounds: the compaction rounds, then the
+/// comparator stages.
 #[derive(Debug)]
 pub struct Sort {
     vp: VPath,
     contacts: Arc<ContactTable>,
     x: usize,
+    order: Order,
     /// Compaction rounds ahead of the comparator stages (none in a sort).
     shifts: u64,
     it: StageIter,
@@ -264,17 +293,14 @@ pub struct Sort {
     /// The held record's whole compaction shift; round `b` moves it by
     /// bit `b`.
     shift: usize,
-    /// Does this node's own record stay on the path?
-    keeps: bool,
     /// The in-flight comparator staged last round.
     cmp: Option<(usize, bool)>,
-    pred_origin: Option<NodeId>,
-    succ_origin: Option<NodeId>,
 }
 
 impl SortStep {
-    /// Builds the step: sort the members of `vp` by `key` (this node's
-    /// `position` comes from the traversal primitive).
+    /// Builds the step: sort the members of `vp` by `key`, each starting
+    /// with its own record at its `position` (which comes from the
+    /// traversal primitive).
     pub fn new(
         vp: VPath,
         contacts: Arc<ContactTable>,
@@ -283,67 +309,73 @@ impl SortStep {
         order: Order,
         my_id: NodeId,
     ) -> Self {
+        let held = Held { key, origin: my_id };
+        Self::in_place(vp, contacts, position, Some(held), order)
+    }
+
+    /// Sorts the records where they are held: `held` is the record at this
+    /// node's `position`, if any — every position of the path must hold
+    /// one. The result does not depend on where the records start.
+    pub fn in_place(
+        vp: VPath,
+        contacts: Arc<ContactTable>,
+        position: usize,
+        held: Option<Held>,
+        order: Order,
+    ) -> Self {
         let len = vp.len;
         let sort = Sort {
+            vp,
+            contacts,
             x: position,
+            order,
             shifts: 0,
             it: StageIter::new(len),
             offset: 0,
             live: len,
-            held: Some(Record {
-                key: order.encode_key(key),
-                origin: my_id,
-            }),
+            held: held.map(|h| Record::encode(h, order)),
             shift: 0,
-            keeps: true,
             cmp: None,
-            pred_origin: None,
-            succ_origin: None,
-            vp,
-            contacts,
         };
         Lockstep::run(vp.member, rounds_for(len), sort)
     }
 
-    /// Re-sorts `prev`, a sorted path of `phase.live` records (its
-    /// `contacts` built on it), after the group phase `phase`, with this
-    /// node's new `key` (rounds: exactly [`merge_rounds_for`]`(len)`).
-    /// The heads of the groups get a non-member path; every other node
-    /// gets its rank in the `(key, ID)` order of the survivors, at ranks
-    /// `[0, live - groups)` of a path that keeps `prev`'s length.
+    /// Re-sorts the records of positions `[0, phase.live)`, position `x`
+    /// holding the rank-`x` record, after the group phase `phase`; `held`
+    /// is this node's record with its new key (rounds: exactly
+    /// [`merge_rounds_for`]`(vp.len)`). The groups' heads' records leave;
+    /// the survivors end in their `(key, ID)` order at positions
+    /// `[0, live - groups)`, and the positions after them hold nothing.
     ///
     /// The caller guarantees what makes this a merge: the group members'
     /// records and the tail's are each still in `(key, ID)` order.
     pub fn merge(
-        prev: SortedPath,
+        vp: VPath,
         contacts: Arc<ContactTable>,
+        position: usize,
+        held: Option<Held>,
         phase: Regroup,
-        key: u64,
         order: Order,
-        my_id: NodeId,
     ) -> Self {
-        let levels = prev.vp.levels();
+        let levels = vp.levels();
         let half = 1 << levels;
-        let shift = phase.shift(prev.rank);
+        let shift = held.and(phase.shift(position));
         let sort = Sort {
-            x: prev.rank,
+            vp,
+            contacts,
+            x: position,
+            order,
             shifts: levels as u64,
             it: StageIter::merge_pass(half),
             offset: phase.offset(half),
             live: phase.live - phase.groups,
-            held: shift.map(|_| Record {
-                key: order.encode_key(key),
-                origin: my_id,
-            }),
+            held: held
+                .filter(|_| shift.is_some())
+                .map(|h| Record::encode(h, order)),
             shift: shift.unwrap_or(0),
-            keeps: shift.is_some(),
             cmp: None,
-            pred_origin: None,
-            succ_origin: None,
-            vp: prev.vp,
-            contacts,
         };
-        Lockstep::run(prev.vp.member, merge_rounds_for(prev.vp.len), sort)
+        Lockstep::run(vp.member, merge_rounds_for(vp.len), sort)
     }
 
     /// [`SortStep::new`] over an established [`PathCtx`]. The fifth
@@ -429,26 +461,67 @@ impl Sort {
 }
 
 impl Rounds for Sort {
-    type Out = SortedPath;
+    type Out = Option<Held>;
 
-    fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<SortedPath> {
-        // Compaction rounds and comparator stages, ahead of the epilogue.
-        let s = rounds - 2;
-        if t > 0 && t <= s {
+    fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<Option<Held>> {
+        if t > 0 {
             self.absorb_exchange(t, ctx);
         }
-        if t < s {
-            self.stage_comparator(t, ctx);
-        } else if t == s {
-            // Epilogue round 1: exchange held origins with the path
-            // neighbors that hold a record.
-            if let Some(r) = self.held {
-                let succ = self.vp.succ.filter(|_| self.x + 1 < self.live);
-                for nb in [self.vp.pred, succ].into_iter().flatten() {
-                    ctx.send(nb, WireMsg::addr(tags::SORT_LINK, r.origin));
+        if t == rounds {
+            let order = self.order;
+            return Poll::Ready(self.held.map(|r| Held {
+                key: order.encode_key(r.key),
+                origin: r.origin,
+            }));
+        }
+        self.stage_comparator(t, ctx);
+        Poll::Pending
+    }
+}
+
+/// The sort's 2-round epilogue, chained after a [`SortStep`] by a caller
+/// that needs a sorted path: every position exchanges its record's origin
+/// with its path neighbours, then tells that origin its rank and its
+/// sorted neighbours' IDs (rounds: exactly [`RANK_ROUNDS`]). Each member
+/// of the path must hold a record, as a full sort leaves it.
+pub type RankStep = Lockstep<Rank>;
+
+/// [`RankStep`]'s member rounds.
+#[derive(Debug)]
+pub struct Rank {
+    vp: VPath,
+    x: usize,
+    held: Option<NodeId>,
+    pred_origin: Option<NodeId>,
+    succ_origin: Option<NodeId>,
+}
+
+impl RankStep {
+    /// Builds the step at `position` of `vp`, which holds `held`.
+    pub fn new(vp: VPath, position: usize, held: Option<Held>) -> Self {
+        let rank = Rank {
+            vp,
+            x: position,
+            held: held.map(|h| h.origin),
+            pred_origin: None,
+            succ_origin: None,
+        };
+        Lockstep::run(vp.member, RANK_ROUNDS, rank)
+    }
+}
+
+impl Rounds for Rank {
+    type Out = SortedPath;
+
+    fn poll(&mut self, t: u64, _: u64, ctx: &mut RoundCtx<'_>) -> Poll<SortedPath> {
+        if t == 0 {
+            // Exchange held origins with the path neighbours.
+            if let Some(origin) = self.held {
+                for nb in [self.vp.pred, self.vp.succ].into_iter().flatten() {
+                    ctx.send(nb, WireMsg::addr(tags::SORT_LINK, origin));
                 }
             }
-        } else if t == s + 1 {
+        } else if t == 1 {
             for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::SORT_LINK) {
                 if Some(env.src) == self.vp.pred {
                     self.pred_origin = Some(env.addr());
@@ -456,9 +529,9 @@ impl Rounds for Sort {
                     self.succ_origin = Some(env.addr());
                 }
             }
-            // Epilogue round 2: tell the held record's origin its rank and
-            // sorted neighbors (flags: bit0 = has pred, bit1 = has succ).
-            if let Some(r) = self.held {
+            // Tell the held record's origin its rank and sorted
+            // neighbours (flags: bit0 = has pred, bit1 = has succ).
+            if let Some(origin) = self.held {
                 let flags = u64::from(self.pred_origin.is_some())
                     | (u64::from(self.succ_origin.is_some()) << 1);
                 let mut msg = WireMsg::words(tags::SORT_LINK, &[self.x as u64, flags]);
@@ -468,10 +541,8 @@ impl Rounds for Sort {
                 if let Some(a) = self.succ_origin {
                     msg = msg.with_addr(a);
                 }
-                ctx.send(r.origin, msg);
+                ctx.send(origin, msg);
             }
-        } else if !self.keeps {
-            return Poll::Ready(self.non_member());
         } else {
             let env = ctx
                 .inbox()
@@ -504,22 +575,23 @@ impl Rounds for Sort {
     }
 }
 
-/// A sort (or a merge), then the contact table of the sorted path: every
-/// re-sort in the drivers, since what follows it talks across the sorted
-/// path's power-of-two distances. The contacts start in the round the sort
-/// ends (rounds: [`rounds_for`] or [`merge_rounds_for`], plus
-/// [`contacts::rounds_for`](crate::contacts::rounds_for)).
+/// A sort, its [`RankStep`], then the contact table of the sorted path:
+/// the tree drivers' re-sorts, since what follows them talks across the
+/// sorted path's power-of-two distances (rounds: [`rounds_for`] plus
+/// [`RANK_ROUNDS`] plus [`contacts::rounds_for`](crate::contacts::rounds_for)).
 #[derive(Debug)]
 pub struct SortContactsStep(SortLane);
 
 #[derive(Debug)]
 enum SortLane {
     Sort(SortStep),
+    Rank(RankStep),
     Contacts(SortedPath, ContactsStep),
 }
 
 impl SortContactsStep {
-    /// Runs `sort`, then builds the sorted path's contacts.
+    /// Runs `sort`, ranks its records' origins, then builds the sorted
+    /// path's contacts.
     pub fn new(sort: SortStep) -> Self {
         SortContactsStep(SortLane::Sort(sort))
     }
@@ -533,12 +605,13 @@ impl Step for SortContactsStep {
             match &mut self.0 {
                 SortLane::Sort(s) => match s.poll(ctx) {
                     Poll::Pending => return Poll::Pending,
-                    Poll::Ready(sp) => {
-                        // A merge lane held the last handle on the old
-                        // path's table: the new one takes its storage.
-                        let contacts = ContactsStep::reusing(sp.vp, &mut s.inner.contacts);
-                        self.0 = SortLane::Contacts(sp, contacts);
+                    Poll::Ready(held) => {
+                        self.0 = SortLane::Rank(RankStep::new(s.inner.vp, s.inner.x, held));
                     }
+                },
+                SortLane::Rank(s) => match s.poll(ctx) {
+                    Poll::Pending => return Poll::Pending,
+                    Poll::Ready(sp) => self.0 = SortLane::Contacts(sp, ContactsStep::new(sp.vp)),
                 },
                 SortLane::Contacts(sp, s) => return s.poll(ctx).map(|table| (*sp, table)),
             }
@@ -702,7 +775,7 @@ mod tests {
             }
         }
         assert_eq!(StageIter::merge_pass(2048).count(), 12);
-        assert_eq!(merge_rounds_for(2048), 25);
+        assert_eq!(merge_rounds_for(2048), 23);
     }
 
     fn run_sort(n: usize, seed: u64, order: Order) {
@@ -711,7 +784,9 @@ mod tests {
         let result = net
             .run_protocol(|_| {
                 WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                    let (vp, x) = (ctx.vp, ctx.position);
                     SortStep::on_ctx(ctx, key(rctx.id()), order, rctx.id(), SortBackend::Bitonic)
+                        .then(move |held, _| RankStep::new(vp, x, held))
                 })
             })
             .unwrap();
@@ -758,63 +833,72 @@ mod tests {
         run_sort(128, 5, Order::Ascending);
     }
 
-    /// The merge lane over two group phases on both engines, the second
-    /// on a path the first left vacant ranks in: its ranks and sorted
-    /// links are what a sort of the survivors gives — the `(key, ID)`
-    /// order of `SortStep` — the group heads leave, the path keeps its
-    /// length, and the run stays clean under the strict policy, at the
-    /// capacity floor too.
+    /// The in-place lanes over two group phases on both engines, at path
+    /// lengths from 2 to 300: a sort, then two merges, the second on
+    /// records the first left vacant positions behind. Position `x` ends
+    /// holding the rank-`x` survivor record — the `(key, ID)` order of
+    /// `SortStep` — the group heads' records leave, the positions past the
+    /// survivors hold nothing, and every run stays clean under the strict
+    /// policy at the capacity floor.
     #[test]
     fn merge_lane_equals_the_sort_of_the_survivors() {
         use dgr_ncc::EngineKind;
         let order = Order::Descending;
-        for (n, factor) in [(9usize, 2.0), (20, 0.1), (64, 2.0), (100, 0.1)] {
+        for n in [2usize, 3, 5, 9, 20, 64, 100, 257, 300] {
             let need = |id: NodeId| 2 + id * 7 % 5;
             let first = Regroup {
                 live: n,
-                stride: 3,
+                stride: 3.min(n),
                 groups: (n / 6).max(1),
             };
+            let live = n - first.groups;
             let second = Regroup {
-                live: n - first.groups,
+                live,
                 stride: 2,
-                groups: ((n - first.groups) / 4).max(1),
+                groups: live / 4,
             };
             // One phase, sequentially: the survivors' new needs, sorted.
             let regroup = |ranked: &[(u64, NodeId)], phase: Regroup| {
                 let mut next: Vec<(u64, NodeId)> = (0..phase.live)
-                    .filter(|&r| r >= phase.span() || !r.is_multiple_of(phase.stride))
+                    .filter(|&r| phase.shift(r).is_some())
                     .map(|r| (ranked[r].0 - u64::from(r < phase.span()), ranked[r].1))
                     .collect();
                 next.sort_unstable_by_key(|&(need, id)| (order.encode_key(need), id));
                 next
             };
-            // The node's need after `phase`, from its rank on its path.
-            let after = |need: u64, sp: &SortedPath, phase: Regroup| {
-                need - u64::from(sp.vp.member && sp.rank < phase.span())
+            // The held record's key after `phase`, from its position.
+            let after = |held: Option<Held>, x: usize, phase: Regroup| {
+                held.map(|h| Held {
+                    key: h.key - u64::from(x < phase.span()),
+                    ..h
+                })
             };
-            let config = Config::ncc0(n as u64).with_capacity_factor(factor);
-            let net = Network::new(n, config);
+            let net = Network::new(n, Config::ncc0(n as u64).with_capacity_factor(0.1));
             for engine in [EngineKind::Batched, EngineKind::Reference] {
                 let result = net
                     .run_protocol_on(engine, None, None, |_| {
                         WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
-                            let (id, need) = (rctx.id(), need(rctx.id()));
-                            let (vp, contacts, x) = (ctx.vp, ctx.contacts.clone(), ctx.position);
-                            let sort = SortStep::new(vp, contacts, x, need, order, id);
-                            SortContactsStep::new(sort).then(move |(sp, table), _| {
-                                let need = after(need, &sp, first);
-                                let lane = SortStep::merge(sp, table, first, need, order, id);
-                                SortContactsStep::new(lane).then(move |(sp, table), _| {
-                                    let need = after(need, &sp, second);
-                                    SortStep::merge(sp, table, second, need, order, id)
-                                })
+                            let (vp, x, contacts) = (ctx.vp, ctx.position, ctx.contacts.clone());
+                            let table = contacts.clone();
+                            let sort =
+                                SortStep::new(vp, contacts, x, need(rctx.id()), order, rctx.id());
+                            sort.then(move |held, _| {
+                                let held = after(held, x, first);
+                                let table2 = table.clone();
+                                SortStep::merge(vp, table, x, held, first, order).then(
+                                    move |held, _| {
+                                        let held = after(held, x, second);
+                                        SortStep::merge(vp, table2, x, held, second, order)
+                                    },
+                                )
                             })
                         })
                     })
                     .unwrap();
-                let what = format!("n={n} factor={factor} {engine:?}");
-                assert!(result.metrics.is_clean(), "{what}");
+                let what = format!("n={n} {engine:?}");
+                let m = &result.metrics;
+                assert!(m.is_clean(), "{what}: {:?}", m.violations);
+                assert_eq!(m.capacity, 4, "{what}");
                 let mut ranked: Vec<(u64, NodeId)> = result
                     .outputs
                     .iter()
@@ -822,22 +906,11 @@ mod tests {
                     .collect();
                 ranked.sort_unstable_by_key(|&(need, id)| (order.encode_key(need), id));
                 let want = regroup(&regroup(&ranked, first), second);
-                let rank_of: HashMap<NodeId, usize> = want
-                    .iter()
-                    .enumerate()
-                    .map(|(r, &(_, id))| (id, r))
-                    .collect();
-                for (id, sp) in &result.outputs {
-                    assert_eq!(sp.vp.len, n, "{what}");
-                    let Some(&rank) = rank_of.get(id) else {
-                        assert!(!sp.vp.member, "{what}: head {id} stayed");
-                        continue;
-                    };
-                    assert!(sp.vp.member, "{what}: {id} left");
-                    assert_eq!(sp.rank, rank, "{what}: rank of {id}");
-                    let at = |r: Option<usize>| r.and_then(|r| want.get(r)).map(|w| w.1);
-                    assert_eq!(sp.vp.pred, at(rank.checked_sub(1)), "{what}: pred of {id}");
-                    assert_eq!(sp.vp.succ, at(Some(rank + 1)), "{what}: succ of {id}");
+                assert_eq!(want.len(), n - first.groups - second.groups, "{what}");
+                // The outputs come in path order: entry `x` is position `x`.
+                for (x, (_, held)) in result.outputs.iter().enumerate() {
+                    let want = want.get(x).map(|&(key, origin)| Held { key, origin });
+                    assert_eq!(*held, want, "{what}: position {x}");
                 }
             }
         }

@@ -9,6 +9,7 @@ use dgr_primitives::ctx::UndirectStep;
 use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
 use dgr_primitives::ops::CollectStep;
 use dgr_primitives::scatter::{ScanRecord, ScanStep};
+use dgr_primitives::sort::{Held, Order, Regroup, SortStep};
 use dgr_primitives::{PathCtx, Step, StepProtocol, WithCtx};
 
 /// Runs `factory` on an n = 37 network fault-free, then under full
@@ -95,6 +96,33 @@ fn milestone_scan_is_exact_under_full_duplication() {
             };
             let records = [rec0, ScanRecord::Filler { key: 2 * r + 1 }];
             ScanStep::new(ctx.vp, ctx.contacts.clone(), ctx.position, records, id)
+        })
+    });
+}
+
+/// A repeated compaction move or comparator exchange lands the same
+/// record once: a sort, then a merge lane, both in place, leave every
+/// position holding its fault-free record.
+#[test]
+fn in_place_sort_and_merge_are_exact_under_full_duplication() {
+    outputs_survive_full_duplication(48, |_| {
+        WithCtx::new(|ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+            let (vp, x, contacts) = (ctx.vp, ctx.position, ctx.contacts.clone());
+            let (key, order) = (2 + rctx.id() % 5, Order::Descending);
+            let phase = Regroup {
+                live: vp.len,
+                stride: 3,
+                groups: vp.len / 6,
+            };
+            let table = contacts.clone();
+            SortStep::new(vp, contacts, x, key, order, rctx.id()).then(move |held, _| {
+                let lost = u64::from(x < phase.span());
+                let held = held.map(|h| Held {
+                    key: h.key - lost,
+                    ..h
+                });
+                SortStep::merge(vp, table, x, held, phase, order)
+            })
         })
     });
 }

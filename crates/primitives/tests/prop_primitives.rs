@@ -8,8 +8,8 @@ use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
 use dgr_primitives::ops::AggBcastStep;
 use dgr_primitives::prefix::PrefixStep;
 use dgr_primitives::scatter::{ScanRecord, ScanStep};
-use dgr_primitives::sort::{Order::Descending, SortStep};
-use dgr_primitives::{AggOp, PathCtx, WithCtx};
+use dgr_primitives::sort::{Order::Descending, RankStep, SortStep};
+use dgr_primitives::{AggOp, PathCtx, Step, WithCtx};
 use rand::Rng;
 
 #[path = "../../../tests/support/cases.rs"]
@@ -30,7 +30,9 @@ fn sort_is_a_sorted_permutation() {
             .run_protocol(|_| {
                 WithCtx::new(|c: &PathCtx, rctx: &mut RoundCtx<'_>| {
                     let (key, id) = (rctx.id() % 5, rctx.id()); // heavy ties
-                    SortStep::new(c.vp, c.contacts.clone(), c.position, key, Descending, id)
+                    let (vp, x) = (c.vp, c.position);
+                    SortStep::new(vp, c.contacts.clone(), x, key, Descending, id)
+                        .then(move |held, _| RankStep::new(vp, x, held))
                 })
             })
             .unwrap();

@@ -20,7 +20,7 @@ use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
 use dgr_primitives::ops::{AggBcastStep, BroadcastAddrStep, CollectStep};
 use dgr_primitives::prefix::PrefixStep;
 use dgr_primitives::scatter::{ScanRecord, ScanStep};
-use dgr_primitives::sort::{Order, SortStep};
+use dgr_primitives::sort::{Order, RankStep, SortStep};
 use dgr_primitives::stagger::StaggerStep;
 use dgr_primitives::warmup::WarmupStep;
 use dgr_primitives::WithCtx as CtxThen;
@@ -107,14 +107,16 @@ fn sort_matches_frozen_twin_on_both_engines() {
         let net = Network::new(n, Config::ncc0(seed));
         let batched = engines_agree(&net, |_| {
             CtxThen::new(|ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                let (vp, x, key) = (ctx.vp, ctx.position, rctx.id() % 17);
                 SortStep::new(
-                    ctx.vp,
+                    vp,
                     ctx.contacts.clone(),
-                    ctx.position,
-                    rctx.id() % 17,
+                    x,
+                    key,
                     Order::Descending,
                     rctx.id(),
                 )
+                .then(move |held, _| RankStep::new(vp, x, held))
             })
         });
         let case = format!("sort n={n} seed={seed}");

@@ -69,7 +69,7 @@ use std::sync::Arc;
 /// A refusal (and a single node) ends on the check,
 /// `ctx::rounds_for(len) + ops::rounds_for(len)` rounds in all.
 pub fn rounds_for(len: usize, algo: TreeAlgo) -> u64 {
-    let sorted = sort::rounds_for(len) + contacts::rounds_for(len);
+    let sorted = sort::rounds_for(len) + sort::RANK_ROUNDS + contacts::rounds_for(len);
     let opening = ctx::rounds_for(len) + ops::rounds_for(len).max(sorted) + prefix::rounds_for(len);
     opening
         + match algo {

@@ -214,7 +214,7 @@ fn check_beside_the_sort_runs_clean_at_its_edges() {
     use dgr_primitives::{contacts, ops, sort};
     use std::cmp::Ordering::{Equal, Greater, Less};
     for (n, edge) in [(3usize, Greater), (4, Greater), (6, Equal), (256, Less)] {
-        let lane = sort::rounds_for(n) + contacts::rounds_for(n);
+        let lane = sort::rounds_for(n) + sort::RANK_ROUNDS + contacts::rounds_for(n);
         assert_eq!(ops::rounds_for(n).cmp(&lane), edge, "n={n}: wrong edge");
         // A heap-shaped tree: node i + 1 hangs below node i / 2.
         let picks: Vec<usize> = (0..n - 1).map(|i| i / 2).collect();

@@ -420,22 +420,17 @@ fn batched_greedy_tree_at_n_200k() {
 #[test]
 fn sorting_at_n_2048_is_polylog() {
     use distributed_graph_realizations::ncc::RoundCtx;
+    use distributed_graph_realizations::primitives::sort::{RankStep, SortStep};
     use distributed_graph_realizations::primitives::{sort::Order, PathCtx};
-    use distributed_graph_realizations::primitives::{sort::SortStep, WithCtx};
+    use distributed_graph_realizations::primitives::{Step, WithCtx};
     let n = 2048;
     let net = Network::new(n, Config::ncc0(97));
     let result = net
         .run_protocol(|_| {
             WithCtx::new(|c: &PathCtx, rctx: &mut RoundCtx<'_>| {
-                let (key, id) = (rctx.id(), rctx.id());
-                SortStep::new(
-                    c.vp,
-                    c.contacts.clone(),
-                    c.position,
-                    key,
-                    Order::Ascending,
-                    id,
-                )
+                let (key, id, vp, x) = (rctx.id(), rctx.id(), c.vp, c.position);
+                SortStep::new(vp, c.contacts.clone(), x, key, Order::Ascending, id)
+                    .then(move |held, _| RankStep::new(vp, x, held))
             })
         })
         .unwrap();
