@@ -203,18 +203,18 @@ fn transcript(out: &Realized) -> Golden {
 /// recorded from it at the last commit that had it.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, Golden)] = &[
-    ("implicit seed=3", (true, 4, 79, 535, 1748, 4, 3, 0x002a99e1b86c0afd)),
-    ("envelope seed=3", (true, 4, 81, 719, 2275, 3, 4, 0x002a99e1b86c0afd)),
-    ("explicit seed=3", (true, 4, 85, 544, 1757, 4, 3, 0x002a99e1b86c0afd)),
-    ("implicit seed=19", (true, 4, 79, 535, 1748, 4, 3, 0x1de3e97f8061625c)),
-    ("envelope seed=19", (true, 4, 81, 719, 2275, 3, 4, 0x1de3e97f8061625c)),
-    ("explicit seed=19", (true, 4, 85, 544, 1757, 4, 3, 0x1de3e97f8061625c)),
+    ("implicit seed=3", (true, 4, 72, 366, 1220, 3, 4, 0x002a99e1b86c0afd)),
+    ("envelope seed=3", (true, 4, 72, 514, 1636, 3, 4, 0x002a99e1b86c0afd)),
+    ("explicit seed=3", (true, 4, 78, 375, 1229, 3, 4, 0x002a99e1b86c0afd)),
+    ("implicit seed=19", (true, 4, 72, 366, 1220, 3, 4, 0x1de3e97f8061625c)),
+    ("envelope seed=19", (true, 4, 72, 514, 1636, 3, 4, 0x1de3e97f8061625c)),
+    ("explicit seed=19", (true, 4, 78, 375, 1229, 3, 4, 0x1de3e97f8061625c)),
     ("tree Chain", (true, 0, 46, 249, 708, 4, 3, 0x95080c3336213173)),
     ("tree Greedy", (true, 0, 47, 318, 1321, 4, 3, 0xeab81924fcbe7003)),
     ("ncc1", (true, 0, 39, 70, 144, 2, 2, 0xd8b85508f1bbb25d)),
     ("ncc0", (true, 0, 71, 133, 333, 2, 3, 0x7bc5877a5e133eb7)),
-    ("ncc0-exact", (true, 0, 146, 300, 922, 3, 3, 0x0245ad4acc2b7f59)),
-    ("prefix", (true, 4, 46, 144, 472, 4, 3, 0x40fdb7803a1a6ba7)),
+    ("ncc0-exact", (true, 0, 146, 256, 783, 2, 4, 0x0245ad4acc2b7f59)),
+    ("prefix", (true, 4, 46, 100, 333, 3, 4, 0x40fdb7803a1a6ba7)),
 ];
 
 /// What a change of schedule may not move: the verdict, phases and
