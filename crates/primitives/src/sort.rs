@@ -468,6 +468,7 @@ impl Rounds for Sort {
             self.absorb_exchange(t, ctx);
         }
         if t == rounds {
+            // The key encoding is its own inverse.
             let order = self.order;
             return Poll::Ready(self.held.map(|r| Held {
                 key: order.encode_key(r.key),
@@ -844,7 +845,7 @@ mod tests {
     fn merge_lane_equals_the_sort_of_the_survivors() {
         use dgr_ncc::EngineKind;
         let order = Order::Descending;
-        for n in [2usize, 3, 5, 9, 20, 64, 100, 257, 300] {
+        for n in 2usize..=300 {
             let need = |id: NodeId| 2 + id * 7 % 5;
             let first = Regroup {
                 live: n,
