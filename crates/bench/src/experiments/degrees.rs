@@ -4,7 +4,7 @@
 use crate::drive;
 use crate::experiments::ratios_flat;
 use crate::table::{f2, Table};
-use dgr_core::distributed::{rounds_for, Flavor};
+use dgr_core::distributed::{phase_groups, rounds_for, Flavor};
 use dgr_core::DegreeSequence;
 use dgr_graphgen as graphgen;
 
@@ -13,10 +13,13 @@ fn lg(n: usize) -> f64 {
 }
 
 /// Does a realization over `degrees` that ran `phases` phases at capacity
-/// `cap` take exactly the rounds `core::distributed::rounds_for` predicts?
+/// `cap` run the phases the replay of its phase loop predicts, in exactly
+/// the rounds `core::distributed::rounds_for` predicts?
 fn on_closed_form(degrees: &[usize], rounds: u64, phases: u64, flavor: Flavor, cap: usize) -> bool {
     let max_degree = degrees.iter().copied().max().unwrap_or(0);
-    rounds == rounds_for(degrees.len(), phases, flavor, max_degree, cap)
+    let groups = phase_groups(degrees, flavor);
+    groups.len() as u64 + 1 == phases
+        && rounds == rounds_for(degrees.len(), &groups, flavor, max_degree, cap)
 }
 
 /// Theorem 11: implicit realization in `O~(min{√m, Δ})` rounds. Swept two

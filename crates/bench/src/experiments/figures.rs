@@ -1,11 +1,12 @@
-//! Figures 1 and 2: exact reproduction of the paper's two construction
-//! illustrations on the path `1‥8`.
+//! Figure 1: exact reproduction of the paper's warm-up construction on
+//! the path `1‥8`. (Figure 2, the Theorem 1 search tree, has no
+//! counterpart: positions and sweeps run on the contact table.)
 
 use crate::table::Table;
 use dgr_ncc::{Config, Network, NodeId};
 use dgr_primitives::ctx::UndirectStep;
 use dgr_primitives::warmup::{self, WarmupStep};
-use dgr_primitives::{bbst, Step, StepProtocol};
+use dgr_primitives::{Step, StepProtocol};
 use std::collections::HashMap;
 
 fn tree_rows<T>(
@@ -53,41 +54,6 @@ pub fn fig1() -> Vec<Table> {
         expected,
         "tree shape matches the paper's recursive construction; \
          height O(log n)",
-    );
-    vec![t]
-}
-
-/// Figure 2: the balanced binary *search* tree (Algorithm 1) on 1‥8.
-pub fn fig2() -> Vec<Table> {
-    let net = Network::new(8, Config::ncc0(0).with_sequential_ids());
-    let result = net
-        .run_protocol(|_| super::primitives::bbst_protocol())
-        .unwrap();
-    let mut t = Table::new(
-        "Figure 2 — balanced binary search tree (Algorithm 1) on G_k = 1‥8",
-        &["node", "parent", "left", "right"],
-    );
-    let opt = |o: Option<NodeId>| o.map_or("-".into(), |x| x.to_string());
-    for row in tree_rows(&result.outputs, |b: &std::sync::Arc<bbst::Bbst>| {
-        (opt(b.parent), opt(b.left), opt(b.right))
-    }) {
-        t.row(row);
-    }
-    let view: HashMap<NodeId, &bbst::Bbst> = (result.outputs.iter())
-        .map(|(id, b)| (*id, b.as_ref()))
-        .collect();
-    let expected = view[&1].is_root
-        && view[&1].right == Some(5)
-        && view[&5].left == Some(3)
-        && view[&5].right == Some(7)
-        && view[&3].left == Some(2)
-        && view[&3].right == Some(4)
-        && view[&7].left == Some(6)
-        && view[&7].right == Some(8);
-    t.verdict(
-        expected,
-        "matches the figure exactly (root 1 → 5 → {3,7} → leaves); \
-         inorder = G_k; height = ⌈log 8⌉ + 1",
     );
     vec![t]
 }

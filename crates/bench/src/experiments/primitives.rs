@@ -1,30 +1,18 @@
-//! Primitive round-complexity experiments (Theorems 1, 3, 4, 5 and
-//! Corollary 2): measured rounds vs. the predicted growth along `n`
-//! sweeps. Rounds here are *exact model quantities* reported by the
-//! simulator, not wall-clock. A primitive's own round count is the
-//! difference of two runs: the composition ending in it, and the same
-//! composition without it.
+//! Primitive round-complexity experiments (Corollary 2, Theorems 3 and
+//! 4): measured rounds vs. the predicted growth along `n` sweeps. Rounds
+//! here are *exact model quantities* reported by the simulator, not
+//! wall-clock. A primitive's own round count is the difference of two
+//! runs: the composition ending in it, and the same composition without
+//! it.
 
 use crate::experiments::ratios_flat;
 use crate::table::{f2, Table};
-use dgr_ncc::{Config, Network, NodeProtocol, RoundCtx, RunResult};
-use dgr_primitives::bbst::{Bbst, BbstStep};
+use dgr_ncc::{Config, Network, RoundCtx, RunResult};
 use dgr_primitives::contacts::ContactsStep;
 use dgr_primitives::ctx::UndirectStep;
-use dgr_primitives::ops::{AggBcastStep, BroadcastAddrStep, CollectStep};
+use dgr_primitives::ops::{self, SweepStep};
 use dgr_primitives::sort::{Order, RankStep, SortStep};
-use dgr_primitives::{AggOp, EstablishCtx, PathCtx, Step, StepProtocol, WithCtx};
-use std::sync::Arc;
-
-/// Undirect, contacts, then Algorithm 1 — the establishment chain up to
-/// (not including) the traversal.
-pub(crate) fn bbst_protocol() -> impl NodeProtocol<Output = Arc<Bbst>> {
-    StepProtocol::new(
-        UndirectStep::new().then(|vp, _| {
-            ContactsStep::new(vp).then(move |contacts, _| BbstStep::new(vp, contacts))
-        }),
-    )
-}
+use dgr_primitives::{EstablishCtx, PathCtx, Step, StepProtocol, WithCtx};
 
 /// The full context establishment, standalone.
 fn establish(net: &Network) -> RunResult<PathCtx> {
@@ -38,55 +26,17 @@ fn lg(n: usize) -> f64 {
     (n as f64).log2()
 }
 
-/// Theorem 1: BBST height ≤ ⌈log n⌉+1, construction rounds `O(log n)`.
-pub fn t1_bbst() -> Vec<Table> {
-    let mut t = Table::new(
-        "Theorem 1 — balanced binary search tree construction",
-        &[
-            "n",
-            "rounds",
-            "log2(n)",
-            "rounds/log2(n)",
-            "max depth",
-            "bound",
-        ],
-    );
-    let mut ratios = Vec::new();
-    let mut heights_ok = true;
-    for &n in SWEEP {
-        let net = Network::new(n, Config::ncc0(1));
-        let result = net.run_protocol(|_| bbst_protocol()).unwrap();
-        assert!(result.metrics.is_clean());
-        let rounds = result.metrics.rounds;
-        let depth = result.outputs.iter().map(|(_, b)| b.depth).max().unwrap();
-        let bound = Bbst::depth_bound(n);
-        heights_ok &= depth <= bound;
-        let ratio = rounds as f64 / lg(n);
-        ratios.push(ratio);
-        t.row(vec![
-            n.to_string(),
-            rounds.to_string(),
-            f2(lg(n)),
-            f2(ratio),
-            depth.to_string(),
-            bound.to_string(),
-        ]);
-    }
-    t.verdict(
-        heights_ok && ratios_flat(&ratios, 2.0),
-        "height within ⌈log n⌉+1 at every n; rounds/log n flat \
-         (construction is Θ(log n) rounds)",
-    );
-    vec![t]
-}
-
-/// Corollary 2: positions + median in `O(log n)` rounds.
+/// Corollary 2: positions + median in `O(log n)` rounds. The positions
+/// come from the rank lane beside the contact doubling (one round past
+/// it, at most `n - 1` messages beside it); the median is the
+/// address-only sweep.
 pub fn c2_positions() -> Vec<Table> {
     let mut t = Table::new(
-        "Corollary 2 — path positions and median in O(log n) rounds",
+        "Corollary 2 — path positions (rank lane) and median in O(log n) rounds",
         &[
             "n",
             "pos rounds",
+            "rank msgs",
             "median rounds",
             "total/log2(n)",
             "all correct",
@@ -97,29 +47,39 @@ pub fn c2_positions() -> Vec<Table> {
     for &n in SWEEP {
         let net = Network::new(n, Config::ncc0(2));
         let order = net.ids_in_path_order().to_vec();
-        // Three runs, each one stage longer: tree, + positions, + median.
-        let tree = net.run_protocol(|_| bbst_protocol()).unwrap();
+        // Three runs, each one stage longer: the bare doubling, + the
+        // rank lane (the establishment), + the median sweep.
+        let doubling = net
+            .run_protocol(|_| {
+                StepProtocol::new(UndirectStep::new().then(|vp, _| ContactsStep::new(vp)))
+            })
+            .unwrap();
         let positions = establish(&net);
         let median = net
             .run_protocol(|_| {
                 WithCtx::new(|c: &PathCtx, rctx: &mut RoundCtx<'_>| {
-                    BroadcastAddrStep::median(c.vp, c.tree.clone(), c.position, rctx.id())
+                    let mine = (c.position == (c.vp.len - 1) / 2).then(|| rctx.id());
+                    let (vp, contacts) = (c.vp, c.contacts.clone());
+                    SweepStep::new(vp, contacts, c.position, &[], mine, |_, _| {})
                 })
             })
             .unwrap();
-        let pos_rounds = positions.metrics.rounds - tree.metrics.rounds;
+        let pos_rounds = positions.metrics.rounds;
+        let counts = positions.metrics.messages - doubling.metrics.messages;
         let med_rounds = median.metrics.rounds - positions.metrics.rounds;
+        correct &= counts < n as u64;
         for (i, (_, ctx)) in positions.outputs.iter().enumerate() {
             correct &= ctx.position == i;
         }
         for (_, med) in &median.outputs {
-            correct &= *med == order[(n - 1) / 2];
+            correct &= med.addr == Some(order[(n - 1) / 2]);
         }
         let total = (pos_rounds + med_rounds) as f64;
         ratios.push(total / lg(n));
         t.row(vec![
             n.to_string(),
             pos_rounds.to_string(),
+            counts.to_string(),
             med_rounds.to_string(),
             f2(total / lg(n)),
             correct.to_string(),
@@ -127,8 +87,8 @@ pub fn c2_positions() -> Vec<Table> {
     }
     t.verdict(
         correct && ratios_flat(&ratios, 2.0),
-        "every node learns its exact position and the median ID; \
-         rounds/log n flat",
+        "every node learns its exact position (under n extra messages) and \
+         the median ID; rounds/log n flat",
     );
     vec![t]
 }
@@ -187,11 +147,20 @@ pub fn t3_sort() -> Vec<Table> {
     vec![t]
 }
 
-/// Theorem 4: global broadcast + aggregation in `O(log n)` rounds.
+/// Theorem 4: global broadcast + aggregation in `O(log n)` rounds, as
+/// the binomial sweep over the contacts: exactly `2⌈log₂ n⌉` rounds and
+/// `2(n - 1)` messages.
 pub fn t4_aggregate() -> Vec<Table> {
     let mut t = Table::new(
-        "Theorem 4 — global aggregation + broadcast",
-        &["n", "rounds", "log2(n)", "rounds/log2(n)", "sum correct"],
+        "Theorem 4 — global aggregation + broadcast (binomial sweep)",
+        &[
+            "n",
+            "rounds",
+            "messages",
+            "log2(n)",
+            "rounds/log2(n)",
+            "sum correct",
+        ],
     );
     let mut ratios = Vec::new();
     let mut correct = true;
@@ -201,16 +170,24 @@ pub fn t4_aggregate() -> Vec<Table> {
         let result = net
             .run_protocol(|_| {
                 WithCtx::new(|c: &PathCtx, rctx: &mut RoundCtx<'_>| {
-                    AggBcastStep::new(c.vp, c.tree.clone(), rctx.id() % 64, AggOp::Sum)
+                    let (vp, contacts) = (c.vp, c.contacts.clone());
+                    let value = [rctx.id() % 64];
+                    SweepStep::new(vp, contacts, c.position, &value, None, |acc, x| {
+                        acc[0] += x[0]
+                    })
                 })
             })
             .unwrap();
-        let rounds = result.metrics.rounds - establish(&net).metrics.rounds;
-        correct &= result.outputs.iter().all(|(_, s)| *s == want);
+        let base = establish(&net).metrics;
+        let rounds = result.metrics.rounds - base.rounds;
+        let messages = result.metrics.messages - base.messages;
+        correct &= rounds == ops::rounds_for(n) && messages == 2 * (n as u64 - 1);
+        correct &= result.outputs.iter().all(|(_, s)| s.words[0] == want);
         ratios.push(rounds as f64 / lg(n));
         t.row(vec![
             n.to_string(),
             rounds.to_string(),
+            messages.to_string(),
             f2(lg(n)),
             f2(rounds as f64 / lg(n)),
             correct.to_string(),
@@ -218,51 +195,8 @@ pub fn t4_aggregate() -> Vec<Table> {
     }
     t.verdict(
         correct && ratios_flat(&ratios, 2.0),
-        "every node learns the global aggregate; rounds/log n flat",
-    );
-    vec![t]
-}
-
-/// Theorem 5: global collection in `O(k + log n)` rounds — linear in `k`
-/// at fixed `n`.
-pub fn t5_collect() -> Vec<Table> {
-    let n = 256;
-    let mut t = Table::new(
-        format!("Theorem 5 — global collection of k tokens (n = {n})"),
-        &["k", "rounds", "k/cap + log2(n)", "ratio", "tokens at root"],
-    );
-    let mut ratios = Vec::new();
-    let mut complete = true;
-    for &k in &[8usize, 32, 64, 128, 255] {
-        let net = Network::new(n, Config::ncc0(5));
-        let cap = net.capacity();
-        let result = net
-            .run_protocol(|_| {
-                WithCtx::new(move |c: &PathCtx, rctx: &mut RoundCtx<'_>| {
-                    let token = (c.position > 0 && c.position <= k).then_some(c.position as u64);
-                    CollectStep::new(c.vp, c.tree.clone(), token, k, rctx.capacity(), rctx.id())
-                })
-            })
-            .unwrap();
-        assert!(result.metrics.is_clean());
-        let rounds = result.metrics.rounds - establish(&net).metrics.rounds;
-        // The root of the tree is the head of the path; only it collects.
-        let at_root = result.outputs[0].1.len();
-        complete &= at_root == k;
-        let budget = k as f64 / cap as f64 + lg(n);
-        ratios.push(rounds as f64 / budget);
-        t.row(vec![
-            k.to_string(),
-            rounds.to_string(),
-            f2(budget),
-            f2(rounds as f64 / budget),
-            at_root.to_string(),
-        ]);
-    }
-    t.verdict(
-        complete && ratios_flat(&ratios, 3.0),
-        "root receives all k tokens; rounds track k/cap + log n \
-         (linear in k, as Theorem 5 predicts)",
+        "every node learns the global aggregate in 2⌈log₂ n⌉ rounds and \
+         2(n - 1) messages; rounds/log n flat",
     );
     vec![t]
 }

@@ -12,8 +12,8 @@ pub use table::Table;
 
 /// All experiment IDs, in presentation order.
 pub const ALL_EXPERIMENTS: &[&str] = &[
-    "F1", "F2", "T1", "C2", "T3", "T4", "T5", "T11", "T12", "T13", "T14", "T16", "T17", "T18",
-    "T19", "T20", "A1", "A2",
+    "F1", "C2", "T3", "T4", "T11", "T12", "T13", "T14", "T16", "T17", "T18", "T19", "T20", "A1",
+    "A2",
 ];
 
 /// Runs one experiment by ID, returning its tables.
@@ -24,12 +24,9 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
 pub fn run(id: &str) -> Vec<Table> {
     match id {
         "F1" => experiments::figures::fig1(),
-        "F2" => experiments::figures::fig2(),
-        "T1" => experiments::primitives::t1_bbst(),
         "C2" => experiments::primitives::c2_positions(),
         "T3" => experiments::primitives::t3_sort(),
         "T4" => experiments::primitives::t4_aggregate(),
-        "T5" => experiments::primitives::t5_collect(),
         "T11" => experiments::degrees::t11_implicit(),
         "T12" => experiments::degrees::t12_explicit(),
         "T13" => experiments::degrees::t13_envelope(),

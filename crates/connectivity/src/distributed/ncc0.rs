@@ -256,7 +256,8 @@ impl Step for Prologue {
                         let ctx = self.ctx();
                         self.stage = PrologueStage::D0X1(SweepStep::new(
                             ctx.vp,
-                            ctx.tree.clone(),
+                            ctx.contacts.clone(),
+                            ctx.position,
                             &[self.rho as u64],
                             mine,
                             |acc, x| acc[0] = acc[0].max(x[0]),

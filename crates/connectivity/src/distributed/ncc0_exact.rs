@@ -46,9 +46,9 @@ use super::ncc0::{batch, Phase2Acks, Prologue, Sorted};
 use super::ThresholdOutcome;
 use dgr_core::distributed::{DegreesCore, Flavor};
 use dgr_ncc::{tags, NodeId, NodeProtocol, RoundCtx, Status, WireMsg};
-use dgr_primitives::ops::AggBcastStep;
+use dgr_primitives::ops::SweepStep;
 use dgr_primitives::stagger::StaggerStep;
-use dgr_primitives::{AggOp, EstablishCtx, Lockstep, Poll, Rounds, Step, VPath};
+use dgr_primitives::{EstablishCtx, Lockstep, Poll, Rounds, Step, VPath};
 use std::collections::{HashSet, VecDeque};
 
 /// The distinctness patch: tokens walk the prefix ring until they find a
@@ -140,7 +140,7 @@ enum Stage {
     /// shortfall aggregation so every prefix node judges its deficiency
     /// (and the patch ring judges freshness) from a complete list.
     AcksPhase1(StaggerStep),
-    ShortfallMax(AggBcastStep),
+    ShortfallMax(SweepStep),
     Patch(RingPatchStep),
     Tail(Phase2Acks),
 }
@@ -254,8 +254,7 @@ impl NodeProtocol for Ncc0Exact {
                             degree,
                             Flavor::Envelope,
                             sub,
-                            sorted.ctx.vp,
-                            sorted.ctx.tree.clone(),
+                            sorted.ctx.clone(),
                         )));
                     }
                 },
@@ -295,17 +294,21 @@ impl NodeProtocol for Ncc0Exact {
                             0
                         };
                         rctx.mark_stage("shortfall");
-                        self.stage = Stage::ShortfallMax(AggBcastStep::new(
-                            sorted.ctx.vp,
-                            sorted.ctx.tree.clone(),
-                            shortfall,
-                            AggOp::Max,
+                        let ctx = &sorted.ctx;
+                        self.stage = Stage::ShortfallMax(SweepStep::new(
+                            ctx.vp,
+                            ctx.contacts.clone(),
+                            ctx.position,
+                            &[shortfall],
+                            None,
+                            |acc, x| acc[0] = acc[0].max(x[0]),
                         ));
                     }
                 },
                 Stage::ShortfallMax(s) => match s.poll(rctx) {
                     Poll::Pending => return Status::Continue,
-                    Poll::Ready(max_shortfall) => {
+                    Poll::Ready(swept) => {
+                        let max_shortfall = swept.words[0];
                         if max_shortfall == 0 {
                             // No distinctness gap this run (the common
                             // case): skip straight to phase 2.

@@ -125,14 +125,12 @@
 
 use crate::sequence::DegreeSequence;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
-use dgr_primitives::bbst::Bbst;
 use dgr_primitives::imcast::{self, CoverSide, ImcastStep, Payload};
 use dgr_primitives::ops::{self, SweepStep, Words};
 use dgr_primitives::sort::{self, Held, Order, Regroup, SortStep};
 use dgr_primitives::stagger::{self, StaggerStep};
-use dgr_primitives::{ctx, PathCtx, Poll, Step, VPath};
+use dgr_primitives::{ctx, PathCtx, Poll, Step};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Returned (consistently by *every* node) when the degree sequence is not
 /// realizable — the distributed analogue of a node broadcasting
@@ -188,28 +186,84 @@ pub enum Flavor {
 }
 
 /// Rounds of a whole realization — context establishment, then
-/// [`DegreesCore`] — on a path of `len` nodes that ran `phases` control
-/// sweeps: every phase but the last runs the control sweep beside the
-/// lane — the first phase's lane is the bitonic sort, a later one's the
-/// merge lane where [`merges`] says so, which from `len = 9` on ends
-/// inside the sweep, so such a phase is its control sweep; the last phase
-/// (a refusal's included) ends on its control sweep, dropping the partial
-/// lane beside it; the explicit flavor adds the hand-off epoch for the
-/// maximum requested degree `max_degree` at capacity `cap`. Each phase's
-/// multicast and status ([`hop_rounds_for`]) open with the next phase and
-/// end before its control sweep, so they add no rounds.
-pub fn rounds_for(len: usize, phases: u64, flavor: Flavor, max_degree: usize, cap: usize) -> u64 {
+/// [`DegreesCore`] — on a path of `len` nodes whose phases formed
+/// `groups[i]` groups in phase `i + 1`: one entry per phase but the last,
+/// the run's [`phase_groups`]. Every phase but the last runs the control
+/// sweep beside the lane: the first phase's lane is the bitonic sort, a
+/// later one's the merge lane where [`merges`] says so, after a phase of
+/// `g` groups [`sort::merge_rounds_for`]`(len, g)`, which ends inside the
+/// sweep while `g < 2^(⌈log₂ len⌉ - 1)`, so such a phase is its control
+/// sweep; the last phase (a refusal's included) ends on its control sweep,
+/// dropping the partial lane beside it; the explicit flavor adds the
+/// hand-off epoch for the maximum requested degree `max_degree` at
+/// capacity `cap`. Each phase's multicast and status ([`hop_rounds_for`])
+/// open with the next phase and end inside its control sweep from
+/// `len = 3` on, so they add no rounds there; at `len = 2` the hop is a
+/// round longer than the sweep and sets the phase.
+pub fn rounds_for(
+    len: usize,
+    groups: &[usize],
+    flavor: Flavor,
+    max_degree: usize,
+    cap: usize,
+) -> u64 {
     let control = ops::rounds_for(len);
     let first = control.max(sort::rounds_for(len));
-    let later = if merges(flavor, len) {
-        control.max(sort::merge_rounds_for(len))
-    } else {
-        first
+    let beside_hop = control.max(hop_rounds_for(len));
+    let later = groups.iter().rev().skip(1).map(|&g| {
+        let lane = if merges(flavor, len) {
+            sort::merge_rounds_for(len, g)
+        } else {
+            sort::rounds_for(len)
+        };
+        beside_hop.max(lane)
+    });
+    let (first, last) = match groups {
+        [] => (0, control),
+        _ => (first, beside_hop),
     };
     let (spread, drain) = stagger::plan(max_degree, cap);
     let handoff = u64::from(flavor == Flavor::Explicit) * stagger::rounds_for(spread, drain);
-    let (head, rest) = ((phases - 1).min(1), phases.saturating_sub(2));
-    ctx::rounds_for(len) + head * first + rest * later + control + handoff
+    ctx::rounds_for(len) + first + later.sum::<u64>() + last + handoff
+}
+
+/// The groups of every phase but the last that [`DegreesCore`] forms on a
+/// path whose members request `degrees`, the input [`rounds_for`] takes: a
+/// sequential replay of the phase loop. A phase's `δ`, `N` and so its `q`
+/// depend only on the multiset of needs, and so does what the phase
+/// leaves of it, whatever the ID order.
+pub fn phase_groups(degrees: &[usize], flavor: Flavor) -> Vec<usize> {
+    let len = degrees.len();
+    let mut needs = degrees.to_vec();
+    let mut groups = Vec::new();
+    let mut went_negative = false;
+    loop {
+        needs.sort_unstable_by(|a, b| b.cmp(a));
+        let delta = needs.first().copied().unwrap_or(0);
+        if went_negative || delta >= len || delta == 0 {
+            return groups;
+        }
+        let stride = delta + 1;
+        let q = (needs.iter().take_while(|&&d| d == delta).count() / stride).max(1);
+        groups.push(q);
+        for (x, need) in needs.iter_mut().enumerate().take(q * stride) {
+            if x % stride == 0 {
+                *need = 0;
+            } else if *need == 0 && flavor != Flavor::Envelope {
+                went_negative = true;
+            } else {
+                *need = need.saturating_sub(1);
+            }
+        }
+        if merges(flavor, len) {
+            // The leaders' records leave the path.
+            let mut x = 0;
+            needs.retain(|_| {
+                x += 1;
+                x > q * stride || (x - 1) % stride != 0
+            });
+        }
+    }
 }
 
 /// Rounds of a phase's hop back to the origins on a path of `len` nodes:
@@ -220,13 +274,14 @@ pub fn hop_rounds_for(len: usize) -> u64 {
 
 /// Whether a later phase re-orders the sorted path with the merge lane
 /// ([`SortStep::merge`]) instead of sorting it again: in the exact flavors,
-/// where its rounds are fewer (`len > 8`). A node at need 0 is inert there
+/// where its rounds are fewer whatever the groups (`len > 8`). A node at need 0 is inert there
 /// — never a leader again, and a run that picks it as a member is refused
 /// — so a group's leader can leave the sorted path. The envelope keeps the
 /// full sort: its zero-need members take edges, and which of them a group
 /// reaches depends on the whole path's ID order.
 pub fn merges(flavor: Flavor, len: usize) -> bool {
-    flavor != Flavor::Envelope && sort::merge_rounds_for(len) < sort::rounds_for(len)
+    flavor != Flavor::Envelope
+        && sort::merge_rounds_for(len, len.saturating_sub(1)) < sort::rounds_for(len)
 }
 
 /// Folds the control words: maximum remaining need, how many members hold
@@ -316,19 +371,21 @@ impl Hop {
 ///   knowledge path; in Algorithm 6's paper-exact recursion it is the
 ///   ρ-sorted prefix sub-path, with every non-prefix node holding a
 ///   non-member view of the same length.
-/// * `global` — the path view and BBST the loop's *control sweep* runs
-///   over. Using the full-network tree keeps every node — member of the
-///   sub-path or not — in lockstep with the data-dependent phase loop:
-///   non-members contribute the identity and still learn every control
-///   value. At the top level `global` equals the establishment context:
-///   the whole protocol is [`WithCtx`](dgr_primitives::WithCtx) handing
-///   its context to both scopes ([`prepare_degrees`](crate::prepare_degrees)).
+/// * `global` — the [`PathCtx`] the loop's *control sweep* runs over.
+///   Sweeping the full network keeps every node — member of the sub-path
+///   or not — in lockstep with the data-dependent phase loop: non-members
+///   contribute the identity and still learn every control value. At the
+///   top level `global` equals the establishment context: the whole
+///   protocol is [`WithCtx`](dgr_primitives::WithCtx) handing its context
+///   to both scopes ([`prepare_degrees`](crate::prepare_degrees)).
 pub struct DegreesCore {
     flavor: Flavor,
     local: PathCtx,
-    global_vp: VPath,
-    global_tree: Arc<Bbst>,
+    global: PathCtx,
     stage: CoreStage,
+    /// How the run ends, once a control sweep has said so and until the
+    /// last hop is in: a refusal, or realized with the hand-off bound.
+    closing: Option<Result<usize, Unrealizable>>,
     /// The record at this node's position: its own in phase 1, the one
     /// the last lane left here after that; `None` at a vacant position.
     held: Option<Held>,
@@ -346,17 +403,11 @@ pub struct DegreesCore {
 impl DegreesCore {
     /// Builds the core; the first poll opens phase 1. Non-members of
     /// `local` must pass `degree = 0` (the aggregation identity).
-    pub fn new(
-        degree: usize,
-        flavor: Flavor,
-        local: PathCtx,
-        global_vp: VPath,
-        global_tree: Arc<Bbst>,
-    ) -> Self {
+    pub fn new(degree: usize, flavor: Flavor, local: PathCtx, global: PathCtx) -> Self {
         DegreesCore {
             flavor,
-            global_vp,
-            global_tree,
+            global,
+            closing: None,
             // Placeholder; the first poll's `begin_phase` installs phase 1.
             stage: CoreStage::Phase {
                 hop: None,
@@ -380,7 +431,7 @@ impl DegreesCore {
     }
 
     /// Opens a new Algorithm 3 phase: the control sweep on the global
-    /// tree and, in the same rounds, the lane over the local positions —
+    /// path and, in the same rounds, the lane over the local positions —
     /// the sort, or the merge lane after a phase where [`merges`] says so;
     /// neither needs anything the sweep computes — beside `hop`, the last
     /// phase's hop back to the origins.
@@ -402,8 +453,9 @@ impl DegreesCore {
         } else {
             SortStep::in_place(vp, contacts, x, held, Order::Descending)
         };
-        let tree = self.global_tree.clone();
-        let control = SweepStep::new(self.global_vp, tree, &words, None, fold_control);
+        let global = &self.global;
+        let (vp, contacts, x) = (global.vp, global.contacts.clone(), global.position);
+        let control = SweepStep::new(vp, contacts, x, &words, None, fold_control);
         self.stage = CoreStage::Phase {
             hop,
             control: Some(Box::new(control)),
@@ -425,8 +477,8 @@ impl Step for DegreesCore {
         loop {
             match &mut self.stage {
                 CoreStage::Phase { hop, control, lane } => {
-                    // The hop ends first: it is shorter than the control
-                    // sweep it started beside.
+                    // The hop ends first: from three positions on, it is
+                    // no longer than the control sweep it started beside.
                     if let Some(Poll::Ready(status)) =
                         hop.as_mut().map(|h| h.poll(rctx, self.on_path))
                     {
@@ -440,40 +492,48 @@ impl Step for DegreesCore {
                     // drops the lane before it stages this round's sends.
                     if let Some(Poll::Ready(swept)) = control.as_mut().map(|s| s.poll(rctx)) {
                         *control = None;
-                        debug_assert!(hop.is_none(), "the hop outlasted the control sweep");
                         let [delta, n_max, err, bound] = swept.words;
                         // Some node went negative, or wants more
                         // neighbors than exist.
                         if err != 0 || delta as usize >= self.local.vp.len {
-                            return Poll::Ready(Err(Unrealizable));
-                        }
-                        if delta == 0 {
-                            if self.flavor != Flavor::Explicit {
-                                return Poll::Ready(Ok(std::mem::take(&mut self.outcome)));
-                            }
+                            self.closing = Some(Err(Unrealizable));
+                            *lane = None;
+                        } else if delta == 0 {
                             // Δ bounds any node's incoming announcements.
-                            self.stage = CoreStage::Handoff(StaggerStep::new(
-                                self.outcome.neighbors.clone(),
-                                WireMsg::signal(tags::EDGE),
-                                bound as usize,
-                                rctx.capacity(),
-                            ));
-                            continue;
+                            self.closing = Some(Ok(bound as usize));
+                            *lane = None;
+                        } else {
+                            let stride = delta as usize + 1;
+                            self.shape.stride = stride;
+                            self.shape.groups = (n_max as usize / stride).max(1);
+                            debug_assert!(
+                                self.shape.span() <= self.shape.live,
+                                "groups exceed the path"
+                            );
                         }
-                        let stride = delta as usize + 1;
-                        self.shape.stride = stride;
-                        self.shape.groups = (n_max as usize / stride).max(1);
-                        debug_assert!(
-                            self.shape.span() <= self.shape.live,
-                            "groups exceed the path"
-                        );
                     }
                     if let Some(Poll::Ready(held)) = lane.as_mut().map(|s| s.poll(rctx)) {
                         *lane = None;
                         self.held = held;
                     }
-                    if control.is_some() || lane.is_some() {
+                    if hop.is_some() || control.is_some() || lane.is_some() {
                         return Poll::Pending;
+                    }
+                    match self.closing.take() {
+                        Some(Err(refused)) => return Poll::Ready(Err(refused)),
+                        Some(Ok(_)) if self.flavor != Flavor::Explicit => {
+                            return Poll::Ready(Ok(std::mem::take(&mut self.outcome)));
+                        }
+                        Some(Ok(bound)) => {
+                            self.stage = CoreStage::Handoff(StaggerStep::new(
+                                self.outcome.neighbors.clone(),
+                                WireMsg::signal(tags::EDGE),
+                                bound,
+                                rctx.capacity(),
+                            ));
+                            continue;
+                        }
+                        None => {}
                     }
                     // Both halves are in. What the phase makes of the
                     // record here depends only on its rank — this
@@ -540,36 +600,57 @@ impl Step for DegreesCore {
 
 #[cfg(test)]
 mod tests {
-    use super::{rounds_for, Flavor};
+    use super::{phase_groups, rounds_for, Flavor};
     use crate::driver::{prepare_degrees, realize_for_test};
     use dgr_ncc::{Config, EngineKind, Recording, RunEvent};
 
-    /// The multicast rides the next phase: at every path length it ends
-    /// before the control sweep that opens with it.
+    /// The multicast and the status ride the next phase: from three
+    /// positions on they end inside the control sweep that opens with
+    /// them; at two they outlast it by a round.
     #[test]
     fn the_multicast_ends_inside_the_next_control_sweep() {
-        use dgr_primitives::{imcast, ops};
-        for len in 1..=1 << 20 {
-            assert!(imcast::rounds_for(len) < ops::rounds_for(len), "len={len}");
+        use super::hop_rounds_for;
+        use dgr_primitives::ops;
+        for len in 3..=1 << 20 {
+            assert!(hop_rounds_for(len) <= ops::rounds_for(len), "len={len}");
         }
+        assert_eq!(hop_rounds_for(2), ops::rounds_for(2) + 1);
     }
 
-    /// Wherever a later phase merges, nothing but its control sweep sets
-    /// its length: the in-place merge lane and the last phase's multicast
-    /// plus its status each end inside the sweep. At n = 2048 a run of 9
-    /// phases is the establishment, a 66-round first phase, seven of 26
-    /// and the closing sweep.
+    /// Wherever a later phase merges, the merge lane fits the control
+    /// sweep exactly while the phase before formed fewer than
+    /// `2^(⌈log₂ len⌉ - 1)` groups: the compaction takes one round a bit
+    /// of the groups. At n = 2048 a run of 9 phases that never formed 1024
+    /// groups is the establishment (12), a 66-round first phase, seven of
+    /// 22 and the closing sweep.
     #[test]
     fn a_later_phase_is_its_control_sweep() {
-        use super::hop_rounds_for;
         use dgr_primitives::{levels_for, ops, sort};
         for len in 9..=1 << 20 {
             let control = ops::rounds_for(len);
-            assert_eq!(sort::merge_rounds_for(len), 2 * levels_for(len) as u64 + 1);
-            assert!(sort::merge_rounds_for(len) < control, "len={len}");
-            assert!(hop_rounds_for(len) < control, "len={len}");
+            let fits = |groups| sort::merge_rounds_for(len, groups) <= control;
+            let edge = 1 << (levels_for(len) - 1);
+            for groups in [0, 1, edge - 1, edge, len - 1] {
+                assert_eq!(fits(groups), groups < edge, "len={len} groups={groups}");
+            }
         }
-        assert_eq!(rounds_for(2048, 9, Flavor::Implicit, 5, 22), 333);
+        let groups = [118, 1, 251, 419, 1, 418, 1, 419];
+        assert_eq!(rounds_for(2048, &groups, Flavor::Implicit, 5, 22), 254);
+    }
+
+    /// The replay of the phase loop: `[6; 32]` forms four groups of seven
+    /// twice, and so on down; a refusal stops it at the phase before.
+    #[test]
+    fn phase_groups_replays_the_phase_loop() {
+        assert_eq!(phase_groups(&[2, 2, 2], Flavor::Implicit), [1, 1]);
+        assert_eq!(phase_groups(&[0, 0], Flavor::Implicit), [] as [usize; 0]);
+        assert_eq!(phase_groups(&[3, 1, 1], Flavor::Implicit), [] as [usize; 0]);
+        assert_eq!(phase_groups(&[3, 3, 1, 1], Flavor::Implicit), [1, 1]);
+        for flavor in [Flavor::Implicit, Flavor::Envelope] {
+            let out = realize_for_test(&[6; 32], Config::ncc0(5), flavor);
+            let groups = phase_groups(&[6; 32], flavor);
+            assert_eq!(groups.len() as u64 + 1, out.expect_realized().phases);
+        }
     }
 
     /// Drops every message of round `lost` in an implicit run at n = 64
@@ -602,10 +683,50 @@ mod tests {
     /// A member commits its need before its payload arrives, so losing
     /// the multicast's first round of sends is a typed panic that names
     /// the cause, on both engines — never a silently short degree.
+    /// A member commits its need before its payload arrives, so losing
+    /// the multicast's first round of sends is a typed panic that names
+    /// the cause, on both engines — never a silently short degree. In a
+    /// run the control sweep and the lane share every round of the
+    /// multicast, and their own loss checks fire first; so the hop runs
+    /// alone here, position 0 leading positions 1 to 3.
     #[test]
     fn a_lost_multicast_panics_its_committed_member() {
+        use super::Hop;
+        use dgr_ncc::{Network, NodeId, RoundCtx, Scenario, SimError};
+        use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
+        use dgr_primitives::{ctx, PathCtx, Poll, Step, WithCtx};
+        struct LoneHop(Hop);
+        impl Step for LoneHop {
+            type Out = Option<(Option<NodeId>, bool)>;
+            fn poll(&mut self, rctx: &mut RoundCtx<'_>) -> Poll<Self::Out> {
+                self.0.poll(rctx, true)
+            }
+        }
+        let n = 16;
+        let lost = ctx::rounds_for(n);
+        let scenario = Scenario::new(3).drop_messages(lost..=lost, 1.0);
+        let net = Network::new(n, Config::ncc0(7).with_scenario(scenario));
+        let messages = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
+            let run = net.run_protocol_on(engine, None, None, |_| {
+                WithCtx::new(|c: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                    let (x, id) = (c.position, rctx.id());
+                    let task =
+                        (x == 0).then_some((CoverSide::After, 3, Payload { addr: id, word: 0 }));
+                    let mcast = Some(ImcastStep::new(c.vp, c.contacts.clone(), task));
+                    LoneHop(Hop {
+                        mcast,
+                        status: Some((id, false, (1..=3).contains(&x))),
+                    })
+                })
+            });
+            match run {
+                Err(SimError::NodePanic { message, .. }) => message,
+                other => panic!("{engine:?}: expected a node panic, got {:?}", other.err()),
+            }
+        });
+        assert_eq!(messages[0], messages[1], "engines");
         assert_eq!(
-            panic_of_a_lost_round(first_commit()),
+            messages[0],
             "message loss: a committed member missed the multicast"
         );
     }
@@ -681,7 +802,9 @@ mod tests {
                 let out = job.unwrap().drive(sink).unwrap().output;
                 assert!(out.is_unrealizable(), "{degrees:?} was accepted");
                 let (n, m) = (degrees.len(), out.metrics());
-                assert_eq!(m.rounds, rounds_for(n, phases, flavor, 3, m.capacity));
+                let groups = phase_groups(&degrees, flavor);
+                assert_eq!(groups.len() as u64 + 1, phases, "{degrees:?}");
+                assert_eq!(m.rounds, rounds_for(n, &groups, flavor, 3, m.capacity));
                 let rounds = recording.events().into_iter().filter_map(|e| match e {
                     RunEvent::RoundCompleted { live, .. } => Some(live),
                     _ => None,
@@ -754,7 +877,9 @@ mod tests {
             let g = out.expect_realized();
             assert_eq!(g.metrics.undelivered, 0, "{engine:?}");
             assert!(g.metrics.is_clean(), "{engine:?}");
-            let want = rounds_for(n, g.phases, flavor, 4, g.metrics.capacity);
+            let groups = phase_groups(&degrees, flavor);
+            assert_eq!(groups.len() as u64 + 1, g.phases, "{engine:?}");
+            let want = rounds_for(n, &groups, flavor, 4, g.metrics.capacity);
             assert_eq!(g.metrics.rounds, want, "{engine:?}");
             for &id in &g.path_order {
                 let mut listed = g.explicit_neighbors[&id].clone();

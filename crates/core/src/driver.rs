@@ -145,8 +145,7 @@ pub fn prepare_degrees(
         let degree = by_id[&s.id];
         // The whole path is both the local and the global scope.
         WithCtx::new(move |ctx: &PathCtx, _: &mut RoundCtx<'_>| {
-            let (vp, tree) = (ctx.vp, ctx.tree.clone());
-            DegreesCore::new(degree, flavor, ctx.clone(), vp, tree)
+            DegreesCore::new(degree, flavor, ctx.clone(), ctx.clone())
         })
     })?;
     // Masked runs are assembled as implicit overlays whatever the flavor.

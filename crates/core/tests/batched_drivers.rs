@@ -12,7 +12,7 @@
 //!   The two random sweeps are frozen as one folded hash each (their
 //!   cases come from the test's name, through `tests/support/cases.rs`).
 
-use dgr_core::distributed::{rounds_for, Flavor};
+use dgr_core::distributed::{phase_groups, rounds_for, Flavor};
 use dgr_core::driver::{prepare_degrees, DriverOutput};
 use dgr_ncc::{Config, EngineKind};
 use rand::Rng;
@@ -107,17 +107,18 @@ fn assert_golden(case: &str, out: &DriverOutput) {
 fn assert_closed_form(case: &str, degrees: &[usize], flavor: Flavor, out: &DriverOutput) {
     let (len, m) = (degrees.len(), out.metrics());
     let max_degree = degrees.iter().copied().max().unwrap_or(0);
-    match out {
-        DriverOutput::Realized(r) => {
-            let want = rounds_for(len, r.phases, flavor, max_degree, m.capacity);
-            assert_eq!(m.rounds, want, "{case}: {} phases", r.phases);
-        }
-        DriverOutput::Unrealizable { .. } => {
-            let form = |phases| rounds_for(len, phases, Flavor::Implicit, 0, m.capacity);
-            let phases = (1..).find(|&phases| form(phases) >= m.rounds).unwrap();
-            assert_eq!(m.rounds, form(phases), "{case}: refused mid-phase");
-        }
+    let groups = phase_groups(degrees, flavor);
+    if let DriverOutput::Realized(r) = out {
+        assert_eq!(groups.len() as u64 + 1, r.phases, "{case}: phases");
     }
+    // A refusal ends on a phase's control sweep, before any hand-off.
+    let flavor = if out.is_unrealizable() {
+        Flavor::Implicit
+    } else {
+        flavor
+    };
+    let want = rounds_for(len, &groups, flavor, max_degree, m.capacity);
+    assert_eq!(m.rounds, want, "{case}: {} phases", groups.len() + 1);
 }
 
 /// Runs one unmasked case on both engines: golden == batched ==
@@ -236,29 +237,28 @@ fn round_counts_follow_the_closed_form_at_scale() {
 
 /// The control sweep and the lane (the sort or the merge lane, in place)
 /// share their rounds, and so does the last phase's hop back to the
-/// origins (multicast, then status), which ends before the sweep at every
-/// length, as does the merge lane. At the edges of that overlap — paths
-/// so short that the sweep outlasts the sort, the longest path a later
-/// phase still sorts again on, the shortest it merges on, the longest the
-/// sweep outlasts the sort on, the first the sort outlasts it on, one far
-/// past it — and at the capacity floor (cap = 4), every flavour runs
-/// clean under the strict policy on both engines, the per-round maxima
-/// within the cap on both sides, on the closed form.
+/// origins (multicast, then status), which ends inside the sweep from
+/// three nodes on, as does the merge lane while the groups stay under
+/// `2^(⌈log₂ n⌉ - 1)`. At the edges of that overlap — the two-node path,
+/// whose hop outlasts the sweep, paths so short that the sweep outlasts
+/// the sort, the first and the last path it ties the sort on (the last a
+/// later phase still sorts again on), the shortest the sort outlasts it
+/// on (the first it merges on), and longer ones — and at the capacity
+/// floor (cap = 4), every flavour runs clean under the strict policy on
+/// both engines, the per-round maxima within the cap on both sides, on
+/// the closed form.
 #[test]
 fn sweep_beside_the_sort_runs_clean_at_its_edges() {
     use dgr_core::distributed::{hop_rounds_for, merges};
     use dgr_primitives::{ops, sort};
-    use std::cmp::Ordering::{Greater, Less};
-    let edges = [3usize, 4, 6, 8, 9, 16].map(|n| (n, Greater));
-    for (n, edge) in edges.into_iter().chain([17, 256].map(|n| (n, Less))) {
-        assert_eq!(
-            ops::rounds_for(n).cmp(&sort::rounds_for(n)),
-            edge,
-            "n={n}: wrong edge"
-        );
-        assert!(hop_rounds_for(n) < ops::rounds_for(n), "n={n}");
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    let edges = [2usize, 3, 4].map(|n| (n, Greater)).into_iter();
+    let edges = edges.chain([5, 8].map(|n| (n, Equal)));
+    for (n, edge) in edges.chain([9, 16, 17, 256].map(|n| (n, Less))) {
+        let control = ops::rounds_for(n);
+        assert_eq!(control.cmp(&sort::rounds_for(n)), edge, "n={n}: wrong edge");
+        assert_eq!(hop_rounds_for(n) <= control, n > 2, "n={n}");
         assert_eq!(merges(Flavor::Implicit, n), n > 8, "n={n}");
-        assert!(sort::merge_rounds_for(n) < ops::rounds_for(n), "n={n}");
         // Graphic, Δ ≤ 4: a strict-cap hand-off never exceeds the floor.
         let degrees: Vec<usize> = (0..n).map(|i| (2 + 2 * (i % 2)).min(n - 1)).collect();
         let max_degree = degrees.iter().copied().max().unwrap();
@@ -279,8 +279,12 @@ fn sweep_beside_the_sort_runs_clean_at_its_edges() {
                 );
                 assert!(m.max_sent_per_round <= m.capacity, "{what}");
                 assert!(m.max_received_per_round <= m.capacity, "{what}");
-                assert!(r.phases > 2, "{what}: no later phase");
-                let want = rounds_for(n, r.phases, flavor, max_degree, m.capacity);
+                assert!(r.phases > 2 || n == 2, "{what}: no later phase");
+                let groups = phase_groups(&degrees, flavor);
+                assert_eq!(groups.len() as u64 + 1, r.phases, "{what}");
+                let fits = |&g: &usize| sort::merge_rounds_for(n, g) <= control;
+                assert!(!merges(flavor, n) || groups.iter().all(fits), "{what}");
+                let want = rounds_for(n, &groups, flavor, max_degree, m.capacity);
                 assert_eq!(m.rounds, want, "{what}: {} phases", r.phases);
             }
         }

@@ -29,18 +29,10 @@ pub mod tags {
     pub const INVITE_LEFT: u16 = 3;
     /// Controlled-BFS invitation (right child).
     pub const INVITE_RIGHT: u16 = 4;
-    /// Controlled-BFS acceptance.
-    pub const ACCEPT: u16 = 5;
-    /// Subtree-size convergecast.
-    pub const SUBTREE_SIZE: u16 = 6;
-    /// Inorder-interval top-down assignment.
-    pub const INORDER: u16 = 7;
-    /// Tree broadcast payload.
+    /// Sweep broadcast payload.
     pub const BCAST: u16 = 8;
-    /// Tree aggregation payload.
+    /// Sweep aggregation payload.
     pub const AGGREGATE: u16 = 9;
-    /// Pipelined collection payload.
-    pub const COLLECT: u16 = 10;
     /// Pointer-doubling contact-table construction.
     pub const CONTACT: u16 = 11;
     /// Bitonic sort compare-exchange.
@@ -62,6 +54,9 @@ pub mod tags {
     /// Realization: a record's holder tells the record's origin what a
     /// phase made of it.
     pub const STATUS: u16 = 20;
+    /// Position count beside the contact doubling: how many nodes lie
+    /// behind the sender, when fewer than the level's distance.
+    pub const RANK: u16 = 21;
     /// First tag value available to user protocols.
     pub const USER_BASE: u16 = 64;
 }

@@ -60,7 +60,7 @@ pub fn rounds_for(len: usize) -> u64 {
 
 /// Direction words of the contact-construction messages.
 const SET_FWD: u64 = 0;
-const SET_BWD: u64 = 1;
+pub(crate) const SET_BWD: u64 = 1;
 
 /// Pointer-doubling contact construction as a [`Step`](crate::Step), on
 /// an arbitrary virtual path (the [`PathToClique`](crate::PathToClique)
@@ -83,19 +83,46 @@ pub struct Contacts {
 impl ContactsStep {
     /// Builds the step for one node's view of the path.
     pub fn new(vp: VPath) -> Self {
-        let levels = vp.levels();
-        let contacts = Contacts {
-            vp,
-            fwd: Vec::with_capacity(levels),
-            bwd: Vec::with_capacity(levels),
-        };
-        Lockstep::run(vp.member, rounds_for(vp.len), contacts)
+        Lockstep::run(vp.member, rounds_for(vp.len), Contacts::new(vp))
     }
 }
 
 impl Contacts {
+    pub(crate) fn new(vp: VPath) -> Self {
+        let levels = vp.levels();
+        Contacts {
+            vp,
+            fwd: Vec::with_capacity(levels),
+            bwd: Vec::with_capacity(levels),
+        }
+    }
+
+    /// Table level `t` at poll `t`: level 0 from the path view, level
+    /// `t > 0` from round `t - 1`'s CONTACT messages.
+    pub(crate) fn learn_level(&mut self, t: u64, ctx: &RoundCtx<'_>) {
+        if t > 0 {
+            self.absorb_level(ctx);
+        } else if self.vp.levels() > 0 {
+            self.fwd.push(self.vp.succ);
+            self.bwd.push(self.vp.pred);
+        }
+    }
+
+    /// The learned level `k`: the contacts `2^k` ahead and `2^k` behind.
+    pub(crate) fn level(&self, k: usize) -> (Option<NodeId>, Option<NodeId>) {
+        (self.fwd[k], self.bwd[k])
+    }
+
+    /// Hands the finished table out, interned.
+    pub(crate) fn take_table(&mut self) -> Arc<ContactTable> {
+        Arc::new(ContactTable {
+            fwd: std::mem::take(&mut self.fwd),
+            bwd: std::mem::take(&mut self.bwd),
+        })
+    }
+
     /// Stages the level-`k` doubling exchange (`1 <= k < levels`).
-    fn send_level(&self, k: usize, ctx: &mut RoundCtx<'_>) {
+    pub(crate) fn send_level(&self, k: usize, ctx: &mut RoundCtx<'_>) {
         if let (Some(b), Some(f)) = (self.bwd[k - 1], self.fwd[k - 1]) {
             ctx.send(b, WireMsg::addr_word(tags::CONTACT, f, SET_FWD));
             ctx.send(f, WireMsg::addr_word(tags::CONTACT, b, SET_BWD));
@@ -122,17 +149,9 @@ impl Rounds for Contacts {
     type Out = Arc<ContactTable>;
 
     fn poll(&mut self, t: u64, budget: u64, ctx: &mut RoundCtx<'_>) -> Poll<Arc<ContactTable>> {
-        if t > 0 {
-            self.absorb_level(ctx);
-        } else if self.vp.levels() > 0 {
-            self.fwd.push(self.vp.succ);
-            self.bwd.push(self.vp.pred);
-        }
+        self.learn_level(t, ctx);
         if t == budget {
-            return Poll::Ready(Arc::new(ContactTable {
-                fwd: std::mem::take(&mut self.fwd),
-                bwd: std::mem::take(&mut self.bwd),
-            }));
+            return Poll::Ready(self.take_table());
         }
         // Poll t stages level t + 1, which poll t + 1 consumes.
         self.send_level(t as usize + 1, ctx);

@@ -26,23 +26,18 @@
 //! [`StepProtocol`] or, after a context establishment, [`WithCtx`]; the
 //! one bespoke whole-run protocol is the [`PathToClique`] warm-up
 //! benchmark. Each module holds its primitive's description, shared types
-//! ([`Bbst`], [`ContactTable`], [`SortedPath`], …), round budget, step
-//! and property tests.
+//! ([`ContactTable`], [`SortedPath`], …), round budget, step and property
+//! tests.
 //!
 //! | Primitive | Paper | Rounds |
 //! |---|---|---|
 //! | [`ctx::UndirectStep`] | §3.1 | 1 |
 //! | [`warmup::WarmupStep`] (Fig. 1 tree) | §3.1.1 | `2 (ceil(log2 n) + 1)` |
 //! | [`contacts::ContactsStep`] (pointer doubling) | — | `ceil(log2 n) - 1` |
-//! | [`bbst::BbstStep`] (Alg. 1, Fig. 2) | §3.1.1, Thm 1 | `2 ceil(log2 n)` |
-//! | [`traversal::TraversalStep`] (Cor. 2) | §3.1.1 | `O(log n)` |
-//! | [`ctx::EstablishCtx`] (undirect, contacts, BBST, traversal chained) | §3.1 | `O(log n)` |
-//! | [`ops::SweepStep`] (Thm 4: up to four words and an address, one fold) | §3.2.1 | `O(log n)` |
-//! | [`ops::AggBcastStep`] (the one-word sweep) | §3.2.1 | `O(log n)` |
-//! | [`ops::BroadcastAddrStep`] (the address-only sweep, median) | §3.2.1 | `O(log n)` |
-//! | [`ops::CollectStep`] (Thm 5) | §3.2.2 | `O(k + log n)` |
+//! | [`ctx::EstablishCtx`] (undirect, then the doubling with a rank lane: positions, Cor. 2) | §3.1 | `1 + ceil(log2 n)` |
+//! | [`ops::SweepStep`] (Thm 4 on a binomial tree of the contacts: up to four words and an address, one fold) | §3.2.1 | `2 ceil(log2 n)` |
 //! | [`sort::SortStep`] (Thm 3: the rank-`x` record ends at position `x`) | §3.1.2 | `O(log² n)` |
-//! | [`sort::SortStep::merge`] (re-order in place after a group phase) | — | `2 ceil(log2 n) + 1` |
+//! | [`sort::SortStep::merge`] (re-order in place after a group phase of `g` groups) | — | `ceil(log2(g + 1)) + ceil(log2 n) + 1` |
 //! | [`sort::RankStep`] (the sort's epilogue: each origin learns its sorted path) | §3.1.2 | 2 |
 //! | [`sort::SortContactsStep`] (a sort, its ranks, then the sorted path's contacts) | §3.1.2 | sort + 2 + contacts |
 //! | [`prefix::PrefixStep`] | §5 | `ceil(log2 n)` |
@@ -55,7 +50,6 @@
 //! doubling instead of recursive merge and butterflies); ARCHITECTURE.md,
 //! *Deviations from the paper*, has the substitution rationale.
 
-pub mod bbst;
 pub mod clique;
 pub mod contacts;
 pub mod ctx;
@@ -66,16 +60,14 @@ pub mod scatter;
 pub mod sort;
 pub mod stagger;
 pub mod step;
-pub mod traversal;
 pub mod vpath;
 pub mod warmup;
 
-pub use bbst::Bbst;
 pub use clique::PathToClique;
 pub use contacts::ContactTable;
 pub use ctx::{EstablishCtx, PathCtx, WithCtx};
 pub use sort::{Order, SortedPath};
-pub use step::{AggOp, Lockstep, Poll, Rounds, Step, StepProtocol, Then};
+pub use step::{Lockstep, Poll, Rounds, Step, StepProtocol, Then};
 pub use vpath::VPath;
 
 /// The six paths `crates/bench/src/bin/e2e/workloads.rs` imports under

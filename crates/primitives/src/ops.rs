@@ -1,48 +1,40 @@
-//! Global computational primitives over the BBST: broadcast, distributive
-//! aggregation (Theorem 4) and pipelined token collection (Theorem 5).
+//! The global sweep over a path's contacts: broadcast and distributive
+//! aggregation (Theorem 4).
 //!
-//! All operations run on a [`VPath`] + [`Bbst`] pair in a fixed,
-//! commonly-computable number of rounds.
+//! [`SweepStep`] folds every member's contribution toward position 0 and
+//! pushes the total back, so every member learns it. A contribution is
+//! what one message holds: up to [`WIRE_WORDS`] data words under one
+//! [`Fold`], and the (at most one) held address, which travels in the
+//! *address* field so KT0 tracking sees every node legitimately learn the
+//! ID. Independent aggregations of one path share a sweep instead of
+//! paying one each: "leader `ℓ` broadcasts a token" without anyone knowing
+//! where `ℓ` sits is a fold over the (at most one) held value, and
+//! Corollary 2's median is the address-only sweep of the node at position
+//! `(len - 1) / 2`.
 //!
-//! * **Sweep** ([`SweepStep`]): one leaves-to-root sweep folding every
-//!   member's contribution, one root-to-leaves sweep pushing the total
-//!   back — every member learns it. A contribution is what one message
-//!   holds: up to [`WIRE_WORDS`] data words under one [`Fold`], and the
-//!   (at most one) held address, which travels in the *address* field so
-//!   KT0 tracking sees every node legitimately learn the ID. Independent
-//!   aggregations of one tree share a sweep instead of paying one each.
-//! * **Aggregate + broadcast** ([`AggBcastStep`]): the one-word sweep under
-//!   an [`AggOp`]. "Leader `ℓ` broadcasts a token" without anyone knowing
-//!   where `ℓ` sits in the tree is `min` over the (at most one) value.
-//! * **Address broadcast** ([`BroadcastAddrStep`]): the address-only
-//!   sweep; Corollary 2's median is the node whose position is
-//!   `(len - 1) / 2` announcing itself.
-//! * **Collection** ([`CollectStep`], Theorem 5): every member holding a
-//!   token sends it to the root, pipelined up the tree in batches of
-//!   `cap/2` per node per round, so a parent receives at most `cap` per
-//!   round from its two children.
+//! The paper sweeps a balanced binary search tree (Theorem 1). The sweep
+//! here is a **binomial tree over the contact table** instead
+//! (ARCHITECTURE.md, *Deviations from the paper*): position `x > 0` hangs
+//! below `x - 2^tz(x)` (`tz` = trailing zeros), its `2^tz(x)`-behind
+//! contact, and the children of `x` are `x + 2^j` for `j < tz(x)` (every
+//! `j < ⌈log₂ len⌉` at position 0). The reduce sends `x`'s fold in round
+//! `tz(x)`, after its children's rounds `0 … tz(x) - 1`; the broadcast
+//! mirrors it, level `⌈log₂ len⌉ - 1` first. Each phase is `⌈log₂ len⌉`
+//! rounds, a node sends and receives at most one message a round, and the
+//! sweep costs `2(len - 1)` messages. Every message is due in a known
+//! round, so a missing one is a lost message, and it panics.
 
-use crate::bbst::{sweep_rounds, Bbst};
-use crate::step::{AggOp, Lockstep, Poll, Rounds, Step};
+use crate::contacts::ContactTable;
+use crate::step::{Lockstep, Poll, Rounds};
 use crate::vpath::VPath;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireEnvelope, WireMsg, WIRE_WORDS};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Number of rounds for a sweep (an aggregate-broadcast, an address
-/// broadcast, the median) on a path of `len` nodes: one up sweep + one
-/// down sweep — the Theorem 4 `O(log n)` bound made concrete.
+/// Number of rounds for a sweep on a path of `len` nodes: the reduce and
+/// the broadcast, `⌈log₂ len⌉` rounds each — the Theorem 4 `O(log n)`
+/// bound made concrete.
 pub fn rounds_for(len: usize) -> u64 {
-    2 * sweep_rounds(len)
-}
-
-/// Number of rounds for a collection of up to `k_bound` tokens (a commonly
-/// known bound — callers typically obtain it by an aggregate-broadcast
-/// count first) on a path of `len` nodes, at per-round capacity `cap` — the
-/// Theorem 5 `O(k + log n)` bound made concrete.
-pub fn collect_rounds(len: usize, k_bound: usize, cap: usize) -> u64 {
-    let batch = (cap / 2).max(1) as u64;
-    sweep_rounds(len) + (k_bound as u64).div_ceil(batch) + 2
+    2 * crate::levels_for(len) as u64
 }
 
 /// The data words of one sweep message; a sweep of `k` lanes uses the
@@ -78,7 +70,7 @@ impl Swept {
     }
 }
 
-/// The up/down tree sweep (Theorem 4) as a [`Step`].
+/// The binomial reduce and broadcast (Theorem 4) as a [`Step`](crate::Step).
 ///
 /// Rounds: exactly [`rounds_for`]`(vp.len)`, whatever the width: the lanes
 /// are one message's data words (more than
@@ -86,47 +78,49 @@ impl Swept {
 /// `MessageTooLarge` violation), the address rides the address field.
 pub type SweepStep = Lockstep<Sweep>;
 
-/// [`SweepStep`]'s member rounds: the up sweep, then the down sweep.
+/// [`SweepStep`]'s member rounds: the reduce, then the broadcast.
 #[derive(Debug)]
 pub struct Sweep {
-    tree: Arc<Bbst>,
+    contacts: Arc<ContactTable>,
+    levels: usize,
+    /// The level this position's fold goes up on: `tz(x)`, or `levels`
+    /// at position 0, the root. Its children sit `2^j` ahead, `j < up`.
+    up: usize,
     lanes: usize,
     fold: Fold,
-    /// This subtree's fold so far.
+    /// This subtree's fold so far; the total once the broadcast is in.
     acc: Swept,
-    /// Children whose `AGGREGATE` is outstanding. Keyed by sender, so a
-    /// duplicated message folds once.
-    await_left: bool,
-    await_right: bool,
-    sent_up: bool,
-    got: Option<Swept>,
-    sent_down: bool,
 }
 
 impl SweepStep {
-    /// Builds the step; `words` (one per lane, the same count at every
-    /// node) and `addr` are this node's contribution.
+    /// Builds the step at `position` of `vp`, over the path's `contacts`;
+    /// `words` (one per lane, the same count at every node) and `addr` are
+    /// this node's contribution.
     ///
     /// # Panics
     ///
     /// Panics if more than [`WIRE_WORDS`] words are given.
     pub fn new(
         vp: VPath,
-        tree: Arc<Bbst>,
+        contacts: Arc<ContactTable>,
+        position: usize,
         words: &[u64],
         addr: Option<NodeId>,
         fold: Fold,
     ) -> Self {
+        let levels = vp.levels();
+        let up = if position == 0 {
+            levels
+        } else {
+            position.trailing_zeros() as usize
+        };
         let sweep = Sweep {
-            await_left: tree.left.is_some(),
-            await_right: tree.right.is_some(),
-            tree,
+            contacts,
+            levels,
+            up,
             lanes: words.len(),
             fold,
             acc: Swept::new(words, addr),
-            sent_up: false,
-            got: None,
-            sent_down: false,
         };
         Lockstep::run(vp.member, rounds_for(vp.len), sweep)
     }
@@ -139,11 +133,14 @@ impl Sweep {
         value.addr.map_or(msg, |a| msg.with_addr(a))
     }
 
-    /// Folds a child's `AGGREGATE` into this subtree's accumulator.
-    fn fold_child(&mut self, env: &WireEnvelope) {
-        let theirs = Swept::of(&env.msg);
-        (self.fold)(&mut self.acc.words, &theirs.words);
-        self.acc.addr = [self.acc.addr, theirs.addr].into_iter().flatten().min();
+    /// The `tag` message `from` sent last round. A repeated message is
+    /// the same message: the first one stands.
+    fn expect<'a>(ctx: &'a RoundCtx<'_>, tag: u16, from: NodeId, loss: &str) -> &'a WireEnvelope {
+        let found = ctx
+            .inbox()
+            .iter()
+            .find(|e| e.msg.tag == tag && e.src == from);
+        found.unwrap_or_else(|| panic!("message loss: {loss}"))
     }
 }
 
@@ -151,190 +148,36 @@ impl Rounds for Sweep {
     type Out = Swept;
 
     fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<Swept> {
-        let sweep = rounds / 2;
-        if t > 0 {
-            for env in ctx.inbox() {
-                match env.msg.tag {
-                    tags::AGGREGATE => {
-                        let awaited = if Some(env.src) == self.tree.left {
-                            &mut self.await_left
-                        } else if Some(env.src) == self.tree.right {
-                            &mut self.await_right
-                        } else {
-                            continue;
-                        };
-                        if std::mem::take(awaited) {
-                            self.fold_child(env);
-                        }
-                    }
-                    tags::BCAST => self.got = Some(Swept::of(&env.msg)),
-                    _ => {}
-                }
+        let (t, levels) = (t as usize, self.levels);
+        if (1..=levels).contains(&t) {
+            // Reduce round `t - 1`: the child on that level, if any.
+            let j = t - 1;
+            if let Some(child) = self.contacts.ahead(j).filter(|_| j < self.up) {
+                let loss = "a reduce parent missed its child's aggregate";
+                let theirs = Swept::of(&Self::expect(ctx, tags::AGGREGATE, child, loss).msg);
+                (self.fold)(&mut self.acc.words, &theirs.words);
+                self.acc.addr = [self.acc.addr, theirs.addr].into_iter().flatten().min();
             }
+        } else if t > levels && 2 * levels - t == self.up {
+            // The broadcast reached this position's level: the total.
+            let parent = self
+                .contacts
+                .behind(self.up)
+                .expect("a child below the head");
+            let loss = "a broadcast child missed its parent's total";
+            self.acc = Swept::of(&Self::expect(ctx, tags::BCAST, parent, loss).msg);
         }
-        if t == sweep {
-            // The up sweep just completed; the root seeds the down sweep.
-            debug_assert!(self.sent_up || self.tree.is_root);
-            if self.tree.is_root {
-                self.got = Some(self.acc);
+        if t as u64 == rounds {
+            return Poll::Ready(self.acc);
+        }
+        if t < levels {
+            if t == self.up {
+                let parent = self.contacts.behind(t).expect("a child below the head");
+                ctx.send(parent, self.msg(tags::AGGREGATE, &self.acc));
             }
-            // A childless root has nobody to push the total to.
-            self.sent_down = self.tree.is_root && self.tree.child_count() == 0;
-        }
-        if t == rounds {
-            return Poll::Ready(self.got.expect("broadcast did not reach node"));
-        }
-        if t < sweep {
-            if !(self.await_left || self.await_right || self.sent_up) {
-                if let Some(p) = self.tree.parent {
-                    ctx.send(p, self.msg(tags::AGGREGATE, &self.acc));
-                }
-                self.sent_up = true;
-            }
-        } else if let (Some(total), false) = (self.got, self.sent_down) {
-            for child in [self.tree.left, self.tree.right].into_iter().flatten() {
-                ctx.send(child, self.msg(tags::BCAST, &total));
-            }
-            self.sent_down = true;
-        }
-        Poll::Pending
-    }
-}
-
-/// Aggregate + broadcast (Theorem 4) as a [`Step`]: the one-word
-/// [`SweepStep`], folding `value` with `op`.
-///
-/// Rounds: exactly [`rounds_for`]`(vp.len)`.
-#[derive(Debug)]
-pub struct AggBcastStep(SweepStep);
-
-impl AggBcastStep {
-    /// Builds the step; `value` is this node's contribution.
-    pub fn new(vp: VPath, tree: Arc<Bbst>, value: u64, op: AggOp) -> Self {
-        let fold: Fold = match op {
-            AggOp::Sum => |acc, x| acc[0] = AggOp::Sum.apply(acc[0], x[0]),
-            AggOp::Max => |acc, x| acc[0] = AggOp::Max.apply(acc[0], x[0]),
-            AggOp::Min => |acc, x| acc[0] = AggOp::Min.apply(acc[0], x[0]),
-        };
-        AggBcastStep(SweepStep::new(vp, tree, &[value], None, fold))
-    }
-}
-
-impl Step for AggBcastStep {
-    type Out = u64;
-
-    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<u64> {
-        self.0.poll(ctx).map(|total| total.words[0])
-    }
-}
-
-/// Address broadcast as a [`Step`]: the address-only [`SweepStep`] — the
-/// (at most one) holder's address becomes common knowledge; members of a
-/// subtree without the holder send a bare signal.
-///
-/// Rounds: exactly [`rounds_for`]`(vp.len)`.
-pub type BroadcastAddrStep = Lockstep<BroadcastAddr>;
-
-/// [`BroadcastAddrStep`]'s member rounds.
-#[derive(Debug)]
-pub struct BroadcastAddr(Sweep);
-
-impl BroadcastAddrStep {
-    /// Builds the step; `value` is `Some` at (at most) one member.
-    pub fn new(vp: VPath, tree: Arc<Bbst>, value: Option<NodeId>) -> Self {
-        let sweep = SweepStep::new(vp, tree, &[], value, |_, _| {}).inner;
-        Lockstep::run(vp.member, rounds_for(vp.len), BroadcastAddr(sweep))
-    }
-
-    /// The Corollary 2 median broadcast: the node whose `position` is the
-    /// median rank announces its own ID.
-    pub fn median(vp: VPath, tree: Arc<Bbst>, position: usize, my_id: NodeId) -> Self {
-        let target = (vp.len - 1) / 2;
-        let mine = (position == target).then_some(my_id);
-        Self::new(vp, tree, mine)
-    }
-}
-
-impl Rounds for BroadcastAddr {
-    type Out = NodeId;
-
-    fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<NodeId> {
-        let swept = self.0.poll(t, rounds, ctx);
-        swept.map(|total| total.addr.expect("no member held an address"))
-    }
-}
-
-/// Collection (Theorem 5) as a [`Step`]: every member's token pipelined to
-/// the root in batches of `cap/2`. Only the root's output is populated.
-///
-/// Rounds: exactly [`collect_rounds`]`(vp.len, k_bound, cap)`.
-pub type CollectStep = Lockstep<Collect>;
-
-/// [`CollectStep`]'s member rounds.
-#[derive(Debug)]
-pub struct Collect {
-    tree: Arc<Bbst>,
-    batch: usize,
-    buffer: Vec<(NodeId, u64)>,
-    collected: Vec<(NodeId, u64)>,
-    /// Origins whose token this node has taken in. Keyed by origin, so a
-    /// duplicated `COLLECT` is collected once.
-    seen: BTreeSet<NodeId>,
-}
-
-impl CollectStep {
-    /// Builds the step; `token` is this node's contribution, `k_bound` a
-    /// commonly known upper bound on the total token count, `cap` the
-    /// per-round capacity, `my_id` the node's own ID.
-    pub fn new(
-        vp: VPath,
-        tree: Arc<Bbst>,
-        token: Option<u64>,
-        k_bound: usize,
-        cap: usize,
-        my_id: NodeId,
-    ) -> Self {
-        let collect = Collect {
-            tree,
-            batch: (cap / 2).max(1),
-            buffer: token.map(|t| (my_id, t)).into_iter().collect(),
-            collected: Vec::new(),
-            seen: BTreeSet::new(),
-        };
-        let rounds = collect_rounds(vp.len, k_bound, cap);
-        Lockstep::run(vp.member, rounds, collect)
-    }
-}
-
-impl Rounds for Collect {
-    type Out = Vec<(NodeId, u64)>;
-
-    fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<Self::Out> {
-        if t > 0 {
-            for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::COLLECT) {
-                let pair = (env.addr(), env.word());
-                if !self.seen.insert(pair.0) {
-                    continue;
-                }
-                if self.tree.is_root {
-                    self.collected.push(pair);
-                } else {
-                    self.buffer.push(pair);
-                }
-            }
-        }
-        if t == rounds {
-            if self.tree.is_root {
-                self.collected.append(&mut self.buffer);
-                self.collected.sort_unstable();
-            } else {
-                debug_assert!(self.buffer.is_empty(), "collection round budget too small");
-            }
-            return Poll::Ready(std::mem::take(&mut self.collected));
-        }
-        if let Some(p) = self.tree.parent {
-            for (origin, value) in self.buffer.drain(..self.buffer.len().min(self.batch)) {
-                ctx.send(p, WireMsg::addr_word(tags::COLLECT, origin, value));
+        } else if let Some(child) = self.contacts.ahead(2 * levels - 1 - t) {
+            if 2 * levels - 1 - t < self.up {
+                ctx.send(child, self.msg(tags::BCAST, &self.acc));
             }
         }
         Poll::Pending
@@ -345,7 +188,9 @@ impl Rounds for Collect {
 mod tests {
     use super::*;
     use crate::{PathCtx, WithCtx};
-    use dgr_ncc::{CapacityPolicy, Config, EngineKind, Network, Scenario, SimError, ViolationKind};
+    use dgr_ncc::{
+        CapacityPolicy, Config, EngineKind, Network, RunResult, Scenario, SimError, ViolationKind,
+    };
 
     /// A fold with coupled lanes: maximum, how many hold it, or, sum.
     fn fold4(acc: &mut Words, x: &Words) {
@@ -378,27 +223,69 @@ mod tests {
     /// The four-lane sweep of every node's [`contribution`].
     fn sweep4(ctx: &PathCtx, rctx: &mut RoundCtx<'_>) -> SweepStep {
         let (words, addr) = contribution(rctx.id());
-        SweepStep::new(ctx.vp, ctx.tree.clone(), &words, addr, fold4)
+        SweepStep::new(
+            ctx.vp,
+            ctx.contacts.clone(),
+            ctx.position,
+            &words,
+            addr,
+            fold4,
+        )
     }
 
+    /// The one-lane sweep of `value` under `fold`, or the address-only
+    /// sweep of `addr` when `value` is `None`.
+    fn sweep1(ctx: &PathCtx, value: Option<u64>, addr: Option<NodeId>, fold: Fold) -> SweepStep {
+        let words: &[u64] = value.as_slice();
+        SweepStep::new(
+            ctx.vp,
+            ctx.contacts.clone(),
+            ctx.position,
+            words,
+            addr,
+            fold,
+        )
+    }
+
+    fn sum(acc: &mut Words, x: &Words) {
+        acc[0] += x[0];
+    }
+
+    fn max(acc: &mut Words, x: &Words) {
+        acc[0] = acc[0].max(x[0]);
+    }
+
+    fn min(acc: &mut Words, x: &Words) {
+        acc[0] = acc[0].min(x[0]);
+    }
+
+    /// At every path length from 1 to 300, on both engines, strict at the
+    /// capacity floor: every member ends on the sequential fold, in
+    /// `2⌈log₂ len⌉` rounds and `2(len - 1)` messages past the
+    /// establishment, whatever the width.
     #[test]
     fn multi_lane_sweep_matches_a_sequential_fold() {
-        for (n, seed) in [(1usize, 21u64), (2, 22), (45, 23), (128, 24)] {
-            let net = Network::new(n, Config::ncc0(seed));
+        for n in 1usize..=300 {
+            let net = Network::new(n, Config::ncc0(n as u64).with_capacity_factor(0.1));
             let want = folded(net.ids_in_path_order());
-            let result = net.run_protocol(|_| WithCtx::new(sweep4)).unwrap();
-            // Tracking is on: the folded address spread legally.
-            assert!(result.metrics.is_clean());
-            assert!(result.outputs.iter().all(|(_, got)| *got == want), "n={n}");
-            let alone = net
-                .run_protocol(|_| {
-                    WithCtx::new(|ctx: &PathCtx, _: &mut RoundCtx<'_>| {
-                        AggBcastStep::new(ctx.vp, ctx.tree.clone(), 0, AggOp::Max)
-                    })
-                })
+            let establish = net
+                .run_protocol(|_| crate::StepProtocol::new(crate::EstablishCtx::new()))
                 .unwrap();
-            assert_eq!(result.metrics.rounds, alone.metrics.rounds, "width is free");
-            assert_eq!(result.metrics.messages, alone.metrics.messages);
+            let runs = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
+                let result = net
+                    .run_protocol_on(engine, None, None, |_| WithCtx::new(sweep4))
+                    .unwrap();
+                // Tracking is on: the folded address spread legally.
+                let m = &result.metrics;
+                assert!(m.is_clean(), "n={n} {engine:?}: {:?}", m.violations);
+                assert_eq!(m.capacity, 4, "n={n}");
+                assert!(result.outputs.iter().all(|(_, got)| *got == want), "n={n}");
+                assert_eq!(m.rounds - establish.metrics.rounds, rounds_for(n));
+                let sent = m.messages - establish.metrics.messages;
+                assert_eq!(sent, 2 * (n as u64 - 1), "n={n}");
+                result
+            });
+            assert_eq!(runs[0].metrics, runs[1].metrics, "n={n}");
         }
     }
 
@@ -438,38 +325,38 @@ mod tests {
         let net = Network::new(50, Config::ncc0(11));
         let ids = net.ids_in_path_order().to_vec();
         let wants = [
-            (AggOp::Sum, ids.iter().map(|i| i % 100).sum::<u64>()),
-            (AggOp::Max, ids.iter().map(|i| i % 100).max().unwrap()),
+            (sum as Fold, ids.iter().map(|i| i % 100).sum::<u64>()),
+            (max, ids.iter().map(|i| i % 100).max().unwrap()),
         ];
-        for (op, want) in wants {
+        for (fold, want) in wants {
             let result = net
                 .run_protocol(|_| {
                     WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
-                        AggBcastStep::new(ctx.vp, ctx.tree.clone(), rctx.id() % 100, op)
+                        sweep1(ctx, Some(rctx.id() % 100), None, fold)
                     })
                 })
                 .unwrap();
             assert!(result.metrics.is_clean());
-            assert!(result.outputs.iter().all(|(_, got)| *got == want), "{op:?}");
+            assert!(result.outputs.iter().all(|(_, got)| got.words[0] == want));
         }
     }
 
     #[test]
     fn broadcast_word_reaches_everyone_from_any_holder() {
         // "Leader broadcasts a token" without anyone knowing where the
-        // leader sits in the tree: a minimum over (present) values, with
-        // u64::MAX as the identity.
+        // leader sits: a minimum over (present) values, with u64::MAX as
+        // the identity.
         let net = Network::new(33, Config::ncc0(12));
         let holder = net.ids_in_path_order()[17]; // arbitrary interior node
         let result = net
             .run_protocol(|_| {
                 WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
                     let value = if rctx.id() == holder { 777 } else { u64::MAX };
-                    AggBcastStep::new(ctx.vp, ctx.tree.clone(), value, AggOp::Min)
+                    sweep1(ctx, Some(value), None, min)
                 })
             })
             .unwrap();
-        assert!(result.outputs.iter().all(|(_, v)| *v == 777));
+        assert!(result.outputs.iter().all(|(_, v)| v.words[0] == 777));
     }
 
     #[test]
@@ -481,19 +368,18 @@ mod tests {
         let result = net
             .run_protocol(|_| {
                 WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
-                    let value = (rctx.id() == tail).then_some(tail);
-                    BroadcastAddrStep::new(ctx.vp, ctx.tree.clone(), value)
+                    sweep1(ctx, None, (rctx.id() == tail).then_some(tail), |_, _| {})
                 })
             })
             .unwrap();
         assert!(result.metrics.is_clean());
-        assert!(result.outputs.iter().all(|(_, v)| *v == tail));
+        assert!(result.outputs.iter().all(|(_, v)| v.addr == Some(tail)));
     }
 
-    /// A duplicated child `AGGREGATE` folds once: with every message of the
-    /// run delivered twice (the establishment's are idempotent), every
-    /// sweep — one word, one address, four coupled lanes beside an address
-    /// — still ends on the fault-free result, on both engines.
+    /// A duplicated `AGGREGATE` folds once: with every message of the run
+    /// delivered twice (the establishment's are idempotent), every sweep —
+    /// one word, one address, four coupled lanes beside an address — still
+    /// ends on the fault-free result, on both engines.
     #[test]
     fn sweeps_fold_each_child_once_under_full_duplication() {
         let n = 37;
@@ -502,24 +388,26 @@ mod tests {
         let net = Network::new(n, config);
         let tail = *net.ids_in_path_order().last().unwrap();
         for engine in [EngineKind::Batched, EngineKind::Reference] {
-            let sum = net
+            let total = net
                 .run_protocol_on(engine, None, None, |_| {
                     WithCtx::new(|ctx: &PathCtx, _: &mut RoundCtx<'_>| {
-                        AggBcastStep::new(ctx.vp, ctx.tree.clone(), 1, AggOp::Sum)
+                        sweep1(ctx, Some(1), None, sum)
                     })
                 })
                 .unwrap();
-            assert!(sum.engine.faults_duplicated > 0);
-            assert!(sum.outputs.iter().all(|(_, got)| *got == n as u64));
+            assert!(total.engine.faults_duplicated > 0);
+            assert!(total
+                .outputs
+                .iter()
+                .all(|(_, got)| got.words[0] == n as u64));
             let addr = net
                 .run_protocol_on(engine, None, None, |_| {
                     WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
-                        let value = (rctx.id() == tail).then_some(tail);
-                        BroadcastAddrStep::new(ctx.vp, ctx.tree.clone(), value)
+                        sweep1(ctx, None, (rctx.id() == tail).then_some(tail), |_, _| {})
                     })
                 })
                 .unwrap();
-            assert!(addr.outputs.iter().all(|(_, got)| *got == tail));
+            assert!(addr.outputs.iter().all(|(_, got)| got.addr == Some(tail)));
             let wide = net
                 .run_protocol_on(engine, None, None, |_| WithCtx::new(sweep4))
                 .unwrap();
@@ -536,62 +424,55 @@ mod tests {
             let result = net
                 .run_protocol(|_| {
                     WithCtx::new(|ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
-                        let tree = ctx.tree.clone();
-                        BroadcastAddrStep::median(ctx.vp, tree, ctx.position, rctx.id())
+                        let median = (ctx.position == (ctx.vp.len - 1) / 2).then(|| rctx.id());
+                        sweep1(ctx, None, median, |_, _| {})
                     })
                 })
                 .unwrap();
             let want = order[(n - 1) / 2];
             assert!(
-                result.outputs.iter().all(|(_, m)| *m == want),
+                result.outputs.iter().all(|(_, m)| m.addr == Some(want)),
                 "n={n}: median mismatch"
             );
         }
     }
 
-    #[test]
-    fn collect_gathers_all_tokens_at_root() {
-        let net = Network::new(60, Config::ncc0(15));
-        let result = net
-            .run_protocol(|_| {
-                WithCtx::new(|ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
-                    // Every third position holds a token.
-                    let token = ctx
-                        .position
-                        .is_multiple_of(3)
-                        .then_some(ctx.position as u64);
-                    let k_bound = 60usize.div_ceil(3);
-                    CollectStep::new(
-                        ctx.vp,
-                        ctx.tree.clone(),
-                        token,
-                        k_bound,
-                        rctx.capacity(),
-                        rctx.id(),
-                    )
-                })
-            })
-            .unwrap();
-        assert!(result.metrics.is_clean());
-        let order = net.ids_in_path_order();
-        let mut want: Vec<(u64, u64)> = (0..60)
-            .filter(|p| p % 3 == 0)
-            .map(|p| (order[p], p as u64))
-            .collect();
-        want.sort_unstable();
-        // The root of the tree is the head of the path; only it collects.
-        assert_eq!(result.outputs[0].1, want);
-        assert!(result.outputs[1..].iter().all(|(_, got)| got.is_empty()));
+    /// Drops every message of sweep round `lost` (counted from the end of
+    /// the establishment) of a one-lane sum at n = 64 and returns the node
+    /// panic's message, the same on both engines.
+    fn panic_of_a_lost_sweep_round(lost: u64) -> String {
+        let n = 64;
+        let round = crate::ctx::rounds_for(n) + lost;
+        let scenario = Scenario::new(9).drop_messages(round..=round, 1.0);
+        let net = Network::new(n, Config::ncc0(17).with_scenario(scenario));
+        let messages = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
+            let run: Result<RunResult<Swept>, SimError> =
+                net.run_protocol_on(engine, None, None, |_| {
+                    WithCtx::new(|ctx: &PathCtx, _: &mut RoundCtx<'_>| {
+                        sweep1(ctx, Some(1), None, sum)
+                    })
+                });
+            match run {
+                Err(SimError::NodePanic { message, .. }) => message,
+                other => panic!("{engine:?}: expected a node panic, got {:?}", other.err()),
+            }
+        });
+        assert_eq!(messages[0], messages[1], "engines");
+        messages[0].clone()
     }
 
+    /// Every aggregate is due in a known round: losing one is a typed
+    /// panic at the parent, and losing a round of the broadcast one at the
+    /// children, on both engines — never a short total.
     #[test]
-    fn theorem5_rounds_scale_linearly_in_k() {
-        // collect_rounds is Θ(k/cap + log n): doubling k roughly doubles
-        // the k-term.
-        let cap = 8;
-        let base = collect_rounds(256, 0, cap);
-        let r1 = collect_rounds(256, 64, cap) - base;
-        let r2 = collect_rounds(256, 128, cap) - base;
-        assert_eq!(r1 * 2, r2);
+    fn a_lost_aggregate_panics_its_parent() {
+        assert_eq!(
+            panic_of_a_lost_sweep_round(2),
+            "message loss: a reduce parent missed its child's aggregate"
+        );
+        assert_eq!(
+            panic_of_a_lost_sweep_round(rounds_for(64) - 1),
+            "message loss: a broadcast child missed its parent's total"
+        );
     }
 }

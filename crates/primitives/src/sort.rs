@@ -19,7 +19,7 @@
 //! more. A caller that needs a *sorted path* chains [`RankStep`], the
 //! 2-round epilogue that tells each record's origin its rank and the IDs
 //! of its sorted predecessor/successor — a new [`VPath`] in sorted order,
-//! on which every other primitive (contacts, BBST, multicast, prefix sums)
+//! on which every other primitive (contacts, sweeps, multicast, prefix sums)
 //! can be established; [`SortContactsStep`] chains both and the sorted
 //! path's contacts, as the tree drivers need.
 //!
@@ -31,10 +31,12 @@
 //! dropped, every other record shifts toward the head by an amount its
 //! position computes from its rank ([`Regroup`]), one bit a round, least
 //! significant first, and one merge pass of the network at a virtual
-//! offset joins the two runs (rounds: [`merge_rounds_for`],
-//! `2⌈log₂ n⌉ + 1`). The shifts are non-decreasing in the rank, so no two
-//! records ever meet at a position. The path keeps its length; the
-//! departed ranks' positions stay vacant at the end.
+//! offset joins the two runs. The longest shift is the number of groups
+//! `g`, which every node knows, so the compaction takes `⌈log₂(g + 1)⌉`
+//! rounds and the lane `⌈log₂(g + 1)⌉ + ⌈log₂ n⌉ + 1` ([`merge_rounds_for`]).
+//! The shifts are non-decreasing in the rank, so no two records ever meet
+//! at a position. The path keeps its length; the departed ranks' positions
+//! stay vacant at the end.
 
 use crate::contacts::{ContactTable, ContactsStep};
 use crate::ctx::PathCtx;
@@ -151,11 +153,13 @@ pub fn rounds_for(len: usize) -> u64 {
     stage_count(len) as u64
 }
 
-/// Number of rounds [`SortStep::merge`] takes on a path of `len` nodes:
-/// `⌈log₂ len⌉` compaction rounds and the `⌈log₂ len⌉ + 1` stages of one
-/// merge pass. Shorter than [`rounds_for`] from `len = 9` on.
-pub fn merge_rounds_for(len: usize) -> u64 {
-    2 * crate::levels_for(len) as u64 + 1
+/// Number of rounds [`SortStep::merge`] takes on a path of `len` nodes
+/// after a phase of `groups` groups: a compaction round per bit of the
+/// longest shift, `groups`, and the `⌈log₂ len⌉ + 1` stages of one merge
+/// pass. Shorter than [`rounds_for`] from `len = 9` on, whatever `groups`
+/// (`< len`).
+pub fn merge_rounds_for(len: usize, groups: usize) -> u64 {
+    (crate::levels_for(groups + 1) + crate::levels_for(len)) as u64 + 1
 }
 
 /// Number of rounds [`RankStep`] takes, at any path length.
@@ -300,7 +304,7 @@ pub struct Sort {
 impl SortStep {
     /// Builds the step: sort the members of `vp` by `key`, each starting
     /// with its own record at its `position` (which comes from the
-    /// traversal primitive).
+    /// establishment's rank lane).
     pub fn new(
         vp: VPath,
         contacts: Arc<ContactTable>,
@@ -343,7 +347,8 @@ impl SortStep {
     /// Re-sorts the records of positions `[0, phase.live)`, position `x`
     /// holding the rank-`x` record, after the group phase `phase`; `held`
     /// is this node's record with its new key (rounds: exactly
-    /// [`merge_rounds_for`]`(vp.len)`). The groups' heads' records leave;
+    /// [`merge_rounds_for`]`(vp.len, phase.groups)`). The groups' heads'
+    /// records leave;
     /// the survivors end in their `(key, ID)` order at positions
     /// `[0, live - groups)`, and the positions after them hold nothing.
     ///
@@ -357,15 +362,14 @@ impl SortStep {
         phase: Regroup,
         order: Order,
     ) -> Self {
-        let levels = vp.levels();
-        let half = 1 << levels;
+        let half = 1 << vp.levels();
         let shift = held.and(phase.shift(position));
         let sort = Sort {
             vp,
             contacts,
             x: position,
             order,
-            shifts: levels as u64,
+            shifts: crate::levels_for(phase.groups + 1) as u64,
             it: StageIter::merge_pass(half),
             offset: phase.offset(half),
             live: phase.live - phase.groups,
@@ -375,7 +379,8 @@ impl SortStep {
             shift: shift.unwrap_or(0),
             cmp: None,
         };
-        Lockstep::run(vp.member, merge_rounds_for(vp.len), sort)
+        let rounds = merge_rounds_for(vp.len, phase.groups);
+        Lockstep::run(vp.member, rounds, sort)
     }
 
     /// [`SortStep::new`] over an established [`PathCtx`]. The fifth
@@ -705,9 +710,10 @@ mod tests {
 
     /// Random group-phase states at every path length up to 300 (a
     /// prefix of the live records in groups, each group's head leaving and
-    /// its members losing one, some vacant ranks at the end): each
-    /// compaction round holds at most one record per position, and the
-    /// merge pass leaves the survivors in exactly their sorted order.
+    /// its members losing one, some vacant ranks at the end): each of the
+    /// `⌈log₂(groups + 1)⌉` compaction rounds holds at most one record per
+    /// position, they leave the survivors at the front, and the merge
+    /// pass leaves them in exactly their sorted order.
     #[test]
     fn merge_lane_compacts_without_collisions_and_merges_to_the_sort() {
         use rand::seq::SliceRandom;
@@ -745,8 +751,7 @@ mod tests {
                 let mut want: Vec<Record> = at.iter().flatten().map(|&(r, _)| r).collect();
                 want.sort_unstable();
                 let what = format!("len={len} {phase:?}");
-                let levels = crate::levels_for(len);
-                for bit in 0..levels {
+                for bit in 0..crate::levels_for(groups + 1) {
                     let mut next = vec![None; len];
                     for (x, slot) in at.iter().enumerate() {
                         if let Some((r, s)) = *slot {
@@ -760,7 +765,7 @@ mod tests {
                 let live = live - groups;
                 assert!(at[..live].iter().all(Option::is_some), "{what}");
                 assert!(at[live..].iter().all(Option::is_none), "{what}");
-                let half = 1 << levels;
+                let half = 1 << crate::levels_for(len);
                 let offset = phase.offset(half);
                 for (p, k) in StageIter::merge_pass(half) {
                     let snapshot = at.clone();
@@ -776,7 +781,8 @@ mod tests {
             }
         }
         assert_eq!(StageIter::merge_pass(2048).count(), 12);
-        assert_eq!(merge_rounds_for(2048), 23);
+        assert_eq!(merge_rounds_for(2048, 1023), 22);
+        assert_eq!(merge_rounds_for(2048, 1024), 23);
     }
 
     fn run_sort(n: usize, seed: u64, order: Order) {

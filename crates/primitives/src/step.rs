@@ -183,31 +183,6 @@ impl Rounds for () {
     }
 }
 
-/// A distributive aggregate operator, as data (steps carry the operator in
-/// their state, so it must be a plain value). All operators are
-/// associative and commutative.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AggOp {
-    /// Addition.
-    Sum,
-    /// Maximum.
-    Max,
-    /// Minimum.
-    Min,
-}
-
-impl AggOp {
-    /// Applies the operator.
-    #[inline]
-    pub fn apply(self, a: u64, b: u64) -> u64 {
-        match self {
-            AggOp::Sum => a + b,
-            AggOp::Max => a.max(b),
-            AggOp::Min => a.min(b),
-        }
-    }
-}
-
 /// Adapter running a single [`Step`] as a full [`NodeProtocol`]: `Pending`
 /// maps to [`Status::Continue`], `Ready` to [`Status::Done`].
 #[derive(Debug)]
@@ -335,12 +310,5 @@ mod tests {
             })
             .unwrap();
         assert_eq!(result.metrics.rounds, 7);
-    }
-
-    #[test]
-    fn agg_ops_apply() {
-        assert_eq!(AggOp::Sum.apply(2, 3), 5);
-        assert_eq!(AggOp::Max.apply(2, 3), 3);
-        assert_eq!(AggOp::Min.apply(2, 3), 2);
     }
 }

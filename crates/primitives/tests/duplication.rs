@@ -3,14 +3,13 @@
 //! engines.
 
 use dgr_ncc::{Config, EngineKind, Network, NodeProtocol, NodeSeed, RoundCtx, Scenario};
-use dgr_primitives::bbst::BbstStep;
 use dgr_primitives::contacts::ContactsStep;
 use dgr_primitives::ctx::UndirectStep;
 use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
-use dgr_primitives::ops::CollectStep;
+use dgr_primitives::ops::SweepStep;
 use dgr_primitives::scatter::{ScanRecord, ScanStep};
 use dgr_primitives::sort::{Held, Order, Regroup, SortStep};
-use dgr_primitives::{PathCtx, Step, StepProtocol, WithCtx};
+use dgr_primitives::{EstablishCtx, PathCtx, Step, StepProtocol, WithCtx};
 
 /// Runs `factory` on an n = 37 network fault-free, then under full
 /// duplication (queue policy) on both engines, and holds every node's
@@ -44,15 +43,12 @@ fn contact_tables_are_exact_under_full_duplication() {
     });
 }
 
-/// A duplicated invitation or acceptance changes no parent and no child:
-/// every node ends with its place in Algorithm 1's fault-free tree.
+/// A duplicated count or `SET_BWD` is the same message from the same
+/// contact: the rank lane takes the first, and every node ends with its
+/// fault-free position.
 #[test]
-fn bbst_is_exact_under_full_duplication() {
-    outputs_survive_full_duplication(44, |_| {
-        StepProtocol::new(UndirectStep::new().then(|vp, _| {
-            ContactsStep::new(vp).then(move |contacts, _| BbstStep::new(vp, contacts))
-        }))
-    });
+fn rank_lane_is_exact_under_full_duplication() {
+    outputs_survive_full_duplication(44, |_| StepProtocol::new(EstablishCtx::new()));
 }
 
 /// A duplicated delegation covers a node once: every covered rank still
@@ -127,25 +123,20 @@ fn in_place_sort_and_merge_are_exact_under_full_duplication() {
     });
 }
 
-/// A duplicated `COLLECT` is taken in once, keyed by its origin: the root
-/// gathers every token exactly once, inside the pipeline's budget.
+/// A duplicated aggregate is the same child's, due in the same round:
+/// the binomial sweep folds it once, and every node learns the fault-free
+/// total and the smallest held address.
 #[test]
-fn collection_is_exact_under_full_duplication() {
+fn binomial_sweep_is_exact_under_full_duplication() {
     outputs_survive_full_duplication(47, |_| {
         WithCtx::new(|ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
-            let token = ctx
-                .position
-                .is_multiple_of(3)
-                .then_some(ctx.position as u64);
-            let k_bound = ctx.vp.len.div_ceil(3);
-            CollectStep::new(
-                ctx.vp,
-                ctx.tree.clone(),
-                token,
-                k_bound,
-                rctx.capacity(),
-                rctx.id(),
-            )
+            let (id, x) = (rctx.id(), ctx.position);
+            let words = [id % 7, 1, x as u64];
+            let addr = x.is_multiple_of(3).then_some(id);
+            let fold = |acc: &mut [u64; 4], w: &[u64; 4]| {
+                *acc = [acc[0].max(w[0]), acc[1] + w[1], acc[2] + w[2], 0]
+            };
+            SweepStep::new(ctx.vp, ctx.contacts.clone(), x, &words, addr, fold)
         })
     });
 }

@@ -5,11 +5,11 @@
 
 use dgr_ncc::{Config, Network, RoundCtx};
 use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
-use dgr_primitives::ops::AggBcastStep;
+use dgr_primitives::ops::{Fold, SweepStep};
 use dgr_primitives::prefix::PrefixStep;
 use dgr_primitives::scatter::{ScanRecord, ScanStep};
 use dgr_primitives::sort::{Order::Descending, RankStep, SortStep};
-use dgr_primitives::{AggOp, PathCtx, Step, WithCtx};
+use dgr_primitives::{PathCtx, Step, WithCtx};
 use rand::Rng;
 
 #[path = "../../../tests/support/cases.rs"]
@@ -192,20 +192,22 @@ fn aggregate_matches_fold() {
         let want_sum: u64 = vals.iter().sum();
         let want_max: u64 = *vals.iter().max().unwrap();
         let want_min: u64 = *vals.iter().min().unwrap();
-        for (op, want) in [
-            (AggOp::Sum, want_sum),
-            (AggOp::Max, want_max),
-            (AggOp::Min, want_min),
-        ] {
+        let folds: [(&str, Fold, u64); 3] = [
+            ("sum", |acc, x| acc[0] += x[0], want_sum),
+            ("max", |acc, x| acc[0] = acc[0].max(x[0]), want_max),
+            ("min", |acc, x| acc[0] = acc[0].min(x[0]), want_min),
+        ];
+        for (op, fold, want) in folds {
             let result = net
                 .run_protocol(|_| {
                     WithCtx::new(move |c: &PathCtx, rctx: &mut RoundCtx<'_>| {
-                        AggBcastStep::new(c.vp, c.tree.clone(), rctx.id() % 41, op)
+                        let (vp, contacts, value) = (c.vp, c.contacts.clone(), [rctx.id() % 41]);
+                        SweepStep::new(vp, contacts, c.position, &value, None, fold)
                     })
                 })
                 .unwrap();
             for (_, got) in &result.outputs {
-                assert_eq!(*got, want, "case {case}: n={n} seed={seed} {op:?}");
+                assert_eq!(got.words[0], want, "case {case}: n={n} seed={seed} {op}");
             }
         }
     }

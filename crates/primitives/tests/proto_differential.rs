@@ -17,14 +17,14 @@
 use dgr_ncc::{Config, EngineKind, Network, NodeProtocol, RoundCtx, RunResult, WireMsg};
 use dgr_primitives::ctx::UndirectStep;
 use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
-use dgr_primitives::ops::{AggBcastStep, BroadcastAddrStep, CollectStep};
+use dgr_primitives::ops::{Fold, SweepStep};
 use dgr_primitives::prefix::PrefixStep;
 use dgr_primitives::scatter::{ScanRecord, ScanStep};
 use dgr_primitives::sort::{Order, RankStep, SortStep};
 use dgr_primitives::stagger::StaggerStep;
 use dgr_primitives::warmup::WarmupStep;
 use dgr_primitives::WithCtx as CtxThen;
-use dgr_primitives::{AggOp, EstablishCtx, PathCtx, Step, StepProtocol};
+use dgr_primitives::{EstablishCtx, PathCtx, Step, StepProtocol};
 
 #[path = "../../../tests/support/cases.rs"]
 mod cases;
@@ -53,10 +53,15 @@ type Golden = (u64, u64, u64, usize, usize, u64);
 
 /// The transcript of a run, in [`Golden`] form.
 fn transcript<T: std::fmt::Debug>(result: &RunResult<T>) -> Golden {
-    let hash = format!("{:?}", result.outputs)
+    transcript_of(&result.outputs, &result.metrics)
+}
+
+/// [`transcript`] with the outputs given apart from the metrics: a sweep's
+/// the value the twin handed out, its one word or its address.
+fn transcript_of(outputs: &impl std::fmt::Debug, m: &dgr_ncc::RunMetrics) -> Golden {
+    let hash = format!("{outputs:?}")
         .bytes()
         .fold(cases::FNV_OFFSET, |h, b| cases::fnv(h, u64::from(b)));
-    let m = &result.metrics;
     (
         m.rounds,
         m.messages,
@@ -80,7 +85,6 @@ const GOLDEN: &[(&str, Golden)] = &[
     ("aggregate-broadcast Max", (50, 719, 1765, 2, 2, 0x702198311380198b)),
     ("aggregate-broadcast Min", (50, 719, 1765, 2, 2, 0x51c495eee33ec395)),
     ("median", (50, 566, 1342, 2, 2, 0xbb0b4ada90c40310)),
-    ("collect", (48, 868, 2250, 6, 9, 0x7ee9fa5686eb3aef)),
     ("imcast n=40 w=5", (41, 503, 1339, 2, 2, 0xf72d604209bc1766)),
     ("imcast n=37 w=7", (41, 457, 1217, 2, 2, 0xc143af34fb4d83e2)),
     ("imcast n=64 w=8", (41, 887, 2395, 2, 2, 0x517f669192246aea)),
@@ -94,11 +98,15 @@ const GOLDEN: &[(&str, Golden)] = &[
 
 /// Holds a run to the frozen transcript of its case.
 fn assert_golden<T: std::fmt::Debug>(case: &str, result: &RunResult<T>) {
+    assert_transcript(case, transcript(result));
+}
+
+fn assert_transcript(case: &str, got: Golden) {
     let golden = GOLDEN
         .iter()
         .find(|(name, _)| *name == case)
         .unwrap_or_else(|| panic!("no golden row for case {case:?}"));
-    assert_eq!(transcript(result), golden.1, "{case}: transcript drifted");
+    assert_eq!(got, golden.1, "{case}: transcript drifted");
 }
 
 #[test]
@@ -154,56 +162,50 @@ fn exclusive_prefix_matches_frozen_twin_on_both_engines() {
     assert_golden("prefix exclusive", &batched);
 }
 
+/// The one-word sweep under each aggregate the twin offered; its
+/// transcript hashes the word every node learns.
 #[test]
 fn aggregate_broadcast_matches_frozen_twin_on_both_engines() {
-    for op in [AggOp::Sum, AggOp::Max, AggOp::Min] {
+    let folds: [(&str, Fold); 3] = [
+        ("Sum", |acc, x| acc[0] += x[0]),
+        ("Max", |acc, x| acc[0] = acc[0].max(x[0])),
+        ("Min", |acc, x| acc[0] = acc[0].min(x[0])),
+    ];
+    for (op, fold) in folds {
         let n = 50;
         let net = Network::new(n, Config::ncc0(11));
         let batched = engines_agree(&net, move |_| {
             CtxThen::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
-                AggBcastStep::new(ctx.vp, ctx.tree.clone(), rctx.id() % 100, op)
+                let (vp, contacts, value) = (ctx.vp, ctx.contacts.clone(), [rctx.id() % 100]);
+                SweepStep::new(vp, contacts, ctx.position, &value, None, fold)
             })
         });
-        let case = format!("aggregate-broadcast {op:?}");
-        assert_golden(&case, &batched);
+        let words: Vec<_> = (batched.outputs.iter())
+            .map(|(id, s)| (*id, s.words[0]))
+            .collect();
+        let case = format!("aggregate-broadcast {op}");
+        assert_transcript(&case, transcript_of(&words, &batched.metrics));
     }
 }
 
+/// The median position announces itself in the address-only sweep; the
+/// transcript hashes the address every node learns.
 #[test]
 fn median_matches_frozen_twin_on_both_engines() {
     let n = 41;
     let net = Network::new(n, Config::ncc0(13));
     let batched = engines_agree(&net, |_| {
         CtxThen::new(|ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
-            BroadcastAddrStep::median(ctx.vp, ctx.tree.clone(), ctx.position, rctx.id())
+            let median = (ctx.position == (ctx.vp.len - 1) / 2).then(|| rctx.id());
+            let (vp, contacts) = (ctx.vp, ctx.contacts.clone());
+            SweepStep::new(vp, contacts, ctx.position, &[], median, |_, _| {})
         })
     });
-    assert_golden("median", &batched);
+    let addrs: Vec<_> = (batched.outputs.iter())
+        .map(|(id, s)| (*id, s.addr.unwrap()))
+        .collect();
+    assert_transcript("median", transcript_of(&addrs, &batched.metrics));
     assert!(batched.metrics.is_clean(), "KT0-legal address spread");
-}
-
-#[test]
-fn collect_matches_frozen_twin_on_both_engines() {
-    let n: usize = 60;
-    let k_bound = n.div_ceil(3);
-    let net = Network::new(n, Config::ncc0(15));
-    let batched = engines_agree(&net, move |_| {
-        CtxThen::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
-            let token = ctx
-                .position
-                .is_multiple_of(3)
-                .then_some(ctx.position as u64);
-            CollectStep::new(
-                ctx.vp,
-                ctx.tree.clone(),
-                token,
-                k_bound,
-                rctx.capacity(),
-                rctx.id(),
-            )
-        })
-    });
-    assert_golden("collect", &batched);
 }
 
 #[test]
@@ -288,8 +290,8 @@ fn stagger_matches_frozen_twin_on_both_engines() {
 
 #[test]
 fn establish_matches_frozen_twin_on_both_engines() {
-    // The whole setup chain — undirect, contacts, BBST, traversal — with
-    // every table it builds in the hashed output.
+    // The whole setup chain — undirect, then the contacts with the rank
+    // lane beside them — with every table it builds in the hashed output.
     let net = Network::new(53, Config::ncc0(8));
     let batched = engines_agree(&net, |_| StepProtocol::new(EstablishCtx::new()));
     assert_golden("establish", &batched);

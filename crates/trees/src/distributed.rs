@@ -158,7 +158,8 @@ impl NodeProtocol for RealizeTree {
                         let degree = self.degree as u64;
                         let check = SweepStep::new(
                             ctx.vp,
-                            ctx.tree.clone(),
+                            ctx.contacts.clone(),
+                            ctx.position,
                             &[degree, degree, u64::from(degree > 1)],
                             None,
                             |acc, x| *acc = [acc[0] + x[0], acc[1].min(x[1]), acc[2] + x[2], 0],

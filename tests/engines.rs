@@ -260,7 +260,9 @@ fn facade_transcripts_match_the_frozen_twins_on_both_engines() {
 /// re-frozen rows.
 #[test]
 fn degree_rounds_follow_the_closed_form() {
-    use distributed_graph_realizations::realization::distributed::{rounds_for, Flavor};
+    use distributed_graph_realizations::realization::distributed::{
+        phase_groups, rounds_for, Flavor,
+    };
     for (case, workload, seed, mask) in requests() {
         let flavor = match &workload {
             Workload::Implicit(_) => Flavor::Implicit,
@@ -271,7 +273,10 @@ fn degree_rounds_follow_the_closed_form() {
         let out = request(workload, seed, &mask).run().unwrap();
         let r = out.degrees().expect_realized();
         let (len, max_degree) = (r.path_order.len(), *r.requested.values().max().unwrap());
-        let want = rounds_for(len, r.phases, flavor, max_degree, r.metrics.capacity);
+        let requested: Vec<usize> = r.requested.values().copied().collect();
+        let groups = phase_groups(&requested, flavor);
+        assert_eq!(groups.len() as u64 + 1, r.phases, "{case}");
+        let want = rounds_for(len, &groups, flavor, max_degree, r.metrics.capacity);
         assert_eq!(r.metrics.rounds, want, "{case}");
     }
 }

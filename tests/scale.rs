@@ -449,7 +449,9 @@ fn sorting_at_n_2048_is_polylog() {
 /// would show here before it shows in the small-n goldens.
 #[test]
 fn implicit_realization_at_n_100k_follows_the_closed_form() {
-    use distributed_graph_realizations::realization::distributed::{rounds_for, Flavor};
+    use distributed_graph_realizations::realization::distributed::{
+        phase_groups, rounds_for, Flavor,
+    };
     let n = 100_000;
     let degrees = vec![1usize; n];
     let out = Realization::new(Workload::Implicit(degrees))
@@ -462,7 +464,9 @@ fn implicit_realization_at_n_100k_follows_the_closed_form() {
     let r = out.degrees().expect_realized();
     verify::degrees_match(&r.graph, &r.requested).unwrap();
     assert_eq!(r.metrics.undelivered, 0);
-    let want = rounds_for(n, r.phases, Flavor::Implicit, 1, r.metrics.capacity);
+    let groups = phase_groups(&vec![1; n], Flavor::Implicit);
+    assert_eq!(groups.len() as u64 + 1, r.phases);
+    let want = rounds_for(n, &groups, Flavor::Implicit, 1, r.metrics.capacity);
     assert_eq!(r.metrics.rounds, want);
 }
 
