@@ -64,11 +64,11 @@ fn transcript(out: &ThresholdRealization) -> Golden {
 /// What the pipeline's direct-style twin produced on each case.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, Golden)] = &[
-    ("ncc0 [1, 1, 1, 1]", (true, 57, 53, 131, 2, 2, 0x0be86c8e1c8e354e)),
-    ("ncc0 [2, 2, 2, 2, 2]", (true, 69, 87, 214, 2, 2, 0xf2ac545aaa3115ac)),
-    ("ncc0 [3, 2, 2, 1, 1, 1]", (true, 71, 107, 266, 3, 2, 0x75030473a17a12ad)),
-    ("ncc0 [4, 4, 3, 2, 2, 1, 1, 1, 1, 1]", (true, 86, 227, 578, 2, 3, 0x079f042daa1062b3)),
-    ("ncc0 [5; 12]", (true, 88, 359, 880, 5, 4, 0x08e743571c7a43d5)),
+    ("ncc0 [1, 1, 1, 1]", (true, 42, 44, 113, 2, 2, 0x0be86c8e1c8e354e)),
+    ("ncc0 [2, 2, 2, 2, 2]", (true, 50, 75, 190, 2, 2, 0xf2ac545aaa3115ac)),
+    ("ncc0 [3, 2, 2, 1, 1, 1]", (true, 52, 92, 236, 3, 2, 0x75030473a17a12ad)),
+    ("ncc0 [4, 4, 3, 2, 2, 1, 1, 1, 1, 1]", (true, 63, 200, 524, 2, 3, 0x079f042daa1062b3)),
+    ("ncc0 [5; 12]", (true, 65, 326, 814, 5, 4, 0x08e743571c7a43d5)),
 ];
 
 /// What a change of schedule may not move: the certified? and edge-hash

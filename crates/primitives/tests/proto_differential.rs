@@ -76,21 +76,21 @@ fn transcript_of(outputs: &impl std::fmt::Debug, m: &dgr_ncc::RunMetrics) -> Gol
 /// docs), keyed by case name.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, Golden)] = &[
-    ("sort n=21 seed=1", (46, 493, 1359, 2, 2, 0xb4b5d6a7d49d3de5)),
-    ("sort n=48 seed=2", (57, 1501, 4221, 2, 2, 0xb08dd71385955ce7)),
-    ("sort n=100 seed=3", (69, 3949, 11253, 2, 2, 0x69b675eddcc606b0)),
-    ("prefix", (46, 1176, 2816, 2, 2, 0x3fdd578ce513362d)),
-    ("prefix exclusive", (40, 648, 1533, 2, 2, 0xbad081cc3c1f2cd9)),
-    ("aggregate-broadcast Sum", (50, 719, 1765, 2, 2, 0x1550242f8b97d603)),
-    ("aggregate-broadcast Max", (50, 719, 1765, 2, 2, 0x702198311380198b)),
-    ("aggregate-broadcast Min", (50, 719, 1765, 2, 2, 0x51c495eee33ec395)),
-    ("median", (50, 566, 1342, 2, 2, 0xbb0b4ada90c40310)),
-    ("imcast n=40 w=5", (41, 503, 1339, 2, 2, 0xf72d604209bc1766)),
-    ("imcast n=37 w=7", (41, 457, 1217, 2, 2, 0xc143af34fb4d83e2)),
-    ("imcast n=64 w=8", (41, 887, 2395, 2, 2, 0x517f669192246aea)),
-    ("milestone-scan", (57, 1135, 5712, 2, 2, 0xc102a0ebf36e921d)),
-    ("stagger", (40, 685, 1679, 2, 2, 0xf3e1ba9a71150637)),
-    ("establish", (34, 666, 1686, 2, 2, 0x0c1f451e5545412a)),
+    ("sort n=21 seed=1", (23, 433, 1239, 2, 2, 0xb4b5d6a7d49d3de5)),
+    ("sort n=48 seed=2", (30, 1360, 3939, 2, 2, 0xb08dd71385955ce7)),
+    ("sort n=100 seed=3", (38, 3652, 10659, 2, 2, 0x69b675eddcc606b0)),
+    ("prefix", (15, 984, 2432, 2, 2, 0x3fdd578ce513362d)),
+    ("prefix exclusive", (13, 531, 1299, 2, 2, 0xbad081cc3c1f2cd9)),
+    ("aggregate-broadcast Sum", (19, 572, 1471, 2, 2, 0x1550242f8b97d603)),
+    ("aggregate-broadcast Max", (19, 572, 1471, 2, 2, 0x702198311380198b)),
+    ("aggregate-broadcast Min", (19, 572, 1471, 2, 2, 0x51c495eee33ec395)),
+    ("median", (19, 446, 1100, 2, 2, 0xbb0b4ada90c40310)),
+    ("imcast n=40 w=5", (14, 386, 1105, 2, 2, 0xf72d604209bc1766)),
+    ("imcast n=37 w=7", (14, 349, 1001, 2, 2, 0xc143af34fb4d83e2)),
+    ("imcast n=64 w=8", (14, 698, 2017, 2, 2, 0x517f669192246aea)),
+    ("milestone-scan", (34, 1066, 5574, 2, 2, 0xc102a0ebf36e921d)),
+    ("stagger", (13, 544, 1397, 2, 2, 0xf3e1ba9a71150637)),
+    ("establish", (7, 510, 1374, 2, 2, 0xe4bc82b06d63ba90)),
     ("warmup n=8 seed=1", (9, 32, 75, 2, 2, 0xc22be1b81834bf15)),
     ("warmup n=50 seed=2", (15, 422, 1119, 2, 2, 0xd687dbe6a1b03721)),
     ("warmup n=128 seed=3", (17, 1424, 3891, 2, 2, 0x518e11b8bc4db2db)),

@@ -97,32 +97,32 @@ fn benchmark_calls_keep_their_fingerprints() {
         (
             "degrees_default",
             2020,
-            (333, 341_919, 1_119_733, 0x7504_cae2_9b62_b91e),
+            (254, 335_778, 1_107_451, 0x7504_cae2_9b62_b91e),
         ),
         (
             "degrees_default",
             5376,
-            (333, 341_919, 1_119_733, 0xe514_bcfc_8041_68a3),
+            (254, 335_778, 1_107_451, 0xe514_bcfc_8041_68a3),
         ),
         (
             "explicit_powerlaw",
             2020,
-            (579, 630_518, 2_044_279, 0xc7bd_c305_c5cc_2575),
+            (464, 624_377, 2_031_997, 0xc7bd_c305_c5cc_2575),
         ),
         (
             "explicit_powerlaw",
             5376,
-            (579, 630_518, 2_044_279, 0x58a9_4497_4cc0_62ab),
+            (464, 624_377, 2_031_997, 0x58a9_4497_4cc0_62ab),
         ),
         (
             "threshold_certified",
             2020,
-            (381, 215_481, 664_608, 0x513e_2e44_4a43_24ed),
+            (287, 209_325, 652_291, 0x513e_2e44_4a43_24ed),
         ),
         (
             "threshold_certified",
             5376,
-            (381, 215_355, 664_357, 0x3b4e_011f_5d6a_ee6a),
+            (287, 209_199, 652_041, 0x3b4e_011f_5d6a_ee6a),
         ),
         (
             "flood_sharded_faulty",
