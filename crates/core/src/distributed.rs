@@ -210,7 +210,11 @@ pub fn rounds_for(
     let control = ops::rounds_for(len);
     let first = control.max(sort::rounds_for(len));
     let beside_hop = control.max(hop_rounds_for(len));
-    let later = groups.iter().rev().skip(1).map(|&g| {
+    let (first, later, last) = match groups.split_last() {
+        None => (0, &[][..], control),
+        Some((_, later)) => (first, later, beside_hop),
+    };
+    let later = later.iter().map(|&g| {
         let lane = if merges(flavor, len) {
             sort::merge_rounds_for(len, g)
         } else {
@@ -218,10 +222,6 @@ pub fn rounds_for(
         };
         beside_hop.max(lane)
     });
-    let (first, last) = match groups {
-        [] => (0, control),
-        _ => (first, beside_hop),
-    };
     let (spread, drain) = stagger::plan(max_degree, cap);
     let handoff = u64::from(flavor == Flavor::Explicit) * stagger::rounds_for(spread, drain);
     ctx::rounds_for(len) + first + later.sum::<u64>() + last + handoff
@@ -638,8 +638,8 @@ mod tests {
         assert_eq!(rounds_for(2048, &groups, Flavor::Implicit, 5, 22), 254);
     }
 
-    /// The replay of the phase loop: `[6; 32]` forms four groups of seven
-    /// twice, and so on down; a refusal stops it at the phase before.
+    /// The replay of the phase loop counts the phases a run takes; a
+    /// refusal stops it at the phase before the refusing one.
     #[test]
     fn phase_groups_replays_the_phase_loop() {
         assert_eq!(phase_groups(&[2, 2, 2], Flavor::Implicit), [1, 1]);
