@@ -1,5 +1,5 @@
 //! Wall-clock benches of the NCC primitives (simulator throughput):
-//! context establishment (undirect + contacts + BBST + positions) and the
+//! context establishment (undirect, then contacts with the rank lane) and the
 //! distributed sort, across network sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

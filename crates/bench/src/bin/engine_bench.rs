@@ -476,8 +476,8 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(
-        "  \"workloads\": \"warmup = ncc0 path-to-clique; establish = undirect + contacts + \
-         BBST + positions; sort = establish + Theorem 3; degrees-implicit / tree-greedy = \
+        "  \"workloads\": \"warmup = ncc0 path-to-clique; establish = undirect + contacts \
+         with the rank lane (positions); sort = establish + Theorem 3; degrees-implicit / tree-greedy = \
          full realization drivers\",\n",
     );
     json.push_str("  \"note\": \"rounds/sec; track_knowledge off; release build\",\n");

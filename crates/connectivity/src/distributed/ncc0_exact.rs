@@ -17,7 +17,7 @@
 //!    the full context is re-established on it, and the Theorem 13
 //!    upper-envelope realization runs *on the sub-network* as a
 //!    [`DegreesCore`] whose control sweep (δ, N, the error flag) rides
-//!    the **full-network** tree — so all `n` nodes, prefix or not,
+//!    the **full-network** path — so all `n` nodes, prefix or not,
 //!    stay in lockstep with the recursion's data-dependent phase loop;
 //! 3. **distinctness patch**: phase-1 edges are made explicit right away
 //!    (staggered acknowledgements), so every prefix node holds its

@@ -9,7 +9,7 @@
 //! between the positions of the local path; the nodes never move. Each
 //! phase:
 //!
-//! 1. **control**: one sweep of the whole tree learns the maximum
+//! 1. **control**: one sweep of the whole path learns the maximum
 //!    remaining degree `δ`, its multiplicity `N` and whether the phase
 //!    before drove a node negative; the flag or `δ ≥ n` ends the run on
 //!    `UNREALIZABLE`, `δ = 0` ends it realized;
@@ -37,7 +37,8 @@
 //! goes negative and is refused — so the leaders' records leave, and the
 //! members and the tail are two runs that are still sorted.
 //! [`SortStep::merge`] joins them where they are held, over the local
-//! path's contacts: a compaction of `⌈log₂ n⌉` rounds and one merge pass
+//! path's contacts: a compaction of `⌈log₂(q + 1)⌉` rounds (the longest
+//! shift is `q`, which the control sweep told everyone) and one merge pass
 //! of `⌈log₂ n⌉ + 1` stages (ARCHITECTURE.md, *Deviations from the
 //! paper*). Every group, edge and phase count is the full sort's: the
 //! nonzero records keep their order, and a group that reaches past them
@@ -63,13 +64,15 @@
 //! does the next phase need anything the multicast carries: its control
 //! sweep and its lane read only the committed needs. So the multicast and
 //! the status (`⌈log₂ n⌉ + 2` rounds) run beside the next phase's control
-//! sweep (`2⌈log₂ n⌉ + 4`), which always outlasts them — a phase costs
-//! `max(control, lane)`, and a later exact-flavor phase is its control
-//! sweep — and in the closing phase a partial lane is dropped when the
-//! control ends the run ([`rounds_for`]). Every origin whose record is on
-//! the path expects one status a phase, and a member's position expects
-//! its leader's multicast: a missing one can only be a lost message, and
-//! it panics, so a run never ends with a silently short degree.
+//! sweep (`2⌈log₂ n⌉`, a binomial tree over the contacts), which outlasts
+//! or ties them from `n = 3` on — a phase costs `max(control, lane)`, and
+//! a later exact-flavor phase is its control sweep while its merge lane
+//! fits — and in the closing phase a partial lane is dropped when the
+//! control ends the run, once the last hop is in ([`rounds_for`]). Every
+//! origin whose record is on the path expects one status a phase, and a
+//! member's position expects its leader's multicast: a missing one can
+//! only be a lost message, and it panics, so a run never ends with a
+//! silently short degree.
 //!
 //! Lemma 10: every phase (or every second phase) removes the current
 //! maximum degree, and at most `O(√m)` phases involve degrees above `√m`,

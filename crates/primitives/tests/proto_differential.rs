@@ -12,7 +12,11 @@
 //!    suite — rounds, messages, words, max sent, max received and a hash
 //!    of every node's output — was recorded in [`GOLDEN`] from the twin
 //!    itself, at the last commit that had one, and the step machine must
-//!    keep reproducing it on both engines.
+//!    keep reproducing it on both engines. A change of schedule re-freezes
+//!    the first five columns, never the output hash — but for the
+//!    establishment's, whose context no longer holds the twin's search
+//!    tree and traversal. The sweep cases hash the value the twin handed
+//!    out: the one word, or the median's address.
 
 use dgr_ncc::{Config, EngineKind, Network, NodeProtocol, RoundCtx, RunResult, WireMsg};
 use dgr_primitives::ctx::UndirectStep;

@@ -102,8 +102,8 @@
 //!
 //! * [`ncc`] — the NCC0/NCC1 model simulator (rounds, capacities, KT0
 //!   knowledge tracking).
-//! * [`primitives`] — structural and computational primitives (balanced
-//!   binary search trees on a path, distributed sorting, broadcast,
+//! * [`primitives`] — structural and computational primitives (contact
+//!   tables and positions on a path, distributed sorting, broadcast,
 //!   aggregation, multicast).
 //! * [`graph`] — the verification substrate (BFS, diameter, Dinic max-flow
 //!   edge connectivity).
