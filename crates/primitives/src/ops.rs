@@ -133,9 +133,9 @@ impl Sweep {
         value.addr.map_or(msg, |a| msg.with_addr(a))
     }
 
-    /// The `tag` message `from` sent last round. A repeated message is
-    /// the same message: the first one stands.
-    fn expect<'a>(ctx: &'a RoundCtx<'_>, tag: u16, from: NodeId, loss: &str) -> &'a WireEnvelope {
+    /// The `tag` message `from` sent last round; its absence is a lost
+    /// message. A repeated message is the same message: the first stands.
+    fn received<'a>(ctx: &'a RoundCtx<'_>, tag: u16, from: NodeId, loss: &str) -> &'a WireEnvelope {
         let found = ctx
             .inbox()
             .iter()
@@ -154,7 +154,7 @@ impl Rounds for Sweep {
             let j = t - 1;
             if let Some(child) = self.contacts.ahead(j).filter(|_| j < self.up) {
                 let loss = "a reduce parent missed its child's aggregate";
-                let theirs = Swept::of(&Self::expect(ctx, tags::AGGREGATE, child, loss).msg);
+                let theirs = Swept::of(&Self::received(ctx, tags::AGGREGATE, child, loss).msg);
                 (self.fold)(&mut self.acc.words, &theirs.words);
                 self.acc.addr = [self.acc.addr, theirs.addr].into_iter().flatten().min();
             }
@@ -165,7 +165,7 @@ impl Rounds for Sweep {
                 .behind(self.up)
                 .expect("a child below the head");
             let loss = "a broadcast child missed its parent's total";
-            self.acc = Swept::of(&Self::expect(ctx, tags::BCAST, parent, loss).msg);
+            self.acc = Swept::of(&Self::received(ctx, tags::BCAST, parent, loss).msg);
         }
         if t as u64 == rounds {
             return Poll::Ready(self.acc);
@@ -175,8 +175,11 @@ impl Rounds for Sweep {
                 let parent = self.contacts.behind(t).expect("a child below the head");
                 ctx.send(parent, self.msg(tags::AGGREGATE, &self.acc));
             }
-        } else if let Some(child) = self.contacts.ahead(2 * levels - 1 - t) {
-            if 2 * levels - 1 - t < self.up {
+        } else {
+            // Broadcast round `t - levels` pushes the total down level
+            // `2 levels - 1 - t`, to the child there, if any.
+            let j = 2 * levels - 1 - t;
+            if let Some(child) = self.contacts.ahead(j).filter(|_| j < self.up) {
                 ctx.send(child, self.msg(tags::BCAST, &self.acc));
             }
         }
