@@ -39,7 +39,7 @@
 use super::ThresholdOutcome;
 use dgr_ncc::{tags, NodeId, NodeProtocol, RoundCtx, Status, WireMsg};
 use dgr_primitives::ops::SweepStep;
-use dgr_primitives::sort::{Order, RankStep, SortStep, SortedPath};
+use dgr_primitives::sort::{Held, Order, RankStep, SortStep, SortedPath};
 use dgr_primitives::stagger::StaggerStep;
 use dgr_primitives::{EstablishCtx, Lockstep, PathCtx, Poll, Rounds, Step};
 use std::collections::VecDeque;
@@ -133,9 +133,9 @@ impl Rounds for Pipeline {
 }
 
 /// Forwarding batch of the token pipelines and the patch ring: half the
-/// per-round capacity.
-pub(super) fn batch(rctx: &RoundCtx<'_>) -> usize {
-    (rctx.capacity() / 2).max(1)
+/// per-round capacity `cap`.
+pub(super) fn batch(cap: usize) -> usize {
+    (cap / 2).max(1)
 }
 
 /// What every node knows once the [`Prologue`] completes.
@@ -178,7 +178,8 @@ enum PrologueStage {
     Sort(SortStep),
     /// The sort's epilogue: every node learns its rank and sorted path.
     Rank(RankStep),
-    /// `(max ρ, x₁'s address)` in one sweep.
+    /// `(max ρ, x₁'s address)`, the record the sort left at position 0,
+    /// in one broadcast from there.
     D0X1(SweepStep),
 }
 
@@ -190,6 +191,8 @@ pub(super) struct Prologue {
     rho: usize,
     stage: PrologueStage,
     ctx: Option<PathCtx>,
+    /// The record the sort left here: at position 0, `x₁`'s, keyed `d₀`.
+    held: Option<Held>,
     sp: Option<SortedPath>,
 }
 
@@ -199,6 +202,7 @@ impl Prologue {
             rho,
             stage: PrologueStage::Establish(EstablishCtx::new()),
             ctx: None,
+            held: None,
             sp: None,
         }
     }
@@ -246,21 +250,21 @@ impl Step for Prologue {
                     Poll::Ready(held) => {
                         let ctx = self.ctx();
                         self.stage = PrologueStage::Rank(RankStep::new(ctx.vp, ctx.position, held));
+                        self.held = held;
                     }
                 },
                 PrologueStage::Rank(s) => match s.poll(rctx) {
                     Poll::Pending => return Poll::Pending,
                     Poll::Ready(sp) => {
-                        let mine = (sp.rank == 0).then(|| rctx.id());
                         self.sp = Some(sp);
                         let ctx = self.ctx();
-                        self.stage = PrologueStage::D0X1(SweepStep::new(
+                        let held = self.held.filter(|_| ctx.position == 0);
+                        self.stage = PrologueStage::D0X1(SweepStep::broadcast(
                             ctx.vp,
                             ctx.contacts.clone(),
                             ctx.position,
-                            &[self.rho as u64],
-                            mine,
-                            |acc, x| acc[0] = acc[0].max(x[0]),
+                            &[held.map_or(0, |h| h.key)],
+                            held.map(|h| h.origin),
                         ));
                     }
                 },
@@ -309,7 +313,7 @@ impl Phase2Acks {
         fan_in: usize,
         rctx: &RoundCtx<'_>,
     ) -> Self {
-        let b = batch(rctx);
+        let b = batch(rctx.capacity());
         let inject = (!sorted.in_prefix()).then_some(rho);
         let rounds = pipeline_rounds(sorted.d0, b);
         let pipeline = PipelineStep::new(sorted.sp.vp.pred, inject, rounds, b, rctx.id());
@@ -406,7 +410,7 @@ impl NodeProtocol for Ncc0Threshold {
                     Poll::Ready(Some(sorted)) => {
                         // Phase 1: cyclic pipeline around the prefix
                         // x₁ … x_{d₀+1}; the wrap hop addresses x₁.
-                        let b = batch(rctx);
+                        let b = batch(rctx.capacity());
                         let inject = sorted
                             .in_prefix()
                             .then(|| self.outcome.rho.min(sorted.prefix_len() - 1));

@@ -12,21 +12,33 @@
 //!
 //! 1. establish, sort by `ρ` non-increasing, broadcast `d₀` and `x₁` —
 //!    the default driver's `Prologue` step;
-//! 2. **phase 1, paper-exact**: the prefix `x₁ … x_{d₀+1}` of the sorted
-//!    path becomes a sub-path (everyone else holds a non-member view),
-//!    the full context is re-established on it, and the Theorem 13
-//!    upper-envelope realization runs *on the sub-network* as a
-//!    [`DegreesCore`] whose control sweep (δ, N, the error flag) rides
-//!    the **full-network** path — so all `n` nodes, prefix or not,
-//!    stay in lockstep with the recursion's data-dependent phase loop;
+//! 2. **phase 1, paper-exact, on the prefix alone**: the prefix
+//!    `x₁ … x_{d₀+1}` of the sorted path becomes a sub-path of
+//!    `L = d₀ + 1` nodes, the full context is re-established on it, and
+//!    the Theorem 13 upper-envelope realization runs *on the sub-network*
+//!    as a [`DegreesCore`] — its control sweep and its lanes cover the
+//!    `L` prefix nodes only, so a phase costs
+//!    `max(control, sort, hop)` on `L` rounds (6 at `L = 6`), not a
+//!    full-network sweep. Everyone else waits for step 3's release, in a
+//!    released broadcast ([`SweepStep::released`]) over the full-network
+//!    path;
 //! 3. **distinctness patch**: phase-1 edges are made explicit right away
 //!    (staggered acknowledgements), so every prefix node holds its
 //!    complete two-sided list; the maximum shortfall (requirement minus
-//!    distinct phase-1 neighbors) is then aggregated, and when positive,
-//!    each short node injects that many tokens into the prefix ring — a
-//!    token hops until it finds a node that is not yet a neighbor of its
-//!    origin (a pigeonhole argument over `ρ ≤ n-1` guarantees one within
-//!    the ring, and complete lists make the freshness check exact);
+//!    distinct phase-1 neighbors) is then aggregated over the sub-path,
+//!    and **released** to every node: `x₁` hands it to position 0 of the
+//!    full-network path (`x₁` learned that node's ID as the sender of its
+//!    rank), whose broadcast reaches everyone `⌈log₂ n⌉` rounds later. A
+//!    waiting node places itself in the broadcast's schedule by the round
+//!    its parent's total arrives, so every node leaves the wait in the
+//!    same round. The wait has a deadline, the release's latest round:
+//!    the envelope runs at most `L·d₀ + 1` phases, since each zeroes a
+//!    leader of need ≥ 1, and a node that misses the release panics.
+//!    When the maximum is positive, each short node injects that many
+//!    tokens into the prefix ring — a token hops until it finds a node
+//!    that is not yet a neighbor of its origin (a pigeonhole argument
+//!    over `ρ ≤ n-1` guarantees one within the ring, and complete lists
+//!    make the freshness check exact);
 //! 4. **phase 2**: every node past the prefix announces itself to its
 //!    `ρ` sorted predecessors through the head-ward token pipeline;
 //! 5. **explicitness**: the patch and pipeline edge holders acknowledge
@@ -39,17 +51,97 @@
 //! plain [`NodeProtocol`], so the reference interpreter runs it
 //! bit-identically (`crates/connectivity/tests/ncc0_exact.rs`).
 //!
+//! [`rounds_for`] is the whole run's round count, stage by stage.
+//!
 //! [`NodeProtocol`]: dgr_ncc::NodeProtocol
 //! [`DegreesCore`]: dgr_core::distributed::DegreesCore
 
-use super::ncc0::{batch, Phase2Acks, Prologue, Sorted};
+use super::ncc0::{batch, pipeline_rounds, Phase2Acks, Prologue, Sorted};
 use super::ThresholdOutcome;
-use dgr_core::distributed::{DegreesCore, Flavor};
+use dgr_core::distributed::{self as core, hop_rounds_for, DegreesCore, Flavor};
 use dgr_ncc::{tags, NodeId, NodeProtocol, RoundCtx, Status, WireMsg};
-use dgr_primitives::ops::SweepStep;
-use dgr_primitives::stagger::StaggerStep;
-use dgr_primitives::{EstablishCtx, Lockstep, Poll, Rounds, Step, VPath};
+use dgr_primitives::ops::{self, SweepStep};
+use dgr_primitives::sort::{self, RANK_ROUNDS};
+use dgr_primitives::stagger::{self, StaggerStep};
+use dgr_primitives::{ctx, EstablishCtx, Lockstep, PathCtx, Poll, Rounds, Step, VPath};
 use std::collections::{HashSet, VecDeque};
+
+/// Rounds of a whole run on the requirements `rho` at capacity `cap`,
+/// stage by stage: the prologue (establishment, sort, rank and the
+/// `d₀`/`x₁` broadcast), the prefix's stages and the release
+/// ([`release_rounds`], with the envelope core's
+/// [`core::rounds_for`] on the prefix's own [`core::phase_groups`]), the
+/// patch ring when `max_shortfall`, the largest distinctness gap the
+/// envelope leaves, is positive, then phase 2 and the acknowledgements.
+pub fn rounds_for(rho: &[usize], max_shortfall: u64, cap: usize) -> u64 {
+    let n = rho.len();
+    if n < 2 {
+        return ctx::rounds_for(n);
+    }
+    let mut sorted = rho.to_vec();
+    sorted.sort_unstable_by(|a, b| b.cmp(a));
+    let d0 = sorted[0];
+    let b = batch(cap);
+    let patch = match max_shortfall {
+        0 => 0,
+        gap => patch_rounds(d0, gap, b),
+    };
+    prologue_rounds(n)
+        + release_rounds(n, d0, core_rounds(&sorted[..=d0.min(n - 1)], cap), cap)
+        + patch
+        + pipeline_rounds(d0, b)
+        + stagger_rounds(2 * d0 + 2, cap)
+}
+
+/// Rounds of the prologue on `n ≥ 2` nodes: establishment, sort, rank
+/// and the `d₀`/`x₁` broadcast.
+fn prologue_rounds(n: usize) -> u64 {
+    ctx::rounds_for(n) + sort::rounds_for(n) + RANK_ROUNDS + ops::broadcast_rounds_for(n)
+}
+
+/// Rounds of the envelope core on the prefix whose requirements are
+/// `prefix`, past its establishment.
+fn core_rounds(prefix: &[usize], cap: usize) -> u64 {
+    let (len, flavor) = (prefix.len(), Flavor::Envelope);
+    let groups = core::phase_groups(prefix, flavor);
+    core::rounds_for(len, &groups, flavor, 0, cap) - ctx::rounds_for(len)
+}
+
+/// Rounds of a staggered acknowledgement epoch for a fan-in of at most
+/// `k_max` at capacity `cap`.
+fn stagger_rounds(k_max: usize, cap: usize) -> u64 {
+    let (spread, drain) = stagger::plan(k_max, cap);
+    stagger::rounds_for(spread, drain)
+}
+
+/// Rounds from the prologue's end until every node holds the release, on
+/// `n` nodes, when the envelope core on the prefix of `d₀ + 1` takes
+/// `core` rounds: the sub-establishment, the core, the phase-1
+/// acknowledgements and the shortfall's sweep on the prefix, then the one
+/// round to position 0 and the broadcast from there.
+fn release_rounds(n: usize, d0: usize, core: u64, cap: usize) -> u64 {
+    let len = (d0 + 1).min(n);
+    ctx::rounds_on(len)
+        + core
+        + stagger_rounds(d0 + 1, cap)
+        + ops::rounds_for(len)
+        + 1
+        + ops::broadcast_rounds_for(n)
+}
+
+/// The latest round, counted from the prologue's end, by which every
+/// node holds the release: [`release_rounds`] with the envelope at its
+/// most phases. On a prefix of `L` nodes it runs at most `L·d₀ + 1`,
+/// since each phase but the last zeroes a leader of need at least 1 and
+/// no need grows, and a phase takes at most its control sweep, its sort
+/// or its hop, whichever is longest.
+fn release_deadline(n: usize, d0: usize, cap: usize) -> u64 {
+    let len = (d0 + 1).min(n);
+    let phase = ops::rounds_for(len)
+        .max(sort::rounds_for(len))
+        .max(hop_rounds_for(len));
+    release_rounds(n, d0, (len * d0 + 1) as u64 * phase, cap)
+}
 
 /// The distinctness patch: tokens walk the prefix ring until they find a
 /// node that is not yet adjacent to their origin, at most `batch`
@@ -140,7 +232,12 @@ enum Stage {
     /// shortfall aggregation so every prefix node judges its deficiency
     /// (and the patch ring judges freshness) from a complete list.
     AcksPhase1(StaggerStep),
+    /// The maximum shortfall over the prefix sub-path.
     ShortfallMax(SweepStep),
+    /// The maximum shortfall, released to every node over the
+    /// full-network path; a node past the prefix waits here from the
+    /// prologue's end.
+    Release(SweepStep),
     Patch(RingPatchStep),
     Tail(Phase2Acks),
 }
@@ -151,6 +248,10 @@ enum Stage {
 pub struct Ncc0Exact {
     stage: Stage,
     sorted: Option<Sorted>,
+    /// The prefix sub-path's context, at a prefix node.
+    sub: PathCtx,
+    /// The round by which the release reaches every node.
+    release_by: u64,
     outcome: ThresholdOutcome,
 }
 
@@ -160,6 +261,8 @@ impl Ncc0Exact {
         Ncc0Exact {
             stage: Stage::Prologue(Prologue::new(rho)),
             sorted: None,
+            sub: PathCtx::default(),
+            release_by: 0,
             outcome: ThresholdOutcome {
                 rho,
                 neighbors: Vec::new(),
@@ -173,21 +276,25 @@ impl Ncc0Exact {
             .expect("stage before the prologue completed")
     }
 
-    /// This node's view of the prefix sub-path (non-member past it).
+    /// This prefix node's view of the prefix sub-path.
     fn prefix_vp(&self) -> VPath {
         let sorted = self.sorted();
         let (prefix, sp) = (sorted.prefix_len(), &sorted.sp);
-        if sp.rank < prefix {
-            VPath {
-                member: true,
-                pred: sp.vp.pred,
-                succ: (sp.rank + 1 < prefix)
-                    .then(|| sp.vp.succ.expect("prefix rank without a sorted successor")),
-                len: prefix,
-            }
-        } else {
-            VPath::non_member(prefix)
+        VPath {
+            member: true,
+            pred: sp.vp.pred,
+            succ: (sp.rank + 1 < prefix)
+                .then(|| sp.vp.succ.expect("prefix rank without a sorted successor")),
+            len: prefix,
         }
+    }
+
+    /// The wait for the release over the full-network path, until the
+    /// common deadline.
+    fn release(&self, rctx: &RoundCtx<'_>) -> SweepStep {
+        let ctx = &self.sorted().ctx;
+        let deadline = self.release_by - rctx.round();
+        SweepStep::released(ctx.vp, ctx.contacts.clone(), ctx.position, deadline)
     }
 
     /// Enters phase 2 and the closing acknowledgements, which cover the
@@ -231,12 +338,20 @@ impl NodeProtocol for Ncc0Exact {
                             return Status::Done(std::mem::take(&mut self.outcome));
                         }
                         Poll::Ready(Some(sorted)) => {
-                            self.sorted = Some(sorted);
-                            // Phase 1, paper-exact: re-establish the full
-                            // context on the prefix sub-path.
                             rctx.mark_phase("phase1");
-                            rctx.mark_stage("sub-establish");
-                            self.stage = Stage::SubEstablish(EstablishCtx::on(self.prefix_vp()));
+                            let n = sorted.ctx.vp.len;
+                            let deadline = release_deadline(n, sorted.d0, rctx.capacity());
+                            self.release_by = rctx.round() + deadline;
+                            let in_prefix = sorted.in_prefix();
+                            self.sorted = Some(sorted);
+                            self.stage = if in_prefix {
+                                // Phase 1, paper-exact: re-establish the
+                                // full context on the prefix sub-path.
+                                rctx.mark_stage("sub-establish");
+                                Stage::SubEstablish(EstablishCtx::on(self.prefix_vp()))
+                            } else {
+                                Stage::Release(self.release(rctx))
+                            };
                         }
                     }
                 }
@@ -244,18 +359,10 @@ impl NodeProtocol for Ncc0Exact {
                     Poll::Pending => return Status::Continue,
                     Poll::Ready(sub) => {
                         rctx.mark_stage("envelope-core");
-                        let sorted = self.sorted();
-                        let degree = if sorted.in_prefix() {
-                            self.outcome.rho
-                        } else {
-                            0
-                        };
-                        self.stage = Stage::Core(Box::new(DegreesCore::new(
-                            degree,
-                            Flavor::Envelope,
-                            sub,
-                            sorted.ctx.clone(),
-                        )));
+                        let core =
+                            DegreesCore::new(self.outcome.rho, Flavor::Envelope, sub.clone());
+                        self.sub = sub;
+                        self.stage = Stage::Core(Box::new(core));
                     }
                 },
                 Stage::Core(s) => match s.poll(rctx) {
@@ -285,20 +392,15 @@ impl NodeProtocol for Ncc0Exact {
                                 .filter(|(_, msg)| msg.tag == tags::EDGE_ACK)
                                 .map(|(src, _)| *src),
                         );
-                        let sorted = self.sorted();
-                        let shortfall = if sorted.in_prefix() {
-                            let distinct: HashSet<NodeId> =
-                                self.outcome.neighbors.iter().copied().collect();
-                            (self.outcome.rho.saturating_sub(distinct.len())) as u64
-                        } else {
-                            0
-                        };
+                        let distinct: HashSet<NodeId> =
+                            self.outcome.neighbors.iter().copied().collect();
+                        let shortfall = self.outcome.rho.saturating_sub(distinct.len()) as u64;
                         rctx.mark_stage("shortfall");
-                        let ctx = &sorted.ctx;
+                        let sub = &self.sub;
                         self.stage = Stage::ShortfallMax(SweepStep::new(
-                            ctx.vp,
-                            ctx.contacts.clone(),
-                            ctx.position,
+                            sub.vp,
+                            sub.contacts.clone(),
+                            sub.position,
                             &[shortfall],
                             None,
                             |acc, x| acc[0] = acc[0].max(x[0]),
@@ -306,6 +408,19 @@ impl NodeProtocol for Ncc0Exact {
                     }
                 },
                 Stage::ShortfallMax(s) => match s.poll(rctx) {
+                    Poll::Pending => return Status::Continue,
+                    Poll::Ready(swept) => {
+                        let sp = &self.sorted().sp;
+                        if sp.rank == 0 {
+                            // x₁ heard its rank from position 0 of the
+                            // full-network path: the release starts there.
+                            let release = WireMsg::words(tags::RELEASE, &swept.words[..1]);
+                            rctx.send(sp.holder, release);
+                        }
+                        self.stage = Stage::Release(self.release(rctx));
+                    }
+                },
+                Stage::Release(s) => match s.poll(rctx) {
                     Poll::Pending => return Status::Continue,
                     Poll::Ready(swept) => {
                         let max_shortfall = swept.words[0];
@@ -328,7 +443,7 @@ impl NodeProtocol for Ncc0Exact {
                         } else {
                             0
                         };
-                        let b = batch(rctx);
+                        let b = batch(rctx.capacity());
                         let rounds = patch_rounds(sorted.d0, max_shortfall, b);
                         let hops = sorted.prefix_len() as u64;
                         let next = sorted.next_cyclic();
@@ -428,6 +543,56 @@ mod tests {
             } else {
                 assert!(accepted.is_empty(), "unexpected acceptance at {id}");
             }
+        }
+    }
+
+    /// Drops the release's first round of sends — `x₁`'s hand-off to
+    /// position 0 — in a run at n = 64 (`d₀ = 5`, a six-node prefix): no
+    /// node hears the release, and on both engines the run ends on the
+    /// release's loss panic in the deadline's round, every node still
+    /// waiting there.
+    #[test]
+    fn a_lost_release_panics_every_waiting_node_at_the_deadline() {
+        use crate::{prepare_threshold, ThresholdAlgo, ThresholdInstance};
+        use dgr_ncc::{EngineKind, Recording, RunEvent, Scenario, SimError, Sink};
+        let n = 64;
+        let rho: Vec<usize> = (0..n).map(|i| 1 + i % 5).collect();
+        let inst = ThresholdInstance::new(rho.clone());
+        let config = Config::ncc0(19).with_queueing();
+        let job = |config: Config, engine| {
+            prepare_threshold(&inst, config, ThresholdAlgo::Ncc0Exact, engine, false).unwrap()
+        };
+        let clean = job(config.clone(), EngineKind::Batched)
+            .drive(None)
+            .unwrap();
+        let cap = clean.output.metrics.capacity;
+        assert_eq!(clean.output.metrics.rounds, rounds_for(&rho, 0, cap));
+        let (d0, prologue) = (5, prologue_rounds(n));
+        let prefix = [5; 6];
+        let release = prologue + release_rounds(n, d0, core_rounds(&prefix, cap), cap);
+        let sent = release - 1 - ops::broadcast_rounds_for(n);
+        let deadline = prologue + release_deadline(n, d0, cap);
+        let lost = Scenario::new(5).drop_messages(sent..=sent, 1.0);
+        for engine in [EngineKind::Batched, EngineKind::Reference] {
+            let mut recording = Recording::new();
+            let sink = Some(&mut recording as &mut dyn Sink);
+            let run = job(config.clone().with_scenario(lost.clone()), engine).drive(sink);
+            match run {
+                Err(SimError::NodePanic { message, .. }) => {
+                    assert_eq!(message, "message loss: a node missed the release");
+                }
+                other => panic!("{engine:?}: expected a node panic, got {:?}", other.err()),
+            }
+            let live: Vec<usize> = recording
+                .events()
+                .into_iter()
+                .filter_map(|e| match e {
+                    RunEvent::RoundCompleted { live, .. } => Some(live),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(live.len() as u64, deadline, "{engine:?}");
+            assert!(live.iter().all(|&l| l == n), "{engine:?}");
         }
     }
 

@@ -8,8 +8,14 @@
 //!   including on instances where the raw prefix envelope under-delivers
 //!   distinct neighbors and the distinctness patch has to fire.
 
+use dgr_connectivity::distributed::ncc0_exact;
 use dgr_connectivity::{prepare_threshold, ThresholdAlgo, ThresholdInstance, ThresholdRealization};
-use dgr_ncc::{Config, EngineKind};
+use dgr_ncc::{Config, EngineKind, NodeId};
+use rand::Rng;
+use std::collections::{BTreeMap, BTreeSet};
+
+#[path = "../../../tests/support/cases.rs"]
+mod cases;
 
 fn run(inst: &ThresholdInstance, seed: u64, engine: EngineKind) -> ThresholdRealization {
     prepare_threshold(
@@ -133,5 +139,88 @@ fn composed_alg6_sweeps_random_instances() {
             "trial {trial} rho={rho:?}: {:?}",
             out.report.first_violation
         );
+    }
+}
+
+/// The largest distinctness gap the prefix envelope leaves — a prefix
+/// node's requirement less its distinct envelope neighbors — by a
+/// sequential replay of the envelope's phase loop on the prefix of the
+/// `ρ`-sorted order. Each phase sorts the records by need, non-increasing,
+/// ties by origin ID, as the sorting network leaves them.
+fn envelope_max_shortfall(rho: &BTreeMap<NodeId, usize>) -> u64 {
+    let by_rank = |records: &mut Vec<(usize, NodeId)>| {
+        records.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    };
+    let mut records: Vec<(usize, NodeId)> = rho.iter().map(|(&id, &r)| (r, id)).collect();
+    by_rank(&mut records);
+    records.truncate(records[0].0 + 1);
+    let prefix = records.clone();
+    let mut neighbors: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
+    loop {
+        by_rank(&mut records);
+        let delta = records[0].0;
+        if delta == 0 {
+            break;
+        }
+        let stride = delta + 1;
+        let q = (records.iter().take_while(|r| r.0 == delta).count() / stride).max(1);
+        for x in 0..q * stride {
+            let leader = records[x - x % stride].1;
+            if x % stride == 0 {
+                records[x].0 = 0;
+                continue;
+            }
+            records[x].0 = records[x].0.saturating_sub(1);
+            let member = records[x].1;
+            neighbors.entry(member).or_default().insert(leader);
+            neighbors.entry(leader).or_default().insert(member);
+        }
+    }
+    let distinct = |id| neighbors.get(&id).map_or(0, BTreeSet::len);
+    let gaps = prefix
+        .iter()
+        .map(|&(r, id)| r.saturating_sub(distinct(id)) as u64);
+    gaps.max().unwrap_or(0)
+}
+
+/// The tiered profile of the paper's multigraph corner: four nodes at 6,
+/// sixteen at 3, the rest at 1, on 48 nodes.
+fn multigraph_corner() -> Vec<usize> {
+    let mut rho = vec![1usize; 48];
+    rho[..4].fill(6);
+    rho[4..20].fill(3);
+    rho
+}
+
+/// The closed form is the run: [`ncc0_exact::rounds_for`], fed the
+/// envelope's gap by the replay above, equals the measured rounds on both
+/// engines — for uniform `ρ ∈ [1, 5]` at n ∈ {64, 256, 2048}, where the
+/// six-node prefix is a clique with no gap, and for the multigraph corner
+/// at three seeds: two whose gaps (3 and 2) the patch ring closes, one
+/// without a gap.
+#[test]
+fn rounds_follow_the_closed_form() {
+    let mut rng = cases::case_rng("ncc0_exact::rounds_follow_the_closed_form");
+    let mut cases: Vec<(Vec<usize>, u64, u64)> = [64usize, 256, 2048]
+        .into_iter()
+        .zip([61, 62, 63])
+        .map(|(n, seed)| ((0..n).map(|_| rng.gen_range(1..=5)).collect(), seed, 0))
+        .collect();
+    for (seed, gap) in [(9, 3), (29, 2), (31, 0)] {
+        cases.push((multigraph_corner(), seed, gap));
+    }
+    for (rho, seed, gap) in cases {
+        let inst = ThresholdInstance::new(rho);
+        let n = inst.len();
+        let runs = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
+            let out = run(&inst, seed, engine);
+            assert!(out.report.satisfied, "n={n} seed={seed} {engine:?}");
+            assert_eq!(envelope_max_shortfall(&out.rho), gap, "n={n} seed={seed}");
+            let m = &out.metrics;
+            let want = ncc0_exact::rounds_for(&inst.rho, gap, m.capacity);
+            assert_eq!(m.rounds, want, "n={n} seed={seed} {engine:?}");
+            out.metrics
+        });
+        assert_eq!(runs[0], runs[1], "n={n} seed={seed}");
     }
 }

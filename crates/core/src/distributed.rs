@@ -365,26 +365,19 @@ impl Hop {
 /// 3 phase loop (and the Theorem 12/13 extensions) as a composable
 /// [`Step`].
 ///
-/// The core is parameterized by **two** path scopes:
-///
-/// * `local` — the [`PathCtx`] the realization happens *on*: the records
-///   travel between its positions, and the sort, the merge lane and the
-///   interval multicast all run over its contacts, for the whole run; a
-///   non-member view holds no record. At the top level it is the whole
-///   knowledge path; in Algorithm 6's paper-exact recursion it is the
-///   ρ-sorted prefix sub-path, with every non-prefix node holding a
-///   non-member view of the same length.
-/// * `global` — the [`PathCtx`] the loop's *control sweep* runs over.
-///   Sweeping the full network keeps every node — member of the sub-path
-///   or not — in lockstep with the data-dependent phase loop: non-members
-///   contribute the identity and still learn every control value. At the
-///   top level `global` equals the establishment context: the whole
-///   protocol is [`WithCtx`](dgr_primitives::WithCtx) handing its context
-///   to both scopes ([`prepare_degrees`](crate::prepare_degrees)).
+/// The core runs on **one** path scope, the [`PathCtx`] it is built on:
+/// the records travel between its positions, and the sort, the merge
+/// lane, the interval multicast and the control sweep all run over its
+/// contacts, for the whole run. Every member of that path runs the core,
+/// since the control sweep is what keeps them in lockstep with the
+/// data-dependent phase loop. At the top level it is the establishment
+/// context, which the whole protocol, [`WithCtx`](dgr_primitives::WithCtx),
+/// hands it ([`prepare_degrees`](crate::prepare_degrees)); in Algorithm
+/// 6's paper-exact recursion it is the ρ-sorted prefix sub-path, which
+/// only the prefix runs, everyone else waiting for its result.
 pub struct DegreesCore {
     flavor: Flavor,
-    local: PathCtx,
-    global: PathCtx,
+    ctx: PathCtx,
     stage: CoreStage,
     /// How the run ends, once a control sweep has said so and until the
     /// last hop is in: a refusal, or realized with the hand-off bound.
@@ -404,12 +397,11 @@ pub struct DegreesCore {
 }
 
 impl DegreesCore {
-    /// Builds the core; the first poll opens phase 1. Non-members of
-    /// `local` must pass `degree = 0` (the aggregation identity).
-    pub fn new(degree: usize, flavor: Flavor, local: PathCtx, global: PathCtx) -> Self {
+    /// Builds the core for a member of `ctx` requesting `degree`; the
+    /// first poll opens phase 1.
+    pub fn new(degree: usize, flavor: Flavor, ctx: PathCtx) -> Self {
         DegreesCore {
             flavor,
-            global,
             closing: None,
             // Placeholder; the first poll's `begin_phase` installs phase 1.
             stage: CoreStage::Phase {
@@ -425,19 +417,19 @@ impl DegreesCore {
                 phases: 0,
             },
             shape: Regroup {
-                live: local.vp.len,
+                live: ctx.vp.len,
                 ..Regroup::default()
             },
-            on_path: local.vp.member,
-            local,
+            on_path: true,
+            ctx,
         }
     }
 
-    /// Opens a new Algorithm 3 phase: the control sweep on the global
-    /// path and, in the same rounds, the lane over the local positions —
-    /// the sort, or the merge lane after a phase where [`merges`] says so;
-    /// neither needs anything the sweep computes — beside `hop`, the last
-    /// phase's hop back to the origins.
+    /// Opens a new Algorithm 3 phase: the control sweep and, in the same
+    /// rounds, the lane over the positions — the sort, or the merge lane
+    /// after a phase where [`merges`] says so; neither needs anything the
+    /// sweep computes — beside `hop`, the last phase's hop back to the
+    /// origins.
     fn begin_phase(&mut self, hop: Option<Hop>) {
         self.outcome.phases += 1;
         let words = [
@@ -446,9 +438,10 @@ impl DegreesCore {
             u64::from(self.went_negative),
             self.outcome.requested as u64,
         ];
-        let local = &self.local;
-        let (vp, contacts, x) = (local.vp, local.contacts.clone(), local.position);
-        let held = self.held.take();
+        let ctx = &self.ctx;
+        let (vp, x) = (ctx.vp, ctx.position);
+        let control = SweepStep::new(vp, ctx.contacts.clone(), x, &words, None, fold_control);
+        let (contacts, held) = (ctx.contacts.clone(), self.held.take());
         let lane = if self.outcome.phases > 1 && merges(self.flavor, vp.len) {
             let lane = SortStep::merge(vp, contacts, x, held, self.shape, Order::Descending);
             self.shape.live -= self.shape.groups;
@@ -456,9 +449,6 @@ impl DegreesCore {
         } else {
             SortStep::in_place(vp, contacts, x, held, Order::Descending)
         };
-        let global = &self.global;
-        let (vp, contacts, x) = (global.vp, global.contacts.clone(), global.position);
-        let control = SweepStep::new(vp, contacts, x, &words, None, fold_control);
         self.stage = CoreStage::Phase {
             hop,
             control: Some(Box::new(control)),
@@ -474,7 +464,7 @@ impl Step for DegreesCore {
         if self.outcome.phases == 0 {
             let key = self.outcome.requested as u64;
             let origin = rctx.id();
-            self.held = self.local.vp.member.then_some(Held { key, origin });
+            self.held = Some(Held { key, origin });
             self.begin_phase(None);
         }
         loop {
@@ -498,7 +488,7 @@ impl Step for DegreesCore {
                         let [delta, n_max, err, bound] = swept.words;
                         // Some node went negative, or wants more
                         // neighbors than exist.
-                        if err != 0 || delta as usize >= self.local.vp.len {
+                        if err != 0 || delta as usize >= self.ctx.vp.len {
                             self.closing = Some(Err(Unrealizable));
                             *lane = None;
                         } else if delta == 0 {
@@ -543,7 +533,7 @@ impl Step for DegreesCore {
                     // position — and the groups, so the new need is
                     // committed now, and the hop and the next phase open
                     // together this round.
-                    let (x, stride) = (self.local.position, self.shape.stride);
+                    let (x, stride) = (self.ctx.position, self.shape.stride);
                     let grouped = self.held.is_some() && x < self.shape.span();
                     let is_leader = grouped && x.is_multiple_of(stride);
                     let mut edge = false;
@@ -567,7 +557,7 @@ impl Step for DegreesCore {
                         }
                     }
                     // A merge lane takes the leaders' records off the path.
-                    let leaves = is_leader && merges(self.flavor, self.local.vp.len);
+                    let leaves = is_leader && merges(self.flavor, self.ctx.vp.len);
                     let status = self.held.map(|h| (h.origin, leaves, edge));
                     let task = self.held.filter(|_| is_leader).map(|h| {
                         let payload = Payload {
@@ -576,8 +566,8 @@ impl Step for DegreesCore {
                         };
                         (CoverSide::After, stride - 1, payload)
                     });
-                    let local = &self.local;
-                    let mcast = Some(ImcastStep::new(local.vp, local.contacts.clone(), task));
+                    let ctx = &self.ctx;
+                    let mcast = Some(ImcastStep::new(ctx.vp, ctx.contacts.clone(), task));
                     self.begin_phase(Some(Hop { mcast, status }));
                 }
                 CoreStage::Handoff(s) => match s.poll(rctx) {

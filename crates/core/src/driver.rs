@@ -143,9 +143,8 @@ pub fn prepare_degrees(
     }
     let run = net.start(engine, participants, |s| {
         let degree = by_id[&s.id];
-        // The whole path is both the local and the global scope.
         WithCtx::new(move |ctx: &PathCtx, _: &mut RoundCtx<'_>| {
-            DegreesCore::new(degree, flavor, ctx.clone(), ctx.clone())
+            DegreesCore::new(degree, flavor, ctx.clone())
         })
     })?;
     // Masked runs are assembled as implicit overlays whatever the flavor.

@@ -57,6 +57,9 @@ pub mod tags {
     /// Position count beside the contact doubling: how many nodes lie
     /// behind the sender, when fewer than the level's distance.
     pub const RANK: u16 = 21;
+    /// The value a released sweep broadcast carries, handed to the root
+    /// of the path by a node off the sweep's tree.
+    pub const RELEASE: u16 = 22;
     /// First tag value available to user protocols.
     pub const USER_BASE: u16 = 64;
 }

@@ -23,6 +23,17 @@
 //! rounds, a node sends and receives at most one message a round, and the
 //! sweep costs `2(len - 1)` messages. Every message is due in a known
 //! round, so a missing one is a lost message, and it panics.
+//!
+//! A value that position 0 already holds needs only the broadcast half
+//! ([`SweepStep::broadcast`]: `⌈log₂ len⌉` rounds, `len - 1` messages).
+//! The broadcast half also runs **released**
+//! ([`SweepStep::released`]), for members that cannot know when it
+//! starts: position 0 starts it when a [`tags::RELEASE`] message reaches
+//! it, and every other member, waiting, places itself in the schedule by
+//! the round its parent's total arrives, which the total's level fixes.
+//! So every member is ready in the same round, `⌈log₂ len⌉` rounds after
+//! the root heard, and a member that has not heard by its deadline has
+//! lost a message, and panics.
 
 use crate::contacts::ContactTable;
 use crate::step::{Lockstep, Poll, Rounds};
@@ -34,7 +45,13 @@ use std::sync::Arc;
 /// the broadcast, `⌈log₂ len⌉` rounds each — the Theorem 4 `O(log n)`
 /// bound made concrete.
 pub fn rounds_for(len: usize) -> u64 {
-    2 * crate::levels_for(len) as u64
+    2 * broadcast_rounds_for(len)
+}
+
+/// Number of rounds for the broadcast half alone on a path of `len`
+/// nodes, [`SweepStep::broadcast`]'s: `⌈log₂ len⌉`.
+pub fn broadcast_rounds_for(len: usize) -> u64 {
+    crate::levels_for(len) as u64
 }
 
 /// The data words of one sweep message; a sweep of `k` lanes uses the
@@ -78,7 +95,8 @@ impl Swept {
 /// `MessageTooLarge` violation), the address rides the address field.
 pub type SweepStep = Lockstep<Sweep>;
 
-/// [`SweepStep`]'s member rounds: the reduce, then the broadcast.
+/// [`SweepStep`]'s member rounds: the reduce, then the broadcast — or
+/// the broadcast alone.
 #[derive(Debug)]
 pub struct Sweep {
     contacts: Arc<ContactTable>,
@@ -87,7 +105,11 @@ pub struct Sweep {
     /// at position 0, the root. Its children sit `2^j` ahead, `j < up`.
     up: usize,
     lanes: usize,
-    fold: Fold,
+    /// The reduce's fold; `None` for the broadcast half alone.
+    fold: Option<Fold>,
+    /// The poll in which the root sends the broadcast's first level;
+    /// `None` until a released broadcast has reached this member.
+    start: Option<usize>,
     /// This subtree's fold so far; the total once the broadcast is in.
     acc: Swept,
 }
@@ -108,25 +130,87 @@ impl SweepStep {
         addr: Option<NodeId>,
         fold: Fold,
     ) -> Self {
+        let sweep = Sweep::new(vp, contacts, position, words, addr, Some(fold));
+        let start = sweep.levels;
+        Lockstep::run(
+            vp.member,
+            rounds_for(vp.len),
+            Sweep {
+                start: Some(start),
+                ..sweep
+            },
+        )
+    }
+
+    /// The broadcast half alone: position 0's `words` and `addr` reach
+    /// every member (rounds: exactly [`broadcast_rounds_for`]`(vp.len)`,
+    /// `len - 1` messages). The other members' words only give the lane
+    /// count.
+    pub fn broadcast(
+        vp: VPath,
+        contacts: Arc<ContactTable>,
+        position: usize,
+        words: &[u64],
+        addr: Option<NodeId>,
+    ) -> Self {
+        let sweep = Sweep::new(vp, contacts, position, words, addr, None);
+        let rounds = broadcast_rounds_for(vp.len);
+        Lockstep::run(
+            vp.member,
+            rounds,
+            Sweep {
+                start: Some(0),
+                ..sweep
+            },
+        )
+    }
+
+    /// The broadcast half, released: position 0 broadcasts the words and
+    /// address of the first [`tags::RELEASE`] message it receives, from
+    /// anyone; every other member waits for its parent's total. Every
+    /// member is ready `⌈log₂ len⌉` rounds after the root received the
+    /// release, so all in one round; a member not ready by poll `deadline`
+    /// panics ("message loss: a node missed the release").
+    pub fn released(
+        vp: VPath,
+        contacts: Arc<ContactTable>,
+        position: usize,
+        deadline: u64,
+    ) -> Self {
+        Lockstep::until(
+            deadline,
+            Sweep::new(vp, contacts, position, &[], None, None),
+        )
+    }
+}
+
+impl Sweep {
+    /// The sweep at `position`, its start not yet set.
+    fn new(
+        vp: VPath,
+        contacts: Arc<ContactTable>,
+        position: usize,
+        words: &[u64],
+        addr: Option<NodeId>,
+        fold: Option<Fold>,
+    ) -> Self {
         let levels = vp.levels();
         let up = if position == 0 {
             levels
         } else {
             position.trailing_zeros() as usize
         };
-        let sweep = Sweep {
+        Sweep {
             contacts,
             levels,
             up,
             lanes: words.len(),
             fold,
+            start: None,
             acc: Swept::new(words, addr),
-        };
-        Lockstep::run(vp.member, rounds_for(vp.len), sweep)
+        }
     }
-}
 
-impl Sweep {
     /// The message carrying `value` under `tag`.
     fn msg(&self, tag: u16, value: &Swept) -> WireMsg {
         let msg = WireMsg::words(tag, &value.words[..self.lanes]);
@@ -136,11 +220,41 @@ impl Sweep {
     /// The `tag` message `from` sent last round; its absence is a lost
     /// message. A repeated message is the same message: the first stands.
     fn received<'a>(ctx: &'a RoundCtx<'_>, tag: u16, from: NodeId, loss: &str) -> &'a WireEnvelope {
-        let found = ctx
-            .inbox()
+        Self::heard(ctx, tag, Some(from)).unwrap_or_else(|| panic!("message loss: {loss}"))
+    }
+
+    /// The first `tag` message in the inbox, from `from` or, when `None`,
+    /// from anyone.
+    fn heard<'a>(
+        ctx: &'a RoundCtx<'_>,
+        tag: u16,
+        from: Option<NodeId>,
+    ) -> Option<&'a WireEnvelope> {
+        ctx.inbox()
             .iter()
-            .find(|e| e.msg.tag == tag && e.src == from);
-        found.unwrap_or_else(|| panic!("message loss: {loss}"))
+            .find(|e| e.msg.tag == tag && from.is_none_or(|f| e.src == f))
+    }
+
+    /// The parent this position's total comes from, below the head.
+    fn parent(&self) -> NodeId {
+        self.contacts
+            .behind(self.up)
+            .expect("a child below the head")
+    }
+
+    /// A released broadcast at poll `t`: the release at the root, the
+    /// parent's total elsewhere, fixes the start — the total of level
+    /// `up` arrives `levels - up` polls after it.
+    fn hear_release(&mut self, t: usize, ctx: &RoundCtx<'_>) {
+        let (tag, from) = match self.up < self.levels {
+            true => (tags::BCAST, Some(self.parent())),
+            false => (tags::RELEASE, None),
+        };
+        if let Some(env) = Self::heard(ctx, tag, from) {
+            self.lanes = env.msg.words_slice().len();
+            self.acc = Swept::of(&env.msg);
+            self.start = Some(t - (self.levels - self.up));
+        }
     }
 }
 
@@ -149,39 +263,42 @@ impl Rounds for Sweep {
 
     fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<Swept> {
         let (t, levels) = (t as usize, self.levels);
-        if (1..=levels).contains(&t) {
+        if let Some(fold) = self.fold.filter(|_| (1..=levels).contains(&t)) {
             // Reduce round `t - 1`: the child on that level, if any.
             let j = t - 1;
             if let Some(child) = self.contacts.ahead(j).filter(|_| j < self.up) {
                 let loss = "a reduce parent missed its child's aggregate";
                 let theirs = Swept::of(&Self::received(ctx, tags::AGGREGATE, child, loss).msg);
-                (self.fold)(&mut self.acc.words, &theirs.words);
+                fold(&mut self.acc.words, &theirs.words);
                 self.acc.addr = [self.acc.addr, theirs.addr].into_iter().flatten().min();
             }
-        } else if t > levels && 2 * levels - t == self.up {
-            // The broadcast reached this position's level: the total.
-            let parent = self
-                .contacts
-                .behind(self.up)
-                .expect("a child below the head");
-            let loss = "a broadcast child missed its parent's total";
-            self.acc = Swept::of(&Self::received(ctx, tags::BCAST, parent, loss).msg);
         }
-        if t as u64 == rounds {
+        match self.start {
+            None if t > 0 => self.hear_release(t, ctx),
+            Some(start) if self.up < levels && t == start + levels - self.up => {
+                // The broadcast reached this position's level: the total.
+                let loss = "a broadcast child missed its parent's total";
+                self.acc = Swept::of(&Self::received(ctx, tags::BCAST, self.parent(), loss).msg);
+            }
+            _ => {}
+        }
+        let Some(start) = self.start.filter(|&start| t >= start) else {
+            if t as u64 == rounds {
+                panic!("message loss: a node missed the release");
+            }
+            if self.fold.is_some() && t == self.up {
+                ctx.send(self.parent(), self.msg(tags::AGGREGATE, &self.acc));
+            }
+            return Poll::Pending;
+        };
+        if t == start + levels {
             return Poll::Ready(self.acc);
         }
-        if t < levels {
-            if t == self.up {
-                let parent = self.contacts.behind(t).expect("a child below the head");
-                ctx.send(parent, self.msg(tags::AGGREGATE, &self.acc));
-            }
-        } else {
-            // Broadcast round `t - levels` pushes the total down level
-            // `2 levels - 1 - t`, to the child there, if any.
-            let j = 2 * levels - 1 - t;
-            if let Some(child) = self.contacts.ahead(j).filter(|_| j < self.up) {
-                ctx.send(child, self.msg(tags::BCAST, &self.acc));
-            }
+        // Broadcast round `t - start` pushes the total down level
+        // `levels - 1 - (t - start)`, to the child there, if any.
+        let j = levels - 1 - (t - start);
+        if let Some(child) = self.contacts.ahead(j).filter(|_| j < self.up) {
+            ctx.send(child, self.msg(tags::BCAST, &self.acc));
         }
         Poll::Pending
     }
@@ -290,6 +407,78 @@ mod tests {
             });
             assert_eq!(runs[0].metrics, runs[1].metrics, "n={n}");
         }
+    }
+
+    /// The broadcast half, at every path length from 1 to 100 on both
+    /// engines: alone, position 0's words and address reach every member
+    /// in `⌈log₂ len⌉` rounds and `len - 1` messages past the
+    /// establishment. Released, the same broadcast waits for position 1
+    /// (the head itself, alone), which idles `delay` rounds, then hands
+    /// position 0 the value: every member ends on it in the same round,
+    /// one round and `⌈log₂ len⌉` after the hand-off, before its deadline.
+    #[test]
+    fn broadcast_halves_reach_every_member_in_one_round() {
+        use crate::step::{Idle, Step};
+        for n in 1usize..=100 {
+            let net = Network::new(n, Config::ncc0(n as u64));
+            let order = net.ids_in_path_order().to_vec();
+            let establish = crate::ctx::rounds_for(n);
+            let levels = broadcast_rounds_for(n);
+            let delay = 3;
+            let releaser = order[n.min(2) - 1];
+            for engine in [EngineKind::Batched, EngineKind::Reference] {
+                let alone = net
+                    .run_protocol_on(engine, None, None, |_| {
+                        WithCtx::new(|ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                            let head = ctx.position == 0;
+                            let words = [if head { rctx.id() % 1000 } else { 7 }, 5];
+                            let addr = head.then(|| rctx.id());
+                            let c = ctx.contacts.clone();
+                            SweepStep::broadcast(ctx.vp, c, ctx.position, &words, addr)
+                        })
+                    })
+                    .unwrap();
+                let want = Swept::new(&[order[0] % 1000, 5], Some(order[0]));
+                assert!(alone.outputs.iter().all(|(_, got)| *got == want), "n={n}");
+                assert_eq!(alone.metrics.rounds, establish + levels, "n={n}");
+                assert_eq!(
+                    alone.metrics.messages,
+                    establish_messages(&net) + n as u64 - 1
+                );
+                let released = net
+                    .run_protocol_on(engine, None, None, |_| {
+                        WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                            let (vp, x, c) = (ctx.vp, ctx.position, ctx.contacts.clone());
+                            let me = rctx.id();
+                            let idle = if me == releaser { delay } else { 0 };
+                            Idle::new(idle).then(move |(), rctx: &mut RoundCtx<'_>| {
+                                if me == releaser {
+                                    let head = vp.pred.unwrap_or(me);
+                                    let msg = WireMsg::words(tags::RELEASE, &[me % 1000]);
+                                    rctx.send(head, msg.with_addr(me));
+                                }
+                                let deadline = delay + 1 + levels + 4 - idle;
+                                SweepStep::released(vp, c, x, deadline)
+                            })
+                        })
+                    })
+                    .unwrap();
+                let want = Swept::new(&[releaser % 1000], Some(releaser));
+                assert!(
+                    released.outputs.iter().all(|(_, got)| *got == want),
+                    "n={n}"
+                );
+                assert!(released.metrics.is_clean(), "n={n}");
+                assert_eq!(released.metrics.rounds, establish + delay + 1 + levels);
+                assert_eq!(released.metrics.messages, alone.metrics.messages + 1);
+            }
+        }
+    }
+
+    /// Messages of the establishment alone on `net`.
+    fn establish_messages(net: &Network) -> u64 {
+        let run = net.run_protocol(|_| crate::StepProtocol::new(crate::EstablishCtx::new()));
+        run.unwrap().metrics.messages
     }
 
     /// A sweep wider than the configured message budget is the model's

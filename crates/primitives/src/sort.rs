@@ -97,6 +97,10 @@ pub struct SortedPath {
     /// The sorted path as a [`VPath`]: predecessor = rank-1 node,
     /// successor = rank+1 node.
     pub vp: VPath,
+    /// The node at position `rank` of the path sorted over, which held
+    /// this node's record and told it the rank (so the rank-0 node learns
+    /// who sits at position 0).
+    pub holder: NodeId,
 }
 
 /// The comparator schedule of Batcher's odd-even mergesort: the stages
@@ -568,6 +572,7 @@ impl Rounds for Rank {
                     succ,
                     len: self.vp.len,
                 },
+                holder: env.src,
             });
         }
         Poll::Pending
@@ -575,8 +580,8 @@ impl Rounds for Rank {
 
     fn non_member(&mut self) -> SortedPath {
         SortedPath {
-            rank: 0,
             vp: VPath::non_member(self.vp.len),
+            ..SortedPath::default()
         }
     }
 }

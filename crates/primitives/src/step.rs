@@ -34,7 +34,9 @@
 //! what a member does. A member still pending when its budget is spent
 //! panics with the primitive's name (the engines report it as
 //! [`SimError::NodePanic`](dgr_ncc::SimError::NodePanic)); in debug
-//! builds, so does one that is ready early.
+//! builds, so does one that is ready early — unless the budget is a
+//! deadline ([`Lockstep::until`]): a step whose end a message decides may
+//! be ready at any poll up to it.
 
 use dgr_ncc::{NodeProtocol, RoundCtx, Status};
 
@@ -126,6 +128,8 @@ pub struct Lockstep<R> {
     pub(crate) inner: R,
     member: bool,
     budget: u64,
+    /// Whether `budget` is a deadline the member may be ready before.
+    until: bool,
     t: u64,
 }
 
@@ -138,7 +142,19 @@ impl<R: Rounds> Lockstep<R> {
             inner,
             member,
             budget,
+            until: false,
             t: 0,
+        }
+    }
+
+    /// Runs `inner`'s member rounds until it is ready, at poll `deadline`
+    /// at the latest: a step whose start a message decides, so that no
+    /// budget is common knowledge. Its [`Rounds`] should panic, naming the
+    /// message it missed, when the deadline comes before that message.
+    pub fn until(deadline: u64, inner: R) -> Self {
+        Lockstep {
+            until: true,
+            ..Lockstep::run(true, deadline, inner)
         }
     }
 }
@@ -154,7 +170,11 @@ impl<R: Rounds> Step for Lockstep<R> {
                 return Poll::Ready(self.inner.non_member());
             }
         } else if let Poll::Ready(out) = self.inner.poll(t, budget, ctx) {
-            debug_assert!(t == budget, "{} ready at poll {t} of {budget}", name());
+            debug_assert!(
+                t == budget || self.until,
+                "{} ready at poll {t} of {budget}",
+                name()
+            );
             return Poll::Ready(out);
         } else {
             assert!(t < budget, "{} still pending after {budget} rounds", name());

@@ -2,7 +2,9 @@
 //! a primitive must hand every node its fault-free output, on both
 //! engines.
 
-use dgr_ncc::{Config, EngineKind, Network, NodeProtocol, NodeSeed, RoundCtx, Scenario};
+use dgr_ncc::{
+    tags, Config, EngineKind, Network, NodeProtocol, NodeSeed, RoundCtx, Scenario, WireMsg,
+};
 use dgr_primitives::contacts::ContactsStep;
 use dgr_primitives::ctx::UndirectStep;
 use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
@@ -137,6 +139,31 @@ fn binomial_sweep_is_exact_under_full_duplication() {
                 *acc = [acc[0].max(w[0]), acc[1] + w[1], acc[2] + w[2], 0]
             };
             SweepStep::new(ctx.vp, ctx.contacts.clone(), x, &words, addr, fold)
+        })
+    });
+}
+
+/// A repeated release is the same release: position 0 broadcasts its
+/// words alone, then position 1 hands it a release whose every copy
+/// arrives twice, and each waiting member takes the first copy of its
+/// parent's total. Every node ends on the fault-free value, in the
+/// fault-free round.
+#[test]
+fn broadcast_only_sweep_is_exact_under_full_duplication() {
+    outputs_survive_full_duplication(49, |_| {
+        WithCtx::new(|ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+            let (vp, x, id) = (ctx.vp, ctx.position, rctx.id());
+            let words = [if x == 0 { id % 11 } else { 0 }, 2];
+            let table = ctx.contacts.clone();
+            let alone = SweepStep::broadcast(vp, ctx.contacts.clone(), x, &words, None);
+            alone.then(move |total, rctx: &mut RoundCtx<'_>| {
+                if x == 1 {
+                    let pred = vp.pred.expect("position 1 follows the head");
+                    let release = WireMsg::words(tags::RELEASE, &[total.words[0] + id % 13]);
+                    rctx.send(pred, release.with_addr(id));
+                }
+                SweepStep::released(vp, table, x, 16)
+            })
         })
     });
 }
