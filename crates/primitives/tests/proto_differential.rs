@@ -15,8 +15,10 @@
 //!    keep reproducing it on both engines. A change of schedule re-freezes
 //!    the first five columns, never the output hash — but for the
 //!    establishment's, whose context no longer holds the twin's search
-//!    tree and traversal. The sweep cases hash the value the twin handed
-//!    out: the one word, or the median's address.
+//!    tree and traversal, and the sort's, whose sorted path also names
+//!    the holder of each record (rendered without that field, the
+//!    outputs still hash to the twin's). The sweep cases hash the value
+//!    the twin handed out: the one word, or the median's address.
 
 use dgr_ncc::{Config, EngineKind, Network, NodeProtocol, RoundCtx, RunResult, WireMsg};
 use dgr_primitives::ctx::UndirectStep;
@@ -80,9 +82,9 @@ fn transcript_of(outputs: &impl std::fmt::Debug, m: &dgr_ncc::RunMetrics) -> Gol
 /// docs), keyed by case name.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, Golden)] = &[
-    ("sort n=21 seed=1", (23, 433, 1239, 2, 2, 0xb4b5d6a7d49d3de5)),
-    ("sort n=48 seed=2", (30, 1360, 3939, 2, 2, 0xb08dd71385955ce7)),
-    ("sort n=100 seed=3", (38, 3652, 10659, 2, 2, 0x69b675eddcc606b0)),
+    ("sort n=21 seed=1", (23, 433, 1239, 2, 2, 0xfd156d5fe8f2c67e)),
+    ("sort n=48 seed=2", (30, 1360, 3939, 2, 2, 0xb2a082bc87e2363a)),
+    ("sort n=100 seed=3", (38, 3652, 10659, 2, 2, 0x16fae57b78a325eb)),
     ("prefix", (15, 984, 2432, 2, 2, 0x3fdd578ce513362d)),
     ("prefix exclusive", (13, 531, 1299, 2, 2, 0xbad081cc3c1f2cd9)),
     ("aggregate-broadcast Sum", (19, 572, 1471, 2, 2, 0x1550242f8b97d603)),

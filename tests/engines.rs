@@ -212,8 +212,8 @@ const GOLDEN: &[(&str, Golden)] = &[
     ("tree Chain", (true, 0, 31, 228, 666, 2, 2, 0x95080c3336213173)),
     ("tree Greedy", (true, 0, 32, 297, 1279, 2, 2, 0xeab81924fcbe7003)),
     ("ncc1", (true, 0, 39, 70, 144, 2, 2, 0xd8b85508f1bbb25d)),
-    ("ncc0", (true, 0, 52, 115, 297, 2, 3, 0x7bc5877a5e133eb7)),
-    ("ncc0-exact", (true, 0, 96, 229, 729, 2, 3, 0x0245ad4acc2b7f59)),
+    ("ncc0", (true, 0, 49, 109, 285, 2, 3, 0x7bc5877a5e133eb7)),
+    ("ncc0-exact", (true, 0, 87, 200, 599, 3, 3, 0x0245ad4acc2b7f59)),
     ("prefix", (true, 4, 19, 91, 315, 3, 3, 0x40fdb7803a1a6ba7)),
 ];
 
