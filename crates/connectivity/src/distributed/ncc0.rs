@@ -1,8 +1,10 @@
 //! Algorithm 6 / Theorem 18: `O~(Δ)`-round *explicit* threshold
 //! realization in NCC0 (hence also NCC1).
 //!
-//! 1. Sort by `ρ` non-increasing; broadcast `d₀ = ρ(x₁)` and `x₁`'s
-//!    address (one sweep carries both).
+//! 1. Sort by `ρ` non-increasing; the sort leaves `x₁`'s record, keyed
+//!    `d₀ = ρ(x₁)`, at position 0, which broadcasts `d₀` and `x₁`'s
+//!    address (the broadcast half of a sweep alone: `⌈log₂ n⌉` rounds,
+//!    `n - 1` messages).
 //! 2. **Phase 1** over the prefix `x₁ … x_{d₀+1}`: rank `i` connects to
 //!    the next `ρ(x_i)` ranks *cyclically* (so `x₁`, with
 //!    `ρ(x₁) = d₀ =` prefix−1, connects to the entire prefix). The
@@ -208,7 +210,7 @@ impl Prologue {
     }
 
     /// The stage in progress, under the label `Ncc0Exact` narrates it by
-    /// (`d0` names the sweep that also carries `x₁`).
+    /// (`d0` names the broadcast that also carries `x₁`).
     pub(super) fn label(&self) -> &'static str {
         match self.stage {
             PrologueStage::Establish(_) => "establish",

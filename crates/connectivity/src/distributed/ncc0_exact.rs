@@ -32,8 +32,9 @@
 //!    waiting node places itself in the broadcast's schedule by the round
 //!    its parent's total arrives, so every node leaves the wait in the
 //!    same round. The wait has a deadline, the release's latest round:
-//!    the envelope runs at most `L·d₀ + 1` phases, since each zeroes a
-//!    leader of need ≥ 1, and a node that misses the release panics.
+//!    the envelope runs at most `L + 1` phases, since each phase but the
+//!    last zeroes a leader of need ≥ 1 and no need grows back, so no
+//!    record leads twice; a node that misses the release panics.
 //!    When the maximum is positive, each short node injects that many
 //!    tokens into the prefix ring — a token hops until it finds a node
 //!    that is not yet a neighbor of its origin (a pigeonhole argument
@@ -68,11 +69,12 @@ use std::collections::{HashSet, VecDeque};
 
 /// Rounds of a whole run on the requirements `rho` at capacity `cap`,
 /// stage by stage: the prologue (establishment, sort, rank and the
-/// `d₀`/`x₁` broadcast), the prefix's stages and the release
-/// ([`release_rounds`], with the envelope core's
-/// [`core::rounds_for`] on the prefix's own [`core::phase_groups`]), the
-/// patch ring when `max_shortfall`, the largest distinctness gap the
-/// envelope leaves, is positive, then phase 2 and the acknowledgements.
+/// `d₀`/`x₁` broadcast); the prefix's sub-establishment, envelope core
+/// ([`core::rounds_for`] on the prefix's own [`core::phase_groups`]),
+/// phase-1 acknowledgements and shortfall sweep, then the release's one
+/// round to position 0 and its broadcast; the patch ring when
+/// `max_shortfall`, the largest distinctness gap the envelope leaves, is
+/// positive; then phase 2 and the acknowledgements.
 pub fn rounds_for(rho: &[usize], max_shortfall: u64, cap: usize) -> u64 {
     let n = rho.len();
     if n < 2 {
@@ -131,16 +133,18 @@ fn release_rounds(n: usize, d0: usize, core: u64, cap: usize) -> u64 {
 
 /// The latest round, counted from the prologue's end, by which every
 /// node holds the release: [`release_rounds`] with the envelope at its
-/// most phases. On a prefix of `L` nodes it runs at most `L·d₀ + 1`,
-/// since each phase but the last zeroes a leader of need at least 1 and
-/// no need grows, and a phase takes at most its control sweep, its sort
-/// or its hop, whichever is longest.
+/// most phases. On a prefix of `L` nodes it runs at most `L + 1`: each
+/// phase but the last zeroes a leader of need at least 1 and no need
+/// grows back, so no record leads twice. (The total need, `L·d₀`, bounds
+/// them too, but past ~400 prefix nodes that deadline outruns the
+/// engine's round limit.) A phase takes at most its control sweep, its
+/// sort or its hop, whichever is longest.
 fn release_deadline(n: usize, d0: usize, cap: usize) -> u64 {
     let len = (d0 + 1).min(n);
     let phase = ops::rounds_for(len)
         .max(sort::rounds_for(len))
         .max(hop_rounds_for(len));
-    release_rounds(n, d0, (len * d0 + 1) as u64 * phase, cap)
+    release_rounds(n, d0, (len as u64 + 1) * phase, cap)
 }
 
 /// The distinctness patch: tokens walk the prefix ring until they find a
@@ -593,6 +597,23 @@ mod tests {
                 .collect();
             assert_eq!(live.len() as u64, deadline, "{engine:?}");
             assert!(live.iter().all(|&l| l == n), "{engine:?}");
+        }
+    }
+
+    /// The envelope's phase bound the release's deadline counts on: on
+    /// every prefix of 1 to 40 requirements drawn in `[1, L - 1]`, the
+    /// replayed phase loop runs at most `L + 1` phases.
+    #[test]
+    fn the_envelope_runs_at_most_one_phase_a_prefix_node_and_a_closing_one() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(37);
+        for len in 2..=40 {
+            for _ in 0..50 {
+                let mut prefix: Vec<usize> = (0..len).map(|_| rng.gen_range(1..len)).collect();
+                prefix[0] = len - 1;
+                let phases = core::phase_groups(&prefix, Flavor::Envelope).len() + 1;
+                assert!(phases <= len + 1, "{prefix:?}: {phases} phases");
+            }
         }
     }
 

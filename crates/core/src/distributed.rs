@@ -6,7 +6,7 @@
 //! # Algorithm 3: implicit realization in `O~(min{√m, Δ})` rounds (Theorem 11)
 //!
 //! A parallelized Havel–Hakimi. Each node's record `(need, ID)` travels
-//! between the positions of the local path; the nodes never move. Each
+//! between the positions of the path; the nodes never move. Each
 //! phase:
 //!
 //! 1. **control**: one sweep of the whole path learns the maximum
@@ -36,7 +36,7 @@
 //! 0 is inert — never a leader again, and a run that picks it as a member
 //! goes negative and is refused — so the leaders' records leave, and the
 //! members and the tail are two runs that are still sorted.
-//! [`SortStep::merge`] joins them where they are held, over the local
+//! [`SortStep::merge`] joins them where they are held, over the
 //! path's contacts: a compaction of `⌈log₂(q + 1)⌉` rounds (the longest
 //! shift is `q`, which the control sweep told everyone) and one merge pass
 //! of `⌈log₂ n⌉ + 1` stages (ARCHITECTURE.md, *Deviations from the
@@ -46,7 +46,7 @@
 //! stay vacant at the end of the path, so every budget stays a function
 //! of `len` ([`merges`] picks the lane).
 //!
-//! **Records stay in place.** Positions are the local path's nodes, and
+//! **Records stay in place.** Positions are the path's nodes, and
 //! that path is fixed for the whole run, so its contact table from the
 //! establishment addresses every comparator, compaction move and
 //! multicast hop of every phase. No record goes home between phases: no

@@ -36,6 +36,7 @@
 //! | [`contacts::ContactsStep`] (pointer doubling) | — | `ceil(log2 n) - 1` |
 //! | [`ctx::EstablishCtx`] (undirect, then the doubling with a rank lane: positions, Cor. 2) | §3.1 | `1 + ceil(log2 n)` |
 //! | [`ops::SweepStep`] (Thm 4 on a binomial tree of the contacts: up to four words and an address, one fold) | §3.2.1 | `2 ceil(log2 n)` |
+//! | [`ops::SweepStep::broadcast`] / [`ops::SweepStep::released`] (the broadcast half alone: from position 0, or when a message reaches it) | §3.2.1 | `ceil(log2 n)` |
 //! | [`sort::SortStep`] (Thm 3: the rank-`x` record ends at position `x`) | §3.1.2 | `O(log² n)` |
 //! | [`sort::SortStep::merge`] (re-order in place after a group phase of `g` groups) | — | `ceil(log2(g + 1)) + ceil(log2 n) + 1` |
 //! | [`sort::RankStep`] (the sort's epilogue: each origin learns its sorted path) | §3.1.2 | 2 |

@@ -130,16 +130,9 @@ impl SweepStep {
         addr: Option<NodeId>,
         fold: Fold,
     ) -> Self {
-        let sweep = Sweep::new(vp, contacts, position, words, addr, Some(fold));
-        let start = sweep.levels;
-        Lockstep::run(
-            vp.member,
-            rounds_for(vp.len),
-            Sweep {
-                start: Some(start),
-                ..sweep
-            },
-        )
+        let start = Some(vp.levels());
+        let sweep = Sweep::new(vp, contacts, position, words, addr, Some(fold), start);
+        Lockstep::run(vp.member, rounds_for(vp.len), sweep)
     }
 
     /// The broadcast half alone: position 0's `words` and `addr` reach
@@ -153,16 +146,8 @@ impl SweepStep {
         words: &[u64],
         addr: Option<NodeId>,
     ) -> Self {
-        let sweep = Sweep::new(vp, contacts, position, words, addr, None);
-        let rounds = broadcast_rounds_for(vp.len);
-        Lockstep::run(
-            vp.member,
-            rounds,
-            Sweep {
-                start: Some(0),
-                ..sweep
-            },
-        )
+        let sweep = Sweep::new(vp, contacts, position, words, addr, None, Some(0));
+        Lockstep::run(vp.member, broadcast_rounds_for(vp.len), sweep)
     }
 
     /// The broadcast half, released: position 0 broadcasts the words and
@@ -177,15 +162,13 @@ impl SweepStep {
         position: usize,
         deadline: u64,
     ) -> Self {
-        Lockstep::until(
-            deadline,
-            Sweep::new(vp, contacts, position, &[], None, None),
-        )
+        let sweep = Sweep::new(vp, contacts, position, &[], None, None, None);
+        Lockstep::until(deadline, sweep)
     }
 }
 
 impl Sweep {
-    /// The sweep at `position`, its start not yet set.
+    /// The sweep at `position`, its broadcast starting at poll `start`.
     fn new(
         vp: VPath,
         contacts: Arc<ContactTable>,
@@ -193,6 +176,7 @@ impl Sweep {
         words: &[u64],
         addr: Option<NodeId>,
         fold: Option<Fold>,
+        start: Option<usize>,
     ) -> Self {
         let levels = vp.levels();
         let up = if position == 0 {
@@ -206,7 +190,7 @@ impl Sweep {
             up,
             lanes: words.len(),
             fold,
-            start: None,
+            start,
             acc: Swept::new(words, addr),
         }
     }
