@@ -601,7 +601,7 @@ mod tests {
     }
 
     /// The envelope's phase bound the release's deadline counts on: on
-    /// every prefix of 1 to 40 requirements drawn in `[1, L - 1]`, the
+    /// every prefix of 2 to 40 requirements drawn in `[1, L - 1]`, the
     /// replayed phase loop runs at most `L + 1` phases.
     #[test]
     fn the_envelope_runs_at_most_one_phase_a_prefix_node_and_a_closing_one() {

@@ -397,7 +397,7 @@ mod tests {
     /// engines: alone, position 0's words and address reach every member
     /// in `⌈log₂ len⌉` rounds and `len - 1` messages past the
     /// establishment. Released, the same broadcast waits for position 1
-    /// (the head itself, alone), which idles `delay` rounds, then hands
+    /// (at one node, the head itself), which idles `delay` rounds, then hands
     /// position 0 the value: every member ends on it in the same round,
     /// one round and `⌈log₂ len⌉` after the hand-off, before its deadline.
     #[test]
