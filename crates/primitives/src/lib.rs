@@ -40,7 +40,6 @@
 //! | [`sort::SortStep`] (Thm 3: the rank-`x` record ends at position `x`) | §3.1.2 | `O(log² n)` |
 //! | [`sort::SortStep::merge`] (re-order in place after a group phase of `g` groups) | — | `ceil(log2(g + 1)) + ceil(log2 n) + 1` |
 //! | [`sort::RankStep`] (the sort's epilogue: each origin learns its sorted path) | §3.1.2 | 2 |
-//! | [`sort::SortContactsStep`] (a sort, its ranks, then the sorted path's contacts) | §3.1.2 | sort + 2 + contacts |
 //! | [`prefix::PrefixStep`] | §5 | `ceil(log2 n)` |
 //! | [`imcast::ImcastStep`] (Thm 7) | §3.2.3 | `O(log n)` |
 //! | [`scatter::ScanStep`] (milestone scan) | §5 | `O(log² n)` |

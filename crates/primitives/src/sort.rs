@@ -15,13 +15,13 @@
 //!
 //! [`SortStep`] is the network alone: it ends with the rank-`x` record
 //! [`Held`] at position `x`, wherever the records started. A caller that
-//! keeps working in position space (Algorithm 3's phase loop) needs no
+//! keeps working in position space — Algorithm 3's phase loop, the tree
+//! drivers, whose milestone scan answers each record's origin — needs no
 //! more. A caller that needs a *sorted path* chains [`RankStep`], the
 //! 2-round epilogue that tells each record's origin its rank and the IDs
 //! of its sorted predecessor/successor — a new [`VPath`] in sorted order,
-//! on which every other primitive (contacts, sweeps, multicast, prefix sums)
-//! can be established; [`SortContactsStep`] chains both and the sorted
-//! path's contacts, as the tree drivers need.
+//! on which every other primitive can be established (Algorithm 6's token
+//! pipelines run along it).
 //!
 //! **Re-sorting after a group phase in `O(log n)` rounds.** Algorithm 3
 //! re-sorts records whose order one phase barely changed: the heads of the
@@ -38,9 +38,9 @@
 //! at a position. The path keeps its length; the departed ranks' positions
 //! stay vacant at the end.
 
-use crate::contacts::{ContactTable, ContactsStep};
+use crate::contacts::ContactTable;
 use crate::ctx::PathCtx;
-use crate::step::{Lockstep, Poll, Rounds, Step};
+use crate::step::{Lockstep, Poll, Rounds};
 use crate::vpath::VPath;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
 use std::sync::Arc;
@@ -286,7 +286,6 @@ pub type SortStep = Lockstep<Sort>;
 /// comparator stages.
 #[derive(Debug)]
 pub struct Sort {
-    vp: VPath,
     contacts: Arc<ContactTable>,
     x: usize,
     order: Order,
@@ -333,7 +332,6 @@ impl SortStep {
     ) -> Self {
         let len = vp.len;
         let sort = Sort {
-            vp,
             contacts,
             x: position,
             order,
@@ -369,7 +367,6 @@ impl SortStep {
         let half = 1 << vp.levels();
         let shift = held.and(phase.shift(position));
         let sort = Sort {
-            vp,
             contacts,
             x: position,
             order,
@@ -586,54 +583,10 @@ impl Rounds for Rank {
     }
 }
 
-/// A sort, its [`RankStep`], then the contact table of the sorted path:
-/// the tree drivers' re-sorts, since what follows them talks across the
-/// sorted path's power-of-two distances (rounds: [`rounds_for`] plus
-/// [`RANK_ROUNDS`] plus [`contacts::rounds_for`](crate::contacts::rounds_for)).
-#[derive(Debug)]
-pub struct SortContactsStep(SortLane);
-
-#[derive(Debug)]
-enum SortLane {
-    Sort(SortStep),
-    Rank(RankStep),
-    Contacts(SortedPath, ContactsStep),
-}
-
-impl SortContactsStep {
-    /// Runs `sort`, ranks its records' origins, then builds the sorted
-    /// path's contacts.
-    pub fn new(sort: SortStep) -> Self {
-        SortContactsStep(SortLane::Sort(sort))
-    }
-}
-
-impl Step for SortContactsStep {
-    type Out = (SortedPath, Arc<ContactTable>);
-
-    fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<Self::Out> {
-        loop {
-            match &mut self.0 {
-                SortLane::Sort(s) => match s.poll(ctx) {
-                    Poll::Pending => return Poll::Pending,
-                    Poll::Ready(held) => {
-                        self.0 = SortLane::Rank(RankStep::new(s.inner.vp, s.inner.x, held));
-                    }
-                },
-                SortLane::Rank(s) => match s.poll(ctx) {
-                    Poll::Pending => return Poll::Pending,
-                    Poll::Ready(sp) => self.0 = SortLane::Contacts(sp, ContactsStep::new(sp.vp)),
-                },
-                SortLane::Contacts(sp, s) => return s.poll(ctx).map(|table| (*sp, table)),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WithCtx;
+    use crate::{Step, WithCtx};
     use dgr_ncc::{Config, Network};
     use std::collections::HashMap;
 

@@ -1,15 +1,20 @@
 //! Distributed tree realization (Section 5): Algorithms 4 and 5 as one
-//! state machine, [`RealizeTree`]. The two constructions share the context
-//! establishment, the input check (`Σd = 2(n-1)`, `min d ≥ 1`; a failure
-//! refuses with [`Unrealizable`]), the degree sort and the slot prefix
-//! sums, and differ only in the hand-off that tells every child its
-//! parent. The check's sweep runs in the rounds of the degree sort and its
-//! sorted contacts — neither feeds the other — so the opening costs
-//! `max(check, sort + contacts)` rounds, and a refusal drops the partial
-//! sort when the check completes. Stage transitions happen within a
-//! round — a primitive boundary costs no round;
-//! `crates/trees/tests/batched_trees.rs` pins the transcripts on both
-//! engines.
+//! state machine, [`RealizeTree`], run on the positions of the network
+//! path. After the degree sort, position `x` holds rank `x`'s record
+//! `(d, origin)` and works on its behalf, so both constructions are the
+//! same chain of steps: the context establishment; the input check
+//! (`Σd = 2(n-1)`, `min d ≥ 1`; a failure refuses with [`Unrealizable`])
+//! beside the degree sort; the slot prefix sums; and one milestone scan
+//! ([`dgr_primitives::scatter`]) that hands every child its parent's ID.
+//! They differ only in the slot rule and in the two records each position
+//! emits into the scan. The scan answers a record's origin, not the
+//! position that emitted it, so every node learns its parent itself and
+//! no sorted path is ever built. The check's sweep runs in the rounds of
+//! the degree sort — neither feeds the other — so the opening costs
+//! `max(check, sort)` rounds, and a refusal drops the partial sort when
+//! the check completes. Stage transitions happen within a round — a
+//! primitive boundary costs no round; `crates/trees/tests/batched_trees.rs`
+//! pins the transcripts on both engines.
 //!
 //! # Algorithm 4 (Distributed-Tree-Realization-1, Theorem 14)
 //!
@@ -24,13 +29,19 @@
 //!    in order by the prefix sums of `slots` (the paper's `p_i`);
 //! 3. each non-leaf announces its ID to its leaf interval.
 //!
-//! Step 3's intervals are far from their sources, so the paper routes the
-//! announcements with the Theorem 6/7 butterfly machinery. We instead
-//! **re-sort once** with keys that interleave each source immediately
-//! before its leaf interval (source key `2a_i`, leaf key `2·pos + 1`),
-//! after which every group is contiguous with its source at the head and
-//! the plain interval multicast applies — same `O~(1)` cost, no butterfly
-//! (ARCHITECTURE.md, *Deviations from the paper*).
+//! Steps 1 and 3 are one milestone scan. Let `start_i = k_eff + 1 +
+//! Σ_{j<i} slots_j` (the first rank of `i`'s leaf interval) and
+//! `key(s, j, b) = ((s·(n+1) + j) << 1) | b`. Rank `i < k_eff` emits the
+//! milestone `key(start_i, i, 1)` — also when `slots_i = 0`, because it
+//! carries the chain edge too; rank 0 emits the filler `0`, rank
+//! `r ∈ 1..=k_eff` the filler `key(start_r, r, 0)`, and a leaf `r > k_eff`
+//! the filler `key(r, n, 0)`. The latest milestone before the filler of a
+//! chained rank `r` is rank `r - 1`'s (the starts do not decrease, and
+//! rank `r`'s own milestone differs only in the last bit); before a
+//! leaf's, it is that of the greatest `i` with `start_i ≤ r` — the
+//! non-leaf whose interval holds `r`. The paper routes step 3's
+//! announcements with the Theorem 6/7 butterfly machinery; the scan needs
+//! no butterfly (ARCHITECTURE.md, *Deviations from the paper*).
 //!
 //! # Algorithm 5 (Distributed-Tree-Realization-2, Theorem 16)
 //!
@@ -43,39 +54,30 @@
 //! diameter over all realizing trees.
 //!
 //! Internal nodes are simultaneously parents (they announce to an
-//! interval) and children (they are inside someone else's interval), so
-//! the interval hand-off runs on the `milestone_scan` primitive
-//! ([`dgr_primitives::scatter`]): each parent emits a milestone keyed just
-//! before its interval, each rank emits a filler keyed at its position,
-//! and the sorted-order scan hands every rank the ID of the parent
-//! covering it.
+//! interval) and children (they are inside someone else's interval): each
+//! rank with children emits the milestone `2a_i - 1`, just before its
+//! interval, and every rank the filler `2r` at its own rank, so the scan
+//! hands every rank but the root the ID of the parent covering it.
 
 use crate::driver::TreeAlgo;
 use dgr_core::Unrealizable;
 use dgr_ncc::{NodeId, NodeProtocol, RoundCtx, Status};
-use dgr_primitives::contacts::{self, ContactTable};
-use dgr_primitives::imcast::{self, CoverSide, ImcastStep, Payload};
 use dgr_primitives::ops::{self, SweepStep};
 use dgr_primitives::prefix::{self, PrefixStep};
 use dgr_primitives::scatter::{self, ScanRecord, ScanStep};
-use dgr_primitives::sort::{self, Order, SortContactsStep, SortStep, SortedPath};
-use dgr_primitives::{ctx, EstablishCtx, Poll, Step};
-use std::sync::Arc;
+use dgr_primitives::sort::{self, Held, Order, SortStep};
+use dgr_primitives::{ctx, EstablishCtx, PathCtx, Poll, Step};
 
-/// Rounds of a realized tree run on `len ≥ 2` nodes: context
-/// establishment, the input check beside the degree sort and its sorted
-/// contacts, the slot prefix sums, then Algorithm 4's re-sort, its
-/// contacts and the interval multicast, or Algorithm 5's milestone scan.
-/// A refusal (and a single node) ends on the check,
-/// `ctx::rounds_for(len) + ops::rounds_for(len)` rounds in all.
-pub fn rounds_for(len: usize, algo: TreeAlgo) -> u64 {
-    let sorted = sort::rounds_for(len) + sort::RANK_ROUNDS + contacts::rounds_for(len);
-    let opening = ctx::rounds_for(len) + ops::rounds_for(len).max(sorted) + prefix::rounds_for(len);
-    opening
-        + match algo {
-            TreeAlgo::Chain => sorted + imcast::rounds_for(len),
-            TreeAlgo::Greedy => scatter::rounds_for(len),
-        }
+/// Rounds of a realized tree run on `len ≥ 2` nodes, either algorithm:
+/// context establishment, the input check beside the degree sort, the
+/// slot prefix sums and the milestone scan. A refusal (and a single node)
+/// ends on the check, `ctx::rounds_for(len) + ops::rounds_for(len)`
+/// rounds in all.
+pub fn rounds_for(len: usize) -> u64 {
+    ctx::rounds_for(len)
+        + ops::rounds_for(len).max(sort::rounds_for(len))
+        + prefix::rounds_for(len)
+        + scatter::rounds_for(len)
 }
 
 /// One node's result of a tree realization: the tree edges stored here
@@ -91,18 +93,14 @@ pub struct TreeOutcome {
 enum Stage {
     Establish(EstablishCtx),
     /// The input check and Algorithm 4's `k` — `(Σd, min d, number of
-    /// non-leaves)` in one sweep — beside the degree sort and its sorted
-    /// contacts, which need none of them; each is polled until it is ready
-    /// (`None` from then on).
+    /// non-leaves)` in one sweep — beside the degree sort, which needs
+    /// none of them; each is polled until it is ready (`None` from then
+    /// on).
     Sorting {
         check: Option<SweepStep>,
-        lane: Option<SortContactsStep>,
+        sort: Option<SortStep>,
     },
     Prefix(PrefixStep),
-    /// Algorithm 4: the interval re-sort and its contacts.
-    Resort(SortContactsStep),
-    Mcast(ImcastStep),
-    /// Algorithm 5: the milestone scan.
     Scan(ScanStep),
 }
 
@@ -111,12 +109,13 @@ pub struct RealizeTree {
     degree: usize,
     algo: TreeAlgo,
     stage: Stage,
-    /// Path length, known once the context is established.
-    len: usize,
+    /// The full network path, known once the context is established.
+    ctx: PathCtx,
+    /// The record this position holds once the sort is done: rank
+    /// `ctx.position`'s degree and node.
+    held: Option<Held>,
     outcome: TreeOutcome,
-    sp: Option<SortedPath>,
-    sct: Option<Arc<ContactTable>>,
-    /// Algorithm 4: `k_eff`, remaining child slots, interval start.
+    /// Algorithm 4's `k_eff`, and the held rank's child slots.
     k_eff: usize,
     slots: usize,
 }
@@ -129,13 +128,12 @@ impl RealizeTree {
             degree,
             algo,
             stage: Stage::Establish(EstablishCtx::new()),
-            len: 0,
+            ctx: PathCtx::default(),
+            held: None,
             outcome: TreeOutcome {
                 requested: degree,
                 neighbors: Vec::new(),
             },
-            sp: None,
-            sct: None,
             k_eff: 0,
             slots: 0,
         }
@@ -143,6 +141,43 @@ impl RealizeTree {
 
     fn done(&mut self) -> Status<Result<TreeOutcome, Unrealizable>> {
         Status::Done(Ok(std::mem::take(&mut self.outcome)))
+    }
+
+    /// The two records the held rank emits into the scan, given the slots
+    /// of the ranks before it: its milestone, then its filler.
+    fn records(&self, origin: NodeId, before: usize) -> [ScanRecord; 2] {
+        let rank = self.ctx.position;
+        let milestone = |key| ScanRecord::Milestone { key, addr: origin };
+        match self.algo {
+            TreeAlgo::Chain => {
+                let n = self.ctx.vp.len as u64;
+                let key = |s: usize, j: usize, b: u64| ((s as u64 * (n + 1) + j as u64) << 1) | b;
+                let start = self.k_eff + 1 + before;
+                let filler = match rank {
+                    0 => 0,
+                    r if r <= self.k_eff => key(start, r, 0),
+                    r => key(r, n as usize, 0),
+                };
+                [
+                    if rank < self.k_eff {
+                        milestone(key(start, rank, 1))
+                    } else {
+                        ScanRecord::Absent
+                    },
+                    ScanRecord::Filler { key: filler },
+                ]
+            }
+            TreeAlgo::Greedy => [
+                if self.slots > 0 {
+                    milestone(2 * (1 + before) as u64 - 1)
+                } else {
+                    ScanRecord::Absent
+                },
+                ScanRecord::Filler {
+                    key: 2 * rank as u64,
+                },
+            ],
+        }
     }
 }
 
@@ -174,19 +209,19 @@ impl NodeProtocol for RealizeTree {
                         );
                         self.stage = Stage::Sorting {
                             check: Some(check),
-                            lane: Some(SortContactsStep::new(sort)),
+                            sort: Some(sort),
                         };
-                        self.len = ctx.vp.len;
+                        self.ctx = ctx;
                     }
                 },
-                Stage::Sorting { check, lane } => {
+                Stage::Sorting { check, sort } => {
                     // The check goes first: a refusal drops the sort
                     // before it stages this round's sends.
                     if let Some(Poll::Ready(total)) = check.as_mut().map(|s| s.poll(rctx)) {
                         *check = None;
                         let [sum, min, non_leaves, _] = total.words;
                         self.k_eff = (non_leaves as usize).max(1);
-                        let n = self.len as u64;
+                        let n = self.ctx.vp.len as u64;
                         if sum != 2 * (n - 1) || (n >= 2 && min < 1) {
                             return Status::Done(Err(Unrealizable));
                         }
@@ -194,128 +229,46 @@ impl NodeProtocol for RealizeTree {
                             return self.done();
                         }
                     }
-                    if let Some(Poll::Ready(sorted)) = lane.as_mut().map(|s| s.poll(rctx)) {
-                        *lane = None;
-                        (self.sp, self.sct) = (Some(sorted.0), Some(sorted.1));
+                    if let Some(Poll::Ready(held)) = sort.as_mut().map(|s| s.poll(rctx)) {
+                        *sort = None;
+                        self.held = held;
                     }
-                    if check.is_some() || lane.is_some() {
+                    if check.is_some() || sort.is_some() {
                         return Status::Continue;
                     }
-                    let sp = self.sp.as_ref().unwrap();
-                    let rank = sp.rank;
+                    let (rank, d) = (self.ctx.position, self.held.unwrap().key as usize);
                     self.slots = match self.algo {
-                        // Algorithm 4: chain ranks 1..=k_eff; the
-                        // non-leaves keep their remaining child slots.
-                        TreeAlgo::Chain => {
-                            if (1..=self.k_eff).contains(&rank) {
-                                let pred = sp.vp.pred.expect("chained rank without predecessor");
-                                self.outcome.neighbors.push(pred);
-                            }
-                            if rank < self.k_eff {
-                                self.degree - 1 - usize::from(rank > 0)
-                            } else {
-                                0
-                            }
-                        }
+                        // Algorithm 4: the chain takes one edge of every
+                        // non-leaf but the head; leaves keep none.
+                        TreeAlgo::Chain if rank < self.k_eff => d - 1 - usize::from(rank > 0),
+                        TreeAlgo::Chain => 0,
                         // Algorithm 5: the root keeps all d, everyone
                         // else spends one on its parent.
-                        TreeAlgo::Greedy => self.degree - usize::from(rank > 0),
+                        TreeAlgo::Greedy => d - usize::from(rank > 0),
                     };
-                    let (slots, table) = (self.slots as u64, self.sct.clone().unwrap());
-                    self.stage = Stage::Prefix(PrefixStep::exclusive(sp.vp, table, slots));
+                    let (vp, table) = (self.ctx.vp, self.ctx.contacts.clone());
+                    self.stage = Stage::Prefix(PrefixStep::exclusive(vp, table, self.slots as u64));
                 }
                 Stage::Prefix(s) => match s.poll(rctx) {
                     Poll::Pending => return Status::Continue,
-                    Poll::Ready(excl) => {
-                        let sp = self.sp.as_ref().unwrap();
-                        let rank = sp.rank;
-                        match self.algo {
-                            TreeAlgo::Chain => {
-                                // Re-sort so each source lands immediately
-                                // before its leaf interval.
-                                let interval_start = self.k_eff + 1 + excl as usize;
-                                let is_source = rank < self.k_eff;
-                                let key = if is_source {
-                                    2 * interval_start as u64
-                                } else {
-                                    2 * rank as u64 + 1
-                                };
-                                self.stage = Stage::Resort(SortContactsStep::new(SortStep::new(
-                                    sp.vp,
-                                    self.sct.clone().unwrap(),
-                                    rank,
-                                    key,
-                                    Order::Ascending,
-                                    rctx.id(),
-                                )));
-                            }
-                            TreeAlgo::Greedy => {
-                                // Milestone just before my child interval;
-                                // filler at my own rank.
-                                let first_child = 1 + excl as usize;
-                                let rec0 = if self.slots > 0 {
-                                    ScanRecord::Milestone {
-                                        key: 2 * first_child as u64 - 1,
-                                        addr: rctx.id(),
-                                    }
-                                } else {
-                                    ScanRecord::Absent
-                                };
-                                let rec1 = ScanRecord::Filler {
-                                    key: 2 * rank as u64,
-                                };
-                                self.stage = Stage::Scan(ScanStep::new(
-                                    sp.vp,
-                                    self.sct.clone().unwrap(),
-                                    rank,
-                                    [rec0, rec1],
-                                    rctx.id(),
-                                ));
-                            }
-                        }
-                    }
-                },
-                Stage::Resort(s) => match s.poll(rctx) {
-                    Poll::Pending => return Status::Continue,
-                    Poll::Ready((msp, mct)) => {
-                        let rank = self.sp.as_ref().unwrap().rank;
-                        let is_source = rank < self.k_eff;
-                        let task = (is_source && self.slots > 0).then(|| {
-                            (
-                                CoverSide::After,
-                                self.slots,
-                                Payload {
-                                    addr: rctx.id(),
-                                    word: 0,
-                                },
-                            )
-                        });
-                        self.stage = Stage::Mcast(ImcastStep::new(msp.vp, mct, task));
-                    }
-                },
-                Stage::Mcast(s) => match s.poll(rctx) {
-                    Poll::Pending => return Status::Continue,
-                    Poll::Ready(got) => {
-                        let rank = self.sp.as_ref().unwrap().rank;
-                        if rank > self.k_eff {
-                            let payload = got.expect("leaf received no parent announcement");
-                            self.outcome.neighbors.push(payload.addr);
-                        } else {
-                            debug_assert!(got.is_none(), "non-leaf covered by a leaf interval");
-                        }
-                        return self.done();
+                    Poll::Ready(before) => {
+                        let origin = self.held.unwrap().origin;
+                        let records = self.records(origin, before as usize);
+                        let PathCtx {
+                            vp,
+                            contacts,
+                            position,
+                        } = &self.ctx;
+                        let scan = ScanStep::new(*vp, contacts.clone(), *position, records, origin);
+                        self.stage = Stage::Scan(scan);
                     }
                 },
                 Stage::Scan(s) => match s.poll(rctx) {
                     Poll::Pending => return Status::Continue,
                     Poll::Ready(got) => {
-                        let rank = self.sp.as_ref().unwrap().rank;
-                        if rank > 0 {
-                            let parent = got[1].expect("non-root rank received no parent");
-                            self.outcome.neighbors.push(parent);
-                        } else {
-                            debug_assert!(got[1].is_none(), "root scanned a parent");
-                        }
+                        // The answer to this node's own filler: its
+                        // parent, or none at the root.
+                        self.outcome.neighbors.extend(got[1]);
                         return self.done();
                     }
                 },

@@ -192,7 +192,7 @@ fn sweep() -> Vec<Golden> {
             assert_eq!(transcript(&batched), transcript(&reference), "{what}");
             assert_eq!(metrics_of(&batched), metrics_of(&reference), "{what}");
             let t = batched.expect_realized();
-            assert_eq!(t.metrics.rounds, rounds_for(degrees.len(), algo), "{what}");
+            assert_eq!(t.metrics.rounds, rounds_for(degrees.len()), "{what}");
             assert!(t.graph.is_tree());
             let mut want = degrees.clone();
             want.sort_unstable_by(|a, b| b.cmp(a));
@@ -241,7 +241,7 @@ fn check_beside_the_sort_runs_clean_at_its_edges() {
                 );
                 assert!(m.max_sent_per_round <= m.capacity, "{what}");
                 assert!(m.max_received_per_round <= m.capacity, "{what}");
-                assert_eq!(m.rounds, rounds_for(n, algo), "{what}");
+                assert_eq!(m.rounds, rounds_for(n), "{what}");
             }
         }
     }
