@@ -1,13 +1,13 @@
 //! Milestone scan: a sorted-order *segmented broadcast* in `O(log² n)`
-//! rounds — the primitive behind Algorithm 5's child assignment.
+//! rounds — the primitive behind the tree realizations' parent hand-off.
 //!
 //! ## Problem
 //!
 //! Nodes on a path hold *records* with totally ordered keys. Some records
 //! are **milestones** carrying an address; the rest are **fillers**. Every
 //! filler must learn the address of the latest milestone preceding it in
-//! key order. This expresses "node of sorted rank `r` learns the ID of the
-//! unique source whose interval `[a_i, b_i]` contains `r`" without any
+//! key order. This expresses "the node of sorted rank `r` learns the ID of
+//! the unique source whose interval `[a_i, b_i]` contains `r`" without any
 //! node knowing the interval boundaries of others: source `i` emits a
 //! milestone keyed just before `a_i`, rank `r` emits a filler keyed at `r`,
 //! and the scan hands every rank its covering source.
@@ -17,6 +17,13 @@
 //! tree nodes are both parents and children. So the primitive lets **every
 //! node emit two records**, hosted on `2n` virtual slots (node at position
 //! `p` hosts slots `2p` and `2p+1`).
+//!
+//! A record's *origin* — the node its answer goes to — need not be the
+//! node that hosts it. A caller that works in position space after a sort
+//! (the tree drivers: position `x` emits rank `x`'s records) names the
+//! sorted record's owner as the origin, and that node gets the answers
+//! without ever learning its rank. Every origin must be a member, and the
+//! origin of one member's records at most.
 //!
 //! ## Mechanics
 //!
@@ -33,12 +40,15 @@
 //! ## Contract
 //!
 //! Every member emits exactly two records (pad with
-//! [`ScanRecord::Absent`]) and gets one answer per record, in order: for a
-//! [`ScanRecord::Filler`], the address of the milestone with the greatest
-//! `(key, origin, slot)` smaller than the filler's, or `None` if no
-//! milestone precedes it. Milestone and absent records return their
-//! own/no address and should be ignored by callers. Keys need not be
-//! distinct across nodes; ties are broken by `(origin, slot)`.
+//! [`ScanRecord::Absent`]) and its records' origin gets one answer per
+//! record, in order: the address of the latest milestone at or before the
+//! record in `(key, origin, slot)` order, or `None` if there is none. For
+//! a [`ScanRecord::Filler`] that is the milestone preceding it — the
+//! answer the scan exists for. A milestone answers its own address, and
+//! an absent record, which sorts after every other, answers the last
+//! milestone of all, not `None` — so a caller reads only its fillers'
+//! answers. Keys need not be distinct across nodes; ties are broken by
+//! `(origin, slot)`.
 
 use crate::contacts::ContactTable;
 use crate::sort::StageIter;
@@ -63,7 +73,8 @@ pub enum ScanRecord {
         /// Sort key.
         key: u64,
     },
-    /// No record — sorts to the very end and receives nothing.
+    /// No record — sorts to the very end; its answer is the last
+    /// milestone of all, which callers ignore.
     Absent,
 }
 
@@ -149,13 +160,15 @@ pub struct Scan {
 }
 
 impl ScanStep {
-    /// Builds the step; every member emits exactly two records.
+    /// Builds the step; every member emits exactly two records, whose
+    /// answers go to `origin` — this node, or the node whose records this
+    /// position holds (see the module docs).
     pub fn new(
         vp: VPath,
         contacts: Arc<ContactTable>,
         position: usize,
         records: [ScanRecord; 2],
-        my_id: NodeId,
+        origin: NodeId,
     ) -> Self {
         let virt = 2 * vp.len;
         let held = std::array::from_fn(|s| Flight {
@@ -163,7 +176,7 @@ impl ScanStep {
                 ScanRecord::Milestone { key, .. } | ScanRecord::Filler { key } => key,
                 ScanRecord::Absent => u64::MAX,
             },
-            origin: my_id,
+            origin,
             slot: s as u8,
             milestone: match records[s] {
                 ScanRecord::Milestone { addr, .. } => Some(addr),
@@ -348,8 +361,9 @@ impl Rounds for Scan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PathCtx, WithCtx};
-    use dgr_ncc::{Config, Network, RunResult};
+    use crate::sort::{Held, Order, SortStep};
+    use crate::{PathCtx, Step, WithCtx};
+    use dgr_ncc::{Config, EngineKind, Network, RunResult};
 
     /// Runs one scan; `records(rank, id)` are each node's two records.
     fn scan(
@@ -429,6 +443,54 @@ mod tests {
             ]
         });
         assert_eq!(result.outputs[0].1[1], Some(result.outputs[0].0));
+    }
+
+    /// A descending sort by path position leaves at position `p` the
+    /// record of the node at position `n - 1 - p`, which then emits that
+    /// node's records into the scan, as a caller in position space does:
+    /// the answers reach the origins, not the hosts, on both engines. A
+    /// milestone answers its own address and an absent record the last
+    /// milestone of all.
+    #[test]
+    fn records_hosted_away_from_their_origin_answer_the_origin() {
+        let (n, w) = (21, 4);
+        let net = Network::new(n, Config::ncc0(85));
+        for engine in [EngineKind::Batched, EngineKind::Reference] {
+            let result = net
+                .run_protocol_on(engine, None, None, |_| {
+                    WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                        let (vp, x, contacts) = (ctx.vp, ctx.position, ctx.contacts.clone());
+                        let table = contacts.clone();
+                        SortStep::new(vp, contacts, x, x as u64, Order::Descending, rctx.id()).then(
+                            move |held, _| {
+                                let Held { key, origin } = held.expect("a full sort");
+                                assert_eq!(key as usize, n - 1 - x);
+                                let key = 2 * key;
+                                let rec0 = if (key / 2).is_multiple_of(w as u64) {
+                                    ScanRecord::Milestone { key, addr: origin }
+                                } else {
+                                    ScanRecord::Absent
+                                };
+                                let records = [rec0, ScanRecord::Filler { key: key + 1 }];
+                                ScanStep::new(vp, table, x, records, origin)
+                            },
+                        )
+                    })
+                })
+                .unwrap();
+            assert!(result.metrics.is_clean(), "{engine:?}");
+            let ids = result.gk_order();
+            let last = Some(ids[(n - 1) / w * w]);
+            for (r, (_, got)) in result.outputs.iter().enumerate() {
+                let own = if r.is_multiple_of(w) {
+                    Some(ids[r])
+                } else {
+                    last
+                };
+                assert_eq!(got[0], own, "{engine:?} rank {r}: first record");
+                assert_eq!(got[1], Some(ids[r / w * w]), "{engine:?} rank {r}: filler");
+            }
+        }
     }
 
     #[test]
