@@ -46,13 +46,19 @@ use dgr_primitives::stagger::StaggerStep;
 use dgr_primitives::{EstablishCtx, Lockstep, PathCtx, Poll, Rounds, Step};
 use std::collections::VecDeque;
 
-/// Number of rounds of a token pipeline with maximum ttl `ttl_max` at
-/// forwarding batch `b`: travel distance plus drain slack. (Input rate to
-/// any node is at most its predecessor's batch `b`, matching its own
-/// forwarding rate, so queues never build up beyond the local injection —
-/// travel + `ttl_max/b` + slack covers the worst case.)
-pub(crate) fn pipeline_rounds(ttl_max: usize, b: usize) -> u64 {
-    ttl_max as u64 + (ttl_max as u64).div_ceil(b as u64) + 10
+/// Number of rounds of a token pipeline whose tokens travel at most
+/// `ttl_max` hops: exactly `ttl_max`, because no token ever waits. Every
+/// node injects at most one token, at round 0, and hears from one sender
+/// alone — its predecessor on the pipeline's path or ring, which forwards
+/// at most `batch ≥ 1` tokens a round. So, by induction on the round,
+/// every queue is empty once its node has sent: at round 0 it holds the
+/// one injected token, and from then on at most the `batch` tokens that
+/// just arrived, which all leave. A token thus moves one hop a round, and
+/// one of `ttl` hops reaches its last recipient at round `ttl`. (The
+/// distinctness patch ring of `ncc0_exact` injects several tokens per
+/// node, so its budget keeps a traffic term.)
+pub(crate) fn pipeline_rounds(ttl_max: usize) -> u64 {
+    ttl_max as u64
 }
 
 /// The token pipeline of Algorithm 6 as a [`Step`]: an injected token
@@ -60,7 +66,7 @@ pub(crate) fn pipeline_rounds(ttl_max: usize, b: usize) -> u64 {
 /// origin and forwarding with `ttl - 1` while positive, at most `batch`
 /// forwards per round.
 ///
-/// Rounds: exactly `pipeline_rounds(ttl_max, batch)` — every participant
+/// Rounds: exactly `pipeline_rounds(ttl_max)` — every participant
 /// of the epoch must pass the same `rounds`. A newtype over the clock,
 /// not an alias as in `dgr_primitives`: only a type local to this crate
 /// can carry `PipelineStep::new`.
@@ -317,7 +323,7 @@ impl Phase2Acks {
     ) -> Self {
         let b = batch(rctx.capacity());
         let inject = (!sorted.in_prefix()).then_some(rho);
-        let rounds = pipeline_rounds(sorted.d0, b);
+        let rounds = pipeline_rounds(sorted.d0);
         let pipeline = PipelineStep::new(sorted.sp.vp.pred, inject, rounds, b, rctx.id());
         Phase2Acks {
             stage: TailStage::Phase2(pipeline),
@@ -419,7 +425,7 @@ impl NodeProtocol for Ncc0Threshold {
                         self.stage = Stage::Phase1(PipelineStep::new(
                             sorted.next_cyclic(),
                             inject,
-                            pipeline_rounds(sorted.d0, b),
+                            pipeline_rounds(sorted.d0),
                             b,
                             rctx.id(),
                         ));

@@ -91,7 +91,7 @@ pub fn rounds_for(rho: &[usize], max_shortfall: u64, cap: usize) -> u64 {
     prologue_rounds(n)
         + release_rounds(n, d0, core_rounds(&sorted[..=d0.min(n - 1)], cap), cap)
         + patch
-        + pipeline_rounds(d0, b)
+        + pipeline_rounds(d0)
         + stagger_rounds(2 * d0 + 2, cap)
 }
 
@@ -168,7 +168,10 @@ struct RingPatch {
 /// Round budget of the patch ring: worst-case token travel (a token
 /// skips at most `d0` occupied nodes) plus the per-edge traffic bound
 /// (each of the `≤ d0+1` upstream origins injects at most
-/// `max_shortfall` tokens), plus drain slack.
+/// `max_shortfall` tokens), plus drain slack. Unlike the token
+/// pipelines' exact [`pipeline_rounds`], a node here injects several
+/// tokens, so a queue can hold more than one round's forwards and the
+/// traffic term stays.
 fn patch_rounds(d0: usize, max_shortfall: u64, batch: usize) -> u64 {
     let travel = d0 as u64 + 2;
     let traffic = ((d0 as u64 + 1) * max_shortfall).div_ceil(batch as u64);

@@ -64,6 +64,34 @@ fn composed_alg6_satisfies_thresholds() {
     }
 }
 
+/// The smallest `d₀` request validation admits, `ρ ≡ 1` (`d₀ = 1`),
+/// gives the token pipelines a one-round budget: both Algorithm 6
+/// constructions still realize it on both engines with every token
+/// delivered (a debug build also checks that every pipeline queue is
+/// empty at its deadline), and the paper-exact one on its closed form.
+#[test]
+fn the_smallest_d0_runs_on_one_round_pipelines() {
+    for n in [2usize, 3, 17] {
+        let inst = ThresholdInstance::new(vec![1; n]);
+        for algo in [ThresholdAlgo::Ncc0Pipeline, ThresholdAlgo::Ncc0Exact] {
+            let runs = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
+                let config = Config::ncc0(n as u64).with_queueing();
+                let job = prepare_threshold(&inst, config, algo, engine, true).unwrap();
+                let out = job.drive(None).unwrap().output;
+                let what = format!("n={n} {algo:?} {engine:?}");
+                assert!(out.report.satisfied, "{what}");
+                assert_eq!(out.metrics.undelivered, 0, "{what}");
+                if algo == ThresholdAlgo::Ncc0Exact {
+                    let want = ncc0_exact::rounds_for(&inst.rho, 0, out.metrics.capacity);
+                    assert_eq!(out.metrics.rounds, want, "{what}");
+                }
+                out.metrics
+            });
+            assert_eq!(runs[0], runs[1], "n={n} {algo:?}");
+        }
+    }
+}
+
 #[test]
 fn composed_alg6_is_engine_invariant() {
     for (rho, seed) in [
