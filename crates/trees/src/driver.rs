@@ -213,6 +213,16 @@ mod tests {
     }
 
     #[test]
+    fn a_forest_is_an_assembly_error() {
+        // One edge on three nodes: no duplicate, but not connected.
+        let out = assemble_outputs(|ids| vec![Ok(vec![ids[1]]), Ok(vec![]), Ok(vec![])]);
+        let Err(SimError::Assembly(why)) = out else {
+            panic!("a forest was accepted");
+        };
+        assert_eq!(why, "the overlay is not a tree (1 edges on 3 nodes)");
+    }
+
+    #[test]
     fn single_node_tree() {
         let out = realize_tree(&[0], Config::ncc0(89), TreeAlgo::Greedy);
         let t = out.expect_realized();
