@@ -117,12 +117,12 @@ fn benchmark_calls_keep_their_fingerprints() {
         (
             "threshold_certified",
             2020,
-            (176, 180_738, 521_601, 0x513e_2e44_4a43_24ed),
+            (165, 180_738, 521_601, 0x513e_2e44_4a43_24ed),
         ),
         (
             "threshold_certified",
             5376,
-            (176, 180_612, 521_349, 0x3b4e_011f_5d6a_ee6a),
+            (165, 180_612, 521_349, 0x3b4e_011f_5d6a_ee6a),
         ),
         (
             "flood_sharded_faulty",
