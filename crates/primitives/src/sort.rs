@@ -272,8 +272,9 @@ impl Record {
     }
 }
 
-/// Theorem 3 as a [`Step`]: the Batcher odd-even mergesort network over
-/// path positions (rounds: exactly [`rounds_for`]`(vp.len)`), or — built
+/// Theorem 3 as a [`Step`](crate::Step): the Batcher odd-even mergesort
+/// network over path positions (rounds: exactly
+/// [`rounds_for`]`(vp.len)`), or — built
 /// by [`SortStep::merge`] — the compaction and the one merge pass that
 /// re-order the records after a group phase. Either ends with the rank-`x`
 /// record [`Held`] at position `x` (`None` past the last record). Ties

@@ -144,40 +144,31 @@ impl RealizeTree {
     }
 
     /// The two records the held rank emits into the scan, given the slots
-    /// of the ranks before it: its milestone, then its filler.
-    fn records(&self, origin: NodeId, before: usize) -> [ScanRecord; 2] {
-        let rank = self.ctx.position;
-        let milestone = |key| ScanRecord::Milestone { key, addr: origin };
-        match self.algo {
+    /// of the ranks before it: its milestone (or nothing), then its filler.
+    fn records(&self, origin: NodeId, before: u64) -> [ScanRecord; 2] {
+        let (rank, n, k) = (
+            self.ctx.position as u64,
+            self.ctx.vp.len as u64,
+            self.k_eff as u64,
+        );
+        let (milestone, key, filler) = match self.algo {
             TreeAlgo::Chain => {
-                let n = self.ctx.vp.len as u64;
-                let key = |s: usize, j: usize, b: u64| ((s as u64 * (n + 1) + j as u64) << 1) | b;
-                let start = self.k_eff + 1 + before;
+                let key = |s: u64, j: u64, b: u64| ((s * (n + 1) + j) << 1) | b;
+                let start = k + 1 + before;
                 let filler = match rank {
                     0 => 0,
-                    r if r <= self.k_eff => key(start, r, 0),
-                    r => key(r, n as usize, 0),
+                    r if r <= k => key(start, r, 0),
+                    r => key(r, n, 0),
                 };
-                [
-                    if rank < self.k_eff {
-                        milestone(key(start, rank, 1))
-                    } else {
-                        ScanRecord::Absent
-                    },
-                    ScanRecord::Filler { key: filler },
-                ]
+                (rank < k, key(start, rank, 1), filler)
             }
-            TreeAlgo::Greedy => [
-                if self.slots > 0 {
-                    milestone(2 * (1 + before) as u64 - 1)
-                } else {
-                    ScanRecord::Absent
-                },
-                ScanRecord::Filler {
-                    key: 2 * rank as u64,
-                },
-            ],
-        }
+            TreeAlgo::Greedy => (self.slots > 0, 2 * before + 1, 2 * rank),
+        };
+        let first = match milestone {
+            true => ScanRecord::Milestone { key, addr: origin },
+            false => ScanRecord::Absent,
+        };
+        [first, ScanRecord::Filler { key: filler }]
     }
 }
 
@@ -238,8 +229,9 @@ impl NodeProtocol for RealizeTree {
                     }
                     let (rank, d) = (self.ctx.position, self.held.unwrap().key as usize);
                     self.slots = match self.algo {
-                        // Algorithm 4: the chain takes one edge of every
-                        // non-leaf but the head; leaves keep none.
+                        // Algorithm 4: the chain takes a non-leaf's edge
+                        // to the next rank and, past the head, to the
+                        // previous one; leaves keep none.
                         TreeAlgo::Chain if rank < self.k_eff => d - 1 - usize::from(rank > 0),
                         TreeAlgo::Chain => 0,
                         // Algorithm 5: the root keeps all d, everyone
@@ -253,13 +245,9 @@ impl NodeProtocol for RealizeTree {
                     Poll::Pending => return Status::Continue,
                     Poll::Ready(before) => {
                         let origin = self.held.unwrap().origin;
-                        let records = self.records(origin, before as usize);
-                        let PathCtx {
-                            vp,
-                            contacts,
-                            position,
-                        } = &self.ctx;
-                        let scan = ScanStep::new(*vp, contacts.clone(), *position, records, origin);
+                        let records = self.records(origin, before);
+                        let (vp, table) = (self.ctx.vp, self.ctx.contacts.clone());
+                        let scan = ScanStep::new(vp, table, self.ctx.position, records, origin);
                         self.stage = Stage::Scan(scan);
                     }
                 },
