@@ -64,34 +64,6 @@ fn composed_alg6_satisfies_thresholds() {
     }
 }
 
-/// The smallest `d₀` request validation admits, `ρ ≡ 1` (`d₀ = 1`),
-/// gives the token pipelines a one-round budget: both Algorithm 6
-/// constructions still realize it on both engines with every token
-/// delivered (a debug build also checks that every pipeline queue is
-/// empty at its deadline), and the paper-exact one on its closed form.
-#[test]
-fn the_smallest_d0_runs_on_one_round_pipelines() {
-    for n in [2usize, 3, 17] {
-        let inst = ThresholdInstance::new(vec![1; n]);
-        for algo in [ThresholdAlgo::Ncc0Pipeline, ThresholdAlgo::Ncc0Exact] {
-            let runs = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
-                let config = Config::ncc0(n as u64).with_queueing();
-                let job = prepare_threshold(&inst, config, algo, engine, true).unwrap();
-                let out = job.drive(None).unwrap().output;
-                let what = format!("n={n} {algo:?} {engine:?}");
-                assert!(out.report.satisfied, "{what}");
-                assert_eq!(out.metrics.undelivered, 0, "{what}");
-                if algo == ThresholdAlgo::Ncc0Exact {
-                    let want = ncc0_exact::rounds_for(&inst.rho, 0, out.metrics.capacity);
-                    assert_eq!(out.metrics.rounds, want, "{what}");
-                }
-                out.metrics
-            });
-            assert_eq!(runs[0], runs[1], "n={n} {algo:?}");
-        }
-    }
-}
-
 #[test]
 fn composed_alg6_is_engine_invariant() {
     for (rho, seed) in [
@@ -223,9 +195,11 @@ fn multigraph_corner() -> Vec<usize> {
 /// The closed form is the run: [`ncc0_exact::rounds_for`], fed the
 /// envelope's gap by the replay above, equals the measured rounds on both
 /// engines — for uniform `ρ ∈ [1, 5]` at n ∈ {64, 256, 2048}, where the
-/// six-node prefix is a clique with no gap, and for the multigraph corner
+/// six-node prefix is a clique with no gap, for the multigraph corner
 /// at three seeds: two whose gaps (3 and 2) the patch ring closes, one
-/// without a gap.
+/// without a gap, and for `ρ ≡ 1` at n ∈ {2, 17}: the smallest `d₀`
+/// request validation admits, whose token pipeline has one round (a debug
+/// build also checks that its queues are empty at that deadline).
 #[test]
 fn rounds_follow_the_closed_form() {
     let mut rng = cases::case_rng("ncc0_exact::rounds_follow_the_closed_form");
@@ -237,6 +211,7 @@ fn rounds_follow_the_closed_form() {
     for (seed, gap) in [(9, 3), (29, 2), (31, 0)] {
         cases.push((multigraph_corner(), seed, gap));
     }
+    cases.extend([(vec![1; 2], 64, 0), (vec![1; 17], 65, 0)]);
     for (rho, seed, gap) in cases {
         let inst = ThresholdInstance::new(rho);
         let n = inst.len();
