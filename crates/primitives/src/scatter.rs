@@ -463,15 +463,17 @@ mod tests {
                         let table = contacts.clone();
                         SortStep::new(vp, contacts, x, x as u64, Order::Descending, rctx.id()).then(
                             move |held, _| {
-                                let Held { key, origin } = held.expect("a full sort");
-                                assert_eq!(key as usize, n - 1 - x);
-                                let key = 2 * key;
-                                let rec0 = if (key / 2).is_multiple_of(w as u64) {
-                                    ScanRecord::Milestone { key, addr: origin }
+                                let Held { key: r, origin } = held.expect("a full sort");
+                                assert_eq!(r as usize, n - 1 - x);
+                                let rec0 = if r.is_multiple_of(w as u64) {
+                                    ScanRecord::Milestone {
+                                        key: 2 * r,
+                                        addr: origin,
+                                    }
                                 } else {
                                     ScanRecord::Absent
                                 };
-                                let records = [rec0, ScanRecord::Filler { key: key + 1 }];
+                                let records = [rec0, ScanRecord::Filler { key: 2 * r + 1 }];
                                 ScanStep::new(vp, table, x, records, origin)
                             },
                         )

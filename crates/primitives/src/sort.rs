@@ -273,14 +273,13 @@ impl Record {
 }
 
 /// Theorem 3 as a [`Step`](crate::Step): the Batcher odd-even mergesort
-/// network over path positions (rounds: exactly
-/// [`rounds_for`]`(vp.len)`), or — built
-/// by [`SortStep::merge`] — the compaction and the one merge pass that
-/// re-order the records after a group phase. Either ends with the rank-`x`
-/// record [`Held`] at position `x` (`None` past the last record). Ties
-/// break by origin ID, making the result deterministic. Legal under the
-/// strict capacity policy; a non-member view idles through the same
-/// rounds and holds nothing.
+/// network over path positions (rounds: exactly [`rounds_for`]`(vp.len)`),
+/// or — built by [`SortStep::merge`] — the compaction and the one merge
+/// pass that re-order the records after a group phase. Either ends with
+/// the rank-`x` record [`Held`] at position `x` (`None` past the last
+/// record). Ties break by origin ID, making the result deterministic.
+/// Legal under the strict capacity policy; a non-member view idles
+/// through the same rounds and holds nothing.
 pub type SortStep = Lockstep<Sort>;
 
 /// [`SortStep`]'s member rounds: the compaction rounds, then the
