@@ -1,15 +1,13 @@
 //! Interval multicast: a source delivers a payload to a contiguous range of
-//! ranks *adjacent to itself* on a virtual path, in `O(log n)` rounds via
-//! doubling cover — our congestion-free substitute for the butterfly
-//! multicast of Theorem 7 (ARCHITECTURE.md, *Deviations from the paper*).
+//! ranks on a virtual path, in `O(log n)` rounds via doubling cover — our
+//! congestion-free substitute for the butterfly multicast of Theorem 7
+//! (ARCHITECTURE.md, *Deviations from the paper*).
 //!
 //! The realization algorithms only ever multicast to contiguous rank
-//! intervals headed (or tailed) by the source: Algorithm 3's groups are
-//! `[i, i+δ]` with source `t_i` at rank `i`; Algorithm 6 phase 2 covers the
-//! `ρ(x_i)` *predecessors* of `x_i`. Where the paper needs a source to reach
-//! a distant interval (Algorithms 4/5), our implementations first re-sort so
-//! that every group becomes contiguous with its source at its head — after
-//! which this primitive applies directly.
+//! intervals: Algorithm 3's groups are `[i, i+δ]` with source `t_i` at
+//! rank `i`; Algorithm 6 phase 2 covers the `ρ(x_i)` *predecessors* of
+//! `x_i`; Algorithms 4 and 5 hand each parent's ID to its child interval,
+//! which lies ahead of the parent, through the shifted multicast below.
 //!
 //! Cover protocol ("after" side): a node at rank `r` responsible for the
 //! `c` ranks after it jumps its payload to the contact `2^k` ahead
@@ -18,6 +16,19 @@
 //! than `2^k`, so the responsibility halves every round: `O(log c)` rounds,
 //! at most one send and one receive per node per round as long as different
 //! sources' intervals are disjoint.
+//!
+//! Shifted multicast ([`ImcastStep::at_offset`]): the source at position
+//! `i` names an interval of `count_i` ranks starting `o_i ≥ 0` positions
+//! ahead. A *leg* of `L = ⌈log₂ len⌉` rounds carries the payload there,
+//! highest bit first — in round `t` a holder whose remaining offset has bit
+//! `b = L - 1 - t` set forwards it `2^b` ahead — and the landing position
+//! keeps it and covers the next `count_i - 1` ranks as above. The contract:
+//! the offsets do not decrease in source position order, and the landing
+//! intervals `[i + o_i, i + o_i + count_i)` are disjoint and on the path.
+//! Then the leg is congestion-free: after the round of bit `b`, source
+//! `i`'s payload sits at `i + (o_i with its low b bits cleared)`, which
+//! strictly increases in `i`, so no two payloads share a node and every
+//! node sends and receives at most one leg message a round.
 
 use crate::contacts::ContactTable;
 use crate::step::{Lockstep, Poll, Rounds};
@@ -49,15 +60,27 @@ pub fn rounds_for(len: usize) -> u64 {
     crate::levels_for(len) as u64 + 1
 }
 
+/// Number of rounds [`ImcastStep::at_offset`] takes on a path of `len`
+/// nodes: the leg, then the cover.
+pub fn offset_rounds_for(len: usize) -> u64 {
+    crate::levels_for(len) as u64 + rounds_for(len)
+}
+
 /// One interval-multicast epoch as a [`Step`](crate::Step).
 ///
-/// Rounds: exactly [`rounds_for`]`(vp.len)`.
+/// Rounds: exactly [`rounds_for`]`(vp.len)`, or [`offset_rounds_for`]
+/// when built by [`ImcastStep::at_offset`].
 pub type ImcastStep = Lockstep<Imcast>;
 
 /// [`ImcastStep`]'s member rounds.
 #[derive(Debug)]
 pub struct Imcast {
     contacts: Arc<ContactTable>,
+    /// Rounds of the leg, 0 without one.
+    legs: u64,
+    /// The payload on its leg at this node: the offset still to go and
+    /// the interval's count.
+    carried: Option<(usize, usize, Payload)>,
     duty: Option<(CoverSide, usize, Payload)>,
     received: Option<Payload>,
 }
@@ -72,20 +95,51 @@ impl ImcastStep {
     ) -> Self {
         let imcast = Imcast {
             contacts,
+            legs: 0,
+            carried: None,
             duty: task.filter(|t| t.1 > 0),
             received: None,
         };
         Lockstep::run(vp.member, rounds_for(vp.len), imcast)
     }
+
+    /// Builds the shifted multicast; `task` is `Some((offset, count,
+    /// payload))` at the sources: the payload lands `offset` positions
+    /// ahead, and that position and the `count - 1` after it receive it
+    /// (the module docs give the contract).
+    pub fn at_offset(
+        vp: VPath,
+        contacts: Arc<ContactTable>,
+        task: Option<(usize, usize, Payload)>,
+    ) -> Self {
+        let imcast = Imcast {
+            contacts,
+            legs: crate::levels_for(vp.len) as u64,
+            carried: task.filter(|t| t.1 > 0),
+            duty: None,
+            received: None,
+        };
+        Lockstep::run(vp.member, offset_rounds_for(vp.len), imcast)
+    }
 }
 
 impl Imcast {
-    fn absorb(&mut self, ctx: &RoundCtx<'_>) {
+    fn absorb(&mut self, t: u64, ctx: &RoundCtx<'_>) {
         for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::IMCAST) {
+            let words = env.msg.words_slice();
             let payload = Payload {
                 addr: env.addr(),
-                word: env.msg.words_slice()[0],
+                word: words[0],
             };
+            if t <= self.legs {
+                let carried = Some((words[1] as usize, words[2] as usize, payload));
+                // A second copy of a leg message is the same payload.
+                if self.carried != carried {
+                    debug_assert!(self.carried.is_none(), "two payloads met on the leg");
+                    self.carried = carried;
+                }
+                continue;
+            }
             // A node is covered once; a second copy of that delegation
             // hands it nothing new.
             if self.received == Some(payload) {
@@ -93,14 +147,37 @@ impl Imcast {
             }
             debug_assert!(self.received.is_none(), "overlapping multicast intervals");
             self.received = Some(payload);
-            let delegated = env.msg.words_slice()[1] as usize;
-            let side = if env.msg.words_slice()[2] == 0 {
+            let delegated = words[1] as usize;
+            let side = if words[2] == 0 {
                 CoverSide::After
             } else {
                 CoverSide::Before
             };
             debug_assert!(self.duty.is_none(), "covered node already had a duty");
             self.duty = (delegated > 0).then_some((side, delegated, payload));
+        }
+    }
+
+    /// Leg round `t`: the payload moves `2^b` ahead if its remaining
+    /// offset has bit `b = legs - 1 - t`.
+    fn hop(&mut self, t: u64, ctx: &mut RoundCtx<'_>) {
+        let b = (self.legs - 1 - t) as usize;
+        let Some((to_go, count, payload)) = self.carried else {
+            return;
+        };
+        if to_go >> b & 1 == 1 {
+            let target = self
+                .contacts
+                .at_offset(b, true)
+                .expect("shifted multicast ran off the path");
+            ctx.send(
+                target,
+                WireMsg::addr(tags::IMCAST, payload.addr)
+                    .with_word(payload.word)
+                    .with_word((to_go - (1 << b)) as u64)
+                    .with_word(count as u64),
+            );
+            self.carried = None;
         }
     }
 }
@@ -110,13 +187,24 @@ impl Rounds for Imcast {
 
     fn poll(&mut self, t: u64, budget: u64, ctx: &mut RoundCtx<'_>) -> Poll<Option<Payload>> {
         if t > 0 {
-            self.absorb(ctx);
+            self.absorb(t, ctx);
+        }
+        if t == self.legs {
+            // The leg is over: the landing position keeps the payload and
+            // covers the rest of its interval.
+            if let Some((to_go, count, payload)) = self.carried.take() {
+                debug_assert_eq!(to_go, 0, "a payload stopped short of its interval");
+                self.received = Some(payload);
+                self.duty = (count > 1).then_some((CoverSide::After, count - 1, payload));
+            }
         }
         if t == budget {
             debug_assert!(self.duty.is_none(), "multicast round budget too small");
             return Poll::Ready(self.received);
         }
-        if let Some((side, count, payload)) = self.duty {
+        if t < self.legs {
+            self.hop(t, ctx);
+        } else if let Some((side, count, payload)) = self.duty {
             debug_assert!(count >= 1);
             let k = usize::BITS as usize - 1 - count.leading_zeros() as usize;
             let forward = side == CoverSide::After;

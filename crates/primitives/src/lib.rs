@@ -41,8 +41,8 @@
 //! | [`sort::SortStep::merge`] (re-order in place after a group phase of `g` groups) | — | `ceil(log2(g + 1)) + ceil(log2 n) + 1` |
 //! | [`sort::RankStep`] (the sort's epilogue: each origin learns its sorted path) | §3.1.2 | 2 |
 //! | [`prefix::PrefixStep`] | §5 | `ceil(log2 n)` |
-//! | [`imcast::ImcastStep`] (Thm 7) | §3.2.3 | `O(log n)` |
-//! | [`scatter::ScanStep`] (milestone scan) | §5 | `O(log² n)` |
+//! | [`imcast::ImcastStep`] (Thm 7) | §3.2.3 | `ceil(log2 n) + 1` |
+//! | [`imcast::ImcastStep::at_offset`] (the payload first shifted ahead to its interval) | §5 | `2 ceil(log2 n) + 1` |
 //! | [`stagger::StaggerStep`] (Thm 8) | §3.2.3 | `spread + drain` |
 //!
 //! The sorting and multicast primitives substitute the paper's machinery
@@ -56,7 +56,6 @@ pub mod ctx;
 pub mod imcast;
 pub mod ops;
 pub mod prefix;
-pub mod scatter;
 pub mod sort;
 pub mod stagger;
 pub mod step;

@@ -16,8 +16,8 @@
 //! [`SortStep`] is the network alone: it ends with the rank-`x` record
 //! [`Held`] at position `x`, wherever the records started. A caller that
 //! keeps working in position space — Algorithm 3's phase loop, the tree
-//! drivers, whose milestone scan answers each record's origin — needs no
-//! more. A caller that needs a *sorted path* chains [`RankStep`], the
+//! drivers, whose hand-off ends in a status to each record's origin —
+//! needs no more. A caller that needs a *sorted path* chains [`RankStep`], the
 //! 2-round epilogue that tells each record's origin its rank and the IDs
 //! of its sorted predecessor/successor — a new [`VPath`] in sorted order,
 //! on which every other primitive can be established (Algorithm 6's token
@@ -106,17 +106,16 @@ pub struct SortedPath {
 /// The comparator schedule of Batcher's odd-even mergesort: the stages
 /// `(p, k)`, `p` doubling below `len` and `k` halving from `p`; within a
 /// stage, position `x` compares with `x ± k`. The steps walk it one stage
-/// a round, without materializing the `O(log² n)` list per node; the
-/// double-width network of [`crate::scatter`] shares it.
+/// a round, without materializing the `O(log² n)` list per node.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct StageIter {
+struct StageIter {
     p: usize,
     k: usize,
     len: usize,
 }
 
 impl StageIter {
-    pub(crate) fn new(len: usize) -> Self {
+    fn new(len: usize) -> Self {
         StageIter { p: 1, k: 1, len }
     }
 
@@ -218,7 +217,7 @@ impl Regroup {
 /// `for j in (k%p..).step_by(2k) { for i in 0..k { compare(i+j, i+j+k) if
 /// same 2p-block } }` — solved for `x` in O(1). `p` and `k ≤ p` are powers
 /// of two, so every division of that form is a mask or a shift.
-pub(crate) fn comparator_at(x: usize, len: usize, p: usize, k: usize) -> Option<(usize, bool)> {
+fn comparator_at(x: usize, len: usize, p: usize, k: usize) -> Option<(usize, bool)> {
     debug_assert!(p.is_power_of_two() && k.is_power_of_two() && k <= p);
     // k mod p, and log₂ of the 2p-block width.
     let j0 = k & (p - 1);

@@ -9,7 +9,6 @@ use dgr_primitives::contacts::ContactsStep;
 use dgr_primitives::ctx::UndirectStep;
 use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
 use dgr_primitives::ops::SweepStep;
-use dgr_primitives::scatter::{ScanRecord, ScanStep};
 use dgr_primitives::sort::{Held, Order, Regroup, SortStep};
 use dgr_primitives::{EstablishCtx, PathCtx, Step, StepProtocol, WithCtx};
 
@@ -53,8 +52,9 @@ fn rank_lane_is_exact_under_full_duplication() {
     outputs_survive_full_duplication(44, |_| StepProtocol::new(EstablishCtx::new()));
 }
 
-/// A duplicated delegation covers a node once: every covered rank still
-/// learns its own source.
+/// A duplicated delegation covers a node once, and a duplicated leg
+/// message carries the same payload on: every covered rank still learns
+/// its own source, in the plain and in the shifted multicast.
 #[test]
 fn interval_multicast_is_exact_under_full_duplication() {
     outputs_survive_full_duplication(45, |_| {
@@ -75,25 +75,17 @@ fn interval_multicast_is_exact_under_full_duplication() {
             ImcastStep::new(ctx.vp, ctx.contacts.clone(), task)
         })
     });
-}
-
-/// A comparator applied twice keeps the same record, and the scan keeps
-/// the first address it is handed: every filler still learns its
-/// milestone.
-#[test]
-fn milestone_scan_is_exact_under_full_duplication() {
+    // Positions 0..9 each send to the three ranks from 10 + 3x on:
+    // offsets 10 + 2x, intervals back to back up to the last rank.
     outputs_survive_full_duplication(46, |_| {
         WithCtx::new(|ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
-            let (r, id) = (ctx.position as u64, rctx.id());
-            let rec0 = match ctx.position.is_multiple_of(4) {
-                true => ScanRecord::Milestone {
-                    key: 2 * r,
-                    addr: id,
-                },
-                false => ScanRecord::Absent,
+            let x = ctx.position;
+            let payload = Payload {
+                addr: rctx.id(),
+                word: x as u64,
             };
-            let records = [rec0, ScanRecord::Filler { key: 2 * r + 1 }];
-            ScanStep::new(ctx.vp, ctx.contacts.clone(), ctx.position, records, id)
+            let task = (x < 9).then_some((10 + 2 * x, 3, payload));
+            ImcastStep::at_offset(ctx.vp, ctx.contacts.clone(), task)
         })
     });
 }

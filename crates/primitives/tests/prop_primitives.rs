@@ -1,15 +1,14 @@
 //! Property-based tests of the NCC primitives under full simulation.
 //! Case counts are modest (each case spins up a simulated network), but
 //! the inputs are adversarially random: arbitrary path lengths, keys with
-//! ties, random interval layouts, random milestone placements.
+//! ties, random interval layouts, random shifted layouts.
 
-use dgr_ncc::{Config, Network, RoundCtx};
-use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
+use dgr_ncc::{tags, Config, EngineKind, Network, RoundCtx};
+use dgr_primitives::imcast::{self, CoverSide, ImcastStep, Payload};
 use dgr_primitives::ops::{Fold, SweepStep};
 use dgr_primitives::prefix::PrefixStep;
-use dgr_primitives::scatter::{ScanRecord, ScanStep};
 use dgr_primitives::sort::{Order::Descending, RankStep, SortStep};
-use dgr_primitives::{PathCtx, Step, WithCtx};
+use dgr_primitives::{ctx, PathCtx, Poll, Step, WithCtx};
 use rand::Rng;
 
 #[path = "../../../tests/support/cases.rs"]
@@ -138,45 +137,75 @@ fn imcast_random_layout() {
             }
         }
     }
+    for case in 0..12 {
+        let layout = offset_layout(&mut rng);
+        let n = layout.last().map_or(0, |&(a, count)| a + count) + rng.gen_range(0usize..4);
+        let seed = rng.gen_range(0u64..1000);
+        let what = format!("offset case {case}: n={n} layout={layout:?} seed={seed}");
+        let net = Network::new(n, Config::ncc0(seed));
+        // The sequential replay: source i's payload at every rank of
+        // [a_i, a_i + count_i).
+        let order = net.ids_in_path_order();
+        let mut want = vec![None; n];
+        for (i, &(a, count)) in layout.iter().enumerate() {
+            let payload = Payload {
+                addr: order[i],
+                word: i as u64,
+            };
+            want[a..a + count].fill(Some(payload));
+        }
+        for engine in [EngineKind::Batched, EngineKind::Reference] {
+            let result = net
+                .run_protocol_on(engine, None, None, |_| {
+                    WithCtx::new(|c: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                        let x = c.position;
+                        let task = layout.get(x).map(|&(a, count)| {
+                            let payload = Payload {
+                                addr: rctx.id(),
+                                word: x as u64,
+                            };
+                            (a - x, count, payload)
+                        });
+                        Busiest(ImcastStep::at_offset(c.vp, c.contacts.clone(), task), 0)
+                    })
+                })
+                .unwrap();
+            assert!(result.metrics.is_clean(), "{what} {engine:?}");
+            let spent = result.metrics.rounds - ctx::rounds_for(n);
+            assert_eq!(spent, imcast::offset_rounds_for(n), "{what} {engine:?}");
+            for (pos, (_, (got, busiest))) in result.outputs.iter().enumerate() {
+                assert!(*busiest <= 1, "{what} {engine:?}: pos {pos} got {busiest}");
+                assert_eq!(*got, want[pos], "{what} {engine:?}: pos {pos}");
+            }
+        }
+    }
 }
 
-/// Milestone scan: random milestone placement; every filler must learn
-/// the closest milestone at-or-before its own key.
-#[test]
-fn milestone_scan_matches_reference() {
-    let mut rng = case_rng(concat!(
-        module_path!(),
-        "::milestone_scan_matches_reference"
-    ));
-    for case in 0..12 {
-        let n = rng.gen_range(1usize..32);
-        let milestone_mask = vec_of(&mut rng, 32..=32, |r| r.gen::<bool>());
-        let seed = rng.gen_range(0u64..1000);
-        let mask: Vec<bool> = milestone_mask[..n].to_vec();
-        let net = Network::new(n, Config::ncc0(seed));
-        let result = net
-            .run_protocol(|_| {
-                WithCtx::new(|c: &PathCtx, rctx: &mut RoundCtx<'_>| {
-                    let (r, addr) = (c.position as u64, rctx.id());
-                    let rec0 = if mask[c.position] {
-                        // Milestone placed *just before* my filler: covers me.
-                        ScanRecord::Milestone { key: 2 * r, addr }
-                    } else {
-                        ScanRecord::Absent
-                    };
-                    let records = [rec0, ScanRecord::Filler { key: 2 * r + 1 }];
-                    ScanStep::new(c.vp, c.contacts.clone(), c.position, records, addr)
-                })
-            })
-            .unwrap();
-        let what = format!("case {case}: mask={mask:?} seed={seed}");
-        assert!(result.metrics.is_clean(), "{what}");
-        let order = result.gk_order();
-        for (pos, (_, got)) in result.outputs.iter().enumerate() {
-            // Reference: the last milestone position ≤ pos.
-            let want = (0..=pos).rev().find(|&i| mask[i]).map(|i| order[i]);
-            assert_eq!(got[1], want, "{what}: pos {pos}");
-        }
+/// A shifted multicast's layout: the landing intervals `(a_i, count_i)`
+/// of the sources at positions `0..s`, a random prefix — disjoint, in
+/// order, with offsets `a_i - i` that never decrease.
+fn offset_layout(rng: &mut impl Rng) -> Vec<(usize, usize)> {
+    let mut at = rng.gen_range(0usize..4);
+    let mut layout = Vec::new();
+    for _ in 0..rng.gen_range(1usize..8) {
+        let count = rng.gen_range(1usize..6);
+        layout.push((at, count));
+        at += count + rng.gen_range(0usize..3);
+    }
+    layout
+}
+
+/// A step and the most multicast messages one of its rounds handed this
+/// node.
+struct Busiest<S>(S, usize);
+
+impl<S: Step> Step for Busiest<S> {
+    type Out = (S::Out, usize);
+
+    fn poll(&mut self, rctx: &mut RoundCtx<'_>) -> Poll<Self::Out> {
+        let got = rctx.inbox().iter().filter(|e| e.msg.tag == tags::IMCAST);
+        self.1 = self.1.max(got.count());
+        self.0.poll(rctx).map(|out| (out, self.1))
     }
 }
 

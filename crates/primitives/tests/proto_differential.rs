@@ -25,7 +25,6 @@ use dgr_primitives::ctx::UndirectStep;
 use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
 use dgr_primitives::ops::{Fold, SweepStep};
 use dgr_primitives::prefix::PrefixStep;
-use dgr_primitives::scatter::{ScanRecord, ScanStep};
 use dgr_primitives::sort::{Order, RankStep, SortStep};
 use dgr_primitives::stagger::StaggerStep;
 use dgr_primitives::warmup::WarmupStep;
@@ -94,7 +93,6 @@ const GOLDEN: &[(&str, Golden)] = &[
     ("imcast n=40 w=5", (14, 386, 1105, 2, 2, 0xf72d604209bc1766)),
     ("imcast n=37 w=7", (14, 349, 1001, 2, 2, 0xc143af34fb4d83e2)),
     ("imcast n=64 w=8", (14, 698, 2017, 2, 2, 0x517f669192246aea)),
-    ("milestone-scan", (34, 1066, 5574, 2, 2, 0xc102a0ebf36e921d)),
     ("stagger", (13, 544, 1397, 2, 2, 0xf3e1ba9a71150637)),
     ("establish", (7, 510, 1374, 2, 2, 0xe4bc82b06d63ba90)),
     ("warmup n=8 seed=1", (9, 32, 75, 2, 2, 0xc22be1b81834bf15)),
@@ -238,41 +236,6 @@ fn imcast_matches_frozen_twin_on_both_engines() {
         let case = format!("imcast n={n} w={w}");
         assert_golden(&case, &batched);
         assert!(batched.metrics.is_clean());
-    }
-}
-
-#[test]
-fn milestone_scan_matches_frozen_twin_on_both_engines() {
-    let (n, w) = (24usize, 4usize);
-    let net = Network::new(n, Config::ncc0(81));
-    let records = move |position: usize, id: u64| {
-        let r = position as u64;
-        let rec0 = if position.is_multiple_of(w) {
-            ScanRecord::Milestone {
-                key: 2 * r,
-                addr: id,
-            }
-        } else {
-            ScanRecord::Absent
-        };
-        [rec0, ScanRecord::Filler { key: 2 * r + 1 }]
-    };
-    let batched = engines_agree(&net, move |_| {
-        CtxThen::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
-            ScanStep::new(
-                ctx.vp,
-                ctx.contacts.clone(),
-                ctx.position,
-                records(ctx.position, rctx.id()),
-                rctx.id(),
-            )
-        })
-    });
-    assert_golden("milestone-scan", &batched);
-    // Every rank learned its covering source.
-    let order = batched.gk_order();
-    for (i, (_, got)) in batched.outputs.iter().enumerate() {
-        assert_eq!(got[1], Some(order[(i / w) * w]), "rank {i}");
     }
 }
 

@@ -4,17 +4,29 @@
 //! `(d, origin)` and works on its behalf, so both constructions are the
 //! same chain of steps: the context establishment; the input check
 //! (`Σd = 2(n-1)`, `min d ≥ 1`; a failure refuses with [`Unrealizable`])
-//! beside the degree sort; the slot prefix sums; and one milestone scan
-//! ([`dgr_primitives::scatter`]) that hands every child its parent's ID.
-//! They differ only in the slot rule and in the two records each position
-//! emits into the scan. The scan answers a record's origin, not the
-//! position that emitted it, so every node learns its parent itself and
-//! no sorted path is ever built. The check's sweep runs in the rounds of
-//! the degree sort — neither feeds the other — so the opening costs
-//! `max(check, sort)` rounds, and a refusal drops the partial sort when
-//! the check completes. Stage transitions happen within a round — a
+//! beside the degree sort; the slot prefix sums; and the hand-off, which
+//! gives every child its parent's ID. They differ only in the slot rule
+//! and in where the child intervals start. The check's sweep runs in the
+//! rounds of the degree sort — neither feeds the other — so the opening
+//! costs `max(check, sort)` rounds, and a refusal drops the partial sort
+//! when the check completes. Stage transitions happen within a round — a
 //! primitive boundary costs no round; `crates/trees/tests/batched_trees.rs`
 //! pins the transcripts on both engines.
+//!
+//! # The hand-off
+//!
+//! Rank `i` has `slots_i` child slots, and its child interval is the
+//! `slots_i` ranks from `a_i = a + Σ_{j<i} slots_j` on, where `a` is the
+//! first rank a parent adopts. The ranks with child slots form a prefix
+//! (the degrees descend), and across it `a_{i+1} - a_i = slots_i ≥ 1`, so
+//! the offsets `a_i - i` never decrease and the intervals are disjoint:
+//! the contract of the shifted interval multicast
+//! ([`ImcastStep::at_offset`]), in which each such rank sends its origin
+//! to its interval. In the round the multicast ends, every position sends
+//! its record's origin one status carrying the parent's ID (none at the
+//! root), so every node learns its parent itself and no sorted path is
+//! ever built. A position of rank `≥ 1` that heard of no parent, or an
+//! origin that got no status, panics: a lost message fails the run.
 //!
 //! # Algorithm 4 (Distributed-Tree-Realization-1, Theorem 14)
 //!
@@ -26,22 +38,15 @@
 //!    absorbed by the chain's end);
 //! 2. rank `i < k_eff` still owes `slots_i = d_i - 1 - [i>0]` edges; the
 //!    remaining leaves (ranks `k_eff+1..n`) are assigned to the non-leaves
-//!    in order by the prefix sums of `slots` (the paper's `p_i`);
+//!    in order by the prefix sums of `slots` (the paper's `p_i`, so
+//!    `a = k_eff + 1`);
 //! 3. each non-leaf announces its ID to its leaf interval.
 //!
-//! Steps 1 and 3 are one milestone scan. Let `start_i = k_eff + 1 +
-//! Σ_{j<i} slots_j` (the first rank of `i`'s leaf interval) and
-//! `key(s, j, b) = ((s·(n+1) + j) << 1) | b`. Rank `i < k_eff` emits the
-//! milestone `key(start_i, i, 1)` — also when `slots_i = 0`, because it
-//! carries the chain edge too; rank 0 emits the filler `0`, rank
-//! `r ∈ 1..=k_eff` the filler `key(start_r, r, 0)`, and a leaf `r > k_eff`
-//! the filler `key(r, n, 0)`. The latest milestone before the filler of a
-//! chained rank `r` is rank `r - 1`'s (the starts do not decrease, and
-//! rank `r`'s own milestone differs only in the last bit); before a
-//! leaf's, it is that of the greatest `i` with `start_i ≤ r` — the
-//! non-leaf whose interval holds `r`. The paper routes step 3's
-//! announcements with the Theorem 6/7 butterfly machinery; the scan needs
-//! no butterfly (ARCHITECTURE.md, *Deviations from the paper*).
+//! Step 1 is one message: in the hand-off's first round, rank
+//! `r - 1 < k_eff` sends its origin to position `r`. Step 3 is the shifted
+//! multicast. The paper routes step 3's announcements with the Theorem 6/7
+//! butterfly machinery; the shifted multicast needs no butterfly
+//! (ARCHITECTURE.md, *Deviations from the paper*).
 //!
 //! # Algorithm 5 (Distributed-Tree-Realization-2, Theorem 16)
 //!
@@ -54,30 +59,30 @@
 //! diameter over all realizing trees.
 //!
 //! Internal nodes are simultaneously parents (they announce to an
-//! interval) and children (they are inside someone else's interval): each
-//! rank with children emits the milestone `2a_i - 1`, just before its
-//! interval, and every rank the filler `2r` at its own rank, so the scan
-//! hands every rank but the root the ID of the parent covering it.
+//! interval) and children (they are inside someone else's interval): the
+//! multicast's leg carries a parent's payload away before any interval is
+//! covered, so one position plays both roles.
 
 use crate::driver::TreeAlgo;
 use dgr_core::Unrealizable;
-use dgr_ncc::{NodeId, NodeProtocol, RoundCtx, Status};
+use dgr_ncc::{tags, NodeId, NodeProtocol, RoundCtx, Status, WireMsg};
+use dgr_primitives::imcast::{self, ImcastStep, Payload};
 use dgr_primitives::ops::{self, SweepStep};
 use dgr_primitives::prefix::{self, PrefixStep};
-use dgr_primitives::scatter::{self, ScanRecord, ScanStep};
 use dgr_primitives::sort::{self, Held, Order, SortStep};
 use dgr_primitives::{ctx, EstablishCtx, PathCtx, Poll, Step};
 
 /// Rounds of a realized tree run on `len ≥ 2` nodes, either algorithm:
 /// context establishment, the input check beside the degree sort, the
-/// slot prefix sums and the milestone scan. A refusal (and a single node)
-/// ends on the check, `ctx::rounds_for(len) + ops::rounds_for(len)`
-/// rounds in all.
+/// slot prefix sums, the shifted multicast and the round of the statuses.
+/// A refusal (and a single node) ends on the check,
+/// `ctx::rounds_for(len) + ops::rounds_for(len)` rounds in all.
 pub fn rounds_for(len: usize) -> u64 {
     ctx::rounds_for(len)
         + ops::rounds_for(len).max(sort::rounds_for(len))
         + prefix::rounds_for(len)
-        + scatter::rounds_for(len)
+        + imcast::offset_rounds_for(len)
+        + 1
 }
 
 /// One node's result of a tree realization: the tree edges stored here
@@ -101,7 +106,8 @@ enum Stage {
         sort: Option<SortStep>,
     },
     Prefix(PrefixStep),
-    Scan(ScanStep),
+    /// The shifted multicast, then (`None`) the round of the statuses.
+    Handoff(Option<ImcastStep>),
 }
 
 /// The tree-realization state machine at one node.
@@ -118,6 +124,8 @@ pub struct RealizeTree {
     /// Algorithm 4's `k_eff`, and the held rank's child slots.
     k_eff: usize,
     slots: usize,
+    /// The parent Algorithm 4's chain hands the held rank.
+    chained: Option<NodeId>,
 }
 
 impl RealizeTree {
@@ -136,39 +144,12 @@ impl RealizeTree {
             },
             k_eff: 0,
             slots: 0,
+            chained: None,
         }
     }
 
     fn done(&mut self) -> Status<Result<TreeOutcome, Unrealizable>> {
         Status::Done(Ok(std::mem::take(&mut self.outcome)))
-    }
-
-    /// The two records the held rank emits into the scan, given the slots
-    /// of the ranks before it: its milestone (or nothing), then its filler.
-    fn records(&self, origin: NodeId, before: u64) -> [ScanRecord; 2] {
-        let (rank, n, k) = (
-            self.ctx.position as u64,
-            self.ctx.vp.len as u64,
-            self.k_eff as u64,
-        );
-        let (milestone, key, filler) = match self.algo {
-            TreeAlgo::Chain => {
-                let key = |s: u64, j: u64, b: u64| ((s * (n + 1) + j) << 1) | b;
-                let start = k + 1 + before;
-                let filler = match rank {
-                    0 => 0,
-                    r if r <= k => key(start, r, 0),
-                    r => key(r, n, 0),
-                };
-                (rank < k, key(start, rank, 1), filler)
-            }
-            TreeAlgo::Greedy => (self.slots > 0, 2 * before + 1, 2 * rank),
-        };
-        let first = match milestone {
-            true => ScanRecord::Milestone { key, addr: origin },
-            false => ScanRecord::Absent,
-        };
-        [first, ScanRecord::Filler { key: filler }]
     }
 }
 
@@ -244,22 +225,59 @@ impl NodeProtocol for RealizeTree {
                 Stage::Prefix(s) => match s.poll(rctx) {
                     Poll::Pending => return Status::Continue,
                     Poll::Ready(before) => {
-                        let origin = self.held.unwrap().origin;
-                        let records = self.records(origin, before);
+                        let (rank, origin) = (self.ctx.position, self.held.unwrap().origin);
+                        let first = match self.algo {
+                            TreeAlgo::Chain => self.k_eff + 1,
+                            TreeAlgo::Greedy => 1,
+                        };
+                        if let (TreeAlgo::Chain, Some(succ)) = (self.algo, self.ctx.vp.succ) {
+                            if rank < self.k_eff {
+                                rctx.send(succ, WireMsg::addr(tags::SORT_LINK, origin));
+                            }
+                        }
+                        let payload = Payload {
+                            addr: origin,
+                            word: 0,
+                        };
+                        let task = (self.slots > 0)
+                            .then(|| (first + before as usize - rank, self.slots, payload));
                         let (vp, table) = (self.ctx.vp, self.ctx.contacts.clone());
-                        let scan = ScanStep::new(vp, table, self.ctx.position, records, origin);
-                        self.stage = Stage::Scan(scan);
+                        let mcast = ImcastStep::at_offset(vp, table, task);
+                        self.stage = Stage::Handoff(Some(mcast));
                     }
                 },
-                Stage::Scan(s) => match s.poll(rctx) {
-                    Poll::Pending => return Status::Continue,
-                    Poll::Ready(got) => {
-                        // The answer to this node's own filler: its
-                        // parent, or none at the root.
-                        self.outcome.neighbors.extend(got[1]);
-                        return self.done();
+                Stage::Handoff(Some(s)) => {
+                    // The chain's message, in the hand-off's second round.
+                    let inbox = rctx.inbox();
+                    if let Some(env) = inbox.iter().find(|e| e.msg.tag == tags::SORT_LINK) {
+                        self.chained = Some(env.addr());
                     }
-                },
+                    let Poll::Ready(got) = s.poll(rctx) else {
+                        return Status::Continue;
+                    };
+                    let parent = got.map(|p| p.addr).or(self.chained);
+                    assert!(
+                        parent.is_some() || self.ctx.position == 0,
+                        "message loss: a position missed its parent"
+                    );
+                    let status = match parent {
+                        Some(p) => WireMsg::addr(tags::STATUS, p),
+                        None => WireMsg::signal(tags::STATUS),
+                    };
+                    rctx.send(self.held.unwrap().origin, status);
+                    self.stage = Stage::Handoff(None);
+                    return Status::Continue;
+                }
+                Stage::Handoff(None) => {
+                    // A repeated status is the same status: the first one
+                    // stands.
+                    let status = (rctx.inbox().iter())
+                        .find(|e| e.msg.tag == tags::STATUS)
+                        .expect("message loss: an origin missed its record's status");
+                    let parent = status.msg.addrs_slice().first().copied();
+                    self.outcome.neighbors.extend(parent);
+                    return self.done();
+                }
             }
         }
     }

@@ -13,8 +13,9 @@
 //!   Distributed-Tree-Realization-2 (every node adopts the next unparented
 //!   nodes in sorted order; minimum diameter, Theorem 16, `O(polylog n)`
 //!   rounds). Both run on the network path's positions after the degree
-//!   sort and hand every child its parent through one milestone scan;
-//!   they differ only in the slot rule and the scan's records.
+//!   sort and hand every child its parent through one shifted interval
+//!   multicast; they differ only in the slot rule and where the child
+//!   intervals start.
 //! * [`driver`] — network wiring, assembly and verification; its entry
 //!   point [`prepare_tree`] is the engine room of the
 //!   `dgr::Realization` facade builder.

@@ -13,6 +13,7 @@
 //!   through `tests/support/cases.rs`).
 
 use dgr_ncc::{Config, EngineKind, Scenario, SimError};
+use dgr_primitives::{imcast, levels_for};
 use dgr_trees::distributed::rounds_for;
 use dgr_trees::{prepare_tree, TreeAlgo, TreeRealization};
 use rand::Rng;
@@ -286,7 +287,7 @@ fn overlays_match_the_frozen_fold() {
 }
 
 /// A node that crashes mid-run breaks the run before it can leave an
-/// overlay that is not a tree: every node hears from the milestone scan in
+/// overlay that is not a tree: every node hears its record's status in
 /// the last round, so whatever the crash round inside the run, the run
 /// ends in a model violation or a typed node panic, the same on both
 /// engines; a crash scheduled past the last round leaves the fault-free
@@ -319,6 +320,42 @@ fn a_crash_ends_in_a_tree_or_a_typed_error() {
                     );
                 }
                 (b, r) => panic!("{what}: engines disagree: {b:?} / {r:?}"),
+            }
+        }
+    }
+}
+
+/// A hand-off that loses messages fails loudly at n = 64, on both engines
+/// and for both algorithms. With the round of the statuses dropped, no
+/// origin hears what its record's position learned; with the multicast's
+/// leg dropped, no payload reaches its interval, and the positions there
+/// know no parent.
+#[test]
+fn a_lost_hand_off_message_panics_on_both_engines() {
+    let picks: Vec<usize> = (0..63).map(|i| i / 2).collect();
+    let degrees = tree_degrees(&picks);
+    let n = degrees.len();
+    let last = rounds_for(n) - 1;
+    let leg = last - imcast::offset_rounds_for(n);
+    let cases = [
+        (
+            last..=last,
+            "message loss: an origin missed its record's status",
+        ),
+        (
+            leg..=leg + levels_for(n) as u64 - 1,
+            "message loss: a position missed its parent",
+        ),
+    ];
+    for (dropped, want) in cases {
+        let config = Config::ncc0(7).with_scenario(Scenario::new(5).drop_messages(dropped, 1.0));
+        for algo in [TreeAlgo::Chain, TreeAlgo::Greedy] {
+            for engine in [EngineKind::Batched, EngineKind::Reference] {
+                let job = prepare_tree(&degrees, config.clone(), algo, engine).unwrap();
+                match job.drive(None) {
+                    Err(SimError::NodePanic { message, .. }) => assert_eq!(message, want),
+                    other => panic!("{algo:?} {engine:?}: expected a node panic, got {other:?}"),
+                }
             }
         }
     }

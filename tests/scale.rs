@@ -360,8 +360,8 @@ fn batched_explicit_realization_at_n_1m() {
 }
 
 /// Algorithm 5 at one million nodes (the paper's overlay-network regime):
-/// establish, degree sort, prefix sums, and the milestone scan over two
-/// million virtual slots. Run under `--ignored`.
+/// establish, degree sort, prefix sums, and the shifted multicast with
+/// its statuses. Run under `--ignored`.
 #[test]
 #[ignore = "seven-digit n; run with --ignored (release mode recommended)"]
 fn batched_greedy_tree_at_n_1m() {
@@ -389,8 +389,8 @@ fn batched_greedy_tree_at_n_1m() {
 }
 
 /// Algorithm 5 (minimum-diameter tree) end to end on the batched engine
-/// at 200k nodes: establish, degree sort, prefix sums, and the milestone
-/// scan over 400k virtual slots.
+/// at 200k nodes: establish, degree sort, prefix sums, and the shifted
+/// multicast with its statuses.
 #[test]
 fn batched_greedy_tree_at_n_200k() {
     let n = 200_000;
