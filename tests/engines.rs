@@ -209,8 +209,8 @@ const GOLDEN: &[(&str, Golden)] = &[
     ("implicit seed=19", (true, 4, 39, 336, 1160, 3, 3, 0x1de3e97f8061625c)),
     ("envelope seed=19", (true, 4, 43, 466, 1522, 3, 3, 0x1de3e97f8061625c)),
     ("explicit seed=19", (true, 4, 45, 345, 1169, 3, 3, 0x1de3e97f8061625c)),
-    ("tree Chain", (true, 0, 28, 254, 1148, 2, 2, 0x95080c3336213173)),
-    ("tree Greedy", (true, 0, 28, 253, 1143, 2, 2, 0xeab81924fcbe7003)),
+    ("tree Chain", (true, 0, 21, 120, 333, 2, 2, 0x95080c3336213173)),
+    ("tree Greedy", (true, 0, 21, 119, 340, 2, 2, 0xeab81924fcbe7003)),
     ("ncc1", (true, 0, 39, 70, 144, 2, 2, 0xd8b85508f1bbb25d)),
     ("ncc0", (true, 0, 27, 109, 285, 2, 3, 0x7bc5877a5e133eb7)),
     ("ncc0-exact", (true, 0, 76, 200, 599, 3, 3, 0x0245ad4acc2b7f59)),
@@ -321,7 +321,7 @@ fn duplicated_tree_realization_agrees_with_the_reference() {
         run(0..=u64::MAX, Engine::Reference),
     ) {
         // What happens at this seed: the run completes in the fault-free
-        // 28 rounds on the fault-free tree.
+        // 21 rounds on the fault-free tree.
         (Ok(batched), Ok(reference)) => {
             assert_eq!(transcript(&batched), transcript(&reference));
             assert_eq!(batched.metrics(), reference.metrics());
