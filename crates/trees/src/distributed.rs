@@ -230,6 +230,8 @@ impl NodeProtocol for RealizeTree {
                             TreeAlgo::Chain => self.k_eff + 1,
                             TreeAlgo::Greedy => 1,
                         };
+                        // Algorithm 4's chain: rank `r < k_eff` is the
+                        // parent of its sorted successor.
                         if let (TreeAlgo::Chain, Some(succ)) = (self.algo, self.ctx.vp.succ) {
                             if rank < self.k_eff {
                                 rctx.send(succ, WireMsg::addr(tags::SORT_LINK, origin));
