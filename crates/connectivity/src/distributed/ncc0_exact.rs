@@ -28,7 +28,8 @@
 //!    distinct phase-1 neighbors) is then aggregated over the sub-path,
 //!    and **released** to every node: `x₁` hands it to position 0 of the
 //!    full-network path (`x₁` learned that node's ID as the sender of its
-//!    rank), whose broadcast reaches everyone `⌈log₂ n⌉` rounds later. A
+//!    rank), whose broadcast down the sweep tree reaches everyone its
+//!    depth later ([`ops::broadcast_rounds_for`], 7 rounds at `n = 2048`). A
 //!    waiting node places itself in the broadcast's schedule by the round
 //!    its parent's total arrives, so every node leaves the wait in the
 //!    same round. The wait has a deadline, the release's latest round:

@@ -64,11 +64,13 @@
 //! does the next phase need anything the multicast carries: its control
 //! sweep and its lane read only the committed needs. So the multicast and
 //! the status (`⌈log₂ n⌉ + 2` rounds) run beside the next phase's control
-//! sweep (`2⌈log₂ n⌉`, a binomial tree over the contacts), which outlasts
-//! or ties them from `n = 3` on — a phase costs `max(control, lane)`, and
-//! a later exact-flavor phase is its control sweep while its merge lane
-//! fits — and in the closing phase a partial lane is dropped when the
-//! control ends the run, once the last hop is in ([`rounds_for`]). Every
+//! sweep (twice the depth of the shallow sweep tree over the contacts, at
+//! most `2(⌈⌈log₂ n⌉/2⌉ + 1)`: 14 rounds at `n = 2048`, where the hop
+//! takes 13) and its lane — a phase costs `max(control, hop, lane)`, and
+//! the hop outlasts the control by up to two rounds at some `n` (14
+//! against 12 at `n = 2049`) — and in the closing phase a partial lane is
+//! dropped when the control ends the run, once the last hop is in
+//! ([`rounds_for`]). Every
 //! origin whose record is on the path expects one status a phase, and a
 //! member's position expects its leader's multicast: a missing one can
 //! only be a lost message, and it panics, so a run never ends with a
@@ -192,17 +194,19 @@ pub enum Flavor {
 /// [`DegreesCore`] — on a path of `len` nodes whose phases formed
 /// `groups[i]` groups in phase `i + 1`: one entry per phase but the last,
 /// the run's [`phase_groups`]. Every phase but the last runs the control
-/// sweep beside the lane: the first phase's lane is the bitonic sort, a
-/// later one's the merge lane where [`merges`] says so, after a phase of
-/// `g` groups [`sort::merge_rounds_for`]`(len, g)`, which ends inside the
-/// sweep while `g < 2^(⌈log₂ len⌉ - 1)`, so such a phase is its control
-/// sweep; the last phase (a refusal's included) ends on its control sweep,
-/// dropping the partial lane beside it; the explicit flavor adds the
-/// hand-off epoch for the maximum requested degree `max_degree` at
-/// capacity `cap`. Each phase's multicast and status ([`hop_rounds_for`])
-/// open with the next phase and end inside its control sweep from
-/// `len = 3` on, so they add no rounds there; at `len = 2` the hop is a
-/// round longer than the sweep and sets the phase.
+/// sweep ([`ops::rounds_for`]) beside the lane: the first phase's lane is
+/// the bitonic sort, a later one's the merge lane where [`merges`] says
+/// so, after a phase of `g` groups [`sort::merge_rounds_for`]`(len, g)`,
+/// which ends inside the sweep while `g < 2^(control - ⌈log₂ len⌉ - 1)`
+/// (4 at `len = 2048`); the last phase (a refusal's included) ends on its
+/// control sweep, dropping the partial lane beside it; the explicit flavor
+/// adds the hand-off epoch for the maximum requested degree `max_degree`
+/// at capacity `cap`. Each phase's multicast and status
+/// ([`hop_rounds_for`]) open with the next phase, which lasts until they
+/// are in too: every phase after the first takes at least
+/// `max(control, hop)`, and the hop sets it where it is the longer (by
+/// one or two rounds: at `len = 2`, 3 against 2, and at `len = 2049`, 14
+/// against 12).
 pub fn rounds_for(
     len: usize,
     groups: &[usize],
@@ -470,8 +474,9 @@ impl Step for DegreesCore {
         loop {
             match &mut self.stage {
                 CoreStage::Phase { hop, control, lane } => {
-                    // The hop ends first: from three positions on, it is
-                    // no longer than the control sweep it started beside.
+                    // The hop goes first. It may end before the control
+                    // sweep or after it; the phase commits once the hop,
+                    // the control and the lane are all in.
                     if let Some(Poll::Ready(status)) =
                         hop.as_mut().map(|h| h.poll(rctx, self.on_path))
                     {
@@ -597,38 +602,54 @@ mod tests {
     use crate::driver::{prepare_degrees, realize_for_test};
     use dgr_ncc::{Config, EngineKind, Recording, RunEvent};
 
-    /// The multicast and the status ride the next phase: from three
-    /// positions on they end inside the control sweep that opens with
-    /// them; at two they outlast it by a round.
+    /// The multicast and the status ride the next phase, which lasts
+    /// exactly `max(control, hop)` when its lane is shorter: here the
+    /// closing phase after one group, whose lane is dropped. The hop is
+    /// `⌈log₂ len⌉ + 2` rounds and outlasts the control sweep by at most
+    /// two: by one at two positions, by two at 2049, and it ends a round
+    /// inside the sweep at 2048.
     #[test]
     fn the_multicast_ends_inside_the_next_control_sweep() {
         use super::hop_rounds_for;
-        use dgr_primitives::ops;
-        for len in 3..=1 << 20 {
-            assert!(hop_rounds_for(len) <= ops::rounds_for(len), "len={len}");
+        use dgr_primitives::{ctx, levels_for, ops, sort};
+        for len in 2..=1 << 20 {
+            let (control, hop) = (ops::rounds_for(len), hop_rounds_for(len));
+            assert_eq!(hop, levels_for(len) as u64 + 2, "len={len}");
+            assert!(hop <= control + 2, "len={len}");
+            if len.is_power_of_two() || len % 997 == 0 {
+                let first = ctx::rounds_for(len) + control.max(sort::rounds_for(len));
+                let run = rounds_for(len, &[1], Flavor::Implicit, 1, 4);
+                assert_eq!(run - first, control.max(hop), "len={len}");
+            }
         }
-        assert_eq!(hop_rounds_for(2), ops::rounds_for(2) + 1);
+        let pairs = [2, 2048, 2049].map(|len| (ops::rounds_for(len), hop_rounds_for(len)));
+        assert_eq!(pairs, [(2, 3), (14, 13), (12, 14)]);
     }
 
     /// Wherever a later phase merges, the merge lane fits the control
     /// sweep exactly while the phase before formed fewer than
-    /// `2^(⌈log₂ len⌉ - 1)` groups: the compaction takes one round a bit
-    /// of the groups. At n = 2048 a run of 9 phases that never formed 1024
-    /// groups is the establishment (12), a 66-round first phase, seven of
-    /// 22 and the closing sweep.
+    /// `2^(control - ⌈log₂ len⌉ - 1)` groups, none where the sweep is no
+    /// longer than `⌈log₂ len⌉`: the compaction takes one round a bit of
+    /// the groups, the merge pass `⌈log₂ len⌉ + 1`. At n = 2048 that is
+    /// fewer than 4 groups: a run of 9 phases is the establishment (12), a
+    /// 66-round first phase, then seven phases of 19, 14, 20, 21, 14, 21
+    /// and 14 rounds — the lane after 118, 251, 419 and 418 groups, else
+    /// the 14-round sweep — and the 14-round closing sweep.
     #[test]
     fn a_later_phase_is_its_control_sweep() {
         use dgr_primitives::{levels_for, ops, sort};
         for len in 9..=1 << 20 {
             let control = ops::rounds_for(len);
             let fits = |groups| sort::merge_rounds_for(len, groups) <= control;
-            let edge = 1 << (levels_for(len) - 1);
-            for groups in [0, 1, edge - 1, edge, len - 1] {
+            let spare = control.checked_sub(levels_for(len) as u64 + 1);
+            let edge = spare.map_or(0, |bits| 1 << bits);
+            for groups in [0, 1, edge.max(1) - 1, edge, len - 1] {
                 assert_eq!(fits(groups), groups < edge, "len={len} groups={groups}");
             }
         }
+        assert_eq!(ops::rounds_for(2048), 14);
         let groups = [118, 1, 251, 419, 1, 418, 1, 419];
-        assert_eq!(rounds_for(2048, &groups, Flavor::Implicit, 5, 22), 254);
+        assert_eq!(rounds_for(2048, &groups, Flavor::Implicit, 5, 22), 215);
     }
 
     /// The replay of the phase loop counts the phases a run takes; a

@@ -237,33 +237,44 @@ fn round_counts_follow_the_closed_form_at_scale() {
 
 /// The control sweep and the lane (the sort or the merge lane, in place)
 /// share their rounds, and so does the last phase's hop back to the
-/// origins (multicast, then status), which ends inside the sweep from
-/// three nodes on, as does the merge lane while the groups stay under
-/// `2^(⌈log₂ n⌉ - 1)`. At the edges of that overlap — the two-node path,
-/// whose hop outlasts the sweep, paths so short that the sweep outlasts
-/// the sort, the first and the last path it ties the sort on (the last a
-/// later phase still sorts again on), the shortest the sort outlasts it
-/// on (the first it merges on), and longer ones — and at the capacity
-/// floor (cap = 4), every flavour runs clean under the strict policy on
-/// both engines, the per-round maxima within the cap on both sides, on
-/// the closed form.
+/// origins (multicast, then status), which ends inside the sweep at some
+/// lengths and outlasts it at others. At the edges of that overlap — the
+/// paths the sweep outlasts the sort on (two and four nodes), the one it
+/// ties the sort on (eight, the last a later phase still sorts again on),
+/// the short ones the sort outlasts it on (three, five), the first it
+/// merges on (nine), and longer ones; with the hop inside the sweep or
+/// past it — at the default capacity and at the core's own floor (cap =
+/// 6: up to four sweep messages, one of the lane and one of the hop a
+/// round), every flavour runs clean under the strict policy on both
+/// engines, the per-round maxima within the cap on both sides, on the
+/// closed form.
 #[test]
 fn sweep_beside_the_sort_runs_clean_at_its_edges() {
     use dgr_core::distributed::{hop_rounds_for, merges};
     use dgr_primitives::{ops, sort};
     use std::cmp::Ordering::{Equal, Greater, Less};
-    let edges = [2usize, 3, 4].map(|n| (n, Greater)).into_iter();
-    let edges = edges.chain([5, 8].map(|n| (n, Equal)));
-    for (n, edge) in edges.chain([9, 16, 17, 256].map(|n| (n, Less))) {
+    let edges = [
+        (2usize, Greater, false),
+        (3, Less, false),
+        (4, Greater, true),
+        (5, Less, false),
+        (8, Equal, true),
+        (9, Less, false),
+        (16, Less, true),
+        (17, Less, false),
+        (256, Less, true),
+    ];
+    for (n, edge, hop_inside) in edges {
         let control = ops::rounds_for(n);
         assert_eq!(control.cmp(&sort::rounds_for(n)), edge, "n={n}: wrong edge");
-        assert_eq!(hop_rounds_for(n) <= control, n > 2, "n={n}");
+        assert_eq!(hop_rounds_for(n) <= control, hop_inside, "n={n}");
         assert_eq!(merges(Flavor::Implicit, n), n > 8, "n={n}");
         // Graphic, Δ ≤ 4: a strict-cap hand-off never exceeds the floor.
         let degrees: Vec<usize> = (0..n).map(|i| (2 + 2 * (i % 2)).min(n - 1)).collect();
         let max_degree = degrees.iter().copied().max().unwrap();
-        for factor in [2.0, 0.1] {
-            let config = Config::ncc0(n as u64 + 40).with_capacity_factor(factor);
+        for (factor, floor) in [(2.0, 4), (0.1, 6)] {
+            let mut config = Config::ncc0(n as u64 + 40).with_capacity_factor(factor);
+            config.min_capacity = floor;
             for flavor in [Flavor::Implicit, Flavor::Envelope, Flavor::Explicit] {
                 let what = format!("n={n} factor={factor} {flavor:?}");
                 let run = |engine| realize(&degrees, None, config.clone(), flavor, engine);
@@ -273,7 +284,7 @@ fn sweep_beside_the_sort_runs_clean_at_its_edges() {
                 let m = &r.metrics;
                 assert!(m.is_clean(), "{what}: {:?}", m.violations);
                 assert!(
-                    factor > 1.0 || m.capacity == 4,
+                    factor > 1.0 || m.capacity == 6,
                     "{what}: cap {}",
                     m.capacity
                 );
@@ -282,8 +293,6 @@ fn sweep_beside_the_sort_runs_clean_at_its_edges() {
                 assert!(r.phases > 2 || n == 2, "{what}: no later phase");
                 let groups = phase_groups(&degrees, flavor);
                 assert_eq!(groups.len() as u64 + 1, r.phases, "{what}");
-                let fits = |&g: &usize| sort::merge_rounds_for(n, g) <= control;
-                assert!(!merges(flavor, n) || groups.iter().all(fits), "{what}");
                 let want = rounds_for(n, &groups, flavor, max_degree, m.capacity);
                 assert_eq!(m.rounds, want, "{what}: {} phases", r.phases);
             }

@@ -13,27 +13,45 @@
 //! `(len - 1) / 2`.
 //!
 //! The paper sweeps a balanced binary search tree (Theorem 1). The sweep
-//! here is a **binomial tree over the contact table** instead
-//! (ARCHITECTURE.md, *Deviations from the paper*): position `x > 0` hangs
-//! below `x - 2^tz(x)` (`tz` = trailing zeros), its `2^tz(x)`-behind
-//! contact, and the children of `x` are `x + 2^j` for `j < tz(x)` (every
-//! `j < ⌈log₂ len⌉` at position 0). The reduce sends `x`'s fold in round
-//! `tz(x)`, after its children's rounds `0 … tz(x) - 1`; the broadcast
-//! mirrors it, level `⌈log₂ len⌉ - 1` first. Each phase is `⌈log₂ len⌉`
-//! rounds, a node sends and receives at most one message a round, and the
-//! sweep costs `2(len - 1)` messages. Every message is due in a known
-//! round, so a missing one is a lost message, and it panics.
+//! here is a **shallow spanning tree over the contact table** instead
+//! (ARCHITECTURE.md, *Deviations from the paper*), rooted at position 0.
+//! Every position is a sum of signed powers of two, and its non-adjacent
+//! form (NAF, Reitwiesner's: no two adjacent digits nonzero) has the
+//! fewest nonzero digits. Position `x > 0` hangs below `x` less its
+//! lowest NAF digit `±2^j` — its `2^j`-behind or `2^j`-ahead contact,
+//! whose NAF is a prefix of `x`'s — so it sits as deep as its NAF has
+//! digits, at most `⌈L/2⌉` for `L = ⌈log₂ len⌉` — unless a high-to-low
+//! partial sum of its NAF reaches past the path. Those positions are a
+//! suffix of the path, and each hangs below `x - 2^(L-1)` as a leaf, a
+//! *spare*. So the tree is at most `⌈L/2⌉ + 1` deep (7 at `len = 2048`,
+//! where the binomial tree over the same contacts is 11), which is the
+//! eccentricity of position 0 over the contacts at every power of two up
+//! to 4096.
+//!
+//! Each half of the sweep takes the tree's depth in rounds
+//! ([`broadcast_rounds_for`]). A spare sends its fold up in reduce round
+//! 0; any other position whose lowest digit is `±2^j`, in round `⌊j/2⌋`,
+//! or a round later when its parent's subtree (its own, below the root)
+//! holds a spare's parent. So a node's children on levels `2r` and
+//! `2r + 1` report together, at most four a round, every child before its
+//! parent; the broadcast mirrors the reduce, the total going down to a
+//! child in the round that mirrors its report. A sweep costs `2(len - 1)`
+//! messages, and no node sends or receives more than four of them a
+//! round. Each position derives its place — parent, children, rounds —
+//! from its position and `len` in `O(log len)` word operations, with no
+//! table. Every message is due in a known round, so a missing one is a
+//! lost message, and it panics.
 //!
 //! A value that position 0 already holds needs only the broadcast half
-//! ([`SweepStep::broadcast`]: `⌈log₂ len⌉` rounds, `len - 1` messages).
-//! The broadcast half also runs **released**
+//! ([`SweepStep::broadcast`]: [`broadcast_rounds_for`] rounds, `len - 1`
+//! messages). The broadcast half also runs **released**
 //! ([`SweepStep::released`]), for members that cannot know when it
 //! starts: position 0 starts it when a [`tags::RELEASE`] message reaches
 //! it, and every other member, waiting, places itself in the schedule by
-//! the round its parent's total arrives, which the total's level fixes.
-//! So every member is ready in the same round, `⌈log₂ len⌉` rounds after
-//! the root heard, and a member that has not heard by its deadline has
-//! lost a message, and panics.
+//! the round its parent's total arrives, which its own report round
+//! fixes. So every member is ready in the same round, the depth after the
+//! root heard, and a member that has not heard by its deadline has lost a
+//! message, and panics.
 
 use crate::contacts::ContactTable;
 use crate::step::{Lockstep, Poll, Rounds};
@@ -42,16 +60,194 @@ use dgr_ncc::{tags, NodeId, RoundCtx, WireEnvelope, WireMsg, WIRE_WORDS};
 use std::sync::Arc;
 
 /// Number of rounds for a sweep on a path of `len` nodes: the reduce and
-/// the broadcast, `⌈log₂ len⌉` rounds each — the Theorem 4 `O(log n)`
+/// the broadcast, [`broadcast_rounds_for`] each — the Theorem 4 `O(log n)`
 /// bound made concrete.
 pub fn rounds_for(len: usize) -> u64 {
     2 * broadcast_rounds_for(len)
 }
 
 /// Number of rounds for the broadcast half alone on a path of `len`
-/// nodes, [`SweepStep::broadcast`]'s: `⌈log₂ len⌉`.
+/// nodes, [`SweepStep::broadcast`]'s: the sweep tree's depth, at most
+/// `⌈L/2⌉ + 1` and at most `L` for `L = ⌈log₂ len⌉`.
 pub fn broadcast_rounds_for(len: usize) -> u64 {
-    crate::levels_for(len) as u64
+    Tree::new(len).depth as u64
+}
+
+/// A contact of the sweep tree: its level `j` and whether it sits `2^j`
+/// ahead (else `2^j` behind).
+type Link = (usize, bool);
+
+/// The lowest set bit of `y`: the magnitude of its lowest NAF digit.
+fn lowest(y: usize) -> usize {
+    y & y.wrapping_neg()
+}
+
+/// The levels below `k`, as a mask.
+fn below(k: usize) -> u64 {
+    1u64.checked_shl(k as u32).map_or(u64::MAX, |bit| bit - 1)
+}
+
+/// The sweep tree over a path of `len` positions (the module docs).
+#[derive(Clone, Copy, Debug)]
+struct Tree {
+    len: usize,
+    /// `⌈log₂ len⌉`.
+    levels: usize,
+    /// The first spare: from here on a position's NAF has a partial sum of
+    /// `len` or more; `len` when none has.
+    far: usize,
+    /// The tree's depth: the rounds of each half of the sweep.
+    depth: usize,
+}
+
+impl Tree {
+    fn new(len: usize) -> Self {
+        let levels = crate::levels_for(len);
+        // The least position with a partial sum `p ≥ len` is `p` less the
+        // longest negative tail below `p`'s lowest digit, `lowest(p) / 3`;
+        // among the `p` that end on level `t` or above, the first multiple
+        // of `2^t` from `len` on gives the least.
+        let far = (0..=levels)
+            .map(|t| {
+                let p = len.next_multiple_of(1 << t);
+                p - lowest(p) / 3
+            })
+            .fold(len, usize::min);
+        let mut tree = Tree {
+            len,
+            levels,
+            far,
+            depth: 0,
+        };
+        tree.depth = (0..levels)
+            .map(|j| tree.round(1 << j) + 1)
+            .max()
+            .unwrap_or(0);
+        tree
+    }
+
+    /// `2^(L-1)`, the offset of a spare from its parent.
+    fn half(&self) -> usize {
+        1 << (self.levels - 1)
+    }
+
+    /// Whether the subtree of `y > 0`, which spans `lowest(y) / 3` either
+    /// side of it, holds a spare's parent: a position from
+    /// `far - 2^(L-1)` up to `len - 2^(L-1)`.
+    fn late(&self, y: usize) -> bool {
+        let reach = lowest(y) / 3;
+        self.far < self.len
+            && y + reach + self.half() >= self.far
+            && y - reach + self.half() < self.len
+    }
+
+    /// The parent of position `x > 0`, and the link to it.
+    fn parent(&self, x: usize) -> (usize, Link) {
+        if x >= self.far {
+            return (x - self.half(), (self.levels - 1, false));
+        }
+        let low = lowest(x);
+        let level = low.ilog2() as usize;
+        match x & (low << 1) == 0 {
+            // The lowest digit is `+2^level`.
+            true => (x - low, (level, false)),
+            false => (x + low, (level, true)),
+        }
+    }
+
+    /// The reduce round position `x > 0` sends its fold up in.
+    fn round(&self, x: usize) -> usize {
+        if x >= self.far {
+            return 0;
+        }
+        let (p, _) = self.parent(x);
+        let late = self.late(if p == 0 { x } else { p });
+        lowest(x).ilog2() as usize / 2 + usize::from(late)
+    }
+
+    /// Position `x`'s place in the tree.
+    fn place(&self, x: usize) -> Place {
+        if x == 0 {
+            let late = (0..self.levels).filter(|&j| self.late(1 << j));
+            return Place {
+                parent: None,
+                up: self.depth,
+                kids: [0, below(self.levels)],
+                late: late.fold(0, |mask, j| mask | 1 << j),
+                spare: None,
+            };
+        }
+        let (_, link) = self.parent(x);
+        let up = self.round(x);
+        if x >= self.far {
+            return Place {
+                parent: Some(link),
+                up,
+                kids: [0; 2],
+                late: 0,
+                spare: None,
+            };
+        }
+        // The children extend `x`'s NAF by a digit `±2^j`, `j` at least two
+        // levels below its lowest; those ahead must stay short of `far`.
+        let levels = below((lowest(x).ilog2() as usize).saturating_sub(1));
+        let room = self.far - x - 1;
+        let reach = if room == 0 {
+            0
+        } else {
+            below(room.ilog2() as usize + 1)
+        };
+        let spare = x + self.half();
+        Place {
+            parent: Some(link),
+            up,
+            kids: [levels, levels & reach],
+            late: if self.late(x) { u64::MAX } else { 0 },
+            spare: (self.far..self.len)
+                .contains(&spare)
+                .then_some(self.levels - 1),
+        }
+    }
+}
+
+/// One position's place in the sweep tree.
+#[derive(Clone, Copy, Debug)]
+struct Place {
+    /// The link to the parent; `None` at the root.
+    parent: Option<Link>,
+    /// The reduce round this position's fold goes up in; the depth at the
+    /// root, whose reduce ends then.
+    up: usize,
+    /// The children's levels, `2^j` behind (`kids[0]`) and ahead
+    /// (`kids[1]`), bit `j`; a spare child is apart.
+    kids: [u64; 2],
+    /// The levels whose children report a round late.
+    late: u64,
+    /// The level of the spare child `2^(L-1)` ahead, if any; it reports in
+    /// round 0.
+    spare: Option<usize>,
+}
+
+impl Place {
+    /// The children that report in reduce round `round`: those on levels
+    /// `2 round` and `2 round + 1`, or a level pair lower when late.
+    fn kids_in(self, round: usize) -> impl Iterator<Item = Link> {
+        let pair = |r: usize| 3u64.checked_shl(2 * r as u32).unwrap_or(0);
+        let late = round.checked_sub(1).map_or(0, pair);
+        let due = pair(round) & !self.late | late & self.late;
+        let spare = self.spare.filter(|_| round == 0).map(|j| (j, true));
+        [false, true]
+            .into_iter()
+            .flat_map(move |ahead| {
+                let mut levels = self.kids[usize::from(ahead)] & due;
+                std::iter::from_fn(move || {
+                    let low = levels & levels.wrapping_neg();
+                    levels ^= low;
+                    (low != 0).then(|| (low.ilog2() as usize, ahead))
+                })
+            })
+            .chain(spare)
+    }
 }
 
 /// The data words of one sweep message; a sweep of `k` lanes uses the
@@ -87,7 +283,8 @@ impl Swept {
     }
 }
 
-/// The binomial reduce and broadcast (Theorem 4) as a [`Step`](crate::Step).
+/// The reduce and broadcast over the sweep tree (Theorem 4) as a
+/// [`Step`](crate::Step).
 ///
 /// Rounds: exactly [`rounds_for`]`(vp.len)`, whatever the width: the lanes
 /// are one message's data words (more than
@@ -100,14 +297,13 @@ pub type SweepStep = Lockstep<Sweep>;
 #[derive(Debug)]
 pub struct Sweep {
     contacts: Arc<ContactTable>,
-    levels: usize,
-    /// The level this position's fold goes up on: `tz(x)`, or `levels`
-    /// at position 0, the root. Its children sit `2^j` ahead, `j < up`.
-    up: usize,
+    /// The tree's depth: the rounds of each half.
+    depth: usize,
+    place: Place,
     lanes: usize,
     /// The reduce's fold; `None` for the broadcast half alone.
     fold: Option<Fold>,
-    /// The poll in which the root sends the broadcast's first level;
+    /// The poll in which the root sends the broadcast's first round;
     /// `None` until a released broadcast has reached this member.
     start: Option<usize>,
     /// This subtree's fold so far; the total once the broadcast is in.
@@ -130,8 +326,8 @@ impl SweepStep {
         addr: Option<NodeId>,
         fold: Fold,
     ) -> Self {
-        let start = Some(vp.levels());
-        let sweep = Sweep::new(vp, contacts, position, words, addr, Some(fold), start);
+        let mut sweep = Sweep::new(vp, contacts, position, words, addr, Some(fold), None);
+        sweep.start = Some(sweep.depth);
         Lockstep::run(vp.member, rounds_for(vp.len), sweep)
     }
 
@@ -153,9 +349,10 @@ impl SweepStep {
     /// The broadcast half, released: position 0 broadcasts the words and
     /// address of the first [`tags::RELEASE`] message it receives, from
     /// anyone; every other member waits for its parent's total. Every
-    /// member is ready `⌈log₂ len⌉` rounds after the root received the
-    /// release, so all in one round; a member not ready by poll `deadline`
-    /// panics ("message loss: a node missed the release").
+    /// member is ready [`broadcast_rounds_for`]`(vp.len)` rounds after the
+    /// root received the release, so all in one round; a member not ready
+    /// by poll `deadline` panics ("message loss: a node missed the
+    /// release").
     pub fn released(
         vp: VPath,
         contacts: Arc<ContactTable>,
@@ -178,16 +375,11 @@ impl Sweep {
         fold: Option<Fold>,
         start: Option<usize>,
     ) -> Self {
-        let levels = vp.levels();
-        let up = if position == 0 {
-            levels
-        } else {
-            position.trailing_zeros() as usize
-        };
+        let tree = Tree::new(vp.len);
         Sweep {
             contacts,
-            levels,
-            up,
+            depth: tree.depth,
+            place: tree.place(position),
             lanes: words.len(),
             fold,
             start,
@@ -219,25 +411,26 @@ impl Sweep {
             .find(|e| e.msg.tag == tag && from.is_none_or(|f| e.src == f))
     }
 
-    /// The parent this position's total comes from, below the head.
-    fn parent(&self) -> NodeId {
+    /// The contact on `link`, inside the path.
+    fn contact(&self, (level, ahead): Link) -> NodeId {
         self.contacts
-            .behind(self.up)
-            .expect("a child below the head")
+            .at_offset(level, ahead)
+            .expect("a sweep tree link inside the path")
     }
 
     /// A released broadcast at poll `t`: the release at the root, the
-    /// parent's total elsewhere, fixes the start — the total of level
-    /// `up` arrives `levels - up` polls after it.
+    /// parent's total elsewhere, fixes the start — the total reaches a
+    /// child that reports in round `up` in the `depth - up`-th poll after
+    /// it.
     fn hear_release(&mut self, t: usize, ctx: &RoundCtx<'_>) {
-        let (tag, from) = match self.up < self.levels {
-            true => (tags::BCAST, Some(self.parent())),
-            false => (tags::RELEASE, None),
+        let (tag, from) = match self.place.parent {
+            Some(link) => (tags::BCAST, Some(self.contact(link))),
+            None => (tags::RELEASE, None),
         };
         if let Some(env) = Self::heard(ctx, tag, from) {
             self.lanes = env.msg.words_slice().len();
             self.acc = Swept::of(&env.msg);
-            self.start = Some(t - (self.levels - self.up));
+            self.start = Some(t - (self.depth - self.place.up));
         }
     }
 }
@@ -246,23 +439,24 @@ impl Rounds for Sweep {
     type Out = Swept;
 
     fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<Swept> {
-        let (t, levels) = (t as usize, self.levels);
-        if let Some(fold) = self.fold.filter(|_| (1..=levels).contains(&t)) {
-            // Reduce round `t - 1`: the child on that level, if any.
-            let j = t - 1;
-            if let Some(child) = self.contacts.ahead(j).filter(|_| j < self.up) {
+        let (t, depth, place) = (t as usize, self.depth, self.place);
+        if let Some(fold) = self.fold.filter(|_| (1..=place.up).contains(&t)) {
+            // Reduce round `t - 1`: the children that report in it.
+            for kid in place.kids_in(t - 1) {
                 let loss = "a reduce parent missed its child's aggregate";
-                let theirs = Swept::of(&Self::received(ctx, tags::AGGREGATE, child, loss).msg);
+                let from = self.contact(kid);
+                let theirs = Swept::of(&Self::received(ctx, tags::AGGREGATE, from, loss).msg);
                 fold(&mut self.acc.words, &theirs.words);
                 self.acc.addr = [self.acc.addr, theirs.addr].into_iter().flatten().min();
             }
         }
-        match self.start {
-            None if t > 0 => self.hear_release(t, ctx),
-            Some(start) if self.up < levels && t == start + levels - self.up => {
-                // The broadcast reached this position's level: the total.
+        match (self.start, place.parent) {
+            (None, _) if t > 0 => self.hear_release(t, ctx),
+            (Some(start), Some(parent)) if t == start + depth - place.up => {
+                // The broadcast reached this position: the total.
                 let loss = "a broadcast child missed its parent's total";
-                self.acc = Swept::of(&Self::received(ctx, tags::BCAST, self.parent(), loss).msg);
+                let from = self.contact(parent);
+                self.acc = Swept::of(&Self::received(ctx, tags::BCAST, from, loss).msg);
             }
             _ => {}
         }
@@ -270,19 +464,22 @@ impl Rounds for Sweep {
             if t as u64 == rounds {
                 panic!("message loss: a node missed the release");
             }
-            if self.fold.is_some() && t == self.up {
-                ctx.send(self.parent(), self.msg(tags::AGGREGATE, &self.acc));
+            if let Some(parent) = place
+                .parent
+                .filter(|_| self.fold.is_some() && t == place.up)
+            {
+                ctx.send(self.contact(parent), self.msg(tags::AGGREGATE, &self.acc));
             }
             return Poll::Pending;
         };
-        if t == start + levels {
+        if t == start + depth {
             return Poll::Ready(self.acc);
         }
-        // Broadcast round `t - start` pushes the total down level
-        // `levels - 1 - (t - start)`, to the child there, if any.
-        let j = levels - 1 - (t - start);
-        if let Some(child) = self.contacts.ahead(j).filter(|_| j < self.up) {
-            ctx.send(child, self.msg(tags::BCAST, &self.acc));
+        // Broadcast round `t - start` mirrors reduce round
+        // `depth - 1 - (t - start)`: the total goes down to the children
+        // that reported in it.
+        for kid in place.kids_in(depth - 1 - (t - start)) {
+            ctx.send(self.contact(kid), self.msg(tags::BCAST, &self.acc));
         }
         Poll::Pending
     }
@@ -363,10 +560,87 @@ mod tests {
         acc[0] = acc[0].min(x[0]);
     }
 
+    /// The sweep tree at every path length up to 4096, at 10⁵ and at 2¹⁷:
+    /// every parent is a power-of-two contact inside the path, and every
+    /// child reports in a round before its parent's, in which the parent
+    /// expects it over the reverse link — so the tree spans the path and
+    /// has no cycle — and a parent expects no one else. No position hears
+    /// from more than four children in one round. The deepest position is
+    /// [`broadcast_rounds_for`] hops from position 0, at most `⌈L/2⌉ + 1`
+    /// and at most `L`, and at every power of two that is position 0's
+    /// eccentricity over the contacts.
+    #[test]
+    fn the_sweep_tree_is_shallow_and_spans_the_path() {
+        for len in (1..=4096).chain([100_000, 1 << 17]) {
+            let (tree, levels) = (Tree::new(len), crate::levels_for(len));
+            let depth = broadcast_rounds_for(len) as usize;
+            assert!(
+                depth <= levels.div_ceil(2) + 1 && depth <= levels,
+                "len={len}"
+            );
+            let places: Vec<Place> = (0..len).map(|x| tree.place(x)).collect();
+            let at = |x: usize, (level, ahead): Link| {
+                assert!(level < levels, "len={len} x={x}");
+                let hop = if ahead {
+                    x.checked_add(1 << level)
+                } else {
+                    x.checked_sub(1 << level)
+                };
+                hop.filter(|&y| y < len).expect("a link inside the path")
+            };
+            // Hops to position 0, filled in parent before child: the
+            // report rounds strictly rise toward the root.
+            let mut order: Vec<usize> = (0..len).collect();
+            order.sort_by_key(|&x| std::cmp::Reverse(places[x].up));
+            assert_eq!(order[0], 0, "len={len}: the root reports last");
+            let mut hops = vec![0; len];
+            let mut kids = vec![0; len];
+            for &x in &order[1..] {
+                let link = places[x].parent.expect("a parent below the root");
+                let (p, up) = (at(x, link), places[x].up);
+                assert!(up < places[p].up, "len={len} x={x}");
+                let back = (link.0, !link.1);
+                assert!(places[p].kids_in(up).any(|k| k == back), "len={len} x={x}");
+                hops[x] = hops[p] + 1;
+                kids[p] += 1;
+            }
+            assert_eq!(hops.iter().max().copied().unwrap_or(0), depth, "len={len}");
+            for (p, place) in places.iter().enumerate() {
+                let per_round = (0..place.up).map(|r| place.kids_in(r).count());
+                assert!(per_round.clone().all(|k| k <= 4), "len={len} p={p}");
+                assert_eq!(per_round.sum::<usize>(), kids[p], "len={len} p={p}");
+            }
+            if len.is_power_of_two() && len <= 4096 {
+                assert_eq!(eccentricity(len), depth, "len={len}");
+            }
+        }
+    }
+
+    /// Position 0's eccentricity in the graph of `±2^j` hops over `len`
+    /// positions: a breadth-first search.
+    fn eccentricity(len: usize) -> usize {
+        let mut dist = vec![usize::MAX; len];
+        let mut queue = std::collections::VecDeque::from([0usize]);
+        dist[0] = 0;
+        while let Some(x) = queue.pop_front() {
+            for hop in (0..crate::levels_for(len)).map(|j| 1 << j) {
+                for y in [x + hop, x.wrapping_sub(hop)] {
+                    if y < len && dist[y] == usize::MAX {
+                        dist[y] = dist[x] + 1;
+                        queue.push_back(y);
+                    }
+                }
+            }
+        }
+        dist.into_iter().max().unwrap_or(0)
+    }
+
     /// At every path length from 1 to 300, on both engines, strict at the
-    /// capacity floor: every member ends on the sequential fold, in
-    /// `2⌈log₂ len⌉` rounds and `2(len - 1)` messages past the
-    /// establishment, whatever the width.
+    /// capacity floor of 4: every member ends on the sequential fold, in
+    /// [`rounds_for`] rounds and `2(len - 1)` messages past the
+    /// establishment, whatever the width, and no poll of the sweep finds
+    /// more than four sweep messages in a node's inbox, nor does a node
+    /// send more than four in a round.
     #[test]
     fn multi_lane_sweep_matches_a_sequential_fold() {
         for n in 1usize..=300 {
@@ -377,13 +651,21 @@ mod tests {
                 .unwrap();
             let runs = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
                 let result = net
-                    .run_protocol_on(engine, None, None, |_| WithCtx::new(sweep4))
+                    .run_protocol_on(engine, None, None, |_| {
+                        WithCtx::new(|ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                            Busiest(sweep4(ctx, rctx), 0)
+                        })
+                    })
                     .unwrap();
                 // Tracking is on: the folded address spread legally.
                 let m = &result.metrics;
                 assert!(m.is_clean(), "n={n} {engine:?}: {:?}", m.violations);
                 assert_eq!(m.capacity, 4, "n={n}");
-                assert!(result.outputs.iter().all(|(_, got)| *got == want), "n={n}");
+                assert!(m.max_sent_per_round <= 4, "n={n}");
+                for (_, (got, busiest)) in &result.outputs {
+                    assert_eq!(*got, want, "n={n}");
+                    assert!(*busiest <= 4, "n={n} {engine:?}: {busiest}");
+                }
                 assert_eq!(m.rounds - establish.metrics.rounds, rounds_for(n));
                 let sent = m.messages - establish.metrics.messages;
                 assert_eq!(sent, 2 * (n as u64 - 1), "n={n}");
@@ -395,11 +677,13 @@ mod tests {
 
     /// The broadcast half, at every path length from 1 to 100 on both
     /// engines: alone, position 0's words and address reach every member
-    /// in `⌈log₂ len⌉` rounds and `len - 1` messages past the
+    /// in [`broadcast_rounds_for`] rounds and `len - 1` messages past the
     /// establishment. Released, the same broadcast waits for position 1
     /// (at one node, the head itself), which idles `delay` rounds, then hands
     /// position 0 the value: every member ends on it in the same round,
-    /// one round and `⌈log₂ len⌉` after the hand-off, before its deadline.
+    /// one round and the tree's depth after the hand-off, before its
+    /// deadline. Neither run hands a node more than four sweep messages in
+    /// a poll, nor has it send more than four in a round.
     #[test]
     fn broadcast_halves_reach_every_member_in_one_round() {
         use crate::step::{Idle, Step};
@@ -407,7 +691,7 @@ mod tests {
             let net = Network::new(n, Config::ncc0(n as u64));
             let order = net.ids_in_path_order().to_vec();
             let establish = crate::ctx::rounds_for(n);
-            let levels = broadcast_rounds_for(n);
+            let depth = broadcast_rounds_for(n);
             let delay = 3;
             let releaser = order[n.min(2) - 1];
             for engine in [EngineKind::Batched, EngineKind::Reference] {
@@ -418,13 +702,14 @@ mod tests {
                             let words = [if head { rctx.id() % 1000 } else { 7 }, 5];
                             let addr = head.then(|| rctx.id());
                             let c = ctx.contacts.clone();
-                            SweepStep::broadcast(ctx.vp, c, ctx.position, &words, addr)
+                            let step = SweepStep::broadcast(ctx.vp, c, ctx.position, &words, addr);
+                            Busiest(step, 0)
                         })
                     })
                     .unwrap();
                 let want = Swept::new(&[order[0] % 1000, 5], Some(order[0]));
-                assert!(alone.outputs.iter().all(|(_, got)| *got == want), "n={n}");
-                assert_eq!(alone.metrics.rounds, establish + levels, "n={n}");
+                assert_busiest(&alone, want, n);
+                assert_eq!(alone.metrics.rounds, establish + depth, "n={n}");
                 assert_eq!(
                     alone.metrics.messages,
                     establish_messages(&net) + n as u64 - 1
@@ -441,21 +726,44 @@ mod tests {
                                     let msg = WireMsg::words(tags::RELEASE, &[me % 1000]);
                                     rctx.send(head, msg.with_addr(me));
                                 }
-                                let deadline = delay + 1 + levels + 4 - idle;
-                                SweepStep::released(vp, c, x, deadline)
+                                let deadline = delay + 1 + depth + 4 - idle;
+                                Busiest(SweepStep::released(vp, c, x, deadline), 0)
                             })
                         })
                     })
                     .unwrap();
                 let want = Swept::new(&[releaser % 1000], Some(releaser));
-                assert!(
-                    released.outputs.iter().all(|(_, got)| *got == want),
-                    "n={n}"
-                );
+                assert_busiest(&released, want, n);
                 assert!(released.metrics.is_clean(), "n={n}");
-                assert_eq!(released.metrics.rounds, establish + delay + 1 + levels);
+                assert_eq!(released.metrics.rounds, establish + delay + 1 + depth);
                 assert_eq!(released.metrics.messages, alone.metrics.messages + 1);
             }
+        }
+    }
+
+    /// A step and the most sweep messages one of its polls found in this
+    /// node's inbox.
+    struct Busiest<S>(S, usize);
+
+    impl<S: crate::Step> crate::Step for Busiest<S> {
+        type Out = (S::Out, usize);
+
+        fn poll(&mut self, rctx: &mut RoundCtx<'_>) -> Poll<Self::Out> {
+            let sweep = [tags::AGGREGATE, tags::BCAST];
+            let got = rctx.inbox().iter().filter(|e| sweep.contains(&e.msg.tag));
+            self.1 = self.1.max(got.count());
+            self.0.poll(rctx).map(|out| (out, self.1))
+        }
+    }
+
+    /// Every member of `run` ended on `want`, no poll handed a node more
+    /// than four sweep messages, and no node sent more than four in a
+    /// round.
+    fn assert_busiest(run: &RunResult<(Swept, usize)>, want: Swept, n: usize) {
+        assert!(run.metrics.max_sent_per_round <= 4, "n={n}");
+        for (_, (got, busiest)) in &run.outputs {
+            assert_eq!(*got, want, "n={n}");
+            assert!(*busiest <= 4, "n={n}: {busiest}");
         }
     }
 

@@ -118,10 +118,10 @@ fn in_place_sort_and_merge_are_exact_under_full_duplication() {
 }
 
 /// A duplicated aggregate is the same child's, due in the same round:
-/// the binomial sweep folds it once, and every node learns the fault-free
-/// total and the smallest held address.
+/// the sweep folds it once, and every node learns the fault-free total
+/// and the smallest held address.
 #[test]
-fn binomial_sweep_is_exact_under_full_duplication() {
+fn sweep_is_exact_under_full_duplication() {
     outputs_survive_full_duplication(47, |_| {
         WithCtx::new(|ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
             let (id, x) = (rctx.id(), ctx.position);

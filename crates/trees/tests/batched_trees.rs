@@ -205,28 +205,32 @@ fn sweep() -> Vec<Golden> {
 }
 
 /// The input check's sweep and the degree sort share their rounds: the
-/// check outlasts the sort at n = 2..=4, ties it at n = 5..=8 and is the
-/// shorter from n = 9 on. At lengths in each of those ranges, one long
-/// path, and at the capacity floor (cap = 4), both algorithms run clean
-/// under the strict policy on both engines, within the cap on both sides,
-/// on the closed form.
+/// check outlasts the sort at n = 2 and 4, ties it at n = 8 and is the
+/// shorter at n = 3, 5..=7 and from n = 9 on. At lengths on each side,
+/// one long path, at the default capacity and at the trees' own floor
+/// (cap = 5: up to four sweep messages and one of the sort a round), both
+/// algorithms run clean under the strict policy on both engines, within
+/// the cap on both sides, on the closed form.
 #[test]
 fn check_beside_the_sort_runs_clean_at_its_edges() {
     use dgr_primitives::{ops, sort};
+    use std::cmp::Ordering::{Equal, Greater, Less};
     for n in 2..=1 << 16 {
         let (check, sort) = (ops::rounds_for(n), sort::rounds_for(n));
-        match n {
-            2..=4 => assert!(check > sort, "n={n}: the sort outlasts the check"),
-            5..=8 => assert_eq!(check, sort, "n={n}"),
-            _ => assert!(check < sort, "n={n}: the check outlasts the sort"),
-        }
+        let edge = match n {
+            2 | 4 => Greater,
+            8 => Equal,
+            _ => Less,
+        };
+        assert_eq!(check.cmp(&sort), edge, "n={n}");
     }
     for n in [3usize, 4, 6, 9, 256] {
         // A heap-shaped tree: node i + 1 hangs below node i / 2.
         let picks: Vec<usize> = (0..n - 1).map(|i| i / 2).collect();
         let degrees = tree_degrees(&picks);
-        for factor in [2.0, 0.1] {
-            let config = Config::ncc0(n as u64 + 60).with_capacity_factor(factor);
+        for (factor, floor) in [(2.0, 4), (0.1, 5)] {
+            let mut config = Config::ncc0(n as u64 + 60).with_capacity_factor(factor);
+            config.min_capacity = floor;
             for algo in [TreeAlgo::Chain, TreeAlgo::Greedy] {
                 let what = format!("n={n} factor={factor} {algo:?}");
                 let batched = realize(&degrees, config.clone(), algo, EngineKind::Batched);
@@ -237,7 +241,7 @@ fn check_beside_the_sort_runs_clean_at_its_edges() {
                 assert!(t.graph.is_tree(), "{what}");
                 assert!(m.is_clean(), "{what}: {:?}", m.violations);
                 assert!(
-                    factor > 1.0 || m.capacity == 4,
+                    factor > 1.0 || m.capacity == 5,
                     "{what}: cap {}",
                     m.capacity
                 );
