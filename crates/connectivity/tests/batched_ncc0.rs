@@ -65,10 +65,10 @@ fn transcript(out: &ThresholdRealization) -> Golden {
 #[rustfmt::skip]
 const GOLDEN: &[(&str, Golden)] = &[
     ("ncc0 [1, 1, 1, 1]", (true, 18, 41, 106, 2, 2, 0x0be86c8e1c8e354e)),
-    ("ncc0 [2, 2, 2, 2, 2]", (true, 25, 71, 181, 2, 2, 0xf2ac545aaa3115ac)),
-    ("ncc0 [3, 2, 2, 1, 1, 1]", (true, 27, 87, 226, 3, 2, 0x75030473a17a12ad)),
-    ("ncc0 [4, 4, 3, 2, 2, 1, 1, 1, 1, 1]", (true, 35, 191, 506, 2, 3, 0x079f042daa1062b3)),
-    ("ncc0 [5; 12]", (true, 37, 315, 792, 5, 4, 0x08e743571c7a43d5)),
+    ("ncc0 [2, 2, 2, 2, 2]", (true, 24, 71, 181, 2, 2, 0xf2ac545aaa3115ac)),
+    ("ncc0 [3, 2, 2, 1, 1, 1]", (true, 26, 87, 226, 3, 2, 0x75030473a17a12ad)),
+    ("ncc0 [4, 4, 3, 2, 2, 1, 1, 1, 1, 1]", (true, 33, 191, 506, 3, 3, 0x079f042daa1062b3)),
+    ("ncc0 [5; 12]", (true, 36, 315, 792, 5, 4, 0x08e743571c7a43d5)),
 ];
 
 /// What a change of schedule may not move: the certified? and edge-hash

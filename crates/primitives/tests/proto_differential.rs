@@ -86,10 +86,10 @@ const GOLDEN: &[(&str, Golden)] = &[
     ("sort n=100 seed=3", (38, 3652, 10659, 2, 2, 0x16fae57b78a325eb)),
     ("prefix", (15, 984, 2432, 2, 2, 0x3fdd578ce513362d)),
     ("prefix exclusive", (13, 531, 1299, 2, 2, 0xbad081cc3c1f2cd9)),
-    ("aggregate-broadcast Sum", (19, 572, 1471, 2, 2, 0x1550242f8b97d603)),
-    ("aggregate-broadcast Max", (19, 572, 1471, 2, 2, 0x702198311380198b)),
-    ("aggregate-broadcast Min", (19, 572, 1471, 2, 2, 0x51c495eee33ec395)),
-    ("median", (19, 446, 1100, 2, 2, 0xbb0b4ada90c40310)),
+    ("aggregate-broadcast Sum", (15, 572, 1471, 4, 4, 0x1550242f8b97d603)),
+    ("aggregate-broadcast Max", (15, 572, 1471, 4, 4, 0x702198311380198b)),
+    ("aggregate-broadcast Min", (15, 572, 1471, 4, 4, 0x51c495eee33ec395)),
+    ("median", (13, 446, 1100, 4, 4, 0xbb0b4ada90c40310)),
     ("imcast n=40 w=5", (14, 386, 1105, 2, 2, 0xf72d604209bc1766)),
     ("imcast n=37 w=7", (14, 349, 1001, 2, 2, 0xc143af34fb4d83e2)),
     ("imcast n=64 w=8", (14, 698, 2017, 2, 2, 0x517f669192246aea)),

@@ -97,32 +97,32 @@ fn benchmark_calls_keep_their_fingerprints() {
         (
             "degrees_default",
             2020,
-            (254, 335_778, 1_107_451, 0x7504_cae2_9b62_b91e),
+            (215, 333_010, 1_099_147, 0x7504_cae2_9b62_b91e),
         ),
         (
             "degrees_default",
             5376,
-            (254, 335_778, 1_107_451, 0xe514_bcfc_8041_68a3),
+            (215, 333_010, 1_099_147, 0xe514_bcfc_8041_68a3),
         ),
         (
             "explicit_powerlaw",
             2020,
-            (464, 624_377, 2_031_997, 0xc7bd_c305_c5cc_2575),
+            (337, 617_027, 2_009_947, 0xc7bd_c305_c5cc_2575),
         ),
         (
             "explicit_powerlaw",
             5376,
-            (464, 624_377, 2_031_997, 0x58a9_4497_4cc0_62ab),
+            (337, 617_027, 2_009_947, 0x58a9_4497_4cc0_62ab),
         ),
         (
             "threshold_certified",
             2020,
-            (165, 180_738, 521_601, 0x513e_2e44_4a43_24ed),
+            (154, 180_730, 521_577, 0x513e_2e44_4a43_24ed),
         ),
         (
             "threshold_certified",
             5376,
-            (165, 180_612, 521_349, 0x3b4e_011f_5d6a_ee6a),
+            (154, 180_604, 521_325, 0x3b4e_011f_5d6a_ee6a),
         ),
         (
             "flood_sharded_faulty",
