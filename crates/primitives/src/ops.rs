@@ -109,7 +109,7 @@ impl Tree {
         // of `2^t` from `len` on gives the least.
         let far = (0..=levels)
             .map(|t| {
-                let p = len.next_multiple_of(1 << t);
+                let p = (len + (1 << t) - 1) & !((1 << t) - 1);
                 p - lowest(p) / 3
             })
             .fold(len, usize::min);
@@ -119,10 +119,10 @@ impl Tree {
             far,
             depth: 0,
         };
-        tree.depth = (0..levels)
-            .map(|j| tree.round(1 << j) + 1)
-            .max()
-            .unwrap_or(0);
+        // The root's children `2^j` report in round `⌊j/2⌋` or one later,
+        // so one of the top two reports last.
+        let top = levels.saturating_sub(2)..levels;
+        tree.depth = top.map(|j| tree.round(1 << j) + 1).max().unwrap_or(0);
         tree
     }
 
@@ -192,11 +192,7 @@ impl Tree {
         // levels below its lowest; those ahead must stay short of `far`.
         let levels = below((lowest(x).ilog2() as usize).saturating_sub(1));
         let room = self.far - x - 1;
-        let reach = if room == 0 {
-            0
-        } else {
-            below(room.ilog2() as usize + 1)
-        };
+        let reach = room.checked_ilog2().map_or(0, |j| below(j as usize + 1));
         let spare = x + self.half();
         Place {
             parent: Some(link),
