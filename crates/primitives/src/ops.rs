@@ -31,8 +31,8 @@
 //! Each half of the sweep takes the tree's depth in rounds
 //! ([`broadcast_rounds_for`]). A spare sends its fold up in reduce round
 //! 0; any other position whose lowest digit is `±2^j`, in round `⌊j/2⌋`,
-//! or a round later when its parent's subtree (its own, below the root)
-//! holds a spare's parent. So a node's children on levels `2r` and
+//! or a round later when its parent's subtree (for a child of the root,
+//! its own) holds a spare's parent. So a node's children on levels `2r` and
 //! `2r + 1` report together, at most four a round, every child before its
 //! parent; the broadcast mirrors the reduce, the total going down to a
 //! child in the round that mirrors its report. A sweep costs `2(len - 1)`
