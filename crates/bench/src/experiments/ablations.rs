@@ -37,9 +37,7 @@ impl NodeProtocol for Burst {
 
 /// A1: capacity-factor sweep. The per-round budget is
 /// `cap = max(4, ⌈c·log₂ n⌉)`; the implicit realization uses O(1)
-/// messages per node per round (insensitive to `c`: up to six, four of
-/// the control sweep and one each of the lane and the hop, so the sweep
-/// starts at `c = 0.75`, six a round at `n = 192`), while the explicit
+/// messages per node per round (insensitive to `c`), while the explicit
 /// hand-off is bandwidth-bound: its cost is an additive latency term plus
 /// a `Θ(Δ/cap)` transfer term that shrinks as `c` grows.
 pub fn a1_capacity() -> Vec<Table> {
@@ -57,7 +55,7 @@ pub fn a1_capacity() -> Vec<Table> {
     );
     let mut handoffs = Vec::new();
     let mut implicit_rounds = Vec::new();
-    for &factor in &[0.75f64, 1.5, 3.0, 6.0, 12.0] {
+    for &factor in &[0.5f64, 1.0, 2.0, 4.0, 8.0] {
         let imp = drive::degrees(Workload::Implicit(degrees.clone()), 61, Some(factor));
         let exp = drive::degrees(Workload::Explicit(degrees.clone()), 61, Some(factor));
         let (ri, re) = (imp.expect_realized(), exp.expect_realized());

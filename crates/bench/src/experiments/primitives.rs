@@ -149,8 +149,8 @@ pub fn t3_sort() -> Vec<Table> {
 
 /// Theorem 4: global broadcast + aggregation in `O(log n)` rounds, as
 /// the sweep over the shallow NAF tree of the contacts: exactly
-/// `ops::rounds_for(n)` rounds, twice the tree's depth, at most
-/// `2(⌈⌈log₂ n⌉/2⌉ + 1)`, and `2(n - 1)` messages.
+/// `ops::rounds_for(n, cap)` rounds, at the default capacity twice the
+/// tree's depth, at most `2(⌈⌈log₂ n⌉/2⌉ + 1)`, and `2(n - 1)` messages.
 pub fn t4_aggregate() -> Vec<Table> {
     let mut t = Table::new(
         "Theorem 4 — global aggregation + broadcast (shallow sweep tree)",
@@ -183,7 +183,8 @@ pub fn t4_aggregate() -> Vec<Table> {
         let rounds = result.metrics.rounds - base.rounds;
         let messages = result.metrics.messages - base.messages;
         let shallow = 2 * (dgr_primitives::levels_for(n).div_ceil(2) as u64 + 1);
-        correct &= rounds == ops::rounds_for(n) && rounds <= shallow;
+        let cap = result.metrics.capacity;
+        correct &= rounds == ops::rounds_for(n, cap) && rounds <= shallow;
         correct &= messages == 2 * (n as u64 - 1);
         correct &= result.outputs.iter().all(|(_, s)| s.words[0] == want);
         ratios.push(rounds as f64 / lg(n));

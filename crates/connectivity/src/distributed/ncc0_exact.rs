@@ -89,17 +89,18 @@ pub fn rounds_for(rho: &[usize], max_shortfall: u64, cap: usize) -> u64 {
         0 => 0,
         gap => patch_rounds(d0, gap, b),
     };
-    prologue_rounds(n)
+    prologue_rounds(n, cap)
         + release_rounds(n, d0, core_rounds(&sorted[..=d0.min(n - 1)], cap), cap)
         + patch
         + pipeline_rounds(d0)
         + stagger_rounds(2 * d0 + 2, cap)
 }
 
-/// Rounds of the prologue on `n ≥ 2` nodes: establishment, sort, rank
-/// and the `d₀`/`x₁` broadcast.
-fn prologue_rounds(n: usize) -> u64 {
-    ctx::rounds_for(n) + sort::rounds_for(n) + RANK_ROUNDS + ops::broadcast_rounds_for(n)
+/// Rounds of the prologue on `n ≥ 2` nodes at capacity `cap`:
+/// establishment, sort, rank and the `d₀`/`x₁` broadcast.
+fn prologue_rounds(n: usize, cap: usize) -> u64 {
+    let broadcast = ops::broadcast_rounds_for(n, cap);
+    ctx::rounds_for(n) + sort::rounds_for(n) + RANK_ROUNDS + broadcast
 }
 
 /// Rounds of the envelope core on the prefix whose requirements are
@@ -127,9 +128,9 @@ fn release_rounds(n: usize, d0: usize, core: u64, cap: usize) -> u64 {
     ctx::rounds_on(len)
         + core
         + stagger_rounds(d0 + 1, cap)
-        + ops::rounds_for(len)
+        + ops::rounds_for(len, cap)
         + 1
-        + ops::broadcast_rounds_for(n)
+        + ops::broadcast_rounds_for(n, cap)
 }
 
 /// The latest round, counted from the prologue's end, by which every
@@ -142,7 +143,7 @@ fn release_rounds(n: usize, d0: usize, core: u64, cap: usize) -> u64 {
 /// sort or its hop, whichever is longest.
 fn release_deadline(n: usize, d0: usize, cap: usize) -> u64 {
     let len = (d0 + 1).min(n);
-    let phase = ops::rounds_for(len)
+    let phase = ops::rounds_for(len, cap)
         .max(sort::rounds_for(len))
         .max(hop_rounds_for(len));
     release_rounds(n, d0, (len as u64 + 1) * phase, cap)
@@ -575,10 +576,10 @@ mod tests {
             .unwrap();
         let cap = clean.output.metrics.capacity;
         assert_eq!(clean.output.metrics.rounds, rounds_for(&rho, 0, cap));
-        let (d0, prologue) = (5, prologue_rounds(n));
+        let (d0, prologue) = (5, prologue_rounds(n, cap));
         let prefix = [5; 6];
         let release = prologue + release_rounds(n, d0, core_rounds(&prefix, cap), cap);
-        let sent = release - 1 - ops::broadcast_rounds_for(n);
+        let sent = release - 1 - ops::broadcast_rounds_for(n, cap);
         let deadline = prologue + release_deadline(n, d0, cap);
         let lost = Scenario::new(5).drop_messages(sent..=sent, 1.0);
         for engine in [EngineKind::Batched, EngineKind::Reference] {

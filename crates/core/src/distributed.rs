@@ -194,7 +194,8 @@ pub enum Flavor {
 /// [`DegreesCore`] — on a path of `len` nodes whose phases formed
 /// `groups[i]` groups in phase `i + 1`: one entry per phase but the last,
 /// the run's [`phase_groups`]. Every phase but the last runs the control
-/// sweep ([`ops::rounds_for`]) beside the lane: the first phase's lane is
+/// sweep ([`ops::rounds_for`] at `cap`: paced, at most `2⌈log₂ len⌉`,
+/// under a capacity of six) beside the lane: the first phase's lane is
 /// the bitonic sort, a later one's the merge lane where [`merges`] says
 /// so, after a phase of `g` groups [`sort::merge_rounds_for`]`(len, g)`,
 /// which ends inside the sweep while `g < 2^(control - ⌈log₂ len⌉ - 1)`
@@ -214,7 +215,7 @@ pub fn rounds_for(
     max_degree: usize,
     cap: usize,
 ) -> u64 {
-    let control = ops::rounds_for(len);
+    let control = ops::rounds_for(len, cap);
     let first = control.max(sort::rounds_for(len));
     let beside_hop = control.max(hop_rounds_for(len));
     let (first, later, last) = match groups.split_last() {
@@ -607,22 +608,24 @@ mod tests {
     /// closing phase after one group, whose lane is dropped. The hop is
     /// `⌈log₂ len⌉ + 2` rounds and outlasts the control sweep by at most
     /// two: by one at two positions, by two at 2049, and it ends a round
-    /// inside the sweep at 2048.
+    /// inside the sweep at 2048 — at a capacity that takes the sweep
+    /// unpaced.
     #[test]
     fn the_multicast_ends_inside_the_next_control_sweep() {
         use super::hop_rounds_for;
         use dgr_primitives::{ctx, levels_for, ops, sort};
+        let cap = 22;
         for len in 2..=1 << 20 {
-            let (control, hop) = (ops::rounds_for(len), hop_rounds_for(len));
+            let (control, hop) = (ops::rounds_for(len, cap), hop_rounds_for(len));
             assert_eq!(hop, levels_for(len) as u64 + 2, "len={len}");
             assert!(hop <= control + 2, "len={len}");
             if len.is_power_of_two() || len % 997 == 0 {
                 let first = ctx::rounds_for(len) + control.max(sort::rounds_for(len));
-                let run = rounds_for(len, &[1], Flavor::Implicit, 1, 4);
+                let run = rounds_for(len, &[1], Flavor::Implicit, 1, cap);
                 assert_eq!(run - first, control.max(hop), "len={len}");
             }
         }
-        let pairs = [2, 2048, 2049].map(|len| (ops::rounds_for(len), hop_rounds_for(len)));
+        let pairs = [2, 2048, 2049].map(|len| (ops::rounds_for(len, cap), hop_rounds_for(len)));
         assert_eq!(pairs, [(2, 3), (14, 13), (12, 14)]);
     }
 
@@ -634,12 +637,13 @@ mod tests {
     /// fewer than 4 groups: a run of 9 phases is the establishment (12), a
     /// 66-round first phase, then seven phases of 19, 14, 20, 21, 14, 21
     /// and 14 rounds — the lane after 118, 251, 419 and 418 groups, else
-    /// the 14-round sweep — and the 14-round closing sweep.
+    /// the 14-round sweep — and the 14-round closing sweep. The edge holds
+    /// for the paced sweep too.
     #[test]
     fn a_later_phase_is_its_control_sweep() {
         use dgr_primitives::{levels_for, ops, sort};
-        for len in 9..=1 << 20 {
-            let control = ops::rounds_for(len);
+        for (len, cap) in (9..=1 << 20).flat_map(|len| [(len, 22), (len, 4)]) {
+            let control = ops::rounds_for(len, cap);
             let fits = |groups| sort::merge_rounds_for(len, groups) <= control;
             let spare = control.checked_sub(levels_for(len) as u64 + 1);
             let edge = spare.map_or(0, |bits| 1 << bits);
@@ -647,7 +651,7 @@ mod tests {
                 assert_eq!(fits(groups), groups < edge, "len={len} groups={groups}");
             }
         }
-        assert_eq!(ops::rounds_for(2048), 14);
+        assert_eq!(ops::rounds_for(2048, 22), 14);
         let groups = [118, 1, 251, 419, 1, 418, 1, 419];
         assert_eq!(rounds_for(2048, &groups, Flavor::Implicit, 5, 22), 215);
     }
@@ -691,7 +695,8 @@ mod tests {
     fn first_commit() -> u64 {
         use dgr_primitives::{ctx, ops, sort};
         let n = 64;
-        ctx::rounds_for(n) + ops::rounds_for(n).max(sort::rounds_for(n))
+        let control = ops::rounds_for(n, Config::ncc0(7).capacity(n));
+        ctx::rounds_for(n) + control.max(sort::rounds_for(n))
     }
 
     /// A member commits its need before its payload arrives, so losing
@@ -881,9 +886,9 @@ mod tests {
     fn explicit_hand_off_ignores_the_dropped_sort() {
         use dgr_primitives::{ops, sort};
         let n = 64;
-        assert!(ops::rounds_for(n) < sort::rounds_for(n));
         let degrees: Vec<usize> = (0..n).map(|i| 1 + i % 4).collect();
         let config = Config::ncc0(37).with_queueing();
+        assert!(ops::rounds_for(n, config.capacity(n)) < sort::rounds_for(n));
         for engine in [EngineKind::Batched, EngineKind::Reference] {
             let flavor = Flavor::Explicit;
             let job = prepare_degrees(&degrees, None, config.clone(), flavor, engine);

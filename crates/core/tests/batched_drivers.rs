@@ -243,15 +243,17 @@ fn round_counts_follow_the_closed_form_at_scale() {
 /// ties the sort on (eight, the last a later phase still sorts again on),
 /// the short ones the sort outlasts it on (three, five), the first it
 /// merges on (nine), and longer ones; with the hop inside the sweep or
-/// past it — at the default capacity and at the core's own floor (cap =
-/// 6: up to four sweep messages, one of the lane and one of the hop a
-/// round), every flavour runs clean under the strict policy on both
-/// engines, the per-round maxima within the cap on both sides, on the
-/// closed form.
+/// past it, at the default capacity — and at the capacity floor (cap = 4,
+/// where the sweep is paced from ten nodes on: two sweep messages a round
+/// at most, beside one of the lane and one of the hop), every flavour
+/// runs clean under the strict policy on both engines, the per-round
+/// maxima within the cap on both sides, on the closed form, where the
+/// merge lane fits the control sweep exactly while the groups stay under
+/// `2^(control - ⌈log₂ n⌉ - 1)`.
 #[test]
 fn sweep_beside_the_sort_runs_clean_at_its_edges() {
     use dgr_core::distributed::{hop_rounds_for, merges};
-    use dgr_primitives::{ops, sort};
+    use dgr_primitives::{levels_for, ops, sort};
     use std::cmp::Ordering::{Equal, Greater, Less};
     let edges = [
         (2usize, Greater, false),
@@ -265,16 +267,15 @@ fn sweep_beside_the_sort_runs_clean_at_its_edges() {
         (256, Less, true),
     ];
     for (n, edge, hop_inside) in edges {
-        let control = ops::rounds_for(n);
+        let control = ops::rounds_for(n, Config::ncc0(0).capacity(n));
         assert_eq!(control.cmp(&sort::rounds_for(n)), edge, "n={n}: wrong edge");
         assert_eq!(hop_rounds_for(n) <= control, hop_inside, "n={n}");
         assert_eq!(merges(Flavor::Implicit, n), n > 8, "n={n}");
         // Graphic, Δ ≤ 4: a strict-cap hand-off never exceeds the floor.
         let degrees: Vec<usize> = (0..n).map(|i| (2 + 2 * (i % 2)).min(n - 1)).collect();
         let max_degree = degrees.iter().copied().max().unwrap();
-        for (factor, floor) in [(2.0, 4), (0.1, 6)] {
-            let mut config = Config::ncc0(n as u64 + 40).with_capacity_factor(factor);
-            config.min_capacity = floor;
+        for factor in [2.0, 0.1] {
+            let config = Config::ncc0(n as u64 + 40).with_capacity_factor(factor);
             for flavor in [Flavor::Implicit, Flavor::Envelope, Flavor::Explicit] {
                 let what = format!("n={n} factor={factor} {flavor:?}");
                 let run = |engine| realize(&degrees, None, config.clone(), flavor, engine);
@@ -284,7 +285,7 @@ fn sweep_beside_the_sort_runs_clean_at_its_edges() {
                 let m = &r.metrics;
                 assert!(m.is_clean(), "{what}: {:?}", m.violations);
                 assert!(
-                    factor > 1.0 || m.capacity == 6,
+                    factor > 1.0 || m.capacity == 4,
                     "{what}: cap {}",
                     m.capacity
                 );
@@ -293,6 +294,13 @@ fn sweep_beside_the_sort_runs_clean_at_its_edges() {
                 assert!(r.phases > 2 || n == 2, "{what}: no later phase");
                 let groups = phase_groups(&degrees, flavor);
                 assert_eq!(groups.len() as u64 + 1, r.phases, "{what}");
+                let control = ops::rounds_for(n, m.capacity);
+                let spare = control.checked_sub(levels_for(n) as u64 + 1);
+                let edge = spare.map_or(0, |bits| 1 << bits);
+                for &g in groups.iter().filter(|_| merges(flavor, n)) {
+                    let fits = sort::merge_rounds_for(n, g) <= control;
+                    assert_eq!(fits, g < edge, "{what}: {g} groups");
+                }
                 let want = rounds_for(n, &groups, flavor, max_degree, m.capacity);
                 assert_eq!(m.rounds, want, "{what}: {} phases", r.phases);
             }

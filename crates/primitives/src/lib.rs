@@ -35,7 +35,7 @@
 //! | [`warmup::WarmupStep`] (Fig. 1 tree) | §3.1.1 | `2 (ceil(log2 n) + 1)` |
 //! | [`contacts::ContactsStep`] (pointer doubling) | — | `ceil(log2 n) - 1` |
 //! | [`ctx::EstablishCtx`] (undirect, then the doubling with a rank lane: positions, Cor. 2) | §3.1 | `1 + ceil(log2 n)` |
-//! | [`ops::SweepStep`] (Thm 4 on a shallow tree of the contacts, each position below itself less its lowest NAF digit: up to four words and an address, one fold, at most four messages a node a round) | §3.2.1 | `2 depth`, `depth <= ceil(ceil(log2 n) / 2) + 1` |
+//! | [`ops::SweepStep`] (Thm 4 on a shallow tree of the contacts, each position below itself less its lowest NAF digit: up to four words and an address, one fold, at most four messages a node a round; paced to two, one level a round, where the capacity is under six) | §3.2.1 | `2 depth`, `depth <= ceil(ceil(log2 n) / 2) + 1`; paced `<= 2 ceil(log2 n)` |
 //! | [`ops::SweepStep::broadcast`] / [`ops::SweepStep::released`] (the broadcast half alone: from position 0, or when a message reaches it) | §3.2.1 | `depth` |
 //! | [`sort::SortStep`] (Thm 3: the rank-`x` record ends at position `x`) | §3.1.2 | `O(log² n)` |
 //! | [`sort::SortStep::merge`] (re-order in place after a group phase of `g` groups) | — | `ceil(log2(g + 1)) + ceil(log2 n) + 1` |
@@ -86,6 +86,10 @@ pub fn levels_for(len: usize) -> usize {
         usize::BITS as usize - (len - 1).leading_zeros() as usize
     }
 }
+
+#[cfg(test)]
+#[path = "../tests/support/busiest.rs"]
+mod busiest;
 
 #[cfg(test)]
 mod tests {

@@ -27,8 +27,9 @@
 //! `crates/primitives/tests/proto_differential.rs` pins every step's
 //! transcript, round for round and message for message, on both engines.
 //!
-//! Every step whose budget is fixed when it is built runs on the one
-//! clock that enforces this, [`Lockstep`]: it owns the poll counter and
+//! Every step whose budget is fixed when it is built — or at its first
+//! poll, from the network's capacity ([`Lockstep::sized`]) — runs on the
+//! one clock that enforces this, [`Lockstep`]: it owns the poll counter and
 //! the budget, idles a path non-member through the budget, and hands a
 //! member's poll index to the primitive's [`Rounds`], which writes only
 //! what a member does. A member still pending when its budget is spent
@@ -119,6 +120,13 @@ pub trait Rounds: Send {
     fn non_member(&mut self) -> Self::Out {
         Self::Out::default()
     }
+
+    /// The budget of a [`Lockstep::sized`] run, which the network's
+    /// capacity fixes: asked once, at the first poll, at a member and a
+    /// non-member alike; `None` keeps the budget the run was built with.
+    fn budget(&mut self, _ctx: &RoundCtx<'_>) -> Option<u64> {
+        None
+    }
 }
 
 /// The lockstep clock: runs a [`Rounds`] for exactly the budget it was
@@ -157,12 +165,22 @@ impl<R: Rounds> Lockstep<R> {
             ..Lockstep::run(true, deadline, inner)
         }
     }
+
+    /// Runs `inner` for the budget its [`Rounds::budget`] gives at the
+    /// first poll: a step whose schedule depends on the network's
+    /// capacity, which every node knows once the run is on.
+    pub fn sized(member: bool, inner: R) -> Self {
+        Lockstep::run(member, 0, inner)
+    }
 }
 
 impl<R: Rounds> Step for Lockstep<R> {
     type Out = R::Out;
 
     fn poll(&mut self, ctx: &mut RoundCtx<'_>) -> Poll<R::Out> {
+        if self.t == 0 {
+            self.budget = self.inner.budget(ctx).unwrap_or(self.budget);
+        }
         let (t, budget) = (self.t, self.budget);
         let name = std::any::type_name::<R>;
         if !self.member {

@@ -15,6 +15,10 @@ use rand::Rng;
 mod cases;
 use cases::{case_rng, vec_of};
 
+#[path = "support/busiest.rs"]
+mod busiest;
+use busiest::Busiest;
+
 /// Sorting: the rank assignment is a permutation, keys are ordered
 /// along ranks, and the sorted-path links are consistent — for any
 /// path length and any key multiset (dense keys force many ties).
@@ -166,7 +170,8 @@ fn imcast_random_layout() {
                             };
                             (a - x, count, payload)
                         });
-                        Busiest(ImcastStep::at_offset(c.vp, c.contacts.clone(), task), 0)
+                        let step = ImcastStep::at_offset(c.vp, c.contacts.clone(), task);
+                        Busiest::new(step, &[tags::IMCAST])
                     })
                 })
                 .unwrap();
@@ -193,20 +198,6 @@ fn offset_layout(rng: &mut impl Rng) -> Vec<(usize, usize)> {
         at += count + rng.gen_range(0usize..3);
     }
     layout
-}
-
-/// A step and the most multicast messages one of its rounds handed this
-/// node.
-struct Busiest<S>(S, usize);
-
-impl<S: Step> Step for Busiest<S> {
-    type Out = (S::Out, usize);
-
-    fn poll(&mut self, rctx: &mut RoundCtx<'_>) -> Poll<Self::Out> {
-        let got = rctx.inbox().iter().filter(|e| e.msg.tag == tags::IMCAST);
-        self.1 = self.1.max(got.count());
-        self.0.poll(rctx).map(|out| (out, self.1))
-    }
 }
 
 /// Aggregation with different operators agrees with the sequential

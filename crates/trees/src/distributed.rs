@@ -72,14 +72,14 @@ use dgr_primitives::prefix::{self, PrefixStep};
 use dgr_primitives::sort::{self, Held, Order, SortStep};
 use dgr_primitives::{ctx, EstablishCtx, PathCtx, Poll, Step};
 
-/// Rounds of a realized tree run on `len ≥ 2` nodes, either algorithm:
-/// context establishment, the input check beside the degree sort, the
-/// slot prefix sums, the shifted multicast and the round of the statuses.
-/// A refusal (and a single node) ends on the check,
-/// `ctx::rounds_for(len) + ops::rounds_for(len)` rounds in all.
-pub fn rounds_for(len: usize) -> u64 {
+/// Rounds of a realized tree run on `len ≥ 2` nodes at capacity `cap`,
+/// either algorithm: context establishment, the input check beside the
+/// degree sort, the slot prefix sums, the shifted multicast and the round
+/// of the statuses. A refusal (and a single node) ends on the check,
+/// `ctx::rounds_for(len) + ops::rounds_for(len, cap)` rounds in all.
+pub fn rounds_for(len: usize, cap: usize) -> u64 {
     ctx::rounds_for(len)
-        + ops::rounds_for(len).max(sort::rounds_for(len))
+        + ops::rounds_for(len, cap).max(sort::rounds_for(len))
         + prefix::rounds_for(len)
         + imcast::offset_rounds_for(len)
         + 1

@@ -193,7 +193,8 @@ fn sweep() -> Vec<Golden> {
             assert_eq!(transcript(&batched), transcript(&reference), "{what}");
             assert_eq!(metrics_of(&batched), metrics_of(&reference), "{what}");
             let t = batched.expect_realized();
-            assert_eq!(t.metrics.rounds, rounds_for(degrees.len()), "{what}");
+            let cap = t.metrics.capacity;
+            assert_eq!(t.metrics.rounds, rounds_for(degrees.len(), cap), "{what}");
             assert!(t.graph.is_tree());
             let mut want = degrees.clone();
             want.sort_unstable_by(|a, b| b.cmp(a));
@@ -206,9 +207,10 @@ fn sweep() -> Vec<Golden> {
 
 /// The input check's sweep and the degree sort share their rounds: the
 /// check outlasts the sort at n = 2 and 4, ties it at n = 8 and is the
-/// shorter at n = 3, 5..=7 and from n = 9 on. At lengths on each side,
-/// one long path, at the default capacity and at the trees' own floor
-/// (cap = 5: up to four sweep messages and one of the sort a round), both
+/// shorter at n = 3, 5..=7 and from n = 9 on, at the default capacity.
+/// At lengths on each side, one long path, at the default capacity and at
+/// the capacity floor (cap = 4, where the long path's check is paced: two
+/// sweep messages a round at most, beside one of the sort), both
 /// algorithms run clean under the strict policy on both engines, within
 /// the cap on both sides, on the closed form.
 #[test]
@@ -216,7 +218,8 @@ fn check_beside_the_sort_runs_clean_at_its_edges() {
     use dgr_primitives::{ops, sort};
     use std::cmp::Ordering::{Equal, Greater, Less};
     for n in 2..=1 << 16 {
-        let (check, sort) = (ops::rounds_for(n), sort::rounds_for(n));
+        let cap = Config::ncc0(0).capacity(n);
+        let (check, sort) = (ops::rounds_for(n, cap), sort::rounds_for(n));
         let edge = match n {
             2 | 4 => Greater,
             8 => Equal,
@@ -228,9 +231,8 @@ fn check_beside_the_sort_runs_clean_at_its_edges() {
         // A heap-shaped tree: node i + 1 hangs below node i / 2.
         let picks: Vec<usize> = (0..n - 1).map(|i| i / 2).collect();
         let degrees = tree_degrees(&picks);
-        for (factor, floor) in [(2.0, 4), (0.1, 5)] {
-            let mut config = Config::ncc0(n as u64 + 60).with_capacity_factor(factor);
-            config.min_capacity = floor;
+        for factor in [2.0, 0.1] {
+            let config = Config::ncc0(n as u64 + 60).with_capacity_factor(factor);
             for algo in [TreeAlgo::Chain, TreeAlgo::Greedy] {
                 let what = format!("n={n} factor={factor} {algo:?}");
                 let batched = realize(&degrees, config.clone(), algo, EngineKind::Batched);
@@ -241,13 +243,13 @@ fn check_beside_the_sort_runs_clean_at_its_edges() {
                 assert!(t.graph.is_tree(), "{what}");
                 assert!(m.is_clean(), "{what}: {:?}", m.violations);
                 assert!(
-                    factor > 1.0 || m.capacity == 5,
+                    factor > 1.0 || m.capacity == 4,
                     "{what}: cap {}",
                     m.capacity
                 );
                 assert!(m.max_sent_per_round <= m.capacity, "{what}");
                 assert!(m.max_received_per_round <= m.capacity, "{what}");
-                assert_eq!(m.rounds, rounds_for(n), "{what}");
+                assert_eq!(m.rounds, rounds_for(n, m.capacity), "{what}");
             }
         }
     }
@@ -300,7 +302,7 @@ fn overlays_match_the_frozen_fold() {
 fn a_crash_ends_in_a_tree_or_a_typed_error() {
     let picks: Vec<usize> = (0..63).map(|i| i / 2).collect();
     let degrees = tree_degrees(&picks);
-    let rounds = rounds_for(degrees.len());
+    let rounds = rounds_for(degrees.len(), Config::ncc0(7).capacity(degrees.len()));
     for round in 0..=rounds + 2 {
         for algo in [TreeAlgo::Chain, TreeAlgo::Greedy] {
             let config = Config::ncc0(7).with_scenario(Scenario::new(7).crash(5, round));
@@ -339,7 +341,7 @@ fn a_lost_hand_off_message_panics_on_both_engines() {
     let picks: Vec<usize> = (0..63).map(|i| i / 2).collect();
     let degrees = tree_degrees(&picks);
     let n = degrees.len();
-    let last = rounds_for(n) - 1;
+    let last = rounds_for(n, Config::ncc0(7).capacity(n)) - 1;
     let leg = last - imcast::offset_rounds_for(n);
     let cases = [
         (

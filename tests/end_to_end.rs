@@ -192,16 +192,14 @@ fn runs_are_deterministic_per_seed() {
 
 #[test]
 fn explicit_realization_carries_queue_backlog_to_the_reference_overlay() {
-    // A hub's explicitness hand-off at 0.3 of the default capacity, six
-    // a round at 512 nodes, the degree core's own floor (four sweep
-    // messages, one of the lane, one of the hop): its receive queue
-    // carries backlog across rounds, and the paced delivery must still
-    // realize the degrees exactly, drain every queue and agree with the
-    // reference interpreter message for message.
+    // A hub's explicitness hand-off under a quarter of the default
+    // capacity: its receive queue carries backlog across rounds, and the
+    // paced delivery must still realize the degrees exactly, drain every
+    // queue and agree with the reference interpreter message for message.
     let degrees = graphgen::star_heavy_sequence(512, 1, 2, 4);
     let run = |engine| {
         Realization::new(Workload::Explicit(degrees.clone()))
-            .capacity_factor(0.6)
+            .capacity_factor(0.5)
             .engine(engine)
             .seed(7)
             .run()

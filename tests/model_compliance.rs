@@ -142,7 +142,7 @@ fn queue_backlog_is_paced_and_kt0_legal() {
     let degrees = graphgen::star_heavy_sequence(512, 1, 2, 4);
     let out = Realization::new(Workload::Explicit(degrees))
         .policy(CapacityPolicy::Queue)
-        .capacity_factor(0.6)
+        .capacity_factor(0.5)
         .tracking(Kt0::Tracked)
         .seed(7)
         .run()

@@ -62,14 +62,13 @@ fn a_reference_session_under_faults_matches_the_batched_one() {
 
 #[test]
 fn a_strict_violation_ends_the_session_as_it_ends_the_run() {
-    // A hub's explicitness hand-off at 0.3 of the default capacity (six
-    // a round at 512 nodes, the degree core's own floor) overflows its
-    // receive capacity near the end of the run; under the strict policy
-    // that aborts.
+    // A hub's explicitness hand-off under half the default capacity
+    // overflows its receive capacity near the end of the run; under the
+    // strict policy that aborts.
     let degrees = graphgen::star_heavy_sequence(512, 1, 2, 4);
     let request = || {
         Realization::new(Workload::Explicit(degrees.clone()))
-            .capacity_factor(0.6)
+            .capacity_factor(0.5)
             .policy(CapacityPolicy::Strict)
             .seed(7)
     };
