@@ -16,10 +16,10 @@ fn lg(n: usize) -> f64 {
 /// `cap` run the phases the replay of its phase loop predicts, in exactly
 /// the rounds `core::distributed::rounds_for` predicts?
 fn on_closed_form(degrees: &[usize], rounds: u64, phases: u64, flavor: Flavor, cap: usize) -> bool {
-    let max_degree = degrees.iter().copied().max().unwrap_or(0);
     let groups = phase_groups(degrees, flavor);
+    let explicit = flavor == Flavor::Explicit;
     groups.len() as u64 + 1 == phases
-        && rounds == rounds_for(degrees.len(), &groups, flavor, max_degree, cap)
+        && rounds == rounds_for(degrees.len(), &groups, flavor, explicit, cap)
 }
 
 /// Theorem 11: implicit realization in `O~(min{√m, Δ})` rounds. Swept two

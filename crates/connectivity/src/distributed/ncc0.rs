@@ -16,8 +16,10 @@
 //!    head-ward on the whole sorted path. Because `ρ` is sorted, node
 //!    `x_j` relays at most `ρ(x_j) ≤ Δ` tokens, giving `O(Δ + Δ/cap)`
 //!    rounds.
-//! 4. Recipients reply with their own IDs by staggered sends
-//!    (explicitness).
+//! 4. Explicitness: every token recipient acknowledges the origin in the
+//!    round the token arrives, which the origin can name (a token never
+//!    waits), so an origin hears one acknowledgement a round, and both
+//!    pipelines end a round after their last hop.
 //!
 //! **Deviation from the paper** (ARCHITECTURE.md, *Deviations from the
 //! paper*): the paper
@@ -33,38 +35,37 @@
 //!
 //! [`Ncc0Threshold`] is the construction, each phase a chained [`Step`];
 //! `crates/connectivity/tests/batched_ncc0.rs` pins its transcripts on
-//! both engines. Run it under a queueing capacity policy: the staggered
-//! replies rely on receive-side queueing. Its opening (`Prologue`) and
-//! its close (`Phase2Acks`) are shared with the paper-exact
-//! [`Ncc0Exact`](super::ncc0_exact::Ncc0Exact).
+//! both engines. Its opening (`Prologue`) and its close (`phase2`) are
+//! shared with the paper-exact [`Ncc0Exact`](super::ncc0_exact::Ncc0Exact).
 
 use super::ThresholdOutcome;
 use dgr_ncc::{tags, NodeId, NodeProtocol, RoundCtx, Status, WireMsg};
 use dgr_primitives::ops::SweepStep;
 use dgr_primitives::sort::{Held, Order, RankStep, SortStep, SortedPath};
-use dgr_primitives::stagger::StaggerStep;
 use dgr_primitives::{EstablishCtx, Lockstep, PathCtx, Poll, Rounds, Step};
-use std::collections::VecDeque;
 
 /// Number of rounds of a token pipeline whose tokens travel at most
-/// `ttl_max` hops: exactly `ttl_max`, because no token ever waits. Every
-/// node injects at most one token, at round 0, and hears from one sender
-/// alone — its predecessor on the pipeline's path or ring, which forwards
-/// at most `batch ≥ 1` tokens a round. So, by induction on the round,
-/// every queue is empty once its node has sent: at round 0 it holds the
-/// one injected token, and from then on at most the `batch` tokens that
-/// just arrived, which all leave. A token thus moves one hop a round, and
-/// one of `ttl` hops reaches its last recipient at round `ttl`. (The
-/// distinctness patch ring of `ncc0_exact` injects several tokens per
-/// node, so its budget keeps a traffic term.)
+/// `ttl_max` hops, with its acknowledgements: `ttl_max + 1`, because no
+/// token ever waits. Every node injects at most one token, at round 0, and
+/// hears from one sender alone — its predecessor on the pipeline's path or
+/// ring. So, by induction on the round, a node holds at most one token a
+/// round, the one injected `t` hops behind it, which it forwards at once:
+/// a token moves one hop a round and reaches its recipient `i` hops away in
+/// round `i`. That recipient acknowledges the origin in the same round, so
+/// an origin hears one acknowledgement a round, in rounds `2 ..= ttl + 1`,
+/// the last a round after the token's last hop. (The distinctness patch
+/// ring of `ncc0_exact` injects several tokens per node, so its budget
+/// keeps a traffic term.)
 pub(crate) fn pipeline_rounds(ttl_max: usize) -> u64 {
-    ttl_max as u64
+    ttl_max as u64 + 1
 }
 
 /// The token pipeline of Algorithm 6 as a [`Step`]: an injected token
 /// `(origin, ttl)` hops along `next_hop` links, each relay recording the
-/// origin and forwarding with `ttl - 1` while positive, at most `batch`
-/// forwards per round.
+/// origin, acknowledging it and forwarding with `ttl - 1` while positive.
+/// Both endpoints of every pipeline edge list each other at the end: the
+/// result is the token origins this node relayed, then the recipients
+/// that acknowledged its own token.
 ///
 /// Rounds: exactly `pipeline_rounds(ttl_max)` — every participant
 /// of the epoch must pass the same `rounds`. A newtype over the clock,
@@ -76,9 +77,13 @@ pub struct PipelineStep(Lockstep<Pipeline>);
 #[derive(Debug)]
 struct Pipeline {
     next_hop: Option<NodeId>,
-    batch: usize,
-    queue: VecDeque<(NodeId, u64)>,
+    /// The token to forward this round.
+    token: Option<(NodeId, u64)>,
+    /// The hops of this node's own token, whose acknowledgements land in
+    /// rounds `2 ..= ttl + 1`.
+    ttl: u64,
     received: Vec<NodeId>,
+    acked: Vec<NodeId>,
 }
 
 impl PipelineStep {
@@ -87,18 +92,15 @@ impl PipelineStep {
         next_hop: Option<NodeId>,
         inject: Option<usize>,
         rounds: u64,
-        batch: usize,
         my_id: NodeId,
     ) -> Self {
+        let ttl = inject.unwrap_or(0) as u64;
         let pipeline = Pipeline {
             next_hop,
-            batch,
-            queue: inject
-                .filter(|&ttl| ttl > 0)
-                .map(|ttl| (my_id, ttl as u64))
-                .into_iter()
-                .collect(),
+            token: (ttl > 0).then_some((my_id, ttl)),
+            ttl,
             received: Vec::new(),
+            acked: Vec::new(),
         };
         PipelineStep(Lockstep::run(true, rounds, pipeline))
     }
@@ -117,33 +119,32 @@ impl Rounds for Pipeline {
 
     fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<Vec<NodeId>> {
         if t > 0 {
-            for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::EDGE) {
-                let origin = env.addr();
-                let ttl = env.word();
+            // One token and one acknowledgement are due a round at most:
+            // a second copy in its slot is a duplicate.
+            let inbox = ctx.inbox();
+            let token = inbox.iter().find(|e| e.msg.tag == tags::EDGE);
+            let ack = inbox.iter().find(|e| e.msg.tag == tags::EDGE_ACK);
+            if (2..=self.ttl + 1).contains(&t) {
+                let ack = ack.expect("message loss: an origin missed an acknowledgement");
+                self.acked.push(ack.src);
+            }
+            if let Some(env) = token {
+                let (origin, ttl) = (env.addr(), env.word());
                 self.received.push(origin);
-                if ttl > 1 {
-                    self.queue.push_back((origin, ttl - 1));
-                }
+                ctx.send(origin, WireMsg::signal(tags::EDGE_ACK));
+                self.token = (ttl > 1).then_some((origin, ttl - 1));
             }
         }
         if t == rounds {
-            debug_assert!(self.queue.is_empty(), "pipeline round budget too small");
+            debug_assert!(self.token.is_none(), "pipeline round budget too small");
+            self.received.append(&mut self.acked);
             return Poll::Ready(std::mem::take(&mut self.received));
         }
-        if let Some(next) = self.next_hop {
-            for _ in 0..self.batch.min(self.queue.len()) {
-                let (origin, ttl) = self.queue.pop_front().unwrap();
-                ctx.send(next, WireMsg::addr_word(tags::EDGE, origin, ttl));
-            }
+        if let (Some(next), Some((origin, ttl))) = (self.next_hop, self.token.take()) {
+            ctx.send(next, WireMsg::addr_word(tags::EDGE, origin, ttl));
         }
         Poll::Pending
     }
-}
-
-/// Forwarding batch of the token pipelines and the patch ring: half the
-/// per-round capacity `cap`.
-pub(super) fn batch(cap: usize) -> usize {
-    (cap / 2).max(1)
 }
 
 /// What every node knows once the [`Prologue`] completes.
@@ -292,96 +293,22 @@ impl Step for Prologue {
     }
 }
 
-enum TailStage {
-    Phase2(PipelineStep),
-    Acks(StaggerStep),
-}
-
-/// Steps 3–4 of Algorithm 6, the close both machines share. **Phase 2**:
-/// the head-ward pipeline on the whole sorted path, ranks past the prefix
-/// injecting `ttl = ρ`. **Explicitness**: every token recipient answers
-/// with its own ID by staggered sends. Returns the neighbors gained:
-/// phase-2 origins, then acknowledgement senders.
-pub(super) struct Phase2Acks {
-    stage: TailStage,
-    /// Origins of the one-sided edges this node holds and must
-    /// acknowledge: the caller's, then phase 2's.
-    one_sided: Vec<NodeId>,
-    /// The commonly known bound on any node's incoming acknowledgements,
-    /// which fixes the epoch length.
-    fan_in: usize,
-    gained: Vec<NodeId>,
-}
-
-impl Phase2Acks {
-    pub(super) fn new(
-        sorted: &Sorted,
-        rho: usize,
-        one_sided: Vec<NodeId>,
-        fan_in: usize,
-        rctx: &RoundCtx<'_>,
-    ) -> Self {
-        let b = batch(rctx.capacity());
-        let inject = (!sorted.in_prefix()).then_some(rho);
-        let rounds = pipeline_rounds(sorted.d0);
-        let pipeline = PipelineStep::new(sorted.sp.vp.pred, inject, rounds, b, rctx.id());
-        Phase2Acks {
-            stage: TailStage::Phase2(pipeline),
-            one_sided,
-            fan_in,
-            gained: Vec::new(),
-        }
-    }
-
-    /// The stage in progress, under the label `Ncc0Exact` narrates it by.
-    pub(super) fn label(&self) -> &'static str {
-        match self.stage {
-            TailStage::Phase2(_) => "phase2",
-            TailStage::Acks(_) => "acks",
-        }
-    }
-}
-
-impl Step for Phase2Acks {
-    type Out = Vec<NodeId>;
-
-    fn poll(&mut self, rctx: &mut RoundCtx<'_>) -> Poll<Vec<NodeId>> {
-        loop {
-            match &mut self.stage {
-                TailStage::Phase2(s) => match s.poll(rctx) {
-                    Poll::Pending => return Poll::Pending,
-                    Poll::Ready(received) => {
-                        self.one_sided.extend(received.iter().copied());
-                        self.gained = received;
-                        self.stage = TailStage::Acks(StaggerStep::new(
-                            std::mem::take(&mut self.one_sided),
-                            WireMsg::signal(tags::EDGE_ACK),
-                            self.fan_in,
-                            rctx.capacity(),
-                        ));
-                    }
-                },
-                TailStage::Acks(s) => match s.poll(rctx) {
-                    Poll::Pending => return Poll::Pending,
-                    Poll::Ready(acks) => {
-                        self.gained.extend(
-                            acks.iter()
-                                .filter(|(_, msg)| msg.tag == tags::EDGE_ACK)
-                                .map(|(src, _)| *src),
-                        );
-                        return Poll::Ready(std::mem::take(&mut self.gained));
-                    }
-                },
-            }
-        }
-    }
+/// Step 3 of Algorithm 6, phase 2, the close both machines share: the
+/// head-ward pipeline on the whole sorted path, ranks past the prefix
+/// injecting `ttl = ρ`, every recipient acknowledging in the round its
+/// token arrives (step 4). Its result is the neighbors gained: phase-2
+/// origins, then acknowledgement senders.
+pub(super) fn phase2(sorted: &Sorted, rho: usize, rctx: &RoundCtx<'_>) -> PipelineStep {
+    let inject = (!sorted.in_prefix()).then_some(rho);
+    let rounds = pipeline_rounds(sorted.d0);
+    PipelineStep::new(sorted.sp.vp.pred, inject, rounds, rctx.id())
 }
 
 enum Stage {
     // Boxed: the opening's stage machine dwarfs the pipelines.
     Prologue(Box<Prologue>),
     Phase1(PipelineStep),
-    Tail(Phase2Acks),
+    Phase2(PipelineStep),
 }
 
 /// The Algorithm 6 state machine at one node. `rho ≥ 1` is this node's
@@ -418,7 +345,6 @@ impl NodeProtocol for Ncc0Threshold {
                     Poll::Ready(Some(sorted)) => {
                         // Phase 1: cyclic pipeline around the prefix
                         // x₁ … x_{d₀+1}; the wrap hop addresses x₁.
-                        let b = batch(rctx.capacity());
                         let inject = sorted
                             .in_prefix()
                             .then(|| self.outcome.rho.min(sorted.prefix_len() - 1));
@@ -426,7 +352,6 @@ impl NodeProtocol for Ncc0Threshold {
                             sorted.next_cyclic(),
                             inject,
                             pipeline_rounds(sorted.d0),
-                            b,
                             rctx.id(),
                         ));
                         self.sorted = Some(sorted);
@@ -434,20 +359,13 @@ impl NodeProtocol for Ncc0Threshold {
                 },
                 Stage::Phase1(s) => match s.poll(rctx) {
                     Poll::Pending => return Status::Continue,
-                    Poll::Ready(received) => {
-                        self.outcome.neighbors.extend(received.iter().copied());
-                        // Fan-in per initiator ≤ d₀.
+                    Poll::Ready(gained) => {
+                        self.outcome.neighbors.extend(gained);
                         let sorted = self.sorted.as_ref().expect("prologue completed");
-                        self.stage = Stage::Tail(Phase2Acks::new(
-                            sorted,
-                            self.outcome.rho,
-                            received,
-                            sorted.d0,
-                            rctx,
-                        ));
+                        self.stage = Stage::Phase2(phase2(sorted, self.outcome.rho, rctx));
                     }
                 },
-                Stage::Tail(s) => match s.poll(rctx) {
+                Stage::Phase2(s) => match s.poll(rctx) {
                     Poll::Pending => return Status::Continue,
                     Poll::Ready(gained) => {
                         self.outcome.neighbors.extend(gained);

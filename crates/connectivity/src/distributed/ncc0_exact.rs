@@ -1,6 +1,6 @@
 //! The **paper-exact** Algorithm 6 as one batched protocol: phase 1 via
 //! the masked prefix envelope recursion, the phase-2 head-ward pipeline,
-//! and the staggered explicitness acknowledgements — composed end to end.
+//! and the scheduled explicitness hand-offs — composed end to end.
 //!
 //! [`Ncc0Threshold`](super::ncc0::Ncc0Threshold) substitutes a
 //! cyclic token pipeline for phase 1 (see `ncc0.rs` for why that
@@ -16,15 +16,15 @@
 //!    `x₁ … x_{d₀+1}` of the sorted path becomes a sub-path of
 //!    `L = d₀ + 1` nodes, the full context is re-established on it, and
 //!    the Theorem 13 upper-envelope realization runs *on the sub-network*
-//!    as a [`DegreesCore`] — its control sweep and its lanes cover the
-//!    `L` prefix nodes only, so a phase costs
+//!    as an explicit [`DegreesCore`] — its control sweep and its lanes
+//!    cover the `L` prefix nodes only, so a phase costs
 //!    `max(control, sort, hop)` on `L` rounds (6 at `L = 6`), not a
-//!    full-network sweep. Everyone else waits for step 3's release, in a
+//!    full-network sweep, and its hand-off runs beside them. Everyone else waits for step 3's release, in a
 //!    released broadcast ([`SweepStep::released`]) over the full-network
 //!    path;
-//! 3. **distinctness patch**: phase-1 edges are made explicit right away
-//!    (staggered acknowledgements), so every prefix node holds its
-//!    complete two-sided list; the maximum shortfall (requirement minus
+//! 3. **distinctness patch**: the core has made the phase-1 edges explicit,
+//!    so every prefix node holds its complete two-sided list; the maximum
+//!    shortfall (requirement minus
 //!    distinct phase-1 neighbors) is then aggregated over the sub-path,
 //!    and **released** to every node: `x₁` hands it to position 0 of the
 //!    full-network path (`x₁` learned that node's ID as the sender of its
@@ -40,17 +40,17 @@
 //!    tokens into the prefix ring — a token hops until it finds a node
 //!    that is not yet a neighbor of its origin (a pigeonhole argument
 //!    over `ρ ≤ n-1` guarantees one within the ring, and complete lists
-//!    make the freshness check exact);
+//!    make the freshness check exact). A token carries its ordinal `j`
+//!    among its origin's, and after the ring its acceptor acknowledges it
+//!    in round `⌊j/b⌋` of a block of `⌈max/b⌉`, at the ring's batch `b`,
+//!    half the capacity: an origin hears at most `b` a round, an acceptor
+//!    sends at most one a round per origin it accepted from;
 //! 4. **phase 2**: every node past the prefix announces itself to its
-//!    `ρ` sorted predecessors through the head-ward token pipeline;
-//! 5. **explicitness**: the patch and pipeline edge holders acknowledge
-//!    the other endpoint by staggered sends, making every neighbor list
-//!    complete and symmetric — 4 and 5 are the default driver's
-//!    `Phase2Acks` step.
+//!    `ρ` sorted predecessors through the head-ward token pipeline, every
+//!    recipient acknowledging in the round its token arrives — the
+//!    default driver's `phase2` step.
 //!
-//! Run it under a queueing capacity policy (the staggered
-//! acknowledgements rely on receive-side queueing). The protocol is a
-//! plain [`NodeProtocol`], so the reference interpreter runs it
+//! The protocol is a plain [`NodeProtocol`], so the reference interpreter runs it
 //! bit-identically (`crates/connectivity/tests/ncc0_exact.rs`).
 //!
 //! [`rounds_for`] is the whole run's round count, stage by stage.
@@ -58,24 +58,23 @@
 //! [`NodeProtocol`]: dgr_ncc::NodeProtocol
 //! [`DegreesCore`]: dgr_core::distributed::DegreesCore
 
-use super::ncc0::{batch, pipeline_rounds, Phase2Acks, Prologue, Sorted};
+use super::ncc0::{phase2, pipeline_rounds, PipelineStep, Prologue, Sorted};
 use super::ThresholdOutcome;
 use dgr_core::distributed::{self as core, hop_rounds_for, DegreesCore, Flavor};
 use dgr_ncc::{tags, NodeId, NodeProtocol, RoundCtx, Status, WireMsg};
 use dgr_primitives::ops::{self, SweepStep};
 use dgr_primitives::sort::{self, RANK_ROUNDS};
-use dgr_primitives::stagger::{self, StaggerStep};
 use dgr_primitives::{ctx, EstablishCtx, Lockstep, PathCtx, Poll, Rounds, Step, VPath};
 use std::collections::{HashSet, VecDeque};
 
 /// Rounds of a whole run on the requirements `rho` at capacity `cap`,
 /// stage by stage: the prologue (establishment, sort, rank and the
 /// `d₀`/`x₁` broadcast); the prefix's sub-establishment, envelope core
-/// ([`core::rounds_for`] on the prefix's own [`core::phase_groups`]),
-/// phase-1 acknowledgements and shortfall sweep, then the release's one
-/// round to position 0 and its broadcast; the patch ring when
-/// `max_shortfall`, the largest distinctness gap the envelope leaves, is
-/// positive; then phase 2 and the acknowledgements.
+/// ([`core::rounds_for`] on the prefix's own [`core::phase_groups`], its
+/// hand-off included) and shortfall sweep, then the release's one round
+/// to position 0 and its broadcast; the patch ring and its
+/// acknowledgements when `max_shortfall`, the largest distinctness gap
+/// the envelope leaves, is positive; then phase 2.
 pub fn rounds_for(rho: &[usize], max_shortfall: u64, cap: usize) -> u64 {
     let n = rho.len();
     if n < 2 {
@@ -84,16 +83,26 @@ pub fn rounds_for(rho: &[usize], max_shortfall: u64, cap: usize) -> u64 {
     let mut sorted = rho.to_vec();
     sorted.sort_unstable_by(|a, b| b.cmp(a));
     let d0 = sorted[0];
-    let b = batch(cap);
     let patch = match max_shortfall {
         0 => 0,
-        gap => patch_rounds(d0, gap, b),
+        gap => patch_rounds(d0, gap, batch(cap)) + acks_rounds(gap, cap),
     };
     prologue_rounds(n, cap)
         + release_rounds(n, d0, core_rounds(&sorted[..=d0.min(n - 1)], cap), cap)
         + patch
         + pipeline_rounds(d0)
-        + stagger_rounds(2 * d0 + 2, cap)
+}
+
+/// Forwarding batch of the patch ring: half the per-round capacity
+/// `cap`.
+fn batch(cap: usize) -> usize {
+    (cap / 2).max(1)
+}
+
+/// Rounds of the patch ring's acknowledgement block for a gap of at most
+/// `max_shortfall` tokens an origin, at the ring's batch a round.
+fn acks_rounds(max_shortfall: u64, cap: usize) -> u64 {
+    max_shortfall.div_ceil(batch(cap) as u64)
 }
 
 /// Rounds of the prologue on `n ≥ 2` nodes at capacity `cap`:
@@ -108,29 +117,17 @@ fn prologue_rounds(n: usize, cap: usize) -> u64 {
 fn core_rounds(prefix: &[usize], cap: usize) -> u64 {
     let (len, flavor) = (prefix.len(), Flavor::Envelope);
     let groups = core::phase_groups(prefix, flavor);
-    core::rounds_for(len, &groups, flavor, 0, cap) - ctx::rounds_for(len)
-}
-
-/// Rounds of a staggered acknowledgement epoch for a fan-in of at most
-/// `k_max` at capacity `cap`.
-fn stagger_rounds(k_max: usize, cap: usize) -> u64 {
-    let (spread, drain) = stagger::plan(k_max, cap);
-    stagger::rounds_for(spread, drain)
+    core::rounds_for(len, &groups, flavor, true, cap) - ctx::rounds_for(len)
 }
 
 /// Rounds from the prologue's end until every node holds the release, on
 /// `n` nodes, when the envelope core on the prefix of `d₀ + 1` takes
-/// `core` rounds: the sub-establishment, the core, the phase-1
-/// acknowledgements and the shortfall's sweep on the prefix, then the one
-/// round to position 0 and the broadcast from there.
+/// `core` rounds: the sub-establishment, the core and the shortfall's
+/// sweep on the prefix, then the one round to position 0 and the
+/// broadcast from there.
 fn release_rounds(n: usize, d0: usize, core: u64, cap: usize) -> u64 {
     let len = (d0 + 1).min(n);
-    ctx::rounds_on(len)
-        + core
-        + stagger_rounds(d0 + 1, cap)
-        + ops::rounds_for(len, cap)
-        + 1
-        + ops::broadcast_rounds_for(n, cap)
+    ctx::rounds_on(len) + core + ops::rounds_for(len, cap) + 1 + ops::broadcast_rounds_for(n, cap)
 }
 
 /// The latest round, counted from the prologue's end, by which every
@@ -140,31 +137,46 @@ fn release_rounds(n: usize, d0: usize, core: u64, cap: usize) -> u64 {
 /// grows back, so no record leads twice. (The total need, `L·d₀`, bounds
 /// them too, but past ~400 prefix nodes that deadline outruns the
 /// engine's round limit.) A phase takes at most its control sweep, its
-/// sort or its hop, whichever is longest.
+/// sort or its hop, whichever is longest. The hand-off adds at most a
+/// phase beside the loop (a window fits the shortest phase), and a block
+/// of at most `⌈(L - 1)/r⌉` after it for each phase but the last, at the
+/// [`core::block_rate`] `r`.
 fn release_deadline(n: usize, d0: usize, cap: usize) -> u64 {
     let len = (d0 + 1).min(n);
     let phase = ops::rounds_for(len, cap)
         .max(sort::rounds_for(len))
         .max(hop_rounds_for(len));
-    release_rounds(n, d0, (len as u64 + 1) * phase, cap)
+    let blocks = len as u64 * (len - 1).div_ceil(core::block_rate(cap)) as u64;
+    release_rounds(n, d0, (len as u64 + 2) * phase + blocks, cap)
 }
 
 /// The distinctness patch: tokens walk the prefix ring until they find a
 /// node that is not yet adjacent to their origin, at most `batch`
-/// forwards per round.
+/// forwards per round; then, in a block after the ring, each acceptor
+/// acknowledges the token of ordinal `j` in the block's round `⌊j/batch⌋`.
+/// Its result is the origins whose tokens landed here, then the
+/// acceptors of this node's own.
 ///
-/// Rounds: exactly `patch_rounds(..)` — every node of the epoch must use
-/// the same budget.
+/// Rounds: exactly the ring's `patch_rounds(..)` and the block's
+/// `acks_rounds(..)` — every node of the epoch must use the same budget.
 type RingPatchStep = Lockstep<RingPatch>;
 
 #[derive(Debug)]
 struct RingPatch {
     next_hop: Option<NodeId>,
     batch: usize,
-    queue: VecDeque<(NodeId, u64)>,
+    /// The ring's rounds; the acknowledgement block follows them.
+    ring: u64,
+    /// Tokens to forward: origin, hops left, ordinal.
+    queue: VecDeque<(NodeId, u64, u64)>,
     known: HashSet<NodeId>,
+    /// The tokens seen here, `(origin, ordinal)`: a second copy is a
+    /// duplicate.
+    seen: HashSet<(NodeId, u64)>,
+    injected: u64,
     my_id: NodeId,
-    accepted: Vec<NodeId>,
+    accepted: Vec<(NodeId, u64)>,
+    acked: Vec<NodeId>,
 }
 
 /// Round budget of the patch ring: worst-case token travel (a token
@@ -180,26 +192,30 @@ fn patch_rounds(d0: usize, max_shortfall: u64, batch: usize) -> u64 {
     travel + traffic + 10
 }
 
-/// The patch ring for `rounds` rounds; `inject` tokens of `hops` hops
-/// start here.
+/// The patch ring for `rounds = (ring, block)` rounds at capacity `cap`;
+/// `inject` tokens of `hops` hops start here.
 fn ring_patch(
     next_hop: Option<NodeId>,
     inject: u64,
     known: HashSet<NodeId>,
-    rounds: u64,
-    batch: usize,
     hops: u64,
     my_id: NodeId,
+    (ring, block): (u64, u64),
+    cap: usize,
 ) -> RingPatchStep {
     let patch = RingPatch {
         next_hop,
-        batch,
-        queue: (0..inject).map(|_| (my_id, hops)).collect(),
+        batch: batch(cap),
+        ring,
+        queue: (0..inject).map(|j| (my_id, hops, j)).collect(),
         known,
+        seen: HashSet::new(),
+        injected: inject,
         my_id,
         accepted: Vec::new(),
+        acked: Vec::new(),
     };
-    Lockstep::run(true, rounds, patch)
+    Lockstep::run(true, ring + block, patch)
 }
 
 impl Rounds for RingPatch {
@@ -207,26 +223,52 @@ impl Rounds for RingPatch {
 
     fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<Vec<NodeId>> {
         if t > 0 {
-            for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::TOKEN) {
-                let origin = env.addr();
-                let hops = env.word();
+            for env in ctx.inbox() {
+                if env.msg.tag == tags::EDGE_ACK {
+                    self.acked.push(env.src);
+                }
+                if env.msg.tag != tags::TOKEN {
+                    continue;
+                }
+                let (origin, words) = (env.addr(), env.msg.words_slice());
+                let (hops, j) = (words[0], words[1]);
+                if !self.seen.insert((origin, j)) {
+                    continue;
+                }
                 if origin != self.my_id && !self.known.contains(&origin) {
                     // Fresh for this origin: the edge lands here.
                     self.known.insert(origin);
-                    self.accepted.push(origin);
+                    self.accepted.push((origin, j));
                 } else if hops > 1 {
-                    self.queue.push_back((origin, hops - 1));
+                    self.queue.push_back((origin, hops - 1, j));
                 }
             }
         }
         if t == rounds {
             debug_assert!(self.queue.is_empty(), "patch ring budget too small");
-            return Poll::Ready(std::mem::take(&mut self.accepted));
+            // A second copy of an acknowledgement is a duplicate.
+            self.acked.sort_unstable();
+            self.acked.dedup();
+            assert_eq!(
+                self.acked.len() as u64,
+                self.injected,
+                "message loss: an origin missed an acknowledgement"
+            );
+            let accepted = self.accepted.iter().map(|&(origin, _)| origin);
+            return Poll::Ready(accepted.chain(self.acked.drain(..)).collect());
         }
-        if let Some(next) = self.next_hop {
+        if t >= self.ring {
+            let slot = t - self.ring;
+            for &(origin, j) in &self.accepted {
+                if j / self.batch as u64 == slot {
+                    ctx.send(origin, WireMsg::signal(tags::EDGE_ACK));
+                }
+            }
+        } else if let Some(next) = self.next_hop {
             for _ in 0..self.batch.min(self.queue.len()) {
-                let (origin, hops) = self.queue.pop_front().unwrap();
-                ctx.send(next, WireMsg::addr_word(tags::TOKEN, origin, hops));
+                let (origin, hops, j) = self.queue.pop_front().unwrap();
+                let token = WireMsg::addr_word(tags::TOKEN, origin, hops).with_word(j);
+                ctx.send(next, token);
             }
         }
         Poll::Pending
@@ -236,11 +278,10 @@ impl Rounds for RingPatch {
 enum Stage {
     Prologue(Prologue),
     SubEstablish(EstablishCtx),
-    Core(Box<DegreesCore>),
-    /// Explicitness for the phase-1 envelope edges, run *before* the
-    /// shortfall aggregation so every prefix node judges its deficiency
+    /// The explicit envelope core: it hands its edges off before the
+    /// shortfall aggregation, so every prefix node judges its deficiency
     /// (and the patch ring judges freshness) from a complete list.
-    AcksPhase1(StaggerStep),
+    Core(Box<DegreesCore>),
     /// The maximum shortfall over the prefix sub-path.
     ShortfallMax(SweepStep),
     /// The maximum shortfall, released to every node over the
@@ -248,7 +289,7 @@ enum Stage {
     /// prologue's end.
     Release(SweepStep),
     Patch(RingPatchStep),
-    Tail(Phase2Acks),
+    Phase2(PipelineStep),
 }
 
 /// The composed paper-exact Algorithm 6 state machine at one node.
@@ -306,17 +347,11 @@ impl Ncc0Exact {
         SweepStep::released(ctx.vp, ctx.contacts.clone(), ctx.position, deadline)
     }
 
-    /// Enters phase 2 and the closing acknowledgements, which cover the
-    /// patch + phase-2 edges (phase 1 was acked before the shortfall).
-    /// Fan-in per node is at most ~2·d₀ (phase-2 injections + patch
-    /// injections).
-    fn enter_tail(&mut self, patched: Vec<NodeId>, rctx: &mut RoundCtx<'_>) {
+    /// Enters phase 2, whose pipeline acknowledges its own edges.
+    fn enter_phase2(&mut self, rctx: &mut RoundCtx<'_>) {
         rctx.mark_phase("phase2");
         rctx.mark_stage("phase2");
-        let sorted = self.sorted();
-        let fan_in = 2 * sorted.d0 + 2;
-        let tail = Phase2Acks::new(sorted, self.outcome.rho, patched, fan_in, rctx);
-        self.stage = Stage::Tail(tail);
+        self.stage = Stage::Phase2(phase2(self.sorted(), self.outcome.rho, rctx));
     }
 }
 
@@ -325,7 +360,7 @@ impl NodeProtocol for Ncc0Exact {
 
     fn step(&mut self, rctx: &mut RoundCtx<'_>) -> Status<ThresholdOutcome> {
         // Narrate the composition for the event stream: macro phases
-        // (`setup`/`phase1`/`patch`/`phase2`/`acks` — the paper's
+        // (`setup`/`phase1`/`patch`/`phase2` — the paper's
         // structure, `patch` only when the distinctness gap is positive)
         // plus the fine-grained stage labels. Marks are observational
         // only; every node marks and the engines deduplicate.
@@ -370,6 +405,7 @@ impl NodeProtocol for Ncc0Exact {
                         rctx.mark_stage("envelope-core");
                         let core =
                             DegreesCore::new(self.outcome.rho, Flavor::Envelope, sub.clone());
+                        let core = core.explicit();
                         self.sub = sub;
                         self.stage = Stage::Core(Box::new(core));
                     }
@@ -378,29 +414,7 @@ impl NodeProtocol for Ncc0Exact {
                     Poll::Pending => return Status::Continue,
                     Poll::Ready(out) => {
                         let out = out.expect("the prefix envelope cannot refuse");
-                        // Envelope edges are one-sided at the recipient:
-                        // ack them immediately so the shortfall (and the
-                        // patch ring's freshness checks) see complete,
-                        // two-sided neighbor lists. Fan-in per node is
-                        // bounded by its own multicast fan-out ≤ d₀.
-                        self.outcome.neighbors.extend(out.neighbors.iter().copied());
-                        rctx.mark_stage("acks-phase1");
-                        self.stage = Stage::AcksPhase1(StaggerStep::new(
-                            out.neighbors,
-                            WireMsg::signal(tags::EDGE_ACK),
-                            self.sorted().d0 + 1,
-                            rctx.capacity(),
-                        ));
-                    }
-                },
-                Stage::AcksPhase1(s) => match s.poll(rctx) {
-                    Poll::Pending => return Status::Continue,
-                    Poll::Ready(acks) => {
-                        self.outcome.neighbors.extend(
-                            acks.iter()
-                                .filter(|(_, msg)| msg.tag == tags::EDGE_ACK)
-                                .map(|(src, _)| *src),
-                        );
+                        self.outcome.neighbors.extend(out.neighbors);
                         let distinct: HashSet<NodeId> =
                             self.outcome.neighbors.iter().copied().collect();
                         let shortfall = self.outcome.rho.saturating_sub(distinct.len()) as u64;
@@ -436,7 +450,7 @@ impl NodeProtocol for Ncc0Exact {
                         if max_shortfall == 0 {
                             // No distinctness gap this run (the common
                             // case): skip straight to phase 2.
-                            self.enter_tail(Vec::new(), rctx);
+                            self.enter_phase2(rctx);
                             continue;
                         }
                         let known: HashSet<NodeId> = self
@@ -452,8 +466,9 @@ impl NodeProtocol for Ncc0Exact {
                         } else {
                             0
                         };
-                        let b = batch(rctx.capacity());
-                        let rounds = patch_rounds(sorted.d0, max_shortfall, b);
+                        let cap = rctx.capacity();
+                        let ring = patch_rounds(sorted.d0, max_shortfall, batch(cap));
+                        let rounds = (ring, acks_rounds(max_shortfall, cap));
                         let hops = sorted.prefix_len() as u64;
                         let next = sorted.next_cyclic();
                         rctx.mark_phase("patch");
@@ -462,35 +477,27 @@ impl NodeProtocol for Ncc0Exact {
                             next,
                             my_shortfall,
                             known,
-                            rounds,
-                            b,
                             hops,
                             rctx.id(),
+                            rounds,
+                            cap,
                         ));
                     }
                 },
                 Stage::Patch(s) => match s.poll(rctx) {
                     Poll::Pending => return Status::Continue,
-                    Poll::Ready(accepted) => {
-                        self.outcome.neighbors.extend(accepted.iter().copied());
-                        self.enter_tail(accepted, rctx);
+                    Poll::Ready(gained) => {
+                        self.outcome.neighbors.extend(gained);
+                        self.enter_phase2(rctx);
                     }
                 },
-                Stage::Tail(s) => {
-                    let before = s.label();
-                    let polled = s.poll(rctx);
-                    if s.label() != before {
-                        rctx.mark_phase(s.label());
-                        rctx.mark_stage(s.label());
+                Stage::Phase2(s) => match s.poll(rctx) {
+                    Poll::Pending => return Status::Continue,
+                    Poll::Ready(gained) => {
+                        self.outcome.neighbors.extend(gained);
+                        return Status::Done(std::mem::take(&mut self.outcome));
                     }
-                    match polled {
-                        Poll::Pending => return Status::Continue,
-                        Poll::Ready(gained) => {
-                            self.outcome.neighbors.extend(gained);
-                            return Status::Done(std::mem::take(&mut self.outcome));
-                        }
-                    }
-                }
+                },
             }
         }
     }
@@ -516,7 +523,7 @@ mod tests {
         let ring = sorted.clone();
         let origin = ring[0];
         let (known1, known2) = (ring[1], ring[2]);
-        let rounds = patch_rounds(n - 1, 2, 2);
+        let rounds = (patch_rounds(n - 1, 2, batch(4)), acks_rounds(2, 4));
         let result = net
             .run_protocol(|seed| {
                 let me = seed.id;
@@ -534,23 +541,19 @@ mod tests {
                 } else {
                     (0, HashSet::new())
                 };
-                StepProtocol::new(ring_patch(
-                    Some(next),
-                    inject,
-                    known,
-                    rounds,
-                    2,
-                    ring.len() as u64 - 1,
-                    me,
-                ))
+                let hops = ring.len() as u64 - 1;
+                StepProtocol::new(ring_patch(Some(next), inject, known, hops, me, rounds, 4))
             })
             .unwrap();
         assert!(result.metrics.is_clean());
-        for (id, accepted) in &result.outputs {
+        for (id, gained) in &result.outputs {
             if *id == ring[3] || *id == ring[4] {
-                assert_eq!(accepted, &vec![origin], "token should land at {id}");
+                assert_eq!(gained, &vec![origin], "token should land at {id}");
+            } else if *id == origin {
+                // Both acceptors acknowledge in the block's one round.
+                assert_eq!(gained, &ring[3..5], "acknowledgements at the origin");
             } else {
-                assert!(accepted.is_empty(), "unexpected acceptance at {id}");
+                assert!(gained.is_empty(), "unexpected acceptance at {id}");
             }
         }
     }

@@ -60,8 +60,7 @@
 //! (ARCHITECTURE.md, *Deviations from the paper*): same groups, edges and
 //! phase count, one sweep a phase instead of three, spent in the sort's
 //! rounds. Its words are each position's held need and a has-record
-//! count, the went-negative flag, and each origin's requested degree. Nor
-//! does the next phase need anything the multicast carries: its control
+//! count, and the went-negative flag. Nor does the next phase need anything the multicast carries: its control
 //! sweep and its lane read only the committed needs. So the multicast and
 //! the status (`⌈log₂ n⌉ + 2` rounds) run beside the next phase's control
 //! sweep (twice the depth of the shallow sweep tree over the contacts, at
@@ -86,21 +85,34 @@
 //! # Theorem 12: explicit realization in `O(m/n + Δ/log n + log n)` rounds
 //!
 //! After Algorithm 3, every edge `(u, v)` is stored at exactly one endpoint
-//! (the group member `u`); `u` must announce its ID to `v` to make the
-//! realization explicit. A node may be the target of up to `Δ`
-//! announcements, far beyond its per-round receive capacity, so the
-//! hand-off uses the staggered-delivery primitive (which stands in for
-//! Theorem 8's butterfly collection; ARCHITECTURE.md, *Deviations from the
-//! paper*): every announcement
-//! is delayed uniformly in `[0, Θ(Δ/cap))` rounds and receive-side queueing
-//! absorbs the w.h.p. `O(log n)` per-round overflow. [`Flavor::Explicit`]
-//! is Algorithm 3, then the hand-off; `Δ` (the commonly known bound on any
-//! node's incoming announcements, which fixes the epoch length) rides the
-//! control sweep's fourth word.
+//! (the group member `u`); `v` must learn `u` to make the realization
+//! explicit. [`Flavor::Explicit`] (and [`DegreesCore::explicit`]) hands
+//! that over beside the phase loop, on a schedule every receiver can
+//! name, in place of Theorem 8's butterfly collection (ARCHITECTURE.md,
+//! *Deviations from the paper*). When a phase commits, a member's
+//! position knows its offset `i ∈ [1, δ]` in its star, its record's
+//! origin `u`, and — once the multicast ends — the leader's origin `v`;
+//! it announces `u` to `v` (an `EDGE` carrying `u`'s address) in round
+//! `⌊(i - 1)/k⌋` after the multicast ends. The rate `k` is what half the
+//! capacity leaves beside the sweep, the lane and the hop ([`ops::load`],
+//! [`beside_rate`]); the other half stays free, so a round in which every
+//! message comes twice still fits a receiver's capacity, as the patch
+//! ring's batch does in Algorithm 6. A record leads once — its need drops
+//! to 0 and never grows back — so a leader's origin hears its own star
+//! alone, at most `k` a round, and the leader's status carries `δ`, so it
+//! knows the rounds its announcements land in. The announcements hold up
+//! no commit: the next phases run beside them, and only the run's end
+//! waits for the last one ([`rounds_for`]).
 //!
-//! Run it under [`CapacityPolicy::Queue`](dgr_ncc::CapacityPolicy::Queue);
-//! the epoch length covers the worst-case queue drain unconditionally, so
-//! delivery is guaranteed, not just w.h.p.
+//! A phase whose window, `⌈δ/k⌉` rounds, would outlast the shortest
+//! phase (or where `k` is 0, as at the capacity floor) keeps the rule
+//! with another start and rate: its announcements go out in a block of
+//! its own after the loop, at half the capacity a round ([`block_rate`]),
+//! the blocks in phase order. So a position sends at most one
+//! announcement a round, and nothing else runs beside a block. Every
+//! announcement is due in a known round, so a second copy in its window is
+//! a duplicate and is dropped, and a leader whose window closes short of
+//! `δ` has lost a message, and panics.
 //!
 //! # Theorem 13: an upper envelope for (possibly) non-graphic sequences
 //!
@@ -133,9 +145,8 @@ use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
 use dgr_primitives::imcast::{self, CoverSide, ImcastStep, Payload};
 use dgr_primitives::ops::{self, SweepStep, Words};
 use dgr_primitives::sort::{self, Held, Order, Regroup, SortStep};
-use dgr_primitives::stagger::{self, StaggerStep};
 use dgr_primitives::{ctx, PathCtx, Poll, Step};
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
 
 /// Returned (consistently by *every* node) when the degree sequence is not
 /// realizable — the distributed analogue of a node broadcasting
@@ -185,62 +196,98 @@ pub enum Flavor {
     Implicit,
     /// Theorem 13 upper envelope (implicit, multigraph semantics).
     Envelope,
-    /// Theorem 12 explicit realization (Algorithm 3 + staggered hand-off;
-    /// requires a queueing capacity policy).
+    /// Theorem 12 explicit realization (Algorithm 3 and the scheduled
+    /// hand-off beside it).
     Explicit,
 }
 
 /// Rounds of a whole realization — context establishment, then
 /// [`DegreesCore`] — on a path of `len` nodes whose phases formed
-/// `groups[i]` groups in phase `i + 1`: one entry per phase but the last,
-/// the run's [`phase_groups`]. Every phase but the last runs the control
-/// sweep ([`ops::rounds_for`] at `cap`: paced, at most `2⌈log₂ len⌉`,
-/// under a capacity of six) beside the lane: the first phase's lane is
-/// the bitonic sort, a later one's the merge lane where [`merges`] says
-/// so, after a phase of `g` groups [`sort::merge_rounds_for`]`(len, g)`,
-/// which ends inside the sweep while `g < 2^(control - ⌈log₂ len⌉ - 1)`
-/// (4 at `len = 2048`); the last phase (a refusal's included) ends on its
-/// control sweep, dropping the partial lane beside it; the explicit flavor
-/// adds the hand-off epoch for the maximum requested degree `max_degree`
-/// at capacity `cap`. Each phase's multicast and status
-/// ([`hop_rounds_for`]) open with the next phase, which lasts until they
-/// are in too: every phase after the first takes at least
-/// `max(control, hop)`, and the hop sets it where it is the longer (by
-/// one or two rounds: at `len = 2`, 3 against 2, and at `len = 2049`, 14
-/// against 12).
+/// `phases[i] = (q, δ)`, `q` stars of `δ` members, in phase `i + 1`: one
+/// entry per phase but the last, the run's [`phase_groups`]. Every phase
+/// but the last runs the control sweep ([`ops::rounds_for`] at `cap`:
+/// paced, at most `2⌈log₂ len⌉`, under a capacity of six) beside the lane:
+/// the first phase's lane is the bitonic sort, a later one's the merge
+/// lane where [`merges`] says so, after a phase of `q` groups
+/// [`sort::merge_rounds_for`]`(len, q)`, which ends inside the sweep while
+/// `q < 2^(control - ⌈log₂ len⌉ - 1)` (4 at `len = 2048`); the last phase
+/// (a refusal's included) ends on its control sweep, dropping the partial
+/// lane beside it. Each phase's multicast and status ([`hop_rounds_for`])
+/// open with the next phase, which lasts until they are in too: every
+/// phase after the first takes at least `max(control, hop)`, and the hop
+/// sets it where it is the longer (by one or two rounds: at `len = 2`, 3
+/// against 2, and at `len = 2049`, 14 against 12). A realized run with the
+/// hand-off (`explicit`) ends once the last announcement beside the loop
+/// has landed too, then runs the blocks of the phases whose announcements
+/// wait for the loop's end, `⌈δ/r⌉` rounds each at the [`block_rate`] `r`
+/// (module docs).
 pub fn rounds_for(
     len: usize,
-    groups: &[usize],
+    phases: &[(usize, usize)],
     flavor: Flavor,
-    max_degree: usize,
+    explicit: bool,
     cap: usize,
 ) -> u64 {
     let control = ops::rounds_for(len, cap);
-    let first = control.max(sort::rounds_for(len));
     let beside_hop = control.max(hop_rounds_for(len));
-    let (first, later, last) = match groups.split_last() {
-        None => (0, &[][..], control),
-        Some((_, later)) => (first, later, beside_hop),
-    };
-    let later = later.iter().map(|&g| {
+    let mut commit = ctx::rounds_for(len);
+    if phases.is_empty() {
+        return commit + control;
+    }
+    let (mut landed, mut block) = (0, 0);
+    let mut phase = control.max(sort::rounds_for(len));
+    for &(groups, delta) in phases {
+        commit += phase;
+        match beside_rate(len, delta, cap) {
+            Some(rate) => landed = landed.max(commit + imcast::rounds_for(len) + div(delta, rate)),
+            None => block += div(delta, block_rate(cap)),
+        }
         let lane = if merges(flavor, len) {
-            sort::merge_rounds_for(len, g)
+            sort::merge_rounds_for(len, groups)
         } else {
             sort::rounds_for(len)
         };
-        beside_hop.max(lane)
-    });
-    let (spread, drain) = stagger::plan(max_degree, cap);
-    let handoff = u64::from(flavor == Flavor::Explicit) * stagger::rounds_for(spread, drain);
-    ctx::rounds_for(len) + first + later.sum::<u64>() + last + handoff
+        phase = beside_hop.max(lane);
+    }
+    let end = commit + beside_hop;
+    match explicit {
+        true => end.max(landed) + block,
+        false => end,
+    }
 }
 
-/// The groups of every phase but the last that [`DegreesCore`] forms on a
-/// path whose members request `degrees`, the input [`rounds_for`] takes: a
-/// sequential replay of the phase loop. A phase's `δ`, `N` and so its `q`
-/// depend only on the multiset of needs, and so does what the phase
-/// leaves of it, whatever the ID order.
-pub fn phase_groups(degrees: &[usize], flavor: Flavor) -> Vec<usize> {
+/// `⌈a/b⌉`.
+fn div(a: usize, b: usize) -> u64 {
+    a.div_ceil(b) as u64
+}
+
+/// The rate at which a phase with stars of `delta` members announces
+/// beside the loop on a path of `len` nodes at capacity `cap`: what half
+/// the capacity leaves beside the sweep, the lane and the hop
+/// ([`ops::load`]), where the phase's window fits the shortest phase, so
+/// that a position never owes two announcements in one round. `None`
+/// where it does not, or where half the capacity leaves nothing: the
+/// phase then announces in a block after the loop, at [`block_rate`].
+pub fn beside_rate(len: usize, delta: usize, cap: usize) -> Option<usize> {
+    let rate = (cap / 2).saturating_sub(ops::load(len, cap));
+    let phase = ops::rounds_for(len, cap).max(hop_rounds_for(len));
+    (rate > 0 && div(delta, rate) <= phase).then_some(rate)
+}
+
+/// The rate of the hand-off's blocks after the loop at capacity `cap`:
+/// half of it, so that a receiver whose every message comes twice still
+/// takes a block's round in that round.
+pub fn block_rate(cap: usize) -> usize {
+    (cap / 2).max(1)
+}
+
+/// The stars of every phase but the last that [`DegreesCore`] forms on a
+/// path whose members request `degrees`, the input [`rounds_for`] takes:
+/// `(q, δ)`, `q` groups of `δ` members, from a sequential replay of the
+/// phase loop. A phase's `δ`, `N` and so its `q` depend only on the
+/// multiset of needs, and so does what the phase leaves of it, whatever
+/// the ID order.
+pub fn phase_groups(degrees: &[usize], flavor: Flavor) -> Vec<(usize, usize)> {
     let len = degrees.len();
     let mut needs = degrees.to_vec();
     let mut groups = Vec::new();
@@ -253,7 +300,7 @@ pub fn phase_groups(degrees: &[usize], flavor: Flavor) -> Vec<usize> {
         }
         let stride = delta + 1;
         let q = (needs.iter().take_while(|&&d| d == delta).count() / stride).max(1);
-        groups.push(q);
+        groups.push((q, delta));
         for (x, need) in needs.iter_mut().enumerate().take(q * stride) {
             if x % stride == 0 {
                 *need = 0;
@@ -293,7 +340,7 @@ pub fn merges(flavor: Flavor, len: usize) -> bool {
 }
 
 /// Folds the control words: maximum remaining need, how many members hold
-/// it, whether anyone went negative, maximum requested degree.
+/// it, whether anyone went negative.
 fn fold_control(acc: &mut Words, x: &Words) {
     match x[0].cmp(&acc[0]) {
         std::cmp::Ordering::Greater => (acc[0], acc[1]) = (x[0], x[1]),
@@ -301,7 +348,6 @@ fn fold_control(acc: &mut Words, x: &Words) {
         std::cmp::Ordering::Less => {}
     }
     acc[2] |= x[2];
-    acc[3] = acc[3].max(x[3]);
 }
 
 enum CoreStage {
@@ -313,7 +359,9 @@ enum CoreStage {
         control: Option<Box<SweepStep>>,
         lane: Option<SortStep>,
     },
-    Handoff(StaggerStep),
+    /// The loop has realized; the hand-off's last announcement lands in
+    /// this round.
+    Handoff(u64),
 }
 
 /// A phase's hop back to the origins, opened when the phase commits
@@ -323,27 +371,33 @@ enum CoreStage {
 struct Hop {
     /// The multicast, until it ends.
     mcast: Option<ImcastStep>,
-    /// This position's status: to whom, whether the record leaves the
-    /// path, and whether it carries the leader's ID (a member's edge).
-    status: Option<(NodeId, bool, bool)>,
+    /// This position's status: to whom, its word (a leader's `δ`, else
+    /// 0), and whether it carries the leader's ID (a member's edge).
+    status: Option<(NodeId, u64, bool)>,
+    /// At a member's position, its offset in the star; once the multicast
+    /// ends, with the leader's origin it learned.
+    member: Option<(usize, Option<NodeId>)>,
 }
 
 impl Hop {
     /// Polls the hop at a node whose own record is on the path if
     /// `expects`; its result is the status that node got: the edge it
-    /// carries, if any, and whether the record left the path.
+    /// carries, if any, and its word.
     fn poll(
         &mut self,
         rctx: &mut RoundCtx<'_>,
         expects: bool,
-    ) -> Poll<Option<(Option<NodeId>, bool)>> {
+    ) -> Poll<Option<(Option<NodeId>, u64)>> {
         if let Some(mcast) = &mut self.mcast {
             let Poll::Ready(got) = mcast.poll(rctx) else {
                 return Poll::Pending;
             };
             self.mcast = None;
-            if let Some((origin, leaves, edge)) = self.status {
-                let mut msg = WireMsg::word(tags::STATUS, u64::from(leaves));
+            if let Some((_, leader)) = &mut self.member {
+                *leader = got.map(|p| p.addr);
+            }
+            if let Some((origin, word, edge)) = self.status {
+                let mut msg = WireMsg::word(tags::STATUS, word);
                 if edge {
                     let p = got.expect("message loss: a committed member missed the multicast");
                     msg = msg.with_addr(p.addr);
@@ -362,7 +416,119 @@ impl Hop {
             .find(|e| e.msg.tag == tags::STATUS)
             .expect("message loss: an origin missed its record's status");
         let edge = env.msg.addrs_slice().first().copied();
-        Poll::Ready(Some((edge, env.word() != 0)))
+        Poll::Ready(Some((edge, env.word())))
+    }
+}
+
+/// The slots of one phase's announcements: the offset-`i` member's goes
+/// out in round `first + ⌊(i - 1)/rate⌋`, counted from the block's start
+/// after the loop where `block`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Slots {
+    first: u64,
+    rate: usize,
+    block: bool,
+}
+
+/// The explicit hand-off at one node (module docs, Theorem 12).
+#[derive(Default)]
+struct Handoff {
+    /// The slots of the phase that committed last.
+    slots: Slots,
+    /// The round the last announcement beside the loop lands in.
+    landed: u64,
+    /// The blocks' rounds so far.
+    blocks: u64,
+    /// The round the blocks start in, once the loop has ended.
+    base: Option<u64>,
+    /// What this position owes: `(round, the leader's origin, the
+    /// member's origin)`, in round order; `late`, a block's, counted from
+    /// the block's start until the loop ends.
+    due: VecDeque<(u64, NodeId, NodeId)>,
+    late: Vec<(u64, NodeId, NodeId)>,
+    /// At a leader's origin: the slots of the phase it led in, and `δ`.
+    window: Option<(Slots, usize)>,
+    /// The member origins announced to this node so far.
+    heard: Vec<NodeId>,
+}
+
+impl Handoff {
+    /// Fixes the slots of a phase with stars of `delta` members that
+    /// commits in round `now` on a path of `len` nodes.
+    fn commit(&mut self, len: usize, delta: usize, now: u64, cap: usize) {
+        self.slots = match beside_rate(len, delta, cap) {
+            Some(rate) => {
+                let first = now + imcast::rounds_for(len);
+                self.landed = self.landed.max(first + div(delta, rate));
+                Slots {
+                    first,
+                    rate,
+                    block: false,
+                }
+            }
+            None => {
+                let (first, rate) = (self.blocks, block_rate(cap));
+                self.blocks += div(delta, rate);
+                Slots {
+                    first,
+                    rate,
+                    block: true,
+                }
+            }
+        };
+    }
+
+    /// The member at offset `i` owes `leader` an announcement of `origin`.
+    fn owe(&mut self, i: usize, leader: NodeId, origin: NodeId) {
+        let Slots { first, rate, block } = self.slots;
+        let owed = (first + ((i - 1) / rate) as u64, leader, origin);
+        match block {
+            true => self.late.push(owed),
+            false => self.due.push_back(owed),
+        }
+    }
+
+    /// The loop has realized in round `now`: places the blocks and
+    /// returns the round the last announcement lands in.
+    fn close(&mut self, now: u64) -> u64 {
+        let base = now.max(self.landed);
+        self.base = Some(base);
+        let late = self.late.drain(..).map(|(r, to, u)| (base + r, to, u));
+        self.due.extend(late);
+        base + self.blocks
+    }
+
+    /// One round of the hand-off: takes this round's announcements in and,
+    /// at a leader's origin whose window closes, checks them against `δ`
+    /// and adds them to `neighbors`; then, unless the core is done this
+    /// round, sends what falls due.
+    fn exchange(&mut self, rctx: &mut RoundCtx<'_>, neighbors: &mut Vec<NodeId>, done: bool) {
+        let now = rctx.round();
+        if let Some((slots, delta)) = self.window {
+            let edges = rctx.inbox().iter().filter(|e| e.msg.tag == tags::EDGE);
+            self.heard.extend(edges.map(|e| e.addr()));
+            let base = if slots.block { self.base } else { Some(0) };
+            if base.map(|b| b + slots.first + div(delta, slots.rate)) == Some(now) {
+                // A second copy of an announcement is a duplicate.
+                self.heard.sort_unstable();
+                self.heard.dedup();
+                assert_eq!(
+                    self.heard.len(),
+                    delta,
+                    "message loss: a leader missed an announcement"
+                );
+                neighbors.append(&mut self.heard);
+                self.window = None;
+            }
+        }
+        while let Some(&(round, leader, origin)) = self.due.front().filter(|_| !done) {
+            if round > now {
+                break;
+            }
+            debug_assert_eq!(round, now, "an announcement missed its round");
+            rctx.send(leader, WireMsg::addr(tags::EDGE, origin));
+            self.due.pop_front();
+        }
     }
 }
 
@@ -385,8 +551,8 @@ pub struct DegreesCore {
     ctx: PathCtx,
     stage: CoreStage,
     /// How the run ends, once a control sweep has said so and until the
-    /// last hop is in: a refusal, or realized with the hand-off bound.
-    closing: Option<Result<usize, Unrealizable>>,
+    /// last hop is in.
+    closing: Option<Result<(), Unrealizable>>,
     /// The record at this node's position: its own in phase 1, the one
     /// the last lane left here after that; `None` at a vacant position.
     held: Option<Held>,
@@ -399,11 +565,13 @@ pub struct DegreesCore {
     /// Is this node's own record still on the path, so that every phase
     /// owes it a status?
     on_path: bool,
+    /// The Theorem 12 hand-off, when the realization is explicit.
+    handoff: Option<Handoff>,
 }
 
 impl DegreesCore {
     /// Builds the core for a member of `ctx` requesting `degree`; the
-    /// first poll opens phase 1.
+    /// first poll opens phase 1. The explicit flavor hands its edges off.
     pub fn new(degree: usize, flavor: Flavor, ctx: PathCtx) -> Self {
         DegreesCore {
             flavor,
@@ -427,7 +595,15 @@ impl DegreesCore {
             },
             on_path: true,
             ctx,
+            handoff: (flavor == Flavor::Explicit).then(Handoff::default),
         }
+    }
+
+    /// Makes the realization explicit in any flavor: every edge is handed
+    /// off to its leader's origin too ([`rounds_for`] with `explicit`).
+    pub fn explicit(mut self) -> Self {
+        self.handoff = Some(Handoff::default());
+        self
     }
 
     /// Opens a new Algorithm 3 phase: the control sweep and, in the same
@@ -441,7 +617,6 @@ impl DegreesCore {
             self.held.map_or(0, |h| h.key),
             u64::from(self.held.is_some()),
             u64::from(self.went_negative),
-            self.outcome.requested as u64,
         ];
         let ctx = &self.ctx;
         let (vp, x) = (ctx.vp, ctx.position);
@@ -460,46 +635,49 @@ impl DegreesCore {
             lane: Some(lane),
         };
     }
-}
 
-impl Step for DegreesCore {
-    type Out = Result<ImplicitOutcome, Unrealizable>;
-
-    fn poll(&mut self, rctx: &mut RoundCtx<'_>) -> Poll<Self::Out> {
-        if self.outcome.phases == 0 {
-            let key = self.outcome.requested as u64;
-            let origin = rctx.id();
-            self.held = Some(Held { key, origin });
-            self.begin_phase(None);
-        }
+    /// The phase loop, then the wait for the hand-off: `Ready` once the
+    /// run has ended at this node.
+    fn advance(&mut self, rctx: &mut RoundCtx<'_>) -> Poll<Result<(), Unrealizable>> {
         loop {
             match &mut self.stage {
                 CoreStage::Phase { hop, control, lane } => {
                     // The hop goes first. It may end before the control
                     // sweep or after it; the phase commits once the hop,
                     // the control and the lane are all in.
-                    if let Some(Poll::Ready(status)) =
-                        hop.as_mut().map(|h| h.poll(rctx, self.on_path))
-                    {
-                        *hop = None;
-                        if let Some((edge, leaves)) = status {
-                            self.outcome.neighbors.extend(edge);
-                            self.on_path = !leaves;
+                    if let Some(h) = hop {
+                        let polled = h.poll(rctx, self.on_path);
+                        if let (Some(handoff), Some((i, Some(leader)))) =
+                            (&mut self.handoff, h.member)
+                        {
+                            h.member = None;
+                            let origin = h.status.expect("a member holds a record").0;
+                            handoff.owe(i, leader, origin);
+                        }
+                        if let Poll::Ready(status) = polled {
+                            *hop = None;
+                            if let Some((edge, word)) = status {
+                                self.outcome.neighbors.extend(edge);
+                                let led = word as usize;
+                                self.on_path = led == 0 || !merges(self.flavor, self.ctx.vp.len);
+                                if let Some(handoff) = self.handoff.as_mut().filter(|_| led > 0) {
+                                    handoff.window = Some((handoff.slots, led));
+                                }
+                            }
                         }
                     }
                     // The control goes next: a refusing or closing phase
                     // drops the lane before it stages this round's sends.
                     if let Some(Poll::Ready(swept)) = control.as_mut().map(|s| s.poll(rctx)) {
                         *control = None;
-                        let [delta, n_max, err, bound] = swept.words;
+                        let [delta, n_max, err, _] = swept.words;
                         // Some node went negative, or wants more
                         // neighbors than exist.
                         if err != 0 || delta as usize >= self.ctx.vp.len {
                             self.closing = Some(Err(Unrealizable));
                             *lane = None;
                         } else if delta == 0 {
-                            // Δ bounds any node's incoming announcements.
-                            self.closing = Some(Ok(bound as usize));
+                            self.closing = Some(Ok(()));
                             *lane = None;
                         } else {
                             let stride = delta as usize + 1;
@@ -518,21 +696,13 @@ impl Step for DegreesCore {
                     if hop.is_some() || control.is_some() || lane.is_some() {
                         return Poll::Pending;
                     }
-                    match self.closing.take() {
-                        Some(Err(refused)) => return Poll::Ready(Err(refused)),
-                        Some(Ok(_)) if self.flavor != Flavor::Explicit => {
-                            return Poll::Ready(Ok(std::mem::take(&mut self.outcome)));
-                        }
-                        Some(Ok(bound)) => {
-                            self.stage = CoreStage::Handoff(StaggerStep::new(
-                                self.outcome.neighbors.clone(),
-                                WireMsg::signal(tags::EDGE),
-                                bound,
-                                rctx.capacity(),
-                            ));
+                    match (self.closing.take(), &mut self.handoff) {
+                        (Some(Ok(())), Some(handoff)) => {
+                            self.stage = CoreStage::Handoff(handoff.close(rctx.round()));
                             continue;
                         }
-                        None => {}
+                        (Some(closed), _) => return Poll::Ready(closed),
+                        (None, _) => {}
                     }
                     // Both halves are in. What the phase makes of the
                     // record here depends only on its rank — this
@@ -562,9 +732,13 @@ impl Step for DegreesCore {
                             }
                         }
                     }
-                    // A merge lane takes the leaders' records off the path.
-                    let leaves = is_leader && merges(self.flavor, self.ctx.vp.len);
-                    let status = self.held.map(|h| (h.origin, leaves, edge));
+                    if let Some(handoff) = &mut self.handoff {
+                        let len = self.ctx.vp.len;
+                        handoff.commit(len, stride - 1, rctx.round(), rctx.capacity());
+                    }
+                    let led = if is_leader { stride as u64 - 1 } else { 0 };
+                    let status = self.held.map(|h| (h.origin, led, edge));
+                    let member = (grouped && !is_leader).then_some((x % stride, None));
                     let task = self.held.filter(|_| is_leader).map(|h| {
                         let payload = Payload {
                             addr: h.origin,
@@ -574,26 +748,38 @@ impl Step for DegreesCore {
                     });
                     let ctx = &self.ctx;
                     let mcast = Some(ImcastStep::new(ctx.vp, ctx.contacts.clone(), task));
-                    self.begin_phase(Some(Hop { mcast, status }));
+                    self.begin_phase(Some(Hop {
+                        mcast,
+                        status,
+                        member,
+                    }));
                 }
-                CoreStage::Handoff(s) => match s.poll(rctx) {
-                    Poll::Pending => return Poll::Pending,
-                    Poll::Ready(received) => {
-                        // An exact flavor has no multi-edge, so a second
-                        // `EDGE` from one sender is a repeat: the first
-                        // arrival stands.
-                        let mut senders = BTreeSet::new();
-                        self.outcome.neighbors.extend(
-                            received
-                                .iter()
-                                .filter(|(src, msg)| msg.tag == tags::EDGE && senders.insert(*src))
-                                .map(|(src, _)| *src),
-                        );
-                        return Poll::Ready(Ok(std::mem::take(&mut self.outcome)));
-                    }
-                },
+                CoreStage::Handoff(until) => {
+                    return match rctx.round() == *until {
+                        true => Poll::Ready(Ok(())),
+                        false => Poll::Pending,
+                    };
+                }
             }
         }
+    }
+}
+
+impl Step for DegreesCore {
+    type Out = Result<ImplicitOutcome, Unrealizable>;
+
+    fn poll(&mut self, rctx: &mut RoundCtx<'_>) -> Poll<Self::Out> {
+        if self.outcome.phases == 0 {
+            let key = self.outcome.requested as u64;
+            let origin = rctx.id();
+            self.held = Some(Held { key, origin });
+            self.begin_phase(None);
+        }
+        let polled = self.advance(rctx);
+        if let Some(handoff) = &mut self.handoff {
+            handoff.exchange(rctx, &mut self.outcome.neighbors, polled.is_ready());
+        }
+        polled.map(|closed| closed.map(|()| std::mem::take(&mut self.outcome)))
     }
 }
 
@@ -621,7 +807,7 @@ mod tests {
             assert!(hop <= control + 2, "len={len}");
             if len.is_power_of_two() || len % 997 == 0 {
                 let first = ctx::rounds_for(len) + control.max(sort::rounds_for(len));
-                let run = rounds_for(len, &[1], Flavor::Implicit, 1, cap);
+                let run = rounds_for(len, &[(1, 1)], Flavor::Implicit, false, cap);
                 assert_eq!(run - first, control.max(hop), "len={len}");
             }
         }
@@ -652,18 +838,22 @@ mod tests {
             }
         }
         assert_eq!(ops::rounds_for(2048, 22), 14);
-        let groups = [118, 1, 251, 419, 1, 418, 1, 419];
-        assert_eq!(rounds_for(2048, &groups, Flavor::Implicit, 5, 22), 215);
+        let groups = [118, 1, 251, 419, 1, 418, 1, 419].map(|q| (q, 4));
+        assert_eq!(rounds_for(2048, &groups, Flavor::Implicit, false, 22), 215);
     }
 
     /// The replay of the phase loop counts the phases a run takes; a
     /// refusal stops it at the phase before the refusing one.
     #[test]
     fn phase_groups_replays_the_phase_loop() {
-        assert_eq!(phase_groups(&[2, 2, 2], Flavor::Implicit), [1, 1]);
-        assert_eq!(phase_groups(&[0, 0], Flavor::Implicit), [] as [usize; 0]);
-        assert_eq!(phase_groups(&[3, 1, 1], Flavor::Implicit), [] as [usize; 0]);
-        assert_eq!(phase_groups(&[3, 3, 1, 1], Flavor::Implicit), [1, 1]);
+        let none: [(usize, usize); 0] = [];
+        assert_eq!(phase_groups(&[2, 2, 2], Flavor::Implicit), [(1, 2), (1, 1)]);
+        assert_eq!(phase_groups(&[0, 0], Flavor::Implicit), none);
+        assert_eq!(phase_groups(&[3, 1, 1], Flavor::Implicit), none);
+        assert_eq!(
+            phase_groups(&[3, 3, 1, 1], Flavor::Implicit),
+            [(1, 3), (1, 2)]
+        );
         for flavor in [Flavor::Implicit, Flavor::Envelope] {
             let out = realize_for_test(&[6; 32], Config::ncc0(5), flavor);
             let groups = phase_groups(&[6; 32], flavor);
@@ -716,7 +906,7 @@ mod tests {
         use dgr_primitives::{ctx, PathCtx, Poll, Step, WithCtx};
         struct LoneHop(Hop);
         impl Step for LoneHop {
-            type Out = Option<(Option<NodeId>, bool)>;
+            type Out = Option<(Option<NodeId>, u64)>;
             fn poll(&mut self, rctx: &mut RoundCtx<'_>) -> Poll<Self::Out> {
                 self.0.poll(rctx, true)
             }
@@ -734,7 +924,8 @@ mod tests {
                     let mcast = Some(ImcastStep::new(c.vp, c.contacts.clone(), task));
                     LoneHop(Hop {
                         mcast,
-                        status: Some((id, false, (1..=3).contains(&x))),
+                        status: Some((id, 0, (1..=3).contains(&x))),
+                        member: None,
                     })
                 })
             });
@@ -823,7 +1014,7 @@ mod tests {
                 let (n, m) = (degrees.len(), out.metrics());
                 let groups = phase_groups(&degrees, flavor);
                 assert_eq!(groups.len() as u64 + 1, phases, "{degrees:?}");
-                assert_eq!(m.rounds, rounds_for(n, &groups, flavor, 3, m.capacity));
+                assert_eq!(m.rounds, rounds_for(n, &groups, flavor, false, m.capacity));
                 let rounds = recording.events().into_iter().filter_map(|e| match e {
                     RunEvent::RoundCompleted { live, .. } => Some(live),
                     _ => None,
@@ -898,7 +1089,7 @@ mod tests {
             assert!(g.metrics.is_clean(), "{engine:?}");
             let groups = phase_groups(&degrees, flavor);
             assert_eq!(groups.len() as u64 + 1, g.phases, "{engine:?}");
-            let want = rounds_for(n, &groups, flavor, 4, g.metrics.capacity);
+            let want = rounds_for(n, &groups, flavor, true, g.metrics.capacity);
             assert_eq!(g.metrics.rounds, want, "{engine:?}");
             for &id in &g.path_order {
                 let mut listed = g.explicit_neighbors[&id].clone();

@@ -106,7 +106,6 @@ fn assert_golden(case: &str, out: &DriverOutput) {
 /// refusal ends on some phase's control sweep, before any hand-off.
 fn assert_closed_form(case: &str, degrees: &[usize], flavor: Flavor, out: &DriverOutput) {
     let (len, m) = (degrees.len(), out.metrics());
-    let max_degree = degrees.iter().copied().max().unwrap_or(0);
     let groups = phase_groups(degrees, flavor);
     if let DriverOutput::Realized(r) = out {
         assert_eq!(groups.len() as u64 + 1, r.phases, "{case}: phases");
@@ -117,7 +116,8 @@ fn assert_closed_form(case: &str, degrees: &[usize], flavor: Flavor, out: &Drive
     } else {
         flavor
     };
-    let want = rounds_for(len, &groups, flavor, max_degree, m.capacity);
+    let explicit = flavor == Flavor::Explicit;
+    let want = rounds_for(len, &groups, flavor, explicit, m.capacity);
     assert_eq!(m.rounds, want, "{case}: {} phases", groups.len() + 1);
 }
 
@@ -273,7 +273,6 @@ fn sweep_beside_the_sort_runs_clean_at_its_edges() {
         assert_eq!(merges(Flavor::Implicit, n), n > 8, "n={n}");
         // Graphic, Δ ≤ 4: a strict-cap hand-off never exceeds the floor.
         let degrees: Vec<usize> = (0..n).map(|i| (2 + 2 * (i % 2)).min(n - 1)).collect();
-        let max_degree = degrees.iter().copied().max().unwrap();
         for factor in [2.0, 0.1] {
             let config = Config::ncc0(n as u64 + 40).with_capacity_factor(factor);
             for flavor in [Flavor::Implicit, Flavor::Envelope, Flavor::Explicit] {
@@ -297,11 +296,12 @@ fn sweep_beside_the_sort_runs_clean_at_its_edges() {
                 let control = ops::rounds_for(n, m.capacity);
                 let spare = control.checked_sub(levels_for(n) as u64 + 1);
                 let edge = spare.map_or(0, |bits| 1 << bits);
-                for &g in groups.iter().filter(|_| merges(flavor, n)) {
+                for &(g, _) in groups.iter().filter(|_| merges(flavor, n)) {
                     let fits = sort::merge_rounds_for(n, g) <= control;
                     assert_eq!(fits, g < edge, "{what}: {g} groups");
                 }
-                let want = rounds_for(n, &groups, flavor, max_degree, m.capacity);
+                let explicit = flavor == Flavor::Explicit;
+                let want = rounds_for(n, &groups, flavor, explicit, m.capacity);
                 assert_eq!(m.rounds, want, "{what}: {} phases", r.phases);
             }
         }

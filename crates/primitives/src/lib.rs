@@ -43,8 +43,7 @@
 //! | [`prefix::PrefixStep`] | §5 | `ceil(log2 n)` |
 //! | [`imcast::ImcastStep`] (Thm 7) | §3.2.3 | `ceil(log2 n) + 1` |
 //! | [`imcast::ImcastStep::at_offset`] (the payload first shifted ahead to its interval) | §5 | `2 ceil(log2 n) + 1` |
-//! | [`stagger::StaggerStep`] (Thm 8) | §3.2.3 | `spread + drain` |
-//!
+//! //!
 //! The sorting and multicast primitives substitute the paper's machinery
 //! with same-complexity-class constructions (bitonic networks and interval
 //! doubling instead of recursive merge and butterflies); ARCHITECTURE.md,
@@ -57,7 +56,6 @@ pub mod imcast;
 pub mod ops;
 pub mod prefix;
 pub mod sort;
-pub mod stagger;
 pub mod step;
 pub mod vpath;
 pub mod warmup;

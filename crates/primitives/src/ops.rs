@@ -95,6 +95,15 @@ pub fn broadcast_rounds_for(len: usize, cap: usize) -> u64 {
 /// trees' sort.
 pub const BESIDE: usize = 2;
 
+/// Messages a node a round that a sweep on a path of `len` nodes and the
+/// steps beside it ([`BESIDE`]) take at capacity `cap`: four sweep
+/// messages, or two where it runs paced or the path is under ten
+/// positions.
+pub fn load(len: usize, cap: usize) -> usize {
+    let sweep = if len < 10 || 4 + BESIDE > cap { 2 } else { 4 };
+    sweep + BESIDE
+}
+
 /// A contact of the sweep tree: its level `j` and whether it sits `2^j`
 /// ahead (else `2^j` behind).
 type Link = (usize, bool);

@@ -20,13 +20,12 @@
 //!    outputs still hash to the twin's). The sweep cases hash the value
 //!    the twin handed out: the one word, or the median's address.
 
-use dgr_ncc::{Config, EngineKind, Network, NodeProtocol, RoundCtx, RunResult, WireMsg};
+use dgr_ncc::{Config, EngineKind, Network, NodeProtocol, RoundCtx, RunResult};
 use dgr_primitives::ctx::UndirectStep;
 use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
 use dgr_primitives::ops::{Fold, SweepStep};
 use dgr_primitives::prefix::PrefixStep;
 use dgr_primitives::sort::{Order, RankStep, SortStep};
-use dgr_primitives::stagger::StaggerStep;
 use dgr_primitives::warmup::WarmupStep;
 use dgr_primitives::WithCtx as CtxThen;
 use dgr_primitives::{EstablishCtx, PathCtx, Step, StepProtocol};
@@ -93,7 +92,6 @@ const GOLDEN: &[(&str, Golden)] = &[
     ("imcast n=40 w=5", (14, 386, 1105, 2, 2, 0xf72d604209bc1766)),
     ("imcast n=37 w=7", (14, 349, 1001, 2, 2, 0xc143af34fb4d83e2)),
     ("imcast n=64 w=8", (14, 698, 2017, 2, 2, 0x517f669192246aea)),
-    ("stagger", (13, 544, 1397, 2, 2, 0xf3e1ba9a71150637)),
     ("establish", (7, 510, 1374, 2, 2, 0xe4bc82b06d63ba90)),
     ("warmup n=8 seed=1", (9, 32, 75, 2, 2, 0xc22be1b81834bf15)),
     ("warmup n=50 seed=2", (15, 422, 1119, 2, 2, 0xd687dbe6a1b03721)),
@@ -237,24 +235,6 @@ fn imcast_matches_frozen_twin_on_both_engines() {
         assert_golden(&case, &batched);
         assert!(batched.metrics.is_clean());
     }
-}
-
-#[test]
-fn stagger_matches_frozen_twin_on_both_engines() {
-    // Every node staggers one token to each of its immediate path
-    // neighbors; the RNG schedule must be identical across engines (same
-    // per-node stream, same draw order) and the one the twin drew.
-    let n = 48;
-    let cap = Config::ncc0(0).capacity(n);
-    let net = Network::new(n, Config::ncc0(71).with_queueing());
-    let batched = engines_agree(&net, move |_| {
-        CtxThen::new(move |ctx: &PathCtx, _: &mut RoundCtx<'_>| {
-            let targets = [ctx.vp.pred, ctx.vp.succ].into_iter().flatten().collect();
-            StaggerStep::new(targets, WireMsg::word(dgr_ncc::tags::TOKEN, 5), 2, cap)
-        })
-    });
-    assert_golden("stagger", &batched);
-    assert_eq!(batched.metrics.undelivered, 0);
 }
 
 #[test]

@@ -37,7 +37,7 @@
 //! use dgr::{CapacityPolicy, Engine, Kt0, Realization, Workload};
 //!
 //! // An explicit realization on the batched executor, queueing policy
-//! // (required by the staggered hand-off), KT0 tracking on.
+//! // (the workload's default), KT0 tracking on.
 //! let out = Realization::new(Workload::Explicit(vec![3, 2, 2, 2, 2, 2, 2, 1]))
 //!     .engine(Engine::Batched)
 //!     .policy(CapacityPolicy::Queue)
@@ -428,8 +428,8 @@ impl Realization {
     }
 
     /// Overrides the capacity policy (default: the workload's natural
-    /// policy — queueing where staggered hand-offs need receive-side
-    /// queueing, strict otherwise).
+    /// policy — queueing for the three workloads with explicitness
+    /// hand-offs, strict otherwise; the hand-offs also run strict).
     pub fn policy(mut self, policy: CapacityPolicy) -> Self {
         self.policy = Some(policy);
         self
@@ -449,9 +449,9 @@ impl Realization {
         self
     }
 
-    /// Sets the master seed (IDs, path order, node RNGs, stagger
-    /// schedules). Identical requests with identical seeds replay
-    /// identically, on either engine and any worker count.
+    /// Sets the master seed (IDs, path order, node RNGs). Identical
+    /// requests with identical seeds replay identically, on either engine
+    /// and any worker count.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self

@@ -191,11 +191,11 @@ fn runs_are_deterministic_per_seed() {
 }
 
 #[test]
-fn explicit_realization_carries_queue_backlog_to_the_reference_overlay() {
-    // A hub's explicitness hand-off under a quarter of the default
-    // capacity: its receive queue carries backlog across rounds, and the
-    // paced delivery must still realize the degrees exactly, drain every
-    // queue and agree with the reference interpreter message for message.
+fn explicit_realization_at_half_capacity_matches_the_reference_overlay() {
+    // A hub's explicitness hand-off under half the default capacity
+    // (a quarter of the per-round budget at n = 512): the scheduled
+    // delivery must still realize the degrees exactly and agree with the
+    // reference interpreter message for message.
     let degrees = graphgen::star_heavy_sequence(512, 1, 2, 4);
     let run = |engine| {
         Realization::new(Workload::Explicit(degrees.clone()))
@@ -207,10 +207,6 @@ fn explicit_realization_carries_queue_backlog_to_the_reference_overlay() {
     };
     let (batched, reference) = (run(Engine::Batched), run(Engine::Reference));
     let r = batched.degrees().expect_realized();
-    assert!(
-        r.metrics.max_queue_len > 0,
-        "no receive queue carried backlog"
-    );
     verify::degrees_match(&r.graph, &r.requested).unwrap();
     assert!(r.metrics.is_clean());
     let o = reference.degrees().expect_realized();
@@ -259,6 +255,41 @@ fn degree_realizations_survive_message_duplication() {
                         assert_eq!(r.duplicate_edges, 0, "{what}");
                     }
                 }
+            }
+        }
+    }
+}
+
+/// Every message delivered twice (or 30 % of them): both NCC₀ threshold
+/// drivers still realize their requirements, on both engines. Every
+/// hand-off message is due in a round its receiver can name, so a second
+/// copy in its slot is dropped there: a pipeline token or a patch token
+/// already seen, an acknowledgement already heard, an announcement
+/// already in its leader's window.
+#[test]
+fn threshold_realizations_survive_message_duplication() {
+    let n = 64;
+    let rho: Vec<usize> = (0..n).map(|i| 1 + i % 3).collect();
+    let inst = ThresholdInstance::new(rho.clone());
+    for rate in [0.3, 1.0] {
+        let scenario = Scenario::new(n as u64).duplicate_messages(0..=u64::MAX, rate);
+        for engine in [Engine::Batched, Engine::Reference] {
+            for (name, workload) in [
+                ("ncc0", Workload::Ncc0Threshold(rho.clone())),
+                ("exact", Workload::Ncc0Exact(rho.clone())),
+            ] {
+                let what = format!("rate={rate} {engine:?} {name}");
+                let out = Realization::new(workload)
+                    .engine(engine)
+                    .seed(7)
+                    .scenario(scenario.clone())
+                    .run()
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert!(out.engine_stats.faults_duplicated > 0, "{what}");
+                let t = out.threshold();
+                assert!(t.report.satisfied, "{what}: {:?}", t.report);
+                let edges = t.graph.edge_count();
+                assert!(edges <= inst.sum(), "{what}: {edges} edges");
             }
         }
     }

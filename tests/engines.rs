@@ -272,11 +272,12 @@ fn degree_rounds_follow_the_closed_form() {
         };
         let out = request(workload, seed, &mask).run().unwrap();
         let r = out.degrees().expect_realized();
-        let (len, max_degree) = (r.path_order.len(), *r.requested.values().max().unwrap());
+        let len = r.path_order.len();
         let requested: Vec<usize> = r.requested.values().copied().collect();
         let groups = phase_groups(&requested, flavor);
         assert_eq!(groups.len() as u64 + 1, r.phases, "{case}");
-        let want = rounds_for(len, &groups, flavor, max_degree, r.metrics.capacity);
+        let explicit = flavor == Flavor::Explicit;
+        let want = rounds_for(len, &groups, flavor, explicit, r.metrics.capacity);
         assert_eq!(r.metrics.rounds, want, "{case}");
     }
 }

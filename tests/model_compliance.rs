@@ -133,12 +133,12 @@ fn ncc0_algorithms_run_in_ncc1() {
     verify::degrees_match(&r.graph, &r.requested).unwrap();
 }
 
-/// A queued delivery is a delivery: when a hub's fan-in exceeds its
-/// receive capacity, the queue policy holds the surplus back, never hands
-/// a node more than its cap in a round, and every address in a held-back
-/// message is still learned when it lands — the tracked run stays clean.
+/// A hub's explicitness hand-off under half the default capacity, the
+/// knowledge tracked: every announcement lands in a round its leader can
+/// name, within its capacity, and every address it carries is one its
+/// position learned — the tracked run stays clean.
 #[test]
-fn queue_backlog_is_paced_and_kt0_legal() {
+fn explicit_hand_off_at_half_capacity_is_kt0_legal() {
     let degrees = graphgen::star_heavy_sequence(512, 1, 2, 4);
     let out = Realization::new(Workload::Explicit(degrees))
         .policy(CapacityPolicy::Queue)
@@ -148,12 +148,78 @@ fn queue_backlog_is_paced_and_kt0_legal() {
         .run()
         .unwrap();
     let r = out.degrees().expect_realized();
+    verify::degrees_match(&r.graph, &r.requested).unwrap();
+    assert!(r.metrics.max_received_per_round <= r.metrics.capacity);
+    assert!(r.metrics.is_clean());
+    assert_eq!(r.metrics.violations.unknown_addressee, 0);
+    assert_eq!(r.metrics.violations.unknown_carried, 0);
+}
+
+/// A queued delivery is a delivery: an n-to-1 burst (ablation A2's: in
+/// round 0 everyone but the head sends it one message) exceeds the head's
+/// receive capacity, and the queue policy holds the surplus back, never
+/// hands a node more than its cap in a round, and delivers all of it.
+#[test]
+fn an_n_to_one_burst_carries_paced_queue_backlog() {
+    use distributed_graph_realizations::ncc::{tags, NodeProtocol, RoundCtx, Status, WireMsg};
+    struct Burst {
+        head: NodeId,
+        got: usize,
+    }
+    impl NodeProtocol for Burst {
+        type Output = usize;
+        fn step(&mut self, ctx: &mut RoundCtx<'_>) -> Status<usize> {
+            self.got += ctx.inbox().len();
+            if ctx.round() == 0 && ctx.id() != self.head {
+                ctx.send(self.head, WireMsg::signal(tags::GENERIC));
+            }
+            match ctx.round() > ctx.n() as u64 {
+                true => Status::Done(self.got),
+                false => Status::Continue,
+            }
+        }
+    }
+    let n = 128;
+    let mut config = Config::ncc0(62).with_queueing();
+    config.track_knowledge = false; // everyone addresses the head directly
+    let net = Network::new(n, config);
+    let head = net.ids_in_path_order()[0];
+    let r = net.run_protocol(|_| Burst { head, got: 0 }).unwrap();
+    assert_eq!(*r.output_of(head).unwrap(), n - 1);
     assert!(
         r.metrics.max_queue_len > 0,
         "no receive queue carried backlog"
     );
     assert!(r.metrics.max_received_per_round <= r.metrics.capacity);
     assert!(r.metrics.is_clean());
-    assert_eq!(r.metrics.violations.unknown_addressee, 0);
-    assert_eq!(r.metrics.violations.unknown_carried, 0);
+}
+
+/// The three workloads with explicitness hand-offs run fully strict at
+/// the default capacity, on both engines: every hand-off message lands in
+/// a round its receiver can name, within its capacity — the star-heavy
+/// explicit request included, whose hub hears `n - 1` announcements.
+#[test]
+fn scheduled_hand_offs_run_strict() {
+    let rho = graphgen::uniform_thresholds(200, 1, 6, 9);
+    let workloads = [
+        Workload::Explicit(graphgen::star_heavy_sequence(512, 1, 2, 4)),
+        Workload::Explicit(graphgen::power_law_sequence(256, 32, 2.5, 9)),
+        Workload::Ncc0Threshold(rho.clone()),
+        Workload::Ncc0Exact(rho),
+    ];
+    for workload in workloads {
+        for engine in [Engine::Batched, Engine::Reference] {
+            let what = format!("{engine:?} {:?}", &workload);
+            let out = Realization::new(workload.clone())
+                .policy(CapacityPolicy::Strict)
+                .engine(engine)
+                .seed(9)
+                .run()
+                .unwrap_or_else(|e| panic!("{}: {e}", &what[..60.min(what.len())]));
+            let m = out.metrics();
+            assert!(m.is_clean(), "{}", &what[..60.min(what.len())]);
+            assert!(m.max_received_per_round <= m.capacity);
+            assert!(m.max_sent_per_round <= m.capacity);
+        }
+    }
 }

@@ -466,7 +466,7 @@ fn implicit_realization_at_n_100k_follows_the_closed_form() {
     assert_eq!(r.metrics.undelivered, 0);
     let groups = phase_groups(&vec![1; n], Flavor::Implicit);
     assert_eq!(groups.len() as u64 + 1, r.phases);
-    let want = rounds_for(n, &groups, Flavor::Implicit, 1, r.metrics.capacity);
+    let want = rounds_for(n, &groups, Flavor::Implicit, false, r.metrics.capacity);
     assert_eq!(r.metrics.rounds, want);
 }
 
