@@ -249,9 +249,8 @@ impl Rounds for RingPatch {
             // A second copy of an acknowledgement is a duplicate.
             self.acked.sort_unstable();
             self.acked.dedup();
-            assert_eq!(
-                self.acked.len() as u64,
-                self.injected,
+            assert!(
+                self.acked.len() as u64 == self.injected,
                 "message loss: an origin missed an acknowledgement"
             );
             let accepted = self.accepted.iter().map(|&(origin, _)| origin);

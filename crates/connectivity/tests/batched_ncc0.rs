@@ -16,10 +16,14 @@
 
 use dgr_connectivity::{prepare_threshold, ThresholdAlgo, ThresholdInstance, ThresholdRealization};
 use dgr_ncc::{Config, EngineKind};
+use dgr_primitives::{Poll, Step};
 
 #[path = "../../../tests/support/cases.rs"]
 mod cases;
 use cases::{fnv, FNV_OFFSET};
+
+#[path = "../../primitives/tests/support/busiest.rs"]
+mod busiest;
 
 // White-box shorthand over the `prepare_threshold` engine room.
 fn realize(
@@ -218,4 +222,61 @@ fn paper_exact_prefix_envelope_realizes_the_prefix_degrees() {
     // primitives run on a 7-node path (log₂ 7 ≈ 3 levels), not the
     // 48-node one.
     assert!(g.metrics.rounds < 400, "rounds = {}", g.metrics.rounds);
+}
+
+/// The token pipeline's fan-in and fan-out with its acknowledgements,
+/// measured on both engines at every capacity from the floor to 24, every
+/// position from 1 on injecting a token of up to `d₀` hops head-ward: a
+/// node hears at most one token and one acknowledgement a round and sends
+/// at most one of each, the run stays within the capacity under the
+/// strict policy, and both endpoints of every edge list each other, in
+/// `d₀ + 1` rounds past the establishment.
+#[test]
+fn the_pipeline_hears_one_token_and_one_ack_a_round() {
+    use busiest::{busiest_sender, Busiest, Senders};
+    use dgr_connectivity::distributed::ncc0::PipelineStep;
+    use dgr_ncc::{tags, Network, RoundCtx};
+    use dgr_primitives::{ctx, PathCtx, WithCtx};
+    for (n, d0) in [(9usize, 3usize), (40, 7), (64, 12)] {
+        for cap in 4..=24 {
+            let mut config = Config::ncc0(cap as u64).with_capacity_factor(0.0);
+            config.min_capacity = cap;
+            let net = Network::new(n, config);
+            for engine in [EngineKind::Batched, EngineKind::Reference] {
+                let what = format!("n={n} d0={d0} cap={cap} {engine:?}");
+                let sent = Senders::default();
+                let run = net.run_protocol_on(engine, None, None, |_| {
+                    let sent = sent.clone();
+                    WithCtx::new(move |c: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                        let ttl = c.position.min(d0);
+                        let pipeline =
+                            PipelineStep::new(c.vp.pred, Some(ttl), d0 as u64 + 1, rctx.id());
+                        let tokens = Busiest::new(pipeline, &[tags::EDGE]);
+                        Busiest::counting(tokens, &[tags::EDGE, tags::EDGE_ACK], sent)
+                    })
+                });
+                let run = run.unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert!(run.metrics.is_clean(), "{what}: {:?}", run.metrics);
+                assert_eq!(
+                    run.metrics.rounds,
+                    ctx::rounds_for(n) + d0 as u64 + 1,
+                    "{what}"
+                );
+                assert_eq!(busiest_sender(&sent), 2, "{what}");
+                let order = net.ids_in_path_order();
+                let most = run.outputs.iter().map(|(_, (_, both))| *both).max();
+                assert_eq!(most, Some(2), "{what}");
+                for (x, (id, ((gained, tokens), both))) in run.outputs.iter().enumerate() {
+                    assert_eq!(*id, order[x], "{what}");
+                    assert!(*tokens <= 1 && *both <= 2, "{what}: position {x}");
+                    // The origins within d₀ ahead whose tokens reached x,
+                    // then the recipients behind it that acknowledged.
+                    let ahead = (x + 1..n).filter(|&y| y - x <= y.min(d0));
+                    let behind = (x - x.min(d0)..x).rev();
+                    let want: Vec<_> = ahead.chain(behind).map(|y| order[y]).collect();
+                    assert_eq!(gained, &want, "{what}: position {x}");
+                }
+            }
+        }
+    }
 }

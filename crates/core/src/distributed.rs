@@ -350,18 +350,13 @@ fn fold_control(acc: &mut Words, x: &Words) {
     acc[2] |= x[2];
 }
 
-enum CoreStage {
-    /// The control sweep beside the lane, and the last phase's hop back to
-    /// the origins beside both, each polled until it is ready (`None` from
-    /// then on).
-    Phase {
-        hop: Option<Hop>,
-        control: Option<Box<SweepStep>>,
-        lane: Option<SortStep>,
-    },
-    /// The loop has realized; the hand-off's last announcement lands in
-    /// this round.
-    Handoff(u64),
+/// A phase in progress: the control sweep beside the lane, and the last
+/// phase's hop back to the origins beside both, each polled until it is
+/// ready (`None` from then on).
+struct Phase {
+    hop: Option<Hop>,
+    control: Option<Box<SweepStep>>,
+    lane: Option<SortStep>,
 }
 
 /// A phase's hop back to the origins, opened when the phase commits
@@ -439,8 +434,10 @@ struct Handoff {
     landed: u64,
     /// The blocks' rounds so far.
     blocks: u64,
-    /// The round the blocks start in, once the loop has ended.
+    /// The round the blocks start in, and the round the last
+    /// announcement lands in, once the loop has ended.
     base: Option<u64>,
+    until: Option<u64>,
     /// What this position owes: `(round, the leader's origin, the
     /// member's origin)`, in round order; `late`, a block's, counted from
     /// the block's start until the loop ends.
@@ -488,14 +485,14 @@ impl Handoff {
         }
     }
 
-    /// The loop has realized in round `now`: places the blocks and
-    /// returns the round the last announcement lands in.
-    fn close(&mut self, now: u64) -> u64 {
+    /// The loop has realized in round `now`: places the blocks and the
+    /// round the last announcement lands in.
+    fn close(&mut self, now: u64) {
         let base = now.max(self.landed);
         self.base = Some(base);
         let late = self.late.drain(..).map(|(r, to, u)| (base + r, to, u));
         self.due.extend(late);
-        base + self.blocks
+        self.until = Some(base + self.blocks);
     }
 
     /// One round of the hand-off: takes this round's announcements in and,
@@ -512,9 +509,8 @@ impl Handoff {
                 // A second copy of an announcement is a duplicate.
                 self.heard.sort_unstable();
                 self.heard.dedup();
-                assert_eq!(
-                    self.heard.len(),
-                    delta,
+                assert!(
+                    self.heard.len() == delta,
                     "message loss: a leader missed an announcement"
                 );
                 neighbors.append(&mut self.heard);
@@ -549,7 +545,7 @@ impl Handoff {
 pub struct DegreesCore {
     flavor: Flavor,
     ctx: PathCtx,
-    stage: CoreStage,
+    stage: Phase,
     /// How the run ends, once a control sweep has said so and until the
     /// last hop is in.
     closing: Option<Result<(), Unrealizable>>,
@@ -577,7 +573,7 @@ impl DegreesCore {
             flavor,
             closing: None,
             // Placeholder; the first poll's `begin_phase` installs phase 1.
-            stage: CoreStage::Phase {
+            stage: Phase {
                 hop: None,
                 control: None,
                 lane: None,
@@ -629,7 +625,7 @@ impl DegreesCore {
         } else {
             SortStep::in_place(vp, contacts, x, held, Order::Descending)
         };
-        self.stage = CoreStage::Phase {
+        self.stage = Phase {
             hop,
             control: Some(Box::new(control)),
             lane: Some(lane),
@@ -639,128 +635,119 @@ impl DegreesCore {
     /// The phase loop, then the wait for the hand-off: `Ready` once the
     /// run has ended at this node.
     fn advance(&mut self, rctx: &mut RoundCtx<'_>) -> Poll<Result<(), Unrealizable>> {
+        if let Some(until) = self.handoff.as_ref().and_then(|h| h.until) {
+            return match rctx.round() == until {
+                true => Poll::Ready(Ok(())),
+                false => Poll::Pending,
+            };
+        }
         loop {
-            match &mut self.stage {
-                CoreStage::Phase { hop, control, lane } => {
-                    // The hop goes first. It may end before the control
-                    // sweep or after it; the phase commits once the hop,
-                    // the control and the lane are all in.
-                    if let Some(h) = hop {
-                        let polled = h.poll(rctx, self.on_path);
-                        if let (Some(handoff), Some((i, Some(leader)))) =
-                            (&mut self.handoff, h.member)
-                        {
-                            h.member = None;
-                            let origin = h.status.expect("a member holds a record").0;
-                            handoff.owe(i, leader, origin);
-                        }
-                        if let Poll::Ready(status) = polled {
-                            *hop = None;
-                            if let Some((edge, word)) = status {
-                                self.outcome.neighbors.extend(edge);
-                                let led = word as usize;
-                                self.on_path = led == 0 || !merges(self.flavor, self.ctx.vp.len);
-                                if let Some(handoff) = self.handoff.as_mut().filter(|_| led > 0) {
-                                    handoff.window = Some((handoff.slots, led));
-                                }
-                            }
-                        }
-                    }
-                    // The control goes next: a refusing or closing phase
-                    // drops the lane before it stages this round's sends.
-                    if let Some(Poll::Ready(swept)) = control.as_mut().map(|s| s.poll(rctx)) {
-                        *control = None;
-                        let [delta, n_max, err, _] = swept.words;
-                        // Some node went negative, or wants more
-                        // neighbors than exist.
-                        if err != 0 || delta as usize >= self.ctx.vp.len {
-                            self.closing = Some(Err(Unrealizable));
-                            *lane = None;
-                        } else if delta == 0 {
-                            self.closing = Some(Ok(()));
-                            *lane = None;
-                        } else {
-                            let stride = delta as usize + 1;
-                            self.shape.stride = stride;
-                            self.shape.groups = (n_max as usize / stride).max(1);
-                            debug_assert!(
-                                self.shape.span() <= self.shape.live,
-                                "groups exceed the path"
-                            );
-                        }
-                    }
-                    if let Some(Poll::Ready(held)) = lane.as_mut().map(|s| s.poll(rctx)) {
-                        *lane = None;
-                        self.held = held;
-                    }
-                    if hop.is_some() || control.is_some() || lane.is_some() {
-                        return Poll::Pending;
-                    }
-                    match (self.closing.take(), &mut self.handoff) {
-                        (Some(Ok(())), Some(handoff)) => {
-                            self.stage = CoreStage::Handoff(handoff.close(rctx.round()));
-                            continue;
-                        }
-                        (Some(closed), _) => return Poll::Ready(closed),
-                        (None, _) => {}
-                    }
-                    // Both halves are in. What the phase makes of the
-                    // record here depends only on its rank — this
-                    // position — and the groups, so the new need is
-                    // committed now, and the hop and the next phase open
-                    // together this round.
-                    let (x, stride) = (self.ctx.position, self.shape.stride);
-                    let grouped = self.held.is_some() && x < self.shape.span();
-                    let is_leader = grouped && x.is_multiple_of(stride);
-                    let mut edge = false;
-                    if let Some(held) = self.held.as_mut() {
-                        if is_leader {
-                            debug_assert_eq!(
-                                held.key,
-                                stride as u64 - 1,
-                                "leader without max degree"
-                            );
-                            held.key = 0;
-                        } else if grouped {
-                            // Exact flavors fail on a saturated record;
-                            // the envelope accepts the extra edge.
-                            if held.key == 0 && self.flavor != Flavor::Envelope {
-                                self.went_negative = true;
-                            } else {
-                                held.key = held.key.saturating_sub(1);
-                                edge = true;
-                            }
-                        }
-                    }
-                    if let Some(handoff) = &mut self.handoff {
-                        let len = self.ctx.vp.len;
-                        handoff.commit(len, stride - 1, rctx.round(), rctx.capacity());
-                    }
-                    let led = if is_leader { stride as u64 - 1 } else { 0 };
-                    let status = self.held.map(|h| (h.origin, led, edge));
-                    let member = (grouped && !is_leader).then_some((x % stride, None));
-                    let task = self.held.filter(|_| is_leader).map(|h| {
-                        let payload = Payload {
-                            addr: h.origin,
-                            word: 0,
-                        };
-                        (CoverSide::After, stride - 1, payload)
-                    });
-                    let ctx = &self.ctx;
-                    let mcast = Some(ImcastStep::new(ctx.vp, ctx.contacts.clone(), task));
-                    self.begin_phase(Some(Hop {
-                        mcast,
-                        status,
-                        member,
-                    }));
+            let Phase { hop, control, lane } = &mut self.stage;
+            // The hop goes first. It may end before the control
+            // sweep or after it; the phase commits once the hop,
+            // the control and the lane are all in.
+            if let Some(h) = hop {
+                let polled = h.poll(rctx, self.on_path);
+                if let (Some(handoff), Some((i, Some(leader)))) = (&mut self.handoff, h.member) {
+                    h.member = None;
+                    let origin = h.status.expect("a member holds a record").0;
+                    handoff.owe(i, leader, origin);
                 }
-                CoreStage::Handoff(until) => {
-                    return match rctx.round() == *until {
-                        true => Poll::Ready(Ok(())),
-                        false => Poll::Pending,
-                    };
+                if let Poll::Ready(status) = polled {
+                    *hop = None;
+                    if let Some((edge, word)) = status {
+                        self.outcome.neighbors.extend(edge);
+                        let led = word as usize;
+                        self.on_path = led == 0 || !merges(self.flavor, self.ctx.vp.len);
+                        if let Some(handoff) = self.handoff.as_mut().filter(|_| led > 0) {
+                            handoff.window = Some((handoff.slots, led));
+                        }
+                    }
                 }
             }
+            // The control goes next: a refusing or closing phase
+            // drops the lane before it stages this round's sends.
+            if let Some(Poll::Ready(swept)) = control.as_mut().map(|s| s.poll(rctx)) {
+                *control = None;
+                let [delta, n_max, err, _] = swept.words;
+                // Some node went negative, or wants more
+                // neighbors than exist.
+                if err != 0 || delta as usize >= self.ctx.vp.len {
+                    self.closing = Some(Err(Unrealizable));
+                    *lane = None;
+                } else if delta == 0 {
+                    self.closing = Some(Ok(()));
+                    *lane = None;
+                } else {
+                    let stride = delta as usize + 1;
+                    self.shape.stride = stride;
+                    self.shape.groups = (n_max as usize / stride).max(1);
+                    debug_assert!(
+                        self.shape.span() <= self.shape.live,
+                        "groups exceed the path"
+                    );
+                }
+            }
+            if let Some(Poll::Ready(held)) = lane.as_mut().map(|s| s.poll(rctx)) {
+                *lane = None;
+                self.held = held;
+            }
+            if hop.is_some() || control.is_some() || lane.is_some() {
+                return Poll::Pending;
+            }
+            match (self.closing.take(), &mut self.handoff) {
+                (Some(Ok(())), Some(handoff)) => {
+                    handoff.close(rctx.round());
+                    return self.advance(rctx);
+                }
+                (Some(closed), _) => return Poll::Ready(closed),
+                (None, _) => {}
+            }
+            // Both halves are in. What the phase makes of the
+            // record here depends only on its rank — this
+            // position — and the groups, so the new need is
+            // committed now, and the hop and the next phase open
+            // together this round.
+            let (x, stride) = (self.ctx.position, self.shape.stride);
+            let grouped = self.held.is_some() && x < self.shape.span();
+            let is_leader = grouped && x.is_multiple_of(stride);
+            let mut edge = false;
+            if let Some(held) = self.held.as_mut() {
+                if is_leader {
+                    debug_assert_eq!(held.key, stride as u64 - 1, "leader without max degree");
+                    held.key = 0;
+                } else if grouped {
+                    // Exact flavors fail on a saturated record;
+                    // the envelope accepts the extra edge.
+                    if held.key == 0 && self.flavor != Flavor::Envelope {
+                        self.went_negative = true;
+                    } else {
+                        held.key = held.key.saturating_sub(1);
+                        edge = true;
+                    }
+                }
+            }
+            if let Some(handoff) = &mut self.handoff {
+                let len = self.ctx.vp.len;
+                handoff.commit(len, stride - 1, rctx.round(), rctx.capacity());
+            }
+            let led = if is_leader { stride as u64 - 1 } else { 0 };
+            let status = self.held.map(|h| (h.origin, led, edge));
+            let member = (grouped && !is_leader).then_some((x % stride, None));
+            let task = self.held.filter(|_| is_leader).map(|h| {
+                let payload = Payload {
+                    addr: h.origin,
+                    word: 0,
+                };
+                (CoverSide::After, stride - 1, payload)
+            });
+            let ctx = &self.ctx;
+            let mcast = Some(ImcastStep::new(ctx.vp, ctx.contacts.clone(), task));
+            self.begin_phase(Some(Hop {
+                mcast,
+                status,
+                member,
+            }));
         }
     }
 }
@@ -864,13 +851,19 @@ mod tests {
     /// Drops every message of round `lost` in an implicit run at n = 64
     /// and returns the node panic's message, the same on both engines.
     fn panic_of_a_lost_round(lost: u64) -> String {
+        let degrees: Vec<usize> = (0..64).map(|i| 2 + 2 * (i % 3)).collect();
+        panic_of(&degrees, Flavor::Implicit, Config::ncc0(7), lost)
+    }
+
+    /// Drops every message of round `lost` in a run of `flavor` over
+    /// `degrees` and returns the node panic's message, the same on both
+    /// engines.
+    fn panic_of(degrees: &[usize], flavor: Flavor, config: Config, lost: u64) -> String {
         use dgr_ncc::{Scenario, SimError};
-        let n = 64;
-        let degrees: Vec<usize> = (0..n).map(|i| 2 + 2 * (i % 3)).collect();
         let lost = Scenario::new(3).drop_messages(lost..=lost, 1.0);
         let messages = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
-            let config = Config::ncc0(7).with_scenario(lost.clone());
-            let job = prepare_degrees(&degrees, None, config, Flavor::Implicit, engine);
+            let config = config.clone().with_scenario(lost.clone());
+            let job = prepare_degrees(degrees, None, config, flavor, engine);
             match job.unwrap().drive(None) {
                 Err(SimError::NodePanic { message, .. }) => message,
                 other => panic!("{engine:?}: expected a node panic, got {:?}", other.err()),
@@ -951,6 +944,29 @@ mod tests {
         assert_eq!(
             panic_of_a_lost_round(sent),
             "message loss: an origin missed its record's status"
+        );
+    }
+
+    /// Every announcement is due in a round its leader can name, so
+    /// losing a round of them is a typed panic at the leader's origin when
+    /// its window closes, on both engines — never a one-sided edge. At the
+    /// capacity floor a star's announcements go out in a block after the
+    /// loop, where nothing else is in flight: the block's first round is
+    /// lost here.
+    #[test]
+    fn a_lost_announcement_panics_its_leader() {
+        use super::beside_rate;
+        let n = 16;
+        let star: Vec<usize> = (0..n).map(|i| if i == 0 { n - 1 } else { 1 }).collect();
+        let config = Config::ncc0(7).with_capacity_factor(0.1);
+        let cap = config.capacity(n);
+        assert_eq!((cap, beside_rate(n, n - 1, cap)), (4, None));
+        let groups = phase_groups(&star, Flavor::Explicit);
+        let block = rounds_for(n, &groups, Flavor::Explicit, false, cap);
+        assert!(rounds_for(n, &groups, Flavor::Explicit, true, cap) > block);
+        assert_eq!(
+            panic_of(&star, Flavor::Explicit, config, block),
+            "message loss: a leader missed an announcement"
         );
     }
 

@@ -24,8 +24,9 @@
 //!   remaining degree, and `q = max(1, ⌊N/(δ+1)⌋)` disjoint star groups
 //!   are satisfied at once by interval multicast.
 //! * [`Flavor::Explicit`](distributed::Flavor) — Theorem 12: the implicit
-//!   realization is made explicit by a staggered hand-off of edge
-//!   announcements, in `O(Δ/log n + log n)` additional rounds.
+//!   realization is made explicit by a scheduled hand-off of edge
+//!   announcements, beside the phase loop: each lands in a round its
+//!   receiver can name.
 //! * [`Flavor::Envelope`](distributed::Flavor) — Theorem 13: for
 //!   non-graphic `D`, realize an upper envelope `D'` with `d'_i ≥ d_i` and
 //!   `Σd' ≤ 2Σd` (multigraph semantics; ARCHITECTURE.md, *Deviations from

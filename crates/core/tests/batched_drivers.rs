@@ -15,11 +15,15 @@
 use dgr_core::distributed::{phase_groups, rounds_for, Flavor};
 use dgr_core::driver::{prepare_degrees, DriverOutput};
 use dgr_ncc::{Config, EngineKind};
+use dgr_primitives::{Poll, Step};
 use rand::Rng;
 
 #[path = "../../../tests/support/cases.rs"]
 mod cases;
 use cases::{fnv, FNV_OFFSET};
+
+#[path = "../../primitives/tests/support/busiest.rs"]
+mod busiest;
 
 /// One frozen transcript: realized?, phases, rounds, messages, words,
 /// max sent per round, max received per round, FNV-1a of the sorted edge
@@ -487,4 +491,67 @@ fn overlays_match_the_frozen_fold() {
         GOLDEN_OVERLAYS,
         "an overlay or a phase count moved"
     );
+}
+
+/// The hand-off's fan-in and fan-out, measured on both engines at every
+/// capacity from the floor to 24, on a star, a near-regular request and a
+/// two-tier one (graphic), in the explicit flavor and in the explicit envelope core
+/// of Algorithm 6: no leader's origin hears more announcements in a round
+/// than its phase's rate — what half the capacity leaves beside the loop,
+/// or half the capacity in a block after it — no position sends more than
+/// one a round, and the whole run stays within the capacity under the
+/// strict policy, on the closed form.
+#[test]
+fn the_hand_off_stays_within_its_rate() {
+    use busiest::{busiest_sender, Busiest, Senders};
+    use dgr_core::distributed::{beside_rate, block_rate, DegreesCore};
+    use dgr_ncc::{tags, Network, RoundCtx};
+    use dgr_primitives::{PathCtx, WithCtx};
+    for n in [12usize, 33, 80] {
+        let star: Vec<usize> = (0..n).map(|i| if i == 0 { n - 1 } else { 1 }).collect();
+        let regular: Vec<usize> = (0..n).map(|i| 2 + 2 * (i % 3)).collect();
+        let tiers: Vec<usize> = (0..n)
+            .map(|i| if i < n / 3 { n / 6 * 2 } else { 2 })
+            .collect();
+        for degrees in [star, regular, tiers] {
+            assert!(dgr_core::erdos_gallai::is_graphic(&degrees), "{degrees:?}");
+            for cap in 4..=24 {
+                let mut config = Config::ncc0(cap as u64).with_capacity_factor(0.0);
+                config.min_capacity = cap;
+                let net = Network::new(n, config);
+                let by_id = net.assign_in_path_order(&degrees);
+                for flavor in [Flavor::Explicit, Flavor::Envelope] {
+                    let phases = phase_groups(&degrees, flavor);
+                    let rate = phases
+                        .iter()
+                        .map(|&(_, d)| beside_rate(n, d, cap).unwrap_or(block_rate(cap)))
+                        .max()
+                        .unwrap_or(0);
+                    for engine in [EngineKind::Batched, EngineKind::Reference] {
+                        let what = format!("n={n} cap={cap} {flavor:?} {engine:?} {degrees:?}");
+                        let sent = Senders::default();
+                        let run = net.run_protocol_on(engine, None, None, |s| {
+                            let (degree, sent) = (by_id[&s.id], sent.clone());
+                            WithCtx::new(move |ctx: &PathCtx, _: &mut RoundCtx<'_>| {
+                                let core = DegreesCore::new(degree, flavor, ctx.clone());
+                                Busiest::counting(core.explicit(), &[tags::EDGE], sent)
+                            })
+                        });
+                        let run = run.unwrap_or_else(|e| panic!("{what}: {e}"));
+                        assert!(run.metrics.is_clean(), "{what}: {:?}", run.metrics);
+                        let mut heard = 0;
+                        for (_, (out, most)) in &run.outputs {
+                            assert!(out.is_ok(), "{what}: refused");
+                            heard = heard.max(*most);
+                        }
+                        assert!(heard <= rate, "{what}: {heard} a round over {rate}");
+                        assert!(heard > 0, "{what}: no announcement");
+                        assert_eq!(busiest_sender(&sent), 1, "{what}");
+                        let want = rounds_for(n, &phases, flavor, true, cap);
+                        assert_eq!(run.metrics.rounds, want, "{what}");
+                    }
+                }
+            }
+        }
+    }
 }

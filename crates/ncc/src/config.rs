@@ -165,8 +165,8 @@ impl Config {
         }
     }
 
-    /// Switches to the queueing capacity policy (used by the staggered
-    /// token-collection primitive and the explicit realizations).
+    /// Switches to the queueing capacity policy (the default of the
+    /// explicit realizations, whose scheduled hand-offs also run strict).
     pub fn with_queueing(mut self) -> Self {
         self.capacity_policy = CapacityPolicy::Queue;
         self

@@ -43,7 +43,7 @@ pub mod tags {
     pub const IMCAST: u16 = 14;
     /// Prefix-sum doubling payload.
     pub const PREFIX: u16 = 15;
-    /// Staggered token delivery.
+    /// A token on a ring or path: the distinctness patch's, or a test's.
     pub const TOKEN: u16 = 16;
     /// Realization: "store my ID in your neighbor list".
     pub const EDGE: u16 = 17;
