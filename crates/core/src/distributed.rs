@@ -107,9 +107,11 @@
 //! A phase whose window, `⌈δ/k⌉` rounds, would outlast the shortest
 //! phase (or where `k` is 0, as at the capacity floor) keeps the rule
 //! with another start and rate: its announcements go out in a block of
-//! its own after the loop, at half the capacity a round ([`block_rate`]),
-//! the blocks in phase order. So a position sends at most one
-//! announcement a round, and nothing else runs beside a block. Every
+//! its own after the loop, at half the capacity a round ([`block_rate`]).
+//! The blocks run on `cap` lanes side by side, each block on the first
+//! lane to come free: a position announces once a phase, so it sends at
+//! most one announcement a round beside the loop and at most one a lane
+//! in the blocks, where nothing else runs. Every
 //! announcement is due in a known round, so a second copy in its window is
 //! a duplicate and is dropped, and a leader whose window closes short of
 //! `δ` has lost a message, and panics.
@@ -219,8 +221,8 @@ pub enum Flavor {
 /// against 2, and at `len = 2049`, 14 against 12). A realized run with the
 /// hand-off (`explicit`) ends once the last announcement beside the loop
 /// has landed too, then runs the blocks of the phases whose announcements
-/// wait for the loop's end, `⌈δ/r⌉` rounds each at the [`block_rate`] `r`
-/// (module docs).
+/// wait for the loop's end, `⌈δ/r⌉` rounds each at the [`block_rate`] `r`,
+/// on `cap` lanes (module docs).
 pub fn rounds_for(
     len: usize,
     phases: &[(usize, usize)],
@@ -234,13 +236,13 @@ pub fn rounds_for(
     if phases.is_empty() {
         return commit + control;
     }
-    let (mut landed, mut block) = (0, 0);
+    let (mut landed, mut lanes) = (0, Lanes::default());
     let mut phase = control.max(sort::rounds_for(len));
     for &(groups, delta) in phases {
         commit += phase;
         match beside_rate(len, delta, cap) {
             Some(rate) => landed = landed.max(commit + imcast::rounds_for(len) + div(delta, rate)),
-            None => block += div(delta, block_rate(cap)),
+            None => _ = lanes.place(div(delta, block_rate(cap)), cap),
         }
         let lane = if merges(flavor, len) {
             sort::merge_rounds_for(len, groups)
@@ -251,7 +253,7 @@ pub fn rounds_for(
     }
     let end = commit + beside_hop;
     match explicit {
-        true => end.max(landed) + block,
+        true => end.max(landed) + lanes.rounds(),
         false => end,
     }
 }
@@ -415,6 +417,30 @@ impl Hop {
     }
 }
 
+/// The hand-off's blocks after the loop: `cap` lanes side by side, each
+/// a run of phases' blocks back to back.
+#[derive(Debug, Default)]
+struct Lanes(Vec<u64>);
+
+impl Lanes {
+    /// Places a block of `rounds` rounds on the first lane to come free
+    /// and returns its first round, counted from the blocks' start.
+    fn place(&mut self, rounds: u64, cap: usize) -> u64 {
+        if self.0.is_empty() {
+            self.0 = vec![0; cap];
+        }
+        let lane = self.0.iter_mut().min_by_key(|end| **end).expect("a lane");
+        let first = *lane;
+        *lane += rounds;
+        first
+    }
+
+    /// The rounds all the blocks take.
+    fn rounds(&self) -> u64 {
+        self.0.iter().copied().max().unwrap_or(0)
+    }
+}
+
 /// The slots of one phase's announcements: the offset-`i` member's goes
 /// out in round `first + ⌊(i - 1)/rate⌋`, counted from the block's start
 /// after the loop where `block`.
@@ -432,8 +458,8 @@ struct Handoff {
     slots: Slots,
     /// The round the last announcement beside the loop lands in.
     landed: u64,
-    /// The blocks' rounds so far.
-    blocks: u64,
+    /// The blocks placed so far.
+    lanes: Lanes,
     /// The round the blocks start in, and the round the last
     /// announcement lands in, once the loop has ended.
     base: Option<u64>,
@@ -464,8 +490,8 @@ impl Handoff {
                 }
             }
             None => {
-                let (first, rate) = (self.blocks, block_rate(cap));
-                self.blocks += div(delta, rate);
+                let rate = block_rate(cap);
+                let first = self.lanes.place(div(delta, rate), cap);
                 Slots {
                     first,
                     rate,
@@ -490,9 +516,11 @@ impl Handoff {
     fn close(&mut self, now: u64) {
         let base = now.max(self.landed);
         self.base = Some(base);
+        // Blocks on different lanes interleave.
+        self.late.sort_by_key(|&(r, ..)| r);
         let late = self.late.drain(..).map(|(r, to, u)| (base + r, to, u));
         self.due.extend(late);
-        self.until = Some(base + self.blocks);
+        self.until = Some(base + self.lanes.rounds());
     }
 
     /// One round of the hand-off: takes this round's announcements in and,

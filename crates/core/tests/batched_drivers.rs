@@ -197,7 +197,7 @@ fn explicit_matches_frozen_twin_on_both_engines() {
 
 #[test]
 fn explicit_batched_star_fan_in_is_paced() {
-    // Δ = n-1 at the hub: the staggered hand-off must keep delivery under
+    // Δ = n-1 at the hub: the scheduled hand-off must keep delivery under
     // capacity on the batched engine too.
     let n = 48;
     let mut degrees = vec![1usize; n];
@@ -499,8 +499,9 @@ fn overlays_match_the_frozen_fold() {
 /// of Algorithm 6: no leader's origin hears more announcements in a round
 /// than its phase's rate — what half the capacity leaves beside the loop,
 /// or half the capacity in a block after it — no position sends more than
-/// one a round, and the whole run stays within the capacity under the
-/// strict policy, on the closed form.
+/// one a round beside the loop, nor more than one a lane in the blocks,
+/// and the whole run stays within the capacity under the strict policy,
+/// on the closed form.
 #[test]
 fn the_hand_off_stays_within_its_rate() {
     use busiest::{busiest_sender, Busiest, Senders};
@@ -546,7 +547,11 @@ fn the_hand_off_stays_within_its_rate() {
                         }
                         assert!(heard <= rate, "{what}: {heard} a round over {rate}");
                         assert!(heard > 0, "{what}: no announcement");
-                        assert_eq!(busiest_sender(&sent), 1, "{what}");
+                        let blocks = phases
+                            .iter()
+                            .any(|&(_, d)| beside_rate(n, d, cap).is_none());
+                        let most = if blocks { cap } else { 1 };
+                        assert!((1..=most).contains(&busiest_sender(&sent)), "{what}");
                         let want = rounds_for(n, &phases, flavor, true, cap);
                         assert_eq!(run.metrics.rounds, want, "{what}");
                     }

@@ -294,8 +294,8 @@ fn batched_ncc1_star_at_n_100k() {
 /// matching keeps the
 /// phase count minimal so the default (debug-mode) suite stays fast; the
 /// driver still exercises every stage: establish, per-phase sort +
-/// contacts + aggregations + interval multicast, and the staggered
-/// explicitness hand-off under queueing.
+/// contacts + aggregations + interval multicast, and the scheduled
+/// explicitness hand-off beside them, under queueing.
 #[test]
 fn batched_explicit_realization_at_n_200k() {
     let n = 200_000;
