@@ -69,8 +69,8 @@ const GOLDEN: &[(&str, Golden)] = &[
     ("approx [4, 4, 4, 1, 1]", (true, 4, 27, 138, 446, 3, 3, 0x0e8e3046ef569d45)),
     ("approx [5, 5, 4, 3, 2, 1]", (true, 4, 27, 179, 577, 3, 4, 0x1d0f351414b7de39)),
     ("approx [3, 2, 2, 2, 1]", (true, 3, 21, 103, 326, 3, 3, 0xd076bf6c97b28641)),
-    ("explicit [4, 3, 3, 2, 2, 2, 1, 1]", (true, 4, 32, 284, 881, 4, 3, 0x5b97ca62570ff4e9)),
-    ("explicit [2, 2, 1, 1]", (true, 3, 17, 72, 223, 2, 3, 0xac68ec905bed8d79)),
+    ("explicit [4, 3, 3, 2, 2, 2, 1, 1]", (true, 4, 30, 284, 881, 4, 3, 0x5b97ca62570ff4e9)),
+    ("explicit [2, 2, 1, 1]", (true, 3, 16, 72, 223, 2, 3, 0xac68ec905bed8d79)),
     ("explicit [3, 3, 1, 1]", (false, 0, 15, 71, 227, 2, 2, 0xcbf29ce484222325)),
 ];
 

@@ -205,15 +205,15 @@ fn transcript(out: &Realized) -> Golden {
 const GOLDEN: &[(&str, Golden)] = &[
     ("implicit seed=3", (true, 4, 33, 328, 1056, 4, 5, 0x002a99e1b86c0afd)),
     ("envelope seed=3", (true, 4, 41, 442, 1370, 4, 5, 0x002a99e1b86c0afd)),
-    ("explicit seed=3", (true, 4, 36, 337, 1074, 4, 5, 0x002a99e1b86c0afd)),
+    ("explicit seed=3", (true, 4, 34, 337, 1074, 4, 5, 0x002a99e1b86c0afd)),
     ("implicit seed=19", (true, 4, 33, 328, 1056, 4, 5, 0x1de3e97f8061625c)),
     ("envelope seed=19", (true, 4, 41, 442, 1370, 4, 5, 0x1de3e97f8061625c)),
-    ("explicit seed=19", (true, 4, 36, 337, 1074, 4, 5, 0x1de3e97f8061625c)),
+    ("explicit seed=19", (true, 4, 34, 337, 1074, 4, 5, 0x1de3e97f8061625c)),
     ("tree Chain", (true, 0, 21, 120, 333, 3, 3, 0x95080c3336213173)),
     ("tree Greedy", (true, 0, 21, 119, 340, 3, 3, 0xeab81924fcbe7003)),
     ("ncc1", (true, 0, 39, 70, 144, 2, 2, 0xd8b85508f1bbb25d)),
     ("ncc0", (true, 0, 22, 109, 285, 2, 2, 0x7bc5877a5e133eb7)),
-    ("ncc0-exact", (true, 0, 64, 200, 582, 2, 3, 0x0245ad4acc2b7f59)),
+    ("ncc0-exact", (true, 0, 62, 200, 582, 3, 3, 0x0245ad4acc2b7f59)),
     ("prefix", (true, 4, 19, 91, 291, 2, 3, 0x40fdb7803a1a6ba7)),
 ];
 
