@@ -387,36 +387,6 @@ mod tests {
     use crate::{sequential, ThresholdInstance};
     use dgr_ncc::Config;
 
-    /// A token never waits, so every acknowledgement is due in a round its
-    /// origin can name: losing a round of phase 2 — the tokens it forwards
-    /// and the acknowledgements it carries — is a typed panic at an
-    /// origin, on both engines, never an edge one endpoint lacks.
-    #[test]
-    fn a_lost_ack_panics_its_origin() {
-        use crate::{prepare_threshold, ThresholdAlgo};
-        use dgr_ncc::{EngineKind, Scenario, SimError};
-        let rho: Vec<usize> = (0..64).map(|i| 1 + i % 3).collect();
-        let inst = ThresholdInstance::new(rho);
-        let algo = ThresholdAlgo::Ncc0Pipeline;
-        let job = |config, engine| prepare_threshold(&inst, config, algo, engine, false).unwrap();
-        let clean = job(Config::ncc0(19), EngineKind::Batched)
-            .drive(None)
-            .unwrap();
-        // Phase 2 (d₀ = 3) is the run's last `pipeline_rounds(3)` rounds;
-        // its second forwards the tokens and sends the first
-        // acknowledgements.
-        let lost = clean.output.metrics.rounds - super::pipeline_rounds(3) + 1;
-        let scenario = Scenario::new(5).drop_messages(lost..=lost, 1.0);
-        for engine in [EngineKind::Batched, EngineKind::Reference] {
-            match job(Config::ncc0(19).with_scenario(scenario.clone()), engine).drive(None) {
-                Err(SimError::NodePanic { message, .. }) => {
-                    assert_eq!(message, "message loss: an origin missed an acknowledgement");
-                }
-                other => panic!("{engine:?}: expected a node panic, got {:?}", other.err()),
-            }
-        }
-    }
-
     #[test]
     fn explicit_realization_meets_thresholds() {
         for rho in [

@@ -280,3 +280,31 @@ fn the_pipeline_hears_one_token_and_one_ack_a_round() {
         }
     }
 }
+
+/// A token never waits, so every acknowledgement is due in a round its
+/// origin can name: losing a round of phase 2 — the tokens it forwards and
+/// the acknowledgements it carries — is a typed panic at an origin, on
+/// both engines, never an edge one endpoint lacks.
+#[test]
+fn a_lost_ack_panics_its_origin() {
+    use dgr_ncc::{Scenario, SimError};
+    let inst = ThresholdInstance::new((0..64).map(|i| 1 + i % 3).collect());
+    let algo = ThresholdAlgo::Ncc0Pipeline;
+    let job = |config, engine| prepare_threshold(&inst, config, algo, engine, false).unwrap();
+    let clean = job(Config::ncc0(19), EngineKind::Batched)
+        .drive(None)
+        .unwrap();
+    // Phase 2 (d₀ = 3) is the run's last 4 rounds: 3 hops and the last
+    // acknowledgement. Its second round forwards the tokens and sends the
+    // first acknowledgements.
+    let lost = clean.output.metrics.rounds - 4 + 1;
+    let scenario = Scenario::new(5).drop_messages(lost..=lost, 1.0);
+    for engine in [EngineKind::Batched, EngineKind::Reference] {
+        match job(Config::ncc0(19).with_scenario(scenario.clone()), engine).drive(None) {
+            Err(SimError::NodePanic { message, .. }) => {
+                assert_eq!(message, "message loss: an origin missed an acknowledgement");
+            }
+            other => panic!("{engine:?}: expected a node panic, got {:?}", other.err()),
+        }
+    }
+}

@@ -441,36 +441,28 @@ impl Lanes {
     }
 }
 
-/// The slots of one phase's announcements: the offset-`i` member's goes
-/// out in round `first + ⌊(i - 1)/rate⌋`, counted from the block's start
-/// after the loop where `block`.
-#[derive(Clone, Copy, Debug, Default)]
-struct Slots {
-    first: u64,
-    rate: usize,
-    block: bool,
-}
-
 /// The explicit hand-off at one node (module docs, Theorem 12).
 #[derive(Default)]
 struct Handoff {
-    /// The slots of the phase that committed last.
-    slots: Slots,
+    /// The slots of the phase that committed last, `(first, rate,
+    /// block)`: its offset-`i` member announces in round
+    /// `first + ⌊(i - 1)/rate⌋`, counted from the blocks' start where
+    /// `block`.
+    slots: (u64, usize, bool),
     /// The round the last announcement beside the loop lands in.
     landed: u64,
     /// The blocks placed so far.
     lanes: Lanes,
-    /// The round the blocks start in, and the round the last
-    /// announcement lands in, once the loop has ended.
-    base: Option<u64>,
+    /// The round the last announcement lands in, once the loop has ended.
     until: Option<u64>,
     /// What this position owes: `(round, the leader's origin, the
     /// member's origin)`, in round order; `late`, a block's, counted from
-    /// the block's start until the loop ends.
+    /// the blocks' start until the loop ends.
     due: VecDeque<(u64, NodeId, NodeId)>,
     late: Vec<(u64, NodeId, NodeId)>,
-    /// At a leader's origin: the slots of the phase it led in, and `δ`.
-    window: Option<(Slots, usize)>,
+    /// At a leader's origin: the round its window closes in (counted like
+    /// its slots), whether that counts from the blocks' start, and `δ`.
+    window: Option<(u64, bool, usize)>,
     /// The member origins announced to this node so far.
     heard: Vec<NodeId>,
 }
@@ -480,30 +472,28 @@ impl Handoff {
     /// commits in round `now` on a path of `len` nodes.
     fn commit(&mut self, len: usize, delta: usize, now: u64, cap: usize) {
         self.slots = match beside_rate(len, delta, cap) {
-            Some(rate) => {
-                let first = now + imcast::rounds_for(len);
-                self.landed = self.landed.max(first + div(delta, rate));
-                Slots {
-                    first,
-                    rate,
-                    block: false,
-                }
-            }
+            Some(rate) => (now + imcast::rounds_for(len), rate, false),
             None => {
                 let rate = block_rate(cap);
-                let first = self.lanes.place(div(delta, rate), cap);
-                Slots {
-                    first,
-                    rate,
-                    block: true,
-                }
+                (self.lanes.place(div(delta, rate), cap), rate, true)
             }
         };
+        let (first, rate, block) = self.slots;
+        if !block {
+            self.landed = self.landed.max(first + div(delta, rate));
+        }
+    }
+
+    /// This node's record led the phase that committed last, with `delta`
+    /// members: its window is that phase's slots.
+    fn lead(&mut self, delta: usize) {
+        let (first, rate, block) = self.slots;
+        self.window = Some((first + div(delta, rate), block, delta));
     }
 
     /// The member at offset `i` owes `leader` an announcement of `origin`.
     fn owe(&mut self, i: usize, leader: NodeId, origin: NodeId) {
-        let Slots { first, rate, block } = self.slots;
+        let (first, rate, block) = self.slots;
         let owed = (first + ((i - 1) / rate) as u64, leader, origin);
         match block {
             true => self.late.push(owed),
@@ -511,15 +501,17 @@ impl Handoff {
         }
     }
 
-    /// The loop has realized in round `now`: places the blocks and the
-    /// round the last announcement lands in.
+    /// The loop has realized in round `now`: the blocks start once the
+    /// last announcement beside it has landed.
     fn close(&mut self, now: u64) {
         let base = now.max(self.landed);
-        self.base = Some(base);
         // Blocks on different lanes interleave.
         self.late.sort_by_key(|&(r, ..)| r);
         let late = self.late.drain(..).map(|(r, to, u)| (base + r, to, u));
         self.due.extend(late);
+        if let Some((closes, block @ true, _)) = &mut self.window {
+            (*closes, *block) = (*closes + base, false);
+        }
         self.until = Some(base + self.lanes.rounds());
     }
 
@@ -529,11 +521,10 @@ impl Handoff {
     /// round, sends what falls due.
     fn exchange(&mut self, rctx: &mut RoundCtx<'_>, neighbors: &mut Vec<NodeId>, done: bool) {
         let now = rctx.round();
-        if let Some((slots, delta)) = self.window {
+        if let Some((closes, block, delta)) = self.window {
             let edges = rctx.inbox().iter().filter(|e| e.msg.tag == tags::EDGE);
             self.heard.extend(edges.map(|e| e.addr()));
-            let base = if slots.block { self.base } else { Some(0) };
-            if base.map(|b| b + slots.first + div(delta, slots.rate)) == Some(now) {
+            if (closes, block) == (now, false) {
                 // A second copy of an announcement is a duplicate.
                 self.heard.sort_unstable();
                 self.heard.dedup();
@@ -671,9 +662,9 @@ impl DegreesCore {
         }
         loop {
             let Phase { hop, control, lane } = &mut self.stage;
-            // The hop goes first. It may end before the control
-            // sweep or after it; the phase commits once the hop,
-            // the control and the lane are all in.
+            // The hop goes first. It may end before the control sweep or
+            // after it; the phase commits once the hop, the control and
+            // the lane are all in.
             if let Some(h) = hop {
                 let polled = h.poll(rctx, self.on_path);
                 if let (Some(handoff), Some((i, Some(leader)))) = (&mut self.handoff, h.member) {
@@ -688,18 +679,18 @@ impl DegreesCore {
                         let led = word as usize;
                         self.on_path = led == 0 || !merges(self.flavor, self.ctx.vp.len);
                         if let Some(handoff) = self.handoff.as_mut().filter(|_| led > 0) {
-                            handoff.window = Some((handoff.slots, led));
+                            handoff.lead(led);
                         }
                     }
                 }
             }
-            // The control goes next: a refusing or closing phase
-            // drops the lane before it stages this round's sends.
+            // The control goes next: a refusing or closing phase drops
+            // the lane before it stages this round's sends.
             if let Some(Poll::Ready(swept)) = control.as_mut().map(|s| s.poll(rctx)) {
                 *control = None;
                 let [delta, n_max, err, _] = swept.words;
-                // Some node went negative, or wants more
-                // neighbors than exist.
+                // Some node went negative, or wants more neighbors than
+                // exist.
                 if err != 0 || delta as usize >= self.ctx.vp.len {
                     self.closing = Some(Err(Unrealizable));
                     *lane = None;
@@ -731,11 +722,10 @@ impl DegreesCore {
                 (Some(closed), _) => return Poll::Ready(closed),
                 (None, _) => {}
             }
-            // Both halves are in. What the phase makes of the
-            // record here depends only on its rank — this
-            // position — and the groups, so the new need is
-            // committed now, and the hop and the next phase open
-            // together this round.
+            // Both halves are in. What the phase makes of the record
+            // here depends only on its rank — this position — and the
+            // groups, so the new need is committed now, and the hop and
+            // the next phase open together this round.
             let (x, stride) = (self.ctx.position, self.shape.stride);
             let grouped = self.held.is_some() && x < self.shape.span();
             let is_leader = grouped && x.is_multiple_of(stride);
@@ -745,8 +735,8 @@ impl DegreesCore {
                     debug_assert_eq!(held.key, stride as u64 - 1, "leader without max degree");
                     held.key = 0;
                 } else if grouped {
-                    // Exact flavors fail on a saturated record;
-                    // the envelope accepts the extra edge.
+                    // Exact flavors fail on a saturated record; the
+                    // envelope accepts the extra edge.
                     if held.key == 0 && self.flavor != Flavor::Envelope {
                         self.went_negative = true;
                     } else {
@@ -879,19 +869,13 @@ mod tests {
     /// Drops every message of round `lost` in an implicit run at n = 64
     /// and returns the node panic's message, the same on both engines.
     fn panic_of_a_lost_round(lost: u64) -> String {
-        let degrees: Vec<usize> = (0..64).map(|i| 2 + 2 * (i % 3)).collect();
-        panic_of(&degrees, Flavor::Implicit, Config::ncc0(7), lost)
-    }
-
-    /// Drops every message of round `lost` in a run of `flavor` over
-    /// `degrees` and returns the node panic's message, the same on both
-    /// engines.
-    fn panic_of(degrees: &[usize], flavor: Flavor, config: Config, lost: u64) -> String {
         use dgr_ncc::{Scenario, SimError};
+        let n = 64;
+        let degrees: Vec<usize> = (0..n).map(|i| 2 + 2 * (i % 3)).collect();
         let lost = Scenario::new(3).drop_messages(lost..=lost, 1.0);
         let messages = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
-            let config = config.clone().with_scenario(lost.clone());
-            let job = prepare_degrees(degrees, None, config, flavor, engine);
+            let config = Config::ncc0(7).with_scenario(lost.clone());
+            let job = prepare_degrees(&degrees, None, config, Flavor::Implicit, engine);
             match job.unwrap().drive(None) {
                 Err(SimError::NodePanic { message, .. }) => message,
                 other => panic!("{engine:?}: expected a node panic, got {:?}", other.err()),
@@ -972,29 +956,6 @@ mod tests {
         assert_eq!(
             panic_of_a_lost_round(sent),
             "message loss: an origin missed its record's status"
-        );
-    }
-
-    /// Every announcement is due in a round its leader can name, so
-    /// losing a round of them is a typed panic at the leader's origin when
-    /// its window closes, on both engines — never a one-sided edge. At the
-    /// capacity floor a star's announcements go out in a block after the
-    /// loop, where nothing else is in flight: the block's first round is
-    /// lost here.
-    #[test]
-    fn a_lost_announcement_panics_its_leader() {
-        use super::beside_rate;
-        let n = 16;
-        let star: Vec<usize> = (0..n).map(|i| if i == 0 { n - 1 } else { 1 }).collect();
-        let config = Config::ncc0(7).with_capacity_factor(0.1);
-        let cap = config.capacity(n);
-        assert_eq!((cap, beside_rate(n, n - 1, cap)), (4, None));
-        let groups = phase_groups(&star, Flavor::Explicit);
-        let block = rounds_for(n, &groups, Flavor::Explicit, false, cap);
-        assert!(rounds_for(n, &groups, Flavor::Explicit, true, cap) > block);
-        assert_eq!(
-            panic_of(&star, Flavor::Explicit, config, block),
-            "message loss: a leader missed an announcement"
         );
     }
 

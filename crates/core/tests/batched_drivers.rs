@@ -560,3 +560,33 @@ fn the_hand_off_stays_within_its_rate() {
         }
     }
 }
+
+/// Every announcement is due in a round its leader can name, so losing a
+/// round of them is a typed panic at the leader's origin when its window
+/// closes, on both engines — never a one-sided edge. At the capacity
+/// floor a star's announcements go out in a block after the loop, where
+/// nothing else is in flight: the block's first round is lost here.
+#[test]
+fn a_lost_announcement_panics_its_leader() {
+    use dgr_core::distributed::beside_rate;
+    use dgr_ncc::{Scenario, SimError};
+    let n = 16;
+    let star: Vec<usize> = (0..n).map(|i| if i == 0 { n - 1 } else { 1 }).collect();
+    let config = Config::ncc0(7).with_capacity_factor(0.1);
+    let cap = config.capacity(n);
+    assert_eq!((cap, beside_rate(n, n - 1, cap)), (4, None));
+    let groups = phase_groups(&star, Flavor::Explicit);
+    let block = rounds_for(n, &groups, Flavor::Explicit, false, cap);
+    assert!(rounds_for(n, &groups, Flavor::Explicit, true, cap) > block);
+    let lost = Scenario::new(3).drop_messages(block..=block, 1.0);
+    for engine in [EngineKind::Batched, EngineKind::Reference] {
+        let config = config.clone().with_scenario(lost.clone());
+        let job = prepare_degrees(&star, None, config, Flavor::Explicit, engine);
+        match job.unwrap().drive(None) {
+            Err(SimError::NodePanic { message, .. }) => {
+                assert_eq!(message, "message loss: a leader missed an announcement");
+            }
+            other => panic!("{engine:?}: expected a node panic, got {:?}", other.err()),
+        }
+    }
+}
