@@ -138,7 +138,7 @@ fn release_rounds(n: usize, d0: usize, core: u64, cap: usize) -> u64 {
 /// them too, but past ~400 prefix nodes that deadline outruns the
 /// engine's round limit.) A phase takes at most its control sweep, its
 /// sort or its hop, whichever is longest. The hand-off adds at most a
-/// phase beside the loop (a window fits the shortest phase), and a block
+/// phase beside the loop (a window fits a hop), and a block
 /// of at most `⌈(L - 1)/r⌉` after it for each phase but the last, at the
 /// [`core::block_rate`] `r`.
 fn release_deadline(n: usize, d0: usize, cap: usize) -> u64 {

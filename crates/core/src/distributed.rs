@@ -104,10 +104,11 @@
 //! no commit: the next phases run beside them, and only the run's end
 //! waits for the last one ([`rounds_for`]).
 //!
-//! A phase whose window, `⌈δ/k⌉` rounds, would outlast the shortest
-//! phase (or where `k` is 0, as at the capacity floor) keeps the rule
-//! with another start and rate: its announcements go out in a block of
-//! its own after the loop, at half the capacity a round ([`block_rate`]).
+//! A phase whose window, `⌈δ/k⌉` rounds, would outlast a hop, which every
+//! later phase outlasts (or where `k` is 0, as at the capacity floor),
+//! keeps the rule with another start and rate: its announcements go out
+//! in a block of its own after the loop, at half the capacity a round
+//! ([`block_rate`]).
 //! The blocks run on `cap` lanes side by side, each block on the first
 //! lane to come free: a position announces once a phase, so it sends at
 //! most one announcement a round beside the loop and at most one a lane
@@ -143,12 +144,11 @@
 //! engines; `tests/scale.rs` runs it at hundreds of thousands of nodes.
 
 use crate::sequence::DegreeSequence;
-use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
+use dgr_ncc::{tags, NodeId, RoundCtx, WireEnvelope, WireMsg};
 use dgr_primitives::imcast::{self, CoverSide, ImcastStep, Payload};
 use dgr_primitives::ops::{self, SweepStep, Words};
 use dgr_primitives::sort::{self, Held, Order, Regroup, SortStep};
 use dgr_primitives::{ctx, PathCtx, Poll, Step};
-use std::collections::VecDeque;
 
 /// Returned (consistently by *every* node) when the degree sequence is not
 /// realizable — the distributed analogue of a node broadcasting
@@ -236,13 +236,13 @@ pub fn rounds_for(
     if phases.is_empty() {
         return commit + control;
     }
-    let (mut landed, mut lanes) = (0, Lanes::default());
+    let (mut landed, mut blocks) = (0, Blocks::default());
     let mut phase = control.max(sort::rounds_for(len));
     for &(groups, delta) in phases {
         commit += phase;
         match beside_rate(len, delta, cap) {
             Some(rate) => landed = landed.max(commit + imcast::rounds_for(len) + div(delta, rate)),
-            None => _ = lanes.place(div(delta, block_rate(cap)), cap),
+            None => _ = blocks.place(div(delta, block_rate(cap)), cap),
         }
         let lane = if merges(flavor, len) {
             sort::merge_rounds_for(len, groups)
@@ -253,7 +253,7 @@ pub fn rounds_for(
     }
     let end = commit + beside_hop;
     match explicit {
-        true => end.max(landed) + lanes.rounds(),
+        true => end.max(landed) + blocks.rounds(),
         false => end,
     }
 }
@@ -266,14 +266,14 @@ fn div(a: usize, b: usize) -> u64 {
 /// The rate at which a phase with stars of `delta` members announces
 /// beside the loop on a path of `len` nodes at capacity `cap`: what half
 /// the capacity leaves beside the sweep, the lane and the hop
-/// ([`ops::load`]), where the phase's window fits the shortest phase, so
-/// that a position never owes two announcements in one round. `None`
-/// where it does not, or where half the capacity leaves nothing: the
-/// phase then announces in a block after the loop, at [`block_rate`].
+/// ([`ops::load`]), where the phase's window fits a hop, which every later
+/// phase outlasts, so that a position never owes two announcements in one
+/// round. `None` where it does not, or where half the capacity leaves
+/// nothing: the phase then announces in a block after the loop, at
+/// [`block_rate`].
 pub fn beside_rate(len: usize, delta: usize, cap: usize) -> Option<usize> {
     let rate = (cap / 2).saturating_sub(ops::load(len, cap));
-    let phase = ops::rounds_for(len, cap).max(hop_rounds_for(len));
-    (rate > 0 && div(delta, rate) <= phase).then_some(rate)
+    (rate > 0 && div(delta, rate) <= hop_rounds_for(len)).then_some(rate)
 }
 
 /// The rate of the hand-off's blocks after the loop at capacity `cap`:
@@ -371,29 +371,30 @@ struct Hop {
     /// This position's status: to whom, its word (a leader's `δ`, else
     /// 0), and whether it carries the leader's ID (a member's edge).
     status: Option<(NodeId, u64, bool)>,
-    /// At a member's position, its offset in the star; once the multicast
-    /// ends, with the leader's origin it learned.
-    member: Option<(usize, Option<NodeId>)>,
+    /// A member's offset `i ≥ 1` in its star, 0 elsewhere.
+    offset: usize,
 }
 
 impl Hop {
     /// Polls the hop at a node whose own record is on the path if
     /// `expects`; its result is the status that node got: the edge it
-    /// carries, if any, and its word.
+    /// carries, if any, and its word. When the multicast ends, a member's
+    /// position owes its leader's origin an announcement in `handoff`.
     fn poll(
         &mut self,
         rctx: &mut RoundCtx<'_>,
         expects: bool,
+        handoff: Option<&mut Handoff>,
     ) -> Poll<Option<(Option<NodeId>, u64)>> {
         if let Some(mcast) = &mut self.mcast {
             let Poll::Ready(got) = mcast.poll(rctx) else {
                 return Poll::Pending;
             };
             self.mcast = None;
-            if let Some((_, leader)) = &mut self.member {
-                *leader = got.map(|p| p.addr);
-            }
             if let Some((origin, word, edge)) = self.status {
+                if let (Some(handoff), Some(p), 1..) = (handoff, got, self.offset) {
+                    handoff.owe(self.offset, p.addr, origin);
+                }
                 let mut msg = WireMsg::word(tags::STATUS, word);
                 if edge {
                     let p = got.expect("message loss: a committed member missed the multicast");
@@ -417,19 +418,28 @@ impl Hop {
     }
 }
 
-/// The hand-off's blocks after the loop: `cap` lanes side by side, each
-/// a run of phases' blocks back to back.
+/// The hand-off's blocks after the loop: `cap` lanes side by side, each a
+/// run of phases' blocks back to back, and what this position owes in
+/// them: `(round, the leader's origin, the member's origin)`, counted from
+/// the blocks' start until the loop ends, then latest first.
 #[derive(Debug, Default)]
-struct Lanes(Vec<u64>);
+struct Blocks {
+    lanes: Vec<u64>,
+    owed: Vec<(u64, NodeId, NodeId)>,
+}
 
-impl Lanes {
+impl Blocks {
     /// Places a block of `rounds` rounds on the first lane to come free
     /// and returns its first round, counted from the blocks' start.
     fn place(&mut self, rounds: u64, cap: usize) -> u64 {
-        if self.0.is_empty() {
-            self.0 = vec![0; cap];
+        if self.lanes.is_empty() {
+            self.lanes = vec![0; cap];
         }
-        let lane = self.0.iter_mut().min_by_key(|end| **end).expect("a lane");
+        let lane = self
+            .lanes
+            .iter_mut()
+            .min_by_key(|end| **end)
+            .expect("a lane");
         let first = *lane;
         *lane += rounds;
         first
@@ -437,11 +447,12 @@ impl Lanes {
 
     /// The rounds all the blocks take.
     fn rounds(&self) -> u64 {
-        self.0.iter().copied().max().unwrap_or(0)
+        self.lanes.iter().copied().max().unwrap_or(0)
     }
 }
 
-/// The explicit hand-off at one node (module docs, Theorem 12).
+/// The explicit hand-off at one node (module docs, Theorem 12), from its
+/// first commit on.
 #[derive(Default)]
 struct Handoff {
     /// The slots of the phase that committed last, `(first, rate,
@@ -451,20 +462,17 @@ struct Handoff {
     slots: (u64, usize, bool),
     /// The round the last announcement beside the loop lands in.
     landed: u64,
-    /// The blocks placed so far.
-    lanes: Lanes,
     /// The round the last announcement lands in, once the loop has ended.
     until: Option<u64>,
-    /// What this position owes: `(round, the leader's origin, the
-    /// member's origin)`, in round order; `late`, a block's, counted from
-    /// the blocks' start until the loop ends.
-    due: VecDeque<(u64, NodeId, NodeId)>,
-    late: Vec<(u64, NodeId, NodeId)>,
+    /// What this position owes beside the loop: one announcement at a
+    /// time, since a window fits a hop.
+    beside: Option<(u64, NodeId, NodeId)>,
+    /// The blocks, once a phase announces after the loop.
+    blocks: Option<Box<Blocks>>,
     /// At a leader's origin: the round its window closes in (counted like
-    /// its slots), whether that counts from the blocks' start, and `δ`.
+    /// its slots), whether that counts from the blocks' start, and how
+    /// many announcements are still due.
     window: Option<(u64, bool, usize)>,
-    /// The member origins announced to this node so far.
-    heard: Vec<NodeId>,
 }
 
 impl Handoff {
@@ -474,8 +482,8 @@ impl Handoff {
         self.slots = match beside_rate(len, delta, cap) {
             Some(rate) => (now + imcast::rounds_for(len), rate, false),
             None => {
-                let rate = block_rate(cap);
-                (self.lanes.place(div(delta, rate), cap), rate, true)
+                let (rate, blocks) = (block_rate(cap), self.blocks.get_or_insert_default());
+                (blocks.place(div(delta, rate), cap), rate, true)
             }
         };
         let (first, rate, block) = self.slots;
@@ -495,9 +503,12 @@ impl Handoff {
     fn owe(&mut self, i: usize, leader: NodeId, origin: NodeId) {
         let (first, rate, block) = self.slots;
         let owed = (first + ((i - 1) / rate) as u64, leader, origin);
-        match block {
-            true => self.late.push(owed),
-            false => self.due.push_back(owed),
+        match self.blocks.as_mut().filter(|_| block) {
+            Some(blocks) => blocks.owed.push(owed),
+            None => {
+                debug_assert!(self.beside.is_none(), "two announcements beside the loop");
+                self.beside = Some(owed);
+            }
         }
     }
 
@@ -505,45 +516,74 @@ impl Handoff {
     /// last announcement beside it has landed.
     fn close(&mut self, now: u64) {
         let base = now.max(self.landed);
-        // Blocks on different lanes interleave.
-        self.late.sort_by_key(|&(r, ..)| r);
-        let late = self.late.drain(..).map(|(r, to, u)| (base + r, to, u));
-        self.due.extend(late);
+        let blocks = self.blocks.as_deref_mut().map_or(0, |blocks| {
+            for (round, ..) in &mut blocks.owed {
+                *round += base;
+            }
+            // Blocks on different lanes interleave.
+            blocks
+                .owed
+                .sort_by_key(|&(round, ..)| std::cmp::Reverse(round));
+            blocks.rounds()
+        });
         if let Some((closes, block @ true, _)) = &mut self.window {
             (*closes, *block) = (*closes + base, false);
         }
-        self.until = Some(base + self.lanes.rounds());
+        self.until = Some(base + blocks);
     }
 
-    /// One round of the hand-off: takes this round's announcements in and,
-    /// at a leader's origin whose window closes, checks them against `δ`
-    /// and adds them to `neighbors`; then, unless the core is done this
-    /// round, sends what falls due.
-    fn exchange(&mut self, rctx: &mut RoundCtx<'_>, neighbors: &mut Vec<NodeId>, done: bool) {
+    /// One round of the hand-off: takes this round's announcements in (a
+    /// second copy in its slot is a duplicate) and, at a leader's origin
+    /// whose window closes, checks that all have come; then, unless the
+    /// core is done this round, sends what falls due. Returns the next
+    /// round it has anything to do in.
+    fn exchange(
+        &mut self,
+        rctx: &mut RoundCtx<'_>,
+        neighbors: &mut Vec<NodeId>,
+        done: bool,
+    ) -> u64 {
         let now = rctx.round();
-        if let Some((closes, block, delta)) = self.window {
-            let edges = rctx.inbox().iter().filter(|e| e.msg.tag == tags::EDGE);
-            self.heard.extend(edges.map(|e| e.addr()));
-            if (closes, block) == (now, false) {
-                // A second copy of an announcement is a duplicate.
-                self.heard.sort_unstable();
-                self.heard.dedup();
-                assert!(
-                    self.heard.len() == delta,
-                    "message loss: a leader missed an announcement"
-                );
-                neighbors.append(&mut self.heard);
+        if let Some((closes, block, due)) = &mut self.window {
+            let inbox = rctx.inbox();
+            for (j, env) in inbox.iter().enumerate() {
+                let edge = |e: &WireEnvelope| e.msg.tag == tags::EDGE;
+                if edge(env) && !inbox[..j].iter().any(|e| edge(e) && e.addr() == env.addr()) {
+                    neighbors.push(env.addr());
+                    *due = due.checked_sub(1).expect("more announcements than members");
+                }
+            }
+            if (*closes, *block) == (now, false) {
+                assert!(*due == 0, "message loss: a leader missed an announcement");
                 self.window = None;
             }
         }
-        while let Some(&(round, leader, origin)) = self.due.front().filter(|_| !done) {
-            if round > now {
-                break;
-            }
-            debug_assert_eq!(round, now, "an announcement missed its round");
-            rctx.send(leader, WireMsg::addr(tags::EDGE, origin));
-            self.due.pop_front();
+        if done {
+            return u64::MAX;
         }
+        if let Some((_, leader, origin)) = self.beside.filter(|&(round, ..)| round == now) {
+            rctx.send(leader, WireMsg::addr(tags::EDGE, origin));
+            self.beside = None;
+        }
+        if let Some(blocks) = self.blocks.as_mut().filter(|_| self.until.is_some()) {
+            while let Some(&(round, leader, origin)) = blocks.owed.last() {
+                if round > now {
+                    break;
+                }
+                debug_assert_eq!(round, now, "an announcement missed its round");
+                rctx.send(leader, WireMsg::addr(tags::EDGE, origin));
+                blocks.owed.pop();
+            }
+        }
+        let window = self.window.map(|_| now + 1);
+        let beside = self.beside.map(|(round, ..)| round);
+        let blocks = self.blocks.as_ref().filter(|_| self.until.is_some());
+        let block = blocks.and_then(|b| b.owed.last()).map(|&(round, ..)| round);
+        [window, beside, block]
+            .into_iter()
+            .flatten()
+            .min()
+            .unwrap_or(u64::MAX)
     }
 }
 
@@ -580,8 +620,13 @@ pub struct DegreesCore {
     /// Is this node's own record still on the path, so that every phase
     /// owes it a status?
     on_path: bool,
-    /// The Theorem 12 hand-off, when the realization is explicit.
-    handoff: Option<Handoff>,
+    /// Whether the realization is explicit, and its Theorem 12 hand-off
+    /// from the first commit on.
+    explicit: bool,
+    handoff: Option<Box<Handoff>>,
+    /// The first round the hand-off has anything to do in, so that a
+    /// quiet round does not touch it.
+    wake: u64,
 }
 
 impl DegreesCore {
@@ -610,14 +655,16 @@ impl DegreesCore {
             },
             on_path: true,
             ctx,
-            handoff: (flavor == Flavor::Explicit).then(Handoff::default),
+            explicit: flavor == Flavor::Explicit,
+            handoff: None,
+            wake: 0,
         }
     }
 
     /// Makes the realization explicit in any flavor: every edge is handed
     /// off to its leader's origin too ([`rounds_for`] with `explicit`).
     pub fn explicit(mut self) -> Self {
-        self.handoff = Some(Handoff::default());
+        self.explicit = true;
         self
     }
 
@@ -654,23 +701,17 @@ impl DegreesCore {
     /// The phase loop, then the wait for the hand-off: `Ready` once the
     /// run has ended at this node.
     fn advance(&mut self, rctx: &mut RoundCtx<'_>) -> Poll<Result<(), Unrealizable>> {
-        if let Some(until) = self.handoff.as_ref().and_then(|h| h.until) {
-            return match rctx.round() == until {
-                true => Poll::Ready(Ok(())),
-                false => Poll::Pending,
-            };
-        }
         loop {
             let Phase { hop, control, lane } = &mut self.stage;
             // The hop goes first. It may end before the control sweep or
             // after it; the phase commits once the hop, the control and
             // the lane are all in.
             if let Some(h) = hop {
-                let polled = h.poll(rctx, self.on_path);
-                if let (Some(handoff), Some((i, Some(leader)))) = (&mut self.handoff, h.member) {
-                    h.member = None;
-                    let origin = h.status.expect("a member holds a record").0;
-                    handoff.owe(i, leader, origin);
+                let multicasting = h.mcast.is_some();
+                let polled = h.poll(rctx, self.on_path, self.handoff.as_deref_mut());
+                if multicasting && h.mcast.is_none() {
+                    // A member's position owes its announcement from now.
+                    self.wake = 0;
                 }
                 if let Poll::Ready(status) = polled {
                     *hop = None;
@@ -680,6 +721,7 @@ impl DegreesCore {
                         self.on_path = led == 0 || !merges(self.flavor, self.ctx.vp.len);
                         if let Some(handoff) = self.handoff.as_mut().filter(|_| led > 0) {
                             handoff.lead(led);
+                            self.wake = 0;
                         }
                     }
                 }
@@ -714,10 +756,18 @@ impl DegreesCore {
             if hop.is_some() || control.is_some() || lane.is_some() {
                 return Poll::Pending;
             }
+            // A realized loop waits for the hand-off's last announcement.
+            if let Some(until) = self.handoff.as_ref().and_then(|h| h.until) {
+                return match rctx.round() == until {
+                    true => Poll::Ready(Ok(())),
+                    false => Poll::Pending,
+                };
+            }
             match (self.closing.take(), &mut self.handoff) {
                 (Some(Ok(())), Some(handoff)) => {
                     handoff.close(rctx.round());
-                    return self.advance(rctx);
+                    self.wake = 0;
+                    continue;
                 }
                 (Some(closed), _) => return Poll::Ready(closed),
                 (None, _) => {}
@@ -745,13 +795,14 @@ impl DegreesCore {
                     }
                 }
             }
-            if let Some(handoff) = &mut self.handoff {
+            if self.explicit {
+                let handoff = self.handoff.get_or_insert_default();
                 let len = self.ctx.vp.len;
                 handoff.commit(len, stride - 1, rctx.round(), rctx.capacity());
             }
             let led = if is_leader { stride as u64 - 1 } else { 0 };
             let status = self.held.map(|h| (h.origin, led, edge));
-            let member = (grouped && !is_leader).then_some((x % stride, None));
+            let offset = if grouped && !is_leader { x % stride } else { 0 };
             let task = self.held.filter(|_| is_leader).map(|h| {
                 let payload = Payload {
                     addr: h.origin,
@@ -764,7 +815,7 @@ impl DegreesCore {
             self.begin_phase(Some(Hop {
                 mcast,
                 status,
-                member,
+                offset,
             }));
         }
     }
@@ -781,8 +832,9 @@ impl Step for DegreesCore {
             self.begin_phase(None);
         }
         let polled = self.advance(rctx);
-        if let Some(handoff) = &mut self.handoff {
-            handoff.exchange(rctx, &mut self.outcome.neighbors, polled.is_ready());
+        let now = rctx.round();
+        if let Some(handoff) = self.handoff.as_deref_mut().filter(|_| now >= self.wake) {
+            self.wake = handoff.exchange(rctx, &mut self.outcome.neighbors, polled.is_ready());
         }
         polled.map(|closed| closed.map(|()| std::mem::take(&mut self.outcome)))
     }
@@ -913,7 +965,7 @@ mod tests {
         impl Step for LoneHop {
             type Out = Option<(Option<NodeId>, u64)>;
             fn poll(&mut self, rctx: &mut RoundCtx<'_>) -> Poll<Self::Out> {
-                self.0.poll(rctx, true)
+                self.0.poll(rctx, true, None)
             }
         }
         let n = 16;
@@ -930,7 +982,7 @@ mod tests {
                     LoneHop(Hop {
                         mcast,
                         status: Some((id, 0, (1..=3).contains(&x))),
-                        member: None,
+                        offset: 0,
                     })
                 })
             });
