@@ -6,12 +6,10 @@
 
 use crate::drive::{self, Workload};
 use crate::table::{f2, Table};
-use dgr_core::distributed::{DegreesCore, Flavor, ImplicitOutcome, Unrealizable};
 use dgr_graphgen as graphgen;
 use dgr_ncc::{
     tags, CapacityPolicy, Config, Network, NodeId, NodeProtocol, RoundCtx, Status, WireMsg,
 };
-use dgr_primitives::{PathCtx, Poll, Step, WithCtx};
 
 /// The raw burst of A2: in round 0 everyone but the head sends it one
 /// message; the head then listens for `wait` more rounds and outputs
@@ -37,58 +35,14 @@ impl NodeProtocol for Burst {
     }
 }
 
-/// A degree core that notes the rounds the first and the last
-/// announcement (`EDGE`) reached this node in.
-struct Heard {
-    core: DegreesCore,
-    window: Option<(u64, u64)>,
-}
-
-impl Step for Heard {
-    type Out = (Result<ImplicitOutcome, Unrealizable>, Option<(u64, u64)>);
-
-    fn poll(&mut self, rctx: &mut RoundCtx<'_>) -> Poll<Self::Out> {
-        if rctx.inbox().iter().any(|e| e.msg.tag == tags::EDGE) {
-            let r = rctx.round();
-            self.window = Some(self.window.map_or((r, r), |(first, _)| (first, r)));
-        }
-        self.core.poll(rctx).map(|out| (out, self.window))
-    }
-}
-
-/// The hub's announcement window in an explicit realization of `degrees`
-/// (the hub first) at capacity factor `factor`: the rounds from the first
-/// announcement sent to it to the last one received.
-fn hub_window(degrees: &[usize], seed: u64, factor: f64) -> u64 {
-    let config = Config::ncc0(seed)
-        .with_capacity_factor(factor)
-        .with_queueing();
-    let net = Network::new(degrees.len(), config);
-    let by_id = net.assign_in_path_order(degrees);
-    let hub = net.ids_in_path_order()[0];
-    let result = net
-        .run_protocol(|s| {
-            let degree = by_id[&s.id];
-            WithCtx::new(move |ctx: &PathCtx, _: &mut RoundCtx<'_>| Heard {
-                core: DegreesCore::new(degree, Flavor::Explicit, ctx.clone()),
-                window: None,
-            })
-        })
-        .expect("explicit realization failed");
-    let (out, window) = result.output_of(hub).expect("the hub ran");
-    assert!(out.is_ok(), "explicit realization refused");
-    let (first, last) = window.expect("the hub heard no announcement");
-    last - first + 1
-}
-
 /// A1: capacity-factor sweep. The per-round budget is
 /// `cap = max(4, ⌈c·log₂ n⌉)`; the implicit realization uses O(1)
 /// messages per node per round (insensitive to `c`), while the explicit
 /// hand-off is bandwidth-bound: the hub's announcement window — from the
 /// first announcement sent to it to the last one received — is a
 /// `Θ(Δ/cap)` transfer that shrinks as `c` grows. (The explicit run's
-/// rounds less the implicit run's no longer measure it: the hand-off runs
-/// beside the phase loop wherever its window fits a phase.)
+/// rounds less the implicit run's do not measure it: the hand-off runs
+/// beside the phase loop wherever its window fits a hop.)
 pub fn a1_capacity() -> Vec<Table> {
     let n = 192;
     let mut degrees = vec![2usize; n];
@@ -115,7 +69,8 @@ pub fn a1_capacity() -> Vec<Table> {
         let exp = drive::degrees(Workload::Explicit(degrees.clone()), 61, Some(factor));
         let (ri, re) = (imp.expect_realized(), exp.expect_realized());
         let cap = re.metrics.capacity;
-        let handoff = hub_window(&degrees, 61, factor);
+        let config = Config::ncc0(61).with_capacity_factor(factor);
+        let handoff = drive::hub_window(&degrees, config);
         handoffs.push(handoff as f64);
         implicit_rounds.push(ri.metrics.rounds as f64);
         t.row(vec![
