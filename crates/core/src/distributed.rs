@@ -60,8 +60,9 @@
 //! (ARCHITECTURE.md, *Deviations from the paper*): same groups, edges and
 //! phase count, one sweep a phase instead of three, spent in the sort's
 //! rounds. Its words are each position's held need and a has-record
-//! count, and the went-negative flag. Nor does the next phase need anything the multicast carries: its control
-//! sweep and its lane read only the committed needs. So the multicast and
+//! count, and the went-negative flag. Nor does the next phase need
+//! anything the multicast carries: its control sweep and its lane read
+//! only the committed needs. So the multicast and
 //! the status (`⌈log₂ n⌉ + 2` rounds) run beside the next phase's control
 //! sweep (twice the depth of the shallow sweep tree over the contacts, at
 //! most `2(⌈⌈log₂ n⌉/2⌉ + 1)`: 14 rounds at `n = 2048`, where the hop
@@ -108,12 +109,11 @@
 //! later phase outlasts (or where `k` is 0, as at the capacity floor),
 //! keeps the rule with another start and rate: its announcements go out
 //! in a block of its own after the loop, at half the capacity a round
-//! ([`block_rate`]).
-//! The blocks run on `cap` lanes side by side, each block on the first
-//! lane to come free: a position announces once a phase, so it sends at
-//! most one announcement a round beside the loop and at most one a lane
-//! in the blocks, where nothing else runs. Every
-//! announcement is due in a known round, so a second copy in its window is
+//! ([`block_rate`]). The blocks run on `cap` lanes side by side, each
+//! block on the first lane to come free: a position announces once a
+//! phase, so it sends at most one announcement a round beside the loop
+//! and at most one a lane in the blocks, where nothing else runs. Every
+//! announcement is due in a known round, so a second copy in its slot is
 //! a duplicate and is dropped, and a leader whose window closes short of
 //! `δ` has lost a message, and panics.
 //!
@@ -707,7 +707,7 @@ impl DegreesCore {
             // after it; the phase commits once the hop, the control and
             // the lane are all in.
             if let Some(h) = hop {
-                let multicasting = h.mcast.is_some();
+                let multicasting = h.mcast.is_some() && h.offset > 0;
                 let polled = h.poll(rctx, self.on_path, self.handoff.as_deref_mut());
                 if multicasting && h.mcast.is_none() {
                     // A member's position owes its announcement from now.
