@@ -202,24 +202,30 @@ fn an_n_to_one_burst_carries_paced_queue_backlog() {
 fn scheduled_hand_offs_run_strict() {
     let rho = graphgen::uniform_thresholds(200, 1, 6, 9);
     let workloads = [
-        Workload::Explicit(graphgen::star_heavy_sequence(512, 1, 2, 4)),
-        Workload::Explicit(graphgen::power_law_sequence(256, 32, 2.5, 9)),
-        Workload::Ncc0Threshold(rho.clone()),
-        Workload::Ncc0Exact(rho),
+        (
+            "star",
+            Workload::Explicit(graphgen::star_heavy_sequence(512, 1, 2, 4)),
+        ),
+        (
+            "power",
+            Workload::Explicit(graphgen::power_law_sequence(256, 32, 2.5, 9)),
+        ),
+        ("ncc0", Workload::Ncc0Threshold(rho.clone())),
+        ("exact", Workload::Ncc0Exact(rho)),
     ];
-    for workload in workloads {
+    for (name, workload) in workloads {
         for engine in [Engine::Batched, Engine::Reference] {
-            let what = format!("{engine:?} {:?}", &workload);
+            let what = format!("{name} {engine:?}");
             let out = Realization::new(workload.clone())
                 .policy(CapacityPolicy::Strict)
                 .engine(engine)
                 .seed(9)
                 .run()
-                .unwrap_or_else(|e| panic!("{}: {e}", &what[..60.min(what.len())]));
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
             let m = out.metrics();
-            assert!(m.is_clean(), "{}", &what[..60.min(what.len())]);
-            assert!(m.max_received_per_round <= m.capacity);
-            assert!(m.max_sent_per_round <= m.capacity);
+            assert!(m.is_clean(), "{what}");
+            assert!(m.max_received_per_round <= m.capacity, "{what}");
+            assert!(m.max_sent_per_round <= m.capacity, "{what}");
         }
     }
 }
