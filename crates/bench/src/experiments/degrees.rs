@@ -19,8 +19,7 @@ fn lg(n: usize) -> f64 {
 fn on_closed_form(degrees: &[usize], rounds: u64, phases: u64, flavor: Flavor, cap: usize) -> bool {
     let groups = phase_groups(degrees, flavor);
     let explicit = flavor == Flavor::Explicit;
-    groups.len() as u64 + 1 == phases
-        && rounds == rounds_for(degrees.len(), &groups, flavor, explicit, cap)
+    groups.len() as u64 + 1 == phases && rounds == rounds_for(degrees, flavor, explicit, cap)
 }
 
 /// Theorem 11: implicit realization in `O~(min{√m, Δ})` rounds. Swept two

@@ -1,10 +1,14 @@
 //! Algorithm 6 / Theorem 18: `O~(Δ)`-round *explicit* threshold
 //! realization in NCC0 (hence also NCC1).
 //!
-//! 1. Sort by `ρ` non-increasing; the sort leaves `x₁`'s record, keyed
-//!    `d₀ = ρ(x₁)`, at position 0, which broadcasts `d₀` and `x₁`'s
-//!    address (the broadcast half of a sweep alone: the sweep tree's
-//!    depth in rounds, 7 at `n = 2048`, and `n - 1` messages).
+//! 1. Sort by `ρ` non-increasing — the class route where every `ρ` is
+//!    below 8 and the capacity takes it, on an establishment keyed by `ρ`
+//!    ([`SortStep::by_class`]; equal `ρ` keep their establishment order,
+//!    which any order of equal requirements allows) — and hand each node
+//!    its sorted neighbours ([`RankStep`]); the sort leaves `x₁`'s
+//!    record, keyed `d₀ = ρ(x₁)`, at position 0, which broadcasts `d₀` and
+//!    `x₁`'s address (the broadcast half of a sweep alone: the sweep
+//!    tree's depth in rounds, 7 at `n = 2048`, and `n - 1` messages).
 //! 2. **Phase 1** over the prefix `x₁ … x_{d₀+1}`: rank `i` connects to
 //!    the next `ρ(x_i)` ranks *cyclically* (so `x₁`, with
 //!    `ρ(x₁) = d₀ =` prefix−1, connects to the entire prefix). The
@@ -40,9 +44,30 @@
 
 use super::ThresholdOutcome;
 use dgr_ncc::{tags, NodeId, NodeProtocol, RoundCtx, Status, WireMsg};
-use dgr_primitives::ops::SweepStep;
-use dgr_primitives::sort::{Held, Order, RankStep, SortStep, SortedPath};
-use dgr_primitives::{EstablishCtx, Lockstep, PathCtx, Poll, Rounds, Step};
+use dgr_primitives::ops::{self, SweepStep};
+use dgr_primitives::sort::{self, Held, Order, RankStep, SortStep, SortedPath, RANK_ROUNDS};
+use dgr_primitives::{ctx, EstablishCtx, Lockstep, PathCtx, Poll, Rounds, Step};
+
+/// Rounds of a whole [`Ncc0Threshold`] run on the requirements `rho`, one
+/// a node, at capacity `cap`: the prologue ([`prologue_rounds`]), then
+/// the phase-1 ring and phase 2, a token pipeline of `d₀` hops each. A
+/// single node ends with its establishment.
+pub fn rounds_for(rho: &[usize], cap: usize) -> u64 {
+    match rho.iter().max() {
+        Some(&d0) if rho.len() > 1 => prologue_rounds(rho, cap) + 2 * pipeline_rounds(d0),
+        _ => ctx::rounds_for(rho.len()),
+    }
+}
+
+/// Rounds of the [`Prologue`] on the requirements `rho`, `n ≥ 2` of them,
+/// at capacity `cap`: the establishment, the first sort
+/// ([`sort::first_rounds_for`], alone in its rounds), the rank epilogue
+/// and the `d₀`/`x₁` broadcast.
+pub(super) fn prologue_rounds(rho: &[usize], cap: usize) -> u64 {
+    let n = rho.len();
+    let sort = sort::first_rounds_for(rho.iter().map(|&r| r as u64), cap, 0);
+    ctx::rounds_for(n) + sort + RANK_ROUNDS + ops::broadcast_rounds_for(n, cap)
+}
 
 /// Number of rounds of a token pipeline whose tokens travel at most
 /// `ttl_max` hops, with its acknowledgements: `ttl_max + 1`, because no
@@ -193,9 +218,10 @@ enum PrologueStage {
 }
 
 /// Step 1 of Algorithm 6, the opening both machines share: establish the
-/// path context, sort by `ρ` non-increasing, broadcast `d₀` and `x₁`'s
-/// address. On a single-node network there is nothing to sort: it
-/// completes with the establishment, on `None`.
+/// path context keyed by `ρ`, sort by `ρ` non-increasing, broadcast `d₀`
+/// and `x₁`'s address (rounds: exactly [`prologue_rounds`]). On a
+/// single-node network there is nothing to sort: it completes with the
+/// establishment, on `None`.
 pub(super) struct Prologue {
     rho: usize,
     stage: PrologueStage,
@@ -209,7 +235,7 @@ impl Prologue {
     pub(super) fn new(rho: usize) -> Self {
         Prologue {
             rho,
-            stage: PrologueStage::Establish(EstablishCtx::new()),
+            stage: PrologueStage::Establish(EstablishCtx::keyed(rho as u64)),
             ctx: None,
             held: None,
             sp: None,
@@ -243,14 +269,9 @@ impl Step for Prologue {
                         if ctx.vp.len == 1 {
                             return Poll::Ready(None);
                         }
-                        self.stage = PrologueStage::Sort(SortStep::new(
-                            ctx.vp,
-                            ctx.contacts.clone(),
-                            ctx.position,
-                            self.rho as u64,
-                            Order::Descending,
-                            rctx.id(),
-                        ));
+                        let (rho, id) = (self.rho as u64, rctx.id());
+                        let sort = SortStep::by_class(&ctx, rho, Order::Descending, id, 0);
+                        self.stage = PrologueStage::Sort(sort);
                         self.ctx = Some(ctx);
                     }
                 },

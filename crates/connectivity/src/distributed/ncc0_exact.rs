@@ -58,12 +58,12 @@
 //! [`NodeProtocol`]: dgr_ncc::NodeProtocol
 //! [`DegreesCore`]: dgr_core::distributed::DegreesCore
 
-use super::ncc0::{phase2, pipeline_rounds, PipelineStep, Prologue, Sorted};
+use super::ncc0::{phase2, pipeline_rounds, prologue_rounds, PipelineStep, Prologue, Sorted};
 use super::ThresholdOutcome;
 use dgr_core::distributed::{self as core, hop_rounds_for, DegreesCore, Flavor};
 use dgr_ncc::{tags, NodeId, NodeProtocol, RoundCtx, Status, WireMsg};
 use dgr_primitives::ops::{self, SweepStep};
-use dgr_primitives::sort::{self, RANK_ROUNDS};
+use dgr_primitives::sort;
 use dgr_primitives::{ctx, EstablishCtx, Lockstep, PathCtx, Poll, Rounds, Step, VPath};
 use std::collections::{HashSet, VecDeque};
 
@@ -87,7 +87,7 @@ pub fn rounds_for(rho: &[usize], max_shortfall: u64, cap: usize) -> u64 {
         0 => 0,
         gap => patch_rounds(d0, gap, batch(cap)) + acks_rounds(gap, cap),
     };
-    prologue_rounds(n, cap)
+    prologue_rounds(rho, cap)
         + release_rounds(n, d0, core_rounds(&sorted[..=d0.min(n - 1)], cap), cap)
         + patch
         + pipeline_rounds(d0)
@@ -105,19 +105,10 @@ fn acks_rounds(max_shortfall: u64, cap: usize) -> u64 {
     max_shortfall.div_ceil(batch(cap) as u64)
 }
 
-/// Rounds of the prologue on `n ≥ 2` nodes at capacity `cap`:
-/// establishment, sort, rank and the `d₀`/`x₁` broadcast.
-fn prologue_rounds(n: usize, cap: usize) -> u64 {
-    let broadcast = ops::broadcast_rounds_for(n, cap);
-    ctx::rounds_for(n) + sort::rounds_for(n) + RANK_ROUNDS + broadcast
-}
-
 /// Rounds of the envelope core on the prefix whose requirements are
-/// `prefix`, past its establishment.
+/// `prefix`, past its keyed establishment.
 fn core_rounds(prefix: &[usize], cap: usize) -> u64 {
-    let (len, flavor) = (prefix.len(), Flavor::Envelope);
-    let groups = core::phase_groups(prefix, flavor);
-    core::rounds_for(len, &groups, flavor, true, cap) - ctx::rounds_for(len)
+    core::rounds_for(prefix, Flavor::Envelope, true, cap) - ctx::rounds_for(prefix.len())
 }
 
 /// Rounds from the prologue's end until every node holds the release, on
@@ -275,7 +266,8 @@ impl Rounds for RingPatch {
 }
 
 enum Stage {
-    Prologue(Prologue),
+    // Boxed: the opening's stage machine dwarfs the later stages.
+    Prologue(Box<Prologue>),
     SubEstablish(EstablishCtx),
     /// The explicit envelope core: it hands its edges off before the
     /// shortfall aggregation, so every prefix node judges its deficiency
@@ -308,7 +300,7 @@ impl Ncc0Exact {
     /// Builds the protocol for one node.
     pub fn new(rho: usize) -> Self {
         Ncc0Exact {
-            stage: Stage::Prologue(Prologue::new(rho)),
+            stage: Stage::Prologue(Box::new(Prologue::new(rho))),
             sorted: None,
             sub: PathCtx::default(),
             release_by: 0,
@@ -391,7 +383,8 @@ impl NodeProtocol for Ncc0Exact {
                                 // Phase 1, paper-exact: re-establish the
                                 // full context on the prefix sub-path.
                                 rctx.mark_stage("sub-establish");
-                                Stage::SubEstablish(EstablishCtx::on(self.prefix_vp()))
+                                let rho = self.outcome.rho as u64;
+                                Stage::SubEstablish(EstablishCtx::on_keyed(self.prefix_vp(), rho))
                             } else {
                                 Stage::Release(self.release(rctx))
                             };
@@ -578,7 +571,7 @@ mod tests {
             .unwrap();
         let cap = clean.output.metrics.capacity;
         assert_eq!(clean.output.metrics.rounds, rounds_for(&rho, 0, cap));
-        let (d0, prologue) = (5, prologue_rounds(n, cap));
+        let (d0, prologue) = (5, prologue_rounds(&rho, cap));
         let prefix = [5; 6];
         let release = prologue + release_rounds(n, d0, core_rounds(&prefix, cap), cap);
         let sent = release - 1 - ops::broadcast_rounds_for(n, cap);

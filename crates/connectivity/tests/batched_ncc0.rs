@@ -281,6 +281,37 @@ fn the_pipeline_hears_one_token_and_one_ack_a_round() {
     }
 }
 
+/// [`ncc0::rounds_for`] is the pipeline run's round count on both
+/// engines, strict, at n ∈ {2, 17, 64, 512}: with every `ρ` below 8 the
+/// first sort takes the class route, with some `ρ` of 8 or more the
+/// network.
+///
+/// [`ncc0::rounds_for`]: dgr_connectivity::distributed::ncc0::rounds_for
+#[test]
+fn ncc0_rounds_follow_the_closed_form() {
+    use dgr_connectivity::distributed::ncc0;
+    use dgr_primitives::sort;
+    for n in [2usize, 17, 64, 512] {
+        for top in [5, 12] {
+            let rho: Vec<usize> = (0..n).map(|i| (1 + i * 7 % top).min(n - 1)).collect();
+            let inst = ThresholdInstance::new(rho.clone());
+            let config = Config::ncc0(n as u64);
+            let algo = ThresholdAlgo::Ncc0Pipeline;
+            let what = format!("n={n} top={top}");
+            let [batched, reference] = [EngineKind::Batched, EngineKind::Reference]
+                .map(|engine| realize(&inst, config.clone(), algo, engine));
+            assert_eq!(batched.metrics, reference.metrics, "{what}: engines");
+            let m = &batched.metrics;
+            assert!(batched.report.satisfied, "{what}: {:?}", batched.report);
+            assert!(m.is_clean(), "{what}: {:?}", m.violations);
+            assert_eq!(m.rounds, ncc0::rounds_for(&rho, m.capacity), "{what}");
+            let keys = rho.iter().map(|&r| r as u64);
+            let routed = sort::first_rounds_for(keys, m.capacity, 0) == sort::route_rounds_for(n);
+            assert_eq!(routed, rho.iter().all(|&r| r < 8), "{what}");
+        }
+    }
+}
+
 /// A token never waits, so every acknowledgement is due in a round its
 /// origin can name: losing a round of phase 2 — the tokens it forwards and
 /// the acknowledgements it carries — is a typed panic at an origin, on

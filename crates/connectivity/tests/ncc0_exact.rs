@@ -145,17 +145,25 @@ fn composed_alg6_sweeps_random_instances() {
 /// The largest distinctness gap the prefix envelope leaves — a prefix
 /// node's requirement less its distinct envelope neighbors — by a
 /// sequential replay of the envelope's phase loop on the prefix of the
-/// `ρ`-sorted order. Each phase sorts the records by need, non-increasing,
-/// ties by origin ID, as the sorting network leaves them.
-fn envelope_max_shortfall(rho: &BTreeMap<NodeId, usize>) -> u64 {
-    let by_rank = |records: &mut Vec<(usize, NodeId)>| {
+/// `ρ`-sorted order, the nodes in `path_order`. Each sort orders the
+/// records by need, non-increasing, ties by the position the path they
+/// sort on was established with, as the sorts leave them: the full path's
+/// for the prefix, the prefix's own in the envelope.
+fn envelope_max_shortfall(rho: &BTreeMap<NodeId, usize>, path_order: &[NodeId]) -> u64 {
+    let by_rank = |records: &mut Vec<(usize, usize)>| {
         records.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
     };
-    let mut records: Vec<(usize, NodeId)> = rho.iter().map(|(&id, &r)| (r, id)).collect();
+    let mut records: Vec<(usize, usize)> = (path_order.iter().enumerate())
+        .map(|(x, id)| (rho[id], x))
+        .collect();
     by_rank(&mut records);
     records.truncate(records[0].0 + 1);
-    let prefix = records.clone();
-    let mut neighbors: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
+    // The prefix sub-path's positions are the prefix's ranks.
+    let prefix: Vec<(usize, usize)> = (records.iter().enumerate())
+        .map(|(rank, &(r, _))| (r, rank))
+        .collect();
+    let mut records = prefix.clone();
+    let mut neighbors: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
     loop {
         by_rank(&mut records);
         let delta = records[0].0;
@@ -183,21 +191,24 @@ fn envelope_max_shortfall(rho: &BTreeMap<NodeId, usize>) -> u64 {
     gaps.max().unwrap_or(0)
 }
 
-/// The tiered profile of the paper's multigraph corner: four nodes at 6,
-/// sixteen at 3, the rest at 1, on 48 nodes.
-fn multigraph_corner() -> Vec<usize> {
+/// A tiered profile on 48 nodes: `sixes` nodes at 6, sixteen at `mid`,
+/// the rest at 1. Four at 6 and sixteen at 3 is the paper's multigraph
+/// corner.
+fn tiered(sixes: usize, mid: usize) -> Vec<usize> {
     let mut rho = vec![1usize; 48];
-    rho[..4].fill(6);
-    rho[4..20].fill(3);
+    rho[..sixes].fill(6);
+    rho[sixes..sixes + 16].fill(mid);
     rho
 }
 
 /// The closed form is the run: [`ncc0_exact::rounds_for`], fed the
 /// envelope's gap by the replay above, equals the measured rounds on both
 /// engines — for uniform `ρ ∈ [1, 5]` at n ∈ {64, 256, 2048}, where the
-/// six-node prefix is a clique with no gap, for the multigraph corner
-/// at three seeds: two whose gaps (3 and 2) the patch ring closes, one
-/// without a gap, and for `ρ ≡ 1` at n ∈ {2, 17}: the smallest `d₀`
+/// six-node prefix is a clique with no gap, for three tiered profiles:
+/// the multigraph corner and five nodes at 6, whose gaps (3 and 2) the
+/// patch ring closes, and four at 6 over sixteen at 4, without a gap
+/// (equal requirements keep their path order, so a profile's gap does not
+/// depend on the seed), and for `ρ ≡ 1` at n ∈ {2, 17}: the smallest `d₀`
 /// request validation admits, whose token pipeline has one round (a debug
 /// build also checks that its queues are empty at that deadline).
 #[test]
@@ -208,8 +219,8 @@ fn rounds_follow_the_closed_form() {
         .zip([61, 62, 63])
         .map(|(n, seed)| ((0..n).map(|_| rng.gen_range(1..=5)).collect(), seed, 0))
         .collect();
-    for (seed, gap) in [(9, 3), (29, 2), (31, 0)] {
-        cases.push((multigraph_corner(), seed, gap));
+    for ((sixes, mid), seed, gap) in [((4, 3), 9, 3), ((5, 3), 29, 2), ((4, 4), 31, 0)] {
+        cases.push((tiered(sixes, mid), seed, gap));
     }
     cases.extend([(vec![1; 2], 64, 0), (vec![1; 17], 65, 0)]);
     for (rho, seed, gap) in cases {
@@ -218,7 +229,8 @@ fn rounds_follow_the_closed_form() {
         let runs = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
             let out = run(&inst, seed, engine);
             assert!(out.report.satisfied, "n={n} seed={seed} {engine:?}");
-            assert_eq!(envelope_max_shortfall(&out.rho), gap, "n={n} seed={seed}");
+            let shortfall = envelope_max_shortfall(&out.rho, &out.path_order);
+            assert_eq!(shortfall, gap, "n={n} seed={seed}");
             let m = &out.metrics;
             let want = ncc0_exact::rounds_for(&inst.rho, gap, m.capacity);
             assert_eq!(m.rounds, want, "n={n} seed={seed} {engine:?}");

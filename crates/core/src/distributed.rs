@@ -16,7 +16,12 @@
 //! 2. in the same rounds, sort the records by need, non-increasing
 //!    (Theorem 3), so that position `x` holds the rank-`x` record — in
 //!    phase 1; a later phase re-orders the records in place instead, in
-//!    `O(log n)` rounds (the merge lane below);
+//!    `O(log n)` rounds (the merge lane below). Equal needs keep the
+//!    order of their origins' positions, which the establishment is keyed
+//!    with, so phase 1's sort is the class route where every degree is
+//!    below 8 and the capacity takes it beside the control sweep:
+//!    `⌈log₂ n⌉` rounds instead of the network's `O(log² n)`
+//!    ([`SortStep::by_class`]);
 //! 3. with `q = max(1, ⌊N/(δ+1)⌋)`, split the first `q(δ+1)` positions
 //!    into `q` star groups: the leader, each group's first record, is fully
 //!    satisfied and drops to 0; each of the other `δ` members decrements
@@ -203,14 +208,27 @@ pub enum Flavor {
     Explicit,
 }
 
+/// Rounds of a whole realization of `degrees`, one a member of the path —
+/// context establishment, keyed by the degrees, then [`DegreesCore`] — at
+/// capacity `cap`: [`schedule_rounds`] over the run's [`phase_groups`],
+/// the first phase's lane the class route or the network as
+/// [`sort::first_rounds_for`] decides beside the control sweep.
+pub fn rounds_for(degrees: &[usize], flavor: Flavor, explicit: bool, cap: usize) -> u64 {
+    let len = degrees.len();
+    let keys = degrees.iter().map(|&d| d as u64);
+    let first = sort::first_rounds_for(keys, cap, ops::sweep_load(len, cap));
+    let phases = phase_groups(degrees, flavor);
+    schedule_rounds(len, first, &phases, flavor, explicit, cap)
+}
+
 /// Rounds of a whole realization — context establishment, then
 /// [`DegreesCore`] — on a path of `len` nodes whose phases formed
 /// `phases[i] = (q, δ)`, `q` stars of `δ` members, in phase `i + 1`: one
 /// entry per phase but the last, the run's [`phase_groups`]. Every phase
 /// but the last runs the control sweep ([`ops::rounds_for`] at `cap`:
 /// paced, at most `2⌈log₂ len⌉`, under a capacity of six) beside the lane:
-/// the first phase's lane is the bitonic sort, a later one's the merge
-/// lane where [`merges`] says so, after a phase of `q` groups
+/// the first phase's lane is the first sort, `first` rounds, a later
+/// one's the merge lane where [`merges`] says so, after a phase of `q` groups
 /// [`sort::merge_rounds_for`]`(len, q)`, which ends inside the sweep while
 /// `q < 2^(control - ⌈log₂ len⌉ - 1)` (4 at `len = 2048`); the last phase
 /// (a refusal's included) ends on its control sweep, dropping the partial
@@ -223,8 +241,9 @@ pub enum Flavor {
 /// has landed too, then runs the blocks of the phases whose announcements
 /// wait for the loop's end, `⌈δ/r⌉` rounds each at the [`block_rate`] `r`,
 /// on `cap` lanes (module docs).
-pub fn rounds_for(
+pub fn schedule_rounds(
     len: usize,
+    first: u64,
     phases: &[(usize, usize)],
     flavor: Flavor,
     explicit: bool,
@@ -237,7 +256,7 @@ pub fn rounds_for(
         return commit + control;
     }
     let (mut landed, mut blocks) = (0, Blocks::default());
-    let mut phase = control.max(sort::rounds_for(len));
+    let mut phase = control.max(first);
     for &(groups, delta) in phases {
         commit += phase;
         match beside_rate(len, delta, cap) {
@@ -668,12 +687,12 @@ impl DegreesCore {
         self
     }
 
-    /// Opens a new Algorithm 3 phase: the control sweep and, in the same
-    /// rounds, the lane over the positions — the sort, or the merge lane
-    /// after a phase where [`merges`] says so; neither needs anything the
-    /// sweep computes — beside `hop`, the last phase's hop back to the
-    /// origins.
-    fn begin_phase(&mut self, hop: Option<Hop>) {
+    /// Opens a new Algorithm 3 phase at capacity `cap`: the control sweep
+    /// and, in the same rounds, the lane over the positions — the first
+    /// sort, the merge lane after a phase where [`merges`] says so, else
+    /// the sort again; none needs anything the sweep computes — beside
+    /// `hop`, the last phase's hop back to the origins.
+    fn begin_phase(&mut self, hop: Option<Hop>, cap: usize) {
         self.outcome.phases += 1;
         let words = [
             self.held.map_or(0, |h| h.key),
@@ -684,7 +703,11 @@ impl DegreesCore {
         let (vp, x) = (ctx.vp, ctx.position);
         let control = SweepStep::new(vp, ctx.contacts.clone(), x, &words, None, fold_control);
         let (contacts, held) = (ctx.contacts.clone(), self.held.take());
-        let lane = if self.outcome.phases > 1 && merges(self.flavor, vp.len) {
+        let lane = if self.outcome.phases == 1 {
+            let held = held.expect("a member starts with its own record");
+            let beside = ops::sweep_load(vp.len, cap);
+            SortStep::by_class(ctx, held.key, Order::Descending, held.origin, beside)
+        } else if merges(self.flavor, vp.len) {
             let lane = SortStep::merge(vp, contacts, x, held, self.shape, Order::Descending);
             self.shape.live -= self.shape.groups;
             lane
@@ -812,11 +835,12 @@ impl DegreesCore {
             });
             let ctx = &self.ctx;
             let mcast = Some(ImcastStep::new(ctx.vp, ctx.contacts.clone(), task));
-            self.begin_phase(Some(Hop {
+            let hop = Hop {
                 mcast,
                 status,
                 offset,
-            }));
+            };
+            self.begin_phase(Some(hop), rctx.capacity());
         }
     }
 }
@@ -826,10 +850,13 @@ impl Step for DegreesCore {
 
     fn poll(&mut self, rctx: &mut RoundCtx<'_>) -> Poll<Self::Out> {
         if self.outcome.phases == 0 {
-            let key = self.outcome.requested as u64;
-            let origin = rctx.id();
-            self.held = Some(Held { key, origin });
-            self.begin_phase(None);
+            let held = Held {
+                key: self.outcome.requested as u64,
+                origin: rctx.id(),
+                home: self.ctx.position,
+            };
+            self.held = Some(held);
+            self.begin_phase(None, rctx.capacity());
         }
         let polled = self.advance(rctx);
         let now = rctx.round();
@@ -842,7 +869,7 @@ impl Step for DegreesCore {
 
 #[cfg(test)]
 mod tests {
-    use super::{phase_groups, rounds_for, Flavor};
+    use super::{phase_groups, rounds_for, schedule_rounds, Flavor};
     use crate::driver::{prepare_degrees, realize_for_test};
     use dgr_ncc::{Config, EngineKind, Recording, RunEvent};
 
@@ -863,8 +890,9 @@ mod tests {
             assert_eq!(hop, levels_for(len) as u64 + 2, "len={len}");
             assert!(hop <= control + 2, "len={len}");
             if len.is_power_of_two() || len % 997 == 0 {
-                let first = ctx::rounds_for(len) + control.max(sort::rounds_for(len));
-                let run = rounds_for(len, &[(1, 1)], Flavor::Implicit, false, cap);
+                let sort = sort::rounds_for(len);
+                let first = ctx::rounds_for(len) + control.max(sort);
+                let run = schedule_rounds(len, sort, &[(1, 1)], Flavor::Implicit, false, cap);
                 assert_eq!(run - first, control.max(hop), "len={len}");
             }
         }
@@ -878,10 +906,11 @@ mod tests {
     /// longer than `⌈log₂ len⌉`: the compaction takes one round a bit of
     /// the groups, the merge pass `⌈log₂ len⌉ + 1`. At n = 2048 that is
     /// fewer than 4 groups: a run of 9 phases is the establishment (12), a
-    /// 66-round first phase, then seven phases of 19, 14, 20, 21, 14, 21
-    /// and 14 rounds — the lane after 118, 251, 419 and 418 groups, else
-    /// the 14-round sweep — and the 14-round closing sweep. The edge holds
-    /// for the paced sweep too.
+    /// first phase of the 14-round sweep beside the 11-round class route
+    /// (66 beside the network), then seven phases of 19, 14, 20, 21, 14,
+    /// 21 and 14 rounds — the lane after 118, 251, 419 and 418 groups,
+    /// else the 14-round sweep — and the 14-round closing sweep. The edge
+    /// holds for the paced sweep too.
     #[test]
     fn a_later_phase_is_its_control_sweep() {
         use dgr_primitives::{levels_for, ops, sort};
@@ -896,7 +925,11 @@ mod tests {
         }
         assert_eq!(ops::rounds_for(2048, 22), 14);
         let groups = [118, 1, 251, 419, 1, 418, 1, 419].map(|q| (q, 4));
-        assert_eq!(rounds_for(2048, &groups, Flavor::Implicit, false, 22), 215);
+        let run = |first| schedule_rounds(2048, first, &groups, Flavor::Implicit, false, 22);
+        assert_eq!(
+            [sort::route_rounds_for(2048), sort::rounds_for(2048)].map(run),
+            [163, 215]
+        );
     }
 
     /// The replay of the phase loop counts the phases a run takes; a
@@ -941,9 +974,10 @@ mod tests {
     /// and the second phase open in it.
     fn first_commit() -> u64 {
         use dgr_primitives::{ctx, ops, sort};
-        let n = 64;
-        let control = ops::rounds_for(n, Config::ncc0(7).capacity(n));
-        ctx::rounds_for(n) + control.max(sort::rounds_for(n))
+        let (n, cap) = (64, Config::ncc0(7).capacity(64));
+        let keys = (0..n as u64).map(|i| 2 + 2 * (i % 3));
+        let first = sort::first_rounds_for(keys, cap, ops::sweep_load(n, cap));
+        ctx::rounds_for(n) + ops::rounds_for(n, cap).max(first)
     }
 
     /// A member commits its need before its payload arrives, so losing
@@ -1071,7 +1105,7 @@ mod tests {
                 let (n, m) = (degrees.len(), out.metrics());
                 let groups = phase_groups(&degrees, flavor);
                 assert_eq!(groups.len() as u64 + 1, phases, "{degrees:?}");
-                assert_eq!(m.rounds, rounds_for(n, &groups, flavor, false, m.capacity));
+                assert_eq!(m.rounds, rounds_for(&degrees, flavor, false, m.capacity));
                 let rounds = recording.events().into_iter().filter_map(|e| match e {
                     RunEvent::RoundCompleted { live, .. } => Some(live),
                     _ => None,
@@ -1146,7 +1180,7 @@ mod tests {
             assert!(g.metrics.is_clean(), "{engine:?}");
             let groups = phase_groups(&degrees, flavor);
             assert_eq!(groups.len() as u64 + 1, g.phases, "{engine:?}");
-            let want = rounds_for(n, &groups, flavor, true, g.metrics.capacity);
+            let want = rounds_for(&degrees, flavor, true, g.metrics.capacity);
             assert_eq!(g.metrics.rounds, want, "{engine:?}");
             for &id in &g.path_order {
                 let mut listed = g.explicit_neighbors[&id].clone();

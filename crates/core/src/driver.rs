@@ -6,8 +6,8 @@
 //! path positions as input — assignment order is just bookkeeping.)
 //!
 //! Engine note: one driver, [`prepare_degrees`], runs the protocol —
-//! context establishment, then the [`DegreesCore`] phase loop over the
-//! full path — on the engine it is given: the **batched executor** in
+//! context establishment keyed by the degrees, then the [`DegreesCore`]
+//! phase loop over the full path — on the engine it is given: the **batched executor** in
 //! production, practical at six-digit `n` (`tests/scale.rs`); the
 //! reference interpreter in the differential suites
 //! (`crates/core/tests/batched_drivers.rs`, which also holds both to the
@@ -143,7 +143,7 @@ pub fn prepare_degrees(
     }
     let run = net.start(engine, participants, |s| {
         let degree = by_id[&s.id];
-        WithCtx::new(move |ctx: &PathCtx, _: &mut RoundCtx<'_>| {
+        WithCtx::keyed(degree as u64, move |ctx: &PathCtx, _: &mut RoundCtx<'_>| {
             DegreesCore::new(degree, flavor, ctx.clone())
         })
     })?;

@@ -14,6 +14,7 @@
 
 use dgr_core::distributed::{phase_groups, rounds_for, Flavor};
 use dgr_core::driver::{prepare_degrees, DriverOutput};
+use dgr_core::verify;
 use dgr_ncc::{Config, EngineKind};
 use dgr_primitives::{Poll, Step};
 use rand::Rng;
@@ -109,7 +110,7 @@ fn assert_golden(case: &str, out: &DriverOutput) {
 /// closed form of its round count: at its phase count when realized; a
 /// refusal ends on some phase's control sweep, before any hand-off.
 fn assert_closed_form(case: &str, degrees: &[usize], flavor: Flavor, out: &DriverOutput) {
-    let (len, m) = (degrees.len(), out.metrics());
+    let m = out.metrics();
     let groups = phase_groups(degrees, flavor);
     if let DriverOutput::Realized(r) = out {
         assert_eq!(groups.len() as u64 + 1, r.phases, "{case}: phases");
@@ -121,13 +122,35 @@ fn assert_closed_form(case: &str, degrees: &[usize], flavor: Flavor, out: &Drive
         flavor
     };
     let explicit = flavor == Flavor::Explicit;
-    let want = rounds_for(len, &groups, flavor, explicit, m.capacity);
+    let want = rounds_for(degrees, flavor, explicit, m.capacity);
     assert_eq!(m.rounds, want, "{case}: {} phases", groups.len() + 1);
+}
+
+/// Holds a realized run to its verifier: an exact flavor meets every
+/// requested degree with no duplicate edge ([`verify::degrees_match`]),
+/// the envelope covers every request within twice their sum (Theorem 13).
+fn assert_verified(case: &str, flavor: Flavor, out: &DriverOutput) {
+    let DriverOutput::Realized(r) = out else {
+        return;
+    };
+    if flavor == Flavor::Envelope {
+        let sum: usize = r.requested.values().sum();
+        let covered = r.requested.iter().all(|(id, &d)| r.multi_degrees[id] >= d);
+        assert!(covered, "{case}: a request uncovered");
+        let envelope_sum: usize = r.multi_degrees.values().sum();
+        assert!(
+            envelope_sum <= 2 * sum,
+            "{case}: Σd' = {envelope_sum} > 2Σd"
+        );
+    } else {
+        verify::degrees_match(&r.graph, &r.requested).unwrap_or_else(|e| panic!("{case}: {e}"));
+        assert_eq!(r.duplicate_edges, 0, "{case}");
+    }
 }
 
 /// Runs one unmasked case on both engines: golden == batched ==
 /// reference (the two engines on every metric), rounds on the closed
-/// form.
+/// form, the overlay verified.
 fn assert_case(case: &str, degrees: &[usize], config: Config, flavor: Flavor) {
     let batched = realize(degrees, None, config.clone(), flavor, EngineKind::Batched);
     let reference = realize(degrees, None, config, flavor, EngineKind::Reference);
@@ -135,6 +158,7 @@ fn assert_case(case: &str, degrees: &[usize], config: Config, flavor: Flavor) {
     assert_golden(case, &reference);
     assert_eq!(batched.metrics(), reference.metrics(), "{case}: engines");
     assert_closed_form(case, degrees, flavor, &batched);
+    assert_verified(case, flavor, &batched);
 }
 
 // White-box shorthand over the `prepare_degrees` engine room.
@@ -305,7 +329,7 @@ fn sweep_beside_the_sort_runs_clean_at_its_edges() {
                     assert_eq!(fits, g < edge, "{what}: {g} groups");
                 }
                 let explicit = flavor == Flavor::Explicit;
-                let want = rounds_for(n, &groups, flavor, explicit, m.capacity);
+                let want = rounds_for(&degrees, flavor, explicit, m.capacity);
                 assert_eq!(m.rounds, want, "{what}: {} phases", r.phases);
             }
         }
@@ -354,8 +378,10 @@ fn masked_prefix_realization_matches_the_reference() {
 /// A masked run's sub-network is a real sub-network: round budgets derive
 /// from the participant count (every primitive runs on a 6-node virtual
 /// path, log₂ 6 ≈ 3 doubling levels), so a 6-of-64 masked realization
-/// must cost strictly fewer rounds than the full-network one — per phase
-/// the gap is the `O(log² k)` vs `O(log² n)` sort alone.
+/// costs exactly the closed form at six nodes, the full-network one the
+/// closed form at 64, and the masked run strictly fewer rounds and
+/// messages. (Before the class sort the first sort's `O(log² k)` against
+/// `O(log² n)` made the gap over 20 rounds; both first sorts route now.)
 #[test]
 fn masked_runs_pay_subnetwork_round_budgets() {
     let n = 64;
@@ -368,11 +394,12 @@ fn masked_runs_pay_subnetwork_round_budgets() {
     };
     let masked = run(&degrees, Some(&mask[..]));
     let full = run(&vec![1usize; n], None);
-    // (Not a 2x bound: both runs pay the same *number* of phases for an
-    // all-ones sequence, so the constant parts of a phase dilute the
-    // per-primitive log-factor savings.)
+    let cap = full.metrics().capacity;
+    let closed = |len| rounds_for(&vec![1; len], Flavor::Implicit, false, cap);
+    assert_eq!(masked.metrics().rounds, closed(prefix), "masked");
+    assert_eq!(full.metrics().rounds, closed(n), "full");
     assert!(
-        masked.metrics().rounds + 20 < full.metrics().rounds,
+        masked.metrics().rounds < full.metrics().rounds,
         "masked {} rounds vs full {}",
         masked.metrics().rounds,
         full.metrics().rounds
@@ -408,6 +435,7 @@ fn sweep(
         assert_eq!(batched.metrics(), reference.metrics(), "{what}: engines");
         check(&degrees, &batched);
         assert_closed_form(&what, &degrees, flavor, &batched);
+        assert_verified(&what, flavor, &batched);
         rows.push(transcript(&batched));
     }
     rows
@@ -533,7 +561,8 @@ fn the_hand_off_stays_within_its_rate() {
                         let sent = Senders::default();
                         let run = net.run_protocol_on(engine, None, None, |s| {
                             let (degree, sent) = (by_id[&s.id], sent.clone());
-                            WithCtx::new(move |ctx: &PathCtx, _: &mut RoundCtx<'_>| {
+                            let key = degree as u64;
+                            WithCtx::keyed(key, move |ctx: &PathCtx, _: &mut RoundCtx<'_>| {
                                 let core = DegreesCore::new(degree, flavor, ctx.clone());
                                 Busiest::counting(core.explicit(), &[tags::EDGE], sent)
                             })
@@ -552,7 +581,7 @@ fn the_hand_off_stays_within_its_rate() {
                             .any(|&(_, d)| beside_rate(n, d, cap).is_none());
                         let most = if blocks { cap } else { 1 };
                         assert!((1..=most).contains(&busiest_sender(&sent)), "{what}");
-                        let want = rounds_for(n, &phases, flavor, true, cap);
+                        let want = rounds_for(&degrees, flavor, true, cap);
                         assert_eq!(run.metrics.rounds, want, "{what}");
                     }
                 }
@@ -575,9 +604,8 @@ fn a_lost_announcement_panics_its_leader() {
     let config = Config::ncc0(7).with_capacity_factor(0.1);
     let cap = config.capacity(n);
     assert_eq!((cap, beside_rate(n, n - 1, cap)), (4, None));
-    let groups = phase_groups(&star, Flavor::Explicit);
-    let block = rounds_for(n, &groups, Flavor::Explicit, false, cap);
-    assert!(rounds_for(n, &groups, Flavor::Explicit, true, cap) > block);
+    let block = rounds_for(&star, Flavor::Explicit, false, cap);
+    assert!(rounds_for(&star, Flavor::Explicit, true, cap) > block);
     let lost = Scenario::new(3).drop_messages(block..=block, 1.0);
     for engine in [EngineKind::Batched, EngineKind::Reference] {
         let config = config.clone().with_scenario(lost.clone());

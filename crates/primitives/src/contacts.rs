@@ -59,7 +59,7 @@ pub fn rounds_for(len: usize) -> u64 {
 }
 
 /// Direction words of the contact-construction messages.
-const SET_FWD: u64 = 0;
+pub(crate) const SET_FWD: u64 = 0;
 pub(crate) const SET_BWD: u64 = 1;
 
 /// Pointer-doubling contact construction as a [`Step`](crate::Step), on
@@ -121,11 +121,17 @@ impl Contacts {
         })
     }
 
-    /// Stages the level-`k` doubling exchange (`1 <= k < levels`).
-    pub(crate) fn send_level(&self, k: usize, ctx: &mut RoundCtx<'_>) {
+    /// Stages the level-`k` doubling exchange (`1 <= k < levels`): the
+    /// message behind carries `words[0]` after its direction word, the one
+    /// ahead `words[1]`.
+    pub(crate) fn send_level(&self, k: usize, ctx: &mut RoundCtx<'_>, words: [&[u64]; 2]) {
         if let (Some(b), Some(f)) = (self.bwd[k - 1], self.fwd[k - 1]) {
-            ctx.send(b, WireMsg::addr_word(tags::CONTACT, f, SET_FWD));
-            ctx.send(f, WireMsg::addr_word(tags::CONTACT, b, SET_BWD));
+            let msg = |to, dir, extra: &[u64]| {
+                let msg = WireMsg::addr_word(tags::CONTACT, to, dir);
+                extra.iter().fold(msg, |msg, &w| msg.with_word(w))
+            };
+            ctx.send(b, msg(f, SET_FWD, words[0]));
+            ctx.send(f, msg(b, SET_BWD, words[1]));
         }
     }
 
@@ -154,7 +160,7 @@ impl Rounds for Contacts {
             return Poll::Ready(self.take_table());
         }
         // Poll t stages level t + 1, which poll t + 1 consumes.
-        self.send_level(t as usize + 1, ctx);
+        self.send_level(t as usize + 1, ctx, [&[], &[]]);
         Poll::Pending
     }
 }

@@ -1,32 +1,47 @@
 //! [`PathCtx`]: what every algorithm establishes on a path before doing
-//! real work — the contact table and this node's position.
+//! real work — the contact table and this node's position, and, keyed,
+//! what the position needs to sort by class.
 //!
 //! [`EstablishCtx`] establishes it as a single [`Step`]: the undirection,
-//! then the contact doubling with a **rank lane** beside it, so composite
+//! then the contact doubling with a **count lane** beside it, so composite
 //! protocols (the realization drivers) get the full path context in one
 //! stage. The paper builds a balanced binary search tree on the path
 //! (Theorem 1) and walks it for the positions (Corollary 2); the contacts
 //! alone are enough (ARCHITECTURE.md, *Deviations from the paper*).
 //!
-//! The rank lane is Wyllie's list ranking on the doubling's own links.
-//! Before level `k` a node knows `c_k = min(pos, 2^k)`, the number of
-//! nodes behind it capped at `2^k` (`c_0` needs no message: only the head
-//! sends at level 0, and its count is 0). At level `k` a node without a
-//! `2^k`-behind contact has `pos < 2^k`, so `c_k` is its exact position,
-//! and it sends it to its `2^k`-ahead contact — exactly the `SET_BWD`
-//! message the doubling skips at such a node. Every node that has a
-//! `2^k`-behind contact `b` hears from `b` once at level `k`: a count `c`
-//! (then `c_{k+1} = 2^k + c`), or `b`'s `SET_BWD` (then `b` itself has
-//! `2^k` nodes behind it, and `c_{k+1} = 2^(k+1)`). After the last table
-//! level one more round of counts gives `c = pos`, since `pos < len ≤
-//! 2^⌈log₂ len⌉`: `⌈log₂ len⌉` rounds in all, at most `len - 1` messages
-//! beside the doubling's. A missing count is a lost message, and it
-//! panics.
+//! The count lane is a Hillis–Steele scan on the doubling's own links.
+//! Every position holds a key, and the keys fall into [`CLASSES`] classes
+//! and an overflow class for every larger key ([`Tally`]). Before level
+//! `k` a node knows the tally of the `2^k` positions ending at it (fewer
+//! at the head). At level `k` every node with a `2^k`-ahead contact sends
+//! it its tally: on the doubling's `SET_BWD`, or, at a node without a
+//! `2^k`-behind contact, which the doubling skips, on a [`tags::RANK`]
+//! message of its own. A node with a `2^k`-behind contact hears from it
+//! once and adds that tally to its own, so after `⌈log₂ len⌉` levels — one
+//! round of counts past the doubling's last table level — it holds the
+//! tally of every position up to its own. `⌈log₂ len⌉` rounds in all, at
+//! most `len - 1` messages beside the doubling's, and no word more than a
+//! count: unkeyed, every key is in one class, a full window (a `SET_BWD`)
+//! counts `2^k` without saying so, and a `RANK` carries one count. The
+//! position is that count less one — Wyllie's list ranking.
+//!
+//! **Keyed** ([`EstablishCtx::keyed`]), the tallies count classes apart,
+//! packed a few bits a class into the messages' spare words, and the same
+//! scan runs toward the tail on the doubling's `SET_FWD`, the nodes
+//! without a `2^k`-ahead contact adding a `RANK` toward the head, at most
+//! `len - 1` messages more. No node hears more than two messages a round,
+//! as in the doubling alone. At the end a position knows its rank among
+//! the earlier keys of its class and every class total ([`Classes`]):
+//! what a stable counting sort by class needs ([`SortStep::by_class`]).
+//!
+//! A missing count is a lost message, and it panics.
+//!
+//! [`SortStep::by_class`]: crate::sort::SortStep::by_class
 
-use crate::contacts::{ContactTable, Contacts, SET_BWD};
+use crate::contacts::{ContactTable, Contacts, SET_BWD, SET_FWD};
 use crate::step::{Lockstep, Poll, Rounds, Step};
 use crate::vpath::VPath;
-use dgr_ncc::{tags, RoundCtx, WireMsg};
+use dgr_ncc::{tags, RoundCtx, WireEnvelope, WireMsg, WIRE_WORDS};
 use std::sync::Arc;
 
 /// Everything a node knows about one virtual path after the standard
@@ -39,8 +54,8 @@ use std::sync::Arc;
 /// holds a reference-counted handle instead of a deep copy. A composite
 /// stage machine's transition therefore moves a pointer, not kilobytes of
 /// table — the memory discipline that carries the batched drivers from
-/// 2·10⁵ to 10⁶ nodes. The scalar members ([`VPath`], the position) stay
-/// plain `Copy` data.
+/// 2·10⁵ to 10⁶ nodes. The scalar members ([`VPath`], the position, the
+/// classes) stay plain `Copy` data.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PathCtx {
     /// The path view this context was built on.
@@ -49,12 +64,127 @@ pub struct PathCtx {
     pub contacts: Arc<ContactTable>,
     /// This node's position on the path, 0 at the head.
     pub position: usize,
+    /// The keys' classes, where the establishment was keyed and the path
+    /// is short enough to count them ([`counts_classes`]).
+    pub classes: Option<Classes>,
+}
+
+/// Key classes the keyed establishment counts apart: one for each key
+/// below `CLASSES`, and one more, the overflow, for every larger key.
+pub const CLASSES: usize = 8;
+
+/// Records per key class over a stretch of a path: entry `c` counts the
+/// keys `c < CLASSES`, entry `CLASSES` every larger key.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Tally(pub [u32; CLASSES + 1]);
+
+/// Words a tally may take in a message: all but the doubling's direction.
+const TALLY_WORDS: usize = WIRE_WORDS - 1;
+
+impl Tally {
+    /// The class of `key`.
+    pub fn class(key: u64) -> usize {
+        key.min(CLASSES as u64) as usize
+    }
+
+    /// The tally of the keys `of`.
+    pub fn of(of: impl IntoIterator<Item = u64>) -> Self {
+        let mut tally = Tally::default();
+        for key in of {
+            tally.0[Self::class(key)] += 1;
+        }
+        tally
+    }
+
+    /// `count` records, all of class 0: the unkeyed lane's tally.
+    fn single(count: u32) -> Self {
+        let mut tally = Tally::default();
+        tally.0[0] = count;
+        tally
+    }
+
+    /// Records counted, every class.
+    pub fn count(&self) -> usize {
+        self.0.iter().map(|&c| c as usize).sum()
+    }
+
+    /// Whether some key is past the classes.
+    pub fn overflows(&self) -> bool {
+        self.0[CLASSES] > 0
+    }
+
+    /// Classes holding a record.
+    pub fn classes(&self) -> usize {
+        self.0.iter().filter(|&&c| c > 0).count()
+    }
+
+    fn add(&mut self, other: &Tally) {
+        for (mine, theirs) in self.0.iter_mut().zip(other.0) {
+            *mine += theirs;
+        }
+    }
+
+    /// The tally as words, `width` bits a class, and how many words.
+    fn pack(&self, width: u32) -> ([u64; TALLY_WORDS], usize) {
+        let mut words = [0; TALLY_WORDS];
+        for (i, &count) in self.0.iter().enumerate() {
+            let bit = i * width as usize;
+            let (word, shift) = (bit / 64, bit % 64);
+            words[word] |= u64::from(count) << shift;
+            if shift + width as usize > 64 {
+                words[word + 1] |= u64::from(count) >> (64 - shift);
+            }
+        }
+        (words, (self.0.len() * width as usize).div_ceil(64))
+    }
+
+    /// [`Tally::pack`]'s inverse.
+    fn unpack(words: &[u64], width: u32) -> Self {
+        let mut tally = Tally::default();
+        let mask = (1u64 << width) - 1;
+        for (i, count) in tally.0.iter_mut().enumerate() {
+            let bit = i * width as usize;
+            let (word, shift) = (bit / 64, bit % 64);
+            let mut value = words[word] >> shift;
+            if shift + width as usize > 64 {
+                value |= words[word + 1] << (64 - shift);
+            }
+            *count = (value & mask) as u32;
+        }
+        tally
+    }
+}
+
+/// Bits a class a tally takes on a path of `len` nodes, where its classes
+/// fit a message beside the doubling's direction word.
+fn tally_width(len: usize) -> Option<u32> {
+    let width = usize::BITS - len.leading_zeros();
+    ((CLASSES + 1) * width as usize <= 64 * TALLY_WORDS).then_some(width)
+}
+
+/// Whether a keyed establishment on a path of `len` nodes counts the
+/// classes: where its tallies fit a message, `len < 2^21`. A longer path
+/// establishes as if unkeyed, without [`Classes`].
+pub fn counts_classes(len: usize) -> bool {
+    tally_width(len).is_some()
+}
+
+/// What the keyed establishment tells a position about the keys on its
+/// path.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Classes {
+    /// Keys per class over the whole path.
+    pub totals: Tally,
+    /// This position's class: its key's.
+    pub class: usize,
+    /// The earlier positions whose key is of this class.
+    pub rank: usize,
 }
 
 /// Rounds for [`EstablishCtx::on`] — the context on an already-linked
 /// virtual path of `len` nodes: the contact doubling's
 /// [`contacts::rounds_for`](crate::contacts::rounds_for) and one round of
-/// counts past it, `⌈log₂ len⌉` (0 for a single node).
+/// counts past it, `⌈log₂ len⌉` (0 for a single node), keyed or not.
 pub fn rounds_on(len: usize) -> u64 {
     crate::levels_for(len) as u64
 }
@@ -114,7 +244,7 @@ impl Step for UndirectStep {
     }
 }
 
-/// The contact doubling with the rank lane beside it (see the module
+/// The contact doubling with the count lane beside it (see the module
 /// docs) on an already-linked path. Rounds: exactly [`rounds_on`].
 type PositionsStep = Lockstep<Positions>;
 
@@ -123,44 +253,76 @@ type PositionsStep = Lockstep<Positions>;
 struct Positions {
     vp: VPath,
     contacts: Contacts,
-    /// `c_t` at poll `t`: the nodes behind this one, capped at `2^t`.
-    count: usize,
+    /// Keyed: the tallies' bits a class, and this position's class.
+    keyed: Option<(u32, usize)>,
+    /// At poll `t`: the tally of the `2^t` positions ending here.
+    behind: Tally,
+    /// Keyed, at poll `t`: the tally of the `2^t` positions starting here.
+    ahead: Tally,
 }
 
 impl Positions {
-    fn step(vp: VPath) -> PositionsStep {
+    fn step(vp: VPath, key: Option<u64>) -> PositionsStep {
+        let class = key.map_or(0, Tally::class);
+        let own = Tally::of([class as u64]);
         let positions = Positions {
             vp,
             contacts: Contacts::new(vp),
-            count: 0,
+            keyed: key.and(tally_width(vp.len)).map(|width| (width, class)),
+            behind: own,
+            ahead: own,
         };
         Lockstep::run(vp.member, rounds_on(vp.len), positions)
     }
 
-    /// Consumes level `k`'s count: the one message from the contact `2^k`
-    /// behind, if there is one.
-    fn absorb_count(&mut self, k: usize, ctx: &RoundCtx<'_>) {
-        let Some(behind) = self.contacts.level(k).1 else {
+    /// The words a count message carries for `tally`: keyed, the packed
+    /// classes; else the one count.
+    fn words(&self, tally: &Tally) -> ([u64; TALLY_WORDS], usize) {
+        match self.keyed {
+            Some((width, _)) => tally.pack(width),
+            None => ([u64::from(tally.0[0]), 0, 0], 1),
+        }
+    }
+
+    /// Consumes level `k`'s count from the contact `2^k` away on the
+    /// side `ahead`, if there is one: its `RANK`, or its doubling message
+    /// in direction `dir`, whose window is full.
+    fn absorb_count(&mut self, k: usize, ahead: bool, ctx: &RoundCtx<'_>) {
+        let (fwd, bwd) = self.contacts.level(k);
+        let (from, dir) = if ahead {
+            (fwd, SET_FWD)
+        } else {
+            (bwd, SET_BWD)
+        };
+        let Some(from) = from else {
             return;
+        };
+        let is_count = |e: &&WireEnvelope| {
+            e.src == from
+                && (e.msg.tag == tags::RANK || e.msg.tag == tags::CONTACT && e.word() == dir)
         };
         let env = ctx
             .inbox()
             .iter()
-            .find(|e| {
-                e.src == behind
-                    && (e.msg.tag == tags::RANK
-                        || e.msg.tag == tags::CONTACT && e.word() == SET_BWD)
-            })
-            .expect("message loss: a node missed the count of its contact behind");
-        let theirs = if env.msg.tag == tags::RANK {
-            env.word() as usize
-        } else {
-            1 << k
+            .find(is_count)
+            .unwrap_or_else(|| match ahead {
+                true => panic!("message loss: a node missed the count of its contact ahead"),
+                false => panic!("message loss: a node missed the count of its contact behind"),
+            });
+        let words = env.msg.words_slice();
+        let theirs = match (self.keyed, env.msg.tag == tags::RANK) {
+            (Some((width, _)), rank) => Tally::unpack(&words[usize::from(!rank)..], width),
+            (None, true) => Tally::single(words[0] as u32),
+            (None, false) => Tally::single(1 << k),
         };
-        self.count = (1 << k) + theirs;
+        let mine = if ahead {
+            &mut self.ahead
+        } else {
+            &mut self.behind
+        };
+        mine.add(&theirs);
     }
 }
-
 impl Rounds for Positions {
     type Out = PathCtx;
 
@@ -170,22 +332,49 @@ impl Rounds for Positions {
             self.contacts.learn_level(t, ctx);
         }
         if t > 0 {
-            self.absorb_count(k - 1, ctx);
+            self.absorb_count(k - 1, false, ctx);
+            if self.keyed.is_some() {
+                self.absorb_count(k - 1, true, ctx);
+            }
         }
         if t == budget {
+            let classes = self.keyed.map(|(_, class)| {
+                let mut totals = self.behind;
+                totals.add(&self.ahead);
+                totals.0[class] -= 1;
+                let rank = self.behind.0[class] as usize - 1;
+                Classes {
+                    totals,
+                    class,
+                    rank,
+                }
+            });
             return Poll::Ready(PathCtx {
                 vp: self.vp,
                 contacts: self.contacts.take_table(),
-                position: self.count,
+                position: self.behind.count() - 1,
+                classes,
             });
         }
-        // The doubling's own exchange, unchanged, then the count where
-        // the doubling skips its `SET_BWD`.
+        // The doubling's own exchange, carrying the keyed tallies, then
+        // the counts where the doubling sends nothing.
+        let (behind, n_behind) = self.words(&self.behind);
+        let (ahead, n_ahead) = match self.keyed {
+            Some(_) => self.words(&self.ahead),
+            None => Default::default(),
+        };
         if k + 1 < self.vp.levels() {
-            self.contacts.send_level(k + 1, ctx);
+            let words = match self.keyed {
+                Some(_) => [&ahead[..n_ahead], &behind[..n_behind]],
+                None => [&[][..], &[]],
+            };
+            self.contacts.send_level(k + 1, ctx, words);
         }
-        if let (Some(ahead), None) = self.contacts.level(k) {
-            ctx.send(ahead, WireMsg::word(tags::RANK, self.count as u64));
+        let count = |words: &[u64]| WireMsg::words(tags::RANK, words);
+        match self.contacts.level(k) {
+            (Some(fwd), None) => ctx.send(fwd, count(&behind[..n_behind])),
+            (None, Some(bwd)) if self.keyed.is_some() => ctx.send(bwd, count(&ahead[..n_ahead])),
+            _ => {}
         }
         Poll::Pending
     }
@@ -200,10 +389,11 @@ impl Rounds for Positions {
 
 /// The `O(log n)`-round context establishment as one chainable [`Step`]
 /// producing a [`PathCtx`]: the undirection (on `G_k`), then the contact
-/// doubling with its rank lane. The contact table is built once and
-/// handed on as an interned `Arc`.
+/// doubling with its count lane, keyed or not. The contact table is built
+/// once and handed on as an interned `Arc`.
 pub struct EstablishCtx {
     undirect: Option<UndirectStep>,
+    key: Option<u64>,
     positions: Option<PositionsStep>,
 }
 
@@ -213,7 +403,17 @@ impl EstablishCtx {
     pub fn new() -> Self {
         EstablishCtx {
             undirect: Some(UndirectStep::new()),
+            key: None,
             positions: None,
+        }
+    }
+
+    /// [`EstablishCtx::new`], keyed: every node passes its `key`, and the
+    /// context counts the keys' classes (module docs) in the same rounds.
+    pub fn keyed(key: u64) -> Self {
+        EstablishCtx {
+            key: Some(key),
+            ..Self::new()
         }
     }
 
@@ -222,7 +422,16 @@ impl EstablishCtx {
     pub fn on(vp: VPath) -> Self {
         EstablishCtx {
             undirect: None,
-            positions: Some(Positions::step(vp)),
+            key: None,
+            positions: Some(Positions::step(vp, None)),
+        }
+    }
+
+    /// [`EstablishCtx::on`], keyed as [`EstablishCtx::keyed`].
+    pub fn on_keyed(vp: VPath, key: u64) -> Self {
+        EstablishCtx {
+            positions: Some(Positions::step(vp, Some(key))),
+            ..Self::on(vp)
         }
     }
 }
@@ -242,7 +451,7 @@ impl Step for EstablishCtx {
                 return Poll::Pending;
             };
             self.undirect = None;
-            self.positions = Some(Positions::step(vp));
+            self.positions = Some(Positions::step(vp, self.key));
         }
         let positions = self.positions.as_mut().expect("built above");
         positions.poll(ctx)
@@ -269,6 +478,14 @@ impl<S: Step, F> WithCtx<S, F> {
             establish: EstablishCtx::new(),
             make: Some(make),
             stage: None,
+        }
+    }
+
+    /// [`WithCtx::new`] on a keyed establishment ([`EstablishCtx::keyed`]).
+    pub fn keyed(key: u64, make: F) -> Self {
+        WithCtx {
+            establish: EstablishCtx::keyed(key),
+            ..Self::new(make)
         }
     }
 }
@@ -370,6 +587,72 @@ mod tests {
             let counts = runs[0].metrics.messages - doubling.metrics.messages;
             assert!(counts < n.max(1) as u64, "n={n}: {counts} counts");
         }
+    }
+
+    /// Keyed, at every path length from 1 to 300 and on both engines:
+    /// every position learns its position, its class, its rank among the
+    /// earlier keys of its class and every class total, in the unkeyed
+    /// rounds, with at most `len - 1` messages more than unkeyed and no
+    /// node hearing more than two a round.
+    #[test]
+    fn keyed_classes_equal_a_sequential_count_at_every_length() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(21);
+        for n in 1..=300 {
+            let net = Network::new(n, Config::ncc0(n as u64).with_capacity_factor(0.1));
+            let order = net.ids_in_path_order().to_vec();
+            let top = [3, 8, 12][n % 3];
+            let keys: std::collections::HashMap<_, u64> = order
+                .iter()
+                .map(|&id| (id, rng.gen_range(0..top)))
+                .collect();
+            let unkeyed = establish(n, EngineKind::Batched, None);
+            let runs = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
+                let keys = &keys;
+                net.run_protocol_on(engine, None, None, |s| {
+                    StepProtocol::new(EstablishCtx::keyed(keys[&s.id]))
+                })
+                .unwrap()
+            });
+            assert_eq!(runs[0].outputs, runs[1].outputs, "n={n}");
+            assert_eq!(runs[0].metrics, runs[1].metrics, "n={n}");
+            let m = &runs[0].metrics;
+            assert!(m.is_clean(), "n={n}: {:?}", m.violations);
+            assert_eq!(m.rounds, rounds_for(n), "n={n}");
+            assert!(m.max_received_per_round <= 2, "n={n}");
+            assert!(
+                m.messages - unkeyed.metrics.messages < n.max(1) as u64,
+                "n={n}"
+            );
+            let totals = Tally::of(order.iter().map(|id| keys[id]));
+            for (x, (id, ctx)) in runs[0].outputs.iter().enumerate() {
+                let class = Tally::class(keys[id]);
+                let before = order[..x].iter().filter(|b| Tally::class(keys[b]) == class);
+                let want = Classes {
+                    totals,
+                    class,
+                    rank: before.count(),
+                };
+                assert_eq!(ctx.position, x, "n={n}");
+                assert_eq!(ctx.classes, Some(want), "n={n} x={x}");
+            }
+        }
+    }
+
+    /// A tally survives its packing at every width the lane uses, each
+    /// class at its largest count.
+    #[test]
+    fn tallies_pack_and_unpack_at_every_width() {
+        for len in [1, 2, 3, 255, 256, 2048, (1 << 21) - 1] {
+            let width = tally_width(len).expect("counted");
+            let full = Tally([len as u32; CLASSES + 1]);
+            let (words, used) = full.pack(width);
+            assert_eq!(Tally::unpack(&words[..used], width), full, "len={len}");
+            let one = Tally::of([CLASSES as u64 + 5]);
+            assert_eq!(Tally::unpack(&one.pack(width).0, width), one, "len={len}");
+        }
+        assert_eq!(Tally::of([4; 2048]).pack(12).1, 2);
+        assert!(!counts_classes(1 << 21));
     }
 
     /// On a masked run the positions are the participants' ranks along

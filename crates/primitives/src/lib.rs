@@ -34,10 +34,11 @@
 //! | [`ctx::UndirectStep`] | §3.1 | 1 |
 //! | [`warmup::WarmupStep`] (Fig. 1 tree) | §3.1.1 | `2 (ceil(log2 n) + 1)` |
 //! | [`contacts::ContactsStep`] (pointer doubling) | — | `ceil(log2 n) - 1` |
-//! | [`ctx::EstablishCtx`] (undirect, then the doubling with a rank lane: positions, Cor. 2) | §3.1 | `1 + ceil(log2 n)` |
+//! | [`ctx::EstablishCtx`] (undirect, then the doubling with a count lane: positions, Cor. 2; keyed, each key's rank in its class and the class totals too) | §3.1 | `1 + ceil(log2 n)` |
 //! | [`ops::SweepStep`] (Thm 4 on a shallow tree of the contacts, each position below itself less its lowest NAF digit: up to four words and an address, one fold, at most four messages a node a round; paced to two, one level a round, where the capacity is under six) | §3.2.1 | `2 depth`, `depth <= ceil(ceil(log2 n) / 2) + 1`; paced `<= 2 ceil(log2 n)` |
 //! | [`ops::SweepStep::broadcast`] / [`ops::SweepStep::released`] (the broadcast half alone: from position 0, or when a message reaches it) | §3.2.1 | `depth` |
-//! | [`sort::SortStep`] (Thm 3: the rank-`x` record ends at position `x`) | §3.1.2 | `O(log² n)` |
+//! | [`sort::SortStep`] (Thm 3: the rank-`x` record ends at position `x`; ties by the establishment position) | §3.1.2 | `O(log² n)` |
+//! | [`sort::SortStep::by_class`] (a first sort on a keyed path: the class route where no key is past 7 and the capacity takes it, else the network) | — | `ceil(log2 n)` routed |
 //! | [`sort::SortStep::merge`] (re-order in place after a group phase of `g` groups) | — | `ceil(log2(g + 1)) + ceil(log2 n) + 1` |
 //! | [`sort::RankStep`] (the sort's epilogue: each origin learns its sorted path) | §3.1.2 | 2 |
 //! | [`prefix::PrefixStep`] | §5 | `ceil(log2 n)` |

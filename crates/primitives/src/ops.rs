@@ -96,12 +96,20 @@ pub fn broadcast_rounds_for(len: usize, cap: usize) -> u64 {
 pub const BESIDE: usize = 2;
 
 /// Messages a node a round that a sweep on a path of `len` nodes and the
-/// steps beside it ([`BESIDE`]) take at capacity `cap`: four sweep
-/// messages, or two where it runs paced or the path is under ten
-/// positions.
+/// steps beside it ([`BESIDE`]) take at capacity `cap`.
 pub fn load(len: usize, cap: usize) -> usize {
-    let sweep = if len < 10 || 4 + BESIDE > cap { 2 } else { 4 };
-    sweep + BESIDE
+    sweep_load(len, cap) + BESIDE
+}
+
+/// Messages a node a round that a sweep on a path of `len` nodes takes at
+/// capacity `cap`: four, or two where it runs paced or the path is under
+/// ten positions.
+pub fn sweep_load(len: usize, cap: usize) -> usize {
+    if len < 10 || 4 + BESIDE > cap {
+        2
+    } else {
+        4
+    }
 }
 
 /// A contact of the sweep tree: its level `j` and whether it sits `2^j`

@@ -13,6 +13,32 @@
 //! * records `(key, origin)` migrate between positions; the nodes
 //!   themselves never move.
 //!
+//! **One tie rule.** Equal keys keep the order of their origins'
+//! establishment positions, the position each record started at (its
+//! [`Held::home`]): in the network, in the merge lane and in the class
+//! route alike, so that a merge joins runs a route left just as it joins
+//! runs the network left. The position rides in the low `⌈log₂ n⌉` bits
+//! of the key word, so no message carries a word for it; keys are below
+//! `2^(64 - ⌈log₂ n⌉)`.
+//!
+//! **A class sort for the first sort.** Where the establishment was keyed
+//! ([`EstablishCtx::keyed`](crate::EstablishCtx::keyed)), every position
+//! knows its record's class, its rank among the earlier records of that
+//! class and every class total ([`Classes`]). When no key overflows the
+//! classes and the capacity takes a record of every non-empty class a
+//! round beside what runs with the sort, [`SortStep::by_class`] runs a
+//! stable counting sort instead of the network — Blelloch's radix
+//! "split", every class at once: each record goes to `offset[class] +
+//! rank`, one bit of its signed displacement a round, least significant
+//! first, over the contacts ([`route_rounds_for`]: `⌈log₂ n⌉` rounds).
+//! Within a class the destinations keep the positions' order and the
+//! displacements do not increase along the path, so — as in Nassimi and
+//! Sahni's monotone "concentrate" routes — two records of one class never
+//! meet at a position: a node sends and receives at most one record a
+//! class a round. Every node takes the same choice from `(totals, n,
+//! cap)` at its first poll ([`first_rounds_for`]), and the route ends in
+//! the network's contract, with the network's order.
+//!
 //! [`SortStep`] is the network alone: it ends with the rank-`x` record
 //! [`Held`] at position `x`, wherever the records started. A caller that
 //! keeps working in position space — Algorithm 3's phase loop, the tree
@@ -39,7 +65,7 @@
 //! stay vacant at the end.
 
 use crate::contacts::ContactTable;
-use crate::ctx::PathCtx;
+use crate::ctx::{self, Classes, PathCtx, Tally, CLASSES};
 use crate::step::{Lockstep, Poll, Rounds};
 use crate::vpath::VPath;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
@@ -69,24 +95,51 @@ pub enum Order {
 }
 
 impl Order {
-    /// Transforms a key so that ascending order on the transformed key
-    /// realizes this order on the original key.
-    pub(crate) fn encode_key(self, key: u64) -> u64 {
-        match self {
+    /// Packs a key and its record's home position, below `2^width`, into
+    /// one word whose ascending order is this order on the key, ties by
+    /// the position.
+    fn pack(self, key: u64, home: usize, width: u32) -> u64 {
+        let top = u64::MAX >> width;
+        assert!(key <= top, "a sort key past 2^(64 - ⌈log₂ n⌉)");
+        debug_assert!(home as u64 >> width == 0, "a home past the path");
+        let key = match self {
             Order::Ascending => key,
-            Order::Descending => !key,
+            Order::Descending => top - key,
+        };
+        key << width | home as u64
+    }
+
+    /// [`Order::pack`]'s inverse: the key and the home position.
+    fn unpack(self, word: u64, width: u32) -> (u64, usize) {
+        let (top, key) = (u64::MAX >> width, word >> width);
+        let key = match self {
+            Order::Ascending => key,
+            Order::Descending => top - key,
+        };
+        (key, (word & !(u64::MAX << width)) as usize)
+    }
+
+    /// Whether the records of class `a` come before those of class `b`.
+    fn before(self, a: usize, b: usize) -> bool {
+        match self {
+            Order::Ascending => a < b,
+            Order::Descending => a > b,
         }
     }
 }
 
 /// A record where a [`SortStep`] leaves it: the key it was sorted by, as
-/// the caller passed it, and the node it belongs to.
+/// the caller passed it, the node it belongs to and the position it
+/// started at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Held {
     /// The record's key.
     pub key: u64,
     /// The node whose record it is.
     pub origin: NodeId,
+    /// The position the record started the first sort at — its origin's
+    /// establishment position, which breaks ties between equal keys.
+    pub home: usize,
 }
 
 /// The sorted-path handle [`RankStep`] hands a node for its own record.
@@ -163,6 +216,36 @@ pub fn rounds_for(len: usize) -> u64 {
 /// (`< len`).
 pub fn merge_rounds_for(len: usize, groups: usize) -> u64 {
     (crate::levels_for(groups + 1) + crate::levels_for(len)) as u64 + 1
+}
+
+/// Number of rounds the class route of [`SortStep::by_class`] takes on a
+/// path of `len` nodes: a round a bit of the longest displacement,
+/// `⌈log₂ len⌉`.
+pub fn route_rounds_for(len: usize) -> u64 {
+    crate::levels_for(len) as u64
+}
+
+/// Whether a first sort over keys whose classes tally `totals` takes the
+/// class route at capacity `cap`, beside steps that send and receive up to
+/// `beside` messages a node a round: no key overflows the classes, and
+/// the capacity takes a record of every non-empty class a round beside
+/// them.
+pub fn routes(totals: &Tally, cap: usize, beside: usize) -> bool {
+    !totals.overflows() && totals.classes() + beside <= cap
+}
+
+/// Rounds of [`SortStep::by_class`] over `keys`, one a position of a path
+/// established keyed, at capacity `cap` beside `beside` messages a node a
+/// round: the class route's where the establishment counted the classes
+/// and [`routes`] says so, else the network's.
+pub fn first_rounds_for(keys: impl IntoIterator<Item = u64>, cap: usize, beside: usize) -> u64 {
+    let totals = Tally::of(keys);
+    let len = totals.count();
+    if ctx::counts_classes(len) && routes(&totals, cap, beside) {
+        route_rounds_for(len)
+    } else {
+        rounds_for(len)
+    }
 }
 
 /// Number of rounds [`RankStep`] takes, at any path length.
@@ -254,8 +337,8 @@ fn comparator_within(
         .map(|(partner, low)| (partner - offset, low))
 }
 
-/// A record traveling through the comparator network, its key encoded
-/// for ascending order.
+/// A record traveling between positions: its key and home position
+/// packed for ascending order ([`Order::pack`]), and its origin.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Record {
     key: u64,
@@ -263,22 +346,48 @@ struct Record {
 }
 
 impl Record {
-    fn encode(held: Held, order: Order) -> Self {
+    /// `held`, on a path whose positions take `width` bits.
+    fn encode(held: Held, order: Order, width: u32) -> Self {
         Record {
-            key: order.encode_key(held.key),
+            key: order.pack(held.key, held.home, width),
             origin: held.origin,
         }
+    }
+
+    fn decode(self, order: Order, width: u32) -> Held {
+        let (key, home) = order.unpack(self.key, width);
+        Held {
+            key,
+            origin: self.origin,
+            home,
+        }
+    }
+
+    /// The record from a message carrying it: its origin's address, the
+    /// packed key and one more word.
+    fn received(env: &dgr_ncc::WireEnvelope) -> (Self, u64) {
+        let record = Record {
+            key: env.word(),
+            origin: env.addr(),
+        };
+        (record, env.msg.words_slice()[1])
+    }
+
+    /// The message carrying this record and `word` between positions.
+    fn moving(self, word: u64) -> WireMsg {
+        WireMsg::addr_word(tags::SORT_SHIFT, self.origin, self.key).with_word(word)
     }
 }
 
 /// Theorem 3 as a [`Step`](crate::Step): the Batcher odd-even mergesort
 /// network over path positions (rounds: exactly [`rounds_for`]`(vp.len)`),
 /// or — built by [`SortStep::merge`] — the compaction and the one merge
-/// pass that re-order the records after a group phase. Either ends with
-/// the rank-`x` record [`Held`] at position `x` (`None` past the last
-/// record). Ties break by origin ID, making the result deterministic.
-/// Legal under the strict capacity policy; a non-member view idles
-/// through the same rounds and holds nothing.
+/// pass that re-order the records after a group phase, or — built by
+/// [`SortStep::by_class`] where the keys allow it — the class route. Each
+/// ends with the rank-`x` record [`Held`] at position `x` (`None` past
+/// the last record). Ties break by home position, making the result
+/// deterministic. Legal under the strict capacity policy; a non-member
+/// view idles through the same rounds and holds nothing.
 pub type SortStep = Lockstep<Sort>;
 
 /// [`SortStep`]'s member rounds: the compaction rounds, then the
@@ -288,6 +397,8 @@ pub struct Sort {
     contacts: Arc<ContactTable>,
     x: usize,
     order: Order,
+    /// Bits a position takes in a record's key word: `⌈log₂ len⌉`.
+    width: u32,
     /// Compaction rounds ahead of the comparator stages (none in a sort).
     shifts: u64,
     it: StageIter,
@@ -301,12 +412,26 @@ pub struct Sort {
     shift: usize,
     /// The in-flight comparator staged last round.
     cmp: Option<(usize, bool)>,
+    /// The class route, from its first poll on if the capacity takes it;
+    /// the network runs where there is none.
+    route: Option<Box<Route>>,
+}
+
+/// The class route at one position ([`SortStep::by_class`]).
+#[derive(Debug)]
+struct Route {
+    /// Keys per class over the path.
+    totals: Tally,
+    /// Messages a node a round the steps beside the route may take.
+    beside: usize,
+    /// The records at this position, each with its destination.
+    here: Vec<(Record, usize)>,
 }
 
 impl SortStep {
     /// Builds the step: sort the members of `vp` by `key`, each starting
     /// with its own record at its `position` (which comes from the
-    /// establishment's rank lane).
+    /// establishment's count lane).
     pub fn new(
         vp: VPath,
         contacts: Arc<ContactTable>,
@@ -315,8 +440,40 @@ impl SortStep {
         order: Order,
         my_id: NodeId,
     ) -> Self {
-        let held = Held { key, origin: my_id };
+        let held = Held {
+            key,
+            origin: my_id,
+            home: position,
+        };
         Self::in_place(vp, contacts, position, Some(held), order)
+    }
+
+    /// The first sort on a path established keyed, each member starting
+    /// with its own record keyed `key`, the key it was established with:
+    /// the class route where [`routes`] admits it at the run's capacity
+    /// beside steps taking up to `beside` messages a node a round, else
+    /// the network (rounds: exactly [`first_rounds_for`]; the network's
+    /// where `ctx` has no [`Classes`]). Every member takes the same choice
+    /// at its first poll.
+    pub fn by_class(ctx: &PathCtx, key: u64, order: Order, my_id: NodeId, beside: usize) -> Self {
+        let (vp, x) = (ctx.vp, ctx.position);
+        let held = Held {
+            key,
+            origin: my_id,
+            home: x,
+        };
+        let Some(classes) = ctx.classes else {
+            return Self::in_place(vp, ctx.contacts.clone(), x, Some(held), order);
+        };
+        debug_assert_eq!(classes.class, Tally::class(key), "keyed with another key");
+        let mut sort = Sort::network(ctx.contacts.clone(), x, vp.len, Some(held), order);
+        let record = Record::encode(held, order, sort.width);
+        sort.route = Some(Box::new(Route {
+            totals: classes.totals,
+            beside,
+            here: vec![(record, destination(&classes, order))],
+        }));
+        Lockstep::sized(vp.member, sort)
     }
 
     /// Sorts the records where they are held: `held` is the record at this
@@ -329,20 +486,8 @@ impl SortStep {
         held: Option<Held>,
         order: Order,
     ) -> Self {
-        let len = vp.len;
-        let sort = Sort {
-            contacts,
-            x: position,
-            order,
-            shifts: 0,
-            it: StageIter::new(len),
-            offset: 0,
-            live: len,
-            held: held.map(|h| Record::encode(h, order)),
-            shift: 0,
-            cmp: None,
-        };
-        Lockstep::run(vp.member, rounds_for(len), sort)
+        let sort = Sort::network(contacts, position, vp.len, held, order);
+        Lockstep::run(vp.member, rounds_for(vp.len), sort)
     }
 
     /// Re-sorts the records of positions `[0, phase.live)`, position `x`
@@ -365,51 +510,119 @@ impl SortStep {
     ) -> Self {
         let half = 1 << vp.levels();
         let shift = held.and(phase.shift(position));
+        let width = vp.levels() as u32;
         let sort = Sort {
             contacts,
             x: position,
             order,
+            width,
             shifts: crate::levels_for(phase.groups + 1) as u64,
             it: StageIter::merge_pass(half),
             offset: phase.offset(half),
             live: phase.live - phase.groups,
             held: held
                 .filter(|_| shift.is_some())
-                .map(|h| Record::encode(h, order)),
+                .map(|h| Record::encode(h, order, width)),
             shift: shift.unwrap_or(0),
             cmp: None,
+            route: None,
         };
         let rounds = merge_rounds_for(vp.len, phase.groups);
         Lockstep::run(vp.member, rounds, sort)
     }
 
-    /// [`SortStep::new`] over an established [`PathCtx`]. The fifth
-    /// parameter is ignored: the frozen benchmark passes it (see
-    /// [`SortBackend`]), and it goes with that type.
+    /// [`SortStep::by_class`] over an established [`PathCtx`], alone in
+    /// its rounds: on an unkeyed context, the network. The fifth parameter
+    /// is ignored: the frozen benchmark passes it (see [`SortBackend`]),
+    /// and it goes with that type.
     pub fn on_ctx(ctx: &PathCtx, key: u64, order: Order, my_id: NodeId, _: SortBackend) -> Self {
-        Self::new(
-            ctx.vp,
-            ctx.contacts.clone(),
-            ctx.position,
-            key,
-            order,
-            my_id,
-        )
+        Self::by_class(ctx, key, order, my_id, 0)
+    }
+}
+
+/// The position the class route takes a record to: past every record of
+/// the classes before its own, and past the earlier ones of its own.
+fn destination(classes: &Classes, order: Order) -> usize {
+    let before = (0..=CLASSES).filter(|&c| order.before(c, classes.class));
+    classes.rank + before.map(|c| classes.totals.0[c] as usize).sum::<usize>()
+}
+
+impl Route {
+    /// Route poll `t` of `rounds` at position `x`: the records that
+    /// arrived, then the move of bit `t` of every held record's
+    /// displacement.
+    fn poll(
+        &mut self,
+        (t, rounds): (u64, u64),
+        x: usize,
+        contacts: &ContactTable,
+        ctx: &mut RoundCtx<'_>,
+    ) -> Option<Record> {
+        if t > 0 {
+            for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::SORT_SHIFT) {
+                let (record, dest) = Record::received(env);
+                // A second copy of a record is a duplicate.
+                if self.here.iter().all(|(r, _)| r.origin != record.origin) {
+                    self.here.push((record, dest as usize));
+                }
+            }
+        }
+        if t == rounds {
+            let (record, dest) = (self.here.pop())
+                .expect("message loss: a position missed its record in the class route");
+            debug_assert!(
+                self.here.is_empty() && dest == x,
+                "a record off its destination"
+            );
+            return Some(record);
+        }
+        let bit = t as usize;
+        self.here.retain(|&(record, dest)| {
+            if dest.abs_diff(x) >> bit & 1 == 0 {
+                return true;
+            }
+            let to = (contacts.at_offset(bit, dest > x)).expect("class route past the path");
+            ctx.send(to, record.moving(dest as u64));
+            false
+        });
+        None
     }
 }
 
 impl Sort {
+    /// A full sort's network at position `x` of `len`, holding `held`.
+    fn network(
+        contacts: Arc<ContactTable>,
+        x: usize,
+        len: usize,
+        held: Option<Held>,
+        order: Order,
+    ) -> Self {
+        let width = crate::levels_for(len) as u32;
+        Sort {
+            contacts,
+            x,
+            order,
+            width,
+            shifts: 0,
+            it: StageIter::new(len),
+            offset: 0,
+            live: len,
+            held: held.map(|h| Record::encode(h, order, width)),
+            shift: 0,
+            cmp: None,
+            route: None,
+        }
+    }
+
     /// Consumes what the previous round staged: a compaction move toward
     /// this position, or the comparator partner's record.
     fn absorb_exchange(&mut self, t: u64, ctx: &RoundCtx<'_>) {
         if t <= self.shifts {
             if let Some(env) = ctx.inbox().iter().find(|e| e.msg.tag == tags::SORT_SHIFT) {
                 debug_assert!(self.held.is_none(), "two records at one position");
-                self.held = Some(Record {
-                    key: env.word(),
-                    origin: env.addr(),
-                });
-                self.shift = env.msg.words_slice()[1] as usize;
+                let (record, shift) = Record::received(env);
+                (self.held, self.shift) = (Some(record), shift as usize);
             }
         } else if let Some((_, i_am_low)) = self.cmp.take() {
             let env = ctx
@@ -441,8 +654,7 @@ impl Sort {
                     .contacts
                     .behind(bit)
                     .expect("compaction moved past the head");
-                let msg = WireMsg::addr_word(tags::SORT_SHIFT, r.origin, r.key);
-                ctx.send(to, msg.with_word(self.shift as u64));
+                ctx.send(to, r.moving(self.shift as u64));
                 self.held = None;
             }
             return;
@@ -469,19 +681,32 @@ impl Rounds for Sort {
     type Out = Option<Held>;
 
     fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<Option<Held>> {
+        let (order, width) = (self.order, self.width);
+        if let Some(route) = &mut self.route {
+            return match route.poll((t, rounds), self.x, &self.contacts, ctx) {
+                Some(record) => Poll::Ready(Some(record.decode(order, width))),
+                None => Poll::Pending,
+            };
+        }
         if t > 0 {
             self.absorb_exchange(t, ctx);
         }
         if t == rounds {
-            // The key encoding is its own inverse.
-            let order = self.order;
-            return Poll::Ready(self.held.map(|r| Held {
-                key: order.encode_key(r.key),
-                origin: r.origin,
-            }));
+            return Poll::Ready(self.held.map(|r| r.decode(order, width)));
         }
         self.stage_comparator(t, ctx);
         Poll::Pending
+    }
+
+    /// The route where the capacity takes it, else the network: the
+    /// choice of [`SortStep::by_class`], the same at every member.
+    fn budget(&mut self, ctx: &RoundCtx<'_>) -> Option<u64> {
+        let route = self.route.as_ref()?;
+        if routes(&route.totals, ctx.capacity(), route.beside) {
+            return Some(route_rounds_for(self.live));
+        }
+        self.route = None;
+        Some(rounds_for(self.live))
     }
 }
 
@@ -687,22 +912,24 @@ mod tests {
                     stride,
                     groups,
                 };
-                // Needs in sorted order, ties by ID; a group member has
-                // one to lose, the tail may hold zeros.
+                // Needs in sorted order, ties by home position; a group
+                // member has one to lose, the tail may hold zeros.
                 let zeros = rng.gen_range(0..=live - phase.span());
                 let mut needs: Vec<u64> = (0..live)
                     .map(|i| if i < zeros { 0 } else { rng.gen_range(1..6) })
                     .collect();
                 needs.sort_unstable_by(|a, b| b.cmp(a));
-                let mut ids: Vec<NodeId> = (0..live as u64).map(|i| i * 7 + 3).collect();
-                ids.shuffle(&mut rng);
-                let mut ranked: Vec<(u64, NodeId)> = needs.into_iter().zip(ids).collect();
-                ranked.sort_unstable_by_key(|&(need, id)| (order.encode_key(need), id));
+                let mut homes: Vec<usize> = (0..live).collect();
+                homes.shuffle(&mut rng);
+                let mut ranked: Vec<(u64, usize)> = needs.into_iter().zip(homes).collect();
+                let width = crate::levels_for(len) as u32;
+                ranked.sort_unstable_by_key(|&(need, home)| order.pack(need, home, width));
                 let mut at: Vec<Option<(Record, usize)>> = vec![None; len];
-                for (rank, &(need, origin)) in ranked.iter().enumerate() {
+                for (rank, &(need, home)) in ranked.iter().enumerate() {
                     let shift = phase.shift(rank);
                     let need = need - u64::from(rank < phase.span());
-                    let key = order.encode_key(need);
+                    let key = order.pack(need, home, width);
+                    let origin = home as NodeId * 7 + 3;
                     at[rank] = shift.map(|s| (Record { key, origin }, s));
                 }
                 let mut want: Vec<Record> = at.iter().flatten().map(|&(r, _)| r).collect();
@@ -800,7 +1027,7 @@ mod tests {
     /// The in-place lanes over two group phases on both engines, at path
     /// lengths from 2 to 300: a sort, then two merges, the second on
     /// records the first left vacant positions behind. Position `x` ends
-    /// holding the rank-`x` survivor record — the `(key, ID)` order of
+    /// holding the rank-`x` survivor record — the `(key, home)` order of
     /// `SortStep` — the group heads' records leave, the positions past the
     /// survivors hold nothing, and every run stays clean under the strict
     /// policy at the capacity floor.
@@ -822,12 +1049,16 @@ mod tests {
                 groups: live / 4,
             };
             // One phase, sequentially: the survivors' new needs, sorted.
-            let regroup = |ranked: &[(u64, NodeId)], phase: Regroup| {
-                let mut next: Vec<(u64, NodeId)> = (0..phase.live)
+            let by_rank = move |h: &Held| order.pack(h.key, h.home, crate::levels_for(n) as u32);
+            let regroup = |ranked: &[Held], phase: Regroup| {
+                let mut next: Vec<Held> = (0..phase.live)
                     .filter(|&r| phase.shift(r).is_some())
-                    .map(|r| (ranked[r].0 - u64::from(r < phase.span()), ranked[r].1))
+                    .map(|r| Held {
+                        key: ranked[r].key - u64::from(r < phase.span()),
+                        ..ranked[r]
+                    })
                     .collect();
-                next.sort_unstable_by_key(|&(need, id)| (order.encode_key(need), id));
+                next.sort_unstable_by_key(by_rank);
                 next
             };
             // The held record's key after `phase`, from its position.
@@ -863,21 +1094,174 @@ mod tests {
                 let m = &result.metrics;
                 assert!(m.is_clean(), "{what}: {:?}", m.violations);
                 assert_eq!(m.capacity, 4, "{what}");
-                let mut ranked: Vec<(u64, NodeId)> = result
-                    .outputs
-                    .iter()
-                    .map(|&(id, _)| (need(id), id))
+                // The outputs come in path order: entry `x` is position `x`.
+                let mut ranked: Vec<Held> = (result.outputs.iter().enumerate())
+                    .map(|(home, &(id, _))| Held {
+                        key: need(id),
+                        origin: id,
+                        home,
+                    })
                     .collect();
-                ranked.sort_unstable_by_key(|&(need, id)| (order.encode_key(need), id));
+                ranked.sort_unstable_by_key(by_rank);
                 let want = regroup(&regroup(&ranked, first), second);
                 assert_eq!(want.len(), n - first.groups - second.groups, "{what}");
-                // The outputs come in path order: entry `x` is position `x`.
                 for (x, (_, held)) in result.outputs.iter().enumerate() {
-                    let want = want.get(x).map(|&(key, origin)| Held { key, origin });
-                    assert_eq!(*held, want, "{what}: position {x}");
+                    assert_eq!(*held, want.get(x).copied(), "{what}: position {x}");
                 }
             }
         }
+    }
+
+    /// The class route, replayed sequentially at every path length from 1
+    /// to 4096 on random keys in up to eight classes, in both orders:
+    /// every record lands at its stable `(key, home)` rank in
+    /// [`route_rounds_for`] rounds, no two records of one class ever share
+    /// a position, and no position sends or receives more records a round
+    /// than there are non-empty classes.
+    #[test]
+    fn class_route_lands_every_record_at_its_stable_rank_without_collisions() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(42);
+        for len in 1..=4096usize {
+            let order = [Order::Ascending, Order::Descending][len % 2];
+            let classes = rng.gen_range(1..=CLASSES as u64);
+            let keys: Vec<u64> = (0..len).map(|_| rng.gen_range(0..classes)).collect();
+            let totals = Tally::of(keys.iter().copied());
+            let mut seen = [0; CLASSES + 1];
+            // (position, destination, class) of every record.
+            let mut records: Vec<(usize, usize, usize)> = (keys.iter().enumerate())
+                .map(|(home, &key)| {
+                    let class = Tally::class(key);
+                    let rank = seen[class];
+                    seen[class] += 1;
+                    let dest = destination(
+                        &Classes {
+                            totals,
+                            class,
+                            rank,
+                        },
+                        order,
+                    );
+                    (home, dest, class)
+                })
+                .collect();
+            let mut stable: Vec<usize> = (0..len).collect();
+            let width = crate::levels_for(len) as u32;
+            stable.sort_unstable_by_key(|&home| order.pack(keys[home], home, width));
+            for (rank, &home) in stable.iter().enumerate() {
+                assert_eq!(records[home].1, rank, "len={len}: home {home}");
+            }
+            let what = format!("len={len} {order:?} {} classes", totals.classes());
+            let mut at = vec![usize::MAX; len * (CLASSES + 1)];
+            for bit in 0..route_rounds_for(len) as usize {
+                let (mut sent, mut heard) = (vec![0; len], vec![0; len]);
+                for (x, dest, class) in &mut records {
+                    if dest.abs_diff(*x) >> bit & 1 == 1 {
+                        sent[*x] += 1;
+                        *x = if *dest > *x {
+                            *x + (1 << bit)
+                        } else {
+                            *x - (1 << bit)
+                        };
+                        heard[*x] += 1;
+                    }
+                    let slot = &mut at[*x * (CLASSES + 1) + *class];
+                    assert_ne!(*slot, bit, "{what}: class {class} meets at {x}");
+                    *slot = bit;
+                }
+                let most = sent.iter().chain(&heard).max().copied().unwrap_or(0);
+                assert!(most <= totals.classes(), "{what}: {most} a round");
+            }
+            assert!(records.iter().all(|&(x, dest, _)| x == dest), "{what}");
+        }
+    }
+
+    /// Keyed runs of the first sort on both engines, strict at the
+    /// capacity floor, 4: with four classes or fewer the route is chosen,
+    /// with more the network; either way position `x` holds the rank-`x`
+    /// record of a sequential stable sort by key, ties by home.
+    #[test]
+    fn class_sort_equals_a_stable_sort_on_both_engines() {
+        use dgr_ncc::EngineKind;
+        for (n, classes) in [
+            (1, 1),
+            (2, 2),
+            (3, 3),
+            (17, 4),
+            (64, 4),
+            (100, 2),
+            (300, 4),
+            (77, 6),
+        ] {
+            let order = [Order::Ascending, Order::Descending][n % 2];
+            let key = move |id: NodeId| id * 13 % classes;
+            let net = Network::new(n, Config::ncc0(n as u64 + 3).with_capacity_factor(0.01));
+            let runs = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
+                let run = net.run_protocol_on(engine, None, None, |s| {
+                    WithCtx::keyed(key(s.id), move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                        SortStep::by_class(ctx, key(rctx.id()), order, rctx.id(), 0)
+                    })
+                });
+                run.unwrap()
+            });
+            assert_eq!(runs[0].outputs, runs[1].outputs, "n={n}");
+            assert_eq!(runs[0].metrics, runs[1].metrics, "n={n}");
+            let m = &runs[0].metrics;
+            assert!(m.is_clean(), "n={n}: {:?}", m.violations);
+            assert_eq!(m.capacity, 4);
+            let keys = net.ids_in_path_order().iter().map(|&id| key(id));
+            let sort = first_rounds_for(keys, m.capacity, 0);
+            let routed = classes <= 4;
+            let want = if routed {
+                route_rounds_for(n)
+            } else {
+                rounds_for(n)
+            };
+            assert_eq!(
+                (sort, m.rounds),
+                (want, crate::ctx::rounds_for(n) + want),
+                "n={n}"
+            );
+            let mut want: Vec<Held> = (net.ids_in_path_order().iter().enumerate())
+                .map(|(home, &id)| Held {
+                    key: key(id),
+                    origin: id,
+                    home,
+                })
+                .collect();
+            want.sort_by_key(|h| order.pack(h.key, h.home, crate::levels_for(n) as u32));
+            let got: Vec<Held> = runs[0].outputs.iter().map(|(_, h)| h.unwrap()).collect();
+            assert_eq!(got, want, "n={n}");
+        }
+    }
+
+    /// Losing the class route's first round of moves leaves the positions
+    /// those records were bound for empty at the end: a typed panic, the
+    /// same on both engines — never a wrong order.
+    #[test]
+    fn a_lost_route_message_panics_its_position() {
+        use dgr_ncc::{EngineKind, Scenario, SimError};
+        let n = 64;
+        let lost = crate::ctx::rounds_for(n);
+        let scenario = Scenario::new(5).drop_messages(lost..=lost, 1.0);
+        let net = Network::new(n, Config::ncc0(3).with_scenario(scenario));
+        let key = |id: NodeId| id % 3;
+        let messages = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
+            let run = net.run_protocol_on(engine, None, None, |s| {
+                WithCtx::keyed(key(s.id), move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                    SortStep::by_class(ctx, key(rctx.id()), Order::Descending, rctx.id(), 0)
+                })
+            });
+            match run {
+                Err(SimError::NodePanic { message, .. }) => message,
+                other => panic!("{engine:?}: expected a node panic, got {:?}", other.err()),
+            }
+        });
+        assert_eq!(messages[0], messages[1], "engines");
+        assert_eq!(
+            messages[0],
+            "message loss: a position missed its record in the class route"
+        );
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //! state machine, [`RealizeTree`], run on the positions of the network
 //! path. After the degree sort, position `x` holds rank `x`'s record
 //! `(d, origin)` and works on its behalf, so both constructions are the
-//! same chain of steps: the context establishment; the input check
-//! (`Σd = 2(n-1)`, `min d ≥ 1`; a failure refuses with [`Unrealizable`])
-//! beside the degree sort; the slot prefix sums; and the hand-off, which
+//! same chain of steps: the context establishment, keyed by the degrees;
+//! the input check (`Σd = 2(n-1)`, `min d ≥ 1`; a failure refuses with
+//! [`Unrealizable`]) beside the degree sort — the class route where every
+//! degree is below 8 and the capacity takes it beside the check
+//! ([`SortStep::by_class`]), ties by establishment position, which any
+//! order of equal degrees allows; the slot prefix sums; and the hand-off, which
 //! gives every child its parent's ID. They differ only in the slot rule
 //! and in where the child intervals start. The check's sweep runs in the
 //! rounds of the degree sort — neither feeds the other — so the opening
@@ -72,14 +75,18 @@ use dgr_primitives::prefix::{self, PrefixStep};
 use dgr_primitives::sort::{self, Held, Order, SortStep};
 use dgr_primitives::{ctx, EstablishCtx, PathCtx, Poll, Step};
 
-/// Rounds of a realized tree run on `len ≥ 2` nodes at capacity `cap`,
-/// either algorithm: context establishment, the input check beside the
-/// degree sort, the slot prefix sums, the shifted multicast and the round
-/// of the statuses. A refusal (and a single node) ends on the check,
+/// Rounds of a realized tree run over `degrees`, one a node, `len ≥ 2`
+/// of them, at capacity `cap`, either algorithm: context establishment,
+/// the input check beside the degree sort ([`sort::first_rounds_for`]),
+/// the slot prefix sums, the shifted multicast and the round of the
+/// statuses. A refusal (and a single node) ends on the check,
 /// `ctx::rounds_for(len) + ops::rounds_for(len, cap)` rounds in all.
-pub fn rounds_for(len: usize, cap: usize) -> u64 {
+pub fn rounds_for(degrees: &[usize], cap: usize) -> u64 {
+    let len = degrees.len();
+    let keys = degrees.iter().map(|&d| d as u64);
+    let sort = sort::first_rounds_for(keys, cap, ops::sweep_load(len, cap));
     ctx::rounds_for(len)
-        + ops::rounds_for(len, cap).max(sort::rounds_for(len))
+        + ops::rounds_for(len, cap).max(sort)
         + prefix::rounds_for(len)
         + imcast::offset_rounds_for(len)
         + 1
@@ -135,7 +142,7 @@ impl RealizeTree {
         RealizeTree {
             degree,
             algo,
-            stage: Stage::Establish(EstablishCtx::new()),
+            stage: Stage::Establish(EstablishCtx::keyed(degree as u64)),
             ctx: PathCtx::default(),
             held: None,
             outcome: TreeOutcome {
@@ -171,14 +178,9 @@ impl NodeProtocol for RealizeTree {
                             None,
                             |acc, x| *acc = [acc[0] + x[0], acc[1].min(x[1]), acc[2] + x[2], 0],
                         );
-                        let sort = SortStep::new(
-                            ctx.vp,
-                            ctx.contacts.clone(),
-                            ctx.position,
-                            degree,
-                            Order::Descending,
-                            rctx.id(),
-                        );
+                        let beside = ops::sweep_load(ctx.vp.len, rctx.capacity());
+                        let sort =
+                            SortStep::by_class(&ctx, degree, Order::Descending, rctx.id(), beside);
                         self.stage = Stage::Sorting {
                             check: Some(check),
                             sort: Some(sort),

@@ -136,6 +136,13 @@ fn tree_drivers_match_frozen_twins_on_both_engines() {
             assert_golden(&case, &batched);
             assert_golden(&case, &reference);
             assert_eq!(metrics_of(&batched), metrics_of(&reference), "{case}");
+            // A realized row is a tree with exactly the requested degrees.
+            if let TreeRealization::Realized(t) = &batched {
+                assert!(t.graph.is_tree(), "{case}");
+                let mut want = degrees.clone();
+                want.sort_unstable_by(|a, b| b.cmp(a));
+                assert_eq!(t.graph.degree_sequence(), want, "{case}");
+            }
         }
     }
 }
@@ -194,7 +201,7 @@ fn sweep() -> Vec<Golden> {
             assert_eq!(metrics_of(&batched), metrics_of(&reference), "{what}");
             let t = batched.expect_realized();
             let cap = t.metrics.capacity;
-            assert_eq!(t.metrics.rounds, rounds_for(degrees.len(), cap), "{what}");
+            assert_eq!(t.metrics.rounds, rounds_for(&degrees, cap), "{what}");
             assert!(t.graph.is_tree());
             let mut want = degrees.clone();
             want.sort_unstable_by(|a, b| b.cmp(a));
@@ -249,7 +256,7 @@ fn check_beside_the_sort_runs_clean_at_its_edges() {
                 );
                 assert!(m.max_sent_per_round <= m.capacity, "{what}");
                 assert!(m.max_received_per_round <= m.capacity, "{what}");
-                assert_eq!(m.rounds, rounds_for(n, m.capacity), "{what}");
+                assert_eq!(m.rounds, rounds_for(&degrees, m.capacity), "{what}");
             }
         }
     }
@@ -302,7 +309,7 @@ fn overlays_match_the_frozen_fold() {
 fn a_crash_ends_in_a_tree_or_a_typed_error() {
     let picks: Vec<usize> = (0..63).map(|i| i / 2).collect();
     let degrees = tree_degrees(&picks);
-    let rounds = rounds_for(degrees.len(), Config::ncc0(7).capacity(degrees.len()));
+    let rounds = rounds_for(&degrees, Config::ncc0(7).capacity(degrees.len()));
     for round in 0..=rounds + 2 {
         for algo in [TreeAlgo::Chain, TreeAlgo::Greedy] {
             let config = Config::ncc0(7).with_scenario(Scenario::new(7).crash(5, round));
@@ -341,7 +348,7 @@ fn a_lost_hand_off_message_panics_on_both_engines() {
     let picks: Vec<usize> = (0..63).map(|i| i / 2).collect();
     let degrees = tree_degrees(&picks);
     let n = degrees.len();
-    let last = rounds_for(n, Config::ncc0(7).capacity(n)) - 1;
+    let last = rounds_for(&degrees, Config::ncc0(7).capacity(n)) - 1;
     let leg = last - imcast::offset_rounds_for(n);
     let cases = [
         (

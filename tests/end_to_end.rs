@@ -260,6 +260,60 @@ fn degree_realizations_survive_message_duplication() {
     }
 }
 
+/// Every message delivered twice at n = 512, where the first sort takes
+/// the class route: a second copy of a record is dropped where it lands,
+/// so the implicit degree realization and the NCC₀ pipeline end in their
+/// fault-free rounds with their fault-free overlays, on both engines.
+#[test]
+fn the_class_route_survives_full_duplication() {
+    use distributed_graph_realizations::primitives::{ops, sort};
+    let n = 512;
+    let degrees = graphgen::near_regular_sequence(n, 4, 5);
+    let rho = graphgen::uniform_thresholds(n, 1, 5, 7);
+    let scenario = Scenario::new(11).duplicate_messages(0..=u64::MAX, 1.0);
+    for engine in [Engine::Batched, Engine::Reference] {
+        let requests = [
+            ("implicit", Workload::Implicit(degrees.clone()), &degrees),
+            ("ncc0", Workload::Ncc0Threshold(rho.clone()), &rho),
+        ];
+        for (name, workload, keys) in requests {
+            let what = format!("{engine:?} {name}");
+            let request = || Realization::new(workload.clone()).engine(engine).seed(7);
+            let clean = request().run().unwrap();
+            let out = request().scenario(scenario.clone()).run().unwrap();
+            assert!(out.engine_stats.faults_duplicated > 0, "{what}");
+            let (m, cap) = (out.metrics(), out.metrics().capacity);
+            let beside = if name == "ncc0" {
+                0
+            } else {
+                ops::sweep_load(n, cap)
+            };
+            let keys = keys.iter().map(|&k| k as u64);
+            let routed = sort::first_rounds_for(keys, cap, beside);
+            assert_eq!(routed, sort::route_rounds_for(n), "{what}: no route");
+            assert_eq!(m.rounds, clean.metrics().rounds, "{what}");
+            let graph = match &out.output {
+                RunOutput::Degrees(d) => {
+                    let r = d.expect_realized();
+                    verify::degrees_match(&r.graph, &r.requested).unwrap();
+                    &r.graph
+                }
+                RunOutput::Threshold(t) => {
+                    assert!(t.report.satisfied, "{what}: {:?}", t.report);
+                    &t.graph
+                }
+                _ => unreachable!(),
+            };
+            let want = match &clean.output {
+                RunOutput::Degrees(d) => d.expect_realized().graph.edge_list(),
+                RunOutput::Threshold(t) => t.graph.edge_list(),
+                _ => unreachable!(),
+            };
+            assert_eq!(graph.edge_list(), want, "{what}: overlay");
+        }
+    }
+}
+
 /// Every message delivered twice (or 30 % of them): both NCC₀ threshold
 /// drivers still realize their requirements, on both engines. Every
 /// hand-off message is due in a round its receiver can name, so a second

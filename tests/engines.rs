@@ -223,6 +223,37 @@ const GOLDEN: &[(&str, Golden)] = &[
 /// maxima — are re-frozen when a round budget changes; this fold is not.
 const GOLDEN_OVERLAYS: u64 = 0x1395_4f6a_1dd4_acbc;
 
+/// Holds a run to its verifier: an exact degree realization meets every
+/// request with no duplicate edge, an envelope (`case` names it) covers
+/// every request within twice their sum, a tree is a tree, a threshold
+/// overlay holds its certificate.
+fn assert_verified(case: &str, out: &Realized) {
+    use distributed_graph_realizations::realization::verify;
+    match &out.output {
+        RunOutput::Degrees(DriverOutput::Realized(r)) if case.contains("envelope") => {
+            let sum: usize = r.requested.values().sum();
+            assert!(
+                r.requested.iter().all(|(id, &d)| r.multi_degrees[id] >= d),
+                "{case}"
+            );
+            assert!(r.multi_degrees.values().sum::<usize>() <= 2 * sum, "{case}");
+        }
+        RunOutput::Degrees(DriverOutput::Realized(r)) if case == "prefix" => {
+            assert!(
+                r.requested.iter().all(|(id, &d)| r.multi_degrees[id] >= d),
+                "{case}"
+            );
+        }
+        RunOutput::Degrees(DriverOutput::Realized(r)) => {
+            verify::degrees_match(&r.graph, &r.requested).unwrap_or_else(|e| panic!("{case}: {e}"));
+            assert_eq!(r.duplicate_edges, 0, "{case}");
+        }
+        RunOutput::Tree(TreeRealization::Realized(t)) => assert!(t.graph.is_tree(), "{case}"),
+        RunOutput::Threshold(t) => assert!(t.report.satisfied, "{case}: {:?}", t.report),
+        _ => panic!("{case}: refused"),
+    }
+}
+
 /// golden == batched == reference, through the facade. The NCC1
 /// star's twin was only ever overlay-identical to its state machine (it
 /// built the full path context first), so that row holds on the verdict
@@ -237,8 +268,10 @@ fn facade_transcripts_match_the_frozen_twins_on_both_engines() {
             .unwrap_or_else(|| panic!("no golden row for case {case:?}"))
             .1;
         let run = |engine: Engine| {
-            let request = request(workload.clone(), seed, &mask);
-            transcript(&request.engine(engine).run().unwrap())
+            let out = request(workload.clone(), seed, &mask).engine(engine).run();
+            let out = out.unwrap();
+            assert_verified(&case, &out);
+            transcript(&out)
         };
         let (batched, reference) = (run(Engine::Batched), run(Engine::Reference));
         assert_eq!(batched, reference, "{case}: engines");
@@ -272,12 +305,11 @@ fn degree_rounds_follow_the_closed_form() {
         };
         let out = request(workload, seed, &mask).run().unwrap();
         let r = out.degrees().expect_realized();
-        let len = r.path_order.len();
-        let requested: Vec<usize> = r.requested.values().copied().collect();
+        let requested: Vec<usize> = (r.path_order.iter()).map(|id| r.requested[id]).collect();
         let groups = phase_groups(&requested, flavor);
         assert_eq!(groups.len() as u64 + 1, r.phases, "{case}");
         let explicit = flavor == Flavor::Explicit;
-        let want = rounds_for(len, &groups, flavor, explicit, r.metrics.capacity);
+        let want = rounds_for(&requested, flavor, explicit, r.metrics.capacity);
         assert_eq!(r.metrics.rounds, want, "{case}");
     }
 }

@@ -443,7 +443,7 @@ fn sorting_at_n_2048_is_polylog() {
     assert!(ranks.iter().enumerate().all(|(i, &r)| i == r));
 }
 
-/// The bitonic sort drives a full implicit realization at 10⁵ nodes under
+/// The class sort drives a full implicit realization at 10⁵ nodes under
 /// the queueing policy, and the run's round bill is exactly the degree
 /// driver's closed form — a per-phase sort budget that drifted with n
 /// would show here before it shows in the small-n goldens.
@@ -466,7 +466,7 @@ fn implicit_realization_at_n_100k_follows_the_closed_form() {
     assert_eq!(r.metrics.undelivered, 0);
     let groups = phase_groups(&vec![1; n], Flavor::Implicit);
     assert_eq!(groups.len() as u64 + 1, r.phases);
-    let want = rounds_for(n, &groups, Flavor::Implicit, false, r.metrics.capacity);
+    let want = rounds_for(&vec![1; n], Flavor::Implicit, false, r.metrics.capacity);
     assert_eq!(r.metrics.rounds, want);
 }
 
