@@ -97,32 +97,32 @@ fn benchmark_calls_keep_their_fingerprints() {
         (
             "degrees_default",
             2020,
-            (215, 333_010, 1_062_301, 0x7504_cae2_9b62_b91e),
+            (163, 228_207, 833_559, 0xae71_7bb4_18d8_92b2),
         ),
         (
             "degrees_default",
             5376,
-            (215, 333_010, 1_062_301, 0xe514_bcfc_8041_68a3),
+            (163, 228_139, 833_287, 0xb3b9_1bcc_a0f6_8b37),
         ),
         (
             "explicit_powerlaw",
             2020,
-            (325, 617_027, 1_937_699, 0xc7bd_c305_c5cc_2575),
+            (325, 619_074, 2_019_623, 0xf27d_0716_b856_6bbd),
         ),
         (
             "explicit_powerlaw",
             5376,
-            (325, 617_027, 1_937_699, 0x58a9_4497_4cc0_62ab),
+            (325, 619_074, 2_019_623, 0x466d_6c2f_2c6b_b237),
         ),
         (
             "threshold_certified",
             2020,
-            (143, 180_730, 521_532, 0x513e_2e44_4a43_24ed),
+            (86, 76_122, 293_596, 0xae97_6a94_0f56_7634),
         ),
         (
             "threshold_certified",
             5376,
-            (143, 180_604, 521_280, 0x3b4e_011f_5d6a_ee6a),
+            (86, 75_830, 292_680, 0x8e11_aac1_0f98_3ac6),
         ),
         (
             "flood_sharded_faulty",
