@@ -465,9 +465,14 @@ impl Step for EstablishCtx {
 /// standalone (tests, benches), and the whole of the degree-realization
 /// protocol (establishment, then `DegreesCore`).
 pub struct WithCtx<S: Step, F> {
-    establish: EstablishCtx,
-    make: Option<F>,
-    stage: Option<S>,
+    stage: Stage<S, F>,
+}
+
+/// [`WithCtx`]'s stages: the establishment (boxed: it is dropped once it
+/// completes) holds the second stage's maker until then.
+enum Stage<S, F> {
+    Establish(Box<EstablishCtx>, Option<F>),
+    Run(S),
 }
 
 impl<S: Step, F> WithCtx<S, F> {
@@ -475,17 +480,14 @@ impl<S: Step, F> WithCtx<S, F> {
     /// established context.
     pub fn new(make: F) -> Self {
         WithCtx {
-            establish: EstablishCtx::new(),
-            make: Some(make),
-            stage: None,
+            stage: Stage::Establish(Box::default(), Some(make)),
         }
     }
 
     /// [`WithCtx::new`] on a keyed establishment ([`EstablishCtx::keyed`]).
     pub fn keyed(key: u64, make: F) -> Self {
         WithCtx {
-            establish: EstablishCtx::keyed(key),
-            ..Self::new(make)
+            stage: Stage::Establish(Box::new(EstablishCtx::keyed(key)), Some(make)),
         }
     }
 }
@@ -500,20 +502,23 @@ where
 
     fn step(&mut self, rctx: &mut RoundCtx<'_>) -> dgr_ncc::Status<S::Out> {
         loop {
-            if let Some(stage) = &mut self.stage {
-                return match stage.poll(rctx) {
-                    Poll::Pending => dgr_ncc::Status::Continue,
-                    Poll::Ready(out) => dgr_ncc::Status::Done(out),
-                };
-            }
-            match self.establish.poll(rctx) {
-                Poll::Pending => return dgr_ncc::Status::Continue,
-                Poll::Ready(ctx) => {
-                    let make = self.make.take().expect("stage built twice");
-                    // The context is dropped here: the stage keeps what it
-                    // needs, so the per-node tables do not outlive setup.
-                    self.stage = Some(make(&ctx, rctx));
+            match &mut self.stage {
+                Stage::Run(stage) => {
+                    return match stage.poll(rctx) {
+                        Poll::Pending => dgr_ncc::Status::Continue,
+                        Poll::Ready(out) => dgr_ncc::Status::Done(out),
+                    };
                 }
+                Stage::Establish(establish, make) => match establish.poll(rctx) {
+                    Poll::Pending => return dgr_ncc::Status::Continue,
+                    Poll::Ready(ctx) => {
+                        let make = make.take().expect("stage built twice");
+                        // The context is dropped here: the stage keeps what
+                        // it needs, so the per-node tables do not outlive
+                        // setup.
+                        self.stage = Stage::Run(make(&ctx, rctx));
+                    }
+                },
             }
         }
     }
