@@ -263,12 +263,13 @@ struct Positions {
 
 impl Positions {
     fn step(vp: VPath, key: Option<u64>) -> PositionsStep {
-        let class = key.map_or(0, Tally::class);
-        let own = Tally::of([class as u64]);
+        let keyed = key.and_then(|key| Some((tally_width(vp.len)?, Tally::class(key))));
+        // Unkeyed, every position is of class 0.
+        let own = Tally::of([keyed.map_or(0, |(_, class)| class as u64)]);
         let positions = Positions {
             vp,
             contacts: Contacts::new(vp),
-            keyed: key.and(tally_width(vp.len)).map(|width| (width, class)),
+            keyed,
             behind: own,
             ahead: own,
         };
@@ -323,6 +324,7 @@ impl Positions {
         mine.add(&theirs);
     }
 }
+
 impl Rounds for Positions {
     type Out = PathCtx;
 
@@ -359,10 +361,7 @@ impl Rounds for Positions {
         // The doubling's own exchange, carrying the keyed tallies, then
         // the counts where the doubling sends nothing.
         let (behind, n_behind) = self.words(&self.behind);
-        let (ahead, n_ahead) = match self.keyed {
-            Some(_) => self.words(&self.ahead),
-            None => Default::default(),
-        };
+        let (ahead, n_ahead) = self.words(&self.ahead);
         if k + 1 < self.vp.levels() {
             let words = match self.keyed {
                 Some(_) => [&ahead[..n_ahead], &behind[..n_behind]],
