@@ -49,9 +49,10 @@ use dgr_primitives::sort::{self, Held, Order, RankStep, SortStep, SortedPath, RA
 use dgr_primitives::{ctx, EstablishCtx, Lockstep, PathCtx, Poll, Rounds, Step};
 
 /// Rounds of a whole [`Ncc0Threshold`] run on the requirements `rho`, one
-/// a node, at capacity `cap`: the prologue ([`prologue_rounds`]), then
-/// the phase-1 ring and phase 2, a token pipeline of `d₀` hops each. A
-/// single node ends with its establishment.
+/// a node, at capacity `cap`: the prologue (the establishment, the first
+/// sort, the rank epilogue and the `d₀`/`x₁` broadcast), then the
+/// phase-1 ring and phase 2, a token pipeline of `d₀` hops each. A single
+/// node ends with its establishment.
 pub fn rounds_for(rho: &[usize], cap: usize) -> u64 {
     match rho.iter().max() {
         Some(&d0) if rho.len() > 1 => prologue_rounds(rho, cap) + 2 * pipeline_rounds(d0),

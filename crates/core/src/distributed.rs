@@ -210,7 +210,7 @@ pub enum Flavor {
 
 /// Rounds of a whole realization of `degrees`, one a member of the path —
 /// context establishment, keyed by the degrees, then [`DegreesCore`] — at
-/// capacity `cap`: [`schedule_rounds`] over the run's [`phase_groups`],
+/// capacity `cap`: the schedule of the run's [`phase_groups`] (below),
 /// the first phase's lane the class route or the network as
 /// [`sort::first_rounds_for`] decides beside the control sweep.
 pub fn rounds_for(degrees: &[usize], flavor: Flavor, explicit: bool, cap: usize) -> u64 {
@@ -241,7 +241,7 @@ pub fn rounds_for(degrees: &[usize], flavor: Flavor, explicit: bool, cap: usize)
 /// has landed too, then runs the blocks of the phases whose announcements
 /// wait for the loop's end, `⌈δ/r⌉` rounds each at the [`block_rate`] `r`,
 /// on `cap` lanes (module docs).
-pub fn schedule_rounds(
+fn schedule_rounds(
     len: usize,
     first: u64,
     phases: &[(usize, usize)],

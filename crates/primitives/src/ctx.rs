@@ -65,7 +65,7 @@ pub struct PathCtx {
     /// This node's position on the path, 0 at the head.
     pub position: usize,
     /// The keys' classes, where the establishment was keyed and the path
-    /// is short enough to count them ([`counts_classes`]).
+    /// is short enough to count them (under 2^21 nodes).
     pub classes: Option<Classes>,
 }
 
@@ -83,12 +83,12 @@ const TALLY_WORDS: usize = WIRE_WORDS - 1;
 
 impl Tally {
     /// The class of `key`.
-    pub fn class(key: u64) -> usize {
+    pub(crate) fn class(key: u64) -> usize {
         key.min(CLASSES as u64) as usize
     }
 
     /// The tally of the keys `of`.
-    pub fn of(of: impl IntoIterator<Item = u64>) -> Self {
+    pub(crate) fn of(of: impl IntoIterator<Item = u64>) -> Self {
         let mut tally = Tally::default();
         for key in of {
             tally.0[Self::class(key)] += 1;
@@ -104,17 +104,17 @@ impl Tally {
     }
 
     /// Records counted, every class.
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.0.iter().map(|&c| c as usize).sum()
     }
 
     /// Whether some key is past the classes.
-    pub fn overflows(&self) -> bool {
+    pub(crate) fn overflows(&self) -> bool {
         self.0[CLASSES] > 0
     }
 
     /// Classes holding a record.
-    pub fn classes(&self) -> usize {
+    pub(crate) fn classes(&self) -> usize {
         self.0.iter().filter(|&&c| c > 0).count()
     }
 
@@ -165,7 +165,7 @@ fn tally_width(len: usize) -> Option<u32> {
 /// Whether a keyed establishment on a path of `len` nodes counts the
 /// classes: where its tallies fit a message, `len < 2^21`. A longer path
 /// establishes as if unkeyed, without [`Classes`].
-pub fn counts_classes(len: usize) -> bool {
+pub(crate) fn counts_classes(len: usize) -> bool {
     tally_width(len).is_some()
 }
 

@@ -230,14 +230,15 @@ pub fn route_rounds_for(len: usize) -> u64 {
 /// `beside` messages a node a round: no key overflows the classes, and
 /// the capacity takes a record of every non-empty class a round beside
 /// them.
-pub fn routes(totals: &Tally, cap: usize, beside: usize) -> bool {
+fn routes(totals: &Tally, cap: usize, beside: usize) -> bool {
     !totals.overflows() && totals.classes() + beside <= cap
 }
 
 /// Rounds of [`SortStep::by_class`] over `keys`, one a position of a path
 /// established keyed, at capacity `cap` beside `beside` messages a node a
-/// round: the class route's where the establishment counted the classes
-/// and [`routes`] says so, else the network's.
+/// round: the class route's where the establishment counted the classes,
+/// no key overflows them and the capacity takes a record of every
+/// non-empty class a round beside those messages, else the network's.
 pub fn first_rounds_for(keys: impl IntoIterator<Item = u64>, cap: usize, beside: usize) -> u64 {
     let totals = Tally::of(keys);
     let len = totals.count();
@@ -450,9 +451,10 @@ impl SortStep {
 
     /// The first sort on a path established keyed, each member starting
     /// with its own record keyed `key`, the key it was established with:
-    /// the class route where [`routes`] admits it at the run's capacity
-    /// beside steps taking up to `beside` messages a node a round, else
-    /// the network (rounds: exactly [`first_rounds_for`]; the network's
+    /// the class route where no key overflows the classes and the run's
+    /// capacity takes a record of every non-empty class a round beside
+    /// steps taking up to `beside` messages a node a round, else the
+    /// network (rounds: exactly [`first_rounds_for`]; the network's
     /// where `ctx` has no [`Classes`]). Every member takes the same choice
     /// at its first poll.
     pub fn by_class(ctx: &PathCtx, key: u64, order: Order, my_id: NodeId, beside: usize) -> Self {
