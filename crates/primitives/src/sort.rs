@@ -497,11 +497,11 @@ impl SortStep {
     /// is this node's record with its new key (rounds: exactly
     /// [`merge_rounds_for`]`(vp.len, phase.groups)`). The groups' heads'
     /// records leave;
-    /// the survivors end in their `(key, ID)` order at positions
+    /// the survivors end in their `(key, home)` order at positions
     /// `[0, live - groups)`, and the positions after them hold nothing.
     ///
     /// The caller guarantees what makes this a merge: the group members'
-    /// records and the tail's are each still in `(key, ID)` order.
+    /// records and the tail's are each still in `(key, home)` order.
     pub fn merge(
         vp: VPath,
         contacts: Arc<ContactTable>,
