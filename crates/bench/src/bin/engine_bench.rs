@@ -177,10 +177,10 @@ fn warmup_sharded(n: usize, repeats: u32, shards: usize) -> Vec<Entry> {
 }
 
 /// The adversarial row: the batched warm-up under a seeded full-window
-/// 1% message drop. Every round the scenario engine rebuilds the sealed
-/// arena through its swap buffer (drawing per-message drop decisions in
-/// dense source order), so this history key prices the live fault pass
-/// itself against the unperturbed `warmup` row. The warm-up floods
+/// 1% message drop. Every round the scenario engine compacts each sealed
+/// bucket in place (each message's fate a hash of its identity), so this
+/// history key prices the live fault pass itself against the unperturbed
+/// `warmup` row. The warm-up floods
 /// knowledge, so lost envelopes thin traffic without stalling anyone —
 /// the round count stays fixed and the run completes.
 fn warmup_drop(n: usize, repeats: u32) -> Vec<Entry> {

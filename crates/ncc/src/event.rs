@@ -100,9 +100,8 @@ pub enum RunEvent {
     /// The scenario engine perturbed this round's sealed traffic. Emitted
     /// at most once per round, only when some counter is non-zero — so an
     /// empty schedule leaves the stream bit-identical to a scenario-free
-    /// run. Deterministic given `(seed, scenario)`: the faults are drawn
-    /// from a per-round RNG in dense source order, worker- and
-    /// shard-invariant.
+    /// run. Deterministic given `(seed, scenario)`: each message's fault
+    /// is a function of the message alone, worker- and shard-invariant.
     FaultInjected {
         /// Round whose sealed traffic was perturbed.
         round: u64,

@@ -223,8 +223,6 @@ pub struct Footprint {
     pub queues: usize,
     /// The `[src][dst]` exchange cells.
     pub cells: usize,
-    /// The scenario fault pass's swap arena.
-    pub fault_swap: usize,
     /// KT0 tracker: knowledge arenas plus the region headers.
     pub knowledge: usize,
     /// Run-wide index tables: the network's ID list and resolver, the
@@ -243,12 +241,11 @@ impl Footprint {
             route,
             queues,
             cells,
-            fault_swap,
             knowledge,
             tables,
             retired_outputs,
         } = *self;
-        slots + staging + route + queues + cells + fault_swap + knowledge + tables + retired_outputs
+        slots + staging + route + queues + cells + knowledge + tables + retired_outputs
     }
 }
 

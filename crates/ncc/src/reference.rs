@@ -19,8 +19,9 @@
 //! protocol sends, [`WireEnvelope`] as a node receives), [`Violation`],
 //! the [`RoundCtx`] a protocol sees — whose `Resolver` it only passes
 //! through), violation counting ([`RunMetrics::record_violation`]), the
-//! event [`Emitter`], and the scenario's per-round fault rates and RNG
-//! ([`FaultWindows`](crate::scenario::FaultWindows)). Do not optimize it.
+//! event [`Emitter`], and the scenario's per-message fate and per-inbox
+//! shuffle ([`RoundFaults`](crate::scenario::RoundFaults)). Do not
+//! optimize it.
 
 use crate::config::{CapacityPolicy, Model};
 use crate::error::{panic_message, SimError, Violation, ViolationKind};
@@ -29,10 +30,10 @@ use crate::message::NodeId;
 use crate::metrics::RunMetrics;
 use crate::network::{Network, RunResult, Steps};
 use crate::protocol::{Marks, NodeProtocol, NodeSeed, RoundCtx, Status};
-use crate::scenario::FaultWindows;
 use crate::scenario::ScenarioEvent::{self, CrashRecover, CrashStop, Join};
+use crate::scenario::{FaultWindows, RoundFaults};
 use crate::wire::{Staged, WireEnvelope};
-use rand::{rngs::SmallRng, seq::SliceRandom, Rng, SeedableRng};
+use rand::{rngs::SmallRng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -314,27 +315,24 @@ impl<P: NodeProtocol> Steps<RunResult<P::Output>> for Run<P> {
             }
             self.metrics.max_sent_per_round = self.metrics.max_sent_per_round.max(sent);
         }
-        // --- Scenario message faults: one RNG per round, consumed over
-        // the arrivals in ascending destination order, source order within.
-        let faults = self.windows.as_ref().map(|w| (w.at(round), w.rng(round)));
-        if let Some((faults, mut rng)) = faults.filter(|(faults, _)| faults.active()) {
+        // --- Scenario message faults: every arrival takes the fate of its
+        // identity — sender, receiver, and how many messages that sender
+        // sent this receiver before it this round — delivered as often as
+        // the fate says, in place; then a reordered inbox is shuffled.
+        let faults = self.windows.as_ref().map(|w| w.at(round));
+        if let Some(faults) = faults.filter(RoundFaults::active) {
             let (mut dropped, mut duplicated, mut reordered) = (0, 0, 0);
             for node in self.nodes.iter_mut() {
+                let mut earlier: BTreeMap<NodeId, u64> = BTreeMap::new();
                 for env in std::mem::take(&mut node.inbox) {
-                    if faults.drop_rate > 0.0 && rng.gen_bool(faults.drop_rate) {
-                        dropped += 1;
-                        continue;
-                    }
-                    node.inbox.push(env);
-                    if faults.dup_rate > 0.0 && rng.gen_bool(faults.dup_rate) {
-                        duplicated += 1;
-                        node.inbox.push(env);
-                    }
+                    let ordinal = earlier.entry(env.src).or_default();
+                    let copies = faults.fate(env.src, node.id, *ordinal);
+                    *ordinal += 1;
+                    dropped += u64::from(copies == 0);
+                    duplicated += u64::from(copies == 2);
+                    node.inbox.extend(std::iter::repeat_n(env, copies));
                 }
-                if faults.reorder && node.inbox.len() > 1 {
-                    node.inbox.shuffle(&mut rng);
-                    reordered += 1;
-                }
+                reordered += u64::from(faults.shuffle(node.id, &mut node.inbox));
             }
             if dropped + duplicated + reordered > 0 {
                 self.emitter.emit(

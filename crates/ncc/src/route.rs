@@ -12,7 +12,8 @@
 //! **The route arena is every inbox**: a node reads its delivery where
 //! the scatter left it; only a `Queue`-policy node that carries backlog
 //! gets `backlog ++ bucket prefix` written past the sealed buckets, into
-//! a **spill region**. Every buffer involved — counts, bucket starts,
+//! a **spill region** (where the scenario fault pass also moves a bucket
+//! that a duplicate outgrows). Every buffer involved — counts, bucket starts,
 //! scatter cursors, the arena, the queue's backlog arenas — is reused
 //! across rounds: after they have grown to the high-water volume,
 //! routing and delivery perform no heap allocation at all.
@@ -165,12 +166,6 @@ impl RouteBuffers {
         (self.starts[i], self.counts[i])
     }
 
-    /// The round's bucket volume (read by the fault pass, before delivery
-    /// spills anything).
-    pub(crate) fn sealed_len(&self) -> usize {
-        self.end
-    }
-
     /// Writes `backlog ++` the first `fresh` envelopes of bucket `i` into
     /// the spill region (rewritten every round) and returns their start.
     pub(crate) fn spill(&mut self, backlog: &[WireEnvelope], i: usize, fresh: usize) -> u32 {
@@ -183,21 +178,38 @@ impl RouteBuffers {
         start as u32
     }
 
-    /// Rewrites destination `i`'s bucket span. The scenario fault pass
-    /// rebuilds buckets into its own swap arena and re-points the spans
-    /// at the rebuilt layout before installing it.
-    pub(crate) fn set_span(&mut self, i: usize, start: u32, count: u32) {
-        self.starts[i] = start;
-        self.counts[i] = count;
-    }
-
-    /// Swaps `arena` in as the sealed delivery arena (the previous arena
-    /// lands in `arena`, to be reused as next round's swap buffer — both
-    /// vectors converge on their high-water capacity, so the exchange is
-    /// allocation-free at steady state).
-    pub(crate) fn install_arena(&mut self, arena: &mut Vec<WireEnvelope>) {
-        std::mem::swap(&mut self.arena, arena);
-        self.end = self.arena.len();
+    /// Rewrites destination `i`'s sealed bucket with each envelope
+    /// `copies(env)` times over (0, 1 or 2), in order, and returns the
+    /// rewritten bucket — the scenario fault pass. Drops compact the
+    /// bucket in place; once a copy would overwrite an envelope not yet
+    /// read, the bucket moves to the spill region, past the sealed ones,
+    /// where delivery's spills then follow it.
+    pub(crate) fn refill(
+        &mut self,
+        i: usize,
+        mut copies: impl FnMut(&WireEnvelope) -> usize,
+    ) -> &mut [WireEnvelope] {
+        let start = self.starts[i] as usize;
+        // The end of the survivors: below `end` in place, the arena's
+        // length once moved.
+        let mut kept = start;
+        for from in start..start + self.counts[i] as usize {
+            let env = self.arena[from];
+            let c = copies(&env);
+            if kept <= from && kept + c > from + 1 {
+                self.arena.truncate(self.end);
+                self.arena.extend_from_within(start..kept);
+                (self.starts[i], kept) = (self.end as u32, self.arena.len());
+            }
+            match kept < self.end {
+                true => self.arena[kept..kept + c].fill(env),
+                false => self.arena.extend(std::iter::repeat_n(env, c)),
+            }
+            kept += c;
+        }
+        self.end = self.end.max(kept);
+        self.counts[i] = kept as u32 - self.starts[i];
+        &mut self.arena[self.starts[i] as usize..kept]
     }
 }
 
@@ -422,7 +434,7 @@ mod tests {
         q.end_round();
         assert_eq!((d0, d1), ((0, 2, 1), (3, 1, 0)));
         assert_eq!((srcs(&b, d0), srcs(&b, d1)), (vec![1, 2], vec![4]));
-        assert_eq!(b.sealed_len(), 4, "nothing spilled");
+        assert_eq!(b.end, 4, "nothing spilled");
         // Round two: node 0 carries 3, so 3 ++ 5 is written past the two
         // sealed envelopes, and 6 waits.
         route(&mut b, [&[5, 6], &[]]);
@@ -458,6 +470,26 @@ mod tests {
         }
         assert_eq!((srcs(&b, last[1]), last[1].2), (vec![9, 10], 1));
         assert_eq!(q.backlog_total(), 1);
+    }
+
+    #[test]
+    fn refill_compacts_in_place_and_spills_what_a_duplicate_outgrows() {
+        let mut b = RouteBuffers::new(2);
+        route(&mut b, [&[1, 2, 3], &[4, 5]]);
+        // Drop 1 and duplicate 2: the copy takes the dropped slot.
+        let copies = |env: &WireEnvelope| [1, 0, 2, 1, 2, 1][env.src as usize];
+        let bucket: Vec<NodeId> = b.refill(0, copies).iter().map(|e| e.src).collect();
+        assert_eq!((bucket, b.span(0), b.end), (vec![2, 2, 3], (0, 3), 5));
+        // Duplicate 4 with no room: the bucket moves past the sealed ones.
+        let bucket: Vec<NodeId> = b.refill(1, copies).iter().map(|e| e.src).collect();
+        assert_eq!((bucket, b.span(1), b.end), (vec![4, 4, 5], (5, 3), 8));
+        // Queue delivery reads it where it lies, and re-queues its tail.
+        let mut q = QueueBuffers::new(2);
+        assert_eq!(q.deliver(1, &mut b, 2), (5, 2, 1));
+        q.end_round();
+        route(&mut b, [&[], &[6]]);
+        let d1 = q.deliver(1, &mut b, 2);
+        assert_eq!((srcs(&b, d1), d1.0), (vec![5, 6], 1));
     }
 
     #[test]

@@ -12,35 +12,40 @@
 //!   late senders), a crash-pause parks the slot without retiring it, and
 //!   a join keeps the slot parked from round 0 until its scheduled round.
 //! * **Message faults** (drop, duplicate, reorder) apply to the *sealed*
-//!   wire arena — after validation and the counting-sort scatter, before
-//!   delivery. This is the one point where every engine layout agrees on
-//!   a canonical order: destination buckets ascend by dense index, and
-//!   within a bucket envelopes sit in dense **source** order (the
-//!   counting sort is stable; the sharded exchange splices cells into
-//!   exactly the same order).
+//!   delivery buckets — after validation and the exchange, before
+//!   delivery — each destination shard over its own buckets. Within a
+//!   bucket envelopes sit in dense **source** order (the counting sort is
+//!   stable; the sharded exchange splices cells into exactly the same
+//!   order), so a source's sends to one destination are adjacent and in
+//!   the order it staged them.
 //!
 //! # Determinism discipline
 //!
-//! One coordinator RNG per round, seeded from `(scenario seed, round)`,
-//! consumed along that canonical walk — never from worker threads, never
-//! dependent on shard boundaries. Buckets of retired or parked nodes are
-//! empty and consume nothing, so compaction timing cannot skew the
-//! stream. The invariant the matrix suite enforces: a fixed `(run seed,
-//! scenario seed, schedule)` yields bit-identical raw event streams at
-//! every worker × shard combination, and the empty schedule is
-//! bit-identical to a scenario-free run (quiet rounds never touch the
-//! RNG or the arena).
+//! A message's fate is a pure function of its layout-independent
+//! identity ([`RoundFaults::fate`]): a keyed hash of `(scenario seed,
+//! round, source ID, destination ID, the message's ordinal among that
+//! source's sends to that destination this round)` held against the
+//! round's rates. A reordered bucket's permutation is a shuffle by an RNG
+//! keyed on `(scenario seed, round, destination ID)`
+//! ([`RoundFaults::shuffle`]). No stream is shared between messages, so
+//! no walk order, shard boundary, worker count or unrelated traffic can
+//! move a fate, and the reference interpreter applies the same two
+//! functions from its own loop over each node's arrivals. The invariant
+//! the matrix suite enforces: a fixed `(run seed, scenario seed,
+//! schedule)` yields bit-identical raw event streams at every worker ×
+//! shard combination, and the empty schedule is bit-identical to a
+//! scenario-free run (quiet rounds never enter the fault pass).
 //!
 //! Nodes are addressed by **path position** (the same 0-based positions a
 //! participant mask indexes); the schedule is validated against the mask
 //! and compiled to dense indices before the run starts.
 
 use crate::config::CapacityPolicy;
-use crate::route::RouteBuffers;
+use crate::message::NodeId;
 use crate::wire::WireEnvelope;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::ops::RangeInclusive;
 
 /// One entry of a fault schedule. Rounds are 0-based and inclusive;
@@ -374,8 +379,8 @@ impl Scenario {
 
 /// The message-fault half of a schedule, and the one piece of scenario
 /// logic the batched executor and the reference interpreter share: which
-/// rates apply in a round, and the RNG that round's faults are drawn
-/// from. How the faults are *applied* to a round's traffic is written
+/// rates apply in a round, and — through [`RoundFaults`] — what they do
+/// to each message. How a round's traffic is walked is written
 /// separately in each engine.
 #[derive(Clone, Debug)]
 pub(crate) struct FaultWindows {
@@ -385,49 +390,93 @@ pub(crate) struct FaultWindows {
     reorders: Vec<(u64, u64)>,
 }
 
-/// The message-fault rates in force for one round (0 outside windows;
-/// overlapping windows take the strongest rate).
-#[derive(Clone, Copy, Debug, Default)]
+/// The message faults in force for one round (none outside windows;
+/// overlapping windows take the strongest rate), keyed by the round.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct RoundFaults {
-    pub(crate) drop_rate: f64,
-    pub(crate) dup_rate: f64,
-    pub(crate) reorder: bool,
+    /// The hash key of the round, from `(scenario seed, round)`.
+    key: u64,
+    /// A message is dropped when its 53-bit drop draw falls below this
+    /// (the rate in units of 2⁻⁵³: 0 never fires, 2⁵³ always does).
+    drop_below: u64,
+    /// The same for the duplicate draw of a message that survives.
+    dup_below: u64,
+    reorder: bool,
+}
+
+/// SplitMix64's finalizer: a bijective 64-bit mix.
+fn mix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Domain separators of a message's two draws and a bucket's shuffle.
+const DROP: u64 = 1;
+const DUPLICATE: u64 = 2;
+const SHUFFLE: u64 = 3;
+
+/// A probability as a threshold on a 53-bit draw.
+fn threshold(rate: f64) -> u64 {
+    (rate * (1u64 << 53) as f64) as u64
 }
 
 impl RoundFaults {
-    /// True when the round has any message fault scheduled.
+    /// True when the round has any message fault that can fire.
     pub(crate) fn active(&self) -> bool {
-        self.drop_rate > 0.0 || self.dup_rate > 0.0 || self.reorder
+        self.drop_below > 0 || self.dup_below > 0 || self.reorder
+    }
+
+    /// The fate of the `ordinal`-th message (0-based) `src` sends `dst`
+    /// this round, as the number of copies delivered: 0 (dropped), 1, or
+    /// 2 (duplicated, the copy beside the original). A pure function of
+    /// the message's identity — nothing else sent this round, and no
+    /// layout, can change it.
+    pub(crate) fn fate(&self, src: NodeId, dst: NodeId, ordinal: u64) -> usize {
+        let id = mix(mix(mix(self.key ^ src) ^ dst) ^ ordinal);
+        let draw = |domain: u64| mix(id ^ domain) >> 11;
+        if draw(DROP) < self.drop_below {
+            0
+        } else if draw(DUPLICATE) < self.dup_below {
+            2
+        } else {
+            1
+        }
+    }
+
+    /// Permutes `dst`'s surviving arrivals in a reorder window, by an RNG
+    /// keyed on `(scenario seed, round, dst)`; returns whether it did
+    /// (a bucket of fewer than two is left alone).
+    pub(crate) fn shuffle(&self, dst: NodeId, arrivals: &mut [WireEnvelope]) -> bool {
+        if !self.reorder || arrivals.len() < 2 {
+            return false;
+        }
+        let seed = mix(mix(self.key ^ SHUFFLE) ^ dst);
+        arrivals.shuffle(&mut SmallRng::seed_from_u64(seed));
+        true
     }
 }
 
 impl FaultWindows {
-    /// Resolves the rates in force at `round`.
+    /// Resolves the faults in force at `round`.
     pub(crate) fn at(&self, round: u64) -> RoundFaults {
         let strongest = |windows: &[(u64, u64, f64)]| {
-            windows
+            let rate = windows
                 .iter()
                 .filter(|&&(from, to, _)| (from..=to).contains(&round))
-                .fold(0.0f64, |acc, &(_, _, rate)| acc.max(rate))
+                .fold(0.0f64, |acc, &(_, _, rate)| acc.max(rate));
+            threshold(rate)
         };
         RoundFaults {
-            drop_rate: strongest(&self.drops),
-            dup_rate: strongest(&self.dups),
+            key: mix(mix(self.seed) ^ round),
+            drop_below: strongest(&self.drops),
+            dup_below: strongest(&self.dups),
             reorder: self
                 .reorders
                 .iter()
                 .any(|&(from, to)| (from..=to).contains(&round)),
         }
-    }
-
-    /// The fault RNG of `round`: a pure function of `(scenario seed,
-    /// round)`, so a round's faults do not depend on how much randomness
-    /// earlier rounds consumed.
-    pub(crate) fn rng(&self, round: u64) -> SmallRng {
-        SmallRng::seed_from_u64(
-            self.seed
-                .wrapping_add(round.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        )
     }
 }
 
@@ -454,23 +503,36 @@ pub(crate) struct ChurnOp {
     pub(crate) kind: ChurnKind,
 }
 
-/// Per-round message-fault tally, returned by the fault pass and folded
-/// into the round's delivered/word accounting (and the
-/// [`FaultInjected`](crate::RunEvent::FaultInjected) narration).
+/// Per-round message-fault tally of one shard's fault pass, summed over
+/// the shards and folded into the round's delivered/word accounting (and
+/// the [`FaultInjected`](crate::RunEvent::FaultInjected) narration).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct FaultTally {
     pub(crate) dropped: u64,
     pub(crate) duplicated: u64,
     pub(crate) reordered: u64,
-    /// Words removed by drops.
-    pub(crate) words_removed: u64,
-    /// Words added by duplicates.
-    pub(crate) words_added: u64,
+    /// Words the duplicates added less the words the drops removed.
+    pub(crate) words: i64,
 }
 
 impl FaultTally {
     pub(crate) fn any(&self) -> bool {
         (self.dropped | self.duplicated | self.reordered) != 0
+    }
+
+    /// Counts `env`'s fate, as [`RoundFaults::fate`] returned it.
+    pub(crate) fn count(&mut self, env: &WireEnvelope, copies: usize) {
+        self.dropped += u64::from(copies == 0);
+        self.duplicated += u64::from(copies == 2);
+        self.words += (copies as i64 - 1) * env.msg.size_words() as i64;
+    }
+
+    /// Adds another shard's tally.
+    pub(crate) fn add(&mut self, other: &FaultTally) {
+        self.dropped += other.dropped;
+        self.duplicated += other.duplicated;
+        self.reordered += other.reordered;
+        self.words += other.words;
     }
 }
 
@@ -486,34 +548,21 @@ pub(crate) struct CompiledScenario {
     join_dense: Vec<u32>,
 }
 
-/// The scenario runtime one engine run owns: compiled schedule, timeline
-/// cursors, the per-round fault RNG and the swap arena the fault pass
-/// rebuilds buckets into. Every buffer is round-reused — once the arena
-/// reaches the run's high-water message count the fault pass allocates
-/// nothing (the one arena rotates through the per-shard arenas via swap
-/// and converges on the largest).
+/// The scenario runtime one engine run owns: the compiled schedule and
+/// its timeline cursors.
 #[derive(Debug)]
 pub(crate) struct ScenarioRt {
     compiled: CompiledScenario,
-    rng: SmallRng,
-    arena: Vec<WireEnvelope>,
     pre_cursor: usize,
     post_cursor: usize,
-    /// Effective rates for the current round.
-    faults: RoundFaults,
-    tally: FaultTally,
 }
 
 impl ScenarioRt {
     pub(crate) fn new(compiled: CompiledScenario) -> Self {
         ScenarioRt {
-            rng: compiled.windows.rng(0),
             compiled,
-            arena: Vec::new(),
             pre_cursor: 0,
             post_cursor: 0,
-            faults: RoundFaults::default(),
-            tally: FaultTally::default(),
         }
     }
 
@@ -522,22 +571,9 @@ impl ScenarioRt {
         self.compiled.join_dense.binary_search(&dense).is_ok()
     }
 
-    /// Opens round `round`: resolves the active message-fault rates and,
-    /// when any fault could fire, derives the round's coordinator RNG
-    /// from `(scenario seed, round)`. Quiet rounds touch neither the RNG
-    /// nor (later) the arena, keeping them bit-identical to a
-    /// scenario-free engine.
-    pub(crate) fn begin_round(&mut self, round: u64) {
-        self.faults = self.compiled.windows.at(round);
-        self.tally = FaultTally::default();
-        if self.faults_active() {
-            self.rng = self.compiled.windows.rng(round);
-        }
-    }
-
-    /// True when the current round has any message fault scheduled.
-    pub(crate) fn faults_active(&self) -> bool {
-        self.faults.active()
+    /// The message faults in force at `round`.
+    pub(crate) fn faults(&self, round: u64) -> RoundFaults {
+        self.compiled.windows.at(round)
     }
 
     /// Pre-step churn ops scheduled for `round` (recoveries, joins).
@@ -561,64 +597,6 @@ impl ScenarioRt {
             *cursor += 1;
         }
         &ops[start..*cursor]
-    }
-
-    /// The fault pass: rebuilds each live destination's sealed bucket —
-    /// dropping, duplicating, and (queue policy) permuting envelopes —
-    /// into the swap arena, then swaps it into `buffers`. Must be called
-    /// from the coordinating thread, walking `live` in ascending dense
-    /// order (under shards: per shard in shard order, which is the same
-    /// global order); the RNG draws happen along that walk, which is what
-    /// makes the stream worker- and shard-invariant. Call once per
-    /// buffers object per round, only when [`Self::faults_active`].
-    pub(crate) fn perturb(
-        &mut self,
-        buffers: &mut RouteBuffers,
-        live: impl Iterator<Item = usize>,
-    ) {
-        self.arena.clear();
-        // A hard capacity bound on what this round's rates can produce —
-        // the sealed volume, twice that when duplication is active —
-        // reserved up front so the rebuild is realloc-free even on rounds
-        // that duplicate unusually many messages (the allocation probe
-        // holds the pass to that), and so a drop-only schedule does not
-        // rotate double-sized arenas into every shard.
-        let copies = if self.faults.dup_rate > 0.0 { 2 } else { 1 };
-        self.arena.reserve(copies * buffers.sealed_len());
-        for i in live {
-            let new_start = self.arena.len();
-            for &env in buffers.bucket(i) {
-                if self.faults.drop_rate > 0.0 && self.rng.gen_bool(self.faults.drop_rate) {
-                    self.tally.dropped += 1;
-                    self.tally.words_removed += env.msg.size_words() as u64;
-                    continue;
-                }
-                self.arena.push(env);
-                if self.faults.dup_rate > 0.0 && self.rng.gen_bool(self.faults.dup_rate) {
-                    self.tally.duplicated += 1;
-                    self.tally.words_added += env.msg.size_words() as u64;
-                    self.arena.push(env);
-                }
-            }
-            let new_count = self.arena.len() - new_start;
-            if self.faults.reorder && new_count > 1 {
-                self.arena[new_start..].shuffle(&mut self.rng);
-                self.tally.reordered += 1;
-            }
-            buffers.set_span(i, new_start as u32, new_count as u32);
-        }
-        buffers.install_arena(&mut self.arena);
-    }
-
-    /// Heap bytes of the swap arena (for the run's footprint record).
-    pub(crate) fn arena_bytes(&self) -> usize {
-        crate::metrics::vec_bytes(&self.arena)
-    }
-
-    /// The round's accumulated fault tally (reset by
-    /// [`Self::begin_round`]).
-    pub(crate) fn tally(&self) -> FaultTally {
-        self.tally
     }
 }
 
@@ -716,83 +694,12 @@ mod tests {
     }
 
     #[test]
-    fn fault_pass_is_a_pure_function_of_seed_and_round() {
-        use crate::wire::WireMsg;
-        let build = || {
-            let mut b = RouteBuffers::new(3);
-            for d in [0u32, 1, 1, 2, 2, 2] {
-                b.counts[d as usize] += 1;
-            }
-            let total = b.seal_counts_live(0..3);
-            for (k, d) in [0u32, 1, 1, 2, 2, 2].iter().enumerate() {
-                let msg = WireMsg::signal(0);
-                let src = k as u64 + 1;
-                b.push(*d as usize, WireEnvelope { src, msg });
-            }
-            assert_eq!(total, 6);
-            b
-        };
-        let run = || {
-            let s = Scenario::new(42)
-                .drop_messages(0..=10, 0.5)
-                .duplicate_messages(0..=10, 0.5);
-            let mut rt = ScenarioRt::new(s.compile(|n| n as u32));
-            rt.begin_round(3);
-            assert!(rt.faults_active());
-            let mut b = build();
-            rt.perturb(&mut b, 0..3);
-            let survivors: Vec<(u32, Vec<u64>)> = (0..3)
-                .map(|i| (b.counts[i], b.bucket(i).iter().map(|e| e.src).collect()))
-                .collect();
-            (survivors, rt.tally())
-        };
-        let (a, tally_a) = run();
-        let (b, tally_b) = run();
-        assert_eq!(a, b, "same seed+round must perturb identically");
-        assert_eq!(tally_a.dropped, tally_b.dropped);
-        assert_eq!(tally_a.duplicated, tally_b.duplicated);
-        assert!(tally_a.any());
-        // Buckets stay contiguous and ascending after the rebuild.
-        let mut acc = 0u32;
-        for (count, _) in &a {
-            acc += count;
-        }
-        assert_eq!(
-            acc as u64,
-            6 - tally_a.dropped + tally_a.duplicated,
-            "tally must account for every envelope"
-        );
-    }
-
-    #[test]
-    fn a_drop_only_round_reserves_no_room_for_duplicates() {
-        // The arena the pass installs is sized by what the round's rates
-        // can produce: the sealed volume, doubled only under duplication.
-        let installed = |scenario: Scenario| {
-            let mut b = RouteBuffers::new(1);
-            b.counts[0] = 100;
-            assert_eq!(b.seal_counts_live(0..1), 100);
-            let mut rt = ScenarioRt::new(scenario.compile(|n| n as u32));
-            rt.begin_round(0);
-            rt.perturb(&mut b, 0..1);
-            b.arena.capacity()
-        };
-        assert_eq!(installed(Scenario::new(1).drop_messages(0..=9, 0.01)), 100);
-        let both = Scenario::new(1)
-            .drop_messages(0..=9, 0.01)
-            .duplicate_messages(0..=9, 0.01);
-        assert_eq!(installed(both), 200);
-    }
-
-    #[test]
     fn quiet_rounds_leave_buckets_untouched() {
         let s = Scenario::new(42).drop_messages(5..=6, 1.0);
-        let mut rt = ScenarioRt::new(s.compile(|n| n as u32));
-        rt.begin_round(3);
-        assert!(!rt.faults_active());
-        rt.begin_round(5);
-        assert!(rt.faults_active());
-        assert_eq!(rt.faults.drop_rate, 1.0);
+        let rt = ScenarioRt::new(s.compile(|n| n as u32));
+        assert!(!rt.faults(3).active());
+        assert!(rt.faults(5).active());
+        assert_eq!(rt.faults(5).drop_below, 1 << 53);
     }
 
     #[test]
@@ -800,10 +707,105 @@ mod tests {
         let s = Scenario::new(0)
             .drop_messages(0..=10, 0.1)
             .drop_messages(5..=6, 0.9);
-        let mut rt = ScenarioRt::new(s.compile(|n| n as u32));
-        rt.begin_round(5);
-        assert_eq!(rt.faults.drop_rate, 0.9);
-        rt.begin_round(7);
-        assert_eq!(rt.faults.drop_rate, 0.1);
+        let rt = ScenarioRt::new(s.compile(|n| n as u32));
+        assert_eq!(rt.faults(5).drop_below, threshold(0.9));
+        assert_eq!(rt.faults(7).drop_below, threshold(0.1));
+    }
+
+    /// The faults of `round` under drop rate `drop` and duplicate rate
+    /// `dup`, every round a reorder round.
+    fn faults(drop: f64, dup: f64, round: u64) -> RoundFaults {
+        let s = Scenario::new(7)
+            .drop_messages(0..=u64::MAX, drop)
+            .duplicate_messages(0..=u64::MAX, dup)
+            .reorder(0..=u64::MAX);
+        s.fault_windows().at(round)
+    }
+
+    /// `count` message identities, varied in every component.
+    fn identities(count: u64) -> impl Iterator<Item = (NodeId, NodeId, u64)> {
+        (0..count).map(|k| (k % 97 + 1, k / 97 % 89 + 1_000, k / (97 * 89)))
+    }
+
+    #[test]
+    fn rate_zero_never_fires_and_rate_one_always_does() {
+        // Rate 1 is 2⁵³, above every 53-bit draw: no float edge at 1.0.
+        assert_eq!(threshold(1.0), 1 << 53);
+        assert!(u64::MAX >> 11 < threshold(1.0));
+        assert_eq!(threshold(0.0), 0);
+        for round in [0, 1, 1 << 40] {
+            let (quiet, lost, doubled) = (
+                faults(0.0, 0.0, round),
+                faults(1.0, 1.0, round),
+                faults(0.0, 1.0, round),
+            );
+            for (src, dst, ordinal) in identities(20_000) {
+                assert_eq!(quiet.fate(src, dst, ordinal), 1);
+                assert_eq!(lost.fate(src, dst, ordinal), 0);
+                assert_eq!(doubled.fate(src, dst, ordinal), 2);
+            }
+        }
+    }
+
+    #[test]
+    fn fates_land_within_four_sigma_of_the_rates() {
+        let (drop, dup, count) = (0.1, 0.2, 100_000u64);
+        let f = faults(drop, dup, 3);
+        let mut copies = [0u64; 3];
+        for (src, dst, ordinal) in identities(count) {
+            copies[f.fate(src, dst, ordinal)] += 1;
+        }
+        // Drops over every message; duplicates over the survivors.
+        let within = |hits: u64, trials: u64, p: f64| {
+            let (mean, sigma) = (trials as f64 * p, (trials as f64 * p * (1.0 - p)).sqrt());
+            assert!(
+                (hits as f64 - mean).abs() <= 4.0 * sigma,
+                "{hits} of {trials} at rate {p}"
+            );
+        };
+        within(copies[0], count, drop);
+        within(copies[2], count - copies[0], dup);
+    }
+
+    #[test]
+    fn every_component_of_the_identity_moves_the_fate() {
+        let f = faults(0.5, 0.5, 9);
+        let differ = |g: &dyn Fn(NodeId, NodeId, u64) -> usize| {
+            identities(5_000).any(|(src, dst, k)| g(src, dst, k) != f.fate(src, dst, k))
+        };
+        assert!(differ(&|src, dst, k| f.fate(src + 1, dst, k)));
+        assert!(differ(&|src, dst, k| f.fate(src, dst + 1, k)));
+        assert!(differ(&|src, dst, k| f.fate(src, dst, k + 1)));
+        assert!(differ(&|src, dst, k| faults(0.5, 0.5, 10).fate(src, dst, k)));
+    }
+
+    #[test]
+    fn the_keyed_shuffle_is_a_permutation_fixed_by_round_and_destination() {
+        use crate::wire::WireMsg;
+        let arrivals: Vec<WireEnvelope> = (0..40)
+            .map(|src| WireEnvelope {
+                src,
+                msg: WireMsg::signal(0),
+            })
+            .collect();
+        let shuffled = |f: RoundFaults, dst: NodeId| {
+            let mut span = arrivals.clone();
+            assert!(f.shuffle(dst, &mut span));
+            span.iter().map(|e| e.src).collect::<Vec<_>>()
+        };
+        let f = faults(0.0, 0.0, 4);
+        let once = shuffled(f, 17);
+        let mut sorted = once.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..40).collect::<Vec<_>>(), "a permutation");
+        assert_ne!(once, sorted, "and not the identity");
+        // Whoever applies it — either engine — gets the same order.
+        assert_eq!(once, shuffled(f, 17));
+        assert_ne!(once, shuffled(f, 18), "keyed on the destination");
+        assert_ne!(once, shuffled(faults(0.0, 0.0, 5), 17), "and the round");
+        // Outside a reorder window, and below two arrivals, no shuffle.
+        let quiet = Scenario::new(7).fault_windows().at(4);
+        assert!(!quiet.shuffle(17, &mut arrivals.clone()));
+        assert!(!f.shuffle(17, &mut arrivals[..1].to_vec()));
     }
 }

@@ -39,8 +39,10 @@
 //!    the local buckets, prefix-sum them, and splice sources in
 //!    **canonical shard order**: cells from shards `0..s`, the shard's
 //!    own staged spans, cells from shards `s+1..S`;
-//! 8. *fault pass* — the scenario's drop/duplicate/reorder windows
-//!    perturb the sealed buckets, shard by shard, with one RNG;
+//! 8. *fault pass* (per destination shard, fault windows only) — each
+//!    sealed message is dropped, delivered or duplicated by its own
+//!    identity's fate, and reordered buckets shuffled by their own key
+//!    (see [`crate::scenario`]);
 //! 9. *deliver* (per shard) — every inbox becomes a span of the route
 //!    arena (queue policy: `cap` of backlog ++ bucket); capacity checks;
 //! 10. *learn* (per shard, tracked runs only) — delivered envelopes feed
@@ -52,11 +54,10 @@
 //! bucket contents in exactly the dense source order the reference
 //! interpreter routes in; each shard journals its violations in slot order and the
 //! coordinator replays the journals in shard order, so a strict abort
-//! blames the same first violation; the fault pass consumes its RNG along
-//! the same walk. Round-level folds (message counts, max
-//! sends/receives/queues) are sums and maxes, commutative by
-//! construction. Hence transcripts, metrics, raw [`RunEvent`] streams and
-//! abort errors are bit-identical at every shard × worker combination
+//! blames the same first violation; a fault's fate depends on no walk at
+//! all. Round-level folds (message counts, max sends/receives/queues,
+//! fault tallies) are sums and maxes, commutative by construction. Hence
+//! transcripts, metrics, raw [`RunEvent`] streams and abort errors are bit-identical at every shard × worker combination
 //! (the shard-, scenario- and worker-matrix suites hold the loop to
 //! that).
 //!
@@ -76,7 +77,7 @@ use crate::metrics::{vec_bytes, Footprint, RunMetrics};
 use crate::network::{Network, RunResult, Steps};
 use crate::protocol::{Marks, NodeProtocol, NodeSeed};
 use crate::route::{QueueBuffers, RouteBuffers};
-use crate::scenario::{ChurnKind, ScenarioRt};
+use crate::scenario::{ChurnKind, FaultTally, RoundFaults, ScenarioRt};
 use crate::wire::{Staged, WireEnvelope, DEAD_INDEX, NO_INDEX, WIRE_ADDRS, WIRE_WORDS};
 use std::num::NonZeroUsize;
 use std::sync::Arc;
@@ -173,6 +174,8 @@ struct ShardState<P: NodeProtocol> {
     /// each seal, folded by the coordinator).
     round_messages: u64,
     round_words: u64,
+    /// This round's fault pass, summed by the coordinator.
+    faults: FaultTally,
     // Cumulative folds, harvested once at the end of the run.
     max_sent: usize,
     max_received: usize,
@@ -340,15 +343,24 @@ impl<P: NodeProtocol> ShardState<P> {
         }
     }
 
-    /// Scenario fault pass over this shard's sealed buckets, along its
-    /// live slots in order (retired and parked slots have empty buckets
-    /// and consume no randomness).
-    fn perturb(&mut self, rt: &mut ScenarioRt) {
-        let b = self.base;
-        rt.perturb(
-            &mut self.buffers,
-            self.slots.iter().map(|sl| (sl.idx - b) as usize),
-        );
+    /// Scenario fault pass over this shard's sealed buckets: a message
+    /// takes its identity's fate (a source's sends sit adjacent in a
+    /// bucket, so its ordinal is its place in their run), a bucket its
+    /// destination's shuffle.
+    fn inject(&mut self, faults: &RoundFaults) {
+        let (b, tally) = (self.base, &mut self.faults);
+        *tally = FaultTally::default();
+        for slot in self.slots.iter() {
+            let mut run = (None, 0);
+            let bucket = self.buffers.refill((slot.idx - b) as usize, |env| {
+                let ordinal = if run.0 == Some(env.src) { run.1 + 1 } else { 0 };
+                run = (Some(env.src), ordinal);
+                let copies = faults.fate(env.src, slot.id, ordinal);
+                tally.count(env, copies);
+                copies
+            });
+            tally.reordered += u64::from(faults.shuffle(slot.id, bucket));
+        }
     }
 
     /// Receive side: points every live slot's inbox into the route arena
@@ -503,9 +515,7 @@ fn locate<'s, P: NodeProtocol>(
 }
 
 /// Scenario churn, pre-step: recoveries and joins scheduled for this
-/// round un-park their slots before anyone steps, and the round's fault
-/// rates (plus, when any could fire, the per-round coordinator RNG) are
-/// resolved.
+/// round un-park their slots before anyone steps.
 fn churn_in<P: NodeProtocol>(
     rt: &mut ScenarioRt,
     round: u64,
@@ -515,7 +525,6 @@ fn churn_in<P: NodeProtocol>(
     emitter: &mut Emitter,
     sink: &mut Option<&mut dyn Sink>,
 ) {
-    rt.begin_round(round);
     for &op in rt.pre_step_ops(round) {
         let Some((sh, pos)) = locate(shards, rs, op.dense) else {
             continue;
@@ -689,9 +698,8 @@ impl<P: NodeProtocol> Run<P> {
 
         // Scenario schedule: validated against this run's participant set
         // and policy, then compiled to dense-index timelines. The runtime
-        // (timeline cursors, per-round fault RNG, swap arena) lives at the
-        // coordinator — churn and fault passes are coordinator phases,
-        // exactly like violation replay.
+        // (timeline cursors) lives at the coordinator: churn is a
+        // coordinator phase, like violation replay.
         let scenario_rt = match &config.scenario {
             Some(s) => {
                 s.validate(n, participants, config.capacity_policy)
@@ -767,6 +775,7 @@ impl<P: NodeProtocol> Run<P> {
                     marks: Vec::new(),
                     round_messages: 0,
                     round_words: 0,
+                    faults: FaultTally::default(),
                     max_sent: 0,
                     max_received: 0,
                     max_queue: 0,
@@ -922,21 +931,20 @@ impl<P: NodeProtocol> Steps<RunResult<P::Output>> for Run<P> {
             swap_cells(shards, cell_table);
         });
 
-        // Scenario fault pass: shards in order, ONE runtime — shard
-        // ranges ascend, so this is the global dense destination walk
-        // and the coordinator RNG is consumed identically at any shard
-        // count. The swap arena rotates through the shards' arenas,
-        // converging on the largest high-water mark. Quiet rounds skip
-        // the pass entirely, staying bit-identical to a scenario-free
-        // run.
-        if let Some(rt) = self.scenario_rt.as_mut().filter(|rt| rt.faults_active()) {
-            for sh in shards.iter_mut() {
-                sh.perturb(rt);
+        // Scenario fault pass, per destination shard: a fate depends on
+        // the message alone, so the per-shard tallies sum to the same
+        // round at any layout. Quiet rounds skip the pass entirely,
+        // staying bit-identical to a scenario-free run.
+        let faults = self.scenario_rt.as_ref().map(|rt| rt.faults(round));
+        if let Some(faults) = faults.filter(RoundFaults::active) {
+            for_each_shard(shards, threads, |_, sh| sh.inject(&faults));
+            let mut tally = FaultTally::default();
+            for sh in shards.iter() {
+                tally.add(&sh.faults);
             }
-            let tally = rt.tally();
             if tally.any() {
                 round_messages = round_messages - tally.dropped + tally.duplicated;
-                metrics.words = metrics.words - tally.words_removed + tally.words_added;
+                metrics.words = metrics.words.wrapping_add_signed(tally.words);
                 self.emitter.emit(
                     sink,
                     RunEvent::FaultInjected {
@@ -1025,7 +1033,6 @@ impl<P: NodeProtocol> Steps<RunResult<P::Output>> for Run<P> {
             route: sum(|sh| sh.buffers.heap_bytes()),
             queues: sum(|sh| sh.queues.heap_bytes()),
             cells: sum(|sh| sh.cells.iter().map(vec_bytes).sum()),
-            fault_swap: self.scenario_rt.as_ref().map_or(0, ScenarioRt::arena_bytes),
             knowledge: sum(|sh| sh.knowledge.heap_bytes()),
             tables: vec_bytes(&self.alive_now)
                 + std::mem::size_of_val(rs.net.ids_in_path_order())

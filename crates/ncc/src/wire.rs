@@ -13,8 +13,7 @@
 //! index — which only validation and the scatter read (the sender is the
 //! slot that staged it). What a node *receives* is a [`WireEnvelope`] —
 //! sender and message, one 64-byte cache line — the shape of the routing
-//! arena, the exchange cells, the fault pass's swap arena, the queue
-//! arenas and every inbox; where an envelope goes is the bucket it sits
+//! arena, the exchange cells, the queue arenas and every inbox; where an envelope goes is the bucket it sits
 //! in, never a field of its own.
 
 use crate::message::NodeId;

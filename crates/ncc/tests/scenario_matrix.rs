@@ -14,10 +14,10 @@
 
 mod common;
 
-use common::{assert_matches_reference, FanIn, Gossip};
+use common::{assert_matches_reference, on_both_engines, FanIn, Gossip};
 use dgr_ncc::{
-    CapacityPolicy, Config, EngineKind, EngineStats, Network, NodeProtocol, NodeSeed, Recording,
-    RunEvent, RunResult, Scenario, SimError,
+    tags, CapacityPolicy, Config, EngineKind, EngineStats, Network, NodeProtocol, NodeSeed,
+    Recording, RoundCtx, RunEvent, RunResult, Scenario, SimError, Status, WireMsg,
 };
 
 /// The scenario counters of a run, as the event stream folded them.
@@ -235,6 +235,56 @@ fn scenario_matrix_fan_in_backlog_under_faults_and_churn() {
             }
         }
     }
+}
+
+/// A message's fate is a function of the message alone: two runs with
+/// the same seeds that differ only by traffic between other nodes — here
+/// all of it on destinations a destination-ordered walk would reach
+/// first — drop and duplicate exactly the same messages of a fixed
+/// sender → receiver stream, on both engines.
+#[test]
+fn a_stream_keeps_its_faults_whatever_else_is_sent() {
+    let (n, rounds, per_round) = (64, 30u64, 3u64);
+    let (sender, receiver) = (40, 41);
+    let scenario = Scenario::new(21)
+        .drop_messages(0..=u64::MAX, 0.2)
+        .duplicate_messages(0..=u64::MAX, 0.2);
+    let net = Network::new(n, Config::ncc0(8).with_scenario(scenario));
+    let ids = net.ids_in_path_order().to_vec();
+    let received = |noisy: bool| {
+        let ids = ids.clone();
+        let result = on_both_engines(&net, move |seed| {
+            let position = ids.iter().position(|&id| id == seed.id).unwrap();
+            let (succ, mut got) = (seed.initial_successor, Vec::new());
+            move |ctx: &mut RoundCtx<'_>| {
+                let round = ctx.round();
+                got.extend(ctx.inbox().iter().map(|env| env.word()));
+                if round == rounds {
+                    return Status::Done(std::mem::take(&mut got));
+                }
+                if position == sender || (noisy && position < sender) {
+                    for k in 0..per_round {
+                        let msg = WireMsg::word(tags::GENERIC, round * per_round + k);
+                        ctx.send(succ.unwrap(), msg);
+                    }
+                }
+                Status::Continue
+            }
+        })
+        .unwrap();
+        let stats = &result.engine;
+        assert!(stats.faults_dropped > 0 && stats.faults_duplicated > 0);
+        result.outputs[receiver].1.clone()
+    };
+    let (quiet, noisy) = (received(false), received(true));
+    assert_eq!(quiet, noisy, "extra traffic moved the stream's faults");
+    let sent = (rounds * per_round) as usize;
+    assert_ne!(quiet.len(), sent, "the stream met no fault");
+    let unique: std::collections::BTreeSet<u64> = quiet.iter().copied().collect();
+    assert!(
+        unique.len() < sent && unique.len() < quiet.len(),
+        "a drop and a duplicate"
+    );
 }
 
 #[test]

@@ -141,11 +141,11 @@ fn strict_kt0_tracking_does_not_allocate_per_round() {
 }
 
 /// Allocation count of a Ping run under an always-on drop + duplicate
-/// scenario. The fault pass rebuilds every bucket through the scenario's
-/// swap arena each round; that arena (and the pre-compiled churn
-/// timelines, and the stack-seeded per-round RNG) must be round-reused —
-/// after the first faulted round, nothing about injection may touch the
-/// heap.
+/// scenario. The fault pass compacts every bucket in place and moves one
+/// a duplicate outgrows into the route arena's spill region; that region
+/// (and the pre-compiled churn timelines) must be round-reused — once it
+/// has reached its high-water mark, nothing about injection may touch
+/// the heap.
 fn allocations_for_scenario(rounds: u64, shards: usize) -> u64 {
     let scenario = Scenario::new(5)
         .drop_messages(1..=u64::MAX, 0.02)
@@ -168,8 +168,7 @@ fn allocations_for_scenario(rounds: u64, shards: usize) -> u64 {
 }
 
 /// Fault injection must be allocation-free at steady state, on one shard
-/// and on several (where the swap arena rotates through the shards'
-/// bucket arenas).
+/// and on several (each shard's pass writing into its own arena).
 #[test]
 fn scenario_fault_pass_does_not_allocate_per_round() {
     // Fault volume is random per round, so high-water convergence takes a

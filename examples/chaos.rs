@@ -7,9 +7,9 @@
 //!
 //! A [`Scenario`] is a pre-compiled fault schedule the engine applies
 //! between seal and delivery: here, every sealed message has a 1% chance
-//! of being silently discarded (drawn from a per-round RNG derived from
-//! the scenario seed, so the same seed always drops the same messages —
-//! at any worker or shard count). The warm-up floods knowledge along the
+//! of being silently discarded (decided by a hash of the scenario seed,
+//! the round and the message's identity, so the same seed always drops
+//! the same messages — at any worker or shard count). The warm-up floods knowledge along the
 //! path, so lost envelopes thin the traffic without stalling anyone: the
 //! run completes in the same number of rounds, narrating each round's
 //! injected faults through the [`ProgressSink`], and the engine's fault
