@@ -618,7 +618,8 @@ impl Sort {
     }
 
     /// Consumes what the previous round staged: a compaction move toward
-    /// this position, or the comparator partner's record.
+    /// this position, or the comparator partner's record. A survivor's
+    /// position still empty when the compaction ends lost its record.
     fn absorb_exchange(&mut self, t: u64, ctx: &RoundCtx<'_>) {
         if t <= self.shifts {
             if let Some(env) = ctx.inbox().iter().find(|e| e.msg.tag == tags::SORT_SHIFT) {
@@ -626,6 +627,10 @@ impl Sort {
                 let (record, shift) = Record::received(env);
                 (self.held, self.shift) = (Some(record), shift as usize);
             }
+            assert!(
+                t < self.shifts || self.x >= self.live || self.held.is_some(),
+                "message loss: a position missed its record in the merge's compaction"
+            );
         } else if let Some((_, i_am_low)) = self.cmp.take() {
             let env = ctx
                 .inbox()
@@ -1263,6 +1268,54 @@ mod tests {
         assert_eq!(
             messages[0],
             "message loss: a position missed its record in the class route"
+        );
+    }
+
+    /// Losing the merge lane's first round of compaction moves leaves
+    /// positions below the survivors' count empty when the compaction
+    /// ends: a typed panic in that round, the same on both engines —
+    /// never a comparator without a record a stage later.
+    #[test]
+    fn a_lost_compaction_move_panics_its_position() {
+        use dgr_ncc::{EngineKind, Scenario, SimError};
+        let n = 64;
+        let lost = crate::ctx::rounds_for(n);
+        let scenario = Scenario::new(5).drop_messages(lost..=lost, 1.0);
+        let net = Network::new(n, Config::ncc0(3).with_scenario(scenario));
+        let phase = Regroup {
+            live: n,
+            stride: 3,
+            groups: 10,
+        };
+        let messages = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
+            let run = net.run_protocol_on(engine, None, None, |_| {
+                WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                    // Equal keys: every run is in (key, home) order.
+                    let held = Held {
+                        key: 0,
+                        origin: rctx.id(),
+                        home: ctx.position,
+                    };
+                    let (vp, contacts) = (ctx.vp, ctx.contacts.clone());
+                    SortStep::merge(
+                        vp,
+                        contacts,
+                        ctx.position,
+                        Some(held),
+                        phase,
+                        Order::Ascending,
+                    )
+                })
+            });
+            match run {
+                Err(SimError::NodePanic { message, .. }) => message,
+                other => panic!("{engine:?}: expected a node panic, got {:?}", other.err()),
+            }
+        });
+        assert_eq!(messages[0], messages[1], "engines");
+        assert_eq!(
+            messages[0],
+            "message loss: a position missed its record in the merge's compaction"
         );
     }
 
