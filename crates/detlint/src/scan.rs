@@ -225,13 +225,14 @@ pub fn scan_file(path: &str, src: &str, class: FileClass) -> Vec<Finding> {
 }
 
 /// Collects identifiers declared with an unordered-container type
-/// anywhere in the file: `name: [&][mut] [std::collections::]HashMap<…`
-/// (covers let bindings, fn params and struct fields), plus
-/// `let name = …HashMap::new/with_capacity…` and
-/// `let name … = … collect::<HashMap…>`.
+/// anywhere in the file's non-test code: `name: [&][mut]
+/// [std::collections::]HashMap<…` (covers let bindings, fn params and
+/// struct fields), plus `let name = …HashMap::new/with_capacity…` and
+/// `let name … = … collect::<HashMap…>`. Test code is exempt from every
+/// rule, so what it declares names nothing the rules see.
 fn declared_unordered_names(lexed: &Lexed) -> Vec<String> {
     let mut names = Vec::new();
-    for line in &lexed.lines {
+    for line in lexed.lines.iter().filter(|line| !line.in_test) {
         let code = &line.code;
         if !code.contains("HashMap") && !code.contains("HashSet") {
             continue;

@@ -72,6 +72,11 @@ fn fixtures_match_expected_findings() {
             TranscriptAffecting,
         ),
         (
+            "fp_test_declared.rs",
+            "fp_test_declared.expected",
+            TranscriptAffecting,
+        ),
+        (
             "journal/shard.rs",
             "journal/shard.expected",
             TranscriptAffecting,
