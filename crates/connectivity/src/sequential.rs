@@ -7,7 +7,6 @@
 //! experiments an apples-to-apples edge-count and quality reference.
 
 use crate::ThresholdInstance;
-use dgr_core::DegreeSequence;
 use dgr_graph::Graph;
 
 /// The universal lower bound on edges: every node `v` needs degree at
@@ -78,12 +77,6 @@ fn sequential_envelope_into(g: &mut Graph, nodes: &[usize], degrees: &[usize]) {
         // slightly under target — acceptable for the baseline (the
         // distributed algorithm is what the experiments certify).
     }
-}
-
-/// A `DegreeSequence` view of the instance (degrees = requirements),
-/// useful for comparing against plain degree realization.
-pub fn as_degree_sequence(inst: &ThresholdInstance) -> DegreeSequence {
-    DegreeSequence::new(inst.rho.clone())
 }
 
 #[cfg(test)]

@@ -109,12 +109,6 @@ pub fn realize_naive(seq: &DegreeSequence) -> Result<Realization, RealizeError> 
     Ok(Realization { edges })
 }
 
-/// Is the sequence graphic, by attempting a Havel–Hakimi construction?
-/// (Must agree with Erdős–Gallai — property-tested.)
-pub fn is_graphic_hh(seq: &DegreeSequence) -> bool {
-    realize(seq).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

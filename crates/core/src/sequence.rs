@@ -57,13 +57,6 @@ impl DegreeSequence {
         &self.degrees
     }
 
-    /// The degrees sorted non-increasingly (the paper's canonical order).
-    pub fn sorted_desc(&self) -> Vec<usize> {
-        let mut d = self.degrees.clone();
-        d.sort_unstable_by(|a, b| b.cmp(a));
-        d
-    }
-
     /// Sum of degrees.
     pub fn sum(&self) -> usize {
         self.degrees.iter().sum()
@@ -82,12 +75,6 @@ impl DegreeSequence {
     /// Is the degree sum even (handshaking-lemma necessary condition)?
     pub fn has_even_sum(&self) -> bool {
         self.sum().is_multiple_of(2)
-    }
-
-    /// Does every degree fit in a simple graph (`d_i ≤ n-1`)?
-    pub fn degrees_fit(&self) -> bool {
-        let n = self.len();
-        self.degrees.iter().all(|&d| d < n.max(1))
     }
 
     /// Is the sequence realizable as a *tree*? Per Section 5 of the paper
@@ -146,7 +133,6 @@ mod tests {
         assert_eq!(d.max_degree(), 3);
         assert_eq!(d.edge_count(), 4);
         assert!(d.has_even_sum());
-        assert_eq!(d.sorted_desc(), vec![3, 2, 2, 1]);
     }
 
     #[test]
