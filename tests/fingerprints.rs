@@ -127,12 +127,12 @@ fn benchmark_calls_keep_their_fingerprints() {
         (
             "flood_sharded_faulty",
             2020,
-            (17, 1_057_162, 2_973_486, 0xb8d3_9db2_ffb8_695a),
+            (17, 1_064_276, 2_994_790, 0x7f29_8523_92c2_bb2a),
         ),
         (
             "flood_sharded_faulty",
             5376,
-            (17, 1_056_113, 2_970_427, 0x14bd_4a45_4343_0f88),
+            (17, 1_056_801, 2_972_443, 0x19cb_9264_535c_0269),
         ),
     ];
     for (workload, seed, want) in expected {

@@ -24,7 +24,7 @@ fn pull_every_round(session: &mut RunSession) -> Vec<Pulled> {
 fn a_reference_session_under_faults_matches_the_batched_one() {
     // Drops in the first rounds after the 5-round establishment, where
     // the crashed node's aggregate is due too.
-    let scenario = Scenario::new(11).drop_messages(5..=7, 0.3).crash(5, 4);
+    let scenario = Scenario::new(12).drop_messages(5..=7, 0.3).crash(5, 4);
     let session = |engine: Engine| {
         let recording = Recording::new();
         let mut session = Realization::new(Workload::Implicit(vec![3, 2, 2, 2, 2, 1, 1, 1, 2]))
