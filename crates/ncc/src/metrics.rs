@@ -178,7 +178,8 @@ pub struct EngineStats {
     /// Wall-clock nanoseconds spent in the exchange phase: counting the
     /// incoming cells, each shard's bucket prefix sums, and the canonical
     /// splice of cells and own staged spans into the delivery buckets (the
-    /// scatter half of routing — present on one-shard runs too).
+    /// scatter half of routing — present on one-shard runs too), then, in
+    /// a fault window, each shard's scenario fault pass.
     pub exchange_nanos: u64,
     /// Sealed messages discarded by the scenario engine's drop faults.
     /// Deterministic given `(seed, scenario)` — folded from the

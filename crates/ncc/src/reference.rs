@@ -323,11 +323,10 @@ impl<P: NodeProtocol> Steps<RunResult<P::Output>> for Run<P> {
         if let Some(faults) = faults.filter(RoundFaults::active) {
             let (mut dropped, mut duplicated, mut reordered) = (0, 0, 0);
             for node in self.nodes.iter_mut() {
-                let mut earlier: BTreeMap<NodeId, u64> = BTreeMap::new();
-                for env in std::mem::take(&mut node.inbox) {
-                    let ordinal = earlier.entry(env.src).or_default();
-                    let copies = faults.fate(env.src, node.id, *ordinal);
-                    *ordinal += 1;
+                let arrivals = std::mem::take(&mut node.inbox);
+                for (k, &env) in arrivals.iter().enumerate() {
+                    let earlier = arrivals[..k].iter().filter(|e| e.src == env.src);
+                    let copies = faults.fate(env.src, node.id, earlier.count() as u64);
                     dropped += u64::from(copies == 0);
                     duplicated += u64::from(copies == 2);
                     node.inbox.extend(std::iter::repeat_n(env, copies));

@@ -13,9 +13,9 @@
 //! the scatter left it; only a `Queue`-policy node that carries backlog
 //! gets `backlog ++ bucket prefix` written past the sealed buckets, into
 //! a **spill region** (where the scenario fault pass also moves a bucket
-//! that a duplicate outgrows). Every buffer involved — counts, bucket starts,
-//! scatter cursors, the arena, the queue's backlog arenas — is reused
-//! across rounds: after they have grown to the high-water volume,
+//! that a duplicate outgrows). Every buffer involved — counts, bucket
+//! starts, scatter cursors, the arena, the queue's backlog arenas — is
+//! reused across rounds: after they have grown to the high-water volume,
 //! routing and delivery perform no heap allocation at all.
 
 use crate::config::IdAssignment;
@@ -183,11 +183,12 @@ impl RouteBuffers {
     /// rewritten bucket — the scenario fault pass. Drops compact the
     /// bucket in place; once a copy would overwrite an envelope not yet
     /// read, the bucket moves to the spill region, past the sealed ones,
-    /// where delivery's spills then follow it.
+    /// where delivery's spills then follow it. Cold, like the pass.
+    #[cold]
     pub(crate) fn refill(
         &mut self,
         i: usize,
-        mut copies: impl FnMut(&WireEnvelope) -> usize,
+        copies: &mut dyn FnMut(&WireEnvelope) -> usize,
     ) -> &mut [WireEnvelope] {
         let start = self.starts[i] as usize;
         // The end of the survivors: below `end` in place, the arena's
@@ -477,11 +478,11 @@ mod tests {
         let mut b = RouteBuffers::new(2);
         route(&mut b, [&[1, 2, 3], &[4, 5]]);
         // Drop 1 and duplicate 2: the copy takes the dropped slot.
-        let copies = |env: &WireEnvelope| [1, 0, 2, 1, 2, 1][env.src as usize];
-        let bucket: Vec<NodeId> = b.refill(0, copies).iter().map(|e| e.src).collect();
+        let mut copies = |env: &WireEnvelope| [1, 0, 2, 1, 2, 1][env.src as usize];
+        let bucket: Vec<NodeId> = b.refill(0, &mut copies).iter().map(|e| e.src).collect();
         assert_eq!((bucket, b.span(0), b.end), (vec![2, 2, 3], (0, 3), 5));
         // Duplicate 4 with no room: the bucket moves past the sealed ones.
-        let bucket: Vec<NodeId> = b.refill(1, copies).iter().map(|e| e.src).collect();
+        let bucket: Vec<NodeId> = b.refill(1, &mut copies).iter().map(|e| e.src).collect();
         assert_eq!((bucket, b.span(1), b.end), (vec![4, 4, 5], (5, 3), 8));
         // Queue delivery reads it where it lies, and re-queues its tail.
         let mut q = QueueBuffers::new(2);

@@ -39,10 +39,10 @@
 //!    the local buckets, prefix-sum them, and splice sources in
 //!    **canonical shard order**: cells from shards `0..s`, the shard's
 //!    own staged spans, cells from shards `s+1..S`;
-//! 8. *fault pass* (per destination shard, fault windows only) — each
-//!    sealed message is dropped, delivered or duplicated by its own
-//!    identity's fate, and reordered buckets shuffled by their own key
-//!    (see [`crate::scenario`]);
+//! 8. *fault pass* (per destination shard, right after its exchange;
+//!    fault windows only) — each sealed message is dropped, delivered or
+//!    duplicated by its own identity's fate, and reordered buckets
+//!    shuffled by their own key (see [`crate::scenario`]);
 //! 9. *deliver* (per shard) — every inbox becomes a span of the route
 //!    arena (queue policy: `cap` of backlog ++ bucket); capacity checks;
 //! 10. *learn* (per shard, tracked runs only) — delivered envelopes feed
@@ -346,13 +346,15 @@ impl<P: NodeProtocol> ShardState<P> {
     /// Scenario fault pass over this shard's sealed buckets: a message
     /// takes its identity's fate (a source's sends sit adjacent in a
     /// bucket, so its ordinal is its place in their run), a bucket its
-    /// destination's shuffle.
+    /// destination's shuffle. Cold: it runs in fault windows only, so
+    /// its code stays apart from the quiet round's.
+    #[cold]
     fn inject(&mut self, faults: &RoundFaults) {
         let (b, tally) = (self.base, &mut self.faults);
         *tally = FaultTally::default();
         for slot in self.slots.iter() {
             let mut run = (None, 0);
-            let bucket = self.buffers.refill((slot.idx - b) as usize, |env| {
+            let bucket = self.buffers.refill((slot.idx - b) as usize, &mut |env| {
                 let ordinal = if run.0 == Some(env.src) { run.1 + 1 } else { 0 };
                 run = (Some(env.src), ordinal);
                 let copies = faults.fate(env.src, slot.id, ordinal);
@@ -924,20 +926,25 @@ impl<P: NodeProtocol> Steps<RunResult<P::Output>> for Run<P> {
         // Exchange: the source shards lend their cell rows to the
         // coordinator's table (pointer swaps, no allocation) so every
         // destination shard can read all of them while mutating itself.
+        // In a fault window each destination shard then runs the fault
+        // pass over its own buckets: a fate depends on the message alone,
+        // so the shards' tallies sum to the same round at any layout.
+        // Quiet rounds never enter the pass, staying bit-identical to a
+        // scenario-free run.
+        let faults = self.scenario_rt.as_ref().map(|rt| rt.faults(round));
+        let faults = faults.filter(RoundFaults::active);
         let cell_table = &mut self.cell_table;
         timed(&mut self.exchange_nanos, || {
             swap_cells(shards, cell_table);
-            for_each_shard(shards, threads, |d, sh| sh.exchange(d, cell_table));
+            for_each_shard(shards, threads, |d, sh| {
+                sh.exchange(d, cell_table);
+                if let Some(faults) = &faults {
+                    sh.inject(faults);
+                }
+            });
             swap_cells(shards, cell_table);
         });
-
-        // Scenario fault pass, per destination shard: a fate depends on
-        // the message alone, so the per-shard tallies sum to the same
-        // round at any layout. Quiet rounds skip the pass entirely,
-        // staying bit-identical to a scenario-free run.
-        let faults = self.scenario_rt.as_ref().map(|rt| rt.faults(round));
-        if let Some(faults) = faults.filter(RoundFaults::active) {
-            for_each_shard(shards, threads, |_, sh| sh.inject(&faults));
+        if faults.is_some() {
             let mut tally = FaultTally::default();
             for sh in shards.iter() {
                 tally.add(&sh.faults);
