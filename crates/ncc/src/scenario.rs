@@ -516,10 +516,6 @@ pub(crate) struct FaultTally {
 }
 
 impl FaultTally {
-    pub(crate) fn any(&self) -> bool {
-        (self.dropped | self.duplicated | self.reordered) != 0
-    }
-
     /// Counts `env`'s fate, as [`RoundFaults::fate`] returned it.
     pub(crate) fn count(&mut self, env: &WireEnvelope, copies: usize) {
         self.dropped += u64::from(copies == 0);
@@ -527,12 +523,13 @@ impl FaultTally {
         self.words += (copies as i64 - 1) * env.msg.size_words() as i64;
     }
 
-    /// Adds another shard's tally.
-    pub(crate) fn add(&mut self, other: &FaultTally) {
+    /// This tally plus another shard's.
+    pub(crate) fn add(mut self, other: &FaultTally) -> Self {
         self.dropped += other.dropped;
         self.duplicated += other.duplicated;
         self.reordered += other.reordered;
         self.words += other.words;
+        self
     }
 }
 

@@ -926,11 +926,9 @@ impl<P: NodeProtocol> Steps<RunResult<P::Output>> for Run<P> {
         // Exchange: the source shards lend their cell rows to the
         // coordinator's table (pointer swaps, no allocation) so every
         // destination shard can read all of them while mutating itself.
-        // In a fault window each destination shard then runs the fault
-        // pass over its own buckets: a fate depends on the message alone,
-        // so the shards' tallies sum to the same round at any layout.
-        // Quiet rounds never enter the pass, staying bit-identical to a
-        // scenario-free run.
+        // In a fault window each shard's fault pass follows: a fate is the
+        // message's alone, so the tallies sum alike at any layout. Quiet
+        // rounds never enter it, bit-identical to a scenario-free run.
         let faults = self.scenario_rt.as_ref().map(|rt| rt.faults(round));
         let faults = faults.filter(RoundFaults::active);
         let cell_table = &mut self.cell_table;
@@ -945,11 +943,10 @@ impl<P: NodeProtocol> Steps<RunResult<P::Output>> for Run<P> {
             swap_cells(shards, cell_table);
         });
         if faults.is_some() {
-            let mut tally = FaultTally::default();
-            for sh in shards.iter() {
-                tally.add(&sh.faults);
-            }
-            if tally.any() {
+            let tally = shards
+                .iter()
+                .fold(FaultTally::default(), |t, sh| t.add(&sh.faults));
+            if tally.dropped + tally.duplicated + tally.reordered > 0 {
                 round_messages = round_messages - tally.dropped + tally.duplicated;
                 metrics.words = metrics.words.wrapping_add_signed(tally.words);
                 self.emitter.emit(
