@@ -57,9 +57,9 @@
 //! blames the same first violation; a fault's fate depends on no walk at
 //! all. Round-level folds (message counts, max sends/receives/queues,
 //! fault tallies) are sums and maxes, commutative by construction. Hence
-//! transcripts, metrics, raw [`RunEvent`] streams and abort errors are bit-identical at every shard × worker combination
-//! (the shard-, scenario- and worker-matrix suites hold the loop to
-//! that).
+//! transcripts, metrics, raw [`RunEvent`] streams and abort errors are
+//! bit-identical at every shard × worker combination (the shard-,
+//! scenario- and worker-matrix suites hold the loop to that).
 //!
 //! **Events.** Every run narrates itself as a typed
 //! [`RunEvent`](crate::event) stream through a shared [`Emitter`]. The

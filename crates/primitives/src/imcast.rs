@@ -5,9 +5,11 @@
 //!
 //! The realization algorithms only ever multicast to contiguous rank
 //! intervals: Algorithm 3's groups are `[i, i+δ]` with source `t_i` at
-//! rank `i`; Algorithm 6 phase 2 covers the `ρ(x_i)` *predecessors* of
-//! `x_i`; Algorithms 4 and 5 hand each parent's ID to its child interval,
-//! which lies ahead of the parent, through the shifted multicast below.
+//! rank `i`; Algorithms 4 and 5 hand each parent's ID to its child
+//! interval, which lies ahead of the parent, through the shifted multicast
+//! below. (Algorithm 6's phase 2, which reaches each `x_i`'s `ρ(x_i)`
+//! predecessors, is a token pipeline of its own: see
+//! `dgr_connectivity::distributed::ncc0`.)
 //!
 //! Cover protocol ("after" side): a node at rank `r` responsible for the
 //! `c` ranks after it jumps its payload to the contact `2^k` ahead
