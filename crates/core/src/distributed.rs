@@ -150,7 +150,7 @@
 
 use crate::sequence::DegreeSequence;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireEnvelope, WireMsg};
-use dgr_primitives::imcast::{self, CoverSide, ImcastStep, Payload};
+use dgr_primitives::imcast::{self, ImcastStep};
 use dgr_primitives::ops::{self, SweepStep, Words};
 use dgr_primitives::sort::{self, Held, Order, Regroup, SortStep};
 use dgr_primitives::{ctx, PathCtx, Poll, Step};
@@ -411,13 +411,14 @@ impl Hop {
             };
             self.mcast = None;
             if let Some((origin, word, edge)) = self.status {
-                if let (Some(handoff), Some(p), 1..) = (handoff, got, self.offset) {
-                    handoff.owe(self.offset, p.addr, origin);
+                if let (Some(handoff), Some(leader), 1..) = (handoff, got, self.offset) {
+                    handoff.owe(self.offset, leader, origin);
                 }
                 let mut msg = WireMsg::word(tags::STATUS, word);
                 if edge {
-                    let p = got.expect("message loss: a committed member missed the multicast");
-                    msg = msg.with_addr(p.addr);
+                    let leader =
+                        got.expect("message loss: a committed member missed the multicast");
+                    msg = msg.with_addr(leader);
                 }
                 rctx.send(origin, msg);
             }
@@ -826,13 +827,9 @@ impl DegreesCore {
             let led = if is_leader { stride as u64 - 1 } else { 0 };
             let status = self.held.map(|h| (h.origin, led, edge));
             let offset = if grouped && !is_leader { x % stride } else { 0 };
-            let task = self.held.filter(|_| is_leader).map(|h| {
-                let payload = Payload {
-                    addr: h.origin,
-                    word: 0,
-                };
-                (CoverSide::After, stride - 1, payload)
-            });
+            let task = (self.held)
+                .filter(|_| is_leader)
+                .map(|h| (stride - 1, h.origin));
             let ctx = &self.ctx;
             let mcast = Some(ImcastStep::new(ctx.vp, ctx.contacts.clone(), task));
             let hop = Hop {
@@ -980,10 +977,7 @@ mod tests {
         ctx::rounds_for(n) + ops::rounds_for(n, cap).max(first)
     }
 
-    /// A member commits its need before its payload arrives, so losing
-    /// the multicast's first round of sends is a typed panic that names
-    /// the cause, on both engines — never a silently short degree.
-    /// A member commits its need before its payload arrives, so losing
+    /// A member commits its need before its leader's ID arrives, so losing
     /// the multicast's first round of sends is a typed panic that names
     /// the cause, on both engines — never a silently short degree. In a
     /// run the control sweep and the lane share every round of the
@@ -993,7 +987,7 @@ mod tests {
     fn a_lost_multicast_panics_its_committed_member() {
         use super::Hop;
         use dgr_ncc::{Network, NodeId, RoundCtx, Scenario, SimError};
-        use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
+        use dgr_primitives::imcast::ImcastStep;
         use dgr_primitives::{ctx, PathCtx, Poll, Step, WithCtx};
         struct LoneHop(Hop);
         impl Step for LoneHop {
@@ -1010,8 +1004,7 @@ mod tests {
             let run = net.run_protocol_on(engine, None, None, |_| {
                 WithCtx::new(|c: &PathCtx, rctx: &mut RoundCtx<'_>| {
                     let (x, id) = (c.position, rctx.id());
-                    let task =
-                        (x == 0).then_some((CoverSide::After, 3, Payload { addr: id, word: 0 }));
+                    let task = (x == 0).then_some((3, id));
                     let mcast = Some(ImcastStep::new(c.vp, c.contacts.clone(), task));
                     LoneHop(Hop {
                         mcast,

@@ -1,61 +1,45 @@
-//! Interval multicast: a source delivers a payload to a contiguous range of
-//! ranks on a virtual path, in `O(log n)` rounds via doubling cover — our
-//! congestion-free substitute for the butterfly multicast of Theorem 7
+//! Interval multicast: a source delivers an address to a contiguous range
+//! of ranks on a virtual path, in `O(log n)` rounds via doubling cover —
+//! our congestion-free substitute for the butterfly multicast of Theorem 7
 //! (ARCHITECTURE.md, *Deviations from the paper*).
 //!
-//! The realization algorithms only ever multicast to contiguous rank
-//! intervals: Algorithm 3's groups are `[i, i+δ]` with source `t_i` at
-//! rank `i`; Algorithms 4 and 5 hand each parent's ID to its child
-//! interval, which lies ahead of the parent, through the shifted multicast
-//! below. (Algorithm 6's phase 2, which reaches each `x_i`'s `ρ(x_i)`
+//! The realization algorithms only ever multicast an ID to a contiguous
+//! rank interval: Algorithm 3's groups are `[i, i+δ]` with source `t_i` at
+//! rank `i`, which hands its record's origin to the `δ` ranks after it;
+//! Algorithms 4 and 5 hand each parent's ID to its child interval, which
+//! lies ahead of the parent, through the shifted multicast below. So a
+//! message carries the address and the count it delegates, nothing more.
+//! (Algorithm 6's phase 2, which reaches each `x_i`'s `ρ(x_i)`
 //! predecessors, is a token pipeline of its own: see
 //! `dgr_connectivity::distributed::ncc0`.)
 //!
-//! Cover protocol ("after" side): a node at rank `r` responsible for the
-//! `c` ranks after it jumps its payload to the contact `2^k` ahead
-//! (`2^k = ⌊c⌋₂`, the largest power of two ≤ c), delegating the trailing
-//! `c - 2^k` ranks, and keeps the leading `2^k - 1`. Both residues are less
-//! than `2^k`, so the responsibility halves every round: `O(log c)` rounds,
-//! at most one send and one receive per node per round as long as different
-//! sources' intervals are disjoint.
+//! Cover protocol: a node at rank `r` responsible for the `c` ranks after
+//! it jumps the address to the contact `2^k` ahead (`2^k = ⌊c⌋₂`, the
+//! largest power of two ≤ c), delegating the trailing `c - 2^k` ranks, and
+//! keeps the leading `2^k - 1`. Both residues are less than `2^k`, so the
+//! responsibility halves every round: `O(log c)` rounds, at most one send
+//! and one receive per node per round as long as different sources'
+//! intervals are disjoint.
 //!
 //! Shifted multicast ([`ImcastStep::at_offset`]): the source at position
 //! `i` names an interval of `count_i` ranks starting `o_i ≥ 0` positions
-//! ahead. A *leg* of `L = ⌈log₂ len⌉` rounds carries the payload there,
+//! ahead. A *leg* of `L = ⌈log₂ len⌉` rounds carries the address there,
 //! highest bit first — in round `t` a holder whose remaining offset has bit
-//! `b = L - 1 - t` set forwards it `2^b` ahead — and the landing position
-//! keeps it and covers the next `count_i - 1` ranks as above. The contract:
-//! the offsets do not decrease in source position order, and the landing
-//! intervals `[i + o_i, i + o_i + count_i)` are disjoint and on the path.
-//! Then the leg is congestion-free: after the round of bit `b`, source
-//! `i`'s payload sits at `i + (o_i with its low b bits cleared)`, which
-//! strictly increases in `i`, so no two payloads share a node and every
-//! node sends and receives at most one leg message a round.
+//! `b = L - 1 - t` set forwards it `2^b` ahead, with the offset still to go
+//! and the count — and the landing position keeps it and covers the next
+//! `count_i - 1` ranks as above. The contract: the offsets do not decrease
+//! in source position order, and the landing intervals
+//! `[i + o_i, i + o_i + count_i)` are disjoint and on the path. Then the
+//! leg is congestion-free: after the round of bit `b`, source `i`'s
+//! address sits at `i + (o_i with its low b bits cleared)`, which strictly
+//! increases in `i`, so no two addresses share a node and every node sends
+//! and receives at most one leg message a round.
 
 use crate::contacts::ContactTable;
 use crate::step::{Lockstep, Poll, Rounds};
 use crate::vpath::VPath;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
 use std::sync::Arc;
-
-/// Which side of the source the covered interval lies on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CoverSide {
-    /// Cover the `count` ranks immediately after the source.
-    After,
-    /// Cover the `count` ranks immediately before the source.
-    Before,
-}
-
-/// A multicast payload: one address (typically the source's ID — this is
-/// how realization edges are announced) plus one data word.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Payload {
-    /// Address carried to every covered node.
-    pub addr: NodeId,
-    /// Data word carried to every covered node.
-    pub word: u64,
-}
 
 /// Number of rounds [`ImcastStep`] takes on a path of `len` nodes.
 pub fn rounds_for(len: usize) -> u64 {
@@ -80,39 +64,37 @@ pub struct Imcast {
     contacts: Arc<ContactTable>,
     /// Rounds of the leg, 0 without one.
     legs: u64,
-    /// The payload on its leg at this node: the offset still to go and
+    /// The address on its leg at this node: the offset still to go and
     /// the interval's count.
-    carried: Option<(usize, usize, Payload)>,
-    duty: Option<(CoverSide, usize, Payload)>,
-    received: Option<Payload>,
+    carried: Option<(usize, usize, NodeId)>,
+    /// The ranks after this node it still covers, and the address.
+    duty: Option<(usize, NodeId)>,
+    received: Option<NodeId>,
 }
 
 impl ImcastStep {
-    /// Builds the step; `task` is `Some((side, count, payload))` at the
-    /// multicast sources (intervals of distinct sources must be disjoint).
-    pub fn new(
-        vp: VPath,
-        contacts: Arc<ContactTable>,
-        task: Option<(CoverSide, usize, Payload)>,
-    ) -> Self {
+    /// Builds the step; `task` is `Some((count, addr))` at the multicast
+    /// sources: the `count` ranks after the source receive `addr`
+    /// (intervals of distinct sources must be disjoint).
+    pub fn new(vp: VPath, contacts: Arc<ContactTable>, task: Option<(usize, NodeId)>) -> Self {
         let imcast = Imcast {
             contacts,
             legs: 0,
             carried: None,
-            duty: task.filter(|t| t.1 > 0),
+            duty: task.filter(|t| t.0 > 0),
             received: None,
         };
         Lockstep::run(vp.member, rounds_for(vp.len), imcast)
     }
 
     /// Builds the shifted multicast; `task` is `Some((offset, count,
-    /// payload))` at the sources: the payload lands `offset` positions
+    /// addr))` at the sources: the address lands `offset` positions
     /// ahead, and that position and the `count - 1` after it receive it
     /// (the module docs give the contract).
     pub fn at_offset(
         vp: VPath,
         contacts: Arc<ContactTable>,
-        task: Option<(usize, usize, Payload)>,
+        task: Option<(usize, usize, NodeId)>,
     ) -> Self {
         let imcast = Imcast {
             contacts,
@@ -128,54 +110,44 @@ impl ImcastStep {
 impl Imcast {
     fn absorb(&mut self, t: u64, ctx: &RoundCtx<'_>) {
         for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::IMCAST) {
-            let words = env.msg.words_slice();
-            let payload = Payload {
-                addr: env.addr(),
-                word: words[0],
-            };
+            let (addr, words) = (env.addr(), env.msg.words_slice());
             if t <= self.legs {
-                let carried = Some((words[1] as usize, words[2] as usize, payload));
-                // A second copy of a leg message is the same payload.
+                let carried = Some((words[0] as usize, words[1] as usize, addr));
+                // A second copy of a leg message is the same address.
                 if self.carried != carried {
-                    debug_assert!(self.carried.is_none(), "two payloads met on the leg");
+                    debug_assert!(self.carried.is_none(), "two addresses met on the leg");
                     self.carried = carried;
                 }
                 continue;
             }
             // A node is covered once; a second copy of that delegation
             // hands it nothing new.
-            if self.received == Some(payload) {
+            if self.received == Some(addr) {
                 continue;
             }
             debug_assert!(self.received.is_none(), "overlapping multicast intervals");
-            self.received = Some(payload);
-            let delegated = words[1] as usize;
-            let side = if words[2] == 0 {
-                CoverSide::After
-            } else {
-                CoverSide::Before
-            };
+            self.received = Some(addr);
+            let delegated = words[0] as usize;
             debug_assert!(self.duty.is_none(), "covered node already had a duty");
-            self.duty = (delegated > 0).then_some((side, delegated, payload));
+            self.duty = (delegated > 0).then_some((delegated, addr));
         }
     }
 
-    /// Leg round `t`: the payload moves `2^b` ahead if its remaining
+    /// Leg round `t`: the address moves `2^b` ahead if its remaining
     /// offset has bit `b = legs - 1 - t`.
     fn hop(&mut self, t: u64, ctx: &mut RoundCtx<'_>) {
         let b = (self.legs - 1 - t) as usize;
-        let Some((to_go, count, payload)) = self.carried else {
+        let Some((to_go, count, addr)) = self.carried else {
             return;
         };
         if to_go >> b & 1 == 1 {
             let target = self
                 .contacts
-                .at_offset(b, true)
+                .ahead(b)
                 .expect("shifted multicast ran off the path");
             ctx.send(
                 target,
-                WireMsg::addr(tags::IMCAST, payload.addr)
-                    .with_word(payload.word)
+                WireMsg::addr(tags::IMCAST, addr)
                     .with_word((to_go - (1 << b)) as u64)
                     .with_word(count as u64),
             );
@@ -185,19 +157,19 @@ impl Imcast {
 }
 
 impl Rounds for Imcast {
-    type Out = Option<Payload>;
+    type Out = Option<NodeId>;
 
-    fn poll(&mut self, t: u64, budget: u64, ctx: &mut RoundCtx<'_>) -> Poll<Option<Payload>> {
+    fn poll(&mut self, t: u64, budget: u64, ctx: &mut RoundCtx<'_>) -> Poll<Option<NodeId>> {
         if t > 0 {
             self.absorb(t, ctx);
         }
         if t == self.legs {
-            // The leg is over: the landing position keeps the payload and
+            // The leg is over: the landing position keeps the address and
             // covers the rest of its interval.
-            if let Some((to_go, count, payload)) = self.carried.take() {
-                debug_assert_eq!(to_go, 0, "a payload stopped short of its interval");
-                self.received = Some(payload);
-                self.duty = (count > 1).then_some((CoverSide::After, count - 1, payload));
+            if let Some((to_go, count, addr)) = self.carried.take() {
+                debug_assert_eq!(to_go, 0, "an address stopped short of its interval");
+                self.received = Some(addr);
+                self.duty = (count > 1).then_some((count - 1, addr));
             }
         }
         if t == budget {
@@ -206,28 +178,20 @@ impl Rounds for Imcast {
         }
         if t < self.legs {
             self.hop(t, ctx);
-        } else if let Some((side, count, payload)) = self.duty {
+        } else if let Some((count, addr)) = self.duty {
             debug_assert!(count >= 1);
             let k = usize::BITS as usize - 1 - count.leading_zeros() as usize;
-            let forward = side == CoverSide::After;
             let target = self
                 .contacts
-                .at_offset(k, forward)
+                .ahead(k)
                 .expect("interval multicast ran off the path");
             let delegated = count - (1 << k);
-            let side_word = match side {
-                CoverSide::After => 0u64,
-                CoverSide::Before => 1,
-            };
             ctx.send(
                 target,
-                WireMsg::addr(tags::IMCAST, payload.addr)
-                    .with_word(payload.word)
-                    .with_word(delegated as u64)
-                    .with_word(side_word),
+                WireMsg::addr(tags::IMCAST, addr).with_word(delegated as u64),
             );
             let keep = (1 << k) - 1;
-            self.duty = (keep > 0).then_some((side, keep, payload));
+            self.duty = (keep > 0).then_some((keep, addr));
         }
         Poll::Pending
     }
@@ -242,8 +206,8 @@ mod tests {
     /// Runs one multicast epoch; `task(rank, id)` is each node's task.
     fn multicast(
         net: &Network,
-        task: impl Fn(usize, NodeId) -> Option<(CoverSide, usize, Payload)> + Sync,
-    ) -> RunResult<Option<Payload>> {
+        task: impl Fn(usize, NodeId) -> Option<(usize, NodeId)> + Sync,
+    ) -> RunResult<Option<NodeId>> {
         let task = &task;
         net.run_protocol(|_| {
             WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
@@ -259,14 +223,7 @@ mod tests {
     fn check_after(n: usize, w: usize, seed: u64) {
         let net = Network::new(n, Config::ncc0(seed));
         let result = multicast(&net, |r, id| {
-            r.is_multiple_of(w).then(|| {
-                let count = (w - 1).min(n - 1 - r);
-                let payload = Payload {
-                    addr: id,
-                    word: r as u64,
-                };
-                (CoverSide::After, count, payload)
-            })
+            r.is_multiple_of(w).then(|| ((w - 1).min(n - 1 - r), id))
         });
         assert!(result.metrics.is_clean(), "n={n} w={w}");
         let order = result.gk_order();
@@ -275,11 +232,7 @@ mod tests {
                 assert_eq!(*got, None, "source must not receive");
             } else {
                 let src_rank = (r / w) * w;
-                let want = Payload {
-                    addr: order[src_rank],
-                    word: src_rank as u64,
-                };
-                assert_eq!(*got, Some(want), "n={n} w={w} rank={r}");
+                assert_eq!(*got, Some(order[src_rank]), "n={n} w={w} rank={r}");
             }
         }
     }
@@ -294,37 +247,9 @@ mod tests {
     }
 
     #[test]
-    fn before_side_covers_predecessors() {
-        // The tail covers the whole rest of the path backwards.
-        let n = 23;
-        let net = Network::new(n, Config::ncc0(66));
-        let result = multicast(&net, |r, id| {
-            let payload = Payload { addr: id, word: 9 };
-            (r == n - 1).then_some((CoverSide::Before, n - 1, payload))
-        });
-        assert!(result.metrics.is_clean());
-        let tail = *result.gk_order().last().unwrap();
-        for (id, got) in &result.outputs {
-            if *id == tail {
-                assert_eq!(*got, None);
-            } else {
-                assert_eq!(
-                    *got,
-                    Some(Payload {
-                        addr: tail,
-                        word: 9
-                    })
-                );
-            }
-        }
-    }
-
-    #[test]
     fn zero_count_task_is_a_noop() {
         let net = Network::new(8, Config::ncc0(67));
-        let result = multicast(&net, |_, id| {
-            Some((CoverSide::After, 0, Payload { addr: id, word: 0 }))
-        });
+        let result = multicast(&net, |_, id| Some((0, id)));
         assert!(result.outputs.iter().all(|(_, got)| got.is_none()));
     }
 }

@@ -4,7 +4,7 @@
 //! ties, random interval layouts, random shifted layouts.
 
 use dgr_ncc::{tags, Config, EngineKind, Network, RoundCtx};
-use dgr_primitives::imcast::{self, CoverSide, ImcastStep, Payload};
+use dgr_primitives::imcast::{self, ImcastStep};
 use dgr_primitives::ops::{Fold, SweepStep};
 use dgr_primitives::prefix::PrefixStep;
 use dgr_primitives::sort::{Order::Descending, RankStep, SortStep};
@@ -120,7 +120,7 @@ fn imcast_random_layout() {
                     let task = layout
                         .iter()
                         .find(|(s, _)| *s == c.position)
-                        .map(|&(_, count)| (CoverSide::After, count, Payload { addr, word: 1 }));
+                        .map(|&(_, count)| (count, addr));
                     ImcastStep::new(c.vp, c.contacts.clone(), task)
                 })
             })
@@ -133,7 +133,7 @@ fn imcast_random_layout() {
                 .find(|&&(s, count)| pos > s && pos <= s + count);
             match covering {
                 Some(&(s, _)) => assert_eq!(
-                    got.map(|p| p.addr),
+                    *got,
                     Some(order[s]),
                     "{what}: pos {pos} expected coverage from rank {s}"
                 ),
@@ -147,29 +147,19 @@ fn imcast_random_layout() {
         let seed = rng.gen_range(0u64..1000);
         let what = format!("offset case {case}: n={n} layout={layout:?} seed={seed}");
         let net = Network::new(n, Config::ncc0(seed));
-        // The sequential replay: source i's payload at every rank of
+        // The sequential replay: source i's address at every rank of
         // [a_i, a_i + count_i).
         let order = net.ids_in_path_order();
         let mut want = vec![None; n];
         for (i, &(a, count)) in layout.iter().enumerate() {
-            let payload = Payload {
-                addr: order[i],
-                word: i as u64,
-            };
-            want[a..a + count].fill(Some(payload));
+            want[a..a + count].fill(Some(order[i]));
         }
         for engine in [EngineKind::Batched, EngineKind::Reference] {
             let result = net
                 .run_protocol_on(engine, None, None, |_| {
                     WithCtx::new(|c: &PathCtx, rctx: &mut RoundCtx<'_>| {
                         let x = c.position;
-                        let task = layout.get(x).map(|&(a, count)| {
-                            let payload = Payload {
-                                addr: rctx.id(),
-                                word: x as u64,
-                            };
-                            (a - x, count, payload)
-                        });
+                        let task = layout.get(x).map(|&(a, count)| (a - x, count, rctx.id()));
                         let step = ImcastStep::at_offset(c.vp, c.contacts.clone(), task);
                         Busiest::new(step, &[tags::IMCAST])
                     })

@@ -18,11 +18,13 @@
 //!    tree and traversal, and the sort's, whose sorted path also names
 //!    the holder of each record (rendered without that field, the
 //!    outputs still hash to the twin's). The sweep cases hash the value
-//!    the twin handed out: the one word, or the median's address.
+//!    the twin handed out: the one word, or the median's address; the
+//!    multicast cases the twin's payload, the source's address and its
+//!    rank.
 
-use dgr_ncc::{Config, EngineKind, Network, NodeProtocol, RoundCtx, RunResult};
+use dgr_ncc::{Config, EngineKind, Network, NodeId, NodeProtocol, RoundCtx, RunResult};
 use dgr_primitives::ctx::UndirectStep;
-use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
+use dgr_primitives::imcast::ImcastStep;
 use dgr_primitives::ops::{Fold, SweepStep};
 use dgr_primitives::prefix::PrefixStep;
 use dgr_primitives::sort::{Order, RankStep, SortStep};
@@ -210,6 +212,15 @@ fn median_matches_frozen_twin_on_both_engines() {
     assert!(batched.metrics.is_clean(), "KT0-legal address spread");
 }
 
+/// The twin's multicast payload: the source's address and a data word,
+/// here its rank.
+#[derive(Debug)]
+#[allow(dead_code)] // read through `Debug` alone
+struct Payload {
+    addr: NodeId,
+    word: u64,
+}
+
 #[test]
 fn imcast_matches_frozen_twin_on_both_engines() {
     for (n, w, seed) in [(40usize, 5usize, 61u64), (37, 7, 63), (64, 8, 62)] {
@@ -217,22 +228,19 @@ fn imcast_matches_frozen_twin_on_both_engines() {
         let batched = engines_agree(&net, move |_| {
             CtxThen::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
                 let r = ctx.position;
-                let task = r.is_multiple_of(w).then(|| {
-                    let count = (w - 1).min(n - 1 - r);
-                    (
-                        CoverSide::After,
-                        count,
-                        Payload {
-                            addr: rctx.id(),
-                            word: r as u64,
-                        },
-                    )
-                });
+                let task = (r.is_multiple_of(w)).then(|| ((w - 1).min(n - 1 - r), rctx.id()));
                 ImcastStep::new(ctx.vp, ctx.contacts.clone(), task)
             })
         });
+        // Each covered rank's payload came from the source of its group.
+        let payloads: Vec<_> = (batched.outputs.iter().enumerate())
+            .map(|(r, (id, got))| {
+                let word = (r / w * w) as u64;
+                (*id, got.map(|addr| Payload { addr, word }))
+            })
+            .collect();
         let case = format!("imcast n={n} w={w}");
-        assert_golden(&case, &batched);
+        assert_transcript(&case, transcript_of(&payloads, &batched.metrics));
         assert!(batched.metrics.is_clean());
     }
 }

@@ -63,13 +63,13 @@
 //!
 //! Internal nodes are simultaneously parents (they announce to an
 //! interval) and children (they are inside someone else's interval): the
-//! multicast's leg carries a parent's payload away before any interval is
+//! multicast's leg carries a parent's ID away before any interval is
 //! covered, so one position plays both roles.
 
 use crate::driver::TreeAlgo;
 use dgr_core::Unrealizable;
 use dgr_ncc::{tags, NodeId, NodeProtocol, RoundCtx, Status, WireMsg};
-use dgr_primitives::imcast::{self, ImcastStep, Payload};
+use dgr_primitives::imcast::{self, ImcastStep};
 use dgr_primitives::ops::{self, SweepStep};
 use dgr_primitives::prefix::{self, PrefixStep};
 use dgr_primitives::sort::{self, Held, Order, SortStep};
@@ -239,12 +239,8 @@ impl NodeProtocol for RealizeTree {
                                 rctx.send(succ, WireMsg::addr(tags::SORT_LINK, origin));
                             }
                         }
-                        let payload = Payload {
-                            addr: origin,
-                            word: 0,
-                        };
                         let task = (self.slots > 0)
-                            .then(|| (first + before as usize - rank, self.slots, payload));
+                            .then(|| (first + before as usize - rank, self.slots, origin));
                         let (vp, table) = (self.ctx.vp, self.ctx.contacts.clone());
                         let mcast = ImcastStep::at_offset(vp, table, task);
                         self.stage = Stage::Handoff(Some(mcast));
@@ -259,7 +255,7 @@ impl NodeProtocol for RealizeTree {
                     let Poll::Ready(got) = s.poll(rctx) else {
                         return Status::Continue;
                     };
-                    let parent = got.map(|p| p.addr).or(self.chained);
+                    let parent = got.or(self.chained);
                     assert!(
                         parent.is_some() || self.ctx.position == 0,
                         "message loss: a position missed its parent"
