@@ -8,11 +8,9 @@
 use crate::experiments::ratios_flat;
 use crate::table::{f2, Table};
 use dgr_ncc::{Config, Network, RoundCtx, RunResult};
-use dgr_primitives::contacts::ContactsStep;
-use dgr_primitives::ctx::UndirectStep;
 use dgr_primitives::ops::{self, SweepStep};
 use dgr_primitives::sort::{Order, RankStep, SortStep};
-use dgr_primitives::{EstablishCtx, PathCtx, Step, StepProtocol, WithCtx};
+use dgr_primitives::{EstablishCtx, PathCtx, PathToClique, Step, StepProtocol, WithCtx};
 
 /// The full context establishment, standalone.
 fn establish(net: &Network) -> RunResult<PathCtx> {
@@ -49,11 +47,7 @@ pub fn c2_positions() -> Vec<Table> {
         let order = net.ids_in_path_order().to_vec();
         // Three runs, each one stage longer: the bare doubling, + the
         // rank lane (the establishment), + the median sweep.
-        let doubling = net
-            .run_protocol(|_| {
-                StepProtocol::new(UndirectStep::new().then(|vp, _| ContactsStep::new(vp)))
-            })
-            .unwrap();
+        let doubling = net.run_protocol(PathToClique::new).unwrap();
         let positions = establish(&net);
         let median = net
             .run_protocol(|_| {

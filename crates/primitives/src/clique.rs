@@ -1,8 +1,16 @@
-//! The NCC₀ **path-to-clique warm-up** as a whole-run protocol: undirection
-//! followed by pointer-doubling contact construction — the `O(log n)`-round
-//! phase that turns the bare knowledge path into a richly connected overlay
-//! (power-of-two contacts in both directions), the addressing backbone of
-//! every later primitive.
+//! The NCC₀ **path-to-clique warm-up** as a whole-run protocol: the
+//! undirection, then the pointer-doubling contact construction — the
+//! `O(log n)`-round phase that turns the bare knowledge path into a richly
+//! connected overlay (power-of-two contacts in both directions), the
+//! addressing backbone of every later primitive.
+//!
+//! It runs the same exchanges as the context establishment
+//! ([`EstablishCtx`](crate::EstablishCtx)) without the count lane:
+//! [`UndirectStep`]'s, then the table's own `send_level` and
+//! `learn_level` ([`crate::contacts`]). What it keeps apart is its
+//! shape: a whole-run protocol that holds only the table it builds, no
+//! step clock and no path view, so a node's slot in the round loop is no
+//! larger than the [`CliqueWarmup`] it hands out.
 //!
 //! This is the standard scale benchmark for the batched executor: its
 //! traffic is `2` messages per node per round (well under capacity), its
@@ -12,13 +20,10 @@
 //! `crates/ncc/tests/zero_alloc.rs`).
 
 use crate::contacts::ContactTable;
+use crate::ctx::UndirectStep;
+use crate::step::{Poll, Step};
 use crate::vpath::VPath;
-use dgr_ncc::{tags, NodeId, NodeProtocol, NodeSeed, RoundCtx, Status, WireMsg};
-
-/// Direction words used in contact-construction messages (the ones
-/// [`ContactsStep`](crate::contacts::ContactsStep) uses).
-const SET_FWD: u64 = 0;
-const SET_BWD: u64 = 1;
+use dgr_ncc::{NodeProtocol, NodeSeed, RoundCtx, Status};
 
 /// One node's result of the warm-up.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -32,38 +37,22 @@ pub struct CliqueWarmup {
 /// Total rounds of the warm-up on an `n`-node network: 1 (undirect) +
 /// `ceil(log2 n) - 1` (doubling levels beyond the first).
 pub fn rounds_for(n: usize) -> u64 {
-    1 + crate::contacts::rounds_for(n)
+    1 + crate::levels_for(n).saturating_sub(1) as u64
 }
 
 /// The warm-up protocol. Build one per node with [`PathToClique::new`].
 #[derive(Debug)]
 pub struct PathToClique {
-    /// Levels of the contact table (`ceil(log2 n)`).
-    levels: usize,
-    fwd: Vec<Option<NodeId>>,
-    bwd: Vec<Option<NodeId>>,
-    pred: Option<NodeId>,
+    undirect: UndirectStep,
+    contacts: ContactTable,
 }
 
 impl PathToClique {
     /// Builds the protocol for one node.
-    pub fn new(seed: &NodeSeed<'_>) -> Self {
-        // The G_k path spans the participating nodes (== n unmasked).
-        let levels = crate::levels_for(seed.participants);
+    pub fn new(_seed: &NodeSeed<'_>) -> Self {
         PathToClique {
-            levels,
-            fwd: Vec::with_capacity(levels),
-            bwd: Vec::with_capacity(levels),
-            pred: None,
-        }
-    }
-
-    /// Sends the level-`k` doubling messages: tell my `2^(k-1)`-behind
-    /// contact who sits `2^(k-1)` ahead of me, and vice versa.
-    fn send_level(&self, k: usize, ctx: &mut RoundCtx<'_>) {
-        if let (Some(b), Some(f)) = (self.bwd[k - 1], self.fwd[k - 1]) {
-            ctx.send(b, WireMsg::addr_word(tags::CONTACT, f, SET_FWD));
-            ctx.send(f, WireMsg::addr_word(tags::CONTACT, b, SET_BWD));
+            undirect: UndirectStep::new(),
+            contacts: ContactTable::default(),
         }
     }
 }
@@ -73,55 +62,26 @@ impl NodeProtocol for PathToClique {
 
     fn step(&mut self, ctx: &mut RoundCtx<'_>) -> Status<CliqueWarmup> {
         let round = ctx.round() as usize;
-        if round == 0 {
-            // Undirection: signal my successor so it learns its predecessor.
-            if let Some(succ) = ctx.initial_successor() {
-                ctx.send(succ, WireMsg::signal(tags::UNDIRECT));
-            }
-            return Status::Continue;
-        }
-        if round == 1 {
-            self.pred = ctx
-                .inbox()
-                .iter()
-                .find(|env| env.msg.tag == tags::UNDIRECT)
-                .map(|env| env.src);
-            if self.levels > 0 {
-                self.fwd.push(ctx.initial_successor());
-                self.bwd.push(self.pred);
+        if round <= 1 {
+            match self.undirect.poll(ctx) {
+                Poll::Pending => return Status::Continue,
+                Poll::Ready(vp) => self.contacts = ContactTable::level_zero(&vp),
             }
         } else {
             // Inbox holds the level-(round-1) exchange.
-            let mut new_fwd = None;
-            let mut new_bwd = None;
-            for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::CONTACT) {
-                match env.word() {
-                    SET_FWD => new_fwd = Some(env.addr()),
-                    SET_BWD => new_bwd = Some(env.addr()),
-                    other => unreachable!("bad contact direction word {other}"),
-                }
-            }
-            self.fwd.push(new_fwd);
-            self.bwd.push(new_bwd);
+            self.contacts.learn_level(ctx);
         }
-        // Next doubling level to send is `round`; levels 1..levels exist.
-        if round < self.levels {
-            self.send_level(round, ctx);
+        // Next doubling level to send is `round`; the G_k path spans the
+        // participating nodes.
+        if round < crate::levels_for(ctx.participants()) {
+            self.contacts.send_level(round, ctx, [&[], &[]]);
             return Status::Continue;
         }
-        let vp = VPath {
-            member: true,
-            pred: self.pred,
-            succ: ctx.initial_successor(),
-            len: ctx.participants(),
-        };
-        Status::Done(CliqueWarmup {
-            vp,
-            contacts: ContactTable {
-                fwd: std::mem::take(&mut self.fwd),
-                bwd: std::mem::take(&mut self.bwd),
-            },
-        })
+        let contacts = std::mem::take(&mut self.contacts);
+        // The level-0 contact behind is the predecessor the undirection
+        // heard.
+        let vp = UndirectStep::view(contacts.behind(0), ctx);
+        Status::Done(CliqueWarmup { vp, contacts })
     }
 }
 
@@ -183,25 +143,13 @@ mod tests {
         assert_eq!(out.contacts.behind(10), Some(order[mid - 1024]));
     }
 
-    /// The bespoke whole-run protocol is the composition of the two
-    /// general steps it hardcodes: same transcript, same tables.
+    /// Each flood slot holds either a node's protocol or its output, so
+    /// the protocol must stay smaller than the [`CliqueWarmup`] it hands
+    /// out: a larger one would grow every slot, and the flood's peak
+    /// memory with them.
     #[test]
-    fn matches_the_composed_undirect_and_contacts_steps() {
-        use crate::contacts::ContactsStep;
-        use crate::ctx::UndirectStep;
-        use crate::{Step, StepProtocol};
-        let n = 96;
-        let net = Network::new(n, Config::ncc0(21));
-        let warmup = net.run_protocol(PathToClique::new).unwrap();
-        let composed = net
-            .run_protocol(|_| {
-                StepProtocol::new(UndirectStep::new().then(|vp, _| ContactsStep::new(vp)))
-            })
-            .unwrap();
-        assert_eq!(warmup.metrics, composed.metrics);
-        for ((id_a, warm), (id_b, table)) in warmup.outputs.iter().zip(composed.outputs.iter()) {
-            assert_eq!(id_a, id_b);
-            assert_eq!(&warm.contacts, table.as_ref());
-        }
+    fn the_protocol_is_smaller_than_its_output() {
+        use std::mem::size_of;
+        assert!(size_of::<PathToClique>() < size_of::<CliqueWarmup>());
     }
 }

@@ -12,11 +12,16 @@
 //! both were learned in earlier levels, so every carried address is known to
 //! the sender — the doubling construction is exactly how knowledge spreads
 //! in the model.
+//!
+//! The doubling runs in two places, both through the table's own
+//! `send_level` and `learn_level`, the only code that sends a `CONTACT`
+//! message or learns a level from one: the context establishment
+//! ([`EstablishCtx`](crate::EstablishCtx)), with its count lane beside
+//! it, and the [`PathToClique`](crate::PathToClique) warm-up, which builds
+//! the bare table on `G_k`.
 
-use crate::step::{Lockstep, Poll, Rounds};
 use crate::vpath::VPath;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
-use std::sync::Arc;
 
 /// A node's power-of-two contacts on a virtual path.
 ///
@@ -30,6 +35,10 @@ pub struct ContactTable {
     /// Contacts toward the head; `bwd[k]` sits `2^k` behind.
     pub bwd: Vec<Option<NodeId>>,
 }
+
+/// Direction words of the contact-construction messages.
+pub(crate) const SET_FWD: u64 = 0;
+pub(crate) const SET_BWD: u64 = 1;
 
 impl ContactTable {
     /// The contact `2^k` ahead, if both the table level and the node exist.
@@ -50,80 +59,26 @@ impl ContactTable {
             self.behind(k)
         }
     }
-}
 
-/// Number of rounds [`ContactsStep`] takes on a path of `len` nodes:
-/// `ceil(log2 len) - 1`.
-pub fn rounds_for(len: usize) -> u64 {
-    crate::levels_for(len).saturating_sub(1) as u64
-}
-
-/// Direction words of the contact-construction messages.
-pub(crate) const SET_FWD: u64 = 0;
-pub(crate) const SET_BWD: u64 = 1;
-
-/// Pointer-doubling contact construction as a [`Step`](crate::Step), on
-/// an arbitrary virtual path (the [`PathToClique`](crate::PathToClique)
-/// warm-up hardcodes the `G_k` path; this step runs on sorted paths too,
-/// which is what the tree drivers need after a re-sort). The
-/// finished table is handed out interned (`Arc`) so downstream steps share
-/// one copy per node instead of cloning it at every stage transition.
-///
-/// Rounds: exactly [`rounds_for`]`(vp.len)`.
-pub type ContactsStep = Lockstep<Contacts>;
-
-/// [`ContactsStep`]'s member rounds.
-#[derive(Debug)]
-pub struct Contacts {
-    vp: VPath,
-    fwd: Vec<Option<NodeId>>,
-    bwd: Vec<Option<NodeId>>,
-}
-
-impl ContactsStep {
-    /// Builds the step for one node's view of the path.
-    pub fn new(vp: VPath) -> Self {
-        Lockstep::run(vp.member, rounds_for(vp.len), Contacts::new(vp))
-    }
-}
-
-impl Contacts {
-    pub(crate) fn new(vp: VPath) -> Self {
+    /// The doubling's start on the path `vp`: level 0, the path's own
+    /// neighbours, with room for every level.
+    pub(crate) fn level_zero(vp: &VPath) -> Self {
         let levels = vp.levels();
-        Contacts {
-            vp,
+        let mut table = ContactTable {
             fwd: Vec::with_capacity(levels),
             bwd: Vec::with_capacity(levels),
+        };
+        if levels > 0 {
+            table.fwd.push(vp.succ);
+            table.bwd.push(vp.pred);
         }
+        table
     }
 
-    /// Table level `t` at poll `t`: level 0 from the path view, level
-    /// `t > 0` from round `t - 1`'s CONTACT messages.
-    pub(crate) fn learn_level(&mut self, t: u64, ctx: &RoundCtx<'_>) {
-        if t > 0 {
-            self.absorb_level(ctx);
-        } else if self.vp.levels() > 0 {
-            self.fwd.push(self.vp.succ);
-            self.bwd.push(self.vp.pred);
-        }
-    }
-
-    /// The learned level `k`: the contacts `2^k` ahead and `2^k` behind.
-    pub(crate) fn level(&self, k: usize) -> (Option<NodeId>, Option<NodeId>) {
-        (self.fwd[k], self.bwd[k])
-    }
-
-    /// Hands the finished table out, interned.
-    pub(crate) fn take_table(&mut self) -> Arc<ContactTable> {
-        Arc::new(ContactTable {
-            fwd: std::mem::take(&mut self.fwd),
-            bwd: std::mem::take(&mut self.bwd),
-        })
-    }
-
-    /// Stages the level-`k` doubling exchange (`1 <= k < levels`): the
-    /// message behind carries `words[0]` after its direction word, the one
-    /// ahead `words[1]`.
+    /// Stages the level-`k` doubling exchange (`1 <= k < levels`): tell my
+    /// `2^(k-1)`-behind contact who sits `2^(k-1)` ahead of me, and vice
+    /// versa. The message behind carries `words[0]` after its direction
+    /// word, the one ahead `words[1]`.
     pub(crate) fn send_level(&self, k: usize, ctx: &mut RoundCtx<'_>, words: [&[u64]; 2]) {
         if let (Some(b), Some(f)) = (self.bwd[k - 1], self.fwd[k - 1]) {
             let msg = |to, dir, extra: &[u64]| {
@@ -135,8 +90,8 @@ impl Contacts {
         }
     }
 
-    /// Consumes one round's CONTACT messages into a new table level.
-    fn absorb_level(&mut self, ctx: &RoundCtx<'_>) {
+    /// Learns the next level from the exchange the last round delivered.
+    pub(crate) fn learn_level(&mut self, ctx: &RoundCtx<'_>) {
         let mut new_fwd = None;
         let mut new_bwd = None;
         for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::CONTACT) {
@@ -151,72 +106,9 @@ impl Contacts {
     }
 }
 
-impl Rounds for Contacts {
-    type Out = Arc<ContactTable>;
-
-    fn poll(&mut self, t: u64, budget: u64, ctx: &mut RoundCtx<'_>) -> Poll<Arc<ContactTable>> {
-        self.learn_level(t, ctx);
-        if t == budget {
-            return Poll::Ready(self.take_table());
-        }
-        // Poll t stages level t + 1, which poll t + 1 consumes.
-        self.send_level(t as usize + 1, ctx, [&[], &[]]);
-        Poll::Pending
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::UndirectStep;
-    use crate::{Step, StepProtocol};
-    use dgr_ncc::{Config, Network};
-
-    fn check_tables(n: usize, seed: u64) {
-        let net = Network::new(n, Config::ncc0(seed));
-        let result = net
-            .run_protocol(|_| {
-                StepProtocol::new(UndirectStep::new().then(|vp, _| ContactsStep::new(vp)))
-            })
-            .unwrap();
-        assert!(
-            result.metrics.is_clean(),
-            "n={n}: {:?}",
-            result.metrics.violations
-        );
-        assert_eq!(result.metrics.rounds, 1 + rounds_for(n));
-        let order = result.gk_order();
-        let levels = crate::levels_for(n);
-        for (i, (_, table)) in result.outputs.iter().enumerate() {
-            assert_eq!(table.fwd.len(), levels, "n={n} i={i}");
-            for k in 0..levels {
-                let d = 1usize << k;
-                assert_eq!(
-                    table.ahead(k),
-                    order.get(i + d).copied(),
-                    "n={n} i={i} fwd[{k}]"
-                );
-                let expect_b = i.checked_sub(d).map(|j| order[j]);
-                assert_eq!(table.behind(k), expect_b, "n={n} i={i} bwd[{k}]");
-            }
-        }
-    }
-
-    #[test]
-    fn tables_are_exact_for_powers_of_two() {
-        check_tables(16, 1);
-        check_tables(64, 2);
-    }
-
-    #[test]
-    fn tables_are_exact_for_odd_sizes() {
-        check_tables(1, 3);
-        check_tables(2, 3);
-        check_tables(3, 3);
-        check_tables(7, 4);
-        check_tables(33, 5);
-        check_tables(100, 6);
-    }
 
     #[test]
     fn offsets_api() {

@@ -38,10 +38,10 @@
 //!
 //! [`SortStep::by_class`]: crate::sort::SortStep::by_class
 
-use crate::contacts::{ContactTable, Contacts, SET_BWD, SET_FWD};
+use crate::contacts::{ContactTable, SET_BWD, SET_FWD};
 use crate::step::{Lockstep, Poll, Rounds, Step};
 use crate::vpath::VPath;
-use dgr_ncc::{tags, RoundCtx, WireEnvelope, WireMsg, WIRE_WORDS};
+use dgr_ncc::{tags, NodeId, RoundCtx, WireEnvelope, WireMsg, WIRE_WORDS};
 use std::sync::Arc;
 
 /// Everything a node knows about one virtual path after the standard
@@ -181,10 +181,10 @@ pub struct Classes {
     pub rank: usize,
 }
 
-/// Rounds for [`EstablishCtx::on`] — the context on an already-linked
-/// virtual path of `len` nodes: the contact doubling's
-/// [`contacts::rounds_for`](crate::contacts::rounds_for) and one round of
-/// counts past it, `⌈log₂ len⌉` (0 for a single node), keyed or not.
+/// Rounds for [`EstablishCtx::on_keyed`] — the context on an
+/// already-linked virtual path of `len` nodes: the contact doubling's
+/// `⌈log₂ len⌉ - 1` levels past the first and one round of counts past
+/// them, `⌈log₂ len⌉` (0 for a single node), keyed or not.
 pub fn rounds_on(len: usize) -> u64 {
     crate::levels_for(len) as u64
 }
@@ -207,6 +207,19 @@ impl UndirectStep {
     /// Builds the step.
     pub fn new() -> Self {
         UndirectStep { sent: false }
+    }
+
+    /// The `G_k` path view of a node whose predecessor is `pred`.
+    pub(crate) fn view(pred: Option<NodeId>, ctx: &RoundCtx<'_>) -> VPath {
+        VPath {
+            member: true,
+            pred,
+            succ: ctx.initial_successor(),
+            // The G_k path spans the *participating* nodes — on a masked
+            // sub-network run that is fewer than n, and every round budget
+            // downstream keys off this length.
+            len: ctx.participants(),
+        }
     }
 }
 
@@ -232,15 +245,7 @@ impl Step for UndirectStep {
             .iter()
             .find(|env| env.msg.tag == tags::UNDIRECT)
             .map(|env| env.src);
-        Poll::Ready(VPath {
-            member: true,
-            pred,
-            succ: ctx.initial_successor(),
-            // The G_k path spans the *participating* nodes — on a masked
-            // sub-network run that is fewer than n, and every round budget
-            // downstream keys off this length.
-            len: ctx.participants(),
-        })
+        Poll::Ready(Self::view(pred, ctx))
     }
 }
 
@@ -252,7 +257,7 @@ type PositionsStep = Lockstep<Positions>;
 #[derive(Debug)]
 struct Positions {
     vp: VPath,
-    contacts: Contacts,
+    contacts: ContactTable,
     /// Keyed: the tallies' bits a class, and this position's class.
     keyed: Option<(u32, usize)>,
     /// At poll `t`: the tally of the `2^t` positions ending here.
@@ -268,7 +273,7 @@ impl Positions {
         let own = Tally::of([keyed.map_or(0, |(_, class)| class as u64)]);
         let positions = Positions {
             vp,
-            contacts: Contacts::new(vp),
+            contacts: ContactTable::level_zero(&vp),
             keyed,
             behind: own,
             ahead: own,
@@ -289,11 +294,10 @@ impl Positions {
     /// side `ahead`, if there is one: its `RANK`, or its doubling message
     /// in direction `dir`, whose window is full.
     fn absorb_count(&mut self, k: usize, ahead: bool, ctx: &RoundCtx<'_>) {
-        let (fwd, bwd) = self.contacts.level(k);
         let (from, dir) = if ahead {
-            (fwd, SET_FWD)
+            (self.contacts.ahead(k), SET_FWD)
         } else {
-            (bwd, SET_BWD)
+            (self.contacts.behind(k), SET_BWD)
         };
         let Some(from) = from else {
             return;
@@ -330,8 +334,8 @@ impl Rounds for Positions {
 
     fn poll(&mut self, t: u64, budget: u64, ctx: &mut RoundCtx<'_>) -> Poll<PathCtx> {
         let k = t as usize;
-        if t < budget {
-            self.contacts.learn_level(t, ctx);
+        if 0 < t && t < budget {
+            self.contacts.learn_level(ctx);
         }
         if t > 0 {
             self.absorb_count(k - 1, false, ctx);
@@ -353,7 +357,7 @@ impl Rounds for Positions {
             });
             return Poll::Ready(PathCtx {
                 vp: self.vp,
-                contacts: self.contacts.take_table(),
+                contacts: Arc::new(std::mem::take(&mut self.contacts)),
                 position: self.behind.count() - 1,
                 classes,
             });
@@ -370,7 +374,7 @@ impl Rounds for Positions {
             self.contacts.send_level(k + 1, ctx, words);
         }
         let count = |words: &[u64]| WireMsg::words(tags::RANK, words);
-        match self.contacts.level(k) {
+        match (self.contacts.ahead(k), self.contacts.behind(k)) {
             (Some(fwd), None) => ctx.send(fwd, count(&behind[..n_behind])),
             (None, Some(bwd)) if self.keyed.is_some() => ctx.send(bwd, count(&ahead[..n_ahead])),
             _ => {}
@@ -417,20 +421,13 @@ impl EstablishCtx {
     }
 
     /// Establishes the context on an already-linked virtual path (e.g. a
-    /// sorted path). Non-members idle in lockstep.
-    pub fn on(vp: VPath) -> Self {
-        EstablishCtx {
-            undirect: None,
-            key: None,
-            positions: Some(Positions::step(vp, None)),
-        }
-    }
-
-    /// [`EstablishCtx::on`], keyed as [`EstablishCtx::keyed`].
+    /// sorted path's prefix), keyed as [`EstablishCtx::keyed`]. Non-members
+    /// idle in lockstep.
     pub fn on_keyed(vp: VPath, key: u64) -> Self {
         EstablishCtx {
+            undirect: None,
+            key: Some(key),
             positions: Some(Positions::step(vp, Some(key))),
-            ..Self::on(vp)
         }
     }
 }
@@ -526,8 +523,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contacts::ContactsStep;
     use crate::step::StepProtocol;
+    use crate::PathToClique;
     use dgr_ncc::{Config, EngineKind, Network, RunResult, SimError};
 
     /// The undirection alone, optionally masked, on the chosen engine.
@@ -583,11 +580,7 @@ mod tests {
             assert_eq!(runs[0].outputs, runs[1].outputs, "n={n}");
             assert_eq!(runs[0].metrics, runs[1].metrics, "n={n}");
             let net = Network::new(n, Config::ncc0(n as u64));
-            let doubling = net
-                .run_protocol(|_| {
-                    StepProtocol::new(UndirectStep::new().then(|vp, _| ContactsStep::new(vp)))
-                })
-                .unwrap();
+            let doubling = net.run_protocol(PathToClique::new).unwrap();
             let counts = runs[0].metrics.messages - doubling.metrics.messages;
             assert!(counts < n.max(1) as u64, "n={n}: {counts} counts");
         }

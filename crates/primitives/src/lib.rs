@@ -23,17 +23,20 @@
 //! what the realization drivers in `dgr-core`, `dgr-trees` and
 //! `dgr-connectivity` compose (recipe in `ARCHITECTURE.md`). A single step
 //! runs standalone as a whole-run [`dgr_ncc::NodeProtocol`] through
-//! [`StepProtocol`] or, after a context establishment, [`WithCtx`]; the
-//! one bespoke whole-run protocol is the [`PathToClique`] warm-up
-//! benchmark. Each module holds its primitive's description, shared types
-//! ([`ContactTable`], [`SortedPath`], …), round budget, step and property
-//! tests.
+//! [`StepProtocol`] or, after a context establishment, [`WithCtx`]. The
+//! [`PathToClique`] warm-up benchmark is a whole-run protocol of its own,
+//! to keep its per-node state no larger than its output, but runs the
+//! establishment's exchanges: the undirection and the contact doubling
+//! are each staged in one place ([`ctx::UndirectStep`],
+//! [`ContactTable`]'s levels). Each module holds its primitive's
+//! description, shared types ([`ContactTable`], [`SortedPath`], …), round
+//! budget, step and property tests.
 //!
 //! | Primitive | Paper | Rounds |
 //! |---|---|---|
 //! | [`ctx::UndirectStep`] | §3.1 | 1 |
 //! | [`warmup::WarmupStep`] (Fig. 1 tree) | §3.1.1 | `2 (ceil(log2 n) + 1)` |
-//! | [`contacts::ContactsStep`] (pointer doubling) | — | `ceil(log2 n) - 1` |
+//! | [`clique::PathToClique`] (the undirection, then the pointer doubling alone, as a whole-run protocol) | §3.1 | `max(1, ceil(log2 n))` |
 //! | [`ctx::EstablishCtx`] (undirect, then the doubling with a count lane: positions, Cor. 2; keyed, each key's rank in its class and the class totals too) | §3.1 | `1 + ceil(log2 n)` |
 //! | [`ops::SweepStep`] (Thm 4 on a shallow tree of the contacts, each position below itself less its lowest NAF digit: up to four words and an address, one fold, at most four messages a node a round; paced to two, one level a round, where the capacity is under six) | §3.2.1 | `2 depth`, `depth <= ceil(ceil(log2 n) / 2) + 1`; paced `<= 2 ceil(log2 n)` |
 //! | [`ops::SweepStep::broadcast`] / [`ops::SweepStep::released`] (the broadcast half alone: from position 0, or when a message reaches it) | §3.2.1 | `depth` |
@@ -42,9 +45,9 @@
 //! | [`sort::SortStep::merge`] (re-order in place after a group phase of `g` groups) | — | `ceil(log2(g + 1)) + ceil(log2 n) + 1` |
 //! | [`sort::RankStep`] (the sort's epilogue: each origin learns its sorted path) | §3.1.2 | 2 |
 //! | [`prefix::PrefixStep`] | §5 | `ceil(log2 n)` |
-//! | [`imcast::ImcastStep`] (Thm 7) | §3.2.3 | `ceil(log2 n) + 1` |
-//! | [`imcast::ImcastStep::at_offset`] (the payload first shifted ahead to its interval) | §5 | `2 ceil(log2 n) + 1` |
-//! //!
+//! | [`imcast::ImcastStep`] (Thm 7: one address to the ranks after its source; a message carries it and the count it delegates) | §3.2.3 | `ceil(log2 n) + 1` |
+//! | [`imcast::ImcastStep::at_offset`] (the address first shifted ahead to its interval; a leg message carries it, the offset to go and the count) | §5 | `2 ceil(log2 n) + 1` |
+//!
 //! The sorting and multicast primitives substitute the paper's machinery
 //! with same-complexity-class constructions (bitonic networks and interval
 //! doubling instead of recursive merge and butterflies); ARCHITECTURE.md,

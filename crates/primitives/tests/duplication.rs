@@ -5,12 +5,10 @@
 use dgr_ncc::{
     tags, Config, EngineKind, Network, NodeProtocol, NodeSeed, RoundCtx, Scenario, WireMsg,
 };
-use dgr_primitives::contacts::ContactsStep;
-use dgr_primitives::ctx::UndirectStep;
-use dgr_primitives::imcast::{CoverSide, ImcastStep, Payload};
+use dgr_primitives::imcast::ImcastStep;
 use dgr_primitives::ops::SweepStep;
 use dgr_primitives::sort::{Held, Order, Regroup, SortStep};
-use dgr_primitives::{EstablishCtx, PathCtx, Step, StepProtocol, WithCtx};
+use dgr_primitives::{EstablishCtx, PathCtx, PathToClique, Step, StepProtocol, WithCtx};
 
 /// Runs `factory` on an n = 37 network fault-free, then under full
 /// duplication (queue policy) on both engines, and holds every node's
@@ -39,9 +37,7 @@ where
 /// A duplicated `CONTACT` writes the same table entry twice.
 #[test]
 fn contact_tables_are_exact_under_full_duplication() {
-    outputs_survive_full_duplication(43, |_| {
-        StepProtocol::new(UndirectStep::new().then(|vp, _| ContactsStep::new(vp)))
-    });
+    outputs_survive_full_duplication(43, PathToClique::new);
 }
 
 /// A duplicated count or `SET_BWD` is the same message from the same
@@ -53,25 +49,14 @@ fn rank_lane_is_exact_under_full_duplication() {
 }
 
 /// A duplicated delegation covers a node once, and a duplicated leg
-/// message carries the same payload on: every covered rank still learns
+/// message carries the same address on: every covered rank still learns
 /// its own source, in the plain and in the shifted multicast.
 #[test]
 fn interval_multicast_is_exact_under_full_duplication() {
     outputs_survive_full_duplication(45, |_| {
         WithCtx::new(|ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
             let (r, w) = (ctx.position, 5);
-            let task = r.is_multiple_of(w).then(|| {
-                let count = (w - 1).min(ctx.vp.len - 1 - r);
-                let word = r as u64;
-                (
-                    CoverSide::After,
-                    count,
-                    Payload {
-                        addr: rctx.id(),
-                        word,
-                    },
-                )
-            });
+            let task = (r.is_multiple_of(w)).then(|| ((w - 1).min(ctx.vp.len - 1 - r), rctx.id()));
             ImcastStep::new(ctx.vp, ctx.contacts.clone(), task)
         })
     });
@@ -80,11 +65,7 @@ fn interval_multicast_is_exact_under_full_duplication() {
     outputs_survive_full_duplication(46, |_| {
         WithCtx::new(|ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
             let x = ctx.position;
-            let payload = Payload {
-                addr: rctx.id(),
-                word: x as u64,
-            };
-            let task = (x < 9).then_some((10 + 2 * x, 3, payload));
+            let task = (x < 9).then_some((10 + 2 * x, 3, rctx.id()));
             ImcastStep::at_offset(ctx.vp, ctx.contacts.clone(), task)
         })
     });
