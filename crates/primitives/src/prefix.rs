@@ -5,7 +5,8 @@
 //! The classic parallel-prefix invariant: after step `k`, node at position
 //! `r` holds the sum of values at positions `(r - 2^k, r]`. At step `k` each
 //! node sends its running sum to the node `2^k` ahead, which adds it.
-//! `⌈log n⌉` steps, one message per node per round.
+//! `⌈log n⌉` steps, one message per node per round. A missing partial sum
+//! is a lost message, and it panics.
 
 use crate::contacts::ContactTable;
 use crate::step::{Lockstep, Poll, Rounds};
@@ -56,15 +57,15 @@ impl Rounds for Prefix {
     type Out = u64;
 
     fn poll(&mut self, t: u64, levels: u64, ctx: &mut RoundCtx<'_>) -> Poll<u64> {
-        if t > 0 {
-            // Last round's partial sum comes from the node `2^(t-1)`
-            // behind, once: a duplicate, or a straggler from an earlier
-            // level, adds nothing.
-            let from = self.contacts.behind(t as usize - 1);
-            let sent = |e: &&WireEnvelope| e.msg.tag == tags::PREFIX && Some(e.src) == from;
-            if let Some(env) = ctx.inbox().iter().find(sent) {
-                self.acc += env.word();
-            }
+        // Last round's partial sum comes from the node `2^(t-1)` behind,
+        // if there is one, once: a duplicate, or a straggler from an
+        // earlier level, adds nothing.
+        let behind = (t > 0).then(|| self.contacts.behind(t as usize - 1));
+        if let Some(from) = behind.flatten() {
+            let sent = |e: &&WireEnvelope| e.msg.tag == tags::PREFIX && e.src == from;
+            let env = (ctx.inbox().iter().find(sent))
+                .expect("message loss: a node missed its contact's partial sum");
+            self.acc += env.word();
         }
         if t == levels {
             return Poll::Ready(self.acc - self.own);
@@ -80,7 +81,7 @@ impl Rounds for Prefix {
 mod tests {
     use super::*;
     use crate::{PathCtx, WithCtx};
-    use dgr_ncc::{Config, EngineKind, Network, Scenario};
+    use dgr_ncc::{Config, EngineKind, Network, RunResult, Scenario, SimError};
 
     #[test]
     fn inclusive_prefix_sums_are_exact() {
@@ -145,5 +146,33 @@ mod tests {
                 assert_eq!(*got, running, "{engine:?} position {position}");
             }
         }
+    }
+
+    /// Every partial sum is due in a known round: losing a round of them
+    /// is a typed panic at the receivers, on both engines — never a short
+    /// sum.
+    #[test]
+    fn a_lost_partial_sum_panics_its_receiver() {
+        let n = 64;
+        let round = crate::ctx::rounds_for(n) + 2;
+        let scenario = Scenario::new(9).drop_messages(round..=round, 1.0);
+        let net = Network::new(n, Config::ncc0(17).with_scenario(scenario));
+        let messages = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
+            let run: Result<RunResult<u64>, SimError> =
+                net.run_protocol_on(engine, None, None, |_| {
+                    WithCtx::new(|ctx: &PathCtx, _: &mut RoundCtx<'_>| {
+                        PrefixStep::new(ctx.vp, ctx.contacts.clone(), 1)
+                    })
+                });
+            match run {
+                Err(SimError::NodePanic { message, .. }) => message,
+                other => panic!("{engine:?}: expected a node panic, got {:?}", other.err()),
+            }
+        });
+        assert_eq!(messages[0], messages[1], "engines");
+        assert_eq!(
+            messages[0],
+            "message loss: a node missed its contact's partial sum"
+        );
     }
 }
