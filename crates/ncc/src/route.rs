@@ -326,8 +326,7 @@ mod tests {
     }
 
     #[test]
-    fn random_resolution_by_binary_search() {
-        // (The name predates the hashed table; the contract is the same.)
+    fn random_resolution_by_hashed_table() {
         let ids: Vec<NodeId> = vec![900, 17, 404, 3];
         let r = Resolver::build(&ids, IdAssignment::Random);
         for (i, &id) in ids.iter().enumerate() {
