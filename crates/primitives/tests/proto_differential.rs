@@ -91,9 +91,9 @@ const GOLDEN: &[(&str, Golden)] = &[
     ("aggregate-broadcast Max", (15, 572, 1471, 4, 4, 0x702198311380198b)),
     ("aggregate-broadcast Min", (15, 572, 1471, 4, 4, 0x51c495eee33ec395)),
     ("median", (13, 446, 1100, 4, 4, 0xbb0b4ada90c40310)),
-    ("imcast n=40 w=5", (14, 386, 1105, 2, 2, 0xf72d604209bc1766)),
-    ("imcast n=37 w=7", (14, 349, 1001, 2, 2, 0xc143af34fb4d83e2)),
-    ("imcast n=64 w=8", (14, 698, 2017, 2, 2, 0x517f669192246aea)),
+    ("imcast n=40 w=5", (14, 386, 1041, 2, 2, 0xf72d604209bc1766)),
+    ("imcast n=37 w=7", (14, 349, 939, 2, 2, 0xc143af34fb4d83e2)),
+    ("imcast n=64 w=8", (14, 698, 1905, 2, 2, 0x517f669192246aea)),
     ("establish", (7, 510, 1374, 2, 2, 0x9c4441f1ae6bd7c6)),
     ("warmup n=8 seed=1", (9, 32, 75, 2, 2, 0xc22be1b81834bf15)),
     ("warmup n=50 seed=2", (15, 422, 1119, 2, 2, 0xd687dbe6a1b03721)),

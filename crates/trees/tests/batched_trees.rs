@@ -63,19 +63,19 @@ fn transcript(out: &TreeRealization) -> Golden {
 #[rustfmt::skip]
 const GOLDEN: &[(&str, Golden)] = &[
     ("Chain [1, 1]", (true, 1, 9, 9, 20, 1, 1, 0x082f2407b4e8902a)),
-    ("Greedy [1, 1]", (true, 1, 9, 9, 23, 1, 1, 0x082f2407b4e8902a)),
-    ("Chain [2, 1, 1]", (true, 2, 13, 20, 52, 2, 2, 0xde796c5e4eb5ee0d)),
-    ("Greedy [2, 1, 1]", (true, 2, 13, 20, 55, 2, 2, 0xde796c5e4eb5ee0d)),
-    ("Chain [2, 2, 2, 1, 1]", (true, 4, 19, 45, 120, 2, 2, 0x6cf363375626802a)),
-    ("Greedy [2, 2, 2, 1, 1]", (true, 4, 19, 45, 129, 2, 2, 0x19f87c949da68724)),
-    ("Chain [4, 1, 1, 1, 1]", (true, 2, 19, 45, 126, 2, 2, 0x391910203356dc13)),
-    ("Greedy [4, 1, 1, 1, 1]", (true, 2, 19, 45, 129, 2, 2, 0x391910203356dc13)),
-    ("Chain [3, 3, 1, 1, 1, 1]", (true, 3, 19, 60, 170, 2, 2, 0xb653d13bbdf537da)),
-    ("Greedy [3, 3, 1, 1, 1, 1]", (true, 3, 19, 60, 176, 2, 2, 0x413adcbd2152199a)),
-    ("Chain [3, 3, 2, 1, 1, 1, 1]", (true, 4, 19, 74, 209, 2, 2, 0x3176adde87fbc574)),
-    ("Greedy [3, 3, 2, 1, 1, 1, 1]", (true, 4, 19, 74, 218, 2, 2, 0x047cd3b2c24a6050)),
-    ("Chain [2, 2, 2, 2, 2, 1, 1]", (true, 6, 19, 74, 203, 2, 2, 0xbea8f440b292a7a2)),
-    ("Greedy [2, 2, 2, 2, 2, 1, 1]", (true, 6, 19, 73, 213, 2, 2, 0xb442759410f368d0)),
+    ("Greedy [1, 1]", (true, 1, 9, 9, 22, 1, 1, 0x082f2407b4e8902a)),
+    ("Chain [2, 1, 1]", (true, 2, 13, 20, 51, 2, 2, 0xde796c5e4eb5ee0d)),
+    ("Greedy [2, 1, 1]", (true, 2, 13, 20, 52, 2, 2, 0xde796c5e4eb5ee0d)),
+    ("Chain [2, 2, 2, 1, 1]", (true, 4, 19, 45, 119, 2, 2, 0x6cf363375626802a)),
+    ("Greedy [2, 2, 2, 1, 1]", (true, 4, 19, 45, 124, 2, 2, 0x19f87c949da68724)),
+    ("Chain [4, 1, 1, 1, 1]", (true, 2, 19, 45, 121, 2, 2, 0x391910203356dc13)),
+    ("Greedy [4, 1, 1, 1, 1]", (true, 2, 19, 45, 122, 2, 2, 0x391910203356dc13)),
+    ("Chain [3, 3, 1, 1, 1, 1]", (true, 3, 19, 60, 165, 2, 2, 0xb653d13bbdf537da)),
+    ("Greedy [3, 3, 1, 1, 1, 1]", (true, 3, 19, 60, 167, 2, 2, 0x413adcbd2152199a)),
+    ("Chain [3, 3, 2, 1, 1, 1, 1]", (true, 4, 19, 74, 204, 2, 2, 0x3176adde87fbc574)),
+    ("Greedy [3, 3, 2, 1, 1, 1, 1]", (true, 4, 19, 74, 208, 2, 2, 0x047cd3b2c24a6050)),
+    ("Chain [2, 2, 2, 2, 2, 1, 1]", (true, 6, 19, 74, 201, 2, 2, 0xbea8f440b292a7a2)),
+    ("Greedy [2, 2, 2, 2, 2, 1, 1]", (true, 6, 19, 73, 206, 2, 2, 0xb442759410f368d0)),
     ("Chain [0]", (true, 0, 1, 0, 0, 0, 0, 0xcbf29ce484222325)),
     ("Greedy [0]", (true, 0, 1, 0, 0, 0, 0, 0xcbf29ce484222325)),
     ("Chain [2, 2, 2]", (false, 0, 5, 12, 34, 2, 2, 0xcbf29ce484222325)),
@@ -87,7 +87,7 @@ const GOLDEN: &[(&str, Golden)] = &[
 ];
 
 /// The folded transcripts of the random sweep, from the twins.
-const GOLDEN_SWEEP: u64 = 0x66ac_cc1b_2bd4_a617;
+const GOLDEN_SWEEP: u64 = 0x6ff7_7003_288f_001b;
 
 /// What a change of schedule may not move: the realized?, diameter and
 /// edge-hash columns of every [`GOLDEN`] row, then of every case of the
