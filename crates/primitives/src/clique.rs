@@ -8,9 +8,10 @@
 //! ([`EstablishCtx`](crate::EstablishCtx)) without the count lane:
 //! [`UndirectStep`]'s, then the table's own `send_level` and
 //! `learn_level` ([`crate::contacts`]). What it keeps apart is its
-//! shape: a whole-run protocol that holds only the table it builds, no
-//! step clock and no path view, so a node's slot in the round loop is no
-//! larger than the [`CliqueWarmup`] it hands out.
+//! shape: a whole-run protocol that holds only the undirection's flag and
+//! the table it builds, no lockstep clock and no path view, so a node's
+//! slot in the round loop is no larger than the [`CliqueWarmup`] it hands
+//! out.
 //!
 //! This is the standard scale benchmark for the batched executor: its
 //! traffic is `2` messages per node per round (well under capacity), its
