@@ -26,7 +26,7 @@ pub fn implicit(d: &[usize], seed: u64) -> DriverOutput {
     degrees(Workload::Implicit(d.to_vec()), seed, None)
 }
 
-/// Explicit realization (Theorem 12; queueing policy by default).
+/// Explicit realization (Theorem 12).
 pub fn explicit(d: &[usize], seed: u64) -> DriverOutput {
     degrees(Workload::Explicit(d.to_vec()), seed, None)
 }

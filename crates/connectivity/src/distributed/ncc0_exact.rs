@@ -1,6 +1,7 @@
 //! The **paper-exact** Algorithm 6 as one batched protocol: phase 1 via
-//! the masked prefix envelope recursion, the phase-2 head-ward pipeline,
-//! and the scheduled explicitness hand-offs — composed end to end.
+//! the envelope realized on the prefix sub-path, the phase-2 head-ward
+//! pipeline, and the scheduled explicitness hand-offs — composed end to
+//! end.
 //!
 //! [`Ncc0Threshold`](super::ncc0::Ncc0Threshold) substitutes a
 //! cyclic token pipeline for phase 1 (see `ncc0.rs` for why that

@@ -72,8 +72,6 @@ impl Ncc1Star {
         let rank = all_ids
             .binary_search(&seed.id)
             .expect("own ID missing from the global list");
-        // The rank tree spans the *participants* (the global list), which
-        // under a masked run is smaller than the network's n.
         let max_depth = depth(all_ids.len() - 1);
         Ncc1Star {
             rho,
@@ -187,7 +185,7 @@ mod tests {
     use super::*;
     use crate::driver::{realize_for_test, ThresholdAlgo};
     use crate::ThresholdInstance;
-    use dgr_ncc::{Config, EngineKind, Network};
+    use dgr_ncc::{Config, Network};
     use std::collections::HashMap;
 
     fn run(rho: Vec<usize>, seed: u64) -> dgr_ncc::RunResult<ThresholdOutcome> {
@@ -239,49 +237,6 @@ mod tests {
         let large = run(vec![20; 32], 62);
         assert_eq!(small.metrics.rounds, large.metrics.rounds);
         assert_eq!(small.metrics.rounds, rounds_for(32));
-    }
-
-    #[test]
-    fn masked_run_spans_only_participants() {
-        // 20 network slots, 13 participants: the rank tree must be sized
-        // from the participant list, not the full network.
-        let n = 20;
-        let net = Network::new(n, Config::ncc1(41));
-        let mask: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
-        let order = net.ids_in_path_order().to_vec();
-        let rho: HashMap<NodeId, usize> = order
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, 1 + i % 3))
-            .collect();
-        let result = net
-            .run_protocol_on(EngineKind::Batched, Some(&mask), None, |s| {
-                Ncc1Star::new(s, rho[&s.id])
-            })
-            .unwrap();
-        assert!(result.metrics.is_clean());
-        assert_eq!(result.outputs.len(), 13);
-        // Hub: smallest-ID participant among the rho-maximizers.
-        let max = result.outputs.iter().map(|(id, _)| rho[id]).max().unwrap();
-        let w = result
-            .outputs
-            .iter()
-            .filter(|(id, _)| rho[id] == max)
-            .map(|(id, _)| *id)
-            .min()
-            .unwrap();
-        for (id, out) in &result.outputs {
-            if *id == w {
-                assert!(out.neighbors.is_empty());
-            } else {
-                assert_eq!(out.neighbors[0], w);
-                // Edges only to participants.
-                assert!(out
-                    .neighbors
-                    .iter()
-                    .all(|x| result.outputs.iter().any(|(p, _)| p == x)));
-            }
-        }
     }
 
     #[test]

@@ -46,10 +46,10 @@ pub enum ThresholdAlgo {
     /// an NCC1 configuration; implicit overlay).
     Ncc1Star,
     /// Algorithm 6 / Theorem 18 with the default cyclic-pipeline phase 1
-    /// (`O~(Δ)` rounds; explicit overlay; queueing policy).
+    /// (`O~(Δ)` rounds; explicit overlay).
     Ncc0Pipeline,
-    /// Algorithm 6 **paper-exact**: phase 1 via the masked prefix
-    /// envelope recursion, plus the distinctness patch, phase-2 pipeline
+    /// Algorithm 6 **paper-exact**: phase 1 via the envelope realized on
+    /// the prefix sub-path, plus the distinctness patch, phase-2 pipeline
     /// and explicitness acks — see
     /// [`crate::distributed::ncc0_exact`].
     Ncc0Exact,
@@ -116,7 +116,7 @@ where
     P: NodeProtocol<Output = ThresholdOutcome> + 'static,
 {
     let by_id = net.assign_in_path_order(&inst.rho);
-    let run = net.start(engine, None, |s| make(s, by_id[&s.id]))?;
+    let run = net.start(engine, |s| make(s, by_id[&s.id]))?;
     Ok(Job::new(run, move |net, result, sink| {
         certify_run(net, by_id, result, explicit, certify, sink)
     }))

@@ -14,7 +14,7 @@
 //! * [`distributed::ncc0`] — Theorem 18 / Algorithm 6: `O~(Δ)`-round
 //!   explicit realization in NCC0 (and NCC1).
 //! * [`distributed::ncc0_exact`] — the **paper-exact** Algorithm 6 as one
-//!   composed batched protocol: masked prefix envelope recursion,
+//!   composed batched protocol: the envelope on the prefix sub-path,
 //!   distinctness patch, phase-2 pipeline, explicitness acks.
 //! * [`sequential`] — the centralized Frank–Chou-style baseline and the
 //!   `⌈Σρ/2⌉` lower bound.

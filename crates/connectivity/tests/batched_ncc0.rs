@@ -181,49 +181,6 @@ fn batched_ncc0_all_max_rho_is_complete() {
     assert_eq!(out.graph.edge_count(), n * (n - 1) / 2);
 }
 
-#[test]
-fn paper_exact_prefix_envelope_realizes_the_prefix_degrees() {
-    use dgr_core::distributed::Flavor;
-    // The tiered profile from the paper's multigraph corner, ρ-sorted
-    // (6 × 4, 3 × 16, 1 × 28): d₀ = 6, so the prefix is the 7 highest-ρ
-    // nodes, realized as a masked sub-network — Algorithm 6's paper-exact
-    // phase 1 in isolation.
-    let mut sorted = vec![1usize; 48];
-    for r in sorted.iter_mut().take(4) {
-        *r = 6;
-    }
-    for r in sorted.iter_mut().take(20).skip(4) {
-        *r = 3;
-    }
-    let mask: Vec<bool> = (0..48).map(|i| i < 7).collect();
-    let (flavor, engine) = (Flavor::Envelope, EngineKind::Batched);
-    let config = Config::ncc0(41);
-    let job = dgr_core::prepare_degrees(&sorted, Some(&mask), config, flavor, engine);
-    let out = job.unwrap().drive(None).unwrap().output;
-    let g = out.expect_realized();
-    // Exactly the d₀ + 1 prefix nodes participated.
-    assert_eq!(g.path_order.len(), 7);
-    assert!(g.metrics.is_clean());
-    // Theorem 13 over the sub-network: every prefix node's (multiset)
-    // degree covers its requirement, within the 2Σρ budget.
-    let mut envelope_sum = 0;
-    for (i, &id) in g.path_order.iter().enumerate() {
-        let d_prime = g.multi_degrees[&id];
-        assert!(
-            d_prime >= sorted[i],
-            "prefix rank {i}: envelope {d_prime} < ρ {}",
-            sorted[i]
-        );
-        envelope_sum += d_prime;
-    }
-    let prefix_sum: usize = sorted[..7].iter().sum();
-    assert!(envelope_sum <= 2 * prefix_sum);
-    // The sub-network run pays sub-network round budgets: its per-phase
-    // primitives run on a 7-node path (log₂ 7 ≈ 3 levels), not the
-    // 48-node one.
-    assert!(g.metrics.rounds < 400, "rounds = {}", g.metrics.rounds);
-}
-
 /// The token pipeline's fan-in and fan-out with its acknowledgements,
 /// measured on both engines at every capacity from the floor to 24, every
 /// position from 1 on injecting a token of up to `d₀` hops head-ward: a

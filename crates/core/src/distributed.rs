@@ -957,7 +957,7 @@ mod tests {
         let lost = Scenario::new(3).drop_messages(lost..=lost, 1.0);
         let messages = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
             let config = Config::ncc0(7).with_scenario(lost.clone());
-            let job = prepare_degrees(&degrees, None, config, Flavor::Implicit, engine);
+            let job = prepare_degrees(&degrees, config, Flavor::Implicit, engine);
             match job.unwrap().drive(None) {
                 Err(SimError::NodePanic { message, .. }) => message,
                 other => panic!("{engine:?}: expected a node panic, got {:?}", other.err()),
@@ -1092,7 +1092,7 @@ mod tests {
                 let mut recording = Recording::new();
                 let flavor = Flavor::Implicit;
                 let sink = Some(&mut recording as &mut dyn dgr_ncc::Sink);
-                let job = prepare_degrees(&degrees, None, Config::ncc0(3), flavor, engine);
+                let job = prepare_degrees(&degrees, Config::ncc0(3), flavor, engine);
                 let out = job.unwrap().drive(sink).unwrap().output;
                 assert!(out.is_unrealizable(), "{degrees:?} was accepted");
                 let (n, m) = (degrees.len(), out.metrics());
@@ -1166,7 +1166,7 @@ mod tests {
         assert!(ops::rounds_for(n, config.capacity(n)) < sort::rounds_for(n));
         for engine in [EngineKind::Batched, EngineKind::Reference] {
             let flavor = Flavor::Explicit;
-            let job = prepare_degrees(&degrees, None, config.clone(), flavor, engine);
+            let job = prepare_degrees(&degrees, config.clone(), flavor, engine);
             let out = job.unwrap().drive(None).unwrap().output;
             let g = out.expect_realized();
             assert_eq!(g.metrics.undelivered, 0, "{engine:?}");

@@ -102,18 +102,14 @@ fn split_consistent<T>(
 }
 
 /// The **engine room** of every degree-sequence realization — one typed
-/// entry point over workload flavor × engine × mask, handed back as a
-/// [`Job`] its caller steps (or drives to the end with [`Job::drive`]):
-/// the network with the degrees assigned along its knowledge path, the
+/// entry point over workload flavor × engine, handed back as a [`Job`]
+/// its caller steps (or drives to the end with [`Job::drive`]): the
+/// network with the degrees assigned along its knowledge path, the
 /// engine run set up on it, and the overlay's assembly.
 /// This is what the `dgr::Realization` facade builder drives.
 ///
-/// * `participants: None` realizes over the whole network; `Some(mask)`
-///   runs the masked sub-network capability (the knowledge path links
-///   across masked-out positions, which produce no output) — the
-///   engine-level form of Algorithm 6's paper-exact prefix recursion.
-/// * Either [`EngineKind`] runs the same state machine; transcripts are
-///   identical (`crates/core/tests/batched_drivers.rs`).
+/// Either [`EngineKind`] runs the same state machine; transcripts are
+/// identical (`crates/core/tests/batched_drivers.rs`).
 ///
 /// # Errors
 ///
@@ -121,46 +117,30 @@ fn split_consistent<T>(
 /// from stepping the job. The sink each step is given receives the run's
 /// typed [`RunEvent`](dgr_ncc::RunEvent) stream (`None` runs unobserved);
 /// both engines emit semantically identical streams.
-///
-/// # Panics
-///
-/// Panics if a mask's length differs from `degrees.len()`.
 pub fn prepare_degrees(
     degrees: &[usize],
-    participants: Option<&[bool]>,
     config: Config,
     flavor: Flavor,
     engine: EngineKind,
 ) -> Result<Job<DriverOutput>, SimError> {
     let net = Network::new(degrees.len(), config);
     let by_id = net.assign_in_path_order(degrees);
-    if let Some(mask) = participants {
-        assert_eq!(
-            degrees.len(),
-            mask.len(),
-            "one degree per path position is required"
-        );
-    }
-    let run = net.start(engine, participants, |s| {
+    let run = net.start(engine, |s| {
         let degree = by_id[&s.id];
         WithCtx::keyed(degree as u64, move |ctx: &PathCtx, _: &mut RoundCtx<'_>| {
             DegreesCore::new(degree, flavor, ctx.clone())
         })
     })?;
-    // Masked runs are assembled as implicit overlays whatever the flavor.
-    let explicit = flavor == Flavor::Explicit && participants.is_none();
-    let participants = participants.map(<[bool]>::to_vec);
+    let explicit = flavor == Flavor::Explicit;
     Ok(Job::new(run, move |net, result, _| {
-        assemble(net, &by_id, participants.as_deref(), result, explicit)
+        assemble(net, by_id, result, explicit)
     }))
 }
 
-/// Assembles a run's outputs against the *participating* nodes only
-/// (masked-out positions have no outputs and request nothing).
+/// Assembles a run's outputs into the realized overlay.
 fn assemble(
     net: &Network,
-    by_id: &BTreeMap<NodeId, usize>,
-    participants: Option<&[bool]>,
+    requested: BTreeMap<NodeId, usize>,
     result: dgr_ncc::RunResult<Result<crate::distributed::ImplicitOutcome, crate::Unrealizable>>,
     explicit: bool,
 ) -> Result<DriverOutput, SimError> {
@@ -169,10 +149,7 @@ fn assemble(
         return Ok(DriverOutput::Unrealizable { metrics });
     };
     let phases = outs.first().map(|(_, o)| o.phases).unwrap_or(0);
-    let ids = net.ids_in_path_order();
-    let positions = (0..ids.len()).filter(|&i| participants.is_none_or(|mask| mask[i]));
-    let members: Vec<NodeId> = positions.clone().map(|i| ids[i]).collect();
-    let requested: BTreeMap<NodeId, usize> = positions.map(|i| (ids[i], by_id[&ids[i]])).collect();
+    let members = net.ids_in_path_order().to_vec();
     let claims = outs.into_iter().map(|(id, o)| (id, o.neighbors));
     let (assembled, explicit_neighbors): (Assembled, _) = if explicit {
         let lists: BTreeMap<NodeId, Vec<NodeId>> = claims.collect();
@@ -193,10 +170,10 @@ fn assemble(
     })))
 }
 
-/// Test fixture: one unmasked realization on the batched engine.
+/// Test fixture: one realization on the batched engine.
 #[cfg(test)]
 pub(crate) fn realize_for_test(degrees: &[usize], config: Config, flavor: Flavor) -> DriverOutput {
-    prepare_degrees(degrees, None, config, flavor, EngineKind::Batched)
+    prepare_degrees(degrees, config, flavor, EngineKind::Batched)
         .unwrap()
         .drive(None)
         .unwrap()

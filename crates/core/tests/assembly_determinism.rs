@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 
 /// Batched-engine realization.
 fn realize_batched(degrees: &[usize], config: Config, flavor: Flavor) -> DriverOutput {
-    prepare_degrees(degrees, None, config, flavor, EngineKind::Batched)
+    prepare_degrees(degrees, config, flavor, EngineKind::Batched)
         .unwrap()
         .drive(None)
         .map(|run| run.output)

@@ -2,7 +2,7 @@
 //!
 //! * **Engine differential** — the `RealizeDegrees` state machine on the
 //!   batched executor and on the reference interpreter: same verdict,
-//!   overlay, phases and bit-identical metrics, masked runs included.
+//!   overlay, phases and bit-identical metrics.
 //! * **Frozen transcripts** — Algorithm 3 and its extensions were first
 //!   written in direct style (blocking closures on a thread-per-node
 //!   engine) and the state machine was held round-for-round to those
@@ -106,7 +106,7 @@ fn assert_golden(case: &str, out: &DriverOutput) {
     assert_eq!(transcript(out), golden.1, "{case}: transcript drifted");
 }
 
-/// Holds a run over `degrees` (the participants', one per node) to the
+/// Holds a run over `degrees` (one per node) to the
 /// closed form of its round count: at its phase count when realized; a
 /// refusal ends on some phase's control sweep, before any hand-off.
 fn assert_closed_form(case: &str, degrees: &[usize], flavor: Flavor, out: &DriverOutput) {
@@ -148,12 +148,12 @@ fn assert_verified(case: &str, flavor: Flavor, out: &DriverOutput) {
     }
 }
 
-/// Runs one unmasked case on both engines: golden == batched ==
+/// Runs one case on both engines: golden == batched ==
 /// reference (the two engines on every metric), rounds on the closed
 /// form, the overlay verified.
 fn assert_case(case: &str, degrees: &[usize], config: Config, flavor: Flavor) {
-    let batched = realize(degrees, None, config.clone(), flavor, EngineKind::Batched);
-    let reference = realize(degrees, None, config, flavor, EngineKind::Reference);
+    let batched = realize(degrees, config.clone(), flavor, EngineKind::Batched);
+    let reference = realize(degrees, config, flavor, EngineKind::Reference);
     assert_golden(case, &batched);
     assert_golden(case, &reference);
     assert_eq!(batched.metrics(), reference.metrics(), "{case}: engines");
@@ -162,14 +162,8 @@ fn assert_case(case: &str, degrees: &[usize], config: Config, flavor: Flavor) {
 }
 
 // White-box shorthand over the `prepare_degrees` engine room.
-fn realize(
-    degrees: &[usize],
-    mask: Option<&[bool]>,
-    config: Config,
-    flavor: Flavor,
-    engine: EngineKind,
-) -> DriverOutput {
-    prepare_degrees(degrees, mask, config, flavor, engine)
+fn realize(degrees: &[usize], config: Config, flavor: Flavor, engine: EngineKind) -> DriverOutput {
+    prepare_degrees(degrees, config, flavor, engine)
         .unwrap()
         .drive(None)
         .unwrap()
@@ -227,13 +221,7 @@ fn explicit_batched_star_fan_in_is_paced() {
     let mut degrees = vec![1usize; n];
     degrees[0] = n - 1;
     let config = Config::ncc0(35).with_queueing();
-    let out = realize(
-        &degrees,
-        None,
-        config,
-        Flavor::Explicit,
-        EngineKind::Batched,
-    );
+    let out = realize(&degrees, config, Flavor::Explicit, EngineKind::Batched);
     let g = out.expect_realized();
     assert!(g.metrics.max_received_per_round <= g.metrics.capacity);
     assert_eq!(g.graph.degree_sequence()[0], n - 1);
@@ -255,7 +243,7 @@ fn round_counts_follow_the_closed_form_at_scale() {
         for (flavor, config) in flavors {
             for engine in [EngineKind::Batched, EngineKind::Reference] {
                 let what = format!("n={n} {flavor:?} {engine:?}");
-                let out = realize(&degrees, None, config.clone(), flavor, engine);
+                let out = realize(&degrees, config.clone(), flavor, engine);
                 assert!(out.expect_realized().phases > 2, "{what}");
                 assert_closed_form(&what, &degrees, flavor, &out);
             }
@@ -305,7 +293,7 @@ fn sweep_beside_the_sort_runs_clean_at_its_edges() {
             let config = Config::ncc0(n as u64 + 40).with_capacity_factor(factor);
             for flavor in [Flavor::Implicit, Flavor::Envelope, Flavor::Explicit] {
                 let what = format!("n={n} factor={factor} {flavor:?}");
-                let run = |engine| realize(&degrees, None, config.clone(), flavor, engine);
+                let run = |engine| realize(&degrees, config.clone(), flavor, engine);
                 let (batched, reference) = (run(EngineKind::Batched), run(EngineKind::Reference));
                 assert_eq!(batched.metrics(), reference.metrics(), "{what}: engines");
                 let r = batched.expect_realized();
@@ -336,82 +324,6 @@ fn sweep_beside_the_sort_runs_clean_at_its_edges() {
     }
 }
 
-/// `realize_on`-over-a-prefix, both engines: a masked sub-network run
-/// (only the first `k` path positions participate; `G_k` links across the
-/// rest) must produce identical overlays, rounds and messages on the
-/// batched executor and the reference interpreter — the differential
-/// guarantee behind Algorithm 6's paper-exact prefix recursion.
-#[test]
-fn masked_prefix_realization_matches_the_reference() {
-    for (n, prefix, seed) in [(12usize, 5usize, 61u64), (20, 8, 62), (16, 16, 63)] {
-        // A clique profile over the prefix (the extreme Algorithm 6
-        // shape: ρ(x₁) = d₀ = prefix - 1), graphic by construction so
-        // both flavors realize it exactly.
-        let degrees: Vec<usize> = (0..n)
-            .map(|i| if i < prefix { prefix - 1 } else { 0 })
-            .collect();
-        let mask: Vec<bool> = (0..n).map(|i| i < prefix).collect();
-        for flavor in [Flavor::Implicit, Flavor::Envelope] {
-            let run = |engine| realize(&degrees, Some(&mask), Config::ncc0(seed), flavor, engine);
-            let (reference, batched) = (run(EngineKind::Reference), run(EngineKind::Batched));
-            let what = format!("masked n={n} prefix={prefix} {flavor:?}");
-            assert_eq!(transcript(&reference), transcript(&batched), "{what}");
-            assert_eq!(reference.metrics(), batched.metrics(), "{what}");
-            assert_closed_form(&what, &degrees[..prefix], flavor, &batched);
-            // The realization stays inside the prefix sub-network.
-            if let DriverOutput::Realized(b) = &batched {
-                assert_eq!(b.path_order.len(), prefix);
-                assert!(b.metrics.is_clean(), "masked run must be strict-clean");
-                for (i, &id) in b.path_order.iter().enumerate() {
-                    assert!(
-                        b.multi_degrees[&id] >= degrees[i],
-                        "prefix rank {i} got {} < requested {}",
-                        b.multi_degrees[&id],
-                        degrees[i]
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// A masked run's sub-network is a real sub-network: round budgets derive
-/// from the participant count (every primitive runs on a 6-node virtual
-/// path, log₂ 6 ≈ 3 doubling levels), so a 6-of-64 masked realization
-/// costs exactly the closed form at six nodes, the full-network one the
-/// closed form at 64, and the masked run strictly fewer rounds and
-/// messages. (Before the class sort the first sort's `O(log² k)` against
-/// `O(log² n)` made the gap over 20 rounds; both first sorts route now.)
-#[test]
-fn masked_runs_pay_subnetwork_round_budgets() {
-    let n = 64;
-    let prefix = 6;
-    let degrees: Vec<usize> = (0..n).map(|i| usize::from(i < prefix)).collect();
-    let mask: Vec<bool> = (0..n).map(|i| i < prefix).collect();
-    let run = |degrees: &[usize], mask| {
-        let (flavor, engine) = (Flavor::Implicit, EngineKind::Batched);
-        realize(degrees, mask, Config::ncc0(77), flavor, engine)
-    };
-    let masked = run(&degrees, Some(&mask[..]));
-    let full = run(&vec![1usize; n], None);
-    let cap = full.metrics().capacity;
-    let closed = |len| rounds_for(&vec![1; len], Flavor::Implicit, false, cap);
-    assert_eq!(masked.metrics().rounds, closed(prefix), "masked");
-    assert_eq!(full.metrics().rounds, closed(n), "full");
-    assert!(
-        masked.metrics().rounds < full.metrics().rounds,
-        "masked {} rounds vs full {}",
-        masked.metrics().rounds,
-        full.metrics().rounds
-    );
-    assert!(
-        masked.metrics().messages < full.metrics().messages,
-        "masked {} messages vs full {}",
-        masked.metrics().messages,
-        full.metrics().messages
-    );
-}
-
 /// One random sweep: `cases` draws from the test's name-derived case
 /// stream (the cases this test first ran against the twin), each run on
 /// both engines; returns the transcript of every case.
@@ -428,7 +340,7 @@ fn sweep(
     for _ in 0..cases {
         let degrees = cases::vec_of(&mut rng, len.clone(), |r| r.gen_range(degree.clone()));
         let seed = rng.gen_range(0u64..1000);
-        let run = |engine| realize(&degrees, None, Config::ncc0(seed), flavor, engine);
+        let run = |engine| realize(&degrees, Config::ncc0(seed), flavor, engine);
         let (batched, reference) = (run(EngineKind::Batched), run(EngineKind::Reference));
         let what = format!("{name} {degrees:?} seed {seed}");
         assert_eq!(transcript(&batched), transcript(&reference), "{what}");
@@ -609,7 +521,7 @@ fn a_lost_announcement_panics_its_leader() {
     let lost = Scenario::new(3).drop_messages(block..=block, 1.0);
     for engine in [EngineKind::Batched, EngineKind::Reference] {
         let config = config.clone().with_scenario(lost.clone());
-        let job = prepare_degrees(&star, None, config, Flavor::Explicit, engine);
+        let job = prepare_degrees(&star, config, Flavor::Explicit, engine);
         match job.unwrap().drive(None) {
             Err(SimError::NodePanic { message, .. }) => {
                 assert_eq!(message, "message loss: a leader missed an announcement");

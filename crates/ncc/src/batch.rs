@@ -11,16 +11,6 @@
 //! nothing. A node owns no heap block of the engine's: its sends, its
 //! marks and (once a run) its panic message are written to its shard.
 //!
-//! **Dense masked remap.** Masked runs remap the k participants to a
-//! dense `0..k` index space at run start: every index-addressed engine
-//! structure (routing counts, queue spans, knowledge regions, aliveness)
-//! is sized to k, not n, so deep masked prefix recursions pay for the
-//! sub-network they run. The resolver still answers in full-network
-//! indices; [`RoundCtx::send`](crate::RoundCtx) projects through the
-//! remap table at send time, marking masked-out recipients with a
-//! dedicated sentinel so the violation taxonomy (`NoSuchNode` vs
-//! `DeadRecipient`) is unchanged.
-//!
 //! Semantics are bit-for-bit those of the reference interpreter
 //! (`crates/ncc/src/reference.rs`, which writes them out independently):
 //! same validation order, same violation accounting. The differential
@@ -33,7 +23,7 @@ use crate::knowledge::KnowledgeTracker;
 use crate::message::NodeId;
 use crate::protocol::{Marks, NodeProtocol, RoundCtx, Status};
 use crate::shard::RunShared;
-use crate::wire::{Staged, WireEnvelope, DEAD_INDEX, NO_INDEX};
+use crate::wire::{Staged, WireEnvelope, NO_INDEX};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::panic::AssertUnwindSafe;
@@ -51,8 +41,8 @@ pub(crate) enum Life<P: NodeProtocol> {
     Gone,
 }
 
-/// One node's state under the batched executor. Slots are created only for
-/// participating nodes and live in dense-index order, each shard owning
+/// One node's state under the batched executor. Slots are created for
+/// every node and live in dense-index (path-position) order, each shard owning
 /// the slots of one contiguous dense-index range; compaction drops
 /// retired slots but never reorders the survivors, so iterating the
 /// shards in order and each slot array in order *is* iterating the live
@@ -60,7 +50,7 @@ pub(crate) enum Life<P: NodeProtocol> {
 /// message — or once a round — its sends, its marks — lives in its
 /// shard, not here.
 pub(crate) struct Slot<P: NodeProtocol> {
-    /// This node's dense index (position on the full `G_k` path) — the
+    /// This node's dense index (position on the `G_k` path) — the
     /// stable key into every index-addressed engine structure, surviving
     /// any compaction reorder of the slot array itself. Global: shards
     /// rebase to local indices at use sites.
@@ -173,7 +163,6 @@ pub(crate) fn step_slot<P: NodeProtocol>(
     let mut ctx = RoundCtx {
         id: slot.id,
         n: sh.net.n(),
-        participants: sh.k,
         capacity: sh.cap,
         model: sh.net.model(),
         initial_successor: slot.succ,
@@ -183,7 +172,6 @@ pub(crate) fn step_slot<P: NodeProtocol>(
         inbox: &arena[slot.inbox_start as usize..][..slot.inbox_len as usize],
         out: staged,
         resolver: sh.net.resolver(),
-        dense_of: sh.dense_of.as_deref(),
         marks: &mut marks,
     };
     match std::panic::catch_unwind(AssertUnwindSafe(|| proto.step(&mut ctx))) {
@@ -235,8 +223,8 @@ pub(crate) fn route_mode(prev_round_messages: u64, window: usize) -> RouteMode {
 /// Validates one staged send of node `src` against the model constraints,
 /// in the model's order (size, addressee exists, is alive, is known;
 /// carried addresses are known). `src_idx` is the shard-local index of the
-/// sender's row in `knowledge`; `alive` is the full dense participant
-/// space, since destinations may live in any shard.
+/// sender's row in `knowledge`; `alive` spans every path position, since
+/// destinations may live in any shard.
 pub(crate) fn validate(
     send: &Staged,
     src: NodeId,
@@ -261,10 +249,7 @@ pub(crate) fn validate(
     if dst_idx == NO_INDEX {
         return Err(fail(ViolationKind::NoSuchNode { dst }));
     }
-    // DEAD_INDEX: the ID exists in the full network but its node is not
-    // part of this (masked) run — dead from round zero. Otherwise the
-    // dense index is in bounds of `alive`.
-    if dst_idx == DEAD_INDEX || !alive[dst_idx as usize] {
+    if !alive[dst_idx as usize] {
         return Err(fail(ViolationKind::DeadRecipient { dst }));
     }
     if !knowledge.knows(src_idx, dst) {

@@ -2,8 +2,8 @@
 
 /// Which executor drives a protocol run.
 ///
-/// Both implement the same round semantics — masks and
-/// [`Scenario`](crate::Scenario)s included — and produce bit-identical
+/// Both implement the same round semantics — [`Scenario`](crate::Scenario)s
+/// included — and produce bit-identical
 /// outputs and metrics for the same protocol (the differential suites
 /// hold them to it); they differ in scale and purpose.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,8 +59,8 @@ pub enum IdAssignment {
 }
 
 /// Fewest nodes a shard owns under the derived shard count
-/// ([`Config::shards`] `= 0`): a run over `k` participants is split only
-/// once `k / MIN_SHARD_WIDTH >= 2`.
+/// ([`Config::shards`] `= 0`): a run over `n` nodes is split only
+/// once `n / MIN_SHARD_WIDTH >= 2`.
 ///
 /// Chosen by measurement (PR 14; 2-vCPU host, two workers, whole
 /// `Implicit` near-regular d≈4 realizations, median of 6 interleaved
@@ -112,17 +112,17 @@ pub struct Config {
     /// dense/sparse round classification is a pure function of the
     /// transcript, so event streams are bit-identical too.
     pub worker_threads: usize,
-    /// Ownership shards for the batched executor: the dense participant
-    /// space is split into this many contiguous ranges, each owning a
+    /// Ownership shards for the batched executor: the dense index space
+    /// (the path positions) is split into this many contiguous ranges, each owning a
     /// private slot arena, wire/queue buffers and knowledge-tracker arena.
     /// Cross-shard sends move in a deterministic all-to-all exchange
     /// phase, so transcripts, metrics and raw event streams are
     /// bit-identical for every shard count. `0` (the default) derives the
-    /// count per engine run from the participant count `k` and the worker
-    /// count: `clamp(k / MIN_SHARD_WIDTH, 1, workers)` — one shard per
+    /// count per engine run from the node count `n` and the worker
+    /// count: `clamp(n / MIN_SHARD_WIDTH, 1, workers)` — one shard per
     /// worker once each would own at least [`MIN_SHARD_WIDTH`] nodes, a
     /// single inline shard below that or on one worker. An explicit count
-    /// is used as given, clamped to the participant count. Like
+    /// is used as given, clamped to the node count. Like
     /// `worker_threads` this is a layout knob, ignored by the reference
     /// interpreter.
     pub shards: usize,
@@ -165,8 +165,9 @@ impl Config {
         }
     }
 
-    /// Switches to the queueing capacity policy (the default of the
-    /// explicit realizations, whose scheduled hand-offs also run strict).
+    /// Switches to the queueing capacity policy: a send over the
+    /// capacity waits in the receiver's queue instead of ending the run.
+    /// No workload needs it — every realization driver runs strict.
     pub fn with_queueing(mut self) -> Self {
         self.capacity_policy = CapacityPolicy::Queue;
         self
@@ -193,7 +194,7 @@ impl Config {
     }
 
     /// Splits the batched executor's state into `shards` ownership shards
-    /// (clamped to the participant count; `0` = derived, the default —
+    /// (clamped to the node count; `0` = derived, the default —
     /// see [`Config::shards`]).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
@@ -207,15 +208,15 @@ impl Config {
         self
     }
 
-    /// The shard count of an engine run over `k` participants on
-    /// `workers` worker threads: an explicit [`Config::shards`] wins
-    /// (clamped to `k`); the derived default gives every worker a shard
+    /// The shard count of an engine run over `n` nodes on `workers`
+    /// worker threads: an explicit [`Config::shards`] wins (clamped to
+    /// `n`); the derived default gives every worker a shard
     /// once each would own [`MIN_SHARD_WIDTH`] nodes, and never shards a
     /// one-worker run — walking shards one after another buys nothing.
-    pub(crate) fn shard_count(&self, k: usize, workers: usize) -> usize {
+    pub(crate) fn shard_count(&self, n: usize, workers: usize) -> usize {
         match self.shards {
-            0 => (k / MIN_SHARD_WIDTH).clamp(1, workers.max(1)),
-            explicit => explicit.min(k.max(1)),
+            0 => (n / MIN_SHARD_WIDTH).clamp(1, workers.max(1)),
+            explicit => explicit.min(n.max(1)),
         }
     }
 

@@ -71,7 +71,7 @@ pub enum SimError {
     /// string.
     NodePanic { node: NodeId, message: String },
     /// The configured [`Scenario`](crate::Scenario) is inconsistent with
-    /// the run it was attached to (node outside the participant mask,
+    /// the run it was attached to (node outside the run's path positions,
     /// recovery scheduled at or before its crash, reorder faults without
     /// the queue policy). The payload names the offending schedule entry.
     InvalidScenario(String),

@@ -63,25 +63,19 @@ const EMPTY: NodeId = 0;
 /// maximally far apart, so `1..=n` spreads as evenly as random IDs do.
 pub(crate) const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Seeds the initial NCC0 knowledge along the directed path `G_k`, but
-/// only for *participating* nodes: each participating node learns its own
-/// ID and the ID of the **next participating** node on the path (masked-out
-/// indices are skipped entirely — they are not on the path, so nobody's
-/// initial knowledge may point at them). Tracker rows cover the **dense**
-/// 0..k participant space (the j-th participating index of `ids`, in path
-/// order, is dense index j — per-node arrays are sized to the participant
-/// count on masked runs) split across per-shard trackers:
-/// shard `s` owns dense indices `bases[s]..bases[s + 1]` (with an
-/// implicit final bound of k) and its tracker rows are indexed
-/// shard-locally. The one boundary case the per-shard view crosses is the
-/// path link itself: the last participant of shard `s` learns the ID of
-/// the first participant of shard `s + 1`, written into shard `s`'s
-/// tracker.
+/// Seeds the initial NCC0 knowledge along the directed path `G_k`: each
+/// node learns its own ID and the ID of the next node on the path.
+/// Tracker rows cover the dense index space (the path positions) split
+/// across per-shard trackers: shard `s` owns dense indices
+/// `bases[s]..bases[s + 1]` (with an implicit final bound of n) and its
+/// tracker rows are indexed shard-locally. The one boundary case the
+/// per-shard view crosses is the path link itself: the last node of
+/// shard `s` learns the ID of the first node of shard `s + 1`, written
+/// into shard `s`'s tracker.
 pub(crate) fn seed_path_sharded(
     trackers: &mut [KnowledgeTracker],
     bases: &[usize],
     ids: &[NodeId],
-    participating: impl Fn(usize) -> bool,
 ) {
     if trackers.first().is_none_or(|t| !t.enabled()) {
         return;
@@ -91,20 +85,15 @@ pub(crate) fn seed_path_sharded(
         let s = bases.partition_point(|&b| b <= d) - 1;
         (s, d - bases[s])
     };
-    let mut dense = 0usize;
-    for (i, &id) in ids.iter().enumerate() {
-        if !participating(i) {
-            continue;
-        }
+    for (dense, &id) in ids.iter().enumerate() {
         let (s, local) = owner(dense);
         trackers[s].learn(local, id);
         if dense > 0 {
-            // The previous participant's out-neighbor on the path is this
-            // node — it may be owned by the previous shard.
+            // The previous node's out-neighbor on the path is this node —
+            // it may be owned by the previous shard.
             let (ps, plocal) = owner(dense - 1);
             trackers[ps].learn(plocal, id);
         }
-        dense += 1;
     }
 }
 
@@ -261,9 +250,7 @@ impl KnowledgeTracker {
     }
 
     /// Current arena length — live regions plus abandoned predecessors.
-    /// Surfaced through [`EngineStats`](crate::EngineStats) so tests can
-    /// assert that masked runs size knowledge storage by participant
-    /// count, not network size.
+    /// Surfaced through [`EngineStats`](crate::EngineStats).
     pub(crate) fn arena_len(&self) -> usize {
         self.arena.len()
     }
@@ -292,35 +279,17 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn dense_seeding_renumbers_participants_in_path_order() {
-        let ids: Vec<NodeId> = vec![10, 20, 30, 40, 50];
-        // Participants 0, 2, 4 own dense rows 0, 1, 2 — the tracker is
-        // sized to the participant count, as in a masked batched run.
-        let mut t = KnowledgeTracker::new(3, true);
-        seed_path_sharded(std::slice::from_mut(&mut t), &[0], &ids, |i| {
-            i != 1 && i != 3
-        });
-        assert!(t.knows(0, 10) && t.knows(0, 30));
-        assert!(t.knows(1, 30) && t.knows(1, 50));
-        // The tail learns only itself, and nobody learns a filtered ID.
-        assert_eq!(t.knowledge_size(2), 1);
-        assert!(t.knows(2, 50));
-        assert!(!t.knows(0, 20) && !t.knows(1, 40));
-    }
-
-    #[test]
     fn sharded_seeding_matches_dense_across_the_boundary() {
-        let ids: Vec<NodeId> = vec![10, 20, 30, 40, 50, 60];
-        // Participants 0, 2, 3, 5 own dense rows 0..4, split 2/2 across
-        // two shards — the path link 1 -> 2 crosses the shard boundary.
-        let participating = |i: usize| i != 1 && i != 4;
+        let ids: Vec<NodeId> = vec![10, 20, 30, 40];
+        // Rows 0..4, split 2/2 across two shards — the path link 1 -> 2
+        // crosses the shard boundary.
         let mut dense = KnowledgeTracker::new(4, true);
-        seed_path_sharded(std::slice::from_mut(&mut dense), &[0], &ids, participating);
+        seed_path_sharded(std::slice::from_mut(&mut dense), &[0], &ids);
         let mut shards = vec![
             KnowledgeTracker::new(2, true),
             KnowledgeTracker::new(2, true),
         ];
-        seed_path_sharded(&mut shards, &[0, 2], &ids, participating);
+        seed_path_sharded(&mut shards, &[0, 2], &ids);
         for d in 0..4usize {
             let (s, local) = (d / 2, d % 2);
             assert_eq!(
@@ -342,7 +311,7 @@ pub(crate) mod tests {
     fn seeding_all_alive_matches_plain_path() {
         let ids: Vec<NodeId> = vec![7, 8, 9];
         let mut t = KnowledgeTracker::new(3, true);
-        seed_path_sharded(std::slice::from_mut(&mut t), &[0], &ids, |_| true);
+        seed_path_sharded(std::slice::from_mut(&mut t), &[0], &ids);
         assert!(t.knows(0, 7) && t.knows(0, 8) && !t.knows(0, 9));
         assert!(t.knows(1, 8) && t.knows(1, 9));
         assert_eq!(t.knowledge_size(2), 1);

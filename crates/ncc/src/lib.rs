@@ -39,7 +39,7 @@
 //! through [`Network::run_protocol_on`]): the same round written the
 //! naive way — one thread, one loop, one inbox, queue and knowledge set
 //! per node — in 300 lines that share nothing with the batched executor's
-//! layout. It runs the *same* step machines, masks and scenarios, so the
+//! layout. It runs the *same* step machines and scenarios, so the
 //! differential suites hold the two to identical outputs, metrics and
 //! event streams (see `crates/ncc/tests/differential.rs`,
 //! `scenario_matrix.rs` and `ARCHITECTURE.md`). It is the oracle, not a

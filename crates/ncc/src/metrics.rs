@@ -115,8 +115,7 @@ pub struct EngineRun<T> {
 /// event stream — so they live outside the metrics the differential
 /// tests compare. They exist to make the batched executor's
 /// machinery (live-slot compaction, dense-vs-sparse round classification,
-/// the ownership-shard layout, the dense masked remap, the scenario
-/// engine) observable and testable.
+/// the ownership-shard layout, the scenario engine) observable and testable.
 ///
 /// Every counter is deterministic given the configuration — `shards`,
 /// `shard_windows` and `cross_shard_messages` additionally depend on the
@@ -142,14 +141,7 @@ pub struct EngineStats {
     pub inline_route_rounds: u64,
     /// Rounds classified dense ([`RouteMode::Parallel`](crate::RouteMode)).
     pub parallel_route_rounds: u64,
-    /// Size of the dense per-node index space the run allocated its
-    /// engine arrays (routing counts, queue spans, knowledge regions,
-    /// aliveness) for: the participant count `k` — equal to `n` on
-    /// unmasked runs, the sub-network size on masked runs. The dense
-    /// masked remap's memory claim is asserted through this.
-    pub dense_index_space: usize,
     /// Final knowledge-arena length in IDs (0 when tracking is off).
-    /// Scales with `dense_index_space`, not network size.
     pub knowledge_arena: usize,
     /// Wall-clock nanoseconds spent in the step phase across the run.
     pub step_nanos: u64,
@@ -162,13 +154,13 @@ pub struct EngineStats {
     /// Wall-clock nanoseconds spent in the learn sweep (0 on untracked runs, which skip it).
     pub learn_nanos: u64,
     /// Ownership shards the run executed with: the explicit
-    /// [`Config::shards`](crate::Config::shards) clamped to the
-    /// participant count, or the count derived from participants and
-    /// workers. Always at least 1.
+    /// [`Config::shards`](crate::Config::shards) clamped to the node
+    /// count, or the count derived from nodes and workers. Always at
+    /// least 1.
     pub shards: usize,
     /// Dense-index span width each shard owned at run start — the
-    /// ownership map, one entry per shard, summing to
-    /// `dense_index_space` (`[k]` for a one-shard run).
+    /// ownership map, one entry per shard, summing to `n` (`[n]` for a
+    /// one-shard run).
     pub shard_windows: Vec<usize>,
     /// Envelopes that crossed a shard boundary through the exchange
     /// phase over the whole run. A pure function of the transcript and
@@ -213,7 +205,7 @@ pub struct EngineStats {
 /// interpreter.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Footprint {
-    /// The slot arrays: `size_of::<Slot<P>>()` a participant.
+    /// The slot arrays: `size_of::<Slot<P>>()` a node.
     pub slots: usize,
     /// The per-shard staging arenas a round's sends are written into.
     pub staging: usize,
@@ -227,7 +219,7 @@ pub struct Footprint {
     /// KT0 tracker: knowledge arenas plus the region headers.
     pub knowledge: usize,
     /// Run-wide index tables: the network's ID list and resolver, the
-    /// aliveness map, the masked dense remap, NCC1's sorted ID list.
+    /// aliveness map, NCC1's sorted ID list.
     pub tables: usize,
     /// Outputs of retired slots moved aside by compaction.
     pub retired_outputs: usize,

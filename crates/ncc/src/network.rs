@@ -5,9 +5,9 @@
 //! [`Network::run_protocol`] (the **batched step-function executor**,
 //! `shard.rs`: stepped in bulk over ownership shards, allocation-free
 //! counting-sort routing, millions of nodes) or
-//! [`Network::run_protocol_on`], which also takes a participant mask and
-//! a sink and reaches the **reference interpreter** (`reference.rs`) the
-//! differential suites compare against. Both are a loop over a [`Run`],
+//! [`Network::run_protocol_on`], which also takes a sink and reaches the
+//! **reference interpreter** (`reference.rs`) the differential suites
+//! compare against. Both are a loop over a [`Run`],
 //! which [`Network::start`] hands back as a value its caller steps one
 //! round at a time; a [`Job`] owns a run and the assembly of its result.
 
@@ -28,7 +28,7 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct RunResult<R> {
     /// Per-node outputs in knowledge-path (`G_k`) order, one entry per
-    /// participating node. The path order is *omniscient* test information
+    /// node that finished with an output. The path order is *omniscient* test information
     /// — the nodes themselves never see it.
     pub outputs: Vec<(NodeId, R)>,
     /// Round/message/violation metrics for the run.
@@ -143,38 +143,25 @@ impl Network {
     }
 
     /// Sets up a run of `factory`-built protocols on the chosen engine,
-    /// masked as for [`Network::run_protocol_on`], and hands it back for
-    /// its caller to step. The run keeps a handle to this network.
+    /// one at every path position, and hands it back for its caller to
+    /// step. The run keeps a handle to this network.
     ///
     /// # Errors
     ///
     /// [`SimError::InvalidScenario`] if the configured scenario does not
-    /// fit the participant set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a mask is given and `participants.len() != n`.
-    pub fn start<P, F>(
-        &self,
-        engine: EngineKind,
-        participants: Option<&[bool]>,
-        factory: F,
-    ) -> Result<Run<P>, SimError>
+    /// fit the network.
+    pub fn start<P, F>(&self, engine: EngineKind, factory: F) -> Result<Run<P>, SimError>
     where
         P: NodeProtocol,
         F: Fn(&NodeSeed<'_>) -> P,
     {
         let engine = match engine {
-            EngineKind::Batched => Engine::Batched(Box::new(crate::shard::Run::new(
-                self,
-                participants,
-                factory,
-            )?)),
-            EngineKind::Reference => Engine::Reference(Box::new(crate::reference::Run::new(
-                self,
-                participants,
-                factory,
-            )?)),
+            EngineKind::Batched => {
+                Engine::Batched(Box::new(crate::shard::Run::new(self, factory)?))
+            }
+            EngineKind::Reference => {
+                Engine::Reference(Box::new(crate::reference::Run::new(self, factory)?))
+            }
         };
         Ok(Run {
             net: self.clone(),
@@ -197,32 +184,27 @@ impl Network {
         P: NodeProtocol,
         F: Fn(&NodeSeed<'_>) -> P + Sync,
     {
-        let mut run = self.start(EngineKind::Batched, None, factory)?;
+        let mut run = self.start(EngineKind::Batched, factory)?;
         while run.round(None)? {}
         Ok(run.finish(None))
     }
 
     /// Unified engine dispatch: runs a [`NodeProtocol`] on the chosen
-    /// [`EngineKind`](crate::EngineKind), optionally masked to a
-    /// participant subset, with the run's [`RunEvent`](crate::RunEvent)
-    /// stream delivered into `sink` (pass `None` to run unobserved).
+    /// [`EngineKind`](crate::EngineKind), with the run's
+    /// [`RunEvent`](crate::RunEvent) stream delivered into `sink` (pass
+    /// `None` to run unobserved).
     ///
-    /// Under a mask only the masked-in nodes participate: masked-out
-    /// indices are dead from round zero, the knowledge path `G_k` links
-    /// across them, and they produce no output. (The capacity is still
-    /// derived from the full `n`.)
+    /// The second parameter is a placeholder only `None` fits, kept so
+    /// the frozen `e2e` benchmark's call compiles; the next benchmark
+    /// change drops it.
     ///
     /// # Errors
     ///
     /// As for [`Network::run_protocol`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a mask is given and `participants.len() != n`.
     pub fn run_protocol_on<P, F>(
         &self,
         engine: EngineKind,
-        participants: Option<&[bool]>,
+        _: Option<std::convert::Infallible>,
         mut sink: Option<&mut dyn Sink>,
         factory: F,
     ) -> Result<RunResult<P::Output>, SimError>
@@ -230,7 +212,7 @@ impl Network {
         P: NodeProtocol,
         F: Fn(&NodeSeed<'_>) -> P + Send + Sync,
     {
-        let mut run = self.start(engine, participants, factory)?;
+        let mut run = self.start(engine, factory)?;
         while run.round(reborrow(&mut sink))? {}
         Ok(run.finish(sink))
     }
@@ -522,7 +504,7 @@ mod tests {
                 ))
             };
             let looped = net.run_protocol(factory).unwrap();
-            let mut run = net.start(EngineKind::Batched, None, factory).unwrap();
+            let mut run = net.start(EngineKind::Batched, factory).unwrap();
             while run.round(None).unwrap() {}
             let stepped = run.finish(None);
             assert_eq!(stepped.outputs, looped.outputs);

@@ -16,7 +16,7 @@
 use crate::config::Model;
 use crate::message::NodeId;
 use crate::route::Resolver;
-use crate::wire::{Staged, WireEnvelope, WireMsg, DEAD_INDEX, NO_INDEX};
+use crate::wire::{Staged, WireEnvelope, WireMsg, NO_INDEX};
 use rand::rngs::SmallRng;
 use std::sync::Arc;
 
@@ -50,13 +50,6 @@ pub struct NodeSeed<'a> {
     pub id: NodeId,
     /// Network size (common knowledge in the model).
     pub n: usize,
-    /// Number of *participating* nodes — the length of the knowledge path
-    /// `G_k` this run actually links. Equals `n` on unmasked runs; on a
-    /// masked run ([`Network::run_protocol_on`](crate::Network)) it is
-    /// the sub-network size, which the model grants as common knowledge
-    /// exactly like `n` (the paper's prefix recursion broadcasts it before
-    /// recursing).
-    pub participants: usize,
     /// Per-round send/receive capacity (`Θ(log n)`, common knowledge).
     pub capacity: usize,
     /// The model variant.
@@ -83,7 +76,6 @@ impl NodeSeed<'_> {
 pub struct RoundCtx<'a> {
     pub(crate) id: NodeId,
     pub(crate) n: usize,
-    pub(crate) participants: usize,
     pub(crate) capacity: usize,
     pub(crate) model: Model,
     pub(crate) initial_successor: Option<NodeId>,
@@ -96,12 +88,6 @@ pub struct RoundCtx<'a> {
     /// node's), or the reference interpreter's per-node list.
     pub(crate) out: &'a mut Vec<Staged>,
     pub(crate) resolver: &'a Resolver,
-    /// Dense remap for masked batched runs: `dense_of[full]` is the 0..k
-    /// slot index of a participant, [`DEAD_INDEX`] for a masked-out node.
-    /// `None` means the resolver's index *is* the dense index (unmasked
-    /// batched runs; the reference interpreter, which ignores indices and
-    /// routes by the destination ID).
-    pub(crate) dense_of: Option<&'a [u32]>,
     /// This step's `(phase, stage)` marks.
     pub(crate) marks: &'a mut Marks,
 }
@@ -118,13 +104,6 @@ impl RoundCtx<'_> {
     /// Network size.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// Number of participating nodes — the knowledge-path length. Equals
-    /// [`RoundCtx::n`] except on masked sub-network runs (common knowledge,
-    /// like `n`; see [`NodeSeed::participants`]).
-    pub fn participants(&self) -> usize {
-        self.participants
     }
 
     /// Per-round send/receive capacity.
@@ -193,15 +172,7 @@ impl RoundCtx<'_> {
     /// ID lookups at all; an unknown ID is carried through and surfaces as
     /// a [`NoSuchNode`](crate::ViolationKind::NoSuchNode) violation.
     pub fn send(&mut self, dst: NodeId, msg: WireMsg) {
-        let full_idx = self.resolver.index_of(dst).unwrap_or(NO_INDEX);
-        let dst_idx = match self.dense_of {
-            // Masked run: project the resolver's full-network index into
-            // the dense 0..k participant space (DEAD_INDEX marks a real
-            // node that is not in this run).
-            Some(map) if full_idx != NO_INDEX => map[full_idx as usize],
-            _ => full_idx,
-        };
-        debug_assert!(dst_idx != DEAD_INDEX || self.dense_of.is_some());
+        let dst_idx = self.resolver.index_of(dst).unwrap_or(NO_INDEX);
         self.out.push(Staged { msg, dst, dst_idx });
     }
 }

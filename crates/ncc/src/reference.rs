@@ -7,8 +7,8 @@
 //! receive policy, let receivers learn, narrate. It runs the *same*
 //! [`NodeProtocol`] step machines as the batched executor, so the
 //! differential suites hold the two to identical outputs, bit-identical
-//! [`RunMetrics`] and identical semantic event streams — with and
-//! without masks, and under every [`Scenario`](crate::Scenario).
+//! [`RunMetrics`] and identical semantic event streams, under every
+//! [`Scenario`](crate::Scenario).
 //!
 //! Its value is being small enough to audit by eye and **independent** of
 //! the code it checks. It therefore shares nothing with the batched
@@ -38,13 +38,12 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-/// Everything the interpreter keeps about one path position. Masked-out
-/// positions get a node too — dead from round zero (`proto: None`, no
-/// output) — so a position indexes `nodes` directly.
+/// Everything the interpreter keeps about one path position; a position
+/// indexes `nodes` directly.
 struct Node<P: NodeProtocol> {
     id: NodeId,
     succ: Option<NodeId>,
-    /// The running protocol; `None` once retired, crashed, or masked out.
+    /// The running protocol; `None` once retired or crashed.
     proto: Option<P>,
     output: Option<P::Output>,
     /// Down by schedule (crash-recovery, or a join not yet due): not
@@ -77,49 +76,38 @@ pub(crate) struct Run<P: NodeProtocol> {
     index_of: BTreeMap<NodeId, usize>,
     all_ids: Option<Arc<Vec<NodeId>>>,
     windows: Option<FaultWindows>,
-    /// Participating nodes.
-    k: usize,
     live: usize,
     metrics: RunMetrics,
     emitter: Emitter,
 }
 
 impl<P: NodeProtocol> Run<P> {
-    /// Builds `factory`'s protocol at every participating position; the
-    /// contract of [`Network::start`].
-    pub(crate) fn new<F>(
-        net: &Network,
-        participants: Option<&[bool]>,
-        factory: F,
-    ) -> Result<Self, SimError>
+    /// Builds `factory`'s protocol at every position; the contract of
+    /// [`Network::start`].
+    pub(crate) fn new<F>(net: &Network, factory: F) -> Result<Self, SimError>
     where
         F: Fn(&NodeSeed<'_>) -> P,
     {
         let (config, ids) = (net.config(), net.ids_in_path_order());
         let (n, cap) = (ids.len(), net.capacity());
-        assert!(participants.is_none_or(|m| m.len() == n), "mask length ≠ n");
-        let participating = |i: usize| participants.is_none_or(|mask| mask[i]);
-        let k = (0..n).filter(|&i| participating(i)).count();
         let tracking = config.track_knowledge && config.model == Model::Ncc0;
         if let Some(scenario) = &config.scenario {
-            let checked = scenario.validate(n, participants, config.capacity_policy);
+            let checked = scenario.validate(n, config.capacity_policy);
             checked.map_err(SimError::InvalidScenario)?;
         }
         let schedule = config.scenario.as_ref().map_or(&[][..], |s| s.events());
         let index_of: BTreeMap<NodeId, usize> = ids.iter().copied().zip(0..).collect();
-        // NCC1 common knowledge: every participating ID, sorted (the map
-        // iterates in ID order).
-        let taking_part = index_of.iter().filter(|&(_, &i)| participating(i));
-        let sorted: Vec<NodeId> = taking_part.map(|(&id, _)| id).collect();
+        // NCC1 common knowledge: every ID, sorted (the map iterates in ID
+        // order).
+        let sorted: Vec<NodeId> = index_of.keys().copied().collect();
         let all_ids = (config.model == Model::Ncc1).then(|| Arc::new(sorted));
         let nodes: Vec<Node<P>> = (0..n)
             .map(|i| {
-                // G_k links each participant to the next *participating* node.
-                let succ = (i + 1..n).find(|&j| participating(j)).map(|j| ids[j]);
+                // G_k links each node to the next one on the path.
+                let succ = ids.get(i + 1).copied();
                 let seed = NodeSeed {
                     id: ids[i],
                     n,
-                    participants: k,
                     capacity: cap,
                     model: config.model,
                     initial_successor: succ,
@@ -135,7 +123,7 @@ impl<P: NodeProtocol> Run<P> {
                 Node {
                     id: ids[i],
                     succ,
-                    proto: participating(i).then(|| factory(&seed)),
+                    proto: Some(factory(&seed)),
                     output: None,
                     // A scheduled joiner sits out until its join round.
                     parked: schedule.iter().any(joins),
@@ -144,7 +132,7 @@ impl<P: NodeProtocol> Run<P> {
                     out: Vec::new(),
                     inbox: Vec::new(),
                     queue: VecDeque::new(),
-                    knows: (tracking && participating(i)).then_some(initial),
+                    knows: tracking.then_some(initial),
                     marks: (None, None),
                 }
             })
@@ -155,8 +143,7 @@ impl<P: NodeProtocol> Run<P> {
             index_of,
             all_ids,
             windows: config.scenario.as_ref().map(|s| s.fault_windows()),
-            k,
-            live: k,
+            live: n,
             metrics: RunMetrics {
                 capacity: cap,
                 ..RunMetrics::default()
@@ -175,7 +162,7 @@ impl<P: NodeProtocol> Steps<RunResult<P::Output>> for Run<P> {
             return Ok(false);
         }
         let (config, sink) = (self.net.config(), &mut sink);
-        let (n, cap, k) = (self.nodes.len(), self.net.capacity(), self.k);
+        let (n, cap) = (self.nodes.len(), self.net.capacity());
         let queueing = config.capacity_policy == CapacityPolicy::Queue;
         let strict = config.capacity_policy == CapacityPolicy::Strict;
         let schedule = config.scenario.as_ref().map_or(&[][..], |s| s.events());
@@ -233,7 +220,6 @@ impl<P: NodeProtocol> Steps<RunResult<P::Output>> for Run<P> {
             let mut ctx = RoundCtx {
                 id: node.id,
                 n,
-                participants: k,
                 capacity: cap,
                 model: config.model,
                 initial_successor: node.succ,
@@ -243,7 +229,6 @@ impl<P: NodeProtocol> Steps<RunResult<P::Output>> for Run<P> {
                 inbox: &node.inbox,
                 out: &mut node.out,
                 resolver: self.net.resolver(),
-                dense_of: None,
                 marks: &mut node.marks,
             };
             let proto = node.proto.as_mut().expect("up nodes run a protocol");

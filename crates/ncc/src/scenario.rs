@@ -36,9 +36,8 @@
 //! shard combination, and the empty schedule is bit-identical to a
 //! scenario-free run (quiet rounds never enter the fault pass).
 //!
-//! Nodes are addressed by **path position** (the same 0-based positions a
-//! participant mask indexes); the schedule is validated against the mask
-//! and compiled to dense indices before the run starts.
+//! Nodes are addressed by **path position** — the engines' dense index;
+//! the schedule is validated against the run's size before it starts.
 
 use crate::config::CapacityPolicy;
 use crate::message::NodeId;
@@ -211,29 +210,18 @@ impl Scenario {
     }
 
     /// Checks the schedule against the network it is about to perturb:
-    /// every referenced node must be a participant of the (possibly
-    /// masked) run, every rate must be a probability, windows must not be
+    /// every referenced node must be a path position of the run, every
+    /// rate must be a probability, windows must not be
     /// inverted, recoveries must follow their crashes, and reorder faults
     /// require the queue policy. Returns a message naming the offending
     /// entry — the engines refuse to start on `Err`, and the facade wraps
     /// the same message in its `InvalidRequest`.
-    pub fn validate(
-        &self,
-        n: usize,
-        mask: Option<&[bool]>,
-        policy: CapacityPolicy,
-    ) -> Result<(), String> {
-        let participant = |node: usize| node < n && mask.is_none_or(|m| m[node]);
+    pub fn validate(&self, n: usize, policy: CapacityPolicy) -> Result<(), String> {
         let check_node = |node: usize, what: &str| {
-            if !participant(node) {
+            if node >= n {
                 return Err(format!(
                     "{what} references node {node}, which is not a participant \
-                     of this {n}-node run{}",
-                    if mask.is_some() {
-                        " (masked out or out of range)"
-                    } else {
-                        ""
-                    }
+                     of this {n}-node run"
                 ));
             }
             Ok(())
@@ -293,14 +281,13 @@ impl Scenario {
         Ok(())
     }
 
-    /// Compiles the (already validated) schedule against the run's dense
-    /// participant space: `dense_of[node]` maps path positions to dense
-    /// indices. Produces the sorted churn timelines and the message-fault
-    /// windows the runtime walks with O(1) per-round cursors.
-    pub(crate) fn compile(&self, dense_of: impl Fn(usize) -> u32) -> CompiledScenario {
+    /// Compiles the (already validated) schedule into the sorted churn
+    /// timelines and the message-fault windows the runtime walks with O(1)
+    /// per-round cursors.
+    pub(crate) fn compile(&self) -> CompiledScenario {
         let mut pre = Vec::new();
         let mut post = Vec::new();
-        let mut join_dense = Vec::new();
+        let mut joiners = Vec::new();
         for event in &self.events {
             match *event {
                 ScenarioEvent::Drop { .. }
@@ -308,7 +295,6 @@ impl Scenario {
                 | ScenarioEvent::Reorder { .. } => {}
                 ScenarioEvent::CrashStop { node, round } => post.push(ChurnOp {
                     round,
-                    dense: dense_of(node),
                     node,
                     kind: ChurnKind::CrashStop,
                 }),
@@ -317,26 +303,21 @@ impl Scenario {
                     crash,
                     recover,
                 } => {
-                    let dense = dense_of(node);
                     post.push(ChurnOp {
                         round: crash,
-                        dense,
                         node,
                         kind: ChurnKind::CrashPause,
                     });
                     pre.push(ChurnOp {
                         round: recover,
-                        dense,
                         node,
                         kind: ChurnKind::Recover,
                     });
                 }
                 ScenarioEvent::Join { node, round } => {
-                    let dense = dense_of(node);
-                    join_dense.push(dense);
+                    joiners.push(node);
                     pre.push(ChurnOp {
                         round,
-                        dense,
                         node,
                         kind: ChurnKind::Join,
                     });
@@ -347,13 +328,13 @@ impl Scenario {
         // schedule order, part of the canonical stream.
         pre.sort_by_key(|op| op.round);
         post.sort_by_key(|op| op.round);
-        join_dense.sort_unstable();
-        join_dense.dedup();
+        joiners.sort_unstable();
+        joiners.dedup();
         CompiledScenario {
             windows: self.fault_windows(),
             pre,
             post,
-            join_dense,
+            joiners,
         }
     }
 
@@ -493,12 +474,11 @@ pub(crate) enum ChurnKind {
     Join,
 }
 
-/// One compiled churn operation, addressed by dense index (with the path
-/// position kept for narration).
+/// One compiled churn operation, addressed by path position (the dense
+/// index).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ChurnOp {
     pub(crate) round: u64,
-    pub(crate) dense: u32,
     pub(crate) node: usize,
     pub(crate) kind: ChurnKind,
 }
@@ -541,8 +521,8 @@ pub(crate) struct CompiledScenario {
     pre: Vec<ChurnOp>,
     /// Post-step ops (crash-stop, crash-pause), sorted by round.
     post: Vec<ChurnOp>,
-    /// Dense indices of joining nodes (start parked), sorted + deduped.
-    join_dense: Vec<u32>,
+    /// Path positions of joining nodes (start parked), sorted + deduped.
+    joiners: Vec<usize>,
 }
 
 /// The scenario runtime one engine run owns: the compiled schedule and
@@ -564,8 +544,8 @@ impl ScenarioRt {
     }
 
     /// Slots that must be built parked (joining nodes), by dense index.
-    pub(crate) fn starts_parked(&self, dense: u32) -> bool {
-        self.compiled.join_dense.binary_search(&dense).is_ok()
+    pub(crate) fn starts_parked(&self, node: usize) -> bool {
+        self.compiled.joiners.binary_search(&node).is_ok()
     }
 
     /// The message faults in force at `round`.
@@ -616,40 +596,33 @@ mod tests {
     #[test]
     fn validate_rejects_non_participants() {
         let s = Scenario::new(0).crash(10, 1);
-        assert!(s.validate(10, None, CapacityPolicy::Strict).is_err());
-        let s = Scenario::new(0).join(3, 1);
-        let mask = vec![true, true, true, false, true];
-        let err = s
-            .validate(5, Some(&mask), CapacityPolicy::Strict)
-            .unwrap_err();
-        assert!(err.contains("node 3"), "{err}");
-        assert!(s.validate(5, None, CapacityPolicy::Strict).is_ok());
+        assert!(s.validate(10, CapacityPolicy::Strict).is_err());
     }
 
     #[test]
     fn validate_rejects_recovery_before_crash() {
         let s = Scenario::new(0).crash_recover(1, 5, 5);
-        let err = s.validate(4, None, CapacityPolicy::Queue).unwrap_err();
+        let err = s.validate(4, CapacityPolicy::Queue).unwrap_err();
         assert!(err.contains("recovery"), "{err}");
         let s = Scenario::new(0).crash_recover(1, 5, 6);
-        assert!(s.validate(4, None, CapacityPolicy::Queue).is_ok());
+        assert!(s.validate(4, CapacityPolicy::Queue).is_ok());
     }
 
     #[test]
     fn validate_rejects_reorder_without_queueing() {
         let s = Scenario::new(0).reorder(0..=10);
-        let err = s.validate(4, None, CapacityPolicy::Record).unwrap_err();
+        let err = s.validate(4, CapacityPolicy::Record).unwrap_err();
         assert!(err.contains("Record"), "{err}");
-        assert!(s.validate(4, None, CapacityPolicy::Queue).is_ok());
+        assert!(s.validate(4, CapacityPolicy::Queue).is_ok());
     }
 
     #[test]
     #[allow(clippy::reversed_empty_ranges)] // the empty window is the point
     fn validate_rejects_bad_rates_and_windows() {
         let s = Scenario::new(0).drop_messages(0..=1, 1.5);
-        assert!(s.validate(4, None, CapacityPolicy::Queue).is_err());
+        assert!(s.validate(4, CapacityPolicy::Queue).is_err());
         let s = Scenario::new(0).duplicate_messages(5..=2, 0.1);
-        assert!(s.validate(4, None, CapacityPolicy::Queue).is_err());
+        assert!(s.validate(4, CapacityPolicy::Queue).is_err());
     }
 
     #[test]
@@ -658,7 +631,7 @@ mod tests {
             .crash(2, 9)
             .crash_recover(1, 3, 8)
             .join(0, 3);
-        let c = s.compile(|node| node as u32);
+        let c = s.compile();
         assert_eq!(
             c.post
                 .iter()
@@ -681,7 +654,7 @@ mod tests {
     #[test]
     fn runtime_cursors_hand_out_each_round_once() {
         let s = Scenario::new(0).crash(0, 2).crash(1, 2).crash(2, 5);
-        let mut rt = ScenarioRt::new(s.compile(|node| node as u32));
+        let mut rt = ScenarioRt::new(s.compile());
         assert!(rt.post_step_ops(0).is_empty());
         let at_2: Vec<usize> = rt.post_step_ops(2).iter().map(|op| op.node).collect();
         assert_eq!(at_2, vec![0, 1]);
@@ -693,7 +666,7 @@ mod tests {
     #[test]
     fn quiet_rounds_leave_buckets_untouched() {
         let s = Scenario::new(42).drop_messages(5..=6, 1.0);
-        let rt = ScenarioRt::new(s.compile(|n| n as u32));
+        let rt = ScenarioRt::new(s.compile());
         assert!(!rt.faults(3).active());
         assert!(rt.faults(5).active());
         assert_eq!(rt.faults(5).drop_below, 1 << 53);
@@ -704,7 +677,7 @@ mod tests {
         let s = Scenario::new(0)
             .drop_messages(0..=10, 0.1)
             .drop_messages(5..=6, 0.9);
-        let rt = ScenarioRt::new(s.compile(|n| n as u32));
+        let rt = ScenarioRt::new(s.compile());
         assert_eq!(rt.faults(5).drop_below, threshold(0.9));
         assert_eq!(rt.faults(7).drop_below, threshold(0.1));
     }

@@ -1,8 +1,8 @@
 //! The round loop of the batched executor.
 //!
-//! **Layout.** The dense participant space `0..k` is split into `S`
+//! **Layout.** The dense index space `0..n` (the path positions) is split into `S`
 //! contiguous ranges, one **shard** per range (`S` is
-//! [`Config::shards`], or derived from `k` and the worker count — see
+//! [`Config::shards`], or derived from `n` and the worker count — see
 //! [`Config::shard_count`]). Each shard owns a private copy of every
 //! piece of per-node engine state — slot arena, staging arena, routing
 //! buffers, queue arenas, knowledge-tracker arena — sized to its own
@@ -78,7 +78,7 @@ use crate::network::{Network, RunResult, Steps};
 use crate::protocol::{Marks, NodeProtocol, NodeSeed};
 use crate::route::{QueueBuffers, RouteBuffers};
 use crate::scenario::{ChurnKind, FaultTally, RoundFaults, ScenarioRt};
-use crate::wire::{Staged, WireEnvelope, DEAD_INDEX, NO_INDEX, WIRE_ADDRS, WIRE_WORDS};
+use crate::wire::{Staged, WireEnvelope, NO_INDEX, WIRE_ADDRS, WIRE_WORDS};
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::thread;
@@ -92,22 +92,19 @@ type Cell = Vec<(u32, WireEnvelope)>;
 type CellTable = Vec<Vec<Cell>>;
 
 /// The run's constants, fixed at setup, which every shard phase reads:
-/// the network handle (IDs, resolver, configuration), the ownership map,
-/// the dense remap and the NCC1 ID list.
+/// the network handle (IDs, resolver, configuration), the ownership map
+/// and the NCC1 ID list.
 pub(crate) struct RunShared {
     pub(crate) net: Network,
-    /// Participating nodes: the dense index space is `0..k`.
-    pub(crate) k: usize,
     pub(crate) cap: usize,
     /// Threads a per-shard phase runs on: `min(workers, shards)`.
     threads: usize,
     track: bool,
     queue_mode: bool,
     /// First dense index of every shard, ascending: shard `s` owns
-    /// `bases[s]..bases[s + 1]` (the last one up to `k`).
+    /// `bases[s]..bases[s + 1]` (the last one up to `n`).
     bases: Vec<usize>,
     pub(crate) all_ids: Option<Arc<Vec<NodeId>>>,
-    pub(crate) dense_of: Option<Vec<u32>>,
 }
 
 impl RunShared {
@@ -119,7 +116,7 @@ impl RunShared {
 
     /// Width of shard `s`'s dense-index span.
     fn width_of(&self, s: usize) -> usize {
-        self.bases.get(s + 1).copied().unwrap_or(self.k) - self.bases[s]
+        self.bases.get(s + 1).copied().unwrap_or(self.net.n()) - self.bases[s]
     }
 }
 
@@ -273,11 +270,9 @@ impl<P: NodeProtocol> ShardState<P> {
                     Err(v) => {
                         self.violations.push(v);
                         // Lenient policies still deliver when
-                        // physically possible (destination exists,
-                        // participates in this run, and is alive).
-                        send.dst_idx != NO_INDEX
-                            && send.dst_idx != DEAD_INDEX
-                            && alive_now[send.dst_idx as usize]
+                        // physically possible (destination exists and
+                        // is alive).
+                        send.dst_idx != NO_INDEX && alive_now[send.dst_idx as usize]
                     }
                 };
                 if !deliver {
@@ -509,10 +504,13 @@ fn timed<R>(nanos: &mut u64, phase: impl FnOnce() -> R) -> R {
 fn locate<'s, P: NodeProtocol>(
     shards: &'s mut [ShardState<P>],
     rs: &RunShared,
-    dense: u32,
+    dense: usize,
 ) -> Option<(&'s mut ShardState<P>, usize)> {
-    let sh = &mut shards[rs.shard_of(dense as usize)];
-    let pos = sh.slots.binary_search_by_key(&dense, |sl| sl.idx).ok()?;
+    let sh = &mut shards[rs.shard_of(dense)];
+    let pos = sh
+        .slots
+        .binary_search_by_key(&(dense as u32), |sl| sl.idx)
+        .ok()?;
     Some((sh, pos))
 }
 
@@ -528,7 +526,7 @@ fn churn_in<P: NodeProtocol>(
     sink: &mut Option<&mut dyn Sink>,
 ) {
     for &op in rt.pre_step_ops(round) {
-        let Some((sh, pos)) = locate(shards, rs, op.dense) else {
+        let Some((sh, pos)) = locate(shards, rs, op.node) else {
             continue;
         };
         let slot = &mut sh.slots[pos];
@@ -536,7 +534,7 @@ fn churn_in<P: NodeProtocol>(
             continue;
         }
         slot.paused = false;
-        alive_now[op.dense as usize] = true;
+        alive_now[op.node] = true;
         let node = op.node;
         emitter.emit(
             sink,
@@ -566,7 +564,7 @@ fn churn_out<P: NodeProtocol>(
 ) -> usize {
     let mut stopped = 0;
     for &op in rt.post_step_ops(round) {
-        let Some((sh, pos)) = locate(shards, rs, op.dense) else {
+        let Some((sh, pos)) = locate(shards, rs, op.node) else {
             continue;
         };
         let slot = &mut sh.slots[pos];
@@ -577,7 +575,7 @@ fn churn_out<P: NodeProtocol>(
             ChurnKind::CrashStop => {
                 slot.retire(Life::Gone);
                 stopped += 1;
-                let local = op.dense - sh.base;
+                let local = op.node as u32 - sh.base;
                 if rs.queue_mode && sh.queues.backlog_len(local as usize) > 0 {
                     sh.dead_backlog.push(local);
                 }
@@ -588,7 +586,7 @@ fn churn_out<P: NodeProtocol>(
             }
             ChurnKind::Recover | ChurnKind::Join => continue,
         }
-        alive_now[op.dense as usize] = false;
+        alive_now[op.node] = false;
         emitter.emit(
             sink,
             RunEvent::NodeCrashed {
@@ -625,15 +623,8 @@ pub(crate) struct Run<P: NodeProtocol> {
 }
 
 impl<P: NodeProtocol> Run<P> {
-    /// Builds `factory`'s protocol on every participating node.
-    /// `participants` masks nodes out of the network entirely (they are dead
-    /// from round zero and the knowledge path links across them); `None`
-    /// means everyone participates.
-    pub(crate) fn new<F>(
-        net: &Network,
-        participants: Option<&[bool]>,
-        factory: F,
-    ) -> Result<Self, SimError>
+    /// Builds `factory`'s protocol on every node.
+    pub(crate) fn new<F>(net: &Network, factory: F) -> Result<Self, SimError>
     where
         F: Fn(&NodeSeed<'_>) -> P,
     {
@@ -648,108 +639,71 @@ impl<P: NodeProtocol> Run<P> {
             config.max_words,
             config.max_addrs,
         );
-        if let Some(mask) = participants {
-            assert_eq!(mask.len(), n, "participant mask length must equal n");
-        }
-        let participating = |i: usize| participants.is_none_or(|m| m[i]);
-        let k = (0..n).filter(|&i| participating(i)).count();
 
         let workers = match config.worker_threads {
             0 => thread::available_parallelism().map_or(1, NonZeroUsize::get),
             w => w,
         }
-        .clamp(1, k.max(1));
-        // Ownership map: shard `s` owns dense indices `s*k/S .. (s+1)*k/S` —
+        .clamp(1, n);
+        // Ownership map: shard `s` owns dense indices `s*n/S .. (s+1)*n/S` —
         // contiguous, ascending, balanced to within one node.
-        let shard_count = config.shard_count(k, workers);
+        let shard_count = config.shard_count(n, workers);
         let threads = workers.min(shard_count);
-        let bases: Vec<usize> = (0..shard_count).map(|s| s * k / shard_count).collect();
-        let width_of = |s: usize| bases.get(s + 1).copied().unwrap_or(k) - bases[s];
+        let bases: Vec<usize> = (0..shard_count).map(|s| s * n / shard_count).collect();
+        let width_of = |s: usize| bases.get(s + 1).copied().unwrap_or(n) - bases[s];
 
-        // NCC1 common knowledge: all participating IDs, sorted.
+        // NCC1 common knowledge: all IDs, sorted.
         let all_ids: Option<Arc<Vec<NodeId>>> = match config.model {
             Model::Ncc1 => {
-                let mut sorted: Vec<NodeId> = (0..n)
-                    .filter(|&i| participating(i))
-                    .map(|i| ids[i])
-                    .collect();
+                let mut sorted = ids.to_vec();
                 sorted.sort_unstable();
                 Some(Arc::new(sorted))
             }
             Model::Ncc0 => None,
         };
 
-        // Dense masked remap: the k participants own indices 0..k in path
-        // order, and *every* index-addressed engine structure is sized to k —
-        // so a deep masked prefix recursion pays memory for the sub-network
-        // it actually runs. `dense_of` projects the resolver's full-network
-        // index into this space once, at send time; DEAD_INDEX marks a real
-        // node outside the run (kept distinct from NO_INDEX so the violation
-        // taxonomy distinguishes "no such node" from "not in this run").
-        let dense_of: Option<Vec<u32>> = participants.map(|mask| {
-            let mut map = vec![DEAD_INDEX; n];
-            let mut next = 0u32;
-            for (i, &p) in mask.iter().enumerate() {
-                if p {
-                    map[i] = next;
-                    next += 1;
-                }
-            }
-            map
-        });
-
-        // Scenario schedule: validated against this run's participant set
-        // and policy, then compiled to dense-index timelines. The runtime
+        // Scenario schedule: validated against this run's size and policy,
+        // then compiled to dense-index timelines. The runtime
         // (timeline cursors) lives at the coordinator: churn is a
         // coordinator phase, like violation replay.
         let scenario_rt = match &config.scenario {
             Some(s) => {
-                s.validate(n, participants, config.capacity_policy)
+                s.validate(n, config.capacity_policy)
                     .map_err(SimError::InvalidScenario)?;
-                let compiled =
-                    s.compile(|node| dense_of.as_ref().map_or(node as u32, |map| map[node]));
-                Some(ScenarioRt::new(compiled))
+                Some(ScenarioRt::new(s.compile()))
             }
             None => None,
         };
 
-        // Per-shard KT0 trackers, seeded along the participant path (the
+        // Per-shard KT0 trackers, seeded along the path (the
         // path link crossing a shard boundary lands in the predecessor's
         // shard — see `seed_path_sharded`).
         let track = config.track_knowledge && config.model == Model::Ncc0;
         let mut trackers: Vec<KnowledgeTracker> = (0..shard_count)
             .map(|s| KnowledgeTracker::new(width_of(s), track))
             .collect();
-        crate::knowledge::seed_path_sharded(&mut trackers, &bases, ids, participating);
+        crate::knowledge::seed_path_sharded(&mut trackers, &bases, ids);
 
         // Build the slots directly into their owning shards, walking the
-        // participant path once in dense order; masked-out indices never get
-        // a slot.
+        // path once in dense order.
         let mut shard_slots: Vec<Vec<Slot<P>>> = (0..shard_count)
             .map(|s| Vec::with_capacity(width_of(s)))
             .collect();
         let mut cur = 0usize;
-        for (dense, i) in (0..n).filter(|&i| participating(i)).enumerate() {
-            while cur + 1 < shard_count && dense >= bases[cur + 1] {
+        for (i, &id) in ids.iter().enumerate() {
+            while cur + 1 < shard_count && i >= bases[cur + 1] {
                 cur += 1;
             }
-            let succ = (i + 1..n).find(|&j| participating(j)).map(|j| ids[j]);
+            let succ = ids.get(i + 1).copied();
             let seed = NodeSeed {
-                id: ids[i],
+                id,
                 n,
-                participants: k,
                 capacity: cap,
                 model: config.model,
                 initial_successor: succ,
                 all_ids: all_ids.as_ref(),
             };
-            shard_slots[cur].push(Slot::new(
-                dense as u32,
-                ids[i],
-                succ,
-                config.seed,
-                factory(&seed),
-            ));
+            shard_slots[cur].push(Slot::new(i as u32, id, succ, config.seed, factory(&seed)));
         }
 
         let queue_mode = config.capacity_policy == CapacityPolicy::Queue;
@@ -786,14 +740,14 @@ impl<P: NodeProtocol> Run<P> {
                 }
             })
             .collect();
-        let mut alive_now: Vec<bool> = vec![true; k];
+        let mut alive_now: Vec<bool> = vec![true; n];
 
         // Scheduled joiners start parked: alive (the run waits for them)
         // but invisible to senders and skipped by every sweep until their
         // join round un-parks them.
         if let Some(rt) = &scenario_rt {
             for slot in shards.iter_mut().flat_map(|sh| sh.slots.iter_mut()) {
-                if rt.starts_parked(slot.idx) {
+                if rt.starts_parked(slot.idx as usize) {
                     slot.paused = true;
                     alive_now[slot.idx as usize] = false;
                 }
@@ -812,19 +766,17 @@ impl<P: NodeProtocol> Run<P> {
         Ok(Run {
             shared: RunShared {
                 net: net.clone(),
-                k,
                 cap,
                 threads,
                 track,
                 queue_mode,
                 bases,
                 all_ids,
-                dense_of,
             },
             shards,
             cell_table: vec![Vec::new(); shard_count],
             alive_now,
-            live: k,
+            live: n,
             scenario_rt,
             metrics,
             emitter: Emitter::default(),
@@ -1023,7 +975,6 @@ impl<P: NodeProtocol> Steps<RunResult<P::Output>> for Run<P> {
         stats.shards = shards.len();
         stats.shard_windows = (0..shards.len()).map(|s| rs.width_of(s)).collect();
         stats.cross_shard_messages = shards.iter().map(|sh| sh.cross_shard).sum();
-        stats.dense_index_space = rs.k;
         stats.knowledge_arena = shards.iter().map(|sh| sh.knowledge.arena_len()).sum();
         stats.step_nanos = self.step_nanos;
         stats.route_nanos = self.route_nanos;
@@ -1041,7 +992,6 @@ impl<P: NodeProtocol> Steps<RunResult<P::Output>> for Run<P> {
             tables: vec_bytes(&self.alive_now)
                 + std::mem::size_of_val(rs.net.ids_in_path_order())
                 + rs.net.resolver().heap_bytes()
-                + rs.dense_of.as_deref().map_or(0, std::mem::size_of_val)
                 + rs.all_ids.as_deref().map_or(0, vec_bytes),
             retired_outputs: sum(|sh| vec_bytes(&sh.done)),
         };
@@ -1056,7 +1006,7 @@ impl<P: NodeProtocol> Steps<RunResult<P::Output>> for Run<P> {
         drop((self.cell_table, self.scenario_rt, self.alive_now));
         // Merge every shard's compacted-away outputs with its final window,
         // restoring knowledge-path order by global dense index.
-        let mut done: Vec<(u32, NodeId, P::Output)> = Vec::with_capacity(self.shared.k);
+        let mut done: Vec<(u32, NodeId, P::Output)> = Vec::with_capacity(self.shared.net.n());
         for (retired, slots) in parts {
             done.extend(retired);
             done.extend(slots.into_iter().filter_map(|s| match s.life {

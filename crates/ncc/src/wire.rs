@@ -27,13 +27,6 @@ pub const WIRE_ADDRS: usize = 2;
 /// Sentinel for an unresolved destination index.
 pub(crate) const NO_INDEX: u32 = u32::MAX;
 
-/// Sentinel for a destination that resolved to a real node which is not
-/// part of the current (masked) run. Distinct from [`NO_INDEX`] so the
-/// batched engine can keep the model's violation taxonomy — an unknown ID
-/// is `NoSuchNode`, a known-but-masked-out one is `DeadRecipient` — after
-/// remapping participants to a dense 0..k index space.
-pub(crate) const DEAD_INDEX: u32 = u32::MAX - 1;
-
 /// A message with inline payload: tag + up to [`WIRE_WORDS`] words + up to
 /// [`WIRE_ADDRS`] addresses.
 ///
@@ -166,11 +159,9 @@ pub(crate) struct Staged {
     pub(crate) msg: WireMsg,
     /// Destination ID as addressed by the sender.
     pub(crate) dst: NodeId,
-    /// Dense destination index, resolved at send time: a `0..k` slot
-    /// index in the run's (possibly masked) participant space.
-    /// [`NO_INDEX`] = unresolved (and, once sealed, "not for the local
-    /// scatter"), [`DEAD_INDEX`] = a real node outside the masked
-    /// participant set. The reference interpreter ignores it.
+    /// Dense destination index, resolved at send time: the addressee's
+    /// path position. [`NO_INDEX`] = unresolved (and, once sealed, "not
+    /// for the local scatter"). The reference interpreter ignores it.
     pub(crate) dst_idx: u32,
 }
 

@@ -14,12 +14,11 @@ mod cases;
 use cases::{fnv, FNV_OFFSET};
 
 /// The oracle check every differential suite shares: runs `factory` on
-/// the reference interpreter over the same network (and mask) and holds
-/// a batched run to it — same outputs, bit-identical `RunMetrics`, the
+/// the reference interpreter over the same network and holds a batched
+/// run to it — same outputs, bit-identical `RunMetrics`, the
 /// same semantic event stream. Returns the reference run.
 pub fn assert_matches_reference<P, F>(
     net: &Network,
-    mask: Option<&[bool]>,
     batched: &RunResult<P::Output>,
     batched_events: &[RunEvent],
     factory: F,
@@ -32,7 +31,7 @@ where
 {
     let mut events = Recording::new();
     let reference = net
-        .run_protocol_on(EngineKind::Reference, mask, Some(&mut events), factory)
+        .run_protocol_on(EngineKind::Reference, None, Some(&mut events), factory)
         .unwrap();
     assert_eq!(
         batched.outputs, reference.outputs,
@@ -82,7 +81,7 @@ where
     batched
 }
 
-/// The shard count the default layout derives for an unmasked `n`-node
+/// The shard count the default layout derives for an `n`-node
 /// run on `workers` workers (`Config::shards` = 0).
 pub fn derived_shards(n: usize, workers: usize) -> usize {
     (n / dgr_ncc::MIN_SHARD_WIDTH).clamp(1, workers)

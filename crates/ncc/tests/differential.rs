@@ -24,7 +24,6 @@ fn assert_engines_agree(n: usize, config: Config, base: u64, stagger: u64, fan: 
         .unwrap();
     assert_matches_reference(
         &net,
-        None,
         &batched,
         &batched_events.events(),
         |s| Gossip::new(s, base, stagger, fan),
@@ -154,7 +153,6 @@ fn assert_worker_matrix(n: usize, config: &Config, base: u64, stagger: u64, fan:
     // Every cell is held to the one-worker run, and that run to the oracle.
     assert_matches_reference(
         &Network::new(n, config.clone()),
-        None,
         &result_1,
         &events_1,
         |s| Gossip::new(s, base, stagger, fan),
@@ -263,66 +261,4 @@ fn worker_matrix_at_n_100k() {
 
     let strict = Config::ncc0(83);
     assert_worker_matrix(100_000, &strict, 8, 0, 1);
-}
-
-#[test]
-fn masked_participants_agree_with_full_run_shape() {
-    // A masked batched run must produce a clean sub-network transcript:
-    // the reference interpreter's over the same mask, and the structural
-    // expectations below.
-    let mut config = Config::ncc0(17);
-    config.capacity_policy = CapacityPolicy::Record;
-    let net = Network::new(30, config);
-    let mask: Vec<bool> = (0..30).map(|i| i % 3 != 1).collect();
-    let mut events = Recording::new();
-    let result = net
-        .run_protocol_on(EngineKind::Batched, Some(&mask), Some(&mut events), |s| {
-            Gossip::new(s, 8, 0, 1)
-        })
-        .unwrap();
-    assert_matches_reference(
-        &net,
-        Some(&mask),
-        &result,
-        &events.events(),
-        |s| Gossip::new(s, 8, 0, 1),
-        "masked",
-    );
-    assert_eq!(result.outputs.len(), 20);
-    // All traffic stayed within the participating sub-network.
-    assert!(result.metrics.violations.bad_recipient == 0);
-    // The dense masked remap sizes every engine array for the k=20
-    // participants, not the 30-node network.
-    assert_eq!(result.engine.dense_index_space, 20);
-}
-
-#[test]
-fn masked_runs_size_state_with_participants_not_network() {
-    // The dense-remap memory claim, differentially: the same 256-node
-    // sub-network embedded in networks of growing size must report the
-    // same dense index space and the same knowledge-arena footprint —
-    // masked state scales with k, not n.
-    let run = |n: usize| {
-        let mut config = Config::ncc0(55).with_sequential_ids();
-        config.capacity_policy = CapacityPolicy::Record;
-        let net = Network::new(n, config);
-        let mask: Vec<bool> = (0..n).map(|i| i < 256).collect();
-        net.run_protocol_on(EngineKind::Batched, Some(&mask), None, |s| {
-            Gossip::new(s, 8, 0, 2)
-        })
-        .unwrap()
-    };
-    let small = run(512);
-    let large = run(8_192);
-    assert_eq!(small.engine.dense_index_space, 256);
-    assert_eq!(large.engine.dense_index_space, 256);
-    assert_eq!(
-        small.engine.knowledge_arena, large.engine.knowledge_arena,
-        "knowledge arena must not grow with the masked-out remainder"
-    );
-    assert!(small.engine.knowledge_arena > 0, "tracking was on");
-    assert_eq!(
-        small.outputs, large.outputs,
-        "sequential IDs: the embedded sub-network's transcript is n-invariant"
-    );
 }

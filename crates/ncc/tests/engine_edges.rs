@@ -248,7 +248,7 @@ fn zero_and_max_are_learnable_addresses() {
         assert_eq!(result.output_of(c).unwrap(), &carried, "{what}");
         // b: itself, its successor, a, and the two carried addresses.
         assert_eq!(result.metrics.max_knowledge, 5, "{what}");
-        assert_matches_reference(&net, None, &result, &events.events(), script(a, b), &what);
+        assert_matches_reference(&net, &result, &events.events(), script(a, b), &what);
     }
 }
 
@@ -258,8 +258,7 @@ fn every_violation_names_the_node_and_address_the_reference_names() {
     // the slot whose span it validates — so every kind of violation that
     // names a sender or a destination is provoked once, from a different
     // node each, and the records are held to the reference's under
-    // `Record`. Position 4 is out of the run both ways a node can be:
-    // masked out from the start, or retired by its first step.
+    // `Record`. Position 4 is out of the run, retired by its first step.
     let mut config = Config::ncc0(9);
     config.capacity_policy = CapacityPolicy::Record;
     config.max_words = 2;
@@ -290,43 +289,40 @@ fn every_violation_names_the_node_and_address_the_reference_names() {
             })
         }
     };
-    let masks = [None, Some([true, true, true, true, false, true])];
-    for mask in masks.iter().map(|mask| mask.as_ref().map(|m| &m[..])) {
-        for shards in [1, 2] {
-            let net = Network::new(6, config.clone().with_shards(shards));
-            let order = net.ids_in_path_order().to_vec();
-            let cap = net.capacity();
-            let mut events = Recording::new();
-            let factory = script(order.clone(), cap);
-            let result = net
-                .run_protocol_on(EngineKind::Batched, mask, Some(&mut events), &factory)
-                .unwrap();
-            let what = format!("masked: {}, {shards} shard(s)", mask.is_some());
-            let samples = &result.metrics.violation_samples;
-            let recorded: Vec<_> = samples.iter().map(|v| (v.node, v.kind.clone())).collect();
-            let expected = [
-                (order[0], ViolationKind::NoSuchNode { dst: bogus }),
-                (order[0], ViolationKind::SendCapacity { sent: cap + 2, cap }),
-                (order[1], ViolationKind::DeadRecipient { dst: order[4] }),
-                (order[2], ViolationKind::UnknownAddressee { dst: order[0] }),
-                (
-                    order[3],
-                    ViolationKind::UnknownCarriedAddress { carried: order[0] },
-                ),
-                (
-                    order[5],
-                    ViolationKind::MessageTooLarge { words: 3, addrs: 0 },
-                ),
-                (
-                    order[1],
-                    ViolationKind::ReceiveCapacity {
-                        received: cap + 1,
-                        cap,
-                    },
-                ),
-            ];
-            assert_eq!(recorded, expected, "{what}");
-            assert_matches_reference(&net, mask, &result, &events.events(), &factory, &what);
-        }
+    for shards in [1, 2] {
+        let net = Network::new(6, config.clone().with_shards(shards));
+        let order = net.ids_in_path_order().to_vec();
+        let cap = net.capacity();
+        let mut events = Recording::new();
+        let factory = script(order.clone(), cap);
+        let result = net
+            .run_protocol_on(EngineKind::Batched, None, Some(&mut events), &factory)
+            .unwrap();
+        let what = format!("{shards} shard(s)");
+        let samples = &result.metrics.violation_samples;
+        let recorded: Vec<_> = samples.iter().map(|v| (v.node, v.kind.clone())).collect();
+        let expected = [
+            (order[0], ViolationKind::NoSuchNode { dst: bogus }),
+            (order[0], ViolationKind::SendCapacity { sent: cap + 2, cap }),
+            (order[1], ViolationKind::DeadRecipient { dst: order[4] }),
+            (order[2], ViolationKind::UnknownAddressee { dst: order[0] }),
+            (
+                order[3],
+                ViolationKind::UnknownCarriedAddress { carried: order[0] },
+            ),
+            (
+                order[5],
+                ViolationKind::MessageTooLarge { words: 3, addrs: 0 },
+            ),
+            (
+                order[1],
+                ViolationKind::ReceiveCapacity {
+                    received: cap + 1,
+                    cap,
+                },
+            ),
+        ];
+        assert_eq!(recorded, expected, "{what}");
+        assert_matches_reference(&net, &result, &events.events(), &factory, &what);
     }
 }

@@ -47,7 +47,6 @@ fn assert_scenario_matches_reference<P, F>(
 {
     let reference = assert_matches_reference(
         &Network::new(n, config.clone()),
-        None,
         batched,
         batched_events,
         factory,

@@ -351,7 +351,7 @@ fn allocations_stepping(rounds: u64, tracked: bool) -> u64 {
     let before = ALLOCATIONS.get();
     MEASURING.with(|m| m.set(true));
     let mut run = net
-        .start(EngineKind::Batched, None, |s| Ping::new(s, rounds))
+        .start(EngineKind::Batched, |s| Ping::new(s, rounds))
         .unwrap();
     let mut stepped = 0;
     while run.round(None).unwrap() {

@@ -72,9 +72,8 @@ impl NodeProtocol for PathToClique {
             // Inbox holds the level-(round-1) exchange.
             self.contacts.learn_level(ctx);
         }
-        // Next doubling level to send is `round`; the G_k path spans the
-        // participating nodes.
-        if round < crate::levels_for(ctx.participants()) {
+        // Next doubling level to send is `round`.
+        if round < crate::levels_for(ctx.n()) {
             self.contacts.send_level(round, ctx, [&[], &[]]);
             return Status::Continue;
         }

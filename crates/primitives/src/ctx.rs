@@ -215,10 +215,7 @@ impl UndirectStep {
             member: true,
             pred,
             succ: ctx.initial_successor(),
-            // The G_k path spans the *participating* nodes — on a masked
-            // sub-network run that is fewer than n, and every round budget
-            // downstream keys off this length.
-            len: ctx.participants(),
+            len: ctx.n(),
         }
     }
 }
@@ -527,13 +524,9 @@ mod tests {
     use crate::PathToClique;
     use dgr_ncc::{Config, EngineKind, Network, RunResult, SimError};
 
-    /// The undirection alone, optionally masked, on the chosen engine.
-    fn undirect(
-        net: &Network,
-        engine: EngineKind,
-        mask: Option<&[bool]>,
-    ) -> Result<RunResult<VPath>, SimError> {
-        net.run_protocol_on(engine, mask, None, |_| {
+    /// The undirection alone, on the chosen engine.
+    fn undirect(net: &Network, engine: EngineKind) -> Result<RunResult<VPath>, SimError> {
+        net.run_protocol_on(engine, None, None, |_| {
             StepProtocol::new(UndirectStep::new())
         })
     }
@@ -547,12 +540,12 @@ mod tests {
         assert_eq!(rounds_for(2048), 12);
     }
 
-    /// The establishment, optionally masked, on the chosen engine, strict
-    /// at capacity factor 0.1 (the floor, 4).
-    fn establish(n: usize, engine: EngineKind, mask: Option<&[bool]>) -> RunResult<PathCtx> {
+    /// The establishment on the chosen engine, strict at capacity factor
+    /// 0.1 (the floor, 4).
+    fn establish(n: usize, engine: EngineKind) -> RunResult<PathCtx> {
         let net = Network::new(n, Config::ncc0(n as u64).with_capacity_factor(0.1));
         let result = net
-            .run_protocol_on(engine, mask, None, |_| {
+            .run_protocol_on(engine, None, None, |_| {
                 StepProtocol::new(EstablishCtx::new())
             })
             .unwrap();
@@ -569,7 +562,7 @@ mod tests {
     fn positions_equal_path_order_at_every_length() {
         for n in 1..=300 {
             let runs = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
-                let result = establish(n, engine, None);
+                let result = establish(n, engine);
                 assert_eq!(result.metrics.rounds, rounds_for(n), "n={n}");
                 for (x, (_, ctx)) in result.outputs.iter().enumerate() {
                     assert_eq!(ctx.position, x, "n={n} {engine:?}");
@@ -603,7 +596,7 @@ mod tests {
                 .iter()
                 .map(|&id| (id, rng.gen_range(0..top)))
                 .collect();
-            let unkeyed = establish(n, EngineKind::Batched, None);
+            let unkeyed = establish(n, EngineKind::Batched);
             let runs = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
                 let keys = &keys;
                 net.run_protocol_on(engine, None, None, |s| {
@@ -652,22 +645,6 @@ mod tests {
         assert!(!counts_classes(1 << 21));
     }
 
-    /// On a masked run the positions are the participants' ranks along
-    /// the knowledge path.
-    #[test]
-    fn positions_skip_masked_out_nodes() {
-        let n = 90;
-        let mask: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
-        for engine in [EngineKind::Batched, EngineKind::Reference] {
-            let result = establish(n, engine, Some(&mask));
-            assert_eq!(result.outputs.len(), 60);
-            assert_eq!(result.metrics.rounds, rounds_for(60));
-            for (x, (_, ctx)) in result.outputs.iter().enumerate() {
-                assert_eq!((ctx.position, ctx.vp.len), (x, 60), "{engine:?}");
-            }
-        }
-    }
-
     /// Losing the round of counts past the doubling leaves every node
     /// with a contact `2^5` behind without its count: a typed panic,
     /// the same on both engines — never a wrong position.
@@ -697,7 +674,7 @@ mod tests {
     #[test]
     fn undirect_reconstructs_the_path_batched() {
         let net = Network::new(100, Config::ncc0(5));
-        let result = undirect(&net, EngineKind::Batched, None).unwrap();
+        let result = undirect(&net, EngineKind::Batched).unwrap();
         assert!(result.metrics.is_clean());
         assert_eq!(result.metrics.rounds, 1);
         let order = result.gk_order();
@@ -712,29 +689,9 @@ mod tests {
     #[test]
     fn batched_and_reference_agree() {
         let net = Network::new(64, Config::ncc0(9));
-        let a = undirect(&net, EngineKind::Batched, None).unwrap();
-        let b = undirect(&net, EngineKind::Reference, None).unwrap();
+        let a = undirect(&net, EngineKind::Batched).unwrap();
+        let b = undirect(&net, EngineKind::Reference).unwrap();
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.metrics, b.metrics);
-    }
-
-    #[test]
-    fn masked_run_links_across_dead_nodes() {
-        let net = Network::new(10, Config::ncc0(7));
-        // Odd path positions are filtered out of the network.
-        let mask: Vec<bool> = (0..10).map(|i| i % 2 == 0).collect();
-        let result = undirect(&net, EngineKind::Batched, Some(&mask)).unwrap();
-        assert!(result.metrics.is_clean());
-        assert_eq!(result.outputs.len(), 5);
-        let order = result.gk_order();
-        let full: Vec<_> = net.ids_in_path_order().to_vec();
-        // Participants are the even positions, in path order.
-        let expected: Vec<_> = (0..10).step_by(2).map(|i| full[i]).collect();
-        assert_eq!(order, expected);
-        // The filtered path is seamless: pred/succ skip dead nodes.
-        for (i, (_, vp)) in result.outputs.iter().enumerate() {
-            assert_eq!(vp.pred, if i == 0 { None } else { Some(order[i - 1]) });
-            assert_eq!(vp.succ, order.get(i + 1).copied());
-        }
     }
 }

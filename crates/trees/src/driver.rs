@@ -139,7 +139,7 @@ pub fn prepare_tree(
 ) -> Result<Job<TreeRealization>, SimError> {
     let net = Network::new(degrees.len(), config);
     let by_id = net.assign_in_path_order(degrees);
-    let run = net.start(engine, None, |s| RealizeTree::new(by_id[&s.id], algo))?;
+    let run = net.start(engine, |s| RealizeTree::new(by_id[&s.id], algo))?;
     Ok(Job::new(run, move |net, result, _| {
         assemble(net, by_id, result)
     }))

@@ -27,9 +27,9 @@ fn main() {
         seq.is_graphic()
     );
 
-    // The explicit workload defaults to the queueing policy; its scheduled
-    // edge hand-off lands every announcement in a round its receiver can
-    // name, so it runs under the strict policy as well.
+    // The explicit workload runs under the strict policy, every
+    // workload's default: its scheduled edge hand-off lands every
+    // announcement in a round its receiver can name.
     let out = Realization::new(Workload::Explicit(degrees.clone()))
         .seed(99)
         .run()

@@ -29,15 +29,14 @@
 //! Every capability is a builder knob instead of a separate entry point:
 //! the executor ([`Engine::Batched`] production engine vs the
 //! [`Engine::Reference`] interpreter, the differential oracle), the
-//! capacity policy, masked sub-network runs, KT0 knowledge tracking, and
-//! the certification depth:
+//! capacity policy, KT0 knowledge tracking, and the certification depth:
 //!
 //! ```
 //! use distributed_graph_realizations as dgr;
 //! use dgr::{CapacityPolicy, Engine, Kt0, Realization, Workload};
 //!
 //! // An explicit realization on the batched executor, queueing policy
-//! // (the workload's default), KT0 tracking on.
+//! // (strict is every workload's default), KT0 tracking on.
 //! let out = Realization::new(Workload::Explicit(vec![3, 2, 2, 2, 2, 2, 2, 1]))
 //!     .engine(Engine::Batched)
 //!     .policy(CapacityPolicy::Queue)
@@ -47,15 +46,6 @@
 //!     .unwrap();
 //! let overlay = out.degrees().expect_realized();
 //! assert_eq!(overlay.graph.edge_count(), 8);
-//!
-//! // A masked sub-network run: only the first three path positions
-//! // participate (the engine-level form of Algorithm 6's recursion).
-//! let masked = Realization::new(Workload::Envelope(vec![2, 1, 1, 0, 0]))
-//!     .mask(vec![true, true, true, false, false])
-//!     .seed(5)
-//!     .run()
-//!     .unwrap();
-//! assert_eq!(masked.degrees().expect_realized().path_order.len(), 3);
 //! ```
 //!
 //! The composed paper-exact Algorithm 6 ([`Workload::Ncc0Exact`]) and the
@@ -169,7 +159,7 @@ pub enum Workload {
     /// semantics; accepts non-graphic sequences).
     Envelope(Vec<usize>),
     /// Theorem 12: explicit degree realization (both endpoints know every
-    /// edge; runs under the queueing policy by default).
+    /// edge).
     Explicit(Vec<usize>),
     /// Algorithms 4/5: tree realization with the chosen construction.
     Tree {
@@ -235,7 +225,7 @@ impl From<SimError> for RealizationError {
 /// dump would be enormous).
 #[derive(Clone, Debug)]
 pub enum RunOutput {
-    /// Degree workloads (implicit/envelope/explicit/masked).
+    /// Degree workloads (implicit/envelope/explicit).
     Degrees(DriverOutput),
     /// Tree workloads.
     Tree(TreeRealization),
@@ -325,7 +315,7 @@ impl Realized {
 }
 
 /// The builder facade over the whole driver stack: workload × engine ×
-/// capacity policy × mask × tracking × certification × observation, one
+/// capacity policy × tracking × certification × observation, one
 /// knob each. See the crate docs for examples and
 /// `ARCHITECTURE.md` for the full knob matrix (including the
 /// "Observability" section on sinks and streaming sessions).
@@ -333,7 +323,6 @@ pub struct Realization {
     workload: Workload,
     engine: Engine,
     policy: Option<CapacityPolicy>,
-    mask: Option<Vec<bool>>,
     tracking: Option<Kt0>,
     seed: u64,
     model: Option<Model>,
@@ -358,7 +347,6 @@ impl Clone for Realization {
             workload: self.workload.clone(),
             engine: self.engine,
             policy: self.policy,
-            mask: self.mask.clone(),
             tracking: self.tracking,
             seed: self.seed,
             model: self.model,
@@ -380,7 +368,6 @@ impl std::fmt::Debug for Realization {
             .field("workload", &self.workload)
             .field("engine", &self.engine)
             .field("policy", &self.policy)
-            .field("mask", &self.mask.as_ref().map(Vec::len))
             .field("tracking", &self.tracking)
             .field("seed", &self.seed)
             .field("model", &self.model)
@@ -398,15 +385,13 @@ impl std::fmt::Debug for Realization {
 
 impl Realization {
     /// Starts a request for the given workload. Defaults: batched
-    /// engine, seed 0, tracking on under NCC0, the
-    /// workload's natural capacity policy (queueing for the explicit and
-    /// NCC0-threshold constructions, strict otherwise), certification on.
+    /// engine, seed 0, tracking on under NCC0, the strict capacity policy,
+    /// certification on.
     pub fn new(workload: Workload) -> Self {
         Realization {
             workload,
             engine: Engine::Batched,
             policy: None,
-            mask: None,
             tracking: None,
             seed: 0,
             model: None,
@@ -427,19 +412,11 @@ impl Realization {
         self
     }
 
-    /// Overrides the capacity policy (default: the workload's natural
-    /// policy — queueing for the three workloads with explicitness
-    /// hand-offs, strict otherwise; the hand-offs also run strict).
+    /// Overrides the capacity policy (default: [`CapacityPolicy::Strict`]
+    /// for every workload — no driver needs a queue, so a capacity
+    /// shortfall ends the run in a typed violation).
     pub fn policy(mut self, policy: CapacityPolicy) -> Self {
         self.policy = Some(policy);
-        self
-    }
-
-    /// Restricts the run to a sub-network: only masked-in path positions
-    /// participate (degree workloads only; the knowledge path links
-    /// across the rest).
-    pub fn mask(mut self, participants: Vec<bool>) -> Self {
-        self.mask = Some(participants);
         self
     }
 
@@ -489,7 +466,7 @@ impl Realization {
     /// Pins the number of ownership shards the batched executor splits
     /// each engine run into. Default: derived per run — one shard per
     /// worker once each would own at least [`ncc::MIN_SHARD_WIDTH`]
-    /// participants, a single inline shard below that. Each shard owns a
+    /// nodes, a single inline shard below that. Each shard owns a
     /// private slot arena,
     /// wire/queue buffers and knowledge-tracker arena for a contiguous
     /// dense-index range; a per-shard phase runs on `min(workers, shards)`
@@ -558,16 +535,6 @@ impl Realization {
         }
     }
 
-    /// The workload's natural capacity policy.
-    fn default_policy(&self) -> CapacityPolicy {
-        match &self.workload {
-            Workload::Explicit(_) | Workload::Ncc0Threshold(_) | Workload::Ncc0Exact(_) => {
-                CapacityPolicy::Queue
-            }
-            _ => CapacityPolicy::Strict,
-        }
-    }
-
     /// The workload knob's constructor name, for error messages that
     /// point at the offending builder call.
     fn workload_name(&self) -> &'static str {
@@ -601,7 +568,9 @@ impl Realization {
             Model::Ncc1 => Config::ncc1(self.seed),
             Model::Ncc0 => Config::ncc0(self.seed),
         };
-        config.capacity_policy = self.policy.unwrap_or_else(|| self.default_policy());
+        if let Some(policy) = self.policy {
+            config.capacity_policy = policy;
+        }
         if let Some(tracking) = self.tracking {
             config.track_knowledge = tracking == Kt0::Tracked && config.model == Model::Ncc0;
         }
@@ -628,13 +597,10 @@ impl Realization {
                         .into(),
                 ));
             }
-            let participants = match &self.mask {
-                Some(mask) => mask.iter().filter(|&&p| p).count(),
-                None => self.input_len(),
-            };
-            if shards > participants {
+            let n = self.input_len();
+            if shards > n {
                 return Err(RealizationError::InvalidRequest(format!(
-                    ".shards({shards}) exceeds the {participants} participating nodes — \
+                    ".shards({shards}) exceeds the {n} participating nodes — \
                      every ownership shard needs a non-empty dense-index range"
                 )));
             }
@@ -644,11 +610,7 @@ impl Realization {
             config.max_rounds = max_rounds;
         }
         if let Some(scenario) = &self.scenario {
-            if let Err(why) = scenario.validate(
-                self.input_len(),
-                self.mask.as_deref(),
-                config.capacity_policy,
-            ) {
+            if let Err(why) = scenario.validate(self.input_len(), config.capacity_policy) {
                 return Err(RealizationError::InvalidRequest(format!(
                     ".scenario(seed {}) is inconsistent with this request: {why}",
                     scenario.seed()
@@ -667,29 +629,6 @@ impl Realization {
                 "{} was given an empty input — the workload needs at least one node",
                 self.workload_name()
             )));
-        }
-        if let Some(mask) = &self.mask {
-            let degree_workload = matches!(
-                self.workload,
-                Workload::Implicit(_) | Workload::Envelope(_) | Workload::Explicit(_)
-            );
-            if !degree_workload {
-                return Err(RealizationError::InvalidRequest(format!(
-                    ".mask({} entries) applies to degree workloads only — {} realizes \
-                     over the whole network",
-                    mask.len(),
-                    self.workload_name()
-                )));
-            }
-            if mask.len() != self.input_len() {
-                return Err(RealizationError::InvalidRequest(format!(
-                    ".mask({} entries) does not match the {}-node {} input \
-                     (one mask entry per path position is required)",
-                    mask.len(),
-                    self.input_len(),
-                    self.workload_name()
-                )));
-            }
         }
         if let Workload::Ncc1(rho) | Workload::Ncc0Threshold(rho) | Workload::Ncc0Exact(rho) =
             &self.workload
@@ -719,9 +658,9 @@ impl Realization {
     /// # Errors
     ///
     /// [`RealizationError::InvalidRequest`] for contradictory knobs
-    /// (mask on a non-degree workload, mask length mismatch, a threshold
-    /// outside `[1, n-1]` — the message names the offending builder call
-    /// and value),
+    /// (an empty input, a threshold outside `[1, n-1]`, a contradictory
+    /// model, shard count or scenario — the message names the offending
+    /// builder call and value),
     /// [`RealizationError::Sim`] for simulator failures.
     pub fn run(self) -> Result<Realized, RealizationError> {
         self.run_streaming()?.finish()
@@ -741,7 +680,7 @@ impl Realization {
     /// happen here, so an invalid request fails before any round runs.
     pub fn run_streaming(self) -> Result<RunSession, RealizationError> {
         let config = self.validate()?;
-        let (engine, mask) = (self.engine, self.mask.as_deref());
+        let engine = self.engine;
         let job = match &self.workload {
             Workload::Implicit(d) | Workload::Envelope(d) | Workload::Explicit(d) => {
                 let flavor = match &self.workload {
@@ -749,7 +688,7 @@ impl Realization {
                     Workload::Envelope(_) => Flavor::Envelope,
                     _ => Flavor::Explicit,
                 };
-                dgr_core::prepare_degrees(d, mask, config, flavor, engine)?.map(RunOutput::Degrees)
+                dgr_core::prepare_degrees(d, config, flavor, engine)?.map(RunOutput::Degrees)
             }
             Workload::Tree { degrees, algo } => {
                 dgr_trees::prepare_tree(degrees, config, *algo, engine)?.map(RunOutput::Tree)
@@ -901,27 +840,6 @@ mod tests {
 
     #[test]
     fn builder_rejects_contradictory_knobs_naming_the_offender() {
-        // Mask on a tree workload: the message names the knob and the
-        // workload that rejected it.
-        let err = Realization::new(Workload::Tree {
-            degrees: vec![1, 2, 1],
-            algo: TreeAlgo::Greedy,
-        })
-        .mask(vec![true, true, false])
-        .run()
-        .unwrap_err();
-        assert!(matches!(err, RealizationError::InvalidRequest(_)), "{err}");
-        assert!(err.to_string().contains(".mask(3 entries)"), "{err}");
-        assert!(err.to_string().contains("Workload::Tree"), "{err}");
-
-        // Mask length mismatch: both lengths named.
-        let err = Realization::new(Workload::Implicit(vec![1, 1]))
-            .mask(vec![true])
-            .run()
-            .unwrap_err();
-        assert!(err.to_string().contains(".mask(1 entries)"), "{err}");
-        assert!(err.to_string().contains("2-node"), "{err}");
-
         // Empty workload: names the workload variant.
         let err = Realization::new(Workload::Implicit(vec![]))
             .run()
@@ -950,6 +868,29 @@ mod tests {
             .map(|_| ())
             .unwrap_err();
         assert!(matches!(err, RealizationError::InvalidRequest(_)));
+    }
+
+    #[test]
+    fn every_workload_defaults_to_the_strict_policy() {
+        // No driver needs a queue: a capacity shortfall on a default run
+        // is a typed violation, never a delayed message.
+        let workloads = [
+            Workload::Implicit(vec![2, 2, 1, 1]),
+            Workload::Envelope(vec![2, 2, 1, 1]),
+            Workload::Explicit(vec![2, 2, 1, 1]),
+            Workload::Tree {
+                degrees: vec![1, 2, 1],
+                algo: TreeAlgo::Greedy,
+            },
+            Workload::Ncc1(vec![1, 2, 1]),
+            Workload::Ncc0Threshold(vec![1, 2, 1]),
+            Workload::Ncc0Exact(vec![1, 2, 1]),
+        ];
+        for workload in workloads {
+            let name = format!("{workload:?}");
+            let config = Realization::new(workload).validate().unwrap();
+            assert_eq!(config.capacity_policy, CapacityPolicy::Strict, "{name}");
+        }
     }
 
     #[test]
@@ -1030,16 +971,6 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains(".shards(5)"), "{err}");
         assert!(err.to_string().contains("4 participating"), "{err}");
-
-        // The participant count is mask-aware: ownership shards split the
-        // dense (masked-in) space, not the raw input length.
-        let err = Realization::new(Workload::Implicit(vec![2, 2, 1, 1]))
-            .mask(vec![true, true, true, false])
-            .shards(4)
-            .run()
-            .unwrap_err();
-        assert!(err.to_string().contains(".shards(4)"), "{err}");
-        assert!(err.to_string().contains("3 participating"), "{err}");
 
         // A legal shard count reaches the engine, and the realization is
         // bit-identical to the default layout.

@@ -11,8 +11,8 @@ use distributed_graph_realizations::{Engine, Kt0};
 mod cases;
 use cases::{fnv, FNV_OFFSET};
 
-/// One request of this suite: `(case, workload, seed, mask)`.
-type Request = (String, Workload, u64, Option<Vec<bool>>);
+/// One request of this suite: `(case, workload, seed)`.
+type Request = (String, Workload, u64);
 
 /// The requests of this suite — every workload the facade offers, at the
 /// inputs and seeds the facade-vs-legacy-entry-point suite used while the
@@ -27,34 +27,24 @@ fn requests() -> Vec<Request> {
             ("envelope", Workload::Envelope(degrees.clone())),
             ("explicit", Workload::Explicit(degrees.clone())),
         ] {
-            requests.push((format!("{what} seed={seed}"), workload, seed, None));
+            requests.push((format!("{what} seed={seed}"), workload, seed));
         }
     }
     for algo in [TreeAlgo::Chain, TreeAlgo::Greedy] {
         let degrees = vec![3, 3, 2, 2, 1, 1, 1, 1];
         let workload = Workload::Tree { degrees, algo };
-        requests.push((format!("tree {algo:?}"), workload, 9, None));
+        requests.push((format!("tree {algo:?}"), workload, 9));
     }
-    requests.push(("ncc1".into(), Workload::Ncc1(rho.clone()), 12, None));
+    requests.push(("ncc1".into(), Workload::Ncc1(rho.clone()), 12));
     let ncc0 = Workload::Ncc0Threshold(rho.clone());
-    requests.push(("ncc0".into(), ncc0, 12, None));
-    let exact = Workload::Ncc0Exact(rho.clone());
-    requests.push(("ncc0-exact".into(), exact, 12, None));
-    // Algorithm 6's paper-exact phase 1 in isolation: the envelope of the
-    // ρ-sorted requirements (`rho` is sorted already), masked to the first
-    // d₀ + 1 path positions.
-    let prefix = Some((0..rho.len()).map(|i| i <= rho[0]).collect());
-    requests.push(("prefix".into(), Workload::Envelope(rho), 12, prefix));
+    requests.push(("ncc0".into(), ncc0, 12));
+    requests.push(("ncc0-exact".into(), Workload::Ncc0Exact(rho), 12));
     requests
 }
 
 /// The builder request of one case.
-fn request(workload: Workload, seed: u64, mask: &Option<Vec<bool>>) -> Realization {
-    let request = Realization::new(workload).seed(seed);
-    match mask {
-        Some(mask) => request.mask(mask.clone()),
-        None => request,
-    }
+fn request(workload: Workload, seed: u64) -> Realization {
+    Realization::new(workload).seed(seed)
 }
 
 /// The sorted edge list of whatever a run realized (empty on a refusal).
@@ -85,8 +75,8 @@ fn record(request: Realization, engine: Engine, workers: usize) -> (Realized, Ve
 /// breakdown included) and on the semantic event stream.
 #[test]
 fn event_streams_identical_across_engines_and_worker_counts() {
-    for (name, workload, seed, mask) in requests() {
-        let make = || request(workload.clone(), seed, &mask);
+    for (name, workload, seed) in requests() {
+        let make = || request(workload.clone(), seed);
         let (batched, events) = record(make(), Engine::Batched, 1);
         assert!(
             events
@@ -198,9 +188,9 @@ fn transcript(out: &Realized) -> Golden {
 }
 
 /// What the original thread-per-node engine produced on these requests —
-/// for the unmasked bitonic plane it ran the direct-style twin of each
-/// algorithm, for `ncc0-exact` and `prefix` the same state machines —
-/// recorded from it at the last commit that had it.
+/// for the bitonic plane it ran the direct-style twin of each algorithm,
+/// for `ncc0-exact` the same state machines — recorded from it at the
+/// last commit that had it.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, Golden)] = &[
     ("implicit seed=3", (true, 4, 27, 262, 868, 4, 5, 0x59a4682c75e872fb)),
@@ -238,12 +228,6 @@ fn assert_verified(case: &str, out: &Realized) {
             );
             assert!(r.multi_degrees.values().sum::<usize>() <= 2 * sum, "{case}");
         }
-        RunOutput::Degrees(DriverOutput::Realized(r)) if case == "prefix" => {
-            assert!(
-                r.requested.iter().all(|(id, &d)| r.multi_degrees[id] >= d),
-                "{case}"
-            );
-        }
         RunOutput::Degrees(DriverOutput::Realized(r)) => {
             verify::degrees_match(&r.graph, &r.requested).unwrap_or_else(|e| panic!("{case}: {e}"));
             assert_eq!(r.duplicate_edges, 0, "{case}");
@@ -261,14 +245,14 @@ fn assert_verified(case: &str, out: &Realized) {
 #[test]
 fn facade_transcripts_match_the_frozen_twins_on_both_engines() {
     let mut overlays = FNV_OFFSET;
-    for (case, workload, seed, mask) in requests() {
+    for (case, workload, seed) in requests() {
         let golden = GOLDEN
             .iter()
             .find(|(name, _)| *name == case)
             .unwrap_or_else(|| panic!("no golden row for case {case:?}"))
             .1;
         let run = |engine: Engine| {
-            let out = request(workload.clone(), seed, &mask).engine(engine).run();
+            let out = request(workload.clone(), seed).engine(engine).run();
             let out = out.unwrap();
             assert_verified(&case, &out);
             transcript(&out)
@@ -296,14 +280,14 @@ fn degree_rounds_follow_the_closed_form() {
     use distributed_graph_realizations::realization::distributed::{
         phase_groups, rounds_for, Flavor,
     };
-    for (case, workload, seed, mask) in requests() {
+    for (case, workload, seed) in requests() {
         let flavor = match &workload {
             Workload::Implicit(_) => Flavor::Implicit,
             Workload::Envelope(_) => Flavor::Envelope,
             Workload::Explicit(_) => Flavor::Explicit,
             _ => continue,
         };
-        let out = request(workload, seed, &mask).run().unwrap();
+        let out = request(workload, seed).run().unwrap();
         let r = out.degrees().expect_realized();
         let requested: Vec<usize> = (r.path_order.iter()).map(|id| r.requested[id]).collect();
         let groups = phase_groups(&requested, flavor);
@@ -362,22 +346,4 @@ fn duplicated_tree_realization_agrees_with_the_reference() {
         (Err(batched), Err(reference)) => assert_eq!(batched.to_string(), reference.to_string()),
         _ => panic!("one engine survived full-window duplication, the other did not"),
     }
-}
-
-/// Masks reach the reference interpreter too: a masked envelope run is
-/// the same sub-network realization on both engines.
-#[test]
-fn masked_runs_agree_across_engines() {
-    let run = |engine: Engine| {
-        Realization::new(Workload::Envelope(vec![2, 1, 1, 0, 0, 0]))
-            .mask(vec![true, true, true, false, false, false])
-            .seed(23)
-            .engine(engine)
-            .run()
-            .unwrap()
-    };
-    let (batched, reference) = (run(Engine::Batched), run(Engine::Reference));
-    assert_eq!(batched.degrees().expect_realized().path_order.len(), 3);
-    assert_eq!(overlay(&batched), overlay(&reference));
-    assert_eq!(batched.metrics(), reference.metrics());
 }

@@ -146,9 +146,7 @@ fn tracked_queue_warmup_at_n_200k() {
         result.metrics.max_knowledge > 0,
         "tracking was on; knowledge must accumulate"
     );
-    // Unmasked run: the dense index space is the whole network, and the
-    // knowledge arena grew to hold every node's contact set.
-    assert_eq!(result.engine.dense_index_space, n);
+    // The knowledge arena grew to hold every node's contact set.
     assert!(result.engine.knowledge_arena >= n);
     assert!(result.engine.knowledge_arena <= ARENA_CEILING_200K);
 }
@@ -244,7 +242,6 @@ fn sharded_tracked_queue_warmup_at_n_200k() {
         result.engine.cross_shard_messages > 0,
         "long-range contacts must cross ownership boundaries"
     );
-    assert_eq!(result.engine.dense_index_space, n);
     assert!(result.engine.knowledge_arena >= n);
     // The same ceiling: a region grows on its node's own count of learned
     // IDs, so the shard layout cannot move the total.
@@ -470,9 +467,9 @@ fn implicit_realization_at_n_100k_follows_the_closed_form() {
 }
 
 /// The **composed paper-exact Algorithm 6** at 10⁵ nodes on the batched
-/// engine, driven as a **streaming session**: outer ρ sort, prefix
-/// envelope recursion (masked sub-path with full-tree control
-/// aggregations), distinctness patch, phase-2 pipeline, explicitness
+/// engine, driven as a **streaming session**: outer ρ sort, the prefix
+/// sub-path (the envelope realized on its own establishment),
+/// distinctness patch, phase-2 pipeline, explicitness
 /// acks. The session observes every round as the run executes (the
 /// pull-based stepper, not a post-hoc dump), the `PhaseChange` events
 /// reconstruct Algorithm 6's data-dependent phases, and the resulting
