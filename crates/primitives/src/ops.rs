@@ -105,11 +105,7 @@ pub fn load(len: usize, cap: usize) -> usize {
 /// capacity `cap`: four, or two where it runs paced or the path is under
 /// ten positions.
 pub fn sweep_load(len: usize, cap: usize) -> usize {
-    if len < 10 || 4 + BESIDE > cap {
-        2
-    } else {
-        4
-    }
+    Tree::new(len, cap).load
 }
 
 /// A contact of the sweep tree: its level `j` and whether it sits `2^j`
@@ -137,6 +133,8 @@ struct Tree {
     far: usize,
     /// Whether the sweep runs one level a round (the module docs).
     paced: bool,
+    /// The most sweep messages a node sends or receives in a round.
+    load: usize,
     /// The rounds of each half of the sweep: the root's report round.
     rounds: usize,
 }
@@ -154,12 +152,15 @@ impl Tree {
                 p - lowest(p) / 3
             })
             .fold(len, usize::min);
+        // Below ten positions no node hears more than two in a round.
+        let unpaced = if len < 10 { 2 } else { 4 };
+        let paced = unpaced + BESIDE > cap;
         let mut tree = Tree {
             len,
             levels,
             far,
-            // Below ten positions no node hears more than two in a round.
-            paced: (if len < 10 { 2 } else { 4 }) + BESIDE > cap,
+            paced,
+            load: if paced { 2 } else { unpaced },
             rounds: 0,
         };
         // The root's children `2^j` report in round `⌊j/2⌋` (paced,
@@ -634,14 +635,15 @@ mod tests {
     }
 
     /// The sweep tree at every path length up to 4096, at 10⁵ and at 2¹⁷,
-    /// at a capacity that takes four sweep messages beside [`BESIDE`] and
-    /// at the floor of 4: every parent is a power-of-two contact inside the
+    /// at every capacity from 3 to 7 — both sides of the pace threshold
+    /// `4 + BESIDE` and of the floor of 4: every parent is a power-of-two contact inside the
     /// path, and every child reports in a round before its parent's, in
     /// which the parent expects it over the reverse link — so the tree
     /// spans the path and has no cycle — and a parent expects no one else.
-    /// No position hears from more than four children in one round, and
-    /// from more than two only from ten positions on; paced (from ten
-    /// positions on at the floor), from more than two never. The deepest
+    /// No position hears from more than [`sweep_load`] children in one
+    /// round: four, and more than two only from ten positions on; paced
+    /// (below `2 + BESIDE`, and from ten positions on below `4 + BESIDE`),
+    /// two. The deepest
     /// position is [`broadcast_rounds_for`] hops from position 0, at most
     /// `⌈L/2⌉ + 1` and at most `L`, and at every power of two that is
     /// position 0's eccentricity over the contacts. Paced, a half takes at
@@ -655,14 +657,22 @@ mod tests {
                 depth <= levels.div_ceil(2) + 1 && depth <= levels,
                 "len={len}"
             );
-            let (hops, most) = spans(len, Tree::new(len, 4 + BESIDE));
+            // The tree hangs on its pace alone, so each pace is spanned
+            // once, unpaced in slot 0.
+            let mut spanned: [Option<(usize, usize)>; 2] = [None; 2];
+            for cap in 3..=7 {
+                let tree = Tree::new(len, cap);
+                let paced = cap < 2 + BESIDE || (len >= 10 && cap < 4 + BESIDE);
+                assert_eq!(tree.paced, paced, "len={len} cap={cap}");
+                let slot = &mut spanned[usize::from(paced)];
+                let (_, most) = *slot.get_or_insert_with(|| spans(len, tree));
+                let load = sweep_load(len, cap);
+                assert!(most <= load, "len={len} cap={cap}: {most} > {load}");
+                assert!(load <= 4 && (load > 2) == (len >= 10 && !paced));
+            }
+            let (hops, most) = spanned[0].expect("capacity 7 runs unpaced");
             assert_eq!(hops, depth, "len={len}");
-            assert!(most <= 4, "len={len}: {most}");
             assert_eq!(most > 2, len >= 10, "len={len}: {most}");
-            let paced = Tree::new(len, 4);
-            assert_eq!(paced.paced, len >= 10, "len={len}");
-            let (_, most) = spans(len, paced);
-            assert!(most <= 2, "len={len}: paced {most}");
             let rounds = broadcast_rounds_for(len, 4) as usize;
             assert!(rounds <= levels, "len={len}: paced {rounds}");
             assert!(len != 2048 || rounds == 11, "len={len}: paced {rounds}");
