@@ -204,14 +204,13 @@ const GOLDEN: &[(&str, Golden)] = &[
     ("ncc1", (true, 0, 39, 70, 144, 2, 2, 0xd8b85508f1bbb25d)),
     ("ncc0", (true, 0, 19, 83, 217, 2, 2, 0xbbe3a5dff2d4ba95)),
     ("ncc0-exact", (true, 0, 59, 167, 484, 3, 3, 0x19926eb11f60d1ba)),
-    ("prefix", (true, 4, 19, 84, 261, 2, 3, 0x40fdb7803a1a6ba7)),
 ];
 
 /// What a change of schedule may not move: the verdict, phases and
 /// edge-hash columns of every run of [`requests`], folded in order. The
 /// schedule columns of [`GOLDEN`] — rounds, messages, words, the per-round
 /// maxima — are re-frozen when a round budget changes; this fold is not.
-const GOLDEN_OVERLAYS: u64 = 0x3c15_3d5d_35a3_6abb;
+const GOLDEN_OVERLAYS: u64 = 0x74fc_5929_7275_7d3b;
 
 /// Holds a run to its verifier: an exact degree realization meets every
 /// request with no duplicate edge, an envelope (`case` names it) covers
