@@ -1,8 +1,9 @@
 //! Algorithm 6 / Theorem 18: `O~(Δ)`-round *explicit* threshold
 //! realization in NCC0 (hence also NCC1).
 //!
-//! 1. Sort by `ρ` non-increasing — the class route where every `ρ` is
-//!    below 8 and the capacity takes it, on an establishment keyed by `ρ`
+//! 1. Sort by `ρ` non-increasing — the class route, the `ρ` past 7 then
+//!    ordered in a window of their own, where the capacity takes it, on
+//!    an establishment keyed by `ρ`
 //!    ([`SortStep::by_class`]; equal `ρ` keep their establishment order,
 //!    which any order of equal requirements allows) — and hand each node
 //!    its sorted neighbours ([`RankStep`]); the sort leaves `x₁`'s

@@ -18,9 +18,10 @@
 //!    phase 1; a later phase re-orders the records in place instead, in
 //!    `O(log n)` rounds (the merge lane below). Equal needs keep the
 //!    order of their origins' positions, which the establishment is keyed
-//!    with, so phase 1's sort is the class route where every degree is
-//!    below 8 and the capacity takes it beside the control sweep:
-//!    `⌈log₂ n⌉` rounds instead of the network's `O(log² n)`
+//!    with, so phase 1's sort is the class route where the capacity takes
+//!    it beside the control sweep, the degrees past 7 then ordered by the
+//!    network over their window alone: `⌈log₂ n⌉` rounds and the window's
+//!    instead of the network's `O(log² n)` over the whole path
 //!    ([`SortStep::by_class`]);
 //! 3. with `q = max(1, ⌊N/(δ+1)⌋)`, split the first `q(δ+1)` positions
 //!    into `q` star groups: the leader, each group's first record, is fully
@@ -211,8 +212,9 @@ pub enum Flavor {
 /// Rounds of a whole realization of `degrees`, one a member of the path —
 /// context establishment, keyed by the degrees, then [`DegreesCore`] — at
 /// capacity `cap`: the schedule of the run's [`phase_groups`] (below),
-/// the first phase's lane the class route or the network as
-/// [`sort::first_rounds_for`] decides beside the control sweep.
+/// the first phase's lane the class route (with its overflow window) or
+/// the network as [`sort::first_rounds_for`] decides beside the control
+/// sweep.
 pub fn rounds_for(degrees: &[usize], flavor: Flavor, explicit: bool, cap: usize) -> u64 {
     let len = degrees.len();
     let keys = degrees.iter().map(|&d| d as u64);

@@ -33,6 +33,9 @@
 //! as in the doubling alone. At the end a position knows its rank among
 //! the earlier keys of its class and every class total ([`Classes`]):
 //! what a stable counting sort by class needs ([`SortStep::by_class`]).
+//! The overflow class's total is the length of the window that sort
+//! lands every key past the classes in, then orders with the network
+//! alone, so every node knows that length at the sort's first poll.
 //!
 //! A missing count is a lost message, and it panics.
 //!
@@ -106,11 +109,6 @@ impl Tally {
     /// Records counted, every class.
     pub(crate) fn count(&self) -> usize {
         self.0.iter().map(|&c| c as usize).sum()
-    }
-
-    /// Whether some key is past the classes.
-    pub(crate) fn overflows(&self) -> bool {
-        self.0[CLASSES] > 0
     }
 
     /// Classes holding a record.

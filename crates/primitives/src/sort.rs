@@ -24,20 +24,29 @@
 //! **A class sort for the first sort.** Where the establishment was keyed
 //! ([`EstablishCtx::keyed`](crate::EstablishCtx::keyed)), every position
 //! knows its record's class, its rank among the earlier records of that
-//! class and every class total ([`Classes`]). When no key overflows the
-//! classes and the capacity takes a record of every non-empty class a
-//! round beside what runs with the sort, [`SortStep::by_class`] runs a
-//! stable counting sort instead of the network — Blelloch's radix
-//! "split", every class at once: each record goes to `offset[class] +
-//! rank`, one bit of its signed displacement a round, least significant
-//! first, over the contacts ([`route_rounds_for`]: `⌈log₂ n⌉` rounds).
-//! Within a class the destinations keep the positions' order and the
-//! displacements do not increase along the path, so — as in Nassimi and
-//! Sahni's monotone "concentrate" routes — two records of one class never
-//! meet at a position: a node sends and receives at most one record a
-//! class a round. Every node takes the same choice from `(totals, n,
-//! cap)` at its first poll ([`first_rounds_for`]), and the route ends in
-//! the network's contract, with the network's order.
+//! class and every class total ([`Classes`]): keys 0 to 7 a class each,
+//! and every larger key one overflow class. Where the capacity takes a
+//! record of every non-empty class, the overflow counted, a round beside
+//! what runs with the sort, [`SortStep::by_class`] runs a stable counting
+//! sort by class instead of the network — Blelloch's radix "split", every
+//! class at once: each record goes to `offset[class] + rank`, one bit of
+//! its signed displacement a round, least significant first, over the
+//! contacts ([`route_rounds_for`]: `⌈log₂ n⌉` rounds). Within a class the
+//! destinations keep the positions' order and the displacements do not
+//! increase along the path, so — as in Nassimi and Sahni's monotone
+//! "concentrate" routes — two records of one class never meet at a
+//! position: a node sends and receives at most one record a class a
+//! round. A class below the overflow holds one key, so the route leaves
+//! its records in the network's `(key, home)` order. The overflow's `k`
+//! records land in home order in a window of `k` positions — the first
+//! in [`Order::Descending`], the last in [`Order::Ascending`] — and the
+//! network runs over that window alone ([`rounds_for`]`(k)` rounds; every
+//! other position idles), its comparator partners contacts inside it.
+//! Where the route and the window network would take longer than the
+//! network over the whole path — a window longer than
+//! `2^(⌈log₂ n⌉ - 1)` — that network runs. Every node takes the same choice from `(totals, n, cap)`
+//! at its first poll ([`first_rounds_for`]), and the route ends in the
+//! network's contract, with the network's order.
 //!
 //! [`SortStep`] is the network alone: it ends with the rank-`x` record
 //! [`Held`] at position `x`, wherever the records started. A caller that
@@ -225,28 +234,37 @@ pub fn route_rounds_for(len: usize) -> u64 {
     crate::levels_for(len) as u64
 }
 
-/// Whether a first sort over keys whose classes tally `totals` takes the
-/// class route at capacity `cap`, beside steps that send and receive up to
-/// `beside` messages a node a round: no key overflows the classes, and
-/// the capacity takes a record of every non-empty class a round beside
-/// them.
-fn routes(totals: &Tally, cap: usize, beside: usize) -> bool {
-    !totals.overflows() && totals.classes() + beside <= cap
+/// Rounds of a first sort over keys whose classes tally `totals` that
+/// takes the class route at capacity `cap`, beside steps that send and
+/// receive up to `beside` messages a node a round: the route's, then the
+/// window network's over the overflow. `None` where the capacity does not
+/// take a record of every non-empty class, the overflow one of them, a
+/// round beside those steps, or where the route and the window take
+/// longer than the network over the whole path, which then runs.
+fn routed_rounds(totals: &Tally, cap: usize, beside: usize) -> Option<u64> {
+    let len = totals.count();
+    let rounds = route_rounds_for(len) + rounds_for(totals.0[CLASSES] as usize);
+    (totals.classes() + beside <= cap && rounds <= rounds_for(len)).then_some(rounds)
+}
+
+/// The positions `[from, from + k)` the class route lands the overflow's
+/// `k` records at, in home order: the window the network sorts after it.
+fn window(totals: &Tally, order: Order) -> (usize, usize) {
+    (start(totals, CLASSES, order), totals.0[CLASSES] as usize)
 }
 
 /// Rounds of [`SortStep::by_class`] over `keys`, one a position of a path
 /// established keyed, at capacity `cap` beside `beside` messages a node a
-/// round: the class route's where the establishment counted the classes,
-/// no key overflows them and the capacity takes a record of every
-/// non-empty class a round beside those messages, else the network's.
+/// round: the class route's and the overflow window's network after it
+/// where the establishment counted the classes, the capacity takes a
+/// record of every non-empty class — the overflow counted — a round
+/// beside those messages and the two are no longer than the network over
+/// the whole path, else that network's.
 pub fn first_rounds_for(keys: impl IntoIterator<Item = u64>, cap: usize, beside: usize) -> u64 {
     let totals = Tally::of(keys);
     let len = totals.count();
-    if ctx::counts_classes(len) && routes(&totals, cap, beside) {
-        route_rounds_for(len)
-    } else {
-        rounds_for(len)
-    }
+    let routed = ctx::counts_classes(len).then(|| routed_rounds(&totals, cap, beside));
+    routed.flatten().unwrap_or_else(|| rounds_for(len))
 }
 
 /// Number of rounds [`RankStep`] takes, at any path length.
@@ -403,18 +421,21 @@ pub struct Sort {
     /// Compaction rounds ahead of the comparator stages (none in a sort).
     shifts: u64,
     it: StageIter,
-    /// The comparator network's virtual position of position 0, and how
-    /// many positions, `[0, live)`, hold a record once compaction is done.
-    offset: usize,
+    /// The positions the comparator network runs over, `[from, from +
+    /// live)` once compaction is done (`from` is 0 but in an ascending
+    /// overflow window), and the network's virtual position of `from`.
+    from: usize,
     live: usize,
+    offset: usize,
     held: Option<Record>,
     /// The held record's whole compaction shift; round `b` moves it by
     /// bit `b`.
     shift: usize,
     /// The in-flight comparator staged last round.
     cmp: Option<(usize, bool)>,
-    /// The class route, from its first poll on if the capacity takes it;
-    /// the network runs where there is none.
+    /// The class route, from its first poll on if the capacity takes it,
+    /// until it lands this position's record; the network runs where
+    /// there is none, and after it over the overflow's window.
     route: Option<Box<Route>>,
 }
 
@@ -451,12 +472,13 @@ impl SortStep {
 
     /// The first sort on a path established keyed, each member starting
     /// with its own record keyed `key`, the key it was established with:
-    /// the class route where no key overflows the classes and the run's
-    /// capacity takes a record of every non-empty class a round beside
-    /// steps taking up to `beside` messages a node a round, else the
-    /// network (rounds: exactly [`first_rounds_for`]; the network's
-    /// where `ctx` has no [`Classes`]). Every member takes the same choice
-    /// at its first poll.
+    /// the class route, then the network over the overflow's window, where
+    /// the run's capacity takes a record of every non-empty class — the
+    /// overflow one of them — a round beside steps taking up to `beside`
+    /// messages a node a round and the two are no longer than the network
+    /// over the whole path, else that network (rounds: exactly
+    /// [`first_rounds_for`]; the network's where `ctx` has no
+    /// [`Classes`]). Every member takes the same choice at its first poll.
     pub fn by_class(ctx: &PathCtx, key: u64, order: Order, my_id: NodeId, beside: usize) -> Self {
         let (vp, x) = (ctx.vp, ctx.position);
         let held = Held {
@@ -520,8 +542,9 @@ impl SortStep {
             width,
             shifts: crate::levels_for(phase.groups + 1) as u64,
             it: StageIter::merge_pass(half),
-            offset: phase.offset(half),
+            from: 0,
             live: phase.live - phase.groups,
+            offset: phase.offset(half),
             held: held
                 .filter(|_| shift.is_some())
                 .map(|h| Record::encode(h, order, width)),
@@ -545,21 +568,28 @@ impl SortStep {
 /// The position the class route takes a record to: past every record of
 /// the classes before its own, and past the earlier ones of its own.
 fn destination(classes: &Classes, order: Order) -> usize {
-    let before = (0..=CLASSES).filter(|&c| order.before(c, classes.class));
-    classes.rank + before.map(|c| classes.totals.0[c] as usize).sum::<usize>()
+    classes.rank + start(&classes.totals, classes.class, order)
+}
+
+/// The first position the class route fills with records of `class`:
+/// past every record of the classes before it.
+fn start(totals: &Tally, class: usize, order: Order) -> usize {
+    let before = (0..=CLASSES).filter(|&c| order.before(c, class));
+    before.map(|c| totals.0[c] as usize).sum()
 }
 
 impl Route {
-    /// Route poll `t` of `rounds` at position `x`: the records that
-    /// arrived, then the move of bit `t` of every held record's
-    /// displacement.
+    /// Route poll `t` at position `x`: the records that arrived, then the
+    /// move of bit `t` of every held record's displacement; at the last
+    /// poll, [`route_rounds_for`] the path, the record landed here.
     fn poll(
         &mut self,
-        (t, rounds): (u64, u64),
+        t: u64,
         x: usize,
         contacts: &ContactTable,
         ctx: &mut RoundCtx<'_>,
     ) -> Option<Record> {
+        let rounds = route_rounds_for(self.totals.count());
         if t > 0 {
             for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::SORT_SHIFT) {
                 let (record, dest) = Record::received(env);
@@ -608,8 +638,9 @@ impl Sort {
             width,
             shifts: 0,
             it: StageIter::new(len),
-            offset: 0,
+            from: 0,
             live: len,
+            offset: 0,
             held: held.map(|h| Record::encode(h, order, width)),
             shift: 0,
             cmp: None,
@@ -636,7 +667,7 @@ impl Sort {
                 .inbox()
                 .iter()
                 .find(|e| e.msg.tag == tags::SORT_XCHG)
-                .expect("comparator partner did not exchange");
+                .expect("message loss: a position missed its comparator partner's record");
             let theirs = Record {
                 key: env.word(),
                 origin: env.addr(),
@@ -650,6 +681,15 @@ impl Sort {
         } else {
             debug_assert!(ctx.inbox().iter().all(|e| e.msg.tag != tags::SORT_XCHG));
         }
+    }
+
+    /// This position's comparator in stage `(p, k)` of the network over
+    /// positions `[from, from + live)`: its partner's position and whether
+    /// it keeps the lower record ([`comparator_within`]).
+    fn comparator(&self, p: usize, k: usize) -> Option<(usize, bool)> {
+        let i = self.x.checked_sub(self.from)?;
+        let cmp = comparator_within(i, self.offset, self.live, p, k);
+        cmp.map(|(partner, low)| (partner + self.from, low))
     }
 
     /// Stages this round's compaction move or network comparator, if any.
@@ -667,7 +707,7 @@ impl Sort {
             return;
         }
         let (p, k) = self.it.next().expect("comparator stage out of range");
-        let cmp = comparator_within(self.x, self.offset, self.live, p, k);
+        let cmp = self.comparator(p, k);
         if let (Some((partner, _)), Some(r)) = (cmp, self.held) {
             let level = k.trailing_zeros() as usize;
             debug_assert_eq!(1 << level, k);
@@ -690,12 +730,13 @@ impl Rounds for Sort {
     fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<Option<Held>> {
         let (order, width) = (self.order, self.width);
         if let Some(route) = &mut self.route {
-            return match route.poll((t, rounds), self.x, &self.contacts, ctx) {
-                Some(record) => Poll::Ready(Some(record.decode(order, width))),
-                None => Poll::Pending,
+            let record = route.poll(t, self.x, &self.contacts, ctx);
+            let Some(record) = record else {
+                return Poll::Pending;
             };
-        }
-        if t > 0 {
+            // Landed: the network over the overflow's window takes over.
+            (self.held, self.route) = (Some(record), None);
+        } else if t > 0 {
             self.absorb_exchange(t, ctx);
         }
         if t == rounds {
@@ -705,15 +746,19 @@ impl Rounds for Sort {
         Poll::Pending
     }
 
-    /// The route where the capacity takes it, else the network: the
-    /// choice of [`SortStep::by_class`], the same at every member.
+    /// The route and the overflow window's network where the capacity
+    /// takes them and they are no longer, else the network over the whole
+    /// path: the choice of [`SortStep::by_class`], the same at every
+    /// member.
     fn budget(&mut self, ctx: &RoundCtx<'_>) -> Option<u64> {
         let route = self.route.as_ref()?;
-        if routes(&route.totals, ctx.capacity(), route.beside) {
-            return Some(route_rounds_for(self.live));
-        }
-        self.route = None;
-        Some(rounds_for(self.live))
+        let Some(rounds) = routed_rounds(&route.totals, ctx.capacity(), route.beside) else {
+            self.route = None;
+            return Some(rounds_for(self.live));
+        };
+        (self.from, self.live) = window(&route.totals, self.order);
+        self.it = StageIter::new(self.live);
+        Some(rounds)
     }
 }
 
@@ -1120,19 +1165,20 @@ mod tests {
     }
 
     /// The class route, replayed sequentially at every path length from 1
-    /// to 4096 on random keys in up to eight classes, in both orders:
-    /// every record lands at its stable `(key, home)` rank in
-    /// [`route_rounds_for`] rounds, no two records of one class ever share
-    /// a position, and no position sends or receives more records a round
-    /// than there are non-empty classes.
+    /// to 4096 on random keys in up to eight classes and the overflow, in
+    /// both orders: every record lands at its stable `(class, home)` rank
+    /// — its `(key, home)` rank below the overflow, the overflow's window
+    /// in home order — in [`route_rounds_for`] rounds, no two records of
+    /// one class ever share a position, and no position sends or receives
+    /// more records a round than there are non-empty classes.
     #[test]
     fn class_route_lands_every_record_at_its_stable_rank_without_collisions() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(42);
         for len in 1..=4096usize {
             let order = [Order::Ascending, Order::Descending][len % 2];
-            let classes = rng.gen_range(1..=CLASSES as u64);
-            let keys: Vec<u64> = (0..len).map(|_| rng.gen_range(0..classes)).collect();
+            let top = rng.gen_range(1..=CLASSES as u64 + 4);
+            let keys: Vec<u64> = (0..len).map(|_| rng.gen_range(0..top)).collect();
             let totals = Tally::of(keys.iter().copied());
             let mut seen = [0; CLASSES + 1];
             // (position, destination, class) of every record.
@@ -1154,7 +1200,8 @@ mod tests {
                 .collect();
             let mut stable: Vec<usize> = (0..len).collect();
             let width = crate::levels_for(len) as u32;
-            stable.sort_unstable_by_key(|&home| order.pack(keys[home], home, width));
+            let class = |home: usize| Tally::class(keys[home]) as u64;
+            stable.sort_unstable_by_key(|&home| order.pack(class(home), home, width));
             for (rank, &home) in stable.iter().enumerate() {
                 assert_eq!(records[home].1, rank, "len={len}: home {home}");
             }
@@ -1183,62 +1230,92 @@ mod tests {
         }
     }
 
-    /// Keyed runs of the first sort on both engines, strict at the
-    /// capacity floor, 4: with four classes or fewer the route is chosen,
-    /// with more the network; either way position `x` holds the rank-`x`
-    /// record of a sequential stable sort by key, ties by home.
+    /// Keyed runs of the first sort on both engines and in both orders,
+    /// strict at the capacity floor, 4: with four classes or fewer, the
+    /// overflow one of them, the route is chosen, and the network over
+    /// the overflow's window after it — at the head descending, at the
+    /// tail ascending — where the two are no longer than the network over
+    /// the whole path; with more classes, or a window longer than
+    /// `2^(⌈log₂ n⌉ - 1)`, that network. Either way position `x` holds the
+    /// rank-`x` record of a sequential stable sort by key, ties by home,
+    /// in [`first_rounds_for`] rounds past the establishment.
     #[test]
     fn class_sort_equals_a_stable_sort_on_both_engines() {
         use dgr_ncc::EngineKind;
-        for (n, classes) in [
-            (1, 1),
-            (2, 2),
-            (3, 3),
-            (17, 4),
-            (64, 4),
-            (100, 2),
-            (300, 4),
-            (77, 6),
+        // (n, classes below the overflow, overflow records, routed).
+        for (n, classes, k, routed) in [
+            (1, 1, 0, true),
+            (2, 2, 0, true),
+            (3, 3, 0, true),
+            (17, 4, 0, true),
+            (64, 4, 0, true),
+            (100, 2, 0, true),
+            (300, 4, 0, true),
+            (77, 6, 0, false),
+            (2, 1, 1, true),
+            (64, 3, 1, true),
+            (64, 3, 2, true),
+            (100, 3, 5, true),
+            (300, 3, 100, true),
+            // A window of 2^(⌈log₂ n⌉ - 1): as long as the network.
+            (64, 3, 32, true),
+            // Longer: the network over the whole path.
+            (100, 2, 70, false),
         ] {
-            let order = [Order::Ascending, Order::Descending][n % 2];
-            let key = move |id: NodeId| id * 13 % classes;
             let net = Network::new(n, Config::ncc0(n as u64 + 3).with_capacity_factor(0.01));
-            let runs = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
-                let run = net.run_protocol_on(engine, None, None, |s| {
-                    WithCtx::keyed(key(s.id), move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
-                        SortStep::by_class(ctx, key(rctx.id()), order, rctx.id(), 0)
-                    })
-                });
-                run.unwrap()
-            });
-            assert_eq!(runs[0].outputs, runs[1].outputs, "n={n}");
-            assert_eq!(runs[0].metrics, runs[1].metrics, "n={n}");
-            let m = &runs[0].metrics;
-            assert!(m.is_clean(), "n={n}: {:?}", m.violations);
-            assert_eq!(m.capacity, 4);
-            let keys = net.ids_in_path_order().iter().map(|&id| key(id));
-            let sort = first_rounds_for(keys, m.capacity, 0);
-            let routed = classes <= 4;
-            let want = if routed {
-                route_rounds_for(n)
-            } else {
-                rounds_for(n)
-            };
-            assert_eq!(
-                (sort, m.rounds),
-                (want, crate::ctx::rounds_for(n) + want),
-                "n={n}"
-            );
-            let mut want: Vec<Held> = (net.ids_in_path_order().iter().enumerate())
-                .map(|(home, &id)| Held {
-                    key: key(id),
-                    origin: id,
-                    home,
+            let ids = net.ids_in_path_order();
+            // Positions spread over the path hold the overflow's keys,
+            // 8 to 16, ties among them from ten on.
+            let keys: HashMap<NodeId, u64> = (ids.iter().enumerate())
+                .map(|(x, &id)| {
+                    let overflow = (x * 7 + 3) % n < k;
+                    (
+                        id,
+                        if overflow {
+                            8 + (x * 5 % 9) as u64
+                        } else {
+                            id * 13 % classes
+                        },
+                    )
                 })
                 .collect();
-            want.sort_by_key(|h| order.pack(h.key, h.home, crate::levels_for(n) as u32));
-            let got: Vec<Held> = runs[0].outputs.iter().map(|(_, h)| h.unwrap()).collect();
-            assert_eq!(got, want, "n={n}");
+            let in_path_order = || ids.iter().map(|id| keys[id]);
+            assert_eq!(Tally::of(in_path_order()).0[CLASSES] as usize, k, "n={n}");
+            for order in [Order::Ascending, Order::Descending] {
+                let what = format!("n={n} k={k} {order:?}");
+                let runs = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
+                    let run = net.run_protocol_on(engine, None, None, |s| {
+                        let key = keys[&s.id];
+                        WithCtx::keyed(key, move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                            SortStep::by_class(ctx, key, order, rctx.id(), 0)
+                        })
+                    });
+                    run.unwrap()
+                });
+                assert_eq!(runs[0].outputs, runs[1].outputs, "{what}");
+                assert_eq!(runs[0].metrics, runs[1].metrics, "{what}");
+                let m = &runs[0].metrics;
+                assert!(m.is_clean(), "{what}: {:?}", m.violations);
+                assert_eq!(m.capacity, 4);
+                let sort = first_rounds_for(in_path_order(), m.capacity, 0);
+                let want = if routed {
+                    route_rounds_for(n) + rounds_for(k)
+                } else {
+                    rounds_for(n)
+                };
+                assert_eq!(sort, want, "{what}");
+                assert_eq!(m.rounds - crate::ctx::rounds_for(n), sort, "{what}");
+                let mut want: Vec<Held> = (ids.iter().enumerate())
+                    .map(|(home, &id)| Held {
+                        key: keys[&id],
+                        origin: id,
+                        home,
+                    })
+                    .collect();
+                want.sort_by_key(|h| order.pack(h.key, h.home, crate::levels_for(n) as u32));
+                let got: Vec<Held> = runs[0].outputs.iter().map(|(_, h)| h.unwrap()).collect();
+                assert_eq!(got, want, "{what}");
+            }
         }
     }
 
@@ -1269,6 +1346,58 @@ mod tests {
             messages[0],
             "message loss: a position missed its record in the class route"
         );
+    }
+
+    /// Losing the first round of comparator exchanges — of the network
+    /// over the overflow's window after the class route (n = 64, four
+    /// keys past 7, descending), and of the network over the whole path
+    /// on an unkeyed context — leaves the positions of that round's
+    /// comparators without their partners' records: a typed panic, the
+    /// same on both engines.
+    #[test]
+    fn a_lost_comparator_exchange_panics_its_position() {
+        use dgr_ncc::{EngineKind, Scenario, SimError};
+        let n = 64;
+        let establish = crate::ctx::rounds_for(n);
+        for (keyed, lost) in [(true, establish + route_rounds_for(n)), (false, establish)] {
+            let scenario = Scenario::new(5).drop_messages(lost..=lost, 1.0);
+            let net = Network::new(n, Config::ncc0(3).with_scenario(scenario));
+            let ids = net.ids_in_path_order();
+            let keys: HashMap<NodeId, u64> = (ids.iter().enumerate())
+                .map(|(x, &id)| {
+                    (
+                        id,
+                        if x % 16 == 5 {
+                            9 + x as u64 % 3
+                        } else {
+                            id % 3
+                        },
+                    )
+                })
+                .collect();
+            let messages = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
+                let run = net.run_protocol_on(engine, None, None, |s| {
+                    let key = keys[&s.id];
+                    let make = move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                        SortStep::by_class(ctx, key, Order::Descending, rctx.id(), 0)
+                    };
+                    if keyed {
+                        WithCtx::keyed(key, make)
+                    } else {
+                        WithCtx::new(make)
+                    }
+                });
+                match run {
+                    Err(SimError::NodePanic { message, .. }) => message,
+                    other => panic!("{engine:?}: expected a node panic, got {:?}", other.err()),
+                }
+            });
+            assert_eq!(messages[0], messages[1], "keyed={keyed}: engines");
+            assert_eq!(
+                messages[0], "message loss: a position missed its comparator partner's record",
+                "keyed={keyed}"
+            );
+        }
     }
 
     /// Losing the merge lane's first round of compaction moves leaves

@@ -4,9 +4,9 @@
 //! `(d, origin)` and works on its behalf, so both constructions are the
 //! same chain of steps: the context establishment, keyed by the degrees;
 //! the input check (`Σd = 2(n-1)`, `min d ≥ 1`; a failure refuses with
-//! [`Unrealizable`]) beside the degree sort — the class route where every
-//! degree is below 8 and the capacity takes it beside the check
-//! ([`SortStep::by_class`]), ties by establishment position, which any
+//! [`Unrealizable`]) beside the degree sort — the class route, the degrees
+//! past 7 then ordered in a window of their own, where the capacity takes
+//! it beside the check ([`SortStep::by_class`]), ties by establishment position, which any
 //! order of equal degrees allows; the slot prefix sums; and the hand-off, which
 //! gives every child its parent's ID. They differ only in the slot rule
 //! and in where the child intervals start. The check's sweep runs in the

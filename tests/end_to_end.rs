@@ -261,20 +261,25 @@ fn degree_realizations_survive_message_duplication() {
 }
 
 /// Every message delivered twice at n = 512, where the first sort takes
-/// the class route: a second copy of a record is dropped where it lands,
-/// so the implicit degree realization and the NCC₀ pipeline end in their
-/// fault-free rounds with their fault-free overlays, on both engines.
+/// the class route — and, on the power-law degrees, the network over the
+/// overflow's window after it: a second copy of a record is dropped where
+/// it lands, and a second copy of a comparator partner's record is the
+/// same record, so the implicit and explicit degree realizations and the
+/// NCC₀ pipeline end in their fault-free rounds with their fault-free
+/// overlays, on both engines.
 #[test]
 fn the_class_route_survives_full_duplication() {
     use distributed_graph_realizations::primitives::{ops, sort};
     let n = 512;
     let degrees = graphgen::near_regular_sequence(n, 4, 5);
     let rho = graphgen::uniform_thresholds(n, 1, 5, 7);
+    let heavy = graphgen::power_law_sequence(n, 64, 2.5, 7);
     let scenario = Scenario::new(11).duplicate_messages(0..=u64::MAX, 1.0);
     for engine in [Engine::Batched, Engine::Reference] {
         let requests = [
             ("implicit", Workload::Implicit(degrees.clone()), &degrees),
             ("ncc0", Workload::Ncc0Threshold(rho.clone()), &rho),
+            ("explicit", Workload::Explicit(heavy.clone()), &heavy),
         ];
         for (name, workload, keys) in requests {
             let what = format!("{engine:?} {name}");
@@ -288,9 +293,13 @@ fn the_class_route_survives_full_duplication() {
             } else {
                 ops::sweep_load(n, cap)
             };
+            let overflow = keys.iter().filter(|&&k| k > 7).count();
+            assert_eq!(overflow > 1, name == "explicit", "{what}: a window");
             let keys = keys.iter().map(|&k| k as u64);
-            let routed = sort::first_rounds_for(keys, cap, beside);
-            assert_eq!(routed, sort::route_rounds_for(n), "{what}: no route");
+            let first = sort::first_rounds_for(keys, cap, beside);
+            let routed = sort::route_rounds_for(n) + sort::rounds_for(overflow);
+            assert_eq!(first, routed, "{what}: no route");
+            assert!(first < sort::rounds_for(n), "{what}: the network");
             assert_eq!(m.rounds, clean.metrics().rounds, "{what}");
             let graph = match &out.output {
                 RunOutput::Degrees(d) => {
