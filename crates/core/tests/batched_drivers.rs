@@ -76,7 +76,7 @@ const GOLDEN: &[(&str, Golden)] = &[
 ];
 
 /// The folded transcripts of the two random sweeps, from the twins.
-const GOLDEN_IMPLICIT_SWEEP: u64 = 0x408d_e60b_a167_fd89;
+const GOLDEN_IMPLICIT_SWEEP: u64 = 0xfd95_f0c9_6e57_c155;
 const GOLDEN_APPROX_SWEEP: u64 = 0x85ac_d328_6fb4_f13a;
 
 /// What a change of schedule may not move: the realized?, phases and

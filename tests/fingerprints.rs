@@ -107,12 +107,12 @@ fn benchmark_calls_keep_their_fingerprints() {
         (
             "explicit_powerlaw",
             2020,
-            (325, 619_074, 2_016_735, 0xf27d_0716_b856_6bbd),
+            (285, 511_219, 1_701_785, 0xf27d_0716_b856_6bbd),
         ),
         (
             "explicit_powerlaw",
             5376,
-            (325, 619_074, 2_016_735, 0x466d_6c2f_2c6b_b237),
+            (285, 510_834, 1_700_245, 0x466d_6c2f_2c6b_b237),
         ),
         (
             "threshold_certified",
