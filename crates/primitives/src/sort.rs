@@ -43,10 +43,10 @@
 //! network runs over that window alone ([`rounds_for`]`(k)` rounds; every
 //! other position idles), its comparator partners contacts inside it.
 //! Where the route and the window network would take longer than the
-//! network over the whole path — a window longer than
-//! `2^(⌈log₂ n⌉ - 1)` — that network runs. Every node takes the same choice from `(totals, n, cap)`
-//! at its first poll ([`first_rounds_for`]), and the route ends in the
-//! network's contract, with the network's order.
+//! network over the whole path — a window longer than `2^(⌈log₂ n⌉ - 1)`
+//! — that network runs. Every node takes the same choice from `(totals,
+//! n, cap)` at its first poll ([`first_rounds_for`]), and the route ends
+//! in the network's contract, with the network's order.
 //!
 //! [`SortStep`] is the network alone: it ends with the rank-`x` record
 //! [`Held`] at position `x`, wherever the records started. A caller that
@@ -245,12 +245,6 @@ fn routed_rounds(totals: &Tally, cap: usize, beside: usize) -> Option<u64> {
     let len = totals.count();
     let rounds = route_rounds_for(len) + rounds_for(totals.0[CLASSES] as usize);
     (totals.classes() + beside <= cap && rounds <= rounds_for(len)).then_some(rounds)
-}
-
-/// The positions `[from, from + k)` the class route lands the overflow's
-/// `k` records at, in home order: the window the network sorts after it.
-fn window(totals: &Tally, order: Order) -> (usize, usize) {
-    (start(totals, CLASSES, order), totals.0[CLASSES] as usize)
 }
 
 /// Rounds of [`SortStep::by_class`] over `keys`, one a position of a path
@@ -756,7 +750,13 @@ impl Rounds for Sort {
             self.route = None;
             return Some(rounds_for(self.live));
         };
-        (self.from, self.live) = window(&route.totals, self.order);
+        // The route lands the overflow's records in home order at the
+        // window the network then sorts alone.
+        let totals = &route.totals;
+        (self.from, self.live) = (
+            start(totals, CLASSES, self.order),
+            totals.0[CLASSES] as usize,
+        );
         self.it = StageIter::new(self.live);
         Some(rounds)
     }
