@@ -724,8 +724,7 @@ impl Rounds for Sort {
     fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<Option<Held>> {
         let (order, width) = (self.order, self.width);
         if let Some(route) = &mut self.route {
-            let record = route.poll(t, self.x, &self.contacts, ctx);
-            let Some(record) = record else {
+            let Some(record) = route.poll(t, self.x, &self.contacts, ctx) else {
                 return Poll::Pending;
             };
             // Landed: the network over the overflow's window takes over.
@@ -753,10 +752,8 @@ impl Rounds for Sort {
         // The route lands the overflow's records in home order at the
         // window the network then sorts alone.
         let totals = &route.totals;
-        (self.from, self.live) = (
-            start(totals, CLASSES, self.order),
-            totals.0[CLASSES] as usize,
-        );
+        self.from = start(totals, CLASSES, self.order);
+        self.live = totals.0[CLASSES] as usize;
         self.it = StageIter::new(self.live);
         Some(rounds)
     }
