@@ -228,7 +228,7 @@ pub fn rounds_for(degrees: &[usize], flavor: Flavor, explicit: bool, cap: usize)
 /// `phases[i] = (q, δ)`, `q` stars of `δ` members, in phase `i + 1`: one
 /// entry per phase but the last, the run's [`phase_groups`]. Every phase
 /// but the last runs the control sweep ([`ops::rounds_for`] at `cap`:
-/// paced, at most `2⌈log₂ len⌉`, under a capacity of six) beside the lane:
+/// paced under a capacity of six, the doubling's `⌈log₂ len⌉ + 1`) beside the lane:
 /// the first phase's lane is the first sort, `first` rounds, a later
 /// one's the merge lane where [`merges`] says so, after a phase of `q` groups
 /// [`sort::merge_rounds_for`]`(len, q)`, which ends inside the sweep while

@@ -37,21 +37,33 @@
 //! parent; the broadcast mirrors the reduce, the total going down to a
 //! child in the round that mirrors its report. A sweep costs `2(len - 1)`
 //! messages, and no node sends or receives more than four of them a
-//! round.
+//! round — but where it runs paced (below).
 //!
 //! **Paced.** The steps that run beside a sweep take up to two messages a
 //! node a round of their own ([`BESIDE`]: the degree core's lane and hop,
 //! the trees' sort). Where the capacity cannot take the sweep's four
 //! besides (`cap < 6`, from ten positions on: on shorter paths no node
-//! hears more than two), the same tree runs one level a round: a position
-//! whose lowest digit is `±2^j` reports in round `j` — a child of the root
-//! in round `j - 1`, the root having one child a level — or a round later
-//! when late, as above, and a spare in round 0. Then no node sends or
-//! receives more than two sweep messages a round, and each half takes at
-//! most `L` rounds, as many as the binomial tree's at most (11 at
-//! `len = 2048`). Every node knows the capacity,
-//! so the pace is common knowledge, fixed at the sweep's first poll
-//! ([`Lockstep::sized`]).
+//! hears more than two), the sweep is paced. A whole sweep then runs as a
+//! **recursive doubling** (the butterfly allreduce) instead of the tree:
+//! with `m = 2^⌊log₂ len⌋`, each position from `m` on first hands its
+//! words to its contact `m` behind; round `i` of the doubling exchanges
+//! each position's fold so far with its contact `2^i` away across bit `i`
+//! of its position, so after `⌊log₂ len⌋` rounds every position below `m`
+//! holds the total; then it goes back `m` ahead
+//! ([`doubling_rounds_for`]: `⌈log₂ len⌉ + 1` rounds, 9 at `len = 192`
+//! where the tree run one level a round took 14). Each round a node sends
+//! and receives one sweep message, so the steps beside it keep three of
+//! the capacity floor's four; the cost is messages, `⌊log₂ len⌋` a
+//! position instead of two, which is why an unpaced sweep keeps the tree.
+//! The folds are disjoint at every exchange, so no contribution counts
+//! twice. A broadcast half alone (below) runs paced on the same tree one
+//! level a round: a position whose lowest digit is `±2^j` hears in the
+//! round that mirrors report round `j` — a child of the root round `j - 1`,
+//! the root having one child a level — or a round later when late, as
+//! above, and a spare round 0. Then no node sends more than two messages a
+//! round, and the half takes at most `L` rounds (11 at `len = 2048`). Every
+//! node knows the capacity, so the pace is common knowledge, fixed at the
+//! sweep's first poll ([`Lockstep::sized`]).
 //!
 //! Each position derives its place — parent, children, rounds — from its
 //! position, `len` and the pace in `O(log len)` word operations, with no
@@ -77,9 +89,24 @@ use std::sync::Arc;
 
 /// Number of rounds for a sweep on a path of `len` nodes at per-round
 /// capacity `cap`: the reduce and the broadcast, [`broadcast_rounds_for`]
-/// each — the Theorem 4 `O(log n)` bound made concrete.
+/// each — the Theorem 4 `O(log n)` bound made concrete — or, paced, the
+/// recursive doubling's [`doubling_rounds_for`].
 pub fn rounds_for(len: usize, cap: usize) -> u64 {
-    2 * broadcast_rounds_for(len, cap)
+    let tree = Tree::new(len, cap);
+    match tree.paced {
+        true => doubling_rounds_for(len),
+        false => 2 * tree.rounds as u64,
+    }
+}
+
+/// Number of rounds of the recursive doubling a paced sweep runs on a path
+/// of `len` nodes: a round a bit of `m = 2^⌊log₂ len⌋`, and where `len`
+/// is not a power of two a round ahead for the positions from `m` on to
+/// hand their words `m` behind and one after for the total to come back
+/// — `⌈log₂ len⌉ + 1` (9 at `len = 192`), `⌈log₂ len⌉` at a power of two.
+pub fn doubling_rounds_for(len: usize) -> u64 {
+    let bits = len.max(1).ilog2() as u64;
+    bits + 2 * u64::from(!len.max(1).is_power_of_two())
 }
 
 /// Number of rounds for the broadcast half alone on a path of `len`
@@ -102,10 +129,15 @@ pub fn load(len: usize, cap: usize) -> usize {
 }
 
 /// Messages a node a round that a sweep on a path of `len` nodes takes at
-/// capacity `cap`: four, or two where it runs paced or the path is under
-/// ten positions.
+/// capacity `cap`: four, or two where the path is under ten positions, or
+/// one where it runs paced, as a recursive doubling.
 pub fn sweep_load(len: usize, cap: usize) -> usize {
-    Tree::new(len, cap).load
+    let tree = Tree::new(len, cap);
+    if tree.paced {
+        1
+    } else {
+        tree.load
+    }
 }
 
 /// A contact of the sweep tree: its level `j` and whether it sits `2^j`
@@ -341,8 +373,8 @@ impl Swept {
     }
 }
 
-/// The reduce and broadcast over the sweep tree (Theorem 4) as a
-/// [`Step`](crate::Step).
+/// The reduce and broadcast over the sweep tree (Theorem 4) — paced, the
+/// recursive doubling (the module docs) — as a [`Step`](crate::Step).
 ///
 /// Rounds: exactly [`rounds_for`]`(vp.len, cap)` at the network's capacity
 /// `cap`, whatever the width: the lanes are one message's data words (more
@@ -360,6 +392,9 @@ pub struct Sweep {
     /// The rounds of each half, fixed at the first poll with the place.
     depth: usize,
     place: Place,
+    /// Whether a whole sweep runs paced, as a recursive doubling; fixed at
+    /// the first poll.
+    doubling: bool,
     lanes: usize,
     /// The reduce's fold; `None` for the broadcast half alone.
     fold: Option<Fold>,
@@ -441,6 +476,7 @@ impl Sweep {
             position,
             depth: 0,
             place: Place::default(),
+            doubling: false,
             lanes: words.len(),
             fold,
             start,
@@ -479,6 +515,61 @@ impl Sweep {
             .expect("a sweep tree link inside the path")
     }
 
+    /// Folds another member's words and address into this one's.
+    fn absorb(&mut self, theirs: Swept) {
+        let fold = self.fold.expect("a reduce has a fold");
+        fold(&mut self.acc.words, &theirs.words);
+        self.acc.addr = [self.acc.addr, theirs.addr].into_iter().flatten().min();
+    }
+
+    /// Poll `t` of the paced whole sweep, a recursive doubling over the
+    /// first `m = 2^⌊log₂ len⌋` positions (the module docs): a position
+    /// from `m` on hands its words `m` behind in round 0 where `len` is not
+    /// a power of two; then round `i` of the doubling exchanges the fold so
+    /// far with the contact `2^i` away across bit `i`; then the total goes
+    /// back `m` ahead. One message a node a round; a missing one is lost.
+    fn poll_doubling(&mut self, t: usize, rounds: usize, ctx: &mut RoundCtx<'_>) -> Poll<Swept> {
+        let (x, len) = (self.position, self.len);
+        let bits = len.ilog2() as usize;
+        let m = 1 << bits;
+        let pre = usize::from(m < len);
+        let partner = |i: usize| (i, x >> i & 1 == 0);
+        let doubled = pre..pre + bits;
+        if x < m {
+            if pre == 1 && t == 1 && x + m < len {
+                let loss = "a doubling position missed the words from past its half";
+                let from = self.contact((bits, true));
+                let theirs = Swept::of(&Self::received(ctx, tags::AGGREGATE, from, loss).msg);
+                self.absorb(theirs);
+            }
+            if let Some(i) = t.checked_sub(1).filter(|i| doubled.contains(i)) {
+                let loss = "a doubling position missed its partner's fold";
+                let from = self.contact(partner(i - pre));
+                let theirs = Swept::of(&Self::received(ctx, tags::AGGREGATE, from, loss).msg);
+                self.absorb(theirs);
+            }
+        } else if t == rounds {
+            let loss = "a position past the doubling's half missed the total";
+            let from = self.contact((bits, false));
+            self.acc = Swept::of(&Self::received(ctx, tags::BCAST, from, loss).msg);
+        }
+        if t == rounds {
+            return Poll::Ready(self.acc);
+        }
+        if x >= m && t == 0 {
+            ctx.send(
+                self.contact((bits, false)),
+                self.msg(tags::AGGREGATE, &self.acc),
+            );
+        } else if x < m && doubled.contains(&t) {
+            let to = self.contact(partner(t - pre));
+            ctx.send(to, self.msg(tags::AGGREGATE, &self.acc));
+        } else if x + m < len && t == pre + bits {
+            ctx.send(self.contact((bits, true)), self.msg(tags::BCAST, &self.acc));
+        }
+        Poll::Pending
+    }
+
     /// A released broadcast at poll `t`: the release at the root, the
     /// parent's total elsewhere, fixes the start — the total reaches a
     /// child that reports in round `up` in the `depth - up`-th poll after
@@ -504,6 +595,10 @@ impl Rounds for Sweep {
     /// released one's deadline.
     fn budget(&mut self, ctx: &RoundCtx<'_>) -> Option<u64> {
         let tree = Tree::new(self.len, ctx.capacity());
+        if tree.paced && self.fold.is_some() {
+            self.doubling = true;
+            return Some(doubling_rounds_for(self.len));
+        }
         (self.depth, self.place) = (tree.rounds, tree.place(self.position));
         if self.fold.is_some() {
             self.start = Some(self.depth);
@@ -512,15 +607,17 @@ impl Rounds for Sweep {
     }
 
     fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<Swept> {
+        if self.doubling {
+            return self.poll_doubling(t as usize, rounds as usize, ctx);
+        }
         let (t, depth, place) = (t as usize, self.depth, self.place);
-        if let Some(fold) = self.fold.filter(|_| (1..=place.up).contains(&t)) {
+        if self.fold.is_some() && (1..=place.up).contains(&t) {
             // Reduce round `t - 1`: the children that report in it.
             for kid in place.kids_in(t - 1) {
                 let loss = "a reduce parent missed its child's aggregate";
                 let from = self.contact(kid);
                 let theirs = Swept::of(&Self::received(ctx, tags::AGGREGATE, from, loss).msg);
-                fold(&mut self.acc.words, &theirs.words);
-                self.acc.addr = [self.acc.addr, theirs.addr].into_iter().flatten().min();
+                self.absorb(theirs);
             }
         }
         match (self.start, place.parent) {
@@ -666,9 +763,10 @@ mod tests {
                 assert_eq!(tree.paced, paced, "len={len} cap={cap}");
                 let slot = &mut spanned[usize::from(paced)];
                 let (_, most) = *slot.get_or_insert_with(|| spans(len, tree));
-                let load = sweep_load(len, cap);
+                let load = tree.load;
                 assert!(most <= load, "len={len} cap={cap}: {most} > {load}");
                 assert!(load <= 4 && (load > 2) == (len >= 10 && !paced));
+                assert_eq!(sweep_load(len, cap) == 1, paced, "len={len} cap={cap}");
             }
             let (hops, most) = spanned[0].expect("capacity 7 runs unpaced");
             assert_eq!(hops, depth, "len={len}");
@@ -744,10 +842,12 @@ mod tests {
 
     /// At every path length from 1 to 300, on both engines, strict at the
     /// capacity floor of 4: every member ends on the sequential fold, in
-    /// [`rounds_for`] rounds and `2(len - 1)` messages past the
-    /// establishment, whatever the width, and no poll of the sweep finds
-    /// more than two sweep messages in a node's inbox — the sweep leaves
-    /// [`BESIDE`] of the four to the steps beside it.
+    /// [`rounds_for`] rounds past the establishment, whatever the width —
+    /// in `2(len - 1)` messages on the tree, and paced (from ten positions
+    /// on) in the doubling's: `⌊log₂ len⌋` a position below `m =
+    /// 2^⌊log₂ len⌋` and two for each past it — and no poll of the sweep
+    /// finds more than two sweep messages in a node's inbox (paced, one):
+    /// the sweep leaves [`BESIDE`] of the four to the steps beside it.
     #[test]
     fn multi_lane_sweep_matches_a_sequential_fold() {
         for n in 1usize..=300 {
@@ -774,7 +874,12 @@ mod tests {
                 }
                 assert_eq!(m.rounds - establish.metrics.rounds, rounds_for(n, 4));
                 let sent = m.messages - establish.metrics.messages;
-                assert_eq!(sent, 2 * (n as u64 - 1), "n={n}");
+                let half = 1 << n.ilog2();
+                let want = match Tree::new(n, 4).paced {
+                    true => half * n.ilog2() as usize + 2 * (n - half),
+                    false => 2 * (n - 1),
+                };
+                assert_eq!(sent, want as u64, "n={n}");
                 result
             });
             assert_eq!(runs[0].metrics, runs[1].metrics, "n={n}");
