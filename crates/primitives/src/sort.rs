@@ -1162,69 +1162,79 @@ mod tests {
     }
 
     /// The class route, replayed sequentially at every path length from 1
-    /// to 4096 on random keys in up to eight classes and the overflow, in
-    /// both orders: every record lands at its stable `(class, home)` rank
-    /// — its `(key, home)` rank below the overflow, the overflow's window
-    /// in home order — in [`route_rounds_for`] rounds, no two records of
-    /// one class ever share a position, and no position sends or receives
-    /// more records a round than there are non-empty classes.
+    /// to 4096, in both orders, twice: on random keys in up to eight
+    /// classes, then on keys that may pass 7 too: every record lands at
+    /// its stable `(class, home)` rank — its `(key, home)` rank below the
+    /// overflow, the overflow's window in home order — in
+    /// [`route_rounds_for`] rounds, no two records of one class ever share
+    /// a position, and no position sends or receives more records a round
+    /// than there are non-empty classes.
     #[test]
     fn class_route_lands_every_record_at_its_stable_rank_without_collisions() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(42);
-        for len in 1..=4096usize {
-            let order = [Order::Ascending, Order::Descending][len % 2];
-            let top = rng.gen_range(1..=CLASSES as u64 + 4);
-            let keys: Vec<u64> = (0..len).map(|_| rng.gen_range(0..top)).collect();
-            let totals = Tally::of(keys.iter().copied());
-            let mut seen = [0; CLASSES + 1];
-            // (position, destination, class) of every record.
-            let mut records: Vec<(usize, usize, usize)> = (keys.iter().enumerate())
-                .map(|(home, &key)| {
-                    let class = Tally::class(key);
-                    let rank = seen[class];
-                    seen[class] += 1;
-                    let dest = destination(
-                        &Classes {
-                            totals,
-                            class,
-                            rank,
-                        },
-                        order,
-                    );
-                    (home, dest, class)
-                })
-                .collect();
-            let mut stable: Vec<usize> = (0..len).collect();
-            let width = crate::levels_for(len) as u32;
-            let class = |home: usize| Tally::class(keys[home]) as u64;
-            stable.sort_unstable_by_key(|&home| order.pack(class(home), home, width));
-            for (rank, &home) in stable.iter().enumerate() {
-                assert_eq!(records[home].1, rank, "len={len}: home {home}");
+        use rand::SeedableRng;
+        for (seed, most) in [(42, CLASSES as u64), (43, CLASSES as u64 + 4)] {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            for len in 1..=4096usize {
+                route_lands_stably(len, most, &mut rng);
             }
-            let what = format!("len={len} {order:?} {} classes", totals.classes());
-            let mut at = vec![usize::MAX; len * (CLASSES + 1)];
-            for bit in 0..route_rounds_for(len) as usize {
-                let (mut sent, mut heard) = (vec![0; len], vec![0; len]);
-                for (x, dest, class) in &mut records {
-                    if dest.abs_diff(*x) >> bit & 1 == 1 {
-                        sent[*x] += 1;
-                        *x = if *dest > *x {
-                            *x + (1 << bit)
-                        } else {
-                            *x - (1 << bit)
-                        };
-                        heard[*x] += 1;
-                    }
-                    let slot = &mut at[*x * (CLASSES + 1) + *class];
-                    assert_ne!(*slot, bit, "{what}: class {class} meets at {x}");
-                    *slot = bit;
-                }
-                let most = sent.iter().chain(&heard).max().copied().unwrap_or(0);
-                assert!(most <= totals.classes(), "{what}: {most} a round");
-            }
-            assert!(records.iter().all(|&(x, dest, _)| x == dest), "{what}");
         }
+    }
+
+    /// [`class_route_lands_every_record_at_its_stable_rank_without_collisions`]
+    /// at `len`, on keys below a draw from `1..=most`.
+    fn route_lands_stably(len: usize, most: u64, rng: &mut rand::rngs::SmallRng) {
+        use rand::Rng;
+        let order = [Order::Ascending, Order::Descending][len % 2];
+        let top = rng.gen_range(1..=most);
+        let keys: Vec<u64> = (0..len).map(|_| rng.gen_range(0..top)).collect();
+        let totals = Tally::of(keys.iter().copied());
+        let mut seen = [0; CLASSES + 1];
+        // (position, destination, class) of every record.
+        let mut records: Vec<(usize, usize, usize)> = (keys.iter().enumerate())
+            .map(|(home, &key)| {
+                let class = Tally::class(key);
+                let rank = seen[class];
+                seen[class] += 1;
+                let dest = destination(
+                    &Classes {
+                        totals,
+                        class,
+                        rank,
+                    },
+                    order,
+                );
+                (home, dest, class)
+            })
+            .collect();
+        let mut stable: Vec<usize> = (0..len).collect();
+        let width = crate::levels_for(len) as u32;
+        let class = |home: usize| Tally::class(keys[home]) as u64;
+        stable.sort_unstable_by_key(|&home| order.pack(class(home), home, width));
+        for (rank, &home) in stable.iter().enumerate() {
+            assert_eq!(records[home].1, rank, "len={len}: home {home}");
+        }
+        let what = format!("len={len} {order:?} {} classes", totals.classes());
+        let mut at = vec![usize::MAX; len * (CLASSES + 1)];
+        for bit in 0..route_rounds_for(len) as usize {
+            let (mut sent, mut heard) = (vec![0; len], vec![0; len]);
+            for (x, dest, class) in &mut records {
+                if dest.abs_diff(*x) >> bit & 1 == 1 {
+                    sent[*x] += 1;
+                    *x = if *dest > *x {
+                        *x + (1 << bit)
+                    } else {
+                        *x - (1 << bit)
+                    };
+                    heard[*x] += 1;
+                }
+                let slot = &mut at[*x * (CLASSES + 1) + *class];
+                assert_ne!(*slot, bit, "{what}: class {class} meets at {x}");
+                *slot = bit;
+            }
+            let most = sent.iter().chain(&heard).max().copied().unwrap_or(0);
+            assert!(most <= totals.classes(), "{what}: {most} a round");
+        }
+        assert!(records.iter().all(|&(x, dest, _)| x == dest), "{what}");
     }
 
     /// Keyed runs of the first sort on both engines and in both orders,
