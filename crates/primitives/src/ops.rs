@@ -1075,13 +1075,26 @@ mod tests {
     /// A duplicated `AGGREGATE` folds once: with every message of the run
     /// delivered twice (the establishment's are idempotent), every sweep —
     /// one word, one address, four coupled lanes beside an address — still
-    /// ends on the fault-free result, on both engines.
+    /// ends on the fault-free result, on both engines, on the tree and,
+    /// paced at the capacity floor, in the recursive doubling.
     #[test]
     fn sweeps_fold_each_child_once_under_full_duplication() {
+        for factor in [2.0, 0.1] {
+            sweeps_fold_once_under_duplication(factor);
+        }
+    }
+
+    /// [`sweeps_fold_each_child_once_under_full_duplication`] at capacity
+    /// factor `factor`.
+    fn sweeps_fold_once_under_duplication(factor: f64) {
         let n = 37;
         let scenario = Scenario::new(3).duplicate_messages(0..=u64::MAX, 1.0);
-        let config = Config::ncc0(16).with_queueing().with_scenario(scenario);
+        let config = Config::ncc0(16)
+            .with_capacity_factor(factor)
+            .with_queueing()
+            .with_scenario(scenario);
         let net = Network::new(n, config);
+        assert_eq!(Tree::new(n, net.capacity()).paced, factor < 1.0);
         let tail = *net.ids_in_path_order().last().unwrap();
         for engine in [EngineKind::Batched, EngineKind::Reference] {
             let total = net
@@ -1134,13 +1147,14 @@ mod tests {
     }
 
     /// Drops every message of sweep round `lost` (counted from the end of
-    /// the establishment) of a one-lane sum at n = 64 and returns the node
-    /// panic's message, the same on both engines.
-    fn panic_of_a_lost_sweep_round(lost: u64) -> String {
-        let n = 64;
+    /// the establishment) of a one-lane sum at `n` at capacity factor
+    /// `factor` and returns the node panic's message, the same on both
+    /// engines.
+    fn panic_of_a_lost_sweep_round(n: usize, factor: f64, lost: u64) -> String {
         let round = crate::ctx::rounds_for(n) + lost;
         let scenario = Scenario::new(9).drop_messages(round..=round, 1.0);
-        let net = Network::new(n, Config::ncc0(17).with_scenario(scenario));
+        let config = Config::ncc0(17).with_capacity_factor(factor);
+        let net = Network::new(n, config.with_scenario(scenario));
         let messages = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
             let run: Result<RunResult<Swept>, SimError> =
                 net.run_protocol_on(engine, None, None, |_| {
@@ -1159,16 +1173,29 @@ mod tests {
 
     /// Every aggregate is due in a known round: losing one is a typed
     /// panic at the parent, and losing a round of the broadcast one at the
-    /// children, on both engines — never a short total.
+    /// children, on both engines — never a short total. Paced (n = 100 at
+    /// the capacity floor), losing the doubling's first round, a round of
+    /// its exchanges or its last round is a typed panic where the message
+    /// was due.
     #[test]
     fn a_lost_aggregate_panics_its_parent() {
+        let cap = Config::ncc0(17).capacity(64);
         assert_eq!(
-            panic_of_a_lost_sweep_round(2),
+            panic_of_a_lost_sweep_round(64, 2.0, 2),
             "message loss: a reduce parent missed its child's aggregate"
         );
         assert_eq!(
-            panic_of_a_lost_sweep_round(rounds_for(64, Config::ncc0(17).capacity(64)) - 1),
+            panic_of_a_lost_sweep_round(64, 2.0, rounds_for(64, cap) - 1),
             "message loss: a broadcast child missed its parent's total"
         );
+        assert_eq!(doubling_rounds_for(100), 8);
+        for (lost, what) in [
+            (0, "a doubling position missed the words from past its half"),
+            (3, "a doubling position missed its partner's fold"),
+            (7, "a position past the doubling's half missed the total"),
+        ] {
+            let got = panic_of_a_lost_sweep_round(100, 0.1, lost);
+            assert_eq!(got, format!("message loss: {what}"), "round {lost}");
+        }
     }
 }
