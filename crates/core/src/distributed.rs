@@ -246,7 +246,7 @@ pub fn rounds_for(degrees: &[usize], flavor: Flavor, explicit: bool, cap: usize)
 fn schedule_rounds(
     len: usize,
     first: u64,
-    phases: &[(usize, usize)],
+    phases: &[(usize, usize, usize)],
     flavor: Flavor,
     explicit: bool,
     cap: usize,
@@ -259,7 +259,7 @@ fn schedule_rounds(
     }
     let (mut landed, mut blocks) = (0, Blocks::default());
     let mut phase = control.max(first);
-    for &(groups, delta) in phases {
+    for &(groups, delta, _) in phases {
         commit += phase;
         match beside_rate(len, delta, cap) {
             Some(rate) => landed = landed.max(commit + imcast::rounds_for(len) + div(delta, rate)),
@@ -306,41 +306,83 @@ pub fn block_rate(cap: usize) -> usize {
 
 /// The stars of every phase but the last that [`DegreesCore`] forms on a
 /// path whose members request `degrees`, the input [`rounds_for`] takes:
-/// `(q, δ)`, `q` groups of `δ` members, from a sequential replay of the
-/// phase loop. A phase's `δ`, `N` and so its `q` depend only on the
-/// multiset of needs, and so does what the phase leaves of it, whatever
-/// the ID order.
-pub fn phase_groups(degrees: &[usize], flavor: Flavor) -> Vec<(usize, usize)> {
+/// `(q, δ, N)`, `q` groups of `δ` members after a control sweep that
+/// found `N` records at the top need `δ` — the [`spec`]'s trace. A
+/// phase's `δ`, `N` and so its `q` depend only on the multiset of needs,
+/// and so does what the phase leaves of it, whatever the ID order.
+pub fn phase_groups(degrees: &[usize], flavor: Flavor) -> Vec<(usize, usize, usize)> {
+    spec(degrees, flavor).phases
+}
+
+/// What Algorithm 3 does on a path whose members request `degrees`, one a
+/// position: the [`spec`] of a run.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Spec {
+    /// Every edge a group forms, `(member, leader)` as the establishment
+    /// positions of their origins, phase by phase.
+    pub edges: Vec<(usize, usize)>,
+    /// `(q, δ, N)` of every phase but the last ([`phase_groups`]).
+    pub phases: Vec<(usize, usize, usize)>,
+    /// How the run ends.
+    pub verdict: Result<(), Unrealizable>,
+}
+
+/// Algorithm 3 in `flavor`, replayed sequentially on `degrees` (one a
+/// position of the path): the records `(need, establishment position)`
+/// start in `(need, position)` order, need non-increasing; each phase
+/// reads `δ` and `N` off the first records, forms the groups over the
+/// first `q(δ + 1)` ranks — a rank past the records holds nothing —
+/// drops the leaders' records where [`merges`] says so (else they stay
+/// at need 0), decrements the members and sorts again, ties by the
+/// establishment position. [`DegreesCore`] forms exactly these edges and
+/// phases on either engine, and ends on this verdict.
+pub fn spec(degrees: &[usize], flavor: Flavor) -> Spec {
     let len = degrees.len();
-    let mut needs = degrees.to_vec();
-    let mut groups = Vec::new();
-    let mut went_negative = false;
+    let by_need = |&(need, home): &(usize, usize)| (std::cmp::Reverse(need), home);
+    let mut records: Vec<(usize, usize)> = degrees.iter().copied().zip(0..).collect();
+    records.sort_by_key(by_need);
+    let (mut edges, mut phases, mut went_negative) = (Vec::new(), Vec::new(), false);
     loop {
-        needs.sort_unstable_by(|a, b| b.cmp(a));
-        let delta = needs.first().copied().unwrap_or(0);
+        let delta = records.first().map_or(0, |&(need, _)| need);
         if went_negative || delta >= len || delta == 0 {
-            return groups;
+            let verdict = if delta == 0 && !went_negative {
+                Ok(())
+            } else {
+                Err(Unrealizable)
+            };
+            return Spec {
+                edges,
+                phases,
+                verdict,
+            };
         }
         let stride = delta + 1;
-        let q = (needs.iter().take_while(|&&d| d == delta).count() / stride).max(1);
-        groups.push((q, delta));
-        for (x, need) in needs.iter_mut().enumerate().take(q * stride) {
-            if x % stride == 0 {
-                *need = 0;
+        let top = records
+            .iter()
+            .take_while(|&&(need, _)| need == delta)
+            .count();
+        let q = (top / stride).max(1);
+        phases.push((q, delta, top));
+        let mut leader = 0;
+        for (rank, (need, home)) in records.iter_mut().enumerate().take(q * stride) {
+            if rank % stride == 0 {
+                (*need, leader) = (0, *home);
             } else if *need == 0 && flavor != Flavor::Envelope {
                 went_negative = true;
             } else {
                 *need = need.saturating_sub(1);
+                edges.push((*home, leader));
             }
         }
         if merges(flavor, len) {
             // The leaders' records leave the path.
-            let mut x = 0;
-            needs.retain(|_| {
-                x += 1;
-                x > q * stride || (x - 1) % stride != 0
+            let mut rank = 0;
+            records.retain(|_| {
+                rank += 1;
+                rank > q * stride || (rank - 1) % stride != 0
             });
         }
+        records.sort_by_key(by_need);
     }
 }
 
@@ -891,7 +933,7 @@ mod tests {
             if len.is_power_of_two() || len % 997 == 0 {
                 let sort = sort::rounds_for(len);
                 let first = ctx::rounds_for(len) + control.max(sort);
-                let run = schedule_rounds(len, sort, &[(1, 1)], Flavor::Implicit, false, cap);
+                let run = schedule_rounds(len, sort, &[(1, 1, 2)], Flavor::Implicit, false, cap);
                 assert_eq!(run - first, control.max(hop), "len={len}");
             }
         }
@@ -923,7 +965,7 @@ mod tests {
             }
         }
         assert_eq!(ops::rounds_for(2048, 22), 14);
-        let groups = [118, 1, 251, 419, 1, 418, 1, 419].map(|q| (q, 4));
+        let groups = [118, 1, 251, 419, 1, 418, 1, 419].map(|q| (q, 4, 5 * q));
         let run = |first| schedule_rounds(2048, first, &groups, Flavor::Implicit, false, 22);
         assert_eq!(
             [sort::route_rounds_for(2048), sort::rounds_for(2048)].map(run),
@@ -935,13 +977,16 @@ mod tests {
     /// refusal stops it at the phase before the refusing one.
     #[test]
     fn phase_groups_replays_the_phase_loop() {
-        let none: [(usize, usize); 0] = [];
-        assert_eq!(phase_groups(&[2, 2, 2], Flavor::Implicit), [(1, 2), (1, 1)]);
+        let none: [(usize, usize, usize); 0] = [];
+        assert_eq!(
+            phase_groups(&[2, 2, 2], Flavor::Implicit),
+            [(1, 2, 3), (1, 1, 2)]
+        );
         assert_eq!(phase_groups(&[0, 0], Flavor::Implicit), none);
         assert_eq!(phase_groups(&[3, 1, 1], Flavor::Implicit), none);
         assert_eq!(
             phase_groups(&[3, 3, 1, 1], Flavor::Implicit),
-            [(1, 3), (1, 2)]
+            [(1, 3, 2), (1, 2, 1)]
         );
         for flavor in [Flavor::Implicit, Flavor::Envelope] {
             let out = realize_for_test(&[6; 32], Config::ncc0(5), flavor);

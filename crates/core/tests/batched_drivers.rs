@@ -12,7 +12,7 @@
 //!   The two random sweeps are frozen as one folded hash each (their
 //!   cases come from the test's name, through `tests/support/cases.rs`).
 
-use dgr_core::distributed::{phase_groups, rounds_for, Flavor};
+use dgr_core::distributed::{phase_groups, rounds_for, spec, Flavor};
 use dgr_core::driver::{prepare_degrees, DriverOutput};
 use dgr_core::verify;
 use dgr_ncc::{Config, EngineKind};
@@ -148,14 +148,53 @@ fn assert_verified(case: &str, flavor: Flavor, out: &DriverOutput) {
     }
 }
 
+/// Holds a run over `degrees` (one a position of the path) to the
+/// sequential [`spec`] of Algorithm 3: its verdict and, when realized,
+/// its overlay edge for edge through the path order — as a multiset where
+/// the envelope may repeat an edge — and, when explicit, every node's
+/// neighbour list.
+fn assert_spec(case: &str, degrees: &[usize], flavor: Flavor, out: &DriverOutput) {
+    let spec = spec(degrees, flavor);
+    let DriverOutput::Realized(r) = out else {
+        assert!(spec.verdict.is_err(), "{case}: the spec realizes");
+        return;
+    };
+    assert!(spec.verdict.is_ok(), "{case}: the spec refuses");
+    let at = |x: usize| r.path_order[x];
+    let mut want: Vec<_> = (spec.edges.iter())
+        .map(|&(a, b)| (at(a).min(at(b)), at(a).max(at(b))))
+        .collect();
+    want.sort_unstable();
+    let mut degree = std::collections::BTreeMap::new();
+    for &(a, b) in &want {
+        *degree.entry(a).or_insert(0) += 1;
+        *degree.entry(b).or_insert(0) += 1;
+    }
+    let multi = r.multi_degrees.iter().filter(|&(_, &d)| d > 0);
+    assert!(multi.eq(degree.iter()), "{case}: multiset degrees");
+    want.dedup();
+    assert_eq!(r.graph.edge_list(), want, "{case}: overlay");
+    if flavor == Flavor::Explicit {
+        for (&id, listed) in &r.explicit_neighbors {
+            let mut listed = listed.clone();
+            listed.sort_unstable();
+            let mut adjacent = r.graph.neighbors_of(id);
+            adjacent.sort_unstable();
+            assert_eq!(listed, adjacent, "{case}: node {id}'s list");
+        }
+    }
+}
+
 /// Runs one case on both engines: golden == batched ==
 /// reference (the two engines on every metric), rounds on the closed
-/// form, the overlay verified.
+/// form, the overlay verified and the spec's.
 fn assert_case(case: &str, degrees: &[usize], config: Config, flavor: Flavor) {
     let batched = realize(degrees, config.clone(), flavor, EngineKind::Batched);
     let reference = realize(degrees, config, flavor, EngineKind::Reference);
     assert_golden(case, &batched);
     assert_golden(case, &reference);
+    assert_spec(case, degrees, flavor, &batched);
+    assert_spec(case, degrees, flavor, &reference);
     assert_eq!(batched.metrics(), reference.metrics(), "{case}: engines");
     assert_closed_form(case, degrees, flavor, &batched);
     assert_verified(case, flavor, &batched);
@@ -312,7 +351,7 @@ fn sweep_beside_the_sort_runs_clean_at_its_edges() {
                 let control = ops::rounds_for(n, m.capacity);
                 let spare = control.checked_sub(levels_for(n) as u64 + 1);
                 let edge = spare.map_or(0, |bits| 1 << bits);
-                for &(g, _) in groups.iter().filter(|_| merges(flavor, n)) {
+                for &(g, ..) in groups.iter().filter(|_| merges(flavor, n)) {
                     let fits = sort::merge_rounds_for(n, g) <= control;
                     assert_eq!(fits, g < edge, "{what}: {g} groups");
                 }
@@ -346,6 +385,8 @@ fn sweep(
         assert_eq!(transcript(&batched), transcript(&reference), "{what}");
         assert_eq!(batched.metrics(), reference.metrics(), "{what}: engines");
         check(&degrees, &batched);
+        assert_spec(&what, &degrees, flavor, &batched);
+        assert_spec(&what, &degrees, flavor, &reference);
         assert_closed_form(&what, &degrees, flavor, &batched);
         assert_verified(&what, flavor, &batched);
         rows.push(transcript(&batched));
@@ -433,6 +474,30 @@ fn overlays_match_the_frozen_fold() {
     );
 }
 
+/// The exact flavors' overlays equal the [`spec`]'s on both engines at
+/// every path length from 1 to 300, on requests drawn from the test's
+/// case stream: degrees below `min(n, 12)`, the odd sums evened by one
+/// more at the first position — graphic or not.
+#[test]
+fn overlays_equal_the_spec_at_every_length() {
+    let mut rng = cases::case_rng(&format!("{}::overlays_equal_the_spec", module_path!()));
+    for n in 1..=300usize {
+        let mut degrees = cases::vec_of(&mut rng, n..=n, |r| r.gen_range(0..n.min(12)));
+        if degrees.iter().sum::<usize>() % 2 == 1 {
+            degrees[0] = (degrees[0] + 1) % n;
+        }
+        let seed = rng.gen_range(0u64..1000);
+        for flavor in [Flavor::Implicit, Flavor::Explicit] {
+            for engine in [EngineKind::Batched, EngineKind::Reference] {
+                let what = format!("n={n} seed {seed} {flavor:?} {engine:?}");
+                let out = realize(&degrees, Config::ncc0(seed), flavor, engine);
+                assert_spec(&what, &degrees, flavor, &out);
+                assert_closed_form(&what, &degrees, flavor, &out);
+            }
+        }
+    }
+}
+
 /// The hand-off's fan-in and fan-out, measured on both engines at every
 /// capacity from the floor to 24, on a star, a near-regular request and a
 /// two-tier one (graphic), in the explicit flavor and in the explicit envelope core
@@ -465,7 +530,7 @@ fn the_hand_off_stays_within_its_rate() {
                     let phases = phase_groups(&degrees, flavor);
                     let rate = phases
                         .iter()
-                        .map(|&(_, d)| beside_rate(n, d, cap).unwrap_or(block_rate(cap)))
+                        .map(|&(_, d, _)| beside_rate(n, d, cap).unwrap_or(block_rate(cap)))
                         .max()
                         .unwrap_or(0);
                     for engine in [EngineKind::Batched, EngineKind::Reference] {
@@ -490,7 +555,7 @@ fn the_hand_off_stays_within_its_rate() {
                         assert!(heard > 0, "{what}: no announcement");
                         let blocks = phases
                             .iter()
-                            .any(|&(_, d)| beside_rate(n, d, cap).is_none());
+                            .any(|&(_, d, _)| beside_rate(n, d, cap).is_none());
                         let most = if blocks { cap } else { 1 };
                         assert!((1..=most).contains(&busiest_sender(&sent)), "{what}");
                         let want = rounds_for(&degrees, flavor, true, cap);
