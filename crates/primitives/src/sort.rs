@@ -227,11 +227,22 @@ pub fn merge_rounds_for(len: usize, groups: usize) -> u64 {
     (crate::levels_for(groups + 1) + crate::levels_for(len)) as u64 + 1
 }
 
-/// Number of rounds the class route of [`SortStep::by_class`] takes on a
-/// path of `len` nodes: a round a bit of the longest displacement,
-/// `⌈log₂ len⌉`.
+/// Number of rounds the class route of [`SortStep::by_class`] and the
+/// route of [`SortStep::regroup`] take on a path of `len` nodes: a round a
+/// bit of the longest displacement, `⌈log₂ len⌉`.
 pub fn route_rounds_for(len: usize) -> u64 {
     crate::levels_for(len) as u64
+}
+
+/// Number of rounds [`SortStep::regroup`] takes on a path of `len` nodes
+/// after `phase` at capacity `cap`, beside steps that send and receive up
+/// to `beside` messages a node a round: the route's where
+/// [`Regroup::routes`], else the merge lane's.
+pub fn regroup_rounds_for(len: usize, phase: &Regroup, cap: usize, beside: usize) -> u64 {
+    match phase.routes(cap, beside) {
+        true => route_rounds_for(len),
+        false => merge_rounds_for(len, phase.groups),
+    }
 }
 
 /// Rounds of a first sort over keys whose classes tally `totals` that
@@ -265,11 +276,12 @@ pub fn first_rounds_for(keys: impl IntoIterator<Item = u64>, cap: usize, beside:
 pub const RANK_ROUNDS: u64 = 2;
 
 /// What one group phase did to sorted records, the input of
-/// [`SortStep::merge`]: of the `live` records, position `x` holding the
-/// rank-`x` one, ranks `[0, groups · stride)` form `groups` groups of
-/// `stride` ranks; each group's head leaves, and the rest of each group
-/// and the tail `[groups · stride, live)` keep their relative order under
-/// the new keys.
+/// [`SortStep::regroup`] and [`SortStep::merge`]: of the `live` records,
+/// position `x` holding the rank-`x` one, ranks `[0, groups · stride)`
+/// form `groups` groups of `stride` ranks; each group's head leaves, and
+/// the rest of each group and the tail `[groups · stride, live)` keep
+/// their relative order under the new keys. The first `top` records held
+/// the top key, `stride - 1`, before the phase, and each member lost one.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Regroup {
     /// Records held, at positions (ranks) `[0, live)`.
@@ -278,12 +290,54 @@ pub struct Regroup {
     pub stride: usize,
     /// Number of groups.
     pub groups: usize,
+    /// Records that held the top key `stride - 1`, at ranks `[0, top)`:
+    /// the control sweep's `N`.
+    pub top: usize,
 }
 
 impl Regroup {
     /// Ranks the groups cover, `groups · stride`.
     pub fn span(&self) -> usize {
         self.groups * self.stride
+    }
+
+    /// Where the route of [`SortStep::regroup`] takes the record at
+    /// `rank`, its rank in a stable re-sort by the new keys, once the top
+    /// key fills every group: the `t = top - span` tail records still at
+    /// the top key go first, then the members (the one at `g · stride + i`
+    /// to `t + g(stride - 1) + i - 1`), then every later record, each
+    /// moved past the `groups` departed heads. `None` for a head, whose
+    /// record leaves, and wherever the top key fills no group (`top <
+    /// stride`), where the merge lane re-orders instead.
+    fn rank(&self, rank: usize) -> Option<usize> {
+        let (stride, span) = (self.stride, self.span());
+        let tail = self.top.checked_sub(span).filter(|_| self.top >= stride)?;
+        if rank >= self.top {
+            Some(rank - self.groups)
+        } else if rank >= span {
+            Some(rank - span)
+        } else if rank.is_multiple_of(stride) {
+            None
+        } else {
+            Some(tail + rank / stride * (stride - 1) + rank % stride - 1)
+        }
+    }
+
+    /// The route's streams that hold records: the members and the records
+    /// after the tail at the top key, whose displacements `t - g - 1 ≥ t -
+    /// groups ≥ -groups` do not increase along the path; and that tail,
+    /// all `span` behind, where it is not empty.
+    fn streams(&self) -> usize {
+        1 + usize::from(self.top > self.span())
+    }
+
+    /// Whether [`SortStep::regroup`] routes after this phase at capacity
+    /// `cap`, beside steps that send and receive up to `beside` messages a
+    /// node a round: where the top key fills a group (`top ≥ stride`), and
+    /// the capacity takes a record of each of the route's streams a round
+    /// beside those steps — the rule of the first sort's class route.
+    pub fn routes(&self, cap: usize, beside: usize) -> bool {
+        self.top >= self.stride && self.streams() + beside <= cap
     }
 
     /// How far toward the head the record at `rank` moves: past every head
@@ -427,21 +481,39 @@ pub struct Sort {
     shift: usize,
     /// The in-flight comparator staged last round.
     cmp: Option<(usize, bool)>,
-    /// The class route, from its first poll on if the capacity takes it,
-    /// until it lands this position's record; the network runs where
-    /// there is none, and after it over the overflow's window.
+    /// The route, from its first poll on if the capacity takes it, until
+    /// it lands this position's record; where there is none the network
+    /// runs, or the merge lane, and after the class route the network over
+    /// the overflow's window.
     route: Option<Box<Route>>,
 }
 
-/// The class route at one position ([`SortStep::by_class`]).
+/// A route at one position: every record moves to its destination, one
+/// bit of its signed displacement a round, least significant first, over
+/// the contacts — the class route of [`SortStep::by_class`] or the route
+/// of [`SortStep::regroup`].
 #[derive(Debug)]
 struct Route {
-    /// Keys per class over the path.
-    totals: Tally,
+    /// What decides at the first poll whether the route runs.
+    fit: Fit,
     /// Messages a node a round the steps beside the route may take.
     beside: usize,
+    /// The route's rounds, [`route_rounds_for`] the path.
+    rounds: u64,
+    /// Whether a record lands at this position.
+    lands: bool,
     /// The records at this position, each with its destination.
     here: Vec<(Record, usize)>,
+}
+
+/// Which route a [`Route`] is, with what decides whether it runs.
+#[derive(Clone, Copy, Debug)]
+enum Fit {
+    /// A first sort's class route, over keys whose classes tally so
+    /// ([`routed_rounds`]).
+    Classes(Tally),
+    /// A later phase's route after this group phase ([`Regroup::routes`]).
+    Regroup(Regroup),
 }
 
 impl SortStep {
@@ -487,8 +559,10 @@ impl SortStep {
         let mut sort = Sort::network(ctx.contacts.clone(), x, vp.len, Some(held), order);
         let record = Record::encode(held, order, sort.width);
         sort.route = Some(Box::new(Route {
-            totals: classes.totals,
+            fit: Fit::Classes(classes.totals),
             beside,
+            rounds: route_rounds_for(vp.len),
+            lands: true,
             here: vec![(record, destination(&classes, order))],
         }));
         Lockstep::sized(vp.member, sort)
@@ -526,28 +600,47 @@ impl SortStep {
         phase: Regroup,
         order: Order,
     ) -> Self {
-        let half = 1 << vp.levels();
-        let shift = held.and(phase.shift(position));
-        let width = vp.levels() as u32;
-        let sort = Sort {
-            contacts,
-            x: position,
-            order,
-            width,
-            shifts: crate::levels_for(phase.groups + 1) as u64,
-            it: StageIter::merge_pass(half),
-            from: 0,
-            live: phase.live - phase.groups,
-            offset: phase.offset(half),
-            held: held
-                .filter(|_| shift.is_some())
-                .map(|h| Record::encode(h, order, width)),
-            shift: shift.unwrap_or(0),
-            cmp: None,
-            route: None,
-        };
+        let sort = Sort::merge(contacts, position, vp.len, held, phase, order);
         let rounds = merge_rounds_for(vp.len, phase.groups);
         Lockstep::run(vp.member, rounds, sort)
+    }
+
+    /// Re-sorts the records of positions `[0, phase.live)`, position `x`
+    /// holding the rank-`x` record in [`Order::Descending`], after the
+    /// group phase `phase`, whose members each lost one from the top key;
+    /// `held` is this node's record with its new key, its home the rank
+    /// `x` it held (rounds: exactly [`regroup_rounds_for`] at the run's
+    /// capacity). The survivors end in a stable re-sort by the new keys,
+    /// ties in the order they held, at positions `[0, live - groups)`, and
+    /// the positions after them hold nothing.
+    ///
+    /// Where the top key fills a group and the capacity takes the route's
+    /// streams beside steps taking up to `beside` messages a node a round
+    /// ([`Regroup::routes`]), every survivor goes straight to its rank
+    /// ([`Regroup`]'s closed form) in [`route_rounds_for`] rounds, with no
+    /// comparator; else [`SortStep::merge`] runs, and the homes make its
+    /// `(key, home)` order the stable one. Every member takes the same
+    /// choice at its first poll.
+    pub fn regroup(
+        vp: VPath,
+        contacts: Arc<ContactTable>,
+        position: usize,
+        held: Option<Held>,
+        phase: Regroup,
+        beside: usize,
+    ) -> Self {
+        let order = Order::Descending;
+        let mut sort = Sort::merge(contacts, position, vp.len, held, phase, order);
+        let here = held.zip(phase.rank(position));
+        let here = here.map(|(h, rank)| (Record::encode(h, order, sort.width), rank));
+        sort.route = Some(Box::new(Route {
+            fit: Fit::Regroup(phase),
+            beside,
+            rounds: route_rounds_for(vp.len),
+            lands: position < phase.live - phase.groups,
+            here: here.into_iter().collect(),
+        }));
+        Lockstep::sized(vp.member, sort)
     }
 
     /// [`SortStep::by_class`] over an established [`PathCtx`], alone in
@@ -575,15 +668,15 @@ fn start(totals: &Tally, class: usize, order: Order) -> usize {
 impl Route {
     /// Route poll `t` at position `x`: the records that arrived, then the
     /// move of bit `t` of every held record's displacement; at the last
-    /// poll, [`route_rounds_for`] the path, the record landed here.
+    /// poll, [`route_rounds_for`] the path, the record landed here, if one
+    /// lands here.
     fn poll(
         &mut self,
         t: u64,
         x: usize,
         contacts: &ContactTable,
         ctx: &mut RoundCtx<'_>,
-    ) -> Option<Record> {
-        let rounds = route_rounds_for(self.totals.count());
+    ) -> Poll<Option<Record>> {
         if t > 0 {
             for env in ctx.inbox().iter().filter(|e| e.msg.tag == tags::SORT_SHIFT) {
                 let (record, dest) = Record::received(env);
@@ -593,14 +686,21 @@ impl Route {
                 }
             }
         }
-        if t == rounds {
-            let (record, dest) = (self.here.pop())
-                .expect("message loss: a position missed its record in the class route");
-            debug_assert!(
-                self.here.is_empty() && dest == x,
-                "a record off its destination"
-            );
-            return Some(record);
+        if t == self.rounds {
+            let landed = self.here.pop();
+            if self.lands && landed.is_none() {
+                match self.fit {
+                    Fit::Classes(_) => {
+                        panic!("message loss: a position missed its record in the class route")
+                    }
+                    Fit::Regroup(_) => {
+                        panic!("message loss: a position missed its record in the regroup route")
+                    }
+                }
+            }
+            debug_assert!(self.here.is_empty(), "two records landed at one position");
+            debug_assert!(landed.is_none_or(|(_, dest)| dest == x && self.lands));
+            return Poll::Ready(landed.map(|(record, _)| record));
         }
         let bit = t as usize;
         self.here.retain(|&(record, dest)| {
@@ -611,7 +711,7 @@ impl Route {
             ctx.send(to, record.moving(dest as u64));
             false
         });
-        None
+        Poll::Pending
     }
 }
 
@@ -637,6 +737,38 @@ impl Sort {
             offset: 0,
             held: held.map(|h| Record::encode(h, order, width)),
             shift: 0,
+            cmp: None,
+            route: None,
+        }
+    }
+
+    /// The merge lane at position `x` of `len` after `phase`, holding
+    /// `held` ([`SortStep::merge`]).
+    fn merge(
+        contacts: Arc<ContactTable>,
+        x: usize,
+        len: usize,
+        held: Option<Held>,
+        phase: Regroup,
+        order: Order,
+    ) -> Self {
+        let levels = crate::levels_for(len);
+        let (half, width) = (1 << levels, levels as u32);
+        let shift = held.and(phase.shift(x));
+        Sort {
+            contacts,
+            x,
+            order,
+            width,
+            shifts: crate::levels_for(phase.groups + 1) as u64,
+            it: StageIter::merge_pass(half),
+            from: 0,
+            live: phase.live - phase.groups,
+            offset: phase.offset(half),
+            held: held
+                .filter(|_| shift.is_some())
+                .map(|h| Record::encode(h, order, width)),
+            shift: shift.unwrap_or(0),
             cmp: None,
             route: None,
         }
@@ -724,11 +856,12 @@ impl Rounds for Sort {
     fn poll(&mut self, t: u64, rounds: u64, ctx: &mut RoundCtx<'_>) -> Poll<Option<Held>> {
         let (order, width) = (self.order, self.width);
         if let Some(route) = &mut self.route {
-            let Some(record) = route.poll(t, self.x, &self.contacts, ctx) else {
+            let Poll::Ready(record) = route.poll(t, self.x, &self.contacts, ctx) else {
                 return Poll::Pending;
             };
-            // Landed: the network over the overflow's window takes over.
-            (self.held, self.route) = (Some(record), None);
+            // Landed: the network over the overflow's window takes over
+            // after a class route; a regroup's route is done.
+            (self.held, self.route) = (record, None);
         } else if t > 0 {
             self.absorb_exchange(t, ctx);
         }
@@ -741,18 +874,27 @@ impl Rounds for Sort {
 
     /// The route and the overflow window's network where the capacity
     /// takes them and they are no longer, else the network over the whole
-    /// path: the choice of [`SortStep::by_class`], the same at every
-    /// member.
+    /// path: the choice of [`SortStep::by_class`]. The route where the
+    /// phase lets it and the capacity takes it, else the merge lane: the
+    /// choice of [`SortStep::regroup`]. Either is the same at every member.
     fn budget(&mut self, ctx: &RoundCtx<'_>) -> Option<u64> {
         let route = self.route.as_ref()?;
-        let Some(rounds) = routed_rounds(&route.totals, ctx.capacity(), route.beside) else {
+        let (cap, beside) = (ctx.capacity(), route.beside);
+        let totals = match route.fit {
+            Fit::Classes(totals) => totals,
+            Fit::Regroup(phase) if phase.routes(cap, beside) => return Some(route.rounds),
+            Fit::Regroup(_) => {
+                self.route = None;
+                return Some(self.shifts + self.it.count() as u64);
+            }
+        };
+        let Some(rounds) = routed_rounds(&totals, cap, beside) else {
             self.route = None;
             return Some(rounds_for(self.live));
         };
         // The route lands the overflow's records in home order at the
         // window the network then sorts alone.
-        let totals = &route.totals;
-        self.from = start(totals, CLASSES, self.order);
+        self.from = start(&totals, CLASSES, self.order);
         self.live = totals.0[CLASSES] as usize;
         self.it = StageIter::new(self.live);
         Some(rounds)
@@ -960,6 +1102,7 @@ mod tests {
                     live,
                     stride,
                     groups,
+                    top: 0,
                 };
                 // Needs in sorted order, ties by home position; a group
                 // member has one to lose, the tail may hold zeros.
@@ -1090,12 +1233,14 @@ mod tests {
                 live: n,
                 stride: 3.min(n),
                 groups: (n / 6).max(1),
+                top: 0,
             };
             let live = n - first.groups;
             let second = Regroup {
                 live,
                 stride: 2,
                 groups: live / 4,
+                top: 0,
             };
             // One phase, sequentially: the survivors' new needs, sorted.
             let by_rank = move |h: &Held| order.pack(h.key, h.home, crate::levels_for(n) as u32);
@@ -1407,6 +1552,222 @@ mod tests {
         }
     }
 
+    /// A random group phase over `live ≤ len` records whose first `top`
+    /// held the top need — `top` a multiple of the stride where `exact`,
+    /// so that no record at the top need trails the groups — and the needs
+    /// held at ranks `[0, live)` after it: each head's 0, each member's
+    /// top less one, every later need drawn below the top, non-increasing.
+    fn random_phase(
+        len: usize,
+        exact: bool,
+        rng: &mut rand::rngs::SmallRng,
+    ) -> (Regroup, Vec<u64>) {
+        use rand::Rng;
+        let live = rng.gen_range(2..=len);
+        let stride = rng.gen_range(2..=live);
+        let groups = rng.gen_range(1..=live / stride);
+        let span = groups * stride;
+        let top = match exact {
+            true => span,
+            false => rng.gen_range(span..=(span + stride - 1).min(live)),
+        };
+        let delta = stride as u64 - 1;
+        let mut later: Vec<u64> = (top..live).map(|_| rng.gen_range(0..delta)).collect();
+        later.sort_unstable_by(|a, b| b.cmp(a));
+        let grouped = (0..top).map(|x| match (x < span, x % stride) {
+            (true, 0) => 0,
+            (true, _) => delta - 1,
+            (false, _) => delta,
+        });
+        let needs = grouped.chain(later).collect();
+        let phase = Regroup {
+            live,
+            stride,
+            groups,
+            top,
+        };
+        (phase, needs)
+    }
+
+    /// The ranks of a stable re-sort of `needs` — held at ranks `[0,
+    /// live)` after `phase` — by need, non-increasing: the survivors'
+    /// ranks in the order they land, every head left out.
+    fn stable_resort(phase: &Regroup, needs: &[u64]) -> Vec<usize> {
+        let leaves = |x: usize| x < phase.span() && x.is_multiple_of(phase.stride);
+        let mut ranks: Vec<usize> = (0..phase.live).filter(|&x| !leaves(x)).collect();
+        ranks.sort_by_key(|&x| std::cmp::Reverse(needs[x]));
+        ranks
+    }
+
+    /// The route of [`SortStep::regroup`], replayed sequentially at every
+    /// path length from 2 to 600 on random group phases, with no record
+    /// at the top need past the groups (`t = 0`) and with some: every
+    /// survivor's closed-form rank is its rank in a stable re-sort by the
+    /// new needs, every head's record leaves, every record lands there in
+    /// [`route_rounds_for`] rounds, no two records of one stream — the
+    /// tail still at the top need, and everything else — ever share a
+    /// position, and no position sends or receives more records a round
+    /// than the route has streams.
+    #[test]
+    fn regroup_route_lands_every_record_at_its_stable_rank_without_collisions() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(47);
+        for len in 2..=600usize {
+            for draw in 0..8 {
+                let (phase, needs) = random_phase(len, draw % 2 == 0, &mut rng);
+                let what = format!("len={len} {phase:?}");
+                let mut records = Vec::new();
+                for (rank, &x) in stable_resort(&phase, &needs).iter().enumerate() {
+                    assert_eq!(phase.rank(x), Some(rank), "{what}: rank {x}");
+                    let stream = usize::from((phase.span()..phase.top).contains(&x));
+                    records.push((x, rank, stream));
+                }
+                assert_eq!(records.len(), phase.live - phase.groups, "{what}");
+                let streams = phase.streams();
+                assert_eq!(streams, 1 + usize::from(phase.top > phase.span()));
+                let mut at = vec![usize::MAX; 2 * len];
+                for bit in 0..route_rounds_for(len) as usize {
+                    let (mut sent, mut heard) = (vec![0; len], vec![0; len]);
+                    for (x, dest, stream) in &mut records {
+                        if dest.abs_diff(*x) >> bit & 1 == 1 {
+                            sent[*x] += 1;
+                            *x = if *dest > *x {
+                                *x + (1 << bit)
+                            } else {
+                                *x - (1 << bit)
+                            };
+                            heard[*x] += 1;
+                        }
+                        let slot = &mut at[*x * 2 + *stream];
+                        assert_ne!(*slot, bit, "{what}: stream {stream} meets at {x}");
+                        *slot = bit;
+                    }
+                    let most = sent.iter().chain(&heard).max().copied().unwrap_or(0);
+                    assert!(most <= streams, "{what}: {most} a round");
+                }
+                assert!(records.iter().all(|&(x, dest, _)| x == dest), "{what}");
+            }
+        }
+    }
+
+    /// [`SortStep::regroup`] on both engines at every path length from 2
+    /// to 600, strict at the capacity floor, 4, on a random group phase a
+    /// length, alternately with and without records at the top need past
+    /// the groups: the route runs, in [`route_rounds_for`] rounds past the
+    /// establishment; position `y` ends holding the record of rank `y` in
+    /// a stable re-sort by the new needs, its home the rank it held, and
+    /// every position from `live - groups` on — the heads' and the vacant
+    /// ones — holds nothing. At every seventh length the same phase runs
+    /// again with three messages a node a round beside it: where the tail
+    /// at the top need is a second stream the capacity no longer takes
+    /// the route, the merge lane runs in [`merge_rounds_for`] rounds, and
+    /// every position ends holding the same record.
+    #[test]
+    fn regroup_equals_a_stable_resort_on_both_engines() {
+        use dgr_ncc::EngineKind;
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(48);
+        for n in 2..=600usize {
+            let (phase, needs) = random_phase(n, n % 2 == 0, &mut rng);
+            let net = Network::new(n, Config::ncc0(n as u64).with_capacity_factor(0.01));
+            let ids = net.ids_in_path_order();
+            let mut want = vec![None; n];
+            for (rank, x) in stable_resort(&phase, &needs).into_iter().enumerate() {
+                want[rank] = Some(Held {
+                    key: needs[x],
+                    origin: ids[x],
+                    home: x,
+                });
+            }
+            let besides: &[usize] = if n % 7 == 0 { &[0, 3] } else { &[0] };
+            for &beside in besides {
+                let what = format!("n={n} {phase:?} beside {beside}");
+                let runs = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
+                    let needs = needs.clone();
+                    let run = net.run_protocol_on(engine, None, None, move |_| {
+                        let needs = needs.clone();
+                        WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                            let x = ctx.position;
+                            let held = needs.get(x).map(|&key| Held {
+                                key,
+                                origin: rctx.id(),
+                                home: x,
+                            });
+                            let contacts = ctx.contacts.clone();
+                            SortStep::regroup(ctx.vp, contacts, x, held, phase, beside)
+                        })
+                    });
+                    run.unwrap()
+                });
+                assert_eq!(runs[0].outputs, runs[1].outputs, "{what}");
+                assert_eq!(runs[0].metrics, runs[1].metrics, "{what}");
+                let m = &runs[0].metrics;
+                assert!(m.is_clean(), "{what}: {:?}", m.violations);
+                assert_eq!(m.capacity, 4, "{what}");
+                let routes = phase.routes(m.capacity, beside);
+                assert_eq!(routes, beside == 0 || phase.top == phase.span(), "{what}");
+                let lane = regroup_rounds_for(n, &phase, m.capacity, beside);
+                let want_lane = match routes {
+                    true => route_rounds_for(n),
+                    false => merge_rounds_for(n, phase.groups),
+                };
+                assert_eq!(lane, want_lane, "{what}");
+                assert_eq!(m.rounds - crate::ctx::rounds_for(n), lane, "{what}");
+                for (y, (_, held)) in runs[0].outputs.iter().enumerate() {
+                    assert_eq!(*held, want[y], "{what}: position {y}");
+                }
+                let vacant = &runs[0].outputs[phase.live - phase.groups..];
+                assert!(vacant.iter().all(|(_, held)| held.is_none()), "{what}");
+            }
+        }
+    }
+
+    /// Losing the regroup route's first round of moves leaves the
+    /// positions those records were bound for empty at the end: a typed
+    /// panic, the same on both engines — never a wrong order.
+    #[test]
+    fn a_lost_regroup_route_message_panics_its_position() {
+        use dgr_ncc::{EngineKind, Scenario, SimError};
+        let n = 64;
+        let lost = crate::ctx::rounds_for(n);
+        let scenario = Scenario::new(5).drop_messages(lost..=lost, 1.0);
+        let net = Network::new(n, Config::ncc0(3).with_scenario(scenario));
+        // Ten groups of three at need 2, then a tail of two still at 2.
+        let phase = Regroup {
+            live: n,
+            stride: 3,
+            groups: 10,
+            top: 32,
+        };
+        let messages = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
+            let run = net.run_protocol_on(engine, None, None, |_| {
+                WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+                    let x = ctx.position;
+                    let key = match x < phase.span() {
+                        true => u64::from(!x.is_multiple_of(3)),
+                        false => 2 - u64::from(x >= phase.top),
+                    };
+                    let held = Held {
+                        key,
+                        origin: rctx.id(),
+                        home: x,
+                    };
+                    let contacts = ctx.contacts.clone();
+                    SortStep::regroup(ctx.vp, contacts, x, Some(held), phase, 0)
+                })
+            });
+            match run {
+                Err(SimError::NodePanic { message, .. }) => message,
+                other => panic!("{engine:?}: expected a node panic, got {:?}", other.err()),
+            }
+        });
+        assert_eq!(messages[0], messages[1], "engines");
+        assert_eq!(
+            messages[0],
+            "message loss: a position missed its record in the regroup route"
+        );
+    }
+
     /// Losing the merge lane's first round of compaction moves leaves
     /// positions below the survivors' count empty when the compaction
     /// ends: a typed panic in that round, the same on both engines —
@@ -1422,6 +1783,7 @@ mod tests {
             live: n,
             stride: 3,
             groups: 10,
+            top: 0,
         };
         let messages = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
             let run = net.run_protocol_on(engine, None, None, |_| {

@@ -84,6 +84,7 @@ fn in_place_sort_and_merge_are_exact_under_full_duplication() {
                 live: vp.len,
                 stride: 3,
                 groups: vp.len / 6,
+                top: 0,
             };
             let table = contacts.clone();
             SortStep::new(vp, contacts, x, key, order, rctx.id()).then(move |held, _| {
@@ -94,6 +95,38 @@ fn in_place_sort_and_merge_are_exact_under_full_duplication() {
                 });
                 SortStep::merge(vp, table, x, held, phase, order)
             })
+        })
+    });
+}
+
+/// A repeated route move lands the same record once: after a group phase
+/// of six groups of three and a tail of two still at the top need, the
+/// route of `SortStep::regroup` leaves every position holding its
+/// fault-free record.
+#[test]
+fn regroup_route_is_exact_under_full_duplication() {
+    outputs_survive_full_duplication(50, |_| {
+        WithCtx::new(|ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+            let x = ctx.position;
+            let phase = Regroup {
+                live: ctx.vp.len,
+                stride: 3,
+                groups: 6,
+                top: 20,
+            };
+            let key = match (x < phase.span(), x % 3) {
+                (true, 0) => 0,
+                (true, _) => 1,
+                (false, _) if x < phase.top => 2,
+                (false, _) => u64::from(x < 30),
+            };
+            let held = Held {
+                key,
+                origin: rctx.id(),
+                home: x,
+            };
+            let contacts = ctx.contacts.clone();
+            SortStep::regroup(ctx.vp, contacts, x, Some(held), phase, 0)
         })
     });
 }
