@@ -259,14 +259,20 @@ fn schedule_rounds(
     }
     let (mut landed, mut blocks) = (0, Blocks::default());
     let mut phase = control.max(first);
-    for &(groups, delta, _) in phases {
+    for &(groups, delta, top) in phases {
         commit += phase;
         match beside_rate(len, delta, cap) {
             Some(rate) => landed = landed.max(commit + imcast::rounds_for(len) + div(delta, rate)),
             None => _ = blocks.place(div(delta, block_rate(cap)), cap),
         }
         let lane = if merges(flavor, len) {
-            sort::merge_rounds_for(len, groups)
+            let shape = Regroup {
+                stride: delta + 1,
+                groups,
+                top,
+                ..Regroup::default()
+            };
+            sort::regroup_rounds_for(len, &shape, cap, lane_beside(len, cap))
         } else {
             sort::rounds_for(len)
         };
@@ -277,6 +283,13 @@ fn schedule_rounds(
         true => end.max(landed) + blocks.rounds(),
         false => end,
     }
+}
+
+/// Messages a node a round that the steps beside a later phase's lane
+/// take on a path of `len` nodes at capacity `cap`: the control sweep's
+/// and the hop's one ([`ops::BESIDE`] counts the lane's one besides).
+fn lane_beside(len: usize, cap: usize) -> usize {
+    ops::sweep_load(len, cap) + 1
 }
 
 /// `⌈a/b⌉`.
@@ -333,14 +346,17 @@ pub struct Spec {
 /// reads `δ` and `N` off the first records, forms the groups over the
 /// first `q(δ + 1)` ranks — a rank past the records holds nothing —
 /// drops the leaders' records where [`merges`] says so (else they stay
-/// at need 0), decrements the members and sorts again, ties by the
-/// establishment position. [`DegreesCore`] forms exactly these edges and
-/// phases on either engine, and ends on this verdict.
+/// at need 0), decrements the members and sorts again by need: in the
+/// exact flavors a stable sort, equal needs in the order the phase held
+/// them; in the envelope's, ties by the establishment position.
+/// [`DegreesCore`] forms exactly these edges and phases on either engine,
+/// and ends on this verdict.
 pub fn spec(degrees: &[usize], flavor: Flavor) -> Spec {
     let len = degrees.len();
     let by_need = |&(need, home): &(usize, usize)| (std::cmp::Reverse(need), home);
     let mut records: Vec<(usize, usize)> = degrees.iter().copied().zip(0..).collect();
     records.sort_by_key(by_need);
+    let stable = flavor != Flavor::Envelope;
     let (mut edges, mut phases, mut went_negative) = (Vec::new(), Vec::new(), false);
     loop {
         let delta = records.first().map_or(0, |&(need, _)| need);
@@ -382,7 +398,10 @@ pub fn spec(degrees: &[usize], flavor: Flavor) -> Spec {
                 rank > q * stride || (rank - 1) % stride != 0
             });
         }
-        records.sort_by_key(by_need);
+        match stable {
+            true => records.sort_by_key(|&(need, _)| std::cmp::Reverse(need)),
+            false => records.sort_by_key(by_need),
+        }
     }
 }
 
@@ -753,7 +772,8 @@ impl DegreesCore {
             let beside = ops::sweep_load(vp.len, cap);
             SortStep::by_class(ctx, held.key, Order::Descending, held.origin, beside)
         } else if merges(self.flavor, vp.len) {
-            let lane = SortStep::merge(vp, contacts, x, held, self.shape, Order::Descending);
+            let beside = lane_beside(vp.len, cap);
+            let lane = SortStep::regroup(vp, contacts, x, held, self.shape, beside);
             self.shape.live -= self.shape.groups;
             lane
         } else {
@@ -811,6 +831,7 @@ impl DegreesCore {
                     let stride = delta as usize + 1;
                     self.shape.stride = stride;
                     self.shape.groups = (n_max as usize / stride).max(1);
+                    self.shape.top = n_max as usize;
                     debug_assert!(
                         self.shape.span() <= self.shape.live,
                         "groups exceed the path"
@@ -849,6 +870,11 @@ impl DegreesCore {
             let is_leader = grouped && x.is_multiple_of(stride);
             let mut edge = false;
             if let Some(held) = self.held.as_mut() {
+                // The exact flavors' next lane keeps equal needs in the
+                // order this phase holds them.
+                if self.flavor != Flavor::Envelope {
+                    held.home = x;
+                }
                 if is_leader {
                     debug_assert_eq!(held.key, stride as u64 - 1, "leader without max degree");
                     held.key = 0;
@@ -941,22 +967,27 @@ mod tests {
         assert_eq!(pairs, [(2, 3), (14, 13), (12, 14)]);
     }
 
-    /// Wherever a later phase merges, the merge lane fits the control
+    /// A later phase that routes is its control sweep: the route's
+    /// `⌈log₂ len⌉` rounds end inside the sweep at every length, paced or
+    /// not. Where a later phase merges instead, the merge lane fits the
     /// sweep exactly while the phase before formed fewer than
     /// `2^(control - ⌈log₂ len⌉ - 1)` groups, none where the sweep is no
     /// longer than `⌈log₂ len⌉`: the compaction takes one round a bit of
-    /// the groups, the merge pass `⌈log₂ len⌉ + 1`. At n = 2048 that is
-    /// fewer than 4 groups: a run of 9 phases is the establishment (12), a
-    /// first phase of the 14-round sweep beside the 11-round class route
-    /// (66 beside the network), then seven phases of 19, 14, 20, 21, 14,
-    /// 21 and 14 rounds — the lane after 118, 251, 419 and 418 groups,
-    /// else the 14-round sweep — and the 14-round closing sweep. The edge
-    /// holds for the paced sweep too.
+    /// the groups, the merge pass `⌈log₂ len⌉ + 1`. At n = 2048 a run of 9
+    /// phases is the establishment (12), a first phase of the 14-round
+    /// sweep beside the 11-round class route (66 beside the network), then
+    /// seven phases of 14 rounds — the route after 118, 251, 419 and 418
+    /// groups, the 13-round merge lane after the three phases of one group
+    /// whose top need fills none — and the 14-round closing sweep.
     #[test]
     fn a_later_phase_is_its_control_sweep() {
         use dgr_primitives::{levels_for, ops, sort};
         for (len, cap) in (9..=1 << 20).flat_map(|len| [(len, 22), (len, 4)]) {
             let control = ops::rounds_for(len, cap);
+            assert!(
+                sort::route_rounds_for(len) <= control,
+                "len={len} cap={cap}"
+            );
             let fits = |groups| sort::merge_rounds_for(len, groups) <= control;
             let spare = control.checked_sub(levels_for(len) as u64 + 1);
             let edge = spare.map_or(0, |bits| 1 << bits);
@@ -965,11 +996,21 @@ mod tests {
             }
         }
         assert_eq!(ops::rounds_for(2048, 22), 14);
-        let groups = [118, 1, 251, 419, 1, 418, 1, 419].map(|q| (q, 4, 5 * q));
+        assert_eq!(sort::merge_rounds_for(2048, 1), 13);
+        let groups = [
+            (118, 5, 709),
+            (1, 5, 1),
+            (251, 4, 1255),
+            (419, 3, 1678),
+            (1, 3, 2),
+            (418, 2, 1256),
+            (1, 2, 2),
+            (419, 1, 838),
+        ];
         let run = |first| schedule_rounds(2048, first, &groups, Flavor::Implicit, false, 22);
         assert_eq!(
             [sort::route_rounds_for(2048), sort::rounds_for(2048)].map(run),
-            [163, 215]
+            [138, 190]
         );
     }
 

@@ -12,7 +12,7 @@
 //!   The two random sweeps are frozen as one folded hash each (their
 //!   cases come from the test's name, through `tests/support/cases.rs`).
 
-use dgr_core::distributed::{phase_groups, rounds_for, spec, Flavor};
+use dgr_core::distributed::{phase_groups, rounds_for, Flavor};
 use dgr_core::driver::{prepare_degrees, DriverOutput};
 use dgr_core::verify;
 use dgr_ncc::{Config, EngineKind};
@@ -25,6 +25,10 @@ use cases::{fnv, FNV_OFFSET};
 
 #[path = "../../primitives/tests/support/busiest.rs"]
 mod busiest;
+
+#[path = "../../../tests/support/spec.rs"]
+mod spec;
+use spec::assert_spec;
 
 /// One frozen transcript: realized?, phases, rounds, messages, words,
 /// max sent per round, max received per round, FNV-1a of the sorted edge
@@ -148,53 +152,16 @@ fn assert_verified(case: &str, flavor: Flavor, out: &DriverOutput) {
     }
 }
 
-/// Holds a run over `degrees` (one a position of the path) to the
-/// sequential [`spec`] of Algorithm 3: its verdict and, when realized,
-/// its overlay edge for edge through the path order — as a multiset where
-/// the envelope may repeat an edge — and, when explicit, every node's
-/// neighbour list.
-fn assert_spec(case: &str, degrees: &[usize], flavor: Flavor, out: &DriverOutput) {
-    let spec = spec(degrees, flavor);
-    let DriverOutput::Realized(r) = out else {
-        assert!(spec.verdict.is_err(), "{case}: the spec realizes");
-        return;
-    };
-    assert!(spec.verdict.is_ok(), "{case}: the spec refuses");
-    let at = |x: usize| r.path_order[x];
-    let mut want: Vec<_> = (spec.edges.iter())
-        .map(|&(a, b)| (at(a).min(at(b)), at(a).max(at(b))))
-        .collect();
-    want.sort_unstable();
-    let mut degree = std::collections::BTreeMap::new();
-    for &(a, b) in &want {
-        *degree.entry(a).or_insert(0) += 1;
-        *degree.entry(b).or_insert(0) += 1;
-    }
-    let multi = r.multi_degrees.iter().filter(|&(_, &d)| d > 0);
-    assert!(multi.eq(degree.iter()), "{case}: multiset degrees");
-    want.dedup();
-    assert_eq!(r.graph.edge_list(), want, "{case}: overlay");
-    if flavor == Flavor::Explicit {
-        for (&id, listed) in &r.explicit_neighbors {
-            let mut listed = listed.clone();
-            listed.sort_unstable();
-            let mut adjacent = r.graph.neighbors_of(id);
-            adjacent.sort_unstable();
-            assert_eq!(listed, adjacent, "{case}: node {id}'s list");
-        }
-    }
-}
-
 /// Runs one case on both engines: golden == batched ==
 /// reference (the two engines on every metric), rounds on the closed
 /// form, the overlay verified and the spec's.
 fn assert_case(case: &str, degrees: &[usize], config: Config, flavor: Flavor) {
     let batched = realize(degrees, config.clone(), flavor, EngineKind::Batched);
     let reference = realize(degrees, config, flavor, EngineKind::Reference);
-    assert_golden(case, &batched);
-    assert_golden(case, &reference);
     assert_spec(case, degrees, flavor, &batched);
     assert_spec(case, degrees, flavor, &reference);
+    assert_golden(case, &batched);
+    assert_golden(case, &reference);
     assert_eq!(batched.metrics(), reference.metrics(), "{case}: engines");
     assert_closed_form(case, degrees, flavor, &batched);
     assert_verified(case, flavor, &batched);
@@ -474,7 +441,7 @@ fn overlays_match_the_frozen_fold() {
     );
 }
 
-/// The exact flavors' overlays equal the [`spec`]'s on both engines at
+/// The exact flavors' overlays equal the spec's on both engines at
 /// every path length from 1 to 300, on requests drawn from the test's
 /// case stream: degrees below `min(n, 12)`, the odd sums evened by one
 /// more at the first position — graphic or not.

@@ -11,6 +11,9 @@ use distributed_graph_realizations::{Engine, Kt0};
 mod cases;
 use cases::{fnv, FNV_OFFSET};
 
+#[path = "support/spec.rs"]
+mod spec;
+
 /// One request of this suite: `(case, workload, seed)`.
 type Request = (String, Workload, u64);
 
@@ -214,10 +217,22 @@ const GOLDEN_OVERLAYS: u64 = 0x74fc_5929_7275_7d3b;
 
 /// Holds a run to its verifier: an exact degree realization meets every
 /// request with no duplicate edge, an envelope (`case` names it) covers
-/// every request within twice their sum, a tree is a tree, a threshold
-/// overlay holds its certificate.
+/// every request within twice their sum, and each realizes the spec of
+/// Algorithm 3 in its flavor; a tree is a tree, a threshold overlay holds
+/// its certificate.
 fn assert_verified(case: &str, out: &Realized) {
+    use distributed_graph_realizations::realization::distributed::Flavor;
     use distributed_graph_realizations::realization::verify;
+    if let RunOutput::Degrees(degrees @ DriverOutput::Realized(r)) = &out.output {
+        let flavors = [
+            ("implicit", Flavor::Implicit),
+            ("envelope", Flavor::Envelope),
+            ("explicit", Flavor::Explicit),
+        ];
+        let flavor = flavors.into_iter().find(|(name, _)| case.starts_with(name));
+        let requested: Vec<usize> = (r.path_order.iter()).map(|id| r.requested[id]).collect();
+        spec::assert_spec(case, &requested, flavor.expect("a flavor").1, degrees);
+    }
     match &out.output {
         RunOutput::Degrees(DriverOutput::Realized(r)) if case.contains("envelope") => {
             let sum: usize = r.requested.values().sum();

@@ -16,6 +16,9 @@ use distributed_graph_realizations::primitives::PathToClique;
 mod cases;
 use cases::{fnv, FNV_OFFSET};
 
+#[path = "support/spec.rs"]
+mod spec;
+
 /// FNV-1a over the little-endian bytes of `word` — the benchmark's.
 fn fnv_le(h: u64, word: u64) -> u64 {
     word.to_le_bytes()
@@ -31,8 +34,10 @@ fn of(metrics: &RunMetrics, output_fnv: u64) -> Fingerprint {
 }
 
 /// One facade workload at n = 2048, as `crates/bench/src/bin/e2e`'s
-/// `workloads.rs` builds it.
+/// `workloads.rs` builds it; a degree realization's overlay is the spec's
+/// of Algorithm 3.
 fn facade(workload: &str, seed: u64) -> Fingerprint {
+    use distributed_graph_realizations::realization::distributed::Flavor;
     let n = 2048;
     let request = match workload {
         "degrees_default" => {
@@ -52,6 +57,14 @@ fn facade(workload: &str, seed: u64) -> Fingerprint {
         other => unreachable!("{other} is not a facade workload"),
     };
     let realized = request.seed(seed).run().unwrap();
+    if let RunOutput::Degrees(degrees @ DriverOutput::Realized(r)) = &realized.output {
+        let flavor = match workload {
+            "degrees_default" => Flavor::Implicit,
+            _ => Flavor::Explicit,
+        };
+        let requested: Vec<usize> = (r.path_order.iter()).map(|id| r.requested[id]).collect();
+        spec::assert_spec(workload, &requested, flavor, degrees);
+    }
     let graph = match &realized.output {
         RunOutput::Degrees(DriverOutput::Realized(o)) => &o.graph,
         RunOutput::Threshold(t) => &t.graph,
