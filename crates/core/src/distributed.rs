@@ -1222,7 +1222,7 @@ mod tests {
     #[test]
     fn both_endpoints_know_every_edge() {
         let degrees = vec![4, 3, 3, 2, 2, 2, 1, 1];
-        let out = realize_for_test(&degrees, Config::ncc0(31).with_queueing(), Flavor::Explicit);
+        let out = realize_for_test(&degrees, Config::ncc0(31), Flavor::Explicit);
         let g = out.expect_realized();
         // Explicit: every node's neighbor list is exactly its graph
         // adjacency — symmetric by construction of the check in the driver.
@@ -1250,7 +1250,7 @@ mod tests {
         use dgr_primitives::{ops, sort};
         let n = 64;
         let degrees: Vec<usize> = (0..n).map(|i| 1 + i % 4).collect();
-        let config = Config::ncc0(37).with_queueing();
+        let config = Config::ncc0(37);
         assert!(ops::rounds_for(n, config.capacity(n)) < sort::rounds_for(n));
         for engine in [EngineKind::Batched, EngineKind::Reference] {
             let flavor = Flavor::Explicit;
@@ -1275,11 +1275,7 @@ mod tests {
 
     #[test]
     fn explicit_rejects_non_graphic() {
-        let out = realize_for_test(
-            &[3, 3, 1, 1],
-            Config::ncc0(33).with_queueing(),
-            Flavor::Explicit,
-        );
+        let out = realize_for_test(&[3, 3, 1, 1], Config::ncc0(33), Flavor::Explicit);
         assert!(out.is_unrealizable());
     }
 
@@ -1290,7 +1286,7 @@ mod tests {
         let n = 48;
         let mut degrees = vec![1usize; n];
         degrees[0] = n - 1;
-        let out = realize_for_test(&degrees, Config::ncc0(35).with_queueing(), Flavor::Explicit);
+        let out = realize_for_test(&degrees, Config::ncc0(35), Flavor::Explicit);
         let g = out.expect_realized();
         assert!(g.metrics.max_received_per_round <= g.metrics.capacity);
         assert_eq!(g.graph.degree_sequence()[0], n - 1);
