@@ -196,12 +196,12 @@ fn transcript(out: &Realized) -> Golden {
 /// last commit that had it.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, Golden)] = &[
-    ("implicit seed=3", (true, 4, 27, 262, 868, 4, 5, 0x59a4682c75e872fb)),
+    ("implicit seed=3", (true, 4, 27, 262, 868, 4, 5, 0x1ffc7aa3c23ef5c9)),
     ("envelope seed=3", (true, 4, 35, 376, 1182, 4, 5, 0x59a4682c75e872fb)),
-    ("explicit seed=3", (true, 4, 28, 271, 886, 4, 5, 0x59a4682c75e872fb)),
-    ("implicit seed=19", (true, 4, 27, 262, 868, 4, 5, 0xa1602e8a3613c2b2)),
+    ("explicit seed=3", (true, 4, 28, 271, 886, 4, 5, 0x1ffc7aa3c23ef5c9)),
+    ("implicit seed=19", (true, 4, 27, 262, 868, 4, 5, 0x1b2ff4882f4f245a)),
     ("envelope seed=19", (true, 4, 35, 376, 1182, 4, 5, 0xa1602e8a3613c2b2)),
-    ("explicit seed=19", (true, 4, 28, 271, 886, 4, 5, 0xa1602e8a3613c2b2)),
+    ("explicit seed=19", (true, 4, 28, 271, 886, 4, 5, 0x1b2ff4882f4f245a)),
     ("tree Chain", (true, 0, 21, 89, 247, 2, 2, 0xe8b183993eb670e9)),
     ("tree Greedy", (true, 0, 21, 88, 249, 2, 2, 0xe37c6b7d50d9f1af)),
     ("ncc1", (true, 0, 39, 70, 144, 2, 2, 0xd8b85508f1bbb25d)),
@@ -213,7 +213,7 @@ const GOLDEN: &[(&str, Golden)] = &[
 /// edge-hash columns of every run of [`requests`], folded in order. The
 /// schedule columns of [`GOLDEN`] — rounds, messages, words, the per-round
 /// maxima — are re-frozen when a round budget changes; this fold is not.
-const GOLDEN_OVERLAYS: u64 = 0x74fc_5929_7275_7d3b;
+const GOLDEN_OVERLAYS: u64 = 0x9f0e_9ce7_740f_b1db;
 
 /// Holds a run to its verifier: an exact degree realization meets every
 /// request with no duplicate edge, an envelope (`case` names it) covers

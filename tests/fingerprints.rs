@@ -110,22 +110,22 @@ fn benchmark_calls_keep_their_fingerprints() {
         (
             "degrees_default",
             2020,
-            (163, 228_207, 825_327, 0xae71_7bb4_18d8_92b2),
+            (138, 173_265, 660_441, 0x486a_dfda_c475_1a96),
         ),
         (
             "degrees_default",
             5376,
-            (163, 228_139, 825_055, 0xb3b9_1bcc_a0f6_8b37),
+            (138, 173_197, 660_169, 0xd805_c997_2b0a_8ec7),
         ),
         (
             "explicit_powerlaw",
             2020,
-            (285, 511_219, 1_701_785, 0xf27d_0716_b856_6bbd),
+            (276, 454_561, 1_531_781, 0x5c99_7163_9b8d_d261),
         ),
         (
             "explicit_powerlaw",
             5376,
-            (285, 510_834, 1_700_245, 0x466d_6c2f_2c6b_b237),
+            (276, 454_176, 1_530_241, 0x5d87_0705_7c08_86bf),
         ),
         (
             "threshold_certified",
