@@ -89,7 +89,7 @@ const GOLDEN_APPROX_SWEEP: u64 = 0x85ac_d328_6fb4_f13a;
 /// messages, words, the per-round maxima — and the two sweep folds above,
 /// which include them, are re-frozen when a round budget changes; this
 /// fold is not.
-const GOLDEN_OVERLAYS: u64 = 0x1aa9_bf05_7473_904b;
+const GOLDEN_OVERLAYS: u64 = 0x782e_6627_2750_97f1;
 
 /// `"{what} {degrees:?}"`, with a long constant sequence as `[d; n]`.
 fn case_name(what: &str, degrees: &[usize]) -> String {
