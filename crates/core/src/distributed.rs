@@ -16,12 +16,12 @@
 //! 2. in the same rounds, sort the records by need, non-increasing
 //!    (Theorem 3), so that position `x` holds the rank-`x` record — in
 //!    phase 1; a later phase re-orders the records in place instead, in
-//!    `O(log n)` rounds (the merge lane below). Equal needs keep the
-//!    order of their origins' positions, which the establishment is keyed
-//!    with, so phase 1's sort is the class route where the capacity takes
-//!    it beside the control sweep, the degrees past 7 then ordered by the
-//!    network over their window alone: `⌈log₂ n⌉` rounds and the window's
-//!    instead of the network's `O(log² n)` over the whole path
+//!    `O(log n)` rounds (the regroup below). In phase 1 equal needs keep
+//!    the order of their origins' positions, which the establishment is
+//!    keyed with, so phase 1's sort is the class route where the capacity
+//!    takes it beside the control sweep, the degrees past 7 then ordered
+//!    by the network over their window alone: `⌈log₂ n⌉` rounds and the
+//!    window's instead of the network's `O(log² n)` over the whole path
 //!    ([`SortStep::by_class`]);
 //! 3. with `q = max(1, ⌊N/(δ+1)⌋)`, split the first `q(δ+1)` positions
 //!    into `q` star groups: the leader, each group's first record, is fully
@@ -36,21 +36,30 @@
 //!    **status** to the origin of the record it held: a member's carries
 //!    the leader's ID, which the origin stores as its edge.
 //!
-//! **Sort once, merge after.** A phase barely changes the sorted order:
+//! **Sort once, then regroup.** A phase barely changes the sorted order:
 //! the `q` leaders drop to 0, the `qδ` members each lose one, the tail
 //! `[q(δ+1), len)` does not change. In the exact flavors a record at need
 //! 0 is inert — never a leader again, and a run that picks it as a member
 //! goes negative and is refused — so the leaders' records leave, and the
-//! members and the tail are two runs that are still sorted.
-//! [`SortStep::merge`] joins them where they are held, over the
-//! path's contacts: a compaction of `⌈log₂(q + 1)⌉` rounds (the longest
-//! shift is `q`, which the control sweep told everyone) and one merge pass
-//! of `⌈log₂ n⌉ + 1` stages (ARCHITECTURE.md, *Deviations from the
-//! paper*). Every group, edge and phase count is the full sort's: the
-//! nonzero records keep their order, and a group that reaches past them
-//! picks a zero-need record either way. The departed ranks' positions
-//! stay vacant at the end of the path, so every budget stays a function
-//! of `len` ([`merges`] picks the lane).
+//! members and the tail are two runs that are still sorted. Equal needs
+//! keep the order the phase before held them in — at the commit each
+//! position writes its rank into its record's tie bits — and Havel–Hakimi
+//! is correct for any order of equal needs, so the re-sort is a stable
+//! one, and [`SortStep::regroup`] makes it where the records are held,
+//! over the path's contacts (ARCHITECTURE.md, *Deviations from the
+//! paper*). Where the top need `δ` fills a group (`N ≥ δ + 1`), every
+//! grouped rank held `δ`, so every survivor's new rank has a closed form
+//! in `q`, `δ` and `N`, which the control sweep told everyone: the route
+//! takes each record there in `⌈log₂ n⌉` rounds, inside the control
+//! sweep, with no comparator. Elsewhere — one group reaching lower needs,
+//! or a capacity that does not take the route's two streams beside the
+//! sweep and the hop — the merge lane joins the two runs: a compaction of
+//! `⌈log₂(q + 1)⌉` rounds (the longest shift is `q`) and one merge pass of
+//! `⌈log₂ n⌉ + 1` stages. Every phase count and `(q, δ, N)` is the one a
+//! full sort by `(need, position)` gives, which depends only on the
+//! multiset of needs, and the edges are [`spec`]'s. The departed ranks'
+//! positions stay vacant at the end of the path, so every budget stays a
+//! function of `len` ([`merges`] says where the exact flavors regroup).
 //!
 //! **Records stay in place.** Positions are the path's nodes, and
 //! that path is fixed for the whole run, so its contact table from the
@@ -225,12 +234,16 @@ pub fn rounds_for(degrees: &[usize], flavor: Flavor, explicit: bool, cap: usize)
 
 /// Rounds of a whole realization — context establishment, then
 /// [`DegreesCore`] — on a path of `len` nodes whose phases formed
-/// `phases[i] = (q, δ)`, `q` stars of `δ` members, in phase `i + 1`: one
-/// entry per phase but the last, the run's [`phase_groups`]. Every phase
-/// but the last runs the control sweep ([`ops::rounds_for`] at `cap`:
-/// paced under a capacity of six, the doubling's `⌈log₂ len⌉ + 1`) beside the lane:
-/// the first phase's lane is the first sort, `first` rounds, a later
-/// one's the merge lane where [`merges`] says so, after a phase of `q` groups
+/// `phases[i] = (q, δ, N)`, `q` stars of `δ` members after `N` records
+/// held `δ`, in phase `i + 1`: one entry per phase but the last, the
+/// run's [`phase_groups`]. Every phase but the last runs the control
+/// sweep ([`ops::rounds_for`] at `cap`: paced under a capacity of six, the
+/// doubling's `⌈log₂ len⌉ + 1`) beside the lane: the first phase's lane is
+/// the first sort, `first` rounds, a later one's the regroup where
+/// [`merges`] says so, [`sort::regroup_rounds_for`] after the phase before:
+/// the route's `⌈log₂ len⌉` rounds, inside the sweep at every length, where
+/// that phase's `N ≥ δ + 1` and the capacity takes the route's streams
+/// beside the sweep and the hop, else the merge lane's
 /// [`sort::merge_rounds_for`]`(len, q)`, which ends inside the sweep while
 /// `q < 2^(control - ⌈log₂ len⌉ - 1)` (4 at `len = 2048`); the last phase
 /// (a refusal's included) ends on its control sweep, dropping the partial
@@ -287,7 +300,11 @@ fn schedule_rounds(
 
 /// Messages a node a round that the steps beside a later phase's lane
 /// take on a path of `len` nodes at capacity `cap`: the control sweep's
-/// and the hop's one ([`ops::BESIDE`] counts the lane's one besides).
+/// and the hop's one ([`ops::BESIDE`] counts the lane's one besides). The
+/// hand-off's rate is reckoned from [`ops::load`], a lane of one, so where
+/// a route's second stream runs beside announcements a node may receive
+/// one message a round past half the capacity, which the capacity still
+/// takes.
 fn lane_beside(len: usize, cap: usize) -> usize {
     ops::sweep_load(len, cap) + 1
 }
@@ -411,13 +428,14 @@ pub fn hop_rounds_for(len: usize) -> u64 {
     imcast::rounds_for(len) + 1
 }
 
-/// Whether a later phase re-orders the sorted path with the merge lane
-/// ([`SortStep::merge`]) instead of sorting it again: in the exact flavors,
-/// where its rounds are fewer whatever the groups (`len > 8`). A node at need 0 is inert there
-/// — never a leader again, and a run that picks it as a member is refused
-/// — so a group's leader can leave the sorted path. The envelope keeps the
-/// full sort: its zero-need members take edges, and which of them a group
-/// reaches depends on the whole path's ID order.
+/// Whether a later phase re-orders the sorted path in place
+/// ([`SortStep::regroup`]: the route, or the merge lane) instead of
+/// sorting it again: in the exact flavors, where the merge lane's rounds
+/// are fewer whatever the groups (`len > 8`). A node at need 0 is inert
+/// there — never a leader again, and a run that picks it as a member is
+/// refused — so a group's leader can leave the sorted path. The envelope
+/// keeps the full sort: its zero-need members take edges, and which of
+/// them a group reaches depends on the whole path's ID order.
 pub fn merges(flavor: Flavor, len: usize) -> bool {
     flavor != Flavor::Envelope
         && sort::merge_rounds_for(len, len.saturating_sub(1)) < sort::rounds_for(len)
@@ -697,8 +715,9 @@ pub struct DegreesCore {
     /// Was a group member's record here with nothing left to give?
     went_negative: bool,
     outcome: ImplicitOutcome,
-    /// This phase's `q` groups of `δ + 1` ranks, over `live` records:
-    /// `len` less every leader a merge lane took off.
+    /// This phase's `q` groups of `δ + 1` ranks after `N` records held
+    /// `δ`, over `live` records: `len` less every leader a regroup took
+    /// off.
     shape: Regroup,
     /// Is this node's own record still on the path, so that every phase
     /// owes it a status?
@@ -753,9 +772,9 @@ impl DegreesCore {
 
     /// Opens a new Algorithm 3 phase at capacity `cap`: the control sweep
     /// and, in the same rounds, the lane over the positions — the first
-    /// sort, the merge lane after a phase where [`merges`] says so, else
-    /// the sort again; none needs anything the sweep computes — beside
-    /// `hop`, the last phase's hop back to the origins.
+    /// sort, the regroup after a phase where [`merges`] says so, else the
+    /// sort again; none needs anything the sweep computes — beside `hop`,
+    /// the last phase's hop back to the origins.
     fn begin_phase(&mut self, hop: Option<Hop>, cap: usize) {
         self.outcome.phases += 1;
         let words = [

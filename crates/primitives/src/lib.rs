@@ -42,7 +42,8 @@
 //! | [`ops::SweepStep::broadcast`] / [`ops::SweepStep::released`] (the broadcast half alone: from position 0, or when a message reaches it) | §3.2.1 | `depth` |
 //! | [`sort::SortStep`] (Thm 3: the rank-`x` record ends at position `x`; ties by the establishment position) | §3.1.2 | `O(log² n)` |
 //! | [`sort::SortStep::by_class`] (a first sort on a keyed path: the class route, every key past 7 in one overflow class, then the network over the overflow's window of `k` positions alone, where the capacity takes a record of every class a round and the two are no longer than the network; else the network) | — | `ceil(log2 n)` routed, plus `O(log² k)` for the window |
-//! | [`sort::SortStep::merge`] (re-order in place after a group phase of `g` groups) | — | `ceil(log2(g + 1)) + ceil(log2 n) + 1` |
+//! | [`sort::SortStep::regroup`] (a stable re-sort in place after a group phase whose top key fills a group: every survivor routed to its closed-form rank in two monotone streams, where the capacity takes them; else the merge lane) | — | `ceil(log2 n)` routed |
+//! | [`sort::SortStep::merge`] (re-order in place after a group phase of `g` groups: the regroup's fallback, where the top key fills no group or the capacity does not take the route) | — | `ceil(log2(g + 1)) + ceil(log2 n) + 1` |
 //! | [`sort::RankStep`] (the sort's epilogue: each origin learns its sorted path) | §3.1.2 | 2 |
 //! | [`prefix::PrefixStep`] | §5 | `ceil(log2 n)` |
 //! | [`imcast::ImcastStep`] (Thm 7: one address to the ranks after its source; a message carries it and the count it delegates) | §3.2.3 | `ceil(log2 n) + 1` |

@@ -13,13 +13,15 @@
 //! * records `(key, origin)` migrate between positions; the nodes
 //!   themselves never move.
 //!
-//! **One tie rule.** Equal keys keep the order of their origins'
-//! establishment positions, the position each record started at (its
-//! [`Held::home`]): in the network, in the merge lane and in the class
-//! route alike, so that a merge joins runs a route left just as it joins
-//! runs the network left. The position rides in the low `⌈log₂ n⌉` bits
-//! of the key word, so no message carries a word for it; keys are below
-//! `2^(64 - ⌈log₂ n⌉)`.
+//! **One tie rule.** Equal keys keep the order of their [`Held::home`]
+//! positions: in the network, in the merge lane and in the class route
+//! alike, so that a merge joins runs a route left just as it joins runs
+//! the network left. A first sort's home is the position each record
+//! started at, its origin's establishment position; a caller re-sorting
+//! after a group phase may write the rank a record held instead, which
+//! makes every lane's order a stable re-sort ([`SortStep::regroup`]). The
+//! position rides in the low `⌈log₂ n⌉` bits of the key word, so no
+//! message carries a word for it; keys are below `2^(64 - ⌈log₂ n⌉)`.
 //!
 //! **A class sort for the first sort.** Where the establishment was keyed
 //! ([`EstablishCtx::keyed`](crate::EstablishCtx::keyed)), every position
@@ -61,16 +63,38 @@
 //! **Re-sorting after a group phase in `O(log n)` rounds.** Algorithm 3
 //! re-sorts records whose order one phase barely changed: the heads of the
 //! first `q` groups of `δ + 1` ranks leave, their `qδ` members each lose
-//! one, the tail does not change — two runs that are still sorted.
-//! [`SortStep::merge`] re-orders them in place: the heads' records are
-//! dropped, every other record shifts toward the head by an amount its
-//! position computes from its rank ([`Regroup`]), one bit a round, least
-//! significant first, and one merge pass of the network at a virtual
-//! offset joins the two runs. The longest shift is the number of groups
-//! `g`, which every node knows, so the compaction takes `⌈log₂(g + 1)⌉`
-//! rounds and the lane `⌈log₂(g + 1)⌉ + ⌈log₂ n⌉ + 1` ([`merge_rounds_for`]).
-//! The shifts are non-decreasing in the rank, so no two records ever meet
-//! at a position. The path keeps its length; the departed ranks' positions
+//! one, the tail does not change — two runs that are still sorted. With
+//! each record's rank as its home, the re-sort is stable: equal keys keep
+//! the order the phase held them in. [`SortStep::regroup`] re-orders them
+//! in place, one of two ways, the same at every node:
+//!
+//! * **The route**, where the top key `δ` fills a group — `N ≥ δ + 1`
+//!   records held it, the control sweep's count, so every grouped rank
+//!   held `δ`. Then every survivor's new rank has a closed form
+//!   ([`Regroup`]): the `t = N - q(δ + 1)` tail records still at `δ` go
+//!   first, then the members, which now hold `δ - 1` and come before every
+//!   later record at `δ - 1`, then the rest, each past the `q` departed
+//!   heads. Each record goes there one bit of its signed displacement a
+//!   round, least significant first, over the contacts, as in the class
+//!   route: [`route_rounds_for`] rounds and no comparator. The members and
+//!   the records after that tail keep their destinations' order and their
+//!   displacements `t - g - 1 ≥ t - q ≥ -q` do not increase along the
+//!   path, and the tail moves `q(δ + 1)` behind as one, so two records of
+//!   one of these two streams never meet at a position; a node sends and
+//!   receives at most one record a stream a round. The route runs where
+//!   the capacity takes a record of each non-empty stream a round beside
+//!   the steps around it ([`Regroup::routes`]), the first sort's rule.
+//! * **The merge lane** ([`SortStep::merge`]) elsewhere: the heads'
+//!   records are dropped, every other record shifts toward the head by an
+//!   amount its position computes from its rank, one bit a round, least
+//!   significant first, and one merge pass of the network at a virtual
+//!   offset joins the two runs. The longest shift is the number of groups
+//!   `g`, which every node knows, so the compaction takes `⌈log₂(g + 1)⌉`
+//!   rounds and the lane `⌈log₂(g + 1)⌉ + ⌈log₂ n⌉ + 1`
+//!   ([`merge_rounds_for`]). The shifts are non-decreasing in the rank, so
+//!   no two records ever meet at a position.
+//!
+//! Either way the path keeps its length; the departed ranks' positions
 //! stay vacant at the end.
 
 use crate::contacts::ContactTable;
@@ -146,8 +170,10 @@ pub struct Held {
     pub key: u64,
     /// The node whose record it is.
     pub origin: NodeId,
-    /// The position the record started the first sort at — its origin's
-    /// establishment position, which breaks ties between equal keys.
+    /// The position that breaks ties between equal keys: where the record
+    /// started the first sort, its origin's establishment position, or the
+    /// rank a caller re-sorting after a group phase wrote in, so that the
+    /// re-sort keeps equal keys in the order they held.
     pub home: usize,
 }
 
@@ -450,7 +476,9 @@ impl Record {
 /// network over path positions (rounds: exactly [`rounds_for`]`(vp.len)`),
 /// or — built by [`SortStep::merge`] — the compaction and the one merge
 /// pass that re-order the records after a group phase, or — built by
-/// [`SortStep::by_class`] where the keys allow it — the class route. Each
+/// [`SortStep::regroup`] where the phase allows it — the route to their
+/// closed-form ranks, or — built by [`SortStep::by_class`] where the keys
+/// allow it — the class route. Each
 /// ends with the rank-`x` record [`Held`] at position `x` (`None` past
 /// the last record). Ties break by home position, making the result
 /// deterministic. Legal under the strict capacity policy; a non-member
@@ -689,14 +717,11 @@ impl Route {
         if t == self.rounds {
             let landed = self.here.pop();
             if self.lands && landed.is_none() {
-                match self.fit {
-                    Fit::Classes(_) => {
-                        panic!("message loss: a position missed its record in the class route")
-                    }
-                    Fit::Regroup(_) => {
-                        panic!("message loss: a position missed its record in the regroup route")
-                    }
-                }
+                let route = match self.fit {
+                    Fit::Classes(_) => "class",
+                    Fit::Regroup(_) => "regroup",
+                };
+                panic!("message loss: a position missed its record in the {route} route");
             }
             debug_assert!(self.here.is_empty(), "two records landed at one position");
             debug_assert!(landed.is_none_or(|(_, dest)| dest == x && self.lands));
