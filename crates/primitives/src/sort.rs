@@ -50,12 +50,15 @@
 //! n, cap)` at its first poll ([`first_rounds_for`]), and the route ends
 //! in the network's contract, with the network's order.
 //!
-//! [`SortStep`] is the network alone: it ends with the rank-`x` record
-//! [`Held`] at position `x`, wherever the records started. A caller that
-//! keeps working in position space — Algorithm 3's phase loop, the tree
-//! drivers, whose hand-off ends in a status to each record's origin —
-//! needs no more. A caller that needs a *sorted path* chains [`RankStep`], the
-//! 2-round epilogue that tells each record's origin its rank and the IDs
+//! Every lane of [`SortStep`] is a route, then the network over a window:
+//! the class route and the overflow's window; after a group phase the
+//! regroup route, with no window, or the merge lane's compaction and one
+//! merge pass; or no route and the whole path. Each ends with the
+//! rank-`x` record [`Held`] at position `x`, wherever the records
+//! started. A caller that keeps working in position space — Algorithm 3's
+//! phase loop, the tree drivers, whose hand-off ends in a status to each
+//! record's origin — needs no more. A caller that needs a *sorted path*
+//! chains [`RankStep`], the 2-round epilogue that tells each record's origin its rank and the IDs
 //! of its sorted predecessor/successor — a new [`VPath`] in sorted order,
 //! on which every other primitive can be established (Algorithm 6's token
 //! pipelines run along it).
@@ -84,13 +87,13 @@
 //!   receives at most one record a stream a round. The route runs where
 //!   the capacity takes a record of each non-empty stream a round beside
 //!   the steps around it ([`Regroup::routes`]), the first sort's rule.
-//! * **The merge lane** ([`SortStep::merge`]) elsewhere: the heads'
-//!   records are dropped, every other record shifts toward the head by an
-//!   amount its position computes from its rank, one bit a round, least
-//!   significant first, and one merge pass of the network at a virtual
-//!   offset joins the two runs. The longest shift is the number of groups
-//!   `g`, which every node knows, so the compaction takes `⌈log₂(g + 1)⌉`
-//!   rounds and the lane `⌈log₂(g + 1)⌉ + ⌈log₂ n⌉ + 1`
+//! * **The merge lane** elsewhere: the heads' records are dropped, and
+//!   the compaction routes every other record toward the head past each
+//!   head at or before it ([`Regroup`]'s shift) — the same route, its
+//!   displacement that shift — then one merge pass of the network at a
+//!   virtual offset joins the two runs. The longest shift is the number
+//!   of groups `g`, which every node knows, so the compaction takes
+//!   `⌈log₂(g + 1)⌉` rounds and the lane `⌈log₂(g + 1)⌉ + ⌈log₂ n⌉ + 1`
 //!   ([`merge_rounds_for`]). The shifts are non-decreasing in the rank, so
 //!   no two records ever meet at a position.
 //!
@@ -244,11 +247,11 @@ pub fn rounds_for(len: usize) -> u64 {
     stage_count(len) as u64
 }
 
-/// Number of rounds [`SortStep::merge`] takes on a path of `len` nodes
-/// after a phase of `groups` groups: a compaction round per bit of the
-/// longest shift, `groups`, and the `⌈log₂ len⌉ + 1` stages of one merge
-/// pass. Shorter than [`rounds_for`] from `len = 9` on, whatever `groups`
-/// (`< len`).
+/// Number of rounds the merge lane of [`SortStep::regroup`] takes on a
+/// path of `len` nodes after a phase of `groups` groups: a compaction
+/// round per bit of the longest shift, `groups`, and the `⌈log₂ len⌉ + 1`
+/// stages of one merge pass. Shorter than [`rounds_for`] from `len = 9`
+/// on, whatever `groups` (`< len`).
 pub fn merge_rounds_for(len: usize, groups: usize) -> u64 {
     (crate::levels_for(groups + 1) + crate::levels_for(len)) as u64 + 1
 }
@@ -302,12 +305,12 @@ pub fn first_rounds_for(keys: impl IntoIterator<Item = u64>, cap: usize, beside:
 pub const RANK_ROUNDS: u64 = 2;
 
 /// What one group phase did to sorted records, the input of
-/// [`SortStep::regroup`] and [`SortStep::merge`]: of the `live` records,
-/// position `x` holding the rank-`x` one, ranks `[0, groups · stride)`
-/// form `groups` groups of `stride` ranks; each group's head leaves, and
-/// the rest of each group and the tail `[groups · stride, live)` keep
-/// their relative order under the new keys. The first `top` records held
-/// the top key, `stride - 1`, before the phase, and each member lost one.
+/// [`SortStep::regroup`]: of the `live` records, position `x` holding the
+/// rank-`x` one, ranks `[0, groups · stride)` form `groups` groups of
+/// `stride` ranks; each group's head leaves, and the rest of each group
+/// and the tail `[groups · stride, live)` keep their relative order under
+/// the new keys. The first `top` records held the top key, `stride - 1`,
+/// before the phase, and each member lost one.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Regroup {
     /// Records held, at positions (ranks) `[0, live)`.
@@ -366,8 +369,9 @@ impl Regroup {
         self.top >= self.stride && self.streams() + beside <= cap
     }
 
-    /// How far toward the head the record at `rank` moves: past every head
-    /// at or before it. `None` for a head, whose record leaves.
+    /// How far toward the head the merge lane's compaction moves the
+    /// record at `rank`: past every head at or before it. `None` for a
+    /// head, whose record leaves.
     fn shift(&self, rank: usize) -> Option<usize> {
         if rank >= self.span() {
             Some(self.groups)
@@ -472,21 +476,23 @@ impl Record {
     }
 }
 
-/// Theorem 3 as a [`Step`](crate::Step): the Batcher odd-even mergesort
-/// network over path positions (rounds: exactly [`rounds_for`]`(vp.len)`),
-/// or — built by [`SortStep::merge`] — the compaction and the one merge
-/// pass that re-order the records after a group phase, or — built by
-/// [`SortStep::regroup`] where the phase allows it — the route to their
-/// closed-form ranks, or — built by [`SortStep::by_class`] where the keys
-/// allow it — the class route. Each
-/// ends with the rank-`x` record [`Held`] at position `x` (`None` past
-/// the last record). Ties break by home position, making the result
-/// deterministic. Legal under the strict capacity policy; a non-member
-/// view idles through the same rounds and holds nothing.
+/// Theorem 3 as a [`Step`](crate::Step): a route, then the Batcher
+/// odd-even mergesort network over a window of path positions. Built by
+/// [`SortStep::new`] or [`SortStep::in_place`], no route and the network
+/// over the whole path (rounds: exactly [`rounds_for`]`(vp.len)`); by
+/// [`SortStep::by_class`], where the keys allow it, the class route and
+/// the network over the overflow's window; by [`SortStep::regroup`] after
+/// a group phase, the route to the survivors' closed-form ranks and no
+/// window where the phase allows it, else the merge lane's compaction
+/// route and one merge pass. Each ends with the rank-`x` record [`Held`]
+/// at position `x` (`None` past the last record). Ties break by home
+/// position, making the result deterministic. Legal under the strict
+/// capacity policy; a non-member view idles through the same rounds and
+/// holds nothing.
 pub type SortStep = Lockstep<Sort>;
 
-/// [`SortStep`]'s member rounds: the compaction rounds, then the
-/// comparator stages.
+/// [`SortStep`]'s member rounds: the route's, then the comparator stages
+/// of the network over the window.
 #[derive(Debug)]
 pub struct Sort {
     contacts: Arc<ContactTable>,
@@ -494,39 +500,38 @@ pub struct Sort {
     order: Order,
     /// Bits a position takes in a record's key word: `⌈log₂ len⌉`.
     width: u32,
-    /// Compaction rounds ahead of the comparator stages (none in a sort).
-    shifts: u64,
     it: StageIter,
-    /// The positions the comparator network runs over, `[from, from +
-    /// live)` once compaction is done (`from` is 0 but in an ascending
-    /// overflow window), and the network's virtual position of `from`.
+    /// The window the comparator network runs over once the route has
+    /// landed, positions `[from, from + live)` (`from` is 0 but in an
+    /// ascending overflow window), and the network's virtual position of
+    /// `from`.
     from: usize,
     live: usize,
     offset: usize,
     held: Option<Record>,
-    /// The held record's whole compaction shift; round `b` moves it by
-    /// bit `b`.
-    shift: usize,
     /// The in-flight comparator staged last round.
     cmp: Option<(usize, bool)>,
-    /// The route, from its first poll on if the capacity takes it, until
-    /// it lands this position's record; where there is none the network
-    /// runs, or the merge lane, and after the class route the network over
-    /// the overflow's window.
+    /// The route, until it lands this position's record; [`Sort::budget`]
+    /// drops it at the first poll where none runs, and the network runs
+    /// over the whole path.
     route: Option<Box<Route>>,
 }
 
 /// A route at one position: every record moves to its destination, one
 /// bit of its signed displacement a round, least significant first, over
-/// the contacts — the class route of [`SortStep::by_class`] or the route
-/// of [`SortStep::regroup`].
+/// the contacts — the class route of [`SortStep::by_class`], or after a
+/// group phase the route of [`SortStep::regroup`] or its merge lane's
+/// compaction. The position's record joins it at the first poll
+/// ([`Sort::budget`]), with the destination the route gives it.
 #[derive(Debug)]
 struct Route {
-    /// What decides at the first poll whether the route runs.
+    /// What decides at the first poll whether the route runs, and where
+    /// it takes this position's record.
     fit: Fit,
     /// Messages a node a round the steps beside the route may take.
     beside: usize,
-    /// The route's rounds, [`route_rounds_for`] the path.
+    /// The route's rounds: [`route_rounds_for`] the path, or the
+    /// compaction's `⌈log₂(groups + 1)⌉`.
     rounds: u64,
     /// Whether a record lands at this position.
     lands: bool,
@@ -537,11 +542,15 @@ struct Route {
 /// Which route a [`Route`] is, with what decides whether it runs.
 #[derive(Clone, Copy, Debug)]
 enum Fit {
-    /// A first sort's class route, over keys whose classes tally so
-    /// ([`routed_rounds`]).
-    Classes(Tally),
-    /// A later phase's route after this group phase ([`Regroup::routes`]).
+    /// A first sort's class route, this position's record of the class
+    /// and rank there ([`routed_rounds`], [`destination`]).
+    Classes(Classes),
+    /// A later phase's route after this group phase ([`Regroup::routes`],
+    /// [`Regroup::rank`]); where it does not run, the compaction.
     Regroup(Regroup),
+    /// The merge lane's compaction, which the first poll picked for a
+    /// group phase the route does not take ([`Regroup::shift`]).
+    Compaction,
 }
 
 impl SortStep {
@@ -584,16 +593,8 @@ impl SortStep {
             return Self::in_place(vp, ctx.contacts.clone(), x, Some(held), order);
         };
         debug_assert_eq!(classes.class, Tally::class(key), "keyed with another key");
-        let mut sort = Sort::network(ctx.contacts.clone(), x, vp.len, Some(held), order);
-        let record = Record::encode(held, order, sort.width);
-        sort.route = Some(Box::new(Route {
-            fit: Fit::Classes(classes.totals),
-            beside,
-            rounds: route_rounds_for(vp.len),
-            lands: true,
-            here: vec![(record, destination(&classes, order))],
-        }));
-        Lockstep::sized(vp.member, sort)
+        let sort = Sort::network(ctx.contacts.clone(), x, vp.len, Some(held), order);
+        Lockstep::sized(vp.member, sort.routed(Fit::Classes(classes), beside, true))
     }
 
     /// Sorts the records where they are held: `held` is the record at this
@@ -611,29 +612,6 @@ impl SortStep {
     }
 
     /// Re-sorts the records of positions `[0, phase.live)`, position `x`
-    /// holding the rank-`x` record, after the group phase `phase`; `held`
-    /// is this node's record with its new key (rounds: exactly
-    /// [`merge_rounds_for`]`(vp.len, phase.groups)`). The groups' heads'
-    /// records leave;
-    /// the survivors end in their `(key, home)` order at positions
-    /// `[0, live - groups)`, and the positions after them hold nothing.
-    ///
-    /// The caller guarantees what makes this a merge: the group members'
-    /// records and the tail's are each still in `(key, home)` order.
-    pub fn merge(
-        vp: VPath,
-        contacts: Arc<ContactTable>,
-        position: usize,
-        held: Option<Held>,
-        phase: Regroup,
-        order: Order,
-    ) -> Self {
-        let sort = Sort::merge(contacts, position, vp.len, held, phase, order);
-        let rounds = merge_rounds_for(vp.len, phase.groups);
-        Lockstep::run(vp.member, rounds, sort)
-    }
-
-    /// Re-sorts the records of positions `[0, phase.live)`, position `x`
     /// holding the rank-`x` record in [`Order::Descending`], after the
     /// group phase `phase`, whose members each lost one from the top key;
     /// `held` is this node's record with its new key, its home the rank
@@ -646,8 +624,12 @@ impl SortStep {
     /// streams beside steps taking up to `beside` messages a node a round
     /// ([`Regroup::routes`]), every survivor goes straight to its rank
     /// ([`Regroup`]'s closed form) in [`route_rounds_for`] rounds, with no
-    /// comparator; else [`SortStep::merge`] runs, and the homes make its
-    /// `(key, home)` order the stable one. Every member takes the same
+    /// comparator. Else the merge lane runs (rounds: exactly
+    /// [`merge_rounds_for`]`(vp.len, phase.groups)`): the compaction
+    /// routes every survivor toward the head past each head at or before
+    /// it, and one merge pass joins the members' run and the tail's, which
+    /// the caller guarantees are each still in `(key, home)` order; the
+    /// homes make that order the stable one. Every member takes the same
     /// choice at its first poll.
     pub fn regroup(
         vp: VPath,
@@ -657,18 +639,9 @@ impl SortStep {
         phase: Regroup,
         beside: usize,
     ) -> Self {
-        let order = Order::Descending;
-        let mut sort = Sort::merge(contacts, position, vp.len, held, phase, order);
-        let here = held.zip(phase.rank(position));
-        let here = here.map(|(h, rank)| (Record::encode(h, order, sort.width), rank));
-        sort.route = Some(Box::new(Route {
-            fit: Fit::Regroup(phase),
-            beside,
-            rounds: route_rounds_for(vp.len),
-            lands: position < phase.live - phase.groups,
-            here: here.into_iter().collect(),
-        }));
-        Lockstep::sized(vp.member, sort)
+        let sort = Sort::network(contacts, position, vp.len, held, Order::Descending);
+        let lands = position < phase.live - phase.groups;
+        Lockstep::sized(vp.member, sort.routed(Fit::Regroup(phase), beside, lands))
     }
 
     /// [`SortStep::by_class`] over an established [`PathCtx`], alone in
@@ -718,10 +691,11 @@ impl Route {
             let landed = self.here.pop();
             if self.lands && landed.is_none() {
                 let route = match self.fit {
-                    Fit::Classes(_) => "class",
-                    Fit::Regroup(_) => "regroup",
+                    Fit::Classes(_) => "class route",
+                    Fit::Regroup(_) => "regroup route",
+                    Fit::Compaction => "merge's compaction",
                 };
-                panic!("message loss: a position missed its record in the {route} route");
+                panic!("message loss: a position missed its record in the {route}");
             }
             debug_assert!(self.here.is_empty(), "two records landed at one position");
             debug_assert!(landed.is_none_or(|(_, dest)| dest == x && self.lands));
@@ -732,7 +706,7 @@ impl Route {
             if dest.abs_diff(x) >> bit & 1 == 0 {
                 return true;
             }
-            let to = (contacts.at_offset(bit, dest > x)).expect("class route past the path");
+            let to = (contacts.at_offset(bit, dest > x)).expect("a route past the path");
             ctx.send(to, record.moving(dest as u64));
             false
         });
@@ -755,65 +729,34 @@ impl Sort {
             x,
             order,
             width,
-            shifts: 0,
             it: StageIter::new(len),
             from: 0,
             live: len,
             offset: 0,
             held: held.map(|h| Record::encode(h, order, width)),
-            shift: 0,
             cmp: None,
             route: None,
         }
     }
 
-    /// The merge lane at position `x` of `len` after `phase`, holding
-    /// `held` ([`SortStep::merge`]).
-    fn merge(
-        contacts: Arc<ContactTable>,
-        x: usize,
-        len: usize,
-        held: Option<Held>,
-        phase: Regroup,
-        order: Order,
-    ) -> Self {
-        let levels = crate::levels_for(len);
-        let (half, width) = (1 << levels, levels as u32);
-        let shift = held.and(phase.shift(x));
-        Sort {
-            contacts,
-            x,
-            order,
-            width,
-            shifts: crate::levels_for(phase.groups + 1) as u64,
-            it: StageIter::merge_pass(half),
-            from: 0,
-            live: phase.live - phase.groups,
-            offset: phase.offset(half),
-            held: held
-                .filter(|_| shift.is_some())
-                .map(|h| Record::encode(h, order, width)),
-            shift: shift.unwrap_or(0),
-            cmp: None,
-            route: None,
-        }
+    /// This network after a route that `fit` picks at the first poll
+    /// ([`Sort::budget`]), beside steps taking up to `beside` messages a
+    /// node a round; `lands` where a record lands at this position.
+    fn routed(self, fit: Fit, beside: usize, lands: bool) -> Self {
+        let route = Route {
+            fit,
+            beside,
+            rounds: route_rounds_for(self.live),
+            lands,
+            here: Vec::new(),
+        };
+        let route = Some(Box::new(route));
+        Sort { route, ..self }
     }
 
-    /// Consumes what the previous round staged: a compaction move toward
-    /// this position, or the comparator partner's record. A survivor's
-    /// position still empty when the compaction ends lost its record.
-    fn absorb_exchange(&mut self, t: u64, ctx: &RoundCtx<'_>) {
-        if t <= self.shifts {
-            if let Some(env) = ctx.inbox().iter().find(|e| e.msg.tag == tags::SORT_SHIFT) {
-                debug_assert!(self.held.is_none(), "two records at one position");
-                let (record, shift) = Record::received(env);
-                (self.held, self.shift) = (Some(record), shift as usize);
-            }
-            assert!(
-                t < self.shifts || self.x >= self.live || self.held.is_some(),
-                "message loss: a position missed its record in the merge's compaction"
-            );
-        } else if let Some((_, i_am_low)) = self.cmp.take() {
+    /// Consumes the comparator partner's record staged last round, if any.
+    fn absorb_exchange(&mut self, ctx: &RoundCtx<'_>) {
+        if let Some((_, i_am_low)) = self.cmp.take() {
             let env = ctx
                 .inbox()
                 .iter()
@@ -843,20 +786,8 @@ impl Sort {
         cmp.map(|(partner, low)| (partner + self.from, low))
     }
 
-    /// Stages this round's compaction move or network comparator, if any.
-    fn stage_comparator(&mut self, t: u64, ctx: &mut RoundCtx<'_>) {
-        if t < self.shifts {
-            let bit = t as usize;
-            if let Some(r) = self.held.filter(|_| self.shift >> bit & 1 == 1) {
-                let to = self
-                    .contacts
-                    .behind(bit)
-                    .expect("compaction moved past the head");
-                ctx.send(to, r.moving(self.shift as u64));
-                self.held = None;
-            }
-            return;
-        }
+    /// Stages this round's network comparator, if any.
+    fn stage_comparator(&mut self, ctx: &mut RoundCtx<'_>) {
         let (p, k) = self.it.next().expect("comparator stage out of range");
         let cmp = self.comparator(p, k);
         if let (Some((partner, _)), Some(r)) = (cmp, self.held) {
@@ -884,45 +815,58 @@ impl Rounds for Sort {
             let Poll::Ready(record) = route.poll(t, self.x, &self.contacts, ctx) else {
                 return Poll::Pending;
             };
-            // Landed: the network over the overflow's window takes over
-            // after a class route; a regroup's route is done.
+            // Landed: the network over the window takes over, if any.
             (self.held, self.route) = (record, None);
         } else if t > 0 {
-            self.absorb_exchange(t, ctx);
+            self.absorb_exchange(ctx);
         }
         if t == rounds {
             return Poll::Ready(self.held.map(|r| r.decode(order, width)));
         }
-        self.stage_comparator(t, ctx);
+        self.stage_comparator(ctx);
         Poll::Pending
     }
 
-    /// The route and the overflow window's network where the capacity
-    /// takes them and they are no longer, else the network over the whole
-    /// path: the choice of [`SortStep::by_class`]. The route where the
-    /// phase lets it and the capacity takes it, else the merge lane: the
-    /// choice of [`SortStep::regroup`]. Either is the same at every member.
+    /// The route and this position's record's destination on it, and the
+    /// window, the same at every member: the class route and the
+    /// overflow's window where the capacity takes them and they are no
+    /// longer, else no route and the network over the whole path
+    /// ([`SortStep::by_class`]); the regroup route and no window where the
+    /// phase lets it and the capacity takes it, else the compaction and
+    /// one merge pass ([`SortStep::regroup`]).
     fn budget(&mut self, ctx: &RoundCtx<'_>) -> Option<u64> {
-        let route = self.route.as_ref()?;
-        let (cap, beside) = (ctx.capacity(), route.beside);
-        let totals = match route.fit {
-            Fit::Classes(totals) => totals,
-            Fit::Regroup(phase) if phase.routes(cap, beside) => return Some(route.rounds),
-            Fit::Regroup(_) => {
-                self.route = None;
-                return Some(self.shifts + self.it.count() as u64);
+        let route = self.route.as_mut()?;
+        let (cap, beside, x) = (ctx.capacity(), route.beside, self.x);
+        let dest = match route.fit {
+            Fit::Classes(classes) => {
+                let Some(rounds) = routed_rounds(&classes.totals, cap, beside) else {
+                    self.route = None;
+                    return Some(rounds_for(self.live));
+                };
+                // The route lands the overflow's records in home order at
+                // the window the network then sorts alone.
+                self.from = start(&classes.totals, CLASSES, self.order);
+                self.live = classes.totals.0[CLASSES] as usize;
+                self.it = StageIter::new(self.live);
+                debug_assert_eq!(rounds, route.rounds + self.it.count() as u64);
+                Some(destination(&classes, self.order))
             }
+            Fit::Regroup(phase) if phase.routes(cap, beside) => {
+                self.it = StageIter::new(0);
+                phase.rank(x)
+            }
+            Fit::Regroup(phase) => {
+                let half = 1 << self.width;
+                route.fit = Fit::Compaction;
+                route.rounds = crate::levels_for(phase.groups + 1) as u64;
+                self.it = StageIter::merge_pass(half);
+                (self.live, self.offset) = (phase.live - phase.groups, phase.offset(half));
+                phase.shift(x).map(|shift| x - shift)
+            }
+            Fit::Compaction => unreachable!("a route picked twice"),
         };
-        let Some(rounds) = routed_rounds(&totals, cap, beside) else {
-            self.route = None;
-            return Some(rounds_for(self.live));
-        };
-        // The route lands the overflow's records in home order at the
-        // window the network then sorts alone.
-        self.from = start(&totals, CLASSES, self.order);
-        self.live = totals.0[CLASSES] as usize;
-        self.it = StageIter::new(self.live);
-        Some(rounds)
+        route.here.extend(self.held.take().zip(dest));
+        Some(route.rounds + self.it.count() as u64)
     }
 }
 
@@ -1242,8 +1186,9 @@ mod tests {
     }
 
     /// The in-place lanes over two group phases on both engines, at path
-    /// lengths from 2 to 300: a sort, then two merges, the second on
-    /// records the first left vacant positions behind. Position `x` ends
+    /// lengths from 2 to 300: a sort, then two merge lanes — regroups
+    /// whose top key fills no group — the second on records the first
+    /// left vacant positions behind. Position `x` ends
     /// holding the rank-`x` survivor record — the `(key, home)` order of
     /// `SortStep` — the group heads' records leave, the positions past the
     /// survivors hold nothing, and every run stays clean under the strict
@@ -1299,10 +1244,10 @@ mod tests {
                             sort.then(move |held, _| {
                                 let held = after(held, x, first);
                                 let table2 = table.clone();
-                                SortStep::merge(vp, table, x, held, first, order).then(
+                                SortStep::regroup(vp, table, x, held, first, 0).then(
                                     move |held, _| {
                                         let held = after(held, x, second);
-                                        SortStep::merge(vp, table2, x, held, second, order)
+                                        SortStep::regroup(vp, table2, x, held, second, 0)
                                     },
                                 )
                             })
@@ -1793,10 +1738,11 @@ mod tests {
         );
     }
 
-    /// Losing the merge lane's first round of compaction moves leaves
-    /// positions below the survivors' count empty when the compaction
-    /// ends: a typed panic in that round, the same on both engines —
-    /// never a comparator without a record a stage later.
+    /// Losing the first round of compaction moves of the merge lane — a
+    /// regroup whose top key fills no group — leaves positions below the
+    /// survivors' count empty when the compaction ends: a typed panic in
+    /// that round, the same on both engines — never a comparator without a
+    /// record a stage later.
     #[test]
     fn a_lost_compaction_move_panics_its_position() {
         use dgr_ncc::{EngineKind, Scenario, SimError};
@@ -1820,14 +1766,7 @@ mod tests {
                         home: ctx.position,
                     };
                     let (vp, contacts) = (ctx.vp, ctx.contacts.clone());
-                    SortStep::merge(
-                        vp,
-                        contacts,
-                        ctx.position,
-                        Some(held),
-                        phase,
-                        Order::Ascending,
-                    )
+                    SortStep::regroup(vp, contacts, ctx.position, Some(held), phase, 0)
                 })
             });
             match run {

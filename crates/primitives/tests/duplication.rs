@@ -72,8 +72,9 @@ fn interval_multicast_is_exact_under_full_duplication() {
 }
 
 /// A repeated compaction move or comparator exchange lands the same
-/// record once: a sort, then a merge lane, both in place, leave every
-/// position holding its fault-free record.
+/// record once: a sort, then a merge lane — a regroup whose top key fills
+/// no group — both in place, leave every position holding its fault-free
+/// record.
 #[test]
 fn in_place_sort_and_merge_are_exact_under_full_duplication() {
     outputs_survive_full_duplication(48, |_| {
@@ -93,7 +94,7 @@ fn in_place_sort_and_merge_are_exact_under_full_duplication() {
                     key: h.key - lost,
                     ..h
                 });
-                SortStep::merge(vp, table, x, held, phase, order)
+                SortStep::regroup(vp, table, x, held, phase, 0)
             })
         })
     });
