@@ -562,3 +562,47 @@ fn a_lost_announcement_panics_its_leader() {
         }
     }
 }
+
+/// Inbox order is not an input: with every delivery bucket of the run
+/// shuffled — a reorder window over the whole run, under the queue
+/// policy, the only one a reorder runs under — every flavour at n = 96
+/// ends, on both engines, with the fault-free run's edges, phases and
+/// rounds, and every node with the fault-free explicit neighbours. The
+/// neighbour lists follow arrival order, so they are held as sets. The
+/// needs 2, 4, 6 and 8 put a quarter of the keys past 7, so the first
+/// sort routes with a window; later phases take the regroup route where
+/// the top need fills a group and the merge lane where it does not.
+#[test]
+fn inbox_order_is_not_an_input() {
+    use dgr_ncc::Scenario;
+    use std::collections::HashSet;
+    let n = 96;
+    let degrees: Vec<usize> = (0..n).map(|i| 2 + 2 * (i % 4)).collect();
+    // A phase routes where its top need fills a group (`N > δ`).
+    let phases = phase_groups(&degrees, Flavor::Implicit);
+    let fills: HashSet<bool> = phases.iter().map(|&(_, d, top)| top > d).collect();
+    assert_eq!(fills.len(), 2, "routes and merges");
+    let config = Config::ncc0(96).with_queueing();
+    let reorder = Scenario::new(17).reorder(0..=u64::MAX);
+    for flavor in [Flavor::Implicit, Flavor::Explicit, Flavor::Envelope] {
+        let run = |config: Config, engine| {
+            let job = prepare_degrees(&degrees, config, flavor, engine).unwrap();
+            let run = job.drive(None).unwrap();
+            let out = run.output.expect_realized();
+            let mut neighbours = out.explicit_neighbors.clone();
+            neighbours.values_mut().for_each(|l| l.sort_unstable());
+            let shape = (out.graph.edge_list(), out.phases, out.metrics.rounds);
+            (shape, neighbours, run.engine.faults_reordered)
+        };
+        let (clean, clean_neighbours, _) = run(config.clone(), EngineKind::Batched);
+        assert_eq!(flavor == Flavor::Explicit, !clean_neighbours.is_empty());
+        for engine in [EngineKind::Batched, EngineKind::Reference] {
+            let what = format!("{flavor:?} {engine:?}");
+            let (shape, neighbours, faults) =
+                run(config.clone().with_scenario(reorder.clone()), engine);
+            assert!(faults > 0, "{what}");
+            assert_eq!(shape, clean, "{what}");
+            assert_eq!(neighbours, clean_neighbours, "{what}");
+        }
+    }
+}
