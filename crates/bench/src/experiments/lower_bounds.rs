@@ -45,7 +45,7 @@ pub fn t19_explicit() -> Vec<Table> {
         ]);
     }
     t.verdict(
-        ratios_flat(&ratios, 3.0),
+        ratios_flat(&ratios, 1.5),
         "measured rounds grow in step with Δ/log n — the algorithm meets \
          the lower bound's growth rate (tight up to polylog factors)",
     );
