@@ -58,10 +58,10 @@
 //! started. A caller that keeps working in position space — Algorithm 3's
 //! phase loop, the tree drivers, whose hand-off ends in a status to each
 //! record's origin — needs no more. A caller that needs a *sorted path*
-//! chains [`RankStep`], the 2-round epilogue that tells each record's origin its rank and the IDs
-//! of its sorted predecessor/successor — a new [`VPath`] in sorted order,
-//! on which every other primitive can be established (Algorithm 6's token
-//! pipelines run along it).
+//! chains [`RankStep`], the 2-round epilogue that tells each record's
+//! origin its rank and the IDs of its sorted predecessor/successor — a
+//! new [`VPath`] in sorted order, on which every other primitive can be
+//! established (Algorithm 6's token pipelines run along it).
 //!
 //! **Re-sorting after a group phase in `O(log n)` rounds.** Algorithm 3
 //! re-sorts records whose order one phase barely changed: the heads of the
@@ -509,12 +509,13 @@ pub struct Sort {
     live: usize,
     offset: usize,
     held: Option<Record>,
-    /// The in-flight comparator staged last round.
-    cmp: Option<(usize, bool)>,
+    /// Whether this position keeps the lower record of the comparator
+    /// staged last round, if it staged one.
+    cmp: Option<bool>,
     /// The route, until it lands this position's record; [`Sort::budget`]
     /// drops it at the first poll where none runs, and the network runs
     /// over the whole path.
-    route: Option<Box<Route>>,
+    route: Option<Route>,
 }
 
 /// A route at one position: every record moves to its destination, one
@@ -542,9 +543,10 @@ struct Route {
 /// Which route a [`Route`] is, with what decides whether it runs.
 #[derive(Clone, Copy, Debug)]
 enum Fit {
-    /// A first sort's class route, this position's record of the class
-    /// and rank there ([`routed_rounds`], [`destination`]).
-    Classes(Classes),
+    /// A first sort's class route over keys whose classes tally so
+    /// ([`routed_rounds`]), this position's record bound for `dest`
+    /// ([`destination`]).
+    Classes { totals: Tally, dest: usize },
     /// A later phase's route after this group phase ([`Regroup::routes`],
     /// [`Regroup::rank`]); where it does not run, the compaction.
     Regroup(Regroup),
@@ -594,7 +596,9 @@ impl SortStep {
         };
         debug_assert_eq!(classes.class, Tally::class(key), "keyed with another key");
         let sort = Sort::network(ctx.contacts.clone(), x, vp.len, Some(held), order);
-        Lockstep::sized(vp.member, sort.routed(Fit::Classes(classes), beside, true))
+        let (totals, dest) = (classes.totals, destination(&classes, order));
+        let fit = Fit::Classes { totals, dest };
+        Lockstep::sized(vp.member, sort.routed(fit, beside, true))
     }
 
     /// Sorts the records where they are held: `held` is the record at this
@@ -691,7 +695,7 @@ impl Route {
             let landed = self.here.pop();
             if self.lands && landed.is_none() {
                 let route = match self.fit {
-                    Fit::Classes(_) => "class route",
+                    Fit::Classes { .. } => "class route",
                     Fit::Regroup(_) => "regroup route",
                     Fit::Compaction => "merge's compaction",
                 };
@@ -750,13 +754,13 @@ impl Sort {
             lands,
             here: Vec::new(),
         };
-        let route = Some(Box::new(route));
+        let route = Some(route);
         Sort { route, ..self }
     }
 
     /// Consumes the comparator partner's record staged last round, if any.
     fn absorb_exchange(&mut self, ctx: &RoundCtx<'_>) {
-        if let Some((_, i_am_low)) = self.cmp.take() {
+        if let Some(i_am_low) = self.cmp.take() {
             let env = ctx
                 .inbox()
                 .iter()
@@ -802,7 +806,7 @@ impl Sort {
                 WireMsg::addr_word(tags::SORT_XCHG, r.origin, r.key),
             );
         }
-        self.cmp = cmp;
+        self.cmp = cmp.map(|(_, low)| low);
     }
 }
 
@@ -838,20 +842,21 @@ impl Rounds for Sort {
         let route = self.route.as_mut()?;
         let (cap, beside, x) = (ctx.capacity(), route.beside, self.x);
         let dest = match route.fit {
-            Fit::Classes(classes) => {
-                let Some(rounds) = routed_rounds(&classes.totals, cap, beside) else {
+            Fit::Classes { totals, dest } => {
+                let Some(rounds) = routed_rounds(&totals, cap, beside) else {
                     self.route = None;
                     return Some(rounds_for(self.live));
                 };
                 // The route lands the overflow's records in home order at
                 // the window the network then sorts alone.
-                self.from = start(&classes.totals, CLASSES, self.order);
-                self.live = classes.totals.0[CLASSES] as usize;
+                self.from = start(&totals, CLASSES, self.order);
+                self.live = totals.0[CLASSES] as usize;
                 self.it = StageIter::new(self.live);
                 debug_assert_eq!(rounds, route.rounds + self.it.count() as u64);
-                Some(destination(&classes, self.order))
+                Some(dest)
             }
             Fit::Regroup(phase) if phase.routes(cap, beside) => {
+                // Every record lands at its rank: no window.
                 self.it = StageIter::new(0);
                 phase.rank(x)
             }
