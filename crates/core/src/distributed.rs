@@ -53,11 +53,12 @@
 //! takes each record there in `⌈log₂ n⌉` rounds, inside the control
 //! sweep, with no comparator. Elsewhere — one group reaching lower needs,
 //! or a capacity that does not take the route's two streams beside the
-//! sweep and the hop — the merge lane joins the two runs: a compaction of
-//! `⌈log₂(q + 1)⌉` rounds (the longest shift is `q`) and one merge pass of
-//! `⌈log₂ n⌉ + 1` stages. Every phase count and `(q, δ, N)` is the one a
-//! full sort by `(need, position)` gives, which depends only on the
-//! multiset of needs, and the edges are [`spec`]'s. The departed ranks'
+//! sweep and the hop — the merge lane joins the two runs: the same route
+//! compacts them toward the head in `⌈log₂(q + 1)⌉` rounds (the longest
+//! shift is `q`), then one merge pass of `⌈log₂ n⌉ + 1` stages. Every
+//! phase count and `(q, δ, N)` is the one a full sort by
+//! `(need, position)` gives, which depends only on the multiset of needs,
+//! and the edges are [`spec`]'s. The departed ranks'
 //! positions stay vacant at the end of the path, so every budget stays a
 //! function of `len` ([`merges`] says where the exact flavors regroup).
 //!
