@@ -129,15 +129,17 @@ fn release_rounds(n: usize, d0: usize, core: u64, cap: usize) -> u64 {
 /// grows back, so no record leads twice. (The total need, `L·d₀`, bounds
 /// them too, but past ~400 prefix nodes that deadline outruns the
 /// engine's round limit.) A phase takes at most its control sweep, its
-/// sort or its hop, whichever is longest. The hand-off adds at most a
-/// phase beside the loop (a window fits a hop), and a block
+/// sort, or a hop and a window beside the loop after it, whichever is
+/// longest: a window fits the longest hop on the prefix, and a phase
+/// that announces beside the loop waits for the last window. The
+/// hand-off adds at most a phase beside the loop, and a block
 /// of at most `⌈(L - 1)/r⌉` after it for each phase but the last, at the
 /// [`core::block_rate`] `r`.
 fn release_deadline(n: usize, d0: usize, cap: usize) -> u64 {
     let len = (d0 + 1).min(n);
     let phase = ops::rounds_for(len, cap)
         .max(sort::rounds_for(len))
-        .max(hop_rounds_for(len));
+        .max(2 * hop_rounds_for(len - 1));
     let blocks = len as u64 * (len - 1).div_ceil(core::block_rate(cap)) as u64;
     release_rounds(n, d0, (len as u64 + 2) * phase + blocks, cap)
 }

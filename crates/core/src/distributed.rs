@@ -9,10 +9,12 @@
 //! between the positions of the path; the nodes never move. Each
 //! phase:
 //!
-//! 1. **control**: one sweep of the whole path learns the maximum
-//!    remaining degree `δ`, its multiplicity `N` and whether the phase
-//!    before drove a node negative; the flag or `δ ≥ n` ends the run on
-//!    `UNREALIZABLE`, `δ = 0` ends it realized;
+//! 1. **control**: every node learns the maximum remaining degree `δ`,
+//!    its multiplicity `N` and whether the phase before drove a node
+//!    negative — replayed from the tally of the degrees every node holds
+//!    where no degree passes 7, with no message (*Control from the
+//!    tally*, below), else by one sweep of the whole path; the flag or
+//!    `δ ≥ n` ends the run on `UNREALIZABLE`, `δ = 0` ends it realized;
 //! 2. in the same rounds, sort the records by need, non-increasing
 //!    (Theorem 3), so that position `x` holds the rank-`x` record — in
 //!    phase 1; a later phase re-orders the records in place instead, in
@@ -72,32 +74,53 @@
 //!
 //! The paper sorts first, then broadcasts `δ`, `N` and the flag one by one
 //! (its steps 2, 3 and 5); none needs the sorted order, and the sort needs
-//! none of them, so they share one sweep that runs *alongside* the sort
-//! (ARCHITECTURE.md, *Deviations from the paper*): same groups, edges and
-//! phase count, one sweep a phase instead of three, spent in the sort's
-//! rounds. Its words are each position's held need and a has-record
-//! count, and the went-negative flag. Nor does the next phase need
-//! anything the multicast carries: its control sweep and its lane read
-//! only the committed needs. So the multicast and
-//! the status (`⌈log₂ n⌉ + 2` rounds) run beside the next phase's control
-//! sweep (twice the depth of the shallow sweep tree over the contacts, at
-//! most `2(⌈⌈log₂ n⌉/2⌉ + 1)`: 14 rounds at `n = 2048`, where the hop
-//! takes 13) and its lane — a phase costs `max(control, hop, lane)`, and
-//! the hop outlasts the control by up to two rounds at some `n` (14
-//! against 12 at `n = 2049`) — and in the closing phase a partial lane is
-//! dropped when the control ends the run, once the last hop is in
-//! ([`rounds_for`]). Every
+//! none of them, so where they are swept they share one sweep that runs
+//! *alongside* the sort (ARCHITECTURE.md, *Deviations from the paper*):
+//! same groups, edges and phase count, one sweep a phase instead of
+//! three, spent in the sort's rounds. Its words are each position's held
+//! need and a has-record count, and the went-negative flag. Nor does the
+//! next phase need anything the multicast carries: its control and its
+//! lane read only the committed needs. So the multicast and the status
+//! run beside the next phase's control and its lane. A swept phase costs
+//! `max(control, hop, lane)`: the sweep is twice the depth of the shallow
+//! sweep tree over the contacts, at most `2(⌈⌈log₂ n⌉/2⌉ + 1)` — 14 rounds
+//! at `n = 2048` — and the hop, whose multicast covers up to the path,
+//! `⌈log₂ n⌉ + 2`, outlasts it by up to two rounds at some `n` (14 against
+//! 12 at `n = 2049`). A replayed phase costs `max(hop, lane)`, and its
+//! multicast is as long as a cover of `δ` ranks, which every node knows:
+//! `⌈log₂(δ + 1)⌉ + 2` rounds for the hop ([`hop_rounds_for`]). In the
+//! closing phase a partial lane is dropped when the sweep ends the run, or
+//! never opened where the replay knows the verdict at the phase's start,
+//! and the phase ends once the last hop is in ([`rounds_for`]). Every
 //! origin whose record is on the path expects one status a phase, and a
 //! member's position expects its leader's multicast: a missing one can
 //! only be a lost message, and it panics, so a run never ends with a
 //! silently short degree.
 //!
+//! **Control from the tally.** A phase's `(q, δ, N)` and the run's verdict
+//! depend only on the multiset of needs ([`spec`]), and a phase changes
+//! that multiset by its `(q, δ, N)` alone: the `q` leaders drop to 0 (or
+//! leave the path, where [`merges`] says so), and the `qδ` members are the
+//! records after them in need order, each one less — a member already at
+//! 0 raises the went-negative flag in the exact flavors. The keyed
+//! establishment leaves every node with the tally of the degrees' classes,
+//! 0 to 7 and one overflow class ([`PathCtx::classes`]), which is that
+//! multiset wherever the overflow is empty. There every node replays the
+//! control ([`Replay`], `O(CLASSES)` a phase) instead of sweeping for it:
+//! no `AGGREGATE` or `BCAST` is sent, the lanes lose the sweep's messages
+//! beside them (the route may then take a capacity the merge lane took
+//! before), and a phase lasts `max(hop, lane)`. Every node takes the same
+//! side from the tally alone, at its first poll; a path with a degree past
+//! 7, or established unkeyed, sweeps every phase. The sweep's words and
+//! the replay end in the same decision and the same commit
+//! (ARCHITECTURE.md, *Deviations from the paper*).
+//!
 //! Lemma 10: every phase (or every second phase) removes the current
 //! maximum degree, and at most `O(√m)` phases involve degrees above `√m`,
 //! so the loop runs `O(min{√m, Δ})` times; each phase is `O~(1)` rounds.
 //! The data-dependent while-loop stays in lockstep because its control
-//! values (δ, N, the error flag) are globally aggregated, so every node
-//! transitions identically.
+//! values (δ, N, the error flag) are globally aggregated, or replayed by
+//! every node from the same tally, so every node transitions identically.
 //!
 //! # Theorem 12: explicit realization in `O(m/n + Δ/log n + log n)` rounds
 //!
@@ -112,17 +135,22 @@
 //! it announces `u` to `v` (an `EDGE` carrying `u`'s address) in round
 //! `⌊(i - 1)/k⌋` after the multicast ends. The rate `k` is what half the
 //! capacity leaves beside the sweep, the lane and the hop ([`ops::load`],
-//! [`beside_rate`]); the other half stays free, so a round in which every
-//! message comes twice still fits a receiver's capacity, as the patch
-//! ring's batch does in Algorithm 6. A record leads once — its need drops
-//! to 0 and never grows back — so a leader's origin hears its own star
-//! alone, at most `k` a round, and the leader's status carries `δ`, so it
-//! knows the rounds its announcements land in. The announcements hold up
-//! no commit: the next phases run beside them, and only the run's end
-//! waits for the last one ([`rounds_for`]).
+//! [`beside_rate`]; the sweep counted where the control is replayed too,
+//! so the rate does not depend on it); the other half stays free, so a
+//! round in which every message comes twice still fits a receiver's
+//! capacity, as the patch ring's batch does in Algorithm 6. A record leads
+//! once — its need drops to 0 and never grows back — so a leader's origin
+//! hears its own star alone, at most `k` a round, and the leader's status
+//! carries `δ`, so it knows the rounds its announcements land in. The
+//! next phases run beside the announcements, and the run's end waits for
+//! the last one ([`rounds_for`]). A position owes at most one
+//! announcement beside the loop at a time, so a phase that announces
+//! beside the loop commits no sooner than its multicast ends past the last
+//! window beside it: a wait only where phases are shorter than the
+//! windows, as a replayed phase may be.
 //!
-//! A phase whose window, `⌈δ/k⌉` rounds, would outlast a hop, which every
-//! later phase outlasts (or where `k` is 0, as at the capacity floor),
+//! A phase whose window, `⌈δ/k⌉` rounds, would outlast the longest hop on
+//! the path, `⌈log₂ n⌉ + 2` (or where `k` is 0, as at the capacity floor),
 //! keeps the rule with another start and rate: its announcements go out
 //! in a block of its own after the loop, at half the capacity a round
 //! ([`block_rate`]). The blocks run on `cap` lanes side by side, each
@@ -156,15 +184,21 @@
 //! The algorithm is a sequence of primitives, composed as
 //! [`Step`] sub-protocols chained through one state machine that
 //! transitions stages *within* a round — a stage boundary costs no round.
+//! A phase is its control (the sweep, or the replay's next step, which
+//! costs no round), its lane and the last phase's hop, polled side by
+//! side; both kinds of control feed the same decision and the same
+//! commit, and a phase whose control closes the run commits nothing.
 //! `crates/core/tests/batched_drivers.rs` pins its transcripts on both
 //! engines; `tests/scale.rs` runs it at hundreds of thousands of nodes.
 
 use crate::sequence::DegreeSequence;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireEnvelope, WireMsg};
+use dgr_primitives::ctx::{Tally, CLASSES};
 use dgr_primitives::imcast::{self, ImcastStep};
 use dgr_primitives::ops::{self, SweepStep, Words};
 use dgr_primitives::sort::{self, Held, Order, Regroup, SortStep};
 use dgr_primitives::{ctx, PathCtx, Poll, Step};
+use std::ops::ControlFlow;
 
 /// Returned (consistently by *every* node) when the degree sequence is not
 /// realizable — the distributed analogue of a node broadcasting
@@ -221,62 +255,87 @@ pub enum Flavor {
 
 /// Rounds of a whole realization of `degrees`, one a member of the path —
 /// context establishment, keyed by the degrees, then [`DegreesCore`] — at
-/// capacity `cap`: the schedule of the run's [`phase_groups`] (below),
-/// the first phase's lane the class route (with its overflow window) or
-/// the network as [`sort::first_rounds_for`] decides beside the control
-/// sweep.
+/// capacity `cap`: the schedule of the run's [`spec`] (below), its control
+/// replayed where the establishment counts every need ([`replays`]), the
+/// first phase's lane the class route (with its overflow window) or the
+/// network as [`sort::first_rounds_for`] decides beside the control. A
+/// refusal ends on its closing phase, before any hand-off.
 pub fn rounds_for(degrees: &[usize], flavor: Flavor, explicit: bool, cap: usize) -> u64 {
     let len = degrees.len();
+    let replays = replays(degrees);
     let keys = degrees.iter().map(|&d| d as u64);
-    let first = sort::first_rounds_for(keys, cap, ops::sweep_load(len, cap));
-    let phases = phase_groups(degrees, flavor);
-    schedule_rounds(len, first, &phases, flavor, explicit, cap)
+    let first = sort::first_rounds_for(keys, cap, control_load(len, cap, !replays));
+    let spec = spec(degrees, flavor);
+    let (end, handed) = schedule_rounds(len, first, &spec.phases, flavor, explicit, replays, cap);
+    match spec.verdict {
+        Ok(()) if explicit => handed,
+        _ => end,
+    }
+}
+
+/// Whether [`DegreesCore`] replays its control on a path whose members
+/// request `degrees`, established keyed by them: where the establishment
+/// counts the classes and no need passes them, so that every node holds
+/// the multiset of needs ([`Replay`]).
+pub fn replays(degrees: &[usize]) -> bool {
+    ctx::counts_classes(degrees.len()) && degrees.iter().all(|&d| d < CLASSES)
 }
 
 /// Rounds of a whole realization — context establishment, then
 /// [`DegreesCore`] — on a path of `len` nodes whose phases formed
 /// `phases[i] = (q, δ, N)`, `q` stars of `δ` members after `N` records
 /// held `δ`, in phase `i + 1`: one entry per phase but the last, the
-/// run's [`phase_groups`]. Every phase but the last runs the control
-/// sweep ([`ops::rounds_for`] at `cap`: paced under a capacity of six, the
-/// doubling's `⌈log₂ len⌉ + 1`) beside the lane: the first phase's lane is
-/// the first sort, `first` rounds, a later one's the regroup where
-/// [`merges`] says so, [`sort::regroup_rounds_for`] after the phase before:
-/// the route's `⌈log₂ len⌉` rounds, inside the sweep at every length, where
-/// that phase's `N ≥ δ + 1` and the capacity takes the route's streams
-/// beside the sweep and the hop, else the merge lane's
-/// [`sort::merge_rounds_for`]`(len, q)`, which ends inside the sweep while
-/// `q < 2^(control - ⌈log₂ len⌉ - 1)` (4 at `len = 2048`); the last phase
-/// (a refusal's included) ends on its control sweep, dropping the partial
-/// lane beside it. Each phase's multicast and status ([`hop_rounds_for`])
-/// open with the next phase, which lasts until they are in too: every
-/// phase after the first takes at least `max(control, hop)`, and the hop
-/// sets it where it is the longer (by one or two rounds: at `len = 2`, 3
-/// against 2, and at `len = 2049`, 14 against 12). A realized run with the
-/// hand-off (`explicit`) ends once the last announcement beside the loop
-/// has landed too, then runs the blocks of the phases whose announcements
-/// wait for the loop's end, `⌈δ/r⌉` rounds each at the [`block_rate`] `r`,
-/// on `cap` lanes (module docs).
+/// run's [`phase_groups`]. Where the control is swept (not `replays`),
+/// every phase runs the control sweep ([`ops::rounds_for`] at `cap`:
+/// paced under a capacity of six, the doubling's `⌈log₂ len⌉ + 1`) beside
+/// its lane; where it is replayed, no phase runs one. The first phase's
+/// lane is the first sort, `first` rounds; a later one's the regroup
+/// where [`merges`] says so, [`sort::regroup_rounds_for`] after the phase
+/// before: the route's `⌈log₂ len⌉` rounds, inside the sweep at every
+/// length, where that phase's `N ≥ δ + 1` and the capacity takes the
+/// route's streams beside the control and the hop, else the merge lane's
+/// [`sort::merge_rounds_for`]`(len, q)`, which ends inside the sweep
+/// while `q < 2^(control - ⌈log₂ len⌉ - 1)` (4 at `len = 2048`). Each
+/// phase's multicast and status ([`hop_rounds_for`], its `δ` where
+/// replayed, else the path's [`cover`]) open with
+/// the next phase, which lasts until they are in too: a phase after the
+/// first takes `max(control, hop, lane)` — replayed, `max(hop, lane)`.
+/// The last phase (a refusal's included) opens no lane where replayed —
+/// it knows the verdict at its start — and drops the partial lane beside
+/// the sweep elsewhere: it lasts until its control and the last hop are
+/// in. With the hand-off (`explicit`), a phase that announces beside the
+/// loop commits no sooner than its multicast ends past the window of the
+/// last phase that announced beside it (module docs), and a realized run
+/// ends once the last announcement beside the loop has landed too, then
+/// runs the blocks of the phases whose announcements wait for the loop's
+/// end, `⌈δ/r⌉` rounds each at the [`block_rate`] `r`, on `cap` lanes.
+/// Returns the round the loop ends in and the round the hand-off ends in.
 fn schedule_rounds(
     len: usize,
     first: u64,
     phases: &[(usize, usize, usize)],
     flavor: Flavor,
     explicit: bool,
+    replays: bool,
     cap: usize,
-) -> u64 {
-    let control = ops::rounds_for(len, cap);
-    let beside_hop = control.max(hop_rounds_for(len));
+) -> (u64, u64) {
+    let control = match replays {
+        true => 0,
+        false => ops::rounds_for(len, cap),
+    };
     let mut commit = ctx::rounds_for(len);
-    if phases.is_empty() {
-        return commit + control;
-    }
-    let (mut landed, mut blocks) = (0, Blocks::default());
-    let mut phase = control.max(first);
+    let (mut landed, mut blocks) = (0u64, Blocks::default());
+    let (mut phase, mut hop) = (control.max(first), control);
     for &(groups, delta, top) in phases {
         commit += phase;
+        let most = cover(len, delta, replays);
+        let mcast = imcast::rounds_for(most + 1);
         match beside_rate(len, delta, cap) {
-            Some(rate) => landed = landed.max(commit + imcast::rounds_for(len) + div(delta, rate)),
+            Some(rate) if explicit => {
+                commit = commit.max(landed.saturating_sub(mcast));
+                landed = commit + mcast + div(delta, rate);
+            }
+            Some(_) => {}
             None => _ = blocks.place(div(delta, block_rate(cap)), cap),
         }
         let lane = if merges(flavor, len) {
@@ -286,28 +345,37 @@ fn schedule_rounds(
                 top,
                 ..Regroup::default()
             };
-            sort::regroup_rounds_for(len, &shape, cap, lane_beside(len, cap))
+            sort::regroup_rounds_for(len, &shape, cap, lane_beside(len, cap, !replays))
         } else {
             sort::rounds_for(len)
         };
-        phase = beside_hop.max(lane);
+        hop = control.max(hop_rounds_for(most));
+        phase = hop.max(lane);
     }
-    let end = commit + beside_hop;
-    match explicit {
-        true => end.max(landed) + blocks.rounds(),
-        false => end,
+    let end = commit + hop;
+    (end, end.max(landed) + blocks.rounds())
+}
+
+/// Messages a node a round that a phase's control takes on a path of
+/// `len` nodes at capacity `cap`: the control sweep's where it is
+/// `swept`, none where it is replayed.
+fn control_load(len: usize, cap: usize, swept: bool) -> usize {
+    match swept {
+        true => ops::sweep_load(len, cap),
+        false => 0,
     }
 }
 
 /// Messages a node a round that the steps beside a later phase's lane
-/// take on a path of `len` nodes at capacity `cap`: the control sweep's
-/// and the hop's one ([`ops::BESIDE`] counts the lane's one besides). The
-/// hand-off's rate is reckoned from [`ops::load`], a lane of one, so where
-/// a route's second stream runs beside announcements a node may receive
-/// one message a round past half the capacity, which the capacity still
+/// take on a path of `len` nodes at capacity `cap`: the control's
+/// ([`control_load`]) and the hop's one ([`ops::BESIDE`] counts the lane's
+/// one besides). The hand-off's rate is reckoned from [`ops::load`], a
+/// lane of one and the sweep's load whether or not it runs, so where a
+/// route's second stream runs beside announcements a node may receive one
+/// message a round past half the capacity, which the capacity still
 /// takes.
-fn lane_beside(len: usize, cap: usize) -> usize {
-    ops::sweep_load(len, cap) + 1
+fn lane_beside(len: usize, cap: usize, swept: bool) -> usize {
+    control_load(len, cap, swept) + 1
 }
 
 /// `⌈a/b⌉`.
@@ -318,14 +386,18 @@ fn div(a: usize, b: usize) -> u64 {
 /// The rate at which a phase with stars of `delta` members announces
 /// beside the loop on a path of `len` nodes at capacity `cap`: what half
 /// the capacity leaves beside the sweep, the lane and the hop
-/// ([`ops::load`]), where the phase's window fits a hop, which every later
-/// phase outlasts, so that a position never owes two announcements in one
-/// round. `None` where it does not, or where half the capacity leaves
-/// nothing: the phase then announces in a block after the loop, at
-/// [`block_rate`].
+/// ([`ops::load`]; the sweep counted where the control is replayed too),
+/// where the phase's window fits the longest hop on the path
+/// ([`hop_rounds_for`]`(len - 1)`). `None` where it does not, or where
+/// half the capacity leaves nothing: the phase then announces in a block
+/// after the loop, at [`block_rate`]. A position owes one announcement
+/// beside the loop at a time: a later phase that announces beside it
+/// commits no sooner than its multicast ends past the last window
+/// ([`rounds_for`]).
 pub fn beside_rate(len: usize, delta: usize, cap: usize) -> Option<usize> {
     let rate = (cap / 2).saturating_sub(ops::load(len, cap));
-    (rate > 0 && div(delta, rate) <= hop_rounds_for(len)).then_some(rate)
+    let hop = hop_rounds_for(len.saturating_sub(1));
+    (rate > 0 && div(delta, rate) <= hop).then_some(rate)
 }
 
 /// The rate of the hand-off's blocks after the loop at capacity `cap`:
@@ -337,8 +409,9 @@ pub fn block_rate(cap: usize) -> usize {
 
 /// The stars of every phase but the last that [`DegreesCore`] forms on a
 /// path whose members request `degrees`, the input [`rounds_for`] takes:
-/// `(q, δ, N)`, `q` groups of `δ` members after a control sweep that
-/// found `N` records at the top need `δ` — the [`spec`]'s trace. A
+/// `(q, δ, N)`, `q` groups of `δ` members after a control that found
+/// `N` records at the top need `δ` — the [`spec`]'s trace, and the
+/// [`Replay`]'s. A
 /// phase's `δ`, `N` and so its `q` depend only on the multiset of needs,
 /// and so does what the phase leaves of it, whatever the ID order.
 pub fn phase_groups(degrees: &[usize], flavor: Flavor) -> Vec<(usize, usize, usize)> {
@@ -423,10 +496,27 @@ pub fn spec(degrees: &[usize], flavor: Flavor) -> Spec {
     }
 }
 
-/// Rounds of a phase's hop back to the origins on a path of `len` nodes:
-/// the leaders' multicast, then the one round of the status.
-pub fn hop_rounds_for(len: usize) -> u64 {
-    imcast::rounds_for(len) + 1
+/// Rounds of the hop back to the origins after a phase whose multicast
+/// covers at most `most` ranks after each leader — its `δ` where the
+/// control is replayed, else `len - 1` on a path of `len` nodes: the
+/// leaders' multicast (`⌈log₂(most + 1)⌉ + 1`, [`ImcastStep::new`]), then
+/// the one round of the status: `⌈log₂(δ + 1)⌉ + 2` replayed, and
+/// `⌈log₂ len⌉ + 2`, the longest, swept.
+pub fn hop_rounds_for(most: usize) -> u64 {
+    imcast::rounds_for(most + 1) + 1
+}
+
+/// The bound a phase's multicast is sized by, on a path of `len` nodes
+/// after a phase of stars of `delta` members: `δ` where the control
+/// `replays`, whose phase the hop may set; `len - 1` where it is swept.
+/// There the sweep about as long as the longest hop hides it, and a
+/// shorter multicast would only open the hand-off's windows sooner, so
+/// that a phase would wait for the last window before it commits.
+fn cover(len: usize, delta: usize, replays: bool) -> usize {
+    match replays {
+        true => delta,
+        false => len.saturating_sub(1),
+    }
 }
 
 /// Whether a later phase re-orders the sorted path in place
@@ -442,6 +532,118 @@ pub fn merges(flavor: Flavor, len: usize) -> bool {
         && sort::merge_rounds_for(len, len.saturating_sub(1)) < sort::rounds_for(len)
 }
 
+/// What a phase's control says: `Continue((q, δ, N))`, the phase's `q`
+/// stars of `δ` members after `N` records held the top need `δ`, or
+/// `Break` with how the run ends.
+pub type Control = ControlFlow<Result<(), Unrealizable>, (usize, usize, usize)>;
+
+/// The control of a phase on a path of `len` nodes whose top need `delta`
+/// is held by `top` records, after a phase that did or did not drive a
+/// record negative: the flag or `δ ≥ len` refuses, `δ = 0` realizes, and
+/// elsewhere the phase forms `q = max(1, ⌊N/(δ + 1)⌋)` stars. The sweep's
+/// words and the replay both end here.
+fn decide(delta: usize, top: usize, went_negative: bool, len: usize) -> Control {
+    if went_negative || delta >= len {
+        ControlFlow::Break(Err(Unrealizable))
+    } else if delta == 0 {
+        ControlFlow::Break(Ok(()))
+    } else {
+        ControlFlow::Continue(((top / (delta + 1)).max(1), delta, top))
+    }
+}
+
+/// Algorithm 3's control replayed at a node from the multiset of needs
+/// (module docs): the records on the path per need, every need below
+/// [`CLASSES`], which a phase changes by its `(q, δ, N)` alone — the
+/// leaders' records drop to 0 (or leave, where [`merges`] says so), and
+/// the `qδ` members are the records after the leaders in need order, each
+/// one less (at 0 in the exact flavors, the went-negative flag). `O(CLASSES)`
+/// a phase, no message.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Replay {
+    /// The records on the path per need: the `live` records.
+    needs: [usize; CLASSES],
+    /// The path's length.
+    len: usize,
+    flavor: Flavor,
+    /// Did the last phase pick a record at need 0 as a member?
+    went_negative: bool,
+}
+
+impl Replay {
+    /// The replay of `flavor` on a path whose requests, the keyed
+    /// establishment's keys, tally `totals`; `None` where a request
+    /// passes the classes (the overflow counts one), whose phases the
+    /// control sweep learns instead.
+    pub fn new(totals: &Tally, flavor: Flavor) -> Option<Self> {
+        let (counted, overflow) = totals.0.split_at(CLASSES);
+        let needs: [usize; CLASSES] = std::array::from_fn(|need| counted[need] as usize);
+        (overflow[0] == 0).then(|| Replay {
+            needs,
+            len: needs.iter().sum(),
+            flavor,
+            went_negative: false,
+        })
+    }
+
+    /// The next phase's control; a phase that goes on is applied to the
+    /// needs.
+    pub fn phase(&mut self) -> Control {
+        let delta = (0..CLASSES).rev().find(|&need| self.needs[need] > 0);
+        let delta = delta.unwrap_or(0);
+        let flow = decide(delta, self.needs[delta], self.went_negative, self.len);
+        if let ControlFlow::Continue((groups, delta, _)) = flow {
+            self.apply(groups, delta);
+        }
+        flow
+    }
+
+    /// Applies a phase of `groups` stars of `delta` members: the ranks
+    /// after the leaders, up to the stars' span — a rank past the records
+    /// holds nothing — top need first, each lose one.
+    fn apply(&mut self, groups: usize, delta: usize) {
+        let held = self.needs;
+        let records: usize = held.iter().sum();
+        let mut members = (groups * (delta + 1)).min(records) - groups;
+        for need in (0..=delta).rev() {
+            let leaders = if need == delta { groups } else { 0 };
+            let taken = (held[need] - leaders).min(members);
+            members -= taken;
+            if need > 0 {
+                self.needs[need] -= taken;
+                self.needs[need - 1] += taken;
+            } else if taken > 0 && self.flavor != Flavor::Envelope {
+                self.went_negative = true;
+            }
+        }
+        self.needs[delta] -= groups;
+        if !merges(self.flavor, self.len) {
+            self.needs[0] += groups;
+        }
+    }
+}
+
+/// Takes a phase's control in, from the sweep or the replay: how the run
+/// ends, into `closing`, or the phase's stars, into `shape`. Returns
+/// whether the run ends.
+fn settle(
+    flow: Control,
+    closing: &mut Option<Result<(), Unrealizable>>,
+    shape: &mut Regroup,
+) -> bool {
+    match flow {
+        ControlFlow::Break(closed) => {
+            *closing = Some(closed);
+            true
+        }
+        ControlFlow::Continue((groups, delta, top)) => {
+            (shape.stride, shape.groups, shape.top) = (delta + 1, groups, top);
+            debug_assert!(shape.span() <= shape.live, "groups exceed the path");
+            false
+        }
+    }
+}
+
 /// Folds the control words: maximum remaining need, how many members hold
 /// it, whether anyone went negative.
 fn fold_control(acc: &mut Words, x: &Words) {
@@ -453,7 +655,8 @@ fn fold_control(acc: &mut Words, x: &Words) {
     acc[2] |= x[2];
 }
 
-/// A phase in progress: the control sweep beside the lane, and the last
+/// A phase in progress: the control sweep beside the lane (no sweep where
+/// the control is replayed, no lane where it closes the run), and the last
 /// phase's hop back to the origins beside both, each polled until it is
 /// ready (`None` from then on).
 struct Phase {
@@ -567,7 +770,7 @@ struct Handoff {
     /// The round the last announcement lands in, once the loop has ended.
     until: Option<u64>,
     /// What this position owes beside the loop: one announcement at a
-    /// time, since a window fits a hop.
+    /// time, since a phase's multicast ends past the last window.
     beside: Option<(u64, NodeId, NodeId)>,
     /// The blocks, once a phase announces after the loop.
     blocks: Option<Box<Blocks>>,
@@ -578,11 +781,19 @@ struct Handoff {
 }
 
 impl Handoff {
-    /// Fixes the slots of a phase with stars of `delta` members that
-    /// commits in round `now` on a path of `len` nodes.
-    fn commit(&mut self, len: usize, delta: usize, now: u64, cap: usize) {
+    /// Whether a phase with stars of `delta` members on a path of `len`
+    /// nodes, whose multicast would end in round `ends`, would owe a second
+    /// announcement beside the loop: it announces beside the loop, and the
+    /// last window beside it closes later.
+    fn overlaps(&self, len: usize, delta: usize, ends: u64, cap: usize) -> bool {
+        beside_rate(len, delta, cap).is_some() && ends < self.landed
+    }
+
+    /// Fixes the slots of a phase with stars of `delta` members on a path
+    /// of `len` nodes, whose multicast ends in round `ends`.
+    fn commit(&mut self, len: usize, delta: usize, ends: u64, cap: usize) {
         self.slots = match beside_rate(len, delta, cap) {
-            Some(rate) => (now + imcast::rounds_for(len), rate, false),
+            Some(rate) => (ends, rate, false),
             None => {
                 let (rate, blocks) = (block_rate(cap), self.blocks.get_or_insert_default());
                 (blocks.place(div(delta, rate), cap), rate, true)
@@ -697,8 +908,9 @@ impl Handoff {
 /// the records travel between its positions, and the sort, the merge
 /// lane, the interval multicast and the control sweep all run over its
 /// contacts, for the whole run. Every member of that path runs the core,
-/// since the control sweep is what keeps them in lockstep with the
-/// data-dependent phase loop. At the top level it is the establishment
+/// since the control — the sweep, or the replay from the tally every
+/// member holds — is what keeps them in lockstep with the data-dependent
+/// phase loop. At the top level it is the establishment
 /// context, which the whole protocol, [`WithCtx`](dgr_primitives::WithCtx),
 /// hands it ([`prepare_degrees`](crate::prepare_degrees)); in Algorithm
 /// 6's paper-exact recursion it is the ρ-sorted prefix sub-path, which
@@ -707,7 +919,10 @@ pub struct DegreesCore {
     flavor: Flavor,
     ctx: PathCtx,
     stage: Phase,
-    /// How the run ends, once a control sweep has said so and until the
+    /// The control's replay, from the first poll on, where the
+    /// establishment counted every need; else every phase sweeps.
+    replay: Option<Replay>,
+    /// How the run ends, once a phase's control has said so and until the
     /// last hop is in.
     closing: Option<Result<(), Unrealizable>>,
     /// The record at this node's position: its own in phase 1, the one
@@ -738,6 +953,7 @@ impl DegreesCore {
     pub fn new(degree: usize, flavor: Flavor, ctx: PathCtx) -> Self {
         DegreesCore {
             flavor,
+            replay: None,
             closing: None,
             // Placeholder; the first poll's `begin_phase` installs phase 1.
             stage: Phase {
@@ -771,39 +987,55 @@ impl DegreesCore {
         self
     }
 
-    /// Opens a new Algorithm 3 phase at capacity `cap`: the control sweep
-    /// and, in the same rounds, the lane over the positions — the first
-    /// sort, the regroup after a phase where [`merges`] says so, else the
-    /// sort again; none needs anything the sweep computes — beside `hop`,
-    /// the last phase's hop back to the origins.
+    /// Opens a new Algorithm 3 phase at capacity `cap`: its control — the
+    /// replay's next step, or the sweep — and, in the same rounds, the lane
+    /// over the positions — the first sort, the regroup after a phase where
+    /// [`merges`] says so, else the sort again; none needs anything the
+    /// control computes — beside `hop`, the last phase's hop back to the
+    /// origins. A replayed control that closes the run opens no lane.
     fn begin_phase(&mut self, hop: Option<Hop>, cap: usize) {
         self.outcome.phases += 1;
-        let words = [
-            self.held.map_or(0, |h| h.key),
-            u64::from(self.held.is_some()),
-            u64::from(self.went_negative),
-        ];
         let ctx = &self.ctx;
         let (vp, x) = (ctx.vp, ctx.position);
-        let control = SweepStep::new(vp, ctx.contacts.clone(), x, &words, None, fold_control);
-        let (contacts, held) = (ctx.contacts.clone(), self.held.take());
-        let lane = if self.outcome.phases == 1 {
-            let held = held.expect("a member starts with its own record");
-            let beside = ops::sweep_load(vp.len, cap);
-            SortStep::by_class(ctx, held.key, Order::Descending, held.origin, beside)
+        let replayed = self.replay.as_mut().map(Replay::phase);
+        let control = replayed.is_none().then(|| {
+            let words = [
+                self.held.map_or(0, |h| h.key),
+                u64::from(self.held.is_some()),
+                u64::from(self.went_negative),
+            ];
+            let contacts = ctx.contacts.clone();
+            Box::new(SweepStep::new(vp, contacts, x, &words, None, fold_control))
+        });
+        let swept = control.is_some();
+        let lane = if matches!(replayed, Some(ControlFlow::Break(_))) {
+            None
+        } else if self.outcome.phases == 1 {
+            let held = self
+                .held
+                .take()
+                .expect("a member starts with its own record");
+            let beside = control_load(vp.len, cap, swept);
+            Some(SortStep::by_class(
+                ctx,
+                held.key,
+                Order::Descending,
+                held.origin,
+                beside,
+            ))
         } else if merges(self.flavor, vp.len) {
-            let beside = lane_beside(vp.len, cap);
-            let lane = SortStep::regroup(vp, contacts, x, held, self.shape, beside);
-            self.shape.live -= self.shape.groups;
-            lane
+            let (contacts, held, shape) = (ctx.contacts.clone(), self.held.take(), self.shape);
+            self.shape.live -= shape.groups;
+            let beside = lane_beside(vp.len, cap, swept);
+            Some(SortStep::regroup(vp, contacts, x, held, shape, beside))
         } else {
-            SortStep::in_place(vp, contacts, x, held, Order::Descending)
+            let (contacts, held) = (ctx.contacts.clone(), self.held.take());
+            Some(SortStep::in_place(vp, contacts, x, held, Order::Descending))
         };
-        self.stage = Phase {
-            hop,
-            control: Some(Box::new(control)),
-            lane: Some(lane),
-        };
+        self.stage = Phase { hop, control, lane };
+        if let Some(flow) = replayed {
+            settle(flow, &mut self.closing, &mut self.shape);
+        }
     }
 
     /// The phase loop, then the wait for the hand-off: `Ready` once the
@@ -834,28 +1066,14 @@ impl DegreesCore {
                     }
                 }
             }
-            // The control goes next: a refusing or closing phase drops
-            // the lane before it stages this round's sends.
+            // The sweep goes next: a refusing or closing phase drops the
+            // lane before it stages this round's sends.
             if let Some(Poll::Ready(swept)) = control.as_mut().map(|s| s.poll(rctx)) {
                 *control = None;
-                let [delta, n_max, err, _] = swept.words;
-                // Some node went negative, or wants more neighbors than
-                // exist.
-                if err != 0 || delta as usize >= self.ctx.vp.len {
-                    self.closing = Some(Err(Unrealizable));
+                let [delta, top, err, _] = swept.words;
+                let flow = decide(delta as usize, top as usize, err != 0, self.ctx.vp.len);
+                if settle(flow, &mut self.closing, &mut self.shape) {
                     *lane = None;
-                } else if delta == 0 {
-                    self.closing = Some(Ok(()));
-                    *lane = None;
-                } else {
-                    let stride = delta as usize + 1;
-                    self.shape.stride = stride;
-                    self.shape.groups = (n_max as usize / stride).max(1);
-                    self.shape.top = n_max as usize;
-                    debug_assert!(
-                        self.shape.span() <= self.shape.live,
-                        "groups exceed the path"
-                    );
                 }
             }
             if let Some(Poll::Ready(held)) = lane.as_mut().map(|s| s.poll(rctx)) {
@@ -884,8 +1102,17 @@ impl DegreesCore {
             // Both halves are in. What the phase makes of the record
             // here depends only on its rank — this position — and the
             // groups, so the new need is committed now, and the hop and
-            // the next phase open together this round.
-            let (x, stride) = (self.ctx.position, self.shape.stride);
+            // the next phase open together this round: once the
+            // multicast would end past the last window beside the loop.
+            let (x, stride, len) = (self.ctx.position, self.shape.stride, self.ctx.vp.len);
+            let (most, cap) = (
+                cover(len, stride - 1, self.replay.is_some()),
+                rctx.capacity(),
+            );
+            let ends = rctx.round() + imcast::rounds_for(most + 1);
+            if (self.handoff.as_ref()).is_some_and(|h| h.overlaps(len, stride - 1, ends, cap)) {
+                return Poll::Pending;
+            }
             let grouped = self.held.is_some() && x < self.shape.span();
             let is_leader = grouped && x.is_multiple_of(stride);
             let mut edge = false;
@@ -911,8 +1138,7 @@ impl DegreesCore {
             }
             if self.explicit {
                 let handoff = self.handoff.get_or_insert_default();
-                let len = self.ctx.vp.len;
-                handoff.commit(len, stride - 1, rctx.round(), rctx.capacity());
+                handoff.commit(len, stride - 1, ends, cap);
             }
             let led = if is_leader { stride as u64 - 1 } else { 0 };
             let status = self.held.map(|h| (h.origin, led, edge));
@@ -921,13 +1147,13 @@ impl DegreesCore {
                 .filter(|_| is_leader)
                 .map(|h| (stride - 1, h.origin));
             let ctx = &self.ctx;
-            let mcast = Some(ImcastStep::new(ctx.vp, ctx.contacts.clone(), task));
+            let mcast = ImcastStep::new(ctx.vp, ctx.contacts.clone(), most, task);
             let hop = Hop {
-                mcast,
+                mcast: Some(mcast),
                 status,
                 offset,
             };
-            self.begin_phase(Some(hop), rctx.capacity());
+            self.begin_phase(Some(hop), cap);
         }
     }
 }
@@ -943,6 +1169,10 @@ impl Step for DegreesCore {
                 home: self.ctx.position,
             };
             self.held = Some(held);
+            // Every member holds the same tally, so every member replays,
+            // or every member sweeps.
+            let classes = self.ctx.classes.as_ref();
+            self.replay = classes.and_then(|c| Replay::new(&c.totals, self.flavor));
             self.begin_phase(None, rctx.capacity());
         }
         let polled = self.advance(rctx);
@@ -961,29 +1191,36 @@ mod tests {
     use dgr_ncc::{Config, EngineKind, Recording, RunEvent};
 
     /// The multicast and the status ride the next phase, which lasts
-    /// exactly `max(control, hop)` when its lane is shorter: here the
-    /// closing phase after one group, whose lane is dropped. The hop is
-    /// `⌈log₂ len⌉ + 2` rounds and outlasts the control sweep by at most
-    /// two: by one at two positions, by two at 2049, and it ends a round
-    /// inside the sweep at 2048 — at a capacity that takes the sweep
-    /// unpaced.
+    /// exactly `max(control, hop)` when its lane is shorter — `hop` where
+    /// the control is replayed: here the closing phase after one group of
+    /// one member, whose lane is dropped (never opened, replayed). A
+    /// replayed hop covers `δ` ranks, 3 rounds after a phase of one member
+    /// at every length; a swept one covers the path, `⌈log₂ len⌉ + 2`
+    /// rounds, and outlasts the control sweep by at most two: by one at two
+    /// positions, by two at 2049, and it ends a round inside the sweep at
+    /// 2048 — at a capacity that takes the sweep unpaced.
     #[test]
     fn the_multicast_ends_inside_the_next_control_sweep() {
         use super::hop_rounds_for;
         use dgr_primitives::{ctx, levels_for, ops, sort};
         let cap = 22;
+        assert_eq!(hop_rounds_for(1), 3);
         for len in 2..=1 << 20 {
-            let (control, hop) = (ops::rounds_for(len, cap), hop_rounds_for(len));
+            let (control, hop) = (ops::rounds_for(len, cap), hop_rounds_for(len - 1));
             assert_eq!(hop, levels_for(len) as u64 + 2, "len={len}");
             assert!(hop <= control + 2, "len={len}");
             if len.is_power_of_two() || len % 997 == 0 {
                 let sort = sort::rounds_for(len);
+                let run = |replays| {
+                    let phases = [(1, 1, 2)];
+                    schedule_rounds(len, sort, &phases, Flavor::Implicit, false, replays, cap).0
+                };
                 let first = ctx::rounds_for(len) + control.max(sort);
-                let run = schedule_rounds(len, sort, &[(1, 1, 2)], Flavor::Implicit, false, cap);
-                assert_eq!(run - first, control.max(hop), "len={len}");
+                assert_eq!(run(false) - first, control.max(hop), "len={len}");
+                assert_eq!(run(true) - ctx::rounds_for(len) - sort, 3, "len={len}");
             }
         }
-        let pairs = [2, 2048, 2049].map(|len| (ops::rounds_for(len, cap), hop_rounds_for(len)));
+        let pairs = [2, 2048, 2049].map(|len| (ops::rounds_for(len, cap), hop_rounds_for(len - 1)));
         assert_eq!(pairs, [(2, 3), (14, 13), (12, 14)]);
     }
 
@@ -993,12 +1230,17 @@ mod tests {
     /// sweep exactly while the phase before formed fewer than
     /// `2^(control - ⌈log₂ len⌉ - 1)` groups, none where the sweep is no
     /// longer than `⌈log₂ len⌉`: the compaction takes one round a bit of
-    /// the groups, the merge pass `⌈log₂ len⌉ + 1`. At n = 2048 a run of 9
-    /// phases is the establishment (12), a first phase of the 14-round
-    /// sweep beside the 11-round class route (66 beside the network), then
-    /// seven phases of 14 rounds — the route after 118, 251, 419 and 418
-    /// groups, the 13-round merge lane after the three phases of one group
-    /// whose top need fills none — and the 14-round closing sweep.
+    /// the groups, the merge pass `⌈log₂ len⌉ + 1`. At n = 2048 a swept
+    /// run of 9 phases is the establishment (12), a first phase of the
+    /// 14-round sweep beside the 11-round class route (66 beside the
+    /// network), then seven phases of 14 rounds — the route after 118,
+    /// 251, 419 and 418 groups, the 13-round merge lane after the three
+    /// phases of one group whose top need fills none — and the 14-round
+    /// closing sweep: 138. Replayed, the same run is its lanes and its
+    /// last hop: the establishment, the class route, the seven later
+    /// lanes (11 routed, 13 merged; every hop after a phase of at most 5
+    /// members, 5 rounds, ends inside them) and the closing hop after a
+    /// phase of one member, 3: 109.
     #[test]
     fn a_later_phase_is_its_control_sweep() {
         use dgr_primitives::{levels_for, ops, sort};
@@ -1027,11 +1269,12 @@ mod tests {
             (1, 2, 2),
             (419, 1, 838),
         ];
-        let run = |first| schedule_rounds(2048, first, &groups, Flavor::Implicit, false, 22);
-        assert_eq!(
-            [sort::route_rounds_for(2048), sort::rounds_for(2048)].map(run),
-            [138, 190]
-        );
+        let run = |first, replays| {
+            schedule_rounds(2048, first, &groups, Flavor::Implicit, false, replays, 22).0
+        };
+        let (route, network) = (sort::route_rounds_for(2048), sort::rounds_for(2048));
+        assert_eq!([run(route, false), run(network, false)], [138, 190]);
+        assert_eq!([run(route, true), run(network, true)], [109, 164]);
     }
 
     /// The replay of the phase loop counts the phases a run takes; a
@@ -1076,13 +1319,15 @@ mod tests {
     }
 
     /// The round the first phase commits in, at n = 64: the multicast
-    /// and the second phase open in it.
+    /// and the second phase open in it. Every need is below 8, so the
+    /// control is replayed and the first phase is the class route alone.
     fn first_commit() -> u64 {
-        use dgr_primitives::{ctx, ops, sort};
+        use dgr_primitives::{ctx, sort};
         let (n, cap) = (64, Config::ncc0(7).capacity(64));
-        let keys = (0..n as u64).map(|i| 2 + 2 * (i % 3));
-        let first = sort::first_rounds_for(keys, cap, ops::sweep_load(n, cap));
-        ctx::rounds_for(n) + ops::rounds_for(n, cap).max(first)
+        let degrees: Vec<usize> = (0..n).map(|i| 2 + 2 * (i % 3)).collect();
+        assert!(super::replays(&degrees));
+        let keys = degrees.iter().map(|&d| d as u64);
+        ctx::rounds_for(n) + sort::first_rounds_for(keys, cap, 0)
     }
 
     /// A member commits its need before its leader's ID arrives, so losing
@@ -1113,7 +1358,7 @@ mod tests {
                 WithCtx::new(|c: &PathCtx, rctx: &mut RoundCtx<'_>| {
                     let (x, id) = (c.position, rctx.id());
                     let task = (x == 0).then_some((3, id));
-                    let mcast = Some(ImcastStep::new(c.vp, c.contacts.clone(), task));
+                    let mcast = Some(ImcastStep::new(c.vp, c.contacts.clone(), 3, task));
                     LoneHop(Hop {
                         mcast,
                         status: Some((id, 0, (1..=3).contains(&x))),
@@ -1134,12 +1379,14 @@ mod tests {
     }
 
     /// Every origin whose record is on the path expects one status a
-    /// phase, so losing the round the first statuses go out in is a typed
-    /// panic at the origins, on both engines — never a missing edge.
+    /// phase, so losing the round the first statuses go out in — the
+    /// round the first multicast ends, a cover of the first phase's `δ = 6`
+    /// members — is a typed panic at the origins, on both engines — never
+    /// a missing edge.
     #[test]
     fn a_lost_status_panics_its_origin() {
         use dgr_primitives::imcast;
-        let sent = first_commit() + imcast::rounds_for(64);
+        let sent = first_commit() + imcast::rounds_for(6 + 1);
         assert_eq!(
             panic_of_a_lost_round(sent),
             "message loss: an origin missed its record's status"

@@ -112,19 +112,13 @@ fn assert_golden(case: &str, out: &DriverOutput) {
 
 /// Holds a run over `degrees` (one per node) to the
 /// closed form of its round count: at its phase count when realized; a
-/// refusal ends on some phase's control sweep, before any hand-off.
+/// refusal ends on its closing phase, before any hand-off.
 fn assert_closed_form(case: &str, degrees: &[usize], flavor: Flavor, out: &DriverOutput) {
     let m = out.metrics();
     let groups = phase_groups(degrees, flavor);
     if let DriverOutput::Realized(r) = out {
         assert_eq!(groups.len() as u64 + 1, r.phases, "{case}: phases");
     }
-    // A refusal ends on a phase's control sweep, before any hand-off.
-    let flavor = if out.is_unrealizable() {
-        Flavor::Implicit
-    } else {
-        flavor
-    };
     let explicit = flavor == Flavor::Explicit;
     let want = rounds_for(degrees, flavor, explicit, m.capacity);
     assert_eq!(m.rounds, want, "{case}: {} phases", groups.len() + 1);
@@ -291,7 +285,7 @@ fn sweep_beside_the_sort_runs_clean_at_its_edges() {
     for (n, edge, hop_inside) in edges {
         let control = ops::rounds_for(n, Config::ncc0(0).capacity(n));
         assert_eq!(control.cmp(&sort::rounds_for(n)), edge, "n={n}: wrong edge");
-        assert_eq!(hop_rounds_for(n) <= control, hop_inside, "n={n}");
+        assert_eq!(hop_rounds_for(n - 1) <= control, hop_inside, "n={n}");
         assert_eq!(merges(Flavor::Implicit, n), n > 8, "n={n}");
         // Graphic, Δ ≤ 4: a strict-cap hand-off never exceeds the floor.
         let degrees: Vec<usize> = (0..n).map(|i| (2 + 2 * (i % 2)).min(n - 1)).collect();
@@ -330,22 +324,43 @@ fn sweep_beside_the_sort_runs_clean_at_its_edges() {
     }
 }
 
-/// One random sweep: `cases` draws from the test's name-derived case
-/// stream (the cases this test first ran against the twin), each run on
-/// both engines; returns the transcript of every case.
-fn sweep(
+/// The requests and seeds of one random sweep: `cases` draws from the
+/// test's name-derived case stream (the cases this test first ran against
+/// the twin).
+fn sweep_cases(
     name: &str,
     cases: u32,
-    flavor: Flavor,
     degree: std::ops::Range<usize>,
     len: std::ops::Range<usize>,
+) -> Vec<(Vec<usize>, u64)> {
+    let mut rng = cases::case_rng(&format!("{}::{name}", module_path!()));
+    let draw = |_| {
+        let degrees = cases::vec_of(&mut rng, len.clone(), |r| r.gen_range(degree.clone()));
+        (degrees, rng.gen_range(0u64..1000))
+    };
+    (0..cases).map(draw).collect()
+}
+
+/// The implicit sweep's cases.
+fn implicit_cases() -> Vec<(Vec<usize>, u64)> {
+    sweep_cases("implicit_sweep_engines_agree", 24, 0..9, 4..20)
+}
+
+/// The envelope sweep's cases.
+fn approx_cases() -> Vec<(Vec<usize>, u64)> {
+    sweep_cases("approx_sweep_engines_agree", 24, 0..7, 4..16)
+}
+
+/// One random sweep over `cases`, each run on both engines; returns the
+/// transcript of every case.
+fn sweep(
+    name: &str,
+    cases: Vec<(Vec<usize>, u64)>,
+    flavor: Flavor,
     check: impl Fn(&[usize], &DriverOutput),
 ) -> Vec<Golden> {
-    let mut rng = cases::case_rng(&format!("{}::{name}", module_path!()));
     let mut rows = Vec::new();
-    for _ in 0..cases {
-        let degrees = cases::vec_of(&mut rng, len.clone(), |r| r.gen_range(degree.clone()));
-        let seed = rng.gen_range(0u64..1000);
+    for (degrees, seed) in cases {
         let run = |engine| realize(&degrees, Config::ncc0(seed), flavor, engine);
         let (batched, reference) = (run(EngineKind::Batched), run(EngineKind::Reference));
         let what = format!("{name} {degrees:?} seed {seed}");
@@ -381,10 +396,8 @@ fn fold(rows: &[Golden], overlay_only: bool) -> u64 {
 fn implicit_sweep() -> Vec<Golden> {
     sweep(
         "implicit_sweep_engines_agree",
-        24,
+        implicit_cases(),
         Flavor::Implicit,
-        0..9,
-        4..20,
         |degrees, batched| {
             // When realized, the overlay's degrees are exactly the request.
             if let DriverOutput::Realized(b) = batched {
@@ -407,10 +420,8 @@ fn implicit_sweep_engines_agree() {
 fn approx_sweep() -> Vec<Golden> {
     sweep(
         "approx_sweep_engines_agree",
-        24,
+        approx_cases(),
         Flavor::Envelope,
-        0..7,
-        4..16,
         |degrees, batched| {
             if let DriverOutput::Realized(b) = batched {
                 let sum: usize = degrees.iter().sum();
@@ -603,6 +614,225 @@ fn inbox_order_is_not_an_input() {
             assert!(faults > 0, "{what}");
             assert_eq!(shape, clean, "{what}");
             assert_eq!(neighbours, clean_neighbours, "{what}");
+        }
+    }
+}
+
+/// The phases and the verdict a replay of the control gives on a path
+/// whose members request `degrees`, from their tally alone; `None` where a
+/// request passes the classes, whose run sweeps instead.
+fn replayed(degrees: &[usize], flavor: Flavor) -> Option<dgr_core::distributed::Spec> {
+    use dgr_core::distributed::{Replay, Spec};
+    use dgr_primitives::ctx::{Tally, CLASSES};
+    use std::ops::ControlFlow;
+    let mut totals = Tally::default();
+    for &d in degrees {
+        totals.0[d.min(CLASSES)] += 1;
+    }
+    let mut replay = Replay::new(&totals, flavor)?;
+    let mut phases = Vec::new();
+    loop {
+        match replay.phase() {
+            ControlFlow::Continue(phase) => phases.push(phase),
+            ControlFlow::Break(verdict) => {
+                let edges = Vec::new();
+                return Some(Spec {
+                    edges,
+                    phases,
+                    verdict,
+                });
+            }
+        }
+    }
+}
+
+/// Holds the replay to the spec on `degrees`: the same `(q, δ, N)` phase
+/// by phase and the same verdict wherever the tally counts every request,
+/// no replay elsewhere. Returns whether it replayed.
+fn assert_replay_is_the_spec(what: &str, degrees: &[usize], flavor: Flavor) -> bool {
+    use dgr_core::distributed::{replays, spec};
+    let Some(replay) = replayed(degrees, flavor) else {
+        assert!(!replays(degrees), "{what}: no replay");
+        return false;
+    };
+    assert!(replays(degrees), "{what}: a replay past the classes");
+    let spec = spec(degrees, flavor);
+    assert_eq!(replay.phases, spec.phases, "{what}: phases");
+    assert_eq!(replay.verdict, spec.verdict, "{what}: verdict");
+    true
+}
+
+/// The degrees and flavour a [`GOLDEN`] row's case names.
+fn golden_request(case: &str) -> (Flavor, Vec<usize>) {
+    let (what, list) = case.split_once(' ').expect("a flavour and a list");
+    let flavor = match what {
+        "implicit" => Flavor::Implicit,
+        "approx" => Flavor::Envelope,
+        "explicit" => Flavor::Explicit,
+        other => panic!("no flavour {other}"),
+    };
+    let list = list.trim_matches(['[', ']']);
+    let degrees = match list.split_once("; ") {
+        Some((d, n)) => vec![d.parse().unwrap(); n.parse().unwrap()],
+        None => list.split(", ").map(|d| d.parse().unwrap()).collect(),
+    };
+    (flavor, degrees)
+}
+
+/// The control a run replays from the establishment's tally is the
+/// spec's, phase for phase, in every flavour: on every tally-counted row
+/// of [`GOLDEN`] and of the two sweeps, and on a fresh request at every
+/// path length from 1 to 300 drawn from the test's case stream — needs
+/// below `min(n + 1, 8)`, graphic or not, so that refusals come both ways:
+/// a member driven negative, and `δ ≥ len` on the shortest paths.
+#[test]
+fn the_replay_is_the_spec() {
+    let mut counted = 0;
+    for (case, _) in GOLDEN {
+        let (flavor, degrees) = golden_request(case);
+        counted += usize::from(assert_replay_is_the_spec(case, &degrees, flavor));
+    }
+    assert_eq!(counted, GOLDEN.len(), "every golden row is tally-counted");
+    let sweeps = [
+        (implicit_cases(), Flavor::Implicit),
+        (approx_cases(), Flavor::Envelope),
+    ];
+    let mut past = 0;
+    for (cases, flavor) in sweeps {
+        for (degrees, seed) in cases {
+            let what = format!("{flavor:?} {degrees:?} seed {seed}");
+            past += usize::from(!assert_replay_is_the_spec(&what, &degrees, flavor));
+        }
+    }
+    assert!(past > 0, "a sweep case with a request past 7 sweeps");
+    let mut rng = cases::case_rng(&format!("{}::the_replay_is_the_spec", module_path!()));
+    let (mut negative, mut too_large) = (0, 0);
+    for n in 1..=300usize {
+        let degrees = cases::vec_of(&mut rng, n..=n, |r| r.gen_range(0..(n + 1).min(8)));
+        for flavor in [Flavor::Implicit, Flavor::Envelope, Flavor::Explicit] {
+            let what = format!("n={n} {flavor:?} {degrees:?}");
+            assert!(assert_replay_is_the_spec(&what, &degrees, flavor), "{what}");
+            if dgr_core::distributed::spec(&degrees, flavor)
+                .verdict
+                .is_err()
+            {
+                match degrees.iter().any(|&d| d >= n) {
+                    true => too_large += 1,
+                    false => negative += 1,
+                }
+            }
+        }
+    }
+    assert!(negative > 0 && too_large > 0, "{negative} {too_large}");
+}
+
+/// The sends under `tags` of a run of `flavor` on `degrees` on `engine`,
+/// each core wrapped in a counter of the messages delivered to it (every
+/// message is: the run asserts nothing undelivered), and the run's phases.
+fn delivered(
+    degrees: &[usize],
+    flavor: Flavor,
+    engine: EngineKind,
+    tags: &'static [u16],
+) -> (usize, u64) {
+    use busiest::{Busiest, Senders};
+    use dgr_core::distributed::DegreesCore;
+    use dgr_ncc::{Network, RoundCtx};
+    use dgr_primitives::{PathCtx, WithCtx};
+    let net = Network::new(degrees.len(), Config::ncc0(5));
+    let by_id = net.assign_in_path_order(degrees);
+    let sent = Senders::default();
+    let run = net.run_protocol_on(engine, None, None, |s| {
+        let (degree, sent) = (by_id[&s.id], sent.clone());
+        WithCtx::keyed(degree as u64, move |ctx: &PathCtx, _: &mut RoundCtx<'_>| {
+            Busiest::counting(DegreesCore::new(degree, flavor, ctx.clone()), tags, sent)
+        })
+    });
+    let run = run.unwrap();
+    assert!(run.metrics.is_clean() && run.metrics.undelivered == 0);
+    let phases = run.outputs[0].1 .0.as_ref().map_or(0, |out| out.phases);
+    let count = sent.lock().unwrap().values().sum();
+    (count, phases)
+}
+
+/// A run whose needs the tally counts replays its control: on both
+/// engines it sends no `AGGREGATE` and no `BCAST`. The same request with
+/// one need past 7 sweeps every phase, `2(n - 1)` sweep messages each.
+#[test]
+fn a_replayed_run_sends_no_sweep() {
+    use dgr_core::distributed::replays;
+    use dgr_ncc::tags;
+    const SWEEP: &[u16] = &[tags::AGGREGATE, tags::BCAST];
+    let n = 64;
+    let mut degrees: Vec<usize> = (0..n).map(|i| 2 + 2 * (i % 3)).collect();
+    assert!(replays(&degrees));
+    let phases = phase_groups(&degrees, Flavor::Implicit).len() as u64 + 1;
+    for engine in [EngineKind::Batched, EngineKind::Reference] {
+        let sent = delivered(&degrees, Flavor::Implicit, engine, SWEEP);
+        assert_eq!(sent, (0, phases), "{engine:?}");
+    }
+    degrees[0] = 8;
+    assert!(!replays(&degrees));
+    for engine in [EngineKind::Batched, EngineKind::Reference] {
+        let (sent, phases) = delivered(&degrees, Flavor::Implicit, engine, SWEEP);
+        assert!(phases > 1, "{engine:?}");
+        assert_eq!(sent as u64, phases * 2 * (n as u64 - 1), "{engine:?}");
+    }
+}
+
+/// The hand-off under phases as short as their lanes and hops: explicit
+/// and explicit-envelope runs on tally-counted requests at every path
+/// length from 1 to 300, at capacity factors 2.0 and 0.1, on both engines.
+/// In debug builds a position that would owe two announcements beside the
+/// loop at once panics; none does. Each run realizes the spec's edges, each
+/// node listing exactly its neighbours in them (as a multiset in the
+/// envelope), on the closed form of its rounds.
+#[test]
+fn the_hand_off_keeps_one_announcement_beside_the_loop() {
+    use dgr_core::distributed::{replays, spec, DegreesCore};
+    use dgr_ncc::{Network, RoundCtx};
+    use dgr_primitives::{PathCtx, WithCtx};
+    let mut rng = cases::case_rng(&format!("{}::the_hand_off", module_path!()));
+    for n in 1..=300usize {
+        let mut degrees = cases::vec_of(&mut rng, n..=n, |r| r.gen_range(0..n.min(8)));
+        if degrees.iter().sum::<usize>() % 2 == 1 {
+            degrees[0] = (degrees[0] + 1) % n.min(8);
+        }
+        assert!(replays(&degrees));
+        for factor in [2.0, 0.1] {
+            let config = Config::ncc0(n as u64).with_capacity_factor(factor);
+            for engine in [EngineKind::Batched, EngineKind::Reference] {
+                let what = format!("n={n} factor={factor} {engine:?}");
+                let out = realize(&degrees, config.clone(), Flavor::Explicit, engine);
+                assert_spec(&what, &degrees, Flavor::Explicit, &out);
+                assert_closed_form(&what, &degrees, Flavor::Explicit, &out);
+                // The envelope core, explicit, as Algorithm 6 runs it.
+                let net = Network::new(n, config.clone());
+                let by_id = net.assign_in_path_order(&degrees);
+                let run = net.run_protocol_on(engine, None, None, |s| {
+                    let degree = by_id[&s.id];
+                    WithCtx::keyed(degree as u64, move |ctx: &PathCtx, _: &mut RoundCtx<'_>| {
+                        DegreesCore::new(degree, Flavor::Envelope, ctx.clone()).explicit()
+                    })
+                });
+                let run = run.unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert!(run.metrics.is_clean(), "{what}: {:?}", run.metrics);
+                let cap = run.metrics.capacity;
+                let want = rounds_for(&degrees, Flavor::Envelope, true, cap);
+                assert_eq!(run.metrics.rounds, want, "{what}: envelope rounds");
+                let ids: Vec<_> = run.outputs.iter().map(|&(id, _)| id).collect();
+                let mut lists = vec![Vec::new(); n];
+                for (member, leader) in spec(&degrees, Flavor::Envelope).edges {
+                    lists[member].push(ids[leader]);
+                    lists[leader].push(ids[member]);
+                }
+                for (x, (_, out)) in run.outputs.iter().enumerate() {
+                    let mut listed = out.as_ref().expect("an envelope").neighbors.clone();
+                    listed.sort_unstable();
+                    lists[x].sort_unstable();
+                    assert_eq!(listed, lists[x], "{what}: position {x}");
+                }
+            }
         }
     }
 }

@@ -163,7 +163,7 @@ fn tally_width(len: usize) -> Option<u32> {
 /// Whether a keyed establishment on a path of `len` nodes counts the
 /// classes: where its tallies fit a message, `len < 2^21`. A longer path
 /// establishes as if unkeyed, without [`Classes`].
-pub(crate) fn counts_classes(len: usize) -> bool {
+pub fn counts_classes(len: usize) -> bool {
     tally_width(len).is_some()
 }
 

@@ -19,7 +19,12 @@
 //! keeps the leading `2^k - 1`. Both residues are less than `2^k`, so the
 //! responsibility halves every round: `O(log c)` rounds, at most one send
 //! and one receive per node per round as long as different sources'
-//! intervals are disjoint.
+//! intervals are disjoint. The cover is as long as the largest count any
+//! source covers, which the caller names ([`ImcastStep::new`]'s `most`:
+//! Algorithm 3's `δ`, which every node knows), not as the path:
+//! `⌈log₂(most + 1)⌉ + 1` rounds ([`rounds_for`]`(most + 1)`), 4 for
+//! `δ = 5` where a path of 2048 takes 12. The messages are the same
+//! whatever the bound.
 //!
 //! Shifted multicast ([`ImcastStep::at_offset`]): the source at position
 //! `i` names an interval of `count_i` ranks starting `o_i ≥ 0` positions
@@ -41,7 +46,8 @@ use crate::vpath::VPath;
 use dgr_ncc::{tags, NodeId, RoundCtx, WireMsg};
 use std::sync::Arc;
 
-/// Number of rounds [`ImcastStep`] takes on a path of `len` nodes.
+/// Number of rounds [`ImcastStep`] takes on a path of `len` nodes, or
+/// wherever no source covers more than `len - 1` ranks.
 pub fn rounds_for(len: usize) -> u64 {
     crate::levels_for(len) as u64 + 1
 }
@@ -54,7 +60,8 @@ pub fn offset_rounds_for(len: usize) -> u64 {
 
 /// One interval-multicast epoch as a [`Step`](crate::Step).
 ///
-/// Rounds: exactly [`rounds_for`]`(vp.len)`, or [`offset_rounds_for`]
+/// Rounds: exactly [`rounds_for`]`(most + 1)` when built by
+/// [`ImcastStep::new`] with the bound `most`, or [`offset_rounds_for`]
 /// when built by [`ImcastStep::at_offset`].
 pub type ImcastStep = Lockstep<Imcast>;
 
@@ -75,8 +82,16 @@ pub struct Imcast {
 impl ImcastStep {
     /// Builds the step; `task` is `Some((count, addr))` at the multicast
     /// sources: the `count` ranks after the source receive `addr`
-    /// (intervals of distinct sources must be disjoint).
-    pub fn new(vp: VPath, contacts: Arc<ContactTable>, task: Option<(usize, NodeId)>) -> Self {
+    /// (intervals of distinct sources must be disjoint). No source covers
+    /// more than `most` ranks, a bound every member passes alike (`vp.len
+    /// - 1` holds on any path).
+    pub fn new(
+        vp: VPath,
+        contacts: Arc<ContactTable>,
+        most: usize,
+        task: Option<(usize, NodeId)>,
+    ) -> Self {
+        debug_assert!(task.is_none_or(|t| t.0 <= most), "a count past the bound");
         let imcast = Imcast {
             contacts,
             legs: 0,
@@ -84,7 +99,7 @@ impl ImcastStep {
             duty: task.filter(|t| t.0 > 0),
             received: None,
         };
-        Lockstep::run(vp.member, rounds_for(vp.len), imcast)
+        Lockstep::run(vp.member, rounds_for(most + 1), imcast)
     }
 
     /// Builds the shifted multicast; `task` is `Some((offset, count,
@@ -203,29 +218,41 @@ mod tests {
     use crate::{PathCtx, WithCtx};
     use dgr_ncc::{Config, Network, RunResult};
 
-    /// Runs one multicast epoch; `task(rank, id)` is each node's task.
+    /// Runs one multicast epoch, no source covering more than `most`
+    /// ranks; `task(rank, id)` is each node's task.
     fn multicast(
         net: &Network,
+        most: usize,
         task: impl Fn(usize, NodeId) -> Option<(usize, NodeId)> + Sync,
     ) -> RunResult<Option<NodeId>> {
         let task = &task;
         net.run_protocol(|_| {
             WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
                 let mine = task(ctx.position, rctx.id());
-                ImcastStep::new(ctx.vp, ctx.contacts.clone(), mine)
+                ImcastStep::new(ctx.vp, ctx.contacts.clone(), most, mine)
             })
         })
         .unwrap()
     }
 
     /// Disjoint groups of width w: source at rank q*w covers the w-1 ranks
-    /// after it; every covered node must learn the source's ID.
+    /// after it; every covered node must learn the source's ID, in the
+    /// rounds of a cover of `w - 1` ranks — sized by the bound, not the
+    /// path — and with the messages of a cover sized by the path.
     fn check_after(n: usize, w: usize, seed: u64) {
         let net = Network::new(n, Config::ncc0(seed));
-        let result = multicast(&net, |r, id| {
-            r.is_multiple_of(w).then(|| ((w - 1).min(n - 1 - r), id))
-        });
+        let task = |r: usize, id| r.is_multiple_of(w).then(|| ((w - 1).min(n - 1 - r), id));
+        let result = multicast(&net, w - 1, task);
         assert!(result.metrics.is_clean(), "n={n} w={w}");
+        let (setup, rounds) = (crate::ctx::rounds_for(n), result.metrics.rounds);
+        assert_eq!(rounds - setup, rounds_for(w), "n={n} w={w}");
+        let long = multicast(&net, n - 1, task);
+        assert_eq!(long.metrics.rounds - setup, rounds_for(n), "n={n} w={w}");
+        assert_eq!(
+            long.metrics.messages, result.metrics.messages,
+            "n={n} w={w}"
+        );
+        assert_eq!(long.outputs, result.outputs, "n={n} w={w}");
         let order = result.gk_order();
         for (r, (_, got)) in result.outputs.iter().enumerate() {
             if r % w == 0 {
@@ -249,7 +276,7 @@ mod tests {
     #[test]
     fn zero_count_task_is_a_noop() {
         let net = Network::new(8, Config::ncc0(67));
-        let result = multicast(&net, |_, id| Some((0, id)));
+        let result = multicast(&net, 0, |_, id| Some((0, id)));
         assert!(result.outputs.iter().all(|(_, got)| got.is_none()));
     }
 }

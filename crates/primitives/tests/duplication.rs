@@ -57,7 +57,7 @@ fn interval_multicast_is_exact_under_full_duplication() {
         WithCtx::new(|ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
             let (r, w) = (ctx.position, 5);
             let task = (r.is_multiple_of(w)).then(|| ((w - 1).min(ctx.vp.len - 1 - r), rctx.id()));
-            ImcastStep::new(ctx.vp, ctx.contacts.clone(), task)
+            ImcastStep::new(ctx.vp, ctx.contacts.clone(), w - 1, task)
         })
     });
     // Positions 0..9 each send to the three ranks from 10 + 3x on:

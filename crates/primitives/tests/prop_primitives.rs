@@ -121,7 +121,7 @@ fn imcast_random_layout() {
                         .iter()
                         .find(|(s, _)| *s == c.position)
                         .map(|&(_, count)| (count, addr));
-                    ImcastStep::new(c.vp, c.contacts.clone(), task)
+                    ImcastStep::new(c.vp, c.contacts.clone(), n - 1, task)
                 })
             })
             .unwrap();

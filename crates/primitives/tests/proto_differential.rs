@@ -229,7 +229,7 @@ fn imcast_matches_frozen_twin_on_both_engines() {
             CtxThen::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
                 let r = ctx.position;
                 let task = (r.is_multiple_of(w)).then(|| ((w - 1).min(n - 1 - r), rctx.id()));
-                ImcastStep::new(ctx.vp, ctx.contacts.clone(), task)
+                ImcastStep::new(ctx.vp, ctx.contacts.clone(), n - 1, task)
             })
         });
         // Each covered rank's payload came from the source of its group.
