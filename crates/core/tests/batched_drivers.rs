@@ -62,26 +62,26 @@ fn transcript(out: &DriverOutput) -> Golden {
 /// docs), keyed by case name.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, Golden)] = &[
-    ("implicit [2, 2, 2]", (true, 3, 13, 39, 120, 4, 3, 0xd572d3c814555449)),
-    ("implicit [4, 4, 4, 4, 4]", (true, 5, 31, 156, 490, 3, 3, 0xb12d0f276738b029)),
-    ("implicit [5, 1, 1, 1, 1, 1]", (true, 2, 13, 74, 233, 3, 4, 0x5ecdf9ac82dc147d)),
-    ("implicit [3, 3, 2, 2, 1, 1]", (true, 4, 25, 155, 485, 3, 3, 0x56ad7d569778abe2)),
-    ("implicit [0, 0, 0]", (true, 1, 5, 12, 34, 2, 2, 0xcbf29ce484222325)),
-    ("implicit [6; 32]", (true, 10, 86, 1546, 5415, 6, 6, 0xe538dd2ee2cd3463)),
-    ("implicit [3, 3, 1, 1]", (false, 0, 15, 64, 197, 2, 2, 0xcbf29ce484222325)),
-    ("implicit [5, 5, 4, 3, 2, 1]", (false, 0, 21, 142, 444, 3, 4, 0xcbf29ce484222325)),
-    ("approx [3, 3, 1, 0]", (true, 3, 15, 74, 229, 2, 2, 0x4f27d6687daeee44)),
-    ("approx [4, 4, 4, 1, 1]", (true, 4, 25, 124, 390, 3, 3, 0xd71c1c5fa54f934a)),
-    ("approx [5, 5, 4, 3, 2, 1]", (true, 4, 27, 184, 577, 3, 4, 0xdef273ded157d5a4)),
-    ("approx [3, 2, 2, 2, 1]", (true, 3, 19, 89, 278, 3, 3, 0xd076bf6c97b28641)),
-    ("explicit [4, 3, 3, 2, 2, 2, 1, 1]", (true, 4, 30, 253, 783, 4, 3, 0xa6b5a77eafec61a9)),
-    ("explicit [2, 2, 1, 1]", (true, 3, 16, 65, 197, 2, 3, 0x031520908d08b7d5)),
-    ("explicit [3, 3, 1, 1]", (false, 0, 15, 64, 197, 2, 2, 0xcbf29ce484222325)),
+    ("implicit [2, 2, 2]", (true, 3, 12, 23, 60, 2, 2, 0xd572d3c814555449)),
+    ("implicit [4, 4, 4, 4, 4]", (true, 5, 28, 104, 294, 2, 2, 0xb12d0f276738b029)),
+    ("implicit [5, 1, 1, 1, 1, 1]", (true, 2, 12, 38, 105, 2, 2, 0x5ecdf9ac82dc147d)),
+    ("implicit [3, 3, 2, 2, 1, 1]", (true, 4, 22, 99, 277, 2, 2, 0x56ad7d569778abe2)),
+    ("implicit [0, 0, 0]", (true, 1, 3, 8, 18, 2, 2, 0xcbf29ce484222325)),
+    ("implicit [6; 32]", (true, 10, 60, 920, 2911, 2, 2, 0xe538dd2ee2cd3463)),
+    ("implicit [3, 3, 1, 1]", (false, 0, 13, 36, 95, 2, 2, 0xcbf29ce484222325)),
+    ("implicit [5, 5, 4, 3, 2, 1]", (false, 0, 18, 72, 204, 2, 2, 0xcbf29ce484222325)),
+    ("approx [3, 3, 1, 0]", (true, 3, 13, 36, 97, 2, 2, 0x4f27d6687daeee44)),
+    ("approx [4, 4, 4, 1, 1]", (true, 4, 23, 80, 226, 2, 2, 0xd71c1c5fa54f934a)),
+    ("approx [5, 5, 4, 3, 2, 1]", (true, 4, 23, 104, 297, 2, 2, 0xdef273ded157d5a4)),
+    ("approx [3, 2, 2, 2, 1]", (true, 3, 16, 53, 146, 2, 2, 0xd076bf6c97b28641)),
+    ("explicit [4, 3, 3, 2, 2, 2, 1, 1]", (true, 4, 24, 159, 445, 3, 3, 0xa6b5a77eafec61a9)),
+    ("explicit [2, 2, 1, 1]", (true, 3, 13, 37, 95, 2, 2, 0x031520908d08b7d5)),
+    ("explicit [3, 3, 1, 1]", (false, 0, 13, 36, 95, 2, 2, 0xcbf29ce484222325)),
 ];
 
 /// The folded transcripts of the two random sweeps, from the twins.
-const GOLDEN_IMPLICIT_SWEEP: u64 = 0x0220_8fb3_294e_206f;
-const GOLDEN_APPROX_SWEEP: u64 = 0x85ac_d328_6fb4_f13a;
+const GOLDEN_IMPLICIT_SWEEP: u64 = 0x0250_e919_44bf_473c;
+const GOLDEN_APPROX_SWEEP: u64 = 0xf466_a771_c437_e79b;
 
 /// What a change of schedule may not move: the realized?, phases and
 /// edge-hash columns of every [`GOLDEN`] row, then of every case of the

@@ -196,17 +196,17 @@ fn transcript(out: &Realized) -> Golden {
 /// last commit that had it.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, Golden)] = &[
-    ("implicit seed=3", (true, 4, 27, 262, 868, 4, 5, 0x1ffc7aa3c23ef5c9)),
-    ("envelope seed=3", (true, 4, 35, 376, 1182, 4, 5, 0x59a4682c75e872fb)),
-    ("explicit seed=3", (true, 4, 28, 271, 886, 4, 5, 0x1ffc7aa3c23ef5c9)),
-    ("implicit seed=19", (true, 4, 27, 262, 868, 4, 5, 0x1b2ff4882f4f245a)),
-    ("envelope seed=19", (true, 4, 35, 376, 1182, 4, 5, 0xa1602e8a3613c2b2)),
-    ("explicit seed=19", (true, 4, 28, 271, 886, 4, 5, 0x1b2ff4882f4f245a)),
+    ("implicit seed=3", (true, 4, 24, 176, 524, 2, 2, 0x1ffc7aa3c23ef5c9)),
+    ("envelope seed=3", (true, 4, 32, 262, 760, 2, 2, 0x59a4682c75e872fb)),
+    ("explicit seed=3", (true, 4, 25, 185, 542, 3, 3, 0x1ffc7aa3c23ef5c9)),
+    ("implicit seed=19", (true, 4, 24, 176, 524, 2, 2, 0x1b2ff4882f4f245a)),
+    ("envelope seed=19", (true, 4, 32, 262, 760, 2, 2, 0xa1602e8a3613c2b2)),
+    ("explicit seed=19", (true, 4, 25, 185, 542, 3, 3, 0x1b2ff4882f4f245a)),
     ("tree Chain", (true, 0, 21, 89, 247, 2, 2, 0xe8b183993eb670e9)),
     ("tree Greedy", (true, 0, 21, 88, 249, 2, 2, 0xe37c6b7d50d9f1af)),
     ("ncc1", (true, 0, 39, 70, 144, 2, 2, 0xd8b85508f1bbb25d)),
     ("ncc0", (true, 0, 19, 83, 217, 2, 2, 0xbbe3a5dff2d4ba95)),
-    ("ncc0-exact", (true, 0, 59, 167, 484, 3, 3, 0x19926eb11f60d1ba)),
+    ("ncc0-exact", (true, 0, 55, 133, 358, 3, 3, 0x19926eb11f60d1ba)),
 ];
 
 /// What a change of schedule may not move: the verdict, phases and

@@ -110,12 +110,12 @@ fn benchmark_calls_keep_their_fingerprints() {
         (
             "degrees_default",
             2020,
-            (138, 173_265, 660_441, 0x486a_dfda_c475_1a96),
+            (109, 134_654, 505_997, 0x486a_dfda_c475_1a96),
         ),
         (
             "degrees_default",
             5376,
-            (138, 173_197, 660_169, 0xd805_c997_2b0a_8ec7),
+            (109, 134_586, 505_725, 0xd805_c997_2b0a_8ec7),
         ),
         (
             "explicit_powerlaw",
@@ -130,12 +130,12 @@ fn benchmark_calls_keep_their_fingerprints() {
         (
             "threshold_certified",
             2020,
-            (86, 76_122, 293_566, 0xae97_6a94_0f56_7634),
+            (83, 76_046, 293_278, 0xae97_6a94_0f56_7634),
         ),
         (
             "threshold_certified",
             5376,
-            (86, 75_830, 292_650, 0x8e11_aac1_0f98_3ac6),
+            (83, 75_754, 292_362, 0x8e11_aac1_0f98_3ac6),
         ),
         (
             "flood_sharded_faulty",
