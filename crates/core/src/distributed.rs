@@ -1105,11 +1105,8 @@ impl DegreesCore {
             // the next phase open together this round: once the
             // multicast would end past the last window beside the loop.
             let (x, stride, len) = (self.ctx.position, self.shape.stride, self.ctx.vp.len);
-            let (most, cap) = (
-                cover(len, stride - 1, self.replay.is_some()),
-                rctx.capacity(),
-            );
-            let ends = rctx.round() + imcast::rounds_for(most + 1);
+            let most = cover(len, stride - 1, self.replay.is_some());
+            let (ends, cap) = (rctx.round() + imcast::rounds_for(most + 1), rctx.capacity());
             if (self.handoff.as_ref()).is_some_and(|h| h.overlaps(len, stride - 1, ends, cap)) {
                 return Poll::Pending;
             }
