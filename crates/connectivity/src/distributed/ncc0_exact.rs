@@ -17,10 +17,12 @@
 //!    `x₁ … x_{d₀+1}` of the sorted path becomes a sub-path of
 //!    `L = d₀ + 1` nodes, the full context is re-established on it, and
 //!    the Theorem 13 upper-envelope realization runs *on the sub-network*
-//!    as an explicit [`DegreesCore`] — its control sweep and its lanes
-//!    cover the `L` prefix nodes only, so a phase costs
-//!    `max(control, sort, hop)` on `L` rounds (6 at `L = 6`), not a
-//!    full-network sweep, and its hand-off runs beside them. Everyone else waits for step 3's release, in a
+//!    as an explicit [`DegreesCore`] — its control and its lanes cover the
+//!    `L` prefix nodes only, and where no `ρ` passes 7 every prefix node
+//!    replays the control from the ρ-class tally the sub-establishment
+//!    leaves it, with no sweep: a phase costs `max(sort, hop)` on `L`
+//!    rounds, `max(control, sort, hop)` where it sweeps, not a full-network
+//!    sweep, and its hand-off runs beside them. Everyone else waits for step 3's release, in a
 //!    released broadcast ([`SweepStep::released`]) over the full-network
 //!    path;
 //! 3. **distinctness patch**: the core has made the phase-1 edges explicit,

@@ -45,7 +45,7 @@
 //! | [`sort::SortStep::regroup`] (a stable re-sort in place after a group phase of `g` groups: where the top key fills a group and the capacity takes its two monotone streams, every survivor routed to its closed-form rank; else the merge lane, the compaction route — every survivor toward the head past each head at or before it — then one merge pass) | — | `ceil(log2 n)` routed; else `ceil(log2(g + 1)) + ceil(log2 n) + 1` |
 //! | [`sort::RankStep`] (the sort's epilogue: each origin learns its sorted path) | §3.1.2 | 2 |
 //! | [`prefix::PrefixStep`] | §5 | `ceil(log2 n)` |
-//! | [`imcast::ImcastStep`] (Thm 7: one address to the ranks after its source; a message carries it and the count it delegates) | §3.2.3 | `ceil(log2 n) + 1` |
+//! | [`imcast::ImcastStep`] (Thm 7: one address to the ranks after its source; a message carries it and the count it delegates; as long as the largest count `c` a source covers, a bound every member passes) | §3.2.3 | `ceil(log2(c + 1)) + 1`, at most `ceil(log2 n) + 1` |
 //! | [`imcast::ImcastStep::at_offset`] (the address first shifted ahead to its interval; a leg message carries it, the offset to go and the count) | §5 | `2 ceil(log2 n) + 1` |
 //!
 //! The sorting and multicast primitives substitute the paper's machinery
