@@ -265,10 +265,14 @@ fn round_counts_follow_the_closed_form_at_scale() {
 /// runs clean under the strict policy on both engines, the per-round
 /// maxima within the cap on both sides, on the closed form, where the
 /// merge lane fits the control sweep exactly while the groups stay under
-/// `2^(control - ⌈log₂ n⌉ - 1)`.
+/// `2^(control - ⌈log₂ n⌉ - 1)`. A request whose needs are all below 8 —
+/// every realizable one on eight nodes or fewer — replays its control and
+/// runs no sweep: the lane and the hop share the rounds alone. So each
+/// path runs such a request, and from nine nodes on the same request with
+/// a first need of 8 too, which sweeps.
 #[test]
 fn sweep_beside_the_sort_runs_clean_at_its_edges() {
-    use dgr_core::distributed::{hop_rounds_for, merges};
+    use dgr_core::distributed::{hop_rounds_for, merges, replays};
     use dgr_primitives::{levels_for, ops, sort};
     use std::cmp::Ordering::{Equal, Greater, Less};
     let edges = [
@@ -287,12 +291,19 @@ fn sweep_beside_the_sort_runs_clean_at_its_edges() {
         assert_eq!(control.cmp(&sort::rounds_for(n)), edge, "n={n}: wrong edge");
         assert_eq!(hop_rounds_for(n - 1) <= control, hop_inside, "n={n}");
         assert_eq!(merges(Flavor::Implicit, n), n > 8, "n={n}");
-        // Graphic, Δ ≤ 4: a strict-cap hand-off never exceeds the floor.
-        let degrees: Vec<usize> = (0..n).map(|i| (2 + 2 * (i % 2)).min(n - 1)).collect();
-        for factor in [2.0, 0.1] {
+        // Graphic, Δ ≤ 4 (8 swept): a strict-cap hand-off never exceeds
+        // the floor.
+        let replayed: Vec<usize> = (0..n).map(|i| (2 + 2 * (i % 2)).min(n - 1)).collect();
+        let swept = (n > 8).then(|| [vec![8], replayed[1..].to_vec()].concat());
+        for (degrees, factor) in [Some(replayed), swept]
+            .into_iter()
+            .flatten()
+            .flat_map(|degrees| [(degrees.clone(), 2.0), (degrees, 0.1)])
+        {
+            assert_eq!(replays(&degrees), degrees[0] < 8, "n={n}");
             let config = Config::ncc0(n as u64 + 40).with_capacity_factor(factor);
             for flavor in [Flavor::Implicit, Flavor::Envelope, Flavor::Explicit] {
-                let what = format!("n={n} factor={factor} {flavor:?}");
+                let what = format!("n={n} factor={factor} {flavor:?} first need {}", degrees[0]);
                 let run = |engine| realize(&degrees, config.clone(), flavor, engine);
                 let (batched, reference) = (run(EngineKind::Batched), run(EngineKind::Reference));
                 assert_eq!(batched.metrics(), reference.metrics(), "{what}: engines");

@@ -217,7 +217,7 @@ fn explicit_realization_at_half_capacity_matches_the_reference_overlay() {
 /// Every message delivered twice (or 30 % of them): the degree
 /// realizations still realize their requests, on both engines. A phase's
 /// multicast runs beside the next phase, so a duplicated delegation lands
-/// among the next control sweep's and lane's messages; the explicit
+/// among the next control's and lane's messages; the explicit
 /// hand-off keeps the first `EDGE` from each sender. The exact flavors
 /// meet every degree with no duplicate edge, the envelope holds
 /// Theorem 13's two invariants.

@@ -23,7 +23,8 @@ fn pull_every_round(session: &mut RunSession) -> Vec<Pulled> {
 #[test]
 fn a_reference_session_under_faults_matches_the_batched_one() {
     // Drops in the first rounds after the 5-round establishment, where
-    // the crashed node's aggregate is due too.
+    // the first sort's class route moves the crashed node's record too
+    // (every degree is below 8, so the control is replayed: no sweep).
     let scenario = Scenario::new(12).drop_messages(5..=7, 0.3).crash(5, 4);
     let session = |engine: Engine| {
         let recording = Recording::new();
@@ -50,8 +51,8 @@ fn a_reference_session_under_faults_matches_the_batched_one() {
         e,
         RunEvent::NodeCrashed { node: 5, .. }
     )));
-    // A lost aggregate panics the control sweep: both engines end the run
-    // at the same node, with the same message.
+    // A lost record panics the class route: both engines end the run at
+    // the same node, with the same message.
     let (b, r) = (batched.2.unwrap_err(), reference.2.unwrap_err());
     assert!(
         matches!(b, RealizationError::Sim(SimError::NodePanic { .. })),
