@@ -920,8 +920,9 @@ pub struct DegreesCore {
     ctx: PathCtx,
     stage: Phase,
     /// The control's replay, from the first poll on, where the
-    /// establishment counted every need; else every phase sweeps.
-    replay: Option<Replay>,
+    /// establishment counted every need; else every phase sweeps (boxed:
+    /// a swept run's cores keep a pointer's width for it).
+    replay: Option<Box<Replay>>,
     /// How the run ends, once a phase's control has said so and until the
     /// last hop is in.
     closing: Option<Result<(), Unrealizable>>,
@@ -997,7 +998,7 @@ impl DegreesCore {
         self.outcome.phases += 1;
         let ctx = &self.ctx;
         let (vp, x) = (ctx.vp, ctx.position);
-        let replayed = self.replay.as_mut().map(Replay::phase);
+        let replayed = self.replay.as_deref_mut().map(Replay::phase);
         let control = replayed.is_none().then(|| {
             let words = [
                 self.held.map_or(0, |h| h.key),
@@ -1169,7 +1170,8 @@ impl Step for DegreesCore {
             // Every member holds the same tally, so every member replays,
             // or every member sweeps.
             let classes = self.ctx.classes.as_ref();
-            self.replay = classes.and_then(|c| Replay::new(&c.totals, self.flavor));
+            let replay = classes.and_then(|c| Replay::new(&c.totals, self.flavor));
+            self.replay = replay.map(Box::new);
             self.begin_phase(None, rctx.capacity());
         }
         let polled = self.advance(rctx);
