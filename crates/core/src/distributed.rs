@@ -21,7 +21,7 @@
 //!    `O(log n)` rounds (the regroup below). In phase 1 equal needs keep
 //!    the order of their origins' positions, which the establishment is
 //!    keyed with, so phase 1's sort is the class route where the capacity
-//!    takes it beside the control sweep, the degrees past 7 then ordered
+//!    takes it beside the control, the degrees past 7 then ordered
 //!    by the network over their window alone: `⌈log₂ n⌉` rounds and the
 //!    window's instead of the network's `O(log² n)` over the whole path
 //!    ([`SortStep::by_class`]);
@@ -51,9 +51,9 @@
 //! over the path's contacts (ARCHITECTURE.md, *Deviations from the
 //! paper*). Where the top need `δ` fills a group (`N ≥ δ + 1`), every
 //! grouped rank held `δ`, so every survivor's new rank has a closed form
-//! in `q`, `δ` and `N`, which the control sweep told everyone: the route
-//! takes each record there in `⌈log₂ n⌉` rounds, inside the control
-//! sweep, with no comparator. Elsewhere — one group reaching lower needs,
+//! in `q`, `δ` and `N`, which the control told everyone: the route takes
+//! each record there in `⌈log₂ n⌉` rounds, inside a control sweep, with no
+//! comparator. Elsewhere — one group reaching lower needs,
 //! or a capacity that does not take the route's two streams beside the
 //! sweep and the hop — the merge lane joins the two runs: the same route
 //! compacts them toward the head in `⌈log₂(q + 1)⌉` rounds (the longest
