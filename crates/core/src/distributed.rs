@@ -1433,12 +1433,11 @@ mod tests {
         }
     }
 
-    /// `[3, 1, 1]` (δ ≥ n) is refused by the first control sweep — at
-    /// three nodes the sweep outlasts the sort beside it, so the sorted
-    /// path is already built and goes unused; `[3, 3, 1, 1]` (a node goes
-    /// negative in phase 2) by the third. Every node gets there in the
-    /// same round: no round completes with only some of them still
-    /// running.
+    /// `[3, 1, 1]` (δ ≥ n) is refused at the first phase's start — every
+    /// need is counted, so the replayed control refuses before a lane
+    /// opens; `[3, 3, 1, 1]` (a node goes negative in phase 2) at the
+    /// third's. Every node gets there in the same round: no round
+    /// completes with only some of them still running.
     #[test]
     fn refusals_reach_every_node_in_the_same_round() {
         for (degrees, phases) in [(vec![3, 1, 1], 1), (vec![3, 3, 1, 1], 3)] {
@@ -1506,35 +1505,49 @@ mod tests {
         assert_eq!(g.metrics.undelivered, 0);
     }
 
-    /// The closing phase drops a sort still in flight: at 64 nodes the
-    /// control sweep ends inside the comparator network, so its last
-    /// exchanges land in the round the hand-off opens, whose first poll
-    /// reads no inbox. Nothing is left undelivered and every node lists
-    /// exactly its overlay adjacency, on both engines.
+    /// A swept closing phase drops a sort still in flight: at 64 nodes,
+    /// with a need of 8 that makes the control sweep, the explicit envelope
+    /// core (which sorts again every phase) ends its closing sweep inside
+    /// the comparator network, so the network's last exchanges land in the
+    /// round the hand-off's wait opens, whose first poll reads no inbox.
+    /// Nothing is left undelivered, the run is on its closed form, and
+    /// every node lists exactly its neighbours in the spec's edges, on both
+    /// engines.
     #[test]
     fn explicit_hand_off_ignores_the_dropped_sort() {
-        use dgr_primitives::{ops, sort};
+        use super::{replays, spec, DegreesCore};
+        use dgr_ncc::{Network, RoundCtx};
+        use dgr_primitives::{ops, sort, PathCtx, WithCtx};
         let n = 64;
-        let degrees: Vec<usize> = (0..n).map(|i| 1 + i % 4).collect();
-        let config = Config::ncc0(37);
-        assert!(ops::rounds_for(n, config.capacity(n)) < sort::rounds_for(n));
+        let mut degrees: Vec<usize> = (0..n).map(|i| 1 + i % 4).collect();
+        degrees[1] = 8;
+        assert!(!replays(&degrees));
+        let net = Network::new(n, Config::ncc0(37));
+        let by_id = net.assign_in_path_order(&degrees);
         for engine in [EngineKind::Batched, EngineKind::Reference] {
-            let flavor = Flavor::Explicit;
-            let job = prepare_degrees(&degrees, config.clone(), flavor, engine);
-            let out = job.unwrap().drive(None).unwrap().output;
-            let g = out.expect_realized();
-            assert_eq!(g.metrics.undelivered, 0, "{engine:?}");
-            assert!(g.metrics.is_clean(), "{engine:?}");
-            let groups = phase_groups(&degrees, flavor);
-            assert_eq!(groups.len() as u64 + 1, g.phases, "{engine:?}");
-            let want = rounds_for(&degrees, flavor, true, g.metrics.capacity);
-            assert_eq!(g.metrics.rounds, want, "{engine:?}");
-            for &id in &g.path_order {
-                let mut listed = g.explicit_neighbors[&id].clone();
+            let run = net.run_protocol_on(engine, None, None, |s| {
+                let degree = by_id[&s.id];
+                WithCtx::keyed(degree as u64, move |ctx: &PathCtx, _: &mut RoundCtx<'_>| {
+                    DegreesCore::new(degree, Flavor::Envelope, ctx.clone()).explicit()
+                })
+            });
+            let run = run.unwrap();
+            let m = &run.metrics;
+            assert!(ops::rounds_for(n, m.capacity) < sort::rounds_for(n));
+            assert!(m.is_clean() && m.undelivered == 0, "{engine:?}");
+            let want = rounds_for(&degrees, Flavor::Envelope, true, m.capacity);
+            assert_eq!(m.rounds, want, "{engine:?}");
+            let ids: Vec<_> = run.outputs.iter().map(|&(id, _)| id).collect();
+            let mut lists = vec![Vec::new(); n];
+            for (member, leader) in spec(&degrees, Flavor::Envelope).edges {
+                lists[member].push(ids[leader]);
+                lists[leader].push(ids[member]);
+            }
+            for (x, (_, out)) in run.outputs.iter().enumerate() {
+                let mut listed = out.as_ref().expect("an envelope").neighbors.clone();
                 listed.sort_unstable();
-                let mut actual = g.graph.neighbors_of(id);
-                actual.sort_unstable();
-                assert_eq!(listed, actual, "{engine:?} node {id}");
+                lists[x].sort_unstable();
+                assert_eq!(listed, lists[x], "{engine:?} position {x}");
             }
         }
     }
