@@ -72,7 +72,7 @@
 //! in place, one of two ways, the same at every node:
 //!
 //! * **The route**, where the top key `δ` fills a group — `N ≥ δ + 1`
-//!   records held it, the control sweep's count, so every grouped rank
+//!   records held it, the control's count, so every grouped rank
 //!   held `δ`. Then every survivor's new rank has a closed form
 //!   ([`Regroup`]): the `t = N - q(δ + 1)` tail records still at `δ` go
 //!   first, then the members, which now hold `δ - 1` and come before every
@@ -320,7 +320,7 @@ pub struct Regroup {
     /// Number of groups.
     pub groups: usize,
     /// Records that held the top key `stride - 1`, at ranks `[0, top)`:
-    /// the control sweep's `N`.
+    /// the control's `N`, swept or replayed.
     pub top: usize,
 }
 
