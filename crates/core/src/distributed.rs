@@ -25,13 +25,16 @@
 //!    by the network over their window alone: `⌈log₂ n⌉` rounds and the
 //!    window's instead of the network's `O(log² n)` over the whole path
 //!    ([`SortStep::by_class`]);
-//! 3. with `q = max(1, ⌊N/(δ+1)⌋)`, split the first `q(δ+1)` positions
-//!    into `q` star groups: the leader, each group's first record, is fully
+//! 3. with `q = max(1, ⌊N/(δ+1)⌋)`, split `q(δ+1)` positions into `q` star
+//!    groups — in the exact flavors those after the `t = N - q(δ+1)`
+//!    records at `δ` that no group takes, where `δ` fills a group, else
+//!    the first: the leader, each group's first record, is fully
 //!    satisfied and drops to 0; each of the other `δ` members decrements
 //!    its remaining degree (an exact-flavor member already at 0 raises the
 //!    flag instead). The position holding a record decides all of it, in
 //!    the round both halves of the phase are in, since it depends only on
-//!    the rank, `δ` and `q`, and commits the new need as the record's key;
+//!    the rank, `δ`, `N` and `q`, and commits the new need as the record's
+//!    key;
 //! 4. in that round the leader's origin ID goes out to its members
 //!    (interval multicast over the positions), the next phase opens beside
 //!    the multicast, and when the multicast ends each position sends one
@@ -39,31 +42,38 @@
 //!    the leader's ID, which the origin stores as its edge.
 //!
 //! **Sort once, then regroup.** A phase barely changes the sorted order:
-//! the `q` leaders drop to 0, the `qδ` members each lose one, the tail
-//! `[q(δ+1), len)` does not change. In the exact flavors a record at need
-//! 0 is inert — never a leader again, and a run that picks it as a member
-//! goes negative and is refused — so the leaders' records leave, and the
-//! members and the tail are two runs that are still sorted. Equal needs
+//! the `q` leaders drop to 0, the `qδ` members each lose one, every other
+//! record keeps its need. In the exact flavors a record at need 0 is inert
+//! — never a leader again, and a run that picks it as a member goes
+//! negative and is refused — so the leaders' records leave. Equal needs
 //! keep the order the phase before held them in — at the commit each
 //! position writes its rank into its record's tie bits — and Havel–Hakimi
 //! is correct for any order of equal needs, so the re-sort is a stable
 //! one, and [`SortStep::regroup`] makes it where the records are held,
 //! over the path's contacts (ARCHITECTURE.md, *Deviations from the
-//! paper*). Where the top need `δ` fills a group (`N ≥ δ + 1`), every
-//! grouped rank held `δ`, so every survivor's new rank has a closed form
-//! in `q`, `δ` and `N`, which the control told everyone: the route takes
-//! each record there in `⌈log₂ n⌉` rounds, inside a control sweep, with no
-//! comparator. Elsewhere — one group reaching lower needs,
-//! or a capacity that does not take the route's two streams beside the
-//! sweep and the hop — the merge lane joins the two runs: the same route
-//! compacts them toward the head in `⌈log₂(q + 1)⌉` rounds (the longest
-//! shift is `q`), then one merge pass of `⌈log₂ n⌉ + 1` stages. Every
-//! phase count and `(q, δ, N)` is the one a full sort by
+//! paper*). Where the top need `δ` fills a group (`N ≥ δ + 1`), the exact
+//! flavors group the ranks `[t, t + q(δ+1))`: the `t = N - q(δ+1)` records
+//! at `δ` that no group takes stay first, every grouped record held `δ`,
+//! and every member, now at `δ - 1`, comes before every later record at
+//! `δ - 1`, so the survivors are still in stable order. The re-sort is
+//! then the compaction alone: each record moves toward the head past the
+//! leaders at or before it, `q` at most, in `⌈log₂(q + 1)⌉` rounds, with
+//! no comparator. After one group (`N < δ + 1`), which reaches lower
+//! needs, a replayed phase keeps the per-need counts it was decided on,
+//! and every survivor's new rank follows from them: the counted route
+//! takes each record there in `⌈log₂(D + 1)⌉` rounds for the longest move
+//! `D`, which every node reads off the same counts, where the capacity
+//! takes its streams — one a new need — beside the hop and, in an explicit
+//! run, the hand-off's rate. Elsewhere — a swept one-group phase, or
+//! streams the capacity does not take — the merge lane joins the members'
+//! run and the tail's: the compaction, then one merge pass of `⌈log₂ n⌉ +
+//! 1` stages. Every phase count and `(q, δ, N)` is the one a full sort by
 //! `(need, position)` gives, which depends only on the multiset of needs,
-//! and the edges are [`spec`]'s. The departed ranks'
-//! positions stay vacant at the end of the path, so every budget stays a
-//! function of `len` ([`merges`] says where the exact flavors regroup).
-//!
+//! and the edges are [`spec`]'s. The departed ranks' positions stay vacant
+//! at the end of the path, so every budget stays a function of `len` and
+//! of what every node knows ([`merges`] says where the exact flavors
+//! regroup).
+
 //! **Records stay in place.** Positions are the path's nodes, and
 //! that path is fixed for the whole run, so its contact table from the
 //! establishment addresses every comparator, compaction move and
@@ -101,8 +111,9 @@
 //! depend only on the multiset of needs ([`spec`]), and a phase changes
 //! that multiset by its `(q, δ, N)` alone: the `q` leaders drop to 0 (or
 //! leave the path, where [`merges`] says so), and the `qδ` members are the
-//! records after them in need order, each one less — a member already at
-//! 0 raises the went-negative flag in the exact flavors. The keyed
+//! records after them in need order — at `δ` wherever `δ` fills a group,
+//! however many records at `δ` go first — each one less; a member already
+//! at 0 raises the went-negative flag in the exact flavors. The keyed
 //! establishment leaves every node with the tally of the degrees' classes,
 //! 0 to 7 and one overflow class ([`PathCtx::classes`]), which is that
 //! multiset wherever the overflow is empty. There every node replays the
@@ -256,17 +267,20 @@ pub enum Flavor {
 /// Rounds of a whole realization of `degrees`, one a member of the path —
 /// context establishment, keyed by the degrees, then [`DegreesCore`] — at
 /// capacity `cap`: the schedule of the run's [`spec`] (below), its control
-/// replayed where the establishment counts every need ([`replays`]), the
-/// first phase's lane the class route (with its overflow window) or the
-/// network as [`sort::first_rounds_for`] decides beside the control. A
-/// refusal ends on its closing phase, before any hand-off.
+/// replayed where the establishment counts every need ([`replays`]) and
+/// each later phase re-sorted by the per-need counts the phase before was
+/// decided on there, the first phase's lane the class route (with its
+/// overflow window) or the network as [`sort::first_rounds_for`] decides
+/// beside the control. A refusal ends on its closing phase, before any
+/// hand-off.
 pub fn rounds_for(degrees: &[usize], flavor: Flavor, explicit: bool, cap: usize) -> u64 {
     let len = degrees.len();
     let replays = replays(degrees);
     let keys = degrees.iter().map(|&d| d as u64);
     let first = sort::first_rounds_for(keys, cap, control_load(len, cap, !replays));
     let spec = spec(degrees, flavor);
-    let (end, handed) = schedule_rounds(len, first, &spec.phases, flavor, explicit, replays, cap);
+    let shapes = shapes(&spec, replays);
+    let (end, handed) = schedule_rounds(len, first, &shapes, flavor, explicit, replays, cap);
     match spec.verdict {
         Ok(()) if explicit => handed,
         _ => end,
@@ -282,18 +296,22 @@ pub fn replays(degrees: &[usize]) -> bool {
 }
 
 /// Rounds of a whole realization — context establishment, then
-/// [`DegreesCore`] — on a path of `len` nodes whose phases formed
-/// `phases[i] = (q, δ, N)`, `q` stars of `δ` members after `N` records
-/// held `δ`, in phase `i + 1`: one entry per phase but the last, the
-/// run's [`phase_groups`]. Where the control is swept (not `replays`),
-/// every phase runs the control sweep ([`ops::rounds_for`] at `cap`:
-/// paced under a capacity of six, the doubling's `⌈log₂ len⌉ + 1`) beside
-/// its lane; where it is replayed, no phase runs one. The first phase's
-/// lane is the first sort, `first` rounds; a later one's the regroup
-/// where [`merges`] says so, [`sort::regroup_rounds_for`] after the phase
-/// before: the route's `⌈log₂ len⌉` rounds, inside the sweep at every
-/// length, where that phase's `N ≥ δ + 1` and the capacity takes the
-/// route's streams beside the control and the hop, else the merge lane's
+/// [`DegreesCore`] — on a path of `len` nodes whose phases took the
+/// shapes `phases[i]` in phase `i + 1` — `q` stars of `δ` members after
+/// `N` records held `δ`, over the records then on the path, with the
+/// per-need counts where the control `replays`: one entry per phase but
+/// the last, the run's [`phase_groups`] with the [`spec`]'s counts. Where
+/// the control is swept (not `replays`), every phase runs the control
+/// sweep ([`ops::rounds_for`] at `cap`: paced under a capacity of six, the
+/// doubling's `⌈log₂ len⌉ + 1`) beside its lane; where it is replayed, no
+/// phase runs one. The first phase's lane is the first sort, `first`
+/// rounds; a later one's the regroup where [`merges`] says so,
+/// [`sort::regroup_rounds_for`] after the phase before: the compaction's
+/// `⌈log₂(q + 1)⌉` rounds, inside the sweep at every length, where that
+/// phase's `N ≥ δ + 1`; after one group, the counted route's `⌈log₂(D +
+/// 1)⌉` for its longest move `D`, where the phase was replayed and the
+/// capacity takes the route's streams beside the hop and, with the
+/// hand-off, its rate; else the merge lane's
 /// [`sort::merge_rounds_for`]`(len, q)`, which ends inside the sweep
 /// while `q < 2^(control - ⌈log₂ len⌉ - 1)` (4 at `len = 2048`). Each
 /// phase's multicast and status ([`hop_rounds_for`], its `δ` where
@@ -313,7 +331,7 @@ pub fn replays(degrees: &[usize]) -> bool {
 fn schedule_rounds(
     len: usize,
     first: u64,
-    phases: &[(usize, usize, usize)],
+    phases: &[Regroup],
     flavor: Flavor,
     explicit: bool,
     replays: bool,
@@ -326,7 +344,8 @@ fn schedule_rounds(
     let mut commit = ctx::rounds_for(len);
     let (mut landed, mut blocks) = (0u64, Blocks::default());
     let (mut phase, mut hop) = (control.max(first), control);
-    for &(groups, delta, top) in phases {
+    for shape in phases {
+        let delta = shape.stride - 1;
         commit += phase;
         let most = cover(len, delta, replays);
         let mcast = imcast::rounds_for(most + 1);
@@ -339,13 +358,8 @@ fn schedule_rounds(
             None => _ = blocks.place(div(delta, block_rate(cap)), cap),
         }
         let lane = if merges(flavor, len) {
-            let shape = Regroup {
-                stride: delta + 1,
-                groups,
-                top,
-                ..Regroup::default()
-            };
-            sort::regroup_rounds_for(len, &shape, cap, lane_beside(len, cap, !replays))
+            let beside = lane_beside(len, cap, !replays, explicit);
+            sort::regroup_rounds_for(len, shape, cap, beside)
         } else {
             sort::rounds_for(len)
         };
@@ -354,6 +368,22 @@ fn schedule_rounds(
     }
     let end = commit + hop;
     (end, end.max(landed) + blocks.rounds())
+}
+
+/// The shapes of a run's phases but the last, as [`DegreesCore`] holds
+/// them at each commit: the [`spec`]'s `(q, δ, N)` over the records on the
+/// path, with the per-need counts each phase was decided on where the
+/// control `replays`.
+fn shapes(spec: &Spec, replays: bool) -> Vec<Regroup> {
+    let phases = spec.phases.iter().zip(&spec.counts);
+    let shape = |(&(groups, delta, top), counts): (_, &Vec<usize>)| Regroup {
+        live: counts.iter().sum(),
+        stride: delta + 1,
+        groups,
+        top,
+        counts: replays.then(|| std::array::from_fn(|need| counts.get(need).map_or(0, |&c| c))),
+    };
+    phases.map(shape).collect()
 }
 
 /// Messages a node a round that a phase's control takes on a path of
@@ -368,14 +398,22 @@ fn control_load(len: usize, cap: usize, swept: bool) -> usize {
 
 /// Messages a node a round that the steps beside a later phase's lane
 /// take on a path of `len` nodes at capacity `cap`: the control's
-/// ([`control_load`]) and the hop's one ([`ops::BESIDE`] counts the lane's
-/// one besides). The hand-off's rate is reckoned from [`ops::load`], a
-/// lane of one and the sweep's load whether or not it runs, so where a
-/// route's second stream runs beside announcements a node may receive one
-/// message a round past half the capacity, which the capacity still
-/// takes.
-fn lane_beside(len: usize, cap: usize, swept: bool) -> usize {
-    control_load(len, cap, swept) + 1
+/// ([`control_load`]) and the hop's one, and in an `explicit` run the
+/// hand-off's rate ([`handoff_rate`]), since a leader's origin may hear
+/// that many announcements a round beside the lane.
+fn lane_beside(len: usize, cap: usize, swept: bool, explicit: bool) -> usize {
+    let handoff = match explicit {
+        true => handoff_rate(len, cap),
+        false => 0,
+    };
+    control_load(len, cap, swept) + 1 + handoff
+}
+
+/// What half the capacity `cap` leaves beside the sweep, the lane and the
+/// hop on a path of `len` nodes ([`ops::load`]; the sweep counted where the
+/// control is replayed too): the rate of announcements beside the loop.
+fn handoff_rate(len: usize, cap: usize) -> usize {
+    (cap / 2).saturating_sub(ops::load(len, cap))
 }
 
 /// `⌈a/b⌉`.
@@ -395,7 +433,7 @@ fn div(a: usize, b: usize) -> u64 {
 /// commits no sooner than its multicast ends past the last window
 /// ([`rounds_for`]).
 pub fn beside_rate(len: usize, delta: usize, cap: usize) -> Option<usize> {
-    let rate = (cap / 2).saturating_sub(ops::load(len, cap));
+    let rate = handoff_rate(len, cap);
     let hop = hop_rounds_for(len.saturating_sub(1));
     (rate > 0 && div(delta, rate) <= hop).then_some(rate)
 }
@@ -427,6 +465,10 @@ pub struct Spec {
     pub edges: Vec<(usize, usize)>,
     /// `(q, δ, N)` of every phase but the last ([`phase_groups`]).
     pub phases: Vec<(usize, usize, usize)>,
+    /// The records on the path per need at the start of every phase but
+    /// the last: `counts[i][d]` held need `d ≤ δ` before phase `i + 1` —
+    /// what a replayed phase is decided on and re-sorted by.
+    pub counts: Vec<Vec<usize>>,
     /// How the run ends.
     pub verdict: Result<(), Unrealizable>,
 }
@@ -434,12 +476,14 @@ pub struct Spec {
 /// Algorithm 3 in `flavor`, replayed sequentially on `degrees` (one a
 /// position of the path): the records `(need, establishment position)`
 /// start in `(need, position)` order, need non-increasing; each phase
-/// reads `δ` and `N` off the first records, forms the groups over the
-/// first `q(δ + 1)` ranks — a rank past the records holds nothing —
-/// drops the leaders' records where [`merges`] says so (else they stay
-/// at need 0), decrements the members and sorts again by need: in the
-/// exact flavors a stable sort, equal needs in the order the phase held
-/// them; in the envelope's, ties by the establishment position.
+/// reads `δ` and `N` off the first records and forms the groups over
+/// `q(δ + 1)` ranks — in the exact flavors past the `t = N - q(δ + 1)`
+/// records at `δ` that no group takes, where `δ` fills a group, else from
+/// the first; a rank past the records holds nothing — drops the leaders'
+/// records where [`merges`] says so (else they stay at need 0), decrements
+/// the members and sorts again by need: in the exact flavors a stable
+/// sort, equal needs in the order the phase held them; in the envelope's,
+/// ties by the establishment position.
 /// [`DegreesCore`] forms exactly these edges and phases on either engine,
 /// and ends on this verdict.
 pub fn spec(degrees: &[usize], flavor: Flavor) -> Spec {
@@ -448,7 +492,8 @@ pub fn spec(degrees: &[usize], flavor: Flavor) -> Spec {
     let mut records: Vec<(usize, usize)> = degrees.iter().copied().zip(0..).collect();
     records.sort_by_key(by_need);
     let stable = flavor != Flavor::Envelope;
-    let (mut edges, mut phases, mut went_negative) = (Vec::new(), Vec::new(), false);
+    let (mut edges, mut phases, mut counts) = (Vec::new(), Vec::new(), Vec::new());
+    let mut went_negative = false;
     loop {
         let delta = records.first().map_or(0, |&(need, _)| need);
         if went_negative || delta >= len || delta == 0 {
@@ -460,6 +505,7 @@ pub fn spec(degrees: &[usize], flavor: Flavor) -> Spec {
             return Spec {
                 edges,
                 phases,
+                counts,
                 verdict,
             };
         }
@@ -470,9 +516,19 @@ pub fn spec(degrees: &[usize], flavor: Flavor) -> Spec {
             .count();
         let q = (top / stride).max(1);
         phases.push((q, delta, top));
+        let mut tally = vec![0; stride];
+        records.iter().for_each(|&(need, _)| tally[need] += 1);
+        counts.push(tally);
+        // The exact flavors leave the records at `δ` that no group takes
+        // first.
+        let first = match stable {
+            true => top.saturating_sub(q * stride),
+            false => 0,
+        };
         let mut leader = 0;
-        for (rank, (need, home)) in records.iter_mut().enumerate().take(q * stride) {
-            if rank % stride == 0 {
+        let grouped = records.iter_mut().enumerate().skip(first).take(q * stride);
+        for (rank, (need, home)) in grouped {
+            if (rank - first) % stride == 0 {
                 (*need, leader) = (0, *home);
             } else if *need == 0 && flavor != Flavor::Envelope {
                 went_negative = true;
@@ -483,10 +539,11 @@ pub fn spec(degrees: &[usize], flavor: Flavor) -> Spec {
         }
         if merges(flavor, len) {
             // The leaders' records leave the path.
-            let mut rank = 0;
+            let mut rank = 0usize;
             records.retain(|_| {
                 rank += 1;
-                rank > q * stride || (rank - 1) % stride != 0
+                let i = (rank - 1).checked_sub(first);
+                i.is_none_or(|i| i >= q * stride || i % stride != 0)
             });
         }
         match stable {
@@ -558,7 +615,8 @@ fn decide(delta: usize, top: usize, went_negative: bool, len: usize) -> Control 
 /// leaders' records drop to 0 (or leave, where [`merges`] says so), and
 /// the `qδ` members are the records after the leaders in need order, each
 /// one less (at 0 in the exact flavors, the went-negative flag). `O(CLASSES)`
-/// a phase, no message.
+/// a phase, no message; the counts a phase is decided on are also what
+/// the phase after it re-sorts by ([`Replay::needs`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Replay {
     /// The records on the path per need: the `live` records.
@@ -584,6 +642,12 @@ impl Replay {
             flavor,
             went_negative: false,
         })
+    }
+
+    /// The records on the path per need that the next phase is decided on,
+    /// and a later phase re-sorted by ([`Regroup::counts`]).
+    pub fn needs(&self) -> [usize; CLASSES] {
+        self.needs
     }
 
     /// The next phase's control; a phase that goes on is applied to the
@@ -933,8 +997,8 @@ pub struct DegreesCore {
     went_negative: bool,
     outcome: ImplicitOutcome,
     /// This phase's `q` groups of `δ + 1` ranks after `N` records held
-    /// `δ`, over `live` records: `len` less every leader a regroup took
-    /// off.
+    /// `δ`, over `live` records — `len` less every leader a regroup took
+    /// off — with the per-need counts it was decided on where replayed.
     shape: Regroup,
     /// Is this node's own record still on the path, so that every phase
     /// owes it a status?
@@ -998,6 +1062,7 @@ impl DegreesCore {
         self.outcome.phases += 1;
         let ctx = &self.ctx;
         let (vp, x) = (ctx.vp, ctx.position);
+        let counts = self.replay.as_deref().map(Replay::needs);
         let replayed = self.replay.as_deref_mut().map(Replay::phase);
         let control = replayed.is_none().then(|| {
             let words = [
@@ -1027,7 +1092,7 @@ impl DegreesCore {
         } else if merges(self.flavor, vp.len) {
             let (contacts, held, shape) = (ctx.contacts.clone(), self.held.take(), self.shape);
             self.shape.live -= shape.groups;
-            let beside = lane_beside(vp.len, cap, swept);
+            let beside = lane_beside(vp.len, cap, swept, self.explicit);
             Some(SortStep::regroup(vp, contacts, x, held, shape, beside))
         } else {
             let (contacts, held) = (ctx.contacts.clone(), self.held.take());
@@ -1036,6 +1101,7 @@ impl DegreesCore {
         self.stage = Phase { hop, control, lane };
         if let Some(flow) = replayed {
             settle(flow, &mut self.closing, &mut self.shape);
+            self.shape.counts = counts;
         }
     }
 
@@ -1111,8 +1177,16 @@ impl DegreesCore {
             if (self.handoff.as_ref()).is_some_and(|h| h.overlaps(len, stride - 1, ends, cap)) {
                 return Poll::Pending;
             }
-            let grouped = self.held.is_some() && x < self.shape.span();
-            let is_leader = grouped && x.is_multiple_of(stride);
+            // The exact flavors leave the records at `δ` that no group
+            // takes first, so that the survivors stay in order.
+            let first = match self.flavor {
+                Flavor::Envelope => 0,
+                _ => self.shape.first(),
+            };
+            let rank = (x.checked_sub(first)).filter(|&i| i < self.shape.span());
+            let grouped = self.held.is_some() && rank.is_some();
+            let i = rank.unwrap_or(0);
+            let is_leader = grouped && i.is_multiple_of(stride);
             let mut edge = false;
             if let Some(held) = self.held.as_mut() {
                 // The exact flavors' next lane keeps equal needs in the
@@ -1140,7 +1214,7 @@ impl DegreesCore {
             }
             let led = if is_leader { stride as u64 - 1 } else { 0 };
             let status = self.held.map(|h| (h.origin, led, edge));
-            let offset = if grouped && !is_leader { x % stride } else { 0 };
+            let offset = if grouped && !is_leader { i % stride } else { 0 };
             let task = (self.held)
                 .filter(|_| is_leader)
                 .map(|h| (stride - 1, h.origin));
@@ -1185,7 +1259,7 @@ impl Step for DegreesCore {
 
 #[cfg(test)]
 mod tests {
-    use super::{phase_groups, rounds_for, schedule_rounds, Flavor};
+    use super::{phase_groups, rounds_for, schedule_rounds, shapes, spec, Flavor, Regroup};
     use crate::driver::{prepare_degrees, realize_for_test};
     use dgr_ncc::{Config, EngineKind, Recording, RunEvent};
 
@@ -1211,7 +1285,13 @@ mod tests {
             if len.is_power_of_two() || len % 997 == 0 {
                 let sort = sort::rounds_for(len);
                 let run = |replays| {
-                    let phases = [(1, 1, 2)];
+                    let phases = [Regroup {
+                        live: len,
+                        stride: 2,
+                        groups: 1,
+                        top: 2,
+                        counts: None,
+                    }];
                     schedule_rounds(len, sort, &phases, Flavor::Implicit, false, replays, cap).0
                 };
                 let first = ctx::rounds_for(len) + control.max(sort);
@@ -1223,32 +1303,34 @@ mod tests {
         assert_eq!(pairs, [(2, 3), (14, 13), (12, 14)]);
     }
 
-    /// A later phase that routes is its control sweep: the route's
-    /// `⌈log₂ len⌉` rounds end inside the sweep at every length, paced or
-    /// not. Where a later phase merges instead, the merge lane fits the
-    /// sweep exactly while the phase before formed fewer than
-    /// `2^(control - ⌈log₂ len⌉ - 1)` groups, none where the sweep is no
-    /// longer than `⌈log₂ len⌉`: the compaction takes one round a bit of
-    /// the groups, the merge pass `⌈log₂ len⌉ + 1`. At n = 2048 a swept
-    /// run of 9 phases is the establishment (12), a first phase of the
-    /// 14-round sweep beside the 11-round class route (66 beside the
-    /// network), then seven phases of 14 rounds — the route after 118,
-    /// 251, 419 and 418 groups, the 13-round merge lane after the three
-    /// phases of one group whose top need fills none — and the 14-round
-    /// closing sweep: 138. Replayed, the same run is its lanes and its
-    /// last hop: the establishment, the class route, the seven later
-    /// lanes (11 routed, 13 merged; every hop after a phase of at most 5
-    /// members, 5 rounds, ends inside them) and the closing hop after a
-    /// phase of one member, 3: 109.
+    /// A later phase's re-sort ends inside its control sweep: after groups
+    /// the top need fills, the compaction alone, a round a bit of the
+    /// groups (`⌈log₂ len⌉` at most), at every length, paced or not. After
+    /// one group, the merge lane fits the sweep exactly while the phase
+    /// before formed fewer than `2^(control - ⌈log₂ len⌉ - 1)` groups,
+    /// none where the sweep is no longer than `⌈log₂ len⌉`: the compaction
+    /// takes one round a bit of the groups, the merge pass `⌈log₂ len⌉ +
+    /// 1`. At n = 2048, on `degrees_default`'s needs (709 at 5, 670 at 4,
+    /// 669 at 3), a swept run of 9 phases is the establishment (12), a
+    /// first phase of the 14-round sweep beside the 11-round class route
+    /// (66 beside the network), then seven phases of 14 rounds — the
+    /// compaction after 118, 251, 419 and 418 groups, the 13-round merge
+    /// lane after the three phases of one group whose top need fills none
+    /// — and the 14-round closing sweep: 138. Replayed, the same run is
+    /// its lanes and its last hop: the establishment, the class route, the
+    /// seven later lanes — 7, 9, 9 and 8 rounds of compaction, and the
+    /// counted route after each one-group phase, 11, 11 and 10 rounds for
+    /// its longest moves of 1254, 1254 and 836 positions (every hop after
+    /// a phase of at most 5 members, 5 rounds, ends inside them) — and the
+    /// closing hop after a phase of one member, 3: 91.
     #[test]
     fn a_later_phase_is_its_control_sweep() {
         use dgr_primitives::{levels_for, ops, sort};
         for (len, cap) in (9..=1 << 20).flat_map(|len| [(len, 22), (len, 4)]) {
             let control = ops::rounds_for(len, cap);
-            assert!(
-                sort::route_rounds_for(len) <= control,
-                "len={len} cap={cap}"
-            );
+            let compaction = sort::regroup_rounds_for(len, &full(len, len / 2), cap, 0);
+            assert_eq!(compaction, levels_for(len / 2 + 1) as u64, "len={len}");
+            assert!(compaction <= control, "len={len} cap={cap}");
             let fits = |groups| sort::merge_rounds_for(len, groups) <= control;
             let spare = control.checked_sub(levels_for(len) as u64 + 1);
             let edge = spare.map_or(0, |bits| 1 << bits);
@@ -1258,6 +1340,8 @@ mod tests {
         }
         assert_eq!(ops::rounds_for(2048, 22), 14);
         assert_eq!(sort::merge_rounds_for(2048, 1), 13);
+        let degrees = [[5; 709].as_slice(), &[4; 670], &[3; 669]].concat();
+        let spec = spec(&degrees, Flavor::Implicit);
         let groups = [
             (118, 5, 709),
             (1, 5, 1),
@@ -1268,12 +1352,33 @@ mod tests {
             (1, 2, 2),
             (419, 1, 838),
         ];
+        assert_eq!(spec.phases, groups);
         let run = |first, replays| {
-            schedule_rounds(2048, first, &groups, Flavor::Implicit, false, replays, 22).0
+            let phases = shapes(&spec, replays);
+            schedule_rounds(2048, first, &phases, Flavor::Implicit, false, replays, 22).0
         };
+        let shapes = shapes(&spec, true);
+        // The closing phase opens no lane after the last of them.
+        let lanes = shapes[..7]
+            .iter()
+            .map(|shape| sort::regroup_rounds_for(2048, shape, 22, 1));
+        assert_eq!(lanes.collect::<Vec<_>>(), [7, 11, 8, 9, 11, 9, 10]);
         let (route, network) = (sort::route_rounds_for(2048), sort::rounds_for(2048));
         assert_eq!([run(route, false), run(network, false)], [138, 190]);
-        assert_eq!([run(route, true), run(network, true)], [109, 164]);
+        assert_eq!([run(route, true), run(network, true)], [91, 146]);
+        assert_eq!(rounds_for(&degrees, Flavor::Implicit, false, 22), 91);
+    }
+
+    /// A phase of `groups` groups of two that the top need fills, on a
+    /// path of `len` records.
+    fn full(len: usize, groups: usize) -> Regroup {
+        Regroup {
+            live: len,
+            stride: 2,
+            groups,
+            top: 2 * groups,
+            counts: None,
+        }
     }
 
     /// The replay of the phase loop counts the phases a run takes; a

@@ -592,46 +592,53 @@ fn a_lost_announcement_panics_its_leader() {
 /// rounds, and every node with the fault-free explicit neighbours. The
 /// neighbour lists follow arrival order, so they are held as sets. The
 /// needs 2, 4, 6 and 8 put a quarter of the keys past 7, so the first
-/// sort routes with a window; later phases take the regroup route where
-/// the top need fills a group and the merge lane where it does not.
+/// sort routes with a window, the control sweeps, and later phases take
+/// the compaction where the top need fills a group and the merge lane
+/// where it does not. The needs 1 to 6 replay their control, so a
+/// later phase after one group takes the counted route.
 #[test]
 fn inbox_order_is_not_an_input() {
+    use dgr_core::distributed::replays;
     use dgr_ncc::Scenario;
     use std::collections::HashSet;
     let n = 96;
-    let degrees: Vec<usize> = (0..n).map(|i| 2 + 2 * (i % 4)).collect();
-    // A phase routes where its top need fills a group (`N > δ`).
-    let phases = phase_groups(&degrees, Flavor::Implicit);
-    let fills: HashSet<bool> = phases.iter().map(|&(_, d, top)| top > d).collect();
-    assert_eq!(fills.len(), 2, "routes and merges");
-    let config = Config::ncc0(96).with_queueing();
-    let reorder = Scenario::new(17).reorder(0..=u64::MAX);
-    for flavor in [Flavor::Implicit, Flavor::Explicit, Flavor::Envelope] {
-        let run = |config: Config, engine| {
-            let job = prepare_degrees(&degrees, config, flavor, engine).unwrap();
-            let run = job.drive(None).unwrap();
-            let out = run.output.expect_realized();
-            let mut neighbours = out.explicit_neighbors.clone();
-            neighbours.values_mut().for_each(|l| l.sort_unstable());
-            let shape = (out.graph.edge_list(), out.phases, out.metrics.rounds);
-            (shape, neighbours, run.engine.faults_reordered)
-        };
-        let (clean, clean_neighbours, _) = run(config.clone(), EngineKind::Batched);
-        assert_eq!(flavor == Flavor::Explicit, !clean_neighbours.is_empty());
-        for engine in [EngineKind::Batched, EngineKind::Reference] {
-            let what = format!("{flavor:?} {engine:?}");
-            let (shape, neighbours, faults) =
-                run(config.clone().with_scenario(reorder.clone()), engine);
-            assert!(faults > 0, "{what}");
-            assert_eq!(shape, clean, "{what}");
-            assert_eq!(neighbours, clean_neighbours, "{what}");
+    let swept: Vec<usize> = (0..n).map(|i| 2 + 2 * (i % 4)).collect();
+    let replayed: Vec<usize> = (0..n).map(|i| 1 + i % 6).collect();
+    for degrees in [swept, replayed] {
+        // A phase compacts where its top need fills a group (`N > δ`).
+        let phases = phase_groups(&degrees, Flavor::Implicit);
+        let fills: HashSet<bool> = phases.iter().map(|&(_, d, top)| top > d).collect();
+        assert_eq!(fills.len(), 2, "compactions and one-group phases");
+        let config = Config::ncc0(96).with_queueing();
+        let reorder = Scenario::new(17).reorder(0..=u64::MAX);
+        for flavor in [Flavor::Implicit, Flavor::Explicit, Flavor::Envelope] {
+            let run = |config: Config, engine| {
+                let job = prepare_degrees(&degrees, config, flavor, engine).unwrap();
+                let run = job.drive(None).unwrap();
+                let out = run.output.expect_realized();
+                let mut neighbours = out.explicit_neighbors.clone();
+                neighbours.values_mut().for_each(|l| l.sort_unstable());
+                let shape = (out.graph.edge_list(), out.phases, out.metrics.rounds);
+                (shape, neighbours, run.engine.faults_reordered)
+            };
+            let (clean, clean_neighbours, _) = run(config.clone(), EngineKind::Batched);
+            assert_eq!(flavor == Flavor::Explicit, !clean_neighbours.is_empty());
+            for engine in [EngineKind::Batched, EngineKind::Reference] {
+                let what = format!("{flavor:?} {engine:?} replayed {}", replays(&degrees));
+                let (shape, neighbours, faults) =
+                    run(config.clone().with_scenario(reorder.clone()), engine);
+                assert!(faults > 0, "{what}");
+                assert_eq!(shape, clean, "{what}");
+                assert_eq!(neighbours, clean_neighbours, "{what}");
+            }
         }
     }
 }
 
-/// The phases and the verdict a replay of the control gives on a path
-/// whose members request `degrees`, from their tally alone; `None` where a
-/// request passes the classes, whose run sweeps instead.
+/// The phases, the per-need counts each was decided on and the verdict a
+/// replay of the control gives on a path whose members request `degrees`,
+/// from their tally alone; `None` where a request passes the classes,
+/// whose run sweeps instead.
 fn replayed(degrees: &[usize], flavor: Flavor) -> Option<Trace> {
     use dgr_core::distributed::Replay;
     use dgr_primitives::ctx::{Tally, CLASSES};
@@ -641,33 +648,45 @@ fn replayed(degrees: &[usize], flavor: Flavor) -> Option<Trace> {
         totals.0[d.min(CLASSES)] += 1;
     }
     let mut replay = Replay::new(&totals, flavor)?;
-    let mut phases = Vec::new();
+    let (mut phases, mut counts) = (Vec::new(), Vec::new());
     loop {
+        let needs = replay.needs();
         match replay.phase() {
-            ControlFlow::Continue(phase) => phases.push(phase),
-            ControlFlow::Break(verdict) => return Some((phases, verdict)),
+            ControlFlow::Continue(phase) => {
+                phases.push(phase);
+                counts.push(needs);
+            }
+            ControlFlow::Break(verdict) => return Some((phases, counts, verdict)),
         }
     }
 }
 
-/// A run's `(q, δ, N)` phase by phase, and how it ends.
+/// A run's `(q, δ, N)` phase by phase, the records per need each phase
+/// was decided on — what a later phase routes by — and how it ends.
 type Trace = (
     Vec<(usize, usize, usize)>,
+    Vec<[usize; dgr_primitives::ctx::CLASSES]>,
     Result<(), dgr_core::Unrealizable>,
 );
 
 /// Holds the replay to the spec on `degrees`: the same `(q, δ, N)` phase
-/// by phase and the same verdict wherever the tally counts every request,
-/// no replay elsewhere. Returns whether it replayed.
+/// by phase, each phase's counts the spec's multiset of needs at its start,
+/// and the same verdict wherever the tally counts every request, no replay
+/// elsewhere. Returns whether it replayed.
 fn assert_replay_is_the_spec(what: &str, degrees: &[usize], flavor: Flavor) -> bool {
     use dgr_core::distributed::{replays, spec};
-    let Some((phases, verdict)) = replayed(degrees, flavor) else {
+    let Some((phases, counts, verdict)) = replayed(degrees, flavor) else {
         assert!(!replays(degrees), "{what}: no replay");
         return false;
     };
     assert!(replays(degrees), "{what}: a replay past the classes");
     let spec = spec(degrees, flavor);
     assert_eq!(phases, spec.phases, "{what}: phases");
+    let multisets = spec
+        .counts
+        .iter()
+        .map(|c| std::array::from_fn(|need| c.get(need).copied().unwrap_or(0)));
+    assert_eq!(counts, multisets.collect::<Vec<_>>(), "{what}: counts");
     assert_eq!(verdict, spec.verdict, "{what}: verdict");
     true
 }
@@ -690,7 +709,9 @@ fn golden_request(case: &str) -> (Flavor, Vec<usize>) {
 }
 
 /// The control a run replays from the establishment's tally is the
-/// spec's, phase for phase, in every flavour: on every tally-counted row
+/// spec's, phase for phase — its `(q, δ, N)` and the per-need counts it
+/// was decided on, which a later phase routes by — in every flavour: on
+/// every tally-counted row
 /// of [`GOLDEN`] and of the two sweeps, and on a fresh request at every
 /// path length from 1 to 300 drawn from the test's case stream — needs
 /// below `min(n + 1, 8)`, graphic or not, so that refusals come both ways:
@@ -787,6 +808,42 @@ fn a_replayed_run_sends_no_sweep() {
         let (sent, phases) = delivered(&degrees, Flavor::Implicit, engine, SWEEP);
         assert!(phases > 1, "{engine:?}");
         assert_eq!(sent as u64, phases * 2 * (n as u64 - 1), "{engine:?}");
+    }
+}
+
+/// A run whose needs the tally counts re-sorts every later phase by a
+/// route alone: at n = 2048, on `degrees_default`'s needs (709 at 5, 670
+/// at 4, 669 at 3), the compaction after each phase whose top need fills
+/// a group and the counted route after each of its three one-group
+/// phases, so on both engines it sends no `SORT_XCHG` — none in phase 1
+/// either, whose class route has no overflow window. With one need of 8
+/// the control sweeps, the phases carry no counts, and the one-group
+/// phases — the first is one, a lone 8 — still merge.
+#[test]
+fn a_tally_counted_run_sends_no_comparator_exchange() {
+    use dgr_core::distributed::{replays, spec};
+    use dgr_ncc::tags;
+    const XCHG: &[u16] = &[tags::SORT_XCHG];
+    let mut degrees = [[5; 709].as_slice(), &[4; 670], &[3; 669]].concat();
+    assert!(replays(&degrees));
+    let one_group = |degrees: &[usize]| {
+        let phases = spec(degrees, Flavor::Implicit).phases;
+        phases
+            .iter()
+            .filter(|&&(_, delta, top)| top <= delta)
+            .count()
+    };
+    assert_eq!(one_group(&degrees), 3);
+    for engine in [EngineKind::Batched, EngineKind::Reference] {
+        let (sent, phases) = delivered(&degrees, Flavor::Implicit, engine, XCHG);
+        assert_eq!((sent, phases), (0, 9), "{engine:?}");
+    }
+    degrees[709] = 8;
+    assert!(!replays(&degrees));
+    assert!(one_group(&degrees) > 0);
+    for engine in [EngineKind::Batched, EngineKind::Reference] {
+        let (sent, _) = delivered(&degrees, Flavor::Implicit, engine, XCHG);
+        assert!(sent > 0, "{engine:?}");
     }
 }
 

@@ -52,52 +52,61 @@
 //!
 //! Every lane of [`SortStep`] is a route, then the network over a window:
 //! the class route and the overflow's window; after a group phase the
-//! regroup route, with no window, or the merge lane's compaction and one
-//! merge pass; or no route and the whole path. Each ends with the
-//! rank-`x` record [`Held`] at position `x`, wherever the records
-//! started. A caller that keeps working in position space — Algorithm 3's
-//! phase loop, the tree drivers, whose hand-off ends in a status to each
-//! record's origin — needs no more. A caller that needs a *sorted path*
-//! chains [`RankStep`], the 2-round epilogue that tells each record's
-//! origin its rank and the IDs of its sorted predecessor/successor — a
-//! new [`VPath`] in sorted order, on which every other primitive can be
-//! established (Algorithm 6's token pipelines run along it).
+//! compaction or the counted route, with no window, or the merge lane's
+//! compaction and one merge pass; or no route and the whole path. Each
+//! ends with the rank-`x` record [`Held`] at position `x`, wherever the
+//! records started. A caller that keeps working in position space —
+//! Algorithm 3's phase loop, the tree drivers, whose hand-off ends in a
+//! status to each record's origin — needs no more. A caller that needs a
+//! *sorted path* chains [`RankStep`], the 2-round epilogue that tells each
+//! record's origin its rank and the IDs of its sorted
+//! predecessor/successor — a new [`VPath`] in sorted order, on which every
+//! other primitive can be established (Algorithm 6's token pipelines run
+//! along it).
 //!
-//! **Re-sorting after a group phase in `O(log n)` rounds.** Algorithm 3
-//! re-sorts records whose order one phase barely changed: the heads of the
-//! first `q` groups of `δ + 1` ranks leave, their `qδ` members each lose
-//! one, the tail does not change — two runs that are still sorted. With
-//! each record's rank as its home, the re-sort is stable: equal keys keep
-//! the order the phase held them in. [`SortStep::regroup`] re-orders them
-//! in place, one of two ways, the same at every node:
+//! **Re-sorting after a group phase in as many rounds as its longest
+//! move.** Algorithm 3 re-sorts records whose order one phase barely
+//! changed: the heads of `q` groups of `δ + 1` ranks leave, their `qδ`
+//! members each lose one, every other record keeps its key. With each
+//! record's rank as its home, the re-sort is stable: equal keys keep the
+//! order the phase held them in. [`SortStep::regroup`] re-orders them in
+//! place, one of three ways, the same at every node; each moves a record
+//! one bit of its signed displacement a round, least significant first,
+//! over the contacts, as the class route does, so a lane takes a round a
+//! bit of its longest move:
 //!
-//! * **The route**, where the top key `δ` fills a group — `N ≥ δ + 1`
-//!   records held it, the control's count, so every grouped rank
-//!   held `δ`. Then every survivor's new rank has a closed form
-//!   ([`Regroup`]): the `t = N - q(δ + 1)` tail records still at `δ` go
-//!   first, then the members, which now hold `δ - 1` and come before every
-//!   later record at `δ - 1`, then the rest, each past the `q` departed
-//!   heads. Each record goes there one bit of its signed displacement a
-//!   round, least significant first, over the contacts, as in the class
-//!   route: [`route_rounds_for`] rounds and no comparator. The members and
-//!   the records after that tail keep their destinations' order and their
-//!   displacements `t - g - 1 ≥ t - q ≥ -q` do not increase along the
-//!   path, and the tail moves `q(δ + 1)` behind as one, so two records of
-//!   one of these two streams never meet at a position; a node sends and
-//!   receives at most one record a stream a round. The route runs where
-//!   the capacity takes a record of each non-empty stream a round beside
-//!   the steps around it ([`Regroup::routes`]), the first sort's rule.
-//! * **The merge lane** elsewhere: the heads' records are dropped, and
-//!   the compaction routes every other record toward the head past each
-//!   head at or before it ([`Regroup`]'s shift) — the same route, its
-//!   displacement that shift — then one merge pass of the network at a
-//!   virtual offset joins the two runs. The longest shift is the number
-//!   of groups `g`, which every node knows, so the compaction takes
-//!   `⌈log₂(g + 1)⌉` rounds and the lane `⌈log₂(g + 1)⌉ + ⌈log₂ n⌉ + 1`
-//!   ([`merge_rounds_for`]). The shifts are non-decreasing in the rank, so
-//!   no two records ever meet at a position.
+//! * **The compaction alone**, where the top key `δ` fills a group — `N ≥
+//!   δ + 1` records held it, the control's count. The caller groups ranks
+//!   `[t, t + q(δ + 1))` ([`Regroup::first`]): the `t = N - q(δ + 1)`
+//!   records at `δ` that no group takes stay first, every grouped rank
+//!   held `δ`, and every member, now at `δ - 1`, comes before every later
+//!   record at `δ - 1`. So the survivors are still in stable order: each
+//!   moves toward the head past every head at or before it, `q` at most,
+//!   in `⌈log₂(q + 1)⌉` rounds, and nothing else moves. The shifts do not
+//!   decrease along the path, so no two records ever meet at a position.
+//! * **The counted route**, after one group (`N < δ + 1`) decided on the
+//!   records per key ([`Regroup::counts`]), which every node of a run
+//!   that replays its control holds: the group's `δ` members reach keys
+//!   below `δ`, and every survivor's new rank follows from those counts in
+//!   `O(CLASSES)` — each run of survivors that held one key on one side of
+//!   the group's end lands past every survivor at a higher new key, in the
+//!   order they held. Every node reads the longest move `D` off the same
+//!   counts, so the route takes `⌈log₂(D + 1)⌉` rounds. Within a new key
+//!   — a stream — the destinations keep the positions' order and the
+//!   moves do not increase along the path, so, as in Nassimi and Sahni's
+//!   monotone "concentrate" routes, two records of one stream never meet
+//!   at a position: a node sends and receives at most one record a stream
+//!   a round. It runs where the capacity takes a record of each stream a
+//!   round beside the steps around it, the first sort's rule.
+//! * **The merge lane** elsewhere — after one group decided on no counts,
+//!   or whose streams the capacity does not take: the heads' records are
+//!   dropped, the compaction moves every other record toward the head
+//!   past the head at or before it, then one merge pass of the network at
+//!   a virtual offset joins the members' run and the tail's, in
+//!   `⌈log₂(q + 1)⌉ + ⌈log₂ n⌉ + 1` rounds ([`merge_rounds_for`]),
+//!   `⌈log₂ n⌉ + 2` after one group.
 //!
-//! Either way the path keeps its length; the departed ranks' positions
+//! Every way the path keeps its length; the departed ranks' positions
 //! stay vacant at the end.
 
 use crate::contacts::ContactTable;
@@ -256,22 +265,25 @@ pub fn merge_rounds_for(len: usize, groups: usize) -> u64 {
     (crate::levels_for(groups + 1) + crate::levels_for(len)) as u64 + 1
 }
 
-/// Number of rounds the class route of [`SortStep::by_class`] and the
-/// route of [`SortStep::regroup`] take on a path of `len` nodes: a round a
-/// bit of the longest displacement, `⌈log₂ len⌉`.
+/// Number of rounds the class route of [`SortStep::by_class`] takes on a
+/// path of `len` nodes: a round a bit of the longest displacement,
+/// `⌈log₂ len⌉`. The routes of [`SortStep::regroup`] take a round a bit of
+/// their own longest move instead ([`regroup_rounds_for`]).
 pub fn route_rounds_for(len: usize) -> u64 {
     crate::levels_for(len) as u64
 }
 
 /// Number of rounds [`SortStep::regroup`] takes on a path of `len` nodes
 /// after `phase` at capacity `cap`, beside steps that send and receive up
-/// to `beside` messages a node a round: the route's where
-/// [`Regroup::routes`], else the merge lane's.
+/// to `beside` messages a node a round: where the top key fills a group,
+/// the compaction's `⌈log₂(q + 1)⌉`, whatever the capacity; after one
+/// group decided on [`Regroup::counts`], the counted route's `⌈log₂(D +
+/// 1)⌉` for its longest move `D`, where the capacity takes a record of
+/// each of its streams a round beside those steps; else the merge lane's
+/// [`merge_rounds_for`]`(len, q)`.
 pub fn regroup_rounds_for(len: usize, phase: &Regroup, cap: usize, beside: usize) -> u64 {
-    match phase.routes(cap, beside) {
-        true => route_rounds_for(len),
-        false => merge_rounds_for(len, phase.groups),
-    }
+    let routed = phase.route_rounds(cap, beside);
+    routed.unwrap_or_else(|| merge_rounds_for(len, phase.groups))
 }
 
 /// Rounds of a first sort over keys whose classes tally `totals` that
@@ -306,11 +318,10 @@ pub const RANK_ROUNDS: u64 = 2;
 
 /// What one group phase did to sorted records, the input of
 /// [`SortStep::regroup`]: of the `live` records, position `x` holding the
-/// rank-`x` one, ranks `[0, groups · stride)` form `groups` groups of
-/// `stride` ranks; each group's head leaves, and the rest of each group
-/// and the tail `[groups · stride, live)` keep their relative order under
-/// the new keys. The first `top` records held the top key, `stride - 1`,
-/// before the phase, and each member lost one.
+/// rank-`x` one, the first `top` held the top key, `stride - 1`, and
+/// ranks `[first, first + groups · stride)` form `groups` groups of
+/// `stride` ranks ([`Regroup::first`]); each group's head leaves, each
+/// member lost one, and every other record kept its key.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Regroup {
     /// Records held, at positions (ranks) `[0, live)`.
@@ -322,6 +333,11 @@ pub struct Regroup {
     /// Records that held the top key `stride - 1`, at ranks `[0, top)`:
     /// the control's `N`, swept or replayed.
     pub top: usize,
+    /// The records per key the phase was decided on, `counts[k]` of the
+    /// `live` at key `k`, where every key is below [`CLASSES`] and every
+    /// node holds them — a control replayed from the tally; `None` where
+    /// it was swept.
+    pub counts: Option<[usize; CLASSES]>,
 }
 
 impl Regroup {
@@ -330,56 +346,109 @@ impl Regroup {
         self.groups * self.stride
     }
 
-    /// Where the route of [`SortStep::regroup`] takes the record at
-    /// `rank`, its rank in a stable re-sort by the new keys, once the top
-    /// key fills every group: the `t = top - span` tail records still at
-    /// the top key go first, then the members (the one at `g · stride + i`
-    /// to `t + g(stride - 1) + i - 1`), then every later record, each
-    /// moved past the `groups` departed heads. `None` for a head, whose
-    /// record leaves, and wherever the top key fills no group (`top <
-    /// stride`), where the merge lane re-orders instead.
-    fn rank(&self, rank: usize) -> Option<usize> {
-        let (stride, span) = (self.stride, self.span());
-        let tail = self.top.checked_sub(span).filter(|_| self.top >= stride)?;
-        if rank >= self.top {
-            Some(rank - self.groups)
-        } else if rank >= span {
-            Some(rank - span)
-        } else if rank.is_multiple_of(stride) {
-            None
-        } else {
-            Some(tail + rank / stride * (stride - 1) + rank % stride - 1)
-        }
+    /// The first grouped rank: where the top key fills a group, the `t =
+    /// top - span` records at the top key that no group takes stay first;
+    /// elsewhere (`top < stride`, one group) 0.
+    pub fn first(&self) -> usize {
+        self.top.saturating_sub(self.span())
     }
 
-    /// The route's streams that hold records: the members and the records
-    /// after the tail at the top key, whose displacements `t - g - 1 ≥ t -
-    /// groups ≥ -groups` do not increase along the path; and that tail,
-    /// all `span` behind, where it is not empty.
-    fn streams(&self) -> usize {
-        1 + usize::from(self.top > self.span())
+    /// Whether the top key fills every group (`top ≥ stride`), so that
+    /// every grouped rank held it and the survivors are still in order.
+    fn fills(&self) -> bool {
+        self.top >= self.stride
     }
 
-    /// Whether [`SortStep::regroup`] routes after this phase at capacity
-    /// `cap`, beside steps that send and receive up to `beside` messages a
-    /// node a round: where the top key fills a group (`top ≥ stride`), and
-    /// the capacity takes a record of each of the route's streams a round
-    /// beside those steps — the rule of the first sort's class route.
-    pub fn routes(&self, cap: usize, beside: usize) -> bool {
-        self.top >= self.stride && self.streams() + beside <= cap
-    }
-
-    /// How far toward the head the merge lane's compaction moves the
-    /// record at `rank`: past every head at or before it. `None` for a
-    /// head, whose record leaves.
+    /// How far toward the head the compaction moves the record at `rank`:
+    /// past every head at or before it. `None` for a head, whose record
+    /// leaves.
     fn shift(&self, rank: usize) -> Option<usize> {
-        if rank >= self.span() {
-            Some(self.groups)
-        } else if rank.is_multiple_of(self.stride) {
-            None
-        } else {
-            Some(rank / self.stride + 1)
+        let (first, stride) = (self.first(), self.stride);
+        match rank.checked_sub(first) {
+            None => Some(0),
+            Some(i) if i >= self.span() => Some(self.groups),
+            Some(i) if i.is_multiple_of(stride) => None,
+            Some(i) => Some(i / stride + 1),
         }
+    }
+
+    /// Rounds of the route that re-sorts alone after this phase at
+    /// capacity `cap`, beside steps that send and receive up to `beside`
+    /// messages a node a round: where the top key fills a group, the
+    /// compaction's, a round a bit of the longest shift, `groups`; after
+    /// one group decided on [`Regroup::counts`], the counted route's, a
+    /// round a bit of its longest move, where the capacity takes a record
+    /// of each of its streams a round beside those steps. `None` where the
+    /// merge lane runs.
+    fn route_rounds(&self, cap: usize, beside: usize) -> Option<u64> {
+        if self.fills() {
+            return Some(crate::levels_for(self.groups + 1) as u64);
+        }
+        let runs = self.runs(self.counts?);
+        let (longest, streams) = runs.fold((0, 0u32), |(most, keys), (from, _, key, to)| {
+            (most.max(from.abs_diff(to)), keys | 1 << key)
+        });
+        let fits = streams.count_ones() as usize + beside <= cap;
+        fits.then(|| crate::levels_for(longest + 1) as u64)
+    }
+
+    /// Where the route that re-sorts alone takes the record at `rank`: the
+    /// compaction's `rank - shift` where the top key fills a group, else
+    /// its rank in the counted route's runs. `None` for a head, whose
+    /// record leaves.
+    fn rank(&self, rank: usize) -> Option<usize> {
+        match self.counts.filter(|_| !self.fills()) {
+            None => self.shift(rank).map(|shift| rank - shift),
+            Some(counts) => (self.runs(counts))
+                .find(|&(from, past, ..)| (from..past).contains(&rank))
+                .map(|(from, _, _, to)| to + rank - from),
+        }
+    }
+
+    /// The counted route's runs after one group decided on `counts`, in
+    /// rank order: every run of survivors that held one key on one side
+    /// of the group's end, `(first rank, past its last, new key, the new
+    /// rank of its first)`. The head at rank 0 leaves; the members, ranks
+    /// `[1, min(stride, live))`, each lose one (a member at 0 keeps it, as
+    /// the commit does); each new key's survivors land together past every
+    /// survivor at a higher one, in the order they held. A new key is a
+    /// stream: its runs' sources and destinations keep their order, and
+    /// their moves do not increase along the path.
+    fn runs(&self, counts: [usize; CLASSES]) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+        debug_assert!(!self.fills(), "a counted route after a full group");
+        debug_assert_eq!(
+            counts.iter().sum::<usize>(),
+            self.live,
+            "counts of other records"
+        );
+        let end = self.span().min(self.live);
+        let blocks = (0..CLASSES).rev().scan(0, move |from, key| {
+            let lo = *from;
+            *from += counts[key];
+            Some((lo, *from, key))
+        });
+        // A key's block splits at the group's end: members, then the rest.
+        let runs = blocks
+            .flat_map(move |(lo, hi, key)| {
+                [
+                    (lo.max(1), hi.min(end), key.saturating_sub(1)),
+                    (lo.max(end), hi, key),
+                ]
+            })
+            .filter(|&(from, past, _)| from < past);
+        let mut at = [0; CLASSES];
+        for (from, past, key) in runs.clone() {
+            at[key] += past - from;
+        }
+        let mut start = 0;
+        for key in (0..CLASSES).rev() {
+            (at[key], start) = (start, start + at[key]);
+        }
+        runs.map(move |(from, past, key)| {
+            let to = at[key];
+            at[key] += past - from;
+            (from, past, key, to)
+        })
     }
 
     /// Where position 0 sits in the merge pass over `2 · half` virtual
@@ -482,9 +551,9 @@ impl Record {
 /// over the whole path (rounds: exactly [`rounds_for`]`(vp.len)`); by
 /// [`SortStep::by_class`], where the keys allow it, the class route and
 /// the network over the overflow's window; by [`SortStep::regroup`] after
-/// a group phase, the route to the survivors' closed-form ranks and no
-/// window where the phase allows it, else the merge lane's compaction
-/// route and one merge pass. Each ends with the rank-`x` record [`Held`]
+/// a group phase, the compaction or the counted route and no window where
+/// the phase allows it, else the merge lane's compaction route and one
+/// merge pass. Each ends with the rank-`x` record [`Held`]
 /// at position `x` (`None` past the last record). Ties break by home
 /// position, making the result deterministic. Legal under the strict
 /// capacity policy; a non-member view idles through the same rounds and
@@ -514,15 +583,16 @@ pub struct Sort {
     cmp: Option<bool>,
     /// The route, until it lands this position's record; [`Sort::budget`]
     /// drops it at the first poll where none runs, and the network runs
-    /// over the whole path.
-    route: Option<Route>,
+    /// over the whole path. Boxed: with a phase's per-key counts in its
+    /// fit, a route outweighs the rest of the sort.
+    route: Option<Box<Route>>,
 }
 
 /// A route at one position: every record moves to its destination, one
 /// bit of its signed displacement a round, least significant first, over
 /// the contacts — the class route of [`SortStep::by_class`], or after a
-/// group phase the route of [`SortStep::regroup`] or its merge lane's
-/// compaction. The position's record joins it at the first poll
+/// group phase the compaction or the counted route of
+/// [`SortStep::regroup`], or its merge lane's compaction. The position's record joins it at the first poll
 /// ([`Sort::budget`]), with the destination the route gives it.
 #[derive(Debug)]
 struct Route {
@@ -531,8 +601,8 @@ struct Route {
     fit: Fit,
     /// Messages a node a round the steps beside the route may take.
     beside: usize,
-    /// The route's rounds: [`route_rounds_for`] the path, or the
-    /// compaction's `⌈log₂(groups + 1)⌉`.
+    /// The route's rounds: [`route_rounds_for`] the path, or a round a bit
+    /// of the longest move after a group phase.
     rounds: u64,
     /// Whether a record lands at this position.
     lands: bool,
@@ -547,8 +617,9 @@ enum Fit {
     /// ([`routed_rounds`]), this position's record bound for `dest`
     /// ([`destination`]).
     Classes { totals: Tally, dest: usize },
-    /// A later phase's route after this group phase ([`Regroup::routes`],
-    /// [`Regroup::rank`]); where it does not run, the compaction.
+    /// A later phase's route after this group phase, the compaction or the
+    /// counted route ([`Regroup::route_rounds`], [`Regroup::rank`]); where
+    /// neither runs, the merge lane's compaction.
     Regroup(Regroup),
     /// The merge lane's compaction, which the first poll picked for a
     /// group phase the route does not take ([`Regroup::shift`]).
@@ -617,24 +688,27 @@ impl SortStep {
 
     /// Re-sorts the records of positions `[0, phase.live)`, position `x`
     /// holding the rank-`x` record in [`Order::Descending`], after the
-    /// group phase `phase`, whose members each lost one from the top key;
-    /// `held` is this node's record with its new key, its home the rank
-    /// `x` it held (rounds: exactly [`regroup_rounds_for`] at the run's
-    /// capacity). The survivors end in a stable re-sort by the new keys,
-    /// ties in the order they held, at positions `[0, live - groups)`, and
-    /// the positions after them hold nothing.
+    /// group phase `phase`, whose members each lost one; `held` is this
+    /// node's record with its new key, its home the rank `x` it held
+    /// (rounds: exactly [`regroup_rounds_for`] at the run's capacity). The
+    /// survivors end in a stable re-sort by the new keys, ties in the
+    /// order they held, at positions `[0, live - groups)`, and the
+    /// positions after them hold nothing.
     ///
-    /// Where the top key fills a group and the capacity takes the route's
-    /// streams beside steps taking up to `beside` messages a node a round
-    /// ([`Regroup::routes`]), every survivor goes straight to its rank
-    /// ([`Regroup`]'s closed form) in [`route_rounds_for`] rounds, with no
+    /// Where the top key fills a group, the caller grouped the ranks from
+    /// [`Regroup::first`] on, so the survivors are still in that order:
+    /// the compaction alone moves each past the heads at or before it, in
+    /// `⌈log₂(q + 1)⌉` rounds. After one group decided on
+    /// [`Regroup::counts`], where the capacity takes the counted route's
+    /// streams beside steps taking up to `beside` messages a node a round,
+    /// every survivor goes straight to the rank the counts give it, in
+    /// `⌈log₂(D + 1)⌉` rounds for the longest move `D`. Neither runs a
     /// comparator. Else the merge lane runs (rounds: exactly
-    /// [`merge_rounds_for`]`(vp.len, phase.groups)`): the compaction
-    /// routes every survivor toward the head past each head at or before
-    /// it, and one merge pass joins the members' run and the tail's, which
-    /// the caller guarantees are each still in `(key, home)` order; the
-    /// homes make that order the stable one. Every member takes the same
-    /// choice at its first poll.
+    /// [`merge_rounds_for`]`(vp.len, phase.groups)`): the compaction, then
+    /// one merge pass joins the members' run and the tail's, which the
+    /// caller guarantees are each still in `(key, home)` order; the homes
+    /// make that order the stable one. Every member takes the same choice
+    /// at its first poll.
     pub fn regroup(
         vp: VPath,
         contacts: Arc<ContactTable>,
@@ -754,7 +828,7 @@ impl Sort {
             lands,
             here: Vec::new(),
         };
-        let route = Some(route);
+        let route = Some(Box::new(route));
         Sort { route, ..self }
     }
 
@@ -835,9 +909,9 @@ impl Rounds for Sort {
     /// window, the same at every member: the class route and the
     /// overflow's window where the capacity takes them and they are no
     /// longer, else no route and the network over the whole path
-    /// ([`SortStep::by_class`]); the regroup route and no window where the
-    /// phase lets it and the capacity takes it, else the compaction and
-    /// one merge pass ([`SortStep::regroup`]).
+    /// ([`SortStep::by_class`]); the compaction or the counted route and
+    /// no window where the phase lets it and the capacity takes it, else
+    /// the compaction and one merge pass ([`SortStep::regroup`]).
     fn budget(&mut self, ctx: &RoundCtx<'_>) -> Option<u64> {
         let route = self.route.as_mut()?;
         let (cap, beside, x) = (ctx.capacity(), route.beside, self.x);
@@ -855,19 +929,22 @@ impl Rounds for Sort {
                 debug_assert_eq!(rounds, route.rounds + self.it.count() as u64);
                 Some(dest)
             }
-            Fit::Regroup(phase) if phase.routes(cap, beside) => {
-                // Every record lands at its rank: no window.
-                self.it = StageIter::new(0);
-                phase.rank(x)
-            }
-            Fit::Regroup(phase) => {
-                let half = 1 << self.width;
-                route.fit = Fit::Compaction;
-                route.rounds = crate::levels_for(phase.groups + 1) as u64;
-                self.it = StageIter::merge_pass(half);
-                (self.live, self.offset) = (phase.live - phase.groups, phase.offset(half));
-                phase.shift(x).map(|shift| x - shift)
-            }
+            Fit::Regroup(phase) => match phase.route_rounds(cap, beside) {
+                Some(rounds) => {
+                    // Every record lands at its rank: no window.
+                    route.rounds = rounds;
+                    self.it = StageIter::new(0);
+                    phase.rank(x)
+                }
+                None => {
+                    let half = 1 << self.width;
+                    route.fit = Fit::Compaction;
+                    route.rounds = crate::levels_for(phase.groups + 1) as u64;
+                    self.it = StageIter::merge_pass(half);
+                    (self.live, self.offset) = (phase.live - phase.groups, phase.offset(half));
+                    phase.shift(x).map(|shift| x - shift)
+                }
+            },
             Fit::Compaction => unreachable!("a route picked twice"),
         };
         route.here.extend(self.held.take().zip(dest));
@@ -1076,7 +1153,7 @@ mod tests {
                     live,
                     stride,
                     groups,
-                    top: 0,
+                    ..Regroup::default()
                 };
                 // Needs in sorted order, ties by home position; a group
                 // member has one to lose, the tail may hold zeros.
@@ -1208,14 +1285,14 @@ mod tests {
                 live: n,
                 stride: 3.min(n),
                 groups: (n / 6).max(1),
-                top: 0,
+                ..Regroup::default()
             };
             let live = n - first.groups;
             let second = Regroup {
                 live,
                 stride: 2,
                 groups: live / 4,
-                top: 0,
+                ..Regroup::default()
             };
             // One phase, sequentially: the survivors' new needs, sorted.
             let by_rank = move |h: &Held| order.pack(h.key, h.home, crate::levels_for(n) as u32);
@@ -1527,40 +1604,54 @@ mod tests {
         }
     }
 
-    /// A random group phase over `live ≤ len` records whose first `top`
-    /// held the top need — `top` a multiple of the stride where `exact`,
-    /// so that no record at the top need trails the groups — and the needs
-    /// held at ranks `[0, live)` after it: each head's 0, each member's
-    /// top less one, every later need drawn below the top, non-increasing.
+    /// A random group phase over `live ≤ len` records, each need below
+    /// [`CLASSES`], whose top need `δ` fills a group — `N ≥ δ + 1`
+    /// records held it — unless `one_group`: then `N ≤ δ`, and the group
+    /// may reach past the records (`δ ≥ live`). Returns the phase, its
+    /// per-need counts in it, and the needs held at ranks `[0, live)`
+    /// after it: the groups over `[first, first + span)`, each head's 0,
+    /// each member's one less (a member at 0 keeps it, as the commit
+    /// does), every other need unchanged.
     fn random_phase(
         len: usize,
-        exact: bool,
+        one_group: bool,
         rng: &mut rand::rngs::SmallRng,
     ) -> (Regroup, Vec<u64>) {
         use rand::Rng;
         let live = rng.gen_range(2..=len);
-        let stride = rng.gen_range(2..=live);
-        let groups = rng.gen_range(1..=live / stride);
-        let span = groups * stride;
-        let top = match exact {
-            true => span,
-            false => rng.gen_range(span..=(span + stride - 1).min(live)),
+        let (delta, top) = match one_group {
+            true => {
+                let delta = rng.gen_range(1..CLASSES);
+                (delta, rng.gen_range(1..=delta.min(live)))
+            }
+            false => {
+                let delta = rng.gen_range(1..CLASSES.min(live));
+                (delta, rng.gen_range(delta + 1..=live))
+            }
         };
-        let delta = stride as u64 - 1;
-        let mut later: Vec<u64> = (top..live).map(|_| rng.gen_range(0..delta)).collect();
-        later.sort_unstable_by(|a, b| b.cmp(a));
-        let grouped = (0..top).map(|x| match (x < span, x % stride) {
-            (true, 0) => 0,
-            (true, _) => delta - 1,
-            (false, _) => delta,
-        });
-        let needs = grouped.chain(later).collect();
+        let mut before: Vec<usize> = (top..live).map(|_| rng.gen_range(0..delta)).collect();
+        before.sort_unstable_by(|a, b| b.cmp(a));
+        let before: Vec<usize> = std::iter::repeat_n(delta, top).chain(before).collect();
+        let mut counts = [0; CLASSES];
+        before.iter().for_each(|&need| counts[need] += 1);
+        let stride = delta + 1;
         let phase = Regroup {
             live,
             stride,
-            groups,
+            groups: (top / stride).max(1),
             top,
+            counts: Some(counts),
         };
+        let (first, span) = (phase.first(), phase.span());
+        let needs = (before.iter().enumerate())
+            .map(
+                |(x, &need)| match x.checked_sub(first).filter(|&i| i < span) {
+                    Some(i) if i % stride == 0 => 0,
+                    Some(_) => need.saturating_sub(1) as u64,
+                    None => need as u64,
+                },
+            )
+            .collect();
         (phase, needs)
     }
 
@@ -1568,82 +1659,114 @@ mod tests {
     /// live)` after `phase` — by need, non-increasing: the survivors'
     /// ranks in the order they land, every head left out.
     fn stable_resort(phase: &Regroup, needs: &[u64]) -> Vec<usize> {
-        let leaves = |x: usize| x < phase.span() && x.is_multiple_of(phase.stride);
+        let (first, span) = (phase.first(), phase.span());
+        let leaves = |x: usize| {
+            x.checked_sub(first)
+                .is_some_and(|i| i < span && i % phase.stride == 0)
+        };
         let mut ranks: Vec<usize> = (0..phase.live).filter(|&x| !leaves(x)).collect();
         ranks.sort_by_key(|&x| std::cmp::Reverse(needs[x]));
         ranks
     }
 
-    /// The route of [`SortStep::regroup`], replayed sequentially at every
-    /// path length from 2 to 600 on random group phases, with no record
-    /// at the top need past the groups (`t = 0`) and with some: every
-    /// survivor's closed-form rank is its rank in a stable re-sort by the
-    /// new needs, every head's record leaves, every record lands there in
-    /// [`route_rounds_for`] rounds, no two records of one stream — the
-    /// tail still at the top need, and everything else — ever share a
-    /// position, and no position sends or receives more records a round
-    /// than the route has streams.
+    /// The two routes of [`SortStep::regroup`] that re-sort alone,
+    /// replayed sequentially at every path length from 2 to 600 on random
+    /// phases, alternately: the compaction after groups the top need
+    /// fills, and the counted route after one group, its span past the
+    /// records at some lengths. Every survivor's destination is its rank
+    /// in a stable re-sort by the new needs, and every head's record
+    /// leaves; every record lands there in `⌈log₂(q + 1)⌉` rounds, or
+    /// `⌈log₂(D + 1)⌉` for the counted route's longest move `D`; no two
+    /// records of one stream — the compaction's one, the counted route's
+    /// new needs — ever share a position, and no position sends or
+    /// receives more than one record of a stream a round. The counted
+    /// route runs where the capacity takes its streams and no less.
     #[test]
     fn regroup_route_lands_every_record_at_its_stable_rank_without_collisions() {
         use rand::SeedableRng;
         let mut rng = rand::rngs::SmallRng::seed_from_u64(47);
+        let mut past = 0;
         for len in 2..=600usize {
             for draw in 0..8 {
-                let (phase, needs) = random_phase(len, draw % 2 == 0, &mut rng);
+                let one_group = draw % 2 == 1;
+                let (phase, needs) = random_phase(len, one_group, &mut rng);
                 let what = format!("len={len} {phase:?}");
+                past += usize::from(phase.span() > phase.live);
                 let mut records = Vec::new();
                 for (rank, &x) in stable_resort(&phase, &needs).iter().enumerate() {
                     assert_eq!(phase.rank(x), Some(rank), "{what}: rank {x}");
-                    let stream = usize::from((phase.span()..phase.top).contains(&x));
+                    let stream = if one_group { needs[x] as usize } else { 0 };
                     records.push((x, rank, stream));
                 }
                 assert_eq!(records.len(), phase.live - phase.groups, "{what}");
-                let streams = phase.streams();
-                assert_eq!(streams, 1 + usize::from(phase.top > phase.span()));
-                let mut at = vec![usize::MAX; 2 * len];
-                for bit in 0..route_rounds_for(len) as usize {
-                    let (mut sent, mut heard) = (vec![0; len], vec![0; len]);
+                let longest = records.iter().map(|&(x, rank, _)| x.abs_diff(rank)).max();
+                let moved = crate::levels_for(longest.unwrap_or(0) + 1) as u64;
+                let mut streams: Vec<usize> = records.iter().map(|r| r.2).collect();
+                streams.sort_unstable();
+                streams.dedup();
+                let streams = streams.len();
+                let rounds = phase.route_rounds(streams, 0);
+                match one_group {
+                    true => {
+                        assert_eq!(rounds, Some(moved), "{what}");
+                        assert_eq!(phase.route_rounds(streams - 1, 0), None, "{what}");
+                    }
+                    false => {
+                        assert_eq!(longest, Some(phase.groups), "{what}");
+                        assert_eq!(phase.route_rounds(0, 1), Some(moved), "{what}");
+                    }
+                }
+                let mut at = vec![usize::MAX; len * CLASSES];
+                for bit in 0..moved as usize {
+                    let mut sent = vec![0; len * CLASSES];
+                    let mut heard = vec![0; len * CLASSES];
                     for (x, dest, stream) in &mut records {
                         if dest.abs_diff(*x) >> bit & 1 == 1 {
-                            sent[*x] += 1;
+                            sent[*x * CLASSES + *stream] += 1;
                             *x = if *dest > *x {
                                 *x + (1 << bit)
                             } else {
                                 *x - (1 << bit)
                             };
-                            heard[*x] += 1;
+                            heard[*x * CLASSES + *stream] += 1;
                         }
-                        let slot = &mut at[*x * 2 + *stream];
+                        let slot = &mut at[*x * CLASSES + *stream];
                         assert_ne!(*slot, bit, "{what}: stream {stream} meets at {x}");
                         *slot = bit;
                     }
                     let most = sent.iter().chain(&heard).max().copied().unwrap_or(0);
-                    assert!(most <= streams, "{what}: {most} a round");
+                    assert!(most <= 1, "{what}: {most} of a stream a round");
                 }
                 assert!(records.iter().all(|&(x, dest, _)| x == dest), "{what}");
             }
         }
+        assert!(past > 0, "no group past the records");
     }
 
     /// [`SortStep::regroup`] on both engines at every path length from 2
-    /// to 600, strict at the capacity floor, 4, on a random group phase a
-    /// length, alternately with and without records at the top need past
-    /// the groups: the route runs, in [`route_rounds_for`] rounds past the
-    /// establishment; position `y` ends holding the record of rank `y` in
-    /// a stable re-sort by the new needs, its home the rank it held, and
-    /// every position from `live - groups` on — the heads' and the vacant
-    /// ones — holds nothing. At every seventh length the same phase runs
-    /// again with three messages a node a round beside it: where the tail
-    /// at the top need is a second stream the capacity no longer takes
-    /// the route, the merge lane runs in [`merge_rounds_for`] rounds, and
-    /// every position ends holding the same record.
+    /// to 600, strict at the capacity floor, 4, on a random phase a length,
+    /// alternately after groups the top need fills and after one group
+    /// decided on per-need counts: the compaction runs alone in
+    /// `⌈log₂(q + 1)⌉` rounds past the establishment, the counted route in
+    /// `⌈log₂(D + 1)⌉` where the capacity takes its streams, else the
+    /// merge lane in [`merge_rounds_for`] rounds; position `y` ends holding
+    /// the record of rank `y` in a stable re-sort by the new needs, its
+    /// home the rank it held, and every position from `live - groups` on —
+    /// the heads' and the vacant ones — holds nothing. At every seventh
+    /// length the same phase runs again with three messages a node a round
+    /// beside it, and without its counts: the compaction still runs, a
+    /// counted route whose streams no longer fit, or that has no counts,
+    /// gives way to the merge lane, and every position ends holding the
+    /// same record.
     #[test]
     fn regroup_equals_a_stable_resort_on_both_engines() {
         use dgr_ncc::EngineKind;
         use rand::SeedableRng;
         let mut rng = rand::rngs::SmallRng::seed_from_u64(48);
+        let (mut counted, mut merged) = (0, 0);
         for n in 2..=600usize {
-            let (phase, needs) = random_phase(n, n % 2 == 0, &mut rng);
+            let one_group = n % 2 == 0;
+            let (phase, needs) = random_phase(n, one_group, &mut rng);
             let net = Network::new(n, Config::ncc0(n as u64).with_capacity_factor(0.01));
             let ids = net.ids_in_path_order();
             let mut want = vec![None; n];
@@ -1654,8 +1777,15 @@ mod tests {
                     home: x,
                 });
             }
-            let besides: &[usize] = if n % 7 == 0 { &[0, 3] } else { &[0] };
-            for &beside in besides {
+            let uncounted = Regroup {
+                counts: None,
+                ..phase
+            };
+            let runs: &[(Regroup, usize)] = match n % 7 {
+                0 => &[(phase, 0), (phase, 3), (uncounted, 0)],
+                _ => &[(phase, 0)],
+            };
+            for &(phase, beside) in runs {
                 let what = format!("n={n} {phase:?} beside {beside}");
                 let runs = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
                     let needs = needs.clone();
@@ -1679,13 +1809,17 @@ mod tests {
                 let m = &runs[0].metrics;
                 assert!(m.is_clean(), "{what}: {:?}", m.violations);
                 assert_eq!(m.capacity, 4, "{what}");
-                let routes = phase.routes(m.capacity, beside);
-                assert_eq!(routes, beside == 0 || phase.top == phase.span(), "{what}");
+                let routed = phase.route_rounds(m.capacity, beside);
+                match (one_group, routed) {
+                    (false, _) => {
+                        let compaction = crate::levels_for(phase.groups + 1) as u64;
+                        assert_eq!(routed, Some(compaction), "{what}");
+                    }
+                    (true, Some(_)) => counted += 1,
+                    (true, None) => merged += 1,
+                }
                 let lane = regroup_rounds_for(n, &phase, m.capacity, beside);
-                let want_lane = match routes {
-                    true => route_rounds_for(n),
-                    false => merge_rounds_for(n, phase.groups),
-                };
+                let want_lane = routed.unwrap_or_else(|| merge_rounds_for(n, phase.groups));
                 assert_eq!(lane, want_lane, "{what}");
                 assert_eq!(m.rounds - crate::ctx::rounds_for(n), lane, "{what}");
                 for (y, (_, held)) in runs[0].outputs.iter().enumerate() {
@@ -1695,9 +1829,14 @@ mod tests {
                 assert!(vacant.iter().all(|(_, held)| held.is_none()), "{what}");
             }
         }
+        assert!(
+            counted > 0 && merged > 0,
+            "{counted} counted, {merged} merged"
+        );
     }
 
-    /// Losing the regroup route's first round of moves leaves the
+    /// Losing the first round of the counted route's moves — after one
+    /// group of four at need 3 whose top need fills none — leaves the
     /// positions those records were bound for empty at the end: a typed
     /// panic, the same on both engines — never a wrong order.
     #[test]
@@ -1707,20 +1846,25 @@ mod tests {
         let lost = crate::ctx::rounds_for(n);
         let scenario = Scenario::new(5).drop_messages(lost..=lost, 1.0);
         let net = Network::new(n, Config::ncc0(3).with_scenario(scenario));
-        // Ten groups of three at need 2, then a tail of two still at 2.
+        // Two records at need 3, thirty at 2, thirty-two at 1.
+        let mut counts = [0; CLASSES];
+        counts[1..=3].copy_from_slice(&[32, 30, 2]);
         let phase = Regroup {
             live: n,
-            stride: 3,
-            groups: 10,
-            top: 32,
+            stride: 4,
+            groups: 1,
+            top: 2,
+            counts: Some(counts),
         };
+        assert_eq!(phase.route_rounds(4, 0), Some(5), "a longest move of 27");
         let messages = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
             let run = net.run_protocol_on(engine, None, None, |_| {
                 WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
                     let x = ctx.position;
-                    let key = match x < phase.span() {
-                        true => u64::from(!x.is_multiple_of(3)),
-                        false => 2 - u64::from(x >= phase.top),
+                    let key = match x {
+                        0 => 0,
+                        1 | 4..32 => 2,
+                        _ => 1,
                     };
                     let held = Held {
                         key,
@@ -1759,7 +1903,7 @@ mod tests {
             live: n,
             stride: 3,
             groups: 10,
-            top: 0,
+            ..Regroup::default()
         };
         let messages = [EngineKind::Batched, EngineKind::Reference].map(|engine| {
             let run = net.run_protocol_on(engine, None, None, |_| {

@@ -5,6 +5,7 @@
 use dgr_ncc::{
     tags, Config, EngineKind, Network, NodeProtocol, NodeSeed, RoundCtx, Scenario, WireMsg,
 };
+use dgr_primitives::ctx::CLASSES;
 use dgr_primitives::imcast::ImcastStep;
 use dgr_primitives::ops::SweepStep;
 use dgr_primitives::sort::{Held, Order, Regroup, SortStep};
@@ -73,8 +74,8 @@ fn interval_multicast_is_exact_under_full_duplication() {
 
 /// A repeated compaction move or comparator exchange lands the same
 /// record once: a sort, then a merge lane — a regroup whose top key fills
-/// no group — both in place, leave every position holding its fault-free
-/// record.
+/// no group, decided on no counts — both in place, leave every position
+/// holding its fault-free record.
 #[test]
 fn in_place_sort_and_merge_are_exact_under_full_duplication() {
     outputs_survive_full_duplication(48, |_| {
@@ -85,7 +86,7 @@ fn in_place_sort_and_merge_are_exact_under_full_duplication() {
                 live: vp.len,
                 stride: 3,
                 groups: vp.len / 6,
-                top: 0,
+                ..Regroup::default()
             };
             let table = contacts.clone();
             SortStep::new(vp, contacts, x, key, order, rctx.id()).then(move |held, _| {
@@ -100,10 +101,12 @@ fn in_place_sort_and_merge_are_exact_under_full_duplication() {
     });
 }
 
-/// A repeated route move lands the same record once: after a group phase
-/// of six groups of three and a tail of two still at the top need, the
-/// route of `SortStep::regroup` leaves every position holding its
-/// fault-free record.
+/// A repeated route move lands the same record once: the two routes of
+/// `SortStep::regroup` that re-sort alone leave every position holding
+/// its fault-free record — the compaction after six groups of three
+/// behind two records still at the top need, and the counted route after
+/// one group of four at need 3 whose top need fills none, in a phase
+/// decided on per-need counts.
 #[test]
 fn regroup_route_is_exact_under_full_duplication() {
     outputs_survive_full_duplication(50, |_| {
@@ -114,12 +117,39 @@ fn regroup_route_is_exact_under_full_duplication() {
                 stride: 3,
                 groups: 6,
                 top: 20,
+                counts: None,
             };
-            let key = match (x < phase.span(), x % 3) {
-                (true, 0) => 0,
-                (true, _) => 1,
-                (false, _) if x < phase.top => 2,
-                (false, _) => u64::from(x < 30),
+            let key = match x.checked_sub(phase.first()) {
+                None => 2,
+                Some(i) if i < phase.span() => u64::from(i % 3 != 0),
+                Some(_) => u64::from(x < 30),
+            };
+            let held = Held {
+                key,
+                origin: rctx.id(),
+                home: x,
+            };
+            let contacts = ctx.contacts.clone();
+            SortStep::regroup(ctx.vp, contacts, x, Some(held), phase, 0)
+        })
+    });
+    outputs_survive_full_duplication(51, |_| {
+        WithCtx::new(|ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+            let (x, live) = (ctx.position, ctx.vp.len);
+            // Two records at need 3, twenty at 2, the rest at 1.
+            let mut counts = [0; CLASSES];
+            counts[1..=3].copy_from_slice(&[live - 22, 20, 2]);
+            let phase = Regroup {
+                live,
+                stride: 4,
+                groups: 1,
+                top: 2,
+                counts: Some(counts),
+            };
+            let key = match x {
+                0 => 0,
+                1 | 4..22 => 2,
+                _ => 1,
             };
             let held = Held {
                 key,

@@ -5,8 +5,9 @@
 //! both engines.
 
 use dgr_ncc::{Config, EngineKind, Network, NodeId, NodeProtocol, NodeSeed, RoundCtx, Scenario};
+use dgr_primitives::ctx::{self, CLASSES};
 use dgr_primitives::sort::{self, Held, Order, Regroup, SortStep};
-use dgr_primitives::{ctx, PathCtx, WithCtx};
+use dgr_primitives::{PathCtx, WithCtx};
 use std::collections::HashMap;
 
 const N: usize = 64;
@@ -72,25 +73,54 @@ fn the_class_route_and_its_window_ignore_inbox_order() {
     assert_eq!(rounds, sort::route_rounds_for(N) + sort::rounds_for(4));
 }
 
-/// After ten groups of three at need 2 and a tail of two still at 2 — or,
-/// with the same needs, a phase whose top need fills no group — the
-/// regroup route, or the merge lane's compaction route and merge pass.
-/// The two lanes leave every position holding the same record.
+/// The compaction alone, after two records still at need 2 and ten
+/// groups of three behind them. Then after one group of four at need 3
+/// whose top need fills none — two records held 3, thirty 2, the rest 1 —
+/// the counted route of a phase decided on per-need counts, and with the
+/// same needs and no counts the merge lane's compaction route and merge
+/// pass: the two lanes leave every position holding the same record.
 #[test]
 fn the_regroup_route_and_the_merge_lane_ignore_inbox_order() {
-    let run = |top: usize| {
+    let compaction = Regroup {
+        live: N,
+        stride: 3,
+        groups: 10,
+        top: 32,
+        counts: None,
+    };
+    let (_, rounds) = outputs_survive_reordering(62, move |_| {
+        WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
+            let x = ctx.position;
+            let key = match x.checked_sub(compaction.first()) {
+                None => 2,
+                Some(i) if i < compaction.span() => u64::from(i % 3 != 0),
+                Some(_) => 1,
+            };
+            let held = Held {
+                key,
+                origin: rctx.id(),
+                home: x,
+            };
+            let contacts = ctx.contacts.clone();
+            SortStep::regroup(ctx.vp, contacts, x, Some(held), compaction, 0)
+        })
+    });
+    assert_eq!(rounds, 4, "a longest shift of 10");
+    let run = |counts| {
         let phase = Regroup {
             live: N,
-            stride: 3,
-            groups: 10,
-            top,
+            stride: 4,
+            groups: 1,
+            top: 2,
+            counts,
         };
-        outputs_survive_reordering(62, move |_| {
+        outputs_survive_reordering(63, move |_| {
             WithCtx::new(move |ctx: &PathCtx, rctx: &mut RoundCtx<'_>| {
                 let x = ctx.position;
-                let key = match x < phase.span() {
-                    true => u64::from(!x.is_multiple_of(3)),
-                    false => 2 - u64::from(x >= 32),
+                let key = match x {
+                    0 => 0,
+                    1 | 4..32 => 2,
+                    _ => 1,
                 };
                 let held = Held {
                     key,
@@ -102,9 +132,11 @@ fn the_regroup_route_and_the_merge_lane_ignore_inbox_order() {
             })
         })
     };
-    let (routed, rounds) = run(32);
-    assert_eq!(rounds, sort::route_rounds_for(N));
-    let (merged, rounds) = run(0);
-    assert_eq!(rounds, sort::merge_rounds_for(N, 10));
-    assert_eq!(routed, merged);
+    let mut counts = [0; CLASSES];
+    counts[1..=3].copy_from_slice(&[32, 30, 2]);
+    let (counted, rounds) = run(Some(counts));
+    assert_eq!(rounds, 5, "a longest move of 27");
+    let (merged, rounds) = run(None);
+    assert_eq!(rounds, sort::merge_rounds_for(N, 1));
+    assert_eq!(counted, merged);
 }
