@@ -110,22 +110,22 @@ fn benchmark_calls_keep_their_fingerprints() {
         (
             "degrees_default",
             2020,
-            (109, 134_654, 505_997, 0x486a_dfda_c475_1a96),
+            (91, 101_549, 409_267, 0x1124_2c7b_deb4_d386),
         ),
         (
             "degrees_default",
             5376,
-            (109, 134_586, 505_725, 0xd805_c997_2b0a_8ec7),
+            (91, 101_481, 408_995, 0x52c2_db95_60f8_1063),
         ),
         (
             "explicit_powerlaw",
             2020,
-            (276, 454_561, 1_531_781, 0x5c99_7163_9b8d_d261),
+            (276, 454_575, 1_531_837, 0x6ed0_50df_506e_5209),
         ),
         (
             "explicit_powerlaw",
             5376,
-            (276, 454_176, 1_530_241, 0x5d87_0705_7c08_86bf),
+            (276, 454_190, 1_530_297, 0xc4b9_ef8a_5082_8397),
         ),
         (
             "threshold_certified",
