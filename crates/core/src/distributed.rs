@@ -381,9 +381,19 @@ fn shapes(spec: &Spec, replays: bool) -> Vec<Regroup> {
         stride: delta + 1,
         groups,
         top,
-        counts: replays.then(|| std::array::from_fn(|need| counts.get(need).map_or(0, |&c| c))),
+        counts: replays.then(|| {
+            counted(std::array::from_fn(|need| {
+                counts.get(need).map_or(0, |&c| c)
+            }))
+        }),
     };
     phases.map(shape).collect()
+}
+
+/// The per-need counts `needs` as a phase's shape keeps them
+/// ([`Regroup::counts`]).
+fn counted(needs: [usize; CLASSES]) -> [u32; CLASSES] {
+    needs.map(|n| u32::try_from(n).expect("a path of 2^32 positions"))
 }
 
 /// Messages a node a round that a phase's control takes on a path of
@@ -1062,7 +1072,7 @@ impl DegreesCore {
         self.outcome.phases += 1;
         let ctx = &self.ctx;
         let (vp, x) = (ctx.vp, ctx.position);
-        let counts = self.replay.as_deref().map(Replay::needs);
+        let counts = self.replay.as_deref().map(|replay| counted(replay.needs()));
         let replayed = self.replay.as_deref_mut().map(Replay::phase);
         let control = replayed.is_none().then(|| {
             let words = [

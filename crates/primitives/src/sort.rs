@@ -336,8 +336,10 @@ pub struct Regroup {
     /// The records per key the phase was decided on, `counts[k]` of the
     /// `live` at key `k`, where every key is below [`CLASSES`] and every
     /// node holds them — a control replayed from the tally; `None` where
-    /// it was swept.
-    pub counts: Option<[usize; CLASSES]>,
+    /// it was swept. Four bytes a count, as a path has fewer than `2^32`
+    /// positions, so that a phase's shape is no larger than a first sort's
+    /// tally in a route.
+    pub counts: Option<[u32; CLASSES]>,
 }
 
 impl Regroup {
@@ -414,17 +416,17 @@ impl Regroup {
     /// survivor at a higher one, in the order they held. A new key is a
     /// stream: its runs' sources and destinations keep their order, and
     /// their moves do not increase along the path.
-    fn runs(&self, counts: [usize; CLASSES]) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+    fn runs(&self, counts: [u32; CLASSES]) -> impl Iterator<Item = (usize, usize, usize, usize)> {
         debug_assert!(!self.fills(), "a counted route after a full group");
         debug_assert_eq!(
-            counts.iter().sum::<usize>(),
+            counts.iter().sum::<u32>() as usize,
             self.live,
             "counts of other records"
         );
         let end = self.span().min(self.live);
         let blocks = (0..CLASSES).rev().scan(0, move |from, key| {
             let lo = *from;
-            *from += counts[key];
+            *from += counts[key] as usize;
             Some((lo, *from, key))
         });
         // A key's block splits at the group's end: members, then the rest.
@@ -583,9 +585,8 @@ pub struct Sort {
     cmp: Option<bool>,
     /// The route, until it lands this position's record; [`Sort::budget`]
     /// drops it at the first poll where none runs, and the network runs
-    /// over the whole path. Boxed: with a phase's per-key counts in its
-    /// fit, a route outweighs the rest of the sort.
-    route: Option<Box<Route>>,
+    /// over the whole path.
+    route: Option<Route>,
 }
 
 /// A route at one position: every record moves to its destination, one
@@ -828,7 +829,7 @@ impl Sort {
             lands,
             here: Vec::new(),
         };
-        let route = Some(Box::new(route));
+        let route = Some(route);
         Sort { route, ..self }
     }
 
@@ -1746,9 +1747,10 @@ mod tests {
     /// [`SortStep::regroup`] on both engines at every path length from 2
     /// to 600, strict at the capacity floor, 4, on a random phase a length,
     /// alternately after groups the top need fills and after one group
-    /// decided on per-need counts: the compaction runs alone in
-    /// `⌈log₂(q + 1)⌉` rounds past the establishment, the counted route in
-    /// `⌈log₂(D + 1)⌉` where the capacity takes its streams, else the
+    /// decided on per-need counts, its group past the records at some
+    /// lengths: the compaction runs alone in `⌈log₂(q + 1)⌉` rounds past
+    /// the establishment, the counted route in `⌈log₂(D + 1)⌉` where the
+    /// capacity takes its streams, else the
     /// merge lane in [`merge_rounds_for`] rounds; position `y` ends holding
     /// the record of rank `y` in a stable re-sort by the new needs, its
     /// home the rank it held, and every position from `live - groups` on —
@@ -1763,10 +1765,11 @@ mod tests {
         use dgr_ncc::EngineKind;
         use rand::SeedableRng;
         let mut rng = rand::rngs::SmallRng::seed_from_u64(48);
-        let (mut counted, mut merged) = (0, 0);
+        let (mut counted, mut merged, mut past) = (0, 0, 0);
         for n in 2..=600usize {
             let one_group = n % 2 == 0;
             let (phase, needs) = random_phase(n, one_group, &mut rng);
+            past += usize::from(phase.span() > phase.live);
             let net = Network::new(n, Config::ncc0(n as u64).with_capacity_factor(0.01));
             let ids = net.ids_in_path_order();
             let mut want = vec![None; n];
@@ -1833,6 +1836,7 @@ mod tests {
             counted > 0 && merged > 0,
             "{counted} counted, {merged} merged"
         );
+        assert!(past > 0, "no group past the records");
     }
 
     /// Losing the first round of the counted route's moves — after one

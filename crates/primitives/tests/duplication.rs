@@ -138,7 +138,7 @@ fn regroup_route_is_exact_under_full_duplication() {
             let (x, live) = (ctx.position, ctx.vp.len);
             // Two records at need 3, twenty at 2, the rest at 1.
             let mut counts = [0; CLASSES];
-            counts[1..=3].copy_from_slice(&[live - 22, 20, 2]);
+            counts[1..=3].copy_from_slice(&[live as u32 - 22, 20, 2]);
             let phase = Regroup {
                 live,
                 stride: 4,

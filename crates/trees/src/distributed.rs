@@ -107,10 +107,11 @@ enum Stage {
     /// The input check and Algorithm 4's `k` — `(Σd, min d, number of
     /// non-leaves)` in one sweep — beside the degree sort, which needs
     /// none of them; each is polled until it is ready (`None` from then
-    /// on).
+    /// on). The sort is boxed: its route, which can carry a group phase's
+    /// per-key counts, outweighs every other stage.
     Sorting {
         check: Option<SweepStep>,
-        sort: Option<SortStep>,
+        sort: Option<Box<SortStep>>,
     },
     Prefix(PrefixStep),
     /// The shifted multicast, then (`None`) the round of the statuses.
@@ -183,7 +184,7 @@ impl NodeProtocol for RealizeTree {
                             SortStep::by_class(&ctx, degree, Order::Descending, rctx.id(), beside);
                         self.stage = Stage::Sorting {
                             check: Some(check),
-                            sort: Some(sort),
+                            sort: Some(Box::new(sort)),
                         };
                         self.ctx = ctx;
                     }
