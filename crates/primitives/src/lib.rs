@@ -42,7 +42,7 @@
 //! | [`ops::SweepStep::broadcast`] / [`ops::SweepStep::released`] (the broadcast half alone: from position 0, or when a message reaches it) | §3.2.1 | `depth` |
 //! | [`sort::SortStep`] (Thm 3: the rank-`x` record ends at position `x`; ties by the establishment position) | §3.1.2 | `O(log² n)` |
 //! | [`sort::SortStep::by_class`] (a first sort on a keyed path: the class route, every key past 7 in one overflow class, then the network over the overflow's window of `k` positions alone, where the capacity takes a record of every class a round and the two are no longer than the network; else the network) | — | `ceil(log2 n)` routed, plus `O(log² k)` for the window |
-//! | [`sort::SortStep::regroup`] (a stable re-sort in place after a group phase of `g` groups: where the top key fills a group and the capacity takes its two monotone streams, every survivor routed to its closed-form rank; else the merge lane, the compaction route — every survivor toward the head past each head at or before it — then one merge pass) | — | `ceil(log2 n)` routed; else `ceil(log2(g + 1)) + ceil(log2 n) + 1` |
+//! | [`sort::SortStep::regroup`] (a stable re-sort in place after a group phase of `g` groups: where the top key fills a group, the compaction alone — every survivor toward the head past each head at or before it; after one group decided on per-key counts, where the capacity takes its monotone streams, every survivor routed to the rank the counts give it; else the merge lane, the compaction, then one merge pass) | — | `ceil(log2(g + 1))` compacted; `ceil(log2(D + 1))` counted, `D` the longest move; else `ceil(log2(g + 1)) + ceil(log2 n) + 1` |
 //! | [`sort::RankStep`] (the sort's epilogue: each origin learns its sorted path) | §3.1.2 | 2 |
 //! | [`prefix::PrefixStep`] | §5 | `ceil(log2 n)` |
 //! | [`imcast::ImcastStep`] (Thm 7: one address to the ranks after its source; a message carries it and the count it delegates; as long as the largest count `c` a source covers, a bound every member passes) | §3.2.3 | `ceil(log2(c + 1)) + 1`, at most `ceil(log2 n) + 1` |

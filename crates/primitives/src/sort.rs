@@ -336,9 +336,9 @@ pub struct Regroup {
     /// The records per key the phase was decided on, `counts[k]` of the
     /// `live` at key `k`, where every key is below [`CLASSES`] and every
     /// node holds them — a control replayed from the tally; `None` where
-    /// it was swept. Four bytes a count, as a path has fewer than `2^32`
-    /// positions, so that a phase's shape is no larger than a first sort's
-    /// tally in a route.
+    /// it was swept. Four bytes a count, as in the first sort's [`Tally`]:
+    /// a path has fewer than `2^32` positions, and every sort's route
+    /// carries a shape.
     pub counts: Option<[u32; CLASSES]>,
 }
 
