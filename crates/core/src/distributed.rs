@@ -587,7 +587,8 @@ fn cover(len: usize, delta: usize, replays: bool) -> usize {
 }
 
 /// Whether a later phase re-orders the sorted path in place
-/// ([`SortStep::regroup`]: the route, or the merge lane) instead of
+/// ([`SortStep::regroup`]: the compaction alone, the counted route, or
+/// the merge lane) instead of
 /// sorting it again: in the exact flavors, where the merge lane's rounds
 /// are fewer whatever the groups (`len > 8`). A node at need 0 is inert
 /// there — never a leader again, and a run that picks it as a member is
